@@ -104,6 +104,60 @@ fn bench_scheduler_tick() {
             std::hint::black_box(cycle);
         });
     }
+
+    // Stalled: deep queues, but every request of a channel conflicts in
+    // one bank, so between a PRE/ACT/RD triple nothing is issuable for tRC.
+    bench_ticks("tick_stalled", |mapping, i| RequestSpec {
+        addr: mapping.encode(&DramLocation {
+            channel: (i % 4) as u32,
+            rank: 0,
+            bank: 0,
+            row: i / 4,
+            column: 0,
+        }),
+        is_write: false,
+        txn: TxnId(i / 64),
+    });
+    // Saturated: Path-style streaming — long runs of consecutive lines
+    // (row hits across every channel and bank), reads then writes, the
+    // data bus busy nearly every burst slot.
+    bench_ticks("tick_saturated", |_, i| RequestSpec {
+        addr: dram_sim::PhysAddr(i * 64),
+        is_write: (i / 256) % 2 == 1,
+        txn: TxnId(i / 256),
+    });
+}
+
+/// Times controller ticks at the paper's geometry with the queues kept
+/// topped up from `next` (request number -> request), printing ns per
+/// tick: the per-cycle cost of the scheduler itself, visible without the
+/// full benchmark harness.
+fn bench_ticks(name: &str, next: impl Fn(&AddressMapping, u64) -> RequestSpec) {
+    let geometry = DramGeometry::hpca_default();
+    let mapping = AddressMapping::hpca_default(&geometry);
+    let dram = DramModule::new(geometry, TimingParams::ddr3_1600());
+    let mut ctrl = MemoryController::new(dram, mapping.clone(), SchedulerPolicy::proactive(), 64);
+    let ticks = iters() * 100;
+    let mut offered = 0;
+    let mut done = Vec::new();
+    let start = Instant::now();
+    for cycle in 0..ticks {
+        while ctrl.try_enqueue(next(&mapping, offered), cycle).is_ok() {
+            offered += 1;
+        }
+        ctrl.tick(cycle);
+        done.clear();
+        ctrl.drain_completed_into(&mut done);
+    }
+    let ns = start.elapsed().as_nanos() as f64 / ticks as f64;
+    let commands = ctrl.dram().stats().total_commands() as f64 / ticks as f64;
+    print_row(
+        name,
+        &[
+            format!("{ns:>10.0} ns/tick"),
+            format!("{commands:.3} cmd/tick"),
+        ],
+    );
 }
 
 fn bench_trace_generation() {

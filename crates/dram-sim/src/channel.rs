@@ -73,11 +73,24 @@ impl Channel {
         self.data_busy_cycles
     }
 
-    /// Advances per-rank housekeeping (refresh) to `cycle`.
-    pub fn tick(&mut self, cycle: u64, t: &TimingParams) {
+    /// Advances per-rank housekeeping (refresh) to `cycle`; returns
+    /// whether any rank started a refresh.
+    pub fn tick(&mut self, cycle: u64, t: &TimingParams) -> bool {
+        let mut refreshed = false;
         for r in &mut self.ranks {
-            r.tick(cycle, t);
+            refreshed |= r.tick(cycle, t);
         }
+        refreshed
+    }
+
+    /// Cycle at which the channel's next refresh becomes due.
+    #[must_use]
+    pub fn next_refresh(&self) -> u64 {
+        self.ranks
+            .iter()
+            .map(Rank::next_refresh)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Checks the one-command-per-cycle command-bus constraint.
@@ -105,7 +118,10 @@ impl Channel {
     ///
     /// # Errors
     ///
-    /// [`IssueError::DataBusBusy`] carrying the earliest legal start.
+    /// [`IssueError::DataBusBusy`] carrying the earliest legal *command*
+    /// cycle: the earliest legal data-phase start minus the direction's
+    /// CAS latency (CL / CWL), so the hint reads like every other
+    /// variant's.
     pub fn can_burst(
         &self,
         data_start: u64,
@@ -122,7 +138,10 @@ impl Channel {
             earliest += t.t_turnaround;
         }
         if data_start < earliest {
-            Err(IssueError::DataBusBusy { ready_at: earliest })
+            let latency = if is_write { t.cwl } else { t.cl };
+            Err(IssueError::DataBusBusy {
+                ready_at: earliest.saturating_sub(latency),
+            })
         } else {
             Ok(())
         }
@@ -167,10 +186,11 @@ mod tests {
         let tp = t();
         let mut c = Channel::new(1, 4, 1, &tp);
         c.reserve_burst(10, false, &tp);
+        // The hint is a command cycle: data-phase start minus CL.
         assert_eq!(
             c.can_burst(10 + tp.t_burst - 1, false, &tp),
             Err(IssueError::DataBusBusy {
-                ready_at: 10 + tp.t_burst
+                ready_at: 10 + tp.t_burst - tp.cl
             })
         );
         assert!(c.can_burst(10 + tp.t_burst, false, &tp).is_ok());
@@ -188,7 +208,7 @@ mod tests {
         assert_eq!(
             c.can_burst(end, true, &tp),
             Err(IssueError::DataBusBusy {
-                ready_at: end + tp.t_turnaround
+                ready_at: end + tp.t_turnaround - tp.cwl
             })
         );
         assert!(c.can_burst(end + tp.t_turnaround, true, &tp).is_ok());

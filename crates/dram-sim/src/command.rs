@@ -111,6 +111,14 @@ impl std::fmt::Display for DramCommand {
 ///
 /// Returned by `DramModule::can_issue`; schedulers treat any error as "try
 /// again later (or try another command)".
+///
+/// Every `ready_at` is a lower bound on the **command cycle**: the same
+/// command cannot issue before it, whatever else issues on the channel in
+/// between (timing registers only ever move later). It is not a promise —
+/// a different constraint may still hold at `ready_at` — and the variants
+/// without one ([`Self::BankNotPrecharged`], [`Self::BankClosed`],
+/// [`Self::RowMismatch`]) describe bank *state*, which only another
+/// command (or a refresh) changes. Read it with [`Self::ready_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueError {
     /// The bank has a row open but ACT was requested.
@@ -134,7 +142,8 @@ pub enum IssueError {
     },
     /// The shared data bus is occupied for the burst window.
     DataBusBusy {
-        /// Earliest cycle at which the burst could start being scheduled.
+        /// Earliest cycle at which the command may issue so that its data
+        /// phase (CL / CWL later) clears the bus.
         ready_at: u64,
     },
     /// The rank is executing a refresh.
@@ -147,7 +156,9 @@ pub enum IssueError {
 }
 
 impl IssueError {
-    /// The earliest cycle hint carried by the error, if any.
+    /// The earliest command cycle at which a retry can succeed, if the
+    /// error is a timing one; `None` for state errors and
+    /// [`Self::OutOfRange`].
     #[must_use]
     pub fn ready_at(&self) -> Option<u64> {
         match self {

@@ -127,6 +127,9 @@ pub struct DramModule {
     channels: Vec<Channel>,
     stats: DramStats,
     last_tick: u64,
+    /// Earliest cycle any rank's refresh becomes due (`u64::MAX` with
+    /// refresh disabled), so a tick without one is a single compare.
+    next_refresh: u64,
     faults: Option<DramFaultState>,
 }
 
@@ -155,12 +158,17 @@ impl DramModule {
             })
             .collect();
         let stats = DramStats::new(&geometry);
+        let next_refresh = match timing.t_refi {
+            0 => u64::MAX,
+            t_refi => t_refi,
+        };
         Self {
             geometry,
             timing,
             channels,
             stats,
             last_tick: 0,
+            next_refresh,
             faults: None,
         }
     }
@@ -294,26 +302,28 @@ impl DramModule {
         total
     }
 
-    /// Whether the bank addressed by `(channel, rank, bank)` is executing a
-    /// command at `cycle` (ACT/PRE array work, a data burst, or refresh).
-    #[must_use]
-    pub fn bank_busy_at(&self, channel: u32, rank: u32, bank: u32, cycle: u64) -> bool {
-        self.channels[channel as usize]
-            .rank(rank)
-            .bank(bank)
-            .busy_until()
-            > cycle
-    }
-
     /// Advances refresh housekeeping to `cycle`. Must be called with
     /// monotonically non-decreasing cycles; typically once per controller
     /// cycle before issuing.
-    pub fn tick(&mut self, cycle: u64) {
+    ///
+    /// Returns whether any rank started a refresh this cycle. A refresh
+    /// closes every row of its rank without a command being issued, so a
+    /// scheduler that caches open-row facts or sleeps on `ready_at` hints
+    /// must re-read them when this is `true`.
+    pub fn tick(&mut self, cycle: u64) -> bool {
         debug_assert!(cycle >= self.last_tick, "time must not go backwards");
-        for ch in &mut self.channels {
-            ch.tick(cycle, &self.timing);
-        }
         self.last_tick = cycle;
+        if cycle < self.next_refresh {
+            return false;
+        }
+        let mut refreshed = false;
+        let mut next = u64::MAX;
+        for ch in &mut self.channels {
+            refreshed |= ch.tick(cycle, &self.timing);
+            next = next.min(ch.next_refresh());
+        }
+        self.next_refresh = next;
+        refreshed
     }
 
     fn check_range(&self, loc: &DramLocation) -> Result<(), IssueError> {
@@ -372,14 +382,14 @@ impl DramModule {
     /// Same conditions as [`Self::can_issue`]; on error no state changes.
     pub fn issue(&mut self, cmd: DramCommand, cycle: u64) -> Result<IssueOutcome, IssueError> {
         self.can_issue(&cmd, cycle)?;
-        let t = self.timing.clone();
+        let t = &self.timing;
         let key = cmd.loc.bank_key(&self.geometry);
         let ch = &mut self.channels[cmd.loc.channel as usize];
         ch.use_cmd_bus(cycle);
         let rank = ch.rank_mut(cmd.loc.rank);
         let outcome = match cmd.kind {
             CommandKind::Activate => {
-                rank.apply_activate(cmd.loc.bank, cycle, cmd.loc.row, &t);
+                rank.apply_activate(cmd.loc.bank, cycle, cmd.loc.row, t);
                 // Weak-row hook: with probability `weak_row_rate` this ACT
                 // opened a marginal row that needs extra restore time. The
                 // stall only delays later commands, never reorders them.
@@ -396,19 +406,19 @@ impl DramModule {
                 IssueOutcome { data_done_at: None }
             }
             CommandKind::Precharge => {
-                rank.apply_precharge(cmd.loc.bank, cycle, &t);
+                rank.apply_precharge(cmd.loc.bank, cycle, t);
                 IssueOutcome { data_done_at: None }
             }
             CommandKind::Read => {
-                let done = rank.apply_read(cmd.loc.bank, cycle, &t);
-                ch.reserve_burst(cycle + t.cl, false, &t);
+                let done = rank.apply_read(cmd.loc.bank, cycle, t);
+                ch.reserve_burst(cycle + t.cl, false, t);
                 IssueOutcome {
                     data_done_at: Some(done),
                 }
             }
             CommandKind::Write => {
-                let done = rank.apply_write(cmd.loc.bank, cycle, &t);
-                ch.reserve_burst(cycle + t.cwl, true, &t);
+                let done = rank.apply_write(cmd.loc.bank, cycle, t);
+                ch.reserve_burst(cycle + t.cwl, true, t);
                 IssueOutcome {
                     data_done_at: Some(done),
                 }

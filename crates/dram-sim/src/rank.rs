@@ -123,11 +123,13 @@ impl Rank {
     /// refresh model, when tREFI elapses every bank is precharged on the spot
     /// and the rank blocks for tRFC. This slightly pessimizes row locality
     /// around refreshes, identically for every scheduler under test.
-    pub fn tick(&mut self, cycle: u64, t: &TimingParams) {
+    /// Returns whether a refresh started this cycle.
+    pub fn tick(&mut self, cycle: u64, t: &TimingParams) -> bool {
         if t.t_refi == 0 {
-            return; // refresh disabled
+            return false; // refresh disabled
         }
-        if cycle >= self.next_refresh {
+        let due = cycle >= self.next_refresh;
+        if due {
             // Storm injection: a stretched tRFC only ever *delays* commands,
             // so shadow timing checks (lower bounds) remain satisfied.
             let mut rfc = t.t_rfc;
@@ -145,6 +147,13 @@ impl Rank {
             self.next_refresh += t.t_refi;
             self.refreshes += 1;
         }
+        due
+    }
+
+    /// Cycle at which the next refresh becomes due.
+    #[must_use]
+    pub fn next_refresh(&self) -> u64 {
+        self.next_refresh
     }
 
     fn check_refresh(&self, cycle: u64) -> Result<(), IssueError> {

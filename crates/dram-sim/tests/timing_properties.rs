@@ -7,7 +7,7 @@ use oram_rng::{Rng, StdRng};
 
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
-use dram_sim::{CommandKind, DramCommand, DramLocation, DramModule, IssueError};
+use dram_sim::{CommandKind, DramCommand, DramFaultConfig, DramLocation, DramModule, IssueError};
 
 const CASES: u64 = 64;
 
@@ -260,5 +260,201 @@ fn cross_bank_interference_is_rank_level_only() {
             }
             cycle += 1;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The properties that make it legal for a scheduler to *sleep* on a
+// `ready_at` hint instead of re-probing every cycle: the hint is a lower
+// bound on the command cycle, other commands on the channel never make it
+// stale, and fault injection only moves it later.
+// ---------------------------------------------------------------------
+
+/// The two machines the sleep properties are checked on, refresh on in
+/// both: the unit-test geometry (with a refresh every 200 cycles instead
+/// of `test_fast`'s never) and the paper's Table II machine.
+fn machines() -> [(DramGeometry, TimingParams, usize); 2] {
+    let mut fast = TimingParams::test_fast();
+    fast.t_refi = 200;
+    [
+        (DramGeometry::test_small(), fast, 600),
+        (
+            DramGeometry::hpca_default(),
+            TimingParams::ddr3_1600(),
+            6_000,
+        ),
+    ]
+}
+
+/// A random location among a few banks, rows and columns of every channel
+/// (few enough that hits, conflicts and same-bank sequences all occur).
+fn random_loc(rng: &mut StdRng, g: &DramGeometry) -> DramLocation {
+    DramLocation {
+        channel: rng.gen_range(0..g.channels),
+        rank: rng.gen_range(0..g.ranks_per_channel),
+        bank: rng.gen_range(0..g.banks_per_rank.min(4)),
+        row: rng.gen_range(0u64..3),
+        column: rng.gen_range(0u32..4),
+    }
+}
+
+/// The command a scheduler would try next for `loc`: a column command on
+/// a row hit, PRE on a conflict, ACT on a closed bank.
+fn useful_command(dram: &DramModule, loc: DramLocation, write: bool) -> DramCommand {
+    match dram.open_row(&loc) {
+        Some(row) if row == loc.row && write => DramCommand::write(loc),
+        Some(row) if row == loc.row => DramCommand::read(loc),
+        Some(_) => DramCommand::precharge(loc),
+        None => DramCommand::activate(loc),
+    }
+}
+
+/// Advances `dram` by one step of a seeded random *legal* history: tick,
+/// then issue the useful command for a random location if it is legal.
+/// Returns the command issued, if any.
+fn history_step(dram: &mut DramModule, rng: &mut StdRng, cycle: u64) -> Option<DramCommand> {
+    dram.tick(cycle);
+    let loc = random_loc(rng, dram.geometry());
+    let cmd = useful_command(dram, loc, rng.gen_bool(0.4));
+    dram.can_issue(&cmd, cycle).ok()?;
+    dram.issue(cmd, cycle).expect("approved commands apply");
+    Some(cmd)
+}
+
+/// How far ahead a bound is checked cycle by cycle (a refresh storm on
+/// the DDR3 machine blocks for 3 x 208 cycles).
+const HORIZON: u64 = 700;
+
+/// Asserts `cmd` stays illegal on `dram` for every cycle in `[from, to)`.
+fn assert_blocked(dram: &DramModule, cmd: &DramCommand, from: u64, to: u64, why: &str) {
+    for c in from..to.min(from + HORIZON) {
+        assert!(
+            dram.can_issue(cmd, c).is_err(),
+            "{why}: {cmd} legal at {c}, before its bound {to}"
+        );
+    }
+}
+
+/// (i) *Lower bound*: if `can_issue(cmd, c)` fails with bound `r`, it fails
+/// at every cycle in `[c, r)`. (ii) *Monotone*: a legal command issued to
+/// another bank of the channel at some cycle in `[c, r)` never makes `cmd`
+/// legal before `r` — nor does a refresh that falls inside the interval.
+#[test]
+fn ready_at_is_a_lower_bound_other_commands_cannot_undercut() {
+    for (geometry, timing, steps) in machines() {
+        for case in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(case ^ 0xE0E0);
+            let mut dram = DramModule::new(geometry.clone(), timing.clone());
+            let mut bounds_checked = 0u32;
+            let mut cycle = 0u64;
+            for _ in 0..steps {
+                history_step(&mut dram, &mut rng, cycle);
+                // Probe what a scheduler might want next, anywhere.
+                let probe =
+                    useful_command(&dram, random_loc(&mut rng, &geometry), rng.gen_bool(0.4));
+                if let Err(e) = dram.can_issue(&probe, cycle) {
+                    if let Some(r) = e.ready_at() {
+                        assert!(r > cycle, "{e:?} at {cycle}");
+                        assert_blocked(&dram, &probe, cycle, r, "untouched");
+                        // Disturb a copy: advance it (refreshes included)
+                        // to a cycle inside the interval and issue
+                        // something legal to another bank there.
+                        let mut other = dram.clone();
+                        let at = rng.gen_range(cycle..r.min(cycle + HORIZON));
+                        for c in cycle + 1..=at {
+                            other.tick(c);
+                        }
+                        for _ in 0..8 {
+                            let mut loc = random_loc(&mut rng, &geometry);
+                            loc.channel = probe.loc.channel;
+                            if (loc.rank, loc.bank) == (probe.loc.rank, probe.loc.bank) {
+                                continue;
+                            }
+                            let cmd = useful_command(&other, loc, rng.gen_bool(0.4));
+                            if other.can_issue(&cmd, at).is_ok() {
+                                other.issue(cmd, at).expect("approved commands apply");
+                                break;
+                            }
+                        }
+                        assert_blocked(&other, &probe, at, r, "after another bank's command");
+                        bounds_checked += 1;
+                    }
+                }
+                cycle += rng.gen_range(1u64..4);
+            }
+            assert!(dram.total_refreshes() > 0, "refresh must be exercised");
+            assert!(bounds_checked > 50, "only {bounds_checked} bounds met");
+        }
+    }
+}
+
+/// The first cycle from `from` on at which `cmd` is legal on `dram` as it
+/// stands, found by following the hints; `None` for a state error.
+fn earliest_legal(dram: &DramModule, cmd: &DramCommand, from: u64) -> Option<u64> {
+    let mut cycle = from;
+    loop {
+        match dram.can_issue(cmd, cycle) {
+            Ok(()) => return Some(cycle),
+            Err(e) => cycle = e.ready_at()?,
+        }
+    }
+}
+
+/// (iii) Refresh storms and weak-row stalls only move bounds later: on the
+/// same command history a faulty module refuses whatever the healthy one
+/// refuses, a command's first legal cycle is never earlier than on the
+/// healthy one, and the faulty module's hints are still lower bounds.
+#[test]
+fn faults_only_move_bounds_later() {
+    for (geometry, timing, steps) in machines() {
+        let (mut storms, mut stalls) = (0, 0);
+        for case in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(case ^ 0xF0F0);
+            let mut healthy = DramModule::new(geometry.clone(), timing.clone());
+            let mut faulty = healthy.clone();
+            faulty.enable_faults(DramFaultConfig {
+                seed: case,
+                storm_rate: 0.5,
+                storm_factor: 3,
+                weak_row_rate: 0.3,
+                weak_row_stall: 7,
+            });
+            let mut cycle = 0u64;
+            for _ in 0..steps {
+                // The history is legal on the faulty module, hence (faults
+                // only delay) legal on the healthy one: both stay in the
+                // same bank states.
+                healthy.tick(cycle);
+                if let Some(cmd) = history_step(&mut faulty, &mut rng, cycle) {
+                    healthy
+                        .issue(cmd, cycle)
+                        .expect("legal with faults implies legal without");
+                }
+                let probe =
+                    useful_command(&faulty, random_loc(&mut rng, &geometry), rng.gen_bool(0.4));
+                if healthy.can_issue(&probe, cycle).is_err() {
+                    assert!(
+                        faulty.can_issue(&probe, cycle).is_err(),
+                        "faults made {probe} legal at {cycle}"
+                    );
+                }
+                if let (Some(h), Some(f)) = (
+                    earliest_legal(&healthy, &probe, cycle),
+                    earliest_legal(&faulty, &probe, cycle),
+                ) {
+                    assert!(f >= h, "{probe} from {cycle}: legal at {f} < {h}");
+                }
+                if let Err(f) = faulty.can_issue(&probe, cycle) {
+                    if let Some(r) = f.ready_at() {
+                        assert_blocked(&faulty, &probe, cycle, r, "with faults");
+                    }
+                }
+                cycle += rng.gen_range(1u64..4);
+            }
+            storms += faulty.total_refresh_storms();
+            stalls += faulty.weak_row_stalls();
+        }
+        assert!(storms > 0, "storms must fire");
+        assert!(stalls > 0, "weak rows must stall");
     }
 }

@@ -121,6 +121,14 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     /// enabled. Empty if tracing was never enabled.
     fn take_command_events(&mut self) -> Vec<CommandEvent>;
 
+    /// Appends the recorded command events to `out`, reusing its capacity
+    /// and keeping the backend's trace buffer. The allocation-free form of
+    /// [`MemoryBackend::take_command_events`] for per-cycle callers; both
+    /// consume the same trace.
+    fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
+        out.append(&mut self.take_command_events());
+    }
+
     /// Scheduler-level statistics.
     fn sched_stats(&self) -> &SchedulerStats;
 
@@ -164,6 +172,10 @@ impl MemoryBackend for MemoryController {
 
     fn take_command_events(&mut self) -> Vec<CommandEvent> {
         MemoryController::take_command_events(self)
+    }
+
+    fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
+        MemoryController::drain_command_events_into(self, out);
     }
 
     fn sched_stats(&self) -> &SchedulerStats {

@@ -23,9 +23,16 @@
 //!
 //! * [`mod@self`] — the [`MemoryController`] struct, its tick loop and
 //!   queue admission;
-//! * `cache` — the per-channel scheduling view caches;
+//! * `cache` — the per-bank scheduling views and the issue bounds that let
+//!   a stalled channel sleep, both kept up on events;
 //! * `schedule` — the three scheduling passes and command issue;
 //! * `faults` — deterministic response-fault injection.
+//!
+//! `tick` is called once per cycle, but what it costs follows what
+//! *changed*: a channel whose last scan found nothing issuable is not
+//! scanned again before the earliest cycle `dram-sim` named (or an event —
+//! issue, enqueue inside the window, window move, plan change, refresh),
+//! and an event re-derives one bank's facts, not the channel's.
 
 mod cache;
 mod faults;
@@ -45,7 +52,7 @@ use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
 
-use cache::ChannelCache;
+use cache::{dram_bank, ChannelCache};
 use faults::{mix64, u01, ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
 
 /// One issued DRAM command, as recorded by the optional command trace.
@@ -93,13 +100,17 @@ pub struct MemoryController {
     completed: Vec<Completed>,
     stats: SchedulerStats,
     last_cycle: u64,
-    /// Per-channel scheduling view caches. A view stays valid until the
-    /// channel's queues or bank states change, so stalled cycles (the
-    /// common case) skip the queue scan entirely.
+    /// Per-channel scheduling views and issue bounds, kept up per bank on
+    /// events (see `cache.rs`).
     caches: Vec<ChannelCache>,
-    /// Pending (unissued) request count per bank, indexed
-    /// `[channel][rank * banks_per_rank + bank]`, for idle accounting.
-    pending_per_bank: Vec<Vec<u32>>,
+    banks_per_rank: u32,
+    /// End of each bank's busy window as of the last command issued to it
+    /// (or refresh), indexed `channel * banks_per_channel + bank`: the
+    /// controller's own copy, so the per-tick idle accounting is one flat
+    /// pass instead of a walk through the DRAM hierarchy.
+    bank_busy_until: Vec<u64>,
+    /// Banks with an open row, counted on ACT/PRE (recounted on refresh).
+    open_banks: u64,
     /// Optional command trace: every issued command with its cycle and
     /// owning transaction.
     command_trace: Option<Vec<CommandEvent>>,
@@ -132,14 +143,15 @@ impl MemoryController {
         queue_capacity: usize,
     ) -> Self {
         let channels = dram.geometry().channels;
-        let banks = (dram.geometry().ranks_per_channel * dram.geometry().banks_per_rank) as usize;
+        let banks_per_rank = dram.geometry().banks_per_rank;
+        let banks = (dram.geometry().ranks_per_channel * banks_per_rank) as usize;
         Self {
             dram,
             mapping,
             policy,
             page_policy: PagePolicy::Open,
             queues: (0..channels)
-                .map(|_| ChannelQueues::new(queue_capacity))
+                .map(|_| ChannelQueues::new(banks, queue_capacity))
                 .collect(),
             next_id: 0,
             completed: Vec::new(),
@@ -148,8 +160,10 @@ impl MemoryController {
                 ..SchedulerStats::default()
             },
             last_cycle: 0,
-            caches: (0..channels).map(|_| ChannelCache::default()).collect(),
-            pending_per_bank: (0..channels).map(|_| vec![0; banks]).collect(),
+            caches: (0..channels).map(|_| ChannelCache::new(banks)).collect(),
+            banks_per_rank,
+            bank_busy_until: vec![0; channels as usize * banks],
+            open_banks: 0,
             command_trace: None,
             response_faults: None,
         }
@@ -212,6 +226,14 @@ impl MemoryController {
         match &mut self.command_trace {
             Some(t) => std::mem::take(t),
             None => Vec::new(),
+        }
+    }
+
+    /// Moves the recorded command events into `out`, retaining the trace
+    /// buffer (no allocation in steady state).
+    pub fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
+        if let Some(t) = &mut self.command_trace {
+            out.append(t);
         }
     }
 
@@ -313,11 +335,9 @@ impl MemoryController {
             first_cmd_at: None,
             class: None,
         };
-        self.queues[loc.channel as usize].push(req)?;
-        self.caches[loc.channel as usize].valid = false;
-        let banks_per_rank = self.dram.geometry().banks_per_rank;
-        self.pending_per_bank[loc.channel as usize]
-            [(loc.rank * banks_per_rank + loc.bank) as usize] += 1;
+        let (ch, b) = (loc.channel as usize, self.bank_index(&loc));
+        self.queues[ch].push(b, req)?;
+        self.refresh_bank_for(ch, b, spec.txn);
         self.next_id += 1;
         Ok(id)
     }
@@ -346,7 +366,9 @@ impl MemoryController {
     pub fn tick(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.last_cycle, "cycles must be non-decreasing");
         self.last_cycle = cycle;
-        self.dram.tick(cycle);
+        if self.dram.tick(cycle) {
+            self.observe_refresh();
+        }
         for q in &self.queues {
             self.stats.queue_occupancy_integral += q.len() as u64;
         }
@@ -355,31 +377,18 @@ impl MemoryController {
         // Bank idle accounting (Fig. 12(a)): a bank with pending requests
         // either executes a command window this cycle or sits stalled —
         // under transaction-based scheduling mostly because of the barrier.
-        let banks_per_rank = self.dram.geometry().banks_per_rank;
-        for (ch, per_bank) in self.pending_per_bank.iter().enumerate() {
-            for (b, &count) in per_bank.iter().enumerate() {
-                let rank = b as u32 / banks_per_rank;
-                let bank = b as u32 % banks_per_rank;
-                let loc = dram_sim::DramLocation {
-                    channel: ch as u32,
-                    rank,
-                    bank,
-                    row: 0,
-                    column: 0,
-                };
-                self.stats.bank_tick_integral += 1;
-                if self.dram.open_row(&loc).is_some() {
-                    self.stats.open_bank_integral += 1;
-                }
-                if count > 0 {
-                    if self.dram.bank_busy_at(ch as u32, rank, bank, cycle) {
-                        self.stats.busy_pending_bank_cycles += 1;
-                    } else {
-                        self.stats.stalled_bank_cycles += 1;
-                    }
-                }
+        let banks = self.banks_per_channel();
+        let (mut pending, mut busy) = (0, 0);
+        for (q, busy_until) in self.queues.iter().zip(self.bank_busy_until.chunks(banks)) {
+            for (has_pending, &until) in q.banks_pending().zip(busy_until) {
+                pending += u64::from(has_pending);
+                busy += u64::from(has_pending & (until > cycle));
             }
         }
+        self.stats.bank_tick_integral += self.bank_busy_until.len() as u64;
+        self.stats.open_bank_integral += self.open_banks;
+        self.stats.busy_pending_bank_cycles += busy;
+        self.stats.stalled_bank_cycles += pending - busy;
 
         // Algorithm 1 line 9-11 / Algorithm 2 line 13-15: the current
         // transaction pointer advances as soon as no commands of it remain.
@@ -387,17 +396,31 @@ impl MemoryController {
 
         let plan = self.policy.plan(cycle);
         let lookahead = self.policy.lookahead();
-        let unconstrained = self.policy.unconstrained();
-        for ch in 0..self.queues.len() as u32 {
+        for ch in 0..self.queues.len() {
             let issued = match current {
-                Some(t) if plan.issue => {
-                    self.schedule_channel(ch, t, lookahead, unconstrained, plan, cycle)
-                }
+                Some(t) if plan.issue => self.schedule_channel(ch, t, lookahead, plan, cycle),
                 _ => false,
             };
             if !issued && self.page_policy == PagePolicy::Closed {
                 self.close_idle_rows(ch, cycle);
             }
+        }
+    }
+
+    /// A refresh started: it closed every row of its rank and moved bank
+    /// timing without a command from the controller, so everything the
+    /// controller mirrors or derives from DRAM state is read again. Rare
+    /// (once per tREFI per rank), so all channels are treated alike.
+    fn observe_refresh(&mut self) {
+        for cache in &mut self.caches {
+            cache.invalidate();
+        }
+        let banks = self.banks_per_channel();
+        self.open_banks = 0;
+        for (i, busy_until) in self.bank_busy_until.iter_mut().enumerate() {
+            let bank = dram_bank(&self.dram, self.banks_per_rank, i / banks, i % banks);
+            *busy_until = bank.busy_until();
+            self.open_banks += u64::from(bank.open_row().is_some());
         }
     }
 }

@@ -1,11 +1,20 @@
 //! The three scheduling passes (row-hit, bank-preparation, proactive) and
 //! command issue, parameterized by the policy's per-tick [`PassPlan`].
+//!
+//! The passes are a pure search over the channel's scheduling view
+//! ([`pick`]); whether a candidate's command may issue *now* is asked
+//! through the channel's issue bounds, so a candidate `dram-sim` already
+//! refused until some later cycle costs one compare, and a channel whose
+//! last scan found nothing is not scanned again until its earliest bound,
+//! a plan change or an event (issue, enqueue inside the window, window
+//! move, refresh) — see `cache.rs`.
 
-use dram_sim::{CommandKind, DramCommand};
+use dram_sim::{CommandKind, DramCommand, DramLocation, IssueOutcome};
 
 use crate::policy::{CandidateOrder, PassPlan};
 use crate::request::{Completed, RowClass, TxnId};
 
+use super::cache::{dram_bank, BankView, Candidate, ChannelCache, ChannelView};
 use super::faults::{mix64, u01, DOMAIN_DROP, DOMAIN_LATE};
 use super::MemoryController;
 
@@ -21,185 +30,248 @@ fn direction_rounds(order: CandidateOrder) -> &'static [Option<bool>] {
     }
 }
 
+/// The command the passes chose for a channel this cycle.
+struct Pick {
+    /// The request it is issued for.
+    cand: Candidate,
+    cmd: DramCommand,
+    action: Action,
+}
+
+enum Action {
+    /// RD/WR: the request retires.
+    Data { bypassed_write_hit: bool },
+    /// PRE/ACT on the request's behalf.
+    Prep {
+        class_if_first: RowClass,
+        proactive: bool,
+    },
+}
+
+/// Applies the plan's row-hit, bank-preparation and (when enabled)
+/// proactive PRE/ACT passes to one channel's view and returns the first
+/// candidate command `can_issue` accepts, in pass order.
+#[allow(clippy::expect_used)] // invariant, stated in the expect message
+fn pick(
+    view: &ChannelView,
+    plan: PassPlan,
+    lookahead: u64,
+    mut can_issue: impl FnMut(usize, &DramCommand) -> bool,
+) -> Option<Pick> {
+    // FR pass: oldest pending row hit that can issue its data command —
+    // the only pass that issues data (RD/WR) commands. The list holds the
+    // oldest hit per (bank, direction): the rest of each group would get
+    // the same answer from `dram-sim` and is younger. The plan's
+    // direction rounds may let a younger read bypass an older write hit
+    // (or vice versa); candidates never cross the transaction window, so
+    // the reordering is intra-transaction only.
+    for &round in direction_rounds(plan.hit_order) {
+        for &cand in &view.hits {
+            if round.is_some_and(|w| w != cand.is_write) {
+                continue;
+            }
+            let cmd = if cand.is_write {
+                DramCommand::write(cand.loc)
+            } else {
+                DramCommand::read(cand.loc)
+            };
+            if can_issue(cand.b, &cmd) {
+                // A read issued under read priority while a write hit was
+                // pending counts as one deferral for the policy.
+                let bypassed_write_hit = plan.hit_order == CandidateOrder::ReadsFirst
+                    && !cand.is_write
+                    && view.hits.iter().any(|c| c.is_write);
+                return Some(Pick {
+                    cand,
+                    cmd,
+                    action: Action::Data { bypassed_write_hit },
+                });
+            }
+        }
+    }
+
+    // FCFS pass: oldest current-transaction request per bank drives the
+    // bank preparation (PRE/ACT), in age order across banks (direction
+    // rounds applied on top). A bank with a pending row hit is left open
+    // so the hit survives.
+    for &round in direction_rounds(plan.prep_order) {
+        for &(_, b) in &view.order_current {
+            let bank = &view.banks[b];
+            let cand = bank.oldest_current.expect("in order_current");
+            if round.is_some_and(|w| w != cand.is_write) {
+                continue;
+            }
+            let found = prepare(
+                bank,
+                cand,
+                bank.current_hit_pending(),
+                false,
+                &mut can_issue,
+            );
+            if found.is_some() {
+                return found;
+            }
+        }
+    }
+
+    // Proactive pass (Algorithm 2, generalized to the policy's lookahead):
+    // PRE/ACT for lookahead-window requests whose conflicts are
+    // inter-transaction.
+    if !plan.proactive || lookahead == 0 {
+        return None;
+    }
+    for &(_, b) in &view.order_future {
+        let bank = &view.banks[b];
+        // Guard: the bank must have no pending request from the current
+        // transaction — otherwise the conflict is intra-transaction and
+        // Algorithm 2 leaves it alone.
+        if bank.oldest_current.is_some() {
+            continue;
+        }
+        let cand = bank.oldest_future.expect("in order_future");
+        // Row-hit preservation, mirrored for the window: if any window
+        // request still wants the open row, leave the bank alone —
+        // otherwise PB would change row-buffer outcomes, which the paper's
+        // fidelity argument forbids.
+        let found = prepare(bank, cand, bank.future_hit_pending, true, &mut can_issue);
+        if found.is_some() {
+            return found;
+        }
+    }
+    None
+}
+
+/// The PRE or ACT that moves `bank` towards `cand`'s row, if one is needed,
+/// no pending hit (`hit_pending`) needs the open row, and it may issue.
+fn prepare(
+    bank: &BankView,
+    cand: Candidate,
+    hit_pending: bool,
+    proactive: bool,
+    can_issue: &mut impl FnMut(usize, &DramCommand) -> bool,
+) -> Option<Pick> {
+    let (cmd, class_if_first) = match bank.open_row {
+        // Row ready: the data command is the hit pass's business (blocked
+        // on bus/timing), or the row is already prepared for the future.
+        Some(row) if row == cand.loc.row => return None,
+        Some(_) if hit_pending => return None,
+        Some(_) => (DramCommand::precharge(cand.loc), RowClass::Conflict),
+        None => (DramCommand::activate(cand.loc), RowClass::Miss),
+    };
+    can_issue(cand.b, &cmd).then_some(Pick {
+        cand,
+        cmd,
+        action: Action::Prep {
+            class_if_first,
+            proactive,
+        },
+    })
+}
+
 impl MemoryController {
-    /// Applies the plan's row-hit, bank-preparation and (when enabled)
-    /// proactive PRE/ACT passes on one channel. Returns true if a command
-    /// was issued.
-    ///
-    /// The cached view's *structure* (which requests exist, which are hits)
-    /// is invalidated on every queue or bank-state change; row-open state
-    /// consulted for PRE/ACT decisions is always read live. Refresh may
-    /// close rows without invalidating the cache — a stale "hit" then
-    /// simply fails `can_issue` harmlessly (rows never *open*
-    /// asynchronously, so no hit is ever missed).
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    /// Issues at most one command on channel `ch` according to the plan.
+    /// Returns true if a command was issued.
     pub(super) fn schedule_channel(
         &mut self,
-        ch: u32,
+        ch: usize,
         current: TxnId,
         lookahead: u64,
-        unconstrained: bool,
         plan: PassPlan,
         cycle: u64,
     ) -> bool {
-        if !self.caches[ch as usize].valid
-            || self.caches[ch as usize].built_for != (current, lookahead)
-        {
-            self.rebuild_cache(ch, current, lookahead, unconstrained);
+        if self.caches[ch].view.window != Some((current, lookahead)) {
+            self.rebuild_view(ch, current, lookahead);
         }
-
-        // FR pass: oldest pending row hit that can issue its data command —
-        // the only pass that issues data (RD/WR) commands. The plan's
-        // direction rounds may let a younger read bypass an older write
-        // hit (or vice versa); candidates never cross the transaction
-        // window, so the reordering is intra-transaction only.
-        for &round in direction_rounds(plan.hit_order) {
-            for idx in 0..self.caches[ch as usize].hits.len() {
-                let (_, key) = self.caches[ch as usize].hits[idx];
-                if round.is_some_and(|w| w != key.0) {
-                    continue;
-                }
-                let req = self.queues[ch as usize].get(key);
-                let cmd = if req.is_write {
-                    DramCommand::write(req.loc)
-                } else {
-                    DramCommand::read(req.loc)
-                };
-                if self.dram.can_issue(&cmd, cycle).is_ok() {
-                    // A read issued under read priority while a write hit
-                    // was pending counts as one deferral for the policy.
-                    let bypassed = plan.hit_order == CandidateOrder::ReadsFirst
-                        && !key.0
-                        && self.caches[ch as usize].hits.iter().any(|&(_, (w, _))| w);
-                    self.issue_data_command(ch, key, cmd, cycle, bypassed);
-                    return true;
-                }
-            }
-        }
-
-        // FCFS pass: oldest current-transaction request per bank drives the
-        // bank preparation (PRE/ACT), in age order across banks (direction
-        // rounds applied on top). A bank with a pending row hit is left
-        // open so the hit survives.
-        for &round in direction_rounds(plan.prep_order) {
-            for idx in 0..self.caches[ch as usize].order_current.len() {
-                let (_, b) = self.caches[ch as usize].order_current[idx];
-                let view = self.caches[ch as usize].views[b];
-                let (_, key) = view.oldest_current.expect("in order_current");
-                if round.is_some_and(|w| w != key.0) {
-                    continue;
-                }
-                let req = self.queues[ch as usize].get(key).clone();
-                match self.dram.open_row(&req.loc) {
-                    Some(row) if row == req.loc.row => {
-                        // Row ready but data command blocked (bus/timing).
-                    }
-                    Some(_) => {
-                        if view.current_hit_pending {
-                            continue; // FR-FCFS row-hit preservation
-                        }
-                        let cmd = DramCommand::precharge(req.loc);
-                        if self.dram.can_issue(&cmd, cycle).is_ok() {
-                            self.issue_prep_command(ch, key, cmd, cycle, RowClass::Conflict, false);
-                            return true;
-                        }
-                    }
-                    None => {
-                        let cmd = DramCommand::activate(req.loc);
-                        if self.dram.can_issue(&cmd, cycle).is_ok() {
-                            self.issue_prep_command(ch, key, cmd, cycle, RowClass::Miss, false);
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Proactive pass (Algorithm 2, generalized to the policy's
-        // lookahead): PRE/ACT for lookahead-window requests whose conflicts
-        // are inter-transaction.
-        if !plan.proactive || lookahead == 0 {
+        let dram = &self.dram;
+        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        if bounds.asleep(plan, cycle) {
+            // The old probe-everything scan survives as the oracle: tier-1
+            // runs in debug, so every test doubles as a differential.
+            debug_assert!(
+                pick(view, plan, lookahead, |_, cmd| dram
+                    .can_issue(cmd, cycle)
+                    .is_ok())
+                .is_none(),
+                "channel {ch} slept through an issuable command at cycle {cycle}"
+            );
             return false;
         }
-        for idx in 0..self.caches[ch as usize].order_future.len() {
-            let (_, b) = self.caches[ch as usize].order_future[idx];
-            let view = self.caches[ch as usize].views[b];
-            // Guard: the bank must have no pending request from the current
-            // transaction — otherwise the conflict is intra-transaction and
-            // Algorithm 2 leaves it alone.
-            if view.has_current {
-                continue;
+        bounds.begin_scan();
+        let Some(found) = pick(view, plan, lookahead, |b, cmd| {
+            bounds.probe(dram, b, cmd, cycle)
+        }) else {
+            bounds.sleep(plan);
+            return false;
+        };
+        match found.action {
+            Action::Data { bypassed_write_hit } => {
+                self.issue_data_command(ch, found.cand, found.cmd, cycle, bypassed_write_hit);
             }
-            let (_, key) = view.oldest_future.expect("in order_future");
-            let req = self.queues[ch as usize].get(key).clone();
-            match self.dram.open_row(&req.loc) {
-                Some(row) if row == req.loc.row => {
-                    // Already prepared (or naturally open): future hit.
-                }
-                Some(_) => {
-                    // Row-hit preservation, mirrored for the window: if any
-                    // window request still wants the open row, leave the
-                    // bank alone — otherwise PB would change row-buffer
-                    // outcomes, which the paper's fidelity argument forbids.
-                    if view.future_hit_pending {
-                        continue;
-                    }
-                    let cmd = DramCommand::precharge(req.loc);
-                    if self.dram.can_issue(&cmd, cycle).is_ok() {
-                        self.issue_prep_command(ch, key, cmd, cycle, RowClass::Conflict, true);
-                        return true;
-                    }
-                }
-                None => {
-                    let cmd = DramCommand::activate(req.loc);
-                    if self.dram.can_issue(&cmd, cycle).is_ok() {
-                        self.issue_prep_command(ch, key, cmd, cycle, RowClass::Miss, true);
-                        return true;
-                    }
-                }
+            Action::Prep {
+                class_if_first,
+                proactive,
+            } => {
+                self.issue_prep_command(ch, found.cand, found.cmd, cycle, class_if_first, proactive)
             }
         }
-        false
+        true
     }
 
     /// Close-page policy: precharge any open bank with no pending request
     /// for its open row, as soon as timing allows. At most one PRE per
     /// channel per cycle (the command bus is shared).
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    pub(super) fn close_idle_rows(&mut self, ch: u32, cycle: u64) {
-        let geometry = self.dram.geometry();
-        let banks_per_rank = geometry.banks_per_rank;
-        let ranks = geometry.ranks_per_channel;
-        for rank in 0..ranks {
-            for bank in 0..banks_per_rank {
-                let loc = dram_sim::DramLocation {
-                    channel: ch,
-                    rank,
-                    bank,
-                    row: 0,
-                    column: 0,
-                };
-                let Some(open) = self.dram.open_row(&loc) else {
-                    continue;
-                };
-                let wanted = self.queues[ch as usize]
-                    .reads
-                    .iter()
-                    .chain(self.queues[ch as usize].writes.iter())
-                    .any(|r| r.loc.rank == rank && r.loc.bank == bank && r.loc.row == open);
-                if wanted {
-                    continue;
-                }
-                let cmd = DramCommand::precharge(dram_sim::DramLocation { row: open, ..loc });
-                if self.dram.can_issue(&cmd, cycle).is_ok() {
-                    self.dram.issue(cmd, cycle).expect("checked");
-                    self.record_trace(cycle, cmd, None);
-                    self.caches[ch as usize].valid = false;
-                    self.stats.precharges += 1;
-                    return;
-                }
+    pub(super) fn close_idle_rows(&mut self, ch: usize, cycle: u64) {
+        for b in 0..self.banks_per_channel() {
+            let Some(row) = dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row() else {
+                continue;
+            };
+            // "Does anyone still want this row" is a question about the
+            // bank's own queue, window or not.
+            if self.queues[ch].bank(b).iter().any(|r| r.loc.row == row) {
+                continue;
+            }
+            let cmd = DramCommand::precharge(DramLocation {
+                channel: ch as u32,
+                rank: b as u32 / self.banks_per_rank,
+                bank: b as u32 % self.banks_per_rank,
+                row,
+                column: 0,
+            });
+            if self.caches[ch].bounds.probe(&self.dram, b, &cmd, cycle) {
+                self.issue_to_dram(ch, b, cmd, cycle, None);
+                self.stats.precharges += 1;
+                self.refresh_bank(ch, b);
+                return;
             }
         }
+    }
+
+    /// Puts `cmd` on channel `ch`'s command bus: the one place commands
+    /// leave the controller, so also the one place the per-bank state that
+    /// mirrors the DRAM (busy window, open-bank count, issue bounds) is
+    /// kept in step. The caller updates the queue and then re-derives the
+    /// bank's view ([`Self::refresh_bank`]).
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    fn issue_to_dram(
+        &mut self,
+        ch: usize,
+        b: usize,
+        cmd: DramCommand,
+        cycle: u64,
+        txn: Option<TxnId>,
+    ) -> IssueOutcome {
+        let outcome = self.dram.issue(cmd, cycle).expect("checked with can_issue");
+        self.record_trace(cycle, cmd, txn);
+        self.caches[ch].bounds.clear_bank(b);
+        let busy_until = dram_bank(&self.dram, self.banks_per_rank, ch, b).busy_until();
+        let slot = ch * self.banks_per_channel() + b;
+        self.bank_busy_until[slot] = busy_until;
+        match cmd.kind {
+            CommandKind::Activate => self.open_banks += 1,
+            CommandKind::Precharge => self.open_banks -= 1,
+            CommandKind::Read | CommandKind::Write => {}
+        }
+        outcome
     }
 
     /// Issues the RD/WR for a request and retires it — unless an injected
@@ -207,17 +279,15 @@ impl MemoryController {
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn issue_data_command(
         &mut self,
-        ch: u32,
-        key: (bool, usize),
+        ch: usize,
+        cand: Candidate,
         cmd: DramCommand,
         cycle: u64,
         bypassed_write_hit: bool,
     ) {
-        let outcome = self.dram.issue(cmd, cycle).expect("checked with can_issue");
-        let txn = self.queues[ch as usize].get(key).txn;
-        self.record_trace(cycle, cmd, Some(txn));
-        self.caches[ch as usize].valid = false;
-        self.policy.observe_data_issue(key.0, bypassed_write_hit);
+        let outcome = self.issue_to_dram(ch, cand.b, cmd, cycle, Some(cand.txn));
+        self.policy
+            .observe_data_issue(cand.is_write, bypassed_write_hit);
         // Response-fault hooks. A *dropped* response consumes the DRAM
         // command (bus and bank timing are spent) but never retires the
         // request: it stays queued and a later scheduling pass reissues the
@@ -230,8 +300,9 @@ impl MemoryController {
             f.draws += 1;
             if u01(mix64(f.cfg.seed ^ DOMAIN_DROP ^ f.draws)) < f.cfg.drop_rate {
                 self.stats.responses_dropped += 1;
-                let req = self.queues[ch as usize].get_mut(key);
+                let req = self.queues[ch].get_mut(cand.b, cand.id);
                 req.record_first_command(cycle, RowClass::Hit);
+                self.refresh_bank(ch, cand.b);
                 return;
             }
             if u01(mix64(f.cfg.seed ^ DOMAIN_LATE ^ f.draws)) < f.cfg.late_rate {
@@ -239,10 +310,8 @@ impl MemoryController {
                 extra_delay = f.cfg.late_delay;
             }
         }
-        let banks_per_rank = self.dram.geometry().banks_per_rank;
-        self.pending_per_bank[ch as usize]
-            [(cmd.loc.rank * banks_per_rank + cmd.loc.bank) as usize] -= 1;
-        let mut req = self.queues[ch as usize].remove(key);
+        let mut req = self.queues[ch].remove(cand.b, cand.id);
+        self.refresh_bank(ch, cand.b);
         req.record_first_command(cycle, RowClass::Hit);
         let class = req.class.expect("set on first command");
         let completed = Completed {
@@ -256,29 +325,26 @@ impl MemoryController {
             class,
         };
         self.stats.record_completion(&completed);
-        self.stats.per_channel_requests[ch as usize] += 1;
+        self.stats.per_channel_requests[ch] += 1;
         self.completed.push(completed);
     }
 
     /// Issues a PRE or ACT on behalf of a request (classifying it if this
     /// is the request's first command) and updates the early-command
     /// statistics when the issue was proactive.
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn issue_prep_command(
         &mut self,
-        ch: u32,
-        key: (bool, usize),
+        ch: usize,
+        cand: Candidate,
         cmd: DramCommand,
         cycle: u64,
         class_if_first: RowClass,
         proactive: bool,
     ) {
-        self.dram.issue(cmd, cycle).expect("checked with can_issue");
-        let txn = self.queues[ch as usize].get(key).txn;
-        self.record_trace(cycle, cmd, Some(txn));
-        self.caches[ch as usize].valid = false;
-        let req = self.queues[ch as usize].get_mut(key);
+        self.issue_to_dram(ch, cand.b, cmd, cycle, Some(cand.txn));
+        let req = self.queues[ch].get_mut(cand.b, cand.id);
         req.record_first_command(cycle, class_if_first);
+        self.refresh_bank(ch, cand.b);
         match cmd.kind {
             CommandKind::Precharge => {
                 self.stats.precharges += 1;

@@ -741,3 +741,509 @@ fn speculative_window_prepares_deeper_than_pb() {
     );
     assert!(end_sw <= end_pb, "extra preparation must not cost cycles");
 }
+
+// ---------------------------------------------------------------------
+// Pinned scenarios: the full `CommandEvent` stream, every completion, the
+// `SchedulerStats` at a mid-run tick and at the end, and the `PolicyStats`
+// of each run are held to values recorded on the commit *before* the
+// event-driven scheduling core (per-bank issue bounds, channel sleep,
+// per-bank views) went in — the skip logic must be invisible in all of them.
+// ---------------------------------------------------------------------
+
+/// One pinned run's configuration.
+struct Scenario {
+    policy: SchedulerPolicy,
+    page: PagePolicy,
+    /// Refresh interval (test_fast's 100 000 never fires in a short run).
+    t_refi: u64,
+    dram_faults: Option<dram_sim::DramFaultConfig>,
+    response_faults: Option<ResponseFaultConfig>,
+    seed: u64,
+}
+
+impl Scenario {
+    fn new(policy: SchedulerPolicy, seed: u64) -> Self {
+        Self {
+            policy,
+            page: PagePolicy::Open,
+            t_refi: 150,
+            dram_faults: None,
+            response_faults: None,
+            seed,
+        }
+    }
+}
+
+/// What a pinned run produced, reduced to comparable values.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    /// Number of commands on the trace and FNV-1a over every field of each.
+    events: (usize, u64),
+    /// FNV-1a over every field of every completion, in drain order.
+    completions: u64,
+    /// FNV-1a over `SchedulerStats` as read at tick [`MID_TICK`].
+    mid_stats: u64,
+    /// FNV-1a over the final `SchedulerStats`.
+    end_stats: u64,
+    policy: PolicyStats,
+    /// Enqueue attempts refused with `QueueFull`.
+    refused: u64,
+    /// First cycle with nothing queued and nothing left to offer.
+    end: u64,
+}
+
+/// The tick at which the scenarios read `stats()` mid-run.
+const MID_TICK: u64 = 137;
+
+/// A recorded [`Pinned`]; `policy` is (withheld, deferred, drains).
+fn pin(
+    events: (usize, u64),
+    [completions, mid_stats, end_stats]: [u64; 3],
+    policy: (u64, u64, u64),
+    refused: u64,
+    end: u64,
+) -> Pinned {
+    Pinned {
+        events,
+        completions,
+        mid_stats,
+        end_stats,
+        policy: PolicyStats {
+            withheld_slots: policy.0,
+            deferred_writes: policy.1,
+            write_drains: policy.2,
+        },
+        refused,
+        end,
+    }
+}
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+fn fnv_debug(v: &impl std::fmt::Debug) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325;
+    for b in format!("{v:?}").bytes() {
+        fnv(&mut h, u64::from(b));
+    }
+    h
+}
+
+fn digest_events(events: &[CommandEvent]) -> (usize, u64) {
+    let mut h = 0xCBF2_9CE4_8422_2325;
+    for e in events {
+        fnv(&mut h, e.cycle);
+        fnv(&mut h, e.cmd.kind as u64);
+        fnv(&mut h, u64::from(e.cmd.loc.channel));
+        fnv(&mut h, u64::from(e.cmd.loc.rank));
+        fnv(&mut h, u64::from(e.cmd.loc.bank));
+        fnv(&mut h, e.cmd.loc.row);
+        fnv(&mut h, u64::from(e.cmd.loc.column));
+        fnv(&mut h, e.txn.map_or(u64::MAX, |t| t.0));
+    }
+    (events.len(), h)
+}
+
+fn scenario_controller(s: &Scenario) -> MemoryController {
+    let geometry = DramGeometry::test_small();
+    let mapping = AddressMapping::hpca_default(&geometry);
+    let mut timing = TimingParams::test_fast();
+    timing.t_refi = s.t_refi;
+    let mut dram = DramModule::new(geometry, timing);
+    if let Some(f) = s.dram_faults {
+        dram.enable_faults(f);
+    }
+    let mut c = MemoryController::new(dram, mapping, s.policy, 16);
+    c.set_page_policy(s.page);
+    if let Some(f) = s.response_faults {
+        c.enable_response_faults(f);
+    }
+    c.enable_command_trace();
+    c
+}
+
+/// A seeded ORAM-shaped workload: 48 transactions of 3–8 requests over both
+/// channels, few rows per bank (hits and conflicts both occur), every third
+/// transaction ending in writes; transaction `i` is offered from cycle
+/// `14 * i`, two requests per cycle, head-of-line on `QueueFull`.
+fn scenario_requests(c: &MemoryController, seed: u64) -> Vec<(u64, RequestSpec)> {
+    let mut out = Vec::new();
+    for txn in 0..48u64 {
+        let n = 3 + mix64(seed ^ txn) % 6;
+        for i in 0..n {
+            let r = mix64(seed ^ (txn << 8) ^ i ^ 0x5EED);
+            let a = addr(
+                c,
+                (r % 2) as u32,
+                ((r >> 8) % 4) as u32,
+                (r >> 16) % 3,
+                ((r >> 24) % 8) as u32,
+            );
+            out.push((
+                14 * txn,
+                RequestSpec {
+                    addr: a,
+                    is_write: txn % 3 == 2 && i >= n / 2,
+                    txn: TxnId(txn),
+                },
+            ));
+        }
+    }
+    out
+}
+
+fn run_scenario(s: &Scenario) -> (Pinned, MemoryController) {
+    let mut c = scenario_controller(s);
+    let reqs = scenario_requests(&c, s.seed);
+    let (mut next, mut cycle, mut refused) = (0, 0u64, 0u64);
+    let mut done = Vec::new();
+    let mut mid_stats = None;
+    let mut end = None;
+    // Run to completion, then 60 idle ticks (close-page housekeeping and
+    // refresh keep going with empty queues).
+    while end.is_none_or(|e| cycle < e + 60) {
+        for _ in 0..2 {
+            let Some(&(from, spec)) = reqs.get(next) else {
+                break;
+            };
+            if cycle < from {
+                break;
+            }
+            match c.try_enqueue(spec, cycle) {
+                Ok(_) => next += 1,
+                Err(QueueFull) => {
+                    refused += 1;
+                    break;
+                }
+            }
+        }
+        c.tick(cycle);
+        c.drain_completed_into(&mut done);
+        if cycle == MID_TICK {
+            mid_stats = Some(fnv_debug(c.stats()));
+        }
+        cycle += 1;
+        if end.is_none() && next == reqs.len() && c.pending() == 0 {
+            end = Some(cycle);
+        }
+        assert!(cycle < 100_000, "scheduler wedged");
+    }
+    assert_eq!(done.len(), reqs.len(), "every request completes once");
+    let pinned = Pinned {
+        events: digest_events(&c.take_command_events()),
+        completions: fnv_debug(&done),
+        mid_stats: mid_stats.expect("runs are longer than MID_TICK"),
+        end_stats: fnv_debug(c.stats()),
+        policy: c.policy_stats(),
+        refused,
+        end: end.expect("loop ends after the run does"),
+    };
+    (pinned, c)
+}
+
+#[test]
+fn pinned_refresh_fires_while_channels_sleep() {
+    // PB with a refresh every 150 cycles: most refreshes land while a
+    // channel waits out tRCD/tRAS/tRC with work queued.
+    let (got, c) = run_scenario(&Scenario::new(SchedulerPolicy::proactive(), 0xA11CE));
+    assert!(c.dram().total_refreshes() >= 6, "refreshes must fire");
+    assert!(c.stats().early_precharges + c.stats().early_activates > 0);
+    assert_eq!(
+        got,
+        pin(
+            (555, 3404551030183975336),
+            [
+                7048535722070450387,
+                5033307874852445451,
+                9100071647890601650
+            ],
+            (0, 0, 0),
+            12,
+            730
+        )
+    );
+}
+
+#[test]
+fn pinned_refresh_storms_and_weak_rows() {
+    let mut s = Scenario::new(SchedulerPolicy::proactive(), 0xB0B);
+    s.dram_faults = Some(dram_sim::DramFaultConfig {
+        seed: 0xFA17,
+        storm_rate: 0.5,
+        storm_factor: 3,
+        weak_row_rate: 0.3,
+        weak_row_stall: 5,
+    });
+    let (got, c) = run_scenario(&s);
+    assert!(c.dram().total_refresh_storms() > 0, "storms must fire");
+    assert!(c.dram().weak_row_stalls() > 0, "weak rows must stall");
+    assert_eq!(
+        got,
+        pin(
+            (578, 9000240964141383802),
+            [
+                18365821334267179577,
+                10964638672640185678,
+                14585364768703146552
+            ],
+            (0, 0, 0),
+            382,
+            966
+        )
+    );
+}
+
+#[test]
+fn pinned_response_faults() {
+    // A dropped response stays queued and is reissued; a saturated window
+    // refuses the enqueue; late responses only move `data_done_at`.
+    let mut s = Scenario::new(SchedulerPolicy::TransactionBased, 0xD06);
+    s.response_faults = Some(ResponseFaultConfig {
+        seed: 0x5A7,
+        late_rate: 0.2,
+        late_delay: 40,
+        drop_rate: 0.3,
+        saturation_rate: 0.5,
+    });
+    let (got, c) = run_scenario(&s);
+    assert!(c.stats().responses_dropped > 0);
+    assert!(c.stats().responses_delayed > 0);
+    assert!(c.stats().queue_saturation_windows > 0);
+    assert!(got.refused > 0, "a saturated window must refuse an enqueue");
+    assert_eq!(
+        got,
+        pin(
+            (724, 4198568544365716634),
+            [
+                15407981528758777580,
+                15546112613181205316,
+                17618647732554519206
+            ],
+            (0, 0, 0),
+            743,
+            1016
+        )
+    );
+}
+
+#[test]
+fn pinned_fixed_cadence_off_slots() {
+    let (got, _) = run_scenario(&Scenario::new(
+        SchedulerPolicy::FixedCadence { period: 2 },
+        0xCADE,
+    ));
+    assert!(got.policy.withheld_slots > 0);
+    assert_eq!(
+        got,
+        pin(
+            (630, 8960573507926933759),
+            [
+                5403480806054734378,
+                129166204733038389,
+                16548455302361720299
+            ],
+            (648, 0, 0),
+            880,
+            1237
+        )
+    );
+}
+
+#[test]
+fn pinned_read_over_write_flips_order_mid_stall() {
+    let (got, _) = run_scenario(&Scenario::new(
+        SchedulerPolicy::ReadOverWrite { drain_bound: 2 },
+        0x0DD,
+    ));
+    assert!(got.policy.deferred_writes > 0, "reads must bypass writes");
+    assert!(got.policy.write_drains > 0, "the order must flip to drain");
+    assert_eq!(
+        got,
+        pin(
+            (571, 11596089084527706610),
+            [
+                11060532419901834359,
+                7905792805854137939,
+                8003516433848747722
+            ],
+            (0, 16, 4),
+            201,
+            808
+        )
+    );
+}
+
+#[test]
+fn pinned_speculative_window() {
+    let (got, c) = run_scenario(&Scenario::new(
+        SchedulerPolicy::SpeculativeWindow { window: 4 },
+        0x5BEC,
+    ));
+    assert!(c.stats().early_precharges + c.stats().early_activates > 0);
+    assert_eq!(
+        got,
+        pin(
+            (539, 15744916650864579543),
+            [
+                8724241706708844101,
+                2301417151862196999,
+                7687044985697878258
+            ],
+            (0, 0, 0),
+            23,
+            744
+        )
+    );
+}
+
+#[test]
+fn pinned_unconstrained() {
+    let (got, _) = run_scenario(&Scenario::new(SchedulerPolicy::Unconstrained, 0x0FF));
+    assert_eq!(
+        got,
+        pin(
+            (585, 852699327032854180),
+            [7456960585912058761, 352703880814983977, 7771482054029967091],
+            (0, 0, 0),
+            0,
+            685
+        )
+    );
+}
+
+#[test]
+fn pinned_closed_page_command_stream() {
+    // `close_idle_rows` answers "does anyone still want this row" from the
+    // bank's own queue; the housekeeping PREs must land where the
+    // whole-queue scan put them.
+    for (policy, want) in [
+        (
+            SchedulerPolicy::TransactionBased,
+            pin(
+                (626, 4847984231426925843),
+                [
+                    8732676651167469219,
+                    5426573157709590868,
+                    3169683290184980187,
+                ],
+                (0, 0, 0),
+                410,
+                882,
+            ),
+        ),
+        (
+            SchedulerPolicy::proactive(),
+            pin(
+                (640, 11516383189385251300),
+                [281492777339425014, 4069782668269225268, 5260925171706057537],
+                (0, 0, 0),
+                326,
+                830,
+            ),
+        ),
+    ] {
+        let mut s = Scenario::new(policy, 0xC105ED);
+        s.page = PagePolicy::Closed;
+        let (got, _) = run_scenario(&s);
+        assert_eq!(got, want, "{policy:?}");
+    }
+}
+
+/// Enqueues one read of `txn` for (channel 0, `bank`, `row`) at `cycle`.
+fn enqueue_read(c: &mut MemoryController, bank: u32, row: u64, txn: u64, cycle: u64) {
+    let a = addr(c, 0, bank, row, 0);
+    c.try_enqueue(
+        RequestSpec {
+            addr: a,
+            is_write: false,
+            txn: TxnId(txn),
+        },
+        cycle,
+    )
+    .unwrap();
+}
+
+/// The (cycle, mnemonic, bank) triples of a command trace.
+fn brief(events: &[CommandEvent]) -> Vec<(u64, &'static str, u32)> {
+    events
+        .iter()
+        .map(|e| (e.cycle, e.cmd.kind.mnemonic(), e.cmd.loc.bank))
+        .collect()
+}
+
+#[test]
+fn refresh_closing_a_row_wakes_the_sleeping_channel() {
+    // The ACT lands two cycles before the refresh, so the channel is
+    // waiting out tRCD (its only candidate, the RD, is bounded at ACT +
+    // tRCD) when the refresh closes the row without the controller issuing
+    // anything. The request needs a fresh ACT, legal at exactly
+    // `refresh_done`; a channel that kept sleeping on the RD's bound would
+    // never re-probe.
+    let mut s = Scenario::new(SchedulerPolicy::TransactionBased, 0);
+    s.t_refi = 50;
+    let mut c = scenario_controller(&s);
+    let t = c.dram().timing().clone();
+    enqueue_read(&mut c, 1, 5, 0, 48);
+    let mut done = Vec::new();
+    for cycle in 48..95 {
+        c.tick(cycle);
+        c.drain_completed_into(&mut done);
+    }
+    let refresh_done = t.t_refi + t.t_rfc;
+    assert_eq!(
+        brief(&c.take_command_events()),
+        [
+            (48, "ACT", 1),
+            (refresh_done, "ACT", 1),
+            (refresh_done + t.t_rcd, "RD", 1),
+        ]
+    );
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].class, RowClass::Miss, "classified at the first ACT");
+    assert_eq!(c.dram().total_refreshes(), 2, "one per channel");
+}
+
+#[test]
+fn enqueue_into_the_current_window_wakes_a_sleeping_channel() {
+    // Channel 0 sleeps on bank 0's tRCD (ACT at 0, RD bounded at 3). A
+    // request of the same transaction for bank 1 arrives before tick 2:
+    // its ACT is legal at 2 (tRRD after the first ACT) and must issue that
+    // same cycle, not when the RD's bound expires.
+    for policy in [
+        SchedulerPolicy::TransactionBased,
+        SchedulerPolicy::proactive(),
+    ] {
+        let mut c = scenario_controller(&Scenario::new(policy, 0));
+        enqueue_read(&mut c, 0, 1, 0, 0);
+        c.tick(0);
+        c.tick(1);
+        enqueue_read(&mut c, 1, 1, 0, 2);
+        for cycle in 2..20 {
+            c.tick(cycle);
+        }
+        assert_eq!(
+            brief(&c.take_command_events()),
+            [(0, "ACT", 0), (2, "ACT", 1), (3, "RD", 0), (5, "RD", 1)],
+            "{policy:?}"
+        );
+    }
+    // Under PB the same holds for the lookahead window: a next-transaction
+    // request for an idle bank is prepared the cycle it arrives.
+    let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
+    enqueue_read(&mut c, 0, 1, 0, 0);
+    c.tick(0);
+    c.tick(1);
+    enqueue_read(&mut c, 1, 1, 1, 2);
+    for cycle in 2..20 {
+        c.tick(cycle);
+    }
+    let events = c.take_command_events();
+    assert_eq!(
+        brief(&events)[..3],
+        [(0, "ACT", 0), (2, "ACT", 1), (3, "RD", 0)]
+    );
+    assert_eq!(c.stats().early_activates, 1);
+}

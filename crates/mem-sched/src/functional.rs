@@ -311,6 +311,12 @@ impl MemoryBackend for FunctionalBackend {
         }
     }
 
+    fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
+        if let Some(t) = &mut self.command_trace {
+            out.append(t);
+        }
+    }
+
     fn sched_stats(&self) -> &SchedulerStats {
         &self.stats
     }

@@ -30,6 +30,7 @@ pub struct ShardPipeline {
     conformance: Conformance,
     planned_scratch: Vec<string_oram::pipeline::PlannedTxn>,
     retired_scratch: Vec<mem_sched::Completed>,
+    events_scratch: Vec<mem_sched::CommandEvent>,
     cycle: u64,
 }
 
@@ -64,6 +65,7 @@ impl ShardPipeline {
             conformance,
             planned_scratch: Vec::new(),
             retired_scratch: Vec::new(),
+            events_scratch: Vec::new(),
             cycle: 0,
         })
     }
@@ -125,7 +127,9 @@ impl ShardPipeline {
         self.tracker.enqueue_ready(self.backend.as_mut(), cycle);
         self.backend.tick(cycle);
         if self.conformance.stream_enabled() {
-            for ev in self.backend.take_command_events() {
+            self.backend
+                .drain_command_events_into(&mut self.events_scratch);
+            for ev in self.events_scratch.drain(..) {
                 self.conformance.observe_command(&ev);
             }
             self.conformance.collect();

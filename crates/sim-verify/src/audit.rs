@@ -258,11 +258,7 @@ impl OramAuditor {
                             ),
                         );
                     }
-                    let reused = !self
-                        .touched
-                        .entry(touch.bucket)
-                        .or_default()
-                        .insert(touch.slot);
+                    let reused = !self.touched_slots(touch.bucket).insert(touch.slot);
                     if reused {
                         self.violate(
                             Rule::SlotReuse,
@@ -329,14 +325,25 @@ impl OramAuditor {
     }
 
     /// A write touch rewrites (and re-permutes) its whole bucket: start a
-    /// fresh reuse epoch for it.
+    /// fresh reuse epoch for it. The bucket's entries are emptied (or
+    /// created, sized for one epoch's `S` touches), never removed: all the
+    /// memory a bucket's bookkeeping needs is taken the first time the
+    /// bucket is touched, and a materialized tree audits allocation-free.
     fn apply_rewrites(&mut self, plan: &AccessPlan) {
         for touch in &plan.touches {
             if touch.write {
-                self.touched.remove(&touch.bucket);
-                self.touch_count.remove(&touch.bucket);
+                self.touched_slots(touch.bucket).clear();
+                self.touch_count.insert(touch.bucket, 0);
             }
         }
+    }
+
+    /// The slots of `bucket` read since its last rewrite.
+    fn touched_slots(&mut self, bucket: BucketId) -> &mut HashSet<u32> {
+        let epoch_touches = self.config.s as usize;
+        self.touched
+            .entry(bucket)
+            .or_insert_with(|| HashSet::with_capacity(epoch_touches))
     }
 
     /// A (dummy) read path reads exactly one slot per off-chip level and

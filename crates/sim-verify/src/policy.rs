@@ -92,8 +92,8 @@ impl PolicyAuditor {
         };
         self.data_commands += 1;
         if self.pending_txn != Some(txn) {
-            let group = std::mem::take(&mut self.pending);
-            self.digest = Self::fold_group(self.digest, self.pending_txn, group);
+            self.digest = Self::fold_group(self.digest, self.pending_txn, &mut self.pending);
+            self.pending.clear();
             self.pending_txn = Some(txn);
         }
         self.pending.push(operation_hash(txn, ev));
@@ -102,13 +102,13 @@ impl PolicyAuditor {
     /// Folds one transaction's sorted operation hashes into the chain. A
     /// transaction whose data traffic is split by another's (the ordering
     /// violation) forms two groups and therefore a different digest.
-    fn fold_group(mut digest: u64, txn: Option<TxnId>, mut group: Vec<u64>) -> u64 {
+    fn fold_group(mut digest: u64, txn: Option<TxnId>, group: &mut [u64]) -> u64 {
         let Some(txn) = txn else {
             return digest;
         };
         group.sort_unstable();
         digest = mix64(digest ^ txn.0.rotate_left(17));
-        for h in group {
+        for &h in group.iter() {
             digest = mix64(digest.rotate_left(1) ^ h);
         }
         digest
@@ -118,7 +118,7 @@ impl PolicyAuditor {
     /// runs iff the transaction-ordered data-command multisets are equal.
     #[must_use]
     pub fn canonical_digest(&self) -> u64 {
-        Self::fold_group(self.digest, self.pending_txn, self.pending.clone())
+        Self::fold_group(self.digest, self.pending_txn, &mut self.pending.clone())
     }
 
     /// Data (RD/WR) commands observed.

@@ -87,6 +87,9 @@ pub struct Simulation {
     retired_scratch: Vec<mem_sched::Completed>,
     /// Reusable buffer for the planner's lowered transactions each cycle.
     planned_scratch: Vec<crate::pipeline::PlannedTxn>,
+    /// Reusable buffer for the command events the conformance stage reads
+    /// each cycle.
+    events_scratch: Vec<mem_sched::CommandEvent>,
     cycle: u64,
     /// Snapshot delimiting the measurement window, if one was begun.
     measurement_start: Option<CounterSnapshot>,
@@ -172,6 +175,7 @@ impl Simulation {
             core_unblock_at: vec![Vec::new(); n],
             retired_scratch: Vec::new(),
             planned_scratch: Vec::new(),
+            events_scratch: Vec::new(),
             cycle: 0,
             measurement_start: None,
             label: String::new(),
@@ -312,7 +316,9 @@ impl Simulation {
         // 3b. Conformance: re-validate what just issued against the
         // stream checkers (JEDEC shadow rules and/or transaction order).
         if self.conformance.stream_enabled() {
-            for ev in self.backend.take_command_events() {
+            self.backend
+                .drain_command_events_into(&mut self.events_scratch);
+            for ev in self.events_scratch.drain(..) {
                 self.conformance.observe_command(&ev);
             }
             self.conformance.collect();

@@ -13,11 +13,14 @@
 //! concurrently running test can attribute its allocations to the window;
 //! the protocols are measured sequentially inside that one test.
 //!
-//! The functional backend is used because the measurement targets the
-//! protocol/pipeline hot path; the cycle-accurate DRAM model's per-cycle
-//! bookkeeping is exercised (and pooled) elsewhere. Conformance checking
-//! is off, as in benchmark configurations — verification deliberately
-//! records streams, which allocates.
+//! The per-protocol windows use the functional backend with conformance
+//! checking off, as in benchmark configurations: the measurement targets
+//! the protocol/pipeline hot path. Two further Ring+CB windows turn every
+//! checker on, over each backend: the conformance stage drains the command
+//! events into a reused buffer and the auditors take a bucket's memory the
+//! first time it is touched, so a verified steady state is held to zero
+//! too. The cycle-accurate controller's per-cycle bookkeeping (per-bank
+//! queues, views and issue bounds) gets its own per-policy windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,15 +76,20 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// reverse-lexicographic order and finish a 10-level tree easily; Path
 /// ORAM only ever touches the accessed path, so materializing is a
 /// coupon-collector pass over the leaves and gets one level less.
-fn assert_steady_state_window(protocol: ProtocolKind, levels: u32) {
+fn assert_steady_state_window(
+    protocol: ProtocolKind,
+    levels: u32,
+    backend: BackendKind,
+    verify: VerifyConfig,
+) {
     const RECORDS_PER_CORE: usize = 4000;
     const MEASURED_ACCESSES: u64 = 100;
 
     let mut cfg = SystemConfig::test_small(Scheme::All);
     cfg.protocol = protocol;
     cfg.ring.levels = levels;
-    cfg.backend = BackendKind::FastFunctional;
-    cfg.verify = VerifyConfig::off();
+    cfg.backend = backend;
+    cfg.verify = verify;
     let total_buckets = (1usize << levels) - 1;
     let traces: Vec<_> = (0..cfg.cores)
         .map(|c| {
@@ -204,9 +212,22 @@ fn steady_state_access_performs_no_heap_allocation() {
     // need a coupon-collector pass over 8192 leaves to get there. Path
     // ORAM has no background sweep, so it gets a 9-level tree (255 leaves)
     // to keep the coupon-collector phase inside the trace.
-    assert_steady_state_window(ProtocolKind::RingCb, 10);
-    assert_steady_state_window(ProtocolKind::Path, 9);
-    assert_steady_state_window(ProtocolKind::Circuit, 10);
+    let (functional, off) = (BackendKind::FastFunctional, VerifyConfig::off());
+    assert_steady_state_window(ProtocolKind::RingCb, 10, functional, off);
+    assert_steady_state_window(ProtocolKind::Path, 9, functional, off);
+    assert_steady_state_window(ProtocolKind::Circuit, 10, functional, off);
+
+    // Verifier on: the command-event stream (order oracle, policy auditor
+    // and, on the cycle-accurate backend, the JEDEC shadow timing) and the
+    // plan-stream auditor all ride the same steady state.
+    let checked = VerifyConfig::checked();
+    assert_steady_state_window(ProtocolKind::RingCb, 10, functional, checked);
+    assert_steady_state_window(
+        ProtocolKind::RingCb,
+        10,
+        BackendKind::CycleAccurate,
+        checked,
+    );
 
     // The scheduler-policy lab rides in the same binary (same single-test
     // isolation): trait-object dispatch through every policy must stay
