@@ -24,8 +24,8 @@ fn run_with_green_window(cfg: SystemConfig, workload: &str, n: usize) -> (u64, f
     while sim.oram_accesses() < total_accesses / 2 && !sim.is_finished() {
         sim.step();
     }
-    let mid_greens = sim.oram().stats().greens_fetched;
-    let mid_reads = sim.oram().stats().read_paths;
+    let mid_greens = sim.protocol().stats().greens_fetched;
+    let mid_reads = sim.protocol().stats().read_paths;
     while !sim.is_finished() {
         sim.step();
     }

@@ -1,16 +1,19 @@
 //! Scheduler-policy arena: every command-scheduling policy in `mem-sched`'s
 //! policy lab (FR-FCFS transaction baseline, Proactive Bank, read-over-write,
-//! speculative window, fixed cadence) over both memory backends and two
-//! workload mixes, recorded to `BENCH_sched_policy.json` at the repo root
-//! (schema in `EXPERIMENTS.md`; the committed copy is re-validated by the
-//! bench lib's tests and the CI smoke step).
+//! speculative window, fixed cadence) over the cycle-accurate backend and
+//! two workload mixes, recorded to `BENCH_sched_policy.json` at the repo
+//! root (schema in `EXPERIMENTS.md`; the committed copy is re-validated by
+//! the bench lib's tests and the CI smoke step). The functional backend has
+//! no command scheduler, so its points could not differ by policy and are
+//! not measured; policy × backend digest agreement is pinned by
+//! `tests/sched_policy_matrix.rs` and `tests/backend_differential.rs`.
 //!
 //! One simulated core keeps the access order a pure function of the trace,
-//! so *every* policy × backend point of a workload must agree on the access
-//! digest — the command scheduler may move PRE/ACT and reorder within a
+//! so *every* policy point of a workload must agree on the access digest —
+//! the command scheduler may move PRE/ACT and reorder within a
 //! transaction, never change what the ORAM controller requests. The emitted
 //! document carries the digests and `validate_sched_policy` enforces the
-//! equality, making every regeneration a 10-way differential run.
+//! equality, making every regeneration a 5-way differential run.
 //!
 //! The numbers quantify the paper's §IV argument: the transaction-based
 //! baseline leaves banks idle waiting for the next transaction's commands,
@@ -27,7 +30,7 @@
 use std::time::Instant;
 
 use mem_sched::SchedulerPolicy;
-use string_oram::{BackendKind, Scheme, SimReport, Simulation, SystemConfig, VerifyConfig};
+use string_oram::{Scheme, SimReport, Simulation, SystemConfig, VerifyConfig};
 use string_oram_bench::json::Value;
 use string_oram_bench::{traces_for, validate_sched_policy};
 
@@ -57,12 +60,11 @@ fn out_path() -> String {
     })
 }
 
-fn cfg_for(policy: SchedulerPolicy, backend: BackendKind) -> SystemConfig {
+fn cfg_for(policy: SchedulerPolicy) -> SystemConfig {
     let mut cfg = SystemConfig::hpca_default(Scheme::All);
     cfg.sched_policy = policy;
-    cfg.backend = backend;
     // One core: the access sequence is then a pure function of the trace,
-    // so the digest must agree across every policy and backend.
+    // so the digest must agree across every policy.
     cfg.cores = 1;
     // Four transactions in flight: with the blocking default (MLP 1) the
     // queue never holds more than the current and the next transaction, so
@@ -77,7 +79,6 @@ fn cfg_for(policy: SchedulerPolicy, backend: BackendKind) -> SystemConfig {
 
 struct Point {
     policy: SchedulerPolicy,
-    backend_name: &'static str,
     workload: &'static str,
     report: SimReport,
     digest: u64,
@@ -90,21 +91,15 @@ impl Point {
     }
 }
 
-fn measure(
-    policy: SchedulerPolicy,
-    backend: BackendKind,
-    name: &'static str,
-    workload: &'static str,
-) -> Point {
-    let cfg = cfg_for(policy, backend);
+fn measure(policy: SchedulerPolicy, workload: &'static str) -> Point {
+    let cfg = cfg_for(policy);
     let traces = traces_for(&cfg, workload, records_per_core(), TRACE_SEED);
     let mut sim = Simulation::new(cfg, traces);
-    sim.set_label(format!("sched/{}/{name}/{workload}", policy.name()));
+    sim.set_label(format!("sched/{}/{workload}", policy.name()));
     let t = Instant::now();
     let report = sim.run(u64::MAX).expect("policy run completes");
     Point {
         policy,
-        backend_name: name,
         workload,
         report,
         digest: sim.access_digest(),
@@ -125,7 +120,7 @@ fn hex(digest: u64) -> String {
 fn point_json(p: &Point) -> Value {
     Value::object(vec![
         ("policy", p.policy.name().into()),
-        ("backend", p.backend_name.into()),
+        ("backend", "cycle-accurate".into()),
         ("workload", p.workload.into()),
         ("oram_accesses", p.report.oram_accesses.into()),
         ("run_wall_ms", num(p.wall_s * 1e3)),
@@ -153,10 +148,9 @@ fn main() {
     let records = records_per_core();
     println!("# sched_policy: {records} records, 1 core, ALL scheme, workloads {WORKLOADS:?}");
     println!(
-        "{:>8} {:>18} {:>16} {:>9} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
+        "{:>8} {:>18} {:>9} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
         "workload",
         "policy",
-        "backend",
         "wall ms",
         "mean cyc",
         "idle %",
@@ -168,40 +162,32 @@ fn main() {
     );
 
     let mut points = Vec::new();
-    // (workload, policy name, cycle-accurate mean cycles) for the headline.
-    let mut ca_means: Vec<(&str, &str, f64)> = Vec::new();
+    // (workload, policy name, mean cycles) for the headline.
+    let mut means: Vec<(&str, &str, f64)> = Vec::new();
     for workload in WORKLOADS {
         let mut digests = Vec::new();
         for policy in POLICIES {
-            for (backend, name) in [
-                (BackendKind::CycleAccurate, "cycle-accurate"),
-                (BackendKind::FastFunctional, "fast-functional"),
-            ] {
-                let p = measure(policy, backend, name, workload);
-                println!(
-                    "{:>8} {:>18} {:>16} {:>9.1} {:>10.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>9} {:>9}",
-                    p.workload,
-                    p.policy.name(),
-                    p.backend_name,
-                    p.wall_s * 1e3,
-                    p.mean_cycles(),
-                    p.report.bank_idle_proportion * 100.0,
-                    p.report.pending_bank_idle_proportion * 100.0,
-                    p.report.early_precharge_fraction * 100.0,
-                    p.report.early_activate_fraction * 100.0,
-                    p.report.deferred_writes,
-                    p.report.withheld_issue_slots,
-                );
-                if matches!(backend, BackendKind::CycleAccurate) {
-                    ca_means.push((workload, policy.name(), p.mean_cycles()));
-                }
-                digests.push(p.digest);
-                points.push(point_json(&p));
-            }
+            let p = measure(policy, workload);
+            println!(
+                "{:>8} {:>18} {:>9.1} {:>10.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>9} {:>9}",
+                p.workload,
+                p.policy.name(),
+                p.wall_s * 1e3,
+                p.mean_cycles(),
+                p.report.bank_idle_proportion * 100.0,
+                p.report.pending_bank_idle_proportion * 100.0,
+                p.report.early_precharge_fraction * 100.0,
+                p.report.early_activate_fraction * 100.0,
+                p.report.deferred_writes,
+                p.report.withheld_issue_slots,
+            );
+            means.push((workload, policy.name(), p.mean_cycles()));
+            digests.push(p.digest);
+            points.push(point_json(&p));
         }
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
-            "{workload}: policies/backends disagree on the access digest"
+            "{workload}: policies disagree on the access digest"
         );
     }
 
@@ -211,11 +197,11 @@ fn main() {
     // smoke runs are warm-up-dominated and legitimately noisy.
     if records >= 1000 {
         let mean_of = |workload: &str, policy: &str| -> f64 {
-            ca_means
+            means
                 .iter()
                 .find(|(w, p, _)| *w == workload && *p == policy)
                 .map(|(_, _, m)| *m)
-                .expect("cycle-accurate point present")
+                .expect("point present")
         };
         let challenger_wins = WORKLOADS.iter().any(|w| {
             let pb = mean_of(w, "proactive-bank");
@@ -224,24 +210,19 @@ fn main() {
         assert!(
             challenger_wins,
             "neither read-over-write nor speculative-window beat proactive-bank \
-             on any workload mix: {ca_means:?}"
+             on any workload mix: {means:?}"
         );
     }
 
     let doc = Value::object(vec![
         ("bench", "sched_policy".into()),
-        ("schema_version", 1usize.into()),
+        ("schema_version", 2usize.into()),
         ("scheme", "All".into()),
         ("records_per_core", records.into()),
         ("cores", 1usize.into()),
         (
             "master_seed",
-            cfg_for(
-                SchedulerPolicy::TransactionBased,
-                BackendKind::FastFunctional,
-            )
-            .seed
-            .into(),
+            cfg_for(SchedulerPolicy::TransactionBased).seed.into(),
         ),
         ("points", Value::Array(points)),
     ]);

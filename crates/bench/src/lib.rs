@@ -557,20 +557,18 @@ pub fn validate_service_load(doc: &Value) -> Result<(), String> {
 }
 
 /// Validates a parsed `BENCH_sched_policy.json` document against the
-/// schema documented in `EXPERIMENTS.md`: every policy × backend × workload
-/// triple present exactly once (5 policies × 2 backends × 2 workloads = 20
-/// points), positive wall times and mean cycles, rates inside `[0, 1]`,
-/// well-formed 16-hex-digit access digests, and the scheduling-policy
-/// contract itself:
+/// schema documented in `EXPERIMENTS.md`: every policy × workload pair
+/// present exactly once (5 policies × 2 workloads = 10 points, all on the
+/// cycle-accurate backend — the functional backend has no command
+/// scheduler, so its points could not differ by policy), positive wall
+/// times and mean cycles, rates inside `[0, 1]`, well-formed 16-hex-digit
+/// access digests, and the scheduling-policy contract itself:
 ///
 /// * within a workload, **every** point carries the same access digest —
 ///   command scheduling may never change what the ORAM controller requests;
-/// * the transaction-based baseline never issues early prep, on any
-///   backend;
-/// * fast-functional points carry all-zero scheduler metrics (there is no
-///   command scheduler behind that backend to measure);
-/// * on the cycle-accurate backend, Proactive Bank's early-PRE rate sits
-///   inside the measured band `[0.50, 0.85]` — the paper's Fig. 8 shape
+/// * the transaction-based baseline never issues early prep;
+/// * Proactive Bank's early-PRE rate sits inside the measured band
+///   `[0.50, 0.85]` — the paper's Fig. 8 shape
 ///   (≈57–59 % of precharges issued early under its blocking-core
 ///   configuration) shifted up to ≈72–74 % by the bench's MLP-4 cores,
 ///   which keep the lookahead window occupied more often — while
@@ -588,7 +586,7 @@ pub fn validate_sched_policy(doc: &Value) -> Result<(), String> {
         "speculative-window",
         "fixed-cadence",
     ];
-    const BACKENDS: [&str; 2] = ["cycle-accurate", "fast-functional"];
+    const BACKEND: &str = "cycle-accurate";
     const WORKLOADS: [&str; 2] = ["black", "stream"];
     const PB_EARLY_PRE_BAND: (f64, f64) = (0.50, 0.85);
     let ctx = "sched_policy";
@@ -607,7 +605,7 @@ pub fn validate_sched_policy(doc: &Value) -> Result<(), String> {
     let points = require(doc, "points", ctx)?
         .as_array()
         .ok_or_else(|| format!("{ctx}: \"points\" is not an array"))?;
-    let mut seen: Vec<(String, String, String)> = Vec::new();
+    let mut seen: Vec<(String, String)> = Vec::new();
     let mut digests: Vec<(String, String)> = Vec::new();
     for point in points {
         let policy = require(point, "policy", ctx)?
@@ -617,12 +615,9 @@ pub fn validate_sched_policy(doc: &Value) -> Result<(), String> {
         if !POLICIES.contains(&policy.as_str()) {
             return Err(format!("{ctx}: unknown policy \"{policy}\""));
         }
-        let backend = require(point, "backend", ctx)?
-            .as_str()
-            .ok_or_else(|| format!("{ctx}: \"backend\" is not a string"))?
-            .to_string();
-        if !BACKENDS.contains(&backend.as_str()) {
-            return Err(format!("{ctx}: unknown backend \"{backend}\""));
+        match require(point, "backend", ctx)?.as_str() {
+            Some(BACKEND) => {}
+            _ => return Err(format!("{ctx}: \"backend\" must be \"{BACKEND}\"")),
         }
         let workload = require(point, "workload", ctx)?
             .as_str()
@@ -631,9 +626,9 @@ pub fn validate_sched_policy(doc: &Value) -> Result<(), String> {
         if !WORKLOADS.contains(&workload.as_str()) {
             return Err(format!("{ctx}: unknown workload \"{workload}\""));
         }
-        let pctx = format!("{workload}/{policy}/{backend}");
-        let triple = (workload.clone(), policy.clone(), backend.clone());
-        if seen.contains(&triple) {
+        let pctx = format!("{workload}/{policy}");
+        let pair = (workload.clone(), policy.clone());
+        if seen.contains(&pair) {
             return Err(format!("{pctx}: duplicate point"));
         }
         if require_u64(point, "oram_accesses", &pctx)? == 0 {
@@ -641,8 +636,8 @@ pub fn validate_sched_policy(doc: &Value) -> Result<(), String> {
         }
         require_positive(point, "run_wall_ms", &pctx)?;
         require_positive(point, "mean_cycles_per_access", &pctx)?;
-        let idle = require_fraction(point, "bank_idle_proportion", &pctx)?;
-        let pending_idle = require_fraction(point, "pending_bank_idle_proportion", &pctx)?;
+        require_fraction(point, "bank_idle_proportion", &pctx)?;
+        require_fraction(point, "pending_bank_idle_proportion", &pctx)?;
         let early_pre = require_fraction(point, "early_precharge_fraction", &pctx)?;
         let early_act = require_fraction(point, "early_activate_fraction", &pctx)?;
         let deferred = require_u64(point, "deferred_writes", &pctx)?;
@@ -663,53 +658,38 @@ pub fn validate_sched_policy(doc: &Value) -> Result<(), String> {
                 "{pctx}: the transaction-based baseline cannot issue early prep"
             ));
         }
-        if backend == "fast-functional"
-            && (idle != 0.0
-                || pending_idle != 0.0
-                || early_pre != 0.0
-                || early_act != 0.0
-                || deferred != 0
-                || withheld != 0)
-        {
-            return Err(format!(
-                "{pctx}: the functional backend has no command scheduler, all \
-                 scheduler metrics must be zero"
-            ));
-        }
-        if backend == "cycle-accurate" {
-            match policy.as_str() {
-                "proactive-bank" => {
-                    let (lo, hi) = PB_EARLY_PRE_BAND;
-                    if !(lo..=hi).contains(&early_pre) {
-                        return Err(format!(
-                            "{pctx}: early-PRE rate {early_pre:.3} outside the measured \
-                             Proactive Bank band [{lo}, {hi}]"
-                        ));
-                    }
-                }
-                "speculative-window" if early_pre + early_act == 0.0 => {
+        match policy.as_str() {
+            "proactive-bank" => {
+                let (lo, hi) = PB_EARLY_PRE_BAND;
+                if !(lo..=hi).contains(&early_pre) {
                     return Err(format!(
-                        "{pctx}: speculative-window never issued early prep"
+                        "{pctx}: early-PRE rate {early_pre:.3} outside the measured \
+                         Proactive Bank band [{lo}, {hi}]"
                     ));
                 }
-                "read-over-write" if deferred == 0 => {
-                    return Err(format!("{pctx}: read-over-write never deferred a write"));
-                }
-                "fixed-cadence" if withheld == 0 => {
-                    return Err(format!(
-                        "{pctx}: fixed-cadence never withheld an issue slot"
-                    ));
-                }
-                _ => {}
             }
+            "speculative-window" if early_pre + early_act == 0.0 => {
+                return Err(format!(
+                    "{pctx}: speculative-window never issued early prep"
+                ));
+            }
+            "read-over-write" if deferred == 0 => {
+                return Err(format!("{pctx}: read-over-write never deferred a write"));
+            }
+            "fixed-cadence" if withheld == 0 => {
+                return Err(format!(
+                    "{pctx}: fixed-cadence never withheld an issue slot"
+                ));
+            }
+            _ => {}
         }
-        seen.push(triple);
+        seen.push(pair);
     }
-    let expected = POLICIES.len() * BACKENDS.len() * WORKLOADS.len();
+    let expected = POLICIES.len() * WORKLOADS.len();
     if seen.len() != expected {
         return Err(format!(
-            "{ctx}: {} points, expected exactly {expected} (every workload x policy x \
-             backend triple once)",
+            "{ctx}: {} points, expected exactly {expected} (every workload x policy \
+             pair once)",
             seen.len()
         ));
     }
@@ -1046,23 +1026,21 @@ mod tests {
     }
 
     fn minimal_sched_policy() -> String {
-        let point = |workload: &str, policy: &str, backend: &str| {
-            let cycle_accurate = backend == "cycle-accurate";
-            let early_pre = match (policy, cycle_accurate) {
-                ("proactive-bank", true) => 0.58,
-                ("speculative-window", true) => 0.61,
+        let point = |workload: &str, policy: &str| {
+            let early_pre = match policy {
+                "proactive-bank" => 0.58,
+                "speculative-window" => 0.61,
                 _ => 0.0,
             };
             let early_act = if early_pre > 0.0 { 0.55 } else { 0.0 };
-            let idle = if cycle_accurate { 0.5 } else { 0.0 };
-            let deferred = u64::from(policy == "read-over-write" && cycle_accurate) * 40;
-            let withheld = u64::from(policy == "fixed-cadence" && cycle_accurate) * 90;
+            let deferred = u64::from(policy == "read-over-write") * 40;
+            let withheld = u64::from(policy == "fixed-cadence") * 90;
             format!(
-                r#"{{"policy": "{policy}", "backend": "{backend}",
+                r#"{{"policy": "{policy}", "backend": "cycle-accurate",
                     "workload": "{workload}", "oram_accesses": 400,
                     "run_wall_ms": 8.25, "mean_cycles_per_access": 410.2,
-                    "bank_idle_proportion": {idle},
-                    "pending_bank_idle_proportion": {idle},
+                    "bank_idle_proportion": 0.5,
+                    "pending_bank_idle_proportion": 0.5,
                     "early_precharge_fraction": {early_pre},
                     "early_activate_fraction": {early_act},
                     "deferred_writes": {deferred},
@@ -1079,13 +1057,11 @@ mod tests {
                 "speculative-window",
                 "fixed-cadence",
             ] {
-                for backend in ["cycle-accurate", "fast-functional"] {
-                    points.push(point(workload, policy, backend));
-                }
+                points.push(point(workload, policy));
             }
         }
         format!(
-            r#"{{"bench": "sched_policy", "schema_version": 1,
+            r#"{{"bench": "sched_policy", "schema_version": 2,
                 "scheme": "All", "records_per_core": 400, "cores": 1,
                 "master_seed": 219966046, "points": [{}]}}"#,
             points.join(", ")
@@ -1104,16 +1080,20 @@ mod tests {
         for (needle, replacement, why) in [
             ("sched_policy\"", "other_bench\"", "wrong bench name"),
             ("\"fr-fcfs\"", "\"round-robin\"", "unknown policy"),
-            ("\"cycle-accurate\"", "\"gpu\"", "unknown backend"),
+            (
+                "\"cycle-accurate\"",
+                "\"fast-functional\"",
+                "a backend without a command scheduler",
+            ),
             (
                 "\"workload\": \"black\"",
                 "\"workload\": \"mcf\"",
                 "unknown workload",
             ),
             (
-                "\"backend\": \"fast-functional\"",
-                "\"backend\": \"cycle-accurate\"",
-                "duplicate workload x policy x backend triple",
+                "\"policy\": \"proactive-bank\"",
+                "\"policy\": \"fr-fcfs\"",
+                "duplicate workload x policy pair",
             ),
             (
                 "0x8FEFA68912F2C2F5\"}, {\"policy\": \"proactive-bank\"",
@@ -1170,22 +1150,7 @@ mod tests {
                 "{why} must be rejected"
             );
         }
-        // A nonzero scheduler metric on a functional-backend point is
-        // rejected (the last point is stream/fixed-cadence/fast-functional,
-        // which has no command scheduler behind it).
-        let needle = "\"withheld_issue_slots\": 0,";
-        let idx = good.rfind(needle).unwrap();
-        let damaged = format!(
-            "{}\"withheld_issue_slots\": 3,{}",
-            &good[..idx],
-            &good[idx + needle.len()..]
-        );
-        let doc = json::parse(&damaged).unwrap();
-        assert!(
-            validate_sched_policy(&doc).is_err(),
-            "scheduler metrics on the functional backend must be rejected"
-        );
-        // A missing triple (19 points) and a missing required key are both
+        // A missing pair (9 points) and a missing required key are both
         // rejected.
         let last_point_start = good.rfind("{\"policy\"").unwrap();
         let truncated = format!(

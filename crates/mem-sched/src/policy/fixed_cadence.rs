@@ -33,10 +33,6 @@ impl FixedCadence {
 }
 
 impl SchedulePolicy for FixedCadence {
-    fn name(&self) -> &'static str {
-        "fixed-cadence"
-    }
-
     fn kind(&self) -> SchedulerPolicy {
         SchedulerPolicy::FixedCadence {
             period: self.period,

@@ -33,14 +33,6 @@ impl FrFcfs {
 }
 
 impl SchedulePolicy for FrFcfs {
-    fn name(&self) -> &'static str {
-        if self.unconstrained {
-            "unconstrained"
-        } else {
-            "fr-fcfs"
-        }
-    }
-
     fn kind(&self) -> SchedulerPolicy {
         if self.unconstrained {
             SchedulerPolicy::Unconstrained

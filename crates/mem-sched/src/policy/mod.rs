@@ -122,12 +122,15 @@ pub struct PolicyStats {
 ///   the current transaction, so every conforming policy preserves the
 ///   observable transaction-ordered RD/WR sequence by construction.
 pub trait SchedulePolicy: std::fmt::Debug + Send {
-    /// Stable policy name used in reports, bench JSON and CI schemas.
-    fn name(&self) -> &'static str;
-
     /// The [`SchedulerPolicy`] tag describing this policy, for config
     /// round-trips and display.
     fn kind(&self) -> SchedulerPolicy;
+
+    /// Stable policy name used in reports, bench JSON and CI schemas: the
+    /// tag's name, so the two selectors cannot drift.
+    fn name(&self) -> &'static str {
+        self.kind().name()
+    }
 
     /// Transactions past the current one whose PRE/ACT the proactive pass
     /// may pull forward (0 disables the pass). Must be constant.

@@ -24,10 +24,6 @@ impl ProactiveBank {
 }
 
 impl SchedulePolicy for ProactiveBank {
-    fn name(&self) -> &'static str {
-        "proactive-bank"
-    }
-
     fn kind(&self) -> SchedulerPolicy {
         SchedulerPolicy::ProactiveBank {
             lookahead: self.lookahead,

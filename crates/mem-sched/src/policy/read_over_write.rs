@@ -42,10 +42,6 @@ impl ReadOverWrite {
 }
 
 impl SchedulePolicy for ReadOverWrite {
-    fn name(&self) -> &'static str {
-        "read-over-write"
-    }
-
     fn kind(&self) -> SchedulerPolicy {
         SchedulerPolicy::ReadOverWrite {
             drain_bound: self.drain_bound,

@@ -24,10 +24,6 @@ impl SpeculativeWindow {
 }
 
 impl SchedulePolicy for SpeculativeWindow {
-    fn name(&self) -> &'static str {
-        "speculative-window"
-    }
-
     fn kind(&self) -> SchedulerPolicy {
         SchedulerPolicy::SpeculativeWindow {
             window: self.window,

@@ -54,13 +54,14 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
-pub mod engine;
 pub mod governor;
 pub mod service;
 
 pub use config::{
     GovernorConfig, RejectReason, Rejected, ServiceConfig, SubmissionPolicy, TenantSpec,
 };
-pub use engine::ShardPipeline;
 pub use governor::{Governor, GovernorState};
 pub use service::OramService;
+/// One shard's request-driven engine: the shared five-stage pipeline core,
+/// dispatched into at the service's rate instead of from a trace.
+pub use string_oram::pipeline::PipelineCore as ShardPipeline;

@@ -27,15 +27,13 @@ use std::collections::VecDeque;
 use oram_rng::{derive_stream_seed, Rng, StdRng};
 use ring_oram::{BlockId, ShardMap};
 use sim_verify::{AuditedPolicy, RequestOutcome, ServiceAuditor};
-use string_oram::pipeline::{build_report, merge_snapshots, CounterSnapshot};
-use string_oram::{
-    ConfigError, LatencyPercentiles, ServiceSummary, SimReport, SystemConfig, TenantSummary,
-};
+use string_oram::pipeline::build_merged_report;
+use string_oram::{ConfigError, LatencyPercentiles, ServiceSummary, SimReport, TenantSummary};
 use trace_synth::ArrivalProcess;
 
 use crate::config::{RejectReason, Rejected, ServiceConfig, SubmissionPolicy, TenantSpec};
-use crate::engine::ShardPipeline;
 use crate::governor::{Governor, GovernorState};
+use crate::ShardPipeline;
 
 /// Stream tweak for the arrival-process master seed.
 const ARRIVALS_STREAM: u64 = 0xA112;
@@ -193,10 +191,9 @@ pub struct OramService {
 }
 
 impl OramService {
-    /// Validates `cfg` and builds the per-shard pipelines, mirroring the
-    /// sharded engine's construction: each shard gets `shards = 1`, the
-    /// shard-reduced ring, and (for `N > 1`) a decorrelated seed derived
-    /// with [`derive_stream_seed`]`(master, shard_id)`.
+    /// Validates `cfg` and builds one pipeline per shard configuration
+    /// (`SystemConfig::shard_configs`, the derivation the sharded
+    /// simulation uses).
     ///
     /// # Errors
     ///
@@ -204,20 +201,11 @@ impl OramService {
     /// construction.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let map = ShardMap::new(cfg.system.shards).map_err(ConfigError::Invalid)?;
-        let shard_ring = map
-            .shard_ring_config(&cfg.system.ring)
-            .map_err(ConfigError::Invalid)?;
-        let mut shards = Vec::with_capacity(map.shards());
-        for s in 0..map.shards() {
-            let mut shard_cfg: SystemConfig = cfg.system.clone();
-            shard_cfg.shards = 1;
-            shard_cfg.ring = shard_ring.clone();
-            if map.shards() > 1 {
-                shard_cfg.seed = derive_stream_seed(cfg.system.seed, s as u64);
-            }
-            shards.push(ShardPipeline::build(&shard_cfg)?);
-        }
+        let (map, shard_cfgs) = cfg.system.shard_configs()?;
+        let shards = shard_cfgs
+            .iter()
+            .map(ShardPipeline::build)
+            .collect::<Result<Vec<_>, _>>()?;
         let arrivals_master = derive_stream_seed(cfg.system.seed, ARRIVALS_STREAM);
         let arrival_procs: Vec<ArrivalProcess> = cfg
             .tenants
@@ -621,23 +609,15 @@ impl OramService {
     /// attached.
     #[must_use]
     pub fn report(&self) -> SimReport {
-        let snapshots: Vec<CounterSnapshot> =
-            self.shards.iter().map(ShardPipeline::capture).collect();
-        let merged = merge_snapshots(&snapshots);
-        let pooled: Vec<u64> = self
+        let parts = self
             .shards
             .iter()
-            .flat_map(|s| s.read_latency_samples().iter().copied())
-            .collect();
-        let mut violations: Vec<String> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            violations.extend(shard.violations().iter().map(|v| format!("shard {s}: {v}")));
-        }
-        violations.extend(self.auditor.violations().iter().map(ToString::to_string));
+            .map(|s| (s.capture(), s.read_latency_samples(), s.violations()));
         let label = format!("service/{}", self.policy_label());
-        let mut report = build_report(&self.cfg.system, label, &merged, &pooled, violations);
-        report.shards = self.shards.len();
-        report.makespan_cycles = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
+        let mut report = build_merged_report(&self.cfg.system, label, parts);
+        report
+            .violations
+            .extend(self.auditor.violations().iter().map(ToString::to_string));
         report.service = Some(ServiceSummary {
             policy: self.policy_label(),
             ticks: self.tick,
@@ -657,6 +637,14 @@ impl OramService {
                 format!("fixed-rate/interval={interval}/batch={batch}")
             }
         }
+    }
+
+    /// The shard pipelines, in shard-id order. Read-only inspection (tests
+    /// compare the merged report against per-shard counters); the service
+    /// alone dispatches into them.
+    #[must_use]
+    pub fn shards(&self) -> &[ShardPipeline] {
+        &self.shards
     }
 
     /// Current governor state.

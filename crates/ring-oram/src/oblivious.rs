@@ -138,12 +138,6 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     /// Snapshot of `(block, path)` position-map entries, for cross-shard
     /// residency auditing.
     fn position_entries(&self) -> Vec<(BlockId, PathId)>;
-
-    /// Downcast to the Ring engine, for Ring-specific inspection (CB
-    /// counters, recursion stacks). `None` for non-Ring protocols.
-    fn as_ring(&self) -> Option<&RingOram> {
-        None
-    }
 }
 
 impl ObliviousProtocol for RingOram {
@@ -201,10 +195,6 @@ impl ObliviousProtocol for RingOram {
     fn position_entries(&self) -> Vec<(BlockId, PathId)> {
         RingOram::position_entries(self)
     }
-
-    fn as_ring(&self) -> Option<&RingOram> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +217,6 @@ mod tests {
         assert_eq!(ObliviousProtocol::kind(&cb), ProtocolKind::RingCb);
         let plain = RingOram::new(RingConfig::test_small(), 1);
         assert_eq!(ObliviousProtocol::kind(&plain), ProtocolKind::Ring);
-        assert!(plain.as_ring().is_some());
     }
 
     #[test]

@@ -4,7 +4,8 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use dram_sim::DramFaultConfig;
 use mem_sched::{PagePolicy, ResponseFaultConfig, SchedulerPolicy};
-use ring_oram::{ProtocolKind, ResilienceConfig, RingConfig};
+use oram_rng::derive_stream_seed;
+use ring_oram::{ProtocolKind, ResilienceConfig, RingConfig, ShardMap};
 
 /// Why a [`SystemConfig`] was rejected (see `Simulation::try_new`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,14 +159,18 @@ pub enum BackendKind {
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Which ORAM protocol the pipeline drives (the cross-protocol arena
-    /// selector). [`ProtocolKind::RingCb`] — the paper's design point — is
-    /// the default in every preset; the other kinds reinterpret
-    /// [`Self::ring`] through [`Self::effective_ring`]: plain `Ring`
-    /// forces `y = 0` (no CB substitution), `Path`/`Circuit` force
-    /// `S = Y = 1` (buckets of exactly `Z` slots, no dummy budget).
+    /// selector). The presets pick it from the scheme through
+    /// [`Self::for_scheme`]: [`ProtocolKind::RingCb`] — the paper's design
+    /// point — when the scheme uses CB, plain `Ring` when it does not. The
+    /// other kinds reinterpret [`Self::ring`] through
+    /// [`Self::effective_ring`]: plain `Ring` forces `y = 0` (no CB
+    /// substitution), `Path`/`Circuit` force `S = Y = 1` (buckets of
+    /// exactly `Z` slots, no dummy budget).
     pub protocol: ProtocolKind,
-    /// Ring ORAM parameters. `ring.y` is forced to 0 by [`Self::for_scheme`]
-    /// when the scheme disables CB.
+    /// Ring ORAM parameters. In a preset they already are what the
+    /// selected protocol runs with ([`Self::for_scheme`] zeroes `ring.y`
+    /// together with selecting plain `Ring`); after a hand edit of
+    /// [`Self::protocol`], [`Self::effective_ring`] is authoritative.
     pub ring: RingConfig,
     /// DRAM geometry (channels/ranks/banks/rows/columns).
     pub geometry: DramGeometry,
@@ -397,12 +402,17 @@ impl SystemConfig {
         )
     }
 
-    /// Applies a scheme to a base configuration: CB on/off toggles `ring.y`
-    /// (off forces 0), PB on/off selects the scheduler policy.
+    /// Applies a scheme to a base configuration: CB off selects plain Ring
+    /// (a `RingCb` base becomes `Ring`, with `ring.y` forced to 0 so the
+    /// config and the engine it builds name the same protocol), PB on/off
+    /// selects the scheduler policy.
     #[must_use]
     pub fn for_scheme(mut base: Self, scheme: Scheme) -> Self {
         if !scheme.uses_cb() {
             base.ring.y = 0;
+            if base.protocol == ProtocolKind::RingCb {
+                base.protocol = ProtocolKind::Ring;
+            }
         }
         base.sched_policy = if scheme.uses_pb() {
             SchedulerPolicy::proactive()
@@ -450,6 +460,36 @@ impl SystemConfig {
         ring
     }
 
+    /// Splits this configuration into its shard instances: the block
+    /// routing map plus one single-instance configuration per shard, in
+    /// shard-id order. Every shard gets `shards = 1` and the shard-reduced
+    /// ring; for `N > 1` each also gets a decorrelated seed derived with
+    /// [`derive_stream_seed`]`(seed, shard_id)`, while `N = 1` keeps the
+    /// master seed, so a one-shard engine is bit-identical to the unsharded
+    /// pipeline.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Invalid`] when the shard count is not a power of two
+    /// or leaves a shard's tree too shallow ([`Self::validate`] reports
+    /// both earlier).
+    pub fn shard_configs(&self) -> Result<(ShardMap, Vec<Self>), ConfigError> {
+        let map = ShardMap::new(self.shards)?;
+        let shard_ring = map.shard_ring_config(&self.ring)?;
+        let shards = (0..map.shards())
+            .map(|s| {
+                let mut shard = self.clone();
+                shard.shards = 1;
+                shard.ring = shard_ring.clone();
+                if map.shards() > 1 {
+                    shard.seed = derive_stream_seed(self.seed, s as u64);
+                }
+                shard
+            })
+            .collect();
+        Ok((map, shards))
+    }
+
     /// Validates the composite configuration.
     ///
     /// # Errors
@@ -495,7 +535,7 @@ impl SystemConfig {
         }
         // Sharding: the map constructor enforces the power-of-two count and
         // the per-shard tree derivation enforces the depth floor.
-        let map = ring_oram::ShardMap::new(self.shards)?;
+        let map = ShardMap::new(self.shards)?;
         map.shard_ring_config(&ring)?;
         // Protocol-capability seams, checked before the per-layer fault
         // validators so the error names the responsible protocol.
@@ -665,6 +705,20 @@ mod tests {
             assert_eq!((r.s, r.y), (1, 1));
             assert_eq!(r.bucket_slots(), r.z);
             c.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn scheme_presets_name_the_engine_they_build() {
+        for scheme in Scheme::ALL {
+            for cfg in [
+                SystemConfig::hpca_default(scheme),
+                SystemConfig::test_small(scheme),
+            ] {
+                let planner = crate::pipeline::Planner::build(&cfg).unwrap();
+                assert_eq!(planner.protocol().kind(), cfg.protocol, "{scheme}");
+                assert_eq!(cfg.effective_ring(), cfg.ring, "{scheme}");
+            }
         }
     }
 

@@ -1,42 +1,57 @@
-//! The request-driven engine: one five-stage pipeline instance per shard,
-//! planned at dispatch time instead of from a trace.
+//! The one five-stage pipeline instance every driver steps.
 //!
-//! [`ShardPipeline`] composes the same public stage components as
-//! `string_oram::Simulation` — [`Planner`], [`TxnTracker`], the pluggable
-//! memory backend, [`Metrics`] and [`Conformance`] — but inverts the
-//! driver: instead of cores replaying a fixed trace, the service injects
-//! requests one at a time ([`ShardPipeline::dispatch_real`] /
-//! [`ShardPipeline::dispatch_cover`]) and steps the pipeline cycle by
-//! cycle. Requests are tagged through the planner's `CoreRequest::core`
-//! field (an opaque `usize` the pipeline threads through to [`Wake::core`]
-//! untouched), so each completion carries its service attempt id back out.
-//! The tag never enters the access digest — the digest mixes only block
-//! ids and lowered plans — so tagged and untagged runs are bus-identical.
+//! [`PipelineCore`] is the only place the stage components — [`Planner`],
+//! [`TxnTracker`], the pluggable memory backend, [`Metrics`] and
+//! [`Conformance`] — are wired together, and the only place stages 2–5
+//! (enqueue → schedule → conformance drain → retire → attribute) are
+//! sequenced. A driver decides *when* an access enters
+//! ([`PipelineCore::dispatch_real`] / [`PipelineCore::dispatch_cover`]) and
+//! what a completion means to it (the [`Wake`]s [`PipelineCore::step`]
+//! hands back): [`crate::Simulation`] replays core traces into it, the
+//! `oram-service` front-end injects tenant requests at its own rate.
+//!
+//! Accesses are tagged through the planner's `CoreRequest::core` field (an
+//! opaque `usize` the pipeline threads through to [`Wake::core`]
+//! untouched): a core index for the trace driver, an attempt id for the
+//! service. The tag never enters the access digest — the digest mixes only
+//! block ids and lowered plans — so differently tagged runs are
+//! bus-identical.
 
 use mem_sched::MemoryBackend;
-use string_oram::pipeline::{
-    build_backend, Conformance, CounterSnapshot, Metrics, Planner, TxnTracker, Wake,
-};
-use string_oram::{ConfigError, CoreRequest, SystemConfig};
+use ring_oram::ObliviousProtocol;
 
-/// One shard's request-driven pipeline: plan → enqueue → schedule →
-/// retire → attribute, advanced one memory-bus cycle per [`Self::step`].
+use crate::config::{ConfigError, SystemConfig};
+use crate::cpu::CoreRequest;
+use crate::pipeline::{
+    build_backend, Conformance, CounterSnapshot, Metrics, PlannedTxn, Planner, TxnTracker, Wake,
+};
+
+/// One pipeline instance: plan → enqueue → schedule → retire → attribute,
+/// advanced one memory-bus cycle per [`Self::step`].
 #[derive(Debug)]
-pub struct ShardPipeline {
+pub struct PipelineCore {
+    /// Stage 1: protocol planning and address lowering.
     planner: Planner,
+    /// Stages 2 & 4: transaction admission, ordered enqueue, retirement.
     tracker: TxnTracker,
+    /// Stage 3: the pluggable memory model.
     backend: Box<dyn MemoryBackend>,
+    /// Stage 5: per-cycle attribution counters.
     metrics: Metrics,
+    /// Passive conformance checking beside the stages.
     conformance: Conformance,
-    planned_scratch: Vec<string_oram::pipeline::PlannedTxn>,
+    /// Reusable buffer for the planner's lowered transactions.
+    planned_scratch: Vec<PlannedTxn>,
+    /// Reusable buffer for draining backend completions each cycle.
     retired_scratch: Vec<mem_sched::Completed>,
+    /// Reusable buffer for the command events the conformance stage reads
+    /// each cycle.
     events_scratch: Vec<mem_sched::CommandEvent>,
     cycle: u64,
 }
 
-impl ShardPipeline {
-    /// Builds the pipeline for one shard's (validated, `shards = 1`)
-    /// configuration, mirroring `Simulation::try_new`'s stage wiring.
+impl PipelineCore {
+    /// Builds the pipeline for one (validated, `shards = 1`) configuration.
     ///
     /// # Errors
     ///
@@ -70,11 +85,18 @@ impl ShardPipeline {
         })
     }
 
-    /// Plans and admits one real access for `block` (shard-local id),
-    /// tagged with the caller's attempt id. Returns the immediate wake
-    /// when the access degenerates to a fully on-chip transaction (stash /
-    /// tree-top hit): the tag comes back in [`Wake::core`] with
-    /// `at = cycle + 1`.
+    /// Pre-sizes the vectors that grow with every program access (protocol
+    /// bookkeeping, latency samples) for `n` further accesses, so a driver
+    /// that knows its run length never reallocates them mid-run.
+    pub fn reserve_accesses(&mut self, n: usize) {
+        self.planner.reserve_accesses(n);
+        self.metrics.read_latencies.reserve(n);
+    }
+
+    /// Plans and admits one real access for `block`, tagged with the
+    /// caller's id. Returns the immediate wake when the access degenerates
+    /// to a fully on-chip transaction (stash / tree-top hit): the tag comes
+    /// back in [`Wake::core`] with `at = cycle + 1` and no latency sample.
     pub fn dispatch_real(&mut self, tag: usize, block: u64, is_write: bool) -> Option<Wake> {
         let req = CoreRequest {
             core: tag,
@@ -84,6 +106,30 @@ impl ShardPipeline {
         let mut planned = std::mem::take(&mut self.planned_scratch);
         self.planner
             .plan_into(&req, &mut self.conformance, &mut planned);
+        let wake = self.admit(&mut planned);
+        self.planned_scratch = planned;
+        wake
+    }
+
+    /// Plans and admits one cover (padding) access. Returns `false` —
+    /// planning nothing — when the protocol has no native dummy-access
+    /// mechanism; padded submission modes are rejected for those up front,
+    /// so a `false` here is a caller bug.
+    pub fn dispatch_cover(&mut self) -> bool {
+        let mut planned = std::mem::take(&mut self.planned_scratch);
+        let ok = self
+            .planner
+            .plan_cover_into(&mut self.conformance, &mut planned);
+        let wake = self.admit(&mut planned);
+        debug_assert!(wake.is_none(), "cover accesses carry no wake");
+        self.planned_scratch = planned;
+        ok
+    }
+
+    /// Admits one access's lowered transactions in plan order, recycling
+    /// their request buffers (planning in the steady state allocates
+    /// nothing), then collects the plan-stream findings.
+    fn admit(&mut self, planned: &mut Vec<PlannedTxn>) -> Option<Wake> {
         let mut wake_out = None;
         for txn in planned.drain(..) {
             let (spent, wake) = self.tracker.admit(txn, self.cycle);
@@ -93,39 +139,26 @@ impl ShardPipeline {
                 wake_out = wake;
             }
         }
-        self.planned_scratch = planned;
         self.conformance.collect();
         wake_out
     }
 
-    /// Plans and admits one cover (padding) access. Returns `false` when
-    /// the protocol has no native dummy-access mechanism — configuration
-    /// validation rejects padded policies for those up front, so a `false`
-    /// here is a caller bug.
-    pub fn dispatch_cover(&mut self) -> bool {
-        let mut planned = std::mem::take(&mut self.planned_scratch);
-        let ok = self
-            .planner
-            .plan_cover_into(&mut self.conformance, &mut planned);
-        for txn in planned.drain(..) {
-            let (spent, wake) = self.tracker.admit(txn, self.cycle);
-            self.planner.recycle_requests(spent);
-            debug_assert!(wake.is_none(), "cover accesses carry no wake");
-            let _ = wake;
-        }
-        self.planned_scratch = planned;
-        self.conformance.collect();
-        ok
-    }
-
     /// Advances one memory-bus cycle through enqueue → schedule → retire →
-    /// attribute, appending every core release to `wakes` ([`Wake::core`]
+    /// attribute, appending every release to `wakes` ([`Wake::core`]
     /// carries the dispatch tag; [`Wake::at`] the cycle the data is
-    /// available, always `> cycle`).
+    /// available, always `> cycle`). The latency sample a wake carries is
+    /// recorded here, in retire order; the caller only routes the wake.
     pub fn step(&mut self, wakes: &mut Vec<Wake>) {
         let cycle = self.cycle;
+
+        // 2. Enqueue: feed the backend in strict transaction order.
         self.tracker.enqueue_ready(self.backend.as_mut(), cycle);
+
+        // 3. Schedule: the memory backend advances one cycle.
         self.backend.tick(cycle);
+
+        // 3b. Conformance: re-validate what just issued against the
+        // stream checkers (JEDEC shadow rules and/or transaction order).
         if self.conformance.stream_enabled() {
             self.backend
                 .drain_command_events_into(&mut self.events_scratch);
@@ -134,6 +167,9 @@ impl ShardPipeline {
             }
             self.conformance.collect();
         }
+
+        // 4. Retire completed requests (scratch buffer: draining must not
+        // allocate on this per-cycle path).
         let mut done = std::mem::take(&mut self.retired_scratch);
         done.clear();
         self.backend.drain_completed_into(&mut done);
@@ -149,11 +185,15 @@ impl ShardPipeline {
             }
         }
         self.retired_scratch = done;
+
+        // 5. Attribute this cycle to the oldest unfinished transaction.
         self.metrics.attribute(self.tracker.oldest_kind());
+
         self.cycle += 1;
     }
 
-    /// Unfinished transactions in the window (best-effort's dispatch gate).
+    /// Unfinished transactions in the window (the dispatch gate that keeps
+    /// transaction *i+1* visible for PB without planning unboundedly).
     #[must_use]
     pub fn inflight(&self) -> usize {
         self.tracker.inflight()
@@ -171,7 +211,9 @@ impl ShardPipeline {
         self.cycle
     }
 
-    /// The running access digest (kinds, physical addresses, directions).
+    /// Running FNV-1a digest of the planned access sequence: transaction
+    /// kinds, physical addresses and directions, in order. Backends cannot
+    /// influence it — two backends driving the same accesses must agree.
     #[must_use]
     pub fn access_digest(&self) -> u64 {
         self.planner.digest()
@@ -189,21 +231,37 @@ impl ShardPipeline {
         self.planner.cover_accesses()
     }
 
-    /// Engine-level read-latency samples (plan → data, in cycles).
+    /// The (data) protocol engine, for protocol-agnostic inspection.
+    #[must_use]
+    pub fn protocol(&self) -> &dyn ObliviousProtocol {
+        self.planner.protocol()
+    }
+
+    /// Raw program read-path latency samples (plan → data, in cycles), in
+    /// retire order. Merged reports pool these across shards before
+    /// recomputing percentiles (percentiles of percentiles would be wrong).
     #[must_use]
     pub fn read_latency_samples(&self) -> &[u64] {
         &self.metrics.read_latencies
     }
 
-    /// Conformance violations found so far.
+    /// Conformance violations found so far (empty when checking is off —
+    /// or when the simulated machine is behaving).
     #[must_use]
     pub fn violations(&self) -> &[sim_verify::Violation] {
         self.conformance.violations()
     }
 
-    /// Freezes every counter into a snapshot for merged reporting.
-    /// `instructions` is 0: the service is request-driven, there are no
-    /// simulated cores retiring instructions.
+    /// The scheduling-policy auditor riding on the command stream (`None`
+    /// when stream checking is off).
+    #[must_use]
+    pub fn policy_auditor(&self) -> Option<&sim_verify::PolicyAuditor> {
+        self.conformance.policy_auditor()
+    }
+
+    /// Freezes every counter into one snapshot (a measurement-window edge
+    /// or one shard's merge input). `instructions` is 0: the core has no
+    /// simulated cores; a driver that has them fills the count in.
     #[must_use]
     pub fn capture(&self) -> CounterSnapshot {
         CounterSnapshot {
@@ -224,13 +282,13 @@ impl ShardPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use string_oram::Scheme;
+    use crate::config::Scheme;
 
-    fn pipeline() -> ShardPipeline {
-        ShardPipeline::build(&SystemConfig::test_small(Scheme::All)).unwrap()
+    fn pipeline() -> PipelineCore {
+        PipelineCore::build(&SystemConfig::test_small(Scheme::All)).unwrap()
     }
 
-    fn drain(p: &mut ShardPipeline) -> Vec<Wake> {
+    fn drain(p: &mut PipelineCore) -> Vec<Wake> {
         let mut wakes = Vec::new();
         let mut guard = 0;
         while !p.is_drained() {

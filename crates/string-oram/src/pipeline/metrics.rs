@@ -162,11 +162,31 @@ pub fn build_report(
     latencies: &[u64],
     violations: Vec<String>,
 ) -> SimReport {
+    let bank_idle = bank_idle_proportion(window);
+    report_with_bank_idle(cfg, label, window, latencies, violations, bank_idle)
+}
+
+/// Mean share of `snap`'s own elapsed cycles its banks sat idle (zero
+/// without a DRAM model).
+fn bank_idle_proportion(snap: &CounterSnapshot) -> f64 {
+    let dram = snap.backend.dram.as_ref();
+    dram.map_or(0.0, |d| d.average_bank_idle_proportion(snap.cycle))
+}
+
+/// [`build_report`] with the bank idleness supplied: the one figure a
+/// merged window cannot derive from its summed counters.
+fn report_with_bank_idle(
+    cfg: &SystemConfig,
+    label: String,
+    window: &CounterSnapshot,
+    latencies: &[u64],
+    violations: Vec<String>,
+    bank_idle: f64,
+) -> SimReport {
     let sched = &window.backend.sched;
     let elapsed = window.cycle;
-    let (bank_idle, energy, refresh_storms, weak_row_stalls) = match &window.backend.dram {
+    let (energy, refresh_storms, weak_row_stalls) = match &window.backend.dram {
         Some(d) => (
-            d.average_bank_idle_proportion(elapsed),
             dram_sim::power::energy(
                 &PowerParams::ddr3_1600(),
                 &d.timing,
@@ -180,7 +200,6 @@ pub fn build_report(
             d.weak_row_stalls,
         ),
         None => (
-            0.0,
             EnergyBreakdown {
                 activate_uj: 0.0,
                 read_uj: 0.0,
@@ -242,10 +261,8 @@ pub fn build_report(
 
 /// Folds per-shard whole-run snapshots (shard-id order) into one merged
 /// snapshot: every counter sums; the backend and protocol layers merge via
-/// their own disjoint-instance folds. Shared by [`ShardedSimulation`]'s
-/// merged report and the `oram-service` front-end's sharded engine.
-///
-/// [`ShardedSimulation`]: crate::ShardedSimulation
+/// their own disjoint-instance folds (the counter half of
+/// [`build_merged_report`]).
 ///
 /// # Panics
 ///
@@ -276,6 +293,54 @@ pub fn merge_snapshots(snaps: &[CounterSnapshot]) -> CounterSnapshot {
         acc.protocol.merge_from(&s.protocol);
     }
     acc
+}
+
+/// Assembles the merged [`SimReport`] of a sharded engine from its
+/// per-shard parts `(whole-run snapshot, read-latency samples, conformance
+/// findings)`, given in shard-id order — never arrival order, so thread
+/// interleaving cannot change the result. Extensive counters sum over
+/// shards ([`merge_snapshots`]), means are recomputed from the summed raw
+/// counters, latency percentiles from the pooled samples, findings are
+/// prefixed `shard {s}:`, and `makespan_cycles` is the slowest shard's
+/// clock. Callers append their own engine-level findings and summaries.
+///
+/// # Panics
+///
+/// Panics when `shards` is empty (a sharded engine always has ≥ 1 shard).
+#[must_use]
+pub fn build_merged_report<'a>(
+    cfg: &SystemConfig,
+    label: String,
+    shards: impl IntoIterator<Item = (CounterSnapshot, &'a [u64], &'a [sim_verify::Violation])>,
+) -> SimReport {
+    let mut snapshots = Vec::new();
+    let mut pooled = Vec::new();
+    let mut violations = Vec::new();
+    for (s, (snapshot, latencies, findings)) in shards.into_iter().enumerate() {
+        snapshots.push(snapshot);
+        pooled.extend_from_slice(latencies);
+        violations.extend(findings.iter().map(|v| format!("shard {s}: {v}")));
+    }
+    let merged = merge_snapshots(&snapshots);
+    // Bank idleness is a per-shard proportion over that shard's own
+    // elapsed time; the merged value is the cycle-weighted mean, never a
+    // recomputation against the summed clock (which would overstate
+    // idleness by ~N by holding each bank to every shard's cycles). One
+    // shard's mean is its own value, bit for bit.
+    let bank_idle = match snapshots.as_slice() {
+        [only] => bank_idle_proportion(only),
+        _ if merged.cycle == 0 => 0.0,
+        all => {
+            let weighted = all
+                .iter()
+                .map(|snap| bank_idle_proportion(snap) * snap.cycle as f64);
+            weighted.sum::<f64>() / merged.cycle as f64
+        }
+    };
+    let mut report = report_with_bank_idle(cfg, label, &merged, &pooled, violations, bank_idle);
+    report.shards = snapshots.len();
+    report.makespan_cycles = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
+    report
 }
 
 #[cfg(test)]

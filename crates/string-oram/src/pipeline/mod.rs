@@ -1,7 +1,10 @@
-//! The staged transaction pipeline behind [`crate::Simulation`].
+//! The staged transaction pipeline behind [`crate::Simulation`] and the
+//! `oram-service` front-end.
 //!
 //! Every simulated memory-bus cycle flows through five explicit stages,
-//! each owned by one component:
+//! each owned by one component and sequenced in exactly one place,
+//! [`PipelineCore`] (drivers only decide when an access enters and what a
+//! completion wakes):
 //!
 //! 1. **Plan** ([`Planner`]) — expand core LLC misses into ORAM
 //!    transactions via the protocol engine, lowering slot touches to
@@ -30,14 +33,16 @@
 
 pub mod backend;
 pub mod conformance;
+pub mod core;
 pub mod metrics;
 pub mod planner;
 pub mod shard;
 pub mod txns;
 
+pub use self::core::PipelineCore;
 pub use backend::build_backend;
 pub use conformance::Conformance;
-pub use metrics::{build_report, merge_snapshots, CounterSnapshot, Metrics};
+pub use metrics::{build_merged_report, build_report, merge_snapshots, CounterSnapshot, Metrics};
 pub use planner::{PlannedTxn, Planner};
 pub use shard::{CacheAligned, ShardedSimulation};
 pub use txns::{Retired, TxnTracker, Wake};

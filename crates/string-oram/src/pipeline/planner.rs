@@ -174,22 +174,6 @@ impl Planner {
         }
     }
 
-    /// The data engine as a [`RingOram`], for Ring-specific inspection
-    /// (CB counters, fault layer). Prefer [`Self::protocol`] in
-    /// protocol-agnostic code.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured protocol is not Ring-based — use
-    /// [`Self::protocol`] there.
-    #[must_use]
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    pub fn data_oram(&self) -> &RingOram {
-        self.protocol()
-            .as_ring()
-            .expect("data_oram: the configured protocol is not Ring-based; use protocol()")
-    }
-
     /// Program accesses planned so far.
     #[must_use]
     pub fn accesses(&self) -> u64 {

@@ -9,10 +9,11 @@
 //!
 //! * results are joined and combined in **shard-id order**, never arrival
 //!   order, so thread interleaving cannot change the merged report;
-//! * every per-shard seed is derived from the master seed with
-//!   [`oram_rng::derive_stream_seed`]`(master, shard_id)` — except for
-//!   `N = 1`, which passes the master seed through unchanged so the sharded
-//!   engine is *bit-identical* to the unsharded [`Simulation`];
+//! * every shard's configuration comes from
+//!   [`SystemConfig::shard_configs`]: a seed derived from the master seed
+//!   per shard id — except for `N = 1`, which passes the master seed
+//!   through unchanged so the sharded engine is *bit-identical* to the
+//!   unsharded [`Simulation`];
 //! * the merged access digest is an order-independent fold of the per-shard
 //!   FNV digests: `XOR` over `digest_s.rotate_left(s)` (the rotation keeps
 //!   the fold sensitive to which shard produced which digest, the `XOR`
@@ -28,12 +29,11 @@
 //! ([`sim_verify::ShardResidencyAuditor`]): no block resident in two
 //! shards, no block resident in the wrong shard.
 
-use oram_rng::derive_stream_seed;
 use ring_oram::sharding::ShardMap;
 use trace_synth::TraceRecord;
 
 use crate::config::{ConfigError, FaultConfig, SystemConfig};
-use crate::pipeline::{build_report, merge_snapshots, CounterSnapshot};
+use crate::pipeline::build_merged_report;
 use crate::report::SimReport;
 use crate::system::{CycleLimitExceeded, Simulation};
 
@@ -162,26 +162,15 @@ impl ShardedSimulation {
                 got: traces.len(),
             });
         }
-        let map = ShardMap::new(cfg.shards).map_err(ConfigError::Invalid)?;
-        let shard_ring = map
-            .shard_ring_config(&cfg.ring)
-            .map_err(ConfigError::Invalid)?;
+        let (map, shard_cfgs) = cfg.shard_configs()?;
         let shard_traces = partition_traces(&map, &traces);
         // Fix every shard's full configuration up front so the parallel
         // build below has no ordering freedom left to exploit.
-        let jobs: Vec<(SystemConfig, Vec<Vec<TraceRecord>>)> = shard_traces
+        let jobs: Vec<(SystemConfig, Vec<Vec<TraceRecord>>)> = shard_cfgs
             .into_iter()
+            .zip(shard_traces)
             .enumerate()
-            .map(|(s, shard_trace)| {
-                let mut shard_cfg = cfg.clone();
-                shard_cfg.shards = 1;
-                shard_cfg.ring = shard_ring.clone();
-                // N = 1 keeps the master seed (bit-identity with the
-                // unsharded pipeline); N > 1 derives a decorrelated stream
-                // per shard.
-                if map.shards() > 1 {
-                    shard_cfg.seed = derive_stream_seed(cfg.seed, s as u64);
-                }
+            .map(|(s, (mut shard_cfg, shard_trace))| {
                 if let Some(over) = fault_overrides.get(s).copied().flatten() {
                     shard_cfg.faults = Some(over);
                 }
@@ -355,39 +344,16 @@ impl ShardedSimulation {
             }
             return r;
         }
-        let snapshots: Vec<CounterSnapshot> = self.shards.iter().map(|s| s.capture()).collect();
-        let merged = merge_snapshots(&snapshots);
-        let pooled: Vec<u64> = self
+        let parts = self
             .shards
             .iter()
-            .flat_map(|s| s.read_latency_samples().iter().copied())
-            .collect();
-        let mut violations: Vec<String> = Vec::new();
-        for (s, sim) in self.shards.iter().enumerate() {
-            violations.extend(sim.violations().iter().map(|v| format!("shard {s}: {v}")));
-        }
+            .map(|s| (s.capture(), s.read_latency_samples(), s.violations()));
+        let mut report = build_merged_report(&self.cfg, self.label.clone(), parts);
         if self.cfg.verify.oram_audit {
-            violations.extend(self.check_cross_shard().iter().map(ToString::to_string));
-        }
-        let mut report = build_report(&self.cfg, self.label.clone(), &merged, &pooled, violations);
-        report.shards = self.shards.len();
-        report.makespan_cycles = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
-        // Bank idleness is a per-shard proportion over that shard's own
-        // elapsed time; the merged value is the cycle-weighted mean, not a
-        // recomputation against the summed clock (which would overstate
-        // idleness by ~N by holding each bank to every shard's cycles).
-        let total: u64 = snapshots.iter().map(|s| s.cycle).sum();
-        if total > 0 {
-            report.bank_idle_proportion = self
-                .shards
-                .iter()
-                .zip(&snapshots)
-                .map(|(sim, snap)| {
-                    let per_shard = sim.report();
-                    per_shard.bank_idle_proportion * snap.cycle as f64
-                })
-                .sum::<f64>()
-                / total as f64;
+            let cross = self.check_cross_shard();
+            report
+                .violations
+                .extend(cross.iter().map(ToString::to_string));
         }
         report
     }

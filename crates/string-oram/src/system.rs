@@ -1,23 +1,23 @@
 //! The full-system simulator: cores → ORAM controller → memory backend,
 //! advanced in lockstep at memory-bus granularity.
 //!
-//! [`Simulation`] is a thin composition of the staged transaction pipeline
-//! in [`crate::pipeline`]: each cycle runs **Plan → Enqueue → Schedule →
-//! Retire → Attribute** over a pluggable [`mem_sched::MemoryBackend`]. The
-//! stage logic itself lives with the stages; this module owns only the
-//! cores, the cycle loop and the measurement window.
+//! [`Simulation`] is the trace driver around one
+//! [`crate::pipeline::PipelineCore`]: each cycle it releases and advances
+//! the cores, dispatches their LLC misses into the core while the
+//! transaction window has room (**Plan**), and steps the core through
+//! **Enqueue → Schedule → Retire → Attribute** over a pluggable
+//! [`mem_sched::MemoryBackend`]. The stage logic and its sequencing live in
+//! [`crate::pipeline`]; this module owns only the cores, the request FIFO,
+//! the measurement window and the label.
 
 use std::collections::VecDeque;
 
-use mem_sched::MemoryBackend;
-use ring_oram::{ObliviousProtocol, RingOram};
+use ring_oram::ObliviousProtocol;
 use trace_synth::TraceRecord;
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::cpu::{Core, CoreRequest};
-use crate::pipeline::{
-    build_backend, build_report, Conformance, CounterSnapshot, Metrics, Planner, TxnTracker, Wake,
-};
+use crate::pipeline::{build_report, CounterSnapshot, PipelineCore, Wake};
 use crate::report::SimReport;
 
 /// Error returned when a run exceeds its cycle budget (wedged or just too
@@ -68,29 +68,15 @@ impl std::error::Error for CycleLimitExceeded {}
 pub struct Simulation {
     cfg: SystemConfig,
     cores: Vec<Core>,
-    /// Stage 1: protocol planning and address lowering.
-    planner: Planner,
-    /// Stages 2 & 4: transaction admission, ordered enqueue, retirement.
-    tracker: TxnTracker,
-    /// Stage 3: the pluggable memory model.
-    backend: Box<dyn MemoryBackend>,
-    /// Stage 5: per-cycle attribution counters.
-    metrics: Metrics,
-    /// Passive conformance checking beside the stages.
-    conformance: Conformance,
+    /// The five-stage pipeline the cores' misses run through.
+    core: PipelineCore,
     /// FIFO of memory operations emitted by cores, awaiting ORAM planning.
     core_requests: VecDeque<CoreRequest>,
     /// Pending per-core completion times (one entry per in-flight miss
     /// whose data has a known arrival cycle).
     core_unblock_at: Vec<Vec<u64>>,
-    /// Reusable buffer for draining backend completions each cycle.
-    retired_scratch: Vec<mem_sched::Completed>,
-    /// Reusable buffer for the planner's lowered transactions each cycle.
-    planned_scratch: Vec<crate::pipeline::PlannedTxn>,
-    /// Reusable buffer for the command events the conformance stage reads
-    /// each cycle.
-    events_scratch: Vec<mem_sched::CommandEvent>,
-    cycle: u64,
+    /// Reusable buffer for the releases the pipeline hands back each cycle.
+    wakes: Vec<Wake>,
     /// Snapshot delimiting the measurement window, if one was begun.
     measurement_start: Option<CounterSnapshot>,
     label: String,
@@ -143,40 +129,18 @@ impl Simulation {
             .enumerate()
             .map(|(i, t)| Core::with_mlp(i, t, cfg.core_mlp))
             .collect();
-        let mut planner = Planner::build(&cfg)?;
+        let mut core = PipelineCore::build(&cfg)?;
         // Pre-size the per-access growth vectors so the steady state never
         // reallocates them mid-run.
-        planner.reserve_accesses(total_records);
-        let mut metrics = Metrics::new();
-        metrics.read_latencies.reserve(total_records);
-        let mut backend = build_backend(&cfg);
-        let conformance = Conformance::new(
-            &cfg.verify,
-            cfg.protocol,
-            &cfg.effective_ring(),
-            &cfg.geometry,
-            &cfg.timing,
-            backend.dram_module().is_some(),
-            cfg.sched_policy.name(),
-        );
-        if conformance.stream_enabled() {
-            backend.enable_command_trace();
-        }
-        let n = cfg.cores;
+        core.reserve_accesses(total_records);
         Ok(Self {
+            core_unblock_at: vec![Vec::new(); cfg.cores],
+            // At most one release per outstanding miss.
+            wakes: Vec::with_capacity(cfg.cores * cfg.core_mlp),
             cfg,
             cores,
-            planner,
-            tracker: TxnTracker::new(),
-            backend,
-            metrics,
-            conformance,
+            core,
             core_requests: VecDeque::new(),
-            core_unblock_at: vec![Vec::new(); n],
-            retired_scratch: Vec::new(),
-            planned_scratch: Vec::new(),
-            events_scratch: Vec::new(),
-            cycle: 0,
             measurement_start: None,
             label: String::new(),
         })
@@ -197,26 +161,13 @@ impl Simulation {
     /// tests and harnesses (any of the four protocol design points).
     #[must_use]
     pub fn protocol(&self) -> &dyn ObliviousProtocol {
-        self.planner.protocol()
-    }
-
-    /// The data engine as a [`RingOram`], for Ring-specific inspection (CB
-    /// counters, fault layer). Prefer [`Self::protocol`] in
-    /// protocol-agnostic code.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured protocol is not Ring-based — use
-    /// [`Self::protocol`] there.
-    #[must_use]
-    pub fn oram(&self) -> &RingOram {
-        self.planner.data_oram()
+        self.core.protocol()
     }
 
     /// Program accesses planned so far (cheap mid-run progress probe).
     #[must_use]
     pub fn oram_accesses(&self) -> u64 {
-        self.planner.accesses()
+        self.core.accesses()
     }
 
     /// Running FNV-1a digest of the planned access sequence: transaction
@@ -225,13 +176,13 @@ impl Simulation {
     /// `backend_differential` test's oracle).
     #[must_use]
     pub fn access_digest(&self) -> u64 {
-        self.planner.digest()
+        self.core.access_digest()
     }
 
     /// Memory-bus cycles elapsed so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.cycle
+        self.core.cycles()
     }
 
     /// Whether every core finished its trace and all memory work drained.
@@ -239,7 +190,7 @@ impl Simulation {
     pub fn is_finished(&self) -> bool {
         self.cores.iter().all(Core::is_done)
             && self.core_requests.is_empty()
-            && self.tracker.is_drained()
+            && self.core.is_drained()
     }
 
     /// Runs to completion.
@@ -250,10 +201,10 @@ impl Simulation {
     /// the error carries the partial report at the cutoff.
     pub fn run(&mut self, max_cycles: u64) -> Result<SimReport, CycleLimitExceeded> {
         while !self.is_finished() {
-            if self.cycle >= max_cycles {
+            if self.cycles() >= max_cycles {
                 return Err(CycleLimitExceeded {
                     limit: max_cycles,
-                    cycle: self.cycle,
+                    cycle: self.cycles(),
                     partial: Box::new(self.report()),
                 });
             }
@@ -262,10 +213,10 @@ impl Simulation {
         Ok(self.report())
     }
 
-    /// Advances the system by one memory-bus cycle through the five
-    /// pipeline stages (plan, enqueue, schedule, retire, attribute).
+    /// Advances the system by one memory-bus cycle: the cores, then the
+    /// five pipeline stages (plan here, the rest in the pipeline core).
     pub fn step(&mut self) {
-        let cycle = self.cycle;
+        let cycle = self.core.cycles();
 
         // 0. Release cores whose data arrived.
         for core in 0..self.cores.len() {
@@ -286,70 +237,20 @@ impl Simulation {
         }
 
         // 1. Plan: expand accesses while the transaction window has room
-        //    (keeps transaction i+1 visible for PB). The lowered-transaction
-        //    buffer and each transaction's request buffer are recycled, so
-        //    planning in the steady state allocates nothing.
-        let mut planned_buf = std::mem::take(&mut self.planned_scratch);
-        while self.tracker.inflight() < self.cfg.max_inflight_txns {
+        //    (keeps transaction i+1 visible for PB).
+        while self.core.inflight() < self.cfg.max_inflight_txns {
             let Some(req) = self.core_requests.pop_front() else {
                 break;
             };
-            self.planner
-                .plan_into(&req, &mut self.conformance, &mut planned_buf);
-            for planned in planned_buf.drain(..) {
-                let (spent, wake) = self.tracker.admit(planned, cycle);
-                self.planner.recycle_requests(spent);
-                if let Some(wake) = wake {
-                    self.apply_wake(wake);
-                }
-            }
-            self.conformance.collect();
-        }
-        self.planned_scratch = planned_buf;
-
-        // 2. Enqueue: feed the backend in strict transaction order.
-        self.tracker.enqueue_ready(self.backend.as_mut(), cycle);
-
-        // 3. Schedule: the memory backend advances one cycle.
-        self.backend.tick(cycle);
-
-        // 3b. Conformance: re-validate what just issued against the
-        // stream checkers (JEDEC shadow rules and/or transaction order).
-        if self.conformance.stream_enabled() {
-            self.backend
-                .drain_command_events_into(&mut self.events_scratch);
-            for ev in self.events_scratch.drain(..) {
-                self.conformance.observe_command(&ev);
-            }
-            self.conformance.collect();
-        }
-
-        // 4. Retire completed requests (scratch buffer: draining must not
-        // allocate on this per-cycle path).
-        let mut done_buf = std::mem::take(&mut self.retired_scratch);
-        done_buf.clear();
-        self.backend.drain_completed_into(&mut done_buf);
-        for done in &done_buf {
-            if let Some(retired) = self.tracker.retire(done, cycle) {
-                self.metrics.record_class(retired.kind, done.class);
-                if let Some(wake) = retired.wake {
-                    self.apply_wake(wake);
-                }
+            if let Some(wake) = self.core.dispatch_real(req.core, req.block, req.is_write) {
+                self.core_unblock_at[wake.core].push(wake.at);
             }
         }
-        self.retired_scratch = done_buf;
 
-        // 5. Attribute this cycle to the oldest unfinished transaction.
-        self.metrics.attribute(self.tracker.oldest_kind());
-
-        self.cycle += 1;
-    }
-
-    /// Applies one core release computed by the tracker.
-    fn apply_wake(&mut self, wake: Wake) {
-        self.core_unblock_at[wake.core].push(wake.at);
-        if let Some(latency) = wake.latency {
-            self.metrics.read_latencies.push(latency);
+        // 2-5. Enqueue, schedule, retire, attribute.
+        self.core.step(&mut self.wakes);
+        for wake in self.wakes.drain(..) {
+            self.core_unblock_at[wake.core].push(wake.at);
         }
     }
 
@@ -357,7 +258,7 @@ impl Simulation {
     /// or when the simulated machine is behaving).
     #[must_use]
     pub fn violations(&self) -> &[sim_verify::Violation] {
-        self.conformance.violations()
+        self.core.violations()
     }
 
     /// The scheduling-policy auditor riding on this run's command stream
@@ -367,30 +268,26 @@ impl Simulation {
     /// sequence.
     #[must_use]
     pub fn policy_auditor(&self) -> Option<&sim_verify::PolicyAuditor> {
-        self.conformance.policy_auditor()
+        self.core.policy_auditor()
     }
 
-    /// Raw program read-path latency samples recorded so far, in cycles —
-    /// the sharded engine pools these across shards before recomputing
-    /// merged percentiles (percentiles of percentiles would be wrong).
-    pub(crate) fn read_latency_samples(&self) -> &[u64] {
-        &self.metrics.read_latencies
+    /// Raw program read-path latency samples recorded so far, in cycles
+    /// (retire order; a measurement window is a suffix of these). Read-only
+    /// inspection: the sharded merge and differential tests use it.
+    #[must_use]
+    pub fn read_latency_samples(&self) -> &[u64] {
+        self.core.read_latency_samples()
     }
 
     /// Freezes every counter in the system into one snapshot (also the
-    /// sharded engine's per-shard merge input).
-    pub(crate) fn capture(&self) -> CounterSnapshot {
+    /// sharded engine's per-shard merge input): the pipeline's counters
+    /// plus the cores' retired instructions. Read-only inspection, like
+    /// [`Self::read_latency_samples`].
+    #[must_use]
+    pub fn capture(&self) -> CounterSnapshot {
         CounterSnapshot {
-            cycle: self.cycle,
             instructions: self.cores.iter().map(Core::instructions_retired).sum(),
-            oram_accesses: self.planner.accesses(),
-            cycles_by_kind: self.metrics.cycles_by_kind,
-            transactions_by_kind: self.tracker.transactions_by_kind().clone(),
-            row_class_by_kind: self.metrics.row_class_map(),
-            retry_cycles: self.metrics.retry_cycles,
-            read_latency_idx: self.metrics.read_latencies.len(),
-            backend: self.backend.snapshot(),
-            protocol: self.planner.protocol().stats().clone(),
+            ..self.core.capture()
         }
     }
 
@@ -420,13 +317,8 @@ impl Simulation {
             Some(start) => (now.delta(start), start.read_latency_idx),
             None => (now, 0),
         };
-        let latencies = &self.metrics.read_latencies[latency_start..];
-        let violations = self
-            .conformance
-            .violations()
-            .iter()
-            .map(ToString::to_string)
-            .collect();
+        let latencies = &self.read_latency_samples()[latency_start..];
+        let violations = self.violations().iter().map(ToString::to_string).collect();
         build_report(
             &self.cfg,
             self.label.clone(),
@@ -585,7 +477,7 @@ mod tests {
         let t = traces(&cfg, 60, "black");
         let mut sim = Simulation::new(cfg, t);
         let rec = sim.run(100_000_000).expect("completes");
-        sim.oram().check_invariants();
+        sim.protocol().check_invariants();
         assert_eq!(rec.oram_accesses, flat.oram_accesses);
         assert!(
             rec.transactions_by_kind["read"] > flat.transactions_by_kind["read"],

@@ -19,7 +19,10 @@
 //! checker on, over each backend: the conformance stage drains the command
 //! events into a reused buffer and the auditors take a bucket's memory the
 //! first time it is touched, so a verified steady state is held to zero
-//! too. The cycle-accurate controller's per-cycle bookkeeping (per-bank
+//! too. One more window drives a bare `PipelineCore` the way the service
+//! does — real and cover accesses dispatched by hand, wakes collected into
+//! the caller's buffer — since that path never runs under `Simulation`.
+//! The cycle-accurate controller's per-cycle bookkeeping (per-bank
 //! queues, views and issue bounds) gets its own per-policy windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -29,6 +32,7 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use dram_sim::{AddressMapping, DramLocation, DramModule};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
+use string_oram::pipeline::PipelineCore;
 use string_oram::{BackendKind, ProtocolKind, Scheme, Simulation, SystemConfig, VerifyConfig};
 use trace_synth::{by_name, TraceGenerator};
 
@@ -140,6 +144,72 @@ fn assert_steady_state_window(
     assert_eq!(sim.oram_accesses(), warmed + measured);
 }
 
+/// Core-direct window: a request-driven caller (the service's shape: tagged
+/// real accesses over a fixed block population, gated on the transaction
+/// window, every fourth slot a cover access, wakes drained from a reused
+/// buffer) must reach the same allocation-free steady state as the trace
+/// driver. The fixed population keeps the stash's working set — and with it
+/// the eviction candidate buffer — from growing past its warm-up size.
+fn assert_core_steady_state_window(verify: VerifyConfig) {
+    const ACCESSES: usize = 8000;
+    const MEASURED_ACCESSES: u64 = 100;
+    const LEVELS: u32 = 10;
+    const BLOCKS: u64 = 512;
+
+    let mut cfg = SystemConfig::test_small(Scheme::All);
+    cfg.ring.levels = LEVELS;
+    cfg.backend = BackendKind::FastFunctional;
+    cfg.verify = verify;
+    let total_buckets = (1usize << LEVELS) - 1;
+    let mut core = PipelineCore::build(&cfg).unwrap();
+    core.reserve_accesses(ACCESSES);
+    let mut wakes = Vec::with_capacity(cfg.max_inflight_txns);
+    let mut slot = 0u64;
+    let mut tick = |core: &mut PipelineCore| {
+        if core.inflight() < cfg.max_inflight_txns {
+            slot += 1;
+            if slot.is_multiple_of(4) {
+                assert!(core.dispatch_cover(), "Ring has cover accesses");
+            } else {
+                // A stride coprime to the population visits every block.
+                let block = slot * 7 % BLOCKS;
+                if let Some(wake) = core.dispatch_real(slot as usize, block, slot.is_multiple_of(3))
+                {
+                    wakes.push(wake);
+                }
+            }
+        }
+        core.step(&mut wakes);
+        wakes.clear();
+    };
+
+    while core.protocol().materialized_buckets() < total_buckets
+        && core.accesses() + MEASURED_ACCESSES < ACCESSES as u64
+    {
+        tick(&mut core);
+    }
+    assert_eq!(
+        core.protocol().materialized_buckets(),
+        total_buckets,
+        "core: too few accesses to materialize the tree"
+    );
+    let (warmed, warmed_cover) = (core.accesses(), core.cover_accesses());
+
+    let baseline = ALLOCATIONS.load(Ordering::SeqCst);
+    while core.accesses() < warmed + MEASURED_ACCESSES {
+        tick(&mut core);
+    }
+    let during = ALLOCATIONS.load(Ordering::SeqCst) - baseline;
+    assert!(
+        core.cover_accesses() > warmed_cover,
+        "core: the window held no cover access"
+    );
+    assert_eq!(
+        during, 0,
+        "core: steady state allocated {during} times across {MEASURED_ACCESSES} accesses"
+    );
+}
+
 /// Enqueues one batch of mixed-direction transactions and runs the
 /// controller dry, draining completions into the caller's reused buffer.
 fn run_batch(
@@ -228,6 +298,10 @@ fn steady_state_access_performs_no_heap_allocation() {
         BackendKind::CycleAccurate,
         checked,
     );
+
+    // The request-driven shape, on the core directly, verifier off and on.
+    assert_core_steady_state_window(off);
+    assert_core_steady_state_window(checked);
 
     // The scheduler-policy lab rides in the same binary (same single-test
     // isolation): trait-object dispatch through every policy must stay

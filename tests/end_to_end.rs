@@ -33,7 +33,7 @@ fn protocol_invariants_survive_a_full_system_run() {
         let t = traces(&cfg, "freq", 120, 9);
         let mut sim = Simulation::new(cfg, t);
         let _ = sim.run(200_000_000).expect("completes");
-        sim.oram().check_invariants();
+        sim.protocol().check_invariants();
     }
 }
 
@@ -66,7 +66,7 @@ fn repeated_blocks_always_return() {
     let t: Vec<Vec<TraceRecord>> = (0..cfg.cores).map(|_| hammer.clone()).collect();
     let mut sim = Simulation::new(cfg, t);
     let r = sim.run(100_000_000).expect("completes");
-    sim.oram().check_invariants();
+    sim.protocol().check_invariants();
     // After warmup, repeat accesses must find the block (not "new").
     let found = r.protocol.targets_from_tree
         + r.protocol.targets_from_stash

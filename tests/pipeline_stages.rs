@@ -7,7 +7,8 @@
 //! the pipeline split; any drift means the refactor (or a later change)
 //! altered simulated behavior, not just structure.
 
-use string_oram::{Scheme, SimReport, Simulation, SystemConfig};
+use string_oram::pipeline::PipelineCore;
+use string_oram::{BackendKind, ProtocolKind, Scheme, SimReport, Simulation, SystemConfig};
 use trace_synth::{by_name, TraceGenerator};
 
 fn run(scheme: Scheme) -> SimReport {
@@ -78,4 +79,63 @@ fn manual_stepping_matches_run() {
     assert_eq!(r_stepped.instructions, r_run.instructions);
     assert_eq!(r_stepped.requests_completed, r_run.requests_completed);
     assert_eq!(stepped.access_digest(), ran.access_digest());
+}
+
+/// The seam between the trace driver and the pipeline core: a bare
+/// [`PipelineCore`] handed the `(tag, block, is_write)` sequence of a
+/// one-core [`Simulation`], each access at the cycle the simulation
+/// dispatched it, must be the same machine — digest, clock, every counter
+/// and every latency sample. Whatever `Simulation::step` does beyond
+/// dispatching and stepping its core would show up here.
+#[test]
+fn bare_core_replays_a_one_core_simulation() {
+    for backend in [BackendKind::CycleAccurate, BackendKind::FastFunctional] {
+        for protocol in [ProtocolKind::RingCb, ProtocolKind::Path] {
+            let mut cfg = SystemConfig::test_small(Scheme::All);
+            cfg.cores = 1;
+            cfg.backend = backend;
+            cfg.protocol = protocol;
+            let trace = TraceGenerator::new(by_name("black").unwrap(), 11, 0).take_records(120);
+
+            let mut sim = Simulation::new(cfg.clone(), vec![trace.clone()]);
+            let mut bare = PipelineCore::build(&cfg).unwrap();
+            let mut next = trace.iter();
+            let mut wakes = Vec::new();
+            while !sim.is_finished() {
+                let before = sim.oram_accesses();
+                sim.step();
+                // The accesses the simulation planned in this step entered
+                // its core before the core stepped; do the same.
+                for _ in before..sim.oram_accesses() {
+                    let rec = next.next().expect("one access per record");
+                    bare.dispatch_real(0, rec.op.block, rec.op.is_write);
+                }
+                bare.step(&mut wakes);
+            }
+            assert!(
+                next.next().is_none(),
+                "{protocol}/{backend:?}: trace consumed"
+            );
+            assert!(bare.is_drained());
+
+            let ctx = format!("{protocol}/{backend:?}");
+            assert_eq!(bare.access_digest(), sim.access_digest(), "{ctx}");
+            assert_eq!(bare.cycles(), sim.cycles(), "{ctx}");
+            assert_eq!(
+                bare.read_latency_samples(),
+                sim.read_latency_samples(),
+                "{ctx}"
+            );
+            let mut snapshot = sim.capture();
+            assert!(snapshot.instructions > 0, "{ctx}: the cores retired work");
+            snapshot.instructions = 0;
+            assert_eq!(
+                format!("{:?}", bare.capture()),
+                format!("{snapshot:?}"),
+                "{ctx}"
+            );
+            assert!(sim.violations().is_empty(), "{ctx}: {:?}", sim.violations());
+            assert!(bare.violations().is_empty(), "{ctx}");
+        }
+    }
 }

@@ -206,3 +206,54 @@ fn expired_requests_never_retire_twice() {
     // though their requesters had given up.
     assert!(summary.real_accesses > 0);
 }
+
+/// A shard's banks are busy against that shard's own clock. The merged
+/// report's bank idleness must therefore be the cycle-weighted mean of the
+/// per-shard proportions — dividing every bank's busy time by the *summed*
+/// clock would make the same work look ~N× idler on N shards.
+#[test]
+fn sharded_bank_idleness_is_the_cycle_weighted_shard_mean() {
+    let busy_share = |shards: usize| {
+        let mut cfg = ServiceConfig::test_small(
+            vec![
+                TenantSpec::new("alpha", ArrivalSpec::steady(13.0)),
+                TenantSpec::new("beta", ArrivalSpec::steady(13.0)),
+            ],
+            8_000,
+        );
+        cfg.system.shards = shards;
+        let mut svc = OramService::new(cfg).expect("valid config");
+        let report = svc.run().expect("terminates");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let (weighted_idle, cycles) = svc
+            .shards()
+            .iter()
+            .map(|shard| {
+                let snap = shard.capture();
+                let dram = snap.backend.dram.expect("cycle-accurate backend");
+                let idle = dram.average_bank_idle_proportion(snap.cycle);
+                (idle * snap.cycle as f64, snap.cycle)
+            })
+            .fold((0.0, 0), |(w, c), (wi, ci)| (w + wi, c + ci));
+        let expected = weighted_idle / cycles as f64;
+        assert!(
+            (report.bank_idle_proportion - expected).abs() < 1e-12,
+            "{shards} shards: merged idle {} vs cycle-weighted shard mean {expected}",
+            report.bank_idle_proportion
+        );
+        1.0 - report.bank_idle_proportion
+    };
+    // The same requests over N shards give each shard's banks ~1/N of the
+    // work over the same ticks: the busy share falls like 1/N, not 1/N².
+    let one = busy_share(1);
+    assert!(one > 0.05, "the run must keep the banks measurably busy");
+    for shards in [2usize, 4] {
+        let busy = busy_share(shards);
+        let predicted = one / shards as f64;
+        assert!(
+            busy > predicted / 2.0 && busy < predicted * 2.0,
+            "{shards} shards: busy share {busy:.4}, expected about {predicted:.4} \
+             (1 shard: {one:.4})"
+        );
+    }
+}

@@ -121,7 +121,7 @@ fn any_configuration_completes_consistently() {
         assert!(r.instructions > 0);
 
         // Protocol-level invariants after the run.
-        sim.oram().check_invariants();
+        sim.protocol().check_invariants();
 
         // Baseline schedulers never issue early commands.
         if !matches!(cfg.sched_policy, SchedulerPolicy::ProactiveBank { .. }) {
