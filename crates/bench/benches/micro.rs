@@ -5,7 +5,16 @@
 //! Self-timed (no external harness, so the workspace builds offline): each
 //! case is warmed up, then run for a fixed iteration budget, reporting
 //! mean ns/op. `STRING_ORAM_MICRO_ITERS` scales the budget.
+//!
+//! The Ring engine is timed twice: *cold* (a fresh tree at the paper's
+//! geometry, every access a first touch — about twelve bucket
+//! materializations each, with the live heap bytes each bucket leaves
+//! behind) and *warm* (a fully materialized tree — the allocation-free
+//! steady state). The two differ by several times; one number for both
+//! would describe neither.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
 use dram_sim::geometry::DramGeometry;
@@ -27,9 +36,35 @@ fn iters() -> u64 {
         .unwrap_or(2000)
 }
 
-/// Times `f` over the iteration budget (plus a 10 % warm-up) and prints
-/// one row with the mean ns/op.
-fn bench<F: FnMut(u64)>(name: &str, mut f: F) {
+/// Bytes currently allocated (requested sizes), for the cold rows.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+struct LiveBytes;
+
+// SAFETY: delegates every operation to `System`, only updating an atomic
+// counter around it.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// Mean ns/op of `f` over the iteration budget, after a 10 % warm-up.
+fn time<F: FnMut(u64)>(mut f: F) -> f64 {
     let n = iters();
     for i in 0..n / 10 + 1 {
         f(i);
@@ -38,7 +73,12 @@ fn bench<F: FnMut(u64)>(name: &str, mut f: F) {
     for i in 0..n {
         f(i);
     }
-    let ns = start.elapsed().as_nanos() as f64 / n as f64;
+    start.elapsed().as_nanos() as f64 / n as f64
+}
+
+/// Times `f` and prints one row with the mean ns/op.
+fn bench<F: FnMut(u64)>(name: &str, f: F) {
+    let ns = time(f);
     print_row(name, &[format!("{ns:>10.0} ns/op")]);
 }
 
@@ -47,9 +87,39 @@ fn bench_protocol_access() {
         ("ring_baseline", RingConfig::hpca_baseline()),
         ("ring_cb", RingConfig::hpca_default()),
     ] {
-        let mut oram = RingOram::new(cfg, 1);
-        bench(name, |i| {
-            std::hint::black_box(oram.access(BlockId(i % 4096)));
+        // Cold: every access is the first touch of a new block.
+        let live = LIVE_BYTES.load(Ordering::Relaxed);
+        let mut oram = RingOram::new(cfg.clone(), 1);
+        let mut next = 0;
+        let ns = time(|_| {
+            next += 1;
+            let outcome = oram.access(BlockId(next));
+            oram.recycle_outcome(std::hint::black_box(outcome));
+        });
+        let live = (LIVE_BYTES.load(Ordering::Relaxed) - live) as f64;
+        let per_bucket = live / oram.materialized_buckets() as f64;
+        print_row(
+            &format!("{name}_cold"),
+            &[
+                format!("{ns:>10.0} ns/op"),
+                format!("{per_bucket:>5.0} B/bucket"),
+            ],
+        );
+
+        // Warm: a 10-level tree driven until every bucket exists (as
+        // `tests/alloc_regression.rs` does), over a fixed block population
+        // the tree holds with slack.
+        let mut oram = RingOram::new(RingConfig { levels: 10, ..cfg }, 1);
+        let mut warmup = 0;
+        while oram.materialized_buckets() < (1 << 10) - 1 {
+            let outcome = oram.access(BlockId(warmup % 512));
+            oram.recycle_outcome(outcome);
+            warmup += 1;
+            assert!(warmup < 1_000_000, "{name}: the tree never filled");
+        }
+        bench(&format!("{name}_warm"), |i| {
+            let outcome = oram.access(BlockId(i % 512));
+            oram.recycle_outcome(std::hint::black_box(outcome));
         });
     }
 }

@@ -1,4 +1,5 @@
-//! Bucket state and the Compact Bucket (CB) access rules.
+//! Bucket state, the Compact Bucket (CB) access rules, and the tree the
+//! buckets hang in.
 //!
 //! A Ring ORAM bucket has `Z` real-block slots and, in baseline Ring ORAM,
 //! `S` reserved dummy slots; it may be touched `S` times between shuffles
@@ -10,11 +11,20 @@
 //! On the memory bus every touch is a single indistinguishable block read,
 //! so the green/dummy distinction is invisible to the adversary; it only
 //! changes how fast the stash fills (analyzed in the paper's §VII-D/E).
+//!
+//! # Resident layout
+//!
+//! A bucket is what a hardware controller keeps per bucket: one metadata
+//! word per slot (valid bit + block id) and a few counters. Payload bytes
+//! live in a separate per-bucket lane that exists only once a payload has
+//! been stored, so timing-only simulations never pay for it. Buckets hang
+//! in a `BucketTree`: a node vector linked parent → child, walked root to
+//! leaf exactly as the protocol's read paths and evictions walk the tree.
 
-use oram_rng::{Rng, SliceRandom};
+use oram_rng::Rng;
 
 use crate::config::RingConfig;
-use crate::types::{BlockId, FetchKind};
+use crate::types::{BlockId, BucketId, FetchKind, PathId};
 
 /// Owned payload of a real block (ciphertext when encryption is enabled).
 pub type BlockData = Box<[u8]>;
@@ -23,23 +33,23 @@ pub type BlockData = Box<[u8]>;
 /// buckets and the stash.
 pub type BlockEntry = (BlockId, Option<BlockData>);
 
-/// One physical slot of a bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Slot {
-    /// `Some` when the slot holds a real block, `None` for a dummy.
-    block: Option<BlockId>,
-    /// Whether the slot may still be read before the next shuffle.
-    valid: bool,
-    /// Stored payload; `Some` only when `block` is `Some` and the caller
-    /// supplied data (timing-only simulations leave payloads out).
-    data: Option<BlockData>,
-}
+/// Slot-word bit 63: the slot may still be read before the next shuffle.
+const VALID: u64 = 1 << 63;
+/// Slot-word low 63 bits, all ones: the slot holds no real block. An
+/// invalid slot never holds one (every touch that invalidates a slot also
+/// consumes its block), so a slot word is `VALID | id`, `VALID | DUMMY` or
+/// bare `DUMMY`.
+const DUMMY: u64 = VALID - 1;
 
 /// A bucket: `Z + S - Y` permuted slots plus the metadata the paper's Fig. 2
 /// and Fig. 7 describe (valid/real bits, access counter, green counter).
 #[derive(Debug, Clone)]
 pub struct Bucket {
-    slots: Vec<Slot>,
+    /// One packed word per physical slot (see [`VALID`] / [`DUMMY`]).
+    slots: Vec<u64>,
+    /// Payload lane, parallel to `slots`; empty (unallocated) until the
+    /// first reload that carries a payload. `Some` only at valid real slots.
+    lane: Vec<Option<BlockData>>,
     /// Touches since the last shuffle (the paper's per-bucket counter).
     accesses: u32,
     /// Green fetches since the last shuffle (the paper's green counter,
@@ -51,6 +61,10 @@ pub struct Bucket {
     n_valid_reals: u32,
     /// Cached count of valid dummy slots.
     n_valid_dummies: u32,
+}
+
+fn holds_real(word: u64) -> bool {
+    word & VALID != 0 && word != VALID | DUMMY
 }
 
 impl Bucket {
@@ -79,14 +93,25 @@ impl Bucket {
         mut entries: Vec<BlockEntry>,
         rng: &mut R,
     ) -> Self {
+        Self::loaded(cfg, &mut entries, rng)
+    }
+
+    /// [`Self::with_entries`] draining a caller-owned staging buffer; the
+    /// bucket's one allocation is its slot storage, sized by the reload.
+    pub(crate) fn loaded<R: Rng + ?Sized>(
+        cfg: &RingConfig,
+        entries: &mut Vec<BlockEntry>,
+        rng: &mut R,
+    ) -> Self {
         let mut bucket = Self {
             slots: Vec::new(),
+            lane: Vec::new(),
             accesses: 0,
             greens_used: 0,
             n_valid_reals: 0,
             n_valid_dummies: 0,
         };
-        bucket.reload(cfg, &mut entries, rng);
+        bucket.reload(cfg, entries, rng);
         bucket
     }
 
@@ -113,10 +138,7 @@ impl Bucket {
     pub fn real_count(&self) -> usize {
         debug_assert_eq!(
             self.n_valid_reals as usize,
-            self.slots
-                .iter()
-                .filter(|s| s.valid && s.block.is_some())
-                .count()
+            self.slots.iter().filter(|&&w| holds_real(w)).count()
         );
         self.n_valid_reals as usize
     }
@@ -126,10 +148,7 @@ impl Bucket {
     pub fn valid_dummies(&self) -> usize {
         debug_assert_eq!(
             self.n_valid_dummies as usize,
-            self.slots
-                .iter()
-                .filter(|s| s.valid && s.block.is_none())
-                .count()
+            self.slots.iter().filter(|&&w| w == VALID | DUMMY).count()
         );
         self.n_valid_dummies as usize
     }
@@ -139,17 +158,19 @@ impl Bucket {
     pub fn real_blocks(&self) -> Vec<BlockId> {
         self.slots
             .iter()
-            .filter(|s| s.valid)
-            .filter_map(|s| s.block)
+            .filter(|&&w| holds_real(w))
+            .map(|&w| BlockId(w & DUMMY))
             .collect()
     }
 
     /// Slot index of `block` if it is present and still valid.
     #[must_use]
     pub fn find(&self, block: BlockId) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|s| s.valid && s.block == Some(block))
+        // `DUMMY` itself is not a block id: `VALID | DUMMY` is a dummy slot.
+        if block.0 >= DUMMY {
+            return None;
+        }
+        self.slots.iter().position(|&w| w == VALID | block.0)
     }
 
     /// Whether the bucket must be reshuffled *before* it can absorb another
@@ -216,8 +237,8 @@ impl Bucket {
         }
         let k = rng.gen_range(0..n);
         let mut seen = 0;
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.valid && s.block.is_some() == real {
+        for (i, &w) in self.slots.iter().enumerate() {
+            if w & VALID != 0 && holds_real(w) == real {
                 if seen == k {
                     return Some(i);
                 }
@@ -225,6 +246,13 @@ impl Bucket {
             }
         }
         unreachable!("cached slot counts out of sync with slot vector")
+    }
+
+    /// Sets slot `idx` to `word` (it no longer holds its block) and returns
+    /// the payload it carried, if any.
+    fn vacate(&mut self, idx: usize, word: u64) -> Option<BlockData> {
+        self.slots[idx] = word;
+        self.lane.get_mut(idx).and_then(Option::take)
     }
 
     /// Serves one read-path touch.
@@ -282,16 +310,13 @@ impl Bucket {
         self.accesses += 1;
         if let Some(t) = target {
             if let Some(idx) = self.find(t) {
-                self.slots[idx].valid = false;
-                self.slots[idx].block = None;
                 self.n_valid_reals -= 1;
-                let data = self.slots[idx].data.take();
-                return (idx, FetchKind::Target(t), data);
+                return (idx, FetchKind::Target(t), self.vacate(idx, DUMMY));
             }
         }
         // Dummy-first policy.
         if let Some(idx) = self.choose_slot(false, rng) {
-            self.slots[idx].valid = false;
+            self.slots[idx] = DUMMY;
             self.n_valid_dummies -= 1;
             return (idx, FetchKind::Dummy, None);
         }
@@ -309,12 +334,10 @@ impl Bucket {
             self.greens_used < cfg.y,
             "green budget exceeded; needs_reshuffle() should have fired"
         );
-        let block = self.slots[idx].block.take().expect("real slot has block");
-        let data = self.slots[idx].data.take();
-        self.slots[idx].valid = false;
+        let block = BlockId(self.slots[idx] & DUMMY);
         self.n_valid_reals -= 1;
         self.greens_used += 1;
-        (idx, FetchKind::Green(block), data)
+        (idx, FetchKind::Green(block), self.vacate(idx, DUMMY))
     }
 
     /// Removes and returns every valid real block with its payload (the
@@ -329,18 +352,16 @@ impl Bucket {
     /// Allocation-free form of [`Self::take_real_blocks`]: appends the
     /// removed entries to a caller-provided (reusable) buffer.
     pub fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
-        let before = out.len();
-        for s in &mut self.slots {
-            if s.valid {
-                if let Some(b) = s.block.take() {
-                    out.push((b, s.data.take()));
-                }
+        for idx in 0..self.slots.len() {
+            let word = self.slots[idx];
+            if holds_real(word) {
+                // The emptied slot stays valid, so it now counts as a dummy.
+                let data = self.vacate(idx, VALID | DUMMY);
+                out.push((BlockId(word & DUMMY), data));
             }
         }
-        // The emptied slots stay valid, so each one now counts as a dummy.
-        let taken = (out.len() - before) as u32;
-        self.n_valid_reals -= taken;
-        self.n_valid_dummies += taken;
+        self.n_valid_dummies += self.n_valid_reals;
+        self.n_valid_reals = 0;
     }
 
     /// Reshuffles the bucket: installs `entries` (at most `Z`, drained from
@@ -350,7 +371,8 @@ impl Bucket {
     ///
     /// # Panics
     ///
-    /// Panics if more than `cfg.z` entries are supplied.
+    /// Panics if more than `cfg.z` entries are supplied, or if a block id
+    /// does not fit a slot word's 63 id bits.
     pub fn reload<R: Rng + ?Sized>(
         &mut self,
         cfg: &RingConfig,
@@ -364,22 +386,37 @@ impl Bucket {
             entries.len()
         );
         let reals = entries.len() as u32;
-        // Rebuild in place, reusing the slot buffer (a reload happens on
-        // every eviction level and every reshuffle; a fresh allocation per
-        // call dominates the protocol's own work).
-        self.slots.clear();
-        self.slots.extend(entries.drain(..).map(|(b, data)| Slot {
-            block: Some(b),
-            valid: true,
-            data,
-        }));
         let slot_count = cfg.bucket_slots() as usize;
-        self.slots.resize_with(slot_count, || Slot {
-            block: None,
-            valid: true,
-            data: None,
-        });
-        self.slots.shuffle(rng);
+        // Rebuild in place, reusing the slot storage (a reload happens on
+        // every eviction level and every reshuffle); a fresh bucket sizes it
+        // here, once. The lane joins on the first payload and then stays.
+        let payloads = !self.lane.is_empty() || entries.iter().any(|(_, d)| d.is_some());
+        self.slots.clear();
+        self.slots.reserve_exact(slot_count);
+        self.lane.clear();
+        if payloads {
+            self.lane.reserve_exact(slot_count);
+        }
+        for (b, data) in entries.drain(..) {
+            assert!(b.0 < DUMMY, "block id {b} does not fit a slot word");
+            self.slots.push(VALID | b.0);
+            if payloads {
+                self.lane.push(data);
+            }
+        }
+        self.slots.resize(slot_count, VALID | DUMMY);
+        if payloads {
+            self.lane.resize_with(slot_count, || None);
+        }
+        // Fisher–Yates, drawing exactly as `SliceRandom::shuffle` does, with
+        // every swap applied to the words and (when present) the lane.
+        for i in (1..slot_count).rev() {
+            let j = rng.gen_range(0..i + 1);
+            self.slots.swap(i, j);
+            if payloads {
+                self.lane.swap(i, j);
+            }
+        }
         self.accesses = 0;
         self.greens_used = 0;
         self.n_valid_reals = reals;
@@ -399,8 +436,7 @@ impl Bucket {
     /// Panics if `slot` is out of range.
     #[must_use]
     pub fn slot_holds_real(&self, slot: usize) -> bool {
-        let s = &self.slots[slot];
-        s.valid && s.block.is_some()
+        holds_real(self.slots[slot])
     }
 
     /// Removes the block stored in `slot`, if any, returning its payload
@@ -411,20 +447,138 @@ impl Bucket {
     ///
     /// Panics if `slot` is out of range.
     pub fn clear_slot(&mut self, slot: usize) -> Option<BlockData> {
-        let s = &mut self.slots[slot];
-        if s.valid && s.block.is_some() {
-            self.n_valid_reals -= 1;
-            self.n_valid_dummies += 1;
+        if !holds_real(self.slots[slot]) {
+            return None;
         }
-        s.block = None;
-        s.data.take()
+        self.n_valid_reals -= 1;
+        self.n_valid_dummies += 1;
+        self.vacate(slot, VALID | DUMMY)
+    }
+}
+
+/// One tree position: links to the two children (0 = not created yet; the
+/// root, node 0, is nobody's child) and the bucket, once it has content.
+#[derive(Debug, Clone, Default)]
+struct Node {
+    children: [u32; 2],
+    bucket: Option<Bucket>,
+}
+
+/// The lazily grown bucket tree: nodes are created from the root down along
+/// the paths the protocol walks, so reaching a bucket costs one dependent
+/// load per level from the nearest ancestor the previous walk visited.
+///
+/// A node may exist before its bucket does: a read path that is not
+/// searching for a target passes through the on-chip tree-top levels
+/// without materializing them.
+#[derive(Debug, Clone)]
+pub(crate) struct BucketTree {
+    nodes: Vec<Node>,
+    /// Per level, the bucket the last lookup passed through — as a 1-based
+    /// heap index (`BucketId + 1`; 0 matches nothing) — and its node. Level
+    /// 0 is always the root.
+    cursor: Vec<(u64, u32)>,
+    /// Nodes whose bucket is `Some`.
+    materialized: usize,
+}
+
+impl BucketTree {
+    /// An empty tree of `levels` levels.
+    pub(crate) fn new(levels: u32) -> Self {
+        let mut cursor = vec![(0, 0); levels as usize];
+        cursor[0] = (1, 0);
+        Self {
+            nodes: vec![Node::default()],
+            cursor,
+            materialized: 0,
+        }
+    }
+
+    /// Number of buckets with content.
+    pub(crate) fn materialized(&self) -> usize {
+        self.materialized
+    }
+
+    /// The node of bucket `id`, created (with any missing ancestors) on
+    /// first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` lies below the tree's last level.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    fn node(&mut self, id: BucketId) -> usize {
+        // 1-based heap index: the ancestor `up` levels above is `heap >> up`
+        // and the low bit tells a right child from a left one.
+        let heap = id.0 + 1;
+        let level = (u64::BITS - 1 - heap.leading_zeros()) as usize;
+        let mut l = level;
+        while self.cursor[l].0 != heap >> (level - l) {
+            l -= 1; // terminates at the root, which every bucket descends from
+        }
+        let mut node = self.cursor[l].1 as usize;
+        while l < level {
+            l += 1;
+            let ancestor = heap >> (level - l);
+            let side = (ancestor & 1) as usize;
+            let mut child = self.nodes[node].children[side] as usize;
+            if child == 0 {
+                child = self.nodes.len();
+                self.nodes[node].children[side] =
+                    u32::try_from(child).expect("fewer than 2^32 tree nodes");
+                self.nodes.push(Node::default());
+            }
+            node = child;
+            self.cursor[l] = (ancestor, child as u32);
+        }
+        node
+    }
+
+    /// The bucket `id`, filled by `fill` on first touch.
+    pub(crate) fn bucket_or_insert_with(
+        &mut self,
+        id: BucketId,
+        fill: impl FnOnce() -> Bucket,
+    ) -> &mut Bucket {
+        let node = self.node(id);
+        let materialized = &mut self.materialized;
+        self.nodes[node].bucket.get_or_insert_with(|| {
+            *materialized += 1;
+            fill()
+        })
+    }
+
+    /// The bucket `id`, if it has content.
+    pub(crate) fn get_mut(&mut self, id: BucketId) -> Option<&mut Bucket> {
+        let node = self.node(id);
+        self.nodes[node].bucket.as_mut()
+    }
+
+    /// The materialized buckets along `path`, root to leaf, without
+    /// creating anything; `max_level` is the leaf level (`L`).
+    pub(crate) fn on_path(&self, path: PathId, max_level: u32) -> impl Iterator<Item = &Bucket> {
+        let mut next = Some(0usize);
+        let mut level = 0;
+        std::iter::from_fn(move || {
+            let node = &self.nodes[next?];
+            next = (level < max_level)
+                .then(|| node.children[((path.0 >> (max_level - level - 1)) & 1) as usize] as usize)
+                .filter(|&child| child != 0);
+            level += 1;
+            Some(node.bucket.as_ref())
+        })
+        .flatten()
+    }
+
+    /// Every materialized bucket, in creation order of its node.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = &Bucket> {
+        self.nodes.iter().filter_map(|n| n.bucket.as_ref())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oram_rng::StdRng;
+    use oram_rng::{SliceRandom, StdRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -627,5 +781,344 @@ mod tests {
         let (_, kind, _) = b.serve_read(&c, Some(BlockId(99)), &mut r);
         assert_eq!(kind, FetchKind::Dummy);
         assert_eq!(b.real_count(), 1, "stored block untouched");
+    }
+
+    /// The three-field slot the packed word replaced, kept as the reference
+    /// the packed bucket is held to: same rules, same draws, naive layout.
+    mod model {
+        use super::super::{BlockData, BlockEntry};
+        use crate::config::RingConfig;
+        use crate::types::{BlockId, FetchKind};
+        use oram_rng::{Rng, SliceRandom};
+
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Slot {
+            block: Option<BlockId>,
+            valid: bool,
+            data: Option<BlockData>,
+        }
+
+        #[derive(Debug, Default)]
+        pub(super) struct ModelBucket {
+            slots: Vec<Slot>,
+            pub(super) accesses: u32,
+            pub(super) greens_used: u32,
+        }
+
+        impl ModelBucket {
+            fn count(&self, real: bool) -> usize {
+                let hit = |s: &&Slot| s.valid && s.block.is_some() == real;
+                self.slots.iter().filter(hit).count()
+            }
+
+            pub(super) fn real_count(&self) -> usize {
+                self.count(true)
+            }
+
+            pub(super) fn valid_dummies(&self) -> usize {
+                self.count(false)
+            }
+
+            pub(super) fn slot_block(&self, slot: usize) -> Option<BlockId> {
+                self.slots[slot].block.filter(|_| self.slots[slot].valid)
+            }
+
+            pub(super) fn find(&self, block: BlockId) -> Option<usize> {
+                self.slots
+                    .iter()
+                    .position(|s| s.valid && s.block == Some(block))
+            }
+
+            pub(super) fn needs_reshuffle_gated(
+                &self,
+                cfg: &RingConfig,
+                allow_green: bool,
+            ) -> bool {
+                if self.accesses >= cfg.s {
+                    return true;
+                }
+                if self.valid_dummies() > 0 {
+                    return false;
+                }
+                if !allow_green && (self.real_count() as u32) < cfg.bucket_slots() {
+                    return true;
+                }
+                !(self.greens_used < cfg.y && self.real_count() > 0)
+            }
+
+            fn choose_slot<R: Rng + ?Sized>(&self, real: bool, rng: &mut R) -> Option<usize> {
+                let candidates: Vec<usize> = (0..self.slots.len())
+                    .filter(|&i| self.slots[i].valid && self.slots[i].block.is_some() == real)
+                    .collect();
+                candidates.choose(rng).copied()
+            }
+
+            pub(super) fn serve_read_gated<R: Rng + ?Sized>(
+                &mut self,
+                target: Option<BlockId>,
+                rng: &mut R,
+            ) -> (usize, FetchKind, Option<BlockData>) {
+                self.accesses += 1;
+                if let Some(idx) = target.and_then(|t| self.find(t)) {
+                    let s = &mut self.slots[idx];
+                    s.valid = false;
+                    let block = s.block.take().unwrap();
+                    return (idx, FetchKind::Target(block), s.data.take());
+                }
+                if let Some(idx) = self.choose_slot(false, rng) {
+                    self.slots[idx].valid = false;
+                    return (idx, FetchKind::Dummy, None);
+                }
+                let idx = self.choose_slot(true, rng).unwrap();
+                let s = &mut self.slots[idx];
+                s.valid = false;
+                self.greens_used += 1;
+                (
+                    idx,
+                    FetchKind::Green(s.block.take().unwrap()),
+                    s.data.take(),
+                )
+            }
+
+            pub(super) fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
+                for s in self.slots.iter_mut().filter(|s| s.valid) {
+                    if let Some(b) = s.block.take() {
+                        out.push((b, s.data.take()));
+                    }
+                }
+            }
+
+            pub(super) fn reload<R: Rng + ?Sized>(
+                &mut self,
+                cfg: &RingConfig,
+                entries: &mut Vec<BlockEntry>,
+                rng: &mut R,
+            ) {
+                self.slots.clear();
+                self.slots.extend(entries.drain(..).map(|(b, data)| Slot {
+                    block: Some(b),
+                    valid: true,
+                    data,
+                }));
+                self.slots
+                    .resize_with(cfg.bucket_slots() as usize, || Slot {
+                        block: None,
+                        valid: true,
+                        data: None,
+                    });
+                self.slots.shuffle(rng);
+                self.accesses = 0;
+                self.greens_used = 0;
+            }
+
+            pub(super) fn clear_slot(&mut self, slot: usize) -> Option<BlockData> {
+                let s = &mut self.slots[slot];
+                s.block = None;
+                s.data.take()
+            }
+        }
+    }
+
+    /// Everything observable about `packed` equals the model's.
+    fn assert_same_state(cfg: &RingConfig, packed: &Bucket, model: &model::ModelBucket) {
+        assert_eq!(packed.accesses(), model.accesses);
+        assert_eq!(packed.greens_used(), model.greens_used);
+        assert_eq!(packed.real_count(), model.real_count());
+        assert_eq!(packed.valid_dummies(), model.valid_dummies());
+        let mut blocks = Vec::new();
+        for slot in 0..packed.slot_count() {
+            let block = model.slot_block(slot);
+            assert_eq!(packed.slot_holds_real(slot), block.is_some(), "slot {slot}");
+            if let Some(b) = block {
+                assert_eq!(packed.find(b), Some(slot));
+                blocks.push(b);
+            }
+        }
+        assert_eq!(packed.real_blocks(), blocks);
+        for gate in [true, false] {
+            assert_eq!(
+                packed.needs_reshuffle_gated(cfg, gate),
+                model.needs_reshuffle_gated(cfg, gate)
+            );
+        }
+    }
+
+    #[test]
+    fn packed_bucket_matches_the_three_field_model() {
+        let hpca = RingConfig::hpca_default(); // Y = 8, 12 slots
+        let wide = RingConfig::fig4_config(4); // 90 slots: more than one word of bits
+        assert!(wide.bucket_slots() > 64);
+        for (c, seed) in [(cfg(), 1), (cb_cfg(), 2), (hpca, 3), (wide, 4)] {
+            let mut ops = StdRng::seed_from_u64(seed);
+            let (mut rng_p, mut rng_m) = (StdRng::seed_from_u64(99), StdRng::seed_from_u64(99));
+            let mut packed = Bucket::empty(&c, &mut rng_p);
+            let mut model = model::ModelBucket::default();
+            model.reload(&c, &mut Vec::new(), &mut rng_m);
+            let mut next_id = 0u64;
+            let (mut out_p, mut out_m) = (Vec::new(), Vec::new());
+            let mut seen = [0u32; 4]; // targets, greens, dummies, payloads
+            for step in 0..4000 {
+                let present = packed.real_blocks();
+                // Touch-heavy, so buckets run out of dummies and into greens.
+                match ops.gen_range(0..15u32) {
+                    0 | 1 => {
+                        // Reload with 0..=Z fresh blocks, a coin per payload
+                        // (so some reloads carry none, some a mix).
+                        let with_data = ops.gen_bool(0.5);
+                        let mut entries: Vec<BlockEntry> = (0..ops.gen_range(0..c.z + 1))
+                            .map(|_| {
+                                next_id += 1;
+                                let data = (with_data && ops.gen_bool(0.7))
+                                    .then(|| vec![next_id as u8; 8].into_boxed_slice());
+                                (BlockId(next_id), data)
+                            })
+                            .collect();
+                        model.reload(&c, &mut entries.clone(), &mut rng_m);
+                        packed.reload(&c, &mut entries, &mut rng_p);
+                    }
+                    2..=11 => {
+                        // A touch: a present target, an absent one, or none.
+                        let target = match ops.gen_range(0..3u32) {
+                            0 => present.choose(&mut ops).copied(),
+                            1 => Some(BlockId(u64::MAX - step)),
+                            _ => None,
+                        };
+                        let gate = ops.gen_bool(0.5);
+                        let holds = target.is_some_and(|t| model.find(t).is_some());
+                        if !holds && model.needs_reshuffle_gated(&c, gate) {
+                            continue; // the protocol would reshuffle first
+                        }
+                        let got = packed.serve_read_gated(&c, target, gate, &mut rng_p);
+                        assert_eq!(got, model.serve_read_gated(target, &mut rng_m));
+                        match got.1 {
+                            FetchKind::Target(_) => seen[0] += 1,
+                            FetchKind::Green(_) => seen[1] += 1,
+                            FetchKind::Dummy => seen[2] += 1,
+                        }
+                        seen[3] += u32::from(got.2.is_some());
+                    }
+                    12 => {
+                        packed.take_real_blocks_into(&mut out_p);
+                        model.take_real_blocks_into(&mut out_m);
+                        assert_eq!(out_p, out_m);
+                    }
+                    13 => {
+                        let slot = ops.gen_range(0..packed.slot_count());
+                        assert_eq!(packed.clear_slot(slot), model.clear_slot(slot));
+                    }
+                    _ => {
+                        let absent = BlockId(next_id + 1);
+                        assert_eq!(packed.find(absent), model.find(absent));
+                    }
+                }
+                assert_same_state(&c, &packed, &model);
+                assert_eq!(format!("{rng_p:?}"), format!("{rng_m:?}"), "step {step}");
+            }
+            // The stream reached every kind of touch the config allows.
+            let [targets, greens, dummies, payloads] = seen;
+            assert!(targets > 0 && dummies > 0 && payloads > 0 && !out_p.is_empty());
+            assert_eq!(greens > 0, c.y > 0, "Y = {}", c.y);
+        }
+    }
+
+    #[test]
+    fn ids_outside_the_slot_word_are_never_found() {
+        let mut r = rng();
+        let b = Bucket::with_blocks(&cfg(), &[BlockId(5)], &mut r);
+        // The dummy pattern and ids with the valid bit set alias no block.
+        assert_eq!(b.find(BlockId(DUMMY)), None);
+        assert_eq!(b.find(BlockId(VALID | 5)), None);
+        assert_eq!(b.find(BlockId(5)).map(|s| b.slot_holds_real(s)), Some(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a slot word")]
+    fn oversized_block_id_rejected() {
+        let _ = Bucket::with_blocks(&cfg(), &[BlockId(DUMMY)], &mut rng());
+    }
+
+    #[test]
+    fn payload_lane_appears_with_the_first_payload() {
+        let mut r = rng();
+        let c = cfg();
+        let mut b = Bucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        assert_eq!(b.lane.capacity(), 0, "timing-only buckets carry no lane");
+        b.reload(
+            &c,
+            &mut vec![(BlockId(2), Some(Box::from([7u8; 4])))],
+            &mut r,
+        );
+        assert_eq!(b.lane.len(), b.slot_count());
+        let (_, kind, data) = b.serve_read(&c, Some(BlockId(2)), &mut r);
+        assert_eq!(kind, FetchKind::Target(BlockId(2)));
+        assert_eq!(data.as_deref(), Some(&[7u8; 4][..]));
+    }
+
+    /// A bucket holding the single block `tag`, to tell tree nodes apart.
+    fn tagged(tag: u64) -> Bucket {
+        Bucket::with_blocks(&cfg(), &[BlockId(tag)], &mut rng())
+    }
+
+    fn tags<'a>(buckets: impl Iterator<Item = &'a Bucket>) -> Vec<u64> {
+        buckets.map(|b| b.real_blocks()[0].0).collect()
+    }
+
+    #[test]
+    fn tree_lookup_by_id_agrees_with_the_geometry() {
+        use crate::tree::TreeGeometry;
+        use crate::types::Level;
+        let geometry = TreeGeometry::new(6);
+        let mut visits: Vec<(u64, u32)> = (0..geometry.leaf_count())
+            .flat_map(|p| (0..6).map(move |l| (p, l)))
+            .collect();
+        visits.shuffle(&mut rng());
+        let mut tree = BucketTree::new(6);
+        for &(p, l) in &visits {
+            let id = geometry.bucket_at(PathId(p), Level(l));
+            let got = tree.bucket_or_insert_with(id, || tagged(id.0));
+            assert_eq!(got.real_blocks(), [BlockId(id.0)], "{id} via ({p}, {l})");
+        }
+        assert_eq!(tree.materialized() as u64, geometry.bucket_count());
+        for p in 0..geometry.leaf_count() {
+            let expect: Vec<u64> = geometry
+                .path_buckets(PathId(p))
+                .iter()
+                .map(|b| b.0)
+                .collect();
+            assert_eq!(tags(tree.on_path(PathId(p), 5)), expect);
+        }
+        let mut all = tags(tree.buckets());
+        all.sort_unstable();
+        assert_eq!(all, (0..geometry.bucket_count()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tree_child_before_parent_and_cursor_reuse() {
+        let mut tree = BucketTree::new(4);
+        // Leaf 7 + 5 (path 5) first: its ancestors exist as bare nodes.
+        let _ = tree.bucket_or_insert_with(BucketId(12), || tagged(12));
+        assert_eq!(
+            tree.materialized(),
+            1,
+            "structural ancestors hold no content"
+        );
+        assert_eq!(tags(tree.on_path(PathId(5), 3)), [12]);
+        assert!(
+            tree.get_mut(BucketId(5)).is_none(),
+            "parent not materialized"
+        );
+        assert!(tree.get_mut(BucketId(12)).is_some());
+        // A second path sharing only the root, then back: the per-level
+        // cursor must not serve one path's node for the other's bucket.
+        let _ = tree.bucket_or_insert_with(BucketId(8), || tagged(8)); // path 1
+        let _ = tree.bucket_or_insert_with(BucketId(5), || tagged(5)); // path 5, level 2
+        let _ = tree.bucket_or_insert_with(BucketId(0), || tagged(0));
+        assert_eq!(tree.materialized(), 4);
+        assert_eq!(tags(tree.on_path(PathId(5), 3)), [0, 5, 12]);
+        assert_eq!(tags(tree.on_path(PathId(1), 3)), [0, 8]);
+        assert_eq!(tags(tree.on_path(PathId(7), 3)), [0]);
+        // Filling is first-touch only.
+        let again = tree.bucket_or_insert_with(BucketId(12), || unreachable!("already filled"));
+        assert_eq!(again.real_blocks(), [BlockId(12)]);
     }
 }

@@ -1,9 +1,11 @@
 //! A deterministic, fast hasher for the controller's dense integer keys.
 //!
-//! The protocol's two hot maps — the lazily materialized bucket tree and the
-//! position map — are keyed by newtyped `u64`s and sit on the per-touch hot
-//! path, where `std`'s default SipHash costs more than the table probe it
-//! guards. This hasher finalizes each written word with a SplitMix64-style
+//! The engines' hash maps — the stash, the position map's program blocks,
+//! the Path and Circuit engines' bucket maps — are keyed by newtyped `u64`s
+//! and sit on the per-access hot path, where `std`'s default SipHash costs
+//! more than the table probe it guards. (The Ring engine's bucket tree and
+//! its cold blocks' positions are not hashed at all: see `bucket` and
+//! `position_map`.) This hasher finalizes each written word with a SplitMix64-style
 //! mixer: strong enough avalanche for hashbrown's low-bits index / high-bits
 //! tag split, a handful of arithmetic ops per key, and — unlike
 //! `RandomState` — no per-process seed, so map layout is reproducible

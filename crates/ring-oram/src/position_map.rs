@@ -1,14 +1,22 @@
-//! The position map: program block → path label.
+//! The position map: block → path label.
 //!
 //! In hardware the position map is a (recursively compressible) on-chip
-//! table inside the secure processor; here it is a hash map that assigns
-//! fresh uniform paths lazily and on every remap.
+//! table inside the secure processor. Here program blocks, which arrive in
+//! no particular order, live in a hash map that assigns fresh uniform paths
+//! lazily and on every remap; the Ring engine's pre-loaded *cold* blocks,
+//! whose identifiers are handed out sequentially from [`COLD_BASE`], live in
+//! a dense table indexed by `id - COLD_BASE` — millions of entries that are
+//! written once per materialized bucket and never hashed.
 
 use oram_rng::Rng;
 
 use crate::fasthash::DetHashMap;
 
 use crate::types::{BlockId, PathId};
+
+/// Identifiers at or above this value form the dense cold-block range:
+/// they must enter the map in sequence (`COLD_BASE`, `COLD_BASE + 1`, …).
+pub const COLD_BASE: u64 = 1 << 40;
 
 /// Lazy position map over `2^L` paths.
 ///
@@ -29,7 +37,10 @@ use crate::types::{BlockId, PathId};
 #[derive(Debug, Clone)]
 pub struct PositionMap {
     paths: u64,
+    /// Program blocks (`id < COLD_BASE`).
     map: DetHashMap<BlockId, PathId>,
+    /// Cold blocks: entry `i` is the path of block `COLD_BASE + i`.
+    cold: Vec<PathId>,
 }
 
 impl PositionMap {
@@ -44,6 +55,7 @@ impl PositionMap {
         Self {
             paths,
             map: DetHashMap::default(),
+            cold: Vec::new(),
         }
     }
 
@@ -56,36 +68,46 @@ impl PositionMap {
     /// Number of blocks currently tracked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.len() + self.cold.len()
     }
 
     /// Whether no blocks are tracked yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.is_empty() && self.cold.is_empty()
     }
 
     /// The path currently assigned to `block`, if any.
     #[must_use]
     pub fn lookup(&self, block: BlockId) -> Option<PathId> {
-        self.map.get(&block).copied()
+        match block.0.checked_sub(COLD_BASE) {
+            Some(i) => self.cold.get(usize::try_from(i).ok()?).copied(),
+            None => self.map.get(&block).copied(),
+        }
     }
 
     /// The path assigned to `block`, drawing a fresh uniform path on first
     /// use (lazy initialization of an untouched block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is a cold id beyond the next one in sequence.
     pub fn lookup_or_assign<R: Rng + ?Sized>(&mut self, block: BlockId, rng: &mut R) -> PathId {
-        let paths = self.paths;
-        *self
-            .map
-            .entry(block)
-            .or_insert_with(|| PathId(rng.gen_range(0..paths)))
+        match self.lookup(block) {
+            Some(p) => p,
+            None => self.remap(block, rng),
+        }
     }
 
     /// Remaps `block` to a fresh uniform path (called on every real access,
     /// per the ORAM protocol) and returns the new path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is a cold id beyond the next one in sequence.
     pub fn remap<R: Rng + ?Sized>(&mut self, block: BlockId, rng: &mut R) -> PathId {
         let p = PathId(rng.gen_range(0..self.paths));
-        self.map.insert(block, p);
+        self.insert(block, p);
         p
     }
 
@@ -93,7 +115,13 @@ impl PositionMap {
     /// by invariant checks and debugging; hardware has no such operation).
     #[must_use]
     pub fn entries(&self) -> Vec<(BlockId, PathId)> {
-        self.map.iter().map(|(&b, &p)| (b, p)).collect()
+        self.iter().collect()
+    }
+
+    /// Iterates over all `(block, path)` entries, in unspecified order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
+        let cold = (COLD_BASE..).map(BlockId).zip(self.cold.iter().copied());
+        self.map.iter().map(|(&b, &p)| (b, p)).chain(cold)
     }
 
     /// Pins `block` to `path` without randomness (used when materializing
@@ -102,10 +130,21 @@ impl PositionMap {
     ///
     /// # Panics
     ///
-    /// Panics if `path` is out of range.
+    /// Panics if `path` is out of range, or if `block` is a cold id beyond
+    /// the next one in sequence (the dense range has no gaps).
     pub fn insert(&mut self, block: BlockId, path: PathId) {
         assert!(path.0 < self.paths, "path out of range");
-        self.map.insert(block, path);
+        let Some(i) = block.0.checked_sub(COLD_BASE) else {
+            self.map.insert(block, path);
+            return;
+        };
+        let len = self.cold.len() as u64;
+        assert!(i <= len, "cold block ids must be inserted in sequence");
+        if i == len {
+            self.cold.push(path);
+        } else {
+            self.cold[i as usize] = path;
+        }
     }
 }
 
@@ -184,5 +223,50 @@ mod tests {
         let pm = PositionMap::new(8);
         assert_eq!(pm.lookup(BlockId(1)), None);
         assert!(pm.is_empty());
+    }
+
+    #[test]
+    fn cold_ids_fill_the_dense_range_in_order() {
+        let mut pm = PositionMap::new(16);
+        pm.insert(BlockId(3), PathId(9)); // a program block, hashed
+        for i in 0..5 {
+            pm.insert(BlockId(COLD_BASE + i), PathId(i));
+        }
+        assert_eq!(pm.len(), 6);
+        assert!(
+            pm.map.len() == 1 && pm.cold.len() == 5,
+            "cold ids never hash"
+        );
+        assert_eq!(pm.lookup(BlockId(COLD_BASE + 4)), Some(PathId(4)));
+        assert_eq!(pm.lookup(BlockId(COLD_BASE + 5)), None);
+        assert_eq!(pm.lookup(BlockId(u64::MAX)), None);
+        let mut e = pm.entries();
+        e.sort();
+        let mut expect = vec![(BlockId(3), PathId(9))];
+        expect.extend((0..5).map(|i| (BlockId(COLD_BASE + i), PathId(i))));
+        assert_eq!(e, expect);
+    }
+
+    #[test]
+    fn remap_and_assign_stay_coherent_on_cold_ids() {
+        let mut pm = PositionMap::new(1 << 16);
+        let mut rng = StdRng::seed_from_u64(6);
+        pm.insert(BlockId(COLD_BASE), PathId(1));
+        // A known cold id: looked up, not redrawn; remap overwrites in place.
+        assert_eq!(pm.lookup_or_assign(BlockId(COLD_BASE), &mut rng), PathId(1));
+        let p = pm.remap(BlockId(COLD_BASE), &mut rng);
+        assert_eq!(pm.lookup(BlockId(COLD_BASE)), Some(p));
+        assert_eq!(pm.len(), 1);
+        // The next id in sequence may be assigned lazily too.
+        let q = pm.lookup_or_assign(BlockId(COLD_BASE + 1), &mut rng);
+        assert_eq!(pm.lookup(BlockId(COLD_BASE + 1)), Some(q));
+        assert!(pm.len() == 2 && pm.map.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "in sequence")]
+    fn cold_ids_cannot_skip() {
+        let mut pm = PositionMap::new(8);
+        pm.insert(BlockId(COLD_BASE + 1), PathId(0));
     }
 }

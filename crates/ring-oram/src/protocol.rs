@@ -1,10 +1,11 @@
 //! The Ring ORAM protocol engine with String ORAM's Compact Bucket.
 //!
-//! [`RingOram`] maintains the full controller state — tree buckets (lazily
-//! materialized), position map, stash, counters — and turns each logical
-//! program access into a sequence of [`AccessPlan`]s. Each plan corresponds
-//! to one atomic ORAM transaction on the memory system; the timing layers
-//! (`mem-sched`, `string-oram`) decide how long those transactions take.
+//! [`RingOram`] maintains the full controller state — tree buckets (a
+//! path-linked node vector, grown lazily), position map, stash, counters —
+//! and turns each logical program access into a sequence of
+//! [`AccessPlan`]s. Each plan corresponds to one atomic ORAM transaction on
+//! the memory system; the timing layers (`mem-sched`, `string-oram`) decide
+//! how long those transactions take.
 //!
 //! # Pre-loaded tree
 //!
@@ -29,13 +30,12 @@
 
 use oram_rng::{Rng, StdRng};
 
-use crate::bucket::{BlockData, BlockEntry, Bucket};
+use crate::bucket::{BlockData, BlockEntry, Bucket, BucketTree};
 use crate::config::RingConfig;
 use crate::crypto::BlockCipher;
-use crate::fasthash::DetHashMap;
 use crate::faults::{FaultEvent, FaultEventKind, OramError, ResilienceConfig};
 use crate::plan::{AccessPlan, OpKind, SlotTouch};
-use crate::position_map::PositionMap;
+use crate::position_map::{self, PositionMap};
 use crate::stash::Stash;
 use crate::tree::TreeGeometry;
 use crate::types::{BlockId, BucketId, FetchKind, Level, PathId};
@@ -252,6 +252,8 @@ struct Scratch {
     entries: Vec<BlockEntry>,
     /// `reshuffle_bucket` / `evict`: entries staged for a bucket reload.
     resealed: Vec<BlockEntry>,
+    /// `materialize_entry`: cold blocks staged for a fresh bucket.
+    cold: Vec<BlockEntry>,
     /// `evict`: eviction candidates grouped by deepest eligible level.
     by_depth: Vec<Vec<BlockId>>,
     /// `evict`: backing storage for the eligible-block min-heap.
@@ -304,7 +306,7 @@ enum FetchResolution {
 pub struct RingOram {
     cfg: RingConfig,
     geometry: TreeGeometry,
-    buckets: DetHashMap<BucketId, Bucket>,
+    buckets: BucketTree,
     position_map: PositionMap,
     stash: Stash,
     /// Read paths since the last eviction (eviction fires at `A`).
@@ -331,7 +333,7 @@ impl std::fmt::Debug for RingOram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RingOram")
             .field("cfg", &self.cfg)
-            .field("buckets_materialized", &self.buckets.len())
+            .field("buckets_materialized", &self.buckets.materialized())
             .field("stash_len", &self.stash.len())
             .field("reads_since_eviction", &self.reads_since_eviction)
             .field("eviction_count", &self.eviction_count)
@@ -339,26 +341,30 @@ impl std::fmt::Debug for RingOram {
     }
 }
 
-/// Looks up `id` in `buckets`, cold-filling it on first touch (one hash
-/// probe via the entry API). A free function over disjoint [`RingOram`]
-/// fields so the hot read path can keep borrows of the other fields (the
-/// RNG in particular) usable across the returned bucket reference.
+/// Looks up `id` in `buckets`, cold-filling it on first touch. A free
+/// function over disjoint [`RingOram`] fields so the hot read path can keep
+/// borrows of the other fields (the RNG in particular) usable across the
+/// returned bucket reference.
+///
+/// The protocol RNG is drawn in a fixed order every golden digest depends
+/// on: `Z` × `gen_bool(load)`, each hit followed by its `gen_range` path
+/// tail (below the leaf level), then the bucket's shuffle.
 #[allow(clippy::too_many_arguments)] // a borrow-split of RingOram's fields
 fn materialize_entry<'a>(
-    buckets: &'a mut DetHashMap<BucketId, Bucket>,
+    buckets: &'a mut BucketTree,
     geometry: &TreeGeometry,
     cfg: &RingConfig,
     load_factor: f64,
     position_map: &mut PositionMap,
     next_cold: &mut u64,
+    cold: &mut Vec<BlockEntry>,
     rng: &mut StdRng,
     id: BucketId,
 ) -> &'a mut Bucket {
-    buckets.entry(id).or_insert_with(|| {
+    buckets.bucket_or_insert_with(id, || {
         let level = geometry.level_of(id);
         let pos_in_level = id.0 - ((1u64 << level.0) - 1);
         let tail_bits = geometry.max_level() - level.0;
-        let mut cold = Vec::new();
         for _ in 0..cfg.z {
             if rng.gen_bool(load_factor) {
                 let block = BlockId(*next_cold);
@@ -370,17 +376,17 @@ fn materialize_entry<'a>(
                 };
                 let path = PathId((pos_in_level << tail_bits) | low);
                 position_map.insert(block, path);
-                cold.push(block);
+                cold.push((block, None));
             }
         }
-        Bucket::with_blocks(cfg, &cold, rng)
+        Bucket::loaded(cfg, cold, rng)
     })
 }
 
 impl RingOram {
     /// Identifiers at or above this value are reserved for cold (pre-loaded)
     /// blocks; program block ids must stay below it.
-    pub const COLD_BASE: u64 = 1 << 40;
+    pub const COLD_BASE: u64 = position_map::COLD_BASE;
 
     /// Default pre-load factor (see the module docs). Calibrated to 0.7:
     /// back-computing from the paper's Fig. 13 green-fetch rates (3.26
@@ -422,9 +428,9 @@ impl RingOram {
         let geometry = TreeGeometry::new(cfg.levels);
         let position_map = PositionMap::new(geometry.leaf_count());
         Self {
+            buckets: BucketTree::new(cfg.levels),
             cfg,
             geometry,
-            buckets: DetHashMap::default(),
             position_map,
             stash: Stash::new(),
             reads_since_eviction: 0,
@@ -619,7 +625,7 @@ impl RingOram {
     /// Number of buckets materialized so far.
     #[must_use]
     pub fn materialized_buckets(&self) -> usize {
-        self.buckets.len()
+        self.buckets.materialized()
     }
 
     fn is_cached_level(&self, level: Level) -> bool {
@@ -627,8 +633,7 @@ impl RingOram {
     }
 
     /// Materializes (if needed) and returns the bucket, pre-filling it with
-    /// cold blocks pinned to compatible paths. Single hash probe on the hot
-    /// path (the entry API folds lookup and first-touch insertion).
+    /// cold blocks pinned to compatible paths.
     fn bucket_mut(&mut self, id: BucketId) -> &mut Bucket {
         materialize_entry(
             &mut self.buckets,
@@ -637,15 +642,10 @@ impl RingOram {
             self.load_factor,
             &mut self.position_map,
             &mut self.next_cold,
+            &mut self.scratch.cold,
             &mut self.rng,
             id,
         )
-    }
-
-    /// Ensures the bucket exists, creating it with cold content on first
-    /// touch.
-    fn materialize(&mut self, id: BucketId) {
-        let _ = self.bucket_mut(id);
     }
 
     /// Performs one logical program access (ORAM treats loads and stores
@@ -962,15 +962,15 @@ impl RingOram {
 
             // CB-specific: reshuffle first if the bucket cannot serve a
             // non-target touch and does not hold the target.
-            let cfg = self.cfg.clone();
             let want = if searching { target } else { None };
             let mut bucket = materialize_entry(
                 &mut self.buckets,
                 &self.geometry,
-                &cfg,
+                &self.cfg,
                 self.load_factor,
                 &mut self.position_map,
                 &mut self.next_cold,
+                &mut self.scratch.cold,
                 &mut self.rng,
                 id,
             );
@@ -978,17 +978,17 @@ impl RingOram {
             // search has ended, the bucket must serve a dummy/green even if
             // it happens to hold the (stale) target block.
             let holds_target = want.is_some_and(|b| bucket.find(b).is_some());
-            if !holds_target && bucket.needs_reshuffle_gated(&cfg, allow_green) {
+            if !holds_target && bucket.needs_reshuffle_gated(&self.cfg, allow_green) {
                 reshuffles.push(self.reshuffle_bucket(id));
                 self.stats.forced_reshuffles += 1;
-                bucket = self.buckets.get_mut(&id).expect("materialized above");
+                bucket = self.buckets.get_mut(id).expect("materialized above");
             }
             let (slot, kind, data) =
-                bucket.serve_read_gated(&cfg, want, allow_green, &mut self.rng);
+                bucket.serve_read_gated(&self.cfg, want, allow_green, &mut self.rng);
             // Budget exhaustion is decided now (this path's touch included):
             // the bucket is revisited only by its own early reshuffle below,
             // so sampling here matches the post-path scan it replaces.
-            if bucket.accesses() >= cfg.s {
+            if bucket.accesses() >= self.cfg.s {
                 exhausted.push(id);
             }
             match kind {
@@ -1161,13 +1161,11 @@ impl RingOram {
     fn reshuffle_bucket(&mut self, id: BucketId) -> AccessPlan {
         let z = self.cfg.z;
         let slots = self.cfg.bucket_slots();
-        let cfg = self.cfg.clone();
-        self.materialize(id);
-        let bucket = self.buckets.get_mut(&id).expect("materialized");
-        // Capture current real-slot indices for the read touches.
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
-        read_slots.extend((0..slots).filter(|&s| bucket.slot_holds_real(s as usize)));
         let mut entries = std::mem::take(&mut self.scratch.entries);
+        let bucket = self.bucket_mut(id);
+        // Capture current real-slot indices for the read touches.
+        read_slots.extend((0..slots).filter(|&s| bucket.slot_holds_real(s as usize)));
         bucket.take_real_blocks_into(&mut entries);
         // Re-encrypt every surviving payload under a fresh nonce (the
         // reshuffle's defining obligation besides the permutation): unseal
@@ -1178,10 +1176,11 @@ impl RingOram {
             resealed.push((b, plain));
         }
         self.seal_entries_batch(&mut resealed);
-        self.buckets
-            .get_mut(&id)
-            .expect("materialized")
-            .reload(&cfg, &mut resealed, &mut self.rng);
+        self.buckets.get_mut(id).expect("materialized").reload(
+            &self.cfg,
+            &mut resealed,
+            &mut self.rng,
+        );
         self.scratch.entries = entries;
         self.scratch.resealed = resealed;
 
@@ -1230,8 +1229,7 @@ impl RingOram {
             let level = Level(lvl);
             let id = self.geometry.bucket_at(path, level);
             let off_chip = !self.is_cached_level(level);
-            self.materialize(id);
-            let bucket = self.buckets.get_mut(&id).expect("materialized");
+            let bucket = self.bucket_mut(id);
             read_slots.clear();
             read_slots.extend((0..slots).filter(|&s| bucket.slot_holds_real(s as usize)));
             bucket.take_real_blocks_into(&mut entries);
@@ -1295,11 +1293,10 @@ impl RingOram {
             // One contiguous crypto sweep per bucket instead of a cipher
             // setup per slot; nonce order matches the per-slot code.
             self.seal_entries_batch(&mut sealed);
-            let cfg = self.cfg.clone();
             self.buckets
-                .get_mut(&id)
+                .get_mut(id)
                 .expect("materialized in read phase")
-                .reload(&cfg, &mut sealed, &mut self.rng);
+                .reload(&self.cfg, &mut sealed, &mut self.rng);
             if off_chip {
                 for s in 0..slots {
                     touches.push(SlotTouch::write(id, s));
@@ -1324,41 +1321,29 @@ impl RingOram {
     ///
     /// Panics with a description of the first violated invariant.
     pub fn check_invariants(&self) {
-        for (block, path) in self.position_map_entries() {
-            if self.stash.contains(block) {
-                continue;
-            }
-            let mut found = false;
-            for lvl in 0..self.cfg.levels {
-                let id = self.geometry.bucket_at(path, Level(lvl));
-                if let Some(b) = self.buckets.get(&id) {
-                    if b.find(block).is_some() {
-                        found = true;
-                        break;
-                    }
-                }
-            }
+        let max_level = self.geometry.max_level();
+        for (block, path) in self.position_map.iter() {
+            // One root-to-leaf walk per block, ending at the first hit.
+            let found = self.stash.contains(block)
+                || self
+                    .buckets
+                    .on_path(path, max_level)
+                    .any(|b| b.find(block).is_some());
             assert!(
                 found,
                 "{block} mapped to {path} is neither in stash nor on its path"
             );
         }
-        for (id, b) in &self.buckets {
+        for b in self.buckets.buckets() {
             assert!(
                 b.real_count() <= self.cfg.z as usize,
-                "bucket {id} over capacity"
+                "a bucket is over capacity: {b:?}"
             );
             assert!(
                 b.accesses() <= self.cfg.s,
-                "bucket {id} over its access budget"
+                "a bucket is over its access budget: {b:?}"
             );
         }
-    }
-
-    fn position_map_entries(&self) -> Vec<(BlockId, PathId)> {
-        // Exposed through a helper so `check_invariants` can iterate without
-        // making PositionMap's internals public.
-        self.position_map.entries()
     }
 
     /// Snapshot of every `(block, path)` pair the position map tracks, in
@@ -1368,7 +1353,7 @@ impl RingOram {
     /// residency audit, which proves no block lives in two shard ORAMs.
     #[must_use]
     pub fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        self.position_map_entries()
+        self.position_map.entries()
     }
 }
 
