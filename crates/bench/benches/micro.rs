@@ -11,7 +11,9 @@
 //! materializations each, with the live heap bytes each bucket leaves
 //! behind) and *warm* (a fully materialized tree — the allocation-free
 //! steady state). The two differ by several times; one number for both
-//! would describe neither.
+//! would describe neither. The Path and Circuit engines (`path_warm`,
+//! `circuit_warm`) run at the same geometry over a resident block
+//! population: no benchmark workload shows their host cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -24,7 +26,9 @@ use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
 use oram_collections::ObliviousMap;
 use ring_oram::crypto::BlockCipher;
 use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::{
+    BlockId, CircuitOram, ObliviousProtocol, PathConfig, PathOram, RingConfig, RingOram,
+};
 use string_oram::{Scheme, Simulation, SystemConfig};
 use string_oram_bench::{print_header, print_row};
 use trace_synth::{by_name, TraceGenerator};
@@ -119,6 +123,28 @@ fn bench_protocol_access() {
         }
         bench(&format!("{name}_warm"), |i| {
             let outcome = oram.access(BlockId(i % 512));
+            oram.recycle_outcome(std::hint::black_box(outcome));
+        });
+    }
+}
+
+/// The plain-tree engines alone, at the paper's geometry with `Z`-slot
+/// buckets (`S = Y = 1`): every block of a fixed population is resident
+/// before the clock starts, so each timed access finds its target in the
+/// tree or the stash.
+fn bench_plain_tree_access() {
+    let ring = PathConfig::hpca_default().to_ring();
+    let engines: [(&str, Box<dyn ObliviousProtocol>); 2] = [
+        ("path_warm", Box::new(PathOram::from_ring(ring.clone(), 1))),
+        ("circuit_warm", Box::new(CircuitOram::new(ring, 1))),
+    ];
+    for (name, mut oram) in engines {
+        for b in 0..4096 {
+            let outcome = oram.access(BlockId(b));
+            oram.recycle_outcome(outcome);
+        }
+        bench(name, |i| {
+            let outcome = oram.access(BlockId(i.wrapping_mul(2_654_435_761) % 4096));
             oram.recycle_outcome(std::hint::black_box(outcome));
         });
     }
@@ -293,6 +319,7 @@ fn bench_system_step() {
 fn main() {
     print_header("Microbenchmarks (mean over self-timed iterations)");
     bench_protocol_access();
+    bench_plain_tree_access();
     bench_dram_issue();
     bench_scheduler_tick();
     bench_trace_generation();

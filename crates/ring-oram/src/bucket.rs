@@ -458,22 +458,31 @@ impl Bucket {
 
 /// One tree position: links to the two children (0 = not created yet; the
 /// root, node 0, is nobody's child) and the bucket, once it has content.
-#[derive(Debug, Clone, Default)]
-struct Node {
+#[derive(Debug, Clone)]
+struct Node<B> {
     children: [u32; 2],
-    bucket: Option<Bucket>,
+    bucket: Option<B>,
 }
 
-/// The lazily grown bucket tree: nodes are created from the root down along
-/// the paths the protocol walks, so reaching a bucket costs one dependent
-/// load per level from the nearest ancestor the previous walk visited.
+impl<B> Node<B> {
+    const BARE: Self = Self {
+        children: [0; 2],
+        bucket: None,
+    };
+}
+
+/// The lazily grown bucket tree — the crate's one tree store, generic over
+/// what a bucket holds (a packed Ring [`Bucket`], or the plain-tree frame's
+/// `Vec<BlockId>`): nodes are created from the root down along the paths
+/// the protocol walks, so reaching a bucket costs one dependent load per
+/// level from the nearest ancestor the previous walk visited.
 ///
 /// A node may exist before its bucket does: a read path that is not
 /// searching for a target passes through the on-chip tree-top levels
 /// without materializing them.
 #[derive(Debug, Clone)]
-pub(crate) struct BucketTree {
-    nodes: Vec<Node>,
+pub(crate) struct BucketTree<B> {
+    nodes: Vec<Node<B>>,
     /// Per level, the bucket the last lookup passed through — as a 1-based
     /// heap index (`BucketId + 1`; 0 matches nothing) — and its node. Level
     /// 0 is always the root.
@@ -482,13 +491,13 @@ pub(crate) struct BucketTree {
     materialized: usize,
 }
 
-impl BucketTree {
+impl<B> BucketTree<B> {
     /// An empty tree of `levels` levels.
     pub(crate) fn new(levels: u32) -> Self {
         let mut cursor = vec![(0, 0); levels as usize];
         cursor[0] = (1, 0);
         Self {
-            nodes: vec![Node::default()],
+            nodes: vec![Node::BARE],
             cursor,
             materialized: 0,
         }
@@ -525,7 +534,7 @@ impl BucketTree {
                 child = self.nodes.len();
                 self.nodes[node].children[side] =
                     u32::try_from(child).expect("fewer than 2^32 tree nodes");
-                self.nodes.push(Node::default());
+                self.nodes.push(Node::BARE);
             }
             node = child;
             self.cursor[l] = (ancestor, child as u32);
@@ -537,8 +546,8 @@ impl BucketTree {
     pub(crate) fn bucket_or_insert_with(
         &mut self,
         id: BucketId,
-        fill: impl FnOnce() -> Bucket,
-    ) -> &mut Bucket {
+        fill: impl FnOnce() -> B,
+    ) -> &mut B {
         let node = self.node(id);
         let materialized = &mut self.materialized;
         self.nodes[node].bucket.get_or_insert_with(|| {
@@ -548,14 +557,14 @@ impl BucketTree {
     }
 
     /// The bucket `id`, if it has content.
-    pub(crate) fn get_mut(&mut self, id: BucketId) -> Option<&mut Bucket> {
+    pub(crate) fn get_mut(&mut self, id: BucketId) -> Option<&mut B> {
         let node = self.node(id);
         self.nodes[node].bucket.as_mut()
     }
 
     /// The materialized buckets along `path`, root to leaf, without
     /// creating anything; `max_level` is the leaf level (`L`).
-    pub(crate) fn on_path(&self, path: PathId, max_level: u32) -> impl Iterator<Item = &Bucket> {
+    pub(crate) fn on_path(&self, path: PathId, max_level: u32) -> impl Iterator<Item = &B> {
         let mut next = Some(0usize);
         let mut level = 0;
         std::iter::from_fn(move || {
@@ -570,7 +579,7 @@ impl BucketTree {
     }
 
     /// Every materialized bucket, in creation order of its node.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = &Bucket> {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = &B> {
         self.nodes.iter().filter_map(|n| n.bucket.as_ref())
     }
 }

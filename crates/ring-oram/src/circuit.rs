@@ -22,77 +22,27 @@
 //! Buckets are exactly `Z` slots — no dummy budget, no metadata counters.
 //! The configuration is expressed as a [`RingConfig`] with `S = Y = 1`
 //! (`bucket_slots = Z + S - Y = Z`), the same encoding the layout code
-//! uses for Path ORAM.
-
-use oram_rng::StdRng;
+//! uses for Path ORAM. The engine is a second schedule over the plain-tree
+//! frame Path ORAM runs on (`crate::plain_tree`): an eviction is Path
+//! ORAM's read and write-back with no target, on the eviction path.
 
 use crate::config::RingConfig;
-use crate::fasthash::DetHashMap;
-use crate::faults::OramError;
-use crate::oblivious::{ObliviousProtocol, ProtocolKind};
-use crate::plan::{AccessPlan, OpKind, SlotTouch};
-use crate::position_map::PositionMap;
-use crate::protocol::{AccessOutcome, ProtocolStats, TargetSource};
-use crate::stash::Stash;
-use crate::tree::TreeGeometry;
-use crate::types::{BlockId, BucketId, Level, PathId};
+use crate::oblivious::ProtocolKind;
+use crate::plain_tree::{plain_tree_protocol, PlainTree, Take};
+use crate::plan::{AccessPlan, OpKind};
+use crate::protocol::AccessOutcome;
+use crate::types::BlockId;
 
 /// Deterministic evictions per access: the canonical Circuit ORAM rate
 /// (two reverse-lexicographic paths per access bound the stash w.h.p.).
 pub const EVICTIONS_PER_ACCESS: usize = 2;
 
-/// Reusable buffers for the steady-state access path (same ownership rule
-/// as `protocol::Scratch`: plan/touch lists flow out through
-/// [`AccessOutcome`]s and return via [`CircuitOram::recycle_outcome`]; the
-/// candidate buffer never leaves the engine).
-#[derive(Default)]
-struct Scratch {
-    /// Pool of `plans` vectors backing [`AccessOutcome`]s.
-    plan_lists: Vec<Vec<AccessPlan>>,
-    /// Pool of per-plan touch vectors.
-    touch_lists: Vec<Vec<SlotTouch>>,
-    /// Eviction write phase: `(block, deepest eligible level, taken)`
-    /// snapshot of the stash, sorted ascending by block id.
-    candidates: Vec<(BlockId, u32, bool)>,
-}
-
-impl Scratch {
-    fn plans(&mut self) -> Vec<AccessPlan> {
-        self.plan_lists.pop().unwrap_or_default()
-    }
-
-    fn touches(&mut self) -> Vec<SlotTouch> {
-        self.touch_lists.pop().unwrap_or_default()
-    }
-}
-
 /// The Circuit ORAM controller over a lazily materialized `Z`-slot tree.
+#[derive(Debug)]
 pub struct CircuitOram {
-    cfg: RingConfig,
-    geometry: TreeGeometry,
-    /// Bucket contents (block ids only; payloads are out of scope for the
-    /// bandwidth/timing studies this engine serves). Content vectors
-    /// materialize with capacity `Z` and are cleared and refilled in
-    /// place, never dropped, so a materialized tree stops allocating.
-    buckets: DetHashMap<BucketId, Vec<BlockId>>,
-    position_map: PositionMap,
-    stash: Stash,
+    tree: PlainTree,
     /// Eviction counter `G` driving the reverse lexicographic order.
     eviction_count: u64,
-    rng: StdRng,
-    stats: ProtocolStats,
-    scratch: Scratch,
-}
-
-impl std::fmt::Debug for CircuitOram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CircuitOram")
-            .field("cfg", &self.cfg)
-            .field("buckets_materialized", &self.buckets.len())
-            .field("stash_len", &self.stash.len())
-            .field("eviction_count", &self.eviction_count)
-            .finish_non_exhaustive()
-    }
 }
 
 impl CircuitOram {
@@ -105,311 +55,58 @@ impl CircuitOram {
     /// `Z` slots; encode that as `S = Y` (canonically `S = Y = 1`).
     #[must_use]
     pub fn new(cfg: RingConfig, seed: u64) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid RingConfig: {e}");
-        }
-        assert!(
-            cfg.bucket_slots() == cfg.z,
-            "Circuit ORAM buckets are exactly Z slots; pass S = Y (e.g. S = Y = 1), got \
-             Z = {}, S = {}, Y = {}",
-            cfg.z,
-            cfg.s,
-            cfg.y
-        );
-        let geometry = TreeGeometry::new(cfg.levels);
-        let position_map = PositionMap::new(geometry.leaf_count());
         Self {
-            cfg,
-            geometry,
-            buckets: DetHashMap::default(),
-            position_map,
-            stash: Stash::new(),
+            tree: PlainTree::new(cfg, seed),
             eviction_count: 0,
-            rng: StdRng::seed_from_u64(seed),
-            stats: ProtocolStats::default(),
-            scratch: Scratch::default(),
         }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &RingConfig {
-        &self.cfg
-    }
-
-    /// The tree geometry in force.
-    #[must_use]
-    pub fn geometry(&self) -> &TreeGeometry {
-        &self.geometry
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &ProtocolStats {
-        &self.stats
-    }
-
-    /// Current stash occupancy.
-    #[must_use]
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Peak stash occupancy.
-    #[must_use]
-    pub fn stash_peak(&self) -> usize {
-        self.stash.peak()
-    }
-
-    /// Tree buckets materialized (touched at least once) so far.
-    #[must_use]
-    pub fn materialized_buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Performs one access: a read-only path fetch removing the target
     /// into the stash, then [`EVICTIONS_PER_ACCESS`] deterministic
-    /// evictions along reverse-lexicographic paths.
+    /// evictions — each drains the next reverse-lexicographic path into
+    /// the stash and refills it leaf-first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not below `RingOram::COLD_BASE`.
     pub fn access(&mut self, block: BlockId) -> AccessOutcome {
-        let path = self.position_map.lookup_or_assign(block, &mut self.rng);
-        let cached = self.cfg.tree_top_cached_levels;
-        let z = self.cfg.z;
-        let in_stash = self.stash.contains(block);
-        let mut plans = self.scratch.plans();
-        let mut touches = self.scratch.touches();
-        let mut target_index = None;
-        let mut source = TargetSource::New;
-
-        // Read phase: transfer every off-chip bucket on the path (all Z
-        // slots — traffic is content-independent), but remove *only* the
-        // target block into the stash.
-        for lvl in 0..self.cfg.levels {
-            let id = self.geometry.bucket_at(path, Level(lvl));
-            let content = self
-                .buckets
-                .entry(id)
-                .or_insert_with(|| Vec::with_capacity(z as usize));
-            let off_chip = lvl >= cached;
-            if let Some(pos) = content.iter().position(|b| *b == block) {
-                if off_chip {
-                    target_index = Some(touches.len() + pos);
-                    source = TargetSource::Tree(Level(lvl));
-                } else {
-                    source = TargetSource::TreeTop(Level(lvl));
-                }
-                content.swap_remove(pos);
-            }
-            if off_chip {
-                for slot in 0..z {
-                    touches.push(SlotTouch::read(id, slot));
-                }
-            }
-        }
-        if matches!(source, TargetSource::New) && in_stash {
-            source = TargetSource::Stash;
-        }
-
-        // Remap the target; it (re-)enters the stash under its new path.
-        let new_path = self.position_map.remap(block, &mut self.rng);
-        self.stash.insert(block, new_path);
+        let tree = &mut self.tree;
+        let path = tree.locate(block);
+        let mut plans = tree.pool.plans();
+        let mut touches = tree.pool.touches(0);
+        let (target_index, source) =
+            tree.read_path(path, Some(block), Take::TargetOnly, &mut touches);
+        tree.remap_target(block, source);
         plans.push(AccessPlan::new(OpKind::ReadPath, touches, target_index));
-
         for _ in 0..EVICTIONS_PER_ACCESS {
-            let plan = self.evict();
-            plans.push(plan);
+            let path = tree
+                .geometry
+                .reverse_lexicographic_path(self.eviction_count);
+            self.eviction_count += 1;
+            let mut touches = tree.pool.touches(0);
+            tree.read_path(path, None, Take::All, &mut touches);
+            tree.refill_path(path, &mut touches);
+            tree.stats.evictions += 1;
+            plans.push(AccessPlan::new(OpKind::Eviction, touches, None));
         }
-
-        self.stats.read_paths += 1;
-        match source {
-            TargetSource::Tree(_) => self.stats.targets_from_tree += 1,
-            TargetSource::TreeTop(_) => self.stats.targets_from_treetop += 1,
-            TargetSource::Stash => self.stats.targets_from_stash += 1,
-            TargetSource::New => self.stats.new_blocks += 1,
-        }
-        self.stats.stash_samples.push(self.stash.len());
-        AccessOutcome { plans, source }
-    }
-
-    /// Infallible-protocol counterpart of [`RingOram::try_access`]
-    /// (Circuit ORAM has no fault layer, so access cannot fail).
-    ///
-    /// [`RingOram::try_access`]: crate::protocol::RingOram::try_access
-    ///
-    /// # Errors
-    ///
-    /// Never returns an error; the signature mirrors the Ring engine's.
-    pub fn try_access(&mut self, block: BlockId) -> Result<AccessOutcome, OramError> {
-        Ok(self.access(block))
-    }
-
-    /// One eviction pass: drain every bucket on the reverse-lexicographic
-    /// path `G` into the stash, then refill leaf-first greedily.
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    fn evict(&mut self) -> AccessPlan {
-        let g = self.eviction_count;
-        self.eviction_count += 1;
-        let epath = self.geometry.reverse_lexicographic_path(g);
-        let cached = self.cfg.tree_top_cached_levels;
-        let z = self.cfg.z;
-        let mut touches = self.scratch.touches();
-
-        // Read phase: every block on the path moves to the stash.
-        for lvl in 0..self.cfg.levels {
-            let id = self.geometry.bucket_at(epath, Level(lvl));
-            let content = self
-                .buckets
-                .entry(id)
-                .or_insert_with(|| Vec::with_capacity(z as usize));
-            for &b in content.iter() {
-                let p = self.position_map.lookup(b).expect("tree blocks are mapped");
-                self.stash.insert(b, p);
-            }
-            content.clear();
-            if lvl >= cached {
-                for slot in 0..z {
-                    touches.push(SlotTouch::read(id, slot));
-                }
-            }
-        }
-
-        // One snapshot of eviction candidates, selected ascending by block
-        // id (the same deterministic order drain_for_bucket would impose),
-        // instead of re-walking the stash per level.
-        let cand = &mut self.scratch.candidates;
-        cand.clear();
-        self.stash
-            .for_each_candidate(&self.geometry, epath, |b, depth| {
-                cand.push((b, depth.0, false));
-            });
-        cand.sort_unstable_by_key(|&(b, _, _)| b);
-
-        // Write phase: greedy leaf-first placement; every off-chip bucket
-        // is rewritten in full (Z slots) regardless of how many real
-        // blocks it received.
-        for lvl in (0..self.cfg.levels).rev() {
-            let id = self.geometry.bucket_at(epath, Level(lvl));
-            let content = self
-                .buckets
-                .entry(id)
-                .or_insert_with(|| Vec::with_capacity(z as usize));
-            let mut placed = 0;
-            for c in self.scratch.candidates.iter_mut() {
-                if placed == z {
-                    break;
-                }
-                if !c.2 && c.1 >= lvl {
-                    c.2 = true;
-                    placed += 1;
-                    self.stash.remove(c.0);
-                    content.push(c.0);
-                }
-            }
-            if lvl >= cached {
-                for slot in 0..z {
-                    touches.push(SlotTouch::write(id, slot));
-                }
-            }
-        }
-
-        self.stats.evictions += 1;
-        AccessPlan::new(OpKind::Eviction, touches, None)
+        tree.finish(plans, source)
     }
 
     /// Returns an outcome's buffers to the engine's pools.
     pub fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        let AccessOutcome { mut plans, .. } = outcome;
-        for plan in plans.drain(..) {
-            let AccessPlan { mut touches, .. } = plan;
-            touches.clear();
-            self.scratch.touch_lists.push(touches);
-        }
-        self.scratch.plan_lists.push(plans);
-    }
-
-    /// Pre-sizes per-access bookkeeping for `n` further accesses.
-    pub fn reserve_accesses(&mut self, n: usize) {
-        self.stats.stash_samples.reserve(n);
-    }
-
-    /// Snapshot of `(block, path)` position-map entries.
-    #[must_use]
-    pub fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        self.position_map.entries()
-    }
-
-    /// Verifies the block-location invariant and bucket capacities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mapped block is neither in the stash nor on its path,
-    /// or if a bucket holds more than `Z` blocks.
-    pub fn check_invariants(&self) {
-        for (block, path) in self.position_map.entries() {
-            if self.stash.contains(block) {
-                continue;
-            }
-            let found = (0..self.cfg.levels).any(|lvl| {
-                let id = self.geometry.bucket_at(path, Level(lvl));
-                self.buckets.get(&id).is_some_and(|v| v.contains(&block))
-            });
-            assert!(found, "{block} lost: not in stash, not on {path}");
-        }
-        for (id, v) in &self.buckets {
-            assert!(
-                v.len() <= self.cfg.z as usize,
-                "bucket {id} over capacity: {} > {}",
-                v.len(),
-                self.cfg.z
-            );
-        }
+        self.tree.recycle_outcome(outcome);
     }
 }
 
-impl ObliviousProtocol for CircuitOram {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Circuit
-    }
-
-    fn access(&mut self, block: BlockId) -> AccessOutcome {
-        CircuitOram::access(self, block)
-    }
-
-    fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        CircuitOram::recycle_outcome(self, outcome);
-    }
-
-    fn reserve_accesses(&mut self, n: usize) {
-        CircuitOram::reserve_accesses(self, n);
-    }
-
-    fn stats(&self) -> &ProtocolStats {
-        CircuitOram::stats(self)
-    }
-
-    fn stash_len(&self) -> usize {
-        CircuitOram::stash_len(self)
-    }
-
-    fn stash_peak(&self) -> usize {
-        CircuitOram::stash_peak(self)
-    }
-
-    fn materialized_buckets(&self) -> usize {
-        CircuitOram::materialized_buckets(self)
-    }
-
-    fn check_invariants(&self) {
-        CircuitOram::check_invariants(self);
-    }
-
-    fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        CircuitOram::position_entries(self)
-    }
-}
+plain_tree_protocol!(CircuitOram, ProtocolKind::Circuit);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oblivious::ObliviousProtocol;
+    use crate::protocol::TargetSource;
+    use crate::tree::TreeGeometry;
+    use crate::types::Level;
 
     fn test_cfg() -> RingConfig {
         RingConfig {
@@ -532,7 +229,15 @@ mod tests {
         let mut o = CircuitOram::new(test_cfg(), 7);
         let out = o.access(BlockId(1));
         o.recycle_outcome(out);
-        assert_eq!(o.scratch.plan_lists.len(), 1);
-        assert_eq!(o.scratch.touch_lists.len(), 1 + EVICTIONS_PER_ACCESS);
+        assert_eq!(o.tree.pool.pooled(), (1, 1 + EVICTIONS_PER_ACCESS));
+    }
+
+    #[test]
+    #[should_panic(expected = "below COLD_BASE")]
+    fn cold_id_space_protected() {
+        let mut o = CircuitOram::new(test_cfg(), 8);
+        // One past the base: the dense range would reject it only after
+        // the first protocol-RNG draw.
+        let _ = o.access(BlockId(crate::RingOram::COLD_BASE + 1));
     }
 }

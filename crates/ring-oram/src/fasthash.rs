@@ -1,12 +1,11 @@
 //! A deterministic, fast hasher for the controller's dense integer keys.
 //!
-//! The engines' hash maps — the stash, the position map's program blocks,
-//! the Path and Circuit engines' bucket maps — are keyed by newtyped `u64`s
-//! and sit on the per-access hot path, where `std`'s default SipHash costs
-//! more than the table probe it guards. (The Ring engine's bucket tree and
-//! its cold blocks' positions are not hashed at all: see `bucket` and
-//! `position_map`.) This hasher finalizes each written word with a SplitMix64-style
-//! mixer: strong enough avalanche for hashbrown's low-bits index / high-bits
+//! The engines' hash maps — the stash and the position map's program
+//! blocks — are keyed by newtyped `u64`s and sit on the per-access hot
+//! path, where `std`'s default SipHash costs more than the table probe it
+//! guards. (The bucket tree and the Ring engine's cold blocks' positions
+//! are not hashed at all: see `bucket` and `position_map`.) This hasher
+//! finalizes each written word with a SplitMix64-style mixer: strong enough avalanche for hashbrown's low-bits index / high-bits
 //! tag split, a handful of arithmetic ops per key, and — unlike
 //! `RandomState` — no per-process seed, so map layout is reproducible
 //! run-to-run (the simulator never depends on iteration order, but

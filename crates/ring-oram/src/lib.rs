@@ -17,7 +17,12 @@
 //!   protocol engines — with a **Path ORAM** baseline ([`PathOram`]) and a
 //!   **Circuit ORAM** implementation ([`CircuitOram`]) alongside the Ring
 //!   engine, so the paper's wins are measurable against the design space
-//!   they improve on.
+//!   they improve on. Path and Circuit are two access schedules over one
+//!   private plain-tree frame (`plain_tree`: `Z`-slot tree, position map,
+//!   stash, one path read and one leaf-first refill).
+//!
+//! All engines share one tree store (`bucket::BucketTree`, generic over the
+//! bucket content) and one plan/touch vector pool (`plan::PlanPool`).
 //!
 //! The protocol layer is *untimed*: every logical access expands into
 //! [`plan::AccessPlan`]s — ordered lists of physical slot touches — which
@@ -57,6 +62,7 @@ pub mod faults;
 pub mod layout;
 pub mod oblivious;
 pub mod path_oram;
+mod plain_tree;
 pub mod plan;
 pub mod position_map;
 pub mod protocol;

@@ -16,7 +16,9 @@
 //! Four engines implement it: [`RingOram`] (serving both the Ring+CB and
 //! plain-Ring design points, selected by `RingConfig::y`), the Path ORAM
 //! baseline ([`crate::path_oram::PathOram`]) and the Circuit ORAM
-//! implementation ([`crate::circuit::CircuitOram`]). A new protocol plugs
+//! implementation ([`crate::circuit::CircuitOram`]) — the latter two as
+//! schedules over one shared plain-tree frame, which forwards every
+//! introspection method below to a single body. A new protocol plugs
 //! in by implementing this trait and emitting well-formed plans; the
 //! pipeline's lowering, transaction tracking, sharding and digesting all
 //! come for free, and `sim-verify` audits the plan stream per
@@ -244,5 +246,92 @@ mod tests {
         assert!(oram.take_fault_events().is_empty());
         assert_eq!(oram.stats().read_paths, 1);
         oram.check_invariants();
+    }
+
+    /// Everything an engine exposes that the pipeline's plan digests do not
+    /// cover, hashed after 20 000 seeded accesses: the full touch stream
+    /// with sources and target indices, every counter and stash sample, the
+    /// sorted position map, materialized buckets, stash length and peak.
+    fn engine_fingerprint(mut oram: Box<dyn ObliviousProtocol>) -> u64 {
+        use oram_rng::{Rng, StdRng};
+        use std::hash::Hasher;
+        let mut h = crate::fasthash::DetHasher::default();
+        let mut blocks = StdRng::seed_from_u64(0xF1A9);
+        oram.reserve_accesses(20_000);
+        for _ in 0..20_000 {
+            let out = oram.access(BlockId(blocks.gen_range(0..300)));
+            h.write(format!("{:?}", out.source).as_bytes());
+            for plan in &out.plans {
+                h.write(plan.kind.label().as_bytes());
+                h.write_u64(plan.target_index.map_or(u64::MAX, |i| i as u64));
+                for t in &plan.touches {
+                    h.write_u64(t.bucket.0);
+                    h.write_u32(t.slot);
+                    h.write_u32(u32::from(t.write));
+                }
+            }
+            oram.recycle_outcome(out);
+        }
+        oram.check_invariants();
+        h.write(format!("{:?}", oram.stats()).as_bytes());
+        let mut entries = oram.position_entries();
+        entries.sort();
+        for (b, p) in entries {
+            h.write_u64(b.0);
+            h.write_u64(p.0);
+        }
+        h.write_usize(oram.materialized_buckets());
+        h.write_usize(oram.stash_len());
+        h.write_usize(oram.stash_peak());
+        h.finish()
+    }
+
+    /// The eight values were recorded on the commit before Path and Circuit
+    /// moved onto the shared plain-tree frame (and before the bucket tree
+    /// and plan pool were shared with Ring); the engines are held to them.
+    #[test]
+    fn engine_fingerprints_match_the_recorded_values() {
+        const RECORDED: [(ProtocolKind, [u64; 2]); 4] = [
+            (
+                ProtocolKind::RingCb,
+                [0x9AC6_14FA_0D6B_9DF1, 0xDDB4_71FC_2515_05B8],
+            ),
+            (
+                ProtocolKind::Ring,
+                [0xE008_9DE3_8CBF_32AB, 0x0AC8_3DD8_FB81_523D],
+            ),
+            (
+                ProtocolKind::Path,
+                [0x873E_28AD_0570_14A4, 0xDEDA_DBEA_3DAD_64EB],
+            ),
+            (
+                ProtocolKind::Circuit,
+                [0x888E_8736_8215_354F, 0x9A6F_4B6A_0C8F_B73D],
+            ),
+        ];
+        for (kind, recorded) in RECORDED {
+            for (cached, want) in [0, 3].into_iter().zip(recorded) {
+                let ring = RingConfig {
+                    levels: 10,
+                    tree_top_cached_levels: cached,
+                    ..RingConfig::test_small_cb()
+                };
+                let plain = RingConfig {
+                    s: 1,
+                    a: 1,
+                    y: 1,
+                    ..ring.clone()
+                };
+                let oram: Box<dyn ObliviousProtocol> = match kind {
+                    ProtocolKind::RingCb => Box::new(RingOram::new(ring, 11)),
+                    ProtocolKind::Ring => Box::new(RingOram::new(RingConfig { y: 0, ..ring }, 11)),
+                    ProtocolKind::Path => Box::new(crate::PathOram::from_ring(plain, 11)),
+                    ProtocolKind::Circuit => Box::new(crate::CircuitOram::new(plain, 11)),
+                };
+                assert_eq!(oram.kind(), kind);
+                let got = engine_fingerprint(oram);
+                assert_eq!(got, want, "{kind} cached={cached}: 0x{got:016X}");
+            }
+        }
     }
 }

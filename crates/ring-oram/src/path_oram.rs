@@ -4,14 +4,18 @@
 //! lower online bandwidth than Path ORAM — is the motivation the paper
 //! builds on, so the reproduction carries a compact Path ORAM
 //! implementation, both for the ablation benchmark and as a first-class
-//! [`ObliviousProtocol`] engine the full pipeline can drive.
+//! [`ObliviousProtocol`](crate::ObliviousProtocol) engine the full pipeline
+//! can drive.
 //!
 //! Path ORAM is much simpler than Ring ORAM: every access reads *all*
 //! `Z` slots of every bucket on the target's path into the stash, remaps
 //! the target, and writes the full path back with greedy leaf-first
 //! placement. There are no dummy budgets, no metadata counters, no separate
 //! eviction phase — one access is exactly one [`OpKind::ReadPath`] plan
-//! whose touch list carries the reads followed by the write-back.
+//! whose touch list carries the reads followed by the write-back. The
+//! engine is that schedule and nothing else: tree, position map, stash and
+//! both path operations are the shared plain-tree frame
+//! (`crate::plain_tree`), which Circuit ORAM schedules differently.
 //!
 //! Configuration comes in two equivalent shapes: the protocol-native
 //! [`PathConfig`] (levels/Z/block size/cache) used by the standalone
@@ -19,23 +23,13 @@
 //! Z + S - Y = Z`) used by the pipeline so layout sizing, sharding and
 //! auditing share one configuration type across protocols
 //! ([`PathConfig::to_ring`] / [`PathOram::from_ring`] convert).
-//!
-//! Like the Ring engine, the steady state is allocation-free: plan and
-//! touch buffers pool through [`AccessOutcome`]/[`PathOram::recycle_outcome`],
-//! bucket content vectors are cleared and refilled in place, and the
-//! eviction write phase selects from one candidate snapshot.
-
-use oram_rng::StdRng;
 
 use crate::config::RingConfig;
-use crate::fasthash::DetHashMap;
-use crate::oblivious::{ObliviousProtocol, ProtocolKind};
-use crate::plan::{AccessPlan, OpKind, SlotTouch};
-use crate::position_map::PositionMap;
-use crate::protocol::{AccessOutcome, ProtocolStats, TargetSource};
-use crate::stash::Stash;
-use crate::tree::TreeGeometry;
-use crate::types::{BlockId, BucketId, Level, PathId};
+use crate::oblivious::ProtocolKind;
+use crate::plain_tree::{plain_tree_protocol, PlainTree, Take};
+use crate::plan::{AccessPlan, OpKind};
+use crate::protocol::AccessOutcome;
+use crate::types::BlockId;
 
 /// Path ORAM parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,43 +122,10 @@ impl Default for PathConfig {
     }
 }
 
-/// Reusable buffers for the steady-state access path (the pooling scheme
-/// of `protocol::Scratch`: plan/touch lists leave via [`AccessOutcome`]s
-/// and return via [`PathOram::recycle_outcome`]).
-#[derive(Default)]
-struct Scratch {
-    /// Pool of `plans` vectors backing [`AccessOutcome`]s.
-    plan_lists: Vec<Vec<AccessPlan>>,
-    /// Pool of per-plan touch vectors.
-    touch_lists: Vec<Vec<SlotTouch>>,
-    /// Write phase: `(block, deepest eligible level, taken)` snapshot of
-    /// the stash, sorted ascending by block id.
-    candidates: Vec<(BlockId, u32, bool)>,
-}
-
 /// A Path ORAM controller over a lazily materialized tree.
+#[derive(Debug)]
 pub struct PathOram {
-    cfg: RingConfig,
-    geometry: TreeGeometry,
-    /// Bucket contents (block ids only). Content vectors materialize with
-    /// capacity `Z` and are cleared and refilled in place, never dropped,
-    /// so a materialized tree stops allocating.
-    buckets: DetHashMap<BucketId, Vec<BlockId>>,
-    position_map: PositionMap,
-    stash: Stash,
-    rng: StdRng,
-    stats: ProtocolStats,
-    scratch: Scratch,
-}
-
-impl std::fmt::Debug for PathOram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PathOram")
-            .field("cfg", &self.cfg)
-            .field("buckets_materialized", &self.buckets.len())
-            .field("stash_len", &self.stash.len())
-            .finish_non_exhaustive()
-    }
+    tree: PlainTree,
 }
 
 impl PathOram {
@@ -190,262 +151,43 @@ impl PathOram {
     /// `Z` slots; encode that as `S = Y` (canonically `S = Y = 1`).
     #[must_use]
     pub fn from_ring(ring: RingConfig, seed: u64) -> Self {
-        if let Err(e) = ring.validate() {
-            panic!("invalid RingConfig: {e}");
-        }
-        assert!(
-            ring.bucket_slots() == ring.z,
-            "Path ORAM buckets are exactly Z slots; pass S = Y (e.g. S = Y = 1), got \
-             Z = {}, S = {}, Y = {}",
-            ring.z,
-            ring.s,
-            ring.y
-        );
-        let geometry = TreeGeometry::new(ring.levels);
-        let position_map = PositionMap::new(geometry.leaf_count());
         Self {
-            cfg: ring,
-            geometry,
-            buckets: DetHashMap::default(),
-            position_map,
-            stash: Stash::new(),
-            rng: StdRng::seed_from_u64(seed),
-            stats: ProtocolStats::default(),
-            scratch: Scratch::default(),
+            tree: PlainTree::new(ring, seed),
         }
-    }
-
-    /// The configuration in force ([`RingConfig`] encoding; `bucket_slots
-    /// == z`).
-    #[must_use]
-    pub fn config(&self) -> &RingConfig {
-        &self.cfg
-    }
-
-    /// The tree geometry in force.
-    #[must_use]
-    pub fn geometry(&self) -> &TreeGeometry {
-        &self.geometry
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &ProtocolStats {
-        &self.stats
-    }
-
-    /// Current stash occupancy.
-    #[must_use]
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Peak stash occupancy.
-    #[must_use]
-    pub fn stash_peak(&self) -> usize {
-        self.stash.peak()
-    }
-
-    /// Tree buckets materialized (touched at least once) so far.
-    #[must_use]
-    pub fn materialized_buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Performs one access: full path read, remap, full path write-back.
     /// The outcome carries a single [`OpKind::ReadPath`] plan (reads
     /// followed by write-back touches).
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not below `RingOram::COLD_BASE`.
     pub fn access(&mut self, block: BlockId) -> AccessOutcome {
-        let path = self.position_map.lookup_or_assign(block, &mut self.rng);
-        let cached = self.cfg.tree_top_cached_levels;
-        let z = self.cfg.z;
-        let in_stash = self.stash.contains(block);
-        let mut plans = self.scratch.plan_lists.pop().unwrap_or_default();
-        let mut touches = self.scratch.touch_lists.pop().unwrap_or_default();
-        let mut target_index = None;
-        let mut source = TargetSource::New;
-
-        // Read phase: move every block on the path into the stash.
-        for lvl in 0..self.cfg.levels {
-            let id = self.geometry.bucket_at(path, Level(lvl));
-            let content = self
-                .buckets
-                .entry(id)
-                .or_insert_with(|| Vec::with_capacity(z as usize));
-            let off_chip = lvl >= cached;
-            if let Some(pos) = content.iter().position(|b| *b == block) {
-                if off_chip {
-                    target_index = Some(touches.len() + pos);
-                    source = TargetSource::Tree(Level(lvl));
-                } else {
-                    source = TargetSource::TreeTop(Level(lvl));
-                }
-            }
-            for &b in content.iter() {
-                let p = self.position_map.lookup(b).expect("tree blocks are mapped");
-                self.stash.insert(b, p);
-            }
-            content.clear();
-            if off_chip {
-                for slot in 0..z {
-                    touches.push(SlotTouch::read(id, slot));
-                }
-            }
-        }
-        if matches!(source, TargetSource::New) && in_stash {
-            source = TargetSource::Stash;
-        }
-
-        // Remap the target; it re-enters the stash under its new path.
-        let new_path = self.position_map.remap(block, &mut self.rng);
-        self.stash.insert(block, new_path);
-
-        // One snapshot of write-back candidates, selected ascending by
-        // block id per level — the same selection `drain_for_bucket` makes
-        // when re-walking the remaining stash for each level, without the
-        // per-level rescan or its allocation.
-        let cand = &mut self.scratch.candidates;
-        cand.clear();
-        self.stash
-            .for_each_candidate(&self.geometry, path, |b, depth| {
-                cand.push((b, depth.0, false));
-            });
-        cand.sort_unstable_by_key(|&(b, _, _)| b);
-
-        // Write phase: greedy leaf-first placement back onto the path.
-        for lvl in (0..self.cfg.levels).rev() {
-            let id = self.geometry.bucket_at(path, Level(lvl));
-            let content = self
-                .buckets
-                .entry(id)
-                .or_insert_with(|| Vec::with_capacity(z as usize));
-            let mut placed = 0;
-            for c in self.scratch.candidates.iter_mut() {
-                if placed == z {
-                    break;
-                }
-                if !c.2 && c.1 >= lvl {
-                    c.2 = true;
-                    placed += 1;
-                    self.stash.remove(c.0);
-                    content.push(c.0);
-                }
-            }
-            if lvl >= cached {
-                for slot in 0..z {
-                    touches.push(SlotTouch::write(id, slot));
-                }
-            }
-        }
-
-        self.stats.read_paths += 1;
-        match source {
-            TargetSource::Tree(_) => self.stats.targets_from_tree += 1,
-            TargetSource::TreeTop(_) => self.stats.targets_from_treetop += 1,
-            TargetSource::Stash => self.stats.targets_from_stash += 1,
-            TargetSource::New => self.stats.new_blocks += 1,
-        }
-        self.stats.stash_samples.push(self.stash.len());
+        let tree = &mut self.tree;
+        let path = tree.locate(block);
+        let mut plans = tree.pool.plans();
+        let mut touches = tree.pool.touches(0);
+        let (target_index, source) = tree.read_path(path, Some(block), Take::All, &mut touches);
+        tree.remap_target(block, source);
+        tree.refill_path(path, &mut touches);
         plans.push(AccessPlan::new(OpKind::ReadPath, touches, target_index));
-        AccessOutcome { plans, source }
+        tree.finish(plans, source)
     }
 
     /// Returns an outcome's buffers to the engine's pools.
     pub fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        let AccessOutcome { mut plans, .. } = outcome;
-        for plan in plans.drain(..) {
-            let AccessPlan { mut touches, .. } = plan;
-            touches.clear();
-            self.scratch.touch_lists.push(touches);
-        }
-        self.scratch.plan_lists.push(plans);
-    }
-
-    /// Pre-sizes per-access bookkeeping for `n` further accesses.
-    pub fn reserve_accesses(&mut self, n: usize) {
-        self.stats.stash_samples.reserve(n);
-    }
-
-    /// Snapshot of `(block, path)` position-map entries.
-    #[must_use]
-    pub fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        self.position_map.entries()
-    }
-
-    /// Verifies the block-location invariant (tests/debugging).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mapped block is neither in the stash nor on its path,
-    /// or if a bucket holds more than `Z` blocks.
-    pub fn check_invariants(&self) {
-        for (block, path) in self.position_map.entries() {
-            if self.stash.contains(block) {
-                continue;
-            }
-            let found = (0..self.cfg.levels).any(|lvl| {
-                let id = self.geometry.bucket_at(path, Level(lvl));
-                self.buckets.get(&id).is_some_and(|v| v.contains(&block))
-            });
-            assert!(found, "{block} lost: not in stash, not on {path}");
-        }
-        for (id, v) in &self.buckets {
-            assert!(
-                v.len() <= self.cfg.z as usize,
-                "bucket {id} over capacity: {} > {}",
-                v.len(),
-                self.cfg.z
-            );
-        }
+        self.tree.recycle_outcome(outcome);
     }
 }
 
-impl ObliviousProtocol for PathOram {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Path
-    }
-
-    fn access(&mut self, block: BlockId) -> AccessOutcome {
-        PathOram::access(self, block)
-    }
-
-    fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        PathOram::recycle_outcome(self, outcome);
-    }
-
-    fn reserve_accesses(&mut self, n: usize) {
-        PathOram::reserve_accesses(self, n);
-    }
-
-    fn stats(&self) -> &ProtocolStats {
-        PathOram::stats(self)
-    }
-
-    fn stash_len(&self) -> usize {
-        PathOram::stash_len(self)
-    }
-
-    fn stash_peak(&self) -> usize {
-        PathOram::stash_peak(self)
-    }
-
-    fn materialized_buckets(&self) -> usize {
-        PathOram::materialized_buckets(self)
-    }
-
-    fn check_invariants(&self) {
-        PathOram::check_invariants(self);
-    }
-
-    fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        PathOram::position_entries(self)
-    }
-}
+plain_tree_protocol!(PathOram, ProtocolKind::Path);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oblivious::ObliviousProtocol;
+    use crate::protocol::TargetSource;
 
     #[test]
     fn access_moves_full_path() {
@@ -535,8 +277,14 @@ mod tests {
         let mut o = PathOram::new(PathConfig::test_small(), 6);
         let out = o.access(BlockId(1));
         o.recycle_outcome(out);
-        assert_eq!(o.scratch.plan_lists.len(), 1);
-        assert_eq!(o.scratch.touch_lists.len(), 1);
+        assert_eq!(o.tree.pool.pooled(), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "below COLD_BASE")]
+    fn cold_id_space_protected() {
+        let mut o = PathOram::new(PathConfig::test_small(), 7);
+        let _ = o.access(BlockId(crate::RingOram::COLD_BASE));
     }
 
     #[test]

@@ -135,6 +135,52 @@ impl AccessPlan {
     }
 }
 
+/// The crate's one pool of plan and touch vectors. All three engines draw
+/// the vectors backing an `AccessOutcome` from here and get them back
+/// through their `recycle_outcome`, which is what keeps a warm engine's
+/// access path allocation-free; callers that drop outcomes instead just
+/// let the pool refill lazily.
+#[derive(Debug, Default)]
+pub(crate) struct PlanPool {
+    plan_lists: Vec<Vec<AccessPlan>>,
+    touch_lists: Vec<Vec<SlotTouch>>,
+}
+
+impl PlanPool {
+    /// An empty plan vector, pooled if one is available.
+    pub(crate) fn plans(&mut self) -> Vec<AccessPlan> {
+        self.plan_lists.pop().unwrap_or_default()
+    }
+
+    /// An empty touch vector, pooled if one is available and otherwise
+    /// allocated with room for `capacity` touches.
+    pub(crate) fn touches(&mut self, capacity: usize) -> Vec<SlotTouch> {
+        self.touch_lists
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(capacity))
+    }
+
+    /// Takes back a touch vector that ended up in no plan.
+    pub(crate) fn put_touches(&mut self, mut touches: Vec<SlotTouch>) {
+        touches.clear();
+        self.touch_lists.push(touches);
+    }
+
+    /// Takes back an outcome's plan vector and every touch vector in it.
+    pub(crate) fn recycle(&mut self, mut plans: Vec<AccessPlan>) {
+        for plan in plans.drain(..) {
+            self.put_touches(plan.touches);
+        }
+        self.plan_lists.push(plans);
+    }
+
+    /// Pooled `(plan vectors, touch vectors)`.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> (usize, usize) {
+        (self.plan_lists.len(), self.touch_lists.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,7 +34,7 @@ use crate::bucket::{BlockData, BlockEntry, Bucket, BucketTree};
 use crate::config::RingConfig;
 use crate::crypto::BlockCipher;
 use crate::faults::{FaultEvent, FaultEventKind, OramError, ResilienceConfig};
-use crate::plan::{AccessPlan, OpKind, SlotTouch};
+use crate::plan::{AccessPlan, OpKind, PlanPool, SlotTouch};
 use crate::position_map::{self, PositionMap};
 use crate::stash::Stash;
 use crate::tree::TreeGeometry;
@@ -230,18 +230,15 @@ struct ResilienceState {
 /// (`read_path`, `reshuffle_bucket`, `evict`, or the seal/unseal pair),
 /// which takes it empty at entry and returns it empty at exit, so helpers
 /// never alias a buffer across their (strictly sequential) call graph. The
-/// pooled lists (`plan_lists`, `touch_lists`, payload boxes) flow out
-/// through [`AccessOutcome`]s and come back via
-/// [`RingOram::recycle_outcome`]; callers that drop outcomes instead just
-/// let the pools refill lazily. Net effect: a warm controller performs no
-/// heap allocation per access — the allocation-regression test in the
-/// `string-oram` crate pins this.
+/// pooled lists ([`PlanPool`], payload boxes) flow out through
+/// [`AccessOutcome`]s and come back via [`RingOram::recycle_outcome`];
+/// callers that drop outcomes instead just let the pools refill lazily. Net
+/// effect: a warm controller performs no heap allocation per access — the
+/// allocation-regression test in the `string-oram` crate pins this.
 #[derive(Default)]
 struct Scratch {
-    /// Pool of `plans` vectors backing [`AccessOutcome`]s.
-    plan_lists: Vec<Vec<AccessPlan>>,
-    /// Pool of per-plan touch vectors (read paths, reshuffles, retries).
-    touch_lists: Vec<Vec<SlotTouch>>,
+    /// Plan and touch vectors backing [`AccessOutcome`]s.
+    pool: PlanPool,
     /// `read_path`: forced reshuffles emitted ahead of the path.
     reshuffles: Vec<AccessPlan>,
     /// `read_path`: buckets whose dummy budget this path exhausted.
@@ -267,22 +264,6 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn plans(&mut self) -> Vec<AccessPlan> {
-        self.plan_lists.pop().unwrap_or_default()
-    }
-
-    fn touches(&mut self, capacity: usize) -> Vec<SlotTouch> {
-        self.touch_lists
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(capacity))
-    }
-
-    fn recycle_plan(&mut self, plan: AccessPlan) {
-        let AccessPlan { mut touches, .. } = plan;
-        touches.clear();
-        self.touch_lists.push(touches);
-    }
-
     /// Pops a pooled payload box of exactly `len` bytes, or allocates one.
     fn payload_box(pool: &mut Vec<BlockData>, len: usize) -> BlockData {
         match pool.pop() {
@@ -306,7 +287,7 @@ enum FetchResolution {
 pub struct RingOram {
     cfg: RingConfig,
     geometry: TreeGeometry,
-    buckets: BucketTree,
+    buckets: BucketTree<Bucket>,
     position_map: PositionMap,
     stash: Stash,
     /// Read paths since the last eviction (eviction fires at `A`).
@@ -351,7 +332,7 @@ impl std::fmt::Debug for RingOram {
 /// tail (below the leaf level), then the bucket's shuffle.
 #[allow(clippy::too_many_arguments)] // a borrow-split of RingOram's fields
 fn materialize_entry<'a>(
-    buckets: &'a mut BucketTree,
+    buckets: &'a mut BucketTree<Bucket>,
     geometry: &TreeGeometry,
     cfg: &RingConfig,
     load_factor: f64,
@@ -707,7 +688,7 @@ impl RingOram {
     /// [`OramError::StashOverflow`] under the same conditions as
     /// [`Self::try_access`].
     pub fn cover_access(&mut self) -> Result<AccessOutcome, OramError> {
-        let mut plans = self.scratch.plans();
+        let mut plans = self.scratch.pool.plans();
         let path = PathId(self.rng.gen_range(0..self.geometry.leaf_count()));
         let source = self.read_path(&mut plans, path, None, true);
         self.stats.dummy_read_paths += 1;
@@ -722,11 +703,7 @@ impl RingOram {
     /// every outcome it lowers, which is what keeps the steady-state access
     /// path allocation-free.
     pub fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        let AccessOutcome { mut plans, .. } = outcome;
-        for plan in plans.drain(..) {
-            self.scratch.recycle_plan(plan);
-        }
-        self.scratch.plan_lists.push(plans);
+        self.scratch.pool.recycle(outcome.plans);
     }
 
     /// Pre-sizes per-access bookkeeping (the stash-occupancy sample log)
@@ -786,7 +763,7 @@ impl RingOram {
             block.0 < Self::COLD_BASE,
             "program block ids must be below COLD_BASE"
         );
-        let mut plans = self.scratch.plans();
+        let mut plans = self.scratch.pool.plans();
 
         let known = self.position_map.lookup(block).is_some();
         let path = self.position_map.lookup_or_assign(block, &mut self.rng);
@@ -923,7 +900,7 @@ impl RingOram {
             None => (TargetSource::Stash, false),   // dummy read path
         };
 
-        let mut touches = self.scratch.touches(self.cfg.levels as usize);
+        let mut touches = self.scratch.pool.touches(self.cfg.levels as usize);
         let mut target_index = None;
         let mut reshuffles = std::mem::take(&mut self.scratch.reshuffles);
         // Off-chip buckets whose dummy budget `S` this path exhausted,
@@ -932,7 +909,7 @@ impl RingOram {
         // Retry traffic accumulated by the fault layer: extra reads of
         // already-public slots, emitted as one RetryRead plan after the
         // read path itself.
-        let mut retry_touches = self.scratch.touches(0);
+        let mut retry_touches = self.scratch.pool.touches(0);
         let mut retry_target_index = None;
         // Degraded mode gates CB green substitution for the whole path;
         // the flag only changes in `after_read_path`, never mid-path.
@@ -1036,7 +1013,7 @@ impl RingOram {
         };
         plans.push(AccessPlan::new(kind, touches, target_index));
         if retry_touches.is_empty() {
-            self.scratch.touch_lists.push(retry_touches);
+            self.scratch.pool.put_touches(retry_touches);
         } else {
             plans.push(AccessPlan::new(
                 OpKind::RetryRead,
@@ -1184,7 +1161,7 @@ impl RingOram {
         self.scratch.entries = entries;
         self.scratch.resealed = resealed;
 
-        let mut touches = self.scratch.touches((z + slots) as usize);
+        let mut touches = self.scratch.pool.touches((z + slots) as usize);
         // Read phase: Z slot reads (the real slots, padded to Z).
         let mut filler = 0u32;
         while (read_slots.len() as u32) < z {
@@ -1220,7 +1197,7 @@ impl RingOram {
 
         let z = self.cfg.z;
         let slots = self.cfg.bucket_slots();
-        let mut touches = self.scratch.touches(0);
+        let mut touches = self.scratch.pool.touches(0);
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
         let mut entries = std::mem::take(&mut self.scratch.entries);
 

@@ -1,6 +1,6 @@
 //! The stash: the controller's small on-chip buffer of in-flight blocks.
 
-use crate::bucket::{BlockData, BlockEntry};
+use crate::bucket::BlockData;
 use crate::fasthash::DetHashMap;
 use crate::tree::TreeGeometry;
 use crate::types::{BlockId, Level, PathId};
@@ -24,10 +24,10 @@ struct StashEntry {
 ///
 /// Eviction block selection is deterministic for a given seed: entries live
 /// in a [`DetHashMap`] (seedless, so reproducible run-to-run) and every
-/// order-sensitive operation selects by ascending block id —
-/// [`Stash::drain_for_bucket`] sorts its candidates before taking, and
-/// [`Stash::candidate_depths`] callers impose the same order via a
-/// min-heap — so which blocks drain first never depends on map layout.
+/// order-sensitive operation selects by ascending block id — the engines
+/// sort (or heap-order) the candidates [`Stash::for_each_candidate`] hands
+/// them before taking any — so which blocks drain first never depends on
+/// map layout.
 #[derive(Debug, Clone, Default)]
 pub struct Stash {
     entries: DetHashMap<BlockId, StashEntry>,
@@ -98,78 +98,18 @@ impl Stash {
         self.entries.get(&block).and_then(|e| e.data.as_deref())
     }
 
-    /// Updates the path of a block already in the stash (after a remap).
-    /// No-op if the block is absent.
-    pub fn reassign(&mut self, block: BlockId, path: PathId) {
-        if let Some(e) = self.entries.get_mut(&block) {
-            e.path = path;
-        }
-    }
-
     /// Removes a block (it was consumed by the program or placed in the
     /// tree); returns its path assignment if present.
     pub fn remove(&mut self, block: BlockId) -> Option<PathId> {
         self.entries.remove(&block).map(|e| e.path)
     }
 
-    /// Removes and returns up to `max` blocks that may legally reside in
-    /// the bucket at `level` along `evict_path` — i.e. whose assigned path
-    /// shares at least `level` levels of prefix with the eviction path.
-    ///
-    /// Used by the eviction write phase, which processes buckets leaf to
-    /// root so blocks sink as deep as possible (the standard greedy
-    /// placement that keeps the stash small).
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    pub fn drain_for_bucket(
-        &mut self,
-        geometry: &TreeGeometry,
-        evict_path: PathId,
-        level: Level,
-        max: usize,
-    ) -> Vec<BlockEntry> {
-        let mut qualifying: Vec<BlockId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| geometry.shared_depth(e.path, evict_path).0 >= level.0)
-            .map(|(&b, _)| b)
-            .collect();
-        qualifying.sort_unstable();
-        qualifying.truncate(max);
-        qualifying
-            .into_iter()
-            .map(|b| {
-                let e = self.entries.remove(&b).expect("just selected");
-                (b, e.data)
-            })
-            .collect()
-    }
-
-    /// Snapshot of eviction candidates: every stashed block paired with the
-    /// deepest level it may occupy along `evict_path`, in unspecified
-    /// order.
-    ///
-    /// The eviction write phase takes this one snapshot instead of
-    /// re-walking the whole stash per level ([`Self::drain_for_bucket`]'s
-    /// cost); because that phase only *removes* entries, selecting from the
-    /// snapshot picks exactly the blocks a fresh per-level scan would. The
-    /// caller imposes the deterministic ascending-block-id selection order
-    /// itself (a min-heap), so no sort is needed here.
-    #[must_use]
-    pub fn candidate_depths(
-        &self,
-        geometry: &TreeGeometry,
-        evict_path: PathId,
-    ) -> Vec<(BlockId, Level)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        self.for_each_candidate(geometry, evict_path, |b, depth| out.push((b, depth)));
-        out
-    }
-
-    /// Allocation-free form of [`Self::candidate_depths`]: calls `f` with
-    /// every stashed block and its deepest eligible level along
-    /// `evict_path`, in the same unspecified order. The eviction write
-    /// phase feeds these straight into its reusable per-depth groups
-    /// instead of materializing a snapshot vector per eviction.
+    /// Calls `f` with every stashed block and the deepest level it may
+    /// occupy along `evict_path`, in unspecified order. A write-back phase
+    /// takes this one snapshot instead of re-walking the stash per level:
+    /// it only *removes* entries, so selecting from the snapshot (in
+    /// ascending block id, which the caller imposes) picks exactly the
+    /// blocks a fresh per-level scan would.
     pub fn for_each_candidate(
         &self,
         geometry: &TreeGeometry,
@@ -190,6 +130,40 @@ impl Stash {
     /// Iterates over `(block, path)` entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
         self.entries.iter().map(|(&b, e)| (b, e.path))
+    }
+}
+
+#[cfg(test)]
+impl Stash {
+    /// Removes and returns up to `max` blocks that may legally reside in
+    /// the bucket at `level` along `evict_path` — i.e. whose assigned path
+    /// shares at least `level` levels of prefix with the eviction path.
+    ///
+    /// The per-level rescan the engines' snapshot write-backs replace:
+    /// called leaf to root it is the reference selection (greedy, deepest
+    /// first, ascending block id) they are tested against.
+    pub fn drain_for_bucket(
+        &mut self,
+        geometry: &TreeGeometry,
+        evict_path: PathId,
+        level: Level,
+        max: usize,
+    ) -> Vec<crate::bucket::BlockEntry> {
+        let mut qualifying: Vec<BlockId> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| geometry.shared_depth(e.path, evict_path).0 >= level.0)
+            .map(|(&b, _)| b)
+            .collect();
+        qualifying.sort_unstable();
+        qualifying.truncate(max);
+        qualifying
+            .into_iter()
+            .map(|b| {
+                let e = self.entries.remove(&b).expect("just selected");
+                (b, e.data)
+            })
+            .collect()
     }
 }
 
@@ -220,16 +194,6 @@ mod tests {
         }
         assert_eq!(s.len(), 0);
         assert_eq!(s.peak(), 5);
-    }
-
-    #[test]
-    fn reassign_updates_existing_only() {
-        let mut s = Stash::new();
-        s.insert(BlockId(1), PathId(0));
-        s.reassign(BlockId(1), PathId(3));
-        s.reassign(BlockId(2), PathId(3)); // absent: no-op
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.remove(BlockId(1)), Some(PathId(3)));
     }
 
     #[test]

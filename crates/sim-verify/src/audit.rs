@@ -764,7 +764,7 @@ impl ProtocolAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ring_oram::{RingOram, SlotTouch};
+    use ring_oram::{ObliviousProtocol, RingOram, SlotTouch};
 
     fn small_cb() -> RingConfig {
         RingConfig::test_small_cb()

@@ -35,7 +35,7 @@ use trace_synth::TraceRecord;
 use crate::config::{ConfigError, FaultConfig, SystemConfig};
 use crate::pipeline::build_merged_report;
 use crate::report::SimReport;
-use crate::system::{CycleLimitExceeded, Simulation};
+use crate::system::{check_trace_block_ids, CycleLimitExceeded, Simulation};
 
 /// Pads its contents to a 128-byte alignment boundary — two cache lines,
 /// covering the adjacent-line prefetcher on common x86 parts — so values
@@ -163,6 +163,9 @@ impl ShardedSimulation {
             });
         }
         let (map, shard_cfgs) = cfg.shard_configs()?;
+        // In global numbering, so the error names the caller's record (a
+        // shard sees `block >> bits`).
+        check_trace_block_ids(&traces, ring_oram::RingOram::COLD_BASE << map.bits())?;
         let shard_traces = partition_traces(&map, &traces);
         // Fix every shard's full configuration up front so the parallel
         // build below has no ordering freedom left to exploit.

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use ring_oram::ObliviousProtocol;
+use ring_oram::{ObliviousProtocol, RingOram};
 use trace_synth::TraceRecord;
 
 use crate::config::{ConfigError, SystemConfig};
@@ -46,6 +46,25 @@ impl std::fmt::Display for CycleLimitExceeded {
 }
 
 impl std::error::Error for CycleLimitExceeded {}
+
+/// Rejects the first trace record (lowest core, then lowest index) whose
+/// block id is not below `limit`: from [`RingOram::COLD_BASE`] up the
+/// engines keep their own pre-loaded blocks and panic on a program access.
+pub(crate) fn check_trace_block_ids(
+    traces: &[Vec<TraceRecord>],
+    limit: u64,
+) -> Result<(), ConfigError> {
+    for (core, trace) in traces.iter().enumerate() {
+        if let Some(record) = trace.iter().position(|r| r.op.block >= limit) {
+            return Err(ConfigError::Invalid(format!(
+                "trace of core {core}, record {record}: block id {} is not below {limit}; \
+                 ids from there up are reserved for the engines' pre-loaded blocks",
+                trace[record].op.block
+            )));
+        }
+    }
+    Ok(())
+}
 
 /// The integrated String ORAM system simulator: cores, ORAM controller and
 /// memory backend advanced in lockstep.
@@ -106,8 +125,10 @@ impl Simulation {
     /// # Errors
     ///
     /// [`ConfigError::Invalid`] if `cfg` fails validation (including the
-    /// fault-injection cross-checks) and [`ConfigError::TraceCount`] if
-    /// the number of traces does not match `cfg.cores`.
+    /// fault-injection cross-checks), or if a trace names a block id the
+    /// engines reserve (`>= RingOram::COLD_BASE`; traces are outside
+    /// input), and [`ConfigError::TraceCount`] if the number of traces does
+    /// not match `cfg.cores`.
     pub fn try_new(cfg: SystemConfig, traces: Vec<Vec<TraceRecord>>) -> Result<Self, ConfigError> {
         cfg.validate()?;
         if cfg.shards != 1 {
@@ -123,6 +144,7 @@ impl Simulation {
                 got: traces.len(),
             });
         }
+        check_trace_block_ids(&traces, RingOram::COLD_BASE)?;
         let total_records: usize = traces.iter().map(Vec::len).sum();
         let cores: Vec<Core> = traces
             .into_iter()

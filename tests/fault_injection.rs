@@ -247,6 +247,39 @@ fn try_new_reports_errors_instead_of_panicking() {
     }
 }
 
+/// Trace files are outside input: a block id in the range the engines
+/// reserve for their pre-loaded blocks is a configuration error naming the
+/// record, on every protocol, never a panic mid-run.
+#[test]
+fn try_new_rejects_trace_block_ids_in_the_reserved_range() {
+    use ring_oram::ProtocolKind;
+    for protocol in ProtocolKind::ALL {
+        for shards in [1, 2] {
+            let mut cfg = SystemConfig::test_small(Scheme::All);
+            cfg.protocol = protocol;
+            cfg.shards = shards;
+            let mut traces = traces_for(&cfg, "black", 11, 20);
+            // One below the limit is an ordinary block; the limit is not.
+            let limit = RingOram::COLD_BASE * shards as u64;
+            traces[1][7].op.block = limit - 1;
+            traces[1][12].op.block = limit;
+            traces[1][15].op.block = u64::MAX;
+            let err = if shards == 1 {
+                Simulation::try_new(cfg, traces).err()
+            } else {
+                ShardedSimulation::try_new(cfg, traces).err()
+            };
+            match err {
+                Some(ConfigError::Invalid(msg)) => assert!(
+                    msg.contains("core 1, record 12") && msg.contains(&limit.to_string()),
+                    "{protocol} x {shards}: {msg}"
+                ),
+                other => panic!("{protocol} x {shards}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// Sharded fault isolation: faults seeded into exactly one shard (via the
 /// per-shard override hook) must not perturb any *other* shard's access
 /// sequence or cycle count — shards share no protocol state, no backend

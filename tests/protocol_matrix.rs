@@ -19,7 +19,9 @@
 //! random workload — the empirical check that our eviction procedures are
 //! the ones the bounds are proved for.
 
-use ring_oram::{BlockId, CircuitOram, PathConfig, PathOram, ProtocolKind, RingConfig};
+use ring_oram::{
+    BlockId, CircuitOram, ObliviousProtocol, PathConfig, PathOram, ProtocolKind, RingConfig,
+};
 use string_oram::{BackendKind, Scheme, ShardedSimulation, Simulation, SystemConfig};
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
