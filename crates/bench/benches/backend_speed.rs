@@ -13,10 +13,7 @@ use string_oram::{BackendKind, Scheme, Simulation, SystemConfig};
 use trace_synth::{by_name, TraceGenerator};
 
 fn accesses() -> usize {
-    std::env::var("STRING_ORAM_SPEED_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000)
+    string_oram_bench::env_or("STRING_ORAM_SPEED_ACCESSES", 50_000)
 }
 
 fn run(backend: BackendKind, records: usize) -> (Duration, u64, u64) {

@@ -30,14 +30,11 @@ use ring_oram::{
     BlockId, CircuitOram, ObliviousProtocol, PathConfig, PathOram, RingConfig, RingOram,
 };
 use string_oram::{Scheme, Simulation, SystemConfig};
-use string_oram_bench::{print_header, print_row};
+use string_oram_bench::{env_or, print_header, print_row};
 use trace_synth::{by_name, TraceGenerator};
 
 fn iters() -> u64 {
-    std::env::var("STRING_ORAM_MICRO_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000)
+    env_or("STRING_ORAM_MICRO_ITERS", 2000)
 }
 
 /// Bytes currently allocated (requested sizes), for the cold rows.

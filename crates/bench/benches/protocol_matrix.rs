@@ -1,12 +1,12 @@
 //! Cross-protocol arena: throughput and latency of every protocol the
 //! pipeline hosts (Ring+CB, plain Ring, Path, Circuit) over both memory
 //! backends, recorded to `BENCH_protocol_matrix.json` at the repo root
-//! (schema in `EXPERIMENTS.md`; the committed copy is re-validated by the
-//! bench lib's tests and the CI smoke step).
+//! (format: `schema::PROTOCOL_MATRIX`; the committed copy is re-validated by
+//! the bench lib's tests and the CI smoke step).
 //!
 //! One simulated core keeps the access order a pure function of the trace,
 //! so each protocol's access digest must agree across backends — the
-//! emitted document carries the digests and `validate_protocol_matrix`
+//! emitted document carries the digests and the `PROTOCOL_MATRIX` schema
 //! enforces the equality, making every regeneration of this file a
 //! differential run, not just a measurement.
 //!
@@ -26,26 +26,14 @@ use string_oram::{
     BackendKind, ProtocolKind, Scheme, SimReport, Simulation, SystemConfig, VerifyConfig,
 };
 use string_oram_bench::json::Value;
-use string_oram_bench::{traces_for, validate_protocol_matrix};
+use string_oram_bench::schema::{finite, hex_digest, PROTOCOL_MATRIX};
+use string_oram_bench::{env_or, traces_for};
 
 const WORKLOAD: &str = "black";
 const TRACE_SEED: u64 = 11;
 
 fn records_per_core() -> usize {
-    std::env::var("STRING_ORAM_MATRIX_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000)
-}
-
-fn out_path() -> String {
-    std::env::var("STRING_ORAM_BENCH_JSON").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_protocol_matrix.json"
-        )
-        .to_string()
-    })
+    env_or("STRING_ORAM_MATRIX_ACCESSES", 2000)
 }
 
 fn cfg_for(protocol: ProtocolKind, backend: BackendKind) -> SystemConfig {
@@ -85,29 +73,20 @@ fn measure(protocol: ProtocolKind, backend: BackendKind, name: &'static str) -> 
     }
 }
 
-/// Finite-checked number: a NaN/inf measurement is a harness bug, not a
-/// value to serialize ([`Value`]'s `TryFrom<f64>` refuses non-finite).
-fn num(n: f64) -> Value {
-    Value::try_from(n).expect("bench measurements are finite")
-}
-
 fn point_json(p: &Point) -> Value {
     let accesses = p.report.oram_accesses;
     Value::object(vec![
         ("protocol", p.protocol.label().into()),
         ("backend", p.backend_name.into()),
         ("oram_accesses", accesses.into()),
-        ("run_wall_ms", num(p.wall_s * 1e3)),
-        ("accesses_per_sec", num(accesses as f64 / p.wall_s)),
+        ("run_wall_ms", finite(p.wall_s * 1e3)),
+        ("accesses_per_sec", finite(accesses as f64 / p.wall_s)),
         (
             "mean_latency_cycles",
-            num(p.report.total_cycles as f64 / accesses as f64),
+            finite(p.report.total_cycles as f64 / accesses as f64),
         ),
         ("p99_latency_cycles", p.report.read_latency.p99.into()),
-        (
-            "digest",
-            format!("{:#018X}", p.digest).replacen("0X", "0x", 1).into(),
-        ),
+        ("digest", hex_digest(p.digest).into()),
     ])
 }
 
@@ -121,7 +100,6 @@ fn main() {
 
     let mut points = Vec::new();
     for protocol in ProtocolKind::ALL {
-        let mut digests = Vec::new();
         for (backend, name) in [
             (BackendKind::CycleAccurate, "cycle-accurate"),
             (BackendKind::FastFunctional, "fast-functional"),
@@ -135,20 +113,14 @@ fn main() {
                 p.report.oram_accesses as f64 / p.wall_s,
                 p.report.total_cycles as f64 / p.report.oram_accesses as f64,
                 p.report.read_latency.p99,
-                format!("{:#018X}", p.digest).replacen("0X", "0x", 1),
+                hex_digest(p.digest),
             );
-            digests.push(p.digest);
             points.push(point_json(&p));
         }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "{protocol}: backends disagree on the access digest"
-        );
     }
 
-    let doc = Value::object(vec![
-        ("bench", "protocol_matrix".into()),
-        ("schema_version", 1usize.into()),
+    // Aborts unless each protocol's digest agrees across the two backends.
+    PROTOCOL_MATRIX.write(vec![
         ("workload", WORKLOAD.into()),
         ("scheme", "All".into()),
         ("records_per_core", records.into()),
@@ -161,8 +133,4 @@ fn main() {
         ),
         ("points", Value::Array(points)),
     ]);
-    validate_protocol_matrix(&doc).expect("emitted document matches the documented schema");
-    let path = out_path();
-    std::fs::write(&path, format!("{doc}\n")).expect("write matrix");
-    println!("\nwrote {path}");
 }

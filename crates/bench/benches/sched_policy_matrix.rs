@@ -2,7 +2,7 @@
 //! policy lab (FR-FCFS transaction baseline, Proactive Bank, read-over-write,
 //! speculative window, fixed cadence) over the cycle-accurate backend and
 //! two workload mixes, recorded to `BENCH_sched_policy.json` at the repo
-//! root (schema in `EXPERIMENTS.md`; the committed copy is re-validated by
+//! root (format: `schema::SCHED_POLICY`; the committed copy is re-validated by
 //! the bench lib's tests and the CI smoke step). The functional backend has
 //! no command scheduler, so its points could not differ by policy and are
 //! not measured; policy × backend digest agreement is pinned by
@@ -12,7 +12,7 @@
 //! so *every* policy point of a workload must agree on the access digest —
 //! the command scheduler may move PRE/ACT and reorder within a
 //! transaction, never change what the ORAM controller requests. The emitted
-//! document carries the digests and `validate_sched_policy` enforces the
+//! document carries the digests and the `SCHED_POLICY` schema enforces the
 //! equality, making every regeneration a 5-way differential run.
 //!
 //! The numbers quantify the paper's §IV argument: the transaction-based
@@ -32,7 +32,8 @@ use std::time::Instant;
 use mem_sched::SchedulerPolicy;
 use string_oram::{Scheme, SimReport, Simulation, SystemConfig, VerifyConfig};
 use string_oram_bench::json::Value;
-use string_oram_bench::{traces_for, validate_sched_policy};
+use string_oram_bench::schema::{finite, hex_digest, SCHED_POLICY};
+use string_oram_bench::{env_or, traces_for};
 
 const WORKLOADS: [&str; 2] = ["black", "stream"];
 const TRACE_SEED: u64 = 11;
@@ -48,16 +49,7 @@ const POLICIES: [SchedulerPolicy; 5] = [
 ];
 
 fn records_per_core() -> usize {
-    std::env::var("STRING_ORAM_POLICY_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500)
-}
-
-fn out_path() -> String {
-    std::env::var("STRING_ORAM_BENCH_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched_policy.json").to_string()
-    })
+    env_or("STRING_ORAM_POLICY_ACCESSES", 1500)
 }
 
 fn cfg_for(policy: SchedulerPolicy) -> SystemConfig {
@@ -107,40 +99,33 @@ fn measure(policy: SchedulerPolicy, workload: &'static str) -> Point {
     }
 }
 
-/// Finite-checked number: a NaN/inf measurement is a harness bug, not a
-/// value to serialize ([`Value`]'s `TryFrom<f64>` refuses non-finite).
-fn num(n: f64) -> Value {
-    Value::try_from(n).expect("bench measurements are finite")
-}
-
-fn hex(digest: u64) -> String {
-    format!("{digest:#018X}").replacen("0X", "0x", 1)
-}
-
 fn point_json(p: &Point) -> Value {
     Value::object(vec![
         ("policy", p.policy.name().into()),
         ("backend", "cycle-accurate".into()),
         ("workload", p.workload.into()),
         ("oram_accesses", p.report.oram_accesses.into()),
-        ("run_wall_ms", num(p.wall_s * 1e3)),
-        ("mean_cycles_per_access", num(p.mean_cycles())),
-        ("bank_idle_proportion", num(p.report.bank_idle_proportion)),
+        ("run_wall_ms", finite(p.wall_s * 1e3)),
+        ("mean_cycles_per_access", finite(p.mean_cycles())),
+        (
+            "bank_idle_proportion",
+            finite(p.report.bank_idle_proportion),
+        ),
         (
             "pending_bank_idle_proportion",
-            num(p.report.pending_bank_idle_proportion),
+            finite(p.report.pending_bank_idle_proportion),
         ),
         (
             "early_precharge_fraction",
-            num(p.report.early_precharge_fraction),
+            finite(p.report.early_precharge_fraction),
         ),
         (
             "early_activate_fraction",
-            num(p.report.early_activate_fraction),
+            finite(p.report.early_activate_fraction),
         ),
         ("deferred_writes", p.report.deferred_writes.into()),
         ("withheld_issue_slots", p.report.withheld_issue_slots.into()),
-        ("digest", hex(p.digest).into()),
+        ("digest", hex_digest(p.digest).into()),
     ])
 }
 
@@ -165,7 +150,6 @@ fn main() {
     // (workload, policy name, mean cycles) for the headline.
     let mut means: Vec<(&str, &str, f64)> = Vec::new();
     for workload in WORKLOADS {
-        let mut digests = Vec::new();
         for policy in POLICIES {
             let p = measure(policy, workload);
             println!(
@@ -182,13 +166,8 @@ fn main() {
                 p.report.withheld_issue_slots,
             );
             means.push((workload, policy.name(), p.mean_cycles()));
-            digests.push(p.digest);
             points.push(point_json(&p));
         }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "{workload}: policies disagree on the access digest"
-        );
     }
 
     // The headline the policy lab exists to measure: on at least one
@@ -214,9 +193,8 @@ fn main() {
         );
     }
 
-    let doc = Value::object(vec![
-        ("bench", "sched_policy".into()),
-        ("schema_version", 2usize.into()),
+    // Aborts unless every policy of a workload carries the same digest.
+    SCHED_POLICY.write(vec![
         ("scheme", "All".into()),
         ("records_per_core", records.into()),
         ("cores", 1usize.into()),
@@ -226,8 +204,4 @@ fn main() {
         ),
         ("points", Value::Array(points)),
     ]);
-    validate_sched_policy(&doc).expect("emitted document matches the documented schema");
-    let path = out_path();
-    std::fs::write(&path, format!("{doc}\n")).expect("write sched policy matrix");
-    println!("\nwrote {path}");
 }

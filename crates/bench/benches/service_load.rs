@@ -1,8 +1,8 @@
 //! Service load matrix: the `oram-service` front-end under an overload
 //! storm, over every submission mode × memory backend pair, recorded to
-//! `BENCH_service_load.json` at the repo root (schema in `EXPERIMENTS.md`;
-//! the committed copy is re-validated by the bench lib's tests and the CI
-//! smoke step).
+//! `BENCH_service_load.json` at the repo root (format:
+//! `schema::SERVICE_LOAD`; the committed copy is re-validated by the bench
+//! lib's tests and the CI smoke step).
 //!
 //! The storm is the same ≥4× one the robustness suite uses: two heavy
 //! tenants plus a diurnal one, arrival rates far above the submission
@@ -11,12 +11,12 @@
 //! governor's transition counts, and the padding cost of the fixed-rate
 //! cadence versus best-effort.
 //!
-//! Exit gates: every run must audit clean (zero violations) and resolve
-//! every arrival exactly once; the fixed-rate schedule digest must agree
-//! across backends (the envelope is a pure function of the clock — memory
-//! timing may change *what completes when*, never *when the service
-//! submits*). Both gates are also baked into `validate_service_load`, so
-//! the committed artifact re-proves them on every test run.
+//! Exit gates: every run must audit clean (zero violations), and — through
+//! the `SERVICE_LOAD` schema the document is written under, so that the
+//! committed artifact re-proves both on every test run — resolve every
+//! arrival exactly once and agree on the fixed-rate schedule digest across
+//! backends (the envelope is a pure function of the clock — memory timing
+//! may change *what completes when*, never *when the service submits*).
 //!
 //! `STRING_ORAM_SERVICE_HORIZON` scales the arrival window (default
 //! 12000 cycles); `STRING_ORAM_BENCH_JSON` overrides the output path (CI
@@ -25,22 +25,14 @@
 use std::time::{Duration, Instant};
 
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
-use string_oram::{BackendKind, ServiceSummary};
+use string_oram::{BackendKind, ServiceSummary, TenantSummary};
+use string_oram_bench::env_or;
 use string_oram_bench::json::Value;
-use string_oram_bench::validate_service_load;
+use string_oram_bench::schema::{finite, hex_digest, SERVICE_LOAD};
 use trace_synth::ArrivalSpec;
 
 fn horizon() -> u64 {
-    std::env::var("STRING_ORAM_SERVICE_HORIZON")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12_000)
-}
-
-fn out_path() -> String {
-    std::env::var("STRING_ORAM_BENCH_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service_load.json").to_string()
-    })
+    env_or("STRING_ORAM_SERVICE_HORIZON", 12_000)
 }
 
 fn tenants() -> Vec<TenantSpec> {
@@ -89,48 +81,29 @@ fn measure(policy: SubmissionPolicy, backend: BackendKind, backend_name: &'stati
         );
         std::process::exit(1);
     }
-    let summary = report.service.expect("service summary attached");
-    for t in &summary.tenants {
-        if t.resolved() != t.arrivals {
-            println!(
-                "FAIL: {mode}/{backend_name} tenant {} resolved {} of {} arrivals",
-                t.tenant,
-                t.resolved(),
-                t.arrivals
-            );
-            std::process::exit(1);
-        }
-    }
     Cell {
         mode,
         backend: backend_name,
-        summary,
+        summary: report.service.expect("service summary attached"),
         wall,
     }
 }
 
-/// Finite-checked number: a NaN/inf measurement is a harness bug, not a
-/// value to serialize ([`Value`]'s `TryFrom<f64>` refuses non-finite).
-fn num(n: f64) -> Value {
-    Value::try_from(n).expect("bench measurements are finite")
+impl Cell {
+    /// The shares of all arrivals that were rejected and that timed out.
+    fn shed_and_timeout_rates(&self) -> (f64, f64) {
+        let tenants = &self.summary.tenants;
+        let arrivals: u64 = tenants.iter().map(|t| t.arrivals).sum();
+        let rejected: u64 = tenants.iter().map(TenantSummary::rejected).sum();
+        let timed_out: u64 = tenants.iter().map(|t| t.timed_out).sum();
+        let share = |n: u64| n as f64 / arrivals.max(1) as f64;
+        (share(rejected), share(timed_out))
+    }
 }
 
 fn cell_json(cell: &Cell) -> Value {
     let s = &cell.summary;
-    let arrivals: u64 = s.tenants.iter().map(|t| t.arrivals).sum();
-    let rejected: u64 = s
-        .tenants
-        .iter()
-        .map(string_oram::TenantSummary::rejected)
-        .sum();
-    let timed_out: u64 = s.tenants.iter().map(|t| t.timed_out).sum();
-    let rate = |n: u64| {
-        if arrivals == 0 {
-            0.0
-        } else {
-            n as f64 / arrivals as f64
-        }
-    };
+    let (shed_rate, timeout_rate) = cell.shed_and_timeout_rates();
     Value::object(vec![
         ("mode", cell.mode.into()),
         ("backend", cell.backend.into()),
@@ -138,22 +111,17 @@ fn cell_json(cell: &Cell) -> Value {
         ("ticks", s.ticks.into()),
         ("real_accesses", s.real_accesses.into()),
         ("padding_accesses", s.padding_accesses.into()),
-        ("padding_overhead", num(s.padding_overhead())),
-        ("shed_rate", num(rate(rejected))),
-        ("timeout_rate", num(rate(timed_out))),
-        ("run_wall_ms", num(cell.wall.as_secs_f64() * 1e3)),
+        ("padding_overhead", finite(s.padding_overhead())),
+        ("shed_rate", finite(shed_rate)),
+        ("timeout_rate", finite(timeout_rate)),
+        ("run_wall_ms", finite(cell.wall.as_secs_f64() * 1e3)),
         (
             "governor_degraded_entries",
             s.governor.degraded_entries.into(),
         ),
         ("governor_shed_entries", s.governor.shed_entries.into()),
         ("governor_recoveries", s.governor.recoveries.into()),
-        (
-            "schedule_digest",
-            format!("{:#018X}", s.schedule_digest)
-                .replacen("0X", "0x", 1)
-                .into(),
-        ),
+        ("schedule_digest", hex_digest(s.schedule_digest).into()),
         (
             "tenants",
             Value::Array(
@@ -200,13 +168,7 @@ fn main() {
         ] {
             let cell = measure(policy, backend, backend_name);
             let s = &cell.summary;
-            let arrivals: u64 = s.tenants.iter().map(|t| t.arrivals).sum();
-            let rejected: u64 = s
-                .tenants
-                .iter()
-                .map(string_oram::TenantSummary::rejected)
-                .sum();
-            let timed_out: u64 = s.tenants.iter().map(|t| t.timed_out).sum();
+            let (shed_rate, timeout_rate) = cell.shed_and_timeout_rates();
             println!(
                 "{:<12} {:<16} {:>8} {:>7} {:>7} {:>6.1}% {:>7.1}% {:>8.2} {:#018x}",
                 cell.mode,
@@ -214,8 +176,8 @@ fn main() {
                 s.ticks,
                 s.real_accesses,
                 s.padding_accesses,
-                100.0 * rejected as f64 / arrivals as f64,
-                100.0 * timed_out as f64 / arrivals as f64,
+                100.0 * shed_rate,
+                100.0 * timeout_rate,
                 cell.wall.as_secs_f64() * 1e3,
                 s.schedule_digest,
             );
@@ -223,20 +185,7 @@ fn main() {
         }
     }
 
-    // Cross-backend timing-channel gate: identical fixed-rate envelopes.
-    let fixed: Vec<&Cell> = cells.iter().filter(|c| c.mode == "fixed-rate").collect();
-    if fixed
-        .windows(2)
-        .any(|w| w[0].summary.schedule_digest != w[1].summary.schedule_digest)
-    {
-        println!("FAIL: fixed-rate schedule digests disagree across backends");
-        std::process::exit(1);
-    }
-    println!("PASS: fixed-rate envelope identical across backends, all runs audit clean");
-
-    let doc = Value::object(vec![
-        ("bench", "service_load".into()),
-        ("schema_version", 1usize.into()),
+    SERVICE_LOAD.write(vec![
         (
             "master_seed",
             cfg_for(
@@ -254,8 +203,5 @@ fn main() {
             Value::Array(cells.iter().map(cell_json).collect()),
         ),
     ]);
-    validate_service_load(&doc).expect("emitted document matches the documented schema");
-    let path = out_path();
-    std::fs::write(&path, format!("{doc}\n")).expect("write service load");
-    println!("wrote {path}");
+    println!("PASS: fixed-rate envelope identical across backends, all runs audit clean");
 }

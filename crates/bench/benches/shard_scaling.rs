@@ -1,7 +1,7 @@
 //! Shard-scaling trajectory: throughput of the sharded parallel engine at
 //! `N ∈ {1, 2, 4, 8}` shards over both memory backends, recorded to
-//! `BENCH_shard_scaling.json` at the repo root (schema in
-//! `EXPERIMENTS.md`; the committed copy is re-validated by the bench
+//! `BENCH_shard_scaling.json` at the repo root (format:
+//! `schema::SHARD_SCALING`; the committed copy is re-validated by the bench
 //! lib's tests and the CI smoke step).
 //!
 //! Setup and run are timed **separately**: construction (position maps,
@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 
 use string_oram::{BackendKind, Scheme, ShardedSimulation, SimReport, SystemConfig, VerifyConfig};
 use string_oram_bench::json::Value;
-use string_oram_bench::{traces_for, validate_shard_scaling};
+use string_oram_bench::schema::{finite, hex_digest, SHARD_SCALING};
+use string_oram_bench::{env_or, traces_for};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const WORKLOAD: &str = "black";
@@ -52,20 +53,7 @@ const TRACE_SEED: u64 = 11;
 const MEASURED_GATE_MIN_RECORDS: usize = 10_000;
 
 fn records_per_core() -> usize {
-    std::env::var("STRING_ORAM_SHARD_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25_000)
-}
-
-fn out_path() -> String {
-    std::env::var("STRING_ORAM_BENCH_JSON").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_shard_scaling.json"
-        )
-        .to_string()
-    })
+    env_or("STRING_ORAM_SHARD_ACCESSES", 25_000)
 }
 
 fn cfg_for(backend: BackendKind, shards: usize) -> SystemConfig {
@@ -142,45 +130,36 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Finite-checked number: a NaN/inf measurement is a harness bug, not a
-/// value to serialize ([`Value`]'s `TryFrom<f64>` refuses non-finite).
-fn num(n: f64) -> Value {
-    Value::try_from(n).expect("bench measurements are finite")
-}
-
 fn point_json(p: &Point, records: usize, cores: usize, baseline_run: Duration) -> Value {
     let accesses = (records * cores) as f64;
     let projected = p.shard_walls.iter().max().copied().unwrap_or_default();
     Value::object(vec![
         ("shards", p.shards.into()),
         ("oram_accesses", p.report.oram_accesses.into()),
-        (
-            "merged_digest",
-            format!("{:#018X}", p.digest).replacen("0X", "0x", 1).into(),
-        ),
+        ("merged_digest", hex_digest(p.digest).into()),
         ("total_cycles", p.report.total_cycles.into()),
         ("makespan_cycles", p.report.makespan_cycles.into()),
-        ("setup_wall_ms", num(ms(p.setup))),
-        ("run_wall_ms", num(ms(p.run))),
+        ("setup_wall_ms", finite(ms(p.setup))),
+        ("run_wall_ms", finite(ms(p.run))),
         // Historical alias of run_wall_ms (setup was never inside this
         // timer); kept so older consumers of the trajectory still parse.
-        ("measured_wall_ms", num(ms(p.run))),
+        ("measured_wall_ms", finite(ms(p.run))),
         (
             "measured_speedup_vs_n1",
-            num(baseline_run.as_secs_f64() / p.run.as_secs_f64()),
+            finite(baseline_run.as_secs_f64() / p.run.as_secs_f64()),
         ),
         (
             "measured_accesses_per_sec",
-            num(accesses / p.run.as_secs_f64()),
+            finite(accesses / p.run.as_secs_f64()),
         ),
         (
             "shard_wall_ms",
-            Value::Array(p.shard_walls.iter().map(|w| num(ms(*w))).collect()),
+            Value::Array(p.shard_walls.iter().map(|w| finite(ms(*w))).collect()),
         ),
-        ("projected_parallel_ms", num(ms(projected))),
+        ("projected_parallel_ms", finite(ms(projected))),
         (
             "projected_accesses_per_sec",
-            num(accesses / projected.as_secs_f64()),
+            finite(accesses / projected.as_secs_f64()),
         ),
     ])
 }
@@ -236,9 +215,7 @@ fn main() {
         ]));
     }
 
-    let doc = Value::object(vec![
-        ("bench", "shard_scaling".into()),
-        ("schema_version", 2usize.into()),
+    SHARD_SCALING.write(vec![
         ("host_parallelism", host.into()),
         ("workload", WORKLOAD.into()),
         ("scheme", "All".into()),
@@ -250,10 +227,6 @@ fn main() {
         ),
         ("backends", Value::Array(backends)),
     ]);
-    validate_shard_scaling(&doc).expect("emitted document matches the documented schema");
-    let path = out_path();
-    std::fs::write(&path, format!("{doc}\n")).expect("write trajectory");
-    println!("\nwrote {path}");
 
     // Scaling acceptance, projected: with 4 shards the functional engine's
     // projected throughput (the slowest shard's isolated wall) must be at

@@ -169,6 +169,18 @@ fn main() -> ExitCode {
         eprintln!("error: invalid configuration: {e}");
         return ExitCode::FAILURE;
     }
+    // `--scheme baseline|pb` selects plain Ring, which runs without Compact
+    // Bucket whatever `y` says: refuse the pair rather than ignore `--y`.
+    let effective_y = cfg.effective_ring().y;
+    if cfg.ring.y != effective_y {
+        eprintln!(
+            "error: --y {} has no effect under --scheme {}, which runs with y = {effective_y} \
+             (use --scheme cb or all)",
+            cfg.ring.y,
+            opts.scheme.label().to_lowercase()
+        );
+        return ExitCode::FAILURE;
+    }
 
     let traces: Vec<Vec<TraceRecord>> = match &opts.trace {
         Some(path) => {
@@ -204,7 +216,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut sim = Simulation::new(cfg, traces);
+    let mut sim = match Simulation::try_new(cfg, traces) {
+        Ok(sim) => sim,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     sim.set_label(format!("{}/{}", opts.workload, opts.scheme));
     let r = match sim.run(u64::MAX) {
         Ok(r) => r,

@@ -87,14 +87,21 @@ impl Value {
 }
 
 impl From<u64> for Value {
+    /// Panics above 2^53, where `v as f64` would round silently to a number
+    /// [`Value::as_u64`] refuses to read back: a harness bug, not a value to
+    /// serialize (64-bit digests are strings, see `schema::hex_digest`).
     fn from(v: u64) -> Self {
+        assert!(
+            v <= 1 << 53,
+            "{v} is above 2^53: a JSON number cannot hold it exactly"
+        );
         Value::Number(v as f64)
     }
 }
 
 impl From<usize> for Value {
     fn from(v: usize) -> Self {
-        Value::Number(v as f64)
+        Value::from(v as u64)
     }
 }
 
@@ -412,6 +419,18 @@ mod tests {
     fn integers_emit_without_decimal_point() {
         assert_eq!(Value::from(12u64).to_string(), "12");
         assert_eq!(Value::Number(0.5).to_string(), "0.5");
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_are_refused_loudly() {
+        let limit = 1u64 << 53;
+        assert_eq!(Value::from(limit).as_u64(), Some(limit));
+        assert_eq!(
+            parse(&Value::from(limit).to_string()).unwrap().as_u64(),
+            Some(limit)
+        );
+        assert!(std::panic::catch_unwind(|| Value::from(limit + 1)).is_err());
+        assert!(std::panic::catch_unwind(|| Value::from(usize::MAX)).is_err());
     }
 
     #[test]

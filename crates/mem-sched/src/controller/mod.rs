@@ -41,13 +41,11 @@ mod schedule;
 mod tests;
 
 pub use faults::{FaultConfigError, ResponseFaultConfig};
-// Historical path compatibility: the policy selector used to live here.
-pub use crate::policy::SchedulerPolicy;
 
 use dram_sim::AddressMapping;
 use dram_sim::{DramCommand, DramModule, PhysAddr};
 
-use crate::policy::{PolicyStats, SchedulePolicy};
+use crate::policy::{PolicyStats, SchedulePolicy, SchedulerPolicy};
 use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
@@ -129,26 +127,13 @@ impl MemoryController {
         policy: SchedulerPolicy,
         queue_capacity: usize,
     ) -> Self {
-        Self::with_policy(dram, mapping, policy.build(), queue_capacity)
-    }
-
-    /// Creates a controller scheduling with an explicit policy object —
-    /// the extension point for policies beyond the shipped
-    /// [`SchedulerPolicy`] tags.
-    #[must_use]
-    pub fn with_policy(
-        dram: DramModule,
-        mapping: AddressMapping,
-        policy: Box<dyn SchedulePolicy>,
-        queue_capacity: usize,
-    ) -> Self {
         let channels = dram.geometry().channels;
         let banks_per_rank = dram.geometry().banks_per_rank;
         let banks = (dram.geometry().ranks_per_channel * banks_per_rank) as usize;
         Self {
             dram,
             mapping,
-            policy,
+            policy: policy.build(),
             page_policy: PagePolicy::Open,
             queues: (0..channels)
                 .map(|_| ChannelQueues::new(banks, queue_capacity))
@@ -211,17 +196,9 @@ impl MemoryController {
         self.command_trace = Some(Vec::new());
     }
 
-    /// Takes the recorded command trace (empty if tracing was never
-    /// enabled), leaving tracing active if it was.
-    pub fn take_command_trace(&mut self) -> Vec<(u64, DramCommand)> {
-        self.take_command_events()
-            .into_iter()
-            .map(|e| (e.cycle, e.cmd))
-            .collect()
-    }
-
     /// Takes the recorded command events — the trace with transaction
-    /// attribution — leaving tracing active if it was enabled.
+    /// attribution, empty if tracing was never enabled — leaving tracing
+    /// active if it was.
     pub fn take_command_events(&mut self) -> Vec<CommandEvent> {
         match &mut self.command_trace {
             Some(t) => std::mem::take(t),

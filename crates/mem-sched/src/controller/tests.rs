@@ -1,5 +1,4 @@
 use super::*;
-use crate::policy::ProactiveBank;
 use crate::request::RowClass;
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
@@ -593,12 +592,9 @@ fn policy_accessors_round_trip() {
         assert_eq!(c.policy(), tag);
         assert_eq!(c.policy_name(), tag.name());
     }
-    // The explicit trait-object constructor is equivalent to the tag path.
-    let geometry = DramGeometry::test_small();
-    let mapping = AddressMapping::hpca_default(&geometry);
-    let dram = DramModule::new(geometry, TimingParams::test_fast());
-    let c = MemoryController::with_policy(dram, mapping, Box::new(ProactiveBank::new(2)), 16);
-    assert_eq!(c.policy(), SchedulerPolicy::ProactiveBank { lookahead: 2 });
+    // A tag's parameters survive the trip through the policy object.
+    let deep = SchedulerPolicy::ProactiveBank { lookahead: 2 };
+    assert_eq!(controller(deep).policy(), deep);
 }
 
 #[test]

@@ -72,10 +72,7 @@ pub use controller::{
     CommandEvent, FaultConfigError, MemoryController, PagePolicy, ResponseFaultConfig,
 };
 pub use functional::{FunctionalBackend, FunctionalTiming};
-pub use policy::{
-    CandidateOrder, FixedCadence, FrFcfs, PassPlan, PolicyStats, ProactiveBank, ReadOverWrite,
-    SchedulePolicy, SchedulerPolicy, SpeculativeWindow,
-};
+pub use policy::{CandidateOrder, PassPlan, PolicyStats, SchedulePolicy, SchedulerPolicy};
 pub use queue::QueueFull;
 pub use request::{Completed, RequestSpec, RowClass, TxnId};
 pub use stats::SchedulerStats;

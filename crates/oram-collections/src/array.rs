@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious array.
 
-use ring_oram::{AccessOutcome, BlockId, RingConfig, RingOram};
+use ring_oram::{AccessOutcome, BlockId, ObliviousProtocol, RingConfig, RingOram};
 
 /// Error returned by oblivious-collection operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,9 +108,9 @@ impl ObliviousArray {
         self.block_bytes - 2
     }
 
-    /// The underlying ORAM (for statistics).
+    /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
-    pub fn oram(&self) -> &RingOram {
+    pub fn oram(&self) -> &dyn ObliviousProtocol {
         &self.oram
     }
 

@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious min-heap (priority queue).
 
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
 
 use crate::array::{decode, encode, CollectionError};
 
@@ -88,9 +88,9 @@ impl ObliviousHeap {
         self.capacity
     }
 
-    /// The underlying ORAM (for statistics).
+    /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
-    pub fn oram(&self) -> &RingOram {
+    pub fn oram(&self) -> &dyn ObliviousProtocol {
         &self.oram
     }
 

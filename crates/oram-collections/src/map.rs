@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious hash map.
 
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
 
 use crate::array::{decode, encode, CollectionError};
 
@@ -104,9 +104,9 @@ impl ObliviousMap {
         self.len == 0
     }
 
-    /// The underlying ORAM (for statistics).
+    /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
-    pub fn oram(&self) -> &RingOram {
+    pub fn oram(&self) -> &dyn ObliviousProtocol {
         &self.oram
     }
 

@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious stack.
 
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
 
 use crate::array::{decode, encode, CollectionError};
 
@@ -65,9 +65,9 @@ impl ObliviousStack {
         self.capacity
     }
 
-    /// The underlying ORAM (for statistics).
+    /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
-    pub fn oram(&self) -> &RingOram {
+    pub fn oram(&self) -> &dyn ObliviousProtocol {
         &self.oram
     }
 

@@ -137,7 +137,8 @@ fn legal_trace(seed: u64) -> Vec<(u64, dram_sim::DramCommand)> {
         cycle += 1;
         assert!(cycle < 1_000_000, "controller wedged");
     }
-    ctrl.take_command_trace()
+    let events = ctrl.take_command_events();
+    events.into_iter().map(|e| (e.cycle, e.cmd)).collect()
 }
 
 /// The shadow checker accepts the real controller's trace, and catches a
