@@ -1,6 +1,6 @@
 //! Microbenchmarks of the individual substrates: protocol access planning,
-//! DRAM command issue, scheduler ticks, trace generation, crypto and the
-//! whole-system step loop.
+//! DRAM command issue, scheduler ticks, trace generation, crypto, the
+//! whole-system step loop and the service clock.
 //!
 //! Self-timed (no external harness, so the workspace builds offline): each
 //! case is warmed up, then run for a fixed iteration budget, reporting
@@ -24,14 +24,15 @@ use dram_sim::timing::TimingParams;
 use dram_sim::{AddressMapping, DramCommand, DramLocation, DramModule};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
 use oram_collections::ObliviousMap;
+use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
 use ring_oram::crypto::BlockCipher;
 use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
 use ring_oram::{
     BlockId, CircuitOram, ObliviousProtocol, PathConfig, PathOram, RingConfig, RingOram,
 };
-use string_oram::{Scheme, Simulation, SystemConfig};
+use string_oram::{BackendKind, Scheme, Simulation, SystemConfig};
 use string_oram_bench::{env_or, print_header, print_row};
-use trace_synth::{by_name, TraceGenerator};
+use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
 
 fn iters() -> u64 {
     env_or("STRING_ORAM_MICRO_ITERS", 2000)
@@ -313,6 +314,56 @@ fn bench_system_step() {
     });
 }
 
+/// The service clock at the repo benchmark's shape (hpca geometry,
+/// functional backend, one slot per 256 ticks, three silent tenants, no
+/// request ever submitted, so every slot carries a cover access): what a
+/// tick costs when it is a slot and when nothing at all is due. The quiet
+/// row times what is left of each interval once the shard has drained the
+/// slot's access.
+fn bench_service_tick() {
+    const INTERVAL: u64 = 256;
+    let intervals = iters();
+    let mut cfg = ServiceConfig::test_small(
+        ["a", "b", "c"]
+            .map(|name| TenantSpec::new(name, ArrivalSpec::steady(0.0)))
+            .into(),
+        (intervals + 1) * INTERVAL,
+    );
+    cfg.system = SystemConfig::hpca_default(Scheme::All);
+    cfg.system.backend = BackendKind::FastFunctional;
+    cfg.policy = SubmissionPolicy::FixedRate {
+        interval: INTERVAL,
+        batch: 1,
+    };
+    let mut svc = OramService::new(cfg).expect("valid config");
+    let (mut slot_ns, mut quiet_ns, mut quiet_ticks) = (0, 0, 0);
+    for slot in 1..=intervals {
+        let start = Instant::now();
+        svc.tick_once();
+        slot_ns += start.elapsed().as_nanos();
+        while !svc.shards()[0].is_drained() && svc.ticks() < slot * INTERVAL {
+            svc.tick_once();
+        }
+        quiet_ticks += slot * INTERVAL - svc.ticks();
+        let start = Instant::now();
+        while svc.ticks() < slot * INTERVAL {
+            svc.tick_once();
+        }
+        quiet_ns += start.elapsed().as_nanos();
+    }
+    let slot = slot_ns as f64 / intervals as f64;
+    print_row("service_tick_slot", &[format!("{slot:>10.0} ns/tick")]);
+    let quiet = quiet_ns as f64 / quiet_ticks as f64;
+    let share = quiet_ticks as f64 / (intervals * INTERVAL) as f64;
+    print_row(
+        "service_tick_quiet",
+        &[
+            format!("{quiet:>10.1} ns/tick"),
+            format!("{share:.3} of ticks"),
+        ],
+    );
+}
+
 fn main() {
     print_header("Microbenchmarks (mean over self-timed iterations)");
     bench_protocol_access();
@@ -325,4 +376,5 @@ fn main() {
     bench_recursive_access();
     bench_collections();
     bench_system_step();
+    bench_service_tick();
 }

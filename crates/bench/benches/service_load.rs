@@ -1,15 +1,18 @@
-//! Service load matrix: the `oram-service` front-end under an overload
-//! storm, over every submission mode × memory backend pair, recorded to
+//! Service load matrix: the `oram-service` front-end at two loads, over
+//! every submission mode × memory backend pair, recorded to
 //! `BENCH_service_load.json` at the repo root (format:
 //! `schema::SERVICE_LOAD`; the committed copy is re-validated by the bench
 //! lib's tests and the CI smoke step).
 //!
-//! The storm is the same ≥4× one the robustness suite uses: two heavy
+//! `overload` is the same ≥4× storm the robustness suite uses: two heavy
 //! tenants plus a diurnal one, arrival rates far above the submission
-//! rate, deadlines short enough that deep queues expire. Each cell reports
-//! per-tenant outcomes (p50/p99/p999, shed and timeout rates), the
-//! governor's transition counts, and the padding cost of the fixed-rate
-//! cadence versus best-effort.
+//! rate, deadlines short enough that deep queues expire. `provisioned` is
+//! the same service under the repo benchmark's three tenants, about 60 %
+//! of the fixed-rate cadence's slots: the point where the cadence pads and
+//! most ticks are idle. Each cell reports per-tenant outcomes
+//! (p50/p99/p999, shed and timeout rates), the governor's transition
+//! counts, the padding cost of the fixed-rate cadence versus best-effort,
+//! the host cost of a tick and the share of shard steps that were quiet.
 //!
 //! Exit gates: every run must audit clean (zero violations), and — through
 //! the `SERVICE_LOAD` schema the document is written under, so that the
@@ -35,16 +38,24 @@ fn horizon() -> u64 {
     env_or("STRING_ORAM_SERVICE_HORIZON", 12_000)
 }
 
-fn tenants() -> Vec<TenantSpec> {
+/// The load axis: per-kilo-tick rates of the steady, the bursty (×4) and
+/// the diurnal tenant. The fixed-rate cadence offers 3.9 slots per
+/// kilo-tick.
+const LOADS: [(&str, [f64; 3]); 2] = [
+    ("overload", [24.0, 12.0, 8.0]),
+    ("provisioned", [1.0, 0.5, 0.8]),
+];
+
+fn tenants(rates: [f64; 3]) -> Vec<TenantSpec> {
     vec![
-        TenantSpec::new("alpha", ArrivalSpec::steady(24.0)),
-        TenantSpec::new("beta", ArrivalSpec::bursty(12.0, 4.0)),
-        TenantSpec::new("gamma", ArrivalSpec::diurnal(8.0, 4_000, 0.8)),
+        TenantSpec::new("alpha", ArrivalSpec::steady(rates[0])),
+        TenantSpec::new("beta", ArrivalSpec::bursty(rates[1], 4.0)),
+        TenantSpec::new("gamma", ArrivalSpec::diurnal(rates[2], 4_000, 0.8)),
     ]
 }
 
-fn cfg_for(policy: SubmissionPolicy, backend: BackendKind) -> ServiceConfig {
-    let mut cfg = ServiceConfig::test_small(tenants(), horizon());
+fn cfg_for(rates: [f64; 3], policy: SubmissionPolicy, backend: BackendKind) -> ServiceConfig {
+    let mut cfg = ServiceConfig::test_small(tenants(rates), horizon());
     cfg.system.backend = backend;
     cfg.policy = policy;
     cfg.deadline_cycles = 3_000;
@@ -61,14 +72,21 @@ fn cfg_for(policy: SubmissionPolicy, backend: BackendKind) -> ServiceConfig {
 }
 
 struct Cell {
+    load: &'static str,
     mode: &'static str,
     backend: &'static str,
     summary: ServiceSummary,
     wall: Duration,
+    /// Shard steps that took the pipeline's O(1) path, over all steps.
+    quiet_tick_share: f64,
 }
 
-fn measure(policy: SubmissionPolicy, backend: BackendKind, backend_name: &'static str) -> Cell {
-    let cfg = cfg_for(policy, backend);
+fn measure(
+    (load, rates): (&'static str, [f64; 3]),
+    policy: SubmissionPolicy,
+    (backend, backend_name): (BackendKind, &'static str),
+) -> Cell {
+    let cfg = cfg_for(rates, policy, backend);
     let mode = cfg.policy.label();
     let mut service = OramService::new(cfg).expect("valid config");
     let start = Instant::now();
@@ -76,16 +94,22 @@ fn measure(policy: SubmissionPolicy, backend: BackendKind, backend_name: &'stati
     let wall = start.elapsed();
     if !report.violations.is_empty() {
         println!(
-            "FAIL: {mode}/{backend_name} violations: {:?}",
+            "FAIL: {load}/{mode}/{backend_name} violations: {:?}",
             report.violations
         );
         std::process::exit(1);
     }
+    let (quiet, steps) = service
+        .shards()
+        .iter()
+        .fold((0, 0), |(q, c), s| (q + s.quiet_steps(), c + s.cycles()));
     Cell {
+        load,
         mode,
         backend: backend_name,
         summary: report.service.expect("service summary attached"),
         wall,
+        quiet_tick_share: quiet as f64 / steps as f64,
     }
 }
 
@@ -105,6 +129,7 @@ fn cell_json(cell: &Cell) -> Value {
     let s = &cell.summary;
     let (shed_rate, timeout_rate) = cell.shed_and_timeout_rates();
     Value::object(vec![
+        ("load", cell.load.into()),
         ("mode", cell.mode.into()),
         ("backend", cell.backend.into()),
         ("policy", s.policy.as_str().into()),
@@ -115,6 +140,11 @@ fn cell_json(cell: &Cell) -> Value {
         ("shed_rate", finite(shed_rate)),
         ("timeout_rate", finite(timeout_rate)),
         ("run_wall_ms", finite(cell.wall.as_secs_f64() * 1e3)),
+        (
+            "ns_per_tick",
+            finite(cell.wall.as_secs_f64() * 1e9 / s.ticks as f64),
+        ),
+        ("quiet_tick_share", finite(cell.quiet_tick_share)),
         (
             "governor_degraded_entries",
             s.governor.degraded_entries.into(),
@@ -148,40 +178,54 @@ fn cell_json(cell: &Cell) -> Value {
 
 fn main() {
     let horizon = horizon();
-    println!("# service_load: 3-tenant overload storm, horizon {horizon} cycles");
+    println!("# service_load: 3 tenants at 2 loads, horizon {horizon} cycles");
     println!(
-        "{:<12} {:<16} {:>8} {:>7} {:>7} {:>7} {:>8} {:>8} {:>10}",
-        "mode", "backend", "ticks", "real", "pad", "shed%", "t/o%", "wall ms", "digest"
+        "{:<12} {:<12} {:<16} {:>7} {:>6} {:>6} {:>7} {:>7} {:>8} {:>7} {:>10}",
+        "load",
+        "mode",
+        "backend",
+        "ticks",
+        "real",
+        "pad",
+        "shed%",
+        "t/o%",
+        "ns/tick",
+        "quiet%",
+        "digest"
     );
 
     let mut cells = Vec::new();
-    for (backend, backend_name) in [
-        (BackendKind::CycleAccurate, "cycle-accurate"),
-        (BackendKind::FastFunctional, "fast-functional"),
-    ] {
-        for policy in [
-            SubmissionPolicy::BestEffort { batch: 4 },
-            SubmissionPolicy::FixedRate {
-                interval: 256,
-                batch: 1,
-            },
+    for load in LOADS {
+        for backend in [
+            (BackendKind::CycleAccurate, "cycle-accurate"),
+            (BackendKind::FastFunctional, "fast-functional"),
         ] {
-            let cell = measure(policy, backend, backend_name);
-            let s = &cell.summary;
-            let (shed_rate, timeout_rate) = cell.shed_and_timeout_rates();
-            println!(
-                "{:<12} {:<16} {:>8} {:>7} {:>7} {:>6.1}% {:>7.1}% {:>8.2} {:#018x}",
-                cell.mode,
-                cell.backend,
-                s.ticks,
-                s.real_accesses,
-                s.padding_accesses,
-                100.0 * shed_rate,
-                100.0 * timeout_rate,
-                cell.wall.as_secs_f64() * 1e3,
-                s.schedule_digest,
-            );
-            cells.push(cell);
+            for policy in [
+                SubmissionPolicy::BestEffort { batch: 4 },
+                SubmissionPolicy::FixedRate {
+                    interval: 256,
+                    batch: 1,
+                },
+            ] {
+                let cell = measure(load, policy, backend);
+                let s = &cell.summary;
+                let (shed_rate, timeout_rate) = cell.shed_and_timeout_rates();
+                println!(
+                    "{:<12} {:<12} {:<16} {:>7} {:>6} {:>6} {:>6.1}% {:>6.1}% {:>8.1} {:>6.1}% {:#018x}",
+                    cell.load,
+                    cell.mode,
+                    cell.backend,
+                    s.ticks,
+                    s.real_accesses,
+                    s.padding_accesses,
+                    100.0 * shed_rate,
+                    100.0 * timeout_rate,
+                    cell.wall.as_secs_f64() * 1e9 / s.ticks as f64,
+                    100.0 * cell.quiet_tick_share,
+                    s.schedule_digest,
+                );
+                cells.push(cell);
+            }
         }
     }
 
@@ -189,6 +233,7 @@ fn main() {
         (
             "master_seed",
             cfg_for(
+                LOADS[0].1,
                 SubmissionPolicy::BestEffort { batch: 4 },
                 BackendKind::CycleAccurate,
             )
@@ -197,11 +242,11 @@ fn main() {
             .into(),
         ),
         ("horizon", horizon.into()),
-        ("tenants", tenants().len().into()),
+        ("tenants", tenants(LOADS[0].1).len().into()),
         (
             "points",
             Value::Array(cells.iter().map(cell_json).collect()),
         ),
     ]);
-    println!("PASS: fixed-rate envelope identical across backends, all runs audit clean");
+    println!("PASS: fixed-rate envelope identical across backends and loads, all runs audit clean");
 }

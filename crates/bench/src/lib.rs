@@ -407,14 +407,15 @@ mod tests {
     }
 
     fn minimal_service_load() -> String {
-        let point = |mode: &str, backend: &str, padding: u64, digest: &str| {
+        let point = |load: &str, mode: &str, backend: &str, padding: u64, digest: &str| {
             format!(
                 r#"{{
-                    "mode": "{mode}", "backend": "{backend}",
+                    "load": "{load}", "mode": "{mode}", "backend": "{backend}",
                     "policy": "{mode}/batch=4", "ticks": 20000,
                     "real_accesses": 400, "padding_accesses": {padding},
                     "padding_overhead": 0.1, "shed_rate": 0.2,
                     "timeout_rate": 0.05, "run_wall_ms": 12.5,
+                    "ns_per_tick": 625.0, "quiet_tick_share": 0.4,
                     "governor_degraded_entries": 1, "governor_shed_entries": 1,
                     "governor_recoveries": 1,
                     "schedule_digest": "{digest}",
@@ -429,14 +430,66 @@ mod tests {
         };
         format!(
             r#"{{
-                "bench": "service_load", "schema_version": 1,
+                "bench": "service_load", "schema_version": 2,
                 "master_seed": 219966046, "horizon": 12000, "tenants": 1,
-                "points": [{}, {}, {}, {}]
+                "points": [{}, {}, {}, {}, {}, {}, {}, {}]
             }}"#,
-            point("best-effort", "cycle-accurate", 0, "0x1111111111111111"),
-            point("best-effort", "fast-functional", 0, "0x2222222222222222"),
-            point("fixed-rate", "cycle-accurate", 40, "0x3333333333333333"),
-            point("fixed-rate", "fast-functional", 40, "0x3333333333333333"),
+            point(
+                "overload",
+                "best-effort",
+                "cycle-accurate",
+                0,
+                "0x1111111111111111"
+            ),
+            point(
+                "overload",
+                "best-effort",
+                "fast-functional",
+                0,
+                "0x2222222222222222"
+            ),
+            point(
+                "overload",
+                "fixed-rate",
+                "cycle-accurate",
+                0,
+                "0x3333333333333333"
+            ),
+            point(
+                "overload",
+                "fixed-rate",
+                "fast-functional",
+                0,
+                "0x3333333333333333"
+            ),
+            point(
+                "provisioned",
+                "best-effort",
+                "cycle-accurate",
+                0,
+                "0x5555555555555555"
+            ),
+            point(
+                "provisioned",
+                "best-effort",
+                "fast-functional",
+                0,
+                "0x6666666666666666"
+            ),
+            point(
+                "provisioned",
+                "fixed-rate",
+                "cycle-accurate",
+                40,
+                "0x3333333333333333"
+            ),
+            point(
+                "provisioned",
+                "fixed-rate",
+                "fast-functional",
+                41,
+                "0x3333333333333333"
+            ),
         )
     }
 
@@ -464,7 +517,17 @@ mod tests {
             (
                 "0x3333333333333333",
                 "0x4444444444444444",
-                "fixed-rate digest disagreement across backends",
+                "fixed-rate digest disagreement across backends and loads",
+            ),
+            (
+                "\"padding_accesses\": 41",
+                "\"padding_accesses\": 0",
+                "a provisioned fixed-rate point that never padded",
+            ),
+            (
+                "\"quiet_tick_share\": 0.4",
+                "\"quiet_tick_share\": 1.4",
+                "quiet share outside [0, 1]",
             ),
             (
                 "\"shed_rate\": 0.2",
@@ -479,7 +542,7 @@ mod tests {
             (
                 "\"mode\": \"fixed-rate\", \"backend\": \"fast-functional\"",
                 "\"mode\": \"best-effort\", \"backend\": \"cycle-accurate\"",
-                "duplicate mode x backend pair",
+                "duplicate load x mode x backend point",
             ),
         ] {
             let damaged = good.replacen(needle, replacement, 1);

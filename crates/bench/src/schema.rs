@@ -319,13 +319,14 @@ const PROTOCOL_POINTS: Group = Group {
 };
 
 /// `BENCH_service_load.json`: the service front-end under an overload
-/// storm, every submission mode on both backends
+/// storm and at a provisioned load, every submission mode on both backends
 /// (`benches/service_load.rs`). The fixed-rate schedule digest is the same
-/// on both backends: the fixed-rate submission envelope is a pure function
-/// of the clock and may depend on memory timing no more than on tenant load.
+/// on every fixed-rate point: the fixed-rate submission envelope is a pure
+/// function of the clock and may depend on memory timing no more than on
+/// tenant load.
 pub const SERVICE_LOAD: Schema = Schema {
     bench: "service_load",
-    version: 1,
+    version: 2,
     header: &[
         Keys(&["master_seed"], COUNT),
         // "tenants" before "points", whose last rule reads it.
@@ -335,6 +336,7 @@ pub const SERVICE_LOAD: Schema = Schema {
 };
 const SERVICE_POINTS: Group = Group {
     axes: &[
+        ("load", OneOf(&["overload", "provisioned"])),
         ("mode", OneOf(&["best-effort", "fixed-rate"])),
         ("backend", BACKENDS),
     ],
@@ -344,7 +346,9 @@ const SERVICE_POINTS: Group = Group {
         Keys(&["ticks"], AtLeast(1)),
         Keys(&["real_accesses", "padding_accesses"], COUNT),
         Keys(&["padding_overhead", "shed_rate", "timeout_rate"], Fraction),
-        Keys(&["run_wall_ms"], Positive),
+        Keys(&["run_wall_ms", "ns_per_tick"], Positive),
+        // The share of shard steps that took the pipeline's O(1) path.
+        Keys(&["quiet_tick_share"], Fraction),
         Keys(&["governor_degraded_entries"], COUNT),
         Keys(&["governor_shed_entries", "governor_recoveries"], COUNT),
         Keys(&["schedule_digest"], Digest),
@@ -359,6 +363,16 @@ const SERVICE_POINTS: Group = Group {
         Rule(
             |p, _| text(p, "mode") != "best-effort" || uint(p, "padding_accesses") == 0,
             "best-effort submission never pads",
+        ),
+        // The point of the provisioned load: slots outnumber requests, so
+        // the cadence's padding cost is on record, not just its envelope.
+        Rule(
+            |p, _| {
+                text(p, "mode") != "fixed-rate"
+                    || text(p, "load") != "provisioned"
+                    || uint(p, "padding_accesses") > 0
+            },
+            "a provisioned fixed-rate cadence pads its idle slots",
         ),
         Rule(
             |p, doc| list(p, "tenants").len() as u64 == uint(doc, "tenants"),
@@ -466,7 +480,7 @@ mod tests {
     const SCHEMAS: [(&Schema, usize); 4] = [
         (&SHARD_SCALING, 24),
         (&PROTOCOL_MATRIX, 16),
-        (&SERVICE_LOAD, 30),
+        (&SERVICE_LOAD, 33),
         (&SCHED_POLICY, 20),
     ];
 

@@ -100,6 +100,20 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     /// Advances the backend by one memory cycle.
     fn tick(&mut self, cycle: u64);
 
+    /// The first cycle, no earlier than `from`, at which [`Self::tick`] can
+    /// do more than count itself. A backend that answers `c > from`
+    /// promises that, unless a request is enqueued first, its ticks at
+    /// `from .. c` complete nothing, emit no command event and move no
+    /// counter but `ticks` and `queue_occupancy_integral` — so a caller
+    /// that still makes those ticks may skip draining after them.
+    ///
+    /// The default answers `from` (never quiet), which is always right.
+    /// The cycle-accurate controller keeps it: refresh and its per-cycle
+    /// bank accounting run on every tick, with or without requests.
+    fn next_event_cycle(&self, from: u64) -> u64 {
+        from
+    }
+
     /// Takes all requests completed since the last call.
     fn drain_completed(&mut self) -> Vec<Completed>;
 

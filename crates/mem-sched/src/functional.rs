@@ -93,6 +93,10 @@ pub struct FunctionalBackend {
     waiting: Vec<VecDeque<Scheduled>>,
     /// Total scheduled-but-unreleased requests across all channels.
     waiting_len: usize,
+    /// Earliest issue cycle among the waiting requests (`u64::MAX` when
+    /// none waits): lowered on enqueue, recomputed from the channel fronts
+    /// after a release, so a tick before it is a compare.
+    next_due: u64,
     /// Open row per bank, indexed by [`DramLocation::bank_key`].
     open_rows: Vec<Option<u64>>,
     /// First cycle at which each channel's data bus is free again.
@@ -143,6 +147,7 @@ impl FunctionalBackend {
             timing,
             waiting: vec![VecDeque::new(); channels],
             waiting_len: 0,
+            next_due: u64::MAX,
             cur_txn: None,
             txn_gate: 0,
             max_issue: 0,
@@ -260,6 +265,7 @@ impl MemoryBackend for FunctionalBackend {
             latency,
         });
         self.waiting_len += 1;
+        self.next_due = self.next_due.min(issue_at);
         Ok(id)
     }
 
@@ -271,21 +277,26 @@ impl MemoryBackend for FunctionalBackend {
     fn tick(&mut self, cycle: u64) {
         self.stats.ticks += 1;
         self.stats.queue_occupancy_integral += self.waiting_len as u64;
-        if self.waiting_len == 0 {
+        if cycle < self.next_due {
             return;
         }
+        let mut next_due = u64::MAX;
         for ch in 0..self.waiting.len() {
-            while self.waiting[ch]
-                .front()
-                .is_some_and(|r| r.issue_at <= cycle)
-            {
-                let Some(req) = self.waiting[ch].pop_front() else {
+            while let Some(&req) = self.waiting[ch].front() {
+                if req.issue_at > cycle {
+                    next_due = next_due.min(req.issue_at);
                     break;
-                };
+                }
+                self.waiting[ch].pop_front();
                 self.waiting_len -= 1;
                 self.release(req);
             }
         }
+        self.next_due = next_due;
+    }
+
+    fn next_event_cycle(&self, from: u64) -> u64 {
+        self.next_due.max(from)
     }
 
     fn drain_completed(&mut self) -> Vec<Completed> {
@@ -487,6 +498,46 @@ mod tests {
         for pair in events.windows(2) {
             assert!(pair[0].txn <= pair[1].txn, "transaction order violated");
         }
+    }
+
+    /// `next_event_cycle` against the definition: every tick before the
+    /// answer completes nothing, the tick at the answer completes something,
+    /// and an empty backend is quiet for good.
+    #[test]
+    fn next_event_cycle_is_the_next_release() {
+        let mut b = backend();
+        assert_eq!(b.next_event_cycle(7), u64::MAX, "nothing waits");
+        for i in 0..6u64 {
+            b.try_enqueue(
+                RequestSpec {
+                    addr: addr(&b, (i % 2) as u32, (i % 3) as u32, i, 0),
+                    is_write: i % 2 == 1,
+                    txn: TxnId(i / 2),
+                },
+                3,
+            )
+            .unwrap();
+        }
+        let mut cycle = 3;
+        let mut released = 0;
+        while b.pending() > 0 {
+            let due = b.next_event_cycle(cycle);
+            assert!(due >= cycle && due < 500, "due {due} at {cycle}");
+            for quiet in cycle..due {
+                MemoryBackend::tick(&mut b, quiet);
+                assert!(b.drain_completed().is_empty(), "release before {due}");
+            }
+            MemoryBackend::tick(&mut b, due);
+            let done = b.drain_completed();
+            assert!(!done.is_empty(), "nothing released at {due}");
+            assert!(done.iter().all(|d| d.issue_at == due));
+            released += done.len();
+            cycle = due + 1;
+        }
+        assert_eq!(released, 6);
+        assert_eq!(b.next_event_cycle(cycle), u64::MAX);
+        // Every tick was made, quiet or not.
+        assert_eq!(b.sched_stats().ticks, cycle - 3);
     }
 
     #[test]

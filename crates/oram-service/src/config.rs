@@ -59,6 +59,17 @@ pub struct TenantSpec {
     pub write_fraction: f64,
 }
 
+/// Bounds on a tenant's peak arrival rate (`ArrivalSpec::peak_per_tick`)
+/// that [`ServiceConfig::validate`] enforces: at most this many arrivals
+/// per tick per queue slot — arrivals in one tick beyond the tenant's whole
+/// queue can only be shed, so a mean of more than a few queue-fulls per
+/// tick buys no admission behaviour a lower rate lacks, only a `submit` and
+/// a request record per arrival, every tick —
+const PEAK_ARRIVALS_PER_QUEUE_SLOT: f64 = 4.0;
+/// and at most this many per tick whatever the queue cap, which keeps the
+/// arrival process's `u32` per-tick count far from saturating.
+const PEAK_ARRIVALS_PER_TICK: f64 = 65_536.0;
+
 impl TenantSpec {
     /// A tenant with sane defaults: 64-deep queue, 25% writes, 4096
     /// blocks, the given arrival shape.
@@ -200,8 +211,10 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// [`ConfigError::Invalid`] when the underlying system config fails
-    /// its own validation, a numeric knob is out of range, or the policy
-    /// is unsupported: fixed-rate padding requires a protocol with native
+    /// its own validation, a numeric knob is out of range, a tenant's peak
+    /// arrival rate (`ArrivalSpec::peak_per_tick`) exceeds
+    /// `min(4 x queue_cap, 2^16)` requests per tick, or the policy is
+    /// unsupported: fixed-rate padding requires a protocol with native
     /// cover accesses (Ring / Ring+CB) and no recursion.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.system.validate()?;
@@ -222,6 +235,17 @@ impl ServiceConfig {
             spec.arrivals
                 .validate()
                 .map_err(|e| ConfigError::Invalid(format!("tenant {t}: {e}")))?;
+            let peak = spec.arrivals.peak_per_tick();
+            let limit =
+                (spec.queue_cap as f64 * PEAK_ARRIVALS_PER_QUEUE_SLOT).min(PEAK_ARRIVALS_PER_TICK);
+            if peak > limit {
+                return bad(format!(
+                    "tenant {t} ({}): peak arrival rate of {peak} requests per tick exceeds \
+                     {limit} (min of {PEAK_ARRIVALS_PER_QUEUE_SLOT} x queue_cap {} and \
+                     {PEAK_ARRIVALS_PER_TICK}); arrivals beyond the queue are only shed",
+                    spec.name, spec.queue_cap
+                ));
+            }
         }
         match self.policy {
             SubmissionPolicy::BestEffort { batch } | SubmissionPolicy::FixedRate { batch, .. }
@@ -328,6 +352,33 @@ mod tests {
         let mut c = cfg();
         c.tenants[0].write_fraction = 1.5;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn runaway_arrival_rates_are_refused_by_name() {
+        // 64-deep queue: up to 256 arrivals per tick at the peak.
+        let mut c = cfg();
+        c.tenants[0].arrivals = ArrivalSpec::steady(256_000.0);
+        c.validate().unwrap();
+        c.tenants[0].arrivals = ArrivalSpec::steady(256_001.0);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("tenant 0 (a)") && err.contains("256.001"),
+            "{err}"
+        );
+        // The peak counts the burst multiplier and the diurnal crest.
+        let mut spec = ArrivalSpec::diurnal(100_000.0, 1_000, 0.5);
+        spec.burst_multiplier = 2.0;
+        c.tenants[0].arrivals = spec;
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("300 requests per tick"), "{err}");
+        // A huge queue does not lift the absolute bound: the count the
+        // process returns is a u32.
+        c.tenants[0].queue_cap = 1 << 40;
+        c.tenants[0].arrivals = ArrivalSpec::steady(5e12);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("65536"), "{err}");
+        assert!(crate::OramService::new(c).is_err());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl GovernorState {
 }
 
 /// The state machine plus its transition counters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Governor {
     cfg: crate::config::GovernorConfig,
     state: GovernorState,
@@ -75,11 +75,17 @@ impl Governor {
     }
 
     /// Folds one observation of total queue pressure (`fill` = total
-    /// queued / total capacity) and performs at most one transition.
-    /// Called once per cycle; admission on the *next* cycle sees the new
-    /// state (one-cycle-delayed control, which keeps admission for a cycle
-    /// independent of that same cycle's arrivals).
-    pub fn observe(&mut self, fill: f64) {
+    /// queued / total capacity), performs at most one transition and
+    /// returns whether it made one. Called at the end of a cycle; admission
+    /// on the *next* cycle sees the new state (one-cycle-delayed control,
+    /// which keeps admission for a cycle independent of that same cycle's
+    /// arrivals).
+    ///
+    /// The new state depends on the old state and `fill` alone, so an
+    /// observation that made no transition need not be repeated while
+    /// `fill` stays what it was.
+    pub fn observe(&mut self, fill: f64) -> bool {
+        let before = self.state;
         self.state = match self.state {
             GovernorState::Healthy if fill >= self.cfg.degrade_enter => {
                 self.summary.degraded_entries += 1;
@@ -96,6 +102,7 @@ impl Governor {
             GovernorState::Shedding if fill <= self.cfg.shed_exit => GovernorState::Degraded,
             s => s,
         };
+        self.state != before
     }
 
     /// The effective queue bound for a tenant with capacity `cap` under

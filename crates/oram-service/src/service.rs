@@ -3,17 +3,31 @@
 //!
 //! [`OramService`] owns one [`ShardPipeline`] per shard and advances them
 //! in lockstep on a single virtual clock (one service tick = one
-//! memory-bus cycle). Each tick runs a fixed phase order:
+//! memory-bus cycle). Each tick runs a fixed phase order, and each phase
+//! costs what changed this tick, not what exists (what wakes it is in
+//! parentheses):
 //!
-//! 1. resolve engine completions due this tick,
-//! 2. expire deadlines due this tick (completions win ties),
-//! 3. generate arrivals and run admission (against the governor state
-//!    observed at the *end of the previous* tick),
+//! 1. resolve engine completions due this tick (the wake heap's head),
+//! 2. expire deadlines due this tick — completions win ties (the deadline
+//!    heap's head),
+//! 3. generate arrivals and run admission, against the governor state
+//!    observed at the *end of the previous* tick (tenants whose arrival
+//!    shape is not silent; every depth that rises is audited where it
+//!    rises),
 //! 4. dispatch queued requests (and cover padding) per the submission
-//!    policy,
-//! 5. step every shard one cycle, in shard-id order,
-//! 6. audit the tick and fold the submission envelope digest,
-//! 7. observe queue pressure into the governor.
+//!    policy, and seal the tick's envelope (fixed rate: the slot tick;
+//!    best effort: a non-empty queue),
+//! 5. fold the submission envelope digest (every tick inside the horizon:
+//!    the digest is defined per tick),
+//! 6. step every shard one cycle, in shard-id order (a shard with nothing
+//!    to enqueue and nothing due steps in O(1)),
+//! 7. observe queue pressure into the governor (a total depth other than
+//!    the one it last settled on).
+//!
+//! A tick on which nothing is due — most ticks of a fixed-rate cadence —
+//! is therefore two heap peeks, the live tenants' draws, one digest fold,
+//! one O(1) step per shard and a few compares. Debug builds check the
+//! maintained state against the sums and tests it replaces.
 //!
 //! Everything is deterministic: arrivals, block choices and cover routing
 //! all draw from streams derived from the master seed with
@@ -49,12 +63,37 @@ const NO_ATTEMPT: u64 = u64::MAX;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    hash
+    pow
+};
+
+/// FNV-1a over `value`'s eight little-endian bytes. A zero byte folds as
+/// `(h ^ 0) * p`, so the `k` zero high bytes of a small value fold as one
+/// multiply by `p^k`: the same hash in `9 - k` dependent multiplies, not 8.
+fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+    let (mut folded, mut rest, mut zero_bytes) = (hash, value, 8);
+    while rest != 0 {
+        folded = (folded ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+        zero_bytes -= 1;
+    }
+    folded = folded.wrapping_mul(FNV_PRIME_POW[zero_bytes]);
+    debug_assert_eq!(folded, fnv1a_bytes(hash, &value.to_le_bytes()));
+    folded
+}
+
+/// FNV-1a byte by byte: what [`fnv1a_u64`] must equal.
+fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// Where a request currently is in its lifecycle.
@@ -163,7 +202,11 @@ pub struct OramService {
     map: ShardMap,
     shards: Vec<ShardPipeline>,
     tenants: Vec<Tenant>,
-    arrival_procs: Vec<ArrivalProcess>,
+    /// `(tenant, process)` for the tenants whose arrival shape can ever
+    /// fire, in id order. A silent shape (rate 0) gets no process: it
+    /// would yield no arrival, and its burst-state draws would be visible
+    /// to nobody.
+    arrivals: Vec<(usize, ArrivalProcess)>,
     requests: Vec<Request>,
     /// Attempt id → request id. Attempt ids are assigned densely at
     /// dispatch time.
@@ -188,6 +231,15 @@ pub struct OramService {
     real_dispatched: u64,
     cover_dispatched: u64,
     total_caps: usize,
+    /// Sum of the tenants' `queued_live`, kept where a depth changes.
+    queued_total: usize,
+    /// The total depth at which the governor's last observation made no
+    /// transition. Its next state is a function of its state and the fill,
+    /// so observing that total again changes nothing; `None` while the last
+    /// observation moved it (the same fill may move it again).
+    governor_settled_at: Option<usize>,
+    /// The next fixed-rate slot tick (multiples of the interval).
+    next_slot: u64,
 }
 
 impl OramService {
@@ -207,12 +259,14 @@ impl OramService {
             .map(ShardPipeline::build)
             .collect::<Result<Vec<_>, _>>()?;
         let arrivals_master = derive_stream_seed(cfg.system.seed, ARRIVALS_STREAM);
-        let arrival_procs: Vec<ArrivalProcess> = cfg
+        let arrivals = cfg
             .tenants
             .iter()
             .enumerate()
+            .filter(|(_, spec)| !spec.arrivals.is_silent())
             .map(|(t, spec)| {
-                ArrivalProcess::new(spec.arrivals, derive_stream_seed(arrivals_master, t as u64))
+                let seed = derive_stream_seed(arrivals_master, t as u64);
+                (t, ArrivalProcess::new(spec.arrivals, seed))
             })
             .collect();
         let tenants: Vec<Tenant> = cfg
@@ -236,7 +290,7 @@ impl OramService {
             map,
             shards,
             tenants,
-            arrival_procs,
+            arrivals,
             requests: Vec::new(),
             attempt_req: Vec::new(),
             deadlines: BinaryHeap::new(),
@@ -253,6 +307,9 @@ impl OramService {
             real_dispatched: 0,
             cover_dispatched: 0,
             total_caps,
+            queued_total: 0,
+            governor_settled_at: None,
+            next_slot: 0,
             cfg,
         })
     }
@@ -308,9 +365,7 @@ impl OramService {
             return Err(Rejected { tenant, reason });
         }
         ten.admitted += 1;
-        ten.queue.push_back(id);
-        ten.queued_live += 1;
-        ten.high_water = ten.high_water.max(ten.queued_live);
+        self.enqueue(tenant, id, now);
         let deadline = now + self.cfg.deadline_cycles;
         self.requests.push(Request {
             tenant,
@@ -325,6 +380,19 @@ impl OramService {
         self.deadlines.push(Reverse((deadline, id)));
         self.unresolved += 1;
         Ok(id)
+    }
+
+    /// Queues request `id` at its tenant's tail. A depth only ever rises
+    /// here, so this is where the auditor sees it: before any dispatch of
+    /// the same tick, like the per-tick audit this replaces.
+    fn enqueue(&mut self, tenant: usize, id: u64, now: u64) {
+        let ten = &mut self.tenants[tenant];
+        ten.queue.push_back(id);
+        ten.queued_live += 1;
+        ten.high_water = ten.high_water.max(ten.queued_live);
+        self.queued_total += 1;
+        self.auditor
+            .observe_queue_depth(now, tenant, ten.queued_live);
     }
 
     /// Resolves engine completions whose wake tick has arrived. A wake
@@ -384,10 +452,7 @@ impl OramService {
                         if self.tenants[tenant].queued_live < self.tenants[tenant].spec.queue_cap {
                             req.attempt = NO_ATTEMPT;
                             req.phase = Phase::Queued;
-                            let ten = &mut self.tenants[tenant];
-                            ten.queue.push_back(id);
-                            ten.queued_live += 1;
-                            ten.high_water = ten.high_water.max(ten.queued_live);
+                            self.enqueue(tenant, id, now);
                         } else {
                             self.resolve_timeout(id, now);
                         }
@@ -406,6 +471,7 @@ impl OramService {
         if req.phase == Phase::Queued {
             // Leaves a ghost in the queue, skipped lazily at dispatch.
             self.tenants[req.tenant].queued_live -= 1;
+            self.queued_total -= 1;
         }
         req.phase = Phase::Resolved;
         self.tenants[req.tenant].timed_out += 1;
@@ -440,6 +506,7 @@ impl OramService {
             }
             self.tenants[t].queue.pop_front();
             self.tenants[t].queued_live -= 1;
+            self.queued_total -= 1;
             self.rr = (t + 1) % n;
             return Some(id);
         }
@@ -478,14 +545,20 @@ impl OramService {
         debug_assert!(ok, "validated policies always have cover accesses");
     }
 
-    fn total_queued(&self) -> usize {
-        self.tenants.iter().map(|t| t.queued_live).sum()
+    /// Total queue fill, as the governor sees it.
+    fn fill(&self) -> f64 {
+        if self.total_caps == 0 {
+            0.0
+        } else {
+            self.queued_total as f64 / self.total_caps as f64
+        }
     }
 
     /// Advances the service one tick (one memory-bus cycle) through the
     /// fixed phase order documented at module level.
     pub fn tick_once(&mut self) {
         let now = self.tick;
+        let in_horizon = now < self.cfg.horizon;
         // 1. Completions first: a request whose data arrives on its
         //    deadline tick completes rather than timing out.
         self.process_wakes(now);
@@ -493,9 +566,10 @@ impl OramService {
         self.process_deadlines(now);
         // 3. Arrivals (inside the horizon), against the governor state
         //    observed at the end of the previous tick.
-        if now < self.cfg.horizon {
-            for t in 0..self.tenants.len() {
-                let n = self.arrival_procs[t].next_tick();
+        if in_horizon {
+            for i in 0..self.arrivals.len() {
+                let t = self.arrivals[i].0;
+                let n = self.arrivals[i].1.next_tick();
                 for _ in 0..n {
                     let blocks = self.tenants[t].spec.blocks;
                     let wf = self.tenants[t].spec.write_fraction;
@@ -505,17 +579,17 @@ impl OramService {
                 }
             }
         }
-        for t in 0..self.tenants.len() {
-            self.auditor
-                .observe_queue_depth(now, t, self.tenants[t].queued_live);
-        }
+        debug_assert_eq!(
+            self.queued_total,
+            self.tenants.iter().map(|t| t.queued_live).sum::<usize>()
+        );
         // 4. Dispatch. The service keeps submitting past the horizon while
-        //    queues hold live requests (drain keeps the cadence).
-        let submitting = now < self.cfg.horizon || self.total_queued() > 0;
+        //    queues hold live requests (drain keeps the cadence). A tick
+        //    that submits, or should, is sealed for the envelope audit.
         let mut slots: u64 = 0;
-        if submitting {
-            match self.cfg.policy {
-                SubmissionPolicy::BestEffort { batch } => {
+        match self.cfg.policy {
+            SubmissionPolicy::BestEffort { batch } => {
+                if self.queued_total > 0 {
                     for _ in 0..batch {
                         let Some(id) = self.pop_next_real(true) else {
                             break;
@@ -523,9 +597,17 @@ impl OramService {
                         self.dispatch_real(id, now);
                         slots += 1;
                     }
+                    if slots > 0 {
+                        self.auditor.seal_tick(now);
+                    }
                 }
-                SubmissionPolicy::FixedRate { interval, batch } => {
-                    if now.is_multiple_of(interval) {
+            }
+            SubmissionPolicy::FixedRate { interval, batch } => {
+                let slot_tick = now == self.next_slot;
+                debug_assert_eq!(slot_tick, now.is_multiple_of(interval));
+                if slot_tick {
+                    self.next_slot += interval;
+                    if in_horizon || self.queued_total > 0 {
                         for _ in 0..batch {
                             match self.pop_next_real(false) {
                                 Some(id) => self.dispatch_real(id, now),
@@ -533,20 +615,20 @@ impl OramService {
                             }
                             slots += 1;
                         }
+                        self.auditor.seal_tick(now);
                     }
                 }
             }
-            self.auditor.seal_tick(now);
         }
-        // The envelope digest covers the steady-state window only: inside
-        // the horizon the fixed-rate envelope is a pure function of the
-        // clock and policy, so the digest is load-invariant. Past the
-        // horizon the envelope length itself depends on backlog size —
-        // the aggregate-drain leak the design doc discusses.
-        if now < self.cfg.horizon {
+        // 5. The envelope digest covers the steady-state window only:
+        //    inside the horizon the fixed-rate envelope is a pure function
+        //    of the clock and policy, so the digest is load-invariant. Past
+        //    the horizon the envelope length itself depends on backlog size
+        //    — the aggregate-drain leak the design doc discusses.
+        if in_horizon {
             self.schedule_digest = fnv1a_u64(fnv1a_u64(self.schedule_digest, now), slots);
         }
-        // 5. Lockstep step, shard-id order.
+        // 6. Lockstep step, shard-id order.
         let mut scratch = std::mem::take(&mut self.wake_scratch);
         for shard in &mut self.shards {
             scratch.clear();
@@ -558,14 +640,17 @@ impl OramService {
             }
         }
         self.wake_scratch = scratch;
-        // 6. Governor sees this tick's closing pressure; admission next
+        // 7. Governor sees this tick's closing pressure; admission next
         //    tick acts on it.
-        let fill = if self.total_caps == 0 {
-            0.0
+        if self.governor_settled_at == Some(self.queued_total) {
+            debug_assert!(
+                !self.governor.clone().observe(self.fill()),
+                "a settled governor moved on the fill it settled at"
+            );
         } else {
-            self.total_queued() as f64 / self.total_caps as f64
-        };
-        self.governor.observe(fill);
+            let moved = self.governor.observe(self.fill());
+            self.governor_settled_at = (!moved).then_some(self.queued_total);
+        }
         self.tick += 1;
     }
 
@@ -686,6 +771,17 @@ mod tests {
             ],
             horizon,
         )
+    }
+
+    #[test]
+    fn the_short_fold_is_the_byte_fold() {
+        let values = [0, 1, 0xff, 0x100, 0xab_00cd, 5_999_999, 1 << 56, u64::MAX];
+        for hash in [FNV_OFFSET, 0, u64::MAX] {
+            for value in values {
+                let bytes = fnv1a_bytes(hash, &value.to_le_bytes());
+                assert_eq!(fnv1a_u64(hash, value), bytes, "{hash:#x} {value:#x}");
+            }
+        }
     }
 
     #[test]

@@ -111,7 +111,11 @@ impl ServiceAuditor {
         }
     }
 
-    /// Checks a tenant's observed queue depth against its capacity.
+    /// Checks a tenant's observed queue depth against its capacity. The
+    /// check keeps no state: reporting a depth where it rises (it cannot
+    /// pass the capacity anywhere else) finds every overflow that reporting
+    /// all depths every cycle would, once per rise instead of once per
+    /// cycle it persists.
     pub fn observe_queue_depth(&mut self, cycle: u64, tenant: usize, depth: usize) {
         let cap = self.queue_caps.get(tenant).copied().unwrap_or(0);
         if depth > cap {
@@ -148,8 +152,11 @@ impl ServiceAuditor {
 
     /// Seals one cycle's submission window: checks the slot count emitted
     /// since the previous seal against the policy envelope and resets the
-    /// counter. Call once per cycle while the service is in its submitting
-    /// phase (arrival horizon plus drain-with-cadence).
+    /// counter. Call on every cycle of the submitting phase (arrival
+    /// horizon plus drain-with-cadence) that submitted a slot or, under a
+    /// fixed rate, is an interval boundary. A cycle with neither needs no
+    /// seal: slots accumulate until the next one, so a slot submitted off
+    /// the boundary breaks the count sealed there.
     pub fn seal_tick(&mut self, cycle: u64) {
         let slots = std::mem::take(&mut self.tick_slots);
         if let AuditedPolicy::FixedRate { interval, batch } = self.policy {
@@ -280,6 +287,54 @@ mod tests {
         a.observe_queue_depth(5, 1, 3); // over
         assert_eq!(a.violations().len(), 1);
         assert_eq!(a.violations()[0].rule, Rule::ServiceQueueBound);
+    }
+
+    /// The service reports a depth when it changes, not every cycle: one
+    /// observation of an over-capacity depth is a finding, however long
+    /// the depth then persists unreported.
+    #[test]
+    fn an_overflow_observed_once_is_flagged_once() {
+        let mut a = fixed(4, 1);
+        a.observe_queue_depth(3, 0, 4); // rises to capacity
+        a.observe_queue_depth(3, 0, 5); // rises past it: the one report
+        for cycle in 3..40u64 {
+            if cycle % 4 == 0 {
+                a.observe_dispatch(cycle, None);
+                a.seal_tick(cycle);
+            }
+        }
+        assert_eq!(a.violations().len(), 1, "{:?}", a.violations());
+        assert_eq!(a.violations()[0].rule, Rule::ServiceQueueBound);
+        assert_eq!(a.violations()[0].cycle, 3);
+    }
+
+    /// The service seals slot ticks only. A boundary sealed with the wrong
+    /// count is still an envelope break, and so is a slot submitted between
+    /// boundaries: nothing seals it away, so it lands in the next count.
+    #[test]
+    fn unsealed_quiet_ticks_hide_no_envelope_break() {
+        let mut a = fixed(4, 2);
+        for cycle in 0..16u64 {
+            if cycle == 6 {
+                a.observe_dispatch(cycle, None); // off the boundary, unsealed
+            }
+            if cycle % 4 == 0 {
+                a.observe_dispatch(cycle, None);
+                if cycle != 12 {
+                    a.observe_dispatch(cycle, None); // tick 12 is one short
+                }
+                a.seal_tick(cycle);
+            }
+        }
+        let found: Vec<_> = a.violations().iter().map(|v| (v.cycle, v.rule)).collect();
+        assert_eq!(
+            found,
+            vec![(8, Rule::ServiceEnvelope), (12, Rule::ServiceEnvelope)],
+            "{:?}",
+            a.violations()
+        );
+        assert!(a.violations()[0].message.contains("3 slots, expected 2"));
+        assert!(a.violations()[1].message.contains("1 slots, expected 2"));
     }
 
     #[test]

@@ -48,6 +48,13 @@ pub struct PipelineCore {
     /// each cycle.
     events_scratch: Vec<mem_sched::CommandEvent>,
     cycle: u64,
+    /// Steps at cycles before this one are quiet: nothing waits to enqueue
+    /// and the backend has nothing due ([`MemoryBackend::next_event_cycle`]),
+    /// so they enqueue, complete and retire nothing. Set after every full
+    /// step, reset to 0 by every dispatch.
+    quiet_until: u64,
+    /// Steps that took the quiet path so far.
+    quiet_steps: u64,
 }
 
 impl PipelineCore {
@@ -82,6 +89,8 @@ impl PipelineCore {
             retired_scratch: Vec::new(),
             events_scratch: Vec::new(),
             cycle: 0,
+            quiet_until: 0,
+            quiet_steps: 0,
         })
     }
 
@@ -140,6 +149,7 @@ impl PipelineCore {
             }
         }
         self.conformance.collect();
+        self.quiet_until = 0;
         wake_out
     }
 
@@ -148,8 +158,22 @@ impl PipelineCore {
     /// carries the dispatch tag; [`Wake::at`] the cycle the data is
     /// available, always `> cycle`). The latency sample a wake carries is
     /// recorded here, in retire order; the caller only routes the wake.
+    ///
+    /// A step before `quiet_until` has no stage with work: it is the
+    /// backend's tick (a counter and a compare there) and the cycle's
+    /// attribution. Debug builds run the skipped stages as the oracle.
     pub fn step(&mut self, wakes: &mut Vec<Wake>) {
         let cycle = self.cycle;
+
+        if cycle < self.quiet_until {
+            self.backend.tick(cycle);
+            #[cfg(debug_assertions)]
+            self.assert_step_was_quiet();
+            self.metrics.attribute(self.tracker.oldest_kind());
+            self.quiet_steps += 1;
+            self.cycle += 1;
+            return;
+        }
 
         // 2. Enqueue: feed the backend in strict transaction order.
         self.tracker.enqueue_ready(self.backend.as_mut(), cycle);
@@ -190,6 +214,31 @@ impl PipelineCore {
         self.metrics.attribute(self.tracker.oldest_kind());
 
         self.cycle += 1;
+        self.quiet_until = if self.tracker.has_unenqueued() {
+            0
+        } else {
+            self.backend.next_event_cycle(self.cycle)
+        };
+    }
+
+    /// The stages a quiet step skipped, run after its backend tick: none of
+    /// them may have had anything to do.
+    #[cfg(debug_assertions)]
+    fn assert_step_was_quiet(&mut self) {
+        let cycle = self.cycle;
+        assert!(!self.tracker.has_unenqueued(), "cycle {cycle}: enqueue");
+        self.backend
+            .drain_command_events_into(&mut self.events_scratch);
+        assert!(self.events_scratch.is_empty(), "cycle {cycle}: commands");
+        self.retired_scratch.clear();
+        self.backend.drain_completed_into(&mut self.retired_scratch);
+        assert!(self.retired_scratch.is_empty(), "cycle {cycle}: retire");
+    }
+
+    /// Steps so far that took the quiet path.
+    #[must_use]
+    pub fn quiet_steps(&self) -> u64 {
+        self.quiet_steps
     }
 
     /// Unfinished transactions in the window (the dispatch gate that keeps

@@ -19,6 +19,12 @@
 //! 5. **Attribute** ([`Metrics`]) — charge the cycle to the oldest
 //!    unfinished transaction and fold row-class / latency samples.
 //!
+//! A cycle on which stages 2–4 provably have nothing to do — nothing waits
+//! to enqueue and the backend reports nothing due
+//! ([`mem_sched::MemoryBackend::next_event_cycle`]) — is stepped as the
+//! backend's tick and stage 5 alone; debug builds run the skipped stages
+//! and assert they found nothing.
+//!
 //! Two concerns sit beside the stages rather than inside them:
 //! conformance checking ([`Conformance`]) attaches to the backend-agnostic
 //! command-event stream plus the protocol's plan stream, and measurement

@@ -251,6 +251,13 @@ impl TxnTracker {
         self.live
     }
 
+    /// Whether admitted requests still wait for queue space at the backend
+    /// (the enqueue stage has work).
+    #[must_use]
+    pub fn has_unenqueued(&self) -> bool {
+        !self.enqueue_fifo.is_empty()
+    }
+
     /// Whether no transaction state remains (nothing tracked, nothing
     /// awaiting enqueue).
     #[must_use]

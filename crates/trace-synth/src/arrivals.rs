@@ -121,16 +121,36 @@ impl ArrivalSpec {
         }
         Ok(())
     }
+
+    /// Whether a process of this shape can never produce an arrival: with a
+    /// base rate of 0 the rate envelope is identically 0 through every
+    /// burst and diurnal factor (all finite), so no count is ever drawn. A
+    /// consumer that only wants the counts need not advance such a process.
+    #[must_use]
+    pub fn is_silent(&self) -> bool {
+        self.base_per_ktick == 0.0
+    }
+
+    /// The highest mean rate the envelope reaches, in requests per tick:
+    /// the diurnal crest while bursting (a multiplier below 1 lowers the
+    /// bursting rate, so the quiet state is the peak then).
+    #[must_use]
+    pub fn peak_per_tick(&self) -> f64 {
+        self.base_per_ktick / 1000.0
+            * (1.0 + self.diurnal_amplitude)
+            * self.burst_multiplier.max(1.0)
+    }
 }
 
 /// Deterministic sine of `turns` full cycles (i.e. `sin(2π·turns)`), via
 /// the Bhaskara I approximation `sin(πx) ≈ 16x(1−x) / (5 − 4x(1−x))` for
 /// `x ∈ [0, 1]`, mirrored for the negative half-cycle. Max absolute error
 /// ~0.0016 — far below any traffic-modeling need — and built from
-/// IEEE-exact operations only, so it is bit-identical everywhere.
+/// IEEE-exact operations only, so it is bit-identical everywhere. `turns`
+/// must not be negative.
 #[must_use]
 fn det_sin_turns(turns: f64) -> f64 {
-    let frac = turns - turns.floor(); // [0, 1): position within the cycle
+    let frac = turns - floor_nonneg(turns); // [0, 1): position within the cycle
     let (x, sign) = if frac < 0.5 {
         (frac * 2.0, 1.0)
     } else {
@@ -140,11 +160,30 @@ fn det_sin_turns(turns: f64) -> f64 {
     sign * (16.0 * t) / (5.0 - 4.0 * t)
 }
 
+/// `v.floor()` for `v >= 0` without the call: on the x86-64 baseline
+/// `f64::floor` is an out-of-line libm function, and both per-tick callers
+/// pass non-negative values, nearly always below 1. Below 2^53 the round
+/// trip through `i64` (one instruction each way, unlike `u64`) truncates,
+/// which is `floor` there; from 2^53 on every `f64` is already an integer,
+/// and `floor` is kept for the range the cast would saturate.
+fn floor_nonneg(v: f64) -> f64 {
+    debug_assert!(v >= 0.0, "floor_nonneg({v})");
+    if v < 1.0 {
+        0.0
+    } else if v < 9_007_199_254_740_992.0 {
+        (v as i64) as f64
+    } else {
+        v.floor()
+    }
+}
+
 /// A seeded arrival process: call [`ArrivalProcess::next_tick`] once per
 /// tick to get that tick's arrival count.
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
     spec: ArrivalSpec,
+    /// `spec.base_per_ktick / 1000.0`, divided once.
+    base_per_tick: f64,
     rng: StdRng,
     bursting: bool,
     tick: u64,
@@ -152,7 +191,11 @@ pub struct ArrivalProcess {
 
 impl ArrivalProcess {
     /// Creates the process. The spec is validated; see
-    /// [`ArrivalSpec::validate`].
+    /// [`ArrivalSpec::validate`]. Validation bounds no rate from above:
+    /// [`ArrivalProcess::next_tick`] returns a `u32`, so a shape whose
+    /// [`ArrivalSpec::peak_per_tick`] reaches 2^32 has its count saturate
+    /// there. A consumer that acts on every arrival should refuse such a
+    /// shape long before that (the service layer does).
     ///
     /// # Panics
     ///
@@ -165,6 +208,7 @@ impl ArrivalProcess {
         }
         Self {
             spec,
+            base_per_tick: spec.base_per_ktick / 1000.0,
             rng: StdRng::seed_from_u64(seed),
             bursting: false,
             tick: 0,
@@ -176,7 +220,7 @@ impl ArrivalProcess {
     /// draws are taken from. Exposed for tests and capacity planning.
     #[must_use]
     pub fn rate_at(&self, t: u64, bursting: bool) -> f64 {
-        let mut rate = self.spec.base_per_ktick / 1000.0;
+        let mut rate = self.base_per_tick;
         if self.spec.diurnal_period > 0 {
             let turns = t as f64 / self.spec.diurnal_period as f64;
             rate *= 1.0 + self.spec.diurnal_amplitude * det_sin_turns(turns);
@@ -200,7 +244,7 @@ impl ArrivalProcess {
         };
         let rate = self.rate_at(self.tick, self.bursting);
         self.tick += 1;
-        let whole = rate.floor();
+        let whole = floor_nonneg(rate);
         let frac = rate - whole;
         let mut n = whole as u32;
         if frac > 0.0 && self.rng.gen_bool(frac) {
@@ -323,6 +367,81 @@ mod tests {
                 "turns {turns}: {approx} vs {exact}"
             );
         }
+    }
+
+    /// Counts and burst state of 200 000 ticks, per spec, as FNV-1a digests
+    /// recorded before `floor` left the per-tick path (the benchmark's three
+    /// tenants plus a heavy bursty one): the realisation is part of every
+    /// pinned service digest, so it may not move by one draw.
+    #[test]
+    fn sequences_match_the_recorded_values() {
+        let recorded = [
+            (ArrivalSpec::steady(1.0), 0xF306_E6D5_BEE0_081B_u64),
+            (ArrivalSpec::bursty(0.5, 4.0), 0x1EC0_25AF_52B0_D78A),
+            (
+                ArrivalSpec::diurnal(0.8, 400_000, 0.8),
+                0x70FE_6A19_1096_1014,
+            ),
+            (ArrivalSpec::bursty(40.0, 8.0), 0x535A_D26E_AAB7_556D),
+        ];
+        for (i, (spec, want)) in recorded.into_iter().enumerate() {
+            let mut p = ArrivalProcess::new(spec, 0xA221_7A15 + i as u64);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..200_000 {
+                let n = p.next_tick();
+                for byte in [n as u8, (n >> 8) as u8, u8::from(p.is_bursting())] {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, want, "{spec:?}: 0x{h:016X}");
+        }
+    }
+
+    #[test]
+    fn truncation_is_floor_where_the_process_calls_it() {
+        let two_53 = 9_007_199_254_740_992.0_f64;
+        for v in [
+            0.0,
+            0.25,
+            0.999_999,
+            1.0,
+            1.5,
+            4_294_967_295.5,
+            two_53 - 1.0,
+        ] {
+            assert_eq!(floor_nonneg(v), v.floor(), "{v}");
+        }
+        for v in [two_53, two_53 * 4.0, 1e300] {
+            assert_eq!(floor_nonneg(v), v, "{v}");
+        }
+    }
+
+    #[test]
+    fn silent_shapes_never_arrive_whatever_their_modulation() {
+        let mut loud_but_empty = ArrivalSpec::bursty(0.0, 1e9);
+        loud_but_empty.burst_on = 0.5;
+        loud_but_empty.diurnal_period = 64;
+        loud_but_empty.diurnal_amplitude = 0.9;
+        for spec in [ArrivalSpec::steady(0.0), loud_but_empty] {
+            assert!(spec.is_silent());
+            assert_eq!(spec.peak_per_tick(), 0.0);
+            let mut p = ArrivalProcess::new(spec, 5);
+            assert!((0..10_000).all(|_| p.next_tick() == 0));
+        }
+        assert!(!ArrivalSpec::steady(1e-9).is_silent());
+    }
+
+    #[test]
+    fn the_peak_rate_bounds_the_envelope() {
+        let mut spec = ArrivalSpec::diurnal(100.0, 1_000, 0.5);
+        spec.burst_multiplier = 4.0;
+        assert_eq!(spec.peak_per_tick(), 0.1 * 1.5 * 4.0);
+        let p = ArrivalProcess::new(spec, 0);
+        let highest = (0..1_000).map(|t| p.rate_at(t, true)).fold(0.0, f64::max);
+        assert!(highest <= spec.peak_per_tick() && highest > 0.99 * spec.peak_per_tick());
+        // A multiplier below 1 makes the quiet state the peak.
+        spec.burst_multiplier = 0.5;
+        assert_eq!(spec.peak_per_tick(), 0.1 * 1.5);
     }
 
     #[test]
