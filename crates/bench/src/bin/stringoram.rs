@@ -4,12 +4,15 @@
 //! stringoram [--workload NAME] [--scheme baseline|cb|pb|all]
 //!            [--accesses N] [--y N] [--stash N] [--levels N]
 //!            [--seed N] [--layout subtree|naive] [--page open|closed]
-//!            [--trace FILE.usimm] [--list-workloads]
+//!            [--load FRACTION] [--trace FILE.usimm] [--list-workloads]
+//!            [--help]
 //! ```
 //!
 //! Runs the paper-default system with the given overrides and prints the
-//! full report. `--trace` replaces the synthetic workload with a USIMM
-//! format trace file (each core replays the same trace).
+//! full report. `--load` sets the tree's initial load factor (the fraction
+//! of real-block capacity filled before the run). `--trace` replaces the
+//! synthetic workload with a USIMM format trace file (each core replays
+//! the same trace).
 
 use std::process::ExitCode;
 
@@ -129,7 +132,8 @@ fn parse_args() -> Result<Option<Options>, String> {
                     "usage: stringoram [--workload NAME] [--scheme baseline|cb|pb|all]\n\
                      \x20                 [--accesses N] [--y N] [--stash N] [--levels N]\n\
                      \x20                 [--seed N] [--layout subtree|naive] [--page open|closed]\n\
-                     \x20                 [--trace FILE.usimm] [--list-workloads]"
+                     \x20                 [--load FRACTION] [--trace FILE.usimm] [--list-workloads]\n\
+                     \x20                 [--help]"
                 );
                 return Ok(None);
             }

@@ -42,12 +42,28 @@ fn slugify(title: &str) -> String {
         .collect()
 }
 
-/// The environment variable `name`, parsed; `default` when it is unset or
-/// does not parse. Every run-length knob of the benches reads through here.
+/// The environment variable `name`, parsed; `default` when it is unset.
+/// Every run-length knob of the benches reads through here.
+///
+/// # Panics
+///
+/// When the variable is set to something that does not parse — a typo in a
+/// CI smoke size must not silently run the full-size bench.
 #[must_use]
 pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let value = std::env::var(name).ok();
-    value.and_then(|v| v.parse().ok()).unwrap_or(default)
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_or(name, value.as_deref(), default)
+}
+
+/// [`env_or`] on the variable's value (`None`: unset).
+fn parse_or<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -> T {
+    let Some(value) = value else {
+        return default;
+    };
+    value.parse().unwrap_or_else(|_| {
+        let ty = std::any::type_name::<T>();
+        panic!("{name}={value:?} does not parse as {ty}")
+    })
 }
 
 /// Default number of ORAM accesses (trace records) per core for figure
@@ -186,6 +202,20 @@ pub fn geomean(values: &[f64]) -> f64 {
 mod tests {
     use super::schema::{PROTOCOL_MATRIX, SCHED_POLICY, SERVICE_LOAD, SHARD_SCALING};
     use super::*;
+
+    #[test]
+    fn unset_variables_take_the_default_and_set_ones_parse() {
+        assert_eq!(parse_or("STRING_ORAM_X", None, 7usize), 7);
+        assert_eq!(parse_or("STRING_ORAM_X", Some("200"), 7usize), 200);
+        // A name no bench reads: unset in any environment the tests run in.
+        assert_eq!(env_or("STRING_ORAM_NEVER_SET_BY_ANYONE", 3u64), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "STRING_ORAM_SHARD_ACCESSES=\"2e2\" does not parse as usize")]
+    fn a_set_but_unparsable_variable_is_refused() {
+        let _ = parse_or("STRING_ORAM_SHARD_ACCESSES", Some("2e2"), 25_000usize);
+    }
 
     #[test]
     fn geomean_basics() {

@@ -50,3 +50,26 @@ fn a_y_the_scheme_would_ignore_is_refused() {
     let out = stringoram(&["--accesses", "20", "--scheme", "baseline"]);
     assert!(out.status.success(), "{}", stderr(&out));
 }
+
+#[test]
+fn every_parsed_flag_is_in_the_usage_text() {
+    // The flags are the long names on the parser's match arms.
+    let source = include_str!("../src/bin/stringoram.rs");
+    let flags: Vec<&str> = source
+        .lines()
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("\"--") && l.contains("=>"))
+        .filter_map(|l| l.split('"').nth(1))
+        .collect();
+    assert!(flags.contains(&"--load") && flags.len() >= 12, "{flags:?}");
+
+    let out = stringoram(&["--help"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let help = String::from_utf8_lossy(&out.stdout);
+    let module_doc: String = source.lines().filter(|l| l.starts_with("//!")).collect();
+    for flag in flags {
+        let listed = format!("[{flag}");
+        assert!(help.contains(&listed), "{flag} missing from --help");
+        assert!(module_doc.contains(&listed), "{flag} missing from the docs");
+    }
+}

@@ -57,9 +57,12 @@ impl DramFaultConfig {
     }
 }
 
-/// Finalizer of splitmix64: a full-avalanche 64-bit mixer.
+/// Finalizer of splitmix64: a full-avalanche 64-bit mixer. `#[inline]`
+/// (here and on [`u01`]) because `mem-sched` draws with it per data command
+/// and the workspace builds without LTO.
+#[inline]
 #[must_use]
-pub(crate) fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -67,8 +70,9 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 /// Maps a mixed word to a uniform f64 in [0, 1) using its top 53 bits.
+#[inline]
 #[must_use]
-pub(crate) fn u01(h: u64) -> f64 {
+pub fn u01(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 

@@ -12,7 +12,7 @@
 use dram_sim::bank::Bank;
 use dram_sim::{DramCommand, DramLocation, DramModule};
 
-use crate::policy::PassPlan;
+use crate::policy::CandidateOrder;
 use crate::request::{Request, TxnId};
 
 use super::MemoryController;
@@ -114,8 +114,8 @@ pub(crate) struct IssueBounds {
     earliest: Vec<[u64; 4]>,
     /// The last scan found nothing issuable before this cycle …
     wake_at: u64,
-    /// … under this plan (another plan walks other candidates).
-    slept_under: PassPlan,
+    /// … under this order (another order walks other candidates).
+    slept_under: CandidateOrder,
     /// Smallest bound met by the scan in progress.
     scan_min: u64,
 }
@@ -125,7 +125,7 @@ impl IssueBounds {
         Self {
             earliest: vec![[0; 4]; banks],
             wake_at: 0,
-            slept_under: PassPlan::default(),
+            slept_under: CandidateOrder::Age,
             scan_min: u64::MAX,
         }
     }
@@ -159,10 +159,10 @@ impl IssueBounds {
         self.earliest[b] = [0; 4];
     }
 
-    /// Whether the last scan, under the same plan, already showed nothing
+    /// Whether the last scan, under the same order, already showed nothing
     /// can issue at `cycle`.
-    pub(crate) fn asleep(&self, plan: PassPlan, cycle: u64) -> bool {
-        cycle < self.wake_at && self.slept_under == plan
+    pub(crate) fn asleep(&self, order: CandidateOrder, cycle: u64) -> bool {
+        cycle < self.wake_at && self.slept_under == order
     }
 
     /// Starts a scan of the channel's candidates.
@@ -173,9 +173,9 @@ impl IssueBounds {
     /// Ends a scan that found nothing issuable: the channel sleeps until
     /// the earliest bound it met (forever, if it met no candidate at all —
     /// only an event can change that).
-    pub(crate) fn sleep(&mut self, plan: PassPlan) {
+    pub(crate) fn sleep(&mut self, order: CandidateOrder) {
         self.wake_at = self.scan_min;
-        self.slept_under = plan;
+        self.slept_under = order;
     }
 
     /// Something the scan depended on changed.

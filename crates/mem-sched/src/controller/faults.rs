@@ -1,5 +1,6 @@
 //! Deterministic response-fault injection: configuration, validation and
-//! the stateless splitmix64 draw machinery.
+//! the draw domains (the splitmix64 draw itself is
+//! [`dram_sim::faults::mix64`]).
 
 /// Deterministic memory-controller fault injection: dropped and late data
 /// responses plus transient queue-capacity saturation.
@@ -100,16 +101,3 @@ pub(crate) const SATURATION_WINDOW_SHIFT: u32 = 10;
 pub(crate) const DOMAIN_DROP: u64 = 0x6472_6F70; // "drop"
 pub(crate) const DOMAIN_LATE: u64 = 0x6C61_7465; // "late"
 pub(crate) const DOMAIN_SAT: u64 = 0x7361_7475; // "satu"
-
-/// Finalizer of splitmix64: a full-avalanche 64-bit mixer.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Maps a mixed word to a uniform f64 in [0, 1) using its top 53 bits.
-pub(crate) fn u01(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-}

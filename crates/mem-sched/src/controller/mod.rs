@@ -2,10 +2,9 @@
 //!
 //! The controller core in this module owns the per-channel queues, the
 //! cached scheduling views and the DRAM handshake; the *decision* of which
-//! candidate issues each cycle is delegated to a pluggable
-//! [`SchedulePolicy`] object (see
-//! [`crate::policy`] for the five shipped policies). The paper's two
-//! algorithms are the anchor points of that policy space:
+//! candidate issues each cycle is read off the policy table (see
+//! [`crate::policy`] for its rows). The paper's two algorithms are the
+//! anchor points of that policy space:
 //!
 //! * **Transaction-based scheduling** (Algorithm 1, the baseline): all
 //!   commands of ORAM transaction *i* must be issued before any command of
@@ -42,16 +41,17 @@ mod tests;
 
 pub use faults::{FaultConfigError, ResponseFaultConfig};
 
+use dram_sim::faults::{mix64, u01};
 use dram_sim::AddressMapping;
 use dram_sim::{DramCommand, DramModule, PhysAddr};
 
-use crate::policy::{PolicyStats, SchedulePolicy, SchedulerPolicy};
+use crate::policy::{PolicyState, PolicyStats, SchedulerPolicy};
 use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
 
 use cache::{dram_bank, ChannelCache};
-use faults::{mix64, u01, ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
+use faults::{ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
 
 /// One issued DRAM command, as recorded by the optional command trace.
 ///
@@ -91,7 +91,7 @@ pub enum PagePolicy {
 pub struct MemoryController {
     dram: DramModule,
     mapping: AddressMapping,
-    policy: Box<dyn SchedulePolicy>,
+    policy: PolicyState,
     page_policy: PagePolicy,
     queues: Vec<ChannelQueues>,
     next_id: u64,
@@ -120,6 +120,11 @@ impl MemoryController {
     /// Creates a controller over `dram` with `queue_capacity` entries per
     /// direction per channel (the paper uses 64), scheduling with the
     /// policy the `policy` tag names.
+    ///
+    /// # Panics
+    ///
+    /// When the tag's parameter is out of range: `FixedCadence` with
+    /// `period == 0` or `ReadOverWrite` with `drain_bound == 0`.
     #[must_use]
     pub fn new(
         dram: DramModule,
@@ -133,7 +138,7 @@ impl MemoryController {
         Self {
             dram,
             mapping,
-            policy: policy.build(),
+            policy: PolicyState::new(policy),
             page_policy: PagePolicy::Open,
             queues: (0..channels)
                 .map(|_| ChannelQueues::new(banks, queue_capacity))
@@ -223,13 +228,13 @@ impl MemoryController {
     /// The tag naming the policy in force.
     #[must_use]
     pub fn policy(&self) -> SchedulerPolicy {
-        self.policy.kind()
+        self.policy.tag()
     }
 
     /// The stable name of the policy in force.
     #[must_use]
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.policy.tag().name()
     }
 
     /// The policy-local counters of the policy in force.
@@ -371,11 +376,11 @@ impl MemoryController {
         // transaction pointer advances as soon as no commands of it remain.
         let current = self.current_txn();
 
-        let plan = self.policy.plan(cycle);
+        let order = self.policy.plan(cycle);
         let lookahead = self.policy.lookahead();
         for ch in 0..self.queues.len() {
-            let issued = match current {
-                Some(t) if plan.issue => self.schedule_channel(ch, t, lookahead, plan, cycle),
+            let issued = match (current, order) {
+                (Some(t), Some(order)) => self.schedule_channel(ch, t, lookahead, order, cycle),
                 _ => false,
             };
             if !issued && self.page_policy == PagePolicy::Closed {

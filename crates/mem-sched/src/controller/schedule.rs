@@ -1,21 +1,22 @@
 //! The three scheduling passes (row-hit, bank-preparation, proactive) and
-//! command issue, parameterized by the policy's per-tick [`PassPlan`].
+//! command issue, parameterized by the policy's per-tick [`CandidateOrder`].
 //!
 //! The passes are a pure search over the channel's scheduling view
 //! ([`pick`]); whether a candidate's command may issue *now* is asked
 //! through the channel's issue bounds, so a candidate `dram-sim` already
 //! refused until some later cycle costs one compare, and a channel whose
 //! last scan found nothing is not scanned again until its earliest bound,
-//! a plan change or an event (issue, enqueue inside the window, window
+//! an order change or an event (issue, enqueue inside the window, window
 //! move, refresh) — see `cache.rs`.
 
+use dram_sim::faults::{mix64, u01};
 use dram_sim::{CommandKind, DramCommand, DramLocation, IssueOutcome};
 
-use crate::policy::{CandidateOrder, PassPlan};
+use crate::policy::CandidateOrder;
 use crate::request::{Completed, RowClass, TxnId};
 
 use super::cache::{dram_bank, BankView, Candidate, ChannelCache, ChannelView};
-use super::faults::{mix64, u01, DOMAIN_DROP, DOMAIN_LATE};
+use super::faults::{DOMAIN_DROP, DOMAIN_LATE};
 use super::MemoryController;
 
 /// The direction filter rounds a [`CandidateOrder`] expands to: `None`
@@ -48,24 +49,23 @@ enum Action {
     },
 }
 
-/// Applies the plan's row-hit, bank-preparation and (when enabled)
-/// proactive PRE/ACT passes to one channel's view and returns the first
-/// candidate command `can_issue` accepts, in pass order.
+/// Applies the row-hit, bank-preparation and proactive PRE/ACT passes to
+/// one channel's view, each trying its candidates in `order`, and returns
+/// the first candidate command `can_issue` accepts, in pass order.
 #[allow(clippy::expect_used)] // invariant, stated in the expect message
 fn pick(
     view: &ChannelView,
-    plan: PassPlan,
-    lookahead: u64,
+    order: CandidateOrder,
     mut can_issue: impl FnMut(usize, &DramCommand) -> bool,
 ) -> Option<Pick> {
     // FR pass: oldest pending row hit that can issue its data command —
     // the only pass that issues data (RD/WR) commands. The list holds the
     // oldest hit per (bank, direction): the rest of each group would get
-    // the same answer from `dram-sim` and is younger. The plan's
+    // the same answer from `dram-sim` and is younger. The order's
     // direction rounds may let a younger read bypass an older write hit
     // (or vice versa); candidates never cross the transaction window, so
     // the reordering is intra-transaction only.
-    for &round in direction_rounds(plan.hit_order) {
+    for &round in direction_rounds(order) {
         for &cand in &view.hits {
             if round.is_some_and(|w| w != cand.is_write) {
                 continue;
@@ -78,7 +78,7 @@ fn pick(
             if can_issue(cand.b, &cmd) {
                 // A read issued under read priority while a write hit was
                 // pending counts as one deferral for the policy.
-                let bypassed_write_hit = plan.hit_order == CandidateOrder::ReadsFirst
+                let bypassed_write_hit = order == CandidateOrder::ReadsFirst
                     && !cand.is_write
                     && view.hits.iter().any(|c| c.is_write);
                 return Some(Pick {
@@ -94,7 +94,7 @@ fn pick(
     // bank preparation (PRE/ACT), in age order across banks (direction
     // rounds applied on top). A bank with a pending row hit is left open
     // so the hit survives.
-    for &round in direction_rounds(plan.prep_order) {
+    for &round in direction_rounds(order) {
         for &(_, b) in &view.order_current {
             let bank = &view.banks[b];
             let cand = bank.oldest_current.expect("in order_current");
@@ -116,10 +116,8 @@ fn pick(
 
     // Proactive pass (Algorithm 2, generalized to the policy's lookahead):
     // PRE/ACT for lookahead-window requests whose conflicts are
-    // inter-transaction.
-    if !plan.proactive || lookahead == 0 {
-        return None;
-    }
+    // inter-transaction. Without a lookahead the future window is empty
+    // (under the unconstrained ablation too: every request is current).
     for &(_, b) in &view.order_future {
         let bank = &view.banks[b];
         // Guard: the bank must have no pending request from the current
@@ -169,14 +167,15 @@ fn prepare(
 }
 
 impl MemoryController {
-    /// Issues at most one command on channel `ch` according to the plan.
+    /// Issues at most one command on channel `ch`, trying candidates in
+    /// `order`.
     /// Returns true if a command was issued.
     pub(super) fn schedule_channel(
         &mut self,
         ch: usize,
         current: TxnId,
         lookahead: u64,
-        plan: PassPlan,
+        order: CandidateOrder,
         cycle: u64,
     ) -> bool {
         if self.caches[ch].view.window != Some((current, lookahead)) {
@@ -184,23 +183,18 @@ impl MemoryController {
         }
         let dram = &self.dram;
         let ChannelCache { view, bounds } = &mut self.caches[ch];
-        if bounds.asleep(plan, cycle) {
+        if bounds.asleep(order, cycle) {
             // The old probe-everything scan survives as the oracle: tier-1
             // runs in debug, so every test doubles as a differential.
             debug_assert!(
-                pick(view, plan, lookahead, |_, cmd| dram
-                    .can_issue(cmd, cycle)
-                    .is_ok())
-                .is_none(),
+                pick(view, order, |_, cmd| dram.can_issue(cmd, cycle).is_ok()).is_none(),
                 "channel {ch} slept through an issuable command at cycle {cycle}"
             );
             return false;
         }
         bounds.begin_scan();
-        let Some(found) = pick(view, plan, lookahead, |b, cmd| {
-            bounds.probe(dram, b, cmd, cycle)
-        }) else {
-            bounds.sleep(plan);
+        let Some(found) = pick(view, order, |b, cmd| bounds.probe(dram, b, cmd, cycle)) else {
+            bounds.sleep(order);
             return false;
         };
         match found.action {

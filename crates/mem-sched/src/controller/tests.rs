@@ -592,9 +592,21 @@ fn policy_accessors_round_trip() {
         assert_eq!(c.policy(), tag);
         assert_eq!(c.policy_name(), tag.name());
     }
-    // A tag's parameters survive the trip through the policy object.
+    // A tag's parameters survive the trip through the controller.
     let deep = SchedulerPolicy::ProactiveBank { lookahead: 2 };
     assert_eq!(controller(deep).policy(), deep);
+}
+
+#[test]
+#[should_panic(expected = "period must be >= 1")]
+fn fixed_cadence_without_slots_is_refused() {
+    let _ = controller(SchedulerPolicy::FixedCadence { period: 0 });
+}
+
+#[test]
+#[should_panic(expected = "drain_bound must be >= 1")]
+fn read_over_write_without_drain_is_refused() {
+    let _ = controller(SchedulerPolicy::ReadOverWrite { drain_bound: 0 });
 }
 
 #[test]
@@ -1093,6 +1105,30 @@ fn pinned_speculative_window() {
             744
         )
     );
+}
+
+#[test]
+fn lookahead_policies_are_one_function_of_k() {
+    // `ProactiveBank` and `SpeculativeWindow` differ in name only, and
+    // `k = 0` is the transaction-based baseline: command stream,
+    // completions, mid-run and end stats all agree.
+    let run = |policy| run_scenario(&Scenario::new(policy, 0x5BEC)).0;
+    for k in [1, 4] {
+        assert_eq!(
+            run(SchedulerPolicy::ProactiveBank { lookahead: k }),
+            run(SchedulerPolicy::SpeculativeWindow { window: k }),
+            "k = {k}"
+        );
+    }
+    let baseline = run(SchedulerPolicy::TransactionBased);
+    assert_eq!(
+        run(SchedulerPolicy::ProactiveBank { lookahead: 0 }),
+        baseline
+    );
+    // Not vacuous: the scenario tells the three lookaheads apart.
+    let pb = run(SchedulerPolicy::proactive());
+    assert_ne!(pb, run(SchedulerPolicy::ProactiveBank { lookahead: 4 }));
+    assert_ne!(pb, baseline);
 }
 
 #[test]

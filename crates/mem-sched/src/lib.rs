@@ -2,25 +2,26 @@
 //!
 //! This crate implements the memory-controller layer of the String ORAM
 //! reproduction: per-channel read/write queues, FR-FCFS command selection,
-//! and a pluggable [`policy::SchedulePolicy`] lab of command-scheduling
-//! policies. The paper's two algorithms anchor the policy space —
+//! and a lab of command-scheduling policies selected by one tag,
+//! [`SchedulerPolicy`] — each policy is a row of the table in [`policy`].
+//! The paper's two algorithms anchor the policy space —
 //!
 //! * the baseline **transaction-based** scheduler (Algorithm 1,
-//!   [`policy::FrFcfs`]), which confines all command issue to the oldest
-//!   incomplete ORAM transaction, and
+//!   [`SchedulerPolicy::TransactionBased`]), which confines all command
+//!   issue to the oldest incomplete ORAM transaction, and
 //! * the **Proactive Bank (PB)** scheduler (Algorithm 2,
-//!   [`policy::ProactiveBank`]), which may pull `PRE`/`ACT` commands of the
-//!   next transaction forward when their row-buffer conflicts are
-//!   inter-transaction — hiding row-miss latency in otherwise-idle banks
-//!   without changing the data access sequence —
+//!   [`SchedulerPolicy::ProactiveBank`]), which may pull `PRE`/`ACT`
+//!   commands of the next transaction forward when their row-buffer
+//!   conflicts are inter-transaction — hiding row-miss latency in
+//!   otherwise-idle banks without changing the data access sequence —
 //!
-//! and three more points explore the rest of it: [`policy::ReadOverWrite`]
-//! (read priority with a bounded write drain),
-//! [`policy::SpeculativeWindow`] (PB generalized to a k-transaction
-//! lookahead) and [`policy::FixedCadence`] (Cloak-style fixed issue-slot
-//! grid). Every policy except the explicitly insecure unconstrained
-//! ablation preserves the observable transaction-ordered data-command
-//! sequence.
+//! and three more points explore the rest of it:
+//! [`SchedulerPolicy::ReadOverWrite`] (read priority with a bounded write
+//! drain), [`SchedulerPolicy::SpeculativeWindow`] (PB under a
+//! k-transaction lookahead) and [`SchedulerPolicy::FixedCadence`]
+//! (Cloak-style fixed issue-slot grid). Every policy except the explicitly
+//! insecure unconstrained ablation preserves the observable
+//! transaction-ordered data-command sequence.
 //!
 //! The controller drives a [`dram_sim::DramModule`]; protocol logic lives in
 //! `ring-oram` and whole-system integration in `string-oram`.
@@ -72,7 +73,7 @@ pub use controller::{
     CommandEvent, FaultConfigError, MemoryController, PagePolicy, ResponseFaultConfig,
 };
 pub use functional::{FunctionalBackend, FunctionalTiming};
-pub use policy::{CandidateOrder, PassPlan, PolicyStats, SchedulePolicy, SchedulerPolicy};
+pub use policy::{PolicyStats, SchedulerPolicy};
 pub use queue::QueueFull;
 pub use request::{Completed, RequestSpec, RowClass, TxnId};
 pub use stats::SchedulerStats;

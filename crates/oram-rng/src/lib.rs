@@ -12,6 +12,9 @@
 //! * [`Xoshiro256StarStar`] — the workhorse generator (Blackman/Vigna
 //!   xoshiro256**, 2^256 − 1 period), aliased as [`StdRng`].
 //!
+//! The workspace's one FNV-1a ([`fnv1a_u64`], [`fnv1a_bytes`]) lives here
+//! too: the run digests folded with it are as frozen as the generators.
+//!
 //! Determinism is a hard requirement here, not a convenience: simulation
 //! runs must be bit-identical across machines and releases, so the
 //! algorithms are frozen by the unit tests at the bottom of this file
@@ -185,6 +188,52 @@ pub fn derive_stream_seed(master: u64, stream: u64) -> u64 {
     sm.next_u64()
 }
 
+/// The FNV-1a 64-bit offset basis: the digest of nothing, where the
+/// workspace's run digests (`access_digest`, `schedule_digest`) start.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// FNV-1a over `value`'s eight little-endian bytes. A zero byte folds as
+/// `(h ^ 0) * p`, so the `k` zero high bytes of a small value fold as one
+/// multiply by `p^k`: the same hash in `9 - k` dependent multiplies, not 8.
+///
+/// `#[inline]` (here and on [`fnv1a_bytes`]): the callers fold once per
+/// memory request or service tick from other crates, and the workspace
+/// builds without LTO.
+#[inline]
+#[must_use]
+pub fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+    let (mut folded, mut rest, mut zero_bytes) = (hash, value, 8);
+    while rest != 0 {
+        folded = (folded ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+        zero_bytes -= 1;
+    }
+    folded = folded.wrapping_mul(FNV_PRIME_POW[zero_bytes]);
+    debug_assert_eq!(folded, fnv1a_bytes(hash, &value.to_le_bytes()));
+    folded
+}
+
+/// FNV-1a byte by byte: what [`fnv1a_u64`] must equal.
+#[inline]
+#[must_use]
+pub fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
+
 /// An integer type usable with [`Rng::gen_range`].
 pub trait UniformInt: Copy {
     /// Draws a value uniformly from `range` (half-open).
@@ -283,6 +332,19 @@ impl<T> SliceRandom for [T] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_short_fold_is_the_byte_fold() {
+        let values = [0, 1, 0xff, 0x100, 0xab_00cd, 5_999_999, 1 << 56, u64::MAX];
+        for hash in [FNV_OFFSET, 0, u64::MAX] {
+            for value in values {
+                let bytes = fnv1a_bytes(hash, &value.to_le_bytes());
+                assert_eq!(fnv1a_u64(hash, value), bytes, "{hash:#x} {value:#x}");
+            }
+        }
+        // The published FNV-1a 64 vector for "a".
+        assert_eq!(fnv1a_bytes(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     /// Reference vectors from Vigna's splitmix64.c with seed 1234567.
     #[test]

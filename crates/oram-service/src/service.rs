@@ -38,7 +38,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-use oram_rng::{derive_stream_seed, Rng, StdRng};
+use oram_rng::{derive_stream_seed, fnv1a_u64, Rng, StdRng, FNV_OFFSET};
 use ring_oram::{BlockId, ShardMap};
 use sim_verify::{AuditedPolicy, RequestOutcome, ServiceAuditor};
 use string_oram::pipeline::build_merged_report;
@@ -59,42 +59,6 @@ const COVER_STREAM: u64 = 0xC0_7E2;
 const TENANT_SHIFT: u32 = 20;
 /// Marker for "no live engine attempt".
 const NO_ATTEMPT: u64 = u64::MAX;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`.
-const FNV_PRIME_POW: [u64; 9] = {
-    let mut pow = [1u64; 9];
-    let mut k = 1;
-    while k < pow.len() {
-        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
-        k += 1;
-    }
-    pow
-};
-
-/// FNV-1a over `value`'s eight little-endian bytes. A zero byte folds as
-/// `(h ^ 0) * p`, so the `k` zero high bytes of a small value fold as one
-/// multiply by `p^k`: the same hash in `9 - k` dependent multiplies, not 8.
-fn fnv1a_u64(hash: u64, value: u64) -> u64 {
-    let (mut folded, mut rest, mut zero_bytes) = (hash, value, 8);
-    while rest != 0 {
-        folded = (folded ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
-        rest >>= 8;
-        zero_bytes -= 1;
-    }
-    folded = folded.wrapping_mul(FNV_PRIME_POW[zero_bytes]);
-    debug_assert_eq!(folded, fnv1a_bytes(hash, &value.to_le_bytes()));
-    folded
-}
-
-/// FNV-1a byte by byte: what [`fnv1a_u64`] must equal.
-fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &byte| {
-        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// Where a request currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -771,17 +735,6 @@ mod tests {
             ],
             horizon,
         )
-    }
-
-    #[test]
-    fn the_short_fold_is_the_byte_fold() {
-        let values = [0, 1, 0xff, 0x100, 0xab_00cd, 5_999_999, 1 << 56, u64::MAX];
-        for hash in [FNV_OFFSET, 0, u64::MAX] {
-            for value in values {
-                let bytes = fnv1a_bytes(hash, &value.to_le_bytes());
-                assert_eq!(fnv1a_u64(hash, value), bytes, "{hash:#x} {value:#x}");
-            }
-        }
     }
 
     #[test]

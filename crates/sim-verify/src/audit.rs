@@ -3,10 +3,11 @@
 //! One auditor per protocol family, unified behind [`ProtocolAuditor`]
 //! (selected by [`ProtocolKind`]): [`OramAuditor`] for the Ring engines
 //! (Ring+CB and plain Ring share every Ring invariant — plain Ring is the
-//! `Y = 0` configuration), [`PathAuditor`] for Path ORAM and
-//! [`CircuitAuditor`] for Circuit ORAM. Each replays the plan stream the
-//! memory hierarchy consumes against its protocol's structural invariants,
-//! independently of the engine's internal bookkeeping.
+//! `Y = 0` configuration) and [`PlainTreeAuditor`] for Path and Circuit
+//! ORAM (one plan-shape check under two expected-plan tables). Each replays
+//! the plan stream the memory hierarchy consumes against its protocol's
+//! structural invariants, independently of the engine's internal
+//! bookkeeping.
 //!
 //! [`OramAuditor`] replays the protocol's [`AccessPlan`] stream — the same
 //! artifact the memory hierarchy consumes — against the paper's structural
@@ -55,7 +56,6 @@ pub struct OramAuditor {
     /// Read-path touch count per bucket in the current epoch (tracked
     /// separately from the set so reuse doesn't mask a budget overrun).
     touch_count: HashMap<BucketId, u32>,
-    accesses: u64,
     paths: u64,
     evictions: u64,
     /// Retry-read touches the fault log has authorized but no RetryRead
@@ -65,7 +65,7 @@ pub struct OramAuditor {
     retry_allowances: HashMap<(BucketId, u32), u32>,
     /// Injected faults counted by [`Self::observe_faults`].
     faults_seen: u64,
-    violations: Vec<Violation>,
+    found: Findings,
 }
 
 impl OramAuditor {
@@ -76,36 +76,35 @@ impl OramAuditor {
             config,
             touched: HashMap::new(),
             touch_count: HashMap::new(),
-            accesses: 0,
             paths: 0,
             evictions: 0,
             retry_allowances: HashMap::new(),
             faults_seen: 0,
-            violations: Vec::new(),
+            found: Findings::default(),
         }
     }
 
     /// Violations found so far.
     #[must_use]
     pub fn violations(&self) -> &[Violation] {
-        &self.violations
+        &self.found.violations
     }
 
     /// Takes the accumulated violations, keeping the epoch state.
     pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        std::mem::take(&mut self.found.violations)
     }
 
     /// Whether no violation has been found.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.found.violations.is_empty()
     }
 
     /// Protocol accesses audited so far.
     #[must_use]
     pub fn accesses_checked(&self) -> u64 {
-        self.accesses
+        self.found.accesses
     }
 
     /// Injected fault events audited so far.
@@ -143,7 +142,7 @@ impl OramAuditor {
                 }
                 FaultEventKind::Recovered => {}
                 FaultEventKind::Unrecovered => {
-                    self.violate(
+                    self.found.violate(
                         Rule::FaultUnrecovered,
                         format!(
                             "fetch from bucket {} slot {} lost its payload after \
@@ -156,7 +155,7 @@ impl OramAuditor {
         }
         for ((bucket, slot), missing) in pending_detect {
             if missing > 0 {
-                self.violate(
+                self.found.violate(
                     Rule::FaultUndetected,
                     format!(
                         "{missing} injected corruption(s) of bucket {} slot {slot} \
@@ -168,24 +167,9 @@ impl OramAuditor {
         }
     }
 
-    fn violate(&mut self, rule: Rule, message: String) {
-        self.violations
-            .push(Violation::new(self.accesses, rule, message));
-    }
-
-    /// Number of tree levels whose buckets live off-chip (the tree top is
-    /// cached on-chip and never appears in plans).
-    fn off_chip_levels(&self) -> u64 {
-        u64::from(
-            self.config
-                .levels
-                .saturating_sub(self.config.tree_top_cached_levels),
-        )
-    }
-
     /// Audits the full plan batch of one protocol access, in plan order.
     pub fn observe_access(&mut self, plans: &[AccessPlan]) {
-        self.accesses += 1;
+        self.found.accesses += 1;
         for plan in plans {
             self.observe_plan(plan);
         }
@@ -195,7 +179,7 @@ impl OramAuditor {
         // invariant holds across all schemes).
         let expected = self.paths / u64::from(self.config.a);
         if self.evictions != expected {
-            self.violate(
+            self.found.violate(
                 Rule::EvictionCadence,
                 format!(
                     "{} evictions after {} read paths (A = {}, expected {})",
@@ -207,7 +191,7 @@ impl OramAuditor {
         // produced exactly one retry-read touch in this batch.
         for ((bucket, slot), n) in std::mem::take(&mut self.retry_allowances) {
             if n > 0 {
-                self.violate(
+                self.found.violate(
                     Rule::RetryMismatch,
                     format!(
                         "{n} retried fault(s) at bucket {} slot {slot} produced no \
@@ -220,25 +204,16 @@ impl OramAuditor {
     }
 
     fn observe_plan(&mut self, plan: &AccessPlan) {
-        let slots = self.config.bucket_slots();
         // Slot-range check applies to every touch of every plan kind.
-        for touch in &plan.touches {
-            if touch.slot >= slots {
-                self.violate(
-                    Rule::SlotRange,
-                    format!(
-                        "{} touch of bucket {} addressed slot {} (bucket has {slots})",
-                        plan.kind.label(),
-                        touch.bucket.0,
-                        touch.slot
-                    ),
-                );
-            }
-        }
+        let slots = self.config.bucket_slots();
+        self.found.check_slot_range(plan, slots);
         match plan.kind {
             OpKind::ReadPath | OpKind::DummyReadPath => {
                 self.paths += 1;
-                self.check_path_shape(plan);
+                // A (dummy) read path reads exactly one slot per off-chip
+                // level and writes nothing.
+                let off_chip = off_chip_levels(&self.config);
+                self.found.check_touch_counts(plan, off_chip, 0);
                 for touch in &plan.touches {
                     if touch.write {
                         continue; // shape check already flagged it
@@ -249,7 +224,7 @@ impl OramAuditor {
                         *c
                     };
                     if count > self.config.s {
-                        self.violate(
+                        self.found.violate(
                             Rule::BucketBudget,
                             format!(
                                 "bucket {} served {count} read-path touches in one epoch \
@@ -260,7 +235,7 @@ impl OramAuditor {
                     }
                     let reused = !self.touched_slots(touch.bucket).insert(touch.slot);
                     if reused {
-                        self.violate(
+                        self.found.violate(
                             Rule::SlotReuse,
                             format!(
                                 "bucket {} slot {} read twice between reshuffles",
@@ -278,7 +253,7 @@ impl OramAuditor {
                 // a read.
                 for touch in &plan.touches {
                     if touch.write {
-                        self.violate(
+                        self.found.violate(
                             Rule::PlanShape,
                             format!(
                                 "retry plan wrote bucket {} slot {} (retries only read)",
@@ -295,7 +270,7 @@ impl OramAuditor {
                         .map(|n| *n -= 1)
                         .is_some();
                     if !allowed {
-                        self.violate(
+                        self.found.violate(
                             Rule::RetryMismatch,
                             format!(
                                 "retry-read of bucket {} slot {} without a matching \
@@ -306,7 +281,7 @@ impl OramAuditor {
                     }
                 }
                 if plan.touches.is_empty() {
-                    self.violate(
+                    self.found.violate(
                         Rule::PlanShape,
                         "empty retry plan (a retry must re-read at least one slot)".to_string(),
                     );
@@ -318,7 +293,7 @@ impl OramAuditor {
             }
             OpKind::Eviction => {
                 self.evictions += 1;
-                self.check_reshuffle_shape(plan, self.off_chip_levels());
+                self.check_reshuffle_shape(plan, off_chip_levels(&self.config));
                 self.apply_rewrites(plan);
             }
         }
@@ -346,30 +321,65 @@ impl OramAuditor {
             .or_insert_with(|| HashSet::with_capacity(epoch_touches))
     }
 
-    /// A (dummy) read path reads exactly one slot per off-chip level and
-    /// writes nothing.
-    fn check_path_shape(&mut self, plan: &AccessPlan) {
-        let reads = plan.reads() as u64;
-        let writes = plan.writes() as u64;
-        let expect = self.off_chip_levels();
-        if reads != expect || writes != 0 {
-            self.violate(
-                Rule::PlanShape,
-                format!(
-                    "{} with {reads} reads / {writes} writes (expected {expect} / 0)",
-                    plan.kind.label()
-                ),
-            );
-        }
-    }
-
     /// A reshuffle or eviction reads `Z` slots and rewrites all
     /// `Z + S - Y` slots of each bucket it covers.
     fn check_reshuffle_shape(&mut self, plan: &AccessPlan, buckets: u64) {
-        let reads = plan.reads() as u64;
-        let writes = plan.writes() as u64;
         let expect_reads = buckets * u64::from(self.config.z);
         let expect_writes = buckets * u64::from(self.config.bucket_slots());
+        self.found
+            .check_touch_counts(plan, expect_reads, expect_writes);
+    }
+
+    /// Records the stash occupancy sampled after an access completed.
+    pub fn observe_stash(&mut self, stash_len: usize) {
+        self.found
+            .check_stash_bound(stash_len, self.config.stash_capacity);
+    }
+}
+
+/// Number of tree levels whose buckets live off-chip (the tree top is
+/// cached on-chip and never appears in plans).
+fn off_chip_levels(config: &RingConfig) -> u64 {
+    u64::from(config.levels.saturating_sub(config.tree_top_cached_levels))
+}
+
+/// What an auditor has found so far, with the checks every protocol's
+/// auditor makes; each finding is stamped with the access it was made in.
+#[derive(Debug, Clone, Default)]
+struct Findings {
+    /// Protocol accesses audited so far.
+    accesses: u64,
+    violations: Vec<Violation>,
+}
+
+impl Findings {
+    fn violate(&mut self, rule: Rule, message: String) {
+        self.violations
+            .push(Violation::new(self.accesses, rule, message));
+    }
+
+    /// Every touch of `plan` must address one of the bucket's `slots` slots.
+    fn check_slot_range(&mut self, plan: &AccessPlan, slots: u32) {
+        for touch in &plan.touches {
+            if touch.slot >= slots {
+                self.violate(
+                    Rule::SlotRange,
+                    format!(
+                        "{} touch of bucket {} addressed slot {} (bucket has {slots})",
+                        plan.kind.label(),
+                        touch.bucket.0,
+                        touch.slot
+                    ),
+                );
+            }
+        }
+    }
+
+    /// `plan` must make exactly `expect_reads` reads and `expect_writes`
+    /// writes.
+    fn check_touch_counts(&mut self, plan: &AccessPlan, expect_reads: u64, expect_writes: u64) {
+        let reads = plan.reads() as u64;
+        let writes = plan.writes() as u64;
         if reads != expect_reads || writes != expect_writes {
             self.violate(
                 Rule::PlanShape,
@@ -382,239 +392,139 @@ impl OramAuditor {
         }
     }
 
-    /// Records the stash occupancy sampled after an access completed.
-    pub fn observe_stash(&mut self, stash_len: usize) {
-        if stash_len > self.config.stash_capacity {
+    /// Shape-checks one plan whose touch list must be `reads` reads
+    /// followed by `writes` writes, every slot inside `slots` — the
+    /// plain-tree protocols' whole contract (their buckets have no dummy
+    /// budget, so epoch/reuse tracking does not apply: every access
+    /// rewrites the full path it read).
+    fn check_exact_shape(&mut self, plan: &AccessPlan, slots: u32, reads: u64, writes: u64) {
+        self.check_slot_range(plan, slots);
+        self.check_touch_counts(plan, reads, writes);
+        // Reads must precede writes: the memory hierarchy fetches the path
+        // before the engine can rewrite it.
+        if let Some(first_write) = plan.touches.iter().position(|t| t.write) {
+            if plan.touches[first_write..].iter().any(|t| !t.write) {
+                self.violate(
+                    Rule::PlanShape,
+                    format!("{} interleaves reads after writes", plan.kind.label()),
+                );
+            }
+        }
+    }
+
+    /// The stash occupancy sampled after an access completed must be
+    /// within the configured bound.
+    fn check_stash_bound(&mut self, stash_len: usize, bound: usize) {
+        if stash_len > bound {
             self.violate(
                 Rule::StashBound,
-                format!(
-                    "stash held {stash_len} blocks, bound {}",
-                    self.config.stash_capacity
-                ),
+                format!("stash held {stash_len} blocks, bound {bound}"),
             );
         }
     }
 }
 
-/// Shape-checks one plan whose touch list must be `expect_reads` reads
-/// followed by `expect_writes` writes, every slot inside `slots`. Shared by
-/// the Path and Circuit auditors (their buckets have no dummy budget, so
-/// epoch/reuse tracking does not apply — every access rewrites the full
-/// path it read).
-fn check_exact_shape(
-    plan: &AccessPlan,
-    slots: u32,
-    expect_reads: u64,
-    expect_writes: u64,
-    access: u64,
-    violations: &mut Vec<Violation>,
-) {
-    for touch in &plan.touches {
-        if touch.slot >= slots {
-            violations.push(Violation::new(
-                access,
-                Rule::SlotRange,
-                format!(
-                    "{} touch of bucket {} addressed slot {} (bucket has {slots})",
-                    plan.kind.label(),
-                    touch.bucket.0,
-                    touch.slot
-                ),
-            ));
-        }
-    }
-    let reads = plan.reads() as u64;
-    let writes = plan.writes() as u64;
-    if reads != expect_reads || writes != expect_writes {
-        violations.push(Violation::new(
-            access,
-            Rule::PlanShape,
-            format!(
-                "{} with {reads} reads / {writes} writes (expected {expect_reads} / \
-                 {expect_writes})",
-                plan.kind.label()
-            ),
-        ));
-    }
-    // Reads must precede writes: the memory hierarchy fetches the path
-    // before the engine can rewrite it.
-    if let Some(first_write) = plan.touches.iter().position(|t| t.write) {
-        if plan.touches[first_write..].iter().any(|t| !t.write) {
-            violations.push(Violation::new(
-                access,
-                Rule::PlanShape,
-                format!("{} interleaves reads after writes", plan.kind.label()),
-            ));
-        }
-    }
-}
-
-/// Replays a Path ORAM plan stream against the protocol's invariants.
+/// Replays a Path or Circuit ORAM plan stream against the protocol's
+/// invariants.
 ///
-/// Path ORAM's bus-observable contract is far simpler than Ring's — there
-/// are no dummy budgets or reshuffle epochs to track. Every access is
-/// exactly one [`OpKind::ReadPath`] plan that reads all `Z` slots of every
-/// off-chip bucket on the path and writes all of them back
-/// ([`Rule::PlanShape`] otherwise), with every slot in range
-/// ([`Rule::SlotRange`]) and the stash within its configured bound
-/// ([`Rule::StashBound`]).
+/// The two protocols are schedules over one `Z`-slot tree, and their
+/// bus-observable contract is far simpler than Ring's — there are no dummy
+/// budgets or reshuffle epochs to track. Every access must emit exactly
+/// the protocol's plan batch, held here as a table of (kind, reads,
+/// writes) rows ([`Rule::PlanShape`] otherwise):
+///
+/// * **Path** — one [`OpKind::ReadPath`] plan that reads all `Z` slots of
+///   every off-chip bucket on the path and writes all of them back;
+/// * **Circuit** — one read-only [`OpKind::ReadPath`] plan (the whole path,
+///   zero writes — Circuit ORAM's low-online-bandwidth half) followed by
+///   [`EVICTIONS_PER_ACCESS`] [`OpKind::Eviction`] plans that each read and
+///   fully rewrite their reverse-lexicographic path;
+///
+/// with every slot in range ([`Rule::SlotRange`]) and the stash within its
+/// configured bound ([`Rule::StashBound`]).
 #[derive(Debug, Clone)]
-pub struct PathAuditor {
+pub struct PlainTreeAuditor {
     config: RingConfig,
-    accesses: u64,
-    violations: Vec<Violation>,
+    /// The protocol's name in violation messages.
+    protocol: &'static str,
+    /// The plan batch of one access: each plan's kind, reads and writes.
+    expected: Vec<(OpKind, u64, u64)>,
+    found: Findings,
 }
 
-impl PathAuditor {
+impl PlainTreeAuditor {
     /// Creates an auditor for a Path ORAM instance with this configuration
     /// (the `bucket_slots == z` [`RingConfig`] encoding).
     #[must_use]
-    pub fn new(config: RingConfig) -> Self {
-        Self {
-            config,
-            accesses: 0,
-            violations: Vec::new(),
-        }
+    pub fn path(config: RingConfig) -> Self {
+        Self::new(config, "Path", &[(OpKind::ReadPath, true)])
     }
 
-    /// Violations found so far.
-    #[must_use]
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Takes the accumulated violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
-    }
-
-    /// Whether no violation has been found.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Protocol accesses audited so far.
-    #[must_use]
-    pub fn accesses_checked(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Audits the plan batch of one access: exactly one `ReadPath` plan
-    /// reading and rewriting the full off-chip path.
-    pub fn observe_access(&mut self, plans: &[AccessPlan]) {
-        self.accesses += 1;
-        if plans.len() != 1 || plans[0].kind != OpKind::ReadPath {
-            self.violations.push(Violation::new(
-                self.accesses,
-                Rule::PlanShape,
-                format!(
-                    "Path ORAM access emitted {} plan(s) [{}] (expected 1 read-path)",
-                    plans.len(),
-                    plans
-                        .iter()
-                        .map(|p| p.kind.label())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            ));
-            return;
-        }
-        let off = u64::from(
-            self.config
-                .levels
-                .saturating_sub(self.config.tree_top_cached_levels),
-        );
-        let per_level = u64::from(self.config.z);
-        check_exact_shape(
-            &plans[0],
-            self.config.bucket_slots(),
-            off * per_level,
-            off * per_level,
-            self.accesses,
-            &mut self.violations,
-        );
-    }
-
-    /// Records the stash occupancy sampled after an access completed.
-    pub fn observe_stash(&mut self, stash_len: usize) {
-        if stash_len > self.config.stash_capacity {
-            self.violations.push(Violation::new(
-                self.accesses,
-                Rule::StashBound,
-                format!(
-                    "stash held {stash_len} blocks, bound {}",
-                    self.config.stash_capacity
-                ),
-            ));
-        }
-    }
-}
-
-/// Replays a Circuit ORAM plan stream against the protocol's invariants.
-///
-/// Each access must be exactly one read-only [`OpKind::ReadPath`] plan
-/// (all `Z` slots of every off-chip bucket on the path, zero writes)
-/// followed by [`EVICTIONS_PER_ACCESS`] [`OpKind::Eviction`] plans that
-/// each read and fully rewrite their reverse-lexicographic path
-/// ([`Rule::PlanShape`] otherwise); slots stay in range
-/// ([`Rule::SlotRange`]) and the stash within bound ([`Rule::StashBound`]).
-#[derive(Debug, Clone)]
-pub struct CircuitAuditor {
-    config: RingConfig,
-    accesses: u64,
-    violations: Vec<Violation>,
-}
-
-impl CircuitAuditor {
     /// Creates an auditor for a Circuit ORAM instance with this
     /// configuration (the `bucket_slots == z` [`RingConfig`] encoding).
     #[must_use]
-    pub fn new(config: RingConfig) -> Self {
+    pub fn circuit(config: RingConfig) -> Self {
+        let mut rows = [(OpKind::Eviction, true); 1 + EVICTIONS_PER_ACCESS];
+        rows[0] = (OpKind::ReadPath, false);
+        Self::new(config, "Circuit", &rows)
+    }
+
+    /// `rows` names each plan's kind and whether it writes its path back;
+    /// every plan reads the full off-chip path.
+    fn new(config: RingConfig, protocol: &'static str, rows: &[(OpKind, bool)]) -> Self {
+        let path = off_chip_levels(&config) * u64::from(config.z);
         Self {
+            expected: rows
+                .iter()
+                .map(|&(kind, writes_back)| (kind, path, if writes_back { path } else { 0 }))
+                .collect(),
             config,
-            accesses: 0,
-            violations: Vec::new(),
+            protocol,
+            found: Findings::default(),
         }
     }
 
     /// Violations found so far.
     #[must_use]
     pub fn violations(&self) -> &[Violation] {
-        &self.violations
+        &self.found.violations
     }
 
     /// Takes the accumulated violations.
     pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        std::mem::take(&mut self.found.violations)
     }
 
     /// Whether no violation has been found.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.found.violations.is_empty()
     }
 
     /// Protocol accesses audited so far.
     #[must_use]
     pub fn accesses_checked(&self) -> u64 {
-        self.accesses
+        self.found.accesses
     }
 
-    /// Audits the plan batch of one access: one read-only `ReadPath` plus
-    /// exactly [`EVICTIONS_PER_ACCESS`] full-path `Eviction` plans.
+    /// Audits the plan batch of one access against the protocol's table:
+    /// the right plans in the right order, then each plan's exact shape.
     pub fn observe_access(&mut self, plans: &[AccessPlan]) {
-        self.accesses += 1;
-        let well_formed = plans.len() == 1 + EVICTIONS_PER_ACCESS
-            && plans[0].kind == OpKind::ReadPath
-            && plans[1..].iter().all(|p| p.kind == OpKind::Eviction);
-        if !well_formed {
-            self.violations.push(Violation::new(
-                self.accesses,
+        self.found.accesses += 1;
+        if !plans
+            .iter()
+            .map(|p| p.kind)
+            .eq(self.expected.iter().map(|r| r.0))
+        {
+            let evictions = match self.expected.len() - 1 {
+                0 => String::new(),
+                n => format!(" + {n} evictions"),
+            };
+            self.found.violate(
                 Rule::PlanShape,
                 format!(
-                    "Circuit ORAM access emitted {} plan(s) [{}] (expected 1 read-path + \
-                     {EVICTIONS_PER_ACCESS} evictions)",
+                    "{} ORAM access emitted {} plan(s) [{}] (expected 1 read-path{evictions})",
+                    self.protocol,
                     plans.len(),
                     plans
                         .iter()
@@ -622,50 +532,19 @@ impl CircuitAuditor {
                         .collect::<Vec<_>>()
                         .join(", ")
                 ),
-            ));
+            );
             return;
         }
-        let off = u64::from(
-            self.config
-                .levels
-                .saturating_sub(self.config.tree_top_cached_levels),
-        );
-        let per_level = u64::from(self.config.z);
-        let slots = self.config.bucket_slots();
-        // The read path transfers the whole path but writes nothing back —
-        // Circuit ORAM's low-online-bandwidth half.
-        check_exact_shape(
-            &plans[0],
-            slots,
-            off * per_level,
-            0,
-            self.accesses,
-            &mut self.violations,
-        );
-        for ev in &plans[1..] {
-            check_exact_shape(
-                ev,
-                slots,
-                off * per_level,
-                off * per_level,
-                self.accesses,
-                &mut self.violations,
-            );
+        for (plan, &(_, reads, writes)) in plans.iter().zip(&self.expected) {
+            self.found
+                .check_exact_shape(plan, self.config.bucket_slots(), reads, writes);
         }
     }
 
     /// Records the stash occupancy sampled after an access completed.
     pub fn observe_stash(&mut self, stash_len: usize) {
-        if stash_len > self.config.stash_capacity {
-            self.violations.push(Violation::new(
-                self.accesses,
-                Rule::StashBound,
-                format!(
-                    "stash held {stash_len} blocks, bound {}",
-                    self.config.stash_capacity
-                ),
-            ));
-        }
+        self.found
+            .check_stash_bound(stash_len, self.config.stash_capacity);
     }
 }
 
@@ -675,15 +554,14 @@ impl CircuitAuditor {
 /// Ring+CB and plain Ring share the [`OramAuditor`] — plain Ring is the
 /// `Y = 0` configuration and obeys every Ring invariant (the config passed
 /// in must be the *effective* one, with `y` already forced to 0, so the
-/// `Z + S - Y` slot range is right).
+/// `Z + S - Y` slot range is right). Path and Circuit share the
+/// [`PlainTreeAuditor`], each under its own plan table.
 #[derive(Debug, Clone)]
 pub enum ProtocolAuditor {
     /// Ring invariants (Ring+CB and plain Ring).
     Ring(OramAuditor),
-    /// Path ORAM invariants.
-    Path(PathAuditor),
-    /// Circuit ORAM invariants.
-    Circuit(CircuitAuditor),
+    /// Path or Circuit ORAM invariants.
+    Plain(PlainTreeAuditor),
 }
 
 impl ProtocolAuditor {
@@ -693,8 +571,8 @@ impl ProtocolAuditor {
     pub fn new(kind: ProtocolKind, config: RingConfig) -> Self {
         match kind {
             ProtocolKind::RingCb | ProtocolKind::Ring => Self::Ring(OramAuditor::new(config)),
-            ProtocolKind::Path => Self::Path(PathAuditor::new(config)),
-            ProtocolKind::Circuit => Self::Circuit(CircuitAuditor::new(config)),
+            ProtocolKind::Path => Self::Plain(PlainTreeAuditor::path(config)),
+            ProtocolKind::Circuit => Self::Plain(PlainTreeAuditor::circuit(config)),
         }
     }
 
@@ -711,8 +589,7 @@ impl ProtocolAuditor {
     pub fn observe_access(&mut self, plans: &[AccessPlan]) {
         match self {
             Self::Ring(a) => a.observe_access(plans),
-            Self::Path(a) => a.observe_access(plans),
-            Self::Circuit(a) => a.observe_access(plans),
+            Self::Plain(a) => a.observe_access(plans),
         }
     }
 
@@ -720,8 +597,7 @@ impl ProtocolAuditor {
     pub fn observe_stash(&mut self, stash_len: usize) {
         match self {
             Self::Ring(a) => a.observe_stash(stash_len),
-            Self::Path(a) => a.observe_stash(stash_len),
-            Self::Circuit(a) => a.observe_stash(stash_len),
+            Self::Plain(a) => a.observe_stash(stash_len),
         }
     }
 
@@ -730,8 +606,7 @@ impl ProtocolAuditor {
     pub fn violations(&self) -> &[Violation] {
         match self {
             Self::Ring(a) => a.violations(),
-            Self::Path(a) => a.violations(),
-            Self::Circuit(a) => a.violations(),
+            Self::Plain(a) => a.violations(),
         }
     }
 
@@ -739,8 +614,7 @@ impl ProtocolAuditor {
     pub fn take_violations(&mut self) -> Vec<Violation> {
         match self {
             Self::Ring(a) => a.take_violations(),
-            Self::Path(a) => a.take_violations(),
-            Self::Circuit(a) => a.take_violations(),
+            Self::Plain(a) => a.take_violations(),
         }
     }
 
@@ -755,8 +629,7 @@ impl ProtocolAuditor {
     pub fn accesses_checked(&self) -> u64 {
         match self {
             Self::Ring(a) => a.accesses_checked(),
-            Self::Path(a) => a.accesses_checked(),
-            Self::Circuit(a) => a.accesses_checked(),
+            Self::Plain(a) => a.accesses_checked(),
         }
     }
 }
@@ -1033,7 +906,7 @@ mod tests {
         use ring_oram::PathOram;
         let config = z_slot_config();
         let mut oram = PathOram::from_ring(config.clone(), 7);
-        let mut auditor = PathAuditor::new(config);
+        let mut auditor = PlainTreeAuditor::path(config);
         for i in 0..600u64 {
             let outcome = oram.access(ring_oram::BlockId(i % 40));
             auditor.observe_access(&outcome.plans);
@@ -1050,7 +923,7 @@ mod tests {
         use ring_oram::CircuitOram;
         let config = z_slot_config();
         let mut oram = CircuitOram::new(config.clone(), 7);
-        let mut auditor = CircuitAuditor::new(config);
+        let mut auditor = PlainTreeAuditor::circuit(config);
         for i in 0..600u64 {
             let outcome = oram.access(ring_oram::BlockId(i % 40));
             auditor.observe_access(&outcome.plans);
@@ -1064,7 +937,7 @@ mod tests {
     #[test]
     fn path_auditor_rejects_wrong_plan_count_and_shape() {
         let config = z_slot_config();
-        let mut auditor = PathAuditor::new(config.clone());
+        let mut auditor = PlainTreeAuditor::path(config.clone());
         // Two plans where one is expected.
         let mk = || {
             AccessPlan::new(
@@ -1092,7 +965,7 @@ mod tests {
     #[test]
     fn path_auditor_rejects_out_of_range_slot_and_stash_overflow() {
         let config = z_slot_config();
-        let mut auditor = PathAuditor::new(config.clone());
+        let mut auditor = PlainTreeAuditor::path(config.clone());
         let mut oram = ring_oram::PathOram::from_ring(config.clone(), 3);
         let mut outcome = oram.access(ring_oram::BlockId(1));
         outcome.plans[0].touches[0].slot = config.bucket_slots(); // one past the end
@@ -1111,7 +984,7 @@ mod tests {
     #[test]
     fn circuit_auditor_rejects_missing_eviction_and_writing_read_path() {
         let config = z_slot_config();
-        let mut auditor = CircuitAuditor::new(config.clone());
+        let mut auditor = PlainTreeAuditor::circuit(config.clone());
         let mut oram = ring_oram::CircuitOram::new(config.clone(), 3);
         // Dropping an eviction plan breaks the deterministic cadence.
         let outcome = oram.access(ring_oram::BlockId(1));
@@ -1136,7 +1009,7 @@ mod tests {
     #[test]
     fn reads_after_writes_are_rejected() {
         let config = z_slot_config();
-        let mut auditor = PathAuditor::new(config.clone());
+        let mut auditor = PlainTreeAuditor::path(config.clone());
         let off = config.levels - config.tree_top_cached_levels;
         // Right counts, wrong order: interleave write-then-read per level.
         let mut touches = Vec::new();
@@ -1160,9 +1033,9 @@ mod tests {
         let plain = ProtocolAuditor::new(ProtocolKind::Ring, RingConfig::test_small());
         assert!(matches!(plain, ProtocolAuditor::Ring(_)));
         let mut path = ProtocolAuditor::new(ProtocolKind::Path, z_slot_config());
-        assert!(matches!(path, ProtocolAuditor::Path(_)));
-        let circuit = ProtocolAuditor::new(ProtocolKind::Circuit, z_slot_config());
-        assert!(matches!(circuit, ProtocolAuditor::Circuit(_)));
+        assert!(matches!(path, ProtocolAuditor::Plain(_)));
+        let mut circuit = ProtocolAuditor::new(ProtocolKind::Circuit, z_slot_config());
+        assert!(matches!(circuit, ProtocolAuditor::Plain(_)));
 
         // The dispatching surface behaves like the inner auditor.
         let mut oram = ring_oram::PathOram::from_ring(z_slot_config(), 9);
@@ -1171,9 +1044,12 @@ mod tests {
             path.observe_faults(&[]);
             path.observe_access(&outcome.plans);
             path.observe_stash(oram.stash_len());
+            // Same variant, different table: a Path batch is not Circuit's.
+            circuit.observe_access(&outcome.plans);
             oram.recycle_outcome(outcome);
         }
         assert!(path.is_clean(), "{:?}", path.violations().first());
+        assert_eq!(circuit.violations().len(), 50);
         assert_eq!(path.accesses_checked(), 50);
         assert!(path.take_violations().is_empty());
     }

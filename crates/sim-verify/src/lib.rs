@@ -17,8 +17,8 @@
 //!   Compact Bucket's `Z + S - Y` physical slots, no bucket slot is read
 //!   twice between reshuffles, no bucket is touched more than `S` times
 //!   per epoch, evictions fire at exactly one per `A` read paths);
-//!   [`PathAuditor`] and [`CircuitAuditor`] pin their protocols'
-//!   full-path plan shapes and stash bounds.
+//!   [`PlainTreeAuditor`] pins Path and Circuit ORAM's full-path plan
+//!   shapes (one expected-plan table each) and stash bounds.
 //! * [`oracle`] — differential-run primitives: extracting the data-command
 //!   (RD/WR) sequence from a trace, checking the transaction-order security
 //!   contract, and locating the first divergence between two runs.
@@ -64,7 +64,7 @@ pub mod shard;
 pub mod stream;
 pub mod violation;
 
-pub use audit::{CircuitAuditor, OramAuditor, PathAuditor, ProtocolAuditor};
+pub use audit::{OramAuditor, PlainTreeAuditor, ProtocolAuditor};
 pub use oracle::{
     check_txn_order, data_commands, first_divergence, grouped_by_txn, DataCmd, TxnOrderChecker,
 };

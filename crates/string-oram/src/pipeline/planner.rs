@@ -14,6 +14,7 @@
 //! digests; the `backend_differential` test pins this.
 
 use dram_sim::PhysAddr;
+use oram_rng::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use ring_oram::layout::{NaiveLayout, SubtreeLayout, TreeLayout};
 use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
 use ring_oram::{
@@ -23,9 +24,6 @@ use ring_oram::{
 use crate::config::{ConfigError, LayoutKind, SystemConfig};
 use crate::cpu::CoreRequest;
 use crate::pipeline::conformance::Conformance;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One ORAM transaction, lowered and ready for admission: physical
 /// requests in issue order plus the core-wakeup annotations.
@@ -368,14 +366,10 @@ fn lower(
     } else {
         None
     };
-    let mut h = *digest;
-    for &b in plan.kind.label().as_bytes() {
-        h = fnv1a_byte(h, b);
-    }
+    let mut h = fnv1a_bytes(*digest, plan.kind.label().as_bytes());
     h = fnv1a_u64(h, target_index.map_or(u64::MAX, |i| i as u64));
     for &(addr, is_write) in &requests {
-        h = fnv1a_u64(h, addr.0);
-        h = fnv1a_byte(h, u8::from(is_write));
+        h = fnv1a_bytes(fnv1a_u64(h, addr.0), &[u8::from(is_write)]);
     }
     *digest = h;
     PlannedTxn {
@@ -385,17 +379,6 @@ fn lower(
         waiting_core,
         release_on_completion,
     }
-}
-
-fn fnv1a_byte(h: u64, b: u8) -> u64 {
-    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-}
-
-fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = fnv1a_byte(h, b);
-    }
-    h
 }
 
 #[cfg(test)]

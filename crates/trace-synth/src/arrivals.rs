@@ -386,12 +386,11 @@ mod tests {
         ];
         for (i, (spec, want)) in recorded.into_iter().enumerate() {
             let mut p = ArrivalProcess::new(spec, 0xA221_7A15 + i as u64);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut h = oram_rng::FNV_OFFSET;
             for _ in 0..200_000 {
                 let n = p.next_tick();
-                for byte in [n as u8, (n >> 8) as u8, u8::from(p.is_bursting())] {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                let bytes = [n as u8, (n >> 8) as u8, u8::from(p.is_bursting())];
+                h = oram_rng::fnv1a_bytes(h, &bytes);
             }
             assert_eq!(h, want, "{spec:?}: 0x{h:016X}");
         }

@@ -304,9 +304,9 @@ fn run_batch(
 
 /// Controller-direct window for one scheduling policy: after a warm-up
 /// batch fills the queue slab, the channel caches and the completion
-/// buffer, a second batch scheduled through the `SchedulePolicy` trait
-/// object must not allocate — per-tick planning, candidate iteration and
-/// policy-local stats all live in pre-sized state.
+/// buffer, a second batch scheduled under the policy must not allocate —
+/// per-tick planning, candidate iteration and policy-local stats all live
+/// in pre-sized state.
 fn assert_controller_steady_state(policy: SchedulerPolicy) {
     let geometry = DramGeometry::test_small();
     let mapping = AddressMapping::hpca_default(&geometry);
@@ -361,8 +361,8 @@ fn steady_state_access_performs_no_heap_allocation() {
     assert_cold_materialization_budget();
 
     // The scheduler-policy lab rides in the same binary (same single-test
-    // isolation): trait-object dispatch through every policy must stay
-    // zero-alloc on the cycle-accurate controller's hot path.
+    // isolation): every row of the policy table must stay zero-alloc on
+    // the cycle-accurate controller's hot path.
     assert_controller_steady_state(SchedulerPolicy::TransactionBased);
     assert_controller_steady_state(SchedulerPolicy::ProactiveBank { lookahead: 1 });
     assert_controller_steady_state(SchedulerPolicy::ReadOverWrite { drain_bound: 4 });
