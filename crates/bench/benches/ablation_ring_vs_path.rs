@@ -2,8 +2,7 @@
 //! builds on: Ring ORAM cuts overall bandwidth 2.3–4x and online
 //! bandwidth far more, Ren et al. [17]).
 
-use ring_oram::path_oram::{PathConfig, PathOram};
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::{BlockId, PathOram, RingConfig, RingOram};
 use string_oram_bench::{print_header, print_row};
 
 fn main() {
@@ -11,7 +10,12 @@ fn main() {
     let working_set = 1u64 << 12;
 
     // Path ORAM with the standard Z=4 over the paper-sized tree.
-    let mut path = PathOram::new(PathConfig::hpca_default(), 3);
+    let path_cfg = RingConfig {
+        z: 4,
+        ..RingConfig::hpca_default()
+    }
+    .z_slot();
+    let mut path = PathOram::from_ring(path_cfg, 3);
     let mut path_total = 0u64;
     for i in 0..accesses {
         let out = path.access(BlockId(i % working_set));

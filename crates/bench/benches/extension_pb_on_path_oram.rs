@@ -11,9 +11,8 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use dram_sim::{AddressMapping, DramModule, PhysAddr};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
-use ring_oram::layout::{SubtreeLayout, TreeLayout};
-use ring_oram::path_oram::{PathConfig, PathOram};
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::layout::TreeLayout;
+use ring_oram::{BlockId, PathOram, RingConfig, RingOram};
 use string_oram_bench::{accesses_per_core, print_header, print_row};
 
 /// Drives pre-planned transactions through a memory controller; returns the
@@ -76,30 +75,19 @@ fn main() {
     );
 
     // Path ORAM transactions: full path read + write per access.
-    let path_cfg = PathConfig {
-        levels: 18,
-        z: 4,
-        block_bytes: 64,
-        tree_top_cached_levels: 4,
-    };
     let ring_equiv = RingConfig {
         levels: 18,
         tree_top_cached_levels: 4,
         ..RingConfig::hpca_baseline()
     };
-    // A Path ORAM bucket is exactly Z slots; express that as a RingConfig
-    // with S = Y = 1 (bucket_slots = Z + S - Y = Z) for the layout.
-    let path_layout = SubtreeLayout::new(
-        &RingConfig {
-            z: 4,
-            s: 1,
-            y: 1,
-            a: 1,
-            ..ring_equiv.clone()
-        },
-        16384,
-    );
-    let mut path = PathOram::new(path_cfg, 3);
+    // A Path ORAM bucket is exactly Z slots, for the engine and the layout.
+    let path_cfg = RingConfig {
+        z: 4,
+        ..ring_equiv.clone()
+    }
+    .z_slot();
+    let path_layout = TreeLayout::subtree(&path_cfg, 16384);
+    let mut path = PathOram::from_ring(path_cfg, 3);
     let mut path_txns = Vec::new();
     for i in 0..accesses as u64 {
         let out = path.access(BlockId(i % 4096));
@@ -115,7 +103,7 @@ fn main() {
     }
 
     // Ring ORAM transactions at the same tree height.
-    let ring_layout = SubtreeLayout::new(&ring_equiv, 16384);
+    let ring_layout = TreeLayout::subtree(&ring_equiv, 16384);
     let mut ring = RingOram::new(ring_equiv, 3);
     let mut ring_txns = Vec::new();
     for i in 0..accesses as u64 {

@@ -27,9 +27,7 @@ use oram_collections::ObliviousMap;
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
 use ring_oram::crypto::BlockCipher;
 use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
-use ring_oram::{
-    BlockId, CircuitOram, ObliviousProtocol, PathConfig, PathOram, RingConfig, RingOram,
-};
+use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, PathOram, RingConfig, RingOram};
 use string_oram::{BackendKind, Scheme, Simulation, SystemConfig};
 use string_oram_bench::{env_or, print_header, print_row};
 use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
@@ -131,7 +129,11 @@ fn bench_protocol_access() {
 /// before the clock starts, so each timed access finds its target in the
 /// tree or the stash.
 fn bench_plain_tree_access() {
-    let ring = PathConfig::hpca_default().to_ring();
+    let ring = RingConfig {
+        z: 4,
+        ..RingConfig::hpca_default()
+    }
+    .z_slot();
     let engines: [(&str, Box<dyn ObliviousProtocol>); 2] = [
         ("path_warm", Box::new(PathOram::from_ring(ring.clone(), 1))),
         ("circuit_warm", Box::new(CircuitOram::new(ring, 1))),

@@ -13,14 +13,16 @@
 pub mod json;
 pub mod schema;
 
+use std::fs::File;
 use std::io::Write;
+use std::path::Path;
 use std::sync::Mutex;
 
 use string_oram::{Scheme, SimReport, Simulation, SystemConfig};
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
 /// Open CSV sink for the current table, when `STRING_ORAM_CSV_DIR` is set.
-static CSV_SINK: Mutex<Option<std::fs::File>> = Mutex::new(None);
+static CSV_SINK: Mutex<Option<File>> = Mutex::new(None);
 
 fn slugify(title: &str) -> String {
     title
@@ -156,20 +158,37 @@ pub fn workload_names() -> Vec<&'static str> {
 /// `STRING_ORAM_CSV_DIR` environment variable names a directory, every
 /// subsequent [`print_row`] is also appended to
 /// `<dir>/<slug-of-title>.csv` for plotting.
+///
+/// # Panics
+///
+/// When the variable is set and the directory or the file cannot be
+/// created — a figure run pointed at an unusable directory must not
+/// "succeed" with no CSV.
 pub fn print_header(title: &str) {
     println!("\n{}", "=".repeat(78));
     println!("{title}");
     println!("{}", "=".repeat(78));
-    let mut sink = CSV_SINK.lock().expect("csv sink");
-    *sink = std::env::var("STRING_ORAM_CSV_DIR").ok().and_then(|dir| {
-        std::fs::create_dir_all(&dir).ok()?;
-        let path = std::path::Path::new(&dir).join(format!("{}.csv", slugify(title)));
-        std::fs::File::create(path).ok()
-    });
+    let sink = open_csv(std::env::var_os("STRING_ORAM_CSV_DIR").as_deref(), title);
+    *CSV_SINK.lock().expect("csv sink") = sink;
+}
+
+/// [`print_header`]'s sink for the variable's value (`None`: unset, no
+/// sink).
+fn open_csv(dir: Option<&std::ffi::OsStr>, title: &str) -> Option<File> {
+    let dir = Path::new(dir?);
+    let path = dir.join(format!("{}.csv", slugify(title)));
+    match std::fs::create_dir_all(dir).and_then(|()| File::create(&path)) {
+        Ok(file) => Some(file),
+        Err(e) => panic!("STRING_ORAM_CSV_DIR={dir:?}: cannot create {path:?}: {e}"),
+    }
 }
 
 /// Prints one table row: a label column then fixed-width value columns.
 /// Mirrored to the active CSV sink, if any (see [`print_header`]).
+///
+/// # Panics
+///
+/// When the row cannot be written to the CSV sink.
 pub fn print_row(label: &str, values: &[String]) {
     print!("{label:<12}");
     for v in values {
@@ -183,7 +202,8 @@ pub fn print_row(label: &str, values: &[String]) {
             // Strip display-only decorations for machine consumption.
             line.push_str(v.trim().trim_end_matches('%'));
         }
-        let _ = writeln!(f, "{line}");
+        writeln!(f, "{line}")
+            .unwrap_or_else(|e| panic!("STRING_ORAM_CSV_DIR: cannot write a CSV row: {e}"));
     }
 }
 
@@ -215,6 +235,19 @@ mod tests {
     #[should_panic(expected = "STRING_ORAM_SHARD_ACCESSES=\"2e2\" does not parse as usize")]
     fn a_set_but_unparsable_variable_is_refused() {
         let _ = parse_or("STRING_ORAM_SHARD_ACCESSES", Some("2e2"), 25_000usize);
+    }
+
+    #[test]
+    fn an_unset_csv_dir_opens_no_sink() {
+        assert!(open_csv(None, "Fig. 10").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "STRING_ORAM_CSV_DIR=")]
+    fn an_unusable_csv_dir_is_refused() {
+        // A directory under a regular file can never be created.
+        let under_a_file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/csv");
+        let _ = open_csv(Some(under_a_file.as_os_str()), "Fig. 10");
     }
 
     #[test]

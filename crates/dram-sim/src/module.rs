@@ -445,21 +445,6 @@ impl DramModule {
         v
     }
 
-    /// Average bank idle proportion over `elapsed` cycles: `1 - busy/elapsed`
-    /// averaged over all banks. Returns 0 when `elapsed` is 0.
-    #[must_use]
-    pub fn average_bank_idle_proportion(&self, elapsed: u64) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        let busy = self.bank_busy_cycles();
-        let total: f64 = busy
-            .iter()
-            .map(|&b| 1.0 - (b.min(elapsed) as f64 / elapsed as f64))
-            .sum();
-        total / busy.len() as f64
-    }
-
     /// Decodes `addr` with `mapping` and checks it addresses this module.
     ///
     /// # Errors
@@ -571,11 +556,11 @@ mod tests {
         let mut m = module();
         let t = m.timing().clone();
         // No activity: fully idle.
-        assert!((m.average_bank_idle_proportion(100) - 1.0).abs() < 1e-12);
+        assert!((m.snapshot().average_bank_idle_proportion(100) - 1.0).abs() < 1e-12);
         m.issue(DramCommand::activate(loc(0, 0, 1, 0)), 0).unwrap();
         m.issue(DramCommand::read(loc(0, 0, 1, 0)), t.t_rcd)
             .unwrap();
-        let idle = m.average_bank_idle_proportion(100);
+        let idle = m.snapshot().average_bank_idle_proportion(100);
         assert!(idle < 1.0);
         assert!(idle > 0.8, "only one of 8 banks was briefly busy: {idle}");
     }

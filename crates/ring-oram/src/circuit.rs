@@ -20,11 +20,11 @@
 //! places at least as well and keeps the plan shape identical.
 //!
 //! Buckets are exactly `Z` slots — no dummy budget, no metadata counters.
-//! The configuration is expressed as a [`RingConfig`] with `S = Y = 1`
-//! (`bucket_slots = Z + S - Y = Z`), the same encoding the layout code
-//! uses for Path ORAM. The engine is a second schedule over the plain-tree
-//! frame Path ORAM runs on (`crate::plain_tree`): an eviction is Path
-//! ORAM's read and write-back with no target, on the eviction path.
+//! The configuration is a [`RingConfig`] in its `Z`-slot encoding
+//! ([`RingConfig::z_slot`]), as for Path ORAM. The engine is a second
+//! schedule over the plain-tree frame Path ORAM runs on
+//! (`crate::plain_tree`): an eviction is Path ORAM's read and write-back
+//! with no target, on the eviction path.
 
 use crate::config::RingConfig;
 use crate::oblivious::ProtocolKind;
@@ -52,7 +52,7 @@ impl CircuitOram {
     ///
     /// Panics if `cfg` fails [`RingConfig::validate`] or if
     /// `cfg.bucket_slots() != cfg.z` — Circuit ORAM buckets are exactly
-    /// `Z` slots; encode that as `S = Y` (canonically `S = Y = 1`).
+    /// `Z` slots ([`RingConfig::z_slot`]).
     #[must_use]
     pub fn new(cfg: RingConfig, seed: u64) -> Self {
         Self {
@@ -109,16 +109,7 @@ mod tests {
     use crate::types::Level;
 
     fn test_cfg() -> RingConfig {
-        RingConfig {
-            levels: 8,
-            z: 4,
-            s: 1,
-            a: 1,
-            y: 1,
-            block_bytes: 64,
-            stash_capacity: 200,
-            tree_top_cached_levels: 0,
-        }
+        RingConfig::test_small().z_slot()
     }
 
     #[test]

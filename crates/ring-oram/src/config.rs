@@ -141,6 +141,22 @@ impl RingConfig {
         }
     }
 
+    /// This tree with buckets of exactly `Z` slots — the encoding the
+    /// plain-tree protocols (Path, Circuit) run on: `S = Y = 1`, so
+    /// `bucket_slots = Z + S - Y = Z` and layout sizing, sharding and
+    /// auditing share one configuration type across protocols. `A = 1` is
+    /// nominal (neither protocol has a separate eviction schedule); depth,
+    /// `Z`, block size, stash bound and tree-top cache are kept.
+    #[must_use]
+    pub fn z_slot(&self) -> Self {
+        Self {
+            s: 1,
+            a: 1,
+            y: 1,
+            ..self.clone()
+        }
+    }
+
     /// The deepest level index `L`.
     #[must_use]
     pub fn max_level(&self) -> u32 {
@@ -251,6 +267,16 @@ mod tests {
         for i in 0..=4 {
             RingConfig::table5_config(i).validate().unwrap();
         }
+    }
+
+    #[test]
+    fn z_slot_buckets_hold_exactly_z_blocks() {
+        let cfg = RingConfig::hpca_default();
+        let plain = cfg.z_slot();
+        plain.validate().unwrap();
+        assert_eq!((plain.bucket_slots(), plain.dummy_slots()), (cfg.z, 0));
+        let (s, a, y) = (cfg.s, cfg.a, cfg.y);
+        assert_eq!(RingConfig { s, a, y, ..plain }, cfg, "the rest is kept");
     }
 
     #[test]

@@ -8,43 +8,32 @@
 //! A root-to-leaf path then touches one window per `k` levels instead of a
 //! scattered row per bucket.
 //!
-//! A naive breadth-first layout is provided for the ablation study: it keeps
-//! each *level* contiguous, so a path touches a different row at almost
-//! every level.
+//! The naive breadth-first layout of the ablation study is the same table
+//! at `k = 1` with unpadded one-bucket slots: bucket `b` sits at
+//! `b * bucket_bytes`, each *level* is contiguous, and a path touches a
+//! different row at almost every level.
 
 use crate::config::RingConfig;
 use crate::tree::TreeGeometry;
 use crate::types::BucketId;
 
-/// A placement of `(bucket, slot)` pairs at flat byte addresses.
+/// A placement of `(bucket, slot)` pairs at flat byte addresses: subtrees
+/// of `k` levels, each in a slot of `subtree_slot_bytes`, laid out
+/// group-major breadth-first. Injective, and every address is below
+/// [`TreeLayout::total_bytes`].
 ///
-/// Implementations must be injective (no two slots share an address) and
-/// keep every address below [`TreeLayout::total_bytes`].
-///
-/// Layouts are `Send` so a planner owning one can move to a shard worker
-/// thread (see `string_oram::pipeline::shard`); they are plain address
-/// arithmetic, so this costs implementations nothing.
-pub trait TreeLayout: std::fmt::Debug + Send {
-    /// Byte address of `slot` within `bucket`.
-    fn addr_of(&self, bucket: BucketId, slot: u32) -> u64;
-
-    /// Total bytes of the address range the layout occupies (including
-    /// alignment padding).
-    fn total_bytes(&self) -> u64;
-
-    /// Levels grouped per subtree (1 for layouts without grouping).
-    fn levels_per_subtree(&self) -> u32;
-}
-
-/// The subtree layout of Ren et al., parameterized by the locality window.
+/// | constructor             | `k`                    | slot bytes                                    |
+/// |-------------------------|------------------------|-----------------------------------------------|
+/// | [`TreeLayout::subtree`] | best fit of the window | `(2^k - 1)` buckets, padded to a power of two |
+/// | [`TreeLayout::naive`]   | 1                      | one bucket, unpadded                          |
 #[derive(Debug, Clone)]
-pub struct SubtreeLayout {
+pub struct TreeLayout {
     geometry: TreeGeometry,
     bucket_bytes: u64,
     block_bytes: u64,
     /// Levels per subtree (`k`).
     k: u32,
-    /// Padded byte size of one subtree slot.
+    /// Byte size of one subtree slot.
     subtree_slot_bytes: u64,
     /// Total number of subtree instances.
     total_subtrees: u64,
@@ -68,10 +57,10 @@ struct LevelLut {
     depth: u32,
 }
 
-impl SubtreeLayout {
-    /// Builds a subtree layout for `cfg`'s tree inside a locality window of
-    /// `locality_bytes` (the row-set size: DRAM row bytes times channels
-    /// under the paper's striped mapping).
+impl TreeLayout {
+    /// Builds the subtree layout of Ren et al. for `cfg`'s tree inside a
+    /// locality window of `locality_bytes` (the row-set size: DRAM row
+    /// bytes times channels under the paper's striped mapping).
     ///
     /// Each subtree slot is padded to the next power of two, which keeps
     /// slots aligned so no subtree ever straddles a window boundary. The
@@ -84,32 +73,49 @@ impl SubtreeLayout {
     ///
     /// Panics if `locality_bytes` is zero or `cfg` fails validation.
     #[must_use]
-    pub fn new(cfg: &RingConfig, locality_bytes: u64) -> Self {
+    pub fn subtree(cfg: &RingConfig, locality_bytes: u64) -> Self {
         assert!(locality_bytes > 0, "locality_bytes must be nonzero");
+        Self::grouped(cfg, |bucket_bytes| {
+            let mut best: Option<(u32, u64, f64)> = None; // (k, padded, score)
+            for k in 1..=cfg.levels {
+                let raw = ((1u64 << k) - 1).saturating_mul(bucket_bytes);
+                let padded = raw.next_power_of_two();
+                if padded > locality_bytes {
+                    break;
+                }
+                let efficiency = raw as f64 / padded as f64;
+                let score = f64::from(k) * efficiency;
+                if best.is_none_or(|(_, _, s)| score > s) {
+                    best = Some((k, padded, score));
+                }
+            }
+            // A single bucket exceeds the window: fall back to k = 1 with
+            // bucket-granular power-of-two slots.
+            best.map_or((1, bucket_bytes.next_power_of_two()), |(k, padded, _)| {
+                (k, padded)
+            })
+        })
+    }
+
+    /// Builds the naive breadth-first layout for `cfg`'s tree: bucket `b`
+    /// at `b * bucket_bytes` (the ablation baseline).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails validation.
+    #[must_use]
+    pub fn naive(cfg: &RingConfig) -> Self {
+        Self::grouped(cfg, |bucket_bytes| (1, bucket_bytes))
+    }
+
+    /// Validates `cfg`, asks `row` for `(k, subtree_slot_bytes)` given the
+    /// bucket size, and builds the per-level table for that grouping.
+    fn grouped(cfg: &RingConfig, row: impl FnOnce(u64) -> (u32, u64)) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid RingConfig: {e}");
         }
-        let geometry = TreeGeometry::new(cfg.levels);
         let bucket_bytes = cfg.bucket_bytes();
-        let mut best: Option<(u32, u64, f64)> = None; // (k, padded, score)
-        for k in 1..=cfg.levels {
-            let raw = ((1u64 << k) - 1).saturating_mul(bucket_bytes);
-            let padded = raw.next_power_of_two();
-            if padded > locality_bytes {
-                break;
-            }
-            let efficiency = raw as f64 / padded as f64;
-            let score = f64::from(k) * efficiency;
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((k, padded, score));
-            }
-        }
-        let (k, subtree_slot_bytes, _) = best.unwrap_or_else(|| {
-            // A single bucket exceeds the window: fall back to k = 1 with
-            // bucket-granular power-of-two slots.
-            (1, bucket_bytes.next_power_of_two(), 0.0)
-        });
-
+        let (k, subtree_slot_bytes) = row(bucket_bytes);
         let groups = cfg.levels.div_ceil(k);
         let mut group_prefix = Vec::with_capacity(groups as usize + 1);
         let mut total: u64 = 0;
@@ -126,7 +132,7 @@ impl SubtreeLayout {
             })
             .collect();
         Self {
-            geometry,
+            geometry: TreeGeometry::new(cfg.levels),
             bucket_bytes,
             block_bytes: u64::from(cfg.block_bytes),
             k,
@@ -136,25 +142,9 @@ impl SubtreeLayout {
         }
     }
 
-    /// Index of the subtree instance containing `bucket` (0-based, in
-    /// group-major breadth-first order).
+    /// Byte address of `slot` within `bucket`.
     #[must_use]
-    pub fn subtree_index(&self, bucket: BucketId) -> u64 {
-        let l = self.lut[self.geometry.level_of(bucket).0 as usize];
-        l.group_base + ((bucket.0 - l.level_base) >> l.depth)
-    }
-
-    /// Index of `bucket` inside its subtree (local breadth-first order).
-    #[must_use]
-    pub fn local_index(&self, bucket: BucketId) -> u64 {
-        let l = self.lut[self.geometry.level_of(bucket).0 as usize];
-        let mask = (1u64 << l.depth) - 1;
-        mask + ((bucket.0 - l.level_base) & mask)
-    }
-}
-
-impl TreeLayout for SubtreeLayout {
-    fn addr_of(&self, bucket: BucketId, slot: u32) -> u64 {
+    pub fn addr_of(&self, bucket: BucketId, slot: u32) -> u64 {
         debug_assert!(bucket.0 < self.geometry.bucket_count(), "bucket range");
         let l = self.lut[self.geometry.level_of(bucket).0 as usize];
         let pos = bucket.0 - l.level_base;
@@ -166,56 +156,17 @@ impl TreeLayout for SubtreeLayout {
             + u64::from(slot) * self.block_bytes
     }
 
-    fn total_bytes(&self) -> u64 {
+    /// Total bytes of the address range the layout occupies (including
+    /// alignment padding).
+    #[must_use]
+    pub fn total_bytes(&self) -> u64 {
         self.total_subtrees * self.subtree_slot_bytes
     }
 
-    fn levels_per_subtree(&self) -> u32 {
-        self.k
-    }
-}
-
-/// Naive breadth-first layout: bucket `b` at `b * bucket_bytes`. Keeps each
-/// level contiguous but scatters a path across the module; the ablation
-/// baseline.
-#[derive(Debug, Clone)]
-pub struct NaiveLayout {
-    bucket_count: u64,
-    bucket_bytes: u64,
-    block_bytes: u64,
-}
-
-impl NaiveLayout {
-    /// Builds the naive layout for `cfg`'s tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation.
+    /// Levels grouped per subtree (1 for the naive layout).
     #[must_use]
-    pub fn new(cfg: &RingConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid RingConfig: {e}");
-        }
-        Self {
-            bucket_count: cfg.bucket_count(),
-            bucket_bytes: cfg.bucket_bytes(),
-            block_bytes: u64::from(cfg.block_bytes),
-        }
-    }
-}
-
-impl TreeLayout for NaiveLayout {
-    fn addr_of(&self, bucket: BucketId, slot: u32) -> u64 {
-        debug_assert!(bucket.0 < self.bucket_count, "bucket range");
-        bucket.0 * self.bucket_bytes + u64::from(slot) * self.block_bytes
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.bucket_count * self.bucket_bytes
-    }
-
-    fn levels_per_subtree(&self) -> u32 {
-        1
+    pub fn levels_per_subtree(&self) -> u32 {
+        self.k
     }
 }
 
@@ -234,10 +185,10 @@ mod tests {
         let c = cfg();
         // Bucket = 512 B. With a 4 KiB window: 2^3 - 1 = 7 buckets = 3.5 KiB
         // fits, 15 buckets = 7.5 KiB does not.
-        let l = SubtreeLayout::new(&c, 4096);
+        let l = TreeLayout::subtree(&c, 4096);
         assert_eq!(l.levels_per_subtree(), 3);
         // With a 16 KiB window, 31 buckets = 15.5 KiB fits.
-        let l = SubtreeLayout::new(&c, 16384);
+        let l = TreeLayout::subtree(&c, 16384);
         assert_eq!(l.levels_per_subtree(), 5);
     }
 
@@ -247,23 +198,23 @@ mod tests {
         // levels (15 buckets = 11.25 KiB in a 16 KiB slot) win the
         // locality-vs-padding tradeoff.
         let c = RingConfig::hpca_default();
-        let l = SubtreeLayout::new(&c, 16384);
+        let l = TreeLayout::subtree(&c, 16384);
         assert_eq!(l.levels_per_subtree(), 4);
         // Baseline (Y=0): bucket = 20 x 64 = 1280 B. Three levels would pad
         // 8.75 KiB up to 16 KiB (45 % waste, and a 20 GB tree would no
         // longer fit the 32 GB module); two levels pack 3.75 KiB into 4 KiB.
         let b = RingConfig::hpca_baseline();
-        let l = SubtreeLayout::new(&b, 16384);
+        let l = TreeLayout::subtree(&b, 16384);
         assert_eq!(l.levels_per_subtree(), 2);
         // Both trees fit the paper's 32 GB module.
-        assert!(SubtreeLayout::new(&c, 16384).total_bytes() <= 32 * (1 << 30));
-        assert!(SubtreeLayout::new(&b, 16384).total_bytes() <= 32 * (1 << 30));
+        assert!(TreeLayout::subtree(&c, 16384).total_bytes() <= 32 * (1 << 30));
+        assert!(TreeLayout::subtree(&b, 16384).total_bytes() <= 32 * (1 << 30));
     }
 
     #[test]
     fn addresses_are_unique_and_in_range() {
         let c = cfg();
-        let l = SubtreeLayout::new(&c, 4096);
+        let l = TreeLayout::subtree(&c, 4096);
         let mut seen = std::collections::HashSet::new();
         for b in 0..c.bucket_count() {
             for s in 0..c.bucket_slots() {
@@ -277,7 +228,7 @@ mod tests {
     #[test]
     fn slots_within_bucket_are_contiguous() {
         let c = cfg();
-        let l = SubtreeLayout::new(&c, 4096);
+        let l = TreeLayout::subtree(&c, 4096);
         let a0 = l.addr_of(BucketId(3), 0);
         let a1 = l.addr_of(BucketId(3), 1);
         assert_eq!(a1 - a0, u64::from(c.block_bytes));
@@ -287,7 +238,7 @@ mod tests {
     fn path_touches_one_window_per_group() {
         let c = cfg(); // 8 levels
         let window = 4096;
-        let l = SubtreeLayout::new(&c, window);
+        let l = TreeLayout::subtree(&c, window);
         let k = l.levels_per_subtree(); // 3
         let g = TreeGeometry::new(c.levels);
         let path = PathId(93);
@@ -313,7 +264,7 @@ mod tests {
     fn subtree_padding_aligns_windows() {
         let c = cfg();
         let window = 4096;
-        let l = SubtreeLayout::new(&c, window);
+        let l = TreeLayout::subtree(&c, window);
         for b in [0u64, 1, 7, 100, 254] {
             let a = l.addr_of(BucketId(b), 0);
             let end = l.addr_of(BucketId(b), c.bucket_slots() - 1) + 64;
@@ -324,7 +275,7 @@ mod tests {
     #[test]
     fn naive_layout_is_dense_and_unique() {
         let c = cfg();
-        let l = NaiveLayout::new(&c);
+        let l = TreeLayout::naive(&c);
         assert_eq!(l.total_bytes(), c.bucket_count() * c.bucket_bytes());
         let mut seen = std::collections::HashSet::new();
         for b in 0..c.bucket_count() {
@@ -335,10 +286,52 @@ mod tests {
         assert_eq!(seen.len() as u64, c.bucket_count() * 8);
     }
 
+    /// FNV-1a fold of every slot address (bucket-major), `total_bytes`,
+    /// `levels_per_subtree`.
+    fn address_map(l: &TreeLayout, c: &RingConfig) -> (u64, u64, u32) {
+        let mut h = oram_rng::FNV_OFFSET;
+        for b in 0..c.bucket_count() {
+            for s in 0..c.bucket_slots() {
+                h = oram_rng::fnv1a_u64(h, l.addr_of(BucketId(b), s));
+            }
+        }
+        (h, l.total_bytes(), l.levels_per_subtree())
+    }
+
+    /// Both address maps, recorded while the layout was a trait with two
+    /// implementors; every access digest is a function of these.
+    #[test]
+    fn address_maps_match_the_recorded_values() {
+        let z_slot = RingConfig::test_small().z_slot();
+        let rows = [
+            (
+                RingConfig::test_small(),
+                (0x1F1D_CD33_6A17_0425, 0x49000, 3),
+                (0xB964_7429_3832_34ED, 0x1FE00, 1),
+            ),
+            (
+                RingConfig::test_small_cb(),
+                (0x47E0_1D8D_E9FF_A825, 0x49000, 3),
+                (0xC638_AB6A_BA04_12C9, 0x17E80, 1),
+            ),
+            (
+                z_slot,
+                (0x8D30_65AB_6FC6_F365, 0x11000, 4),
+                (0xC5BD_B0AA_AE18_6AE5, 0xFF00, 1),
+            ),
+        ];
+        for (c, subtree, naive) in rows {
+            let got = address_map(&TreeLayout::subtree(&c, 4096), &c);
+            assert_eq!(got, subtree, "subtree {c:?}: {got:#X?}");
+            let got = address_map(&TreeLayout::naive(&c), &c);
+            assert_eq!(got, naive, "naive {c:?}: {got:#X?}");
+        }
+    }
+
     #[test]
     fn total_bytes_includes_padding() {
         let c = cfg();
-        let l = SubtreeLayout::new(&c, 4096);
+        let l = TreeLayout::subtree(&c, 4096);
         // 3-level subtrees over 8 levels: groups of sizes 1, 8, 64 subtrees
         // (last group has 2 levels but still one slot each).
         assert_eq!(l.total_bytes(), (1 + 8 + 64) * 4096);
@@ -348,8 +341,8 @@ mod tests {
     fn cb_improves_packing_density() {
         // Fewer slots per bucket lets more levels share a window — the
         // secondary spatial benefit of the Compact Bucket.
-        let baseline = SubtreeLayout::new(&RingConfig::hpca_baseline(), 16384);
-        let cb = SubtreeLayout::new(&RingConfig::hpca_default(), 16384);
+        let baseline = TreeLayout::subtree(&RingConfig::hpca_baseline(), 16384);
+        let cb = TreeLayout::subtree(&RingConfig::hpca_default(), 16384);
         assert!(cb.levels_per_subtree() > baseline.levels_per_subtree());
         assert!(cb.total_bytes() < baseline.total_bytes());
     }

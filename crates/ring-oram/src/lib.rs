@@ -12,7 +12,7 @@
 //!   `S` dummy accesses served by *green* real blocks, shrinking each bucket
 //!   by `Y` slots ([`config::RingConfig::y`]) and shortening evictions;
 //! * leakage-free **background eviction** via dummy read paths;
-//! * the **subtree layout** address mapping ([`layout::SubtreeLayout`]);
+//! * the **subtree layout** address mapping ([`layout::TreeLayout`]);
 //! * the [`ObliviousProtocol`] trait — the pipeline contract shared by all
 //!   protocol engines — with a **Path ORAM** baseline ([`PathOram`]) and a
 //!   **Circuit ORAM** implementation ([`CircuitOram`]) alongside the Ring
@@ -76,7 +76,7 @@ pub use circuit::CircuitOram;
 pub use config::RingConfig;
 pub use faults::{FaultEvent, FaultEventKind, OramError, ResilienceConfig};
 pub use oblivious::{ObliviousProtocol, ProtocolKind};
-pub use path_oram::{PathConfig, PathOram};
+pub use path_oram::PathOram;
 pub use plan::{AccessPlan, OpKind, SlotTouch};
 pub use protocol::{AccessOutcome, ProtocolStats, RingOram, TargetSource};
 pub use recursive::{RecursiveConfig, RecursiveOram};

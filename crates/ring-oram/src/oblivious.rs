@@ -316,12 +316,7 @@ mod tests {
                     tree_top_cached_levels: cached,
                     ..RingConfig::test_small_cb()
                 };
-                let plain = RingConfig {
-                    s: 1,
-                    a: 1,
-                    y: 1,
-                    ..ring.clone()
-                };
+                let plain = ring.z_slot();
                 let oram: Box<dyn ObliviousProtocol> = match kind {
                     ProtocolKind::RingCb => Box::new(RingOram::new(ring, 11)),
                     ProtocolKind::Ring => Box::new(RingOram::new(RingConfig { y: 0, ..ring }, 11)),

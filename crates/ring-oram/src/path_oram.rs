@@ -17,12 +17,9 @@
 //! both path operations are the shared plain-tree frame
 //! (`crate::plain_tree`), which Circuit ORAM schedules differently.
 //!
-//! Configuration comes in two equivalent shapes: the protocol-native
-//! [`PathConfig`] (levels/Z/block size/cache) used by the standalone
-//! benchmarks, and a [`RingConfig`] with `S = Y = 1` (`bucket_slots =
-//! Z + S - Y = Z`) used by the pipeline so layout sizing, sharding and
-//! auditing share one configuration type across protocols
-//! ([`PathConfig::to_ring`] / [`PathOram::from_ring`] convert).
+//! Configuration is a [`RingConfig`] in its `Z`-slot encoding
+//! ([`RingConfig::z_slot`]), so layout sizing, sharding and auditing share
+//! one configuration type across protocols.
 
 use crate::config::RingConfig;
 use crate::oblivious::ProtocolKind;
@@ -31,97 +28,6 @@ use crate::plan::{AccessPlan, OpKind};
 use crate::protocol::AccessOutcome;
 use crate::types::BlockId;
 
-/// Path ORAM parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathConfig {
-    /// Total tree levels (`L + 1`).
-    pub levels: u32,
-    /// Slots per bucket (`Z`; 4 is the standard provably-safe choice).
-    pub z: u32,
-    /// Block size in bytes.
-    pub block_bytes: u32,
-    /// Top levels held on-chip (no DRAM traffic).
-    pub tree_top_cached_levels: u32,
-}
-
-impl PathConfig {
-    /// A Path ORAM sized like the paper's Ring ORAM default: 24 levels,
-    /// `Z = 4`, 64 B blocks, 6 cached levels.
-    #[must_use]
-    pub fn hpca_default() -> Self {
-        Self {
-            levels: 24,
-            z: 4,
-            block_bytes: 64,
-            tree_top_cached_levels: 6,
-        }
-    }
-
-    /// Small configuration for tests.
-    #[must_use]
-    pub fn test_small() -> Self {
-        Self {
-            levels: 8,
-            z: 4,
-            block_bytes: 64,
-            tree_top_cached_levels: 0,
-        }
-    }
-
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.levels == 0 || self.levels > 40 {
-            return Err(format!("levels ({}) must be in 1..=40", self.levels));
-        }
-        if self.z == 0 {
-            return Err("z must be nonzero".into());
-        }
-        if self.block_bytes == 0 {
-            return Err("block_bytes must be nonzero".into());
-        }
-        if self.tree_top_cached_levels >= self.levels {
-            return Err("tree_top_cached_levels must be below levels".into());
-        }
-        Ok(())
-    }
-
-    /// Blocks moved per access: `Z` reads plus `Z` writes per off-chip
-    /// level — Path ORAM's bandwidth overhead that Ring ORAM improves on.
-    #[must_use]
-    pub fn blocks_per_access(&self) -> u64 {
-        u64::from(2 * self.z * (self.levels - self.tree_top_cached_levels))
-    }
-
-    /// The equivalent [`RingConfig`] encoding: Path ORAM buckets are
-    /// exactly `Z` slots, expressed as `S = Y = 1` (`bucket_slots =
-    /// Z + 1 - 1 = Z`). `A = 1` is nominal (Path ORAM has no separate
-    /// eviction schedule). This is the shape the pipeline's layout,
-    /// sharding and audit layers consume.
-    #[must_use]
-    pub fn to_ring(&self) -> RingConfig {
-        RingConfig {
-            levels: self.levels,
-            z: self.z,
-            s: 1,
-            a: 1,
-            y: 1,
-            block_bytes: self.block_bytes,
-            stash_capacity: 500,
-            tree_top_cached_levels: self.tree_top_cached_levels,
-        }
-    }
-}
-
-impl Default for PathConfig {
-    fn default() -> Self {
-        Self::hpca_default()
-    }
-}
-
 /// A Path ORAM controller over a lazily materialized tree.
 #[derive(Debug)]
 pub struct PathOram {
@@ -129,26 +35,13 @@ pub struct PathOram {
 }
 
 impl PathOram {
-    /// Creates a Path ORAM with an initially empty tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation.
-    #[must_use]
-    pub fn new(cfg: PathConfig, seed: u64) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid PathConfig: {e}");
-        }
-        Self::from_ring(cfg.to_ring(), seed)
-    }
-
     /// Creates a Path ORAM from the pipeline's [`RingConfig`] encoding.
     ///
     /// # Panics
     ///
     /// Panics if `ring` fails [`RingConfig::validate`] or if
     /// `ring.bucket_slots() != ring.z` — Path ORAM buckets are exactly
-    /// `Z` slots; encode that as `S = Y` (canonically `S = Y = 1`).
+    /// `Z` slots ([`RingConfig::z_slot`]).
     #[must_use]
     pub fn from_ring(ring: RingConfig, seed: u64) -> Self {
         Self {
@@ -189,10 +82,14 @@ mod tests {
     use crate::oblivious::ObliviousProtocol;
     use crate::protocol::TargetSource;
 
+    fn small() -> RingConfig {
+        RingConfig::test_small().z_slot()
+    }
+
     #[test]
     fn access_moves_full_path() {
-        let cfg = PathConfig::test_small();
-        let mut o = PathOram::new(cfg.clone(), 1);
+        let cfg = small();
+        let mut o = PathOram::from_ring(cfg.clone(), 1);
         let out = o.access(BlockId(3));
         assert_eq!(out.plans.len(), 1);
         let plan = &out.plans[0];
@@ -203,7 +100,7 @@ mod tests {
 
     #[test]
     fn blocks_survive_many_accesses() {
-        let mut o = PathOram::new(PathConfig::test_small(), 2);
+        let mut o = PathOram::from_ring(small(), 2);
         for i in 0..300 {
             let out = o.access(BlockId(i % 23));
             o.recycle_outcome(out);
@@ -220,7 +117,7 @@ mod tests {
 
     #[test]
     fn stash_stays_bounded_under_uniform_load() {
-        let mut o = PathOram::new(PathConfig::test_small(), 3);
+        let mut o = PathOram::from_ring(small(), 3);
         for i in 0..2000 {
             let out = o.access(BlockId(i % 100));
             o.recycle_outcome(out);
@@ -235,32 +132,16 @@ mod tests {
 
     #[test]
     fn tree_top_cache_reduces_traffic() {
-        let mut cfg = PathConfig::test_small();
+        let mut cfg = small();
         cfg.tree_top_cached_levels = 3;
-        let mut o = PathOram::new(cfg.clone(), 4);
+        let mut o = PathOram::from_ring(cfg.clone(), 4);
         let out = o.access(BlockId(1));
         assert_eq!(out.plans[0].reads(), (cfg.z * (cfg.levels - 3)) as usize);
     }
 
     #[test]
-    fn bandwidth_overhead_formula() {
-        let cfg = PathConfig::hpca_default();
-        assert_eq!(cfg.blocks_per_access(), 2 * 4 * 18);
-    }
-
-    #[test]
-    fn ring_encoding_round_trips() {
-        let cfg = PathConfig::hpca_default();
-        let ring = cfg.to_ring();
-        assert_eq!(ring.bucket_slots(), ring.z);
-        assert!(ring.validate().is_ok());
-        let o = PathOram::from_ring(ring, 1);
-        assert_eq!(ObliviousProtocol::kind(&o), ProtocolKind::Path);
-    }
-
-    #[test]
     fn stats_accumulate() {
-        let mut o = PathOram::new(PathConfig::test_small(), 5);
+        let mut o = PathOram::from_ring(small(), 5);
         let a = o.access(BlockId(1));
         assert_eq!(a.source, TargetSource::New);
         o.recycle_outcome(a);
@@ -274,7 +155,7 @@ mod tests {
 
     #[test]
     fn recycled_buffers_are_reused() {
-        let mut o = PathOram::new(PathConfig::test_small(), 6);
+        let mut o = PathOram::from_ring(small(), 6);
         let out = o.access(BlockId(1));
         o.recycle_outcome(out);
         assert_eq!(o.tree.pool.pooled(), (1, 1));
@@ -283,17 +164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "below COLD_BASE")]
     fn cold_id_space_protected() {
-        let mut o = PathOram::new(PathConfig::test_small(), 7);
+        let mut o = PathOram::from_ring(small(), 7);
         let _ = o.access(BlockId(crate::RingOram::COLD_BASE));
-    }
-
-    #[test]
-    fn validation_rejects_bad_configs() {
-        let mut cfg = PathConfig::test_small();
-        cfg.z = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = PathConfig::test_small();
-        cfg.tree_top_cached_levels = cfg.levels;
-        assert!(cfg.validate().is_err());
     }
 }

@@ -84,14 +84,14 @@ impl PlainTree {
     ///
     /// Panics if `cfg` fails [`RingConfig::validate`] or if
     /// `cfg.bucket_slots() != cfg.z`: plain-tree buckets are exactly `Z`
-    /// slots, encoded as `S = Y` (canonically `S = Y = 1`).
+    /// slots ([`RingConfig::z_slot`]).
     pub(crate) fn new(cfg: RingConfig, seed: u64) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid RingConfig: {e}");
         }
         assert!(
             cfg.bucket_slots() == cfg.z,
-            "Path and Circuit ORAM buckets are exactly Z slots; pass S = Y (e.g. S = Y = 1), \
+            "Path and Circuit ORAM buckets are exactly Z slots; pass RingConfig::z_slot(), \
              got Z = {}, S = {}, Y = {}",
             cfg.z,
             cfg.s,
@@ -355,13 +355,9 @@ mod tests {
         RingConfig {
             levels,
             z,
-            s: 1,
-            a: 1,
-            y: 1,
-            block_bytes: 64,
-            stash_capacity: 500,
-            tree_top_cached_levels: 0,
+            ..RingConfig::test_small()
         }
+        .z_slot()
     }
 
     /// A frame after 400 Path-schedule accesses over 60 blocks.

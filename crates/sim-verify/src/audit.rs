@@ -897,7 +897,7 @@ mod tests {
     }
 
     fn z_slot_config() -> RingConfig {
-        ring_oram::PathConfig::test_small().to_ring()
+        RingConfig::test_small().z_slot()
     }
 
     /// The Path auditor must accept everything the real engine emits.

@@ -37,10 +37,6 @@
 //!   (completed / timed out / rejected), and under the fixed-rate policy
 //!   the submission envelope is a pure function of the policy clock —
 //!   never of the offered load (the timing-channel contract).
-//! * [`StreamConformance`] — the backend-agnostic bundle of the stream
-//!   checkers above, selecting which apply to a given memory backend (the
-//!   JEDEC shadow layer only attaches when a cycle-accurate DRAM model is
-//!   behind the trace).
 //!
 //! Everything here is passive and deterministic: checkers consume event
 //! streams, never influence scheduling, and report [`Violation`]s that the
@@ -61,7 +57,6 @@ pub mod policy;
 pub mod service;
 pub mod shadow;
 pub mod shard;
-pub mod stream;
 pub mod violation;
 
 pub use audit::{OramAuditor, PlainTreeAuditor, ProtocolAuditor};
@@ -72,5 +67,4 @@ pub use policy::PolicyAuditor;
 pub use service::{AuditedPolicy, RequestOutcome, ServiceAuditor};
 pub use shadow::ShadowTimingChecker;
 pub use shard::ShardResidencyAuditor;
-pub use stream::StreamConformance;
 pub use violation::{Rule, Violation};

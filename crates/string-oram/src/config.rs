@@ -5,6 +5,7 @@ use dram_sim::timing::TimingParams;
 use dram_sim::DramFaultConfig;
 use mem_sched::{PagePolicy, ResponseFaultConfig, SchedulerPolicy};
 use oram_rng::derive_stream_seed;
+use ring_oram::layout::TreeLayout;
 use ring_oram::{ProtocolKind, ResilienceConfig, RingConfig, ShardMap};
 
 /// Why a [`SystemConfig`] was rejected (see `Simulation::try_new`).
@@ -164,8 +165,8 @@ pub struct SystemConfig {
     /// point — when the scheme uses CB, plain `Ring` when it does not. The
     /// other kinds reinterpret [`Self::ring`] through
     /// [`Self::effective_ring`]: plain `Ring` forces `y = 0` (no CB
-    /// substitution), `Path`/`Circuit` force `S = Y = 1` (buckets of
-    /// exactly `Z` slots, no dummy budget).
+    /// substitution), `Path`/`Circuit` force buckets of exactly `Z`
+    /// slots, no dummy budget ([`RingConfig::z_slot`]).
     pub protocol: ProtocolKind,
     /// Ring ORAM parameters. In a preset they already are what the
     /// selected protocol runs with ([`Self::for_scheme`] zeroes `ring.y`
@@ -279,23 +280,22 @@ impl FaultConfig {
 
 /// Configuration of the passive conformance layer (the `sim-verify` crate).
 ///
-/// When enabled, the simulation records the controller's command trace and
-/// the protocol's plan stream and re-validates both against independently
-/// reimplemented rules: JEDEC timing plus the transaction-order security
-/// contract ([`Self::shadow_timing`]) and the Ring ORAM structural
-/// invariants ([`Self::oram_audit`]). Findings surface in
-/// `SimReport::violations`; with [`Self::fail_fast`] the simulation panics
-/// at the first finding instead (for `#[should_panic]` negative tests).
+/// When [`Self::enabled`], the simulation records the backend's command
+/// trace and the protocol's plan stream and re-validates both against
+/// independently reimplemented rules: the transaction-order security
+/// contract on every backend, JEDEC timing where a DRAM model is behind
+/// the trace, and the selected protocol's structural invariants. Findings
+/// surface in `SimReport::violations`; with [`Self::fail_fast`] the
+/// simulation panics at the first finding instead (for `#[should_panic]`
+/// negative tests).
 ///
 /// Everything is off by default so measurement runs pay no tracing cost;
 /// the `test_small` preset turns the checkers on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VerifyConfig {
-    /// Re-check every issued DRAM command against the JEDEC timing rules
-    /// and the transaction-order contract.
-    pub shadow_timing: bool,
-    /// Replay every access plan against the Ring ORAM invariants.
-    pub oram_audit: bool,
+    /// Attach every checker that applies to the configured backend and
+    /// protocol (see `pipeline::Conformance`).
+    pub enabled: bool,
     /// Panic on the first violation instead of accumulating into the
     /// report.
     pub fail_fast: bool,
@@ -312,8 +312,7 @@ impl VerifyConfig {
     #[must_use]
     pub fn checked() -> Self {
         Self {
-            shadow_timing: true,
-            oram_audit: true,
+            enabled: true,
             fail_fast: false,
         }
     }
@@ -440,24 +439,35 @@ impl SystemConfig {
     ///
     /// [`ProtocolKind::RingCb`] uses [`Self::ring`] verbatim; plain `Ring`
     /// is the same geometry with CB substitution disabled (`y = 0`);
-    /// `Path`/`Circuit` buckets are exactly `Z` slots, encoded as
-    /// `S = Y = 1` (`bucket_slots = Z + S - Y = Z`) so the layout,
-    /// sharding and audit layers size correctly. Every consumer of the
-    /// ring parameters downstream of the protocol selector (planner,
-    /// layout, conformance, sharded engine) must use this, not
-    /// [`Self::ring`].
+    /// `Path`/`Circuit` buckets are exactly `Z` slots
+    /// ([`RingConfig::z_slot`]) so the layout, sharding and audit layers
+    /// size correctly. Every consumer of the ring parameters downstream of
+    /// the protocol selector (planner, layout, conformance, sharded engine)
+    /// must use this, not [`Self::ring`].
     #[must_use]
     pub fn effective_ring(&self) -> RingConfig {
-        let mut ring = self.ring.clone();
         match self.protocol {
-            ProtocolKind::RingCb => {}
-            ProtocolKind::Ring => ring.y = 0,
-            ProtocolKind::Path | ProtocolKind::Circuit => {
-                ring.s = 1;
-                ring.y = 1;
-            }
+            ProtocolKind::RingCb => self.ring.clone(),
+            ProtocolKind::Ring => RingConfig {
+                y: 0,
+                ..self.ring.clone()
+            },
+            ProtocolKind::Path | ProtocolKind::Circuit => self.ring.z_slot(),
         }
-        ring
+    }
+
+    /// The tree layout [`Self::layout`] selects for `ring`'s tree (the
+    /// data ORAM's effective ring, or one map ORAM of a recursive stack).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring` fails validation.
+    #[must_use]
+    pub fn tree_layout(&self, ring: &RingConfig) -> TreeLayout {
+        match self.layout {
+            LayoutKind::Subtree => TreeLayout::subtree(ring, self.row_set_bytes()),
+            LayoutKind::Naive => TreeLayout::naive(ring),
+        }
     }
 
     /// Splits this configuration into its shard instances: the block
@@ -572,13 +582,7 @@ impl SystemConfig {
             f.dram.validate()?;
             f.memctrl.validate()?;
         }
-        use ring_oram::layout::TreeLayout;
-        let total = match self.layout {
-            LayoutKind::Subtree => {
-                ring_oram::layout::SubtreeLayout::new(&ring, self.row_set_bytes()).total_bytes()
-            }
-            LayoutKind::Naive => ring_oram::layout::NaiveLayout::new(&ring).total_bytes(),
-        };
+        let total = self.tree_layout(&ring).total_bytes();
         if total > self.geometry.capacity_bytes() {
             return Err(ConfigError::Invalid(format!(
                 "ORAM tree ({} B laid out) exceeds DRAM capacity ({} B)",

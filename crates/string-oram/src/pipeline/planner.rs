@@ -15,13 +15,13 @@
 
 use dram_sim::PhysAddr;
 use oram_rng::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
-use ring_oram::layout::{NaiveLayout, SubtreeLayout, TreeLayout};
+use ring_oram::layout::TreeLayout;
 use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
 use ring_oram::{
     AccessPlan, BlockId, CircuitOram, ObliviousProtocol, OpKind, PathOram, ProtocolKind, RingOram,
 };
 
-use crate::config::{ConfigError, LayoutKind, SystemConfig};
+use crate::config::{ConfigError, SystemConfig};
 use crate::cpu::CoreRequest;
 use crate::pipeline::conformance::Conformance;
 
@@ -51,12 +51,12 @@ pub struct PlannedTxn {
 enum Engine {
     Flat {
         oram: Box<dyn ObliviousProtocol>,
-        layout: Box<dyn TreeLayout>,
+        layout: TreeLayout,
     },
     Recursive {
         stack: Box<RecursiveOram>,
         /// Per-stack-index layout and base address (disjoint regions).
-        regions: Vec<(Box<dyn TreeLayout>, u64)>,
+        regions: Vec<(TreeLayout, u64)>,
     },
 }
 
@@ -85,12 +85,6 @@ impl Planner {
     /// [`ConfigError::Invalid`] when the recursive stack does not fit the
     /// DRAM module (`cfg` itself is assumed pre-validated).
     pub fn build(cfg: &SystemConfig) -> Result<Self, ConfigError> {
-        let mk_layout = |ring: &ring_oram::RingConfig| -> Box<dyn TreeLayout> {
-            match cfg.layout {
-                LayoutKind::Subtree => Box::new(SubtreeLayout::new(ring, cfg.row_set_bytes())),
-                LayoutKind::Naive => Box::new(NaiveLayout::new(ring)),
-            }
-        };
         // Every engine runs on the protocol's *effective* ring parameters
         // (`ring == cfg.ring` for the paper's Ring+CB design point, so the
         // existing pipeline is bit-identical).
@@ -117,7 +111,7 @@ impl Planner {
                 };
                 Engine::Flat {
                     oram,
-                    layout: mk_layout(&ring),
+                    layout: cfg.tree_layout(&ring),
                 }
             }
             Some(r) => {
@@ -130,21 +124,15 @@ impl Planner {
                 let stack = Box::new(RecursiveOram::new(rec_cfg.clone(), cfg.seed));
                 // Allocate disjoint, row-set-aligned regions: data ORAM at
                 // 0, each map ORAM after the previous region.
-                let mut regions: Vec<(Box<dyn TreeLayout>, u64)> = Vec::new();
+                let map_rings = (0..rec_cfg.map_levels()).map(|i| rec_cfg.map_config(i));
+                let mut regions = Vec::new();
                 let align = cfg.row_set_bytes();
                 let mut base = 0u64;
-                let push =
-                    |ring: &ring_oram::RingConfig,
-                     base: &mut u64,
-                     regions: &mut Vec<(Box<dyn TreeLayout>, u64)>| {
-                        let l = mk_layout(ring);
-                        let total = l.total_bytes().div_ceil(align) * align;
-                        regions.push((l, *base));
-                        *base += total;
-                    };
-                push(&ring, &mut base, &mut regions);
-                for i in 0..rec_cfg.map_levels() {
-                    push(&rec_cfg.map_config(i), &mut base, &mut regions);
+                for ring in std::iter::once(ring).chain(map_rings) {
+                    let layout = cfg.tree_layout(&ring);
+                    let total = layout.total_bytes().div_ceil(align) * align;
+                    regions.push((layout, base));
+                    base += total;
                 }
                 if base > cfg.geometry.capacity_bytes() {
                     return Err(ConfigError::Invalid(format!(
@@ -235,7 +223,7 @@ impl Planner {
                 for (i, plan) in outcome.plans.iter().enumerate() {
                     let waiting = (Some(i) == wake_idx).then_some((req.core, served_from_tree));
                     let buf = self.req_pool.pop().unwrap_or_default();
-                    out.push(lower(&mut digest, plan, layout.as_ref(), 0, waiting, buf));
+                    out.push(lower(&mut digest, plan, layout, 0, waiting, buf));
                 }
                 self.digest = digest;
                 oram.recycle_outcome(outcome);
@@ -254,14 +242,7 @@ impl Planner {
                     let (layout, base) = &regions[step.oram_index];
                     for plan in &step.outcome.plans {
                         let buf = self.req_pool.pop().unwrap_or_default();
-                        out.push(lower(
-                            &mut self.digest,
-                            plan,
-                            layout.as_ref(),
-                            *base,
-                            waiting,
-                            buf,
-                        ));
+                        out.push(lower(&mut self.digest, plan, layout, *base, waiting, buf));
                     }
                 }
                 conformance.observe_stash(stash_len);
@@ -299,7 +280,7 @@ impl Planner {
                 let mut digest = self.digest;
                 for plan in outcome.plans.iter() {
                     let buf = self.req_pool.pop().unwrap_or_default();
-                    out.push(lower(&mut digest, plan, layout.as_ref(), 0, None, buf));
+                    out.push(lower(&mut digest, plan, layout, 0, None, buf));
                 }
                 self.digest = digest;
                 oram.recycle_outcome(outcome);
@@ -339,7 +320,7 @@ impl Planner {
 fn lower(
     digest: &mut u64,
     plan: &AccessPlan,
-    layout: &dyn TreeLayout,
+    layout: &TreeLayout,
     base: u64,
     waiting: Option<(usize, bool)>,
     mut requests: Vec<(PhysAddr, bool)>,

@@ -336,8 +336,8 @@ impl ShardedSimulation {
     /// latency percentiles from the pooled per-shard samples, and
     /// `makespan_cycles` is the slowest shard's cycle count. Violations are
     /// per-shard findings prefixed with their shard id, followed by any
-    /// cross-shard residency findings (when the master `VerifyConfig`
-    /// enables the ORAM audit).
+    /// cross-shard residency findings (when the master `VerifyConfig` is
+    /// enabled).
     #[must_use]
     pub fn report(&self) -> SimReport {
         if self.shards.len() == 1 {
@@ -352,7 +352,7 @@ impl ShardedSimulation {
             .iter()
             .map(|s| (s.capture(), s.read_latency_samples(), s.violations()));
         let mut report = build_merged_report(&self.cfg, self.label.clone(), parts);
-        if self.cfg.verify.oram_audit {
+        if self.cfg.verify.enabled {
             let cross = self.check_cross_shard();
             report
                 .violations

@@ -39,7 +39,8 @@ impl std::error::Error for ParseTraceError {}
 /// Parses a USIMM-format trace from `reader`.
 ///
 /// Byte addresses are normalized to 64 B block indices. Blank lines are
-/// skipped.
+/// skipped. Hex fields may carry one `0x`/`0X` prefix; a write may carry
+/// one PC field after its address, and nothing else may follow.
 ///
 /// # Errors
 ///
@@ -68,18 +69,29 @@ pub fn parse<R: BufRead>(reader: R) -> Result<Vec<TraceRecord>, ParseTraceError>
             .parse()
             .map_err(|e| err(format!("bad gap: {e}")))?;
         let op = parts.next().ok_or_else(|| err("missing op".into()))?;
+        let hex = |what: &str, field: &str| {
+            let digits = field
+                .strip_prefix("0x")
+                .or_else(|| field.strip_prefix("0X"))
+                .unwrap_or(field);
+            u64::from_str_radix(digits, 16).map_err(|e| err(format!("bad {what}: {e}")))
+        };
         let addr_str = parts.next().ok_or_else(|| err("missing address".into()))?;
-        let addr = u64::from_str_radix(addr_str.trim_start_matches("0x"), 16)
-            .map_err(|e| err(format!("bad address: {e}")))?;
+        let addr = hex("address", addr_str)?;
         let is_write = match op {
             "R" | "r" => false,
             "W" | "w" => {
                 // Writes carry a PC field in USIMM traces; tolerate both.
-                let _ = parts.next();
+                if let Some(pc) = parts.next() {
+                    hex("pc", pc)?;
+                }
                 true
             }
             other => return Err(err(format!("unknown op {other:?}"))),
         };
+        if let Some(extra) = parts.next() {
+            return Err(err(format!("unexpected field {extra:?}")));
+        }
         out.push(TraceRecord::new(gap, addr / LINE_BYTES, is_write));
     }
     Ok(out)
@@ -109,12 +121,13 @@ mod tests {
 
     #[test]
     fn parse_reads_and_writes() {
-        let text = "100 R 0x1000\n50 W 0x1040 0x400\n\n7 r 40\n";
+        let text = "100 R 0x1000\n50 W 0x1040 0x400\n\n7 r 40\n3 W 0X80\n";
         let records = parse(text.as_bytes()).unwrap();
-        assert_eq!(records.len(), 3);
+        assert_eq!(records.len(), 4);
         assert_eq!(records[0], TraceRecord::new(100, 0x1000 / 64, false));
         assert_eq!(records[1], TraceRecord::new(50, 0x1040 / 64, true));
         assert_eq!(records[2], TraceRecord::new(7, 1, false));
+        assert_eq!(records[3], TraceRecord::new(3, 2, true));
     }
 
     #[test]
@@ -135,6 +148,18 @@ mod tests {
         let err = parse(text.as_bytes()).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"));
+        // At most one hex prefix; one PC after a write address, nothing
+        // after a read address.
+        for (text, what) in [
+            ("1 R 0x0x40\n", "bad address"),
+            ("1 W 0x40 junk\n", "bad pc"),
+            ("12 R 0x40 junk junk\n", "unexpected field \"junk\""),
+            ("12 R 0x40 0x400\n", "unexpected field \"0x400\""),
+            ("12 W 0x40 0x400 0x1\n", "unexpected field \"0x1\""),
+        ] {
+            let err = parse(text.as_bytes()).unwrap_err();
+            assert!(err.message.contains(what), "{text:?}: {err}");
+        }
     }
 
     #[test]

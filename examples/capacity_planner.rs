@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example capacity_planner`
 
-use ring_oram::layout::{SubtreeLayout, TreeLayout};
+use ring_oram::layout::TreeLayout;
 use ring_oram::RingConfig;
 use string_oram::space::{fig4_rows, table5_rows};
 
@@ -61,6 +61,6 @@ fn main() {
 }
 
 fn layout_gib(cfg: &RingConfig) -> f64 {
-    let layout = SubtreeLayout::new(cfg, 16384);
+    let layout = TreeLayout::subtree(cfg, 16384);
     layout.total_bytes() as f64 / (1u64 << 30) as f64
 }

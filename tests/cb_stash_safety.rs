@@ -101,7 +101,7 @@ fn adversarial_workload_is_violation_free_for_cb_schemes() {
     for scheme in [Scheme::Cb, Scheme::All] {
         for &seed in &SEEDS[..3] {
             let cfg = SystemConfig::test_small(scheme);
-            assert!(cfg.verify.oram_audit, "audit must be on in test presets");
+            assert!(cfg.verify.enabled, "audit must be on in test presets");
             let stash_capacity = cfg.ring.stash_capacity;
             let traces: Vec<Vec<TraceRecord>> = (0..cfg.cores)
                 .map(|c| TraceGenerator::new(spec.clone(), seed, c as u32).take_records(80))

@@ -173,8 +173,8 @@ fn workload_insensitivity_of_the_optimization() {
 #[test]
 fn ring_vs_path_oram_bandwidth_ablation() {
     // Ring ORAM's raison d'etre: lower bandwidth than Path ORAM.
-    use ring_oram::path_oram::{PathConfig, PathOram};
-    let mut path = PathOram::new(PathConfig::test_small(), 5);
+    let path_cfg = ring_oram::RingConfig::test_small().z_slot();
+    let mut path = ring_oram::PathOram::from_ring(path_cfg, 5);
     let mut path_blocks = 0u64;
     for i in 0..200 {
         let out = path.access(ring_oram::BlockId(i % 40));

@@ -8,7 +8,9 @@
 //! altered simulated behavior, not just structure.
 
 use string_oram::pipeline::PipelineCore;
-use string_oram::{BackendKind, ProtocolKind, Scheme, SimReport, Simulation, SystemConfig};
+use string_oram::{
+    BackendKind, LayoutKind, ProtocolKind, Scheme, SimReport, Simulation, SystemConfig,
+};
 use trace_synth::{by_name, TraceGenerator};
 
 fn run(scheme: Scheme) -> SimReport {
@@ -52,6 +54,34 @@ fn all_scheme_step_semantics_are_pinned() {
     assert_eq!(r.transactions_by_kind["evict"], 37);
     assert_eq!(r.transactions_by_kind["reshuffle"], 2);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
+}
+
+/// The Naive-layout row of the layout table, end to end: the digest covers
+/// every lowered address, the cycle count what the DRAM made of them.
+/// Recorded while the layout was still a trait with two implementors.
+#[test]
+fn naive_layout_run_is_pinned() {
+    for (backend, digest, cycles) in [
+        (
+            BackendKind::CycleAccurate,
+            0x0864_4D5A_8DBB_6DAD_u64,
+            15_526_u64,
+        ),
+        (BackendKind::FastFunctional, 0x4018_6BC5_328F_3824, 12_767),
+    ] {
+        let mut cfg = SystemConfig::test_small(Scheme::All);
+        cfg.layout = LayoutKind::Naive;
+        cfg.backend = backend;
+        let traces = (0..cfg.cores)
+            .map(|c| TraceGenerator::new(by_name("black").unwrap(), 11, c as u32).take_records(150))
+            .collect();
+        let mut sim = Simulation::new(cfg, traces);
+        let r = sim.run(50_000_000).expect("run completes");
+        let got = sim.access_digest();
+        assert_eq!(got, digest, "{backend:?}: 0x{got:016X}");
+        assert_eq!(r.total_cycles, cycles, "{backend:?}");
+        assert!(r.violations.is_empty(), "{backend:?}: {:?}", r.violations);
+    }
 }
 
 /// A step is externally observable only through the cycle counter; pin

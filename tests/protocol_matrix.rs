@@ -19,9 +19,7 @@
 //! random workload — the empirical check that our eviction procedures are
 //! the ones the bounds are proved for.
 
-use ring_oram::{
-    BlockId, CircuitOram, ObliviousProtocol, PathConfig, PathOram, ProtocolKind, RingConfig,
-};
+use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, PathOram, ProtocolKind, RingConfig};
 use string_oram::{BackendKind, Scheme, ShardedSimulation, Simulation, SystemConfig};
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
@@ -192,16 +190,16 @@ fn cross_shard_residency_is_clean_for_every_protocol() {
 #[test]
 fn path_and_circuit_stash_peaks_stay_within_paper_bounds() {
     const ACCESSES: u64 = 100_000;
-    let cfg = PathConfig {
+    let cfg = RingConfig {
         levels: 10,
-        z: 4,
-        block_bytes: 64,
-        tree_top_cached_levels: 0,
-    };
+        stash_capacity: 500,
+        ..RingConfig::test_small()
+    }
+    .z_slot();
     // Half-full tree: 2^(levels-1) leaves * Z gives capacity headroom.
     let working_set = 1u64 << (cfg.levels - 1);
 
-    let mut path = PathOram::new(cfg, 0xA5A5);
+    let mut path = PathOram::from_ring(cfg.clone(), 0xA5A5);
     let mut rng_state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = |modulus: u64| {
         // SplitMix64: deterministic, seedable, no external crates.
@@ -221,17 +219,7 @@ fn path_and_circuit_stash_peaks_stay_within_paper_bounds() {
         path.stash_peak()
     );
 
-    let ring = RingConfig {
-        levels: 10,
-        z: 4,
-        s: 1,
-        a: 1,
-        y: 1,
-        block_bytes: 64,
-        stash_capacity: 500,
-        tree_top_cached_levels: 0,
-    };
-    let mut circuit = CircuitOram::new(ring, 0x5A5A);
+    let mut circuit = CircuitOram::new(cfg, 0x5A5A);
     for _ in 0..ACCESSES {
         let out = circuit.access(BlockId(next(working_set)));
         circuit.recycle_outcome(out);

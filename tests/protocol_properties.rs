@@ -3,7 +3,7 @@
 //! suite needs no external crates and produces identical cases offline.
 
 use oram_rng::{Rng, StdRng};
-use ring_oram::layout::{NaiveLayout, SubtreeLayout, TreeLayout};
+use ring_oram::layout::TreeLayout;
 use ring_oram::{BlockId, BucketId, Level, PathId, RingConfig, RingOram, TreeGeometry};
 
 /// Number of random cases per property (mirrors the old proptest setting).
@@ -83,7 +83,7 @@ fn subtree_layout_is_injective_and_bounded() {
         let mut rng = StdRng::seed_from_u64(case);
         let cfg = ring_config(&mut rng);
         let window = 1u64 << rng.gen_range(10u32..17);
-        let layout = SubtreeLayout::new(&cfg, window);
+        let layout = TreeLayout::subtree(&cfg, window);
         let mut seen = std::collections::HashSet::new();
         for b in 0..cfg.bucket_count() {
             for s in 0..cfg.bucket_slots() {
@@ -101,7 +101,7 @@ fn subtree_slots_never_straddle_windows() {
         let mut rng = StdRng::seed_from_u64(case);
         let cfg = ring_config(&mut rng);
         let window = 1u64 << rng.gen_range(10u32..17);
-        let layout = SubtreeLayout::new(&cfg, window);
+        let layout = TreeLayout::subtree(&cfg, window);
         for b in (0..cfg.bucket_count()).step_by(7) {
             let first = layout.addr_of(BucketId(b), 0);
             let last = layout.addr_of(BucketId(b), cfg.bucket_slots() - 1)
@@ -117,7 +117,7 @@ fn naive_layout_is_dense() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(case);
         let cfg = ring_config(&mut rng);
-        let layout = NaiveLayout::new(&cfg);
+        let layout = TreeLayout::naive(&cfg);
         assert_eq!(
             layout.total_bytes(),
             cfg.bucket_count() * cfg.bucket_bytes()

@@ -35,7 +35,7 @@ fn run_checked(scheme: Scheme, workload: &str, seed: u64) -> string_oram::SimRep
     // test_small presets ship with the shadow timing checker, the txn-order
     // oracle and the ORAM auditor all enabled.
     let cfg = SystemConfig::test_small(scheme);
-    assert!(cfg.verify.shadow_timing && cfg.verify.oram_audit);
+    assert!(cfg.verify.enabled);
     let traces = traces_for(&cfg, workload, seed, 60);
     let mut sim = Simulation::new(cfg, traces);
     sim.set_label(format!("{workload}-{scheme:?}-{seed}"));
