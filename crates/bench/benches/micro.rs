@@ -224,6 +224,75 @@ fn bench_scheduler_tick() {
     });
 }
 
+/// The two per-event paths of the controller's view upkeep at depth, one
+/// bank of the paper's machine holding every request (same row, one
+/// transaction, so all are in the window and all are row hits):
+/// `enqueue_deep` is ns per accepted `try_enqueue` into a list already
+/// holding >= 32 requests, `retire_front` ns per tick that issues a data
+/// command while the retired request heads a list of >= 32.
+fn bench_deep_bank() {
+    let geometry = DramGeometry::hpca_default();
+    let mapping = AddressMapping::hpca_default(&geometry);
+    let spec = |i: u64, is_write| RequestSpec {
+        addr: mapping.encode(&DramLocation {
+            channel: 0,
+            rank: 0,
+            bank: 0,
+            row: 7,
+            column: (i % 64) as u32,
+        }),
+        is_write,
+        txn: TxnId(0),
+    };
+    // A controller whose bank 0 holds `reads` reads and has ticked once, so
+    // its scheduling view exists.
+    let primed = |reads: u64| {
+        let dram = DramModule::new(geometry.clone(), TimingParams::ddr3_1600());
+        let mut ctrl =
+            MemoryController::new(dram, mapping.clone(), SchedulerPolicy::proactive(), 64);
+        for i in 0..reads {
+            ctrl.try_enqueue(spec(i, false), 0).unwrap();
+        }
+        ctrl.tick(0);
+        ctrl
+    };
+    let rounds = iters() / 10 + 1;
+
+    // 32 more reads, then 64 writes: the list grows from 32 to 128.
+    let more: Vec<RequestSpec> = (0..96).map(|i| spec(i, i >= 32)).collect();
+    let mut ns = 0;
+    for _ in 0..rounds {
+        let mut ctrl = primed(32);
+        let start = Instant::now();
+        for &spec in &more {
+            ctrl.try_enqueue(spec, 1).unwrap();
+        }
+        ns += start.elapsed().as_nanos();
+        std::hint::black_box(ctrl.pending());
+    }
+    let per = ns as f64 / (rounds * more.len() as u64) as f64;
+    print_row("enqueue_deep", &[format!("{per:>10.0} ns/enqueue")]);
+
+    let (mut ns, mut retired) = (0, 0u64);
+    for _ in 0..rounds {
+        let mut ctrl = primed(64);
+        let mut cycle = 1;
+        while ctrl.pending() > 32 {
+            let before = ctrl.pending();
+            let start = Instant::now();
+            ctrl.tick(cycle);
+            let spent = start.elapsed().as_nanos();
+            if ctrl.pending() < before {
+                ns += spent;
+                retired += 1;
+            }
+            cycle += 1;
+        }
+    }
+    let per = ns as f64 / retired as f64;
+    print_row("retire_front", &[format!("{per:>10.0} ns/data cmd")]);
+}
+
 /// Times controller ticks at the paper's geometry with the queues kept
 /// topped up from `next` (request number -> request), printing ns per
 /// tick: the per-cycle cost of the scheduler itself, visible without the
@@ -372,6 +441,7 @@ fn main() {
     bench_plain_tree_access();
     bench_dram_issue();
     bench_scheduler_tick();
+    bench_deep_bank();
     bench_trace_generation();
     bench_data_path();
     bench_crypto();

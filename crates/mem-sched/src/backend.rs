@@ -15,7 +15,7 @@
 //! external conformance checking, and a [`BackendSnapshot`] of every
 //! counter for measurement windows.
 
-use dram_sim::{DramModule, DramSnapshot, PhysAddr};
+use dram_sim::{DramModule, DramSnapshot};
 
 use crate::controller::{CommandEvent, MemoryController};
 use crate::queue::QueueFull;
@@ -93,10 +93,6 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     /// must stall and retry (nothing is enqueued).
     fn try_enqueue(&mut self, spec: RequestSpec, cycle: u64) -> Result<u64, QueueFull>;
 
-    /// Whether a request with this address/direction would currently be
-    /// accepted.
-    fn has_room(&self, addr: PhysAddr, is_write: bool) -> bool;
-
     /// Advances the backend by one memory cycle.
     fn tick(&mut self, cycle: u64);
 
@@ -158,10 +154,6 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
 impl MemoryBackend for MemoryController {
     fn try_enqueue(&mut self, spec: RequestSpec, cycle: u64) -> Result<u64, QueueFull> {
         MemoryController::try_enqueue(self, spec, cycle)
-    }
-
-    fn has_room(&self, addr: PhysAddr, is_write: bool) -> bool {
-        MemoryController::has_room(self, addr, is_write)
     }
 
     fn tick(&mut self, cycle: u64) {

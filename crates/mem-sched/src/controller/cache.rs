@@ -1,13 +1,36 @@
 //! Per-channel scheduling state kept between ticks: the per-bank
 //! scheduling view and the issue bounds that let a stalled channel sleep.
 //!
-//! Both are maintained **per bank, on events**. A command issued to bank
-//! *b* or a request enqueued for it re-derives bank *b*'s facts from bank
-//! *b*'s own queue ([`MemoryController::refresh_bank`]) and clears bank
-//! *b*'s bounds; the other banks of the channel keep theirs. Only a move of
-//! the (current transaction, lookahead) window or a DRAM refresh — which
-//! closes rows without the controller issuing anything — re-derives a whole
-//! channel.
+//! Both are maintained **per bank, on events**, and an event costs what it
+//! can change:
+//!
+//! * an **enqueue** inside the window brings the youngest request of its
+//!   bank and of the channel, so it can only fill a fact that was empty and
+//!   goes to the tail of the age-ordered lists
+//!   ([`MemoryController::view_enqueued`], O(1));
+//! * a **data command** retires its bank's oldest row hit of that
+//!   direction and leaves the row open, so only that fact (and
+//!   `oldest_current`, when it was the same request) moves — to a successor
+//!   found by searching forward from the vacated position to the end of the
+//!   current transaction ([`MemoryController::view_retired`]);
+//! * a **PRE/ACT** or a dropped response re-derives the one bank from its
+//!   own queue ([`MemoryController::refresh_bank`]) — the row moved, every
+//!   fact may have;
+//! * a move of the (current transaction, lookahead) **window** or a DRAM
+//!   **refresh** — which closes rows without the controller issuing
+//!   anything — re-derives the whole channel
+//!   ([`MemoryController::rebuild_view`]).
+//!
+//! Both delta rules lean on one precondition: a bank's list is sorted by
+//! transaction as well as by age (requests arrive in non-decreasing
+//! transaction order — the `MemoryBackend` contract, asserted by
+//! `ChannelQueues::push`). The derivation ([`derive_bank`], the only place
+//! a [`BankView`] is read off a queue) doubles as the referee: debug builds
+//! compare the kept view against it after every delta
+//! ([`MemoryController::view_is_derived`]). Every event also clears bank
+//! *b*'s bounds or wakes the channel; the other banks keep theirs.
+
+use std::collections::VecDeque;
 
 use dram_sim::bank::Bank;
 use dram_sim::{DramCommand, DramLocation, DramModule};
@@ -20,7 +43,7 @@ use super::MemoryController;
 /// A queued request as the scheduling passes see it: enough to build its
 /// commands and to find it again in its bank's queue. The key (`b`, `id`)
 /// is stable — no other request's removal changes it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Candidate {
     /// Enqueue id (the global age order).
     pub(crate) id: u64,
@@ -31,12 +54,25 @@ pub(crate) struct Candidate {
     pub(crate) loc: DramLocation,
 }
 
+impl Candidate {
+    /// The view's handle on `r`, a queued request of bank `b`.
+    pub(crate) fn of(r: &Request, b: usize) -> Self {
+        Self {
+            id: r.id,
+            txn: r.txn,
+            is_write: r.is_write,
+            b,
+            loc: r.loc,
+        }
+    }
+}
+
 /// Per-(rank, bank) scheduling facts, derived from the bank's queue and
 /// open row.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BankView {
     /// The bank's open row when the view was derived. Always current: the
-    /// controller re-derives the view after every command it issues to the
+    /// controller re-derives the view after every PRE/ACT it issues to the
     /// bank, and a DRAM refresh drops the whole channel's views.
     pub(crate) open_row: Option<u64>,
     /// Oldest unissued current-transaction request, if the bank has any
@@ -69,14 +105,62 @@ pub(crate) struct ChannelView {
     pub(crate) order_future: Vec<(u64, usize)>,
 }
 
-impl ChannelView {
-    /// Whether a request of `txn` falls inside the window the view was
-    /// derived for (and so changes what the passes may pick).
-    fn sees(&self, txn: TxnId, unconstrained: bool) -> bool {
-        self.window.is_some_and(|(current, lookahead)| {
-            unconstrained || txn.0 <= current.0.saturating_add(lookahead)
-        })
+/// Where a transaction falls relative to a view's window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// The transaction being drained (every transaction, under the
+    /// unconstrained ablation): its data commands may issue.
+    Current,
+    /// Inside the lookahead: PRE/ACT may be pulled forward for it.
+    Future,
+    /// Beyond the lookahead, where no pass looks.
+    Outside,
+}
+
+fn classify(txn: TxnId, (current, lookahead): (TxnId, u64), unconstrained: bool) -> Class {
+    if unconstrained || txn == current {
+        Class::Current
+    } else if txn > current && txn.0 <= current.0.saturating_add(lookahead) {
+        Class::Future
+    } else {
+        Class::Outside
     }
+}
+
+/// Derives bank `b`'s facts from its queue and open row: the one place a
+/// [`BankView`] is read off a queue — by the events that move the row or
+/// the window, and by the referee of the delta rules.
+fn derive_bank(
+    requests: &VecDeque<Request>,
+    b: usize,
+    open_row: Option<u64>,
+    window: (TxnId, u64),
+    unconstrained: bool,
+) -> BankView {
+    let mut bank = BankView {
+        open_row,
+        ..BankView::default()
+    };
+    // The bank's list is in arrival order, so the first request seen of
+    // each class is its oldest.
+    for r in requests {
+        let hit = open_row == Some(r.loc.row);
+        let cand = || Candidate::of(r, b);
+        match classify(r.txn, window, unconstrained) {
+            Class::Current => {
+                if hit {
+                    bank.oldest_hit[usize::from(r.is_write)].get_or_insert_with(cand);
+                }
+                bank.oldest_current.get_or_insert_with(cand);
+            }
+            Class::Future => {
+                bank.future_hit_pending |= hit;
+                bank.oldest_future.get_or_insert_with(cand);
+            }
+            Class::Outside => {}
+        }
+    }
+    bank
 }
 
 impl BankView {
@@ -93,6 +177,12 @@ fn set_order(order: &mut Vec<(u64, usize)>, b: usize, oldest: Option<Candidate>)
         let at = order.partition_point(|&(id, _)| id < c.id);
         order.insert(at, (c.id, b));
     }
+}
+
+/// Puts `hit` at its place in the age-ordered hit list.
+fn insert_hit(hits: &mut Vec<Candidate>, hit: Candidate) {
+    let at = hits.partition_point(|c| c.id < hit.id);
+    hits.insert(at, hit);
 }
 
 /// Issue bounds of one channel: for every (bank, command kind) the earliest
@@ -234,73 +324,175 @@ impl MemoryController {
         (loc.rank * self.banks_per_rank + loc.bank) as usize
     }
 
-    /// Re-derives every bank's facts for a new (current transaction,
-    /// lookahead) window.
-    pub(super) fn rebuild_view(&mut self, ch: usize, current: TxnId, lookahead: u64) {
-        self.caches[ch].view.window = Some((current, lookahead));
-        for b in 0..self.banks_per_channel() {
-            self.refresh_bank(ch, b);
-        }
+    /// Bank `b` of channel `ch` as [`derive_bank`] reads it now.
+    fn derived(&self, ch: usize, b: usize, window: (TxnId, u64)) -> BankView {
+        derive_bank(
+            self.queues[ch].bank(b),
+            b,
+            dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row(),
+            window,
+            self.policy.unconstrained(),
+        )
     }
 
-    /// [`Self::refresh_bank`] after an enqueue of `txn` — unless the
-    /// request lies beyond the lookahead window, where no pass looks.
-    pub(super) fn refresh_bank_for(&mut self, ch: usize, b: usize, txn: TxnId) {
-        if self.caches[ch].view.sees(txn, self.policy.unconstrained()) {
-            self.refresh_bank(ch, b);
+    /// Re-derives every bank's facts for a new (current transaction,
+    /// lookahead) window: one pass over the banks, then one sort per list.
+    pub(super) fn rebuild_view(&mut self, ch: usize, current: TxnId, lookahead: u64) {
+        let window = (current, lookahead);
+        for b in 0..self.banks_per_channel() {
+            self.caches[ch].view.banks[b] = self.derived(ch, b, window);
         }
+        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        view.window = Some(window);
+        bounds.wake();
+        view.hits.clear();
+        view.order_current.clear();
+        view.order_future.clear();
+        for (b, bank) in view.banks.iter().enumerate() {
+            view.hits.extend(bank.oldest_hit.into_iter().flatten());
+            view.order_current
+                .extend(bank.oldest_current.map(|c| (c.id, b)));
+            view.order_future
+                .extend(bank.oldest_future.map(|c| (c.id, b)));
+        }
+        // Enqueue ids are unique: no ties for an unstable sort to reorder.
+        view.hits.sort_unstable_by_key(|c| c.id);
+        view.order_current.sort_unstable();
+        view.order_future.sort_unstable();
     }
 
     /// Re-derives bank `b`'s facts from its own queue and open row, fixes
     /// its entries in the channel's age-ordered lists, and wakes the
-    /// channel. Called after every command issued to the bank and every
-    /// enqueue inside the window; a view with no window yet is derived in
-    /// full by the next scheduling pass instead.
+    /// channel. Called after every PRE/ACT issued to the bank and after a
+    /// dropped response; a view with no window yet is derived in full by
+    /// the next scheduling pass instead.
     pub(super) fn refresh_bank(&mut self, ch: usize, b: usize) {
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
-        let Some((current, lookahead)) = view.window else {
+        let Some(window) = self.caches[ch].view.window else {
             return;
         };
+        let bank = self.derived(ch, b, window);
+        let ChannelCache { view, bounds } = &mut self.caches[ch];
         bounds.wake();
-        let unconstrained = self.policy.unconstrained();
-        let open_row = dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row();
-        // The bank's list is in arrival order, so the first request seen of
-        // each class is its oldest.
-        let (mut oldest_hit, mut oldest_current, mut oldest_future) = ([None; 2], None, None);
-        let mut future_hit_pending = false;
-        for r in self.queues[ch].bank(b) {
-            let hit = open_row == Some(r.loc.row);
-            if unconstrained || r.txn == current {
-                if hit {
-                    oldest_hit[usize::from(r.is_write)].get_or_insert(r);
-                }
-                oldest_current.get_or_insert(r);
-            } else if r.txn > current && r.txn.0 <= current.0.saturating_add(lookahead) {
-                future_hit_pending |= hit;
-                oldest_future.get_or_insert(r);
-            }
-        }
-        let candidate = |r: &Request| Candidate {
-            id: r.id,
-            txn: r.txn,
-            is_write: r.is_write,
-            b,
-            loc: r.loc,
-        };
-        let bank = BankView {
-            open_row,
-            oldest_hit: oldest_hit.map(|r| r.map(candidate)),
-            oldest_current: oldest_current.map(candidate),
-            oldest_future: oldest_future.map(candidate),
-            future_hit_pending,
-        };
         view.hits.retain(|c| c.b != b);
         for hit in bank.oldest_hit.into_iter().flatten() {
-            let at = view.hits.partition_point(|c| c.id < hit.id);
-            view.hits.insert(at, hit);
+            insert_hit(&mut view.hits, hit);
         }
         set_order(&mut view.order_current, b, bank.oldest_current);
         set_order(&mut view.order_future, b, bank.oldest_future);
         view.banks[b] = bank;
+    }
+
+    /// Accounts for `new`, just appended to its bank's queue. It is the
+    /// youngest request of the bank and of the channel, so it displaces
+    /// nothing: it can only fill a fact that was empty, and then belongs at
+    /// the tail of the fact's age-ordered list. Beyond the lookahead window
+    /// no pass looks and nothing changes.
+    pub(super) fn view_enqueued(&mut self, ch: usize, new: Candidate) {
+        let unconstrained = self.policy.unconstrained();
+        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let Some(window) = view.window else {
+            return;
+        };
+        let bank = &mut view.banks[new.b];
+        let hit = bank.open_row == Some(new.loc.row);
+        match classify(new.txn, window, unconstrained) {
+            Class::Current => {
+                let oldest_hit = &mut bank.oldest_hit[usize::from(new.is_write)];
+                if hit && oldest_hit.is_none() {
+                    *oldest_hit = Some(new);
+                    view.hits.push(new);
+                }
+                if bank.oldest_current.is_none() {
+                    bank.oldest_current = Some(new);
+                    view.order_current.push((new.id, new.b));
+                }
+            }
+            Class::Future => {
+                bank.future_hit_pending |= hit;
+                if bank.oldest_future.is_none() {
+                    bank.oldest_future = Some(new);
+                    view.order_future.push((new.id, new.b));
+                }
+            }
+            Class::Outside => return,
+        }
+        bounds.wake();
+        debug_assert!(
+            self.view_is_derived(ch, new.b),
+            "enqueue delta, bank {}",
+            new.b
+        );
+    }
+
+    /// Accounts for the data command that retired `old` from position `at`
+    /// of its bank's queue. The row stayed open and `old` was the bank's
+    /// oldest hit of its direction (the hit pass offers nothing else), so
+    /// only that fact — and `oldest_current`, if `old` was that too — needs
+    /// a successor. Successors are younger, hence behind `at`, and of the
+    /// current transaction, hence before the first request of a later one;
+    /// the lookahead facts cannot change.
+    pub(super) fn view_retired(&mut self, ch: usize, old: Candidate, at: usize) {
+        let unconstrained = self.policy.unconstrained();
+        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let Some(window) = view.window else {
+            return;
+        };
+        bounds.wake();
+        let bank = &mut view.banks[old.b];
+        let dir = usize::from(old.is_write);
+        debug_assert_eq!(bank.oldest_hit[dir], Some(old), "retired a non-head hit");
+        let mut behind = self.queues[ch]
+            .bank(old.b)
+            .range(at..)
+            .take_while(|r| classify(r.txn, window, unconstrained) == Class::Current);
+        if bank.oldest_current == Some(old) {
+            bank.oldest_current = behind.clone().next().map(|r| Candidate::of(r, old.b));
+            set_order(&mut view.order_current, old.b, bank.oldest_current);
+        }
+        let next_hit = behind
+            .find(|r| r.is_write == old.is_write && r.loc.row == old.loc.row)
+            .map(|r| Candidate::of(r, old.b));
+        bank.oldest_hit[dir] = next_hit;
+        view.hits.retain(|c| c.id != old.id);
+        if let Some(hit) = next_hit {
+            insert_hit(&mut view.hits, hit);
+        }
+        debug_assert!(
+            self.view_is_derived(ch, old.b),
+            "retire delta, bank {}",
+            old.b
+        );
+    }
+
+    /// The referee of the delta rules: whether bank `b`'s kept facts and its
+    /// entries in the channel's three lists are what [`derive_bank`] reads
+    /// off the queue now, and the lists are in age order. Allocates nothing
+    /// (debug builds run it under the allocation-counting tests).
+    pub(super) fn view_is_derived(&self, ch: usize, b: usize) -> bool {
+        let view = &self.caches[ch].view;
+        let Some(window) = view.window else {
+            return true;
+        };
+        let want = self.derived(ch, b, window);
+        let [read, write] = want.oldest_hit;
+        let hits = match (read, write) {
+            (Some(r), Some(w)) if w.id < r.id => [write, read],
+            _ => [read, write],
+        };
+        // Bank `b`'s entry in `order` is `oldest`'s, and `order` ascends.
+        let order_holds = |order: &[(u64, usize)], oldest: Option<Candidate>| {
+            let of_bank = order.iter().filter(|&&(_, bank)| bank == b);
+            of_bank.eq(oldest.map(|c| (c.id, b)).iter())
+                && order.windows(2).all(|w| w[0].0 < w[1].0)
+        };
+        view.banks[b] == want
+            && view
+                .hits
+                .iter()
+                .filter(|c| c.b == b)
+                .eq(hits.iter().flatten())
+            && view.hits.windows(2).all(|w| w[0].id < w[1].id)
+            && order_holds(&view.order_current, want.oldest_current)
+            && order_holds(&view.order_future, want.oldest_future)
     }
 }

@@ -31,7 +31,11 @@
 //! *changed*: a channel whose last scan found nothing issuable is not
 //! scanned again before the earliest cycle `dram-sim` named (or an event —
 //! issue, enqueue inside the window, window move, plan change, refresh),
-//! and an event re-derives one bank's facts, not the channel's.
+//! and an event updates the facts it can change: an enqueue or a data
+//! command adjusts its bank's view in place, a PRE/ACT re-derives one
+//! bank's facts from that bank's queue, only a window move or a refresh
+//! re-derives a channel (see `cache.rs`). The per-tick bank-idle pass
+//! visits only the banks that have work (`ChannelQueues::pending_banks`).
 
 mod cache;
 mod faults;
@@ -43,14 +47,14 @@ pub use faults::{FaultConfigError, ResponseFaultConfig};
 
 use dram_sim::faults::{mix64, u01};
 use dram_sim::AddressMapping;
-use dram_sim::{DramCommand, DramModule, PhysAddr};
+use dram_sim::{DramCommand, DramModule};
 
 use crate::policy::{PolicyState, PolicyStats, SchedulerPolicy};
 use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
 
-use cache::{dram_bank, ChannelCache};
+use cache::{dram_bank, Candidate, ChannelCache};
 use faults::{ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
 
 /// One issued DRAM command, as recorded by the optional command trace.
@@ -273,19 +277,6 @@ impl MemoryController {
         self.queues.iter().map(ChannelQueues::len).sum()
     }
 
-    /// Whether a request with this address/direction would currently be
-    /// accepted.
-    #[must_use]
-    pub fn has_room(&self, addr: PhysAddr, is_write: bool) -> bool {
-        let loc = self.mapping.decode(addr);
-        let q = &self.queues[loc.channel as usize];
-        if self.saturated_at(self.last_cycle) {
-            q.dir_len(is_write) < q.capacity().div_ceil(2)
-        } else {
-            q.has_room(is_write)
-        }
-    }
-
     /// Enqueues a request at `cycle`.
     ///
     /// # Errors
@@ -318,8 +309,9 @@ impl MemoryController {
             class: None,
         };
         let (ch, b) = (loc.channel as usize, self.bank_index(&loc));
+        let new = Candidate::of(&req, b);
         self.queues[ch].push(b, req)?;
-        self.refresh_bank_for(ch, b, spec.txn);
+        self.view_enqueued(ch, new);
         self.next_id += 1;
         Ok(id)
     }
@@ -362,9 +354,9 @@ impl MemoryController {
         let banks = self.banks_per_channel();
         let (mut pending, mut busy) = (0, 0);
         for (q, busy_until) in self.queues.iter().zip(self.bank_busy_until.chunks(banks)) {
-            for (has_pending, &until) in q.banks_pending().zip(busy_until) {
-                pending += u64::from(has_pending);
-                busy += u64::from(has_pending & (until > cycle));
+            for b in q.pending_banks() {
+                pending += 1;
+                busy += u64::from(busy_until[b] > cycle);
             }
         }
         self.stats.bank_tick_integral += self.bank_busy_until.len() as u64;

@@ -243,8 +243,9 @@ impl MemoryController {
     /// Puts `cmd` on channel `ch`'s command bus: the one place commands
     /// leave the controller, so also the one place the per-bank state that
     /// mirrors the DRAM (busy window, open-bank count, issue bounds) is
-    /// kept in step. The caller updates the queue and then re-derives the
-    /// bank's view ([`Self::refresh_bank`]).
+    /// kept in step. The caller updates the queue and then the bank's view:
+    /// by delta after a data command ([`Self::view_retired`]), from scratch
+    /// after a PRE/ACT ([`Self::refresh_bank`]).
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn issue_to_dram(
         &mut self,
@@ -304,8 +305,8 @@ impl MemoryController {
                 extra_delay = f.cfg.late_delay;
             }
         }
-        let mut req = self.queues[ch].remove(cand.b, cand.id);
-        self.refresh_bank(ch, cand.b);
+        let (at, mut req) = self.queues[ch].remove(cand.b, cand.id);
+        self.view_retired(ch, cand, at);
         req.record_first_command(cycle, RowClass::Hit);
         let class = req.class.expect("set on first command");
         let completed = Completed {

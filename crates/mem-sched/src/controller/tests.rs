@@ -2,6 +2,7 @@ use super::*;
 use crate::request::RowClass;
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
+use dram_sim::PhysAddr;
 
 fn controller(policy: SchedulerPolicy) -> MemoryController {
     let geometry = DramGeometry::test_small();
@@ -244,19 +245,19 @@ fn queue_full_reported() {
         )
         .unwrap();
     }
-    assert!(!c.has_room(a, false));
-    assert!(c.has_room(a, true));
-    assert_eq!(
+    let mut offer = |is_write| {
+        let txn = TxnId(99);
         c.try_enqueue(
             RequestSpec {
                 addr: a,
-                is_write: false,
-                txn: TxnId(99),
+                is_write,
+                txn,
             },
-            0
-        ),
-        Err(QueueFull)
-    );
+            0,
+        )
+    };
+    assert_eq!(offer(false), Err(QueueFull));
+    assert!(offer(true).is_ok(), "writes have their own capacity");
 }
 
 #[test]
@@ -543,11 +544,15 @@ fn queue_saturation_halves_capacity() {
     }
     assert_eq!(accepted, 8, "saturation must halve the effective capacity");
     assert_eq!(c.stats().queue_saturation_windows, 1, "one window counted");
+    let write = RequestSpec {
+        addr: a,
+        is_write: true,
+        txn: TxnId(0),
+    };
     assert!(
-        !c.has_room(a, false),
-        "has_room must agree with try_enqueue"
+        c.try_enqueue(write, 5).is_ok(),
+        "the write direction has its own (halved) capacity"
     );
-    assert!(c.has_room(a, true), "write direction has its own capacity");
 }
 
 #[test]
@@ -767,6 +772,9 @@ struct Scenario {
     dram_faults: Option<dram_sim::DramFaultConfig>,
     response_faults: Option<ResponseFaultConfig>,
     seed: u64,
+    /// The Path-shaped stream into deep queues ([`dense_requests`]) on the
+    /// paper's machine instead of the short transactions on `test_small`.
+    dense: bool,
 }
 
 impl Scenario {
@@ -778,6 +786,26 @@ impl Scenario {
             dram_faults: None,
             response_faults: None,
             seed,
+            dense: false,
+        }
+    }
+
+    /// The dense regime: `hpca_default` geometry, DDR3-1600 timing with its
+    /// own refresh interval, 64-entry queues.
+    fn dense(policy: SchedulerPolicy, seed: u64) -> Self {
+        Self {
+            t_refi: TimingParams::ddr3_1600().t_refi,
+            dense: true,
+            ..Self::new(policy, seed)
+        }
+    }
+
+    /// The tick at which the run reads `stats()` mid-run.
+    fn mid_tick(&self) -> u64 {
+        if self.dense {
+            4_001
+        } else {
+            MID_TICK
         }
     }
 }
@@ -789,7 +817,7 @@ struct Pinned {
     events: (usize, u64),
     /// FNV-1a over every field of every completion, in drain order.
     completions: u64,
-    /// FNV-1a over `SchedulerStats` as read at tick [`MID_TICK`].
+    /// FNV-1a over `SchedulerStats` as read at [`Scenario::mid_tick`].
     mid_stats: u64,
     /// FNV-1a over the final `SchedulerStats`.
     end_stats: u64,
@@ -800,7 +828,7 @@ struct Pinned {
     end: u64,
 }
 
-/// The tick at which the scenarios read `stats()` mid-run.
+/// The tick at which the `test_small` scenarios read `stats()` mid-run.
 const MID_TICK: u64 = 137;
 
 /// A recorded [`Pinned`]; `policy` is (withheld, deferred, drains).
@@ -856,15 +884,18 @@ fn digest_events(events: &[CommandEvent]) -> (usize, u64) {
 }
 
 fn scenario_controller(s: &Scenario) -> MemoryController {
-    let geometry = DramGeometry::test_small();
+    let (geometry, mut timing, capacity) = if s.dense {
+        (DramGeometry::hpca_default(), TimingParams::ddr3_1600(), 64)
+    } else {
+        (DramGeometry::test_small(), TimingParams::test_fast(), 16)
+    };
     let mapping = AddressMapping::hpca_default(&geometry);
-    let mut timing = TimingParams::test_fast();
     timing.t_refi = s.t_refi;
     let mut dram = DramModule::new(geometry, timing);
     if let Some(f) = s.dram_faults {
         dram.enable_faults(f);
     }
-    let mut c = MemoryController::new(dram, mapping, s.policy, 16);
+    let mut c = MemoryController::new(dram, mapping, s.policy, capacity);
     c.set_page_policy(s.page);
     if let Some(f) = s.response_faults {
         c.enable_response_faults(f);
@@ -903,10 +934,56 @@ fn scenario_requests(c: &MemoryController, seed: u64) -> Vec<(u64, RequestSpec)>
     out
 }
 
+/// A seeded Path-ORAM-shaped stream: 64 transactions of 96–128 requests —
+/// the reads of a path, then writes of the same addresses in the same order
+/// — over all four channels, three rows per bank, two banks of each channel
+/// taking half the traffic (so their lists run deep); transactions are
+/// offered four at once, from cycle `300 * (i / 4)`, faster than they drain.
+fn dense_requests(c: &MemoryController, seed: u64) -> Vec<(u64, RequestSpec)> {
+    let mut out = Vec::new();
+    for txn in 0..64u64 {
+        let n = 48 + mix64(seed ^ txn) % 17;
+        for is_write in [false, true] {
+            for i in 0..n {
+                let r = mix64(seed ^ (txn << 8) ^ i ^ 0x5EED);
+                let k = (r >> 8) % 16;
+                let bank = if k < 8 { k % 2 } else { k % 8 };
+                let a = addr(
+                    c,
+                    (r % 4) as u32,
+                    bank as u32,
+                    100 * bank + (r >> 16) % 3,
+                    ((r >> 24) % 64) as u32,
+                );
+                out.push((
+                    300 * (txn / 4),
+                    RequestSpec {
+                        addr: a,
+                        is_write,
+                        txn: TxnId(txn),
+                    },
+                ));
+            }
+        }
+    }
+    out
+}
+
 fn run_scenario(s: &Scenario) -> (Pinned, MemoryController) {
+    let (pinned, c, _) = run_scenario_depth(s);
+    (pinned, c)
+}
+
+/// [`run_scenario`], also returning the deepest per-bank list any tick saw.
+fn run_scenario_depth(s: &Scenario) -> (Pinned, MemoryController, usize) {
     let mut c = scenario_controller(s);
-    let reqs = scenario_requests(&c, s.seed);
-    let (mut next, mut cycle, mut refused) = (0, 0u64, 0u64);
+    let reqs = if s.dense {
+        dense_requests(&c, s.seed)
+    } else {
+        scenario_requests(&c, s.seed)
+    };
+    let banks = c.banks_per_channel();
+    let (mut next, mut cycle, mut refused, mut deepest) = (0, 0u64, 0u64, 0);
     let mut done = Vec::new();
     let mut mid_stats = None;
     let mut end = None;
@@ -928,9 +1005,14 @@ fn run_scenario(s: &Scenario) -> (Pinned, MemoryController) {
                 }
             }
         }
+        for q in &c.queues {
+            for b in 0..banks {
+                deepest = deepest.max(q.bank(b).len());
+            }
+        }
         c.tick(cycle);
         c.drain_completed_into(&mut done);
-        if cycle == MID_TICK {
+        if cycle == s.mid_tick() {
             mid_stats = Some(fnv_debug(c.stats()));
         }
         cycle += 1;
@@ -943,13 +1025,13 @@ fn run_scenario(s: &Scenario) -> (Pinned, MemoryController) {
     let pinned = Pinned {
         events: digest_events(&c.take_command_events()),
         completions: fnv_debug(&done),
-        mid_stats: mid_stats.expect("runs are longer than MID_TICK"),
+        mid_stats: mid_stats.expect("runs are longer than the mid tick"),
         end_stats: fnv_debug(c.stats()),
         policy: c.policy_stats(),
         refused,
         end: end.expect("loop ends after the run does"),
     };
-    (pinned, c)
+    (pinned, c, deepest)
 }
 
 #[test]
@@ -1184,6 +1266,150 @@ fn pinned_closed_page_command_stream() {
     }
 }
 
+#[test]
+fn pinned_dense_path_streams() {
+    // The regime the short scenarios never reach: full-path transactions
+    // into saturated 64-entry queues, per-bank lists tens deep, `QueueFull`
+    // on most cycles. Recorded on the commit before the views were kept by
+    // delta and the queues became ring buffers.
+    let faults = ResponseFaultConfig {
+        seed: 0x5A7,
+        late_rate: 0.2,
+        late_delay: 40,
+        drop_rate: 0.1,
+        saturation_rate: 0.3,
+    };
+    let pb = SchedulerPolicy::proactive();
+    for (policy, page, response_faults, want) in [
+        (
+            pb,
+            PagePolicy::Open,
+            None,
+            pin(
+                (10358, 9418059272300337189),
+                [
+                    6632914124816187647,
+                    9452194620663640188,
+                    15495710858672218293,
+                ],
+                (0, 0, 0),
+                9779,
+                14028,
+            ),
+        ),
+        (
+            SchedulerPolicy::TransactionBased,
+            PagePolicy::Open,
+            None,
+            pin(
+                (10337, 12144064784642921605),
+                [
+                    10112748641214025618,
+                    16694224889873180177,
+                    2374044276705277918,
+                ],
+                (0, 0, 0),
+                9838,
+                14085,
+            ),
+        ),
+        (
+            SchedulerPolicy::read_over_write(),
+            PagePolicy::Open,
+            None,
+            pin(
+                (10334, 8426441969817059833),
+                [
+                    3368438804379641629,
+                    17366711774120102868,
+                    12434802057760923579,
+                ],
+                (0, 2532, 53),
+                9838,
+                14085,
+            ),
+        ),
+        (
+            SchedulerPolicy::SpeculativeWindow { window: 3 },
+            PagePolicy::Open,
+            None,
+            pin(
+                (10376, 6808702514352216815),
+                [
+                    10878375916537912889,
+                    10521044933303698234,
+                    5229020197168926674,
+                ],
+                (0, 0, 0),
+                9827,
+                14088,
+            ),
+        ),
+        (
+            SchedulerPolicy::Unconstrained,
+            PagePolicy::Open,
+            None,
+            pin(
+                (8794, 9768521766555461200),
+                [
+                    1861762655816378731,
+                    13368002593841616277,
+                    12390042358422722122,
+                ],
+                (0, 0, 0),
+                4194,
+                8203,
+            ),
+        ),
+        (
+            pb,
+            PagePolicy::Closed,
+            None,
+            pin(
+                (10437, 13085996498032891924),
+                [
+                    14959273976137965552,
+                    404950404265867453,
+                    14226186138250567916,
+                ],
+                (0, 0, 0),
+                9779,
+                14028,
+            ),
+        ),
+        (
+            pb,
+            PagePolicy::Open,
+            Some(faults),
+            pin(
+                (11140, 715352142253827581),
+                [
+                    8871563854855778993,
+                    15705865689270953095,
+                    8401680932789983532,
+                ],
+                (0, 0, 0),
+                11106,
+                14958,
+            ),
+        ),
+    ] {
+        let mut s = Scenario::dense(policy, 0xDE45E);
+        s.page = page;
+        s.response_faults = response_faults;
+        let (got, c, deepest) = run_scenario_depth(&s);
+        assert!(deepest >= 16, "{policy:?}: lists only {deepest} deep");
+        assert!(got.refused > 0, "{policy:?}: the queues never filled");
+        assert!(c.dram().total_refreshes() >= 4, "{policy:?}: no refresh");
+        if response_faults.is_some() {
+            let stats = c.stats();
+            assert!(stats.responses_dropped > 0 && stats.responses_delayed > 0);
+            assert!(stats.queue_saturation_windows > 0);
+        }
+        assert_eq!(got, want, "{policy:?} {page:?} {response_faults:?}");
+    }
+}
+
 /// Enqueues one read of `txn` for (channel 0, `bank`, `row`) at `cycle`.
 fn enqueue_read(c: &mut MemoryController, bank: u32, row: u64, txn: u64, cycle: u64) {
     let a = addr(c, 0, bank, row, 0);
@@ -1278,4 +1504,93 @@ fn enqueue_into_the_current_window_wakes_a_sleeping_channel() {
         [(0, "ACT", 0), (2, "ACT", 1), (3, "RD", 0)]
     );
     assert_eq!(c.stats().early_activates, 1);
+}
+
+/// Whether every bank's kept view equals the derivation right now.
+fn views_are_derived(c: &MemoryController) -> bool {
+    let banks = c.banks_per_channel();
+    (0..c.queues.len()).all(|ch| (0..banks).all(|b| c.view_is_derived(ch, b)))
+}
+
+#[test]
+fn kept_views_equal_the_derivation_after_every_event() {
+    // The delta rules' referee, called explicitly (debug builds also run it
+    // inside every delta; release builds only here): seeded random
+    // interleavings of `try_enqueue` and `tick`, every policy x both page
+    // policies x response faults off/on, few rows and banks so lists run
+    // deep, hits and conflicts mix and the queues fill.
+    let faults = ResponseFaultConfig {
+        seed: 0xFA57,
+        late_rate: 0.2,
+        late_delay: 9,
+        drop_rate: 0.2,
+        saturation_rate: 0.4,
+    };
+    let policies = [
+        SchedulerPolicy::TransactionBased,
+        SchedulerPolicy::proactive(),
+        SchedulerPolicy::read_over_write(),
+        SchedulerPolicy::SpeculativeWindow { window: 3 },
+        SchedulerPolicy::FixedCadence { period: 2 },
+        SchedulerPolicy::Unconstrained,
+    ];
+    for (p, policy) in policies.into_iter().enumerate() {
+        for page in [PagePolicy::Open, PagePolicy::Closed] {
+            for response_faults in [None, Some(faults)] {
+                let mut s = Scenario::new(policy, 0);
+                s.page = page;
+                s.response_faults = response_faults;
+                let mut c = scenario_controller(&s);
+                let seed = 0x5EED ^ (p as u64) << 8 ^ u64::from(page == PagePolicy::Closed) << 4;
+                let (mut txn, mut cycle, mut accepted) = (0u64, 0u64, 0u64);
+                for step in 0..6_000u64 {
+                    let r = mix64(seed ^ step);
+                    if r % 8 < 3 {
+                        // Transactions of ~12 requests, the later ones writes.
+                        txn += u64::from((r >> 4) % 12 == 11);
+                        let a = addr(
+                            &c,
+                            ((r >> 8) % 2) as u32,
+                            ((r >> 12) % 3) as u32,
+                            (r >> 16) % 3,
+                            ((r >> 24) % 8) as u32,
+                        );
+                        let spec = RequestSpec {
+                            addr: a,
+                            is_write: (r >> 32) % 3 == 2,
+                            txn: TxnId(txn),
+                        };
+                        accepted += u64::from(c.try_enqueue(spec, cycle).is_ok());
+                    } else {
+                        c.tick(cycle);
+                        cycle += 1;
+                    }
+                    assert!(
+                        views_are_derived(&c),
+                        "{policy:?} {page:?} faults {}: step {step}, cycle {cycle}",
+                        response_faults.is_some()
+                    );
+                }
+                let retired = c.stats().reads_completed + c.stats().writes_completed;
+                assert!(accepted > 800 && retired > 700, "{accepted} / {retired}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_referee_sees_a_stale_fact() {
+    // Not vacuous: a kept view that misses what the queue holds fails.
+    let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
+    enqueue_read(&mut c, 1, 5, 0, 0);
+    assert!(views_are_derived(&c), "no window yet: nothing to hold");
+    c.tick(0);
+    assert!(views_are_derived(&c));
+    let kept = c.caches[0].view.banks[1];
+    assert!(kept.oldest_current.is_some());
+    c.caches[0].view.banks[1].oldest_current = None;
+    assert!(!c.view_is_derived(0, 1), "a dropped fact");
+    c.caches[0].view.banks[1] = kept;
+    c.caches[0].view.order_current.clear();
+    assert!(!c.view_is_derived(0, 1), "a dropped list entry");
 }

@@ -19,7 +19,7 @@
 //! checker does not apply (there are no ACT/PRE commands to check).
 
 use dram_sim::timing::TimingParams;
-use dram_sim::{AddressMapping, DramCommand, DramGeometry, DramLocation, DramModule, PhysAddr};
+use dram_sim::{AddressMapping, DramCommand, DramGeometry, DramLocation, DramModule};
 
 use crate::backend::{BackendSnapshot, MemoryBackend};
 use crate::controller::CommandEvent;
@@ -269,11 +269,6 @@ impl MemoryBackend for FunctionalBackend {
         Ok(id)
     }
 
-    fn has_room(&self, addr: PhysAddr, is_write: bool) -> bool {
-        let loc = self.mapping.decode(addr);
-        self.dir_counts[loc.channel as usize][usize::from(is_write)] < self.queue_capacity
-    }
-
     fn tick(&mut self, cycle: u64) {
         self.stats.ticks += 1;
         self.stats.queue_occupancy_integral += self.waiting_len as u64;
@@ -347,6 +342,7 @@ impl MemoryBackend for FunctionalBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_sim::PhysAddr;
 
     fn backend() -> FunctionalBackend {
         let geometry = DramGeometry::test_small();
@@ -462,19 +458,19 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(!MemoryBackend::has_room(&b, a, false));
-        assert!(MemoryBackend::has_room(&b, a, true));
-        assert_eq!(
+        let mut offer = |is_write| {
+            let txn = TxnId(99);
             b.try_enqueue(
                 RequestSpec {
                     addr: a,
-                    is_write: false,
-                    txn: TxnId(99),
+                    is_write,
+                    txn,
                 },
-                0
-            ),
-            Err(QueueFull)
-        );
+                0,
+            )
+        };
+        assert_eq!(offer(false), Err(QueueFull));
+        assert!(offer(true).is_ok(), "writes have their own capacity");
     }
 
     #[test]

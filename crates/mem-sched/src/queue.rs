@@ -1,5 +1,7 @@
 //! Per-channel read and write request queues.
 
+use std::collections::VecDeque;
+
 use crate::request::{Request, TxnId};
 
 /// Error returned when a queue has no free entry; the ORAM controller must
@@ -26,16 +28,26 @@ impl std::error::Error for QueueFull {}
 /// (bank, enqueue id) — removing one never renames another. The two
 /// direction capacities and the transaction order are tracked beside the
 /// lists, in [`Self::txns`].
+///
+/// Every list is a ring buffer searched **from the front**: the scheduling
+/// views only ever name the *oldest* request of a class, so the request to
+/// retire (and its transaction's entry) sits at or near the head, the scan
+/// that finds it is a handful of compares, and taking it out shifts the few
+/// entries before it instead of the whole tail behind it.
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelQueues {
     /// Queued requests per bank (`rank * banks_per_rank + bank`), each in
-    /// arrival order, i.e. sorted by enqueue id.
-    banks: Vec<Vec<Request>>,
+    /// arrival order: sorted by enqueue id and, because requests arrive in
+    /// transaction order, by transaction id too.
+    banks: Vec<VecDeque<Request>>,
     /// Transaction ids of the queued reads (`[0]`) and writes (`[1]`) in
-    /// arrival order. Requests arrive in non-decreasing transaction order
-    /// per direction, so each list is sorted: its length is the direction's
-    /// occupancy and its head the direction's oldest transaction.
-    txns: [Vec<TxnId>; 2],
+    /// arrival order. Requests arrive in non-decreasing transaction order,
+    /// so each list is sorted: its length is the direction's occupancy and
+    /// its head the direction's oldest transaction.
+    txns: [VecDeque<TxnId>; 2],
+    /// Bit `b % 64` of word `b / 64` is set while bank `b`'s list is
+    /// non-empty (any bank count).
+    pending: Vec<u64>,
     capacity: usize,
 }
 
@@ -47,39 +59,42 @@ impl ChannelQueues {
     pub fn new(banks: usize, capacity: usize) -> Self {
         Self {
             banks: (0..banks)
-                .map(|_| Vec::with_capacity(2 * capacity))
+                .map(|_| VecDeque::with_capacity(2 * capacity))
                 .collect(),
-            txns: [Vec::with_capacity(capacity), Vec::with_capacity(capacity)],
+            txns: [
+                VecDeque::with_capacity(capacity),
+                VecDeque::with_capacity(capacity),
+            ],
+            pending: vec![0; banks.div_ceil(64)],
             capacity,
         }
     }
 
-    /// Inserts a request into bank `b`'s list.
+    /// Appends a request to bank `b`'s list.
     ///
-    /// Requests must arrive in non-decreasing transaction order per
-    /// direction (the ORAM controller's natural order); this keeps
-    /// [`Self::min_txn`] O(1).
+    /// Requests must arrive in non-decreasing transaction order (the ORAM
+    /// controller's natural order, and the [`crate::MemoryBackend`]
+    /// contract): this keeps [`Self::min_txn`] O(1) and every bank list
+    /// transaction-sorted, which the controller's view upkeep relies on.
     pub fn push(&mut self, b: usize, req: Request) -> Result<(), QueueFull> {
         let dir = &mut self.txns[usize::from(req.is_write)];
         if dir.len() >= self.capacity {
             return Err(QueueFull);
         }
         debug_assert!(
-            dir.last().is_none_or(|&last| last <= req.txn),
+            dir.back().is_none_or(|&last| last <= req.txn),
             "requests must be enqueued in transaction order"
         );
         debug_assert!(
-            self.banks[b].last().is_none_or(|last| last.id < req.id),
-            "enqueue ids must increase"
+            self.banks[b]
+                .back()
+                .is_none_or(|last| last.id < req.id && last.txn <= req.txn),
+            "a bank's list grows in enqueue-id and transaction order"
         );
-        dir.push(req.txn);
-        self.banks[b].push(req);
+        dir.push_back(req.txn);
+        self.banks[b].push_back(req);
+        self.pending[b / 64] |= 1 << (b % 64);
         Ok(())
-    }
-
-    /// Whether a request of the given direction would be accepted.
-    pub fn has_room(&self, is_write: bool) -> bool {
-        self.dir_len(is_write) < self.capacity
     }
 
     /// Total queued requests.
@@ -101,27 +116,35 @@ impl ChannelQueues {
     /// direction lists are transaction-sorted (see [`Self::push`]) and
     /// removal preserves order.
     pub fn min_txn(&self) -> Option<TxnId> {
-        match (self.txns[0].first(), self.txns[1].first()) {
+        match (self.txns[0].front(), self.txns[1].front()) {
             (Some(&a), Some(&b)) => Some(a.min(b)),
             (Some(&a), None) | (None, Some(&a)) => Some(a),
             (None, None) => None,
         }
     }
 
-    /// Whether each bank, in index order, has a queued request.
-    pub fn banks_pending(&self) -> impl Iterator<Item = bool> + '_ {
-        self.banks.iter().map(|list| !list.is_empty())
+    /// The banks that have a queued request, in index order.
+    pub fn pending_banks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pending.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(64 * w + bit)
+            })
+        })
     }
 
     /// Bank `b`'s queued requests, oldest first.
-    pub fn bank(&self, b: usize) -> &[Request] {
+    pub fn bank(&self, b: usize) -> &VecDeque<Request> {
         &self.banks[b]
     }
 
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn position(&self, b: usize, id: u64) -> usize {
         self.banks[b]
-            .binary_search_by_key(&id, |r| r.id)
+            .iter()
+            .position(|r| r.id == id)
             .expect("scheduling views only name queued requests")
     }
 
@@ -131,17 +154,22 @@ impl ChannelQueues {
         &mut self.banks[b][i]
     }
 
-    /// Removes and returns the request with enqueue id `id` in bank `b`.
+    /// Removes the request with enqueue id `id` from bank `b`; returns it
+    /// with the position it held, which is where its successors now start.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    pub fn remove(&mut self, b: usize, id: u64) -> Request {
+    pub fn remove(&mut self, b: usize, id: u64) -> (usize, Request) {
         let i = self.position(b, id);
-        let req = self.banks[b].remove(i);
+        let req = self.banks[b].remove(i).expect("position is in range");
+        if self.banks[b].is_empty() {
+            self.pending[b / 64] &= !(1 << (b % 64));
+        }
         let dir = &mut self.txns[usize::from(req.is_write)];
         let t = dir
-            .binary_search(&req.txn)
+            .iter()
+            .position(|&t| t == req.txn)
             .expect("every queued request has its transaction listed");
         dir.remove(t);
-        req
+        (i, req)
     }
 }
 
@@ -176,8 +204,7 @@ mod tests {
         assert_eq!(q.push(0, req(2, 0, false, 0)), Err(QueueFull));
         // Writes have their own capacity.
         q.push(0, req(3, 0, true, 0)).unwrap();
-        assert!(q.has_room(true));
-        assert!(!q.has_room(false));
+        assert_eq!((q.dir_len(false), q.dir_len(true)), (2, 1));
         assert_eq!(q.len(), 3);
         assert_eq!(q.bank(0).len(), 3, "both directions share the bank list");
     }
@@ -196,7 +223,7 @@ mod tests {
     fn remove_returns_request() {
         let mut q = ChannelQueues::new(4, 8);
         q.push(3, req(7, 1, false, 3)).unwrap();
-        let r = q.remove(3, 7);
+        let (_, r) = q.remove(3, 7);
         assert_eq!(r.id, 7);
         assert_eq!(q.len(), 0);
         assert_eq!(q.min_txn(), None);
@@ -211,10 +238,88 @@ mod tests {
         q.push(1, req(4, 4, false, 1)).unwrap();
         q.remove(0, 1);
         q.get_mut(0, 3).arrival = 9;
-        assert_eq!(q.remove(0, 3).arrival, 9);
+        assert_eq!(q.remove(0, 3).1.arrival, 9);
         let left: Vec<u64> = q.bank(0).iter().map(|r| r.id).collect();
         assert_eq!(left, [0, 2]);
         assert_eq!(q.min_txn(), Some(TxnId(0)));
         assert_eq!(q.dir_len(false), 3);
+    }
+    fn ids(q: &ChannelQueues, b: usize) -> Vec<u64> {
+        q.bank(b).iter().map(|r| r.id).collect()
+    }
+
+    #[test]
+    fn removal_anywhere_keeps_arrival_order_and_keys() {
+        // Front, middle and back of a ring that has already wrapped.
+        let mut q = ChannelQueues::new(2, 4);
+        for id in 0..4 {
+            q.push(0, req(id, id, false, 0)).unwrap();
+        }
+        assert_eq!(q.remove(0, 0).0, 0);
+        assert_eq!(q.remove(0, 1).0, 0);
+        for id in 4..6 {
+            q.push(0, req(id, id, false, 0)).unwrap();
+        }
+        assert_eq!(ids(&q, 0), [2, 3, 4, 5]);
+        for (id, at, left) in [(3, 1, vec![2, 4, 5]), (5, 2, vec![2, 4]), (2, 0, vec![4])] {
+            let (i, r) = q.remove(0, id);
+            assert_eq!((i, r.id, r.txn), (at, id, TxnId(id)));
+            assert_eq!(ids(&q, 0), left);
+            assert_eq!(q.min_txn(), Some(TxnId(left[0])));
+            assert_eq!(q.dir_len(false), left.len());
+        }
+        q.get_mut(0, 4).arrival = 7;
+        assert_eq!(q.remove(0, 4).1.arrival, 7);
+        assert_eq!((q.len(), q.min_txn()), (0, None));
+    }
+
+    #[test]
+    fn equal_transactions_leave_the_direction_list_one_at_a_time() {
+        let mut q = ChannelQueues::new(2, 8);
+        for id in 0..3 {
+            q.push(0, req(id, 4, false, 0)).unwrap();
+        }
+        q.push(1, req(3, 6, false, 1)).unwrap();
+        q.remove(0, 1);
+        assert_eq!((q.dir_len(false), q.min_txn()), (3, Some(TxnId(4))));
+        q.remove(0, 0);
+        q.remove(0, 2);
+        assert_eq!((q.dir_len(false), q.min_txn()), (1, Some(TxnId(6))));
+    }
+
+    #[test]
+    fn pending_banks_follow_push_and_remove() {
+        // More banks than one word of the set holds.
+        let mut q = ChannelQueues::new(130, 8);
+        assert_eq!(q.pending_banks().count(), 0);
+        for (id, b) in [(0, 129), (1, 0), (2, 64), (3, 63), (4, 64)] {
+            q.push(b, req(id, 0, id % 2 == 1, b as u32)).unwrap();
+        }
+        let pending = |q: &ChannelQueues| q.pending_banks().collect::<Vec<_>>();
+        assert_eq!(pending(&q), [0, 63, 64, 129]);
+        q.remove(64, 2);
+        assert_eq!(pending(&q), [0, 63, 64, 129], "bank 64 still holds one");
+        q.remove(64, 4);
+        q.remove(0, 1);
+        assert_eq!(pending(&q), [63, 129]);
+        q.remove(129, 0);
+        q.remove(63, 3);
+        assert_eq!(q.pending_banks().count(), 0);
+        // A refused push leaves the set alone.
+        let mut full = ChannelQueues::new(2, 1);
+        full.push(0, req(0, 0, false, 0)).unwrap();
+        assert_eq!(full.push(1, req(1, 0, false, 1)), Err(QueueFull));
+        assert_eq!(pending(&full), [0]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "transaction order")]
+    fn a_bank_list_cannot_go_backwards_in_transaction() {
+        // Each direction on its own is in order (one write, one read); the
+        // bank's list is not — which the view upkeep relies on.
+        let mut q = ChannelQueues::new(2, 8);
+        q.push(0, req(0, 5, true, 0)).unwrap();
+        let _ = q.push(0, req(1, 4, false, 0));
     }
 }
