@@ -29,7 +29,8 @@ use ring_oram::crypto::BlockCipher;
 use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
 use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, PathOram, RingConfig, RingOram};
 use string_oram::{BackendKind, Scheme, Simulation, SystemConfig};
-use string_oram_bench::{env_or, print_header, print_row};
+use string_oram_bench::env_or;
+use string_oram_bench::paper::{banner, line};
 use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
 
 fn iters() -> u64 {
@@ -74,6 +75,10 @@ fn time<F: FnMut(u64)>(mut f: F) -> f64 {
         f(i);
     }
     start.elapsed().as_nanos() as f64 / n as f64
+}
+
+fn print_row(label: &str, values: &[String]) {
+    print!("{}", line(label, values));
 }
 
 /// Times `f` and prints one row with the mean ns/op.
@@ -436,7 +441,10 @@ fn bench_service_tick() {
 }
 
 fn main() {
-    print_header("Microbenchmarks (mean over self-timed iterations)");
+    print!(
+        "{}",
+        banner("Microbenchmarks (mean over self-timed iterations)")
+    );
     bench_protocol_access();
     bench_plain_tree_access();
     bench_dram_issue();

@@ -1,48 +1,25 @@
-//! # string-oram-bench — experiment harnesses for the HPCA 2021 figures
+//! # string-oram-bench — experiment harnesses for the HPCA 2021 evaluation
 //!
-//! Each `[[bench]]` target regenerates one table or figure of the paper
-//! (see `DESIGN.md` §5 for the index), printing paper-style rows to stdout.
-//! Shared machinery lives here: workload runners, result tables,
-//! normalization helpers, and — in [`schema`] over [`json`] — the format of
-//! the committed `BENCH_*.json` documents: one table per document, one
+//! The paper's tables and figures, the ablations and the extensions are the
+//! rows of one table, [`paper::EXPERIMENTS`], read by one interpreter
+//! ([`paper`]; `DESIGN.md` §6 is the index): `cargo bench --bench paper`
+//! prints paper-style rows to stdout, mirrors them to CSV and records them
+//! in `BENCH_paper.json`. The other `[[bench]]` targets measure the host or
+//! an axis beyond the paper. Shared machinery lives here: trace synthesis,
+//! the run-length variables, and — in [`schema`] over [`json`] — the format
+//! of the committed `BENCH_*.json` documents: one table per document, one
 //! interpreter that validates them, and the helpers the emitters write with.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod experiments;
 pub mod json;
+pub mod paper;
 pub mod schema;
 
-use std::fs::File;
-use std::io::Write;
-use std::path::Path;
-use std::sync::Mutex;
-
-use string_oram::{Scheme, SimReport, Simulation, SystemConfig};
+use string_oram::SystemConfig;
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
-
-/// Open CSV sink for the current table, when `STRING_ORAM_CSV_DIR` is set.
-static CSV_SINK: Mutex<Option<File>> = Mutex::new(None);
-
-fn slugify(title: &str) -> String {
-    title
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect::<String>()
-        .split('_')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("_")
-        .chars()
-        .take(60)
-        .collect()
-}
 
 /// The environment variable `name`, parsed; `default` when it is unset.
 /// Every run-length knob of the benches reads through here.
@@ -68,14 +45,6 @@ fn parse_or<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -
     })
 }
 
-/// Default number of ORAM accesses (trace records) per core for figure
-/// harness runs. Override with the `STRING_ORAM_ACCESSES` environment
-/// variable to trade accuracy for time.
-#[must_use]
-pub fn accesses_per_core() -> usize {
-    env_or("STRING_ORAM_ACCESSES", 400)
-}
-
 /// Generates the per-core traces for a workload under a config.
 #[must_use]
 pub fn traces_for(
@@ -90,138 +59,15 @@ pub fn traces_for(
         .collect()
 }
 
-/// Warm-up accesses per core before measurement begins (default 0).
-/// Set `STRING_ORAM_WARMUP=<n>` to exclude the first `n` accesses per core
-/// from every figure's counters — useful for steady-state rates such as
-/// greens/read.
-#[must_use]
-pub fn warmup_per_core() -> usize {
-    env_or("STRING_ORAM_WARMUP", 0)
-}
-
-/// Runs `workload` under `cfg` for `n` accesses per core (plus any
-/// configured warm-up, which is excluded from the report).
-///
-/// # Panics
-///
-/// Panics if the simulation exceeds its generous cycle budget (wedged).
-#[must_use]
-pub fn run_config(cfg: SystemConfig, workload: &str, n: usize, label: &str) -> SimReport {
-    let warmup = warmup_per_core();
-    let cores = cfg.cores;
-    let traces = traces_for(&cfg, workload, n + warmup, 0xBEEF);
-    let mut sim = Simulation::new(cfg, traces);
-    sim.set_label(label);
-    if warmup > 0 {
-        let warm_accesses = (warmup * cores) as u64;
-        while sim.oram_accesses() < warm_accesses && !sim.is_finished() {
-            sim.step();
-        }
-        sim.begin_measurement();
-    }
-    while !sim.is_finished() {
-        sim.step();
-    }
-    sim.report()
-}
-
-/// Runs `workload` under the paper's default configuration for a scheme.
-/// When `STRING_ORAM_SEEDS=k` (k > 1) is set, the run is repeated over `k`
-/// trace seeds and the report of the *median-cycles* run is returned, for
-/// noise-robust figures.
-#[must_use]
-pub fn run_scheme(scheme: Scheme, workload: &str, n: usize) -> SimReport {
-    let seeds: u64 = env_or("STRING_ORAM_SEEDS", 1);
-    let mut reports: Vec<SimReport> = (0..seeds.max(1))
-        .map(|s| {
-            let cfg = SystemConfig::hpca_default(scheme);
-            let traces = traces_for(&cfg, workload, n, 0xBEEF ^ (s * 0x9E37));
-            let mut sim = Simulation::new(cfg, traces);
-            sim.set_label(format!("{workload}/{scheme}"));
-            sim.run(u64::MAX).expect("simulation completes")
-        })
-        .collect();
-    reports.sort_by_key(|r| r.total_cycles);
-    reports.swap_remove(reports.len() / 2)
-}
-
-/// The paper's ten workload names, figure order.
-#[must_use]
-pub fn workload_names() -> Vec<&'static str> {
-    trace_synth::all_workloads()
-        .iter()
-        .map(|w| w.name)
-        .collect()
-}
-
-/// Prints a separator + centered title, figure-style. When the
-/// `STRING_ORAM_CSV_DIR` environment variable names a directory, every
-/// subsequent [`print_row`] is also appended to
-/// `<dir>/<slug-of-title>.csv` for plotting.
-///
-/// # Panics
-///
-/// When the variable is set and the directory or the file cannot be
-/// created — a figure run pointed at an unusable directory must not
-/// "succeed" with no CSV.
-pub fn print_header(title: &str) {
-    println!("\n{}", "=".repeat(78));
-    println!("{title}");
-    println!("{}", "=".repeat(78));
-    let sink = open_csv(std::env::var_os("STRING_ORAM_CSV_DIR").as_deref(), title);
-    *CSV_SINK.lock().expect("csv sink") = sink;
-}
-
-/// [`print_header`]'s sink for the variable's value (`None`: unset, no
-/// sink).
-fn open_csv(dir: Option<&std::ffi::OsStr>, title: &str) -> Option<File> {
-    let dir = Path::new(dir?);
-    let path = dir.join(format!("{}.csv", slugify(title)));
-    match std::fs::create_dir_all(dir).and_then(|()| File::create(&path)) {
-        Ok(file) => Some(file),
-        Err(e) => panic!("STRING_ORAM_CSV_DIR={dir:?}: cannot create {path:?}: {e}"),
-    }
-}
-
-/// Prints one table row: a label column then fixed-width value columns.
-/// Mirrored to the active CSV sink, if any (see [`print_header`]).
-///
-/// # Panics
-///
-/// When the row cannot be written to the CSV sink.
-pub fn print_row(label: &str, values: &[String]) {
-    print!("{label:<12}");
-    for v in values {
-        print!(" {v:>12}");
-    }
-    println!();
-    if let Some(f) = CSV_SINK.lock().expect("csv sink").as_mut() {
-        let mut line = String::from(label);
-        for v in values {
-            line.push(',');
-            // Strip display-only decorations for machine consumption.
-            line.push_str(v.trim().trim_end_matches('%'));
-        }
-        writeln!(f, "{line}")
-            .unwrap_or_else(|e| panic!("STRING_ORAM_CSV_DIR: cannot write a CSV row: {e}"));
-    }
-}
-
-/// Geometric mean of strictly positive values (the paper reports GEOMEAN
-/// bars); returns 0.0 for an empty slice.
-#[must_use]
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::schema::{PROTOCOL_MATRIX, SCHED_POLICY, SERVICE_LOAD, SHARD_SCALING};
+    use super::experiments::WORKLOADS;
+    use super::json::Value;
+    use super::paper::{drive, geomean, Scale, EXPERIMENTS};
+    use super::schema::{PAPER, PROTOCOL_MATRIX, SCHED_POLICY, SERVICE_LOAD, SHARD_SCALING};
     use super::*;
+    use std::path::Path;
+    use string_oram::Scheme;
 
     #[test]
     fn unset_variables_take_the_default_and_set_ones_parse() {
@@ -237,9 +83,33 @@ mod tests {
         let _ = parse_or("STRING_ORAM_SHARD_ACCESSES", Some("2e2"), 25_000usize);
     }
 
+    const SMOKE: Scale = Scale {
+        accesses: 20,
+        warmup: 0,
+        seeds: 1,
+    };
+
+    /// A directory no other test or process uses.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("string-oram-bench-{name}-{}", std::process::id()))
+    }
+
     #[test]
     fn an_unset_csv_dir_opens_no_sink() {
-        assert!(open_csv(None, "Fig. 10").is_none());
+        let dir = scratch_dir("csv");
+        let args = ["table5_cb_space".to_string()];
+        drive(EXPERIMENTS, &args, &SMOKE, None, &mut Vec::new()).unwrap();
+        assert!(!dir.exists());
+        drive(EXPERIMENTS, &args, &SMOKE, Some(&dir), &mut Vec::new()).unwrap();
+        let csv = dir.join("table_v_cb_configurations_and_space_saving_z_8_s_12_l_23.csv");
+        let csv = std::fs::read_to_string(csv).expect("the table is mirrored");
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The printed lines, comma-separated, without the display-only `%`.
+        let mirrored = "config,Y (CB rate),total GiB,dummy ,saved vs base\n\
+                        Baseline,Y=0,20.0,60.0,0.0\nConfig-1,Y=2,18.0,55.6,10.0\n\
+                        Config-2,Y=4,16.0,50.0,20.0\nConfig-3,Y=6,14.0,42.9,30.0\n\
+                        Config-4,Y=8,12.0,33.3,40.0\n";
+        assert_eq!(csv, mirrored);
     }
 
     #[test]
@@ -247,7 +117,14 @@ mod tests {
     fn an_unusable_csv_dir_is_refused() {
         // A directory under a regular file can never be created.
         let under_a_file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/csv");
-        let _ = open_csv(Some(under_a_file.as_os_str()), "Fig. 10");
+        let args = ["table5_cb_space".to_string()];
+        let _ = drive(
+            EXPERIMENTS,
+            &args,
+            &SMOKE,
+            Some(&under_a_file),
+            &mut Vec::new(),
+        );
     }
 
     #[test]
@@ -259,13 +136,17 @@ mod tests {
 
     #[test]
     fn workload_names_complete() {
-        assert_eq!(workload_names().len(), 10);
+        let named = WORKLOADS
+            .iter()
+            .map(|&(label, workload, _)| (label, workload));
+        let all = trace_synth::all_workloads();
+        assert!(named.eq(all.iter().map(|w| (w.name, w.name))));
     }
 
     #[test]
     fn small_run_smoke() {
         let cfg = SystemConfig::test_small(Scheme::Baseline);
-        let r = run_config(cfg, "stream", 20, "smoke");
+        let r = SMOKE.simulate(&cfg, "stream", 20).report;
         assert_eq!(r.oram_accesses, 40);
     }
 
@@ -458,12 +339,7 @@ mod tests {
     /// after intentional changes).
     #[test]
     fn committed_protocol_matrix_is_valid() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_protocol_matrix.json"
-        );
-        let text = std::fs::read_to_string(path).expect("BENCH_protocol_matrix.json is committed");
-        let doc = json::parse(&text).expect("matrix parses");
+        let doc = json::parse(&repo_file("BENCH_protocol_matrix.json")).expect("matrix parses");
         PROTOCOL_MATRIX
             .validate(&doc)
             .expect("matrix matches schema");
@@ -623,9 +499,7 @@ mod tests {
     /// `cargo bench --bench service_load` after intentional changes).
     #[test]
     fn committed_service_load_is_valid() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service_load.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_service_load.json is committed");
-        let doc = json::parse(&text).expect("service load parses");
+        let doc = json::parse(&repo_file("BENCH_service_load.json")).expect("service load parses");
         SERVICE_LOAD
             .validate(&doc)
             .expect("service load matches schema");
@@ -774,12 +648,126 @@ mod tests {
     /// `cargo bench --bench sched_policy_matrix` after intentional changes).
     #[test]
     fn committed_sched_policy_is_valid() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched_policy.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_sched_policy.json is committed");
-        let doc = json::parse(&text).expect("sched policy matrix parses");
+        let doc =
+            json::parse(&repo_file("BENCH_sched_policy.json")).expect("sched policy matrix parses");
         SCHED_POLICY
             .validate(&doc)
             .expect("sched policy matrix matches schema");
+    }
+
+    fn repo_file(name: &str) -> String {
+        let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// The committed evaluation at the repo root must always parse, satisfy
+    /// the schema — every table rectangular, a paper's number only beside a
+    /// measured one — and hold the experiments of the table, in its order
+    /// (regenerate with `cargo bench --bench paper` after intentional
+    /// changes; CI's `bench-smoke` job `cmp`s a fresh run against it).
+    #[test]
+    fn committed_paper_is_valid() {
+        let doc = json::parse(&repo_file("BENCH_paper.json")).expect("the evaluation parses");
+        PAPER
+            .validate(&doc)
+            .expect("the evaluation matches its schema");
+        let recorded = doc.get("experiments").and_then(Value::as_array).unwrap();
+        let names = recorded
+            .iter()
+            .map(|e| e.get("name").and_then(Value::as_str));
+        assert!(names.eq(EXPERIMENTS.iter().map(|e| Some(e.name))));
+    }
+
+    #[test]
+    fn paper_schema_rejects_structural_damage() {
+        let good = repo_file("BENCH_paper.json");
+        let cell = "\"column\": \"CB\",\n                  \"number\": 0.719,";
+        for (needle, replacement, why) in [
+            (
+                "\"bench\": \"paper\"",
+                "\"bench\": \"other\"",
+                "wrong bench name",
+            ),
+            (
+                "\"fig05_row_buffer\"",
+                "\"fig04_space\"",
+                "a repeated experiment",
+            ),
+            (
+                "\"fig05_row_buffer\"",
+                "\"fig05\"",
+                "an experiment the table does not hold",
+            ),
+            ("\"dummy GiB\",\n", "", "a header fewer than cells"),
+            (cell, &cell.replace("CB", "PB"), "cells out of column order"),
+            (
+                "\"number\": 4,\n                  \"paper\": null",
+                "\"number\": null,\n                  \"paper\": 4",
+                "the paper's number beside no measured one",
+            ),
+            ("\"seeds\": 1", "\"seeds\": 0", "zero seeds"),
+        ] {
+            let damaged = good.replacen(needle, replacement, 1);
+            assert_ne!(damaged, good, "{why}: replacement did not apply");
+            let doc = json::parse(&damaged).unwrap();
+            assert!(PAPER.validate(&doc).is_err(), "{why} must be rejected");
+        }
+    }
+
+    /// EXPERIMENTS.md's paper-vs-measured tables are held to the committed
+    /// document: for every cell that carries the paper's number, some line
+    /// quotes that number and the measured cell as printed (EXPERIMENTS.md
+    /// sets a space before `%`).
+    #[test]
+    fn experiments_md_quotes_the_committed_numbers() {
+        let text = repo_file("EXPERIMENTS.md").replace(" %", "%");
+        let doc = json::parse(&repo_file("BENCH_paper.json")).unwrap();
+        let list = |v: &Value, key: &str| v.get(key).and_then(Value::as_array).unwrap().to_vec();
+        let mut checked = 0;
+        for exp in list(&doc, "experiments") {
+            let rows = list(&exp, "tables")
+                .into_iter()
+                .flat_map(|t| list(&t, "rows"));
+            for cell in rows.flat_map(|row| list(&row, "cells")) {
+                let Some(paper) = cell.get("paper").and_then(Value::as_f64) else {
+                    continue;
+                };
+                let (paper, measured) = (
+                    paper.to_string(),
+                    cell.get("text").unwrap().as_str().unwrap(),
+                );
+                let quoted = |line: &str| line.contains(&paper) && line.contains(measured);
+                let name = exp.get("name").unwrap();
+                assert!(
+                    text.lines().any(quoted),
+                    "{name}: no line quotes {paper} and {measured}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 40, "{checked} cells carry the paper's number");
+    }
+
+    /// Every experiment is indexed in DESIGN.md §6, in the table's order, and
+    /// discussed in EXPERIMENTS.md.
+    #[test]
+    fn every_experiment_is_in_the_index_and_the_discussion() {
+        let design = repo_file("DESIGN.md");
+        let index = &design[design.find("## 6. Experiment index").unwrap()..];
+        let index = &index[..index.find("## 7.").unwrap()];
+        let discussion = repo_file("EXPERIMENTS.md");
+        let mut last = 0;
+        for exp in EXPERIMENTS {
+            let at = index.find(&format!("`{}`", exp.name));
+            let at = at.unwrap_or_else(|| panic!("{} is not in DESIGN.md §6", exp.name));
+            assert!(at > last, "{} is out of order in DESIGN.md §6", exp.name);
+            last = at;
+            assert!(
+                discussion.contains(exp.name),
+                "{} is not in EXPERIMENTS.md",
+                exp.name
+            );
+        }
     }
 
     /// The committed bench trajectory at the repo root must always parse
@@ -787,12 +775,7 @@ mod tests {
     /// `cargo bench --bench shard_scaling` after intentional changes).
     #[test]
     fn committed_shard_scaling_trajectory_is_valid() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_shard_scaling.json"
-        );
-        let text = std::fs::read_to_string(path).expect("BENCH_shard_scaling.json is committed");
-        let doc = json::parse(&text).expect("trajectory parses");
+        let doc = json::parse(&repo_file("BENCH_shard_scaling.json")).expect("trajectory parses");
         SHARD_SCALING
             .validate(&doc)
             .expect("trajectory matches schema");

@@ -12,13 +12,17 @@
 //! a document is well formed and keeps its claims, never how *fast* it is.
 
 use crate::json::Value;
-use Kind::{AtLeast, Digest, Fraction, OneOf, Positive, PositivesPer, PowerOfTwo, Rows, Str};
+use crate::paper::EXPERIMENTS;
+use Kind::{AtLeast, Digest, Fraction, NumberOrNull, OneOf, Positive, PositivesPer, PowerOfTwo};
+use Kind::{Rows, Str, Strs};
 
 /// What a value must look like; a mismatch is reported under this name.
 #[derive(Clone, Copy, Debug)]
 enum Kind {
     /// Any string.
     Str,
+    /// An array of strings.
+    Strs,
     /// One of the listed names.
     OneOf(&'static [&'static str]),
     /// A non-negative integer (exact, so at most 2^53) no smaller than this.
@@ -30,6 +34,8 @@ enum Kind {
     Positive,
     /// A number in `[0, 1]`.
     Fraction,
+    /// A number, or `null` where there is none to give.
+    NumberOrNull,
     /// `0x` and exactly 16 hex digits.
     Digest,
     /// An array of numbers `> 0`, as many as the sibling key under this name
@@ -137,11 +143,13 @@ fn check_key(key: &str, kind: Kind, obj: &Value, doc: &Value, ctx: &str) -> Resu
     let hex16 = |h: &str| h.len() == 16 && h.bytes().all(|c| c.is_ascii_hexdigit());
     let ok = match kind {
         Str => value.as_str().is_some(),
+        Strs => strings(value).is_some(),
         OneOf(names) => value.as_str().is_some_and(|s| names.contains(&s)),
         AtLeast(min) => value.as_u64().is_some_and(|n| n >= min),
         PowerOfTwo => value.as_u64().is_some_and(u64::is_power_of_two),
         Positive => positive(value),
         Fraction => value.as_f64().is_some_and(|n| (0.0..=1.0).contains(&n)),
+        NumberOrNull => value.as_f64().is_some() || *value == Value::Null,
         Digest => value
             .as_str()
             .is_some_and(|s| s.strip_prefix("0x").is_some_and(hex16)),
@@ -236,6 +244,11 @@ fn text<'a>(row: &'a Value, key: &str) -> &'a str {
 
 fn list<'a>(row: &'a Value, key: &str) -> &'a [Value] {
     row.get(key).and_then(Value::as_array).expect(TYPED)
+}
+
+/// The strings of an array of strings.
+fn strings(value: &Value) -> Option<Vec<&str>> {
+    value.as_array()?.iter().map(Value::as_str).collect()
 }
 
 const BACKENDS: Kind = OneOf(&["cycle-accurate", "fast-functional"]);
@@ -468,6 +481,78 @@ const POLICY_POINTS: Group = Group {
     )],
 };
 
+/// `BENCH_paper.json`: every table `cargo bench --bench paper` prints at
+/// the default size (`paper.rs`), cell by cell — the text as printed, the
+/// number in it, and the paper's number where the paper prints the same
+/// quantity. No wall-clock field: the document is the same on every host.
+pub const PAPER: Schema = Schema {
+    bench: "paper",
+    version: 1,
+    header: &[
+        Keys(&["accesses_per_core", "seeds"], AtLeast(1)),
+        Keys(&["warmup", "trace_seed"], COUNT),
+        Keys(&["experiments"], Rows(&PAPER_EXPERIMENTS)),
+    ],
+};
+/// The names of [`EXPERIMENTS`], for the `name` axis.
+const PAPER_NAMES: [&str; EXPERIMENTS.len()] = {
+    let mut names = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = EXPERIMENTS[i].name;
+        i += 1;
+    }
+    names
+};
+const PAPER_EXPERIMENTS: Group = Group {
+    axes: &[("name", OneOf(&PAPER_NAMES))],
+    complete: true,
+    fields: &[
+        Keys(&["footer"], Str),
+        Keys(&["tables"], Rows(&PAPER_TABLES)),
+    ],
+    same_digest: None,
+    rules: &[],
+};
+const PAPER_TABLES: Group = Group {
+    axes: &[("title", Str)],
+    complete: false,
+    fields: &[Keys(&["columns"], Strs), Keys(&["rows"], Rows(&PAPER_ROWS))],
+    same_digest: None,
+    rules: &[Rule(
+        |table, _| {
+            let columns = table.get("columns").and_then(strings).expect(TYPED);
+            list(table, "rows").iter().all(|row| {
+                let cells = list(row, "cells").iter().map(|cell| text(cell, "column"));
+                cells.eq(columns.iter().skip(1).copied())
+            })
+        },
+        "a row's cells are not the table's columns after the first, one each and in order",
+    )],
+};
+const PAPER_ROWS: Group = Group {
+    axes: &[("label", Str)],
+    complete: false,
+    fields: &[Keys(&["cells"], Rows(&PAPER_CELLS))],
+    same_digest: None,
+    rules: &[],
+};
+const PAPER_CELLS: Group = Group {
+    axes: &[("column", Str)],
+    complete: false,
+    fields: &[
+        Keys(&["text"], Str),
+        Keys(&["number", "paper"], NumberOrNull),
+    ],
+    same_digest: None,
+    rules: &[Rule(
+        |cell, _| {
+            cell.get("paper") == Some(&Value::Null) || cell.get("number") != Some(&Value::Null)
+        },
+        "the paper's number on a cell that holds none",
+    )],
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,7 +562,8 @@ mod tests {
     /// Each table with the number of keys it declares, all nesting levels
     /// and the two pinned ones included: the walk below must visit exactly
     /// that many, so a group it fails to descend into does not go unnoticed.
-    const SCHEMAS: [(&Schema, usize); 4] = [
+    const SCHEMAS: [(&Schema, usize); 5] = [
+        (&PAPER, 19),
         (&SHARD_SCALING, 24),
         (&PROTOCOL_MATRIX, 16),
         (&SERVICE_LOAD, 33),
@@ -547,7 +633,7 @@ mod tests {
     fn out_of_range(kind: Kind) -> Option<Value> {
         match kind {
             OneOf(_) => Some("no-such-name".into()),
-            AtLeast(0) | Str | Rows(_) => None,
+            AtLeast(0) | Str | Strs | NumberOrNull | Rows(_) => None,
             AtLeast(min) => Some((min - 1).into()),
             PowerOfTwo => Some(3u64.into()),
             Positive => Some(Value::Number(0.0)),

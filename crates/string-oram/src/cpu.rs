@@ -8,7 +8,8 @@
 //! core stalls (the ROB's memory-level parallelism). With
 //! `max_outstanding = 1` the core blocks on every miss, the conservative
 //! model; ORAM serializes transactions at the controller anyway, so MLP
-//! mainly keeps the ORAM request queue fed (see the `ablation_mlp` bench).
+//! mainly keeps the ORAM request queue fed (see the `ablation_mlp`
+//! experiment of `cargo bench --bench paper`).
 
 use trace_synth::TraceRecord;
 
