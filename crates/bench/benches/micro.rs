@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
-use dram_sim::{AddressMapping, DramCommand, DramLocation, DramModule};
+use dram_sim::{AddressMapping, DramCommand, DramFaultConfig, DramLocation, DramModule};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
 use oram_collections::ObliviousMap;
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
@@ -208,7 +208,7 @@ fn bench_scheduler_tick() {
 
     // Stalled: deep queues, but every request of a channel conflicts in
     // one bank, so between a PRE/ACT/RD triple nothing is issuable for tRC.
-    bench_ticks("tick_stalled", |mapping, i| RequestSpec {
+    bench_ticks("tick_stalled", None, |mapping, i| RequestSpec {
         addr: mapping.encode(&DramLocation {
             channel: (i % 4) as u32,
             rank: 0,
@@ -222,9 +222,30 @@ fn bench_scheduler_tick() {
     // Saturated: Path-style streaming — long runs of consecutive lines
     // (row hits across every channel and bank), reads then writes, the
     // data bus busy nearly every burst slot.
-    bench_ticks("tick_saturated", |_, i| RequestSpec {
+    bench_ticks("tick_saturated", None, |_, i| RequestSpec {
         addr: dram_sim::PhysAddr(i * 64),
         is_write: (i / 256) % 2 == 1,
+        txn: TxnId(i / 256),
+    });
+    // Asleep: the floor. Every channel's read queue full (64 deep, all 32
+    // banks with work) and every channel asleep: each ACT meets a weak row
+    // that never recovers, so after the first few dozen ticks nothing is
+    // issuable until the next refresh — a tick is the refused re-offer, the
+    // refresh check, the accounting and four asleep checks.
+    let never = DramFaultConfig {
+        weak_row_rate: 1.0,
+        weak_row_stall: 1 << 40,
+        ..DramFaultConfig::default()
+    };
+    bench_ticks("tick_asleep", Some(never), |mapping, i| RequestSpec {
+        addr: mapping.encode(&DramLocation {
+            channel: (i % 4) as u32,
+            rank: 0,
+            bank: (i / 4 % 8) as u32,
+            row: i / 32,
+            column: 0,
+        }),
+        is_write: false,
         txn: TxnId(i / 256),
     });
 }
@@ -298,14 +319,21 @@ fn bench_deep_bank() {
     print_row("retire_front", &[format!("{per:>10.0} ns/data cmd")]);
 }
 
-/// Times controller ticks at the paper's geometry with the queues kept
-/// topped up from `next` (request number -> request), printing ns per
-/// tick: the per-cycle cost of the scheduler itself, visible without the
-/// full benchmark harness.
-fn bench_ticks(name: &str, next: impl Fn(&AddressMapping, u64) -> RequestSpec) {
+/// Times controller ticks at the paper's geometry (its DRAM under `faults`,
+/// if any) with the queues kept topped up from `next` (request number ->
+/// request), printing ns per tick: the per-cycle cost of the scheduler
+/// itself, visible without the full benchmark harness.
+fn bench_ticks(
+    name: &str,
+    faults: Option<DramFaultConfig>,
+    next: impl Fn(&AddressMapping, u64) -> RequestSpec,
+) {
     let geometry = DramGeometry::hpca_default();
     let mapping = AddressMapping::hpca_default(&geometry);
-    let dram = DramModule::new(geometry, TimingParams::ddr3_1600());
+    let mut dram = DramModule::new(geometry, TimingParams::ddr3_1600());
+    if let Some(f) = faults {
+        dram.enable_faults(f);
+    }
     let mut ctrl = MemoryController::new(dram, mapping.clone(), SchedulerPolicy::proactive(), 64);
     let ticks = iters() * 100;
     let mut offered = 0;

@@ -121,7 +121,10 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
         out.append(&mut self.drain_completed());
     }
 
-    /// Number of requests currently queued (not yet completed).
+    /// Number of requests currently queued (accepted by
+    /// [`Self::try_enqueue`], data command not yet issued). A request whose
+    /// data command has issued no longer counts, even while its
+    /// `data_done_at` lies ahead.
     fn pending(&self) -> usize;
 
     /// Starts recording every issued command on the event stream.
@@ -138,9 +141,6 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
         out.append(&mut self.take_command_events());
     }
-
-    /// Scheduler-level statistics.
-    fn sched_stats(&self) -> &SchedulerStats;
 
     /// The cycle-accurate DRAM module, when the backend has one. `None`
     /// means timing-level checkers (JEDEC shadow timing, bank idle
@@ -182,10 +182,6 @@ impl MemoryBackend for MemoryController {
 
     fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
         MemoryController::drain_command_events_into(self, out);
-    }
-
-    fn sched_stats(&self) -> &SchedulerStats {
-        self.stats()
     }
 
     fn dram_module(&self) -> Option<&DramModule> {

@@ -13,15 +13,19 @@
 //!   `oldest_current`, when it was the same request) moves — to a successor
 //!   found by searching forward from the vacated position to the end of the
 //!   current transaction ([`MemoryController::view_retired`]);
-//! * a **PRE/ACT** or a dropped response re-derives the one bank from its
-//!   own queue ([`MemoryController::refresh_bank`]) — the row moved, every
-//!   fact may have;
+//! * a **PRE** closes the row, so what only an open row can hold — the
+//!   hit facts — clears, and nothing else can have moved
+//!   ([`MemoryController::view_precharged`], O(1));
+//! * an **ACT** or a dropped response re-derives the one bank from its own
+//!   queue ([`MemoryController::refresh_bank`]) — a row opened (or a data
+//!   command was spent without retiring anything), every hit fact may have
+//!   moved;
 //! * a move of the (current transaction, lookahead) **window** or a DRAM
 //!   **refresh** — which closes rows without the controller issuing
 //!   anything — re-derives the whole channel
 //!   ([`MemoryController::rebuild_view`]).
 //!
-//! Both delta rules lean on one precondition: a bank's list is sorted by
+//! The enqueue and retire rules lean on one precondition: a bank's list is sorted by
 //! transaction as well as by age (requests arrive in non-decreasing
 //! transaction order — the `MemoryBackend` contract, asserted by
 //! `ChannelQueues::push`). The derivation ([`derive_bank`], the only place
@@ -72,7 +76,7 @@ impl Candidate {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BankView {
     /// The bank's open row when the view was derived. Always current: the
-    /// controller re-derives the view after every PRE/ACT it issues to the
+    /// controller updates the view after every PRE/ACT it issues to the
     /// bank, and a DRAM refresh drops the whole channel's views.
     pub(crate) open_row: Option<u64>,
     /// Oldest unissued current-transaction request, if the bank has any
@@ -316,7 +320,12 @@ pub(super) fn dram_bank(dram: &DramModule, banks_per_rank: u32, ch: usize, b: us
 impl MemoryController {
     /// Banks per channel (all ranks).
     pub(super) fn banks_per_channel(&self) -> usize {
-        self.bank_busy_until.len() / self.queues.len()
+        self.banks_per_channel
+    }
+
+    /// Index of channel `ch`'s bank `b` among all banks.
+    pub(super) fn slot(&self, ch: usize, b: usize) -> usize {
+        ch * self.banks_per_channel() + b
     }
 
     /// Channel-local index of the bank `loc` addresses.
@@ -363,7 +372,7 @@ impl MemoryController {
 
     /// Re-derives bank `b`'s facts from its own queue and open row, fixes
     /// its entries in the channel's age-ordered lists, and wakes the
-    /// channel. Called after every PRE/ACT issued to the bank and after a
+    /// channel. Called after every ACT issued to the bank and after a
     /// dropped response; a view with no window yet is derived in full by
     /// the next scheduling pass instead.
     pub(super) fn refresh_bank(&mut self, ch: usize, b: usize) {
@@ -380,6 +389,27 @@ impl MemoryController {
         set_order(&mut view.order_current, b, bank.oldest_current);
         set_order(&mut view.order_future, b, bank.oldest_future);
         view.banks[b] = bank;
+    }
+
+    /// Accounts for the PRE just issued to bank `b`. A closed row has no
+    /// hits, so the open row, both `oldest_hit` and `future_hit_pending`
+    /// clear and the bank's entries leave `hits`; which requests are queued
+    /// and how they classify did not change, so `oldest_current` and
+    /// `oldest_future` (and their lists) stand.
+    pub(super) fn view_precharged(&mut self, ch: usize, b: usize) {
+        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        if view.window.is_none() {
+            return;
+        }
+        bounds.wake();
+        let bank = &mut view.banks[b];
+        if bank.current_hit_pending() {
+            view.hits.retain(|c| c.b != b);
+        }
+        bank.open_row = None;
+        bank.oldest_hit = [None; 2];
+        bank.future_hit_pending = false;
+        debug_assert!(self.view_is_derived(ch, b), "precharge delta, bank {b}");
     }
 
     /// Accounts for `new`, just appended to its bank's queue. It is the

@@ -24,6 +24,8 @@
 //!   queue admission;
 //! * `cache` — the per-bank scheduling views and the issue bounds that let
 //!   a stalled channel sleep, both kept up on events;
+//! * `accounting` — the occupancy and bank-idle integrands (Fig. 12),
+//!   counted on the events that move them;
 //! * `schedule` — the three scheduling passes and command issue;
 //! * `faults` — deterministic response-fault injection.
 //!
@@ -32,11 +34,15 @@
 //! scanned again before the earliest cycle `dram-sim` named (or an event —
 //! issue, enqueue inside the window, window move, plan change, refresh),
 //! and an event updates the facts it can change: an enqueue or a data
-//! command adjusts its bank's view in place, a PRE/ACT re-derives one
-//! bank's facts from that bank's queue, only a window move or a refresh
-//! re-derives a channel (see `cache.rs`). The per-tick bank-idle pass
-//! visits only the banks that have work (`ChannelQueues::pending_banks`).
+//! command adjusts its bank's view in place, a PRE clears what a closed row
+//! cannot hold, an ACT re-derives one bank's facts from that bank's queue,
+//! only a window move or a refresh re-derives a channel (see `cache.rs`).
+//! A tick on which nothing changed is a handful of adds: the per-tick
+//! integrals add counts kept by transition (`accounting.rs`) and the
+//! current transaction is the head of a run-list, so no queue and no bank
+//! is walked.
 
+mod accounting;
 mod cache;
 mod faults;
 mod schedule;
@@ -44,6 +50,8 @@ mod schedule;
 mod tests;
 
 pub use faults::{FaultConfigError, ResponseFaultConfig};
+
+use std::collections::VecDeque;
 
 use dram_sim::faults::{mix64, u01};
 use dram_sim::AddressMapping;
@@ -54,6 +62,7 @@ use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
 
+use accounting::BankLedger;
 use cache::{dram_bank, Candidate, ChannelCache};
 use faults::{ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
 
@@ -106,11 +115,17 @@ pub struct MemoryController {
     /// events (see `cache.rs`).
     caches: Vec<ChannelCache>,
     banks_per_rank: u32,
-    /// End of each bank's busy window as of the last command issued to it
-    /// (or refresh), indexed `channel * banks_per_channel + bank`: the
-    /// controller's own copy, so the per-tick idle accounting is one flat
-    /// pass instead of a walk through the DRAM hierarchy.
-    bank_busy_until: Vec<u64>,
+    /// Banks per channel, all ranks.
+    banks_per_channel: usize,
+    /// What the per-tick integrals add — requests queued, banks with work,
+    /// banks with work inside their busy window — counted on the events
+    /// that move them (see `accounting.rs`).
+    ledger: BankLedger,
+    /// The queued transactions in arrival order, each with the number of
+    /// its requests still queued (all channels). Requests arrive in
+    /// non-decreasing transaction order (the [`crate::MemoryBackend`]
+    /// contract), so the head is the transaction being drained.
+    txn_runs: VecDeque<(TxnId, u32)>,
     /// Banks with an open row, counted on ACT/PRE (recounted on refresh).
     open_banks: u64,
     /// Optional command trace: every issued command with its cycle and
@@ -156,7 +171,10 @@ impl MemoryController {
             last_cycle: 0,
             caches: (0..channels).map(|_| ChannelCache::new(banks)).collect(),
             banks_per_rank,
-            bank_busy_until: vec![0; channels as usize * banks],
+            banks_per_channel: banks,
+            ledger: BankLedger::new(channels as usize * banks),
+            // One run per queued request at worst: never grows.
+            txn_runs: VecDeque::with_capacity(channels as usize * 2 * queue_capacity),
             open_banks: 0,
             command_trace: None,
             response_faults: None,
@@ -274,7 +292,7 @@ impl MemoryController {
     /// Number of requests currently queued (not yet issued).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.queues.iter().map(ChannelQueues::len).sum()
+        self.ledger.queued()
     }
 
     /// Enqueues a request at `cycle`.
@@ -310,10 +328,39 @@ impl MemoryController {
         };
         let (ch, b) = (loc.channel as usize, self.bank_index(&loc));
         let new = Candidate::of(&req, b);
+        let first = self.queues[ch].bank(b).is_empty();
         self.queues[ch].push(b, req)?;
+        self.ledger.enqueued(self.slot(ch, b), first);
+        debug_assert!(
+            self.txn_runs
+                .back()
+                .is_none_or(|&(last, _)| last <= spec.txn),
+            "requests must be enqueued in transaction order"
+        );
+        match self.txn_runs.back_mut() {
+            Some((txn, queued)) if *txn == spec.txn => *queued += 1,
+            _ => self.txn_runs.push_back((spec.txn, 1)),
+        }
         self.view_enqueued(ch, new);
         self.next_id += 1;
         Ok(id)
+    }
+
+    /// A request of `txn` left the queues: its run shrinks, and goes when
+    /// it was the last. The run is the head's under every order-preserving
+    /// policy (only the unconstrained ablation retires from further back).
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    fn txn_retired(&mut self, txn: TxnId) {
+        let at = self
+            .txn_runs
+            .iter()
+            .position(|&(t, _)| t == txn)
+            .expect("every queued request is counted in its transaction's run");
+        let (_, queued) = &mut self.txn_runs[at];
+        *queued -= 1;
+        if *queued == 0 {
+            self.txn_runs.remove(at);
+        }
     }
 
     /// Takes all requests completed since the last call.
@@ -331,7 +378,26 @@ impl MemoryController {
     /// with an unissued request, if any.
     #[must_use]
     pub fn current_txn(&self) -> Option<TxnId> {
-        self.queues.iter().filter_map(ChannelQueues::min_txn).min()
+        self.txn_runs.front().map(|&(txn, _)| txn)
+    }
+
+    /// The referee of the counts kept by transition: whether the queued /
+    /// pending / busy counts, as of tick `cycle`, and the run-list's head
+    /// are what the walk they replaced reads off the queues and banks now
+    /// — Σ `len`, `pending_banks()` against each bank's busy window, the
+    /// smallest transaction at the head of a bank list. Debug builds ask it
+    /// on every tick.
+    fn counts_are_recounted(&self, cycle: u64) -> bool {
+        let (mut pending, mut busy) = (0, 0);
+        for (ch, q) in self.queues.iter().enumerate() {
+            for b in q.pending_banks() {
+                pending += 1;
+                busy += u64::from(self.ledger.busy_until(self.slot(ch, b)) > cycle);
+            }
+        }
+        self.ledger.queued() == self.queues.iter().map(ChannelQueues::len).sum::<usize>()
+            && (self.ledger.pending(), self.ledger.busy()) == (pending, busy)
+            && self.current_txn() == self.queues.iter().filter_map(ChannelQueues::min_txn).min()
     }
 
     /// Advances the controller by one memory cycle: refresh housekeeping,
@@ -340,26 +406,23 @@ impl MemoryController {
     pub fn tick(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.last_cycle, "cycles must be non-decreasing");
         self.last_cycle = cycle;
-        if self.dram.tick(cycle) {
+        let refreshed = self.dram.tick(cycle);
+        if refreshed {
             self.observe_refresh();
         }
-        for q in &self.queues {
-            self.stats.queue_occupancy_integral += q.len() as u64;
-        }
+        self.ledger.advance(cycle, refreshed, &self.queues);
+        debug_assert!(
+            self.counts_are_recounted(cycle),
+            "the counts kept by transition drifted from the queues at cycle {cycle}"
+        );
+        self.stats.queue_occupancy_integral += self.ledger.queued() as u64;
         self.stats.ticks += 1;
 
         // Bank idle accounting (Fig. 12(a)): a bank with pending requests
         // either executes a command window this cycle or sits stalled —
         // under transaction-based scheduling mostly because of the barrier.
-        let banks = self.banks_per_channel();
-        let (mut pending, mut busy) = (0, 0);
-        for (q, busy_until) in self.queues.iter().zip(self.bank_busy_until.chunks(banks)) {
-            for b in q.pending_banks() {
-                pending += 1;
-                busy += u64::from(busy_until[b] > cycle);
-            }
-        }
-        self.stats.bank_tick_integral += self.bank_busy_until.len() as u64;
+        let (pending, busy) = (self.ledger.pending(), self.ledger.busy());
+        self.stats.bank_tick_integral += self.ledger.banks() as u64;
         self.stats.open_bank_integral += self.open_banks;
         self.stats.busy_pending_bank_cycles += busy;
         self.stats.stalled_bank_cycles += pending - busy;
@@ -391,9 +454,9 @@ impl MemoryController {
         }
         let banks = self.banks_per_channel();
         self.open_banks = 0;
-        for (i, busy_until) in self.bank_busy_until.iter_mut().enumerate() {
-            let bank = dram_bank(&self.dram, self.banks_per_rank, i / banks, i % banks);
-            *busy_until = bank.busy_until();
+        for slot in 0..self.ledger.banks() {
+            let bank = dram_bank(&self.dram, self.banks_per_rank, slot / banks, slot % banks);
+            self.ledger.refreshed(slot, bank.busy_until());
             self.open_banks += u64::from(bank.open_row().is_some());
         }
     }

@@ -234,7 +234,7 @@ impl MemoryController {
             if self.caches[ch].bounds.probe(&self.dram, b, &cmd, cycle) {
                 self.issue_to_dram(ch, b, cmd, cycle, None);
                 self.stats.precharges += 1;
-                self.refresh_bank(ch, b);
+                self.view_precharged(ch, b);
                 return;
             }
         }
@@ -244,8 +244,9 @@ impl MemoryController {
     /// leave the controller, so also the one place the per-bank state that
     /// mirrors the DRAM (busy window, open-bank count, issue bounds) is
     /// kept in step. The caller updates the queue and then the bank's view:
-    /// by delta after a data command ([`Self::view_retired`]), from scratch
-    /// after a PRE/ACT ([`Self::refresh_bank`]).
+    /// by delta after a data command ([`Self::view_retired`]) or a PRE
+    /// ([`Self::view_precharged`]), from scratch after an ACT
+    /// ([`Self::refresh_bank`]).
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn issue_to_dram(
         &mut self,
@@ -259,8 +260,8 @@ impl MemoryController {
         self.record_trace(cycle, cmd, txn);
         self.caches[ch].bounds.clear_bank(b);
         let busy_until = dram_bank(&self.dram, self.banks_per_rank, ch, b).busy_until();
-        let slot = ch * self.banks_per_channel() + b;
-        self.bank_busy_until[slot] = busy_until;
+        let pending = !self.queues[ch].bank(b).is_empty();
+        self.ledger.commanded(self.slot(ch, b), busy_until, pending);
         match cmd.kind {
             CommandKind::Activate => self.open_banks += 1,
             CommandKind::Precharge => self.open_banks -= 1,
@@ -306,6 +307,9 @@ impl MemoryController {
             }
         }
         let (at, mut req) = self.queues[ch].remove(cand.b, cand.id);
+        let last = self.queues[ch].bank(cand.b).is_empty();
+        self.ledger.retired(self.slot(ch, cand.b), last);
+        self.txn_retired(cand.txn);
         self.view_retired(ch, cand, at);
         req.record_first_command(cycle, RowClass::Hit);
         let class = req.class.expect("set on first command");
@@ -339,15 +343,16 @@ impl MemoryController {
         self.issue_to_dram(ch, cand.b, cmd, cycle, Some(cand.txn));
         let req = self.queues[ch].get_mut(cand.b, cand.id);
         req.record_first_command(cycle, class_if_first);
-        self.refresh_bank(ch, cand.b);
         match cmd.kind {
             CommandKind::Precharge => {
+                self.view_precharged(ch, cand.b);
                 self.stats.precharges += 1;
                 if proactive {
                     self.stats.early_precharges += 1;
                 }
             }
             CommandKind::Activate => {
+                self.refresh_bank(ch, cand.b);
                 self.stats.activates += 1;
                 if proactive {
                     self.stats.early_activates += 1;

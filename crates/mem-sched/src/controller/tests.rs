@@ -775,6 +775,8 @@ struct Scenario {
     /// The Path-shaped stream into deep queues ([`dense_requests`]) on the
     /// paper's machine instead of the short transactions on `test_small`.
     dense: bool,
+    /// The tick at which the run reads `stats()` mid-run.
+    mid_tick: u64,
 }
 
 impl Scenario {
@@ -787,6 +789,7 @@ impl Scenario {
             response_faults: None,
             seed,
             dense: false,
+            mid_tick: 137,
         }
     }
 
@@ -796,16 +799,8 @@ impl Scenario {
         Self {
             t_refi: TimingParams::ddr3_1600().t_refi,
             dense: true,
+            mid_tick: 4_001,
             ..Self::new(policy, seed)
-        }
-    }
-
-    /// The tick at which the run reads `stats()` mid-run.
-    fn mid_tick(&self) -> u64 {
-        if self.dense {
-            4_001
-        } else {
-            MID_TICK
         }
     }
 }
@@ -817,7 +812,7 @@ struct Pinned {
     events: (usize, u64),
     /// FNV-1a over every field of every completion, in drain order.
     completions: u64,
-    /// FNV-1a over `SchedulerStats` as read at [`Scenario::mid_tick`].
+    /// FNV-1a over `SchedulerStats` as read at `Scenario::mid_tick`.
     mid_stats: u64,
     /// FNV-1a over the final `SchedulerStats`.
     end_stats: u64,
@@ -827,9 +822,6 @@ struct Pinned {
     /// First cycle with nothing queued and nothing left to offer.
     end: u64,
 }
-
-/// The tick at which the `test_small` scenarios read `stats()` mid-run.
-const MID_TICK: u64 = 137;
 
 /// A recorded [`Pinned`]; `policy` is (withheld, deferred, drains).
 fn pin(
@@ -970,12 +962,30 @@ fn dense_requests(c: &MemoryController, seed: u64) -> Vec<(u64, RequestSpec)> {
 }
 
 fn run_scenario(s: &Scenario) -> (Pinned, MemoryController) {
-    let (pinned, c, _) = run_scenario_depth(s);
+    let (pinned, c, _) = run_scenario_seen(s);
     (pinned, c)
 }
 
-/// [`run_scenario`], also returning the deepest per-bank list any tick saw.
-fn run_scenario_depth(s: &Scenario) -> (Pinned, MemoryController, usize) {
+/// What a pinned run passed through, for the scenarios that must show they
+/// reached their regime.
+#[derive(Debug, Default)]
+struct Seen {
+    /// The deepest per-bank list any tick saw.
+    deepest: usize,
+    /// Enqueues that refilled an empty bank inside its open busy window.
+    refills_in_window: u64,
+    /// The longest remainder of a busy window a tick found on a bank with
+    /// work queued.
+    longest_pending_window: u64,
+    /// Refreshes that started while a bank with work queued was busy.
+    refreshes_over_busy: u64,
+    /// Housekeeping PREs (no transaction): the bank had nothing queued for
+    /// its row.
+    idle_precharges: usize,
+}
+
+/// [`run_scenario`], also returning what the run passed through.
+fn run_scenario_seen(s: &Scenario) -> (Pinned, MemoryController, Seen) {
     let mut c = scenario_controller(s);
     let reqs = if s.dense {
         dense_requests(&c, s.seed)
@@ -983,7 +993,8 @@ fn run_scenario_depth(s: &Scenario) -> (Pinned, MemoryController, usize) {
         scenario_requests(&c, s.seed)
     };
     let banks = c.banks_per_channel();
-    let (mut next, mut cycle, mut refused, mut deepest) = (0, 0u64, 0u64, 0);
+    let (mut next, mut cycle, mut refused) = (0, 0u64, 0u64);
+    let mut seen = Seen::default();
     let mut done = Vec::new();
     let mut mid_stats = None;
     let mut end = None;
@@ -997,33 +1008,51 @@ fn run_scenario_depth(s: &Scenario) -> (Pinned, MemoryController, usize) {
             if cycle < from {
                 break;
             }
+            let loc = c.mapping.decode(spec.addr);
+            let (ch, b) = (loc.channel as usize, c.bank_index(&loc));
+            let was_empty = c.queues[ch].bank(b).is_empty();
             match c.try_enqueue(spec, cycle) {
-                Ok(_) => next += 1,
+                Ok(_) => {
+                    next += 1;
+                    let in_window = busy_until(&c, ch, b) > cycle;
+                    seen.refills_in_window += u64::from(was_empty && in_window);
+                }
                 Err(QueueFull) => {
                     refused += 1;
                     break;
                 }
             }
         }
-        for q in &c.queues {
+        let mut busy_pending = false;
+        for (ch, q) in c.queues.iter().enumerate() {
             for b in 0..banks {
-                deepest = deepest.max(q.bank(b).len());
+                seen.deepest = seen.deepest.max(q.bank(b).len());
+                if !q.bank(b).is_empty() {
+                    let left = busy_until(&c, ch, b).saturating_sub(cycle);
+                    seen.longest_pending_window = seen.longest_pending_window.max(left);
+                    busy_pending |= left > 0;
+                }
             }
         }
+        let refreshes = c.dram().total_refreshes();
         c.tick(cycle);
+        seen.refreshes_over_busy +=
+            u64::from(busy_pending && c.dram().total_refreshes() > refreshes);
         c.drain_completed_into(&mut done);
-        if cycle == s.mid_tick() {
+        if cycle == s.mid_tick {
             mid_stats = Some(fnv_debug(c.stats()));
         }
         cycle += 1;
         if end.is_none() && next == reqs.len() && c.pending() == 0 {
             end = Some(cycle);
         }
-        assert!(cycle < 100_000, "scheduler wedged");
+        assert!(cycle < 400_000, "scheduler wedged");
     }
     assert_eq!(done.len(), reqs.len(), "every request completes once");
+    let events = c.take_command_events();
+    seen.idle_precharges = events.iter().filter(|e| e.txn.is_none()).count();
     let pinned = Pinned {
-        events: digest_events(&c.take_command_events()),
+        events: digest_events(&events),
         completions: fnv_debug(&done),
         mid_stats: mid_stats.expect("runs are longer than the mid tick"),
         end_stats: fnv_debug(c.stats()),
@@ -1031,7 +1060,13 @@ fn run_scenario_depth(s: &Scenario) -> (Pinned, MemoryController, usize) {
         refused,
         end: end.expect("loop ends after the run does"),
     };
-    (pinned, c, deepest)
+    (pinned, c, seen)
+}
+
+/// End of the busy window of channel `ch`'s bank `b`, as the controller
+/// mirrors it.
+fn busy_until(c: &MemoryController, ch: usize, b: usize) -> u64 {
+    c.ledger.busy_until(c.slot(ch, b))
 }
 
 #[test]
@@ -1397,8 +1432,8 @@ fn pinned_dense_path_streams() {
         let mut s = Scenario::dense(policy, 0xDE45E);
         s.page = page;
         s.response_faults = response_faults;
-        let (got, c, deepest) = run_scenario_depth(&s);
-        assert!(deepest >= 16, "{policy:?}: lists only {deepest} deep");
+        let (got, c, seen) = run_scenario_seen(&s);
+        assert!(seen.deepest >= 16, "{policy:?}: lists only {seen:?}");
         assert!(got.refused > 0, "{policy:?}: the queues never filled");
         assert!(c.dram().total_refreshes() >= 4, "{policy:?}: no refresh");
         if response_faults.is_some() {
@@ -1407,6 +1442,77 @@ fn pinned_dense_path_streams() {
             assert!(stats.queue_saturation_windows > 0);
         }
         assert_eq!(got, want, "{policy:?} {page:?} {response_faults:?}");
+    }
+}
+
+#[test]
+fn pinned_busy_windows_outlast_any_horizon() {
+    // Busy windows thousands of cycles long — a weak row stalls its bank for
+    // 5 000 cycles, a storm stretches tRFC to 5 000 — under close-page
+    // housekeeping: banks are counted busy for longer than any fixed horizon
+    // could hold, run empty and are refilled inside an open window, take a
+    // PRE with nothing queued, and a refresh starts while they are counted.
+    // Recorded on the commit before the per-tick bank walk was replaced by
+    // counting on transitions.
+    for (policy, want) in [
+        (
+            SchedulerPolicy::proactive(),
+            pin(
+                (640, 11529491158214734135),
+                [
+                    1071658226501502922,
+                    15595565376354770142,
+                    9953016549924899270,
+                ],
+                (0, 0, 0),
+                29900,
+                55024,
+            ),
+        ),
+        (
+            SchedulerPolicy::TransactionBased,
+            pin(
+                (599, 12638469677332847165),
+                [
+                    14072401602784723234,
+                    13606207717852672118,
+                    2287031218323367537,
+                ],
+                (0, 0, 0),
+                29977,
+                30394,
+            ),
+        ),
+    ] {
+        let mut s = Scenario::new(policy, 0x10FF);
+        s.page = PagePolicy::Closed;
+        s.t_refi = 2_500;
+        s.mid_tick = 9_001;
+        s.dram_faults = Some(dram_sim::DramFaultConfig {
+            seed: 0x5107,
+            storm_rate: 0.3,
+            storm_factor: 250,
+            weak_row_rate: 0.02,
+            weak_row_stall: 5_000,
+        });
+        let (got, c, seen) = run_scenario_seen(&s);
+        assert!(c.dram().total_refresh_storms() > 0, "{policy:?}: no storm");
+        assert!(c.dram().weak_row_stalls() > 0, "{policy:?}: no weak row");
+        assert!(
+            seen.longest_pending_window >= 4_000,
+            "{policy:?}: windows only {} long",
+            seen.longest_pending_window
+        );
+        assert!(
+            seen.refills_in_window > 0,
+            "{policy:?}: no refill in a window"
+        );
+        assert!(
+            seen.refreshes_over_busy > 0,
+            "{policy:?}: refreshes met no busy bank"
+        );
+        assert!(seen.idle_precharges > 0, "{policy:?}: no housekeeping PRE");
+        assert_eq!(got, want, "{policy:?}");
     }
 }
 
@@ -1514,8 +1620,9 @@ fn views_are_derived(c: &MemoryController) -> bool {
 
 #[test]
 fn kept_views_equal_the_derivation_after_every_event() {
-    // The delta rules' referee, called explicitly (debug builds also run it
-    // inside every delta; release builds only here): seeded random
+    // The delta rules' referee and the referee of the counts kept by
+    // transition, called explicitly (debug builds also run them inside every
+    // delta and every tick; release builds only here): seeded random
     // interleavings of `try_enqueue` and `tick`, every policy x both page
     // policies x response faults off/on, few rows and banks so lists run
     // deep, hits and conflicts mix and the queues fill.
@@ -1565,8 +1672,9 @@ fn kept_views_equal_the_derivation_after_every_event() {
                         c.tick(cycle);
                         cycle += 1;
                     }
+                    // Between ticks the counts hold as of the last tick.
                     assert!(
-                        views_are_derived(&c),
+                        views_are_derived(&c) && c.counts_are_recounted(c.last_cycle),
                         "{policy:?} {page:?} faults {}: step {step}, cycle {cycle}",
                         response_faults.is_some()
                     );
@@ -1593,4 +1701,70 @@ fn the_referee_sees_a_stale_fact() {
     c.caches[0].view.banks[1] = kept;
     c.caches[0].view.order_current.clear();
     assert!(!c.view_is_derived(0, 1), "a dropped list entry");
+}
+
+#[test]
+fn the_count_referee_sees_a_miscount() {
+    // Not vacuous either: each kept count, off by one, fails the recount.
+    let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
+    enqueue_read(&mut c, 1, 5, 0, 0);
+    c.tick(0);
+    let (now, slot) = (c.last_cycle, c.slot(0, 1));
+    assert!(c.counts_are_recounted(now));
+    assert_eq!((c.pending(), c.current_txn()), (1, Some(TxnId(0))));
+    c.ledger.enqueued(slot, false);
+    assert!(!c.counts_are_recounted(now), "a request too many");
+    c.ledger.retired(slot, false);
+    c.ledger.retired(slot, true);
+    assert!(
+        !c.counts_are_recounted(now),
+        "a bank (inside its ACT) dropped"
+    );
+    c.ledger.enqueued(slot, true);
+    assert!(c.counts_are_recounted(now));
+    let runs = std::mem::take(&mut c.txn_runs);
+    assert!(!c.counts_are_recounted(now), "a transaction forgotten");
+    c.txn_runs = runs;
+    assert!(c.counts_are_recounted(now));
+}
+
+#[test]
+fn counts_hold_when_ticks_skip_or_repeat_a_cycle() {
+    // `tick` only requires non-decreasing cycles. A repeated cycle expires
+    // nothing and accounts again; a gap expires every window that ended
+    // inside it — across the end of the wheel's epoch too.
+    let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
+    let (mut cycle, mut txn) = (0u64, 0u64);
+    for step in 0..4_000u64 {
+        let r = mix64(0x6A9 ^ step);
+        if r % 4 == 3 {
+            txn += u64::from((r >> 4) % 5 == 4);
+            let a = addr(
+                &c,
+                ((r >> 8) % 2) as u32,
+                ((r >> 12) % 4) as u32,
+                (r >> 16) % 3,
+                0,
+            );
+            let spec = RequestSpec {
+                addr: a,
+                is_write: (r >> 32) % 3 == 2,
+                txn: TxnId(txn),
+            };
+            let _ = c.try_enqueue(spec, cycle);
+        } else {
+            c.tick(cycle);
+            cycle += match (r >> 40) % 16 {
+                0 => 0,
+                1 => 2 + (r >> 44) % 9,
+                2 => 200 + (r >> 44) % 400,
+                _ => 1,
+            };
+        }
+        assert!(c.counts_are_recounted(c.last_cycle), "step {step}");
+    }
+    let stats = c.stats();
+    let retired = stats.reads_completed + stats.writes_completed;
+    assert!(retired > 200, "{retired}");
+    assert!(stats.busy_pending_bank_cycles > 0 && stats.stalled_bank_cycles > 0);
 }

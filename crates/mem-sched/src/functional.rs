@@ -323,10 +323,6 @@ impl MemoryBackend for FunctionalBackend {
         }
     }
 
-    fn sched_stats(&self) -> &SchedulerStats {
-        &self.stats
-    }
-
     fn dram_module(&self) -> Option<&DramModule> {
         None
     }
@@ -533,7 +529,7 @@ mod tests {
         assert_eq!(released, 6);
         assert_eq!(b.next_event_cycle(cycle), u64::MAX);
         // Every tick was made, quiet or not.
-        assert_eq!(b.sched_stats().ticks, cycle - 3);
+        assert_eq!(MemoryBackend::snapshot(&b).sched.ticks, cycle - 3);
     }
 
     #[test]

@@ -26,25 +26,23 @@ impl std::error::Error for QueueFull {}
 /// row, does it have pending work), so each bank keeps its own
 /// arrival-ordered list and a request is named by the stable key
 /// (bank, enqueue id) — removing one never renames another. The two
-/// direction capacities and the transaction order are tracked beside the
-/// lists, in [`Self::txns`].
+/// direction occupancies are counted beside the lists; which transaction is
+/// the oldest is the controller's business (its run-list spans the
+/// channels).
 ///
 /// Every list is a ring buffer searched **from the front**: the scheduling
 /// views only ever name the *oldest* request of a class, so the request to
-/// retire (and its transaction's entry) sits at or near the head, the scan
-/// that finds it is a handful of compares, and taking it out shifts the few
-/// entries before it instead of the whole tail behind it.
+/// retire sits at or near the head, the scan that finds it is a handful of
+/// compares, and taking it out shifts the few entries before it instead of
+/// the whole tail behind it.
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelQueues {
     /// Queued requests per bank (`rank * banks_per_rank + bank`), each in
     /// arrival order: sorted by enqueue id and, because requests arrive in
     /// transaction order, by transaction id too.
     banks: Vec<VecDeque<Request>>,
-    /// Transaction ids of the queued reads (`[0]`) and writes (`[1]`) in
-    /// arrival order. Requests arrive in non-decreasing transaction order,
-    /// so each list is sorted: its length is the direction's occupancy and
-    /// its head the direction's oldest transaction.
-    txns: [VecDeque<TxnId>; 2],
+    /// Queued reads (`[0]`) and writes (`[1]`).
+    dir_len: [usize; 2],
     /// Bit `b % 64` of word `b / 64` is set while bank `b`'s list is
     /// non-empty (any bank count).
     pending: Vec<u64>,
@@ -61,10 +59,7 @@ impl ChannelQueues {
             banks: (0..banks)
                 .map(|_| VecDeque::with_capacity(2 * capacity))
                 .collect(),
-            txns: [
-                VecDeque::with_capacity(capacity),
-                VecDeque::with_capacity(capacity),
-            ],
+            dir_len: [0; 2],
             pending: vec![0; banks.div_ceil(64)],
             capacity,
         }
@@ -74,24 +69,20 @@ impl ChannelQueues {
     ///
     /// Requests must arrive in non-decreasing transaction order (the ORAM
     /// controller's natural order, and the [`crate::MemoryBackend`]
-    /// contract): this keeps [`Self::min_txn`] O(1) and every bank list
-    /// transaction-sorted, which the controller's view upkeep relies on.
+    /// contract): this keeps every bank list transaction-sorted, which the
+    /// controller's view upkeep relies on.
     pub fn push(&mut self, b: usize, req: Request) -> Result<(), QueueFull> {
-        let dir = &mut self.txns[usize::from(req.is_write)];
-        if dir.len() >= self.capacity {
+        let dir = &mut self.dir_len[usize::from(req.is_write)];
+        if *dir >= self.capacity {
             return Err(QueueFull);
         }
-        debug_assert!(
-            dir.back().is_none_or(|&last| last <= req.txn),
-            "requests must be enqueued in transaction order"
-        );
         debug_assert!(
             self.banks[b]
                 .back()
                 .is_none_or(|last| last.id < req.id && last.txn <= req.txn),
             "a bank's list grows in enqueue-id and transaction order"
         );
-        dir.push_back(req.txn);
+        *dir += 1;
         self.banks[b].push_back(req);
         self.pending[b / 64] |= 1 << (b % 64);
         Ok(())
@@ -99,12 +90,12 @@ impl ChannelQueues {
 
     /// Total queued requests.
     pub fn len(&self) -> usize {
-        self.txns[0].len() + self.txns[1].len()
+        self.dir_len[0] + self.dir_len[1]
     }
 
     /// Queued requests in one direction.
     pub fn dir_len(&self, is_write: bool) -> usize {
-        self.txns[usize::from(is_write)].len()
+        self.dir_len[usize::from(is_write)]
     }
 
     /// Configured capacity per direction.
@@ -112,15 +103,15 @@ impl ChannelQueues {
         self.capacity
     }
 
-    /// Smallest transaction id among queued requests, if any. O(1): both
-    /// direction lists are transaction-sorted (see [`Self::push`]) and
-    /// removal preserves order.
+    /// Smallest transaction id among queued requests, if any, read off the
+    /// heads of the bank lists (each is transaction-sorted, see
+    /// [`Self::push`]). A walk over the pending banks: for the referees of
+    /// the controller's run-list, not for the tick.
     pub fn min_txn(&self) -> Option<TxnId> {
-        match (self.txns[0].front(), self.txns[1].front()) {
-            (Some(&a), Some(&b)) => Some(a.min(b)),
-            (Some(&a), None) | (None, Some(&a)) => Some(a),
-            (None, None) => None,
-        }
+        self.pending_banks()
+            .filter_map(|b| self.banks[b].front())
+            .map(|r| r.txn)
+            .min()
     }
 
     /// The banks that have a queued request, in index order.
@@ -163,12 +154,7 @@ impl ChannelQueues {
         if self.banks[b].is_empty() {
             self.pending[b / 64] &= !(1 << (b % 64));
         }
-        let dir = &mut self.txns[usize::from(req.is_write)];
-        let t = dir
-            .iter()
-            .position(|&t| t == req.txn)
-            .expect("every queued request has its transaction listed");
-        dir.remove(t);
+        self.dir_len[usize::from(req.is_write)] -= 1;
         (i, req)
     }
 }

@@ -34,7 +34,6 @@ struct TxnState {
 /// An entry awaiting queue space at the memory backend.
 #[derive(Debug, Clone, Copy)]
 struct PendingSpec {
-    txn: TxnId,
     spec: RequestSpec,
     is_target: bool,
 }
@@ -124,7 +123,6 @@ impl TxnTracker {
         };
         for (i, &(addr, is_write)) in planned.requests.iter().enumerate() {
             self.enqueue_fifo.push_back(PendingSpec {
-                txn,
                 spec: RequestSpec {
                     addr,
                     is_write,
@@ -194,7 +192,7 @@ impl TxnTracker {
             match backend.try_enqueue(head.spec, cycle) {
                 Ok(id) => {
                     if head.is_target {
-                        if let Some(t) = self.get_mut(head.txn.0) {
+                        if let Some(t) = self.get_mut(head.spec.txn.0) {
                             t.target_req_id = Some(id);
                         }
                     }
