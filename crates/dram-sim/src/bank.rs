@@ -63,6 +63,14 @@ impl Bank {
         self.busy_until
     }
 
+    /// The bank's four timing registers — the earliest ACT, PRE, RD and WR
+    /// cycle, indexed by `CommandKind as usize`: what the `can_*` checks
+    /// below compare the cycle against once the bank's state allows the
+    /// command at all.
+    pub(crate) fn ready_at(&self) -> [u64; 4] {
+        [self.next_act, self.next_pre, self.next_rd, self.next_wr]
+    }
+
     /// Checks whether an ACT for `row` may issue at `cycle`.
     ///
     /// # Errors

@@ -93,6 +93,34 @@ impl Channel {
             .unwrap_or(u64::MAX)
     }
 
+    /// The first cycle after the last command: the command-bus constraint
+    /// as a bound, for cycles that do not run backwards.
+    pub(crate) fn cmd_ready_at(&self) -> u64 {
+        self.last_cmd_cycle.map_or(0, |c| c + 1)
+    }
+
+    /// Earliest data-phase start of a burst of the given direction: the end
+    /// of the current burst, plus the turnaround when the direction flips.
+    fn burst_start(&self, is_write: bool, t: &TimingParams) -> u64 {
+        let dir = if is_write {
+            BusDir::Write
+        } else {
+            BusDir::Read
+        };
+        if self.last_dir != BusDir::Idle && self.last_dir != dir {
+            self.data_busy_until + t.t_turnaround
+        } else {
+            self.data_busy_until
+        }
+    }
+
+    /// Earliest *command* cycle whose burst fits on the data bus:
+    /// [`Self::burst_start`] minus the direction's CAS latency (CL / CWL).
+    pub(crate) fn burst_ready_at(&self, is_write: bool, t: &TimingParams) -> u64 {
+        let latency = if is_write { t.cwl } else { t.cl };
+        self.burst_start(is_write, t).saturating_sub(latency)
+    }
+
     /// Checks the one-command-per-cycle command-bus constraint.
     ///
     /// # Errors
@@ -128,19 +156,9 @@ impl Channel {
         is_write: bool,
         t: &TimingParams,
     ) -> Result<(), IssueError> {
-        let dir = if is_write {
-            BusDir::Write
-        } else {
-            BusDir::Read
-        };
-        let mut earliest = self.data_busy_until;
-        if self.last_dir != BusDir::Idle && self.last_dir != dir {
-            earliest += t.t_turnaround;
-        }
-        if data_start < earliest {
-            let latency = if is_write { t.cwl } else { t.cl };
+        if data_start < self.burst_start(is_write, t) {
             Err(IssueError::DataBusBusy {
-                ready_at: earliest.saturating_sub(latency),
+                ready_at: self.burst_ready_at(is_write, t),
             })
         } else {
             Ok(())

@@ -307,9 +307,11 @@ impl DramModule {
     /// cycle before issuing.
     ///
     /// Returns whether any rank started a refresh this cycle. A refresh
-    /// closes every row of its rank without a command being issued, so a
-    /// scheduler that caches open-row facts or sleeps on `ready_at` hints
-    /// must re-read them when this is `true`.
+    /// closes every row of its rank and moves its timing registers without
+    /// a command being issued, so a scheduler that caches open-row facts,
+    /// sleeps on `ready_at` hints or keeps a copy of
+    /// [`Self::bank_ready_at`] / [`Self::class_ready_at`] must re-read them
+    /// when this is `true`.
     pub fn tick(&mut self, cycle: u64) -> bool {
         debug_assert!(cycle >= self.last_tick, "time must not go backwards");
         self.last_tick = cycle;
@@ -373,6 +375,57 @@ impl DramModule {
             }
         }
         Ok(())
+    }
+
+    /// The timing registers of one bank — its earliest ACT, PRE, RD and WR
+    /// cycle (tRC / tRP, tRAS / tRTP / tWR, tRCD / tCCD), indexed by
+    /// `CommandKind as usize`.
+    ///
+    /// Together with [`Self::class_ready_at`] this is all of
+    /// [`Self::can_issue`]'s timing: for a command whose *state*
+    /// precondition holds (ACT: the bank is precharged; PRE: a row is open;
+    /// RD / WR: its row is open) and a `cycle` not before the channel's
+    /// last command, `can_issue(cmd, cycle).is_ok()` exactly when `cycle >=
+    /// max(bank part, class part)` of the command's kind. The parts move
+    /// only inside [`Self::issue`] (of that channel) and when
+    /// [`Self::tick`] returns `true`, so a scheduler may keep a copy and
+    /// re-read it at those two points instead of asking every cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is out of range.
+    #[must_use]
+    #[inline]
+    pub fn bank_ready_at(&self, channel: u32, rank: u32, bank: u32) -> [u64; 4] {
+        self.channels[channel as usize]
+            .rank(rank)
+            .bank(bank)
+            .ready_at()
+    }
+
+    /// The timing registers every bank of bank group `group` of a rank
+    /// shares, as one bound per command kind (indexed by `CommandKind as
+    /// usize`): the rank's refresh in progress, tRRD_S / tRRD_L / the tFAW
+    /// window for ACT, tWTR for RD, the group's tCCD_L and the data bus
+    /// (turnaround included, minus CL / CWL) for RD and WR, and the
+    /// channel's command bus for all four. See [`Self::bank_ready_at`] for
+    /// the equality the two hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is out of range.
+    #[must_use]
+    #[inline]
+    pub fn class_ready_at(&self, channel: u32, rank: u32, group: u32) -> [u64; 4] {
+        let ch = &self.channels[channel as usize];
+        let [act, pre, rd, wr] = ch.rank(rank).class_ready_at(group as usize, &self.timing);
+        [
+            act,
+            pre,
+            rd.max(ch.burst_ready_at(false, &self.timing)),
+            wr.max(ch.burst_ready_at(true, &self.timing)),
+        ]
+        .map(|r| r.max(ch.cmd_ready_at()))
     }
 
     /// Issues `cmd` at `cycle`, updating all state and statistics.

@@ -209,16 +209,33 @@ impl Rank {
                 ready_at: self.group_next_act[g],
             });
         }
-        if self.recent_acts.len() >= 4 {
-            // The oldest of the last four ACTs bounds the tFAW window.
-            let oldest = self.recent_acts[self.recent_acts.len() - 4];
-            if cycle < oldest + t.t_faw {
-                return Err(IssueError::RankTiming {
-                    ready_at: oldest + t.t_faw,
-                });
-            }
+        let faw = self.faw_ready_at(t);
+        if cycle < faw {
+            return Err(IssueError::RankTiming { ready_at: faw });
         }
         Ok(())
+    }
+
+    /// End of the tFAW window: the oldest of the last four ACTs bounds the
+    /// next one (0 before the rank has seen four).
+    fn faw_ready_at(&self, t: &TimingParams) -> u64 {
+        match self.recent_acts.len().checked_sub(4) {
+            Some(oldest) => self.recent_acts[oldest] + t.t_faw,
+            None => 0,
+        }
+    }
+
+    /// The rank's timing registers as one bound per command kind for a bank
+    /// of `group`, indexed by `CommandKind as usize`: everything
+    /// [`Self::can_activate`], [`Self::can_other`], [`Self::can_read`] and
+    /// [`Self::can_write`] compare the cycle against.
+    pub(crate) fn class_ready_at(&self, group: usize, t: &TimingParams) -> [u64; 4] {
+        let act = self
+            .next_act
+            .max(self.group_next_act[group])
+            .max(self.faw_ready_at(t));
+        let col = self.group_next_col[group];
+        [act, 0, col.max(self.next_rd), col].map(|r| r.max(self.refresh_done))
     }
 
     /// Rank-level legality of a RD to `bank` at `cycle`

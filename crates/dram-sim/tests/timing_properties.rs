@@ -458,3 +458,171 @@ fn faults_only_move_bounds_later() {
         assert!(stalls > 0, "weak rows must stall");
     }
 }
+
+// ---------------------------------------------------------------------
+// The property that lets a scheduler *mirror* the timing registers instead
+// of learning bounds from refusals: `bank_ready_at` and `class_ready_at`
+// are all of `can_issue`'s timing, and they move only where documented.
+// ---------------------------------------------------------------------
+
+/// The machines the split is checked on, refresh on in all: the two of
+/// [`machines`], DDR4-2400 with sixteen banks in four bank groups, and two
+/// ranks of eight banks in four groups behind each channel.
+fn split_machines() -> Vec<(DramGeometry, TimingParams, usize)> {
+    let mut ddr4 = TimingParams::ddr4_2400();
+    ddr4.t_refi = 2_000;
+    let two_ranks = DramGeometry {
+        ranks_per_channel: 2,
+        banks_per_rank: 8,
+        bank_groups: 4,
+        ..DramGeometry::test_small()
+    };
+    let mut all = machines().to_vec();
+    all.push((DramGeometry::ddr4_default(), ddr4.clone(), 3_000));
+    all.push((two_ranks, ddr4, 3_000));
+    all
+}
+
+/// Every bank part and every class part of one channel.
+fn channel_parts(dram: &DramModule, channel: u32) -> Vec<[u64; 4]> {
+    let g = dram.geometry();
+    let mut parts = Vec::new();
+    for rank in 0..g.ranks_per_channel {
+        for bank in 0..g.banks_per_rank {
+            parts.push(dram.bank_ready_at(channel, rank, bank));
+        }
+        for group in 0..g.bank_groups {
+            parts.push(dram.class_ready_at(channel, rank, group));
+        }
+    }
+    parts
+}
+
+/// Checks the split for every command kind the state of (`channel`,
+/// `rank`, `bank`) admits — ACT on a closed bank; PRE, RD and WR of the open
+/// row on an open one — at `now ..= now + 64` and around each bound.
+/// Returns the number of (kind, cycle) points compared.
+fn assert_split(dram: &DramModule, channel: u32, rank: u32, bank: u32, now: u64) -> u64 {
+    let mut loc = DramLocation {
+        channel,
+        rank,
+        bank,
+        row: 0,
+        column: 0,
+    };
+    let kinds: &[CommandKind] = match dram.open_row(&loc) {
+        Some(row) => {
+            loc.row = row;
+            &[
+                CommandKind::Precharge,
+                CommandKind::Read,
+                CommandKind::Write,
+            ]
+        }
+        None => &[CommandKind::Activate],
+    };
+    let bank_part = dram.bank_ready_at(channel, rank, bank);
+    let class_part = dram.class_ready_at(channel, rank, bank % dram.geometry().bank_groups);
+    let mut points = 0;
+    for &kind in kinds {
+        let cmd = DramCommand { kind, loc };
+        let (b, c) = (bank_part[kind as usize], class_part[kind as usize]);
+        let around = [b, c].into_iter().flat_map(|r| r.saturating_sub(1)..=r + 1);
+        for cycle in (now..=now + 64).chain(around.filter(|&at| at >= now)) {
+            assert_eq!(
+                dram.can_issue(&cmd, cycle).is_ok(),
+                cycle >= b.max(c),
+                "{cmd} at {cycle} (now {now}): bank part {b}, class part {c}"
+            );
+            points += 1;
+        }
+    }
+    points
+}
+
+/// `can_issue(cmd, c).is_ok()` ⟺ state precondition ∧ `c ≥ max(bank part,
+/// class part)`, from the present cycle on; and the parts of a channel do
+/// not move across a `can_issue`, a `tick` that returns `false`, or a
+/// command to another channel — healthy and with refresh storms and weak
+/// rows.
+#[test]
+fn the_ready_at_split_is_all_of_can_issue() {
+    for (geometry, timing, steps) in split_machines() {
+        for faults in [false, true] {
+            let (mut points, mut kinds_issued) = (0u64, [0u32; 4]);
+            let (mut refreshes, mut storms, mut stalls) = (0, 0, 0);
+            for case in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(case ^ 0x5117);
+                let mut dram = DramModule::new(geometry.clone(), timing.clone());
+                if faults {
+                    dram.enable_faults(DramFaultConfig {
+                        seed: case,
+                        storm_rate: 0.5,
+                        storm_factor: 3,
+                        weak_row_rate: 0.3,
+                        weak_row_stall: 7,
+                    });
+                }
+                let mut cycle = 0u64;
+                for step in 0..steps {
+                    let before: Vec<_> = (0..geometry.channels)
+                        .map(|ch| channel_parts(&dram, ch))
+                        .collect();
+                    let refreshed = dram.tick(cycle);
+                    // Up to eight banks per rank, so banks of one group meet.
+                    let mut loc = random_loc(&mut rng, &geometry);
+                    loc.bank = rng.gen_range(0..geometry.banks_per_rank.min(8));
+                    let cmd = useful_command(&dram, loc, rng.gen_bool(0.4));
+                    let issued = dram.can_issue(&cmd, cycle).is_ok();
+                    if issued {
+                        dram.issue(cmd, cycle).expect("approved commands apply");
+                        kinds_issued[cmd.kind as usize] += 1;
+                    }
+                    let after: Vec<_> = (0..geometry.channels)
+                        .map(|ch| channel_parts(&dram, ch))
+                        .collect();
+                    for ch in 0..geometry.channels {
+                        let commanded = issued && cmd.loc.channel == ch;
+                        if !refreshed && !commanded {
+                            assert_eq!(
+                                before[ch as usize], after[ch as usize],
+                                "channel {ch} moved without a command or a refresh at {cycle}"
+                            );
+                        }
+                    }
+                    // The bank just addressed and a random one on every
+                    // step; every bank of the module on every 16th.
+                    points += assert_split(&dram, loc.channel, loc.rank, loc.bank, cycle);
+                    let other = random_loc(&mut rng, &geometry);
+                    points += assert_split(&dram, other.channel, other.rank, other.bank, cycle);
+                    if step % 16 == 0 {
+                        for ch in 0..geometry.channels {
+                            for rank in 0..geometry.ranks_per_channel {
+                                for bank in 0..geometry.banks_per_rank {
+                                    points += assert_split(&dram, ch, rank, bank, cycle);
+                                }
+                            }
+                        }
+                    }
+                    for ch in 0..geometry.channels {
+                        assert_eq!(
+                            channel_parts(&dram, ch),
+                            after[ch as usize],
+                            "`can_issue` moved a register"
+                        );
+                    }
+                    cycle += rng.gen_range(1u64..4);
+                }
+                refreshes += dram.total_refreshes();
+                storms += dram.total_refresh_storms();
+                stalls += dram.weak_row_stalls();
+            }
+            assert!(refreshes > 0, "refresh must be exercised");
+            assert!(kinds_issued.iter().all(|&n| n > 20), "{kinds_issued:?}");
+            assert!(points > 100_000, "only {points} points compared");
+            if faults {
+                assert!(storms > 0 && stalls > 0, "{storms} storms, {stalls} stalls");
+            }
+        }
+    }
+}

@@ -1,5 +1,6 @@
 //! Per-channel scheduling state kept between ticks: the per-bank
-//! scheduling view and the issue bounds that let a stalled channel sleep.
+//! scheduling view and the issue bounds — a copy of `dram-sim`'s timing
+//! registers — that let a stalled channel sleep.
 //!
 //! Both are maintained **per bank, on events**, and an event costs what it
 //! can change:
@@ -31,15 +32,17 @@
 //! `ChannelQueues::push`). The derivation ([`derive_bank`], the only place
 //! a [`BankView`] is read off a queue) doubles as the referee: debug builds
 //! compare the kept view against it after every delta
-//! ([`MemoryController::view_is_derived`]). Every event also clears bank
-//! *b*'s bounds or wakes the channel; the other banks keep theirs.
+//! ([`MemoryController::view_is_derived`]). Every event also records which
+//! commands the passes would now offer for its bank
+//! ([`BankView::wanted`]): the channel's wake-up is the smallest bound among
+//! those ([`IssueBounds`]).
 
 use std::collections::VecDeque;
 
 use dram_sim::bank::Bank;
-use dram_sim::{DramCommand, DramLocation, DramModule};
+use dram_sim::{CommandKind, DramLocation, DramModule};
 
-use crate::policy::CandidateOrder;
+use crate::queue::ChannelQueues;
 use crate::request::{Request, TxnId};
 
 use super::MemoryController;
@@ -109,6 +112,35 @@ pub(crate) struct ChannelView {
     pub(crate) order_future: Vec<(u64, usize)>,
 }
 
+impl ChannelView {
+    /// Derives every bank's facts from `queues` and the banks' open rows
+    /// for `window`: one pass over the banks, then one sort per list.
+    pub(crate) fn derive(
+        &mut self,
+        queues: &ChannelQueues,
+        open_row: impl Fn(usize) -> Option<u64>,
+        window: (TxnId, u64),
+        unconstrained: bool,
+    ) {
+        self.window = Some(window);
+        self.hits.clear();
+        self.order_current.clear();
+        self.order_future.clear();
+        for (b, bank) in self.banks.iter_mut().enumerate() {
+            *bank = derive_bank(queues.bank(b), b, open_row(b), window, unconstrained);
+            self.hits.extend(bank.oldest_hit.into_iter().flatten());
+            self.order_current
+                .extend(bank.oldest_current.map(|c| (c.id, b)));
+            self.order_future
+                .extend(bank.oldest_future.map(|c| (c.id, b)));
+        }
+        // Enqueue ids are unique: no ties for an unstable sort to reorder.
+        self.hits.sort_unstable_by_key(|c| c.id);
+        self.order_current.sort_unstable();
+        self.order_future.sort_unstable();
+    }
+}
+
 /// Where a transaction falls relative to a view's window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
@@ -146,8 +178,10 @@ fn derive_bank(
         ..BankView::default()
     };
     // The bank's list is in arrival order, so the first request seen of
-    // each class is its oldest.
-    for r in requests {
+    // each class is its oldest — and in transaction order, so nothing
+    // behind the first request beyond the window is inside it.
+    let mut requests = requests.iter();
+    for r in requests.by_ref() {
         let hit = open_row == Some(r.loc.row);
         let cand = || Candidate::of(r, b);
         match classify(r.txn, window, unconstrained) {
@@ -161,9 +195,14 @@ fn derive_bank(
                 bank.future_hit_pending |= hit;
                 bank.oldest_future.get_or_insert_with(cand);
             }
+            Class::Outside if r.txn > window.0 => break,
             Class::Outside => {}
         }
     }
+    debug_assert!(
+        requests.all(|r| classify(r.txn, window, unconstrained) == Class::Outside),
+        "bank {b}: a request of the window queued behind one beyond it"
+    );
     bank
 }
 
@@ -171,6 +210,38 @@ impl BankView {
     /// Whether any current-transaction request wants the open row.
     pub(crate) fn current_hit_pending(&self) -> bool {
         self.oldest_hit.iter().any(Option::is_some)
+    }
+
+    /// The PRE or ACT that moves the bank towards `cand`'s row, if one is
+    /// needed and no pending hit (`hit_pending`) needs the open row.
+    pub(crate) fn prep_kind(&self, cand: &Candidate, hit_pending: bool) -> Option<CommandKind> {
+        match self.open_row {
+            // Row ready: the data command is the hit pass's business
+            // (blocked on bus/timing), or the row is already prepared for
+            // the future.
+            Some(row) if row == cand.loc.row => None,
+            Some(_) if hit_pending => None,
+            Some(_) => Some(CommandKind::Precharge),
+            None => Some(CommandKind::Activate),
+        }
+    }
+
+    /// The command kinds the three passes would offer for this bank, as
+    /// bits `1 << kind`: RD / WR for the oldest hit of each direction, and
+    /// one PRE or ACT — for the oldest current request or, on a bank with
+    /// no current work, for the oldest lookahead one. The same for every
+    /// `CandidateOrder`: an order only permutes the candidates.
+    pub(crate) fn wanted(&self) -> u8 {
+        let bit = |kind: CommandKind| 1u8 << kind as usize;
+        let [read, write] = self.oldest_hit;
+        let prep = match (&self.oldest_current, &self.oldest_future) {
+            (Some(cand), _) => self.prep_kind(cand, self.current_hit_pending()),
+            (None, Some(cand)) => self.prep_kind(cand, self.future_hit_pending),
+            (None, None) => None,
+        };
+        read.map_or(0, |_| bit(CommandKind::Read))
+            | write.map_or(0, |_| bit(CommandKind::Write))
+            | prep.map_or(0, bit)
     }
 }
 
@@ -189,92 +260,150 @@ fn insert_hit(hits: &mut Vec<Candidate>, hit: Candidate) {
     hits.insert(at, hit);
 }
 
-/// Issue bounds of one channel: for every (bank, command kind) the earliest
-/// command cycle `dram-sim` last said that command could issue, and — after
-/// a scan that found nothing — the cycle until which the whole channel has
-/// nothing it may issue.
+/// Issue bounds of one channel: a copy of `dram-sim`'s timing registers
+/// and, from them, the cycle before which the channel has nothing it may
+/// issue.
 ///
-/// Why skipping on a bound is exact: every `ready_at` is a lower bound on
-/// the command cycle, the timing registers behind it only move later when
-/// *other* commands issue, and the bound depends on (bank, kind) alone —
-/// the row already matches for RD/WR, PRE/ACT timing ignores the row. A
-/// candidate whose bound lies ahead would fail `can_issue` now, so it is
-/// not the one the pass order would pick. What moves a bound *earlier* is
-/// a command to the same bank (ACT re-arms tRCD, …) or a refresh; both
-/// clear it.
+/// Why a compare against the copy is `can_issue`: every timing check in
+/// `dram-sim` is `cycle >= register`, split by [`DramModule::bank_ready_at`]
+/// and [`DramModule::class_ready_at`] into a bank part and a part shared by a
+/// (rank, bank group), and the registers move only inside
+/// `DramModule::issue` on this channel and when a refresh starts — the two
+/// places the copy is read again ([`Self::reread`]). The state precondition
+/// (row open / closed / matching) is the view's business.
+///
+/// The wake-up is the smallest bound among the (bank, kind) pairs the
+/// passes would offer ([`BankView::wanted`]), so a channel is awake exactly
+/// when a scan would issue.
 #[derive(Debug, Clone)]
 pub(crate) struct IssueBounds {
-    /// Indexed `[bank][CommandKind as usize]`; 0 = nothing known.
-    earliest: Vec<[u64; 4]>,
-    /// The last scan found nothing issuable before this cycle …
+    /// `bank_ready_at` of every bank, indexed `[bank][CommandKind as usize]`.
+    bank: Vec<[u64; 4]>,
+    /// `class_ready_at` of every (rank, bank group), `[class][kind]`.
+    class: Vec<[u64; 4]>,
+    /// Each bank's index into `class`.
+    class_of: Vec<usize>,
+    ranks: u32,
+    banks_per_rank: u32,
+    groups: u32,
+    /// Each bank's [`BankView::wanted`], as of its last view update.
+    wants: Vec<u8>,
+    /// Nothing wanted can issue before this cycle; holds while `settled`.
     wake_at: u64,
-    /// … under this order (another order walks other candidates).
-    slept_under: CandidateOrder,
-    /// Smallest bound met by the scan in progress.
-    scan_min: u64,
+    /// Whether `wake_at` is the minimum over the wants and bounds as they
+    /// stand (cleared by whatever moves either).
+    settled: bool,
+}
+
+/// (rank, bank or group) of every entry of a per-rank table `per_rank`
+/// wide, in index order.
+fn coordinates(ranks: u32, per_rank: u32) -> impl Iterator<Item = (u32, u32)> {
+    (0..ranks).flat_map(move |rank| (0..per_rank).map(move |i| (rank, i)))
 }
 
 impl IssueBounds {
-    fn new(banks: usize) -> Self {
+    fn new(ranks: u32, banks_per_rank: u32, groups: u32) -> Self {
+        let banks = (ranks * banks_per_rank) as usize;
         Self {
-            earliest: vec![[0; 4]; banks],
+            bank: vec![[0; 4]; banks],
+            class: vec![[0; 4]; (ranks * groups) as usize],
+            // Bank `b` of a rank is in group `b % groups` (`DramGeometry`).
+            class_of: coordinates(ranks, banks_per_rank)
+                .map(|(rank, bank)| (rank * groups + bank % groups) as usize)
+                .collect(),
+            ranks,
+            banks_per_rank,
+            groups,
+            wants: vec![0; banks],
             wake_at: 0,
-            slept_under: CandidateOrder::Age,
-            scan_min: u64::MAX,
+            settled: false,
         }
     }
 
-    /// Whether `cmd` (to bank `b`) may issue at `cycle`, asking `dram` only
-    /// when no recorded bound rules it out and recording the bound when it
-    /// refuses.
-    pub(crate) fn probe(
-        &mut self,
-        dram: &DramModule,
-        b: usize,
-        cmd: &DramCommand,
-        cycle: u64,
-    ) -> bool {
-        let bound = &mut self.earliest[b][cmd.kind as usize];
-        if cycle >= *bound {
-            match dram.can_issue(cmd, cycle) {
-                Ok(()) => return true,
-                // State errors (closed bank, other row) carry no bound and
-                // must not put anything to sleep: retry next cycle.
-                Err(e) => *bound = e.ready_at().unwrap_or(cycle + 1),
+    /// Reads the channel's registers again after a command to the bank at
+    /// `loc`: the bank's own, and every class's (the command bus and the
+    /// data bus are the whole channel's).
+    pub(crate) fn reread(&mut self, dram: &DramModule, loc: &DramLocation) {
+        let b = (loc.rank * self.banks_per_rank + loc.bank) as usize;
+        self.bank[b] = dram.bank_ready_at(loc.channel, loc.rank, loc.bank);
+        self.reread_classes(dram, loc.channel);
+    }
+
+    fn reread_classes(&mut self, dram: &DramModule, ch: u32) {
+        let classes = coordinates(self.ranks, self.groups);
+        for (class, (rank, group)) in self.class.iter_mut().zip(classes) {
+            *class = dram.class_ready_at(ch, rank, group);
+        }
+        self.settled = false;
+    }
+
+    /// Reads every register of channel `ch` again: a refresh moved them.
+    fn reread_all(&mut self, dram: &DramModule, ch: u32) {
+        let banks = coordinates(self.ranks, self.banks_per_rank);
+        for (kept, (rank, bank)) in self.bank.iter_mut().zip(banks) {
+            *kept = dram.bank_ready_at(ch, rank, bank);
+        }
+        self.reread_classes(dram, ch);
+    }
+
+    /// Whether the copy is what channel `ch` of `dram` holds now (the
+    /// referee of [`Self::reread`]'s two call sites). Allocates nothing.
+    fn mirrors(&self, dram: &DramModule, ch: u32) -> bool {
+        let banks = coordinates(self.ranks, self.banks_per_rank);
+        let classes = coordinates(self.ranks, self.groups);
+        (self.bank.iter().zip(banks)).all(|(kept, (r, b))| *kept == dram.bank_ready_at(ch, r, b))
+            && (self.class.iter().zip(classes))
+                .all(|(kept, (r, g))| *kept == dram.class_ready_at(ch, r, g))
+    }
+
+    /// Whether the timing of a `kind` command to bank `b` allows `cycle`.
+    pub(crate) fn ready(&self, b: usize, kind: CommandKind, cycle: u64) -> bool {
+        let k = kind as usize;
+        cycle >= self.bank[b][k].max(self.class[self.class_of[b]][k])
+    }
+
+    /// Records what the passes would now offer for bank `b`.
+    pub(crate) fn set_wants(&mut self, b: usize, wants: u8) {
+        if self.wants[b] != wants {
+            self.wants[b] = wants;
+            self.settled = false;
+        }
+    }
+
+    /// The smallest bound among the wanted (bank, kind) pairs; `u64::MAX`
+    /// when nothing is wanted — only an event can change that.
+    pub(crate) fn earliest_wanted(&self) -> u64 {
+        let mut wake = u64::MAX;
+        for ((&wants, bank), &class) in self.wants.iter().zip(&self.bank).zip(&self.class_of) {
+            let mut left = wants;
+            while left != 0 {
+                let k = left.trailing_zeros() as usize;
+                wake = wake.min(bank[k].max(self.class[class][k]));
+                left &= left - 1;
             }
-            debug_assert!(*bound > cycle, "a refusal's hint lies ahead");
         }
-        self.scan_min = self.scan_min.min(*bound);
-        false
+        wake
     }
 
-    /// Forgets what is known about bank `b`: a command was issued to it.
-    pub(crate) fn clear_bank(&mut self, b: usize) {
-        self.earliest[b] = [0; 4];
+    /// The cycle before which nothing the passes would offer can issue,
+    /// recomputed if a want or a bound moved since it was last asked for.
+    pub(crate) fn wake_at(&mut self) -> u64 {
+        if !self.settled {
+            self.wake_at = self.earliest_wanted();
+            self.settled = true;
+        }
+        self.wake_at
     }
 
-    /// Whether the last scan, under the same order, already showed nothing
-    /// can issue at `cycle`.
-    pub(crate) fn asleep(&self, order: CandidateOrder, cycle: u64) -> bool {
-        cycle < self.wake_at && self.slept_under == order
+    /// Whether [`Self::wake_at`] stands: no want and no bound moved since.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.settled
     }
 
-    /// Starts a scan of the channel's candidates.
-    pub(crate) fn begin_scan(&mut self) {
-        self.scan_min = u64::MAX;
-    }
-
-    /// Ends a scan that found nothing issuable: the channel sleeps until
-    /// the earliest bound it met (forever, if it met no candidate at all —
-    /// only an event can change that).
-    pub(crate) fn sleep(&mut self, order: CandidateOrder) {
-        self.wake_at = self.scan_min;
-        self.slept_under = order;
-    }
-
-    /// Something the scan depended on changed.
-    pub(crate) fn wake(&mut self) {
-        self.wake_at = 0;
+    /// Forgets the wake-up (the recovery of a release build that found an
+    /// awake channel with nothing to issue).
+    pub(crate) fn unsettle(&mut self) {
+        self.settled = false;
     }
 }
 
@@ -286,9 +415,11 @@ pub(crate) struct ChannelCache {
 }
 
 impl ChannelCache {
-    /// State for a channel of `banks` banks (the lists are sized up front:
-    /// upkeep never allocates).
-    pub(crate) fn new(banks: usize) -> Self {
+    /// State for a channel of `ranks` ranks of `banks_per_rank` banks in
+    /// `groups` bank groups (everything is sized up front: upkeep never
+    /// allocates).
+    pub(crate) fn new(ranks: u32, banks_per_rank: u32, groups: u32) -> Self {
+        let banks = (ranks * banks_per_rank) as usize;
         Self {
             view: ChannelView {
                 window: None,
@@ -297,16 +428,16 @@ impl ChannelCache {
                 order_current: Vec::with_capacity(banks),
                 order_future: Vec::with_capacity(banks),
             },
-            bounds: IssueBounds::new(banks),
+            bounds: IssueBounds::new(ranks, banks_per_rank, groups),
         }
     }
 
-    /// Drops everything derived from DRAM state: a refresh closed rows and
-    /// moved timing without the controller issuing a command.
-    pub(crate) fn invalidate(&mut self) {
+    /// Reads again everything that mirrors DRAM state: a refresh closed
+    /// rows (the view is derived anew by the next pass) and moved timing
+    /// without the controller issuing a command.
+    pub(crate) fn refreshed(&mut self, dram: &DramModule, ch: usize) {
         self.view.window = None;
-        self.bounds.earliest.fill([0; 4]);
-        self.bounds.wake();
+        self.bounds.reread_all(dram, ch as u32);
     }
 }
 
@@ -345,43 +476,33 @@ impl MemoryController {
     }
 
     /// Re-derives every bank's facts for a new (current transaction,
-    /// lookahead) window: one pass over the banks, then one sort per list.
+    /// lookahead) window and records what the passes would offer for each.
     pub(super) fn rebuild_view(&mut self, ch: usize, current: TxnId, lookahead: u64) {
-        let window = (current, lookahead);
-        for b in 0..self.banks_per_channel() {
-            self.caches[ch].view.banks[b] = self.derived(ch, b, window);
-        }
+        let open_row = |b| dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row();
         let ChannelCache { view, bounds } = &mut self.caches[ch];
-        view.window = Some(window);
-        bounds.wake();
-        view.hits.clear();
-        view.order_current.clear();
-        view.order_future.clear();
+        view.derive(
+            &self.queues[ch],
+            open_row,
+            (current, lookahead),
+            self.policy.unconstrained(),
+        );
         for (b, bank) in view.banks.iter().enumerate() {
-            view.hits.extend(bank.oldest_hit.into_iter().flatten());
-            view.order_current
-                .extend(bank.oldest_current.map(|c| (c.id, b)));
-            view.order_future
-                .extend(bank.oldest_future.map(|c| (c.id, b)));
+            bounds.set_wants(b, bank.wanted());
         }
-        // Enqueue ids are unique: no ties for an unstable sort to reorder.
-        view.hits.sort_unstable_by_key(|c| c.id);
-        view.order_current.sort_unstable();
-        view.order_future.sort_unstable();
     }
 
     /// Re-derives bank `b`'s facts from its own queue and open row, fixes
-    /// its entries in the channel's age-ordered lists, and wakes the
-    /// channel. Called after every ACT issued to the bank and after a
-    /// dropped response; a view with no window yet is derived in full by
-    /// the next scheduling pass instead.
+    /// its entries in the channel's age-ordered lists, and records what the
+    /// passes would now offer for it. Called after every ACT issued to the
+    /// bank and after a dropped response; a view with no window yet is
+    /// derived in full by the next scheduling pass instead.
     pub(super) fn refresh_bank(&mut self, ch: usize, b: usize) {
         let Some(window) = self.caches[ch].view.window else {
             return;
         };
         let bank = self.derived(ch, b, window);
         let ChannelCache { view, bounds } = &mut self.caches[ch];
-        bounds.wake();
+        bounds.set_wants(b, bank.wanted());
         view.hits.retain(|c| c.b != b);
         for hit in bank.oldest_hit.into_iter().flatten() {
             insert_hit(&mut view.hits, hit);
@@ -401,7 +522,6 @@ impl MemoryController {
         if view.window.is_none() {
             return;
         }
-        bounds.wake();
         let bank = &mut view.banks[b];
         if bank.current_hit_pending() {
             view.hits.retain(|c| c.b != b);
@@ -409,6 +529,7 @@ impl MemoryController {
         bank.open_row = None;
         bank.oldest_hit = [None; 2];
         bank.future_hit_pending = false;
+        bounds.set_wants(b, bank.wanted());
         debug_assert!(self.view_is_derived(ch, b), "precharge delta, bank {b}");
     }
 
@@ -425,28 +546,36 @@ impl MemoryController {
         };
         let bank = &mut view.banks[new.b];
         let hit = bank.open_row == Some(new.loc.row);
+        // What the passes offer for the bank can only move with a fact.
+        let mut filled = false;
         match classify(new.txn, window, unconstrained) {
             Class::Current => {
                 let oldest_hit = &mut bank.oldest_hit[usize::from(new.is_write)];
                 if hit && oldest_hit.is_none() {
                     *oldest_hit = Some(new);
                     view.hits.push(new);
+                    filled = true;
                 }
                 if bank.oldest_current.is_none() {
                     bank.oldest_current = Some(new);
                     view.order_current.push((new.id, new.b));
+                    filled = true;
                 }
             }
             Class::Future => {
+                filled = hit && !bank.future_hit_pending;
                 bank.future_hit_pending |= hit;
                 if bank.oldest_future.is_none() {
                     bank.oldest_future = Some(new);
                     view.order_future.push((new.id, new.b));
+                    filled = true;
                 }
             }
             Class::Outside => return,
         }
-        bounds.wake();
+        if filled {
+            bounds.set_wants(new.b, bank.wanted());
+        }
         debug_assert!(
             self.view_is_derived(ch, new.b),
             "enqueue delta, bank {}",
@@ -467,7 +596,6 @@ impl MemoryController {
         let Some(window) = view.window else {
             return;
         };
-        bounds.wake();
         let bank = &mut view.banks[old.b];
         let dir = usize::from(old.is_write);
         debug_assert_eq!(bank.oldest_hit[dir], Some(old), "retired a non-head hit");
@@ -483,6 +611,7 @@ impl MemoryController {
             .find(|r| r.is_write == old.is_write && r.loc.row == old.loc.row)
             .map(|r| Candidate::of(r, old.b));
         bank.oldest_hit[dir] = next_hit;
+        bounds.set_wants(old.b, bank.wanted());
         view.hits.retain(|c| c.id != old.id);
         if let Some(hit) = next_hit {
             insert_hit(&mut view.hits, hit);
@@ -492,6 +621,21 @@ impl MemoryController {
             "retire delta, bank {}",
             old.b
         );
+    }
+
+    /// The referee of the issue bounds: whether channel `ch`'s copy of the
+    /// timing registers is what `dram-sim` holds now, every bank's kept
+    /// wants are [`BankView::wanted`] of the bank as derived from its queue,
+    /// and a settled wake-up is the minimum over both. Allocates nothing.
+    pub(super) fn bounds_are_mirrored(&self, ch: usize) -> bool {
+        let ChannelCache { view, bounds } = &self.caches[ch];
+        let wants_hold = view.window.is_none_or(|window| {
+            (0..self.banks_per_channel())
+                .all(|b| bounds.wants[b] == self.derived(ch, b, window).wanted())
+        });
+        bounds.mirrors(&self.dram, ch as u32)
+            && wants_hold
+            && (!bounds.settled || bounds.wake_at == bounds.earliest_wanted())
     }
 
     /// The referee of the delta rules: whether bank `b`'s kept facts and its
@@ -524,5 +668,102 @@ impl MemoryController {
             && view.hits.windows(2).all(|w| w[0].id < w[1].id)
             && order_holds(&view.order_current, want.oldest_current)
             && order_holds(&view.order_future, want.oldest_future)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dram_sim::faults::mix64;
+
+    /// A seeded bank list in arrival and transaction order: 1–40 requests,
+    /// runs of one transaction 1–6 long, gaps of 1–3 transactions between
+    /// runs, three rows, both directions.
+    fn seeded_list(seed: u64) -> VecDeque<Request> {
+        let mut txn = mix64(seed) % 5;
+        (0..1 + mix64(seed ^ 0xA) % 40)
+            .map(|i| {
+                let r = mix64(seed ^ (i << 8));
+                if r.is_multiple_of(6) {
+                    txn += 1 + (r >> 8) % 3;
+                }
+                Request {
+                    id: 7 * i + 3,
+                    txn: TxnId(txn),
+                    loc: DramLocation {
+                        channel: 0,
+                        rank: 0,
+                        bank: 2,
+                        row: (r >> 16) % 3,
+                        column: 0,
+                    },
+                    is_write: (r >> 24).is_multiple_of(3),
+                    arrival: i,
+                    first_cmd_at: None,
+                    class: None,
+                }
+            })
+            .collect()
+    }
+
+    /// The bank's facts read off the *whole* list, one question at a time.
+    fn full_walk(
+        requests: &VecDeque<Request>,
+        open_row: Option<u64>,
+        window: (TxnId, u64),
+        unconstrained: bool,
+    ) -> BankView {
+        let of = |class: Class| {
+            requests
+                .iter()
+                .filter(move |r| classify(r.txn, window, unconstrained) == class)
+        };
+        let hit = |r: &&Request| open_row == Some(r.loc.row);
+        let oldest_hit = |write: bool| {
+            of(Class::Current)
+                .filter(hit)
+                .find(|r| r.is_write == write)
+                .map(|r| Candidate::of(r, 2))
+        };
+        BankView {
+            open_row,
+            oldest_current: of(Class::Current).next().map(|r| Candidate::of(r, 2)),
+            oldest_hit: [oldest_hit(false), oldest_hit(true)],
+            oldest_future: of(Class::Future).next().map(|r| Candidate::of(r, 2)),
+            future_hit_pending: of(Class::Future).any(|r| hit(&r)),
+        }
+    }
+
+    #[test]
+    fn the_derivation_that_stops_early_equals_the_full_walk() {
+        // The lookaheads of the six policies (`TransactionBased`,
+        // `ReadOverWrite` and `FixedCadence` share 0); `Unconstrained`
+        // classifies everything current and must never stop.
+        let windows = [(0, false), (1, false), (3, false), (u64::MAX, true)];
+        let (mut stopped_short, mut walked_all) = (0, 0);
+        for seed in 0..400u64 {
+            let requests = seeded_list(seed);
+            let first = requests[0].txn.0;
+            for (lookahead, unconstrained) in windows {
+                // The current transaction is the oldest queued (what the
+                // controller derives against), or — a stale window — older.
+                for current in [first, first.saturating_sub(2)] {
+                    for open_row in [None, Some(0), Some(2)] {
+                        let window = (TxnId(current), lookahead);
+                        assert_eq!(
+                            derive_bank(&requests, 2, open_row, window, unconstrained),
+                            full_walk(&requests, open_row, window, unconstrained),
+                            "seed {seed}, window {window:?}, row {open_row:?}"
+                        );
+                    }
+                    let last = requests[requests.len() - 1].txn;
+                    match classify(last, (TxnId(current), lookahead), unconstrained) {
+                        Class::Outside => stopped_short += 1,
+                        _ => walked_all += 1,
+                    }
+                }
+            }
+        }
+        assert!(stopped_short > 500 && walked_all > 500);
     }
 }

@@ -22,18 +22,20 @@
 //!
 //! * [`mod@self`] — the [`MemoryController`] struct, its tick loop and
 //!   queue admission;
-//! * `cache` — the per-bank scheduling views and the issue bounds that let
-//!   a stalled channel sleep, both kept up on events;
+//! * `cache` — the per-bank scheduling views and the issue bounds (a copy
+//!   of `dram-sim`'s timing registers) that let a stalled channel sleep,
+//!   both kept up on events;
 //! * `accounting` — the occupancy and bank-idle integrands (Fig. 12),
 //!   counted on the events that move them;
 //! * `schedule` — the three scheduling passes and command issue;
 //! * `faults` — deterministic response-fault injection.
 //!
 //! `tick` is called once per cycle, but what it costs follows what
-//! *changed*: a channel whose last scan found nothing issuable is not
-//! scanned again before the earliest cycle `dram-sim` named (or an event —
-//! issue, enqueue inside the window, window move, plan change, refresh),
-//! and an event updates the facts it can change: an enqueue or a data
+//! *changed*: a channel is scanned only on a cycle at which one of the
+//! commands the passes would offer can issue — the smallest of their bounds,
+//! re-read from `dram-sim`'s registers after every command and refresh —
+//! and while every channel sleeps a tick does its accounting and returns.
+//! An event updates the facts it can change: an enqueue or a data
 //! command adjusts its bank's view in place, a PRE clears what a closed row
 //! cannot hold, an ACT re-derives one bank's facts from that bank's queue,
 //! only a window move or a refresh re-derives a channel (see `cache.rs`).
@@ -57,7 +59,7 @@ use dram_sim::faults::{mix64, u01};
 use dram_sim::AddressMapping;
 use dram_sim::{DramCommand, DramModule};
 
-use crate::policy::{PolicyState, PolicyStats, SchedulerPolicy};
+use crate::policy::{CandidateOrder, PolicyState, PolicyStats, SchedulerPolicy};
 use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
@@ -128,6 +130,11 @@ pub struct MemoryController {
     txn_runs: VecDeque<(TxnId, u32)>,
     /// Banks with an open row, counted on ACT/PRE (recounted on refresh).
     open_banks: u64,
+    /// No channel has anything it may issue before this cycle: the minimum
+    /// of the channels' wake-ups as the last tick that looked left them, 0
+    /// when one of them has to look again (an enqueue that moved a want or
+    /// the transaction pointer, a refresh, a moved window).
+    sleep_until: u64,
     /// Optional command trace: every issued command with its cycle and
     /// owning transaction.
     command_trace: Option<Vec<CommandEvent>>,
@@ -153,7 +160,9 @@ impl MemoryController {
     ) -> Self {
         let channels = dram.geometry().channels;
         let banks_per_rank = dram.geometry().banks_per_rank;
-        let banks = (dram.geometry().ranks_per_channel * banks_per_rank) as usize;
+        let ranks = dram.geometry().ranks_per_channel;
+        let groups = dram.geometry().bank_groups;
+        let banks = (ranks * banks_per_rank) as usize;
         Self {
             dram,
             mapping,
@@ -169,13 +178,16 @@ impl MemoryController {
                 ..SchedulerStats::default()
             },
             last_cycle: 0,
-            caches: (0..channels).map(|_| ChannelCache::new(banks)).collect(),
+            caches: (0..channels)
+                .map(|_| ChannelCache::new(ranks, banks_per_rank, groups))
+                .collect(),
             banks_per_rank,
             banks_per_channel: banks,
             ledger: BankLedger::new(channels as usize * banks),
             // One run per queued request at worst: never grows.
             txn_runs: VecDeque::with_capacity(channels as usize * 2 * queue_capacity),
             open_banks: 0,
+            sleep_until: 0,
             command_trace: None,
             response_faults: None,
         }
@@ -337,11 +349,18 @@ impl MemoryController {
                 .is_none_or(|&(last, _)| last <= spec.txn),
             "requests must be enqueued in transaction order"
         );
+        // The whole-controller sleep stands unless the request moved what it
+        // was computed from: the transaction pointer (nothing was queued) or
+        // what the passes would offer on its channel.
+        let idle = self.txn_runs.is_empty();
         match self.txn_runs.back_mut() {
             Some((txn, queued)) if *txn == spec.txn => *queued += 1,
             _ => self.txn_runs.push_back((spec.txn, 1)),
         }
         self.view_enqueued(ch, new);
+        if idle || !self.caches[ch].bounds.is_settled() {
+            self.sleep_until = 0;
+        }
         self.next_id += 1;
         Ok(id)
     }
@@ -431,8 +450,18 @@ impl MemoryController {
         // transaction pointer advances as soon as no commands of it remain.
         let current = self.current_txn();
 
+        // The plan comes before the sleep check: it counts the withheld
+        // slots of every tick, scanned or not.
         let order = self.policy.plan(cycle);
         let lookahead = self.policy.lookahead();
+        // Close-page housekeeping looks at the banks on every tick.
+        if cycle < self.sleep_until && self.page_policy == PagePolicy::Open {
+            debug_assert!(
+                self.every_channel_sleeps(current, order, cycle),
+                "the controller slept through an issuable command at cycle {cycle}"
+            );
+            return;
+        }
         for ch in 0..self.queues.len() {
             let issued = match (current, order) {
                 (Some(t), Some(order)) => self.schedule_channel(ch, t, lookahead, order, cycle),
@@ -442,6 +471,46 @@ impl MemoryController {
                 self.close_idle_rows(ch, cycle);
             }
         }
+        self.sleep_until = self.earliest_wake();
+    }
+
+    /// The first cycle at which a channel may have something to issue:
+    /// the smallest of the channels' wake-ups, settled here so that the
+    /// ticks until then are skipped from the next one on; 0 while a
+    /// channel's window is not the current one (a retirement just moved
+    /// the transaction pointer: its next pass re-derives it); never, with
+    /// nothing queued.
+    fn earliest_wake(&mut self) -> u64 {
+        let Some(current) = self.current_txn() else {
+            return u64::MAX;
+        };
+        let window = Some((current, self.policy.lookahead()));
+        let wake = |cache: &mut ChannelCache| {
+            if cache.view.window == window {
+                cache.bounds.wake_at()
+            } else {
+                0
+            }
+        };
+        self.caches.iter_mut().map(wake).min().unwrap_or(u64::MAX)
+    }
+
+    /// The oracle of a tick the controller sleeps through as a whole:
+    /// whether every channel's view is of the current window and its three
+    /// passes, asking `can_issue` for every candidate, find nothing.
+    fn every_channel_sleeps(
+        &self,
+        current: Option<TxnId>,
+        order: Option<CandidateOrder>,
+        cycle: u64,
+    ) -> bool {
+        let (Some(current), Some(order)) = (current, order) else {
+            return true;
+        };
+        let window = Some((current, self.policy.lookahead()));
+        (0..self.caches.len()).all(|ch| {
+            self.caches[ch].view.window == window && self.nothing_can_issue(ch, order, cycle)
+        })
     }
 
     /// A refresh started: it closed every row of its rank and moved bank
@@ -449,9 +518,10 @@ impl MemoryController {
     /// controller mirrors or derives from DRAM state is read again. Rare
     /// (once per tREFI per rank), so all channels are treated alike.
     fn observe_refresh(&mut self) {
-        for cache in &mut self.caches {
-            cache.invalidate();
+        for (ch, cache) in self.caches.iter_mut().enumerate() {
+            cache.refreshed(&self.dram, ch);
         }
+        self.sleep_until = 0;
         let banks = self.banks_per_channel();
         self.open_banks = 0;
         for slot in 0..self.ledger.banks() {

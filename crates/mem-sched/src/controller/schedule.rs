@@ -2,12 +2,11 @@
 //! command issue, parameterized by the policy's per-tick [`CandidateOrder`].
 //!
 //! The passes are a pure search over the channel's scheduling view
-//! ([`pick`]); whether a candidate's command may issue *now* is asked
-//! through the channel's issue bounds, so a candidate `dram-sim` already
-//! refused until some later cycle costs one compare, and a channel whose
-//! last scan found nothing is not scanned again until its earliest bound,
-//! an order change or an event (issue, enqueue inside the window, window
-//! move, refresh) — see `cache.rs`.
+//! ([`pick`]); whether a candidate's command may issue *now* is a compare
+//! against the channel's copy of `dram-sim`'s timing registers, and a
+//! channel is only scanned on a cycle at which one of the commands the
+//! passes would offer can issue — see `cache.rs`. `DramModule::can_issue`
+//! is asked by `DramModule::issue` itself and by the debug oracles only.
 
 use dram_sim::faults::{mix64, u01};
 use dram_sim::{CommandKind, DramCommand, DramLocation, IssueOutcome};
@@ -32,13 +31,15 @@ fn direction_rounds(order: CandidateOrder) -> &'static [Option<bool>] {
 }
 
 /// The command the passes chose for a channel this cycle.
-struct Pick {
+#[derive(Debug, PartialEq)]
+pub(super) struct Pick {
     /// The request it is issued for.
     cand: Candidate,
     cmd: DramCommand,
     action: Action,
 }
 
+#[derive(Debug, PartialEq)]
 enum Action {
     /// RD/WR: the request retires.
     Data { bypassed_write_hit: bool },
@@ -53,7 +54,7 @@ enum Action {
 /// one channel's view, each trying its candidates in `order`, and returns
 /// the first candidate command `can_issue` accepts, in pass order.
 #[allow(clippy::expect_used)] // invariant, stated in the expect message
-fn pick(
+pub(super) fn pick(
     view: &ChannelView,
     order: CandidateOrder,
     mut can_issue: impl FnMut(usize, &DramCommand) -> bool,
@@ -148,13 +149,9 @@ fn prepare(
     proactive: bool,
     can_issue: &mut impl FnMut(usize, &DramCommand) -> bool,
 ) -> Option<Pick> {
-    let (cmd, class_if_first) = match bank.open_row {
-        // Row ready: the data command is the hit pass's business (blocked
-        // on bus/timing), or the row is already prepared for the future.
-        Some(row) if row == cand.loc.row => return None,
-        Some(_) if hit_pending => return None,
-        Some(_) => (DramCommand::precharge(cand.loc), RowClass::Conflict),
-        None => (DramCommand::activate(cand.loc), RowClass::Miss),
+    let (cmd, class_if_first) = match bank.prep_kind(&cand, hit_pending)? {
+        CommandKind::Precharge => (DramCommand::precharge(cand.loc), RowClass::Conflict),
+        _ => (DramCommand::activate(cand.loc), RowClass::Miss),
     };
     can_issue(cand.b, &cmd).then_some(Pick {
         cand,
@@ -181,20 +178,34 @@ impl MemoryController {
         if self.caches[ch].view.window != Some((current, lookahead)) {
             self.rebuild_view(ch, current, lookahead);
         }
-        let dram = &self.dram;
+        debug_assert!(
+            self.bounds_are_mirrored(ch),
+            "channel {ch}: a register or a want moved unrecorded by cycle {cycle}"
+        );
         let ChannelCache { view, bounds } = &mut self.caches[ch];
-        if bounds.asleep(order, cycle) {
-            // The old probe-everything scan survives as the oracle: tier-1
-            // runs in debug, so every test doubles as a differential.
+        if cycle < bounds.wake_at() {
             debug_assert!(
-                pick(view, order, |_, cmd| dram.can_issue(cmd, cycle).is_ok()).is_none(),
+                self.nothing_can_issue(ch, order, cycle),
                 "channel {ch} slept through an issuable command at cycle {cycle}"
             );
             return false;
         }
-        bounds.begin_scan();
-        let Some(found) = pick(view, order, |b, cmd| bounds.probe(dram, b, cmd, cycle)) else {
-            bounds.sleep(order);
+        let found = pick(view, order, |b, cmd| bounds.ready(b, cmd.kind, cycle));
+        // The old probe-everything scan survives as the oracle: tier-1 runs
+        // in debug, so every test doubles as a differential.
+        debug_assert_eq!(
+            found,
+            pick(view, order, |_, cmd| self
+                .dram
+                .can_issue(cmd, cycle)
+                .is_ok()),
+            "channel {ch}: the bounds and `can_issue` disagree at cycle {cycle}"
+        );
+        let Some(found) = found else {
+            // Awake means a wanted command can issue, and the passes offer
+            // every wanted command: unreachable while the wants are kept.
+            debug_assert!(false, "channel {ch} woke at cycle {cycle} to issue nothing");
+            bounds.unsettle();
             return false;
         };
         match found.action {
@@ -209,6 +220,13 @@ impl MemoryController {
             }
         }
         true
+    }
+
+    /// The oracle of every skipped channel-tick: whether the three passes,
+    /// asking `can_issue` for every candidate, find nothing on channel `ch`.
+    pub(super) fn nothing_can_issue(&self, ch: usize, order: CandidateOrder, cycle: u64) -> bool {
+        let can_issue = |_, cmd: &DramCommand| self.dram.can_issue(cmd, cycle).is_ok();
+        pick(&self.caches[ch].view, order, can_issue).is_none()
     }
 
     /// Close-page policy: precharge any open bank with no pending request
@@ -231,7 +249,7 @@ impl MemoryController {
                 row,
                 column: 0,
             });
-            if self.caches[ch].bounds.probe(&self.dram, b, &cmd, cycle) {
+            if self.caches[ch].bounds.ready(b, cmd.kind, cycle) {
                 self.issue_to_dram(ch, b, cmd, cycle, None);
                 self.stats.precharges += 1;
                 self.view_precharged(ch, b);
@@ -256,10 +274,11 @@ impl MemoryController {
         cycle: u64,
         txn: Option<TxnId>,
     ) -> IssueOutcome {
-        let outcome = self.dram.issue(cmd, cycle).expect("checked with can_issue");
+        let outcome = self.dram.issue(cmd, cycle).expect("its bounds have passed");
         self.record_trace(cycle, cmd, txn);
-        self.caches[ch].bounds.clear_bank(b);
-        let busy_until = dram_bank(&self.dram, self.banks_per_rank, ch, b).busy_until();
+        self.caches[ch].bounds.reread(&self.dram, &cmd.loc);
+        let rank = self.dram.channel(cmd.loc.channel).rank(cmd.loc.rank);
+        let busy_until = rank.bank(cmd.loc.bank).busy_until();
         let pending = !self.queues[ch].bank(b).is_empty();
         self.ledger.commanded(self.slot(ch, b), busy_until, pending);
         match cmd.kind {

@@ -763,6 +763,19 @@ fn speculative_window_prepares_deeper_than_pb() {
 // per-bank views) went in — the skip logic must be invisible in all of them.
 // ---------------------------------------------------------------------
 
+/// The machine a pinned run drives, and the stream it is offered.
+#[derive(Clone, Copy)]
+enum Machine {
+    /// Short transactions ([`scenario_requests`]) on `test_small`.
+    Small,
+    /// The Path-shaped stream into deep queues ([`dense_requests`]) on the
+    /// paper's machine.
+    Dense,
+    /// [`ranked_requests`] on two ranks of eight banks in four bank groups
+    /// per channel with DDR4-2400 timing.
+    TwoRanks,
+}
+
 /// One pinned run's configuration.
 struct Scenario {
     policy: SchedulerPolicy,
@@ -772,9 +785,7 @@ struct Scenario {
     dram_faults: Option<dram_sim::DramFaultConfig>,
     response_faults: Option<ResponseFaultConfig>,
     seed: u64,
-    /// The Path-shaped stream into deep queues ([`dense_requests`]) on the
-    /// paper's machine instead of the short transactions on `test_small`.
-    dense: bool,
+    machine: Machine,
     /// The tick at which the run reads `stats()` mid-run.
     mid_tick: u64,
 }
@@ -788,8 +799,19 @@ impl Scenario {
             dram_faults: None,
             response_faults: None,
             seed,
-            dense: false,
+            machine: Machine::Small,
             mid_tick: 137,
+        }
+    }
+
+    /// The two-rank regime: DDR4-2400 timing (tCCD_L / tRRD_L inside a bank
+    /// group, tWTR and refresh per rank), a refresh every 1 500 cycles.
+    fn two_ranks(policy: SchedulerPolicy, seed: u64) -> Self {
+        Self {
+            t_refi: 1_500,
+            machine: Machine::TwoRanks,
+            mid_tick: 2_001,
+            ..Self::new(policy, seed)
         }
     }
 
@@ -798,7 +820,7 @@ impl Scenario {
     fn dense(policy: SchedulerPolicy, seed: u64) -> Self {
         Self {
             t_refi: TimingParams::ddr3_1600().t_refi,
-            dense: true,
+            machine: Machine::Dense,
             mid_tick: 4_001,
             ..Self::new(policy, seed)
         }
@@ -876,10 +898,18 @@ fn digest_events(events: &[CommandEvent]) -> (usize, u64) {
 }
 
 fn scenario_controller(s: &Scenario) -> MemoryController {
-    let (geometry, mut timing, capacity) = if s.dense {
-        (DramGeometry::hpca_default(), TimingParams::ddr3_1600(), 64)
-    } else {
-        (DramGeometry::test_small(), TimingParams::test_fast(), 16)
+    let (geometry, mut timing, capacity) = match s.machine {
+        Machine::Small => (DramGeometry::test_small(), TimingParams::test_fast(), 16),
+        Machine::Dense => (DramGeometry::hpca_default(), TimingParams::ddr3_1600(), 64),
+        Machine::TwoRanks => {
+            let geometry = DramGeometry {
+                ranks_per_channel: 2,
+                banks_per_rank: 8,
+                bank_groups: 4,
+                ..DramGeometry::test_small()
+            };
+            (geometry, TimingParams::ddr4_2400(), 32)
+        }
     };
     let mapping = AddressMapping::hpca_default(&geometry);
     timing.t_refi = s.t_refi;
@@ -961,6 +991,37 @@ fn dense_requests(c: &MemoryController, seed: u64) -> Vec<(u64, RequestSpec)> {
     out
 }
 
+/// A seeded stream for the two-rank machine: 96 transactions of 6–17
+/// requests over both channels, both ranks and all eight banks (so every
+/// bank group), three rows per bank; reads and writes mix inside every
+/// second transaction, so a read hit can bypass an older write hit;
+/// transaction `i` is offered from cycle `45 * i`.
+fn ranked_requests(c: &MemoryController, seed: u64) -> Vec<(u64, RequestSpec)> {
+    let mut out = Vec::new();
+    for txn in 0..96u64 {
+        let n = 6 + mix64(seed ^ txn) % 12;
+        for i in 0..n {
+            let r = mix64(seed ^ (txn << 8) ^ i ^ 0x5EED);
+            let a = c.mapping.encode(&dram_sim::DramLocation {
+                channel: (r % 2) as u32,
+                rank: ((r >> 4) % 2) as u32,
+                bank: ((r >> 8) % 8) as u32,
+                row: (r >> 16) % 3,
+                column: ((r >> 24) % 8) as u32,
+            });
+            out.push((
+                45 * txn,
+                RequestSpec {
+                    addr: a,
+                    is_write: txn % 2 == 1 && (r >> 32).is_multiple_of(3),
+                    txn: TxnId(txn),
+                },
+            ));
+        }
+    }
+    out
+}
+
 fn run_scenario(s: &Scenario) -> (Pinned, MemoryController) {
     let (pinned, c, _) = run_scenario_seen(s);
     (pinned, c)
@@ -987,10 +1048,10 @@ struct Seen {
 /// [`run_scenario`], also returning what the run passed through.
 fn run_scenario_seen(s: &Scenario) -> (Pinned, MemoryController, Seen) {
     let mut c = scenario_controller(s);
-    let reqs = if s.dense {
-        dense_requests(&c, s.seed)
-    } else {
-        scenario_requests(&c, s.seed)
+    let reqs = match s.machine {
+        Machine::Small => scenario_requests(&c, s.seed),
+        Machine::Dense => dense_requests(&c, s.seed),
+        Machine::TwoRanks => ranked_requests(&c, s.seed),
     };
     let banks = c.banks_per_channel();
     let (mut next, mut cycle, mut refused) = (0, 0u64, 0u64);
@@ -1516,6 +1577,71 @@ fn pinned_busy_windows_outlast_any_horizon() {
     }
 }
 
+#[test]
+fn pinned_two_ranks_four_bank_groups() {
+    // The registers a per-bank view cannot see: tRRD_L / tCCD_L inside a
+    // bank group, tWTR and refresh per rank, the data bus and the command
+    // bus across ranks. Recorded on the commit before the issue bounds
+    // became a copy of those registers.
+    for (policy, page, want) in [
+        (
+            SchedulerPolicy::proactive(),
+            PagePolicy::Open,
+            pin(
+                (2489, 7235095594747517051),
+                [
+                    8774343399759855852,
+                    16279865430075269383,
+                    14139867714693073411,
+                ],
+                (0, 0, 0),
+                5621,
+                7319,
+            ),
+        ),
+        (
+            SchedulerPolicy::ReadOverWrite { drain_bound: 2 },
+            PagePolicy::Open,
+            pin(
+                (2473, 15976558350900279519),
+                [
+                    16530104549613133859,
+                    17754368869826261829,
+                    4332321289863149252,
+                ],
+                (0, 130, 48),
+                7290,
+                8943,
+            ),
+        ),
+        (
+            SchedulerPolicy::proactive(),
+            PagePolicy::Closed,
+            pin(
+                (2667, 14199228615686281130),
+                [
+                    13916422710921887236,
+                    10080433469689617046,
+                    12502280142567966899,
+                ],
+                (0, 0, 0),
+                5621,
+                7320,
+            ),
+        ),
+    ] {
+        let mut s = Scenario::two_ranks(policy, 0x2A4B);
+        s.page = page;
+        let (got, c, seen) = run_scenario_seen(&s);
+        assert!(
+            c.dram().total_refreshes() >= 16,
+            "{policy:?}: four per rank"
+        );
+        assert_eq!(seen.idle_precharges > 0, page == PagePolicy::Closed);
+        assert_eq!(got, want, "{policy:?} {page:?}");
+    }
+}
+
 /// Enqueues one read of `txn` for (channel 0, `bank`, `row`) at `cycle`.
 fn enqueue_read(c: &mut MemoryController, bank: u32, row: u64, txn: u64, cycle: u64) {
     let a = addr(c, 0, bank, row, 0);
@@ -1618,14 +1744,66 @@ fn views_are_derived(c: &MemoryController) -> bool {
     (0..c.queues.len()).all(|ch| (0..banks).all(|b| c.view_is_derived(ch, b)))
 }
 
+/// Whether every channel's issue bounds are a fresh read of the registers
+/// with the derived banks' wants, and the controller's whole-sleep is
+/// either off or the smallest of the channels' recomputed wake-ups, all of
+/// them looking through the current window.
+fn bounds_are_mirrored(c: &MemoryController) -> bool {
+    let window = c.current_txn().map(|t| (t, c.policy.lookahead()));
+    let sleep = match window {
+        None => u64::MAX,
+        Some(_) if c.caches.iter().any(|cache| cache.view.window != window) => 0,
+        Some(_) => c
+            .caches
+            .iter()
+            .map(|cache| cache.bounds.earliest_wanted())
+            .min()
+            .unwrap_or(u64::MAX),
+    };
+    (0..c.queues.len()).all(|ch| c.bounds_are_mirrored(ch))
+        && (c.sleep_until == 0 || c.sleep_until == sleep)
+}
+
+/// Which channels the tick of `cycle` must issue a command on, worked out
+/// with nothing the controller keeps: a copy of the DRAM taken through the
+/// tick's refresh, a copy of the policy asked for the plan, each channel's
+/// view derived from its queues, and the three passes asking `can_issue`
+/// for every candidate.
+fn channels_that_can_issue(c: &MemoryController, cycle: u64) -> Vec<bool> {
+    let mut dram = c.dram.clone();
+    dram.tick(cycle);
+    let mut policy = c.policy;
+    let plan = c.current_txn().zip(policy.plan(cycle));
+    (0..c.queues.len())
+        .map(|ch| {
+            let Some((current, order)) = plan else {
+                return false;
+            };
+            let g = dram.geometry();
+            let per_rank = g.banks_per_rank;
+            let mut view = ChannelCache::new(g.ranks_per_channel, per_rank, g.bank_groups).view;
+            view.derive(
+                &c.queues[ch],
+                |b| dram_bank(&dram, per_rank, ch, b).open_row(),
+                (current, policy.lookahead()),
+                policy.unconstrained(),
+            );
+            schedule::pick(&view, order, |_, cmd| dram.can_issue(cmd, cycle).is_ok()).is_some()
+        })
+        .collect()
+}
+
 #[test]
 fn kept_views_equal_the_derivation_after_every_event() {
-    // The delta rules' referee and the referee of the counts kept by
-    // transition, called explicitly (debug builds also run them inside every
-    // delta and every tick; release builds only here): seeded random
-    // interleavings of `try_enqueue` and `tick`, every policy x both page
-    // policies x response faults off/on, few rows and banks so lists run
-    // deep, hits and conflicts mix and the queues fill.
+    // The delta rules' referee, the referee of the counts kept by
+    // transition and the referee of the issue bounds, called explicitly
+    // (debug builds also run them inside every delta and every tick; release
+    // builds only here): seeded random interleavings of `try_enqueue` and
+    // `tick`, every policy x both page policies x response faults off/on,
+    // few rows and banks so lists run deep, hits and conflicts mix and the
+    // queues fill. And every tick issues on exactly the channels where the
+    // probe-everything passes over `can_issue` find a command: the
+    // controller never sleeps through one and never scans in vain.
     let faults = ResponseFaultConfig {
         seed: 0xFA57,
         late_rate: 0.2,
@@ -1649,7 +1827,7 @@ fn kept_views_equal_the_derivation_after_every_event() {
                 s.response_faults = response_faults;
                 let mut c = scenario_controller(&s);
                 let seed = 0x5EED ^ (p as u64) << 8 ^ u64::from(page == PagePolicy::Closed) << 4;
-                let (mut txn, mut cycle, mut accepted) = (0u64, 0u64, 0u64);
+                let (mut txn, mut cycle, mut accepted, mut slept) = (0u64, 0u64, 0u64, 0u64);
                 for step in 0..6_000u64 {
                     let r = mix64(seed ^ step);
                     if r % 8 < 3 {
@@ -1669,18 +1847,34 @@ fn kept_views_equal_the_derivation_after_every_event() {
                         };
                         accepted += u64::from(c.try_enqueue(spec, cycle).is_ok());
                     } else {
+                        let want = channels_that_can_issue(&c, cycle);
                         c.tick(cycle);
+                        // The passes' commands carry their transaction;
+                        // close-page housekeeping PREs do not.
+                        let mut issued = vec![false; want.len()];
+                        for e in c.take_command_events() {
+                            assert_eq!(e.cycle, cycle);
+                            issued[e.cmd.loc.channel as usize] |= e.txn.is_some();
+                        }
+                        assert_eq!(
+                            issued, want,
+                            "{policy:?} {page:?}: channels issuing at cycle {cycle}"
+                        );
+                        slept += u64::from(cycle < c.sleep_until);
                         cycle += 1;
                     }
                     // Between ticks the counts hold as of the last tick.
                     assert!(
-                        views_are_derived(&c) && c.counts_are_recounted(c.last_cycle),
+                        views_are_derived(&c)
+                            && c.counts_are_recounted(c.last_cycle)
+                            && bounds_are_mirrored(&c),
                         "{policy:?} {page:?} faults {}: step {step}, cycle {cycle}",
                         response_faults.is_some()
                     );
                 }
                 let retired = c.stats().reads_completed + c.stats().writes_completed;
                 assert!(accepted > 800 && retired > 700, "{accepted} / {retired}");
+                assert!(slept > 100, "the controller never slept as a whole");
             }
         }
     }

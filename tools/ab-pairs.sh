@@ -9,8 +9,11 @@
 # Builds each tree's `benchmark/` package, runs `pairs` (default 10) pairs of
 # `oram-benchmark child --mode timed` (which side goes first alternates),
 # FAILS if any simulated field or the digest differs between the sides, and
-# prints per side the median, quartiles and best `ops_per_sec` plus how many
-# pairs the change won. Prints only: no performance gate.
+# prints per side the median, quartiles and best `ops_per_sec`, how many
+# pairs the change won, and the `choosing-metrics` §8 verdict: a gain may be
+# claimed when, over at least ten pairs, the change wins nine tenths of them
+# and the medians lie further apart than the parent's own quartiles. Prints
+# only: no performance gate.
 set -euo pipefail
 
 smoke=()
@@ -77,4 +80,7 @@ echo "parent  $a_line"
 echo "change  $b_line"
 awk -v a="$a_line" -v b="$b_line" -v w="$wins" -v n="$pairs" 'BEGIN {
     split(a, x, " "); split(b, y, " ")
-    printf "change/parent median %.3f, change won %d/%d pairs\n", y[2] / x[2], w, n }'
+    printf "change/parent median %.3f, change won %d/%d pairs\n", y[2] / x[2], w, n
+    gain = y[2] - x[2]; spread = x[6] - x[4]
+    met = (n >= 10 && 10 * w >= 9 * n && gain > spread) ? "met" : "not met"
+    printf "medians %+.0f apart, parent quartiles %.0f apart: section 8 rule %s\n", gain, spread, met }'
