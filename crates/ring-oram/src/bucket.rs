@@ -15,11 +15,17 @@
 //! # Resident layout
 //!
 //! A bucket is what a hardware controller keeps per bucket: one metadata
-//! word per slot (valid bit + block id) and a few counters. Payload bytes
-//! live in a separate per-bucket lane that exists only once a payload has
-//! been stored, so timing-only simulations never pay for it. Buckets hang
-//! in a `BucketTree`: a node vector linked parent → child, walked root to
-//! leaf exactly as the protocol's read paths and evictions walk the tree.
+//! word per slot (valid bit + block id) and a few counters. The crate's
+//! `BucketTree` keeps every bucket in one chunked slab: node `i` owns row
+//! `i` — `Z + S - Y` slot words — and keeps beside it a 20-byte node (child
+//! links, one-byte counters, a lane index, a materialized flag). Chunks of
+//! 1024 rows are allocated zeroed when their first node is created and
+//! never move. Payload bytes live in a second slab of lanes,
+//! one row per bucket that has received a payload, so timing-only
+//! simulations never allocate one. A [`Bucket`] is a borrowed view over a
+//! row, its node and the lanes; every rule below is implemented on it once.
+//! The tree is walked root to leaf exactly as the protocol's read paths and
+//! evictions walk it.
 
 use oram_rng::Rng;
 
@@ -41,119 +47,188 @@ const VALID: u64 = 1 << 63;
 /// bare `DUMMY`.
 const DUMMY: u64 = VALID - 1;
 
-/// A bucket: `Z + S - Y` permuted slots plus the metadata the paper's Fig. 2
-/// and Fig. 7 describe (valid/real bits, access counter, green counter).
-#[derive(Debug, Clone)]
-pub struct Bucket {
-    /// One packed word per physical slot (see [`VALID`] / [`DUMMY`]).
-    slots: Vec<u64>,
-    /// Payload lane, parallel to `slots`; empty (unallocated) until the
-    /// first reload that carries a payload. `Some` only at valid real slots.
-    lane: Vec<Option<BlockData>>,
-    /// Touches since the last shuffle (the paper's per-bucket counter).
-    accesses: u32,
-    /// Green fetches since the last shuffle (the paper's green counter,
-    /// `log2(Y)` bits of metadata).
-    greens_used: u32,
-    /// Cached count of valid slots holding a real block, so the per-touch
-    /// access rules ([`Self::needs_reshuffle_gated`], slot choice) are O(1)
-    /// instead of re-scanning the slot vector.
-    n_valid_reals: u32,
-    /// Cached count of valid dummy slots.
-    n_valid_dummies: u32,
-}
+/// Rows per slab chunk. A chunk is allocated whole (zeroed) the first time
+/// one of its rows is needed and never moves, so growing the tree copies
+/// no row and never doubles what is resident.
+pub(crate) const CHUNK_ROWS: usize = 1024;
 
 fn holds_real(word: u64) -> bool {
     word & VALID != 0 && word != VALID | DUMMY
 }
 
-impl Bucket {
-    /// A freshly shuffled bucket holding `blocks` (at most `Z` of them,
-    /// without payloads), with the remaining slots as valid dummies, in a
-    /// random permutation.
+/// `n` as a one-byte counter. Every count is at most the slots per bucket
+/// or `S`, which [`BucketTree::new`] checked fit a byte.
+#[allow(clippy::expect_used)] // invariant, stated in the expect message
+fn counter(n: usize) -> u8 {
+    u8::try_from(n).expect("bucket counts fit the byte checked where the tree is built")
+}
+
+/// The state a node keeps beside its row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Node {
+    /// Child nodes (0 = not created yet; the root, node 0, is nobody's
+    /// child).
+    children: [u32; 2],
+    /// Payload lane: row `lane - 1` of the lane slab; 0 until the bucket
+    /// receives its first payload.
+    lane: u32,
+    /// Touches since the last shuffle (the paper's per-bucket counter).
+    accesses: u8,
+    /// Green fetches since the last shuffle (the paper's green counter,
+    /// `log2(Y)` bits of metadata).
+    greens: u8,
+    /// Valid slots holding a real block (in the plain tree: blocks held),
+    /// so the per-touch rules are O(1) instead of re-scanning the row.
+    reals: u8,
+    /// Valid dummy slots.
+    dummies: u8,
+    /// Whether the row has been filled.
+    materialized: bool,
+}
+
+// A bucket's own resident state is its row and these 20 bytes.
+const _: () = assert!(std::mem::size_of::<Node>() == 20);
+
+/// A growable table of fixed-stride rows of `T`, kept in chunks of
+/// [`CHUNK_ROWS`] rows (the last chunk cut to the rows the table may ever
+/// hold). A chunk is allocated with every element `T::default()` — zeroed
+/// memory for the slot words — when its first row is pushed, and never
+/// moves: growth copies no row and never doubles what is resident.
+#[derive(Debug, Clone)]
+pub(crate) struct Slab<T> {
+    stride: usize,
+    /// Most rows the table will ever hold.
+    capacity: usize,
+    chunks: Vec<Box<[T]>>,
+    /// Rows pushed.
+    len: usize,
+}
+
+impl<T: Clone + Default> Slab<T> {
+    /// An empty table of rows of `stride` elements, at most `capacity` of
+    /// them. Allocates nothing.
+    pub(crate) fn new(stride: usize, capacity: usize) -> Self {
+        Self {
+            stride,
+            capacity,
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Rows pushed.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends a row of `T::default()` and returns its index.
     ///
     /// # Panics
     ///
-    /// Panics if more than `cfg.z` blocks are supplied.
-    #[must_use]
-    pub fn with_blocks<R: Rng + ?Sized>(cfg: &RingConfig, blocks: &[BlockId], rng: &mut R) -> Self {
-        Self::with_entries(cfg, blocks.iter().map(|&b| (b, None)).collect(), rng)
+    /// Panics if the table already holds `capacity` rows.
+    pub(crate) fn push_row(&mut self) -> usize {
+        let i = self.len;
+        assert!(
+            i < self.capacity,
+            "a slab holds at most {} rows",
+            self.capacity
+        );
+        if i.is_multiple_of(CHUNK_ROWS) {
+            let rows = (self.capacity - i).min(CHUNK_ROWS);
+            self.chunks
+                .push(vec![T::default(); rows * self.stride].into_boxed_slice());
+        }
+        self.len += 1;
+        i
     }
 
-    /// A freshly shuffled bucket holding `entries` (blocks with optional
-    /// payloads), with the remaining slots as valid dummies, in a random
-    /// permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `cfg.z` entries are supplied.
-    #[must_use]
-    pub fn with_entries<R: Rng + ?Sized>(
-        cfg: &RingConfig,
-        mut entries: Vec<BlockEntry>,
-        rng: &mut R,
-    ) -> Self {
-        Self::loaded(cfg, &mut entries, rng)
+    pub(crate) fn row(&self, i: usize) -> &[T] {
+        let start = (i % CHUNK_ROWS) * self.stride;
+        &self.chunks[i / CHUNK_ROWS][start..start + self.stride]
     }
 
-    /// [`Self::with_entries`] draining a caller-owned staging buffer; the
-    /// bucket's one allocation is its slot storage, sized by the reload.
-    pub(crate) fn loaded<R: Rng + ?Sized>(
-        cfg: &RingConfig,
-        entries: &mut Vec<BlockEntry>,
-        rng: &mut R,
-    ) -> Self {
-        let mut bucket = Self {
-            slots: Vec::new(),
-            lane: Vec::new(),
-            accesses: 0,
-            greens_used: 0,
-            n_valid_reals: 0,
-            n_valid_dummies: 0,
-        };
-        bucket.reload(cfg, entries, rng);
-        bucket
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [T] {
+        let start = (i % CHUNK_ROWS) * self.stride;
+        &mut self.chunks[i / CHUNK_ROWS][start..start + self.stride]
     }
 
-    /// An empty, freshly shuffled bucket (all dummies).
-    #[must_use]
-    pub fn empty<R: Rng + ?Sized>(cfg: &RingConfig, rng: &mut R) -> Self {
-        Self::with_blocks(cfg, &[], rng)
+    /// The one element of row `i`, in a table of one-element rows.
+    pub(crate) fn at(&self, i: usize) -> &T {
+        debug_assert_eq!(self.stride, 1);
+        &self.chunks[i / CHUNK_ROWS][i % CHUNK_ROWS]
     }
 
+    /// [`Self::at`], mutably.
+    pub(crate) fn at_mut(&mut self, i: usize) -> &mut T {
+        debug_assert_eq!(self.stride, 1);
+        &mut self.chunks[i / CHUNK_ROWS][i % CHUNK_ROWS]
+    }
+}
+
+/// The payload lanes: rows of `Option<BlockData>` parallel to slot rows,
+/// handed out on a bucket's first payload and kept from then on. A node
+/// names its lane by a 1-based index, 0 for none.
+type Lanes = Slab<Option<BlockData>>;
+
+impl Lanes {
+    /// A fresh lane, as a node's 1-based lane index.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    fn assign(&mut self) -> u32 {
+        let row = self.push_row() + 1;
+        u32::try_from(row).expect("fewer than 2^32 lanes")
+    }
+
+    /// Lane `lane` (a node's 1-based index), or `None` for no lane.
+    fn lane_mut(&mut self, lane: u32) -> Option<&mut [Option<BlockData>]> {
+        let row = lane.checked_sub(1)?;
+        Some(self.row_mut(row as usize))
+    }
+}
+
+/// A read-only look at one bucket: its slot words and counters. The reading
+/// rules (lookup, counts, the reshuffle condition, slot choice) live here;
+/// [`Bucket::peek`] gives one for a mutable view.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketRef<'a> {
+    /// One packed word per physical slot (see [`VALID`] / [`DUMMY`]).
+    slots: &'a [u64],
+    node: &'a Node,
+}
+
+impl BucketRef<'_> {
     /// Touches since the last shuffle.
     #[must_use]
     pub fn accesses(&self) -> u32 {
-        self.accesses
+        u32::from(self.node.accesses)
     }
 
     /// Green fetches since the last shuffle.
     #[must_use]
     pub fn greens_used(&self) -> u32 {
-        self.greens_used
+        u32::from(self.node.greens)
     }
 
     /// Number of valid real blocks currently stored.
     #[must_use]
     pub fn real_count(&self) -> usize {
         debug_assert_eq!(
-            self.n_valid_reals as usize,
+            usize::from(self.node.reals),
             self.slots.iter().filter(|&&w| holds_real(w)).count()
         );
-        self.n_valid_reals as usize
+        usize::from(self.node.reals)
     }
 
     /// Number of valid dummy slots remaining.
     #[must_use]
     pub fn valid_dummies(&self) -> usize {
         debug_assert_eq!(
-            self.n_valid_dummies as usize,
+            usize::from(self.node.dummies),
             self.slots.iter().filter(|&&w| w == VALID | DUMMY).count()
         );
-        self.n_valid_dummies as usize
+        usize::from(self.node.dummies)
     }
 
-    /// The valid real blocks currently stored.
+    /// The valid real blocks currently stored, in slot order.
     #[must_use]
     pub fn real_blocks(&self) -> Vec<BlockId> {
         self.slots
@@ -196,7 +271,7 @@ impl Bucket {
     /// there a reshuffle cannot help and the green fetch is unavoidable.
     #[must_use]
     pub fn needs_reshuffle_gated(&self, cfg: &RingConfig, allow_green: bool) -> bool {
-        if self.accesses >= cfg.s {
+        if self.accesses() >= cfg.s {
             return true;
         }
         if self.valid_dummies() > 0 {
@@ -210,11 +285,7 @@ impl Bucket {
             // to an unavoidable green.
             return true;
         }
-        !self.green_available(cfg)
-    }
-
-    fn green_available(&self, cfg: &RingConfig) -> bool {
-        self.greens_used < cfg.y && self.real_count() > 0
+        !(self.greens_used() < cfg.y && self.real_count() > 0)
     }
 
     /// Picks a uniformly random valid slot that holds a real block
@@ -223,36 +294,82 @@ impl Bucket {
     ///
     /// Draw-compatible with `candidates.choose(rng)` over the collected
     /// ascending candidate list: both consume exactly one
-    /// `gen_range(0..n)`-style draw for a non-empty set and select the
-    /// `k`-th candidate in slot order — this form just skips building the
-    /// list, using the cached counts instead.
+    /// `gen_range(0..n)` draw for a non-empty set and select the `k`-th
+    /// candidate in slot order. This form builds the match mask of each 64
+    /// slots without branches and takes its `k`-th set bit.
     fn choose_slot<R: Rng + ?Sized>(&self, real: bool, rng: &mut R) -> Option<usize> {
-        let n = if real {
-            self.n_valid_reals
+        let n = usize::from(if real {
+            self.node.reals
         } else {
-            self.n_valid_dummies
-        } as usize;
+            self.node.dummies
+        });
         if n == 0 {
             return None;
         }
-        let k = rng.gen_range(0..n);
-        let mut seen = 0;
-        for (i, &w) in self.slots.iter().enumerate() {
-            if w & VALID != 0 && holds_real(w) == real {
-                if seen == k {
-                    return Some(i);
-                }
-                seen += 1;
+        let mut k = rng.gen_range(0..n);
+        for (c, words) in self.slots.chunks(64).enumerate() {
+            let mut mask = 0u64;
+            for (i, &w) in words.iter().enumerate() {
+                // Valid, and a dummy exactly when a dummy is wanted.
+                let hit = (w & VALID != 0) & ((w == VALID | DUMMY) != real);
+                mask |= u64::from(hit) << i;
             }
+            let hits = mask.count_ones() as usize;
+            if k < hits {
+                for _ in 0..k {
+                    mask &= mask - 1;
+                }
+                return Some(c * 64 + mask.trailing_zeros() as usize);
+            }
+            k -= hits;
         }
-        unreachable!("cached slot counts out of sync with slot vector")
+        unreachable!("cached slot counts out of sync with the slot words")
+    }
+
+    /// Number of physical slots.
+    #[must_use]
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether `slot` currently holds a valid real block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[must_use]
+    pub fn slot_holds_real(&self, slot: usize) -> bool {
+        holds_real(self.slots[slot])
+    }
+}
+
+/// A bucket: `Z + S - Y` permuted slots plus the metadata the paper's Fig. 2
+/// and Fig. 7 describe (valid/real bits, access counter, green counter) — a
+/// mutable view over one slab row, its node and the payload lanes.
+#[derive(Debug)]
+pub struct Bucket<'a> {
+    /// One packed word per physical slot (see [`VALID`] / [`DUMMY`]).
+    slots: &'a mut [u64],
+    node: &'a mut Node,
+    /// The tree's payload lanes; the bucket's own is `node.lane`.
+    lanes: &'a mut Lanes,
+}
+
+impl Bucket<'_> {
+    /// The reading rules, over this bucket.
+    #[must_use]
+    pub fn peek(&self) -> BucketRef<'_> {
+        BucketRef {
+            slots: self.slots,
+            node: self.node,
+        }
     }
 
     /// Sets slot `idx` to `word` (it no longer holds its block) and returns
     /// the payload it carried, if any.
     fn vacate(&mut self, idx: usize, word: u64) -> Option<BlockData> {
         self.slots[idx] = word;
-        self.lane.get_mut(idx).and_then(Option::take)
+        self.lanes.lane_mut(self.node.lane)?[idx].take()
     }
 
     /// Serves one read-path touch.
@@ -274,8 +391,8 @@ impl Bucket {
     ///
     /// # Panics
     ///
-    /// Panics if the bucket cannot serve the touch;
-    /// callers must check [`Self::needs_reshuffle`] first.
+    /// Panics if the bucket cannot serve the touch; callers must check
+    /// [`BucketRef::needs_reshuffle`] first.
     pub fn serve_read<R: Rng + ?Sized>(
         &mut self,
         cfg: &RingConfig,
@@ -286,7 +403,7 @@ impl Bucket {
     }
 
     /// [`Self::serve_read`] with an explicit green gate; callers must check
-    /// [`Self::needs_reshuffle_gated`] with the same gate first.
+    /// [`BucketRef::needs_reshuffle_gated`] with the same gate first.
     ///
     /// # Panics
     ///
@@ -303,54 +420,48 @@ impl Bucket {
         // target read needs no dummy/green); otherwise the caller must have
         // reshuffled first.
         debug_assert!(
-            target.is_some_and(|t| self.find(t).is_some())
-                || !self.needs_reshuffle_gated(cfg, allow_green),
+            target.is_some_and(|t| self.peek().find(t).is_some())
+                || !self.peek().needs_reshuffle_gated(cfg, allow_green),
             "bucket exhausted"
         );
-        self.accesses += 1;
+        self.node.accesses += 1;
         if let Some(t) = target {
-            if let Some(idx) = self.find(t) {
-                self.n_valid_reals -= 1;
+            if let Some(idx) = self.peek().find(t) {
+                self.node.reals -= 1;
                 return (idx, FetchKind::Target(t), self.vacate(idx, DUMMY));
             }
         }
         // Dummy-first policy.
-        if let Some(idx) = self.choose_slot(false, rng) {
+        if let Some(idx) = self.peek().choose_slot(false, rng) {
             self.slots[idx] = DUMMY;
-            self.n_valid_dummies -= 1;
+            self.node.dummies -= 1;
             return (idx, FetchKind::Dummy, None);
         }
         // Fall back to a green block. Under the degraded-mode gate this is
         // legal only for a completely full bucket, where no reshuffle can
         // mint a dummy (Y == S configurations).
         assert!(
-            allow_green || self.real_count() as u32 == cfg.bucket_slots(),
+            allow_green || u32::from(self.node.reals) == cfg.bucket_slots(),
             "green substitution disabled; needs_reshuffle_gated() should have fired"
         );
         let idx = self
+            .peek()
             .choose_slot(true, rng)
             .expect("needs_reshuffle() guaranteed a candidate");
         assert!(
-            self.greens_used < cfg.y,
+            u32::from(self.node.greens) < cfg.y,
             "green budget exceeded; needs_reshuffle() should have fired"
         );
         let block = BlockId(self.slots[idx] & DUMMY);
-        self.n_valid_reals -= 1;
-        self.greens_used += 1;
+        self.node.reals -= 1;
+        self.node.greens += 1;
         (idx, FetchKind::Green(block), self.vacate(idx, DUMMY))
     }
 
-    /// Removes and returns every valid real block with its payload (the
+    /// Removes every valid real block with its payload and appends them, in
+    /// slot order, to a caller-provided (reusable) buffer (the
     /// eviction/reshuffle read phase: the controller reads the `Z` real
     /// slots of the bucket).
-    pub fn take_real_blocks(&mut self) -> Vec<BlockEntry> {
-        let mut out = Vec::new();
-        self.take_real_blocks_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Self::take_real_blocks`]: appends the
-    /// removed entries to a caller-provided (reusable) buffer.
     pub fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
         for idx in 0..self.slots.len() {
             let word = self.slots[idx];
@@ -360,14 +471,15 @@ impl Bucket {
                 out.push((BlockId(word & DUMMY), data));
             }
         }
-        self.n_valid_dummies += self.n_valid_reals;
-        self.n_valid_reals = 0;
+        self.node.dummies += self.node.reals;
+        self.node.reals = 0;
     }
 
     /// Reshuffles the bucket: installs `entries` (at most `Z`, drained from
     /// the caller's reusable buffer), resets all metadata and re-permutes
     /// the slots (the eviction/reshuffle write phase: `Z + S - Y` encrypted
-    /// blocks are written back).
+    /// blocks are written back). The bucket receives its payload lane with
+    /// its first payload and keeps it.
     ///
     /// # Panics
     ///
@@ -385,58 +497,37 @@ impl Bucket {
             cfg.z,
             entries.len()
         );
-        let reals = entries.len() as u32;
-        let slot_count = cfg.bucket_slots() as usize;
-        // Rebuild in place, reusing the slot storage (a reload happens on
-        // every eviction level and every reshuffle); a fresh bucket sizes it
-        // here, once. The lane joins on the first payload and then stays.
-        let payloads = !self.lane.is_empty() || entries.iter().any(|(_, d)| d.is_some());
-        self.slots.clear();
-        self.slots.reserve_exact(slot_count);
-        self.lane.clear();
-        if payloads {
-            self.lane.reserve_exact(slot_count);
+        debug_assert_eq!(self.slots.len(), cfg.bucket_slots() as usize);
+        if self.node.lane == 0 && entries.iter().any(|(_, d)| d.is_some()) {
+            self.node.lane = self.lanes.assign();
         }
-        for (b, data) in entries.drain(..) {
+        let reals = entries.len();
+        let slot_count = self.slots.len();
+        let mut lane = self.lanes.lane_mut(self.node.lane);
+        for (i, (b, data)) in entries.drain(..).enumerate() {
             assert!(b.0 < DUMMY, "block id {b} does not fit a slot word");
-            self.slots.push(VALID | b.0);
-            if payloads {
-                self.lane.push(data);
+            self.slots[i] = VALID | b.0;
+            if let Some(lane) = lane.as_deref_mut() {
+                lane[i] = data;
             }
         }
-        self.slots.resize(slot_count, VALID | DUMMY);
-        if payloads {
-            self.lane.resize_with(slot_count, || None);
+        self.slots[reals..].fill(VALID | DUMMY);
+        if let Some(lane) = lane.as_deref_mut() {
+            lane[reals..].fill(None);
         }
         // Fisher–Yates, drawing exactly as `SliceRandom::shuffle` does, with
         // every swap applied to the words and (when present) the lane.
         for i in (1..slot_count).rev() {
             let j = rng.gen_range(0..i + 1);
             self.slots.swap(i, j);
-            if payloads {
-                self.lane.swap(i, j);
+            if let Some(lane) = lane.as_deref_mut() {
+                lane.swap(i, j);
             }
         }
-        self.accesses = 0;
-        self.greens_used = 0;
-        self.n_valid_reals = reals;
-        self.n_valid_dummies = slot_count as u32 - reals;
-    }
-
-    /// Number of physical slots.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether `slot` currently holds a valid real block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    #[must_use]
-    pub fn slot_holds_real(&self, slot: usize) -> bool {
-        holds_real(self.slots[slot])
+        self.node.accesses = 0;
+        self.node.greens = 0;
+        self.node.reals = counter(reals);
+        self.node.dummies = counter(slot_count - reals);
     }
 
     /// Removes the block stored in `slot`, if any, returning its payload
@@ -450,54 +541,147 @@ impl Bucket {
         if !holds_real(self.slots[slot]) {
             return None;
         }
-        self.n_valid_reals -= 1;
-        self.n_valid_dummies += 1;
+        self.node.reals -= 1;
+        self.node.dummies += 1;
         self.vacate(slot, VALID | DUMMY)
     }
 }
 
-/// One tree position: links to the two children (0 = not created yet; the
-/// root, node 0, is nobody's child) and the bucket, once it has content.
+/// The plain-tree frame's rules (Path, Circuit): a bucket holds its blocks
+/// as valid slot words packed at the front of its row, in arrival order,
+/// and the rest of the row is zero. [`BucketRef`]'s reading rules apply
+/// unchanged (`find` is then the position in arrival order).
+impl Bucket<'_> {
+    /// Appends `block` after the blocks held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket already holds `Z` blocks.
+    pub(crate) fn append(&mut self, block: BlockId) {
+        let held = usize::from(self.node.reals);
+        assert!(
+            held < self.slots.len(),
+            "a bucket is over capacity (Z = {})",
+            self.slots.len()
+        );
+        debug_assert!(block.0 < DUMMY, "block id {block} does not fit a slot word");
+        self.slots[held] = VALID | block.0;
+        self.node.reals += 1;
+    }
+
+    /// Removes the block in `slot`, moving the last block held into it.
+    pub(crate) fn swap_remove(&mut self, slot: usize) {
+        let last = usize::from(self.node.reals) - 1;
+        self.slots[slot] = self.slots[last];
+        self.slots[last] = 0;
+        self.node.reals -= 1;
+    }
+
+    /// Removes every block held, handing each to `f` in arrival order.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(BlockId)) {
+        let held = usize::from(self.node.reals);
+        for word in &mut self.slots[..held] {
+            f(BlockId(*word & DUMMY));
+            *word = 0;
+        }
+        self.node.reals = 0;
+    }
+}
+
+/// One bucket outside any tree — a one-row bucket tree — for exercising the
+/// bucket rules on their own.
 #[derive(Debug, Clone)]
-struct Node<B> {
-    children: [u32; 2],
-    bucket: Option<B>,
+pub struct OwnedBucket(BucketTree);
+
+impl OwnedBucket {
+    /// A freshly shuffled bucket holding `blocks` (at most `Z` of them,
+    /// without payloads), with the remaining slots as valid dummies, in a
+    /// random permutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `cfg.z` blocks are supplied, or if a bucket's
+    /// slots or its access budget `S` exceed 255 (the counters are one
+    /// byte).
+    #[must_use]
+    pub fn with_blocks<R: Rng + ?Sized>(cfg: &RingConfig, blocks: &[BlockId], rng: &mut R) -> Self {
+        let mut tree = BucketTree::new(&RingConfig {
+            levels: 1,
+            tree_top_cached_levels: 0,
+            ..cfg.clone()
+        });
+        let mut entries = blocks.iter().map(|&b| (b, None)).collect();
+        tree.bucket_or_fill(BucketId(0), |bucket| bucket.reload(cfg, &mut entries, rng));
+        Self(tree)
+    }
+
+    /// An empty, freshly shuffled bucket (all dummies).
+    #[must_use]
+    pub fn empty<R: Rng + ?Sized>(cfg: &RingConfig, rng: &mut R) -> Self {
+        Self::with_blocks(cfg, &[], rng)
+    }
+
+    /// The bucket, to serve touches and reshuffle.
+    pub fn view(&mut self) -> Bucket<'_> {
+        self.0.view(0)
+    }
+
+    /// The bucket's reading rules.
+    #[must_use]
+    pub fn peek(&self) -> BucketRef<'_> {
+        self.0.view_ref(0)
+    }
 }
 
-impl<B> Node<B> {
-    const BARE: Self = Self {
-        children: [0; 2],
-        bucket: None,
-    };
-}
-
-/// The lazily grown bucket tree — the crate's one tree store, generic over
-/// what a bucket holds (a packed Ring [`Bucket`], or the plain-tree frame's
-/// `Vec<BlockId>`): nodes are created from the root down along the paths
-/// the protocol walks, so reaching a bucket costs one dependent load per
-/// level from the nearest ancestor the previous walk visited.
+/// The lazily grown bucket tree — the crate's one tree store, shared by the
+/// Ring engine ([`Bucket`]'s rules) and the plain-tree frame (the packed
+/// rows of its `Z` block ids). Nodes are created from the root down along
+/// the paths the protocol walks, so reaching a bucket costs one dependent
+/// load per level from the nearest ancestor the previous walk visited.
 ///
-/// A node may exist before its bucket does: a read path that is not
+/// Node `i` owns row `i` of the slot slab; both sit in chunks of
+/// [`CHUNK_ROWS`], so a materialized bucket has no heap object of its own.
+/// A node may exist before its bucket has content: a read path that is not
 /// searching for a target passes through the on-chip tree-top levels
-/// without materializing them.
+/// without materializing them. `Clone` is a deep copy.
 #[derive(Debug, Clone)]
-pub(crate) struct BucketTree<B> {
-    nodes: Vec<Node<B>>,
+pub(crate) struct BucketTree {
+    /// Node state, one row of one [`Node`] per node.
+    nodes: Slab<Node>,
+    /// Slot words, one row per node.
+    words: Slab<u64>,
+    lanes: Lanes,
     /// Per level, the bucket the last lookup passed through — as a 1-based
     /// heap index (`BucketId + 1`; 0 matches nothing) — and its node. Level
     /// 0 is always the root.
     cursor: Vec<(u64, u32)>,
-    /// Nodes whose bucket is `Some`.
+    /// Nodes whose row has been filled.
     materialized: usize,
 }
 
-impl<B> BucketTree<B> {
-    /// An empty tree of `levels` levels.
-    pub(crate) fn new(levels: u32) -> Self {
-        let mut cursor = vec![(0, 0); levels as usize];
+impl BucketTree {
+    /// An empty tree of `cfg.levels` levels with rows of
+    /// `cfg.bucket_slots()` words. Allocates no slab chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bucket's slots or its access budget `S` exceed 255: the
+    /// node counters are one byte.
+    pub(crate) fn new(cfg: &RingConfig) -> Self {
+        let slots = cfg.bucket_slots();
+        assert!(
+            u8::try_from(slots).is_ok() && u8::try_from(cfg.s).is_ok(),
+            "bucket counters are one byte: Z + S - Y = {slots} slots and S = {} must each be \
+             at most 255",
+            cfg.s
+        );
+        let capacity = usize::try_from(cfg.bucket_count()).unwrap_or(usize::MAX);
+        let mut cursor = vec![(0, 0); cfg.levels as usize];
         cursor[0] = (1, 0);
         Self {
-            nodes: vec![Node::BARE],
+            nodes: Slab::new(1, capacity),
+            words: Slab::new(slots as usize, capacity),
+            lanes: Slab::new(slots as usize, capacity),
             cursor,
             materialized: 0,
         }
@@ -508,6 +692,12 @@ impl<B> BucketTree<B> {
         self.materialized
     }
 
+    /// Creates the next node, allocating its chunk if it starts one.
+    fn push_node(&mut self) -> usize {
+        self.words.push_row();
+        self.nodes.push_row()
+    }
+
     /// The node of bucket `id`, created (with any missing ancestors) on
     /// first use.
     ///
@@ -516,6 +706,9 @@ impl<B> BucketTree<B> {
     /// Panics if `id` lies below the tree's last level.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn node(&mut self, id: BucketId) -> usize {
+        if self.nodes.len() == 0 {
+            self.push_node(); // the root
+        }
         // 1-based heap index: the ancestor `up` levels above is `heap >> up`
         // and the low bit tells a right child from a left one.
         let heap = id.0 + 1;
@@ -529,12 +722,11 @@ impl<B> BucketTree<B> {
             l += 1;
             let ancestor = heap >> (level - l);
             let side = (ancestor & 1) as usize;
-            let mut child = self.nodes[node].children[side] as usize;
+            let mut child = self.nodes.at(node).children[side] as usize;
             if child == 0 {
-                child = self.nodes.len();
-                self.nodes[node].children[side] =
+                child = self.push_node();
+                self.nodes.at_mut(node).children[side] =
                     u32::try_from(child).expect("fewer than 2^32 tree nodes");
-                self.nodes.push(Node::BARE);
             }
             node = child;
             self.cursor[l] = (ancestor, child as u32);
@@ -542,45 +734,77 @@ impl<B> BucketTree<B> {
         node
     }
 
-    /// The bucket `id`, filled by `fill` on first touch.
-    pub(crate) fn bucket_or_insert_with(
+    /// The mutable view of node `i`'s bucket.
+    fn view(&mut self, i: usize) -> Bucket<'_> {
+        Bucket {
+            slots: self.words.row_mut(i),
+            node: self.nodes.at_mut(i),
+            lanes: &mut self.lanes,
+        }
+    }
+
+    /// The read-only view of node `i`'s bucket.
+    fn view_ref(&self, i: usize) -> BucketRef<'_> {
+        BucketRef {
+            slots: self.words.row(i),
+            node: self.nodes.at(i),
+        }
+    }
+
+    /// The bucket `id`; on its first touch its row (all zero) is filled by
+    /// `fill`.
+    pub(crate) fn bucket_or_fill(
         &mut self,
         id: BucketId,
-        fill: impl FnOnce() -> B,
-    ) -> &mut B {
-        let node = self.node(id);
-        let materialized = &mut self.materialized;
-        self.nodes[node].bucket.get_or_insert_with(|| {
-            *materialized += 1;
-            fill()
-        })
+        fill: impl FnOnce(&mut Bucket<'_>),
+    ) -> Bucket<'_> {
+        let i = self.node(id);
+        let fresh = !self.nodes.at(i).materialized;
+        self.materialized += usize::from(fresh);
+        let mut bucket = self.view(i);
+        if fresh {
+            bucket.node.materialized = true;
+            fill(&mut bucket);
+        }
+        bucket
     }
 
     /// The bucket `id`, if it has content.
-    pub(crate) fn get_mut(&mut self, id: BucketId) -> Option<&mut B> {
-        let node = self.node(id);
-        self.nodes[node].bucket.as_mut()
+    pub(crate) fn get_mut(&mut self, id: BucketId) -> Option<Bucket<'_>> {
+        let i = self.node(id);
+        if self.nodes.at(i).materialized {
+            Some(self.view(i))
+        } else {
+            None
+        }
     }
 
     /// The materialized buckets along `path`, root to leaf, without
     /// creating anything; `max_level` is the leaf level (`L`).
-    pub(crate) fn on_path(&self, path: PathId, max_level: u32) -> impl Iterator<Item = &B> {
-        let mut next = Some(0usize);
+    pub(crate) fn on_path(
+        &self,
+        path: PathId,
+        max_level: u32,
+    ) -> impl Iterator<Item = BucketRef<'_>> {
+        let mut next = (self.nodes.len() > 0).then_some(0usize);
         let mut level = 0;
         std::iter::from_fn(move || {
-            let node = &self.nodes[next?];
+            let i = next?;
+            let node = self.nodes.at(i);
             next = (level < max_level)
                 .then(|| node.children[((path.0 >> (max_level - level - 1)) & 1) as usize] as usize)
                 .filter(|&child| child != 0);
             level += 1;
-            Some(node.bucket.as_ref())
+            Some(node.materialized.then(|| self.view_ref(i)))
         })
         .flatten()
     }
 
     /// Every materialized bucket, in creation order of its node.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = &B> {
-        self.nodes.iter().filter_map(|n| n.bucket.as_ref())
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = BucketRef<'_>> {
+        (0..self.nodes.len())
+            .filter(|&i| self.nodes.at(i).materialized)
+            .map(|i| self.view_ref(i))
     }
 }
 
@@ -604,7 +828,8 @@ mod tests {
     #[test]
     fn fresh_bucket_shape() {
         let mut r = rng();
-        let b = Bucket::with_blocks(&cfg(), &[BlockId(1), BlockId(2)], &mut r);
+        let b = OwnedBucket::with_blocks(&cfg(), &[BlockId(1), BlockId(2)], &mut r);
+        let b = b.peek();
         assert_eq!(b.slot_count(), 8); // Z + S - Y = 4 + 4 - 0
         assert_eq!(b.real_count(), 2);
         assert_eq!(b.valid_dummies(), 6);
@@ -615,8 +840,8 @@ mod tests {
     #[test]
     fn cb_bucket_is_smaller() {
         let mut r = rng();
-        let b = Bucket::empty(&cb_cfg(), &mut r);
-        assert_eq!(b.slot_count(), 6); // 4 + 4 - 2
+        let b = OwnedBucket::empty(&cb_cfg(), &mut r);
+        assert_eq!(b.peek().slot_count(), 6); // 4 + 4 - 2
     }
 
     #[test]
@@ -624,15 +849,17 @@ mod tests {
     fn overfull_bucket_rejected() {
         let mut r = rng();
         let blocks: Vec<BlockId> = (0..5).map(BlockId).collect();
-        let _ = Bucket::with_blocks(&cfg(), &blocks, &mut r);
+        let _ = OwnedBucket::with_blocks(&cfg(), &blocks, &mut r);
     }
 
     #[test]
     fn target_read_removes_block() {
         let mut r = rng();
-        let mut b = Bucket::with_blocks(&cfg(), &[BlockId(42)], &mut r);
+        let mut owned = OwnedBucket::with_blocks(&cfg(), &[BlockId(42)], &mut r);
+        let mut b = owned.view();
         let (slot, kind, _) = b.serve_read(&cfg(), Some(BlockId(42)), &mut r);
         assert_eq!(kind, FetchKind::Target(BlockId(42)));
+        let b = b.peek();
         assert!(slot < b.slot_count());
         assert_eq!(b.real_count(), 0);
         assert_eq!(b.accesses(), 1);
@@ -644,7 +871,8 @@ mod tests {
         let mut r = rng();
         let c = cb_cfg(); // Z=4, S=4, Y=2 -> 6 slots
         let blocks: Vec<BlockId> = (0..4).map(BlockId).collect();
-        let mut b = Bucket::with_blocks(&c, &blocks, &mut r);
+        let mut owned = OwnedBucket::with_blocks(&c, &blocks, &mut r);
+        let mut b = owned.view();
         // A full bucket leaves 2 physical dummies: the first two non-target
         // reads must consume them even though greens are allowed.
         for _ in 0..2 {
@@ -654,8 +882,8 @@ mod tests {
         // Third non-target read must fall back to a green block.
         let (_, kind, _) = b.serve_read(&c, None, &mut r);
         assert!(matches!(kind, FetchKind::Green(_)), "{kind:?}");
-        assert_eq!(b.greens_used(), 1);
-        assert_eq!(b.real_count(), 3);
+        assert_eq!(b.peek().greens_used(), 1);
+        assert_eq!(b.peek().real_count(), 3);
     }
 
     #[test]
@@ -664,27 +892,29 @@ mod tests {
         // CB bucket can serve more dummy touches than S - Y.
         let mut r = rng();
         let c = cb_cfg(); // 6 slots
-        let mut b = Bucket::with_blocks(&c, &[BlockId(1)], &mut r);
-        assert_eq!(b.valid_dummies(), 5);
+        let mut owned = OwnedBucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut b = owned.view();
+        assert_eq!(b.peek().valid_dummies(), 5);
         // S = 4 touches are all served by dummies; no green needed.
         for _ in 0..4 {
             let (_, kind, _) = b.serve_read(&c, None, &mut r);
             assert_eq!(kind, FetchKind::Dummy);
         }
-        assert_eq!(b.greens_used(), 0);
-        assert!(b.needs_reshuffle(&c), "budget S exhausted");
+        assert_eq!(b.peek().greens_used(), 0);
+        assert!(b.peek().needs_reshuffle(&c), "budget S exhausted");
     }
 
     #[test]
     fn budget_exhaustion_triggers_reshuffle_signal() {
         let mut r = rng();
         let c = cfg(); // S = 4
-        let mut b = Bucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut owned = OwnedBucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut b = owned.view();
         for _ in 0..4 {
-            assert!(!b.needs_reshuffle(&c));
+            assert!(!b.peek().needs_reshuffle(&c));
             let _ = b.serve_read(&c, None, &mut r);
         }
-        assert!(b.needs_reshuffle(&c), "S touches exhaust the budget");
+        assert!(b.peek().needs_reshuffle(&c), "S touches exhaust the budget");
     }
 
     #[test]
@@ -697,15 +927,19 @@ mod tests {
         let c = cb_cfg(); // Z=4, S=4, Y=2
         for reals in 0..=c.z {
             let blocks: Vec<BlockId> = (0..u64::from(reals)).map(BlockId).collect();
-            let mut b = Bucket::with_blocks(&c, &blocks, &mut r);
+            let mut owned = OwnedBucket::with_blocks(&c, &blocks, &mut r);
+            let mut b = owned.view();
             for touch in 0..c.s {
                 assert!(
-                    !b.needs_reshuffle(&c),
+                    !b.peek().needs_reshuffle(&c),
                     "bucket with {reals} reals exhausted after {touch} touches"
                 );
                 let _ = b.serve_read(&c, None, &mut r);
             }
-            assert!(b.needs_reshuffle(&c), "budget S must be the binding limit");
+            assert!(
+                b.peek().needs_reshuffle(&c),
+                "budget S must be the binding limit"
+            );
         }
     }
 
@@ -714,7 +948,8 @@ mod tests {
         let mut r = rng();
         let c = cb_cfg(); // Y = 2
         let blocks: Vec<BlockId> = (0..4).map(BlockId).collect();
-        let mut b = Bucket::with_blocks(&c, &blocks, &mut r);
+        let mut owned = OwnedBucket::with_blocks(&c, &blocks, &mut r);
+        let mut b = owned.view();
         // Use up 2 dummies + 2 greens = S touches.
         let mut greens = 0;
         for _ in 0..4 {
@@ -724,9 +959,9 @@ mod tests {
             }
         }
         assert_eq!(greens, 2);
-        assert!(b.needs_reshuffle(&c));
+        assert!(b.peek().needs_reshuffle(&c));
         // Two real blocks survived untouched.
-        assert_eq!(b.real_count(), 2);
+        assert_eq!(b.peek().real_count(), 2);
     }
 
     #[test]
@@ -734,35 +969,40 @@ mod tests {
         let mut r = rng();
         let c = cb_cfg(); // Z=4, S=4, Y=2 -> 6 slots, 2 physical dummies
         let blocks: Vec<BlockId> = (0..4).map(BlockId).collect();
-        let mut b = Bucket::with_blocks(&c, &blocks, &mut r);
+        let mut owned = OwnedBucket::with_blocks(&c, &blocks, &mut r);
+        let mut b = owned.view();
         for _ in 0..2 {
             let (_, kind, _) = b.serve_read_gated(&c, None, false, &mut r);
             assert_eq!(kind, FetchKind::Dummy, "gate must not affect dummies");
         }
         // Dummies exhausted: an ungated bucket would serve a green, a gated
         // one must reshuffle.
-        assert!(!b.needs_reshuffle(&c));
-        assert!(b.needs_reshuffle_gated(&c, false));
+        assert!(!b.peek().needs_reshuffle(&c));
+        assert!(b.peek().needs_reshuffle_gated(&c, false));
     }
 
     #[test]
     fn take_real_blocks_empties_bucket() {
         let mut r = rng();
         let blocks: Vec<BlockId> = (10..13).map(BlockId).collect();
-        let mut b = Bucket::with_blocks(&cfg(), &blocks, &mut r);
-        let mut taken: Vec<BlockId> = b.take_real_blocks().into_iter().map(|(b, _)| b).collect();
+        let mut owned = OwnedBucket::with_blocks(&cfg(), &blocks, &mut r);
+        let mut out = Vec::new();
+        owned.view().take_real_blocks_into(&mut out);
+        let mut taken: Vec<BlockId> = out.into_iter().map(|(b, _)| b).collect();
         taken.sort();
         assert_eq!(taken, blocks);
-        assert_eq!(b.real_count(), 0);
+        assert_eq!(owned.peek().real_count(), 0);
     }
 
     #[test]
     fn reload_resets_metadata() {
         let mut r = rng();
         let c = cfg();
-        let mut b = Bucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut owned = OwnedBucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut b = owned.view();
         let _ = b.serve_read(&c, None, &mut r);
         b.reload(&c, &mut vec![(BlockId(9), None)], &mut r);
+        let b = b.peek();
         assert_eq!(b.accesses(), 0);
         assert_eq!(b.greens_used(), 0);
         assert_eq!(b.real_blocks(), vec![BlockId(9)]);
@@ -773,7 +1013,8 @@ mod tests {
     fn invalid_slots_are_never_reread() {
         let mut r = rng();
         let c = cfg();
-        let mut b = Bucket::empty(&c, &mut r);
+        let mut owned = OwnedBucket::empty(&c, &mut r);
+        let mut b = owned.view();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..c.s {
             let (slot, _, _) = b.serve_read(&c, None, &mut r);
@@ -785,11 +1026,12 @@ mod tests {
     fn target_miss_falls_back_to_dummy() {
         let mut r = rng();
         let c = cfg();
-        let mut b = Bucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut owned = OwnedBucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        let mut b = owned.view();
         // Ask for a block the bucket does not hold.
         let (_, kind, _) = b.serve_read(&c, Some(BlockId(99)), &mut r);
         assert_eq!(kind, FetchKind::Dummy);
-        assert_eq!(b.real_count(), 1, "stored block untouched");
+        assert_eq!(b.peek().real_count(), 1, "stored block untouched");
     }
 
     /// The three-field slot the packed word replaced, kept as the reference
@@ -929,7 +1171,7 @@ mod tests {
     }
 
     /// Everything observable about `packed` equals the model's.
-    fn assert_same_state(cfg: &RingConfig, packed: &Bucket, model: &model::ModelBucket) {
+    fn assert_same_state(cfg: &RingConfig, packed: BucketRef<'_>, model: &model::ModelBucket) {
         assert_eq!(packed.accesses(), model.accesses);
         assert_eq!(packed.greens_used(), model.greens_used);
         assert_eq!(packed.real_count(), model.real_count());
@@ -952,22 +1194,45 @@ mod tests {
         }
     }
 
+    /// A tree of `cfg`'s buckets with levels enough for `rows` nodes, whose
+    /// buckets `0..rows` are materialized in id order (so node `i` is
+    /// bucket `i`), bucket `i` holding the one block `i`.
+    fn slab_tree(cfg: &RingConfig, rows: usize) -> BucketTree {
+        let levels = usize::BITS - rows.leading_zeros() + 1;
+        let cfg = RingConfig {
+            levels,
+            ..cfg.clone()
+        };
+        let mut tree = BucketTree::new(&cfg);
+        let mut r = rng();
+        for id in 0..rows as u64 {
+            let _ = tree.bucket_or_fill(BucketId(id), |b| {
+                b.reload(&cfg, &mut vec![(BlockId(id), None)], &mut r);
+            });
+        }
+        tree
+    }
+
     #[test]
     fn packed_bucket_matches_the_three_field_model() {
         let hpca = RingConfig::hpca_default(); // Y = 8, 12 slots
         let wide = RingConfig::fig4_config(4); // 90 slots: more than one word of bits
         assert!(wide.bucket_slots() > 64);
         for (c, seed) in [(cfg(), 1), (cb_cfg(), 2), (hpca, 3), (wide, 4)] {
+            // The bucket is the first row of the slab's second chunk.
+            let mut tree = slab_tree(&c, CHUNK_ROWS);
+            let row = BucketId(CHUNK_ROWS as u64);
             let mut ops = StdRng::seed_from_u64(seed);
             let (mut rng_p, mut rng_m) = (StdRng::seed_from_u64(99), StdRng::seed_from_u64(99));
-            let mut packed = Bucket::empty(&c, &mut rng_p);
+            let _ = tree.bucket_or_fill(row, |b| b.reload(&c, &mut Vec::new(), &mut rng_p));
             let mut model = model::ModelBucket::default();
             model.reload(&c, &mut Vec::new(), &mut rng_m);
             let mut next_id = 0u64;
             let (mut out_p, mut out_m) = (Vec::new(), Vec::new());
             let mut seen = [0u32; 4]; // targets, greens, dummies, payloads
             for step in 0..4000 {
-                let present = packed.real_blocks();
+                let mut packed = tree.get_mut(row).unwrap();
+                let present = packed.peek().real_blocks();
                 // Touch-heavy, so buckets run out of dummies and into greens.
                 match ops.gen_range(0..15u32) {
                     0 | 1 => {
@@ -1012,15 +1277,15 @@ mod tests {
                         assert_eq!(out_p, out_m);
                     }
                     13 => {
-                        let slot = ops.gen_range(0..packed.slot_count());
+                        let slot = ops.gen_range(0..packed.peek().slot_count());
                         assert_eq!(packed.clear_slot(slot), model.clear_slot(slot));
                     }
                     _ => {
                         let absent = BlockId(next_id + 1);
-                        assert_eq!(packed.find(absent), model.find(absent));
+                        assert_eq!(packed.peek().find(absent), model.find(absent));
                     }
                 }
-                assert_same_state(&c, &packed, &model);
+                assert_same_state(&c, packed.peek(), &model);
                 assert_eq!(format!("{rng_p:?}"), format!("{rng_m:?}"), "step {step}");
             }
             // The stream reached every kind of touch the config allows.
@@ -1030,10 +1295,144 @@ mod tests {
         }
     }
 
+    /// Row `i`'s words, node and lane, copied out.
+    type RowState = (Vec<u64>, Node, Option<Vec<Option<BlockData>>>);
+
+    fn row_state(tree: &BucketTree, i: usize) -> RowState {
+        let node = *tree.nodes.at(i);
+        let lane = node
+            .lane
+            .checked_sub(1)
+            .map(|l| tree.lanes.row(l as usize).to_vec());
+        (tree.words.row(i).to_vec(), node, lane)
+    }
+
+    #[test]
+    fn rows_either_side_of_a_chunk_boundary_are_whole_and_stay_put() {
+        let c = cb_cfg();
+        let mut tree = BucketTree::new(&RingConfig {
+            levels: 12,
+            ..c.clone()
+        });
+        assert!(
+            tree.words.chunks.is_empty() && tree.nodes.chunks.is_empty(),
+            "nothing is allocated before the first materialization"
+        );
+        let _ = tree.bucket_or_fill(BucketId(0), |b| b.reload(&c, &mut Vec::new(), &mut rng()));
+        let first_row = tree.words.row(0).as_ptr();
+        let mut r = rng();
+        for id in 1..=CHUNK_ROWS as u64 + 1 {
+            let _ = tree.bucket_or_fill(BucketId(id), |b| {
+                b.reload(&c, &mut vec![(BlockId(id), None)], &mut r);
+            });
+        }
+        assert_eq!(
+            tree.words.chunks.len(),
+            2,
+            "rows 0..={} in two chunks",
+            CHUNK_ROWS + 1
+        );
+        assert_eq!(tree.words.row(0).as_ptr(), first_row, "growth moved no row");
+        assert!(tree.lanes.chunks.is_empty(), "no payload, no lane");
+        // The last row of the first chunk and the first of the second are
+        // whole rows holding their own buckets.
+        for id in [CHUNK_ROWS - 1, CHUNK_ROWS] {
+            let bucket = tree.view_ref(id);
+            assert_eq!(bucket.slot_count(), c.bucket_slots() as usize);
+            assert_eq!(bucket.real_blocks(), [BlockId(id as u64)], "row {id}");
+            assert_eq!(bucket.valid_dummies(), bucket.slot_count() - 1);
+        }
+        let lo = tree.words.row(CHUNK_ROWS - 1).as_ptr_range();
+        let hi = tree.words.row(CHUNK_ROWS).as_ptr_range();
+        assert!(lo.end <= hi.start || hi.end <= lo.start);
+    }
+
+    #[test]
+    fn an_operation_on_one_row_leaves_every_other_row_untouched() {
+        let c = RingConfig::hpca_default();
+        let mut tree = slab_tree(&c, CHUNK_ROWS + 8);
+        let rows = tree.nodes.len();
+        // Some rows carry payload lanes, so lanes sit between rows too.
+        let mut r = rng();
+        for id in [3, CHUNK_ROWS - 1, CHUNK_ROWS + 2] {
+            let mut b = tree.get_mut(BucketId(id as u64)).unwrap();
+            let mut entries = Vec::new();
+            b.take_real_blocks_into(&mut entries);
+            entries[0].1 = Some(Box::from([id as u8; 4]));
+            b.reload(&c, &mut entries, &mut r);
+        }
+        let mut ops = StdRng::seed_from_u64(0x5AB);
+        for target in [0, 3, CHUNK_ROWS - 1, CHUNK_ROWS, rows - 1] {
+            let before: Vec<RowState> = (0..rows).map(|i| row_state(&tree, i)).collect();
+            let id = BucketId(target as u64);
+            for step in 0..40u64 {
+                let mut b = tree.get_mut(id).unwrap();
+                match ops.gen_range(0..4u32) {
+                    0 => {
+                        let mut entries: Vec<BlockEntry> = (0..ops.gen_range(0..c.z + 1))
+                            .map(|k| {
+                                let data = ops.gen_bool(0.5).then(|| Box::from([k as u8; 4]));
+                                (BlockId(10_000 + step * 16 + u64::from(k)), data)
+                            })
+                            .collect();
+                        b.reload(&c, &mut entries, &mut r);
+                    }
+                    1 if !b.peek().needs_reshuffle(&c) => {
+                        let _ = b.serve_read(&c, None, &mut r);
+                    }
+                    2 => b.take_real_blocks_into(&mut Vec::new()),
+                    _ => {
+                        let slot = ops.gen_range(0..b.peek().slot_count());
+                        let _ = b.clear_slot(slot);
+                    }
+                }
+                for (i, state) in before.iter().enumerate() {
+                    if i != target {
+                        assert_eq!(&row_state(&tree, i), state, "row {i} moved by row {target}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cloned_tree_is_a_deep_copy() {
+        let c = cb_cfg();
+        let mut tree = slab_tree(&c, CHUNK_ROWS + 4);
+        let mut r = rng();
+        let id = BucketId(CHUNK_ROWS as u64 + 1);
+        tree.get_mut(id).unwrap().reload(
+            &c,
+            &mut vec![(BlockId(77), Some(Box::from([7u8; 4])))],
+            &mut r,
+        );
+        let snapshot: Vec<RowState> = (0..tree.nodes.len()).map(|i| row_state(&tree, i)).collect();
+        let mut copy = tree.clone();
+        // Change every row of the original, payload included.
+        for i in 0..tree.nodes.len() as u64 {
+            let mut b = tree.get_mut(BucketId(i)).unwrap();
+            b.take_real_blocks_into(&mut Vec::new());
+            let _ = b.serve_read(&c, None, &mut r);
+        }
+        for (i, state) in snapshot.iter().enumerate() {
+            assert_eq!(&row_state(&copy, i), state, "row {i} of the copy");
+        }
+        // And the copy changes alone.
+        let (_, kind, data) = copy
+            .get_mut(id)
+            .unwrap()
+            .serve_read(&c, Some(BlockId(77)), &mut r);
+        assert_eq!(kind, FetchKind::Target(BlockId(77)));
+        assert_eq!(data.as_deref(), Some(&[7u8; 4][..]));
+        assert_eq!(tree.view_ref(id.0 as usize).find(BlockId(77)), None);
+        assert_eq!(copy.materialized(), tree.materialized());
+    }
+
     #[test]
     fn ids_outside_the_slot_word_are_never_found() {
         let mut r = rng();
-        let b = Bucket::with_blocks(&cfg(), &[BlockId(5)], &mut r);
+        let owned = OwnedBucket::with_blocks(&cfg(), &[BlockId(5)], &mut r);
+        let b = owned.peek();
         // The dummy pattern and ids with the valid bit set alias no block.
         assert_eq!(b.find(BlockId(DUMMY)), None);
         assert_eq!(b.find(BlockId(VALID | 5)), None);
@@ -1043,33 +1442,42 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit a slot word")]
     fn oversized_block_id_rejected() {
-        let _ = Bucket::with_blocks(&cfg(), &[BlockId(DUMMY)], &mut rng());
+        let _ = OwnedBucket::with_blocks(&cfg(), &[BlockId(DUMMY)], &mut rng());
     }
 
     #[test]
     fn payload_lane_appears_with_the_first_payload() {
         let mut r = rng();
         let c = cfg();
-        let mut b = Bucket::with_blocks(&c, &[BlockId(1)], &mut r);
-        assert_eq!(b.lane.capacity(), 0, "timing-only buckets carry no lane");
+        let mut owned = OwnedBucket::with_blocks(&c, &[BlockId(1)], &mut r);
+        assert!(
+            owned.0.lanes.chunks.is_empty() && owned.0.nodes.at(0).lane == 0,
+            "timing-only buckets carry no lane"
+        );
+        let mut b = owned.view();
         b.reload(
             &c,
             &mut vec![(BlockId(2), Some(Box::from([7u8; 4])))],
             &mut r,
         );
-        assert_eq!(b.lane.len(), b.slot_count());
         let (_, kind, data) = b.serve_read(&c, Some(BlockId(2)), &mut r);
         assert_eq!(kind, FetchKind::Target(BlockId(2)));
         assert_eq!(data.as_deref(), Some(&[7u8; 4][..]));
+        assert_eq!(owned.0.nodes.at(0).lane, 1, "the lane stays");
+        assert_eq!(owned.0.lanes.row(0).len(), owned.peek().slot_count());
     }
 
-    /// A bucket holding the single block `tag`, to tell tree nodes apart.
-    fn tagged(tag: u64) -> Bucket {
-        Bucket::with_blocks(&cfg(), &[BlockId(tag)], &mut rng())
+    /// Fills a bucket with the single block `tag`, to tell tree nodes apart.
+    fn tagged(tag: u64) -> impl FnOnce(&mut Bucket<'_>) {
+        move |b| b.reload(&cfg(), &mut vec![(BlockId(tag), None)], &mut rng())
     }
 
-    fn tags<'a>(buckets: impl Iterator<Item = &'a Bucket>) -> Vec<u64> {
+    fn tags<'a>(buckets: impl Iterator<Item = BucketRef<'a>>) -> Vec<u64> {
         buckets.map(|b| b.real_blocks()[0].0).collect()
+    }
+
+    fn tree(levels: u32) -> BucketTree {
+        BucketTree::new(&RingConfig { levels, ..cfg() })
     }
 
     #[test]
@@ -1081,11 +1489,15 @@ mod tests {
             .flat_map(|p| (0..6).map(move |l| (p, l)))
             .collect();
         visits.shuffle(&mut rng());
-        let mut tree = BucketTree::new(6);
+        let mut tree = tree(6);
         for &(p, l) in &visits {
             let id = geometry.bucket_at(PathId(p), Level(l));
-            let got = tree.bucket_or_insert_with(id, || tagged(id.0));
-            assert_eq!(got.real_blocks(), [BlockId(id.0)], "{id} via ({p}, {l})");
+            let got = tree.bucket_or_fill(id, tagged(id.0));
+            assert_eq!(
+                got.peek().real_blocks(),
+                [BlockId(id.0)],
+                "{id} via ({p}, {l})"
+            );
         }
         assert_eq!(tree.materialized() as u64, geometry.bucket_count());
         for p in 0..geometry.leaf_count() {
@@ -1103,9 +1515,10 @@ mod tests {
 
     #[test]
     fn tree_child_before_parent_and_cursor_reuse() {
-        let mut tree = BucketTree::new(4);
+        let mut tree = tree(4);
+        assert_eq!(tags(tree.on_path(PathId(5), 3)), [] as [u64; 0]);
         // Leaf 7 + 5 (path 5) first: its ancestors exist as bare nodes.
-        let _ = tree.bucket_or_insert_with(BucketId(12), || tagged(12));
+        let _ = tree.bucket_or_fill(BucketId(12), tagged(12));
         assert_eq!(
             tree.materialized(),
             1,
@@ -1119,15 +1532,15 @@ mod tests {
         assert!(tree.get_mut(BucketId(12)).is_some());
         // A second path sharing only the root, then back: the per-level
         // cursor must not serve one path's node for the other's bucket.
-        let _ = tree.bucket_or_insert_with(BucketId(8), || tagged(8)); // path 1
-        let _ = tree.bucket_or_insert_with(BucketId(5), || tagged(5)); // path 5, level 2
-        let _ = tree.bucket_or_insert_with(BucketId(0), || tagged(0));
+        let _ = tree.bucket_or_fill(BucketId(8), tagged(8)); // path 1
+        let _ = tree.bucket_or_fill(BucketId(5), tagged(5)); // path 5, level 2
+        let _ = tree.bucket_or_fill(BucketId(0), tagged(0));
         assert_eq!(tree.materialized(), 4);
         assert_eq!(tags(tree.on_path(PathId(5), 3)), [0, 5, 12]);
         assert_eq!(tags(tree.on_path(PathId(1), 3)), [0, 8]);
         assert_eq!(tags(tree.on_path(PathId(7), 3)), [0]);
         // Filling is first-touch only.
-        let again = tree.bucket_or_insert_with(BucketId(12), || unreachable!("already filled"));
-        assert_eq!(again.real_blocks(), [BlockId(12)]);
+        let again = tree.bucket_or_fill(BucketId(12), |_| unreachable!("already filled"));
+        assert_eq!(again.peek().real_blocks(), [BlockId(12)]);
     }
 }

@@ -206,6 +206,7 @@ impl RingConfig {
     ///
     /// Returns a description of the first violated constraint:
     /// `levels >= 1`, `z >= 1`, `s >= 1`, `a >= 1`, `y <= s`, `y <= z`,
+    /// at most 255 slots per bucket (a bucket's counters are one byte),
     /// nonzero block size and stash, cached levels < total levels.
     pub fn validate(&self) -> Result<(), String> {
         if self.levels == 0 || self.levels > 40 {
@@ -227,6 +228,14 @@ impl RingConfig {
             return Err(format!(
                 "y ({}) must not exceed z ({}): greens are real blocks",
                 self.y, self.z
+            ));
+        }
+        // With Y <= Z the slots bound S too, and with it every counter.
+        let slots = u64::from(self.z) + u64::from(self.s) - u64::from(self.y);
+        if slots > 255 {
+            return Err(format!(
+                "a bucket has at most 255 slots (its counters are one byte), got Z + S - Y = \
+                 {slots}"
             ));
         }
         if self.block_bytes == 0 {
@@ -318,6 +327,14 @@ mod tests {
         cfg.z = 4;
         cfg.y = 5;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn bucket_counters_bound_enforced() {
+        let mut cfg = RingConfig::fig4_config(4); // 90 slots, S = 58
+        cfg.validate().unwrap();
+        cfg.z = 255 - cfg.s + 1;
+        assert!(cfg.validate().is_err(), "256 slots");
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   private plain-tree frame (`plain_tree`: `Z`-slot tree, position map,
 //!   stash, one path read and one leaf-first refill).
 //!
-//! All engines share one tree store (`bucket::BucketTree`, generic over the
-//! bucket content) and one plan/touch vector pool (`plan::PlanPool`).
+//! All engines share one tree store (`bucket::BucketTree`: one chunked slab
+//! of fixed-stride bucket rows, with pooled payload lanes) and one
+//! plan/touch vector pool (`plan::PlanPool`).
 //!
 //! The protocol layer is *untimed*: every logical access expands into
 //! [`plan::AccessPlan`]s — ordered lists of physical slot touches — which

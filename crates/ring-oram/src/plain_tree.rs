@@ -22,9 +22,9 @@
 //! Path and Circuit golden digest rests on exactly that.
 //!
 //! Like the Ring engine, the steady state is allocation-free: plan and
-//! touch vectors cycle through the [`PlanPool`], bucket content vectors are
-//! drained and refilled in place, and the write-back selects from one
-//! reused candidate snapshot.
+//! touch vectors cycle through the [`PlanPool`], a bucket's blocks are
+//! packed at the front of its slab row and drained and refilled in place,
+//! and the write-back selects from one reused candidate snapshot.
 
 use oram_rng::StdRng;
 
@@ -52,11 +52,11 @@ pub(crate) enum Take {
 pub(crate) struct PlainTree {
     cfg: RingConfig,
     pub(crate) geometry: TreeGeometry,
-    /// Bucket contents (block ids only; payloads are out of scope for the
-    /// bandwidth/timing studies these engines serve). A content vector
-    /// materializes with capacity `Z` and is never dropped, so a
+    /// Bucket contents: up to `Z` block ids packed at the front of each
+    /// row (payloads are out of scope for the bandwidth/timing studies these
+    /// engines serve). Rows live in the tree's slab chunks, so a
     /// materialized tree stops allocating.
-    buckets: BucketTree<Vec<BlockId>>,
+    buckets: BucketTree,
     position_map: PositionMap,
     stash: Stash,
     rng: StdRng,
@@ -99,7 +99,7 @@ impl PlainTree {
         );
         let geometry = TreeGeometry::new(cfg.levels);
         Self {
-            buckets: BucketTree::new(cfg.levels),
+            buckets: BucketTree::new(&cfg),
             position_map: PositionMap::new(geometry.leaf_count()),
             cfg,
             geometry,
@@ -146,11 +146,9 @@ impl PlainTree {
         };
         for lvl in 0..self.cfg.levels {
             let id = self.geometry.bucket_at(path, Level(lvl));
-            let content = self
-                .buckets
-                .bucket_or_insert_with(id, || Vec::with_capacity(z as usize));
+            let mut bucket = self.buckets.bucket_or_fill(id, |_| {});
             let off_chip = lvl >= self.cfg.tree_top_cached_levels;
-            let found = target.and_then(|b| content.iter().position(|&c| c == b));
+            let found = target.and_then(|b| bucket.peek().find(b));
             if let Some(pos) = found {
                 if off_chip {
                     target_index = Some(touches.len() + pos);
@@ -160,15 +158,13 @@ impl PlainTree {
                 }
             }
             match take {
-                Take::All => {
-                    for b in content.drain(..) {
-                        let p = self.position_map.lookup(b).expect("tree blocks are mapped");
-                        self.stash.insert(b, p);
-                    }
-                }
+                Take::All => bucket.drain(|b| {
+                    let p = self.position_map.lookup(b).expect("tree blocks are mapped");
+                    self.stash.insert(b, p);
+                }),
                 Take::TargetOnly => {
                     if let Some(pos) = found {
-                        content.swap_remove(pos);
+                        bucket.swap_remove(pos);
                     }
                 }
             }
@@ -210,17 +206,15 @@ impl PlainTree {
         candidates.sort_unstable_by_key(|&(b, _, _)| b);
         for lvl in (0..self.cfg.levels).rev() {
             let id = self.geometry.bucket_at(path, Level(lvl));
-            let content = self
-                .buckets
-                .bucket_or_insert_with(id, || Vec::with_capacity(z as usize));
+            let mut bucket = self.buckets.bucket_or_fill(id, |_| {});
             for c in candidates.iter_mut() {
-                if content.len() == z as usize {
+                if bucket.peek().real_count() == z as usize {
                     break;
                 }
                 if !c.2 && c.1 >= lvl {
                     c.2 = true;
                     self.stash.remove(c.0);
-                    content.push(c.0);
+                    bucket.append(c.0);
                 }
             }
             if lvl >= self.cfg.tree_top_cached_levels {
@@ -278,7 +272,7 @@ impl PlainTree {
             let on_path: usize = self
                 .buckets
                 .on_path(path, max_level)
-                .map(|content| content.iter().filter(|&&b| b == block).count())
+                .map(|bucket| bucket.real_blocks().iter().filter(|&&b| b == block).count())
                 .sum();
             let copies = on_path + usize::from(self.stash.contains(block));
             assert!(
@@ -287,13 +281,13 @@ impl PlainTree {
             );
         }
         let mut held = self.stash.len();
-        for content in self.buckets.buckets() {
+        for bucket in self.buckets.buckets() {
             assert!(
-                content.len() <= self.cfg.z as usize,
-                "a bucket is over capacity (Z = {}): {content:?}",
+                bucket.real_count() <= self.cfg.z as usize,
+                "a bucket is over capacity (Z = {}): {bucket:?}",
                 self.cfg.z
             );
-            held += content.len();
+            held += bucket.real_count();
         }
         assert_eq!(
             held,
@@ -384,7 +378,11 @@ mod tests {
             .expect("400 accesses leave blocks in the tree");
         let id = (0..tree.cfg.levels)
             .map(|l| tree.geometry.bucket_at(path, Level(l)))
-            .find(|&id| tree.buckets.get_mut(id).is_some_and(|c| c.contains(&block)))
+            .find(|&id| {
+                tree.buckets
+                    .get_mut(id)
+                    .is_some_and(|b| b.peek().find(block).is_some())
+            })
             .expect("on its path");
         (block, id)
     }
@@ -416,7 +414,11 @@ mod tests {
                     .map(|(b, _)| b)
                     .collect();
                 let got = tree.buckets.get_mut(id).expect("every level materialized");
-                assert_eq!(*got, expect, "case {case}: level {lvl} of {path}");
+                assert_eq!(
+                    got.peek().real_blocks(),
+                    expect,
+                    "case {case}: level {lvl} of {path}"
+                );
                 expect_touches.extend((0..z).map(|slot| SlotTouch::write(id, slot)));
             }
             assert_eq!(touches, expect_touches, "case {case}");
@@ -444,8 +446,9 @@ mod tests {
     fn invariants_reject_a_dropped_block() {
         let mut tree = busy_tree();
         let (block, id) = a_tree_block(&mut tree);
-        let content = tree.buckets.get_mut(id).expect("materialized");
-        content.retain(|&b| b != block);
+        let mut bucket = tree.buckets.get_mut(id).expect("materialized");
+        let slot = bucket.peek().find(block).expect("held");
+        bucket.swap_remove(slot);
         tree.check_invariants();
     }
 
@@ -454,10 +457,12 @@ mod tests {
     fn invariants_reject_an_overfull_bucket() {
         let mut tree = busy_tree();
         // The root lies on every path, so each block is still held once.
+        // A row has room for exactly `Z` blocks, so the bucket refuses the
+        // block that would overfill it before any check could see it.
         for b in 1000..1005 {
             tree.position_map.insert(BlockId(b), PathId(b % 32));
-            let root = tree.buckets.get_mut(BucketId(0)).expect("materialized");
-            root.push(BlockId(b));
+            let mut root = tree.buckets.get_mut(BucketId(0)).expect("materialized");
+            root.append(BlockId(b));
         }
         tree.check_invariants();
     }

@@ -10,6 +10,7 @@
 
 use oram_rng::Rng;
 
+use crate::bucket::Slab;
 use crate::fasthash::DetHashMap;
 
 use crate::types::{BlockId, PathId};
@@ -39,8 +40,9 @@ pub struct PositionMap {
     paths: u64,
     /// Program blocks (`id < COLD_BASE`).
     map: DetHashMap<BlockId, PathId>,
-    /// Cold blocks: entry `i` is the path of block `COLD_BASE + i`.
-    cold: Vec<PathId>,
+    /// Cold blocks: row `i` is the path of block `COLD_BASE + i`, in slab
+    /// chunks, so the table grows without copying or doubling.
+    cold: Slab<PathId>,
 }
 
 impl PositionMap {
@@ -55,7 +57,7 @@ impl PositionMap {
         Self {
             paths,
             map: DetHashMap::default(),
-            cold: Vec::new(),
+            cold: Slab::new(1, usize::MAX),
         }
     }
 
@@ -74,14 +76,17 @@ impl PositionMap {
     /// Whether no blocks are tracked yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.cold.is_empty()
+        self.map.is_empty() && self.cold.len() == 0
     }
 
     /// The path currently assigned to `block`, if any.
     #[must_use]
     pub fn lookup(&self, block: BlockId) -> Option<PathId> {
         match block.0.checked_sub(COLD_BASE) {
-            Some(i) => self.cold.get(usize::try_from(i).ok()?).copied(),
+            Some(i) => {
+                let i = usize::try_from(i).ok().filter(|&i| i < self.cold.len())?;
+                Some(*self.cold.at(i))
+            }
             None => self.map.get(&block).copied(),
         }
     }
@@ -120,7 +125,7 @@ impl PositionMap {
 
     /// Iterates over all `(block, path)` entries, in unspecified order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
-        let cold = (COLD_BASE..).map(BlockId).zip(self.cold.iter().copied());
+        let cold = (0..self.cold.len()).map(|i| (BlockId(COLD_BASE + i as u64), *self.cold.at(i)));
         self.map.iter().map(|(&b, &p)| (b, p)).chain(cold)
     }
 
@@ -140,11 +145,12 @@ impl PositionMap {
         };
         let len = self.cold.len() as u64;
         assert!(i <= len, "cold block ids must be inserted in sequence");
-        if i == len {
-            self.cold.push(path);
+        let row = if i == len {
+            self.cold.push_row()
         } else {
-            self.cold[i as usize] = path;
-        }
+            i as usize
+        };
+        *self.cold.at_mut(row) = path;
     }
 }
 

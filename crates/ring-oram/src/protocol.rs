@@ -1,11 +1,11 @@
 //! The Ring ORAM protocol engine with String ORAM's Compact Bucket.
 //!
-//! [`RingOram`] maintains the full controller state — tree buckets (a
-//! path-linked node vector, grown lazily), position map, stash, counters —
-//! and turns each logical program access into a sequence of
-//! [`AccessPlan`]s. Each plan corresponds to one atomic ORAM transaction on
-//! the memory system; the timing layers (`mem-sched`, `string-oram`) decide
-//! how long those transactions take.
+//! [`RingOram`] maintains the full controller state — tree buckets (rows of
+//! one chunked slab, linked root to leaf and grown lazily), position map,
+//! stash, counters — and turns each logical program access into a sequence
+//! of [`AccessPlan`]s. Each plan corresponds to one atomic ORAM transaction
+//! on the memory system; the timing layers (`mem-sched`, `string-oram`)
+//! decide how long those transactions take.
 //!
 //! # Pre-loaded tree
 //!
@@ -253,8 +253,8 @@ struct Scratch {
     cold: Vec<BlockEntry>,
     /// `evict`: eviction candidates grouped by deepest eligible level.
     by_depth: Vec<Vec<BlockId>>,
-    /// `evict`: backing storage for the eligible-block min-heap.
-    eligible: Vec<std::cmp::Reverse<BlockId>>,
+    /// `evict`: the candidates eligible at the level being written.
+    eligible: Vec<BlockId>,
     /// Pool of plaintext payload boxes (`block_bytes` each).
     plain_boxes: Vec<BlockData>,
     /// Pool of sealed payload boxes (`block_bytes` + nonce + tag each).
@@ -287,7 +287,7 @@ enum FetchResolution {
 pub struct RingOram {
     cfg: RingConfig,
     geometry: TreeGeometry,
-    buckets: BucketTree<Bucket>,
+    buckets: BucketTree,
     position_map: PositionMap,
     stash: Stash,
     /// Read paths since the last eviction (eviction fires at `A`).
@@ -332,7 +332,7 @@ impl std::fmt::Debug for RingOram {
 /// tail (below the leaf level), then the bucket's shuffle.
 #[allow(clippy::too_many_arguments)] // a borrow-split of RingOram's fields
 fn materialize_entry<'a>(
-    buckets: &'a mut BucketTree<Bucket>,
+    buckets: &'a mut BucketTree,
     geometry: &TreeGeometry,
     cfg: &RingConfig,
     load_factor: f64,
@@ -341,8 +341,8 @@ fn materialize_entry<'a>(
     cold: &mut Vec<BlockEntry>,
     rng: &mut StdRng,
     id: BucketId,
-) -> &'a mut Bucket {
-    buckets.bucket_or_insert_with(id, || {
+) -> Bucket<'a> {
+    buckets.bucket_or_fill(id, |bucket| {
         let level = geometry.level_of(id);
         let pos_in_level = id.0 - ((1u64 << level.0) - 1);
         let tail_bits = geometry.max_level() - level.0;
@@ -360,7 +360,7 @@ fn materialize_entry<'a>(
                 cold.push((block, None));
             }
         }
-        Bucket::loaded(cfg, cold, rng)
+        bucket.reload(cfg, cold, rng);
     })
 }
 
@@ -408,8 +408,14 @@ impl RingOram {
         );
         let geometry = TreeGeometry::new(cfg.levels);
         let position_map = PositionMap::new(geometry.leaf_count());
+        // The write-back's eligible pool is at most the stash: sized for the
+        // provisioned capacity plus the path an eviction reads into it.
+        let scratch = Scratch {
+            eligible: Vec::with_capacity(cfg.stash_capacity + (cfg.levels * cfg.z) as usize),
+            ..Scratch::default()
+        };
         Self {
-            buckets: BucketTree::new(cfg.levels),
+            buckets: BucketTree::new(&cfg),
             cfg,
             geometry,
             position_map,
@@ -423,7 +429,7 @@ impl RingOram {
             cipher: None,
             nonce_counter: 0,
             resilience: None,
-            scratch: Scratch::default(),
+            scratch,
         }
     }
 
@@ -615,7 +621,7 @@ impl RingOram {
 
     /// Materializes (if needed) and returns the bucket, pre-filling it with
     /// cold blocks pinned to compatible paths.
-    fn bucket_mut(&mut self, id: BucketId) -> &mut Bucket {
+    fn bucket_mut(&mut self, id: BucketId) -> Bucket<'_> {
         materialize_entry(
             &mut self.buckets,
             &self.geometry,
@@ -923,8 +929,8 @@ impl RingOram {
                 // no memory traffic, no metadata churn.
                 if searching {
                     if let Some(b) = target {
-                        let bucket = self.bucket_mut(id);
-                        if let Some(slot) = bucket.find(b) {
+                        let mut bucket = self.bucket_mut(id);
+                        if let Some(slot) = bucket.peek().find(b) {
                             let data = bucket.clear_slot(slot);
                             let data = self.unseal(data);
                             self.stash.insert_with_data(b, path, data);
@@ -954,8 +960,8 @@ impl RingOram {
             // `holds_target` must follow `want`, not `target`: once the
             // search has ended, the bucket must serve a dummy/green even if
             // it happens to hold the (stale) target block.
-            let holds_target = want.is_some_and(|b| bucket.find(b).is_some());
-            if !holds_target && bucket.needs_reshuffle_gated(&self.cfg, allow_green) {
+            let holds_target = want.is_some_and(|b| bucket.peek().find(b).is_some());
+            if !holds_target && bucket.peek().needs_reshuffle_gated(&self.cfg, allow_green) {
                 reshuffles.push(self.reshuffle_bucket(id));
                 self.stats.forced_reshuffles += 1;
                 bucket = self.buckets.get_mut(id).expect("materialized above");
@@ -965,7 +971,7 @@ impl RingOram {
             // Budget exhaustion is decided now (this path's touch included):
             // the bucket is revisited only by its own early reshuffle below,
             // so sampling here matches the post-path scan it replaces.
-            if bucket.accesses() >= self.cfg.s {
+            if bucket.peek().accesses() >= self.cfg.s {
                 exhausted.push(id);
             }
             match kind {
@@ -1140,9 +1146,9 @@ impl RingOram {
         let slots = self.cfg.bucket_slots();
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
         let mut entries = std::mem::take(&mut self.scratch.entries);
-        let bucket = self.bucket_mut(id);
+        let mut bucket = self.bucket_mut(id);
         // Capture current real-slot indices for the read touches.
-        read_slots.extend((0..slots).filter(|&s| bucket.slot_holds_real(s as usize)));
+        read_slots.extend((0..slots).filter(|&s| bucket.peek().slot_holds_real(s as usize)));
         bucket.take_real_blocks_into(&mut entries);
         // Re-encrypt every surviving payload under a fresh nonce (the
         // reshuffle's defining obligation besides the permutation): unseal
@@ -1206,9 +1212,9 @@ impl RingOram {
             let level = Level(lvl);
             let id = self.geometry.bucket_at(path, level);
             let off_chip = !self.is_cached_level(level);
-            let bucket = self.bucket_mut(id);
+            let mut bucket = self.bucket_mut(id);
             read_slots.clear();
-            read_slots.extend((0..slots).filter(|&s| bucket.slot_holds_real(s as usize)));
+            read_slots.extend((0..slots).filter(|&s| bucket.peek().slot_holds_real(s as usize)));
             bucket.take_real_blocks_into(&mut entries);
             if off_chip {
                 let mut filler = 0u32;
@@ -1241,32 +1247,34 @@ impl RingOram {
         // entries, so selecting from the snapshot picks exactly the blocks
         // a fresh per-level scan would. Candidates are grouped by their
         // deepest eligible level; walking leaf to root, each level's group
-        // joins a min-heap, so popping yields the eligible blocks in
-        // ascending block id — the same deterministic order a sorted
-        // per-level scan would select, without sorting or rescanning.
+        // joins the eligible pool and the level takes the pool's `Z`
+        // smallest ids, selected in linear time and then sorted — the same
+        // blocks in the same ascending order a sorted per-level scan would
+        // select, without sorting or rescanning the pool.
         let mut by_depth = std::mem::take(&mut self.scratch.by_depth);
         by_depth.resize_with(self.cfg.levels as usize, Vec::new);
         self.stash
             .for_each_candidate(&self.geometry, path, |b, depth| {
                 by_depth[depth.0 as usize].push(b);
             });
-        let mut eligible =
-            std::collections::BinaryHeap::from(std::mem::take(&mut self.scratch.eligible));
+        let mut eligible = std::mem::take(&mut self.scratch.eligible);
         let mut sealed = std::mem::take(&mut self.scratch.resealed);
         for lvl in (0..self.cfg.levels).rev() {
             let level = Level(lvl);
             let id = self.geometry.bucket_at(path, level);
             let off_chip = !self.is_cached_level(level);
-            for &b in &by_depth[lvl as usize] {
-                eligible.push(std::cmp::Reverse(b));
+            eligible.append(&mut by_depth[lvl as usize]);
+            // The `Z` smallest go to the tail, in ascending order.
+            let rest = eligible.len().saturating_sub(z as usize);
+            if rest > 0 {
+                eligible.select_nth_unstable_by_key(rest, |&b| std::cmp::Reverse(b));
             }
-            while sealed.len() < z as usize {
-                let Some(std::cmp::Reverse(b)) = eligible.pop() else {
-                    break;
-                };
+            eligible[rest..].sort_unstable();
+            for &b in &eligible[rest..] {
                 let d = self.stash.take(b).expect("candidate still stashed");
                 sealed.push((b, d));
             }
+            eligible.truncate(rest);
             // One contiguous crypto sweep per bucket instead of a cipher
             // setup per slot; nonce order matches the per-slot code.
             self.seal_entries_batch(&mut sealed);
@@ -1280,11 +1288,8 @@ impl RingOram {
                 }
             }
         }
-        for group in &mut by_depth {
-            group.clear();
-        }
+        // Every group was appended (and so emptied) on the way up.
         self.scratch.by_depth = by_depth;
-        let mut eligible = eligible.into_vec();
         eligible.clear();
         self.scratch.eligible = eligible;
         self.scratch.resealed = sealed;
@@ -1840,6 +1845,181 @@ mod tests {
             }
         }
         assert!(failed, "over-full tree must overflow the stash");
+    }
+
+    /// Ring's write phase against the reference selection. On seeded
+    /// stashes every bucket of the eviction path must hold exactly what
+    /// `Stash::drain_for_bucket`, applied leaf to root, selects — in the
+    /// same slots a reload of those blocks, in that (ascending) order and
+    /// with the same draws, gives — and the stash must keep the rest.
+    #[test]
+    fn eviction_write_back_equals_the_per_level_rescan() {
+        use crate::bucket::{BucketRef, OwnedBucket};
+        use std::collections::HashSet;
+        let layout = |b: BucketRef<'_>| {
+            let real: Vec<bool> = (0..b.slot_count()).map(|s| b.slot_holds_real(s)).collect();
+            (b.real_blocks(), real)
+        };
+        let sorted = |s: &Stash| {
+            let mut v: Vec<_> = s.iter().collect();
+            v.sort();
+            v
+        };
+        let mut seeds = StdRng::seed_from_u64(0xE71C7);
+        // Cases that reached: a level with nothing eligible, a level with
+        // more eligible than `Z` (the cut between equally deep blocks), a
+        // stash the path cannot take whole.
+        let (mut empty_levels, mut ties, mut leftovers) = (0, 0, 0);
+        for case in 0..240u64 {
+            let cb = case % 2 == 1;
+            let base = if cb {
+                RingConfig::test_small_cb()
+            } else {
+                RingConfig::test_small()
+            };
+            let levels = seeds.gen_range(3..9u32);
+            let cfg = RingConfig { levels, ..base };
+            let z = cfg.z as usize;
+            let mut o = RingOram::with_load_factor(cfg.clone(), case, 0.0);
+            let geometry = o.geometry;
+            let max = geometry.max_level();
+            let path = geometry.reverse_lexicographic_path(o.eviction_count);
+            // Materialize the path first, so the eviction draws only its
+            // shuffles.
+            for l in 0..levels {
+                let _ = o.bucket_mut(geometry.bucket_at(path, Level(l)));
+            }
+            // Seed the stash: a few blocks, a crowd sharing one depth with
+            // the path, or more than the path holds.
+            let (count, depth) = match case % 3 {
+                0 => (seeds.gen_range(0..z + 1), None),
+                1 => (
+                    seeds.gen_range(z + 1..2 * z + 1),
+                    Some(seeds.gen_range(0..levels)),
+                ),
+                _ => {
+                    let cap = levels as usize * z;
+                    (seeds.gen_range(cap + 1..2 * cap + 1), None)
+                }
+            };
+            let mut ids = HashSet::new();
+            while ids.len() < count {
+                ids.insert(seeds.gen_range(0..1u64 << 20));
+            }
+            for b in ids {
+                let leaf = seeds.gen_range(0..geometry.leaf_count());
+                let p = match depth {
+                    // Shares exactly `d` levels below the root with `path`.
+                    Some(d) if d < max => {
+                        let below = max - d - 1;
+                        let low = leaf & ((1 << below) - 1);
+                        PathId((((path.0 >> below) ^ 1) << below) | low)
+                    }
+                    Some(_) => path,
+                    None if seeds.gen_bool(0.3) => path,
+                    None => PathId(leaf),
+                };
+                o.position_map.insert(BlockId(b), p);
+                o.stash.insert(BlockId(b), p);
+            }
+            let mut reference = o.stash.clone();
+            let mut replay = o.rng.clone();
+            let _ = o.evict();
+
+            let mut eligible = 0;
+            for lvl in (0..levels).rev() {
+                let id = geometry.bucket_at(path, Level(lvl));
+                eligible += reference
+                    .iter()
+                    .filter(|&(_, p)| geometry.shared_depth(p, path).0 == lvl)
+                    .count();
+                let mut entries = reference.drain_for_bucket(&geometry, path, Level(lvl), z);
+                empty_levels += usize::from(eligible == 0);
+                ties += usize::from(eligible > z);
+                eligible -= entries.len();
+                let mut expect = OwnedBucket::empty(&cfg, &mut StdRng::seed_from_u64(0));
+                expect.view().reload(&cfg, &mut entries, &mut replay);
+                let got = o.buckets.get_mut(id).expect("materialized");
+                assert_eq!(
+                    layout(got.peek()),
+                    layout(expect.peek()),
+                    "case {case} (CB {cb}): level {lvl} of {path}"
+                );
+            }
+            leftovers += usize::from(!reference.is_empty());
+            assert_eq!(sorted(&o.stash), sorted(&reference), "case {case}");
+            assert_eq!(format!("{:?}", o.rng), format!("{replay:?}"), "case {case}");
+            o.check_invariants();
+        }
+        assert!(empty_levels > 0 && ties > 0 && leftovers > 0);
+    }
+
+    /// Drives `oram` with seeded reads and writes over `blocks` block ids
+    /// against a mirror of every block's last write: every read must return
+    /// the mirror's value, and a final sweep reads every block back.
+    fn mirror_oracle_run(oram: &mut RingOram, blocks: u64, accesses: u64, block_bytes: usize) {
+        let mut mirror_data: Vec<Option<Vec<u8>>> = vec![None; blocks as usize];
+        let mut ops = StdRng::seed_from_u64(blocks ^ accesses);
+        for step in 0..accesses {
+            let b = ops.gen_range(0..blocks);
+            if ops.gen_bool(0.4) {
+                let data: Vec<u8> = (0..block_bytes)
+                    .map(|i| (step * 31 + b * 7 + i as u64) as u8)
+                    .collect();
+                let _ = oram.write_block(BlockId(b), &data);
+                mirror_data[b as usize] = Some(data);
+            } else {
+                let (_, got) = oram.read_block(BlockId(b));
+                assert_eq!(got, mirror_data[b as usize], "step {step}: block {b}");
+            }
+        }
+        for (b, want) in mirror_data.iter().enumerate() {
+            let (_, got) = oram.read_block(BlockId(b as u64));
+            assert_eq!(&got, want, "final sweep: block {b}");
+        }
+    }
+
+    #[test]
+    fn mirror_oracle_holds_on_a_tree_of_three_slab_chunks() {
+        use crate::bucket::CHUNK_ROWS;
+        let cfg = RingConfig {
+            levels: 12,
+            ..RingConfig::test_small_cb()
+        };
+        let block_bytes = cfg.block_bytes as usize;
+        type Setup = fn(&mut RingOram);
+        let variants: [(&str, Setup); 4] = [
+            ("plain", |_| {}),
+            ("splitmix", |o| o.enable_encryption(0x5EA1)),
+            ("aes", |o| o.enable_aes_encryption(*b"three chunks key")),
+            ("splitmix + faults", |o| {
+                o.enable_encryption(0xF417);
+                let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);
+                r.bit_flip_rate = 0.05;
+                r.max_retries = 6;
+                o.enable_resilience(r);
+            }),
+        ];
+        for (name, setup) in variants {
+            let mut o = RingOram::with_load_factor(cfg.clone(), 31, 0.5);
+            setup(&mut o);
+            mirror_oracle_run(&mut o, 500, 2500, block_bytes);
+            assert!(
+                o.materialized_buckets() > 2 * CHUNK_ROWS,
+                "{name}: {} buckets span fewer than three chunks",
+                o.materialized_buckets()
+            );
+            let s = o.stats();
+            assert!(s.greens_fetched > 0, "{name}: CB moved no green");
+            if o.encryption_enabled() {
+                assert!(s.encryptions > 0 && s.decryptions > 0, "{name}");
+            }
+            if o.resilience_enabled() {
+                assert!(s.faults_recovered > 0, "{name}: no fault to recover");
+                assert_eq!(s.faults_unrecovered, 0, "{name}");
+            }
+            o.check_invariants();
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ struct StashEntry {
 /// Eviction block selection is deterministic for a given seed: entries live
 /// in a [`DetHashMap`] (seedless, so reproducible run-to-run) and every
 /// order-sensitive operation selects by ascending block id — the engines
-/// sort (or heap-order) the candidates [`Stash::for_each_candidate`] hands
+/// sort (or select and sort) the candidates [`Stash::for_each_candidate`] hands
 /// them before taking any — so which blocks drain first never depends on
 /// map layout.
 #[derive(Debug, Clone, Default)]

@@ -204,50 +204,28 @@ impl Planner {
     ) {
         self.accesses += 1;
         self.mix(req.block);
-        match &mut self.engine {
-            Engine::Flat { oram, layout } => {
-                let outcome = oram.access(BlockId(req.block));
-                let served_from_tree = outcome.served_from_tree();
-                // Drain the fault log unconditionally (bounds protocol-side
-                // memory); the auditor replays it before the plans so retry
-                // allowances exist when the plans are checked.
-                let faults = oram.take_fault_events();
-                conformance.observe_faults(&faults);
-                conformance.observe_access(&outcome.plans);
-                conformance.observe_stash(oram.stash_len());
-                // The core's data arrives with the *last* plan carrying a
-                // target touch: normally the read path, but a corrupted
-                // target fetch is only whole after its retry plan.
-                let wake_idx = outcome.wake_plan_index();
-                let mut digest = self.digest;
-                for (i, plan) in outcome.plans.iter().enumerate() {
-                    let waiting = (Some(i) == wake_idx).then_some((req.core, served_from_tree));
-                    let buf = self.req_pool.pop().unwrap_or_default();
-                    out.push(lower(&mut digest, plan, layout, 0, waiting, buf));
-                }
-                self.digest = digest;
-                oram.recycle_outcome(outcome);
+        let Engine::Recursive { stack, regions } = &mut self.engine else {
+            let access = |oram: &mut dyn ObliviousProtocol| Some(oram.access(BlockId(req.block)));
+            self.lower_flat(Some(req.core), conformance, out, access);
+            return;
+        };
+        let steps = stack.access(BlockId(req.block));
+        let stash_len = stack.oram(0).stash_len();
+        for step in &steps {
+            let waiting =
+                (step.oram_index == 0).then(|| (req.core, step.outcome.served_from_tree()));
+            // Only the data ORAM (index 0) is audited; the map ORAMs run
+            // the same protocol with their own configs.
+            if step.oram_index == 0 {
+                conformance.observe_access(&step.outcome.plans);
             }
-            Engine::Recursive { stack, regions } => {
-                let steps = stack.access(BlockId(req.block));
-                let stash_len = stack.oram(0).stash_len();
-                for step in &steps {
-                    let waiting =
-                        (step.oram_index == 0).then(|| (req.core, step.outcome.served_from_tree()));
-                    // Only the data ORAM (index 0) is audited; the map
-                    // ORAMs run the same protocol with their own configs.
-                    if step.oram_index == 0 {
-                        conformance.observe_access(&step.outcome.plans);
-                    }
-                    let (layout, base) = &regions[step.oram_index];
-                    for plan in &step.outcome.plans {
-                        let buf = self.req_pool.pop().unwrap_or_default();
-                        out.push(lower(&mut self.digest, plan, layout, *base, waiting, buf));
-                    }
-                }
-                conformance.observe_stash(stash_len);
+            let (layout, base) = &regions[step.oram_index];
+            for plan in &step.outcome.plans {
+                let buf = self.req_pool.pop().unwrap_or_default();
+                out.push(lower(&mut self.digest, plan, layout, *base, waiting, buf));
             }
         }
+        conformance.observe_stash(stash_len);
     }
 
     /// Expands one **cover access** (protocol-level padding that serves no
@@ -266,28 +244,47 @@ impl Planner {
         conformance: &mut Conformance,
         out: &mut Vec<PlannedTxn>,
     ) -> bool {
-        match &mut self.engine {
-            Engine::Flat { oram, layout } => {
-                let Some(outcome) = oram.cover_access() else {
-                    return false;
-                };
-                self.cover_accesses += 1;
-                self.digest = fnv1a_u64(self.digest, u64::MAX);
-                let faults = oram.take_fault_events();
-                conformance.observe_faults(&faults);
-                conformance.observe_access(&outcome.plans);
-                conformance.observe_stash(oram.stash_len());
-                let mut digest = self.digest;
-                for plan in outcome.plans.iter() {
-                    let buf = self.req_pool.pop().unwrap_or_default();
-                    out.push(lower(&mut digest, plan, layout, 0, None, buf));
-                }
-                self.digest = digest;
-                oram.recycle_outcome(outcome);
-                true
-            }
-            Engine::Recursive { .. } => false,
+        self.lower_flat(None, conformance, out, |oram| oram.cover_access())
+    }
+
+    /// Runs `access` on the flat engine and lowers its outcome into `out`:
+    /// faults, plans and stash to conformance, plans into the digest, the
+    /// buffers back to the engine. `core` waits on a program access; `None`
+    /// is a cover access. `false` (nothing lowered) on a recursive engine or
+    /// when `access` plans nothing.
+    fn lower_flat(
+        &mut self,
+        core: Option<usize>,
+        conformance: &mut Conformance,
+        out: &mut Vec<PlannedTxn>,
+        access: impl FnOnce(&mut dyn ObliviousProtocol) -> Option<ring_oram::AccessOutcome>,
+    ) -> bool {
+        let Engine::Flat { oram, layout } = &mut self.engine else {
+            return false;
+        };
+        let Some(outcome) = access(oram.as_mut()) else {
+            return false;
+        };
+        if core.is_none() {
+            self.cover_accesses += 1;
+            self.digest = fnv1a_u64(self.digest, u64::MAX);
         }
+        // The fault log is drained unconditionally (it bounds protocol-side
+        // memory) and replayed before the plans, so retry allowances exist
+        // when the plans are checked.
+        conformance.observe_faults(&oram.take_fault_events());
+        conformance.observe_access(&outcome.plans);
+        conformance.observe_stash(oram.stash_len());
+        // The core's data arrives with the last plan carrying a target
+        // touch: a corrupted target fetch is only whole after its retry.
+        let wake = core.map(|c| (c, outcome.served_from_tree(), outcome.wake_plan_index()));
+        for (i, plan) in outcome.plans.iter().enumerate() {
+            let waiting = wake.and_then(|(c, tree, at)| (at == Some(i)).then_some((c, tree)));
+            let buf = self.req_pool.pop().unwrap_or_default();
+            out.push(lower(&mut self.digest, plan, layout, 0, waiting, buf));
+        }
+        oram.recycle_outcome(outcome);
+        true
     }
 
     /// Returns a lowered transaction's request buffer to the planner's

@@ -250,9 +250,10 @@ fn bucket_slot_reads_are_unique_between_shuffles() {
             tree_top_cached_levels: 0,
         };
         let blocks: Vec<BlockId> = (0..u64::from(z / 2)).map(BlockId).collect();
-        let mut bucket = ring_oram::bucket::Bucket::with_blocks(&cfg, &blocks, &mut rng);
+        let mut owned = ring_oram::bucket::OwnedBucket::with_blocks(&cfg, &blocks, &mut rng);
+        let mut bucket = owned.view();
         let mut seen = std::collections::HashSet::new();
-        while !bucket.needs_reshuffle(&cfg) {
+        while !bucket.peek().needs_reshuffle(&cfg) {
             let (slot, _, _) = bucket.serve_read(&cfg, None, &mut rng);
             assert!(seen.insert(slot), "case {case}: slot {slot} read twice");
         }
