@@ -69,9 +69,10 @@ impl BackendSnapshot {
 ///
 /// The contract every implementation upholds:
 ///
-/// * requests are enqueued in non-decreasing [`crate::TxnId`] order and
-///   their **data commands complete in transaction order** (the ORAM
-///   security contract), except under the explicitly insecure
+/// * requests are enqueued in non-decreasing [`crate::TxnId`] order (both
+///   backends panic otherwise, in every build) and their **data commands
+///   complete in transaction order** (the ORAM security contract), except
+///   under the explicitly insecure
 ///   [`crate::SchedulerPolicy::Unconstrained`] ablation;
 /// * [`MemoryBackend::tick`] is called once per cycle with non-decreasing
 ///   cycles; completions surface via [`MemoryBackend::drain_completed`]

@@ -35,7 +35,7 @@ use crate::queue::ChannelQueues;
 const EPOCH: u64 = 256;
 
 /// See the module docs.
-#[derive(Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(super) struct BankLedger {
     /// End of each bank's busy window as of the last command issued to it
     /// (or refresh), indexed `channel * banks_per_channel + bank`: the
@@ -51,7 +51,7 @@ pub(super) struct BankLedger {
     as_of: u64,
     /// `wheel[v % EPOCH]`: pending banks whose window ends at `v`, for
     /// `as_of < v <= epoch_end`; every other bucket is zero.
-    wheel: Vec<u32>,
+    pub(super) wheel: Vec<u32>,
     /// Last cycle of the wheel's range; the tick that reaches it recounts.
     epoch_end: u64,
 }
@@ -89,11 +89,6 @@ impl BankLedger {
     /// Pending banks inside their busy window at the last tick.
     pub(super) fn busy(&self) -> u64 {
         self.busy
-    }
-
-    /// End of bank `slot`'s busy window.
-    pub(super) fn busy_until(&self, slot: usize) -> u64 {
-        self.busy_until[slot]
     }
 
     /// A pending bank's window ending at `until` enters the count.
@@ -146,18 +141,12 @@ impl BankLedger {
         }
     }
 
-    /// A refresh moved bank `slot`'s window without a command; the tick it
-    /// started in recounts ([`Self::advance`] with `refreshed`).
-    pub(super) fn refreshed(&mut self, slot: usize, until: u64) {
-        self.busy_until[slot] = until;
-    }
-
     /// Moves the counts to tick `cycle`: the windows that ended since the
     /// last tick leave `busy`. Recounts from `queues` instead when a refresh
     /// moved windows (`refreshed`) or the epoch is over.
     pub(super) fn advance(&mut self, cycle: u64, refreshed: bool, queues: &[ChannelQueues]) {
         if refreshed || cycle >= self.epoch_end {
-            self.recount(cycle, queues);
+            self.recount(cycle, cycle + EPOCH, queues);
             return;
         }
         for ended in self.as_of + 1..=cycle {
@@ -167,13 +156,31 @@ impl BankLedger {
         self.as_of = cycle;
     }
 
-    /// Opens an epoch at `cycle`: `busy` and the wheel are read off the
-    /// pending banks of `queues`.
-    fn recount(&mut self, cycle: u64, queues: &[ChannelQueues]) {
+    /// Recomputes every count and bucket as of the last tick's cycle
+    /// `as_of`, from `queues` and each bank's window end `until(slot)`, in
+    /// the epoch `kept` is in.
+    pub(super) fn derive(
+        &mut self,
+        kept: &Self,
+        as_of: u64,
+        queues: &[ChannelQueues],
+        until: impl Fn(usize) -> u64,
+    ) {
+        for (slot, end) in self.busy_until.iter_mut().enumerate() {
+            *end = until(slot);
+        }
+        self.queued = queues.iter().map(ChannelQueues::len).sum();
+        self.pending = queues.iter().flat_map(ChannelQueues::pending_banks).count() as u64;
+        self.recount(as_of, kept.epoch_end, queues);
+    }
+
+    /// Opens the epoch ending at `epoch_end` at `cycle`: `busy` and the
+    /// wheel are read off the pending banks of `queues`.
+    fn recount(&mut self, cycle: u64, epoch_end: u64, queues: &[ChannelQueues]) {
         self.wheel.fill(0);
         self.busy = 0;
         self.as_of = cycle;
-        self.epoch_end = cycle + EPOCH;
+        self.epoch_end = epoch_end;
         let banks = self.busy_until.len() / queues.len();
         for (ch, q) in queues.iter().enumerate() {
             for b in q.pending_banks() {

@@ -29,18 +29,18 @@
 //! The enqueue and retire rules lean on one precondition: a bank's list is sorted by
 //! transaction as well as by age (requests arrive in non-decreasing
 //! transaction order — the `MemoryBackend` contract, asserted by
-//! `ChannelQueues::push`). The derivation ([`derive_bank`], the only place
-//! a [`BankView`] is read off a queue) doubles as the referee: debug builds
-//! compare the kept view against it after every delta
-//! ([`MemoryController::view_is_derived`]). Every event also records which
-//! commands the passes would now offer for its bank
+//! `MemoryController::try_enqueue`). The derivation ([`derive_bank`], the
+//! only place a [`BankView`] is read off a queue) doubles as the referee:
+//! [`ChannelCache::derive`] recomputes a channel's views and bounds from
+//! scratch for the controller's one `kept == derived` check. Every event
+//! also records which commands the passes would now offer for its bank
 //! ([`BankView::wanted`]): the channel's wake-up is the smallest bound among
 //! those ([`IssueBounds`]).
 
 use std::collections::VecDeque;
 
 use dram_sim::bank::Bank;
-use dram_sim::{CommandKind, DramLocation, DramModule};
+use dram_sim::{CommandKind, DramGeometry, DramLocation, DramModule};
 
 use crate::queue::ChannelQueues;
 use crate::request::{Request, TxnId};
@@ -98,10 +98,11 @@ pub(crate) struct BankView {
 
 /// The scheduling view of one channel: per-bank facts plus the three
 /// age-ordered candidate lists the passes walk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ChannelView {
     /// (current transaction, lookahead) the facts classify requests
-    /// against; `None` until first derived and after a DRAM refresh.
+    /// against; `None` — and every fact and list empty — until first
+    /// derived and after a DRAM refresh.
     pub(crate) window: Option<(TxnId, u64)>,
     pub(crate) banks: Vec<BankView>,
     /// Every bank's [`BankView::oldest_hit`] entries, sorted by age.
@@ -138,6 +139,15 @@ impl ChannelView {
         self.hits.sort_unstable_by_key(|c| c.id);
         self.order_current.sort_unstable();
         self.order_future.sort_unstable();
+    }
+
+    /// Drops the window and every fact: the view the next pass derives.
+    fn forget(&mut self) {
+        self.window = None;
+        self.banks.fill(BankView::default());
+        self.hits.clear();
+        self.order_current.clear();
+        self.order_future.clear();
     }
 }
 
@@ -178,10 +188,10 @@ fn derive_bank(
         ..BankView::default()
     };
     // The bank's list is in arrival order, so the first request seen of
-    // each class is its oldest — and in transaction order, so nothing
-    // behind the first request beyond the window is inside it.
-    let mut requests = requests.iter();
-    for r in requests.by_ref() {
+    // each class is its oldest — and in transaction order (`try_enqueue`
+    // asserts it), so nothing behind the first request beyond the window
+    // is inside it.
+    for r in requests {
         let hit = open_row == Some(r.loc.row);
         let cand = || Candidate::of(r, b);
         match classify(r.txn, window, unconstrained) {
@@ -199,10 +209,6 @@ fn derive_bank(
             Class::Outside => {}
         }
     }
-    debug_assert!(
-        requests.all(|r| classify(r.txn, window, unconstrained) == Class::Outside),
-        "bank {b}: a request of the window queued behind one beyond it"
-    );
     bank
 }
 
@@ -275,10 +281,10 @@ fn insert_hit(hits: &mut Vec<Candidate>, hit: Candidate) {
 /// The wake-up is the smallest bound among the (bank, kind) pairs the
 /// passes would offer ([`BankView::wanted`]), so a channel is awake exactly
 /// when a scan would issue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct IssueBounds {
     /// `bank_ready_at` of every bank, indexed `[bank][CommandKind as usize]`.
-    bank: Vec<[u64; 4]>,
+    pub(super) bank: Vec<[u64; 4]>,
     /// `class_ready_at` of every (rank, bank group), `[class][kind]`.
     class: Vec<[u64; 4]>,
     /// Each bank's index into `class`.
@@ -286,8 +292,9 @@ pub(crate) struct IssueBounds {
     ranks: u32,
     banks_per_rank: u32,
     groups: u32,
-    /// Each bank's [`BankView::wanted`], as of its last view update.
-    wants: Vec<u8>,
+    /// Each bank's [`BankView::wanted`], as of its last view update; 0
+    /// while the view has no window.
+    pub(super) wants: Vec<u8>,
     /// Nothing wanted can issue before this cycle; holds while `settled`.
     wake_at: u64,
     /// Whether `wake_at` is the minimum over the wants and bounds as they
@@ -302,7 +309,9 @@ fn coordinates(ranks: u32, per_rank: u32) -> impl Iterator<Item = (u32, u32)> {
 }
 
 impl IssueBounds {
-    fn new(ranks: u32, banks_per_rank: u32, groups: u32) -> Self {
+    fn new(geometry: &DramGeometry) -> Self {
+        let (ranks, groups) = (geometry.ranks_per_channel, geometry.bank_groups);
+        let banks_per_rank = geometry.banks_per_rank;
         let banks = (ranks * banks_per_rank) as usize;
         Self {
             bank: vec![[0; 4]; banks],
@@ -344,16 +353,6 @@ impl IssueBounds {
             *kept = dram.bank_ready_at(ch, rank, bank);
         }
         self.reread_classes(dram, ch);
-    }
-
-    /// Whether the copy is what channel `ch` of `dram` holds now (the
-    /// referee of [`Self::reread`]'s two call sites). Allocates nothing.
-    fn mirrors(&self, dram: &DramModule, ch: u32) -> bool {
-        let banks = coordinates(self.ranks, self.banks_per_rank);
-        let classes = coordinates(self.ranks, self.groups);
-        (self.bank.iter().zip(banks)).all(|(kept, (r, b))| *kept == dram.bank_ready_at(ch, r, b))
-            && (self.class.iter().zip(classes))
-                .all(|(kept, (r, g))| *kept == dram.class_ready_at(ch, r, g))
     }
 
     /// Whether the timing of a `kind` command to bank `b` allows `cycle`.
@@ -400,26 +399,25 @@ impl IssueBounds {
         self.settled
     }
 
-    /// Forgets the wake-up (the recovery of a release build that found an
-    /// awake channel with nothing to issue).
+    /// Forgets the wake-up: a refresh moved the registers, or a release
+    /// build found an awake channel with nothing to issue.
     pub(crate) fn unsettle(&mut self) {
         self.settled = false;
     }
 }
 
 /// Everything the controller remembers about one channel between ticks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ChannelCache {
     pub(crate) view: ChannelView,
     pub(crate) bounds: IssueBounds,
 }
 
 impl ChannelCache {
-    /// State for a channel of `ranks` ranks of `banks_per_rank` banks in
-    /// `groups` bank groups (everything is sized up front: upkeep never
-    /// allocates).
-    pub(crate) fn new(ranks: u32, banks_per_rank: u32, groups: u32) -> Self {
-        let banks = (ranks * banks_per_rank) as usize;
+    /// State for a channel of `geometry` (everything is sized up front:
+    /// upkeep never allocates).
+    pub(crate) fn new(geometry: &DramGeometry) -> Self {
+        let banks = (geometry.ranks_per_channel * geometry.banks_per_rank) as usize;
         Self {
             view: ChannelView {
                 window: None,
@@ -428,16 +426,37 @@ impl ChannelCache {
                 order_current: Vec::with_capacity(banks),
                 order_future: Vec::with_capacity(banks),
             },
-            bounds: IssueBounds::new(ranks, banks_per_rank, groups),
+            bounds: IssueBounds::new(geometry),
         }
     }
 
-    /// Reads again everything that mirrors DRAM state: a refresh closed
-    /// rows (the view is derived anew by the next pass) and moved timing
-    /// without the controller issuing a command.
-    pub(crate) fn refreshed(&mut self, dram: &DramModule, ch: usize) {
-        self.view.window = None;
+    /// Recomputes channel `ch`'s view (for `kept`'s window) and bounds from
+    /// its `queues` and `dram`; an unsettled wake-up is not due, so it is
+    /// taken as given.
+    pub(crate) fn derive(
+        &mut self,
+        kept: &Self,
+        queues: &ChannelQueues,
+        dram: &DramModule,
+        ch: usize,
+        unconstrained: bool,
+    ) {
+        let per_rank = self.bounds.banks_per_rank;
+        let open_row = |b| dram_bank(dram, per_rank, ch, b).open_row();
+        match kept.view.window {
+            Some(window) => self.view.derive(queues, open_row, window, unconstrained),
+            None => self.view.forget(),
+        }
         self.bounds.reread_all(dram, ch as u32);
+        for (wants, bank) in self.bounds.wants.iter_mut().zip(&self.view.banks) {
+            *wants = bank.wanted();
+        }
+        self.bounds.settled = kept.bounds.settled;
+        self.bounds.wake_at = if kept.bounds.settled {
+            self.bounds.earliest_wanted()
+        } else {
+            kept.bounds.wake_at
+        };
     }
 }
 
@@ -464,22 +483,11 @@ impl MemoryController {
         (loc.rank * self.banks_per_rank + loc.bank) as usize
     }
 
-    /// Bank `b` of channel `ch` as [`derive_bank`] reads it now.
-    fn derived(&self, ch: usize, b: usize, window: (TxnId, u64)) -> BankView {
-        derive_bank(
-            self.queues[ch].bank(b),
-            b,
-            dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row(),
-            window,
-            self.policy.unconstrained(),
-        )
-    }
-
     /// Re-derives every bank's facts for a new (current transaction,
     /// lookahead) window and records what the passes would offer for each.
     pub(super) fn rebuild_view(&mut self, ch: usize, current: TxnId, lookahead: u64) {
         let open_row = |b| dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row();
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         view.derive(
             &self.queues[ch],
             open_row,
@@ -497,11 +505,13 @@ impl MemoryController {
     /// bank and after a dropped response; a view with no window yet is
     /// derived in full by the next scheduling pass instead.
     pub(super) fn refresh_bank(&mut self, ch: usize, b: usize) {
-        let Some(window) = self.caches[ch].view.window else {
+        let Some(window) = self.kept.caches[ch].view.window else {
             return;
         };
-        let bank = self.derived(ch, b, window);
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let open_row = dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row();
+        let unconstrained = self.policy.unconstrained();
+        let bank = derive_bank(self.queues[ch].bank(b), b, open_row, window, unconstrained);
+        let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         bounds.set_wants(b, bank.wanted());
         view.hits.retain(|c| c.b != b);
         for hit in bank.oldest_hit.into_iter().flatten() {
@@ -518,7 +528,7 @@ impl MemoryController {
     /// and how they classify did not change, so `oldest_current` and
     /// `oldest_future` (and their lists) stand.
     pub(super) fn view_precharged(&mut self, ch: usize, b: usize) {
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         if view.window.is_none() {
             return;
         }
@@ -530,7 +540,6 @@ impl MemoryController {
         bank.oldest_hit = [None; 2];
         bank.future_hit_pending = false;
         bounds.set_wants(b, bank.wanted());
-        debug_assert!(self.view_is_derived(ch, b), "precharge delta, bank {b}");
     }
 
     /// Accounts for `new`, just appended to its bank's queue. It is the
@@ -540,7 +549,7 @@ impl MemoryController {
     /// no pass looks and nothing changes.
     pub(super) fn view_enqueued(&mut self, ch: usize, new: Candidate) {
         let unconstrained = self.policy.unconstrained();
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         let Some(window) = view.window else {
             return;
         };
@@ -576,11 +585,6 @@ impl MemoryController {
         if filled {
             bounds.set_wants(new.b, bank.wanted());
         }
-        debug_assert!(
-            self.view_is_derived(ch, new.b),
-            "enqueue delta, bank {}",
-            new.b
-        );
     }
 
     /// Accounts for the data command that retired `old` from position `at`
@@ -592,7 +596,7 @@ impl MemoryController {
     /// the lookahead facts cannot change.
     pub(super) fn view_retired(&mut self, ch: usize, old: Candidate, at: usize) {
         let unconstrained = self.policy.unconstrained();
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         let Some(window) = view.window else {
             return;
         };
@@ -616,58 +620,6 @@ impl MemoryController {
         if let Some(hit) = next_hit {
             insert_hit(&mut view.hits, hit);
         }
-        debug_assert!(
-            self.view_is_derived(ch, old.b),
-            "retire delta, bank {}",
-            old.b
-        );
-    }
-
-    /// The referee of the issue bounds: whether channel `ch`'s copy of the
-    /// timing registers is what `dram-sim` holds now, every bank's kept
-    /// wants are [`BankView::wanted`] of the bank as derived from its queue,
-    /// and a settled wake-up is the minimum over both. Allocates nothing.
-    pub(super) fn bounds_are_mirrored(&self, ch: usize) -> bool {
-        let ChannelCache { view, bounds } = &self.caches[ch];
-        let wants_hold = view.window.is_none_or(|window| {
-            (0..self.banks_per_channel())
-                .all(|b| bounds.wants[b] == self.derived(ch, b, window).wanted())
-        });
-        bounds.mirrors(&self.dram, ch as u32)
-            && wants_hold
-            && (!bounds.settled || bounds.wake_at == bounds.earliest_wanted())
-    }
-
-    /// The referee of the delta rules: whether bank `b`'s kept facts and its
-    /// entries in the channel's three lists are what [`derive_bank`] reads
-    /// off the queue now, and the lists are in age order. Allocates nothing
-    /// (debug builds run it under the allocation-counting tests).
-    pub(super) fn view_is_derived(&self, ch: usize, b: usize) -> bool {
-        let view = &self.caches[ch].view;
-        let Some(window) = view.window else {
-            return true;
-        };
-        let want = self.derived(ch, b, window);
-        let [read, write] = want.oldest_hit;
-        let hits = match (read, write) {
-            (Some(r), Some(w)) if w.id < r.id => [write, read],
-            _ => [read, write],
-        };
-        // Bank `b`'s entry in `order` is `oldest`'s, and `order` ascends.
-        let order_holds = |order: &[(u64, usize)], oldest: Option<Candidate>| {
-            let of_bank = order.iter().filter(|&&(_, bank)| bank == b);
-            of_bank.eq(oldest.map(|c| (c.id, b)).iter())
-                && order.windows(2).all(|w| w[0].0 < w[1].0)
-        };
-        view.banks[b] == want
-            && view
-                .hits
-                .iter()
-                .filter(|c| c.b == b)
-                .eq(hits.iter().flatten())
-            && view.hits.windows(2).all(|w| w[0].id < w[1].id)
-            && order_holds(&view.order_current, want.oldest_current)
-            && order_holds(&view.order_future, want.oldest_future)
     }
 }
 

@@ -43,6 +43,10 @@
 //! integrals add counts kept by transition (`accounting.rs`) and the
 //! current transaction is the head of a run-list, so no queue and no bank
 //! is walked.
+//!
+//! Everything kept that way is one struct, `Kept`, refereed by one `==`
+//! against its recomputation from the queues and the DRAM: at the end of
+//! every `tick` and `try_enqueue` in debug builds, explicitly in tests.
 
 mod accounting;
 mod cache;
@@ -56,10 +60,10 @@ pub use faults::{FaultConfigError, ResponseFaultConfig};
 use std::collections::VecDeque;
 
 use dram_sim::faults::{mix64, u01};
-use dram_sim::AddressMapping;
+use dram_sim::{AddressMapping, DramGeometry};
 use dram_sim::{DramCommand, DramModule};
 
-use crate::policy::{CandidateOrder, PolicyState, PolicyStats, SchedulerPolicy};
+use crate::policy::{PolicyState, PolicyStats, SchedulerPolicy};
 use crate::queue::{ChannelQueues, QueueFull};
 use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
@@ -67,6 +71,7 @@ use crate::stats::SchedulerStats;
 use accounting::BankLedger;
 use cache::{dram_bank, Candidate, ChannelCache};
 use faults::{ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
+use schedule::probe;
 
 /// One issued DRAM command, as recorded by the optional command trace.
 ///
@@ -100,25 +105,14 @@ pub enum PagePolicy {
     Closed,
 }
 
-/// The memory controller: per-channel queues, a scheduling policy, and the
-/// DRAM module it drives.
-#[derive(Debug)]
-pub struct MemoryController {
-    dram: DramModule,
-    mapping: AddressMapping,
-    policy: PolicyState,
-    page_policy: PagePolicy,
-    queues: Vec<ChannelQueues>,
-    next_id: u64,
-    completed: Vec<Completed>,
-    stats: SchedulerStats,
-    last_cycle: u64,
+/// What the controller keeps between ticks besides the queues and the
+/// DRAM: each field is a function of those two and the last tick's cycle
+/// ([`MemoryController::derive_into`]), kept up on the events that move it.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Kept {
     /// Per-channel scheduling views and issue bounds, kept up per bank on
     /// events (see `cache.rs`).
     caches: Vec<ChannelCache>,
-    banks_per_rank: u32,
-    /// Banks per channel, all ranks.
-    banks_per_channel: usize,
     /// What the per-tick integrals add — requests queued, banks with work,
     /// banks with work inside their busy window — counted on the events
     /// that move them (see `accounting.rs`).
@@ -135,6 +129,43 @@ pub struct MemoryController {
     /// when one of them has to look again (an enqueue that moved a want or
     /// the transaction pointer, a refresh, a moved window).
     sleep_until: u64,
+}
+
+impl Kept {
+    /// Empty, sized for `geometry` and `queue_capacity` up front: neither
+    /// its upkeep nor its derivation allocates.
+    fn new(geometry: &DramGeometry, queue_capacity: usize) -> Self {
+        let channels = geometry.channels as usize;
+        let banks = (geometry.ranks_per_channel * geometry.banks_per_rank) as usize;
+        Self {
+            caches: (0..channels).map(|_| ChannelCache::new(geometry)).collect(),
+            ledger: BankLedger::new(channels * banks),
+            // One run per queued request at worst: never grows.
+            txn_runs: VecDeque::with_capacity(channels * 2 * queue_capacity),
+            ..Self::default()
+        }
+    }
+}
+
+/// The memory controller: per-channel queues, a scheduling policy, and the
+/// DRAM module it drives.
+#[derive(Debug)]
+pub struct MemoryController {
+    dram: DramModule,
+    mapping: AddressMapping,
+    policy: PolicyState,
+    page_policy: PagePolicy,
+    queues: Vec<ChannelQueues>,
+    next_id: u64,
+    completed: Vec<Completed>,
+    stats: SchedulerStats,
+    last_cycle: u64,
+    banks_per_rank: u32,
+    /// Banks per channel, all ranks.
+    banks_per_channel: usize,
+    kept: Kept,
+    /// Scratch for [`Self::derive_into`].
+    derived: Kept,
     /// Optional command trace: every issued command with its cycle and
     /// owning transaction.
     command_trace: Option<Vec<CommandEvent>>,
@@ -158,13 +189,14 @@ impl MemoryController {
         policy: SchedulerPolicy,
         queue_capacity: usize,
     ) -> Self {
-        let channels = dram.geometry().channels;
-        let banks_per_rank = dram.geometry().banks_per_rank;
-        let ranks = dram.geometry().ranks_per_channel;
-        let groups = dram.geometry().bank_groups;
-        let banks = (ranks * banks_per_rank) as usize;
+        let geometry = dram.geometry();
+        let channels = geometry.channels;
+        let banks_per_rank = geometry.banks_per_rank;
+        let banks = (geometry.ranks_per_channel * banks_per_rank) as usize;
+        let kept = Kept::new(geometry, queue_capacity);
+        // Built alike, not cloned: a clone has no spare capacity.
+        let derived = Kept::new(geometry, queue_capacity);
         Self {
-            dram,
             mapping,
             policy: PolicyState::new(policy),
             page_policy: PagePolicy::Open,
@@ -178,16 +210,11 @@ impl MemoryController {
                 ..SchedulerStats::default()
             },
             last_cycle: 0,
-            caches: (0..channels)
-                .map(|_| ChannelCache::new(ranks, banks_per_rank, groups))
-                .collect(),
             banks_per_rank,
             banks_per_channel: banks,
-            ledger: BankLedger::new(channels as usize * banks),
-            // One run per queued request at worst: never grows.
-            txn_runs: VecDeque::with_capacity(channels as usize * 2 * queue_capacity),
-            open_banks: 0,
-            sleep_until: 0,
+            kept,
+            derived,
+            dram,
             command_trace: None,
             response_faults: None,
         }
@@ -304,7 +331,7 @@ impl MemoryController {
     /// Number of requests currently queued (not yet issued).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.ledger.queued()
+        self.kept.ledger.queued()
     }
 
     /// Enqueues a request at `cycle`.
@@ -313,6 +340,11 @@ impl MemoryController {
     ///
     /// [`QueueFull`] when the target channel queue has no free entry; the
     /// caller must stall and retry (nothing is enqueued).
+    ///
+    /// # Panics
+    ///
+    /// When a request it would accept is of an older transaction than one
+    /// still queued (see the [`crate::MemoryBackend`] contract).
     pub fn try_enqueue(&mut self, spec: RequestSpec, cycle: u64) -> Result<u64, QueueFull> {
         let loc = self.mapping.decode(spec.addr);
         if self.saturated_at(cycle) {
@@ -342,26 +374,29 @@ impl MemoryController {
         let new = Candidate::of(&req, b);
         let first = self.queues[ch].bank(b).is_empty();
         self.queues[ch].push(b, req)?;
-        self.ledger.enqueued(self.slot(ch, b), first);
-        debug_assert!(
-            self.txn_runs
-                .back()
-                .is_none_or(|&(last, _)| last <= spec.txn),
+        self.kept.ledger.enqueued(self.slot(ch, b), first);
+        let runs = &mut self.kept.txn_runs;
+        assert!(
+            runs.back().is_none_or(|&(last, _)| last <= spec.txn),
             "requests must be enqueued in transaction order"
         );
         // The whole-controller sleep stands unless the request moved what it
         // was computed from: the transaction pointer (nothing was queued) or
         // what the passes would offer on its channel.
-        let idle = self.txn_runs.is_empty();
-        match self.txn_runs.back_mut() {
+        let idle = runs.is_empty();
+        match runs.back_mut() {
             Some((txn, queued)) if *txn == spec.txn => *queued += 1,
-            _ => self.txn_runs.push_back((spec.txn, 1)),
+            _ => runs.push_back((spec.txn, 1)),
         }
         self.view_enqueued(ch, new);
-        if idle || !self.caches[ch].bounds.is_settled() {
-            self.sleep_until = 0;
+        if idle || !self.kept.caches[ch].bounds.is_settled() {
+            self.kept.sleep_until = 0;
         }
         self.next_id += 1;
+        debug_assert!(
+            self.kept_is_derived(),
+            "the kept state drifted from its derivation at the enqueue of request {id}"
+        );
         Ok(id)
     }
 
@@ -370,15 +405,15 @@ impl MemoryController {
     /// policy (only the unconstrained ablation retires from further back).
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn txn_retired(&mut self, txn: TxnId) {
-        let at = self
-            .txn_runs
+        let runs = &mut self.kept.txn_runs;
+        let at = runs
             .iter()
             .position(|&(t, _)| t == txn)
             .expect("every queued request is counted in its transaction's run");
-        let (_, queued) = &mut self.txn_runs[at];
+        let (_, queued) = &mut runs[at];
         *queued -= 1;
         if *queued == 0 {
-            self.txn_runs.remove(at);
+            runs.remove(at);
         }
     }
 
@@ -397,26 +432,7 @@ impl MemoryController {
     /// with an unissued request, if any.
     #[must_use]
     pub fn current_txn(&self) -> Option<TxnId> {
-        self.txn_runs.front().map(|&(txn, _)| txn)
-    }
-
-    /// The referee of the counts kept by transition: whether the queued /
-    /// pending / busy counts, as of tick `cycle`, and the run-list's head
-    /// are what the walk they replaced reads off the queues and banks now
-    /// — Σ `len`, `pending_banks()` against each bank's busy window, the
-    /// smallest transaction at the head of a bank list. Debug builds ask it
-    /// on every tick.
-    fn counts_are_recounted(&self, cycle: u64) -> bool {
-        let (mut pending, mut busy) = (0, 0);
-        for (ch, q) in self.queues.iter().enumerate() {
-            for b in q.pending_banks() {
-                pending += 1;
-                busy += u64::from(self.ledger.busy_until(self.slot(ch, b)) > cycle);
-            }
-        }
-        self.ledger.queued() == self.queues.iter().map(ChannelQueues::len).sum::<usize>()
-            && (self.ledger.pending(), self.ledger.busy()) == (pending, busy)
-            && self.current_txn() == self.queues.iter().filter_map(ChannelQueues::min_txn).min()
+        self.kept.txn_runs.front().map(|&(txn, _)| txn)
     }
 
     /// Advances the controller by one memory cycle: refresh housekeeping,
@@ -429,20 +445,17 @@ impl MemoryController {
         if refreshed {
             self.observe_refresh();
         }
-        self.ledger.advance(cycle, refreshed, &self.queues);
-        debug_assert!(
-            self.counts_are_recounted(cycle),
-            "the counts kept by transition drifted from the queues at cycle {cycle}"
-        );
-        self.stats.queue_occupancy_integral += self.ledger.queued() as u64;
+        self.kept.ledger.advance(cycle, refreshed, &self.queues);
+        self.stats.queue_occupancy_integral += self.kept.ledger.queued() as u64;
         self.stats.ticks += 1;
 
         // Bank idle accounting (Fig. 12(a)): a bank with pending requests
         // either executes a command window this cycle or sits stalled —
         // under transaction-based scheduling mostly because of the barrier.
-        let (pending, busy) = (self.ledger.pending(), self.ledger.busy());
-        self.stats.bank_tick_integral += self.ledger.banks() as u64;
-        self.stats.open_bank_integral += self.open_banks;
+        let ledger = &self.kept.ledger;
+        let (pending, busy) = (ledger.pending(), ledger.busy());
+        self.stats.bank_tick_integral += ledger.banks() as u64;
+        self.stats.open_bank_integral += self.kept.open_banks;
         self.stats.busy_pending_bank_cycles += busy;
         self.stats.stalled_bank_cycles += pending - busy;
 
@@ -455,23 +468,31 @@ impl MemoryController {
         let order = self.policy.plan(cycle);
         let lookahead = self.policy.lookahead();
         // Close-page housekeeping looks at the banks on every tick.
-        if cycle < self.sleep_until && self.page_policy == PagePolicy::Open {
+        if cycle < self.kept.sleep_until && self.page_policy == PagePolicy::Open {
+            // Asleep, every view is of the current window (the referee
+            // held it at the last event), so the probe reads the right one.
             debug_assert!(
-                self.every_channel_sleeps(current, order, cycle),
+                order.is_none_or(|order| (0..self.queues.len()).all(|ch| {
+                    probe(&self.kept.caches[ch].view, &self.dram, order, cycle).is_none()
+                })),
                 "the controller slept through an issuable command at cycle {cycle}"
             );
-            return;
-        }
-        for ch in 0..self.queues.len() {
-            let issued = match (current, order) {
-                (Some(t), Some(order)) => self.schedule_channel(ch, t, lookahead, order, cycle),
-                _ => false,
-            };
-            if !issued && self.page_policy == PagePolicy::Closed {
-                self.close_idle_rows(ch, cycle);
+        } else {
+            for ch in 0..self.queues.len() {
+                let issued = match (current, order) {
+                    (Some(t), Some(order)) => self.schedule_channel(ch, t, lookahead, order, cycle),
+                    _ => false,
+                };
+                if !issued && self.page_policy == PagePolicy::Closed {
+                    self.close_idle_rows(ch, cycle);
+                }
             }
+            self.kept.sleep_until = self.earliest_wake();
         }
-        self.sleep_until = self.earliest_wake();
+        debug_assert!(
+            self.kept_is_derived(),
+            "the kept state drifted from its derivation at cycle {cycle}"
+        );
     }
 
     /// The first cycle at which a channel may have something to issue:
@@ -492,42 +513,71 @@ impl MemoryController {
                 0
             }
         };
-        self.caches.iter_mut().map(wake).min().unwrap_or(u64::MAX)
-    }
-
-    /// The oracle of a tick the controller sleeps through as a whole:
-    /// whether every channel's view is of the current window and its three
-    /// passes, asking `can_issue` for every candidate, find nothing.
-    fn every_channel_sleeps(
-        &self,
-        current: Option<TxnId>,
-        order: Option<CandidateOrder>,
-        cycle: u64,
-    ) -> bool {
-        let (Some(current), Some(order)) = (current, order) else {
-            return true;
-        };
-        let window = Some((current, self.policy.lookahead()));
-        (0..self.caches.len()).all(|ch| {
-            self.caches[ch].view.window == window && self.nothing_can_issue(ch, order, cycle)
-        })
+        let caches = self.kept.caches.iter_mut();
+        caches.map(wake).min().unwrap_or(u64::MAX)
     }
 
     /// A refresh started: it closed every row of its rank and moved bank
-    /// timing without a command from the controller, so everything the
-    /// controller mirrors or derives from DRAM state is read again. Rare
-    /// (once per tREFI per rank), so all channels are treated alike.
+    /// timing without a command from the controller, so everything kept is
+    /// taken from the derivation, with every window dropped (the next pass
+    /// derives its view) and every wake-up due. Rare: once per tREFI.
     fn observe_refresh(&mut self) {
-        for (ch, cache) in self.caches.iter_mut().enumerate() {
-            cache.refreshed(&self.dram, ch);
+        for cache in &mut self.kept.caches {
+            cache.view.window = None;
+            cache.bounds.unsettle();
         }
-        self.sleep_until = 0;
-        let banks = self.banks_per_channel();
-        self.open_banks = 0;
-        for slot in 0..self.ledger.banks() {
-            let bank = dram_bank(&self.dram, self.banks_per_rank, slot / banks, slot % banks);
-            self.ledger.refreshed(slot, bank.busy_until());
-            self.open_banks += u64::from(bank.open_row().is_some());
+        self.kept.sleep_until = 0;
+        let mut refreshed = std::mem::take(&mut self.derived);
+        self.derive_into(&mut refreshed);
+        self.derived = std::mem::replace(&mut self.kept, refreshed);
+    }
+
+    /// Recomputes into `out` everything [`Kept`] holds from the queues, the
+    /// DRAM and the last tick's cycle, taking as given what is settled
+    /// lazily and not yet due: an unsettled `wake_at`, a `sleep_until` of 0.
+    /// Allocates nothing.
+    fn derive_into(&self, out: &mut Kept) {
+        let banks = self.banks_per_channel;
+        let bank = |slot| dram_bank(&self.dram, self.banks_per_rank, slot / banks, slot % banks);
+        let unconstrained = self.policy.unconstrained();
+        for (ch, (cache, kept)) in out.caches.iter_mut().zip(&self.kept.caches).enumerate() {
+            cache.derive(kept, &self.queues[ch], &self.dram, ch, unconstrained);
         }
+        let kept = &self.kept.ledger;
+        let until = |slot| bank(slot).busy_until();
+        out.ledger
+            .derive(kept, self.last_cycle, &self.queues, until);
+        let open = (0..kept.banks()).filter(|&s| bank(s).open_row().is_some());
+        out.open_banks = open.count() as u64;
+        out.txn_runs.clear();
+        for q in &self.queues {
+            for r in (0..banks).flat_map(|b| q.bank(b)) {
+                let at = out.txn_runs.partition_point(|&(txn, _)| txn < r.txn);
+                match out.txn_runs.get_mut(at) {
+                    Some((txn, queued)) if *txn == r.txn => *queued += 1,
+                    _ => out.txn_runs.insert(at, (r.txn, 1)),
+                }
+            }
+        }
+        let lookahead = self.policy.lookahead();
+        let window = out.txn_runs.front().map(|&(txn, _)| (txn, lookahead));
+        let wakes = out.caches.iter().map(|c| c.bounds.earliest_wanted());
+        out.sleep_until = match window {
+            _ if self.kept.sleep_until == 0 => 0,
+            None => u64::MAX,
+            Some(_) if out.caches.iter().any(|c| c.view.window != window) => 0,
+            Some(_) => wakes.min().unwrap_or(u64::MAX),
+        };
+    }
+
+    /// The one referee: whether everything kept is what
+    /// [`Self::derive_into`] recomputes now. Debug builds ask it at the end
+    /// of every `tick` and `try_enqueue`.
+    fn kept_is_derived(&mut self) -> bool {
+        let mut derived = std::mem::take(&mut self.derived);
+        self.derive_into(&mut derived);
+        let held = derived == self.kept;
+        self.derived = derived;
+        held
     }
 }

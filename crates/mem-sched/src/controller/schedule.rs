@@ -6,10 +6,10 @@
 //! against the channel's copy of `dram-sim`'s timing registers, and a
 //! channel is only scanned on a cycle at which one of the commands the
 //! passes would offer can issue — see `cache.rs`. `DramModule::can_issue`
-//! is asked by `DramModule::issue` itself and by the debug oracles only.
+//! is asked by `DramModule::issue` itself and by [`probe`] only.
 
 use dram_sim::faults::{mix64, u01};
-use dram_sim::{CommandKind, DramCommand, DramLocation, IssueOutcome};
+use dram_sim::{CommandKind, DramCommand, DramLocation, DramModule, IssueOutcome};
 
 use crate::policy::CandidateOrder;
 use crate::request::{Completed, RowClass, TxnId};
@@ -140,6 +140,18 @@ pub(super) fn pick(
     None
 }
 
+/// The probe-everything pass: the passes over `view`, asking `dram` whether
+/// each candidate can issue at `cycle`. What the bounds find must be what
+/// this finds: nothing on a channel that sleeps.
+pub(super) fn probe(
+    view: &ChannelView,
+    dram: &DramModule,
+    order: CandidateOrder,
+    cycle: u64,
+) -> Option<Pick> {
+    pick(view, order, |_, cmd| dram.can_issue(cmd, cycle).is_ok())
+}
+
 /// The PRE or ACT that moves `bank` towards `cand`'s row, if one is needed,
 /// no pending hit (`hit_pending`) needs the open row, and it may issue.
 fn prepare(
@@ -175,30 +187,21 @@ impl MemoryController {
         order: CandidateOrder,
         cycle: u64,
     ) -> bool {
-        if self.caches[ch].view.window != Some((current, lookahead)) {
+        if self.kept.caches[ch].view.window != Some((current, lookahead)) {
             self.rebuild_view(ch, current, lookahead);
         }
-        debug_assert!(
-            self.bounds_are_mirrored(ch),
-            "channel {ch}: a register or a want moved unrecorded by cycle {cycle}"
-        );
-        let ChannelCache { view, bounds } = &mut self.caches[ch];
+        let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         if cycle < bounds.wake_at() {
             debug_assert!(
-                self.nothing_can_issue(ch, order, cycle),
+                probe(view, &self.dram, order, cycle).is_none(),
                 "channel {ch} slept through an issuable command at cycle {cycle}"
             );
             return false;
         }
         let found = pick(view, order, |b, cmd| bounds.ready(b, cmd.kind, cycle));
-        // The old probe-everything scan survives as the oracle: tier-1 runs
-        // in debug, so every test doubles as a differential.
         debug_assert_eq!(
             found,
-            pick(view, order, |_, cmd| self
-                .dram
-                .can_issue(cmd, cycle)
-                .is_ok()),
+            probe(view, &self.dram, order, cycle),
             "channel {ch}: the bounds and `can_issue` disagree at cycle {cycle}"
         );
         let Some(found) = found else {
@@ -222,13 +225,6 @@ impl MemoryController {
         true
     }
 
-    /// The oracle of every skipped channel-tick: whether the three passes,
-    /// asking `can_issue` for every candidate, find nothing on channel `ch`.
-    pub(super) fn nothing_can_issue(&self, ch: usize, order: CandidateOrder, cycle: u64) -> bool {
-        let can_issue = |_, cmd: &DramCommand| self.dram.can_issue(cmd, cycle).is_ok();
-        pick(&self.caches[ch].view, order, can_issue).is_none()
-    }
-
     /// Close-page policy: precharge any open bank with no pending request
     /// for its open row, as soon as timing allows. At most one PRE per
     /// channel per cycle (the command bus is shared).
@@ -249,7 +245,7 @@ impl MemoryController {
                 row,
                 column: 0,
             });
-            if self.caches[ch].bounds.ready(b, cmd.kind, cycle) {
+            if self.kept.caches[ch].bounds.ready(b, cmd.kind, cycle) {
                 self.issue_to_dram(ch, b, cmd, cycle, None);
                 self.stats.precharges += 1;
                 self.view_precharged(ch, b);
@@ -276,14 +272,16 @@ impl MemoryController {
     ) -> IssueOutcome {
         let outcome = self.dram.issue(cmd, cycle).expect("its bounds have passed");
         self.record_trace(cycle, cmd, txn);
-        self.caches[ch].bounds.reread(&self.dram, &cmd.loc);
+        self.kept.caches[ch].bounds.reread(&self.dram, &cmd.loc);
         let rank = self.dram.channel(cmd.loc.channel).rank(cmd.loc.rank);
         let busy_until = rank.bank(cmd.loc.bank).busy_until();
         let pending = !self.queues[ch].bank(b).is_empty();
-        self.ledger.commanded(self.slot(ch, b), busy_until, pending);
+        self.kept
+            .ledger
+            .commanded(self.slot(ch, b), busy_until, pending);
         match cmd.kind {
-            CommandKind::Activate => self.open_banks += 1,
-            CommandKind::Precharge => self.open_banks -= 1,
+            CommandKind::Activate => self.kept.open_banks += 1,
+            CommandKind::Precharge => self.kept.open_banks -= 1,
             CommandKind::Read | CommandKind::Write => {}
         }
         outcome
@@ -327,7 +325,7 @@ impl MemoryController {
         }
         let (at, mut req) = self.queues[ch].remove(cand.b, cand.id);
         let last = self.queues[ch].bank(cand.b).is_empty();
-        self.ledger.retired(self.slot(ch, cand.b), last);
+        self.kept.ledger.retired(self.slot(ch, cand.b), last);
         self.txn_retired(cand.txn);
         self.view_retired(ch, cand, at);
         req.record_first_command(cycle, RowClass::Hit);

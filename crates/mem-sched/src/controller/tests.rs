@@ -1124,10 +1124,9 @@ fn run_scenario_seen(s: &Scenario) -> (Pinned, MemoryController, Seen) {
     (pinned, c, seen)
 }
 
-/// End of the busy window of channel `ch`'s bank `b`, as the controller
-/// mirrors it.
+/// End of the busy window of channel `ch`'s bank `b`.
 fn busy_until(c: &MemoryController, ch: usize, b: usize) -> u64 {
-    c.ledger.busy_until(c.slot(ch, b))
+    dram_bank(&c.dram, c.banks_per_rank, ch, b).busy_until()
 }
 
 #[test]
@@ -1738,72 +1737,18 @@ fn enqueue_into_the_current_window_wakes_a_sleeping_channel() {
     assert_eq!(c.stats().early_activates, 1);
 }
 
-/// Whether every bank's kept view equals the derivation right now.
-fn views_are_derived(c: &MemoryController) -> bool {
-    let banks = c.banks_per_channel();
-    (0..c.queues.len()).all(|ch| (0..banks).all(|b| c.view_is_derived(ch, b)))
-}
-
-/// Whether every channel's issue bounds are a fresh read of the registers
-/// with the derived banks' wants, and the controller's whole-sleep is
-/// either off or the smallest of the channels' recomputed wake-ups, all of
-/// them looking through the current window.
-fn bounds_are_mirrored(c: &MemoryController) -> bool {
-    let window = c.current_txn().map(|t| (t, c.policy.lookahead()));
-    let sleep = match window {
-        None => u64::MAX,
-        Some(_) if c.caches.iter().any(|cache| cache.view.window != window) => 0,
-        Some(_) => c
-            .caches
-            .iter()
-            .map(|cache| cache.bounds.earliest_wanted())
-            .min()
-            .unwrap_or(u64::MAX),
-    };
-    (0..c.queues.len()).all(|ch| c.bounds_are_mirrored(ch))
-        && (c.sleep_until == 0 || c.sleep_until == sleep)
-}
-
-/// Which channels the tick of `cycle` must issue a command on, worked out
-/// with nothing the controller keeps: a copy of the DRAM taken through the
-/// tick's refresh, a copy of the policy asked for the plan, each channel's
-/// view derived from its queues, and the three passes asking `can_issue`
-/// for every candidate.
-fn channels_that_can_issue(c: &MemoryController, cycle: u64) -> Vec<bool> {
-    let mut dram = c.dram.clone();
-    dram.tick(cycle);
-    let mut policy = c.policy;
-    let plan = c.current_txn().zip(policy.plan(cycle));
-    (0..c.queues.len())
-        .map(|ch| {
-            let Some((current, order)) = plan else {
-                return false;
-            };
-            let g = dram.geometry();
-            let per_rank = g.banks_per_rank;
-            let mut view = ChannelCache::new(g.ranks_per_channel, per_rank, g.bank_groups).view;
-            view.derive(
-                &c.queues[ch],
-                |b| dram_bank(&dram, per_rank, ch, b).open_row(),
-                (current, policy.lookahead()),
-                policy.unconstrained(),
-            );
-            schedule::pick(&view, order, |_, cmd| dram.can_issue(cmd, cycle).is_ok()).is_some()
-        })
-        .collect()
-}
-
 #[test]
 fn kept_views_equal_the_derivation_after_every_event() {
-    // The delta rules' referee, the referee of the counts kept by
-    // transition and the referee of the issue bounds, called explicitly
-    // (debug builds also run them inside every delta and every tick; release
-    // builds only here): seeded random interleavings of `try_enqueue` and
-    // `tick`, every policy x both page policies x response faults off/on,
-    // few rows and banks so lists run deep, hits and conflicts mix and the
-    // queues fill. And every tick issues on exactly the channels where the
-    // probe-everything passes over `can_issue` find a command: the
-    // controller never sleeps through one and never scans in vain.
+    // The one referee, called explicitly (debug builds also run it at the
+    // end of every `tick` and `try_enqueue`; release builds only here):
+    // seeded random interleavings of `try_enqueue` and `tick`, every policy
+    // x both page policies x response faults off/on, few rows and banks so
+    // lists run deep, hits and conflicts mix and the queues fill. And every
+    // tick issues on exactly the channels where the probe finds a command
+    // with nothing the controller keeps — a copy of the DRAM taken through
+    // the tick's refresh, a copy of the policy asked for the plan, views
+    // derived from the queues: the controller never sleeps through one and
+    // never scans in vain.
     let faults = ResponseFaultConfig {
         seed: 0xFA57,
         late_rate: 0.2,
@@ -1826,6 +1771,7 @@ fn kept_views_equal_the_derivation_after_every_event() {
                 s.page = page;
                 s.response_faults = response_faults;
                 let mut c = scenario_controller(&s);
+                let mut view = ChannelCache::new(c.dram.geometry()).view;
                 let seed = 0x5EED ^ (p as u64) << 8 ^ u64::from(page == PagePolicy::Closed) << 4;
                 let (mut txn, mut cycle, mut accepted, mut slept) = (0u64, 0u64, 0u64, 0u64);
                 for step in 0..6_000u64 {
@@ -1847,7 +1793,24 @@ fn kept_views_equal_the_derivation_after_every_event() {
                         };
                         accepted += u64::from(c.try_enqueue(spec, cycle).is_ok());
                     } else {
-                        let want = channels_that_can_issue(&c, cycle);
+                        let mut dram = c.dram.clone();
+                        dram.tick(cycle);
+                        let mut policy = c.policy;
+                        let mut want = vec![false; c.queues.len()];
+                        if let Some((current, order)) = c.current_txn().zip(policy.plan(cycle)) {
+                            let window = (current, policy.lookahead());
+                            for (ch, want) in want.iter_mut().enumerate() {
+                                let open_row =
+                                    |b| dram_bank(&dram, c.banks_per_rank, ch, b).open_row();
+                                view.derive(
+                                    &c.queues[ch],
+                                    open_row,
+                                    window,
+                                    policy.unconstrained(),
+                                );
+                                *want = schedule::probe(&view, &dram, order, cycle).is_some();
+                            }
+                        }
                         c.tick(cycle);
                         // The passes' commands carry their transaction;
                         // close-page housekeeping PREs do not.
@@ -1860,14 +1823,12 @@ fn kept_views_equal_the_derivation_after_every_event() {
                             issued, want,
                             "{policy:?} {page:?}: channels issuing at cycle {cycle}"
                         );
-                        slept += u64::from(cycle < c.sleep_until);
+                        slept += u64::from(cycle < c.kept.sleep_until);
                         cycle += 1;
                     }
                     // Between ticks the counts hold as of the last tick.
                     assert!(
-                        views_are_derived(&c)
-                            && c.counts_are_recounted(c.last_cycle)
-                            && bounds_are_mirrored(&c),
+                        c.kept_is_derived(),
                         "{policy:?} {page:?} faults {}: step {step}, cycle {cycle}",
                         response_faults.is_some()
                     );
@@ -1881,45 +1842,90 @@ fn kept_views_equal_the_derivation_after_every_event() {
 }
 
 #[test]
+fn the_referee_sees_each_kept_structure_corrupted() {
+    // Not vacuous: each kept structure, corrupted in turn, fails the one
+    // `==` — a window filed in the wrong wheel bucket too, which the
+    // counts alone would show only when it expired.
+    let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
+    enqueue_read(&mut c, 1, 5, 0, 0);
+    assert!(c.kept_is_derived(), "no window yet");
+    c.tick(0);
+    assert!(c.kept_is_derived(), "the ACT at 0 keeps bank 1 busy to 3");
+    type Corruption = fn(&mut Kept);
+    let corruptions: [(&str, Corruption); 7] = [
+        ("a fact", |k| {
+            k.caches[0].view.banks[1].oldest_current = None
+        }),
+        ("a list entry", |k| k.caches[0].view.order_current[0].0 += 1),
+        ("a register", |k| k.caches[0].bounds.bank[1][0] += 1),
+        ("a want", |k| k.caches[0].bounds.wants[1] ^= 1),
+        ("a window in the next bucket", |k| {
+            let wheel = &mut k.ledger.wheel;
+            let at = wheel.iter().position(|&n| n > 0).expect("a window");
+            wheel[at] -= 1;
+            let next = (at + 1) % wheel.len();
+            wheel[next] += 1;
+        }),
+        ("a run's count", |k| k.txn_runs[0].1 += 1),
+        ("the open banks", |k| k.open_banks += 1),
+    ];
+    for (what, corrupt) in corruptions {
+        let kept = c.kept.clone();
+        corrupt(&mut c.kept);
+        assert!(!c.kept_is_derived(), "{what}");
+        c.kept = kept;
+    }
+    assert!(c.kept_is_derived());
+}
+
+#[test]
 fn the_referee_sees_a_stale_fact() {
     // Not vacuous: a kept view that misses what the queue holds fails.
     let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
     enqueue_read(&mut c, 1, 5, 0, 0);
-    assert!(views_are_derived(&c), "no window yet: nothing to hold");
+    assert!(c.kept_is_derived(), "no window yet: nothing to hold");
     c.tick(0);
-    assert!(views_are_derived(&c));
-    let kept = c.caches[0].view.banks[1];
+    assert!(c.kept_is_derived());
+    let kept = c.kept.caches[0].view.banks[1];
     assert!(kept.oldest_current.is_some());
-    c.caches[0].view.banks[1].oldest_current = None;
-    assert!(!c.view_is_derived(0, 1), "a dropped fact");
-    c.caches[0].view.banks[1] = kept;
-    c.caches[0].view.order_current.clear();
-    assert!(!c.view_is_derived(0, 1), "a dropped list entry");
+    c.kept.caches[0].view.banks[1].oldest_current = None;
+    assert!(!c.kept_is_derived(), "a dropped fact");
+    c.kept.caches[0].view.banks[1] = kept;
+    assert!(c.kept_is_derived());
+    c.kept.caches[0].view.order_current.clear();
+    assert!(!c.kept_is_derived(), "a dropped list entry");
 }
 
 #[test]
 fn the_count_referee_sees_a_miscount() {
-    // Not vacuous either: each kept count, off by one, fails the recount.
+    // Not vacuous either: each kept count, off by one, fails the referee.
     let mut c = scenario_controller(&Scenario::new(SchedulerPolicy::proactive(), 0));
     enqueue_read(&mut c, 1, 5, 0, 0);
     c.tick(0);
-    let (now, slot) = (c.last_cycle, c.slot(0, 1));
-    assert!(c.counts_are_recounted(now));
+    let slot = c.slot(0, 1);
+    assert!(c.kept_is_derived());
     assert_eq!((c.pending(), c.current_txn()), (1, Some(TxnId(0))));
-    c.ledger.enqueued(slot, false);
-    assert!(!c.counts_are_recounted(now), "a request too many");
-    c.ledger.retired(slot, false);
-    c.ledger.retired(slot, true);
-    assert!(
-        !c.counts_are_recounted(now),
-        "a bank (inside its ACT) dropped"
-    );
-    c.ledger.enqueued(slot, true);
-    assert!(c.counts_are_recounted(now));
-    let runs = std::mem::take(&mut c.txn_runs);
-    assert!(!c.counts_are_recounted(now), "a transaction forgotten");
-    c.txn_runs = runs;
-    assert!(c.counts_are_recounted(now));
+    c.kept.ledger.enqueued(slot, false);
+    assert!(!c.kept_is_derived(), "a request too many");
+    c.kept.ledger.retired(slot, false);
+    c.kept.ledger.retired(slot, true);
+    assert!(!c.kept_is_derived(), "a bank (inside its ACT) dropped");
+    c.kept.ledger.enqueued(slot, true);
+    assert!(c.kept_is_derived());
+    let runs = std::mem::take(&mut c.kept.txn_runs);
+    assert!(!c.kept_is_derived(), "a transaction forgotten");
+    c.kept.txn_runs = runs;
+    assert!(c.kept_is_derived());
+}
+
+#[test]
+#[should_panic(expected = "enqueued in transaction order")]
+fn an_older_transaction_after_a_newer_one_panics_in_every_build() {
+    // Different banks, so no bank list goes backwards: only the run-list
+    // would, and `current_txn()` would then name the wrong transaction.
+    let mut c = controller(SchedulerPolicy::proactive());
+    enqueue_read(&mut c, 0, 1, 5, 0);
+    enqueue_read(&mut c, 1, 1, 4, 0);
 }
 
 #[test]
@@ -1955,7 +1961,7 @@ fn counts_hold_when_ticks_skip_or_repeat_a_cycle() {
                 _ => 1,
             };
         }
-        assert!(c.counts_are_recounted(c.last_cycle), "step {step}");
+        assert!(c.kept_is_derived(), "step {step}");
     }
     let stats = c.stats();
     let retired = stats.reads_completed + stats.writes_completed;

@@ -209,7 +209,7 @@ impl MemoryBackend for FunctionalBackend {
         if self.dir_counts[ch][dir] >= self.queue_capacity {
             return Err(QueueFull);
         }
-        debug_assert!(
+        assert!(
             self.cur_txn.is_none_or(|last| last <= spec.txn),
             "requests must be enqueued in transaction order"
         );
@@ -389,6 +389,20 @@ mod tests {
         assert_eq!(done[1].class, RowClass::Hit, "same row");
         assert_eq!(done[2].class, RowClass::Conflict, "other row");
         assert!(done[2].data_done_at - done[2].issue_at > done[1].data_done_at - done[1].issue_at);
+    }
+
+    #[test]
+    #[should_panic(expected = "enqueued in transaction order")]
+    fn an_older_transaction_after_a_newer_one_panics_in_every_build() {
+        let mut b = backend();
+        for (channel, txn) in [(0, 5), (1, 4)] {
+            let spec = RequestSpec {
+                addr: addr(&b, channel, 0, 1, 0),
+                is_write: false,
+                txn: TxnId(txn),
+            };
+            let _ = b.try_enqueue(spec, 0);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::request::{Request, TxnId};
+use crate::request::Request;
 
 /// Error returned when a queue has no free entry; the ORAM controller must
 /// stall and retry (which, as the paper notes, back-pressures the core
@@ -103,17 +103,6 @@ impl ChannelQueues {
         self.capacity
     }
 
-    /// Smallest transaction id among queued requests, if any, read off the
-    /// heads of the bank lists (each is transaction-sorted, see
-    /// [`Self::push`]). A walk over the pending banks: for the referees of
-    /// the controller's run-list, not for the tick.
-    pub fn min_txn(&self) -> Option<TxnId> {
-        self.pending_banks()
-            .filter_map(|b| self.banks[b].front())
-            .map(|r| r.txn)
-            .min()
-    }
-
     /// The banks that have a queued request, in index order.
     pub fn pending_banks(&self) -> impl Iterator<Item = usize> + '_ {
         self.pending.iter().enumerate().flat_map(|(w, &word)| {
@@ -162,6 +151,7 @@ impl ChannelQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::TxnId;
     use dram_sim::DramLocation;
 
     fn req(id: u64, txn: u64, is_write: bool, bank: u32) -> Request {
@@ -196,23 +186,13 @@ mod tests {
     }
 
     #[test]
-    fn min_txn_spans_both_queues() {
-        let mut q = ChannelQueues::new(4, 8);
-        q.push(0, req(0, 5, false, 0)).unwrap();
-        q.push(1, req(1, 3, true, 1)).unwrap();
-        assert_eq!(q.min_txn(), Some(TxnId(3)));
-        q.remove(1, 1);
-        assert_eq!(q.min_txn(), Some(TxnId(5)));
-    }
-
-    #[test]
     fn remove_returns_request() {
         let mut q = ChannelQueues::new(4, 8);
         q.push(3, req(7, 1, false, 3)).unwrap();
         let (_, r) = q.remove(3, 7);
         assert_eq!(r.id, 7);
         assert_eq!(q.len(), 0);
-        assert_eq!(q.min_txn(), None);
+        assert_eq!(q.pending_banks().count(), 0);
     }
 
     #[test]
@@ -227,7 +207,6 @@ mod tests {
         assert_eq!(q.remove(0, 3).1.arrival, 9);
         let left: Vec<u64> = q.bank(0).iter().map(|r| r.id).collect();
         assert_eq!(left, [0, 2]);
-        assert_eq!(q.min_txn(), Some(TxnId(0)));
         assert_eq!(q.dir_len(false), 3);
     }
     fn ids(q: &ChannelQueues, b: usize) -> Vec<u64> {
@@ -251,12 +230,11 @@ mod tests {
             let (i, r) = q.remove(0, id);
             assert_eq!((i, r.id, r.txn), (at, id, TxnId(id)));
             assert_eq!(ids(&q, 0), left);
-            assert_eq!(q.min_txn(), Some(TxnId(left[0])));
             assert_eq!(q.dir_len(false), left.len());
         }
         q.get_mut(0, 4).arrival = 7;
         assert_eq!(q.remove(0, 4).1.arrival, 7);
-        assert_eq!((q.len(), q.min_txn()), (0, None));
+        assert_eq!((q.len(), q.pending_banks().count()), (0, 0));
     }
 
     #[test]
@@ -266,11 +244,12 @@ mod tests {
             q.push(0, req(id, 4, false, 0)).unwrap();
         }
         q.push(1, req(3, 6, false, 1)).unwrap();
+        let pending = |q: &ChannelQueues| q.pending_banks().collect::<Vec<_>>();
         q.remove(0, 1);
-        assert_eq!((q.dir_len(false), q.min_txn()), (3, Some(TxnId(4))));
+        assert_eq!((q.dir_len(false), pending(&q)), (3, vec![0, 1]));
         q.remove(0, 0);
         q.remove(0, 2);
-        assert_eq!((q.dir_len(false), q.min_txn()), (1, Some(TxnId(6))));
+        assert_eq!((q.dir_len(false), pending(&q)), (1, vec![1]));
     }
 
     #[test]
