@@ -26,9 +26,11 @@ use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
 use oram_collections::ObliviousMap;
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
 use ring_oram::crypto::BlockCipher;
-use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
 use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, PathOram, RingConfig, RingOram};
-use string_oram::{BackendKind, Scheme, Simulation, SystemConfig};
+use string_oram::pipeline::{Conformance, Planner};
+use string_oram::{
+    BackendKind, CoreRequest, RecursiveConfig, Scheme, Simulation, SystemConfig, VerifyConfig,
+};
 use string_oram_bench::env_or;
 use string_oram_bench::paper::{banner, line};
 use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
@@ -386,12 +388,33 @@ fn bench_crypto() {
     });
 }
 
+/// One program access planned through a Ring+CB stack with three map
+/// tiers: every tier's access and the lowering of its plans.
 fn bench_recursive_access() {
-    let mut rec = RecursiveOram::new(RecursiveConfig::test_small(), 5);
-    // Keep the program working set well under the data tree's spare real
-    // capacity (cold pre-load takes ~70 % of it).
+    let mut cfg = SystemConfig::test_small(Scheme::All);
+    cfg.verify = VerifyConfig::off();
+    cfg.recursion = Some(RecursiveConfig::test_small());
+    let mut planner = Planner::build(&cfg).expect("valid config");
+    let mut conformance = Conformance::new(
+        &cfg.verify,
+        cfg.protocol,
+        &cfg.effective_ring(),
+        &cfg.geometry,
+        &cfg.timing,
+        false,
+        cfg.sched_policy.name(),
+    );
+    let mut planned = Vec::new();
     bench("recursive_3maps", |i| {
-        std::hint::black_box(rec.access(BlockId(i % 128)));
+        let req = CoreRequest {
+            core: 0,
+            block: i % 128,
+            is_write: false,
+        };
+        planner.plan_into(&req, &mut conformance, &mut planned);
+        for txn in planned.drain(..) {
+            planner.recycle_requests(std::hint::black_box(txn).requests);
+        }
     });
 }
 

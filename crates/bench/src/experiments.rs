@@ -13,7 +13,7 @@ use string_oram::LayoutKind::{Naive, Subtree};
 use string_oram::MappingKind::{PaperStriped, Sequential};
 use string_oram::Scheme::{All, Baseline, Cb, Pb};
 use string_oram::{fig4_rows, table5_rows};
-use string_oram::{RecursionSettings, Scheme, SystemConfig};
+use string_oram::{RecursiveConfig, Scheme, SystemConfig};
 use trace_synth::{all_workloads, summarize, TraceGenerator};
 
 use crate::paper::Format::{Fixed, Integer, Percent, Saving, YesNo};
@@ -1003,7 +1003,7 @@ const ABLATION_ADDRESS_MAPPING: Experiment = Experiment {
 /// The paper, like most architecture-track ORAM work, assumes the position
 /// map is free and on-chip. At the default scale that map is tens of
 /// megabytes — far beyond Table I's 4 MB LLC. This extension stores it the
-/// standard way (a recursion stack of smaller Ring ORAMs, Shi et al.) and
+/// standard way (a recursion stack of smaller ORAMs, Shi et al.) and
 /// measures what the assumption hides — and whether String ORAM's
 /// optimizations also help the recursive traffic.
 const EXTENSION_RECURSION_COST: Experiment = Experiment {
@@ -1032,11 +1032,7 @@ const EXTENSION_RECURSION_COST: Experiment = Experiment {
 
 const READ_TXNS: Extract = |r| r.report.transactions_by_kind["read"] as f64;
 fn recursive(cfg: &mut SystemConfig) {
-    cfg.recursion = Some(RecursionSettings {
-        tracked_blocks: 1 << 23,
-        positions_per_block: 16,
-        max_onchip_entries: 1 << 16,
-    });
+    cfg.recursion = Some(RecursiveConfig::hpca_default());
 }
 
 /// Extension — DRAM energy per scheme.

@@ -215,7 +215,7 @@ impl ServiceConfig {
     /// arrival rate (`ArrivalSpec::peak_per_tick`) exceeds
     /// `min(4 x queue_cap, 2^16)` requests per tick, or the policy is
     /// unsupported: fixed-rate padding requires a protocol with native
-    /// cover accesses (Ring / Ring+CB) and no recursion.
+    /// cover accesses (Ring / Ring+CB; under recursion every tier pads).
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.system.validate()?;
         let bad = |m: String| Err(ConfigError::Invalid(m));
@@ -266,13 +266,6 @@ impl ServiceConfig {
                          none (use best-effort)",
                         self.system.protocol
                     ));
-                }
-                if self.system.recursion.is_some() {
-                    return bad(
-                        "fixed-rate padding is not supported under recursion (cover accesses \
-                         cover only the data ORAM)"
-                            .into(),
-                    );
                 }
             }
             SubmissionPolicy::BestEffort { .. } => {}

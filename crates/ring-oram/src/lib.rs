@@ -80,7 +80,7 @@ pub use oblivious::{ObliviousProtocol, ProtocolKind};
 pub use path_oram::PathOram;
 pub use plan::{AccessPlan, OpKind, SlotTouch};
 pub use protocol::{AccessOutcome, ProtocolStats, RingOram, TargetSource};
-pub use recursive::{RecursiveConfig, RecursiveOram};
+pub use recursive::RecursiveConfig;
 pub use sharding::ShardMap;
 pub use tree::TreeGeometry;
 pub use types::{BlockId, BucketId, FetchKind, Level, PathId};

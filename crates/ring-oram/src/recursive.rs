@@ -1,29 +1,26 @@
-//! Recursive position map: a stack of Ring ORAMs.
+//! Recursive position map: the arithmetic of a recursion stack.
 //!
 //! The paper (like most architecture-track ORAM papers) assumes the
 //! position map lives on-chip. At the paper's scale that is generous: a
 //! 24-level tree serving 2^23-leaf paths for up to `Z x (2^24 - 1)` blocks
 //! needs tens of megabytes of map — larger than the 4 MB LLC of Table I.
 //! The standard remedy (Shi et al. / Path ORAM) is **recursion**: store the
-//! position map itself in a smaller ORAM, and that ORAM's map in a yet
-//! smaller one, until the innermost map fits on-chip.
+//! position map itself in a smaller ORAM of the same protocol, and that
+//! ORAM's map in a yet smaller one, until the innermost map fits on-chip.
 //!
-//! [`RecursiveOram`] implements that stack. Each logical access walks the
-//! position-map ORAMs from the innermost (smallest) outwards and finally
-//! accesses the data ORAM; every step is a full, independent Ring ORAM
-//! access with its own read path and eviction schedule, so the memory
-//! system sees the true recursive traffic. The `recursion_cost` extension
-//! benchmark quantifies what the paper's on-chip assumption hides.
+//! [`RecursiveConfig`] says how deep that stack is and how large each map
+//! ORAM's tree must be. The stack itself is the pipeline planner's list of
+//! tiers: tier 0 is the data ORAM, tier `i + 1` holds tier `i`'s positions,
+//! and every logical access is one full, independent access on every tier,
+//! innermost first, so the memory system sees the true recursive traffic.
 
 use crate::config::RingConfig;
-use crate::protocol::{AccessOutcome, RingOram};
-use crate::types::BlockId;
+use crate::protocol::RingOram;
 
-/// Configuration of a recursive ORAM stack.
-#[derive(Debug, Clone, PartialEq)]
+/// Shape of a recursive position map: how many positions it tracks and how
+/// they pack into map blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecursiveConfig {
-    /// Configuration of the outermost (data) ORAM.
-    pub data: RingConfig,
     /// Number of blocks whose positions are tracked (the protected address
     /// space, in blocks).
     pub tracked_blocks: u64,
@@ -36,24 +33,21 @@ pub struct RecursiveConfig {
 }
 
 impl RecursiveConfig {
-    /// The paper's data ORAM with a realistic recursion setting: 16
-    /// positions per 64 B block, 64 Ki entries kept on-chip.
+    /// A realistic setting for the paper's data ORAM: 2^23 tracked blocks,
+    /// 16 positions per 64 B block, 64 Ki entries kept on-chip.
     #[must_use]
     pub fn hpca_default() -> Self {
         Self {
-            data: RingConfig::hpca_default(),
             tracked_blocks: 1 << 23,
             positions_per_block: 16,
             max_onchip_entries: 1 << 16,
         }
     }
 
-    /// A small stack for tests. `tracked_blocks` is kept at roughly half
-    /// the data tree's real capacity (the usual provisioning rule).
+    /// A small stack for tests: three map levels over 512 tracked blocks.
     #[must_use]
     pub fn test_small() -> Self {
         Self {
-            data: RingConfig::test_small(),
             tracked_blocks: 1 << 9,
             positions_per_block: 4,
             max_onchip_entries: 8,
@@ -66,9 +60,12 @@ impl RecursiveConfig {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        self.data.validate()?;
-        if self.tracked_blocks == 0 {
-            return Err("tracked_blocks must be nonzero".into());
+        if self.tracked_blocks == 0 || self.tracked_blocks > RingOram::COLD_BASE {
+            return Err(format!(
+                "tracked_blocks ({}) must be in 1..=2^40 (program block ids stay below \
+                 RingOram::COLD_BASE)",
+                self.tracked_blocks
+            ));
         }
         if self.positions_per_block < 2 {
             return Err("positions_per_block must be at least 2".into());
@@ -92,11 +89,11 @@ impl RecursiveConfig {
         levels
     }
 
-    /// The Ring ORAM configuration for map level `i` (0 = the outermost map
-    /// ORAM, holding the data ORAM's positions). Map ORAMs reuse the data
-    /// ORAM's `(Z, S, A, Y)` but shrink the tree to fit their block count.
+    /// The configuration of map level `i` (0 = the outermost map ORAM,
+    /// holding the data ORAM's positions). Map ORAMs reuse the data ORAM's
+    /// `(Z, S, A, Y)` but shrink the tree to fit their block count.
     #[must_use]
-    pub fn map_config(&self, i: usize) -> RingConfig {
+    pub fn map_config(&self, data: &RingConfig, i: usize) -> RingConfig {
         let mut entries = self.tracked_blocks;
         for _ in 0..=i {
             entries = entries.div_ceil(u64::from(self.positions_per_block));
@@ -104,119 +101,13 @@ impl RecursiveConfig {
         // Size the tree so `entries` blocks fill roughly half the real
         // capacity: Z * 2^L / 2 >= entries.
         let mut levels = 2u32;
-        while u64::from(self.data.z) << (levels - 1) < entries * 2 {
+        while u64::from(data.z) << (levels - 1) < entries * 2 {
             levels += 1;
         }
         RingConfig {
             levels,
-            tree_top_cached_levels: self.data.tree_top_cached_levels.min(levels - 1),
-            ..self.data.clone()
-        }
-    }
-}
-
-/// A recursive ORAM: the data ORAM plus its chain of position-map ORAMs.
-#[derive(Debug)]
-pub struct RecursiveOram {
-    cfg: RecursiveConfig,
-    /// `orams[0]` is the data ORAM; `orams[i + 1]` stores (a stand-in for)
-    /// the positions of `orams[i]`'s blocks.
-    orams: Vec<RingOram>,
-}
-
-/// One step of a recursive access: which ORAM of the stack performed it
-/// (0 = data ORAM) and what it did.
-#[derive(Debug, Clone)]
-pub struct RecursiveStep {
-    /// Stack index: 0 = data ORAM, 1.. = position-map ORAMs.
-    pub oram_index: usize,
-    /// The underlying access.
-    pub outcome: AccessOutcome,
-}
-
-impl RecursiveOram {
-    /// Builds the stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
-    #[must_use]
-    pub fn new(cfg: RecursiveConfig, seed: u64) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid RecursiveConfig: {e}");
-        }
-        let mut orams = vec![RingOram::new(cfg.data.clone(), seed)];
-        for i in 0..cfg.map_levels() {
-            orams.push(RingOram::new(cfg.map_config(i), seed ^ (i as u64 + 1)));
-        }
-        Self { cfg, orams }
-    }
-
-    /// The stack configuration.
-    #[must_use]
-    pub fn config(&self) -> &RecursiveConfig {
-        &self.cfg
-    }
-
-    /// Number of ORAMs in the stack (1 + map levels).
-    #[must_use]
-    pub fn stack_depth(&self) -> usize {
-        self.orams.len()
-    }
-
-    /// The ORAM at stack index `i` (0 = data).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn oram(&self, i: usize) -> &RingOram {
-        &self.orams[i]
-    }
-
-    /// Performs one logical access: the position-map chain from the
-    /// innermost map outwards, then the data access. Returns every step in
-    /// execution order.
-    pub fn access(&mut self, block: BlockId) -> Vec<RecursiveStep> {
-        let mut steps = Vec::with_capacity(self.orams.len());
-        let ppb = u64::from(self.cfg.positions_per_block);
-        // Innermost map first: its index is the block id divided down by
-        // positions-per-block once per level.
-        for i in (1..self.orams.len()).rev() {
-            let map_block = BlockId(block.0 / ppb.pow(i as u32));
-            let outcome = self.orams[i].access(map_block);
-            steps.push(RecursiveStep {
-                oram_index: i,
-                outcome,
-            });
-        }
-        let outcome = self.orams[0].access(block);
-        steps.push(RecursiveStep {
-            oram_index: 0,
-            outcome,
-        });
-        steps
-    }
-
-    /// Total memory-block touches per logical access, summed over the last
-    /// access's steps (helper for bandwidth accounting).
-    #[must_use]
-    pub fn touches_of(steps: &[RecursiveStep]) -> usize {
-        steps
-            .iter()
-            .flat_map(|s| s.outcome.plans.iter())
-            .map(|p| p.touches.len())
-            .sum()
-    }
-
-    /// Verifies every ORAM's invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        for o in &self.orams {
-            o.check_invariants();
+            tree_top_cached_levels: data.tree_top_cached_levels.min(levels - 1),
+            ..data.clone()
         }
     }
 }
@@ -236,89 +127,54 @@ mod tests {
     }
 
     #[test]
+    fn no_recursion_when_map_fits() {
+        let mut cfg = RecursiveConfig::test_small();
+        cfg.max_onchip_entries = cfg.tracked_blocks;
+        assert_eq!(cfg.map_levels(), 0);
+        cfg.max_onchip_entries -= 1;
+        assert_eq!(cfg.map_levels(), 1);
+    }
+
+    #[test]
     fn map_trees_shrink_down_the_stack() {
         let cfg = RecursiveConfig::test_small();
-        let mut last = cfg.data.levels;
+        let data = RingConfig::test_small();
+        let mut last = data.levels;
         for i in 0..cfg.map_levels() {
-            let mc = cfg.map_config(i);
+            let mc = cfg.map_config(&data, i);
             mc.validate().expect("map config valid");
             assert!(mc.levels <= last, "map level {i} grew");
+            assert_eq!((mc.z, mc.s, mc.a, mc.y), (data.z, data.s, data.a, data.y));
             last = mc.levels;
         }
     }
 
     #[test]
-    fn access_walks_the_whole_stack_in_order() {
-        let cfg = RecursiveConfig::test_small();
-        let mut r = RecursiveOram::new(cfg, 5);
-        assert_eq!(r.stack_depth(), 4);
-        let steps = r.access(BlockId(123));
-        assert_eq!(steps.len(), 4);
-        let order: Vec<usize> = steps.iter().map(|s| s.oram_index).collect();
-        assert_eq!(order, vec![3, 2, 1, 0], "innermost map first, data last");
-    }
-
-    #[test]
-    fn map_block_indices_shrink() {
-        let cfg = RecursiveConfig::test_small(); // ppb = 4
-        let mut r = RecursiveOram::new(cfg, 5);
-        let _ = r.access(BlockId(500));
-        // Map level 3 must have been asked for block 500 / 4^3 = 7.
-        // (Indirectly verified through the per-ORAM position maps: no
-        // panic means the id spaces stayed in range.)
-        r.check_invariants();
-    }
-
-    #[test]
-    fn recursion_multiplies_bandwidth() {
-        let cfg = RecursiveConfig::test_small();
-        let mut rec = RecursiveOram::new(cfg.clone(), 5);
-        let mut flat = RingOram::new(cfg.data, 5);
-        let mut rec_touches = 0usize;
-        let mut flat_touches = 0usize;
-        for i in 0..50 {
-            let steps = rec.access(BlockId(i * 37 % 512));
-            rec_touches += RecursiveOram::touches_of(&steps);
-            let out = flat.access(BlockId(i * 37 % 512));
-            flat_touches += out.plans.iter().map(|p| p.touches.len()).sum::<usize>();
-        }
-        assert!(
-            rec_touches > flat_touches,
-            "recursion must add traffic: {rec_touches} vs {flat_touches}"
-        );
-    }
-
-    #[test]
-    fn invariants_hold_across_the_stack() {
-        let mut r = RecursiveOram::new(RecursiveConfig::test_small(), 11);
-        for i in 0..150 {
-            let _ = r.access(BlockId(i % 200));
-        }
-        r.check_invariants();
-    }
-
-    #[test]
-    fn no_recursion_when_map_fits() {
-        let mut cfg = RecursiveConfig::test_small();
-        cfg.max_onchip_entries = 1 << 20;
-        assert_eq!(cfg.map_levels(), 0);
-        let mut r = RecursiveOram::new(cfg, 1);
-        assert_eq!(r.stack_depth(), 1);
-        let steps = r.access(BlockId(3));
-        assert_eq!(steps.len(), 1);
-        assert_eq!(steps[0].oram_index, 0);
-    }
-
-    #[test]
     fn validation_rejects_bad_parameters() {
-        let mut cfg = RecursiveConfig::test_small();
-        cfg.positions_per_block = 1;
-        assert!(cfg.validate().is_err());
-        let mut cfg = RecursiveConfig::test_small();
-        cfg.tracked_blocks = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = RecursiveConfig::test_small();
-        cfg.max_onchip_entries = 0;
-        assert!(cfg.validate().is_err());
+        RecursiveConfig::test_small().validate().unwrap();
+        for bad in [
+            RecursiveConfig {
+                positions_per_block: 0,
+                ..RecursiveConfig::test_small()
+            },
+            RecursiveConfig {
+                positions_per_block: 1,
+                ..RecursiveConfig::test_small()
+            },
+            RecursiveConfig {
+                tracked_blocks: 0,
+                ..RecursiveConfig::test_small()
+            },
+            RecursiveConfig {
+                tracked_blocks: RingOram::COLD_BASE + 1,
+                ..RecursiveConfig::test_small()
+            },
+            RecursiveConfig {
+                max_onchip_entries: 0,
+                ..RecursiveConfig::test_small()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 }

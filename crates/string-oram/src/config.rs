@@ -6,7 +6,7 @@ use dram_sim::DramFaultConfig;
 use mem_sched::{PagePolicy, ResponseFaultConfig, SchedulerPolicy};
 use oram_rng::derive_stream_seed;
 use ring_oram::layout::TreeLayout;
-use ring_oram::{ProtocolKind, ResilienceConfig, RingConfig, ShardMap};
+use ring_oram::{ProtocolKind, RecursiveConfig, ResilienceConfig, RingConfig, ShardMap};
 
 /// Why a [`SystemConfig`] was rejected (see `Simulation::try_new`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,10 +206,11 @@ pub struct SystemConfig {
     pub layout: LayoutKind,
     /// Row-buffer management policy (the paper assumes open-page; §II-C).
     pub page_policy: PagePolicy,
-    /// Recursive position-map settings. `None` (the paper's assumption)
-    /// keeps the full position map on-chip; `Some` stores it in a stack of
-    /// smaller ORAMs whose traffic the simulation then carries.
-    pub recursion: Option<RecursionSettings>,
+    /// Recursive position map. `None` (the paper's assumption) keeps the
+    /// full position map on-chip; `Some` stores it in a stack of smaller
+    /// ORAMs of the selected protocol whose traffic the simulation then
+    /// carries.
+    pub recursion: Option<RecursiveConfig>,
     /// Physical address mapping (paper default: channel-striped).
     pub mapping: MappingKind,
     /// Memory backend serving the pipeline (paper default: cycle-accurate).
@@ -316,18 +317,6 @@ impl VerifyConfig {
             fail_fast: false,
         }
     }
-}
-
-/// Parameters of the recursive position-map extension (see
-/// `ring_oram::recursive`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecursionSettings {
-    /// Blocks whose positions are tracked.
-    pub tracked_blocks: u64,
-    /// Position entries per map block.
-    pub positions_per_block: u32,
-    /// Entries the innermost on-chip map may hold.
-    pub max_onchip_entries: u64,
 }
 
 impl SystemConfig {
@@ -470,6 +459,43 @@ impl SystemConfig {
         }
     }
 
+    /// The ORAM stack the planner builds, data ORAM first: tier 0 runs on
+    /// [`Self::effective_ring`], tier `i + 1` on
+    /// [`RecursiveConfig::map_config`]`(i)`; one tier without recursion.
+    /// Each tier comes with its tree layout and the base address of its
+    /// memory region; the regions are disjoint and row-set aligned, in tier
+    /// order from address 0.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Invalid`] when a tier's ring is invalid or the stack
+    /// does not fit the DRAM module.
+    pub(crate) fn tiers(&self) -> Result<Vec<(RingConfig, TreeLayout, u64)>, ConfigError> {
+        let data = self.effective_ring();
+        let maps: Vec<RingConfig> = match &self.recursion {
+            Some(r) => (0..r.map_levels())
+                .map(|i| r.map_config(&data, i))
+                .collect(),
+            None => Vec::new(),
+        };
+        let align = self.row_set_bytes();
+        let (mut tiers, mut end) = (Vec::new(), 0u64);
+        for ring in std::iter::once(data).chain(maps) {
+            ring.validate()?;
+            let layout = self.tree_layout(&ring);
+            let base = end.div_ceil(align) * align;
+            end = base + layout.total_bytes();
+            tiers.push((ring, layout, base));
+        }
+        if end > self.geometry.capacity_bytes() {
+            return Err(ConfigError::Invalid(format!(
+                "ORAM trees ({end} B laid out) exceed DRAM capacity ({} B)",
+                self.geometry.capacity_bytes()
+            )));
+        }
+        Ok(tiers)
+    }
+
     /// Splits this configuration into its shard instances: the block
     /// routing map plus one single-instance configuration per shard, in
     /// shard-id order. Every shard gets `shards = 1` and the shard-reduced
@@ -505,9 +531,10 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns the first violated constraint across all components, plus
-    /// cross-component checks (the ORAM tree must fit the DRAM module) and
-    /// protocol-capability checks ([`ConfigError::Unsupported`] names the
-    /// protocol that cannot provide a requested feature).
+    /// cross-component checks (the ORAM trees, recursion tiers included,
+    /// must fit the DRAM module) and the protocol-capability check
+    /// ([`ConfigError::Unsupported`]: fault injection on Path or Circuit,
+    /// which have no integrity-checked retry layer).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let ring = self.effective_ring();
         ring.validate()?;
@@ -547,19 +574,14 @@ impl SystemConfig {
         // the per-shard tree derivation enforces the depth floor.
         let map = ShardMap::new(self.shards)?;
         map.shard_ring_config(&ring)?;
-        // Protocol-capability seams, checked before the per-layer fault
-        // validators so the error names the responsible protocol.
-        let non_ring = matches!(self.protocol, ProtocolKind::Path | ProtocolKind::Circuit);
-        if non_ring && self.recursion.is_some() {
-            return Err(ConfigError::Unsupported {
-                protocol: self.protocol.label(),
-                feature: "a recursive position map (the recursion stack is built from Ring \
-                          engines)"
-                    .into(),
-            });
+        if let Some(r) = &self.recursion {
+            r.validate()
+                .map_err(|e| ConfigError::Invalid(format!("recursion: {e}")))?;
         }
         if let Some(f) = &self.faults {
-            if non_ring {
+            // The protocol-capability seam, checked before the per-layer
+            // fault validators so the error names the responsible protocol.
+            if matches!(self.protocol, ProtocolKind::Path | ProtocolKind::Circuit) {
                 return Err(ConfigError::Unsupported {
                     protocol: self.protocol.label(),
                     feature: "fault injection (no integrity-checked retry layer)".into(),
@@ -572,25 +594,11 @@ impl SystemConfig {
                         .into(),
                 ));
             }
-            if self.recursion.is_some() {
-                return Err(ConfigError::Unsupported {
-                    protocol: self.protocol.label(),
-                    feature: "fault injection with a recursive position map".into(),
-                });
-            }
             f.resilience.validate(ring.stash_capacity)?;
             f.dram.validate()?;
             f.memctrl.validate()?;
         }
-        let total = self.tree_layout(&ring).total_bytes();
-        if total > self.geometry.capacity_bytes() {
-            return Err(ConfigError::Invalid(format!(
-                "ORAM tree ({} B laid out) exceeds DRAM capacity ({} B)",
-                total,
-                self.geometry.capacity_bytes()
-            )));
-        }
-        Ok(())
+        self.tiers().map(drop)
     }
 }
 
@@ -726,76 +734,35 @@ mod tests {
         }
     }
 
-    fn recursion_settings() -> RecursionSettings {
-        RecursionSettings {
-            tracked_blocks: 1 << 10,
-            positions_per_block: 16,
-            max_onchip_entries: 256,
-        }
-    }
-
-    /// Satellite seam: every protocol × {faults, recursion, both}
-    /// combination either validates or returns a structured
-    /// [`ConfigError::Unsupported`] naming the protocol.
+    /// Every protocol × {faults, recursion, both} combination validates,
+    /// except the one capability seam left: fault injection on Path and
+    /// Circuit, a structured [`ConfigError::Unsupported`] naming the
+    /// protocol with or without recursion.
     #[test]
     fn fault_and_recursion_combinations_per_protocol() {
         for kind in ProtocolKind::ALL {
-            let base = {
-                let mut c = SystemConfig::test_small(Scheme::All);
-                c.protocol = kind;
-                c
-            };
-            let ring_based = matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring);
-
-            // Faults alone (cycle-accurate backend).
-            let mut faulty = base.clone();
-            faulty.faults = Some(FaultConfig::smoke(1, 0.01, base.ring.stash_capacity));
-            if ring_based {
-                faulty.validate().unwrap();
-            } else {
-                match faulty.validate() {
-                    Err(ConfigError::Unsupported { protocol, feature }) => {
+            let mut cfg = SystemConfig::test_small(Scheme::All);
+            cfg.protocol = kind;
+            cfg.recursion = Some(RecursiveConfig {
+                tracked_blocks: 1 << 10,
+                positions_per_block: 16,
+                max_onchip_entries: 256,
+            });
+            cfg.validate().unwrap();
+            for recursion in [None, cfg.recursion] {
+                cfg.recursion = recursion;
+                cfg.faults = Some(FaultConfig::smoke(1, 0.01, cfg.ring.stash_capacity));
+                match (kind, cfg.validate()) {
+                    (ProtocolKind::RingCb | ProtocolKind::Ring, Ok(())) => {}
+                    (
+                        ProtocolKind::Path | ProtocolKind::Circuit,
+                        Err(ConfigError::Unsupported { protocol, feature }),
+                    ) => {
                         assert_eq!(protocol, kind.label());
                         assert!(feature.contains("fault injection"), "{feature}");
                     }
-                    other => panic!("expected Unsupported, got {other:?}"),
+                    (_, other) => panic!("{kind} x {recursion:?}: got {other:?}"),
                 }
-            }
-
-            // Recursion alone: supported by the Ring engines only (the
-            // recursion stack is built from Ring instances).
-            let mut recursive = base.clone();
-            recursive.recursion = Some(recursion_settings());
-            if ring_based {
-                recursive.validate().unwrap();
-            } else {
-                match recursive.validate() {
-                    Err(ConfigError::Unsupported { protocol, feature }) => {
-                        assert_eq!(protocol, kind.label());
-                        assert!(feature.contains("recursive"), "{feature}");
-                    }
-                    other => panic!("expected Unsupported, got {other:?}"),
-                }
-            }
-
-            // Both: structured rejection for every protocol — the Ring
-            // engines support each feature separately but not combined.
-            let mut both = base.clone();
-            both.faults = Some(FaultConfig::smoke(1, 0.01, base.ring.stash_capacity));
-            both.recursion = Some(recursion_settings());
-            match both.validate() {
-                Err(ConfigError::Unsupported { protocol, feature }) => {
-                    assert_eq!(protocol, kind.label());
-                    assert!(
-                        both.validate()
-                            .unwrap_err()
-                            .to_string()
-                            .contains("recursive")
-                            || !ring_based,
-                        "{feature}"
-                    );
-                }
-                other => panic!("expected Unsupported, got {other:?}"),
             }
         }
     }

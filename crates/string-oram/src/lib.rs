@@ -50,8 +50,8 @@ pub mod space;
 pub mod system;
 
 pub use config::{
-    BackendKind, ConfigError, FaultConfig, LayoutKind, MappingKind, RecursionSettings, Scheme,
-    SystemConfig, VerifyConfig,
+    BackendKind, ConfigError, FaultConfig, LayoutKind, MappingKind, Scheme, SystemConfig,
+    VerifyConfig,
 };
 pub use cpu::{Core, CoreRequest, CoreState};
 pub use pipeline::{CacheAligned, ShardedSimulation};
@@ -59,6 +59,6 @@ pub use report::{
     GovernorSummary, KindCycles, LatencyPercentiles, ResilienceSummary, RowClassCounts,
     ServiceSummary, SimReport, TenantSummary,
 };
-pub use ring_oram::{ObliviousProtocol, ProtocolKind};
+pub use ring_oram::{ObliviousProtocol, ProtocolKind, RecursiveConfig};
 pub use space::{fig4_rows, table5_rows, SpaceRow};
 pub use system::{CycleLimitExceeded, Simulation};

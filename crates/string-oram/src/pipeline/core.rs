@@ -286,6 +286,12 @@ impl PipelineCore {
         self.planner.protocol()
     }
 
+    /// Every tier's engine, data ORAM first: [`Self::protocol`] alone
+    /// without a recursive position map, then one engine per map level.
+    pub fn tiers(&self) -> impl ExactSizeIterator<Item = &dyn ObliviousProtocol> + '_ {
+        self.planner.tiers()
+    }
+
     /// Raw program read-path latency samples (plan → data, in cycles), in
     /// retire order. Merged reports pool these across shards before
     /// recomputing percentiles (percentiles of percentiles would be wrong).

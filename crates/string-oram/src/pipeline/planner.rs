@@ -1,10 +1,11 @@
 //! Stage 1 — **Plan**: expand core LLC misses into ORAM transactions.
 //!
-//! The planner owns the protocol engine (a single data ORAM, or a
-//! recursive stack with per-ORAM memory regions) and the tree layout(s).
-//! Each [`CoreRequest`] becomes a sequence of [`PlannedTxn`]s: the
-//! protocol's slot touches lowered to physical addresses, annotated with
-//! which request (if any) carries the waiting core's data.
+//! The planner owns one stack of ORAM tiers, each an engine of the selected
+//! protocol with its tree layout and memory region: the data ORAM, then one
+//! tier per level of a recursive position map (none by default). Each
+//! [`CoreRequest`] becomes a sequence of [`PlannedTxn`]s: every tier's slot
+//! touches lowered to physical addresses, annotated with which request (if
+//! any) carries the waiting core's data.
 //!
 //! The planner also folds every planned request into a running FNV-1a
 //! **access digest**. The digest covers exactly what an adversary on the
@@ -16,9 +17,9 @@
 use dram_sim::PhysAddr;
 use oram_rng::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use ring_oram::layout::TreeLayout;
-use ring_oram::recursive::{RecursiveConfig, RecursiveOram};
 use ring_oram::{
-    AccessPlan, BlockId, CircuitOram, ObliviousProtocol, OpKind, PathOram, ProtocolKind, RingOram,
+    AccessPlan, BlockId, CircuitOram, ObliviousProtocol, OpKind, PathOram, ProtocolKind,
+    ResilienceConfig, RingConfig, RingOram,
 };
 
 use crate::config::{ConfigError, SystemConfig};
@@ -44,26 +45,24 @@ pub struct PlannedTxn {
     pub release_on_completion: bool,
 }
 
-/// The protocol engine driving the simulation: a single data ORAM behind
-/// the [`ObliviousProtocol`] trait (any of the four protocol design
-/// points) or a recursive Ring stack with per-ORAM memory regions.
+/// One ORAM of the planner's stack: its engine and the memory region its
+/// tree is lowered into.
 #[derive(Debug)]
-enum Engine {
-    Flat {
-        oram: Box<dyn ObliviousProtocol>,
-        layout: TreeLayout,
-    },
-    Recursive {
-        stack: Box<RecursiveOram>,
-        /// Per-stack-index layout and base address (disjoint regions).
-        regions: Vec<(TreeLayout, u64)>,
-    },
+struct Tier {
+    oram: Box<dyn ObliviousProtocol>,
+    layout: TreeLayout,
+    base: u64,
 }
 
-/// The planning stage: protocol engine + layout lowering + access digest.
+/// The planning stage: the ORAM stack + layout lowering + access digest.
 #[derive(Debug)]
 pub struct Planner {
-    engine: Engine,
+    /// Tier 0 is the data ORAM; tier `i + 1` stores tier `i`'s position
+    /// map. Exactly one tier when `cfg.recursion` is `None`.
+    tiers: Vec<Tier>,
+    /// Position-map entries per map block: tier `i` is asked for block
+    /// `block / positions_per_block^i`.
+    positions_per_block: u64,
     accesses: u64,
     cover_accesses: u64,
     digest: u64,
@@ -75,75 +74,31 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Builds the planner for `cfg`: constructs the protocol engine (with
-    /// encryption/resilience when faults are configured) and, under
-    /// recursion, allocates disjoint row-set-aligned memory regions for
-    /// every ORAM in the stack.
+    /// Builds the planner for `cfg`: one engine of `cfg.protocol` for the
+    /// data ORAM and one per level of `cfg.recursion` (with
+    /// encryption/resilience when faults are configured), each lowered
+    /// into its own row-set-aligned memory region.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Invalid`] when the recursive stack does not fit the
-    /// DRAM module (`cfg` itself is assumed pre-validated).
+    /// [`ConfigError::Invalid`] when the stack does not fit the DRAM module
+    /// (`cfg` itself is assumed pre-validated).
     pub fn build(cfg: &SystemConfig) -> Result<Self, ConfigError> {
-        // Every engine runs on the protocol's *effective* ring parameters
-        // (`ring == cfg.ring` for the paper's Ring+CB design point, so the
-        // existing pipeline is bit-identical).
-        let ring = cfg.effective_ring();
-        let engine = match cfg.recursion {
-            None => {
-                let oram: Box<dyn ObliviousProtocol> = match cfg.protocol {
-                    ProtocolKind::RingCb | ProtocolKind::Ring => {
-                        let mut oram = Box::new(RingOram::with_load_factor(
-                            ring.clone(),
-                            cfg.seed,
-                            cfg.load_factor,
-                        ));
-                        if let Some(f) = &cfg.faults {
-                            // Integrity-fault detection needs the
-                            // authenticated cipher in the loop.
-                            oram.enable_encryption(cfg.seed ^ 0xC1F3);
-                            oram.enable_resilience(f.resilience);
-                        }
-                        oram
-                    }
-                    ProtocolKind::Path => Box::new(PathOram::from_ring(ring.clone(), cfg.seed)),
-                    ProtocolKind::Circuit => Box::new(CircuitOram::new(ring.clone(), cfg.seed)),
-                };
-                Engine::Flat {
-                    oram,
-                    layout: cfg.tree_layout(&ring),
-                }
-            }
-            Some(r) => {
-                let rec_cfg = RecursiveConfig {
-                    data: ring.clone(),
-                    tracked_blocks: r.tracked_blocks,
-                    positions_per_block: r.positions_per_block,
-                    max_onchip_entries: r.max_onchip_entries,
-                };
-                let stack = Box::new(RecursiveOram::new(rec_cfg.clone(), cfg.seed));
-                // Allocate disjoint, row-set-aligned regions: data ORAM at
-                // 0, each map ORAM after the previous region.
-                let map_rings = (0..rec_cfg.map_levels()).map(|i| rec_cfg.map_config(i));
-                let mut regions = Vec::new();
-                let align = cfg.row_set_bytes();
-                let mut base = 0u64;
-                for ring in std::iter::once(ring).chain(map_rings) {
-                    let layout = cfg.tree_layout(&ring);
-                    let total = layout.total_bytes().div_ceil(align) * align;
-                    regions.push((layout, base));
-                    base += total;
-                }
-                if base > cfg.geometry.capacity_bytes() {
-                    return Err(ConfigError::Invalid(format!(
-                        "recursive ORAM stack ({base} B) exceeds DRAM capacity"
-                    )));
-                }
-                Engine::Recursive { stack, regions }
-            }
-        };
+        let tiers = cfg
+            .tiers()?
+            .into_iter()
+            .enumerate()
+            .map(|(i, (ring, layout, base))| Tier {
+                oram: engine(cfg, ring, i as u64),
+                layout,
+                base,
+            })
+            .collect();
         Ok(Self {
-            engine,
+            tiers,
+            positions_per_block: cfg
+                .recursion
+                .map_or(1, |r| u64::from(r.positions_per_block)),
             accesses: 0,
             cover_accesses: 0,
             digest: FNV_OFFSET,
@@ -151,13 +106,16 @@ impl Planner {
         })
     }
 
-    /// The (data) protocol engine, for inspection in tests and harnesses.
+    /// The data protocol engine (tier 0), for inspection in tests and
+    /// harnesses.
     #[must_use]
     pub fn protocol(&self) -> &dyn ObliviousProtocol {
-        match &self.engine {
-            Engine::Flat { oram, .. } => oram.as_ref(),
-            Engine::Recursive { stack, .. } => stack.oram(0),
-        }
+        self.tiers[0].oram.as_ref()
+    }
+
+    /// Every tier's engine, data ORAM first.
+    pub(crate) fn tiers(&self) -> impl ExactSizeIterator<Item = &dyn ObliviousProtocol> + '_ {
+        self.tiers.iter().map(|t| t.oram.as_ref())
     }
 
     /// Program accesses planned so far.
@@ -181,21 +139,12 @@ impl Planner {
         self.digest
     }
 
-    /// Expands one core request into lowered transactions. Under recursion
-    /// the position-map ORAM accesses precede the data access; only the
-    /// data ORAM's read path carries the core's wakeup.
-    pub fn plan(&mut self, req: &CoreRequest, conformance: &mut Conformance) -> Vec<PlannedTxn> {
-        let mut out = Vec::new();
-        self.plan_into(req, conformance, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Self::plan`]: appends the lowered
-    /// transactions to a caller-provided (reusable) buffer. The protocol
-    /// outcome's buffers are recycled back into the engine's pools and the
+    /// Expands one core request into lowered transactions, appended to a
+    /// caller-provided (reusable) buffer: one access per tier, the
+    /// position-map tiers first, and only the data ORAM's wake plan carries
+    /// the core's wakeup. Outcome buffers are recycled into their tiers and
     /// request buffers come from [`Self::recycle_requests`]'s pool, so a
-    /// warm planner performs no heap allocation per access on the flat
-    /// (non-recursive) engine.
+    /// warm planner performs no heap allocation per access.
     pub fn plan_into(
         &mut self,
         req: &CoreRequest,
@@ -204,86 +153,84 @@ impl Planner {
     ) {
         self.accesses += 1;
         self.mix(req.block);
-        let Engine::Recursive { stack, regions } = &mut self.engine else {
-            let access = |oram: &mut dyn ObliviousProtocol| Some(oram.access(BlockId(req.block)));
-            self.lower_flat(Some(req.core), conformance, out, access);
-            return;
-        };
-        let steps = stack.access(BlockId(req.block));
-        let stash_len = stack.oram(0).stash_len();
-        for step in &steps {
-            let waiting =
-                (step.oram_index == 0).then(|| (req.core, step.outcome.served_from_tree()));
-            // Only the data ORAM (index 0) is audited; the map ORAMs run
-            // the same protocol with their own configs.
-            if step.oram_index == 0 {
-                conformance.observe_access(&step.outcome.plans);
-            }
-            let (layout, base) = &regions[step.oram_index];
-            for plan in &step.outcome.plans {
-                let buf = self.req_pool.pop().unwrap_or_default();
-                out.push(lower(&mut self.digest, plan, layout, *base, waiting, buf));
-            }
-        }
-        conformance.observe_stash(stash_len);
+        self.walk(Some(req), conformance, out);
     }
 
     /// Expands one **cover access** (protocol-level padding that serves no
     /// program request) into lowered transactions, exactly as
-    /// [`Self::plan_into`] does for program accesses: the plans flow
-    /// through conformance checking and the access digest, so padded and
-    /// unpadded runs stay auditable by the same machinery. The digest mixes
-    /// the sentinel block id `u64::MAX` (outside the addressable space)
-    /// where a program access mixes its block.
+    /// [`Self::plan_into`] does for program accesses: a cover access on
+    /// every tier, whose plans flow through conformance checking and the
+    /// access digest, so padded and unpadded runs stay auditable by the
+    /// same machinery. The digest mixes the sentinel block id `u64::MAX`
+    /// (outside the addressable space) where a program access mixes its
+    /// block.
     ///
-    /// Returns `false` — planning nothing — when the engine has no native
-    /// dummy-access mechanism (non-Ring protocols, recursive stacks);
-    /// callers must then reject padded submission modes up front.
+    /// Returns `false` — planning nothing — when the protocol has no native
+    /// dummy-access mechanism (Path, Circuit); callers must then reject
+    /// padded submission modes up front.
     pub fn plan_cover_into(
         &mut self,
         conformance: &mut Conformance,
         out: &mut Vec<PlannedTxn>,
     ) -> bool {
-        self.lower_flat(None, conformance, out, |oram| oram.cover_access())
+        self.walk(None, conformance, out)
     }
 
-    /// Runs `access` on the flat engine and lowers its outcome into `out`:
-    /// faults, plans and stash to conformance, plans into the digest, the
-    /// buffers back to the engine. `core` waits on a program access; `None`
-    /// is a cover access. `false` (nothing lowered) on a recursive engine or
-    /// when `access` plans nothing.
-    fn lower_flat(
+    /// The one tier walk, innermost tier first: `Some(req)` is a program
+    /// access (tier `i` accesses `req.block / positions_per_block^i`),
+    /// `None` a cover access on every tier. Every tier's fault log is
+    /// drained (it bounds protocol-side memory) and every outcome lowered
+    /// into `out` and recycled into its tier. Tier 0's faults, plans and
+    /// stash go to conformance — the map tiers run the same protocol on
+    /// their own configs — and only its wake plan carries the core.
+    /// `false` (nothing lowered) when the protocol has no cover access.
+    fn walk(
         &mut self,
-        core: Option<usize>,
+        req: Option<&CoreRequest>,
         conformance: &mut Conformance,
         out: &mut Vec<PlannedTxn>,
-        access: impl FnOnce(&mut dyn ObliviousProtocol) -> Option<ring_oram::AccessOutcome>,
     ) -> bool {
-        let Engine::Flat { oram, layout } = &mut self.engine else {
-            return false;
-        };
-        let Some(outcome) = access(oram.as_mut()) else {
-            return false;
-        };
-        if core.is_none() {
-            self.cover_accesses += 1;
-            self.digest = fnv1a_u64(self.digest, u64::MAX);
+        let innermost = self.tiers.len() - 1;
+        for (i, tier) in self.tiers.iter_mut().enumerate().rev() {
+            let outcome = match req {
+                Some(req) => {
+                    let divisor = self.positions_per_block.saturating_pow(i as u32);
+                    tier.oram.access(BlockId(req.block / divisor))
+                }
+                // Every tier runs the same protocol: the innermost answers
+                // for all.
+                None => {
+                    let Some(outcome) = tier.oram.cover_access() else {
+                        return false;
+                    };
+                    if i == innermost {
+                        self.cover_accesses += 1;
+                        self.digest = fnv1a_u64(self.digest, u64::MAX);
+                    }
+                    outcome
+                }
+            };
+            let faults = tier.oram.take_fault_events();
+            let mut wake_at = None;
+            if i == 0 {
+                // Faults are replayed before the plans, so retry allowances
+                // exist when the plans are checked.
+                conformance.observe_faults(&faults);
+                conformance.observe_access(&outcome.plans);
+                conformance.observe_stash(tier.oram.stash_len());
+                // The core's data arrives with the last plan carrying a
+                // target touch: a corrupted target fetch is only whole
+                // after its retry.
+                wake_at = req.and(outcome.wake_plan_index());
+            }
+            let tree = outcome.served_from_tree();
+            for (j, plan) in outcome.plans.iter().enumerate() {
+                let waiting = req.filter(|_| wake_at == Some(j)).map(|r| (r.core, tree));
+                let buf = self.req_pool.pop().unwrap_or_default();
+                out.push(lower(&mut self.digest, plan, tier, waiting, buf));
+            }
+            tier.oram.recycle_outcome(outcome);
         }
-        // The fault log is drained unconditionally (it bounds protocol-side
-        // memory) and replayed before the plans, so retry allowances exist
-        // when the plans are checked.
-        conformance.observe_faults(&oram.take_fault_events());
-        conformance.observe_access(&outcome.plans);
-        conformance.observe_stash(oram.stash_len());
-        // The core's data arrives with the last plan carrying a target
-        // touch: a corrupted target fetch is only whole after its retry.
-        let wake = core.map(|c| (c, outcome.served_from_tree(), outcome.wake_plan_index()));
-        for (i, plan) in outcome.plans.iter().enumerate() {
-            let waiting = wake.and_then(|(c, tree, at)| (at == Some(i)).then_some((c, tree)));
-            let buf = self.req_pool.pop().unwrap_or_default();
-            out.push(lower(&mut self.digest, plan, layout, 0, waiting, buf));
-        }
-        oram.recycle_outcome(outcome);
         true
     }
 
@@ -296,12 +243,11 @@ impl Planner {
         self.req_pool.push(buf);
     }
 
-    /// Pre-sizes protocol bookkeeping for `n` further program accesses
-    /// (flat engine only; the recursive stack is not on the
-    /// allocation-free path).
+    /// Pre-sizes every tier's protocol bookkeeping for `n` further
+    /// program accesses.
     pub fn reserve_accesses(&mut self, n: usize) {
-        if let Engine::Flat { oram, .. } = &mut self.engine {
-            oram.reserve_accesses(n);
+        for tier in &mut self.tiers {
+            tier.oram.reserve_accesses(n);
         }
     }
 
@@ -310,15 +256,38 @@ impl Planner {
     }
 }
 
+/// The engine of tier `i`: `cfg.protocol` on `ring`, Ring pre-loaded at
+/// `cfg.load_factor` and, when faults are configured, with the
+/// authenticated cipher and the retry layer in the loop. Tier `i` draws
+/// from seeds `^ i`, so the data ORAM keeps `cfg`'s and every map tier
+/// gets its own protocol and fault streams.
+fn engine(cfg: &SystemConfig, ring: RingConfig, i: u64) -> Box<dyn ObliviousProtocol> {
+    let seed = cfg.seed ^ i;
+    match cfg.protocol {
+        ProtocolKind::RingCb | ProtocolKind::Ring => {
+            let mut oram = Box::new(RingOram::with_load_factor(ring, seed, cfg.load_factor));
+            if let Some(f) = &cfg.faults {
+                oram.enable_encryption(seed ^ 0xC1F3);
+                oram.enable_resilience(ResilienceConfig {
+                    fault_seed: f.resilience.fault_seed ^ i,
+                    ..f.resilience
+                });
+            }
+            oram
+        }
+        ProtocolKind::Path => Box::new(PathOram::from_ring(ring, seed)),
+        ProtocolKind::Circuit => Box::new(CircuitOram::new(ring, seed)),
+    }
+}
+
 /// Lowers one protocol plan: converts slot touches to physical requests in
-/// the right memory region and resolves the core-wakeup annotations.
+/// the tier's memory region and resolves the core-wakeup annotations.
 /// `waiting` is `(core, served_from_tree)` when this plan may carry the
 /// program's data.
 fn lower(
     digest: &mut u64,
     plan: &AccessPlan,
-    layout: &TreeLayout,
-    base: u64,
+    tier: &Tier,
     waiting: Option<(usize, bool)>,
     mut requests: Vec<(PhysAddr, bool)>,
 ) -> PlannedTxn {
@@ -334,11 +303,12 @@ fn lower(
         _ => (None, false),
     };
     requests.clear();
-    requests.extend(
-        plan.touches
-            .iter()
-            .map(|t| (PhysAddr(base + layout.addr_of(t.bucket, t.slot)), t.write)),
-    );
+    requests.extend(plan.touches.iter().map(|t| {
+        (
+            PhysAddr(tier.base + tier.layout.addr_of(t.bucket, t.slot)),
+            t.write,
+        )
+    }));
     let target_index = if waiting_core.is_some() {
         plan.target_index
     } else {
@@ -363,11 +333,11 @@ fn lower(
 mod tests {
     use super::*;
     use crate::config::{Scheme, VerifyConfig};
+    use ring_oram::RecursiveConfig;
 
-    fn planner_pair() -> (Planner, Conformance) {
-        let cfg = SystemConfig::test_small(Scheme::All);
+    fn planner_pair_for(cfg: &SystemConfig) -> (Planner, Conformance) {
         let conf = Conformance::new(
-            &VerifyConfig::off(),
+            &cfg.verify,
             cfg.protocol,
             &cfg.effective_ring(),
             &cfg.geometry,
@@ -375,7 +345,45 @@ mod tests {
             true,
             cfg.sched_policy.name(),
         );
-        (Planner::build(&cfg).unwrap(), conf)
+        (Planner::build(cfg).unwrap(), conf)
+    }
+
+    fn planner_pair() -> (Planner, Conformance) {
+        let mut cfg = SystemConfig::test_small(Scheme::All);
+        cfg.verify = VerifyConfig::off();
+        planner_pair_for(&cfg)
+    }
+
+    /// The Ring+CB stack of `RecursiveConfig::test_small`: three map tiers.
+    fn recursive_cfg(protocol: ProtocolKind) -> SystemConfig {
+        let mut cfg = SystemConfig::test_small(Scheme::All);
+        cfg.protocol = protocol;
+        cfg.recursion = Some(RecursiveConfig::test_small());
+        cfg
+    }
+
+    fn plan(p: &mut Planner, conf: &mut Conformance, core: usize, block: u64) -> Vec<PlannedTxn> {
+        let mut out = Vec::new();
+        let req = CoreRequest {
+            core,
+            block,
+            is_write: false,
+        };
+        p.plan_into(&req, conf, &mut out);
+        out
+    }
+
+    /// The tier whose memory region holds every request of `txn`.
+    fn tier_of(p: &Planner, txn: &PlannedTxn) -> usize {
+        let region =
+            |t: &Tier, addr: u64| (t.base..t.base + t.layout.total_bytes()).contains(&addr);
+        let tier = p
+            .tiers
+            .iter()
+            .position(|t| region(t, txn.requests[0].0 .0))
+            .expect("a request outside every tier");
+        assert!(txn.requests.iter().all(|r| region(&p.tiers[tier], r.0 .0)));
+        tier
     }
 
     #[test]
@@ -383,38 +391,15 @@ mod tests {
         let (mut a, mut ca) = planner_pair();
         let (mut b, mut cb) = planner_pair();
         for blk in [3u64, 9, 3, 27] {
-            a.plan(
-                &CoreRequest {
-                    core: 0,
-                    block: blk,
-                    is_write: false,
-                },
-                &mut ca,
-            );
-        }
-        for blk in [3u64, 9, 3, 27] {
-            b.plan(
-                &CoreRequest {
-                    core: 0,
-                    block: blk,
-                    is_write: false,
-                },
-                &mut cb,
-            );
+            plan(&mut a, &mut ca, 0, blk);
+            plan(&mut b, &mut cb, 0, blk);
         }
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.accesses(), 4);
 
         let (mut c, mut cc) = planner_pair();
         for blk in [9u64, 3, 3, 27] {
-            c.plan(
-                &CoreRequest {
-                    core: 0,
-                    block: blk,
-                    is_write: false,
-                },
-                &mut cc,
-            );
+            plan(&mut c, &mut cc, 0, blk);
         }
         assert_ne!(a.digest(), c.digest(), "order must matter");
     }
@@ -436,25 +421,125 @@ mod tests {
 
     #[test]
     fn program_read_carries_exactly_one_wakeup() {
-        let (mut p, mut conf) = planner_pair();
-        let planned = p.plan(
-            &CoreRequest {
-                core: 1,
-                block: 42,
-                is_write: false,
-            },
-            &mut conf,
-        );
-        assert!(!planned.is_empty());
-        let waits: Vec<_> = planned
-            .iter()
-            .filter(|t| t.waiting_core.is_some())
-            .collect();
-        assert_eq!(waits.len(), 1);
-        assert_eq!(waits[0].waiting_core, Some(1));
-        assert!(matches!(
-            waits[0].kind,
-            OpKind::ReadPath | OpKind::RetryRead
-        ));
+        for cfg in [
+            SystemConfig::test_small(Scheme::All),
+            recursive_cfg(ProtocolKind::RingCb),
+        ] {
+            let (mut p, mut conf) = planner_pair_for(&cfg);
+            let planned = plan(&mut p, &mut conf, 1, 42);
+            let waits: Vec<_> = planned
+                .iter()
+                .filter(|t| t.waiting_core.is_some())
+                .collect();
+            assert_eq!(waits.len(), 1);
+            assert_eq!(waits[0].waiting_core, Some(1));
+            assert!(matches!(
+                waits[0].kind,
+                OpKind::ReadPath | OpKind::RetryRead
+            ));
+            assert_eq!(
+                tier_of(&p, waits[0]),
+                0,
+                "only the data ORAM wakes the core"
+            );
+        }
+    }
+
+    #[test]
+    fn access_walks_the_whole_stack_in_order() {
+        for protocol in ProtocolKind::ALL {
+            let (mut p, mut conf) = planner_pair_for(&recursive_cfg(protocol));
+            assert_eq!(p.tiers().len(), 4);
+            let reads: Vec<usize> = plan(&mut p, &mut conf, 0, 123)
+                .iter()
+                .filter(|t| t.kind == OpKind::ReadPath)
+                .map(|t| tier_of(&p, t))
+                .collect();
+            assert_eq!(
+                reads,
+                [3, 2, 1, 0],
+                "{protocol}: innermost map first, data last"
+            );
+            assert!(
+                conf.violations().is_empty(),
+                "{protocol}: {:?}",
+                conf.violations()
+            );
+        }
+    }
+
+    #[test]
+    fn a_cover_access_is_one_dummy_read_path_per_tier() {
+        let (mut p, mut conf) = planner_pair_for(&recursive_cfg(ProtocolKind::RingCb));
+        let mut out = Vec::new();
+        assert!(p.plan_cover_into(&mut conf, &mut out));
+        let tiers: Vec<usize> = out.iter().map(|t| tier_of(&p, t)).collect();
+        assert_eq!(tiers, [3, 2, 1, 0]);
+        assert!(out.iter().all(|t| t.kind == OpKind::DummyReadPath));
+        assert!(p.tiers().all(|t| t.stats().dummy_read_paths == 1));
+        assert_eq!(p.cover_accesses(), 1);
+
+        // Path and Circuit have no cover access on any tier.
+        let (mut p, mut conf) = planner_pair_for(&recursive_cfg(ProtocolKind::Path));
+        out.clear();
+        assert!(!p.plan_cover_into(&mut conf, &mut out));
+        assert!(out.is_empty());
+        assert_eq!(p.cover_accesses(), 0);
+    }
+
+    #[test]
+    fn map_block_indices_shrink() {
+        let mut cfg = recursive_cfg(ProtocolKind::RingCb); // ppb = 4
+        cfg.load_factor = 0.0;
+        let (mut p, mut conf) = planner_pair_for(&cfg);
+        plan(&mut p, &mut conf, 0, 500);
+        for (i, tier) in p.tiers().enumerate() {
+            let entries = tier.position_entries();
+            assert_eq!(entries.len(), 1, "tier {i}");
+            assert_eq!(entries[0].0, BlockId(500 / 4u64.pow(i as u32)), "tier {i}");
+        }
+    }
+
+    #[test]
+    fn recursion_multiplies_bandwidth() {
+        let requests = |cfg: &SystemConfig| {
+            let (mut p, mut conf) = planner_pair_for(cfg);
+            (0..50)
+                .flat_map(|i| plan(&mut p, &mut conf, 0, i * 37 % 512))
+                .map(|t| t.requests.len())
+                .sum::<usize>()
+        };
+        let flat = requests(&SystemConfig::test_small(Scheme::All));
+        let rec = requests(&recursive_cfg(ProtocolKind::RingCb));
+        assert!(rec > flat, "recursion must add traffic: {rec} vs {flat}");
+    }
+
+    #[test]
+    fn reserve_accesses_reaches_every_tier() {
+        let (mut p, _) = planner_pair_for(&recursive_cfg(ProtocolKind::RingCb));
+        p.reserve_accesses(1000);
+        assert!(p
+            .tiers()
+            .all(|t| t.stats().stash_samples.capacity() >= 1000));
+    }
+
+    #[test]
+    fn invariants_hold_across_the_stack() {
+        for protocol in ProtocolKind::ALL {
+            let (mut p, mut conf) = planner_pair_for(&recursive_cfg(protocol));
+            let mut out = Vec::new();
+            for i in 0..150 {
+                plan(&mut p, &mut conf, 0, i % 200);
+                p.plan_cover_into(&mut conf, &mut out);
+            }
+            for tier in p.tiers() {
+                tier.check_invariants();
+            }
+            assert!(
+                conf.violations().is_empty(),
+                "{protocol}: {:?}",
+                conf.violations()
+            );
+        }
     }
 }

@@ -186,6 +186,12 @@ impl Simulation {
         self.core.protocol()
     }
 
+    /// Every tier's engine, data ORAM first (see
+    /// [`PipelineCore::tiers`]).
+    pub fn tiers(&self) -> impl ExactSizeIterator<Item = &dyn ObliviousProtocol> + '_ {
+        self.core.tiers()
+    }
+
     /// Program accesses planned so far (cheap mid-run progress probe).
     #[must_use]
     pub fn oram_accesses(&self) -> u64 {
@@ -491,7 +497,7 @@ mod tests {
     fn recursion_generates_extra_transactions_and_slows_down() {
         let flat = run(Scheme::Baseline, 60);
         let mut cfg = SystemConfig::test_small(Scheme::Baseline);
-        cfg.recursion = Some(crate::config::RecursionSettings {
+        cfg.recursion = Some(ring_oram::RecursiveConfig {
             tracked_blocks: 1 << 12,
             positions_per_block: 8,
             max_onchip_entries: 1 << 6,
@@ -499,7 +505,8 @@ mod tests {
         let t = traces(&cfg, 60, "black");
         let mut sim = Simulation::new(cfg, t);
         let rec = sim.run(100_000_000).expect("completes");
-        sim.protocol().check_invariants();
+        assert_eq!(sim.tiers().len(), 3);
+        sim.tiers().for_each(ObliviousProtocol::check_invariants);
         assert_eq!(rec.oram_accesses, flat.oram_accesses);
         assert!(
             rec.transactions_by_kind["read"] > flat.transactions_by_kind["read"],

@@ -21,7 +21,9 @@
 //! first time it is touched, so a verified steady state is held to zero
 //! too. One more window drives a bare `PipelineCore` the way the service
 //! does — real and cover accesses dispatched by hand, wakes collected into
-//! the caller's buffer — since that path never runs under `Simulation`.
+//! the caller's buffer — since that path never runs under `Simulation`;
+//! a third runs it over a recursive position map, every access and cover
+//! walking three map tiers.
 //! The cycle-accurate controller's per-cycle bookkeeping (per-bank
 //! queues, views and issue bounds) gets its own per-policy windows.
 //!
@@ -38,7 +40,7 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use dram_sim::{AddressMapping, DramLocation, DramModule};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
-use ring_oram::{BlockId, ObliviousProtocol, PathOram, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol, PathOram, RecursiveConfig, RingConfig, RingOram};
 use string_oram::pipeline::PipelineCore;
 use string_oram::{BackendKind, ProtocolKind, Scheme, Simulation, SystemConfig, VerifyConfig};
 use trace_synth::{by_name, TraceGenerator};
@@ -165,7 +167,9 @@ fn assert_steady_state_window(
 /// buffer) must reach the same allocation-free steady state as the trace
 /// driver. The fixed population keeps the stash's working set — and with it
 /// the eviction candidate buffer — from growing past its warm-up size.
-fn assert_core_steady_state_window(verify: VerifyConfig) {
+/// Under `recursion` every access and every cover walks the map tiers too,
+/// and every tier's tree must be complete before the window opens.
+fn assert_core_steady_state_window(verify: VerifyConfig, recursion: Option<RecursiveConfig>) {
     const ACCESSES: usize = 8000;
     const MEASURED_ACCESSES: u64 = 100;
     const LEVELS: u32 = 10;
@@ -175,7 +179,21 @@ fn assert_core_steady_state_window(verify: VerifyConfig) {
     cfg.ring.levels = LEVELS;
     cfg.backend = BackendKind::FastFunctional;
     cfg.verify = verify;
-    let total_buckets = (1usize << LEVELS) - 1;
+    cfg.recursion = recursion;
+    let data = cfg.effective_ring();
+    let tier_buckets: Vec<usize> = std::iter::once(data.clone())
+        .chain(
+            recursion
+                .iter()
+                .flat_map(|r| (0..r.map_levels()).map(|i| r.map_config(&data, i))),
+        )
+        .map(|ring| ring.bucket_count() as usize)
+        .collect();
+    let complete = |core: &PipelineCore| {
+        core.tiers()
+            .map(|t| t.materialized_buckets())
+            .eq(tier_buckets.iter().copied())
+    };
     let mut core = PipelineCore::build(&cfg).unwrap();
     core.reserve_accesses(ACCESSES);
     let mut wakes = Vec::with_capacity(cfg.max_inflight_txns);
@@ -198,15 +216,12 @@ fn assert_core_steady_state_window(verify: VerifyConfig) {
         wakes.clear();
     };
 
-    while core.protocol().materialized_buckets() < total_buckets
-        && core.accesses() + MEASURED_ACCESSES < ACCESSES as u64
-    {
+    while !complete(&core) && core.accesses() + MEASURED_ACCESSES < ACCESSES as u64 {
         tick(&mut core);
     }
-    assert_eq!(
-        core.protocol().materialized_buckets(),
-        total_buckets,
-        "core: too few accesses to materialize the tree"
+    assert!(
+        complete(&core),
+        "core: too few accesses to materialize every tree"
     );
     let (warmed, warmed_cover) = (core.accesses(), core.cover_accesses());
 
@@ -220,8 +235,11 @@ fn assert_core_steady_state_window(verify: VerifyConfig) {
         "core: the window held no cover access"
     );
     assert_eq!(
-        during, 0,
-        "core: steady state allocated {during} times across {MEASURED_ACCESSES} accesses"
+        during,
+        0,
+        "core ({} tiers): steady state allocated {during} times across {MEASURED_ACCESSES} \
+         accesses",
+        tier_buckets.len()
     );
 }
 
@@ -360,9 +378,11 @@ fn steady_state_access_performs_no_heap_allocation() {
         checked,
     );
 
-    // The request-driven shape, on the core directly, verifier off and on.
-    assert_core_steady_state_window(off);
-    assert_core_steady_state_window(checked);
+    // The request-driven shape, on the core directly, verifier off and on,
+    // and over a stack with three position-map tiers.
+    assert_core_steady_state_window(off, None);
+    assert_core_steady_state_window(checked, None);
+    assert_core_steady_state_window(checked, Some(RecursiveConfig::test_small()));
 
     // First touches have a heap budget rather than a zero.
     let hpca = RingConfig::hpca_default();

@@ -5,7 +5,9 @@
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use mem_sched::{PagePolicy, SchedulerPolicy};
-use string_oram::{RecursionSettings, Scheme, SimReport, Simulation, SystemConfig};
+use string_oram::{
+    ConfigError, RecursiveConfig, Scheme, ShardedSimulation, SimReport, Simulation, SystemConfig,
+};
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
 fn run_with(tweak: impl FnOnce(&mut SystemConfig), n: usize) -> SimReport {
@@ -61,7 +63,7 @@ fn ddr4_timing_changes_results_but_not_correctness() {
 fn recursion_composes_with_pb_and_cb() {
     let r = run_with(
         |cfg| {
-            cfg.recursion = Some(RecursionSettings {
+            cfg.recursion = Some(RecursiveConfig {
                 tracked_blocks: 1 << 12,
                 positions_per_block: 8,
                 max_onchip_entries: 1 << 6,
@@ -83,7 +85,7 @@ fn page_policy_and_unconstrained_compose_with_recursion() {
             cfg.page_policy = PagePolicy::Closed;
             cfg.sched_policy = SchedulerPolicy::Unconstrained;
             cfg.core_mlp = 4;
-            cfg.recursion = Some(RecursionSettings {
+            cfg.recursion = Some(RecursiveConfig {
                 tracked_blocks: 1 << 12,
                 positions_per_block: 8,
                 max_onchip_entries: 1 << 6,
@@ -94,6 +96,107 @@ fn page_policy_and_unconstrained_compose_with_recursion() {
     assert_eq!(r.oram_accesses, 80);
     let classified: u64 = r.row_class_by_kind.values().map(|c| c.total()).sum();
     assert_eq!(classified, r.requests_completed);
+}
+
+/// Hostile recursion settings are configuration errors from
+/// `Simulation::try_new` and `ShardedSimulation::try_new`, never a panic
+/// while the stack is built.
+#[test]
+fn hostile_recursion_settings_are_errors_not_panics() {
+    let valid = RecursiveConfig::test_small();
+    for bad in [
+        RecursiveConfig {
+            positions_per_block: 0,
+            ..valid
+        },
+        RecursiveConfig {
+            positions_per_block: 1,
+            ..valid
+        },
+        RecursiveConfig {
+            tracked_blocks: 0,
+            ..valid
+        },
+        RecursiveConfig {
+            max_onchip_entries: 0,
+            ..valid
+        },
+        RecursiveConfig {
+            tracked_blocks: u64::MAX,
+            ..valid
+        },
+        // Valid arithmetic, but 40 map tiers do not fit the module.
+        RecursiveConfig {
+            tracked_blocks: 1 << 40,
+            positions_per_block: 2,
+            max_onchip_entries: 1,
+        },
+    ] {
+        for shards in [1, 2] {
+            let mut cfg = SystemConfig::test_small(Scheme::All);
+            cfg.recursion = Some(bad);
+            cfg.shards = shards;
+            let traces = vec![Vec::new(); cfg.cores];
+            let err = if shards == 1 {
+                Simulation::try_new(cfg, traces).err()
+            } else {
+                ShardedSimulation::try_new(cfg, traces).err()
+            };
+            match err {
+                Some(ConfigError::Invalid(msg)) => {
+                    assert!(msg.contains("recursion") || msg.contains("DRAM"), "{msg}")
+                }
+                other => panic!("{bad:?} x {shards} shards: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Every tier is pre-loaded at `cfg.load_factor`, the data ORAM included:
+/// with no pre-load, each tier maps exactly the blocks the trace reached on
+/// it, and (one core, so the data ORAM sees the trace's order whatever the
+/// timing) the data ORAM maps what a flat run maps.
+#[test]
+fn recursion_honours_the_load_factor() {
+    let spec = by_name("black").expect("workload");
+    let run = |recursion: Option<RecursiveConfig>, load_factor: f64| {
+        let mut cfg = SystemConfig::test_small(Scheme::All);
+        cfg.recursion = recursion;
+        cfg.load_factor = load_factor;
+        cfg.cores = 1;
+        let traces = vec![TraceGenerator::new(spec.clone(), 77, 0).take_records(40)];
+        let mut blocks: Vec<u64> = traces.iter().flatten().map(|r| r.op.block).collect();
+        let mut sim = Simulation::new(cfg, traces);
+        sim.run(500_000_000).expect("completes");
+        let entries: Vec<usize> = sim.tiers().map(|t| t.position_entries().len()).collect();
+        // The blocks each tier was asked for: the trace's, divided down by
+        // 8 positions per map block once per tier.
+        let mut reached = Vec::new();
+        for _ in 0..entries.len() {
+            blocks.sort_unstable();
+            blocks.dedup();
+            reached.push(blocks.len());
+            blocks.iter_mut().for_each(|b| *b /= 8);
+        }
+        (entries, reached)
+    };
+    let recursion = Some(RecursiveConfig {
+        tracked_blocks: 1 << 12,
+        positions_per_block: 8,
+        max_onchip_entries: 1 << 6,
+    });
+    let (flat, _) = run(None, 0.0);
+    let (entries, reached) = run(recursion, 0.0);
+    assert_eq!(entries.len(), 3);
+    assert_eq!(
+        entries, reached,
+        "an unloaded tier maps only what it served"
+    );
+    assert_eq!(entries[0], flat[0]);
+    let (flat, _) = run(None, 0.7);
+    let (entries, _) = run(recursion, 0.7);
+    assert_eq!(entries[0], flat[0], "same pre-load, same data ORAM");
+    assert!(entries[0] > reached[0], "a 0.7 pre-load adds cold blocks");
 }
 
 #[test]

@@ -6,8 +6,8 @@
 
 use ring_oram::{BlockId, FaultEvent, ResilienceConfig, RingConfig, RingOram};
 use string_oram::{
-    ConfigError, FaultConfig, ResilienceSummary, Scheme, ShardedSimulation, SimReport, Simulation,
-    SystemConfig,
+    ConfigError, FaultConfig, ObliviousProtocol, RecursiveConfig, ResilienceSummary, Scheme,
+    ShardedSimulation, SimReport, Simulation, SystemConfig,
 };
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
@@ -389,19 +389,45 @@ fn merged_resilience_counters_equal_per_shard_sums() {
     assert_eq!(merged.total_cycles, merged2.total_cycles);
 }
 
-/// Fault configurations themselves are validated: out-of-range rates and
-/// the unsupported faults-plus-recursion combination are rejected.
+/// Fault configurations themselves are validated: out-of-range rates are
+/// rejected.
 #[test]
 fn invalid_fault_configs_are_rejected() {
     let bad_rate = smoke_cfg(Scheme::Baseline, 1, 1.5);
     assert!(bad_rate.validate().is_err(), "rate 1.5 must be rejected");
+}
 
-    let mut recursive = smoke_cfg(Scheme::Baseline, 1, 0.05);
-    recursive.recursion = Some(string_oram::RecursionSettings {
-        tracked_blocks: 1 << 9,
-        positions_per_block: 4,
-        max_onchip_entries: 8,
-    });
-    let err = recursive.validate().expect_err("faults + recursion");
-    assert!(err.to_string().contains("recursive"), "got: {err}");
+/// Faults on a recursive position map: every tier is built with the cipher
+/// and the retry layer, so every tier detects and recovers its corruptions,
+/// the run stays clean under every checker and repeats byte for byte.
+#[test]
+fn faults_with_recursion_recover_and_stay_violation_free() {
+    let run = || {
+        let mut cfg = smoke_cfg(Scheme::All, 0xF417, 0.05);
+        cfg.recursion = Some(RecursiveConfig {
+            tracked_blocks: 1 << 12,
+            positions_per_block: 8,
+            max_onchip_entries: 1 << 6,
+        });
+        let traces = traces_for(&cfg, "black", 11, 160);
+        let mut sim = Simulation::new(cfg, traces);
+        let report = sim.run(50_000_000).expect("faulty recursive run completes");
+        let tiers: Vec<_> = sim.tiers().map(|t| t.stats().clone()).collect();
+        sim.tiers().for_each(ObliviousProtocol::check_invariants);
+        (report, tiers)
+    };
+    let (r, tiers) = run();
+    assert!(r.violations.is_empty(), "{:?}", r.violations.first());
+    let res = &r.resilience;
+    assert!(res.faults_detected > 0, "{res:?}");
+    assert_eq!(res.faults_injected, res.faults_detected, "{res:?}");
+    assert_eq!(res.faults_recovered, res.faults_detected, "{res:?}");
+    assert_eq!(tiers.len(), 3);
+    for (i, s) in tiers.iter().enumerate() {
+        assert_eq!(s.faults_injected, s.faults_detected, "tier {i}");
+        assert!(s.faults_recovered > 0, "tier {i}: {s:?}");
+        assert_eq!(s.faults_unrecovered, 0, "tier {i}");
+    }
+    let (again, _) = run();
+    assert_eq!(format!("{r:?}"), format!("{again:?}"));
 }

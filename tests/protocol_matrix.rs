@@ -20,7 +20,9 @@
 //! the ones the bounds are proved for.
 
 use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, PathOram, ProtocolKind, RingConfig};
-use string_oram::{BackendKind, Scheme, ShardedSimulation, Simulation, SystemConfig};
+use string_oram::{
+    BackendKind, RecursiveConfig, Scheme, ShardedSimulation, Simulation, SystemConfig,
+};
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
 /// Golden digests for the canonical run (`test_small`, ALL scheme, one
@@ -177,6 +179,41 @@ fn cross_shard_residency_is_clean_for_every_protocol() {
             violations.is_empty(),
             "{protocol}: cross-shard residency violations: {violations:?}"
         );
+    }
+}
+
+/// A recursive position map is a stack of engines of the selected
+/// protocol: on every protocol the run is conformance-clean, every tier's
+/// invariants hold, and each map level adds transactions to every access.
+#[test]
+fn recursion_runs_on_every_protocol() {
+    for (protocol, ..) in GOLDEN {
+        let mut last = 0.0;
+        // 4096 tracked blocks, 8 per map block: 0, 1 and 2 map levels.
+        for (onchip, depth) in [(None, 1), (Some(1 << 9), 2), (Some(1 << 6), 3)] {
+            let mut cfg = canonical_cfg(protocol, 1, BackendKind::CycleAccurate);
+            cfg.recursion = onchip.map(|max_onchip_entries| RecursiveConfig {
+                tracked_blocks: 1 << 12,
+                positions_per_block: 8,
+                max_onchip_entries,
+            });
+            let mut sim = Simulation::new(cfg, canonical_trace());
+            let report = sim.run(50_000_000).expect("recursive run completes");
+            assert!(
+                report.violations.is_empty(),
+                "{protocol} x {onchip:?}: {:?}",
+                report.violations.first()
+            );
+            assert_eq!(sim.tiers().len(), depth);
+            sim.tiers().for_each(ObliviousProtocol::check_invariants);
+            let txns: u64 = report.transactions_by_kind.values().sum();
+            let per_access = txns as f64 / report.oram_accesses as f64;
+            assert!(
+                per_access > last,
+                "{protocol} x {onchip:?}: {per_access} transactions per access, {last} one tier less"
+            );
+            last = per_access;
+        }
     }
 }
 

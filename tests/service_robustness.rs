@@ -7,7 +7,7 @@
 //! different tenant loads (the timing-channel check).
 
 use oram_service::{GovernorState, OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
-use string_oram::{BackendKind, ServiceSummary, SimReport};
+use string_oram::{BackendKind, RecursiveConfig, ServiceSummary, SimReport};
 use trace_synth::ArrivalSpec;
 
 /// A ≥4× overload storm: two tenants whose combined arrival rate dwarfs
@@ -178,6 +178,40 @@ fn fixed_rate_schedule_is_load_invariant() {
     // even though the envelope does not.
     assert!(sa.padding_accesses > sb.padding_accesses);
     assert!(sb.real_accesses > sa.real_accesses);
+}
+
+/// Fixed-rate padding over a recursive Ring stack: every slot, program
+/// access or cover, is one access on every tier, so padding has a program
+/// access's tier shape on the bus. The service auditor stays clean and a
+/// repeat run agrees byte for byte.
+#[test]
+fn fixed_rate_pads_every_tier_of_a_recursive_stack() {
+    let make = || {
+        let mut tenant = TenantSpec::new("a", ArrivalSpec::steady(4.0));
+        tenant.blocks = 256;
+        let mut cfg = ServiceConfig::test_small(vec![tenant], 8_000);
+        cfg.policy = SubmissionPolicy::FixedRate {
+            interval: 128,
+            batch: 2,
+        };
+        cfg.system.recursion = Some(RecursiveConfig::test_small());
+        let mut svc = OramService::new(cfg).expect("fixed rate over recursion validates");
+        let report = svc.run().expect("terminates");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let core = &svc.shards()[0];
+        let (real, cover) = (core.accesses(), core.cover_accesses());
+        assert!(real > 0 && cover > 0, "{real} real, {cover} cover");
+        assert_eq!(core.tiers().len(), 4);
+        for tier in core.tiers() {
+            let stats = tier.stats();
+            assert_eq!(stats.read_paths, real);
+            assert_eq!(stats.stash_samples.len() as u64, real + cover);
+            assert!(stats.dummy_read_paths >= cover);
+            tier.check_invariants();
+        }
+        format!("{report:?}")
+    };
+    assert_eq!(make(), make());
 }
 
 #[test]
