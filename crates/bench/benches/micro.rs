@@ -374,8 +374,8 @@ fn bench_data_path() {
     let data = [7u8; 64];
     bench("wr_rd_block_64b", |i| {
         let id = BlockId(i % 128);
-        let _ = oram.write_block(id, &data);
-        std::hint::black_box(oram.read_block(id).1);
+        let _ = oram.write(id, &data);
+        std::hint::black_box(oram.read(id).1);
     });
 }
 
@@ -419,7 +419,7 @@ fn bench_recursive_access() {
 }
 
 fn bench_collections() {
-    let mut map = ObliviousMap::new(RingConfig::test_small(), 256, 1);
+    let mut map = ObliviousMap::new(Box::new(RingOram::new(RingConfig::test_small(), 1)), 256);
     for i in 0..32u32 {
         map.put(format!("k{i}").as_bytes(), b"value").expect("room");
     }

@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious array.
 
-use ring_oram::{AccessOutcome, BlockId, ObliviousProtocol, RingConfig, RingOram};
+use ring_oram::{AccessOutcome, BlockId, ObliviousProtocol};
 
 /// Error returned by oblivious-collection operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,41 +56,35 @@ impl std::error::Error for CollectionError {}
 ///
 /// ```
 /// use oram_collections::ObliviousArray;
-/// use ring_oram::RingConfig;
+/// use ring_oram::{ProtocolKind, RingConfig};
 ///
-/// let mut arr = ObliviousArray::new(RingConfig::test_small(), 64, 42);
+/// let engine = ProtocolKind::Path.engine(&RingConfig::test_small(), 42, 0.7);
+/// let mut arr = ObliviousArray::new(engine, 64);
 /// arr.set(7, b"hello").unwrap();
 /// assert_eq!(arr.get(7).unwrap(), Some(b"hello".to_vec()));
 /// assert_eq!(arr.get(8).unwrap(), None);
 /// ```
 #[derive(Debug)]
 pub struct ObliviousArray {
-    oram: RingOram,
+    oram: Box<dyn ObliviousProtocol>,
     capacity: u64,
     block_bytes: usize,
 }
 
 impl ObliviousArray {
-    /// Creates an array of `capacity` elements backed by a Ring ORAM with
-    /// configuration `cfg`.
+    /// Creates an array of `capacity` elements backed by `oram`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid, `capacity` is zero, or the tree cannot
-    /// hold `capacity` blocks at ~50 % utilization.
+    /// Panics if `capacity` is zero, or the tree cannot hold `capacity`
+    /// blocks at ~50 % utilization.
     #[must_use]
-    pub fn new(cfg: RingConfig, capacity: u64, seed: u64) -> Self {
+    pub fn new(oram: Box<dyn ObliviousProtocol>, capacity: u64) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
-        assert!(
-            capacity * 2 <= cfg.real_capacity_blocks(),
-            "capacity {} exceeds half the tree's real capacity {}",
-            capacity,
-            cfg.real_capacity_blocks()
-        );
-        let block_bytes = cfg.block_bytes as usize;
+        let block_bytes = checked_block_bytes(oram.as_ref(), capacity);
         assert!(block_bytes > 2, "blocks must hold a length prefix");
         Self {
-            oram: RingOram::new(cfg, seed),
+            oram,
             capacity,
             block_bytes,
         }
@@ -111,7 +105,7 @@ impl ObliviousArray {
     /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
     pub fn oram(&self) -> &dyn ObliviousProtocol {
-        &self.oram
+        self.oram.as_ref()
     }
 
     fn check_index(&self, index: u64) -> Result<(), CollectionError> {
@@ -132,7 +126,7 @@ impl ObliviousArray {
     /// [`CollectionError::IndexOutOfBounds`].
     pub fn get(&mut self, index: u64) -> Result<Option<Vec<u8>>, CollectionError> {
         self.check_index(index)?;
-        let (_, data) = self.oram.read_block(BlockId(index));
+        let (_, data) = self.oram.read(BlockId(index));
         Ok(data.map(|d| decode(&d)))
     }
 
@@ -148,8 +142,24 @@ impl ObliviousArray {
             len: value.len(),
             max: self.element_bytes(),
         })?;
-        Ok(self.oram.write_block(BlockId(index), &encoded))
+        Ok(self.oram.write(BlockId(index), &encoded))
     }
+}
+
+/// The block size of `oram`'s engine, once its tree is checked to hold
+/// `blocks` blocks at ~50 % utilization.
+///
+/// # Panics
+///
+/// Panics if `2 * blocks` exceeds the tree's real capacity.
+pub(crate) fn checked_block_bytes(oram: &dyn ObliviousProtocol, blocks: u64) -> usize {
+    let cfg = oram.config();
+    assert!(
+        blocks * 2 <= cfg.real_capacity_blocks(),
+        "{blocks} blocks exceed half the tree's real capacity {}",
+        cfg.real_capacity_blocks()
+    );
+    cfg.block_bytes as usize
 }
 
 /// Encodes `value` into a fixed-size block: 2-byte little-endian length
@@ -174,93 +184,104 @@ pub(crate) fn decode(block: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::engines;
 
-    fn arr() -> ObliviousArray {
-        ObliviousArray::new(RingConfig::test_small(), 128, 1)
+    /// A 128-element array on each protocol.
+    fn arrays() -> impl Iterator<Item = ObliviousArray> {
+        engines(1).map(|oram| ObliviousArray::new(oram, 128))
     }
 
     #[test]
     fn get_set_roundtrip() {
-        let mut a = arr();
-        a.set(0, b"zero").unwrap();
-        a.set(127, b"last").unwrap();
-        assert_eq!(a.get(0).unwrap(), Some(b"zero".to_vec()));
-        assert_eq!(a.get(127).unwrap(), Some(b"last".to_vec()));
-        assert_eq!(a.get(64).unwrap(), None);
+        for mut a in arrays() {
+            a.set(0, b"zero").unwrap();
+            a.set(127, b"last").unwrap();
+            assert_eq!(a.get(0).unwrap(), Some(b"zero".to_vec()));
+            assert_eq!(a.get(127).unwrap(), Some(b"last".to_vec()));
+            assert_eq!(a.get(64).unwrap(), None);
+        }
     }
 
     #[test]
     fn overwrite_takes_latest() {
-        let mut a = arr();
-        a.set(5, b"one").unwrap();
-        a.set(5, b"two").unwrap();
-        assert_eq!(a.get(5).unwrap(), Some(b"two".to_vec()));
+        for mut a in arrays() {
+            a.set(5, b"one").unwrap();
+            a.set(5, b"two").unwrap();
+            assert_eq!(a.get(5).unwrap(), Some(b"two".to_vec()));
+        }
     }
 
     #[test]
     fn bounds_checked() {
-        let mut a = arr();
-        assert_eq!(
-            a.get(128),
-            Err(CollectionError::IndexOutOfBounds {
-                index: 128,
-                capacity: 128
-            })
-        );
-        // set() shares the bounds check (AccessOutcome is not Eq; compare
-        // the error side only).
-        assert!(a.set(200, b"x").is_err());
+        for mut a in arrays() {
+            assert_eq!(
+                a.get(128),
+                Err(CollectionError::IndexOutOfBounds {
+                    index: 128,
+                    capacity: 128
+                })
+            );
+            // set() shares the bounds check (AccessOutcome is not Eq;
+            // compare the error side only).
+            assert!(a.set(200, b"x").is_err());
+        }
     }
 
     #[test]
     fn value_size_checked() {
-        let mut a = arr();
-        let too_big = vec![0u8; a.element_bytes() + 1];
-        assert_eq!(
-            a.set(0, &too_big).unwrap_err(),
-            CollectionError::ValueTooLarge {
-                len: too_big.len(),
-                max: a.element_bytes()
-            }
-        );
-        // Exactly the maximum fits.
-        let max = vec![7u8; a.element_bytes()];
-        a.set(0, &max).unwrap();
-        assert_eq!(a.get(0).unwrap(), Some(max));
+        for mut a in arrays() {
+            let too_big = vec![0u8; a.element_bytes() + 1];
+            assert_eq!(
+                a.set(0, &too_big).unwrap_err(),
+                CollectionError::ValueTooLarge {
+                    len: too_big.len(),
+                    max: a.element_bytes()
+                }
+            );
+            // Exactly the maximum fits.
+            let max = vec![7u8; a.element_bytes()];
+            a.set(0, &max).unwrap();
+            assert_eq!(a.get(0).unwrap(), Some(max));
+        }
     }
 
     #[test]
     fn empty_values_roundtrip() {
-        let mut a = arr();
-        a.set(3, b"").unwrap();
-        assert_eq!(a.get(3).unwrap(), Some(Vec::new()));
+        for mut a in arrays() {
+            a.set(3, b"").unwrap();
+            assert_eq!(a.get(3).unwrap(), Some(Vec::new()));
+        }
     }
 
     #[test]
     fn every_access_is_one_oram_access() {
-        let mut a = arr();
-        let before = a.oram().stats().read_paths;
-        a.set(1, b"x").unwrap();
-        let _ = a.get(2).unwrap();
-        let _ = a.get(1).unwrap();
-        assert_eq!(a.oram().stats().read_paths, before + 3);
+        for mut a in arrays() {
+            let before = a.oram().stats().read_paths;
+            a.set(1, b"x").unwrap();
+            let _ = a.get(2).unwrap();
+            let _ = a.get(1).unwrap();
+            assert_eq!(a.oram().stats().read_paths, before + 3);
+        }
     }
 
     #[test]
     fn survives_churn() {
-        let mut a = arr();
-        for round in 0..10u64 {
-            for i in 0..50u64 {
-                a.set(i, format!("v{}-{}", i, round).as_bytes()).unwrap();
+        for mut a in arrays() {
+            for round in 0..10u64 {
+                for i in 0..50u64 {
+                    a.set(i, format!("v{}-{}", i, round).as_bytes()).unwrap();
+                }
+                for i in 0..50u64 {
+                    assert_eq!(
+                        a.get(i).unwrap(),
+                        Some(format!("v{}-{}", i, round).into_bytes()),
+                        "{}",
+                        a.oram().kind()
+                    );
+                }
             }
-            for i in 0..50u64 {
-                assert_eq!(
-                    a.get(i).unwrap(),
-                    Some(format!("v{}-{}", i, round).into_bytes())
-                );
-            }
+            a.oram().check_invariants();
         }
-        a.oram().check_invariants();
     }
 
     #[test]

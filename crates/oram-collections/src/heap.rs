@@ -1,14 +1,15 @@
 //! A fixed-capacity oblivious min-heap (priority queue).
 
-use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol};
 
-use crate::array::{decode, encode, CollectionError};
+use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
 /// A bounded binary min-heap whose operations perform a **fixed number of
 /// ORAM accesses determined only by the capacity**: both `push` and
 /// `pop_min` walk the full `ceil(log2(capacity + 1))` levels with a constant
 /// number of accesses per level, padding with dummy accesses when the live
-/// path is shorter.
+/// path is shorter — and a push into a full heap or a pop from an empty one
+/// makes the same accesses as one that succeeds.
 ///
 /// Which *indices* those accesses touch depends on the data — but every
 /// index is an ORAM block, and the ORAM makes accesses to different blocks
@@ -22,9 +23,10 @@ use crate::array::{decode, encode, CollectionError};
 ///
 /// ```
 /// use oram_collections::ObliviousHeap;
-/// use ring_oram::RingConfig;
+/// use ring_oram::{ProtocolKind, RingConfig};
 ///
-/// let mut h = ObliviousHeap::new(RingConfig::test_small(), 31, 4);
+/// let engine = ProtocolKind::RingCb.engine(&RingConfig::test_small_cb(), 4, 0.7);
+/// let mut h = ObliviousHeap::new(engine, 31);
 /// h.push(30, b"low").unwrap();
 /// h.push(10, b"high").unwrap();
 /// h.push(20, b"mid").unwrap();
@@ -35,7 +37,7 @@ use crate::array::{decode, encode, CollectionError};
 /// ```
 #[derive(Debug)]
 pub struct ObliviousHeap {
-    oram: RingOram,
+    oram: Box<dyn ObliviousProtocol>,
     capacity: u64,
     levels: u32,
     block_bytes: usize,
@@ -58,24 +60,20 @@ fn unpack(entry: &[u8]) -> (u64, Vec<u8>) {
 }
 
 impl ObliviousHeap {
-    /// Creates a heap of at most `capacity` entries.
+    /// Creates a heap of at most `capacity` entries backed by `oram`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid, `capacity` is zero, or the tree cannot
-    /// hold `capacity + 1` blocks at ~50 % utilization.
+    /// Panics if `capacity` is zero, or the tree cannot hold `capacity + 2`
+    /// blocks at ~50 % utilization.
     #[must_use]
-    pub fn new(cfg: RingConfig, capacity: u64, seed: u64) -> Self {
+    pub fn new(oram: Box<dyn ObliviousProtocol>, capacity: u64) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
-        assert!(
-            (capacity + 2) * 2 <= cfg.real_capacity_blocks(),
-            "heap exceeds half the tree's real capacity"
-        );
-        let block_bytes = cfg.block_bytes as usize;
+        let block_bytes = checked_block_bytes(oram.as_ref(), capacity + 2);
         assert!(block_bytes >= 12, "blocks must hold a key");
         let levels = 64 - (capacity + 1).leading_zeros();
         Self {
-            oram: RingOram::new(cfg, seed),
+            oram,
             capacity,
             levels,
             block_bytes,
@@ -91,11 +89,11 @@ impl ObliviousHeap {
     /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
     pub fn oram(&self) -> &dyn ObliviousProtocol {
-        &self.oram
+        self.oram.as_ref()
     }
 
     fn read_size(&mut self) -> u64 {
-        let (_, data) = self.oram.read_block(SIZE_SLOT);
+        let (_, data) = self.oram.read(SIZE_SLOT);
         data.map_or(0, |b| {
             let raw = decode(&b);
             let mut s = [0u8; 8];
@@ -106,7 +104,7 @@ impl ObliviousHeap {
 
     fn write_size(&mut self, size: u64) {
         let encoded = encode(&size.to_le_bytes(), self.block_bytes).expect("8 bytes fit");
-        let _ = self.oram.write_block(SIZE_SLOT, &encoded);
+        let _ = self.oram.write(SIZE_SLOT, &encoded);
     }
 
     /// Current entry count (costs one ORAM access).
@@ -120,14 +118,14 @@ impl ObliviousHeap {
     }
 
     fn read_entry(&mut self, idx: u64) -> Option<(u64, Vec<u8>)> {
-        let (_, data) = self.oram.read_block(BlockId(idx));
+        let (_, data) = self.oram.read(BlockId(idx));
         data.map(|b| unpack(&decode(&b)))
     }
 
     fn write_entry(&mut self, idx: u64, key: u64, value: &[u8]) {
         let entry = pack(key, value);
         let encoded = encode(&entry, self.block_bytes).expect("checked at push");
-        let _ = self.oram.write_block(BlockId(idx), &encoded);
+        let _ = self.oram.write(BlockId(idx), &encoded);
     }
 
     /// Scratch block used by dummy accesses (outside the heap's range, so
@@ -139,18 +137,19 @@ impl ObliviousHeap {
     /// One dummy ORAM read (padding; indistinguishable on the bus).
     fn dummy_read(&mut self) {
         let slot = self.scratch_slot();
-        let _ = self.oram.read_block(slot);
+        let _ = self.oram.read(slot);
     }
 
     /// One dummy ORAM write (padding; indistinguishable on the bus).
     fn dummy_write(&mut self) {
         let slot = self.scratch_slot();
         let encoded = encode(&pack(u64::MAX, &[]), self.block_bytes).expect("fits");
-        let _ = self.oram.write_block(slot, &encoded);
+        let _ = self.oram.write(slot, &encoded);
     }
 
-    /// Inserts `(key, value)`. Fixed cost: exactly `2 + 2 * levels` ORAM
-    /// accesses (1 read + 1 write per level, padded with dummies).
+    /// Inserts `(key, value)`. Fixed cost: exactly `3 + 2 * levels` ORAM
+    /// accesses (the size read, 1 read + 1 write per level, the settling
+    /// write and the size write, padded with dummies), full or not.
     ///
     /// # Errors
     ///
@@ -165,6 +164,12 @@ impl ObliviousHeap {
         }
         let size = self.read_size();
         if size >= self.capacity {
+            // The sift-up's and the settling write's accesses, as dummies.
+            for _ in 0..self.levels {
+                self.dummy_read();
+                self.dummy_write();
+            }
+            self.dummy_write();
             self.write_size(size);
             return Err(CollectionError::Full);
         }
@@ -302,104 +307,114 @@ impl ObliviousHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::engines;
 
-    fn heap() -> ObliviousHeap {
-        ObliviousHeap::new(RingConfig::test_small(), 63, 6)
+    /// A heap of `capacity` on each protocol.
+    fn heaps(capacity: u64) -> impl Iterator<Item = ObliviousHeap> {
+        engines(6).map(move |oram| ObliviousHeap::new(oram, capacity))
     }
 
     #[test]
     fn min_order() {
-        let mut h = heap();
-        for k in [50u64, 10, 40, 20, 30] {
-            h.push(k, &k.to_le_bytes()).unwrap();
+        for mut h in heaps(63) {
+            for k in [50u64, 10, 40, 20, 30] {
+                h.push(k, &k.to_le_bytes()).unwrap();
+            }
+            for expect in [10u64, 20, 30, 40, 50] {
+                let (k, v) = h.pop_min().unwrap().expect("nonempty");
+                assert_eq!(k, expect);
+                assert_eq!(v, expect.to_le_bytes().to_vec());
+            }
+            assert_eq!(h.pop_min().unwrap(), None);
         }
-        for expect in [10u64, 20, 30, 40, 50] {
-            let (k, v) = h.pop_min().unwrap().expect("nonempty");
-            assert_eq!(k, expect);
-            assert_eq!(v, expect.to_le_bytes().to_vec());
-        }
-        assert_eq!(h.pop_min().unwrap(), None);
     }
 
     #[test]
     fn duplicate_keys_all_come_out() {
-        let mut h = heap();
-        for _ in 0..5 {
-            h.push(7, b"dup").unwrap();
+        for mut h in heaps(63) {
+            for _ in 0..5 {
+                h.push(7, b"dup").unwrap();
+            }
+            for _ in 0..5 {
+                assert_eq!(h.pop_min().unwrap(), Some((7, b"dup".to_vec())));
+            }
+            assert!(h.is_empty());
         }
-        for _ in 0..5 {
-            assert_eq!(h.pop_min().unwrap(), Some((7, b"dup".to_vec())));
-        }
-        assert!(h.is_empty());
     }
 
     #[test]
     fn capacity_enforced() {
-        let mut h = ObliviousHeap::new(RingConfig::test_small(), 3, 6);
-        for k in 0..3u64 {
-            h.push(k, b"").unwrap();
+        for mut h in heaps(3) {
+            for k in 0..3u64 {
+                h.push(k, b"").unwrap();
+            }
+            assert_eq!(h.push(9, b""), Err(CollectionError::Full));
+            assert_eq!(h.len(), 3);
         }
-        assert_eq!(h.push(9, b""), Err(CollectionError::Full));
-        assert_eq!(h.len(), 3);
     }
 
     #[test]
     fn model_based_churn() {
-        let mut h = heap();
-        let mut model = std::collections::BinaryHeap::new(); // max-heap
-        let mut x = 12345u64;
-        for i in 0..120u32 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if i % 3 == 2 {
-                let got = h.pop_min().unwrap().map(|(k, _)| k);
-                let expect = model.pop().map(|std::cmp::Reverse(k)| k);
-                assert_eq!(got, expect, "step {i}");
-            } else if model.len() < 63 {
-                let key = x % 1000;
-                h.push(key, b"v").unwrap();
-                model.push(std::cmp::Reverse(key));
+        for mut h in heaps(63) {
+            let mut model = std::collections::BinaryHeap::new(); // max-heap
+            let mut x = 12345u64;
+            for i in 0..120u32 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                if i % 3 == 2 {
+                    let got = h.pop_min().unwrap().map(|(k, _)| k);
+                    let expect = model.pop().map(|std::cmp::Reverse(k)| k);
+                    assert_eq!(got, expect, "step {i}");
+                } else if model.len() < 63 {
+                    let key = x % 1000;
+                    h.push(key, b"v").unwrap();
+                    model.push(std::cmp::Reverse(key));
+                }
             }
+            while let Some(std::cmp::Reverse(expect)) = model.pop() {
+                assert_eq!(h.pop_min().unwrap().map(|(k, _)| k), Some(expect));
+            }
+            h.oram().check_invariants();
         }
-        while let Some(std::cmp::Reverse(expect)) = model.pop() {
-            assert_eq!(h.pop_min().unwrap().map(|(k, _)| k), Some(expect));
-        }
-        h.oram().check_invariants();
     }
 
     #[test]
     fn operation_cost_is_fixed() {
-        let mut h = heap();
-        // Cost of a push into an empty heap...
-        let before = h.oram().stats().read_paths;
-        h.push(5, b"x").unwrap();
-        let empty_push = h.oram().stats().read_paths - before;
-        // ...equals the cost of a push into a loaded heap.
-        for k in 0..20u64 {
-            h.push(k * 3, b"y").unwrap();
-        }
-        let before = h.oram().stats().read_paths;
-        h.push(1, b"z").unwrap();
-        let loaded_push = h.oram().stats().read_paths - before;
-        assert_eq!(empty_push, loaded_push, "push cost varies with content");
+        for (mut h, mut fresh) in heaps(63).zip(heaps(63)) {
+            let levels = u64::from(h.levels);
+            // Cost of a push into an empty heap...
+            let before = h.oram().stats().read_paths;
+            h.push(5, b"x").unwrap();
+            let empty_push = h.oram().stats().read_paths - before;
+            assert_eq!(empty_push, 3 + 2 * levels, "the documented push cost");
+            // ...equals the cost of a push into a loaded heap.
+            for k in 0..20u64 {
+                h.push(k * 3, b"y").unwrap();
+            }
+            let before = h.oram().stats().read_paths;
+            h.push(1, b"z").unwrap();
+            let loaded_push = h.oram().stats().read_paths - before;
+            assert_eq!(empty_push, loaded_push, "push cost varies with content");
 
-        // Pop cost: loaded vs empty.
-        let before = h.oram().stats().read_paths;
-        let _ = h.pop_min().unwrap();
-        let loaded_pop = h.oram().stats().read_paths - before;
-        let mut fresh = heap();
-        let before = fresh.oram().stats().read_paths;
-        let _ = fresh.pop_min().unwrap();
-        let empty_pop = fresh.oram().stats().read_paths - before;
-        assert_eq!(loaded_pop, empty_pop, "pop cost leaks emptiness");
+            // Pop cost: loaded vs empty.
+            let before = h.oram().stats().read_paths;
+            let _ = h.pop_min().unwrap();
+            let loaded_pop = h.oram().stats().read_paths - before;
+            assert_eq!(loaded_pop, 5 + 4 * levels, "the documented pop cost");
+            let before = fresh.oram().stats().read_paths;
+            let _ = fresh.pop_min().unwrap();
+            let empty_pop = fresh.oram().stats().read_paths - before;
+            assert_eq!(loaded_pop, empty_pop, "pop cost leaks emptiness");
+        }
     }
 
     #[test]
     fn oversized_value_rejected() {
-        let mut h = heap();
-        let big = vec![0u8; 64];
-        assert!(matches!(
-            h.push(1, &big),
-            Err(CollectionError::ValueTooLarge { .. })
-        ));
+        for mut h in heaps(63) {
+            let big = vec![0u8; 64];
+            assert!(matches!(
+                h.push(1, &big),
+                Err(CollectionError::ValueTooLarge { .. })
+            ));
+        }
     }
 }

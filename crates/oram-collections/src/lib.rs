@@ -1,11 +1,12 @@
-//! # oram-collections — oblivious data structures over Ring ORAM
+//! # oram-collections — oblivious data structures over any ORAM engine
 //!
 //! The String ORAM paper motivates ORAM with programs whose *data-structure
 //! traversals* leak secrets (searchable encryption, DNN extraction, RSA key
 //! recovery). This crate closes the loop for downstream users: classic
 //! collections whose **physical access pattern is independent of the keys,
-//! indices and operations performed**, built on the `ring-oram` engine's
-//! payload-carrying block API:
+//! indices and operations performed**, built on the payload-carrying
+//! `read` / `write` of any `ring-oram` engine (Ring+CB, Ring, Path or
+//! Circuit, as a `Box<dyn ObliviousProtocol>`):
 //!
 //! * [`ObliviousArray`] — one ORAM access per `get`/`set`;
 //! * [`ObliviousMap`] — fixed-probe open addressing: every operation walks
@@ -13,21 +14,25 @@
 //!   updates are indistinguishable;
 //! * [`ObliviousStack`] / [`ObliviousQueue`] — push/pop/enqueue/dequeue with
 //!   on-ORAM headers and dummy accesses on the empty/full paths, hiding
-//!   operation type and occupancy;
+//!   occupancy and whether the operation succeeded;
 //! * [`ObliviousHeap`] — a priority queue whose push/pop cost a fixed
 //!   number of accesses determined only by the capacity.
 //!
-//! Combined with `string-oram`'s timing stack these let you price an
-//! oblivious workload end to end: protocol accesses per operation here,
+//! A failed or missed operation pads with the accesses it skips (a read of
+//! an in-range block is the same access on the bus as a write), so every
+//! operation's access count depends only on the operation and the
+//! capacity. Combined with `string-oram`'s timing stack these let you price
+//! an oblivious workload end to end: protocol accesses per operation here,
 //! DRAM cycles per access there.
 //!
 //! # Example
 //!
 //! ```
 //! use oram_collections::ObliviousMap;
-//! use ring_oram::RingConfig;
+//! use ring_oram::{ProtocolKind, RingConfig};
 //!
-//! let mut index = ObliviousMap::new(RingConfig::test_small(), 128, 1);
+//! let engine = ProtocolKind::RingCb.engine(&RingConfig::test_small_cb(), 1, 0.7);
+//! let mut index = ObliviousMap::new(engine, 128);
 //! index.put(b"patient-993", b"record-17")?;
 //! assert_eq!(index.get(b"patient-993")?, Some(b"record-17".to_vec()));
 //! // A miss costs exactly the same accesses as the hit above.
@@ -49,3 +54,16 @@ pub use heap::ObliviousHeap;
 pub use map::ObliviousMap;
 pub use queue::ObliviousQueue;
 pub use stack::ObliviousStack;
+
+/// The engines the unit tests run every collection on.
+#[cfg(test)]
+mod testing {
+    use ring_oram::{ObliviousProtocol, ProtocolKind, RingConfig};
+
+    /// One engine of each protocol over `RingConfig::test_small_cb`'s tree.
+    pub(crate) fn engines(seed: u64) -> impl Iterator<Item = Box<dyn ObliviousProtocol>> {
+        ProtocolKind::ALL
+            .into_iter()
+            .map(move |kind| kind.engine(&RingConfig::test_small_cb(), seed, 0.7))
+    }
+}

@@ -1,15 +1,16 @@
 //! A fixed-capacity oblivious hash map.
 
-use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol};
 
-use crate::array::{decode, encode, CollectionError};
+use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
 /// A fixed-capacity open-addressing hash map whose physical access pattern
-/// is independent of the keys: every operation performs **exactly**
-/// [`ObliviousMap::PROBES`] ORAM accesses (the full probe window is always
-/// walked, hit or miss, get or put), so an observer cannot distinguish
-/// hits, misses, inserts or updates, nor correlate operations on equal
-/// keys.
+/// is independent of the keys: a `get` performs **exactly**
+/// [`ObliviousMap::PROBES`] ORAM accesses and a `put` or `remove` exactly
+/// `PROBES + 1` (the full probe window is always walked, and the one write
+/// is padded with a dummy access when there is nothing to write), so an
+/// observer cannot distinguish hits, misses, inserts, updates or a full
+/// window, nor correlate operations on equal keys.
 ///
 /// This is the classic fixed-probe construction (as used by oblivious
 /// storage systems such as ZeroTrace-style ODS). Capacity is bounded: an
@@ -21,9 +22,10 @@ use crate::array::{decode, encode, CollectionError};
 ///
 /// ```
 /// use oram_collections::ObliviousMap;
-/// use ring_oram::RingConfig;
+/// use ring_oram::{ProtocolKind, RingConfig};
 ///
-/// let mut map = ObliviousMap::new(RingConfig::test_small(), 128, 7);
+/// let engine = ProtocolKind::RingCb.engine(&RingConfig::test_small_cb(), 7, 0.7);
+/// let mut map = ObliviousMap::new(engine, 128);
 /// map.put(b"alice", b"41").unwrap();
 /// map.put(b"alice", b"42").unwrap();
 /// assert_eq!(map.get(b"alice").unwrap(), Some(b"42".to_vec()));
@@ -31,7 +33,7 @@ use crate::array::{decode, encode, CollectionError};
 /// ```
 #[derive(Debug)]
 pub struct ObliviousMap {
-    oram: RingOram,
+    oram: Box<dyn ObliviousProtocol>,
     buckets: u64,
     block_bytes: usize,
     len: u64,
@@ -70,22 +72,18 @@ impl ObliviousMap {
     /// Probe-window size: every operation touches exactly this many slots.
     pub const PROBES: u64 = 4;
 
-    /// Creates a map over `buckets` slots (each one ORAM block).
+    /// Creates a map over `buckets` slots (each one ORAM block of `oram`).
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid, `buckets < PROBES`, or the tree cannot
-    /// hold the table at ~50 % utilization.
+    /// Panics if `buckets < PROBES`, or the tree cannot hold the table at
+    /// ~50 % utilization.
     #[must_use]
-    pub fn new(cfg: RingConfig, buckets: u64, seed: u64) -> Self {
+    pub fn new(oram: Box<dyn ObliviousProtocol>, buckets: u64) -> Self {
         assert!(buckets >= Self::PROBES, "need at least PROBES buckets");
-        assert!(
-            buckets * 2 <= cfg.real_capacity_blocks(),
-            "table exceeds half the tree's real capacity"
-        );
-        let block_bytes = cfg.block_bytes as usize;
+        let block_bytes = checked_block_bytes(oram.as_ref(), buckets);
         Self {
-            oram: RingOram::new(cfg, seed),
+            oram,
             buckets,
             block_bytes,
             len: 0,
@@ -107,7 +105,7 @@ impl ObliviousMap {
     /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
     pub fn oram(&self) -> &dyn ObliviousProtocol {
-        &self.oram
+        self.oram.as_ref()
     }
 
     /// Maximum combined key+value bytes per entry.
@@ -146,7 +144,7 @@ impl ObliviousMap {
         let mut found = None;
         for probe in 0..Self::PROBES {
             let slot = self.slot(key, probe);
-            let (_, data) = self.oram.read_block(slot);
+            let (_, data) = self.oram.read(slot);
             if found.is_none() {
                 if let Some(block) = data {
                     let entry = decode(&block);
@@ -162,8 +160,9 @@ impl ObliviousMap {
     }
 
     /// Inserts or updates `key`, always walking the full probe window and
-    /// rewriting exactly one slot (every probe is a read-modify-write ORAM
-    /// access, so position and success are hidden).
+    /// then rewriting exactly one slot — or, when the window is full,
+    /// making one dummy access in its place — so position and success are
+    /// hidden.
     ///
     /// # Errors
     ///
@@ -177,7 +176,7 @@ impl ObliviousMap {
         let mut first_empty = None;
         for probe in 0..Self::PROBES {
             let slot = self.slot(key, probe);
-            let (_, data) = self.oram.read_block(slot);
+            let (_, data) = self.oram.read(slot);
             match data {
                 Some(block) => {
                     let entry = decode(&block);
@@ -194,22 +193,24 @@ impl ObliviousMap {
                 None => {}
             }
         }
-        let (slot, update) = match target.or(first_empty.map(|s| (s, false))) {
-            Some(t) => t,
-            None => return Err(CollectionError::Full),
+        let Some((slot, update)) = target.or(first_empty.map(|s| (s, false))) else {
+            self.pad(key);
+            return Err(CollectionError::Full);
         };
         // Pass 2: one write (the slot choice is secret; on the bus this is
         // just another ORAM access).
         let entry = pack_entry(key, value);
         let encoded = encode(&entry, self.block_bytes).expect("checked sizes");
-        let _ = self.oram.write_block(slot, &encoded);
+        let _ = self.oram.write(slot, &encoded);
         if !update {
             self.len += 1;
         }
         Ok(())
     }
 
-    /// Removes `key`, walking the full probe window; returns the old value.
+    /// Removes `key`, walking the full probe window and then writing a
+    /// tombstone — or, on a miss, making one dummy access in its place;
+    /// returns the old value.
     ///
     /// # Errors
     ///
@@ -219,7 +220,7 @@ impl ObliviousMap {
         let mut found: Option<(BlockId, Vec<u8>)> = None;
         for probe in 0..Self::PROBES {
             let slot = self.slot(key, probe);
-            let (_, data) = self.oram.read_block(slot);
+            let (_, data) = self.oram.read(slot);
             if found.is_none() {
                 if let Some(block) = data {
                     let entry = decode(&block);
@@ -236,115 +237,135 @@ impl ObliviousMap {
                 // Tombstone: an empty (zero-length) payload marks a free
                 // slot; written through the same oblivious path.
                 let encoded = encode(&[], self.block_bytes).expect("fits");
-                let _ = self.oram.write_block(slot, &encoded);
+                let _ = self.oram.write(slot, &encoded);
                 self.len -= 1;
                 Ok(Some(old))
             }
-            None => Ok(None),
+            None => {
+                self.pad(key);
+                Ok(None)
+            }
         }
+    }
+
+    /// The access a `put` or `remove` makes when it has nothing to write: a
+    /// read of the key's first probe slot, the same access on the bus as
+    /// the write it stands in for.
+    fn pad(&mut self, key: &[u8]) {
+        let slot = self.slot(key, 0);
+        let _ = self.oram.read(slot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::engines;
 
-    fn map() -> ObliviousMap {
-        ObliviousMap::new(RingConfig::test_small(), 128, 3)
+    /// A map of `buckets` slots on each protocol.
+    fn maps(buckets: u64) -> impl Iterator<Item = ObliviousMap> {
+        engines(3).map(move |oram| ObliviousMap::new(oram, buckets))
     }
 
     #[test]
     fn put_get_remove_roundtrip() {
-        let mut m = map();
-        assert!(m.is_empty());
-        m.put(b"k1", b"v1").unwrap();
-        m.put(b"k2", b"v2").unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(b"k1").unwrap(), Some(b"v1".to_vec()));
-        assert_eq!(m.get(b"k2").unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(m.remove(b"k1").unwrap(), Some(b"v1".to_vec()));
-        assert_eq!(m.get(b"k1").unwrap(), None);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.remove(b"k1").unwrap(), None);
+        for mut m in maps(128) {
+            assert!(m.is_empty());
+            m.put(b"k1", b"v1").unwrap();
+            m.put(b"k2", b"v2").unwrap();
+            assert_eq!(m.len(), 2);
+            assert_eq!(m.get(b"k1").unwrap(), Some(b"v1".to_vec()));
+            assert_eq!(m.get(b"k2").unwrap(), Some(b"v2".to_vec()));
+            assert_eq!(m.remove(b"k1").unwrap(), Some(b"v1".to_vec()));
+            assert_eq!(m.get(b"k1").unwrap(), None);
+            assert_eq!(m.len(), 1);
+            assert_eq!(m.remove(b"k1").unwrap(), None);
+        }
     }
 
     #[test]
     fn update_in_place() {
-        let mut m = map();
-        m.put(b"k", b"old").unwrap();
-        m.put(b"k", b"new").unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(b"k").unwrap(), Some(b"new".to_vec()));
+        for mut m in maps(128) {
+            m.put(b"k", b"old").unwrap();
+            m.put(b"k", b"new").unwrap();
+            assert_eq!(m.len(), 1);
+            assert_eq!(m.get(b"k").unwrap(), Some(b"new".to_vec()));
+        }
     }
 
     #[test]
     fn every_get_costs_exactly_probes_accesses() {
-        let mut m = map();
-        m.put(b"present", b"1").unwrap();
-        let before = m.oram().stats().read_paths;
-        let _ = m.get(b"present").unwrap(); // hit
-        let _ = m.get(b"absent!").unwrap(); // miss
-        let after = m.oram().stats().read_paths;
-        assert_eq!(after - before, 2 * ObliviousMap::PROBES);
+        for mut m in maps(128) {
+            m.put(b"present", b"1").unwrap();
+            let before = m.oram().stats().read_paths;
+            let _ = m.get(b"present").unwrap(); // hit
+            let _ = m.get(b"absent!").unwrap(); // miss
+            let after = m.oram().stats().read_paths;
+            assert_eq!(after - before, 2 * ObliviousMap::PROBES);
+        }
     }
 
     #[test]
     fn tombstone_slots_are_reusable() {
-        let mut m = map();
-        m.put(b"a", b"1").unwrap();
-        m.remove(b"a").unwrap();
-        m.put(b"a", b"2").unwrap();
-        assert_eq!(m.get(b"a").unwrap(), Some(b"2".to_vec()));
-        assert_eq!(m.len(), 1);
+        for mut m in maps(128) {
+            m.put(b"a", b"1").unwrap();
+            m.remove(b"a").unwrap();
+            m.put(b"a", b"2").unwrap();
+            assert_eq!(m.get(b"a").unwrap(), Some(b"2".to_vec()));
+            assert_eq!(m.len(), 1);
+        }
     }
 
     #[test]
     fn many_keys_survive() {
-        let mut m = ObliviousMap::new(RingConfig::test_small(), 256, 9);
-        let n = 60u32; // ~23 % load keeps probe-window overflow negligible
-        for i in 0..n {
-            m.put(format!("key{i}").as_bytes(), format!("val{i}").as_bytes())
-                .unwrap();
+        for mut m in engines(9).map(|oram| ObliviousMap::new(oram, 256)) {
+            let n = 60u32; // ~23 % load keeps probe-window overflow negligible
+            for i in 0..n {
+                m.put(format!("key{i}").as_bytes(), format!("val{i}").as_bytes())
+                    .unwrap();
+            }
+            for i in 0..n {
+                assert_eq!(
+                    m.get(format!("key{i}").as_bytes()).unwrap(),
+                    Some(format!("val{i}").into_bytes()),
+                    "key{i}"
+                );
+            }
+            m.oram().check_invariants();
         }
-        for i in 0..n {
-            assert_eq!(
-                m.get(format!("key{i}").as_bytes()).unwrap(),
-                Some(format!("val{i}").into_bytes()),
-                "key{i}"
-            );
-        }
-        m.oram().check_invariants();
     }
 
     #[test]
     fn full_window_reports_full() {
         // Force collisions with a tiny table: 4 buckets = one shared window.
-        let mut m = ObliviousMap::new(RingConfig::test_small(), 4, 5);
-        let mut inserted = 0;
-        let mut full = false;
-        for i in 0..10u32 {
-            match m.put(format!("k{i}").as_bytes(), b"v") {
-                Ok(()) => inserted += 1,
-                Err(CollectionError::Full) => {
-                    full = true;
-                    break;
+        for mut m in engines(5).map(|oram| ObliviousMap::new(oram, 4)) {
+            let mut inserted = 0;
+            let mut full = false;
+            for i in 0..10u32 {
+                match m.put(format!("k{i}").as_bytes(), b"v") {
+                    Ok(()) => inserted += 1,
+                    Err(CollectionError::Full) => {
+                        full = true;
+                        break;
+                    }
+                    Err(e) => panic!("unexpected {e}"),
                 }
-                Err(e) => panic!("unexpected {e}"),
             }
+            assert!(full, "a 4-slot table must fill");
+            assert!(inserted <= 4);
+            assert_eq!(m.len(), inserted);
         }
-        assert!(full, "a 4-slot table must fill");
-        assert!(inserted <= 4);
-        assert_eq!(m.len(), inserted);
     }
 
     #[test]
     fn oversized_entries_rejected() {
-        let mut m = map();
-        let big = vec![b'x'; 100];
-        assert!(matches!(
-            m.put(&big, b"v"),
-            Err(CollectionError::ValueTooLarge { .. })
-        ));
+        for mut m in maps(128) {
+            let big = vec![b'x'; 100];
+            assert!(matches!(
+                m.put(&big, b"v"),
+                Err(CollectionError::ValueTooLarge { .. })
+            ));
+        }
     }
 
     #[test]

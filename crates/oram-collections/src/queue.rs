@@ -1,12 +1,12 @@
 //! A fixed-capacity oblivious FIFO queue.
 
-use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol};
 
-use crate::array::{decode, encode, CollectionError};
+use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
 /// A bounded FIFO ring buffer whose enqueue and dequeue each cost a fixed
-/// number of ORAM accesses (one header access + one element access),
-/// independent of occupancy and of whether the operation succeeds.
+/// number of ORAM accesses (a header read, one element access, a header
+/// write), independent of occupancy and of whether the operation succeeds.
 ///
 /// Layout on the ORAM: block 0 holds the `(head, len)` header; element
 /// slot `i` lives at block `i + 1` with `i` in `0..capacity`.
@@ -15,9 +15,10 @@ use crate::array::{decode, encode, CollectionError};
 ///
 /// ```
 /// use oram_collections::ObliviousQueue;
-/// use ring_oram::RingConfig;
+/// use ring_oram::{ProtocolKind, RingConfig};
 ///
-/// let mut q = ObliviousQueue::new(RingConfig::test_small(), 16, 3);
+/// let engine = ProtocolKind::Ring.engine(&RingConfig::test_small(), 3, 0.7);
+/// let mut q = ObliviousQueue::new(engine, 16);
 /// q.enqueue(b"first").unwrap();
 /// q.enqueue(b"second").unwrap();
 /// assert_eq!(q.dequeue().unwrap(), Some(b"first".to_vec()));
@@ -26,7 +27,7 @@ use crate::array::{decode, encode, CollectionError};
 /// ```
 #[derive(Debug)]
 pub struct ObliviousQueue {
-    oram: RingOram,
+    oram: Box<dyn ObliviousProtocol>,
     capacity: u64,
     block_bytes: usize,
 }
@@ -34,23 +35,19 @@ pub struct ObliviousQueue {
 const HEADER_SLOT: BlockId = BlockId(0);
 
 impl ObliviousQueue {
-    /// Creates a queue of at most `capacity` elements.
+    /// Creates a queue of at most `capacity` elements backed by `oram`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid, `capacity` is zero, or the tree cannot
-    /// hold `capacity + 1` blocks at ~50 % utilization.
+    /// Panics if `capacity` is zero, or the tree cannot hold `capacity + 1`
+    /// blocks at ~50 % utilization.
     #[must_use]
-    pub fn new(cfg: RingConfig, capacity: u64, seed: u64) -> Self {
+    pub fn new(oram: Box<dyn ObliviousProtocol>, capacity: u64) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
-        assert!(
-            (capacity + 1) * 2 <= cfg.real_capacity_blocks(),
-            "queue exceeds half the tree's real capacity"
-        );
-        let block_bytes = cfg.block_bytes as usize;
+        let block_bytes = checked_block_bytes(oram.as_ref(), capacity + 1);
         assert!(block_bytes >= 18, "blocks must hold the header");
         Self {
-            oram: RingOram::new(cfg, seed),
+            oram,
             capacity,
             block_bytes,
         }
@@ -65,11 +62,11 @@ impl ObliviousQueue {
     /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
     pub fn oram(&self) -> &dyn ObliviousProtocol {
-        &self.oram
+        self.oram.as_ref()
     }
 
     fn read_header(&mut self) -> (u64, u64) {
-        let (_, data) = self.oram.read_block(HEADER_SLOT);
+        let (_, data) = self.oram.read(HEADER_SLOT);
         match data {
             Some(block) => {
                 let raw = decode(&block);
@@ -88,7 +85,7 @@ impl ObliviousQueue {
         raw[..8].copy_from_slice(&head.to_le_bytes());
         raw[8..].copy_from_slice(&len.to_le_bytes());
         let encoded = encode(&raw, self.block_bytes).expect("16 bytes fit");
-        let _ = self.oram.write_block(HEADER_SLOT, &encoded);
+        let _ = self.oram.write(HEADER_SLOT, &encoded);
     }
 
     /// Current occupancy (costs one ORAM access).
@@ -114,12 +111,13 @@ impl ObliviousQueue {
         })?;
         let (head, len) = self.read_header();
         if len >= self.capacity {
-            // Dummy writes mirror the successful path on the bus.
+            // Dummy accesses mirror the successful path on the bus.
+            let _ = self.oram.read(BlockId(1));
             self.write_header(head, len);
             return Err(CollectionError::Full);
         }
         let tail = (head + len) % self.capacity;
-        let _ = self.oram.write_block(BlockId(tail + 1), &encoded);
+        let _ = self.oram.write(BlockId(tail + 1), &encoded);
         self.write_header(head, len + 1);
         Ok(())
     }
@@ -129,11 +127,11 @@ impl ObliviousQueue {
     pub fn dequeue(&mut self) -> Result<Option<Vec<u8>>, CollectionError> {
         let (head, len) = self.read_header();
         if len == 0 {
-            let _ = self.oram.read_block(BlockId(1));
+            let _ = self.oram.read(BlockId(1));
             self.write_header(head, 0);
             return Ok(None);
         }
-        let (_, data) = self.oram.read_block(BlockId(head + 1));
+        let (_, data) = self.oram.read(BlockId(head + 1));
         self.write_header((head + 1) % self.capacity, len - 1);
         Ok(data.map(|d| decode(&d)))
     }
@@ -142,77 +140,84 @@ impl ObliviousQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::engines;
 
-    fn queue() -> ObliviousQueue {
-        ObliviousQueue::new(RingConfig::test_small(), 16, 8)
+    /// A queue of `capacity` on each protocol.
+    fn queues(capacity: u64) -> impl Iterator<Item = ObliviousQueue> {
+        engines(8).map(move |oram| ObliviousQueue::new(oram, capacity))
     }
 
     #[test]
     fn fifo_order() {
-        let mut q = queue();
-        for i in 0..10u8 {
-            q.enqueue(&[i]).unwrap();
+        for mut q in queues(16) {
+            for i in 0..10u8 {
+                q.enqueue(&[i]).unwrap();
+            }
+            for i in 0..10u8 {
+                assert_eq!(q.dequeue().unwrap(), Some(vec![i]));
+            }
+            assert_eq!(q.dequeue().unwrap(), None);
         }
-        for i in 0..10u8 {
-            assert_eq!(q.dequeue().unwrap(), Some(vec![i]));
-        }
-        assert_eq!(q.dequeue().unwrap(), None);
     }
 
     #[test]
     fn wraps_around_the_ring() {
-        let mut q = ObliviousQueue::new(RingConfig::test_small(), 4, 8);
-        // Fill, drain half, refill past the physical end.
-        for i in 0..4u8 {
-            q.enqueue(&[i]).unwrap();
+        for mut q in queues(4) {
+            // Fill, drain half, refill past the physical end.
+            for i in 0..4u8 {
+                q.enqueue(&[i]).unwrap();
+            }
+            assert_eq!(q.dequeue().unwrap(), Some(vec![0]));
+            assert_eq!(q.dequeue().unwrap(), Some(vec![1]));
+            q.enqueue(&[4]).unwrap();
+            q.enqueue(&[5]).unwrap();
+            for expect in 2..=5u8 {
+                assert_eq!(q.dequeue().unwrap(), Some(vec![expect]));
+            }
+            assert!(q.is_empty());
         }
-        assert_eq!(q.dequeue().unwrap(), Some(vec![0]));
-        assert_eq!(q.dequeue().unwrap(), Some(vec![1]));
-        q.enqueue(&[4]).unwrap();
-        q.enqueue(&[5]).unwrap();
-        for expect in 2..=5u8 {
-            assert_eq!(q.dequeue().unwrap(), Some(vec![expect]));
-        }
-        assert!(q.is_empty());
     }
 
     #[test]
     fn full_queue_rejects() {
-        let mut q = ObliviousQueue::new(RingConfig::test_small(), 2, 8);
-        q.enqueue(b"a").unwrap();
-        q.enqueue(b"b").unwrap();
-        assert_eq!(q.enqueue(b"c"), Err(CollectionError::Full));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.dequeue().unwrap(), Some(b"a".to_vec()));
+        for mut q in queues(2) {
+            q.enqueue(b"a").unwrap();
+            q.enqueue(b"b").unwrap();
+            assert_eq!(q.enqueue(b"c"), Err(CollectionError::Full));
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.dequeue().unwrap(), Some(b"a".to_vec()));
+        }
     }
 
     #[test]
     fn dequeue_cost_is_occupancy_independent() {
-        let mut q = queue();
-        q.enqueue(b"x").unwrap();
-        let before = q.oram().stats().read_paths;
-        let _ = q.dequeue().unwrap();
-        let ok_cost = q.oram().stats().read_paths - before;
-        let before = q.oram().stats().read_paths;
-        let _ = q.dequeue().unwrap(); // empty
-        let empty_cost = q.oram().stats().read_paths - before;
-        assert_eq!(ok_cost, empty_cost);
+        for mut q in queues(16) {
+            q.enqueue(b"x").unwrap();
+            let before = q.oram().stats().read_paths;
+            let _ = q.dequeue().unwrap();
+            let ok_cost = q.oram().stats().read_paths - before;
+            let before = q.oram().stats().read_paths;
+            let _ = q.dequeue().unwrap(); // empty
+            let empty_cost = q.oram().stats().read_paths - before;
+            assert_eq!(ok_cost, empty_cost);
+        }
     }
 
     #[test]
     fn model_based_churn() {
-        let mut q = queue();
-        let mut model = std::collections::VecDeque::new();
-        for i in 0..200u32 {
-            if i % 5 == 4 || (i % 3 == 0 && !model.is_empty()) {
-                assert_eq!(q.dequeue().unwrap(), model.pop_front(), "step {i}");
-            } else if model.len() < 16 {
-                let v = i.to_le_bytes().to_vec();
-                q.enqueue(&v).unwrap();
-                model.push_back(v);
+        for mut q in queues(16) {
+            let mut model = std::collections::VecDeque::new();
+            for i in 0..200u32 {
+                if i % 5 == 4 || (i % 3 == 0 && !model.is_empty()) {
+                    assert_eq!(q.dequeue().unwrap(), model.pop_front(), "step {i}");
+                } else if model.len() < 16 {
+                    let v = i.to_le_bytes().to_vec();
+                    q.enqueue(&v).unwrap();
+                    model.push_back(v);
+                }
             }
+            assert_eq!(q.len(), model.len() as u64);
+            q.oram().check_invariants();
         }
-        assert_eq!(q.len(), model.len() as u64);
-        q.oram().check_invariants();
     }
 }

@@ -1,13 +1,14 @@
 //! A fixed-capacity oblivious stack.
 
-use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol};
 
-use crate::array::{decode, encode, CollectionError};
+use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
-/// A bounded stack whose push and pop are each **exactly two ORAM
-/// accesses** (one for the element slot, one for the on-ORAM depth
-/// counter), so the access sequence reveals neither the operation type nor
-/// the stack depth.
+/// A bounded stack whose push and pop are each **exactly three ORAM
+/// accesses** (the on-ORAM depth counter read, the element slot, the
+/// counter write), full or empty alike, so the access sequence reveals
+/// neither the operation type, the stack depth nor whether the operation
+/// succeeded.
 ///
 /// The depth counter lives in a reserved ORAM block rather than client
 /// state to illustrate fully-externalized oblivious structures (a client
@@ -17,9 +18,10 @@ use crate::array::{decode, encode, CollectionError};
 ///
 /// ```
 /// use oram_collections::ObliviousStack;
-/// use ring_oram::RingConfig;
+/// use ring_oram::{ProtocolKind, RingConfig};
 ///
-/// let mut s = ObliviousStack::new(RingConfig::test_small(), 32, 9);
+/// let engine = ProtocolKind::Circuit.engine(&RingConfig::test_small(), 9, 0.7);
+/// let mut s = ObliviousStack::new(engine, 32);
 /// s.push(b"a").unwrap();
 /// s.push(b"b").unwrap();
 /// assert_eq!(s.pop().unwrap(), Some(b"b".to_vec()));
@@ -28,7 +30,7 @@ use crate::array::{decode, encode, CollectionError};
 /// ```
 #[derive(Debug)]
 pub struct ObliviousStack {
-    oram: RingOram,
+    oram: Box<dyn ObliviousProtocol>,
     capacity: u64,
     block_bytes: usize,
 }
@@ -37,23 +39,19 @@ pub struct ObliviousStack {
 const DEPTH_SLOT: BlockId = BlockId(0);
 
 impl ObliviousStack {
-    /// Creates a stack of at most `capacity` elements.
+    /// Creates a stack of at most `capacity` elements backed by `oram`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid, `capacity` is zero, or the tree cannot
-    /// hold `capacity + 1` blocks at ~50 % utilization.
+    /// Panics if `capacity` is zero, or the tree cannot hold `capacity + 1`
+    /// blocks at ~50 % utilization.
     #[must_use]
-    pub fn new(cfg: RingConfig, capacity: u64, seed: u64) -> Self {
+    pub fn new(oram: Box<dyn ObliviousProtocol>, capacity: u64) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
-        assert!(
-            (capacity + 1) * 2 <= cfg.real_capacity_blocks(),
-            "stack exceeds half the tree's real capacity"
-        );
-        let block_bytes = cfg.block_bytes as usize;
+        let block_bytes = checked_block_bytes(oram.as_ref(), capacity + 1);
         assert!(block_bytes >= 12, "blocks must hold the depth counter");
         Self {
-            oram: RingOram::new(cfg, seed),
+            oram,
             capacity,
             block_bytes,
         }
@@ -68,11 +66,11 @@ impl ObliviousStack {
     /// The underlying ORAM engine (for statistics and invariant checks).
     #[must_use]
     pub fn oram(&self) -> &dyn ObliviousProtocol {
-        &self.oram
+        self.oram.as_ref()
     }
 
     fn read_depth(&mut self) -> u64 {
-        let (_, data) = self.oram.read_block(DEPTH_SLOT);
+        let (_, data) = self.oram.read(DEPTH_SLOT);
         match data {
             Some(block) => {
                 let raw = decode(&block);
@@ -86,7 +84,7 @@ impl ObliviousStack {
 
     fn write_depth(&mut self, depth: u64) {
         let encoded = encode(&depth.to_le_bytes(), self.block_bytes).expect("8 bytes always fit");
-        let _ = self.oram.write_block(DEPTH_SLOT, &encoded);
+        let _ = self.oram.write(DEPTH_SLOT, &encoded);
     }
 
     /// Current depth (costs one ORAM access).
@@ -112,12 +110,13 @@ impl ObliviousStack {
         })?;
         let depth = self.read_depth();
         if depth >= self.capacity {
-            // Dummy write keeps the failed push indistinguishable on the
-            // bus from a successful one (same two accesses).
+            // A dummy access in the element's place keeps the failed push
+            // indistinguishable on the bus from a successful one.
+            let _ = self.oram.read(BlockId(1));
             self.write_depth(depth);
             return Err(CollectionError::Full);
         }
-        let _ = self.oram.write_block(BlockId(depth + 1), &encoded);
+        let _ = self.oram.write(BlockId(depth + 1), &encoded);
         self.write_depth(depth + 1);
         Ok(())
     }
@@ -128,11 +127,11 @@ impl ObliviousStack {
         let depth = self.read_depth();
         if depth == 0 {
             // Dummy accesses mirror the successful path.
-            let _ = self.oram.read_block(BlockId(1));
+            let _ = self.oram.read(BlockId(1));
             self.write_depth(0);
             return Ok(None);
         }
-        let (_, data) = self.oram.read_block(BlockId(depth));
+        let (_, data) = self.oram.read(BlockId(depth));
         self.write_depth(depth - 1);
         Ok(data.map(|d| decode(&d)))
     }
@@ -141,88 +140,96 @@ impl ObliviousStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::engines;
 
-    fn stack() -> ObliviousStack {
-        ObliviousStack::new(RingConfig::test_small(), 64, 2)
+    /// A stack of `capacity` on each protocol.
+    fn stacks(capacity: u64) -> impl Iterator<Item = ObliviousStack> {
+        engines(2).map(move |oram| ObliviousStack::new(oram, capacity))
     }
 
     #[test]
     fn lifo_order() {
-        let mut s = stack();
-        for i in 0..10u8 {
-            s.push(&[i]).unwrap();
+        for mut s in stacks(64) {
+            for i in 0..10u8 {
+                s.push(&[i]).unwrap();
+            }
+            for i in (0..10u8).rev() {
+                assert_eq!(s.pop().unwrap(), Some(vec![i]));
+            }
+            assert_eq!(s.pop().unwrap(), None);
         }
-        for i in (0..10u8).rev() {
-            assert_eq!(s.pop().unwrap(), Some(vec![i]));
-        }
-        assert_eq!(s.pop().unwrap(), None);
     }
 
     #[test]
     fn depth_is_persistent_state() {
-        let mut s = stack();
-        assert!(s.is_empty());
-        s.push(b"x").unwrap();
-        s.push(b"y").unwrap();
-        assert_eq!(s.len(), 2);
-        let _ = s.pop().unwrap();
-        assert_eq!(s.len(), 1);
+        for mut s in stacks(64) {
+            assert!(s.is_empty());
+            s.push(b"x").unwrap();
+            s.push(b"y").unwrap();
+            assert_eq!(s.len(), 2);
+            let _ = s.pop().unwrap();
+            assert_eq!(s.len(), 1);
+        }
     }
 
     #[test]
     fn full_stack_rejects_push() {
-        let mut s = ObliviousStack::new(RingConfig::test_small(), 3, 4);
-        for i in 0..3u8 {
-            s.push(&[i]).unwrap();
+        for mut s in stacks(3) {
+            for i in 0..3u8 {
+                s.push(&[i]).unwrap();
+            }
+            assert_eq!(s.push(b"overflow"), Err(CollectionError::Full));
+            assert_eq!(s.len(), 3);
+            assert_eq!(s.pop().unwrap(), Some(vec![2]));
         }
-        assert_eq!(s.push(b"overflow"), Err(CollectionError::Full));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.pop().unwrap(), Some(vec![2]));
     }
 
     #[test]
     fn pop_and_failed_pop_cost_the_same() {
-        let mut s = stack();
-        s.push(b"x").unwrap();
-        let before = s.oram().stats().read_paths;
-        let _ = s.pop().unwrap(); // successful: depth read + elem read + depth write
-        let ok_cost = s.oram().stats().read_paths - before;
-        let before = s.oram().stats().read_paths;
-        let _ = s.pop().unwrap(); // empty
-        let empty_cost = s.oram().stats().read_paths - before;
-        assert_eq!(ok_cost, empty_cost, "pop timing leaks emptiness");
+        for mut s in stacks(64) {
+            s.push(b"x").unwrap();
+            let before = s.oram().stats().read_paths;
+            let _ = s.pop().unwrap(); // successful: depth read + elem read + depth write
+            let ok_cost = s.oram().stats().read_paths - before;
+            let before = s.oram().stats().read_paths;
+            let _ = s.pop().unwrap(); // empty
+            let empty_cost = s.oram().stats().read_paths - before;
+            assert_eq!(ok_cost, empty_cost, "pop timing leaks emptiness");
+        }
     }
 
     #[test]
     fn push_after_pop_reuses_slots() {
-        let mut s = stack();
-        s.push(b"a").unwrap();
-        let _ = s.pop().unwrap();
-        s.push(b"b").unwrap();
-        assert_eq!(s.pop().unwrap(), Some(b"b".to_vec()));
-        s.oram().check_invariants();
+        for mut s in stacks(64) {
+            s.push(b"a").unwrap();
+            let _ = s.pop().unwrap();
+            s.push(b"b").unwrap();
+            assert_eq!(s.pop().unwrap(), Some(b"b".to_vec()));
+            s.oram().check_invariants();
+        }
     }
 
     #[test]
     fn interleaved_churn() {
-        let mut s = stack();
-        let mut model = Vec::new();
-        for i in 0..100u32 {
-            if i % 3 == 2 {
-                assert_eq!(
-                    s.pop().unwrap(),
-                    model.pop(),
-                    "model divergence at step {i}"
-                );
-            } else {
-                let v = i.to_le_bytes().to_vec();
-                s.push(&v).unwrap();
-                model.push(v);
+        for mut s in stacks(64) {
+            let mut model = Vec::new();
+            for i in 0..100u32 {
+                if i % 3 == 2 {
+                    assert_eq!(
+                        s.pop().unwrap(),
+                        model.pop(),
+                        "model divergence at step {i}"
+                    );
+                } else {
+                    let v = i.to_le_bytes().to_vec();
+                    s.push(&v).unwrap();
+                    model.push(v);
+                }
             }
+            while let Some(expect) = model.pop() {
+                assert_eq!(s.pop().unwrap(), Some(expect));
+            }
+            assert!(s.is_empty());
         }
-        while let Some(expect) = model.pop() {
-            assert_eq!(s.pop().unwrap(), Some(expect));
-        }
-        assert!(s.is_empty());
     }
 }

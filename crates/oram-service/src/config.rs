@@ -1,7 +1,6 @@
 //! Service configuration: tenants, submission policy, deadlines and the
 //! overload governor's watermarks.
 
-use ring_oram::ProtocolKind;
 use string_oram::{ConfigError, SystemConfig};
 use trace_synth::ArrivalSpec;
 
@@ -213,9 +212,7 @@ impl ServiceConfig {
     /// [`ConfigError::Invalid`] when the underlying system config fails
     /// its own validation, a numeric knob is out of range, a tenant's peak
     /// arrival rate (`ArrivalSpec::peak_per_tick`) exceeds
-    /// `min(4 x queue_cap, 2^16)` requests per tick, or the policy is
-    /// unsupported: fixed-rate padding requires a protocol with native
-    /// cover accesses (Ring / Ring+CB; under recursion every tier pads).
+    /// `min(4 x queue_cap, 2^16)` requests per tick.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.system.validate()?;
         let bad = |m: String| Err(ConfigError::Invalid(m));
@@ -253,21 +250,10 @@ impl ServiceConfig {
             {
                 return bad("submission batch must be >= 1".into());
             }
-            SubmissionPolicy::FixedRate { interval, .. } => {
-                if interval == 0 {
-                    return bad("fixed-rate interval must be >= 1".into());
-                }
-                if !matches!(
-                    self.system.protocol,
-                    ProtocolKind::RingCb | ProtocolKind::Ring
-                ) {
-                    return bad(format!(
-                        "fixed-rate padding needs a protocol with native cover accesses; {} has \
-                         none (use best-effort)",
-                        self.system.protocol
-                    ));
-                }
+            SubmissionPolicy::FixedRate { interval: 0, .. } => {
+                return bad("fixed-rate interval must be >= 1".into());
             }
+            SubmissionPolicy::FixedRate { .. } => {}
             SubmissionPolicy::BestEffort { .. } => {}
         }
         if self.deadline_cycles == 0 {
@@ -312,19 +298,6 @@ mod tests {
     #[test]
     fn small_config_validates() {
         cfg().validate().unwrap();
-    }
-
-    #[test]
-    fn fixed_rate_rejects_protocols_without_cover_accesses() {
-        let mut c = cfg();
-        c.policy = SubmissionPolicy::FixedRate {
-            interval: 64,
-            batch: 2,
-        };
-        c.validate().unwrap();
-        c.system.protocol = ProtocolKind::Path;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("cover accesses"), "{err}");
     }
 
     #[test]

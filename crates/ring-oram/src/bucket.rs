@@ -547,17 +547,18 @@ impl Bucket<'_> {
     }
 }
 
-/// The plain-tree frame's rules (Path, Circuit): a bucket holds its blocks
-/// as valid slot words packed at the front of its row, in arrival order,
-/// and the rest of the row is zero. [`BucketRef`]'s reading rules apply
-/// unchanged (`find` is then the position in arrival order).
+/// The Path and Circuit rules: a bucket holds its blocks as valid slot
+/// words packed at the front of its row, in arrival order, and the rest of
+/// the row is zero; a block's payload sits at the same index of the lane.
+/// [`BucketRef`]'s reading rules apply unchanged (`find` is then the
+/// position in arrival order).
 impl Bucket<'_> {
-    /// Appends `block` after the blocks held.
+    /// Appends `block` and its payload after the blocks held.
     ///
     /// # Panics
     ///
     /// Panics if the bucket already holds `Z` blocks.
-    pub(crate) fn append(&mut self, block: BlockId) {
+    pub(crate) fn append(&mut self, block: BlockId, data: Option<BlockData>) {
         let held = usize::from(self.node.reals);
         assert!(
             held < self.slots.len(),
@@ -567,21 +568,38 @@ impl Bucket<'_> {
         debug_assert!(block.0 < DUMMY, "block id {block} does not fit a slot word");
         self.slots[held] = VALID | block.0;
         self.node.reals += 1;
+        if self.node.lane == 0 && data.is_some() {
+            self.node.lane = self.lanes.assign();
+        }
+        if let Some(lane) = self.lanes.lane_mut(self.node.lane) {
+            lane[held] = data;
+        }
     }
 
-    /// Removes the block in `slot`, moving the last block held into it.
-    pub(crate) fn swap_remove(&mut self, slot: usize) {
+    /// Removes the block in `slot` with its payload, moving the last block
+    /// held into the slot.
+    pub(crate) fn swap_remove(&mut self, slot: usize) -> (BlockId, Option<BlockData>) {
         let last = usize::from(self.node.reals) - 1;
+        let block = BlockId(self.slots[slot] & DUMMY);
         self.slots[slot] = self.slots[last];
         self.slots[last] = 0;
         self.node.reals -= 1;
+        let data = self.lanes.lane_mut(self.node.lane).and_then(|lane| {
+            let data = lane[slot].take();
+            lane[slot] = lane[last].take();
+            data
+        });
+        (block, data)
     }
 
-    /// Removes every block held, handing each to `f` in arrival order.
-    pub(crate) fn drain(&mut self, mut f: impl FnMut(BlockId)) {
+    /// Removes every block held, handing each to `f` with its slot and
+    /// payload, in arrival order.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(usize, BlockId, Option<BlockData>)) {
         let held = usize::from(self.node.reals);
-        for word in &mut self.slots[..held] {
-            f(BlockId(*word & DUMMY));
+        let mut lane = self.lanes.lane_mut(self.node.lane);
+        for (slot, word) in self.slots[..held].iter_mut().enumerate() {
+            let data = lane.as_deref_mut().and_then(|lane| lane[slot].take());
+            f(slot, BlockId(*word & DUMMY), data);
             *word = 0;
         }
         self.node.reals = 0;

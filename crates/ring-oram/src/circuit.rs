@@ -21,15 +21,15 @@
 //!
 //! Buckets are exactly `Z` slots — no dummy budget, no metadata counters.
 //! The configuration is a [`RingConfig`] in its `Z`-slot encoding
-//! ([`RingConfig::z_slot`]), as for Path ORAM. The engine is a second
-//! schedule over the plain-tree frame Path ORAM runs on
-//! (`crate::plain_tree`): an eviction is Path ORAM's read and write-back
-//! with no target, on the eviction path.
+//! ([`RingConfig::z_slot`]), as for Path ORAM. The engine is another
+//! schedule over the frame Path and Ring ORAM run on (`crate::plain_tree`):
+//! an eviction is Path ORAM's read and write-back with no target, on the
+//! eviction path.
 
 use crate::config::RingConfig;
 use crate::oblivious::ProtocolKind;
-use crate::plain_tree::{plain_tree_protocol, PlainTree, Take};
-use crate::plan::{AccessPlan, OpKind};
+use crate::plain_tree::{read_kind, Op, PlainTree, Take};
+use crate::plan::OpKind;
 use crate::protocol::AccessOutcome;
 use crate::types::BlockId;
 
@@ -40,7 +40,7 @@ pub const EVICTIONS_PER_ACCESS: usize = 2;
 /// The Circuit ORAM controller over a lazily materialized `Z`-slot tree.
 #[derive(Debug)]
 pub struct CircuitOram {
-    tree: PlainTree,
+    pub(crate) tree: PlainTree,
     /// Eviction counter `G` driving the reverse lexicographic order.
     eviction_count: u64,
 }
@@ -56,54 +56,54 @@ impl CircuitOram {
     #[must_use]
     pub fn new(cfg: RingConfig, seed: u64) -> Self {
         Self {
-            tree: PlainTree::new(cfg, seed),
+            tree: PlainTree::new(ProtocolKind::Circuit, cfg, seed),
             eviction_count: 0,
         }
     }
 
-    /// Performs one access: a read-only path fetch removing the target
-    /// into the stash, then [`EVICTIONS_PER_ACCESS`] deterministic
-    /// evictions — each drains the next reverse-lexicographic path into
-    /// the stash and refills it leaf-first.
+    /// One access: a read-only path fetch removing the target into the
+    /// stash — an [`OpKind::ReadPath`], or for a cover (`None`: no target,
+    /// a uniformly drawn path) an [`OpKind::DummyReadPath`], followed by a
+    /// [`OpKind::RetryRead`] when the transit-fault step re-read a slot —
+    /// then [`EVICTIONS_PER_ACCESS`] deterministic evictions, each draining
+    /// the next reverse-lexicographic path into the stash and refilling it
+    /// leaf-first.
     ///
     /// # Panics
     ///
-    /// Panics if `block` is not below `RingOram::COLD_BASE`.
-    pub fn access(&mut self, block: BlockId) -> AccessOutcome {
+    /// Panics if the target is not below `RingOram::COLD_BASE`.
+    pub(crate) fn schedule(
+        &mut self,
+        target: Option<(BlockId, Op<'_>)>,
+    ) -> (AccessOutcome, Option<Vec<u8>>) {
         let tree = &mut self.tree;
-        let path = tree.locate(block);
+        let block = target.map(|(b, _)| b);
+        let (path, _) = tree.locate(block);
         let mut plans = tree.pool.plans();
-        let mut touches = tree.pool.touches(0);
-        let (target_index, source) =
-            tree.read_path(path, Some(block), Take::TargetOnly, &mut touches);
-        tree.remap_target(block, source);
-        plans.push(AccessPlan::new(OpKind::ReadPath, touches, target_index));
+        let mut reads = tree.reads(read_kind(block), 0);
+        let source = tree.read_path(path, block, Take::TargetOnly, &mut reads);
+        let data = tree.remap_target(target, source);
+        tree.emit(&mut plans, reads);
         for _ in 0..EVICTIONS_PER_ACCESS {
             let path = tree
                 .geometry
                 .reverse_lexicographic_path(self.eviction_count);
             self.eviction_count += 1;
-            let mut touches = tree.pool.touches(0);
-            tree.read_path(path, None, Take::All, &mut touches);
-            tree.refill_path(path, &mut touches);
+            let mut reads = tree.reads(OpKind::Eviction, 0);
+            tree.read_path(path, None, Take::Eviction, &mut reads);
+            tree.refill_path(path, &mut reads.touches);
             tree.stats.evictions += 1;
-            plans.push(AccessPlan::new(OpKind::Eviction, touches, None));
+            tree.emit(&mut plans, reads);
         }
-        tree.finish(plans, source)
-    }
-
-    /// Returns an outcome's buffers to the engine's pools.
-    pub fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        self.tree.recycle_outcome(outcome);
+        (tree.finish(plans, source), data)
     }
 }
-
-plain_tree_protocol!(CircuitOram, ProtocolKind::Circuit);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oblivious::ObliviousProtocol;
+    use crate::plan::AccessPlan;
     use crate::protocol::TargetSource;
     use crate::tree::TreeGeometry;
     use crate::types::Level;
@@ -220,7 +220,7 @@ mod tests {
         let mut o = CircuitOram::new(test_cfg(), 7);
         let out = o.access(BlockId(1));
         o.recycle_outcome(out);
-        assert_eq!(o.tree.pool.pooled(), (1, 1 + EVICTIONS_PER_ACCESS));
+        assert_eq!(o.tree.pool.pooled(), (1, 2 + EVICTIONS_PER_ACCESS));
     }
 
     #[test]

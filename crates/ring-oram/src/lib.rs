@@ -17,13 +17,13 @@
 //!   protocol engines — with a **Path ORAM** baseline ([`PathOram`]) and a
 //!   **Circuit ORAM** implementation ([`CircuitOram`]) alongside the Ring
 //!   engine, so the paper's wins are measurable against the design space
-//!   they improve on. Path and Circuit are two access schedules over one
-//!   private plain-tree frame (`plain_tree`: `Z`-slot tree, position map,
-//!   stash, one path read and one leaf-first refill).
-//!
-//! All engines share one tree store (`bucket::BucketTree`: one chunked slab
-//! of fixed-stride bucket rows, with pooled payload lanes) and one
-//! plan/touch vector pool (`plan::PlanPool`).
+//!   they improve on. Ring, Path and Circuit are three access schedules
+//!   over one private engine frame (`plain_tree`: the bucket tree — one
+//!   chunked slab of fixed-stride bucket rows with pooled payload lanes —,
+//!   position map, stash, protocol RNG, statistics, plan pool, and the
+//!   data path: payload sealing and the transit-fault layer), so every
+//!   engine reads and writes payloads, seals them, survives transit faults
+//!   and pads with cover accesses through the one trait.
 //!
 //! The protocol layer is *untimed*: every logical access expands into
 //! [`plan::AccessPlan`]s — ordered lists of physical slot touches — which
@@ -33,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use ring_oram::{RingOram, RingConfig};
+//! use ring_oram::{ObliviousProtocol, RingOram, RingConfig};
 //! use ring_oram::types::BlockId;
 //!
 //! let mut oram = RingOram::new(RingConfig::test_small(), 42);

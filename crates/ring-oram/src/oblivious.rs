@@ -16,15 +16,19 @@
 //! Four engines implement it: [`RingOram`] (serving both the Ring+CB and
 //! plain-Ring design points, selected by `RingConfig::y`), the Path ORAM
 //! baseline ([`crate::path_oram::PathOram`]) and the Circuit ORAM
-//! implementation ([`crate::circuit::CircuitOram`]) — the latter two as
-//! schedules over one shared plain-tree frame, which forwards every
-//! introspection method below to a single body. A new protocol plugs
-//! in by implementing this trait and emitting well-formed plans; the
-//! pipeline's lowering, transaction tracking, sharding and digesting all
-//! come for free, and `sim-verify` audits the plan stream per
-//! [`ProtocolKind`].
+//! implementation ([`crate::circuit::CircuitOram`]) — three schedules over
+//! one shared engine frame (`crate::plain_tree`), which serves every other
+//! method below from a single body. A new protocol plugs in by writing its
+//! schedule over the frame and emitting well-formed plans; the pipeline's
+//! lowering, transaction tracking, sharding and digesting all come for
+//! free, and `sim-verify` audits the plan stream per [`ProtocolKind`].
 
-use crate::faults::FaultEvent;
+use crate::circuit::CircuitOram;
+use crate::config::RingConfig;
+use crate::crypto::BlockCipher;
+use crate::faults::{FaultEvent, ResilienceConfig};
+use crate::path_oram::PathOram;
+use crate::plain_tree::Op;
 use crate::protocol::{AccessOutcome, ProtocolStats, RingOram};
 use crate::types::{BlockId, PathId};
 
@@ -65,6 +69,47 @@ impl ProtocolKind {
             Self::Circuit => "circuit",
         }
     }
+
+    /// The configuration this design point's engine runs on over `ring`'s
+    /// tree: Ring+CB on `ring` as given, plain Ring with `Y = 0`, Path and
+    /// Circuit on its `Z`-slot encoding ([`RingConfig::z_slot`]).
+    #[must_use]
+    pub fn engine_config(self, ring: &RingConfig) -> RingConfig {
+        match self {
+            Self::RingCb => ring.clone(),
+            Self::Ring => RingConfig {
+                y: 0,
+                ..ring.clone()
+            },
+            Self::Path | Self::Circuit => ring.z_slot(),
+        }
+    }
+
+    /// This design point's engine on [`Self::engine_config`]`(ring)`,
+    /// seeded with `seed`. Ring pre-loads every bucket it materializes at
+    /// `load_factor` ([`RingOram::with_load_factor`]); Path and Circuit
+    /// start empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine's configuration is invalid or `load_factor` is
+    /// outside `[0, 1]`.
+    #[must_use]
+    pub fn engine(
+        self,
+        ring: &RingConfig,
+        seed: u64,
+        load_factor: f64,
+    ) -> Box<dyn ObliviousProtocol> {
+        let cfg = self.engine_config(ring);
+        match self {
+            Self::RingCb | Self::Ring => {
+                Box::new(RingOram::with_load_factor(cfg, seed, load_factor))
+            }
+            Self::Path => Box::new(PathOram::from_ring(cfg, seed)),
+            Self::Circuit => Box::new(CircuitOram::new(cfg, seed)),
+        }
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {
@@ -86,9 +131,45 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     /// Which design point this engine instance realizes.
     fn kind(&self) -> ProtocolKind;
 
+    /// The engine's configuration (for Path and Circuit, the `Z`-slot
+    /// encoding).
+    fn config(&self) -> &RingConfig;
+
     /// Performs one logical access: position-map lookup, per-level fetch
     /// planning, stash update, and any eviction/reshuffle write-backs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not below `RingOram::COLD_BASE`, or if the
+    /// engine cannot keep its stash bounded (an over-full tree).
     fn access(&mut self, block: BlockId) -> AccessOutcome;
+
+    /// [`Self::access`] that also returns a copy of the block's payload
+    /// (`None` until the first [`Self::write`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::access`].
+    fn read(&mut self, block: BlockId) -> (AccessOutcome, Option<Vec<u8>>);
+
+    /// [`Self::access`] that replaces the block's payload; the data is
+    /// (re-)encrypted when it is next written into the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly `block_bytes` long, or as
+    /// [`Self::access`].
+    fn write(&mut self, block: BlockId, data: &[u8]) -> AccessOutcome;
+
+    /// Plans one **cover access**: the engine's own access with no target,
+    /// on a uniformly drawn path — Ring's dummy read path, Path's read and
+    /// write-back, Circuit's read-only read and its two evictions. It
+    /// serves no program request, touches no block's mapping, and is
+    /// indistinguishable on the bus from the engine's ordinary traffic, so
+    /// serving layers use it to fill empty fixed-rate submission slots and
+    /// request timing cannot leak through the access stream. Every engine
+    /// has one: always `Some`.
+    fn cover_access(&mut self) -> Option<AccessOutcome>;
 
     /// Returns an outcome's buffers to the engine's pools (the zero-alloc
     /// steady-state loop). Dropping an outcome instead is legal; the pools
@@ -99,22 +180,42 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     /// `n` further accesses, so the steady state never grows vectors.
     fn reserve_accesses(&mut self, n: usize);
 
-    /// Drains the engine's fault-event log. Engines without a fault layer
-    /// return an empty log (the default).
-    fn take_fault_events(&mut self) -> Vec<FaultEvent> {
-        Vec::new()
-    }
+    /// Enables encryption-at-rest emulation with the fast (insecure)
+    /// splitmix keystream: every payload written to the tree is sealed
+    /// under `key` with a fresh nonce, and unsealed when it re-enters the
+    /// trusted boundary. See [`crate::crypto`] for the cipher options.
+    fn enable_encryption(&mut self, key: u64);
 
-    /// Plans one **cover access**: a padding access that serves no program
-    /// request but is indistinguishable on the bus from the engine's
-    /// ordinary dummy traffic. Serving layers use it to fill empty
-    /// fixed-rate submission slots so request timing cannot leak through
-    /// the access stream. Engines without a native dummy-access mechanism
-    /// return `None` (the default); callers must then reject padded
-    /// submission modes for the protocol. [`RingOram`] supports it.
-    fn cover_access(&mut self) -> Option<AccessOutcome> {
-        None
-    }
+    /// Enables encryption-at-rest with AES-128-CTR (FIPS-197-verified
+    /// implementation). The sealed format carries the same keyed integrity
+    /// tag as the splitmix cipher — corruption of a sealed blob is detected
+    /// on unseal — but the implementation is not constant-time, so it is
+    /// simulation-grade only.
+    fn enable_aes_encryption(&mut self, key: [u8; 16]);
+
+    /// Enables deterministic transit-fault injection and recovery: every
+    /// real block a read path moves into the stash may arrive corrupted and
+    /// is re-read up to `cfg.max_retries` times ([`crate::plan::OpKind::RetryRead`]
+    /// plans). On Ring the watermarks also drive escalation and degraded
+    /// mode.
+    ///
+    /// The fault schedule is drawn from a dedicated RNG seeded with
+    /// `cfg.fault_seed`; it never touches the protocol RNG, so the access
+    /// sequence of a faulty run is identical to the fault-free run with the
+    /// same protocol seed. Detection of injected corruptions requires
+    /// encryption to be enabled (the integrity tag lives in the sealed
+    /// format); without a cipher, injected faults are logged but flow on
+    /// undetected — which the `sim-verify` fault auditor flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`ResilienceConfig::validate`] against the
+    /// configured stash capacity.
+    fn enable_resilience(&mut self, cfg: ResilienceConfig);
+
+    /// Drains the engine's fault-event log (empty when the fault layer is
+    /// off or no fault fired since the last drain).
+    fn take_fault_events(&mut self) -> Vec<FaultEvent>;
 
     /// Accumulated protocol statistics.
     fn stats(&self) -> &ProtocolStats;
@@ -142,67 +243,80 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     fn position_entries(&self) -> Vec<(BlockId, PathId)>;
 }
 
-impl ObliviousProtocol for RingOram {
-    fn kind(&self) -> ProtocolKind {
-        if self.config().y > 0 {
-            ProtocolKind::RingCb
-        } else {
-            ProtocolKind::Ring
+/// Implements [`ObliviousProtocol`] for engines that are schedules over a
+/// `tree` frame: the engine's `schedule` serves `access`, `read`, `write`
+/// and `cover_access`; everything else has its one body on the frame.
+macro_rules! schedule_over_the_frame {
+    ($($engine:ty),*) => {$(
+        impl ObliviousProtocol for $engine {
+            fn kind(&self) -> ProtocolKind {
+                self.tree.kind
+            }
+            fn config(&self) -> &RingConfig {
+                &self.tree.cfg
+            }
+            fn access(&mut self, block: BlockId) -> AccessOutcome {
+                self.schedule(Some((block, Op::Access))).0
+            }
+            fn read(&mut self, block: BlockId) -> (AccessOutcome, Option<Vec<u8>>) {
+                self.schedule(Some((block, Op::Read)))
+            }
+            fn write(&mut self, block: BlockId, data: &[u8]) -> AccessOutcome {
+                assert_eq!(
+                    data.len(),
+                    self.tree.cfg.block_bytes as usize,
+                    "payload must be exactly block_bytes long"
+                );
+                self.schedule(Some((block, Op::Write(data)))).0
+            }
+            fn cover_access(&mut self) -> Option<AccessOutcome> {
+                Some(self.schedule(None).0)
+            }
+            fn recycle_outcome(&mut self, outcome: AccessOutcome) {
+                self.tree.pool.recycle(outcome.plans);
+            }
+            fn reserve_accesses(&mut self, n: usize) {
+                self.tree.stats.stash_samples.reserve(n);
+            }
+            fn enable_encryption(&mut self, key: u64) {
+                self.tree.data.cipher = Some(BlockCipher::new(key));
+            }
+            fn enable_aes_encryption(&mut self, key: [u8; 16]) {
+                self.tree.data.cipher = Some(BlockCipher::aes(key));
+            }
+            fn enable_resilience(&mut self, cfg: ResilienceConfig) {
+                self.tree.enable_resilience(cfg);
+            }
+            fn take_fault_events(&mut self) -> Vec<FaultEvent> {
+                self.tree.data.take_events()
+            }
+            fn stats(&self) -> &ProtocolStats {
+                &self.tree.stats
+            }
+            fn stash_len(&self) -> usize {
+                self.tree.stash.len()
+            }
+            fn stash_peak(&self) -> usize {
+                self.tree.stash.peak()
+            }
+            fn materialized_buckets(&self) -> usize {
+                self.tree.buckets.materialized()
+            }
+            fn check_invariants(&self) {
+                self.tree.check_invariants();
+            }
+            fn position_entries(&self) -> Vec<(BlockId, PathId)> {
+                self.tree.position_map.entries()
+            }
         }
-    }
-
-    fn access(&mut self, block: BlockId) -> AccessOutcome {
-        RingOram::access(self, block)
-    }
-
-    fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        RingOram::recycle_outcome(self, outcome);
-    }
-
-    fn reserve_accesses(&mut self, n: usize) {
-        RingOram::reserve_accesses(self, n);
-    }
-
-    fn take_fault_events(&mut self) -> Vec<FaultEvent> {
-        RingOram::take_fault_events(self)
-    }
-
-    fn cover_access(&mut self) -> Option<AccessOutcome> {
-        match RingOram::cover_access(self) {
-            Ok(outcome) => Some(outcome),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    fn stats(&self) -> &ProtocolStats {
-        RingOram::stats(self)
-    }
-
-    fn stash_len(&self) -> usize {
-        RingOram::stash_len(self)
-    }
-
-    fn stash_peak(&self) -> usize {
-        RingOram::stash_peak(self)
-    }
-
-    fn materialized_buckets(&self) -> usize {
-        RingOram::materialized_buckets(self)
-    }
-
-    fn check_invariants(&self) {
-        RingOram::check_invariants(self);
-    }
-
-    fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        RingOram::position_entries(self)
-    }
+    )*};
 }
+
+schedule_over_the_frame!(RingOram, PathOram, CircuitOram);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RingConfig;
 
     #[test]
     fn labels_are_stable_and_distinct() {
@@ -286,6 +400,97 @@ mod tests {
         h.finish()
     }
 
+    /// Drives `oram` with seeded reads, writes and cover accesses over
+    /// `blocks` block ids against a mirror of every block's last write:
+    /// every read must return the mirror's value — a cover changes none —
+    /// and a final sweep reads every block back.
+    fn mirror_oracle_run(oram: &mut dyn ObliviousProtocol, blocks: u64, accesses: u64) {
+        use oram_rng::{Rng, StdRng};
+        let block_bytes = oram.config().block_bytes as usize;
+        let mut mirror: Vec<Option<Vec<u8>>> = vec![None; blocks as usize];
+        let mut ops = StdRng::seed_from_u64(blocks ^ accesses);
+        for step in 0..accesses {
+            let b = ops.gen_range(0..blocks);
+            let outcome = match ops.gen_range(0..10u32) {
+                0 => oram
+                    .cover_access()
+                    .expect("every engine has cover accesses"),
+                1..=4 => {
+                    let data: Vec<u8> = (0..block_bytes)
+                        .map(|i| (step * 31 + b * 7 + i as u64) as u8)
+                        .collect();
+                    let outcome = oram.write(BlockId(b), &data);
+                    mirror[b as usize] = Some(data);
+                    outcome
+                }
+                _ => {
+                    let (outcome, got) = oram.read(BlockId(b));
+                    assert_eq!(got, mirror[b as usize], "step {step}: block {b}");
+                    outcome
+                }
+            };
+            oram.recycle_outcome(outcome);
+        }
+        for (b, want) in mirror.iter().enumerate() {
+            let (_, got) = oram.read(BlockId(b as u64));
+            assert_eq!(&got, want, "final sweep: block {b}");
+        }
+    }
+
+    /// The mirror oracle on every engine over a 12-level tree: payloads in
+    /// the clear, under either cipher, and under 5 % transit faults that up
+    /// to six retries recover. Ring runs long enough for its tree to span
+    /// three slab chunks; Path and Circuit move a whole path of payloads
+    /// per access and run shorter (the AES runs dominate a debug build).
+    #[test]
+    fn mirror_oracle_holds_on_every_engine() {
+        use crate::bucket::CHUNK_ROWS;
+        let ring = RingConfig {
+            levels: 12,
+            ..RingConfig::test_small_cb()
+        };
+        type Setup = fn(&mut dyn ObliviousProtocol);
+        let variants: [(&str, Setup); 4] = [
+            ("plain", |_| {}),
+            ("splitmix", |o| o.enable_encryption(0x5EA1)),
+            ("aes", |o| o.enable_aes_encryption(*b"three chunks key")),
+            ("splitmix + faults", |o| {
+                o.enable_encryption(0xF417);
+                let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);
+                r.bit_flip_rate = 0.05;
+                r.max_retries = 6;
+                o.enable_resilience(r);
+            }),
+        ];
+        for kind in ProtocolKind::ALL {
+            for (name, setup) in variants {
+                let mut o = kind.engine(&ring, 31, 0.5);
+                setup(o.as_mut());
+                let ring_engine = matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring);
+                mirror_oracle_run(o.as_mut(), 500, if ring_engine { 2500 } else { 1000 });
+                let s = o.stats();
+                if ring_engine {
+                    assert!(
+                        o.materialized_buckets() > 2 * CHUNK_ROWS,
+                        "{kind} {name}: {} buckets span fewer than three chunks",
+                        o.materialized_buckets()
+                    );
+                }
+                if kind == ProtocolKind::RingCb {
+                    assert!(s.greens_fetched > 0, "{kind} {name}: CB moved no green");
+                }
+                if name != "plain" {
+                    assert!(s.encryptions > 0 && s.decryptions > 0, "{kind} {name}");
+                }
+                if name.ends_with("faults") {
+                    assert!(s.faults_recovered > 0, "{kind} {name}: no fault to recover");
+                    assert_eq!(s.faults_unrecovered, 0, "{kind} {name}");
+                }
+                o.check_invariants();
+            }
+        }
+    }
+
     /// The eight values were recorded on the commit before Path and Circuit
     /// moved onto the shared plain-tree frame (and before the bucket tree
     /// and plan pool were shared with Ring); the engines are held to them.
@@ -316,13 +521,7 @@ mod tests {
                     tree_top_cached_levels: cached,
                     ..RingConfig::test_small_cb()
                 };
-                let plain = ring.z_slot();
-                let oram: Box<dyn ObliviousProtocol> = match kind {
-                    ProtocolKind::RingCb => Box::new(RingOram::new(ring, 11)),
-                    ProtocolKind::Ring => Box::new(RingOram::new(RingConfig { y: 0, ..ring }, 11)),
-                    ProtocolKind::Path => Box::new(crate::PathOram::from_ring(plain, 11)),
-                    ProtocolKind::Circuit => Box::new(crate::CircuitOram::new(plain, 11)),
-                };
+                let oram = kind.engine(&ring, 11, RingOram::DEFAULT_LOAD_FACTOR);
                 assert_eq!(oram.kind(), kind);
                 let got = engine_fingerprint(oram);
                 assert_eq!(got, want, "{kind} cached={cached}: 0x{got:016X}");

@@ -11,11 +11,13 @@
 //! `Z` slots of every bucket on the target's path into the stash, remaps
 //! the target, and writes the full path back with greedy leaf-first
 //! placement. There are no dummy budgets, no metadata counters, no separate
-//! eviction phase — one access is exactly one [`OpKind::ReadPath`] plan
-//! whose touch list carries the reads followed by the write-back. The
-//! engine is that schedule and nothing else: tree, position map, stash and
-//! both path operations are the shared plain-tree frame
-//! (`crate::plain_tree`), which Circuit ORAM schedules differently.
+//! eviction phase — one access is exactly one
+//! [`OpKind::ReadPath`](crate::OpKind::ReadPath) plan whose touch list
+//! carries the reads followed by the write-back (plus a retry plan when a
+//! transit fault was recovered). The engine is that schedule and nothing
+//! else: tree, position map, stash, data path and both path operations are
+//! the frame every engine shares (`crate::plain_tree`), which Circuit ORAM
+//! and Ring ORAM schedule differently.
 //!
 //! Configuration is a [`RingConfig`] in its `Z`-slot encoding
 //! ([`RingConfig::z_slot`]), so layout sizing, sharding and auditing share
@@ -23,15 +25,14 @@
 
 use crate::config::RingConfig;
 use crate::oblivious::ProtocolKind;
-use crate::plain_tree::{plain_tree_protocol, PlainTree, Take};
-use crate::plan::{AccessPlan, OpKind};
+use crate::plain_tree::{read_kind, Op, PlainTree, Take};
 use crate::protocol::AccessOutcome;
 use crate::types::BlockId;
 
 /// A Path ORAM controller over a lazily materialized tree.
 #[derive(Debug)]
 pub struct PathOram {
-    tree: PlainTree,
+    pub(crate) tree: PlainTree,
 }
 
 impl PathOram {
@@ -45,41 +46,41 @@ impl PathOram {
     #[must_use]
     pub fn from_ring(ring: RingConfig, seed: u64) -> Self {
         Self {
-            tree: PlainTree::new(ring, seed),
+            tree: PlainTree::new(ProtocolKind::Path, ring, seed),
         }
     }
 
-    /// Performs one access: full path read, remap, full path write-back.
-    /// The outcome carries a single [`OpKind::ReadPath`] plan (reads
-    /// followed by write-back touches).
+    /// One access: full path read, remap, full path write-back, as a single
+    /// plan (reads followed by write-back touches) — an
+    /// [`OpKind::ReadPath`], or for a cover (`None`: no target, a uniformly
+    /// drawn path) an [`OpKind::DummyReadPath`] — plus a
+    /// [`OpKind::RetryRead`] when the transit-fault step re-read a slot.
     ///
     /// # Panics
     ///
-    /// Panics if `block` is not below `RingOram::COLD_BASE`.
-    pub fn access(&mut self, block: BlockId) -> AccessOutcome {
+    /// Panics if the target is not below `RingOram::COLD_BASE`.
+    pub(crate) fn schedule(
+        &mut self,
+        target: Option<(BlockId, Op<'_>)>,
+    ) -> (AccessOutcome, Option<Vec<u8>>) {
         let tree = &mut self.tree;
-        let path = tree.locate(block);
+        let block = target.map(|(b, _)| b);
+        let (path, _) = tree.locate(block);
         let mut plans = tree.pool.plans();
-        let mut touches = tree.pool.touches(0);
-        let (target_index, source) = tree.read_path(path, Some(block), Take::All, &mut touches);
-        tree.remap_target(block, source);
-        tree.refill_path(path, &mut touches);
-        plans.push(AccessPlan::new(OpKind::ReadPath, touches, target_index));
-        tree.finish(plans, source)
-    }
-
-    /// Returns an outcome's buffers to the engine's pools.
-    pub fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        self.tree.recycle_outcome(outcome);
+        let mut reads = tree.reads(read_kind(block), 0);
+        let source = tree.read_path(path, block, Take::All, &mut reads);
+        let data = tree.remap_target(target, source);
+        tree.refill_path(path, &mut reads.touches);
+        tree.emit(&mut plans, reads);
+        (tree.finish(plans, source), data)
     }
 }
-
-plain_tree_protocol!(PathOram, ProtocolKind::Path);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oblivious::ObliviousProtocol;
+    use crate::plan::OpKind;
     use crate::protocol::TargetSource;
 
     fn small() -> RingConfig {
@@ -158,7 +159,7 @@ mod tests {
         let mut o = PathOram::from_ring(small(), 6);
         let out = o.access(BlockId(1));
         o.recycle_outcome(out);
-        assert_eq!(o.tree.pool.pooled(), (1, 1));
+        assert_eq!(o.tree.pool.pooled(), (1, 2));
     }
 
     #[test]

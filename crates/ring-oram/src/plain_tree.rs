@@ -1,75 +1,368 @@
-//! The plain-tree engine frame: everything Path ORAM and Circuit ORAM share.
+//! The engine frame: everything the four engines share.
 //!
-//! Both protocols keep exactly `Z` block ids per bucket (no dummy slots, no
-//! metadata), a position map and a stash, and both are made of the same two
-//! path operations (Path ORAM, Stefanov et al., CCS'13): *read* a path —
-//! transfer every off-chip slot and take every block, or the target alone,
-//! into the stash — and *refill* it greedily, leaf first, from the stash.
-//! [`PlainTree`] owns that state and those operations once; the engines are
-//! schedules over it:
+//! Every engine keeps a lazily materialized tree of buckets, a position map,
+//! a stash, one protocol RNG, its statistics and its plan pool, and moves
+//! payloads along one data path: payload lanes beside the bucket rows, an
+//! optional cipher sealing them at rest, and an optional transit-fault layer
+//! on the way into the stash. [`PlainTree`] owns all of it once, and each
+//! engine is a schedule over it:
 //!
+//! * Ring (Ring+CB and plain Ring, `crate::protocol`): its own bucket rules
+//!   on the frame's rows — a permuted slot per level, dummies, CB greens —
+//!   plus its eviction cadence, cold pre-load, reshuffles, background
+//!   eviction and degraded mode;
 //! * Path: `read_path(All)` → `remap_target` → `refill_path`, one plan;
 //! * Circuit: `read_path(TargetOnly)` → `remap_target`, then per eviction
-//!   `read_path(All, no target)` → `refill_path` along the next
+//!   `read_path(Eviction)` → `refill_path` along the next
 //!   reverse-lexicographic path, one plan each.
+//!
+//! Path and Circuit keep exactly `Z` block ids per bucket (no dummy slots,
+//! no metadata) and are made of the two path operations of Path ORAM
+//! (Stefanov et al., CCS'13): *read* a path — transfer every off-chip slot
+//! and take every block, or the target alone, into the stash — and
+//! *refill* it greedily, leaf first, from the stash.
+//!
+//! # Data path
+//!
+//! A payload moves with its block: the bucket operations carry lane
+//! entries, [`PlainTree::refill_path`] seals each bucket as one batch, and
+//! reads unseal. Every real block a read path moves into the stash from an
+//! off-chip bucket goes through the transit-fault step
+//! ([`DataPath::fetch`]); eviction and reshuffle reads never do. The
+//! program's read or write is applied in one place,
+//! [`PlainTree::remap_target`]. With no payload, cipher or fault layer
+//! nothing is kept per slot: a bucket gets its lane with its first payload.
 //!
 //! # Draw order
 //!
 //! The protocol RNG is drawn in [`PlainTree::locate`] (a block's first
-//! touch only) and [`PlainTree::remap_target`], nowhere else, and the
-//! write-back selects by ascending block id after a sort, so neither the
-//! stash's map order nor the tree store's layout can reach a plan. Every
-//! Path and Circuit golden digest rests on exactly that.
+//! touch, or a cover's path) and [`PlainTree::remap_target`], and by Ring's
+//! own rules; the fault RNG is a second stream, so a faulty run issues the
+//! fault-free run's access sequence. The write-back selects by ascending
+//! block id after a sort, so neither the stash's map order nor the tree
+//! store's layout can reach a plan. Every golden digest rests on exactly
+//! that.
 //!
-//! Like the Ring engine, the steady state is allocation-free: plan and
-//! touch vectors cycle through the [`PlanPool`], a bucket's blocks are
-//! packed at the front of its slab row and drained and refilled in place,
-//! and the write-back selects from one reused candidate snapshot.
+//! The steady state is allocation-free: plan and touch vectors cycle
+//! through the [`PlanPool`], payload boxes through the data path's pools, a
+//! bucket's blocks are drained and refilled in place, and the write-back
+//! selects from one reused candidate snapshot.
 
-use oram_rng::StdRng;
+use oram_rng::{Rng, StdRng};
 
-use crate::bucket::BucketTree;
+use crate::bucket::{BlockData, BlockEntry, BucketTree};
 use crate::config::RingConfig;
-use crate::plan::{AccessPlan, PlanPool, SlotTouch};
+use crate::crypto::BlockCipher;
+use crate::faults::{FaultEvent, FaultEventKind, ResilienceConfig};
+use crate::oblivious::ProtocolKind;
+use crate::plan::{AccessPlan, OpKind, PlanPool, SlotTouch};
 use crate::position_map::{PositionMap, COLD_BASE};
 use crate::protocol::{AccessOutcome, ProtocolStats, TargetSource};
 use crate::stash::Stash;
 use crate::tree::TreeGeometry;
-use crate::types::{BlockId, Level, PathId};
+use crate::types::{BlockId, BucketId, Level, PathId};
+
+/// What the program does with the target of its access, applied by
+/// [`PlainTree::remap_target`] the moment the target is remapped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op<'a> {
+    /// Touch it: no payload moves (the pipeline's accesses).
+    Access,
+    /// Copy its payload out.
+    Read,
+    /// Replace its payload.
+    Write(&'a [u8]),
+}
 
 /// What a path read moves into the stash.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Take {
-    /// Every block on the path (Path ORAM's read; every eviction).
+    /// Every block, through the transit-fault step (Path ORAM's read).
     All,
-    /// The target alone — the path is otherwise left as it was (Circuit
-    /// ORAM's read; on the bus every slot is transferred all the same).
+    /// The target alone, through the transit-fault step — the path is
+    /// otherwise left as it was (Circuit ORAM's read; on the bus every slot
+    /// is transferred all the same).
     TargetOnly,
+    /// Every block, unsealed directly: an eviction's read phase, which the
+    /// fault layer never touches.
+    Eviction,
 }
 
-/// A lazily materialized tree of `Z`-slot buckets with its position map,
-/// stash, protocol RNG, statistics and buffer pools.
-pub(crate) struct PlainTree {
-    cfg: RingConfig,
-    pub(crate) geometry: TreeGeometry,
-    /// Bucket contents: up to `Z` block ids packed at the front of each
-    /// row (payloads are out of scope for the bandwidth/timing studies these
-    /// engines serve). Rows live in the tree's slab chunks, so a
-    /// materialized tree stops allocating.
-    buckets: BucketTree,
-    position_map: PositionMap,
-    stash: Stash,
+/// The kind of an access's read path: a program target's, or a cover's.
+pub(crate) fn read_kind(target: Option<BlockId>) -> OpKind {
+    if target.is_some() {
+        OpKind::ReadPath
+    } else {
+        OpKind::DummyReadPath
+    }
+}
+
+/// One read's traffic as it is collected: the plan's touches and the
+/// re-reads the transit-fault step added, each with the index of the touch
+/// that carries the target.
+pub(crate) struct Reads {
+    kind: OpKind,
+    pub(crate) touches: Vec<SlotTouch>,
+    pub(crate) target: Option<usize>,
+    pub(crate) retries: Vec<SlotTouch>,
+    pub(crate) retry_target: Option<usize>,
+}
+
+/// The fault layer's live state: its configuration, the dedicated fault
+/// RNG and the append-only event log. The fault RNG is never shared with
+/// the protocol RNG, so enabling faults cannot perturb the access sequence.
+struct ResilienceState {
+    cfg: ResilienceConfig,
     rng: StdRng,
+    events: Vec<FaultEvent>,
+}
+
+/// The data path: the cipher that seals payloads at rest, the transit-fault
+/// layer, and the pooled payload boxes both draw from.
+#[derive(Default)]
+pub(crate) struct DataPath {
+    /// When present, payloads are stored encrypted in the tree and
+    /// re-encrypted with a fresh nonce on every write-back.
+    pub(crate) cipher: Option<BlockCipher>,
+    nonce_counter: u64,
+    resilience: Option<ResilienceState>,
+    /// Plaintext payload boxes (`block_bytes` each).
+    plain_boxes: Vec<BlockData>,
+    /// Sealed payload boxes (`block_bytes` + nonce + tag each).
+    sealed_boxes: Vec<BlockData>,
+    /// `seal_batch`: sealed buffers staged for one batch sweep.
+    batch_sealed: Vec<BlockData>,
+}
+
+/// Pops a pooled payload box of exactly `len` bytes, or allocates one.
+fn payload_box(pool: &mut Vec<BlockData>, len: usize) -> BlockData {
+    match pool.pop() {
+        Some(b) if b.len() == len => b,
+        _ => vec![0u8; len].into_boxed_slice(),
+    }
+}
+
+impl DataPath {
+    /// The fault layer's configuration, when it is enabled.
+    pub(crate) fn resilience(&self) -> Option<&ResilienceConfig> {
+        self.resilience.as_ref().map(|r| &r.cfg)
+    }
+
+    /// Drains the fault-event log.
+    pub(crate) fn take_events(&mut self) -> Vec<FaultEvent> {
+        self.resilience
+            .as_mut()
+            .map(|r| std::mem::take(&mut r.events))
+            .unwrap_or_default()
+    }
+
+    /// Re-seals every payload-bearing entry in place, as one contiguous
+    /// batch under consecutive nonces. Byte-identical to sealing each
+    /// entry individually (same nonce sequence, same wire format), but the
+    /// cipher sweeps the whole bucket's slots in one
+    /// [`BlockCipher::seal_batch`] pass — round keys and the shared S-box
+    /// are set up once, not per slot — with buffers drawn from the pools.
+    pub(crate) fn seal_batch(&mut self, stats: &mut ProtocolStats, entries: &mut [BlockEntry]) {
+        let Some(cipher) = &self.cipher else {
+            return;
+        };
+        let mut outs = std::mem::take(&mut self.batch_sealed);
+        for (_, d) in entries.iter() {
+            if let Some(plain) = d.as_deref() {
+                outs.push(payload_box(
+                    &mut self.sealed_boxes,
+                    BlockCipher::sealed_len(plain.len()),
+                ));
+            }
+        }
+        cipher.seal_batch(
+            self.nonce_counter + 1,
+            entries
+                .iter()
+                .filter_map(|(_, d)| d.as_deref())
+                .zip(outs.iter_mut().map(|o| &mut **o)),
+        );
+        self.nonce_counter += outs.len() as u64;
+        stats.encryptions += outs.len() as u64;
+        // Stitch the sealed blobs back into slot order; recycle the plains.
+        let mut sealed = outs.drain(..);
+        for (_, d) in entries.iter_mut() {
+            if let Some(plain) = d.take() {
+                *d = sealed.next();
+                self.plain_boxes.push(plain);
+            }
+        }
+        drop(sealed);
+        self.batch_sealed = outs;
+    }
+
+    /// Unseals a payload fetched from the tree into the trusted boundary.
+    /// The plaintext buffer comes from the pool and the consumed sealed box
+    /// is recycled — the mirror of [`Self::seal_batch`].
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    pub(crate) fn unseal(
+        &mut self,
+        stats: &mut ProtocolStats,
+        data: Option<BlockData>,
+    ) -> Option<BlockData> {
+        match (&self.cipher, data) {
+            (Some(c), Some(d)) => {
+                stats.decryptions += 1;
+                let plain_len = d
+                    .len()
+                    .saturating_sub(BlockCipher::NONCE_BYTES + BlockCipher::TAG_BYTES);
+                let mut out = payload_box(&mut self.plain_boxes, plain_len);
+                c.open_into(&d, &mut out)
+                    .expect("tree payloads are always sealed");
+                self.sealed_boxes.push(d);
+                Some(out)
+            }
+            (_, d) => d,
+        }
+    }
+
+    /// Appends a fault event to the log (no-op when resilience is off).
+    fn record(&mut self, access: u64, bucket: BucketId, slot: u32, kind: FaultEventKind) {
+        if let Some(r) = self.resilience.as_mut() {
+            r.events.push(FaultEvent {
+                access,
+                bucket,
+                slot,
+                kind,
+            });
+        }
+    }
+
+    /// The transit-fault step for one real block a read path moves from
+    /// slot `slot` of off-chip bucket `id` into the stash: decides from the
+    /// fault schedule whether the transfer was corrupted, verifies
+    /// integrity via the sealed format's tag, and performs bounded re-reads
+    /// (the DRAM-resident copy is intact, so a clean re-transfer recovers).
+    /// Appends one read touch per retry to `retries` and returns the
+    /// surviving (unsealed) payload and whether it arrived with the last
+    /// retry.
+    ///
+    /// Without a cipher there is no integrity tag: the corruption is
+    /// applied to the raw payload (when one exists) and flows on
+    /// *undetected* — the fault log records only `Injected`, which the
+    /// `sim-verify` fault auditor flags as a missed detection.
+    pub(crate) fn fetch(
+        &mut self,
+        stats: &mut ProtocolStats,
+        id: BucketId,
+        slot: u32,
+        data: Option<BlockData>,
+        retries: &mut Vec<SlotTouch>,
+    ) -> (Option<BlockData>, bool) {
+        let (rate, max_retries) = match self.resilience.as_ref() {
+            Some(r) if r.cfg.bit_flip_rate > 0.0 => (r.cfg.bit_flip_rate, r.cfg.max_retries),
+            _ => return (self.unseal(stats, data), false),
+        };
+        let access = stats.read_paths;
+        let corrupted = self
+            .resilience
+            .as_mut()
+            .is_some_and(|r| r.rng.gen_bool(rate));
+        if !corrupted {
+            return (self.unseal(stats, data), false);
+        }
+
+        self.record(access, id, slot, FaultEventKind::Injected);
+        stats.faults_injected += 1;
+
+        if self.cipher.is_none() {
+            // No integrity tag: garble the payload copy (the simulator
+            // stores payloads lazily; metadata-only fetches have nothing to
+            // garble) and proceed as if nothing happened.
+            let garbled = match (data, self.resilience.as_mut()) {
+                (Some(mut d), Some(r)) if !d.is_empty() => {
+                    let bit = r.rng.gen_range(0..(d.len() as u64 * 8)) as usize;
+                    d[bit / 8] ^= 1 << (bit % 8);
+                    Some(d)
+                }
+                (d, _) => d,
+            };
+            return (garbled, false);
+        }
+
+        // Detection: when a payload exists, physically corrupt a copy of
+        // the sealed bytes and let the tag verification fail; metadata-only
+        // fetches model the same check directly (a real controller MACs the
+        // whole slot transfer, payload and all — the simulator just does
+        // not materialize untouched payload bytes).
+        if let (Some(c), Some(d), Some(r)) = (&self.cipher, &data, self.resilience.as_mut()) {
+            let mut copy = d.to_vec();
+            let bit = r.rng.gen_range(0..(copy.len() as u64 * 8)) as usize;
+            copy[bit / 8] ^= 1 << (bit % 8);
+            debug_assert!(
+                c.open(&copy).is_err(),
+                "a corrupted transfer must fail its integrity tag"
+            );
+        }
+        self.record(access, id, slot, FaultEventKind::Detected);
+        stats.faults_detected += 1;
+
+        // Bounded recovery: re-read the same (already public) slot up to
+        // `max_retries` times; each re-transfer is independently subject to
+        // corruption.
+        let mut recovered = false;
+        for _ in 0..max_retries {
+            self.record(access, id, slot, FaultEventKind::Retried);
+            stats.fault_retries += 1;
+            retries.push(SlotTouch::read(id, slot));
+            let again = self
+                .resilience
+                .as_mut()
+                .is_some_and(|r| r.rng.gen_bool(rate));
+            if again {
+                self.record(access, id, slot, FaultEventKind::Injected);
+                stats.faults_injected += 1;
+                self.record(access, id, slot, FaultEventKind::Detected);
+                stats.faults_detected += 1;
+                continue;
+            }
+            recovered = true;
+            break;
+        }
+        if recovered {
+            self.record(access, id, slot, FaultEventKind::Recovered);
+            stats.faults_recovered += 1;
+            (self.unseal(stats, data), true)
+        } else {
+            self.record(access, id, slot, FaultEventKind::Unrecovered);
+            stats.faults_unrecovered += 1;
+            (None, false)
+        }
+    }
+}
+
+/// A lazily materialized bucket tree with its position map, stash, protocol
+/// RNG, statistics, plan pool and data path.
+pub(crate) struct PlainTree {
+    /// The design point the engine over this frame realizes.
+    pub(crate) kind: ProtocolKind,
+    pub(crate) cfg: RingConfig,
+    pub(crate) geometry: TreeGeometry,
+    /// Bucket rows in the tree's slab chunks, so a materialized tree stops
+    /// allocating; payloads in lanes beside them.
+    pub(crate) buckets: BucketTree,
+    pub(crate) position_map: PositionMap,
+    pub(crate) stash: Stash,
+    pub(crate) rng: StdRng,
     pub(crate) stats: ProtocolStats,
     pub(crate) pool: PlanPool,
+    pub(crate) data: DataPath,
     /// `refill_path`: `(block, deepest eligible level, taken)` snapshot of
     /// the stash, ascending by block id.
     candidates: Vec<(BlockId, u32, bool)>,
+    /// `refill_path`: the entries one bucket receives, sealed as a batch.
+    batch: Vec<BlockEntry>,
 }
 
 impl std::fmt::Debug for PlainTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlainTree")
+            .field("kind", &self.kind)
             .field("cfg", &self.cfg)
             .field("buckets_materialized", &self.buckets.materialized())
             .field("stash_len", &self.stash.len())
@@ -78,19 +371,20 @@ impl std::fmt::Debug for PlainTree {
 }
 
 impl PlainTree {
-    /// An empty tree.
+    /// An empty tree for a `kind` engine.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`RingConfig::validate`] or if
-    /// `cfg.bucket_slots() != cfg.z`: plain-tree buckets are exactly `Z`
-    /// slots ([`RingConfig::z_slot`]).
-    pub(crate) fn new(cfg: RingConfig, seed: u64) -> Self {
+    /// Panics if `cfg` fails [`RingConfig::validate`], or if `kind` is Path
+    /// or Circuit and `cfg.bucket_slots() != cfg.z`: their buckets are
+    /// exactly `Z` slots ([`RingConfig::z_slot`]).
+    pub(crate) fn new(kind: ProtocolKind, cfg: RingConfig, seed: u64) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid RingConfig: {e}");
         }
         assert!(
-            cfg.bucket_slots() == cfg.z,
+            matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring)
+                || cfg.bucket_slots() == cfg.z,
             "Path and Circuit ORAM buckets are exactly Z slots; pass RingConfig::z_slot(), \
              got Z = {}, S = {}, Y = {}",
             cfg.z,
@@ -99,6 +393,7 @@ impl PlainTree {
         );
         let geometry = TreeGeometry::new(cfg.levels);
         Self {
+            kind,
             buckets: BucketTree::new(&cfg),
             position_map: PositionMap::new(geometry.leaf_count()),
             cfg,
@@ -107,77 +402,163 @@ impl PlainTree {
             rng: StdRng::seed_from_u64(seed),
             stats: ProtocolStats::default(),
             pool: PlanPool::default(),
+            data: DataPath::default(),
             candidates: Vec::new(),
+            batch: Vec::new(),
         }
     }
 
-    /// The path `block` is mapped to, drawn on its first touch.
+    /// Turns on deterministic fault injection (see
+    /// [`ObliviousProtocol::enable_resilience`](crate::ObliviousProtocol::enable_resilience)).
     ///
     /// # Panics
     ///
-    /// Panics if `block` lies in the position map's dense cold-block range
+    /// Panics if `cfg` fails [`ResilienceConfig::validate`] against the
+    /// configured stash capacity.
+    pub(crate) fn enable_resilience(&mut self, cfg: ResilienceConfig) {
+        if let Err(e) = cfg.validate(self.cfg.stash_capacity) {
+            panic!("invalid ResilienceConfig: {e}");
+        }
+        self.data.resilience = Some(ResilienceState {
+            rng: StdRng::seed_from_u64(cfg.fault_seed),
+            cfg,
+            events: Vec::new(),
+        });
+    }
+
+    /// The path an access reads and whether its target was mapped before:
+    /// the target's path, drawn on its first touch, or for a cover
+    /// (`None`) a uniformly drawn one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` lies in the position map's dense cold-block range
     /// (`>= COLD_BASE`), before anything is drawn or changed.
-    pub(crate) fn locate(&mut self, block: BlockId) -> PathId {
+    pub(crate) fn locate(&mut self, target: Option<BlockId>) -> (PathId, bool) {
+        let Some(block) = target else {
+            return (
+                PathId(self.rng.gen_range(0..self.geometry.leaf_count())),
+                true,
+            );
+        };
         assert!(
             block.0 < COLD_BASE,
             "program block ids must be below COLD_BASE"
         );
-        self.position_map.lookup_or_assign(block, &mut self.rng)
+        match self.position_map.lookup(block) {
+            Some(path) => (path, true),
+            None => (self.position_map.remap(block, &mut self.rng), false),
+        }
+    }
+
+    /// An empty read of `kind`, its vectors from the pool.
+    pub(crate) fn reads(&mut self, kind: OpKind, capacity: usize) -> Reads {
+        Reads {
+            kind,
+            touches: self.pool.touches(capacity),
+            target: None,
+            retries: self.pool.touches(0),
+            retry_target: None,
+        }
+    }
+
+    /// Appends the read's plan and, when the transit-fault step re-read a
+    /// slot, the [`OpKind::RetryRead`] plan after it.
+    pub(crate) fn emit(&mut self, plans: &mut Vec<AccessPlan>, reads: Reads) {
+        plans.push(AccessPlan::new(reads.kind, reads.touches, reads.target));
+        if reads.retries.is_empty() {
+            self.pool.put_touches(reads.retries);
+        } else {
+            plans.push(AccessPlan::new(
+                OpKind::RetryRead,
+                reads.retries,
+                reads.retry_target,
+            ));
+        }
     }
 
     /// Reads `path` root to leaf: appends `Z` read touches per off-chip
-    /// bucket and moves what `take` names into the stash (with
-    /// [`Take::TargetOnly`] the target is only removed; `remap_target`
-    /// stashes it). Returns the index in `touches` of the read that carries
-    /// `target`, when it came from an off-chip bucket, and where it was.
+    /// bucket and moves what `take` names into the stash with its payload.
+    /// Records in `reads` the touch that carries `target`, when it came
+    /// from an off-chip bucket, and returns where the target was.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     pub(crate) fn read_path(
         &mut self,
         path: PathId,
         target: Option<BlockId>,
         take: Take,
-        touches: &mut Vec<SlotTouch>,
-    ) -> (Option<usize>, TargetSource) {
+        reads: &mut Reads,
+    ) -> TargetSource {
         let z = self.cfg.z;
-        let mut target_index = None;
         let mut source = match target {
-            Some(b) if self.stash.contains(b) => TargetSource::Stash,
-            _ => TargetSource::New,
+            Some(b) if !self.stash.contains(b) => TargetSource::New,
+            _ => TargetSource::Stash,
         };
         for lvl in 0..self.cfg.levels {
-            let id = self.geometry.bucket_at(path, Level(lvl));
+            let level = Level(lvl);
+            let id = self.geometry.bucket_at(path, level);
             let mut bucket = self.buckets.bucket_or_fill(id, |_| {});
             let off_chip = lvl >= self.cfg.tree_top_cached_levels;
             let found = target.and_then(|b| bucket.peek().find(b));
             if let Some(pos) = found {
-                if off_chip {
-                    target_index = Some(touches.len() + pos);
-                    source = TargetSource::Tree(Level(lvl));
+                source = if off_chip {
+                    reads.target = Some(reads.touches.len() + pos);
+                    TargetSource::Tree(level)
                 } else {
-                    source = TargetSource::TreeTop(Level(lvl));
-                }
+                    TargetSource::TreeTop(level)
+                };
             }
-            match take {
-                Take::All => bucket.drain(|b| {
-                    let p = self.position_map.lookup(b).expect("tree blocks are mapped");
-                    self.stash.insert(b, p);
-                }),
-                Take::TargetOnly => {
-                    if let Some(pos) = found {
-                        bucket.swap_remove(pos);
+            let (data, stats, stash, map) = (
+                &mut self.data,
+                &mut self.stats,
+                &mut self.stash,
+                &self.position_map,
+            );
+            let (retries, retry_target) = (&mut reads.retries, &mut reads.retry_target);
+            let mut arrive = |slot: usize, b: BlockId, payload: Option<BlockData>| {
+                let payload = if off_chip && !matches!(take, Take::Eviction) {
+                    let (payload, recovered) = data.fetch(stats, id, slot as u32, payload, retries);
+                    if recovered && found == Some(slot) {
+                        // The program's data arrives with the last retry.
+                        *retry_target = Some(retries.len() - 1);
                     }
+                    payload
+                } else {
+                    data.unseal(stats, payload)
+                };
+                let p = map.lookup(b).expect("tree blocks are mapped");
+                stash.insert_with_data(b, p, payload);
+            };
+            match (take, found) {
+                (Take::TargetOnly, Some(pos)) => {
+                    let (b, payload) = bucket.swap_remove(pos);
+                    arrive(pos, b, payload);
                 }
+                (Take::TargetOnly, None) => {}
+                (Take::All | Take::Eviction, _) => bucket.drain(arrive),
             }
             if off_chip {
-                touches.extend((0..z).map(|slot| SlotTouch::read(id, slot)));
+                reads
+                    .touches
+                    .extend((0..z).map(|slot| SlotTouch::read(id, slot)));
             }
         }
-        (target_index, source)
+        source
     }
 
-    /// Remaps the target of the access in progress and (re-)enters it in
-    /// the stash under its new path; counts the access by `source`.
-    pub(crate) fn remap_target(&mut self, block: BlockId, source: TargetSource) {
+    /// Closes the read of one access: a program target is remapped,
+    /// (re-)entered in the stash under its new path and counted by
+    /// `source`, and the program's `Op` applied to its payload (a `Read`
+    /// returns a copy); a cover (`None`) counts one dummy read path.
+    pub(crate) fn remap_target(
+        &mut self,
+        target: Option<(BlockId, Op<'_>)>,
+        source: TargetSource,
+    ) -> Option<Vec<u8>> {
+        let Some((block, op)) = target else {
+            self.stats.dummy_read_paths += 1;
+            return None;
+        };
         let new_path = self.position_map.remap(block, &mut self.rng);
         self.stash.insert(block, new_path);
         self.stats.read_paths += 1;
@@ -187,14 +568,23 @@ impl PlainTree {
             TargetSource::Stash => self.stats.targets_from_stash += 1,
             TargetSource::New => self.stats.new_blocks += 1,
         }
+        match op {
+            Op::Access => None,
+            Op::Read => self.stash.data_of(block).map(<[u8]>::to_vec),
+            Op::Write(data) => {
+                self.stash.set_data(block, data.into());
+                None
+            }
+        }
     }
 
     /// Writes `path` back leaf to root: each bucket takes, in ascending
     /// block id, the stashed blocks that may live that deep until it holds
-    /// `Z`, and every off-chip bucket is rewritten in full (`Z` write
-    /// touches) whatever it received. One candidate snapshot serves all
-    /// levels — the phase only removes stash entries, so it selects exactly
-    /// what `Stash::drain_for_bucket` would on a per-level rescan.
+    /// `Z`, sealed as one batch, and every off-chip bucket is rewritten in
+    /// full (`Z` write touches) whatever it received. One candidate
+    /// snapshot serves all levels — the phase only removes stash entries,
+    /// so it selects exactly what `Stash::drain_for_bucket` would on a
+    /// per-level rescan.
     pub(crate) fn refill_path(&mut self, path: PathId, touches: &mut Vec<SlotTouch>) {
         let z = self.cfg.z;
         let candidates = &mut self.candidates;
@@ -207,15 +597,20 @@ impl PlainTree {
         for lvl in (0..self.cfg.levels).rev() {
             let id = self.geometry.bucket_at(path, Level(lvl));
             let mut bucket = self.buckets.bucket_or_fill(id, |_| {});
-            for c in candidates.iter_mut() {
-                if bucket.peek().real_count() == z as usize {
+            let mut room = z as usize - bucket.peek().real_count();
+            for c in self.candidates.iter_mut() {
+                if room == 0 {
                     break;
                 }
                 if !c.2 && c.1 >= lvl {
                     c.2 = true;
-                    self.stash.remove(c.0);
-                    bucket.append(c.0);
+                    room -= 1;
+                    self.batch.push((c.0, self.stash.take(c.0).flatten()));
                 }
+            }
+            self.data.seal_batch(&mut self.stats, &mut self.batch);
+            for (b, d) in self.batch.drain(..) {
+                bucket.append(b, d);
             }
             if lvl >= self.cfg.tree_top_cached_levels {
                 touches.extend((0..z).map(|slot| SlotTouch::write(id, slot)));
@@ -229,51 +624,22 @@ impl PlainTree {
         AccessOutcome { plans, source }
     }
 
-    /// Returns an outcome's buffers to the pool.
-    pub(crate) fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        self.pool.recycle(outcome.plans);
-    }
-
-    /// Pre-sizes per-access bookkeeping for `n` further accesses.
-    pub(crate) fn reserve_accesses(&mut self, n: usize) {
-        self.stats.stash_samples.reserve(n);
-    }
-
-    /// Current stash occupancy.
-    pub(crate) fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Peak stash occupancy.
-    pub(crate) fn stash_peak(&self) -> usize {
-        self.stash.peak()
-    }
-
-    /// Buckets touched at least once (every level of every path walked).
-    pub(crate) fn materialized_buckets(&self) -> usize {
-        self.buckets.materialized()
-    }
-
-    /// Snapshot of `(block, path)` position-map entries.
-    pub(crate) fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        self.position_map.entries()
-    }
-
     /// Verifies the frame's invariants (tests, the benchmark's check pass).
     ///
     /// # Panics
     ///
     /// Panics unless every mapped block is held exactly once — in the stash
-    /// or in a bucket on its path —, no bucket holds more than `Z` blocks,
-    /// and buckets and stash together hold exactly the mapped blocks.
+    /// or in a bucket on its path —, no bucket holds more than `Z` blocks or
+    /// has served more than `S` touches since its last shuffle, and buckets
+    /// and stash together hold exactly the mapped blocks.
     pub(crate) fn check_invariants(&self) {
         let max_level = self.geometry.max_level();
         for (block, path) in self.position_map.iter() {
-            let on_path: usize = self
+            let on_path = self
                 .buckets
                 .on_path(path, max_level)
-                .map(|bucket| bucket.real_blocks().iter().filter(|&&b| b == block).count())
-                .sum();
+                .filter(|bucket| bucket.find(block).is_some())
+                .count();
             let copies = on_path + usize::from(self.stash.contains(block));
             assert!(
                 copies == 1,
@@ -287,6 +653,11 @@ impl PlainTree {
                 "a bucket is over capacity (Z = {}): {bucket:?}",
                 self.cfg.z
             );
+            assert!(
+                bucket.accesses() <= self.cfg.s,
+                "a bucket is over its access budget (S = {}): {bucket:?}",
+                self.cfg.s
+            );
             held += bucket.real_count();
         }
         assert_eq!(
@@ -298,52 +669,9 @@ impl PlainTree {
     }
 }
 
-/// Implements [`ObliviousProtocol`](crate::oblivious::ObliviousProtocol) for
-/// an engine that is a schedule over a `tree: PlainTree` field: `access` is
-/// the engine's own, everything else has its one body on the frame.
-macro_rules! plain_tree_protocol {
-    ($engine:ty, $kind:expr) => {
-        impl crate::oblivious::ObliviousProtocol for $engine {
-            fn kind(&self) -> crate::oblivious::ProtocolKind {
-                $kind
-            }
-            fn access(&mut self, block: BlockId) -> AccessOutcome {
-                <$engine>::access(self, block)
-            }
-            fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-                self.tree.recycle_outcome(outcome);
-            }
-            fn reserve_accesses(&mut self, n: usize) {
-                self.tree.reserve_accesses(n);
-            }
-            fn stats(&self) -> &crate::protocol::ProtocolStats {
-                &self.tree.stats
-            }
-            fn stash_len(&self) -> usize {
-                self.tree.stash_len()
-            }
-            fn stash_peak(&self) -> usize {
-                self.tree.stash_peak()
-            }
-            fn materialized_buckets(&self) -> usize {
-                self.tree.materialized_buckets()
-            }
-            fn check_invariants(&self) {
-                self.tree.check_invariants();
-            }
-            fn position_entries(&self) -> Vec<(BlockId, crate::types::PathId)> {
-                self.tree.position_entries()
-            }
-        }
-    };
-}
-pub(crate) use plain_tree_protocol;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::BucketId;
-    use oram_rng::Rng;
 
     fn cfg(levels: u32, z: u32) -> RingConfig {
         RingConfig {
@@ -354,16 +682,20 @@ mod tests {
         .z_slot()
     }
 
+    fn plain(cfg: RingConfig, seed: u64) -> PlainTree {
+        PlainTree::new(ProtocolKind::Path, cfg, seed)
+    }
+
     /// A frame after 400 Path-schedule accesses over 60 blocks.
     fn busy_tree() -> PlainTree {
-        let mut tree = PlainTree::new(cfg(6, 4), 5);
-        let mut touches = Vec::new();
+        let mut tree = plain(cfg(6, 4), 5);
         for i in 0..400 {
             let block = BlockId(i * 7 % 60);
-            let path = tree.locate(block);
-            let (_, source) = tree.read_path(path, Some(block), Take::All, &mut touches);
-            tree.remap_target(block, source);
-            tree.refill_path(path, &mut touches);
+            let (path, _) = tree.locate(Some(block));
+            let mut reads = tree.reads(OpKind::ReadPath, 0);
+            let source = tree.read_path(path, Some(block), Take::All, &mut reads);
+            tree.remap_target(Some((block, Op::Access)), source);
+            tree.refill_path(path, &mut reads.touches);
         }
         tree.check_invariants();
         tree
@@ -372,7 +704,8 @@ mod tests {
     /// Some block the tree (not the stash) holds, with its bucket.
     fn a_tree_block(tree: &mut PlainTree) -> (BlockId, BucketId) {
         let (block, path) = tree
-            .position_entries()
+            .position_map
+            .entries()
             .into_iter()
             .find(|&(b, _)| !tree.stash.contains(b))
             .expect("400 accesses leave blocks in the tree");
@@ -393,7 +726,7 @@ mod tests {
         for case in 0..200 {
             let levels = rng.gen_range(4..11u32);
             let z = [1, 2, 4][rng.gen_range(0..3usize)];
-            let mut tree = PlainTree::new(cfg(levels, z), case);
+            let mut tree = plain(cfg(levels, z), case);
             let leaves = tree.geometry.leaf_count();
             for b in 0..rng.gen_range(0..3 * u64::from(z * levels) + 1) {
                 let path = PathId(rng.gen_range(0..leaves));
@@ -462,7 +795,7 @@ mod tests {
         for b in 1000..1005 {
             tree.position_map.insert(BlockId(b), PathId(b % 32));
             let mut root = tree.buckets.get_mut(BucketId(0)).expect("materialized");
-            root.append(BlockId(b));
+            root.append(BlockId(b), None);
         }
         tree.check_invariants();
     }

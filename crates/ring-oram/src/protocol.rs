@@ -1,11 +1,12 @@
 //! The Ring ORAM protocol engine with String ORAM's Compact Bucket.
 //!
-//! [`RingOram`] maintains the full controller state — tree buckets (rows of
-//! one chunked slab, linked root to leaf and grown lazily), position map,
-//! stash, counters — and turns each logical program access into a sequence
-//! of [`AccessPlan`]s. Each plan corresponds to one atomic ORAM transaction
-//! on the memory system; the timing layers (`mem-sched`, `string-oram`)
-//! decide how long those transactions take.
+//! [`RingOram`] is a schedule over the engine frame every protocol shares
+//! (`crate::plain_tree`: tree buckets as rows of one chunked slab, position
+//! map, stash, protocol RNG, counters and the payload data path) and turns
+//! each logical program access into a sequence of [`AccessPlan`]s. Each
+//! plan corresponds to one atomic ORAM transaction on the memory system;
+//! the timing layers (`mem-sched`, `string-oram`) decide how long those
+//! transactions take.
 //!
 //! # Pre-loaded tree
 //!
@@ -30,13 +31,13 @@
 
 use oram_rng::{Rng, StdRng};
 
-use crate::bucket::{BlockData, BlockEntry, Bucket, BucketTree};
+use crate::bucket::{BlockEntry, Bucket, BucketTree};
 use crate::config::RingConfig;
-use crate::crypto::BlockCipher;
-use crate::faults::{FaultEvent, FaultEventKind, OramError, ResilienceConfig};
-use crate::plan::{AccessPlan, OpKind, PlanPool, SlotTouch};
+use crate::faults::OramError;
+use crate::oblivious::ProtocolKind;
+use crate::plain_tree::{read_kind, Op, PlainTree};
+use crate::plan::{AccessPlan, OpKind, SlotTouch};
 use crate::position_map::{self, PositionMap};
-use crate::stash::Stash;
 use crate::tree::TreeGeometry;
 use crate::types::{BlockId, BucketId, FetchKind, Level, PathId};
 
@@ -214,31 +215,17 @@ impl ProtocolStats {
     }
 }
 
-/// Live resilience state: the dedicated fault RNG, the degraded-mode flag
-/// and the append-only event log. The fault RNG is never shared with the
-/// protocol RNG, so enabling faults cannot perturb the access sequence.
-struct ResilienceState {
-    cfg: ResilienceConfig,
-    rng: StdRng,
-    degraded: bool,
-    events: Vec<FaultEvent>,
-}
-
-/// Reusable buffers for the steady-state access path.
+/// Reusable buffers for Ring's steady-state access path.
 ///
 /// Ownership rule: every vector here belongs to exactly one helper
-/// (`read_path`, `reshuffle_bucket`, `evict`, or the seal/unseal pair),
-/// which takes it empty at entry and returns it empty at exit, so helpers
-/// never alias a buffer across their (strictly sequential) call graph. The
-/// pooled lists ([`PlanPool`], payload boxes) flow out through
-/// [`AccessOutcome`]s and come back via [`RingOram::recycle_outcome`];
-/// callers that drop outcomes instead just let the pools refill lazily. Net
-/// effect: a warm controller performs no heap allocation per access — the
-/// allocation-regression test in the `string-oram` crate pins this.
+/// (`read_path`, `reshuffle_bucket` or `evict`), which takes it empty at
+/// entry and returns it empty at exit, so helpers never alias a buffer
+/// across their (strictly sequential) call graph. Plan, touch and payload
+/// buffers live in the frame's pools. Net effect: a warm controller
+/// performs no heap allocation per access — the allocation-regression test
+/// in the `string-oram` crate pins this.
 #[derive(Default)]
 struct Scratch {
-    /// Plan and touch vectors backing [`AccessOutcome`]s.
-    pool: PlanPool,
     /// `read_path`: forced reshuffles emitted ahead of the path.
     reshuffles: Vec<AccessPlan>,
     /// `read_path`: buckets whose dummy budget this path exhausted.
@@ -255,41 +242,13 @@ struct Scratch {
     by_depth: Vec<Vec<BlockId>>,
     /// `evict`: the candidates eligible at the level being written.
     eligible: Vec<BlockId>,
-    /// Pool of plaintext payload boxes (`block_bytes` each).
-    plain_boxes: Vec<BlockData>,
-    /// Pool of sealed payload boxes (`block_bytes` + nonce + tag each).
-    sealed_boxes: Vec<BlockData>,
-    /// `seal_entries_batch`: sealed buffers staged for one batch sweep.
-    batch_sealed: Vec<BlockData>,
 }
 
-impl Scratch {
-    /// Pops a pooled payload box of exactly `len` bytes, or allocates one.
-    fn payload_box(pool: &mut Vec<BlockData>, len: usize) -> BlockData {
-        match pool.pop() {
-            Some(b) if b.len() == len => b,
-            _ => vec![0u8; len].into_boxed_slice(),
-        }
-    }
-}
-
-/// How one real-block fetch resolved under the fault layer.
-enum FetchResolution {
-    /// No corruption (or faults disabled): the transfer arrived intact.
-    Clean,
-    /// Corrupted, detected, and recovered by a bounded re-read.
-    Recovered,
-    /// Corrupted and the retry budget exhausted: payload lost.
-    Unrecovered,
-}
-
-/// The Ring ORAM / String ORAM controller state machine.
+/// The Ring ORAM / String ORAM controller: a schedule over the shared
+/// frame (`crate::plain_tree`), which holds the tree, position map, stash,
+/// protocol RNG, statistics and data path. What is Ring's own is here.
 pub struct RingOram {
-    cfg: RingConfig,
-    geometry: TreeGeometry,
-    buckets: BucketTree,
-    position_map: PositionMap,
-    stash: Stash,
+    pub(crate) tree: PlainTree,
     /// Read paths since the last eviction (eviction fires at `A`).
     reads_since_eviction: u32,
     /// Eviction counter `G` driving the reverse lexicographic order.
@@ -298,14 +257,9 @@ pub struct RingOram {
     /// blocks.
     load_factor: f64,
     next_cold: u64,
-    rng: StdRng,
-    stats: ProtocolStats,
-    /// E/D logic: when present, payloads are stored encrypted in the tree
-    /// and re-encrypted with a fresh nonce on every write-back.
-    cipher: Option<BlockCipher>,
-    nonce_counter: u64,
-    /// Fault injection and graceful degradation, when enabled.
-    resilience: Option<ResilienceState>,
+    /// Degraded mode: CB green substitution suspended until stash pressure
+    /// drains (only ever set with the fault layer enabled).
+    degraded: bool,
     /// Reusable buffers for the steady-state access path (see [`Scratch`]).
     scratch: Scratch,
 }
@@ -313,9 +267,7 @@ pub struct RingOram {
 impl std::fmt::Debug for RingOram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RingOram")
-            .field("cfg", &self.cfg)
-            .field("buckets_materialized", &self.buckets.materialized())
-            .field("stash_len", &self.stash.len())
+            .field("tree", &self.tree)
             .field("reads_since_eviction", &self.reads_since_eviction)
             .field("eviction_count", &self.eviction_count)
             .finish_non_exhaustive()
@@ -323,14 +275,14 @@ impl std::fmt::Debug for RingOram {
 }
 
 /// Looks up `id` in `buckets`, cold-filling it on first touch. A free
-/// function over disjoint [`RingOram`] fields so the hot read path can keep
-/// borrows of the other fields (the RNG in particular) usable across the
-/// returned bucket reference.
+/// function over disjoint fields so the hot read path can keep borrows of
+/// the other fields (the RNG in particular) usable across the returned
+/// bucket reference.
 ///
 /// The protocol RNG is drawn in a fixed order every golden digest depends
 /// on: `Z` × `gen_bool(load)`, each hit followed by its `gen_range` path
 /// tail (below the leaf level), then the bucket's shuffle.
-#[allow(clippy::too_many_arguments)] // a borrow-split of RingOram's fields
+#[allow(clippy::too_many_arguments)] // a borrow-split of the engine's fields
 fn materialize_entry<'a>(
     buckets: &'a mut BucketTree,
     geometry: &TreeGeometry,
@@ -392,22 +344,22 @@ impl RingOram {
     /// fit the tree with slack — roughly
     /// `working_set + load_factor * real_capacity <= 0.9 * real_capacity` —
     /// otherwise surplus blocks have nowhere to evict, the stash saturates,
-    /// and background eviction aborts (see [`Self::access`]).
+    /// and background eviction aborts (see [`Self::try_access`]).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid or `load_factor` is outside `[0, 1]`.
     #[must_use]
     pub fn with_load_factor(cfg: RingConfig, seed: u64, load_factor: f64) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid RingConfig: {e}");
-        }
         assert!(
             (0.0..=1.0).contains(&load_factor),
             "load_factor must be in [0, 1]"
         );
-        let geometry = TreeGeometry::new(cfg.levels);
-        let position_map = PositionMap::new(geometry.leaf_count());
+        let kind = if cfg.y > 0 {
+            ProtocolKind::RingCb
+        } else {
+            ProtocolKind::Ring
+        };
         // The write-back's eligible pool is at most the stash: sized for the
         // provisioned capacity plus the path an eviction reads into it.
         let scratch = Scratch {
@@ -415,250 +367,46 @@ impl RingOram {
             ..Scratch::default()
         };
         Self {
-            buckets: BucketTree::new(&cfg),
-            cfg,
-            geometry,
-            position_map,
-            stash: Stash::new(),
+            tree: PlainTree::new(kind, cfg, seed),
             reads_since_eviction: 0,
             eviction_count: 0,
             load_factor,
             next_cold: Self::COLD_BASE,
-            rng: StdRng::seed_from_u64(seed),
-            stats: ProtocolStats::default(),
-            cipher: None,
-            nonce_counter: 0,
-            resilience: None,
+            degraded: false,
             scratch,
         }
-    }
-
-    /// Enables encryption-at-rest emulation with the fast (insecure)
-    /// splitmix keystream: every payload written to the tree is sealed
-    /// under `key` with a fresh nonce, and unsealed when it re-enters the
-    /// trusted boundary. See [`crate::crypto`] for the cipher options.
-    pub fn enable_encryption(&mut self, key: u64) {
-        self.cipher = Some(BlockCipher::new(key));
-    }
-
-    /// Enables encryption-at-rest with AES-128-CTR (FIPS-197-verified
-    /// implementation). The sealed format carries the same keyed integrity
-    /// tag as the splitmix cipher — corruption of a sealed blob is detected
-    /// on unseal — but the implementation is not constant-time, so it is
-    /// simulation-grade only.
-    pub fn enable_aes_encryption(&mut self, key: [u8; 16]) {
-        self.cipher = Some(BlockCipher::aes(key));
-    }
-
-    /// Whether encryption-at-rest emulation is enabled.
-    #[must_use]
-    pub fn encryption_enabled(&self) -> bool {
-        self.cipher.is_some()
-    }
-
-    /// Enables deterministic fault injection and graceful degradation.
-    ///
-    /// The fault schedule is drawn from a dedicated RNG seeded with
-    /// `cfg.fault_seed`; it never touches the protocol RNG, so the access
-    /// sequence of a faulty run is identical to the fault-free run with the
-    /// same protocol seed. Detection of injected corruptions requires
-    /// encryption to be enabled (the integrity tag lives in the sealed
-    /// format); without a cipher, injected faults are logged but flow on
-    /// undetected — which the `sim-verify` fault auditor flags.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`ResilienceConfig::validate`] against the
-    /// configured stash capacity.
-    pub fn enable_resilience(&mut self, cfg: ResilienceConfig) {
-        if let Err(e) = cfg.validate(self.cfg.stash_capacity) {
-            panic!("invalid ResilienceConfig: {e}");
-        }
-        self.resilience = Some(ResilienceState {
-            rng: StdRng::seed_from_u64(cfg.fault_seed),
-            cfg,
-            degraded: false,
-            events: Vec::new(),
-        });
-    }
-
-    /// Whether fault injection / graceful degradation is enabled.
-    #[must_use]
-    pub fn resilience_enabled(&self) -> bool {
-        self.resilience.is_some()
     }
 
     /// Whether the controller is currently in degraded mode (CB green-slot
     /// substitution disabled until stash pressure drains).
     #[must_use]
     pub fn degraded(&self) -> bool {
-        self.resilience.as_ref().is_some_and(|r| r.degraded)
-    }
-
-    /// Drains and returns the accumulated fault-event log (empty when
-    /// resilience is disabled or no faults fired since the last drain).
-    pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
-        self.resilience
-            .as_mut()
-            .map(|r| std::mem::take(&mut r.events))
-            .unwrap_or_default()
-    }
-
-    /// Appends a fault event to the log (no-op when resilience is off).
-    fn record_fault(&mut self, access: u64, bucket: BucketId, slot: u32, kind: FaultEventKind) {
-        if let Some(r) = self.resilience.as_mut() {
-            r.events.push(FaultEvent {
-                access,
-                bucket,
-                slot,
-                kind,
-            });
-        }
-    }
-
-    /// Re-seals every payload-bearing entry in place, as one contiguous
-    /// batch under consecutive nonces. Byte-identical to sealing each
-    /// entry individually (same nonce sequence, same wire format), but the
-    /// cipher sweeps the whole transaction's slots in one
-    /// [`BlockCipher::seal_batch`] pass — round keys and the shared S-box
-    /// are set up once, not per slot — with buffers drawn from the pools.
-    fn seal_entries_batch(&mut self, entries: &mut [BlockEntry]) {
-        if self.cipher.is_none() {
-            return;
-        }
-        let mut outs = std::mem::take(&mut self.scratch.batch_sealed);
-        for (_, d) in entries.iter() {
-            if let Some(plain) = d.as_deref() {
-                outs.push(Scratch::payload_box(
-                    &mut self.scratch.sealed_boxes,
-                    BlockCipher::sealed_len(plain.len()),
-                ));
-            }
-        }
-        if let Some(c) = &self.cipher {
-            c.seal_batch(
-                self.nonce_counter + 1,
-                entries
-                    .iter()
-                    .filter_map(|(_, d)| d.as_deref())
-                    .zip(outs.iter_mut().map(|o| &mut **o)),
-            );
-        }
-        self.nonce_counter += outs.len() as u64;
-        self.stats.encryptions += outs.len() as u64;
-        // Stitch the sealed blobs back into slot order; recycle the plains.
-        let mut sealed = outs.drain(..);
-        for (_, d) in entries.iter_mut() {
-            if let Some(plain) = d.take() {
-                *d = sealed.next();
-                self.scratch.plain_boxes.push(plain);
-            }
-        }
-        drop(sealed);
-        self.scratch.batch_sealed = outs;
-    }
-
-    /// Unseals a payload fetched from the tree into the trusted boundary.
-    /// The plaintext buffer comes from the pool and the consumed sealed box
-    /// is recycled — the mirror of [`Self::seal_entries_batch`].
-    #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    fn unseal(&mut self, data: Option<BlockData>) -> Option<BlockData> {
-        match (&self.cipher, data) {
-            (Some(c), Some(d)) => {
-                self.stats.decryptions += 1;
-                let plain_len = d
-                    .len()
-                    .saturating_sub(BlockCipher::NONCE_BYTES + BlockCipher::TAG_BYTES);
-                let mut out = Scratch::payload_box(&mut self.scratch.plain_boxes, plain_len);
-                c.open_into(&d, &mut out)
-                    .expect("tree payloads are always sealed");
-                self.scratch.sealed_boxes.push(d);
-                Some(out)
-            }
-            (_, d) => d,
-        }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &RingConfig {
-        &self.cfg
-    }
-
-    /// The tree geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &TreeGeometry {
-        &self.geometry
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &ProtocolStats {
-        &self.stats
-    }
-
-    /// Current stash occupancy.
-    #[must_use]
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Peak stash occupancy observed.
-    #[must_use]
-    pub fn stash_peak(&self) -> usize {
-        self.stash.peak()
-    }
-
-    /// Number of buckets materialized so far.
-    #[must_use]
-    pub fn materialized_buckets(&self) -> usize {
-        self.buckets.materialized()
+        self.degraded
     }
 
     fn is_cached_level(&self, level: Level) -> bool {
-        level.0 < self.cfg.tree_top_cached_levels
+        level.0 < self.tree.cfg.tree_top_cached_levels
     }
 
     /// Materializes (if needed) and returns the bucket, pre-filling it with
     /// cold blocks pinned to compatible paths.
     fn bucket_mut(&mut self, id: BucketId) -> Bucket<'_> {
         materialize_entry(
-            &mut self.buckets,
-            &self.geometry,
-            &self.cfg,
+            &mut self.tree.buckets,
+            &self.tree.geometry,
+            &self.tree.cfg,
             self.load_factor,
-            &mut self.position_map,
+            &mut self.tree.position_map,
             &mut self.next_cold,
             &mut self.scratch.cold,
-            &mut self.rng,
+            &mut self.tree.rng,
             id,
         )
     }
 
-    /// Performs one logical program access (ORAM treats loads and stores
-    /// identically: fetch, update in stash, remap).
-    ///
-    /// Returns every memory transaction the access generated, in execution
-    /// order: forced reshuffles, the read path, post-access early
-    /// reshuffles, the periodic eviction when due, and any background
-    /// eviction activity (dummy read paths plus extra evictions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` collides with the cold-block id space
-    /// (`>= COLD_BASE`) or if background eviction cannot stabilize the
-    /// stash (pathological configuration) — see [`Self::try_access`] for
-    /// the non-panicking form.
-    pub fn access(&mut self, block: BlockId) -> AccessOutcome {
-        match self.try_access(block) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Non-panicking form of [`Self::access`]: performs one logical program
-    /// access and surfaces unrecoverable protocol failures as structured
-    /// [`OramError`]s instead of aborting the process.
+    /// Performs one logical program access and surfaces unrecoverable
+    /// protocol failures as structured [`OramError`]s instead of aborting
+    /// the process (the trait's `access` panics on them).
     ///
     /// # Errors
     ///
@@ -672,131 +420,44 @@ impl RingOram {
     /// Panics if `block` collides with the cold-block id space
     /// (`>= COLD_BASE`) — a caller bug, not a runtime condition.
     pub fn try_access(&mut self, block: BlockId) -> Result<AccessOutcome, OramError> {
-        Ok(self.access_inner(block, None, false)?.0)
+        Ok(self.try_schedule(Some((block, Op::Access)))?.0)
     }
 
-    /// Plans one **cover access**: a dummy read path along a uniformly
-    /// random path, with the same post-read bookkeeping as a program access
-    /// (it advances the "`A` reads, one eviction" cadence, participates in
-    /// early-reshuffle budgets, and samples stash occupancy). On the bus it
-    /// is indistinguishable from the dummy read paths background eviction
-    /// already issues, so a serving layer can pad empty submission slots
-    /// with it — Cloak-style fixed-rate traffic shaping — without changing
-    /// the distribution of what an adversary observes.
-    ///
-    /// No position-map entry is touched and no block is remapped: the
-    /// access serves no program request (aside from CB green substitution,
-    /// which opportunistically rides along exactly as it does on background
-    /// dummy reads).
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::StashOverflow`] under the same conditions as
-    /// [`Self::try_access`].
-    pub fn cover_access(&mut self) -> Result<AccessOutcome, OramError> {
-        let mut plans = self.scratch.pool.plans();
-        let path = PathId(self.rng.gen_range(0..self.geometry.leaf_count()));
-        let source = self.read_path(&mut plans, path, None, true);
-        self.stats.dummy_read_paths += 1;
-        self.after_read_path(&mut plans)?;
-        self.stats.stash_samples.push(self.stash.len());
-        Ok(AccessOutcome { plans, source })
-    }
-
-    /// Returns an [`AccessOutcome`]'s buffers to the controller's internal
-    /// pools. Purely an optimization: callers that drop outcomes instead
-    /// just let the pools refill lazily. The pipeline planner recycles
-    /// every outcome it lowers, which is what keeps the steady-state access
-    /// path allocation-free.
-    pub fn recycle_outcome(&mut self, outcome: AccessOutcome) {
-        self.scratch.pool.recycle(outcome.plans);
-    }
-
-    /// Pre-sizes per-access bookkeeping (the stash-occupancy sample log)
-    /// for `n` further accesses, so steady-state sampling never regrows
-    /// its storage mid-run.
-    pub fn reserve_accesses(&mut self, n: usize) {
-        self.stats.stash_samples.reserve(n);
-    }
-
-    /// Reads a block's payload through the oblivious protocol: performs a
-    /// full [`Self::access`] and returns a copy of the block's current data
-    /// (`None` until the first [`Self::write_block`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::access`].
-    pub fn read_block(&mut self, block: BlockId) -> (AccessOutcome, Option<Vec<u8>>) {
-        match self.access_inner(block, None, true) {
+    /// One access of Ring's schedule (see the trait's `access`,
+    /// `cover_access`, `read` and `write`), panicking on a stash overflow.
+    pub(crate) fn schedule(
+        &mut self,
+        target: Option<(BlockId, Op<'_>)>,
+    ) -> (AccessOutcome, Option<Vec<u8>>) {
+        match self.try_schedule(target) {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Writes a block's payload through the oblivious protocol: performs a
-    /// full [`Self::access`] (fetching the old copy) and replaces the
-    /// payload; the data is (re-)encrypted when it is next evicted into the
-    /// tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` does not match the configured block size, or under
-    /// the same conditions as [`Self::access`].
-    pub fn write_block(&mut self, block: BlockId, data: &[u8]) -> AccessOutcome {
-        assert_eq!(
-            data.len(),
-            self.cfg.block_bytes as usize,
-            "payload must be exactly block_bytes long"
-        );
-        match self.access_inner(block, Some(data), false) {
-            Ok(out) => out.0,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Shared access core: read path, remap, optional payload update, then
-    /// eviction/background bookkeeping. The payload snapshot is taken
+    /// The read path — the target's, or a cover's dummy read path on a
+    /// uniformly drawn path —, the remap and the program's `Op`, then
+    /// eviction and background bookkeeping. The program's `Op` applies
     /// *before* [`Self::after_read_path`], because the periodic eviction
     /// may legitimately sweep the freshly fetched block back into the tree
     /// within the same logical access.
-    fn access_inner(
+    ///
+    /// A cover is indistinguishable on the bus from the dummy read paths
+    /// background eviction already issues, and takes the same post-read
+    /// bookkeeping as a program access (it advances the "`A` reads, one
+    /// eviction" cadence, participates in early-reshuffle budgets, and
+    /// samples stash occupancy); no block is remapped.
+    fn try_schedule(
         &mut self,
-        block: BlockId,
-        new_data: Option<&[u8]>,
-        capture_data: bool,
+        target: Option<(BlockId, Op<'_>)>,
     ) -> Result<(AccessOutcome, Option<Vec<u8>>), OramError> {
-        assert!(
-            block.0 < Self::COLD_BASE,
-            "program block ids must be below COLD_BASE"
-        );
-        let mut plans = self.scratch.pool.plans();
-
-        let known = self.position_map.lookup(block).is_some();
-        let path = self.position_map.lookup_or_assign(block, &mut self.rng);
-
-        let source = self.read_path(&mut plans, path, Some(block), known);
-        self.stats.read_paths += 1;
-
-        // Remap the target and record it (back) in the stash with its new
-        // path; the program's store/load happens against the stash copy.
-        // The read-path walk already parked the fetched payload (if any) in
-        // the stash, so only the path assignment changes here.
-        let new_path = self.position_map.remap(block, &mut self.rng);
-        self.stash.insert(block, new_path);
-        if let Some(d) = new_data {
-            self.stash.set_data(block, d.to_vec().into_boxed_slice());
-        }
-        // Copying the payload out is only needed by `read_block`; plain
-        // accesses skip it so the hot path stays allocation-free.
-        let data = if capture_data {
-            self.stash.data_of(block).map(<[u8]>::to_vec)
-        } else {
-            None
-        };
-
+        let mut plans = self.tree.pool.plans();
+        let block = target.map(|(b, _)| b);
+        let (path, known) = self.tree.locate(block);
+        let source = self.read_path(&mut plans, path, block, known);
+        let data = self.tree.remap_target(target, source);
         self.after_read_path(&mut plans)?;
-        self.stats.stash_samples.push(self.stash.len());
-        Ok((AccessOutcome { plans, source }, data))
+        Ok((self.tree.finish(plans, source), data))
     }
 
     /// Bookkeeping shared by program and dummy read paths: fire the
@@ -808,7 +469,7 @@ impl RingOram {
     /// make progress (over-full tree).
     fn after_read_path(&mut self, plans: &mut Vec<AccessPlan>) -> Result<(), OramError> {
         self.reads_since_eviction += 1;
-        if self.reads_since_eviction == self.cfg.a {
+        if self.reads_since_eviction == self.tree.cfg.a {
             self.reads_since_eviction = 0;
             plans.push(self.evict());
         }
@@ -819,14 +480,11 @@ impl RingOram {
         // ever needed. Occupancy is a deterministic function of the access
         // stream alone (fault injection never adds or removes stash
         // blocks), so escalation does not leak fault locations.
-        let peak_occupancy = self.stash.len();
-        let escalate = self
-            .resilience
-            .as_ref()
-            .is_some_and(|r| peak_occupancy >= r.cfg.escalation_watermark);
-        if escalate {
+        let peak_occupancy = self.tree.stash.len();
+        let watermarks = self.tree.data.resilience().copied();
+        if watermarks.is_some_and(|r| peak_occupancy >= r.escalation_watermark) {
             self.background_round(plans);
-            self.stats.background_escalations += 1;
+            self.tree.stats.background_escalations += 1;
         }
 
         // Background eviction: while the stash is at or above its
@@ -835,17 +493,17 @@ impl RingOram {
         // access sequence on the bus remains "A read paths, one eviction"
         // forever, so the stash pressure is not observable.
         let mut guard = 0u32;
-        while self.stash.len() >= self.cfg.stash_capacity {
+        while self.tree.stash.len() >= self.tree.cfg.stash_capacity {
             guard += 1;
             if guard > 1024 {
                 return Err(OramError::StashOverflow {
-                    occupancy: self.stash.len(),
-                    capacity: self.cfg.stash_capacity,
-                    real_capacity: self.cfg.real_capacity_blocks(),
+                    occupancy: self.tree.stash.len(),
+                    capacity: self.tree.cfg.stash_capacity,
+                    real_capacity: self.tree.cfg.real_capacity_blocks(),
                 });
             }
             self.background_round(plans);
-            self.stats.background_evictions += 1;
+            self.tree.stats.background_evictions += 1;
         }
 
         // Degraded-mode hysteresis: entry is decided on the access's *peak*
@@ -854,13 +512,13 @@ impl RingOram {
         // stash faster than eviction drains it), while exit requires the
         // *drained* occupancy to fall to the resume watermark. While
         // degraded, green substitution is suspended, cutting stash inflow.
-        if let Some(r) = self.resilience.as_mut() {
-            if !r.degraded && peak_occupancy >= r.cfg.degrade_watermark {
-                r.degraded = true;
-                self.stats.degraded_entries += 1;
-            } else if r.degraded && self.stash.len() <= r.cfg.resume_watermark {
-                r.degraded = false;
-                self.stats.degraded_exits += 1;
+        if let Some(r) = watermarks {
+            if !self.degraded && peak_occupancy >= r.degrade_watermark {
+                self.degraded = true;
+                self.tree.stats.degraded_entries += 1;
+            } else if self.degraded && self.tree.stash.len() <= r.resume_watermark {
+                self.degraded = false;
+                self.tree.stats.degraded_exits += 1;
             }
         }
         Ok(())
@@ -871,11 +529,11 @@ impl RingOram {
     /// public "A reads, one eviction" cadence intact.
     fn background_round(&mut self, plans: &mut Vec<AccessPlan>) {
         loop {
-            let p = PathId(self.rng.gen_range(0..self.geometry.leaf_count()));
+            let (p, _) = self.tree.locate(None);
             let _ = self.read_path(plans, p, None, true);
-            self.stats.dummy_read_paths += 1;
+            self.tree.stats.dummy_read_paths += 1;
             self.reads_since_eviction += 1;
-            if self.reads_since_eviction == self.cfg.a {
+            if self.reads_since_eviction == self.tree.cfg.a {
                 self.reads_since_eviction = 0;
                 break;
             }
@@ -894,36 +552,25 @@ impl RingOram {
         known: bool,
     ) -> TargetSource {
         let (mut source, mut searching) = match target {
-            Some(_) if !known => {
-                self.stats.new_blocks += 1;
-                (TargetSource::New, false)
-            }
-            Some(b) if self.stash.contains(b) => {
-                self.stats.targets_from_stash += 1;
-                (TargetSource::Stash, false)
-            }
+            Some(_) if !known => (TargetSource::New, false),
+            Some(b) if self.tree.stash.contains(b) => (TargetSource::Stash, false),
             Some(_) => (TargetSource::Stash, true), // provisional until found
             None => (TargetSource::Stash, false),   // dummy read path
         };
 
-        let mut touches = self.scratch.pool.touches(self.cfg.levels as usize);
-        let mut target_index = None;
+        let levels = self.tree.cfg.levels;
+        let mut reads = self.tree.reads(read_kind(target), levels as usize);
         let mut reshuffles = std::mem::take(&mut self.scratch.reshuffles);
         // Off-chip buckets whose dummy budget `S` this path exhausted,
         // in level order; early-reshuffled after the path is emitted.
         let mut exhausted = std::mem::take(&mut self.scratch.exhausted);
-        // Retry traffic accumulated by the fault layer: extra reads of
-        // already-public slots, emitted as one RetryRead plan after the
-        // read path itself.
-        let mut retry_touches = self.scratch.pool.touches(0);
-        let mut retry_target_index = None;
         // Degraded mode gates CB green substitution for the whole path;
         // the flag only changes in `after_read_path`, never mid-path.
-        let allow_green = !self.degraded();
+        let allow_green = !self.degraded;
 
-        for lvl in 0..self.cfg.levels {
+        for lvl in 0..levels {
             let level = Level(lvl);
-            let id = self.geometry.bucket_at(path, level);
+            let id = self.tree.geometry.bucket_at(path, level);
             if self.is_cached_level(level) {
                 // On-chip levels: a target found here is taken directly;
                 // no memory traffic, no metadata churn.
@@ -932,9 +579,8 @@ impl RingOram {
                         let mut bucket = self.bucket_mut(id);
                         if let Some(slot) = bucket.peek().find(b) {
                             let data = bucket.clear_slot(slot);
-                            let data = self.unseal(data);
-                            self.stash.insert_with_data(b, path, data);
-                            self.stats.targets_from_treetop += 1;
+                            let data = self.tree.data.unseal(&mut self.tree.stats, data);
+                            self.tree.stash.insert_with_data(b, path, data);
                             source = TargetSource::TreeTop(level);
                             searching = false;
                         }
@@ -947,203 +593,97 @@ impl RingOram {
             // non-target touch and does not hold the target.
             let want = if searching { target } else { None };
             let mut bucket = materialize_entry(
-                &mut self.buckets,
-                &self.geometry,
-                &self.cfg,
+                &mut self.tree.buckets,
+                &self.tree.geometry,
+                &self.tree.cfg,
                 self.load_factor,
-                &mut self.position_map,
+                &mut self.tree.position_map,
                 &mut self.next_cold,
                 &mut self.scratch.cold,
-                &mut self.rng,
+                &mut self.tree.rng,
                 id,
             );
             // `holds_target` must follow `want`, not `target`: once the
             // search has ended, the bucket must serve a dummy/green even if
             // it happens to hold the (stale) target block.
             let holds_target = want.is_some_and(|b| bucket.peek().find(b).is_some());
-            if !holds_target && bucket.peek().needs_reshuffle_gated(&self.cfg, allow_green) {
+            if !holds_target
+                && bucket
+                    .peek()
+                    .needs_reshuffle_gated(&self.tree.cfg, allow_green)
+            {
                 reshuffles.push(self.reshuffle_bucket(id));
-                self.stats.forced_reshuffles += 1;
-                bucket = self.buckets.get_mut(id).expect("materialized above");
+                self.tree.stats.forced_reshuffles += 1;
+                bucket = self.tree.buckets.get_mut(id).expect("materialized above");
             }
             let (slot, kind, data) =
-                bucket.serve_read_gated(&self.cfg, want, allow_green, &mut self.rng);
+                bucket.serve_read_gated(&self.tree.cfg, want, allow_green, &mut self.tree.rng);
             // Budget exhaustion is decided now (this path's touch included):
             // the bucket is revisited only by its own early reshuffle below,
             // so sampling here matches the post-path scan it replaces.
-            if bucket.peek().accesses() >= self.cfg.s {
+            if bucket.peek().accesses() >= self.tree.cfg.s {
                 exhausted.push(id);
             }
+            let tree = &mut self.tree;
             match kind {
                 FetchKind::Target(b) => {
                     debug_assert_eq!(Some(b), target);
-                    let (data, resolution) =
-                        self.resolve_fetch(id, slot as u32, data, &mut retry_touches);
-                    self.stash.insert_with_data(b, path, data);
-                    self.stats.targets_from_tree += 1;
+                    let (data, recovered) =
+                        tree.data
+                            .fetch(&mut tree.stats, id, slot as u32, data, &mut reads.retries);
+                    tree.stash.insert_with_data(b, path, data);
                     source = TargetSource::Tree(level);
                     searching = false;
-                    target_index = Some(touches.len());
-                    if matches!(resolution, FetchResolution::Recovered) {
+                    reads.target = Some(reads.touches.len());
+                    if recovered {
                         // The program's data arrives with the *last* retry
                         // of this fetch; the RetryRead plan carries that as
                         // its target index for latency accounting.
-                        retry_target_index = Some(retry_touches.len() - 1);
+                        reads.retry_target = Some(reads.retries.len() - 1);
                     }
                 }
                 FetchKind::Green(b) => {
                     // The green block keeps its current path assignment; it
                     // was never identified on the bus, so no remap needed.
-                    let p = self
+                    let p = tree
                         .position_map
                         .lookup(b)
                         .expect("green blocks are always mapped");
-                    let (data, _) = self.resolve_fetch(id, slot as u32, data, &mut retry_touches);
-                    self.stash.insert_with_data(b, p, data);
-                    self.stats.greens_fetched += 1;
+                    let (data, _) =
+                        tree.data
+                            .fetch(&mut tree.stats, id, slot as u32, data, &mut reads.retries);
+                    tree.stash.insert_with_data(b, p, data);
+                    tree.stats.greens_fetched += 1;
                 }
                 FetchKind::Dummy => {}
             }
-            touches.push(SlotTouch::read(id, slot as u32));
+            reads.touches.push(SlotTouch::read(id, slot as u32));
         }
 
         // Emit forced reshuffles before the read path itself (they must
-        // complete before the path can be read), then the read path, then
-        // the post-access early reshuffles for buckets that hit budget S.
+        // complete before the path can be read), then the read path and
+        // its retries, then the post-access early reshuffles for buckets
+        // that hit budget S.
         plans.append(&mut reshuffles);
         self.scratch.reshuffles = reshuffles;
-        let kind = if target.is_some() {
-            OpKind::ReadPath
-        } else {
-            OpKind::DummyReadPath
-        };
-        plans.push(AccessPlan::new(kind, touches, target_index));
-        if retry_touches.is_empty() {
-            self.scratch.pool.put_touches(retry_touches);
-        } else {
-            plans.push(AccessPlan::new(
-                OpKind::RetryRead,
-                retry_touches,
-                retry_target_index,
-            ));
-        }
+        self.tree.emit(plans, reads);
 
         for &id in &exhausted {
             let plan = self.reshuffle_bucket(id);
             plans.push(plan);
-            self.stats.early_reshuffles += 1;
+            self.tree.stats.early_reshuffles += 1;
         }
         exhausted.clear();
         self.scratch.exhausted = exhausted;
         source
     }
 
-    /// Runs one fetched real block through the transit-fault pipeline:
-    /// decides from the fault schedule whether the transfer was corrupted,
-    /// verifies integrity via the sealed format's tag, and performs bounded
-    /// re-reads (the DRAM-resident copy is intact, so a clean re-transfer
-    /// recovers). Appends one read touch per retry to `retry_touches` and
-    /// returns the surviving (unsealed) payload plus how the fetch
-    /// resolved.
-    ///
-    /// Without a cipher there is no integrity tag: the corruption is
-    /// applied to the raw payload (when one exists) and flows on
-    /// *undetected* — the fault log records only `Injected`, which the
-    /// `sim-verify` fault auditor flags as a missed detection.
-    fn resolve_fetch(
-        &mut self,
-        id: BucketId,
-        slot: u32,
-        data: Option<BlockData>,
-        retry_touches: &mut Vec<SlotTouch>,
-    ) -> (Option<BlockData>, FetchResolution) {
-        let (rate, max_retries) = match self.resilience.as_ref() {
-            Some(r) if r.cfg.bit_flip_rate > 0.0 => (r.cfg.bit_flip_rate, r.cfg.max_retries),
-            _ => return (self.unseal(data), FetchResolution::Clean),
-        };
-        let access = self.stats.read_paths;
-        let corrupted = self
-            .resilience
-            .as_mut()
-            .is_some_and(|r| r.rng.gen_bool(rate));
-        if !corrupted {
-            return (self.unseal(data), FetchResolution::Clean);
-        }
-
-        self.record_fault(access, id, slot, FaultEventKind::Injected);
-        self.stats.faults_injected += 1;
-
-        if self.cipher.is_none() {
-            // No integrity tag: garble the payload copy (the simulator
-            // stores payloads lazily; metadata-only fetches have nothing to
-            // garble) and proceed as if nothing happened.
-            let garbled = match (data, self.resilience.as_mut()) {
-                (Some(mut d), Some(r)) if !d.is_empty() => {
-                    let bit = r.rng.gen_range(0..(d.len() as u64 * 8)) as usize;
-                    d[bit / 8] ^= 1 << (bit % 8);
-                    Some(d)
-                }
-                (d, _) => d,
-            };
-            return (garbled, FetchResolution::Clean);
-        }
-
-        // Detection: when a payload exists, physically corrupt a copy of
-        // the sealed bytes and let the tag verification fail; metadata-only
-        // fetches model the same check directly (a real controller MACs the
-        // whole slot transfer, payload and all — the simulator just does
-        // not materialize untouched payload bytes).
-        if let (Some(c), Some(d), Some(r)) = (&self.cipher, &data, self.resilience.as_mut()) {
-            let mut copy = d.to_vec();
-            let bit = r.rng.gen_range(0..(copy.len() as u64 * 8)) as usize;
-            copy[bit / 8] ^= 1 << (bit % 8);
-            debug_assert!(
-                c.open(&copy).is_err(),
-                "a corrupted transfer must fail its integrity tag"
-            );
-        }
-        self.record_fault(access, id, slot, FaultEventKind::Detected);
-        self.stats.faults_detected += 1;
-
-        // Bounded recovery: re-read the same (already public) slot up to
-        // `max_retries` times; each re-transfer is independently subject to
-        // corruption.
-        let mut recovered = false;
-        for _ in 0..max_retries {
-            self.record_fault(access, id, slot, FaultEventKind::Retried);
-            self.stats.fault_retries += 1;
-            retry_touches.push(SlotTouch::read(id, slot));
-            let again = self
-                .resilience
-                .as_mut()
-                .is_some_and(|r| r.rng.gen_bool(rate));
-            if again {
-                self.record_fault(access, id, slot, FaultEventKind::Injected);
-                self.stats.faults_injected += 1;
-                self.record_fault(access, id, slot, FaultEventKind::Detected);
-                self.stats.faults_detected += 1;
-                continue;
-            }
-            recovered = true;
-            break;
-        }
-        if recovered {
-            self.record_fault(access, id, slot, FaultEventKind::Recovered);
-            self.stats.faults_recovered += 1;
-            (self.unseal(data), FetchResolution::Recovered)
-        } else {
-            self.record_fault(access, id, slot, FaultEventKind::Unrecovered);
-            self.stats.faults_unrecovered += 1;
-            (None, FetchResolution::Unrecovered)
-        }
-    }
-
     /// Early-reshuffles `id`: reads its `Z` real slots and rewrites the full
     /// bucket with fresh metadata and permutation.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn reshuffle_bucket(&mut self, id: BucketId) -> AccessPlan {
-        let z = self.cfg.z;
-        let slots = self.cfg.bucket_slots();
+        let z = self.tree.cfg.z;
+        let slots = self.tree.cfg.bucket_slots();
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
         let mut entries = std::mem::take(&mut self.scratch.entries);
         let mut bucket = self.bucket_mut(id);
@@ -1153,21 +693,22 @@ impl RingOram {
         // Re-encrypt every surviving payload under a fresh nonce (the
         // reshuffle's defining obligation besides the permutation): unseal
         // each entry, then re-seal the whole bucket as one contiguous batch.
+        let tree = &mut self.tree;
         let mut resealed = std::mem::take(&mut self.scratch.resealed);
         for (b, d) in entries.drain(..) {
-            let plain = self.unseal(d);
+            let plain = tree.data.unseal(&mut tree.stats, d);
             resealed.push((b, plain));
         }
-        self.seal_entries_batch(&mut resealed);
-        self.buckets.get_mut(id).expect("materialized").reload(
-            &self.cfg,
+        tree.data.seal_batch(&mut tree.stats, &mut resealed);
+        tree.buckets.get_mut(id).expect("materialized").reload(
+            &tree.cfg,
             &mut resealed,
-            &mut self.rng,
+            &mut tree.rng,
         );
         self.scratch.entries = entries;
         self.scratch.resealed = resealed;
 
-        let mut touches = self.scratch.pool.touches((z + slots) as usize);
+        let mut touches = tree.pool.touches((z + slots) as usize);
         // Read phase: Z slot reads (the real slots, padded to Z).
         let mut filler = 0u32;
         while (read_slots.len() as u32) < z {
@@ -1196,21 +737,23 @@ impl RingOram {
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn evict(&mut self) -> AccessPlan {
         let path = self
+            .tree
             .geometry
             .reverse_lexicographic_path(self.eviction_count);
         self.eviction_count += 1;
-        self.stats.evictions += 1;
+        self.tree.stats.evictions += 1;
 
-        let z = self.cfg.z;
-        let slots = self.cfg.bucket_slots();
-        let mut touches = self.scratch.pool.touches(0);
+        let z = self.tree.cfg.z;
+        let slots = self.tree.cfg.bucket_slots();
+        let levels = self.tree.cfg.levels;
+        let mut touches = self.tree.pool.touches(0);
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
         let mut entries = std::mem::take(&mut self.scratch.entries);
 
         // Read phase (root to leaf): pull every real block into the stash.
-        for lvl in 0..self.cfg.levels {
+        for lvl in 0..levels {
             let level = Level(lvl);
-            let id = self.geometry.bucket_at(path, level);
+            let id = self.tree.geometry.bucket_at(path, level);
             let off_chip = !self.is_cached_level(level);
             let mut bucket = self.bucket_mut(id);
             read_slots.clear();
@@ -1229,13 +772,14 @@ impl RingOram {
                     touches.push(SlotTouch::read(id, s));
                 }
             }
+            let tree = &mut self.tree;
             for (b, d) in entries.drain(..) {
-                let p = self
+                let p = tree
                     .position_map
                     .lookup(b)
                     .expect("tree blocks are always mapped");
-                let d = self.unseal(d);
-                self.stash.insert_with_data(b, p, d);
+                let d = tree.data.unseal(&mut tree.stats, d);
+                tree.stash.insert_with_data(b, p, d);
             }
         }
         read_slots.clear();
@@ -1251,18 +795,18 @@ impl RingOram {
         // smallest ids, selected in linear time and then sorted — the same
         // blocks in the same ascending order a sorted per-level scan would
         // select, without sorting or rescanning the pool.
+        let tree = &mut self.tree;
         let mut by_depth = std::mem::take(&mut self.scratch.by_depth);
-        by_depth.resize_with(self.cfg.levels as usize, Vec::new);
-        self.stash
-            .for_each_candidate(&self.geometry, path, |b, depth| {
+        by_depth.resize_with(levels as usize, Vec::new);
+        tree.stash
+            .for_each_candidate(&tree.geometry, path, |b, depth| {
                 by_depth[depth.0 as usize].push(b);
             });
         let mut eligible = std::mem::take(&mut self.scratch.eligible);
         let mut sealed = std::mem::take(&mut self.scratch.resealed);
-        for lvl in (0..self.cfg.levels).rev() {
-            let level = Level(lvl);
-            let id = self.geometry.bucket_at(path, level);
-            let off_chip = !self.is_cached_level(level);
+        for lvl in (0..levels).rev() {
+            let id = tree.geometry.bucket_at(path, Level(lvl));
+            let off_chip = lvl >= tree.cfg.tree_top_cached_levels;
             eligible.append(&mut by_depth[lvl as usize]);
             // The `Z` smallest go to the tail, in ascending order.
             let rest = eligible.len().saturating_sub(z as usize);
@@ -1271,17 +815,17 @@ impl RingOram {
             }
             eligible[rest..].sort_unstable();
             for &b in &eligible[rest..] {
-                let d = self.stash.take(b).expect("candidate still stashed");
+                let d = tree.stash.take(b).expect("candidate still stashed");
                 sealed.push((b, d));
             }
             eligible.truncate(rest);
             // One contiguous crypto sweep per bucket instead of a cipher
             // setup per slot; nonce order matches the per-slot code.
-            self.seal_entries_batch(&mut sealed);
-            self.buckets
+            tree.data.seal_batch(&mut tree.stats, &mut sealed);
+            tree.buckets
                 .get_mut(id)
                 .expect("materialized in read phase")
-                .reload(&self.cfg, &mut sealed, &mut self.rng);
+                .reload(&tree.cfg, &mut sealed, &mut tree.rng);
             if off_chip {
                 for s in 0..slots {
                     touches.push(SlotTouch::write(id, s));
@@ -1295,53 +839,14 @@ impl RingOram {
         self.scratch.resealed = sealed;
         AccessPlan::new(OpKind::Eviction, touches, None)
     }
-
-    /// Verifies the controller's core invariants; intended for tests and
-    /// debugging (cost is proportional to position-map size).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the first violated invariant.
-    pub fn check_invariants(&self) {
-        let max_level = self.geometry.max_level();
-        for (block, path) in self.position_map.iter() {
-            // One root-to-leaf walk per block, ending at the first hit.
-            let found = self.stash.contains(block)
-                || self
-                    .buckets
-                    .on_path(path, max_level)
-                    .any(|b| b.find(block).is_some());
-            assert!(
-                found,
-                "{block} mapped to {path} is neither in stash nor on its path"
-            );
-        }
-        for b in self.buckets.buckets() {
-            assert!(
-                b.real_count() <= self.cfg.z as usize,
-                "a bucket is over capacity: {b:?}"
-            );
-            assert!(
-                b.accesses() <= self.cfg.s,
-                "a bucket is over its access budget: {b:?}"
-            );
-        }
-    }
-
-    /// Snapshot of every `(block, path)` pair the position map tracks, in
-    /// unspecified order: the blocks currently *resident* in this ORAM
-    /// instance (pre-loaded or touched). Hardware has no such operation;
-    /// it exists for invariant checks — in particular the cross-shard
-    /// residency audit, which proves no block lives in two shard ORAMs.
-    #[must_use]
-    pub fn position_entries(&self) -> Vec<(BlockId, PathId)> {
-        self.position_map.entries()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::ResilienceConfig;
+    use crate::oblivious::ObliviousProtocol;
+    use crate::stash::Stash;
 
     fn oram(cfg: RingConfig) -> RingOram {
         RingOram::with_load_factor(cfg, 42, 0.5)
@@ -1557,13 +1062,13 @@ mod tests {
             let mut data = vec![0u8; 64];
             data[0] = i as u8;
             data[63] = (i * 3) as u8;
-            let _ = o.write_block(BlockId(i), &data);
+            let _ = o.write(BlockId(i), &data);
         }
         // Churn: many interleaved reads force evictions, reshuffles and
         // (with CB configs) green movements.
         for round in 0..20 {
             for i in 0..blocks {
-                let (_, data) = o.read_block(BlockId((i * 7 + round) % blocks));
+                let (_, data) = o.read(BlockId((i * 7 + round) % blocks));
                 let id = (i * 7 + round) % blocks;
                 let data = data.expect("written block has data");
                 assert_eq!(data[0], id as u8, "block {id} corrupted");
@@ -1579,14 +1084,13 @@ mod tests {
         cfg.y = 4; // aggressive: greens move data through the stash
         let mut o = RingOram::with_load_factor(cfg, 9, 0.5);
         o.enable_aes_encryption(*b"sixteen byte key");
-        assert!(o.encryption_enabled());
         let blocks = 16u64;
         for i in 0..blocks {
-            let _ = o.write_block(BlockId(i), &[i as u8; 64]);
+            let _ = o.write(BlockId(i), &[i as u8; 64]);
         }
         for round in 0..25 {
             let id = (round * 5) % blocks;
-            let (_, data) = o.read_block(BlockId(id));
+            let (_, data) = o.read(BlockId(id));
             assert_eq!(data.expect("present"), vec![id as u8; 64]);
         }
         let s = o.stats();
@@ -1598,31 +1102,31 @@ mod tests {
     #[test]
     fn unwritten_blocks_read_as_none() {
         let mut o = oram(RingConfig::test_small());
-        let (_, data) = o.read_block(BlockId(5));
+        let (_, data) = o.read(BlockId(5));
         assert_eq!(data, None);
     }
 
     #[test]
     fn overwrite_returns_latest_data() {
         let mut o = oram(RingConfig::test_small());
-        let _ = o.write_block(BlockId(1), &[1u8; 64]);
+        let _ = o.write(BlockId(1), &[1u8; 64]);
         // Force tree residency via evictions.
         for i in 10..30 {
             let _ = o.access(BlockId(i));
         }
-        let _ = o.write_block(BlockId(1), &[2u8; 64]);
+        let _ = o.write(BlockId(1), &[2u8; 64]);
         for i in 30..50 {
             let _ = o.access(BlockId(i));
         }
-        let (_, data) = o.read_block(BlockId(1));
+        let (_, data) = o.read(BlockId(1));
         assert_eq!(data, Some(vec![2u8; 64]));
     }
 
     #[test]
     #[should_panic(expected = "block_bytes")]
-    fn write_block_size_checked() {
+    fn write_size_checked() {
         let mut o = oram(RingConfig::test_small());
-        let _ = o.write_block(BlockId(1), &[0u8; 7]);
+        let _ = o.write(BlockId(1), &[0u8; 7]);
     }
 
     #[test]
@@ -1636,7 +1140,7 @@ mod tests {
             }
             let mut log = Vec::new();
             for i in 0..60 {
-                let out = o.write_block(BlockId(i % 13), &[i as u8; 64]);
+                let out = o.write(BlockId(i % 13), &[i as u8; 64]);
                 for p in out.plans {
                     log.push((p.kind, p.touches));
                 }
@@ -1682,7 +1186,7 @@ mod tests {
     fn injected_faults_are_detected_and_mostly_recovered() {
         let mut o = resilient(0.2, 4);
         for i in 0..300 {
-            let _ = o.write_block(BlockId(i % 23), &[i as u8; 64]);
+            let _ = o.write(BlockId(i % 23), &[i as u8; 64]);
         }
         let s = o.stats().clone();
         assert!(s.faults_injected > 0, "a 20 % rate must inject faults");
@@ -1767,12 +1271,12 @@ mod tests {
         // With retries disabled every corrupted target fetch drops its
         // payload; reads of such a block return None until rewritten.
         let mut o = resilient(1.0, 0); // every fetch corrupted
-        let _ = o.write_block(BlockId(1), &[9u8; 64]);
+        let _ = o.write(BlockId(1), &[9u8; 64]);
         // Churn so the block lands in the tree, then read it back.
         for i in 100..130 {
             let _ = o.access(BlockId(i));
         }
-        let (_, data) = o.read_block(BlockId(1));
+        let (_, data) = o.read(BlockId(1));
         if o.stats().faults_unrecovered > 0 {
             assert_eq!(data, None, "unrecovered target fetch loses its data");
         }
@@ -1881,7 +1385,7 @@ mod tests {
             let cfg = RingConfig { levels, ..base };
             let z = cfg.z as usize;
             let mut o = RingOram::with_load_factor(cfg.clone(), case, 0.0);
-            let geometry = o.geometry;
+            let geometry = o.tree.geometry;
             let max = geometry.max_level();
             let path = geometry.reverse_lexicographic_path(o.eviction_count);
             // Materialize the path first, so the eviction draws only its
@@ -1919,11 +1423,11 @@ mod tests {
                     None if seeds.gen_bool(0.3) => path,
                     None => PathId(leaf),
                 };
-                o.position_map.insert(BlockId(b), p);
-                o.stash.insert(BlockId(b), p);
+                o.tree.position_map.insert(BlockId(b), p);
+                o.tree.stash.insert(BlockId(b), p);
             }
-            let mut reference = o.stash.clone();
-            let mut replay = o.rng.clone();
+            let mut reference = o.tree.stash.clone();
+            let mut replay = o.tree.rng.clone();
             let _ = o.evict();
 
             let mut eligible = 0;
@@ -1939,7 +1443,7 @@ mod tests {
                 eligible -= entries.len();
                 let mut expect = OwnedBucket::empty(&cfg, &mut StdRng::seed_from_u64(0));
                 expect.view().reload(&cfg, &mut entries, &mut replay);
-                let got = o.buckets.get_mut(id).expect("materialized");
+                let got = o.tree.buckets.get_mut(id).expect("materialized");
                 assert_eq!(
                     layout(got.peek()),
                     layout(expect.peek()),
@@ -1947,79 +1451,15 @@ mod tests {
                 );
             }
             leftovers += usize::from(!reference.is_empty());
-            assert_eq!(sorted(&o.stash), sorted(&reference), "case {case}");
-            assert_eq!(format!("{:?}", o.rng), format!("{replay:?}"), "case {case}");
+            assert_eq!(sorted(&o.tree.stash), sorted(&reference), "case {case}");
+            assert_eq!(
+                format!("{:?}", o.tree.rng),
+                format!("{replay:?}"),
+                "case {case}"
+            );
             o.check_invariants();
         }
         assert!(empty_levels > 0 && ties > 0 && leftovers > 0);
-    }
-
-    /// Drives `oram` with seeded reads and writes over `blocks` block ids
-    /// against a mirror of every block's last write: every read must return
-    /// the mirror's value, and a final sweep reads every block back.
-    fn mirror_oracle_run(oram: &mut RingOram, blocks: u64, accesses: u64, block_bytes: usize) {
-        let mut mirror_data: Vec<Option<Vec<u8>>> = vec![None; blocks as usize];
-        let mut ops = StdRng::seed_from_u64(blocks ^ accesses);
-        for step in 0..accesses {
-            let b = ops.gen_range(0..blocks);
-            if ops.gen_bool(0.4) {
-                let data: Vec<u8> = (0..block_bytes)
-                    .map(|i| (step * 31 + b * 7 + i as u64) as u8)
-                    .collect();
-                let _ = oram.write_block(BlockId(b), &data);
-                mirror_data[b as usize] = Some(data);
-            } else {
-                let (_, got) = oram.read_block(BlockId(b));
-                assert_eq!(got, mirror_data[b as usize], "step {step}: block {b}");
-            }
-        }
-        for (b, want) in mirror_data.iter().enumerate() {
-            let (_, got) = oram.read_block(BlockId(b as u64));
-            assert_eq!(&got, want, "final sweep: block {b}");
-        }
-    }
-
-    #[test]
-    fn mirror_oracle_holds_on_a_tree_of_three_slab_chunks() {
-        use crate::bucket::CHUNK_ROWS;
-        let cfg = RingConfig {
-            levels: 12,
-            ..RingConfig::test_small_cb()
-        };
-        let block_bytes = cfg.block_bytes as usize;
-        type Setup = fn(&mut RingOram);
-        let variants: [(&str, Setup); 4] = [
-            ("plain", |_| {}),
-            ("splitmix", |o| o.enable_encryption(0x5EA1)),
-            ("aes", |o| o.enable_aes_encryption(*b"three chunks key")),
-            ("splitmix + faults", |o| {
-                o.enable_encryption(0xF417);
-                let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);
-                r.bit_flip_rate = 0.05;
-                r.max_retries = 6;
-                o.enable_resilience(r);
-            }),
-        ];
-        for (name, setup) in variants {
-            let mut o = RingOram::with_load_factor(cfg.clone(), 31, 0.5);
-            setup(&mut o);
-            mirror_oracle_run(&mut o, 500, 2500, block_bytes);
-            assert!(
-                o.materialized_buckets() > 2 * CHUNK_ROWS,
-                "{name}: {} buckets span fewer than three chunks",
-                o.materialized_buckets()
-            );
-            let s = o.stats();
-            assert!(s.greens_fetched > 0, "{name}: CB moved no green");
-            if o.encryption_enabled() {
-                assert!(s.encryptions > 0 && s.decryptions > 0, "{name}");
-            }
-            if o.resilience_enabled() {
-                assert!(s.faults_recovered > 0, "{name}: no fault to recover");
-                assert_eq!(s.faults_unrecovered, 0, "{name}");
-            }
-            o.check_invariants();
-        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! ORAM (one plan-shape check under two expected-plan tables). Each replays
 //! the plan stream the memory hierarchy consumes against its protocol's
 //! structural invariants, independently of the engine's internal
-//! bookkeeping.
+//! bookkeeping. Every engine has the same transit-fault layer, so the
+//! fault-log checks — detection, recovery, and one retry-read touch per
+//! `Retried` event ([`Rule::RetryMismatch`]) — are shared by both.
 //!
 //! [`OramAuditor`] replays the protocol's [`AccessPlan`] stream — the same
 //! artifact the memory hierarchy consumes — against the paper's structural
@@ -58,13 +60,6 @@ pub struct OramAuditor {
     touch_count: HashMap<BucketId, u32>,
     paths: u64,
     evictions: u64,
-    /// Retry-read touches the fault log has authorized but no RetryRead
-    /// plan has consumed yet, keyed by (bucket, slot). Filled by
-    /// [`Self::observe_faults`], drained by the batch's RetryRead plans and
-    /// reconciled at the end of each [`Self::observe_access`].
-    retry_allowances: HashMap<(BucketId, u32), u32>,
-    /// Injected faults counted by [`Self::observe_faults`].
-    faults_seen: u64,
     found: Findings,
 }
 
@@ -78,8 +73,6 @@ impl OramAuditor {
             touch_count: HashMap::new(),
             paths: 0,
             evictions: 0,
-            retry_allowances: HashMap::new(),
-            faults_seen: 0,
             found: Findings::default(),
         }
     }
@@ -110,61 +103,12 @@ impl OramAuditor {
     /// Injected fault events audited so far.
     #[must_use]
     pub fn faults_checked(&self) -> u64 {
-        self.faults_seen
+        self.found.faults_seen
     }
 
-    /// Audits one access's fault-event log. Call *before* the matching
-    /// [`Self::observe_access`]: the log's `Retried` entries authorize the
-    /// retry-read touches of the batch's plans.
-    ///
-    /// Checks:
-    /// * every `Injected` event is followed by a `Detected` for the same
-    ///   site within the batch ([`Rule::FaultUndetected`] otherwise — the
-    ///   integrity tag was missing or unchecked);
-    /// * no fetch ends `Unrecovered` ([`Rule::FaultUnrecovered`]): the
-    ///   retry budget must be sized so recovery always succeeds, or the
-    ///   simulation's results are computed on lost data.
+    /// Audits one access's fault-event log (see [`ProtocolAuditor::observe_faults`]).
     pub fn observe_faults(&mut self, events: &[FaultEvent]) {
-        let mut pending_detect: HashMap<(BucketId, u32), u32> = HashMap::new();
-        for e in events {
-            let site = (e.bucket, e.slot);
-            match e.kind {
-                FaultEventKind::Injected => {
-                    self.faults_seen += 1;
-                    *pending_detect.entry(site).or_insert(0) += 1;
-                }
-                FaultEventKind::Detected => {
-                    let p = pending_detect.entry(site).or_insert(0);
-                    *p = p.saturating_sub(1);
-                }
-                FaultEventKind::Retried => {
-                    *self.retry_allowances.entry(site).or_insert(0) += 1;
-                }
-                FaultEventKind::Recovered => {}
-                FaultEventKind::Unrecovered => {
-                    self.found.violate(
-                        Rule::FaultUnrecovered,
-                        format!(
-                            "fetch from bucket {} slot {} lost its payload after \
-                             exhausting the retry budget",
-                            e.bucket.0, e.slot
-                        ),
-                    );
-                }
-            }
-        }
-        for ((bucket, slot), missing) in pending_detect {
-            if missing > 0 {
-                self.found.violate(
-                    Rule::FaultUndetected,
-                    format!(
-                        "{missing} injected corruption(s) of bucket {} slot {slot} \
-                         were never detected (no integrity check)",
-                        bucket.0
-                    ),
-                );
-            }
-        }
+        self.found.observe_faults(events);
     }
 
     /// Audits the full plan batch of one protocol access, in plan order.
@@ -187,20 +131,7 @@ impl OramAuditor {
                 ),
             );
         }
-        // Retry reconciliation: every `Retried` fault event must have
-        // produced exactly one retry-read touch in this batch.
-        for ((bucket, slot), n) in std::mem::take(&mut self.retry_allowances) {
-            if n > 0 {
-                self.found.violate(
-                    Rule::RetryMismatch,
-                    format!(
-                        "{n} retried fault(s) at bucket {} slot {slot} produced no \
-                         retry-read touch",
-                        bucket.0
-                    ),
-                );
-            }
-        }
+        self.found.reconcile_retries();
     }
 
     fn observe_plan(&mut self, plan: &AccessPlan) {
@@ -245,48 +176,10 @@ impl OramAuditor {
                     }
                 }
             }
-            OpKind::RetryRead => {
-                // Retry reads re-fetch already-public slots; they are not
-                // read paths (cadence unaffected) and do not open new slots
-                // (reuse/budget exempt). Every touch must consume one
-                // allowance minted by a `Retried` fault event, and must be
-                // a read.
-                for touch in &plan.touches {
-                    if touch.write {
-                        self.found.violate(
-                            Rule::PlanShape,
-                            format!(
-                                "retry plan wrote bucket {} slot {} (retries only read)",
-                                touch.bucket.0, touch.slot
-                            ),
-                        );
-                        continue;
-                    }
-                    let site = (touch.bucket, touch.slot);
-                    let allowed = self
-                        .retry_allowances
-                        .get_mut(&site)
-                        .filter(|n| **n > 0)
-                        .map(|n| *n -= 1)
-                        .is_some();
-                    if !allowed {
-                        self.found.violate(
-                            Rule::RetryMismatch,
-                            format!(
-                                "retry-read of bucket {} slot {} without a matching \
-                                 retried fault event",
-                                touch.bucket.0, touch.slot
-                            ),
-                        );
-                    }
-                }
-                if plan.touches.is_empty() {
-                    self.found.violate(
-                        Rule::PlanShape,
-                        "empty retry plan (a retry must re-read at least one slot)".to_string(),
-                    );
-                }
-            }
+            // Retry reads re-fetch already-public slots; they are not read
+            // paths (cadence unaffected) and do not open new slots
+            // (reuse/budget exempt).
+            OpKind::RetryRead => self.found.check_retry(plan),
             OpKind::EarlyReshuffle => {
                 self.check_reshuffle_shape(plan, 1);
                 self.apply_rewrites(plan);
@@ -350,12 +243,120 @@ struct Findings {
     /// Protocol accesses audited so far.
     accesses: u64,
     violations: Vec<Violation>,
+    /// Retry-read touches the fault log has authorized but no RetryRead
+    /// plan has consumed yet, keyed by (bucket, slot). Filled by
+    /// [`Self::observe_faults`], drained by [`Self::check_retry`] and
+    /// reconciled at the end of each batch by [`Self::reconcile_retries`].
+    retry_allowances: HashMap<(BucketId, u32), u32>,
+    /// Injected faults counted by [`Self::observe_faults`].
+    faults_seen: u64,
 }
 
 impl Findings {
     fn violate(&mut self, rule: Rule, message: String) {
         self.violations
             .push(Violation::new(self.accesses, rule, message));
+    }
+
+    /// The fault-log checks of [`ProtocolAuditor::observe_faults`].
+    fn observe_faults(&mut self, events: &[FaultEvent]) {
+        let mut pending_detect: HashMap<(BucketId, u32), u32> = HashMap::new();
+        for e in events {
+            let site = (e.bucket, e.slot);
+            match e.kind {
+                FaultEventKind::Injected => {
+                    self.faults_seen += 1;
+                    *pending_detect.entry(site).or_insert(0) += 1;
+                }
+                FaultEventKind::Detected => {
+                    let p = pending_detect.entry(site).or_insert(0);
+                    *p = p.saturating_sub(1);
+                }
+                FaultEventKind::Retried => {
+                    *self.retry_allowances.entry(site).or_insert(0) += 1;
+                }
+                FaultEventKind::Recovered => {}
+                FaultEventKind::Unrecovered => {
+                    self.violate(
+                        Rule::FaultUnrecovered,
+                        format!(
+                            "fetch from bucket {} slot {} lost its payload after \
+                             exhausting the retry budget",
+                            e.bucket.0, e.slot
+                        ),
+                    );
+                }
+            }
+        }
+        for ((bucket, slot), missing) in pending_detect {
+            if missing > 0 {
+                self.violate(
+                    Rule::FaultUndetected,
+                    format!(
+                        "{missing} injected corruption(s) of bucket {} slot {slot} \
+                         were never detected (no integrity check)",
+                        bucket.0
+                    ),
+                );
+            }
+        }
+    }
+
+    /// A RetryRead plan: nonempty, reads only, and every touch consumes one
+    /// allowance a `Retried` fault event minted ([`Rule::RetryMismatch`]
+    /// otherwise).
+    fn check_retry(&mut self, plan: &AccessPlan) {
+        for touch in &plan.touches {
+            if touch.write {
+                self.violate(
+                    Rule::PlanShape,
+                    format!(
+                        "retry plan wrote bucket {} slot {} (retries only read)",
+                        touch.bucket.0, touch.slot
+                    ),
+                );
+                continue;
+            }
+            let allowed = self
+                .retry_allowances
+                .get_mut(&(touch.bucket, touch.slot))
+                .filter(|n| **n > 0)
+                .map(|n| *n -= 1)
+                .is_some();
+            if !allowed {
+                self.violate(
+                    Rule::RetryMismatch,
+                    format!(
+                        "retry-read of bucket {} slot {} without a matching retried \
+                         fault event",
+                        touch.bucket.0, touch.slot
+                    ),
+                );
+            }
+        }
+        if plan.touches.is_empty() {
+            self.violate(
+                Rule::PlanShape,
+                "empty retry plan (a retry must re-read at least one slot)".to_string(),
+            );
+        }
+    }
+
+    /// Ends a batch: every `Retried` fault event must have produced exactly
+    /// one retry-read touch in it ([`Rule::RetryMismatch`] otherwise).
+    fn reconcile_retries(&mut self) {
+        for ((bucket, slot), n) in std::mem::take(&mut self.retry_allowances) {
+            if n > 0 {
+                self.violate(
+                    Rule::RetryMismatch,
+                    format!(
+                        "{n} retried fault(s) at bucket {} slot {slot} produced no \
+                         retry-read touch",
+                        bucket.0
+                    ),
+                );
+            }
+        }
     }
 
     /// Every touch of `plan` must address one of the bucket's `slots` slots.
@@ -441,7 +442,10 @@ impl Findings {
 ///   fully rewrite their reverse-lexicographic path;
 ///
 /// with every slot in range ([`Rule::SlotRange`]) and the stash within its
-/// configured bound ([`Rule::StashBound`]).
+/// configured bound ([`Rule::StashBound`]). A cover access has the same
+/// batch with a dummy read path in the read path's place, and a
+/// [`OpKind::RetryRead`] follows the read path exactly when the fault log
+/// authorized one.
 #[derive(Debug, Clone)]
 pub struct PlainTreeAuditor {
     config: RingConfig,
@@ -507,15 +511,40 @@ impl PlainTreeAuditor {
         self.found.accesses
     }
 
+    /// Audits one access's fault-event log (see [`ProtocolAuditor::observe_faults`]).
+    pub fn observe_faults(&mut self, events: &[FaultEvent]) {
+        self.found.observe_faults(events);
+    }
+
     /// Audits the plan batch of one access against the protocol's table:
-    /// the right plans in the right order, then each plan's exact shape.
+    /// the right plans in the right order, then each plan's exact shape. A
+    /// cover's dummy read path stands in for the read path, and a
+    /// [`OpKind::RetryRead`] right after the read path is admitted exactly
+    /// when the fault log authorized its touches ([`Rule::RetryMismatch`]
+    /// both ways).
     pub fn observe_access(&mut self, plans: &[AccessPlan]) {
         self.found.accesses += 1;
-        if !plans
-            .iter()
-            .map(|p| p.kind)
-            .eq(self.expected.iter().map(|r| r.0))
-        {
+        let retry = plans.get(1).filter(|p| p.kind == OpKind::RetryRead);
+        let table = || {
+            plans
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != 1 || retry.is_none())
+                .map(|(_, p)| p)
+        };
+        let conforms = table().count() == self.expected.len()
+            && table().zip(&self.expected).all(|(p, row)| {
+                p.kind == row.0 || (row.0 == OpKind::ReadPath && p.kind == OpKind::DummyReadPath)
+            });
+        if conforms {
+            for (plan, &(_, reads, writes)) in table().zip(&self.expected) {
+                self.found
+                    .check_exact_shape(plan, self.config.bucket_slots(), reads, writes);
+            }
+            if let Some(retry) = retry {
+                self.found.check_retry(retry);
+            }
+        } else {
             let evictions = match self.expected.len() - 1 {
                 0 => String::new(),
                 n => format!(" + {n} evictions"),
@@ -533,12 +562,8 @@ impl PlainTreeAuditor {
                         .join(", ")
                 ),
             );
-            return;
         }
-        for (plan, &(_, reads, writes)) in plans.iter().zip(&self.expected) {
-            self.found
-                .check_exact_shape(plan, self.config.bucket_slots(), reads, writes);
-        }
+        self.found.reconcile_retries();
     }
 
     /// Records the stash occupancy sampled after an access completed.
@@ -576,12 +601,21 @@ impl ProtocolAuditor {
         }
     }
 
-    /// Audits one access's fault-event log. Only the Ring engines have a
-    /// fault layer; for Path/Circuit the log is always empty and this is a
-    /// no-op (config validation rejects fault injection for them).
+    /// Audits one access's fault-event log. Call *before* the matching
+    /// [`Self::observe_access`]: the log's `Retried` entries authorize the
+    /// retry-read touches of the batch's plans.
+    ///
+    /// Checks:
+    /// * every `Injected` event is followed by a `Detected` for the same
+    ///   site within the batch ([`Rule::FaultUndetected`] otherwise — the
+    ///   integrity tag was missing or unchecked);
+    /// * no fetch ends `Unrecovered` ([`Rule::FaultUnrecovered`]): the
+    ///   retry budget must be sized so recovery always succeeds, or the
+    ///   simulation's results are computed on lost data.
     pub fn observe_faults(&mut self, events: &[FaultEvent]) {
-        if let Self::Ring(a) = self {
-            a.observe_faults(events);
+        match self {
+            Self::Ring(a) => a.observe_faults(events),
+            Self::Plain(a) => a.observe_faults(events),
         }
     }
 
@@ -667,9 +701,9 @@ mod tests {
                 let block = ring_oram::BlockId(rng.gen_range(0..blocks.max(1)));
                 let outcome = if i % 3 == 0 {
                     let payload = vec![i as u8; config.block_bytes as usize];
-                    oram.write_block(block, &payload)
+                    oram.write(block, &payload)
                 } else {
-                    oram.read_block(block).0
+                    oram.read(block).0
                 };
                 auditor.observe_access(&outcome.plans);
                 auditor.observe_stash(oram.stash_len());
@@ -781,9 +815,9 @@ mod tests {
             let block = ring_oram::BlockId(rng.gen_range(0..blocks.max(1)));
             let outcome = if i % 3 == 0 {
                 let payload = vec![i as u8; config.block_bytes as usize];
-                oram.write_block(block, &payload)
+                oram.write(block, &payload)
             } else {
-                oram.read_block(block).0
+                oram.read(block).0
             };
             auditor.observe_faults(&oram.take_fault_events());
             auditor.observe_access(&outcome.plans);
@@ -877,6 +911,26 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.rule == Rule::RetryMismatch));
+    }
+
+    /// A Path batch whose retry no `Retried` fault event authorized is a
+    /// retry mismatch, not a plan of the wrong shape.
+    #[test]
+    fn path_retry_without_fault_event_flagged() {
+        let config = z_slot_config();
+        let mut auditor = PlainTreeAuditor::path(config.clone());
+        let mut oram = ring_oram::PathOram::from_ring(config, 3);
+        let mut outcome = oram.access(ring_oram::BlockId(1));
+        let touch = outcome.plans[0].touches[0];
+        outcome.plans.push(AccessPlan::new(
+            OpKind::RetryRead,
+            vec![SlotTouch::read(touch.bucket, touch.slot)],
+            None,
+        ));
+        auditor.observe_faults(&[]);
+        auditor.observe_access(&outcome.plans);
+        let rules: Vec<Rule> = auditor.violations().iter().map(|v| v.rule).collect();
+        assert_eq!(rules, [Rule::RetryMismatch]);
     }
 
     #[test]

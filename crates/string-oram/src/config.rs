@@ -13,15 +13,6 @@ use ring_oram::{ProtocolKind, RecursiveConfig, ResilienceConfig, RingConfig, Sha
 pub enum ConfigError {
     /// A configuration constraint was violated.
     Invalid(String),
-    /// The configuration requests a feature the selected protocol cannot
-    /// provide (e.g. fault injection on an engine without an
-    /// integrity-checked retry layer).
-    Unsupported {
-        /// Label of the selected protocol ([`ProtocolKind::label`]).
-        protocol: &'static str,
-        /// The unsupported feature, human-readable.
-        feature: String,
-    },
     /// The number of traces handed to the simulation does not match
     /// `cfg.cores`.
     TraceCount {
@@ -36,9 +27,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Invalid(msg) => write!(f, "invalid SystemConfig: {msg}"),
-            Self::Unsupported { protocol, feature } => {
-                write!(f, "the {protocol} protocol does not support {feature}")
-            }
             Self::TraceCount { expected, got } => {
                 write!(f, "need exactly one trace per core ({expected}), got {got}")
             }
@@ -435,14 +423,7 @@ impl SystemConfig {
     /// must use this, not [`Self::ring`].
     #[must_use]
     pub fn effective_ring(&self) -> RingConfig {
-        match self.protocol {
-            ProtocolKind::RingCb => self.ring.clone(),
-            ProtocolKind::Ring => RingConfig {
-                y: 0,
-                ..self.ring.clone()
-            },
-            ProtocolKind::Path | ProtocolKind::Circuit => self.ring.z_slot(),
-        }
+        self.protocol.engine_config(&self.ring)
     }
 
     /// The tree layout [`Self::layout`] selects for `ring`'s tree (the
@@ -532,9 +513,7 @@ impl SystemConfig {
     ///
     /// Returns the first violated constraint across all components, plus
     /// cross-component checks (the ORAM trees, recursion tiers included,
-    /// must fit the DRAM module) and the protocol-capability check
-    /// ([`ConfigError::Unsupported`]: fault injection on Path or Circuit,
-    /// which have no integrity-checked retry layer).
+    /// must fit the DRAM module).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let ring = self.effective_ring();
         ring.validate()?;
@@ -579,14 +558,6 @@ impl SystemConfig {
                 .map_err(|e| ConfigError::Invalid(format!("recursion: {e}")))?;
         }
         if let Some(f) = &self.faults {
-            // The protocol-capability seam, checked before the per-layer
-            // fault validators so the error names the responsible protocol.
-            if matches!(self.protocol, ProtocolKind::Path | ProtocolKind::Circuit) {
-                return Err(ConfigError::Unsupported {
-                    protocol: self.protocol.label(),
-                    feature: "fault injection (no integrity-checked retry layer)".into(),
-                });
-            }
             if self.backend == BackendKind::FastFunctional {
                 return Err(ConfigError::Invalid(
                     "fault injection requires the cycle-accurate backend (the functional \
@@ -734,34 +705,22 @@ mod tests {
         }
     }
 
-    /// Every protocol × {faults, recursion, both} combination validates,
-    /// except the one capability seam left: fault injection on Path and
-    /// Circuit, a structured [`ConfigError::Unsupported`] naming the
-    /// protocol with or without recursion.
+    /// Every protocol × {faults, recursion, both} combination validates.
     #[test]
     fn fault_and_recursion_combinations_per_protocol() {
         for kind in ProtocolKind::ALL {
             let mut cfg = SystemConfig::test_small(Scheme::All);
             cfg.protocol = kind;
-            cfg.recursion = Some(RecursiveConfig {
+            let recursion = Some(RecursiveConfig {
                 tracked_blocks: 1 << 10,
                 positions_per_block: 16,
                 max_onchip_entries: 256,
             });
-            cfg.validate().unwrap();
-            for recursion in [None, cfg.recursion] {
+            for (faults, recursion) in [(false, recursion), (true, None), (true, recursion)] {
                 cfg.recursion = recursion;
-                cfg.faults = Some(FaultConfig::smoke(1, 0.01, cfg.ring.stash_capacity));
-                match (kind, cfg.validate()) {
-                    (ProtocolKind::RingCb | ProtocolKind::Ring, Ok(())) => {}
-                    (
-                        ProtocolKind::Path | ProtocolKind::Circuit,
-                        Err(ConfigError::Unsupported { protocol, feature }),
-                    ) => {
-                        assert_eq!(protocol, kind.label());
-                        assert!(feature.contains("fault injection"), "{feature}");
-                    }
-                    (_, other) => panic!("{kind} x {recursion:?}: got {other:?}"),
+                cfg.faults = faults.then(|| FaultConfig::smoke(1, 0.01, cfg.ring.stash_capacity));
+                if let Err(e) = cfg.validate() {
+                    panic!("{kind} x faults {faults} x {recursion:?}: {e}");
                 }
             }
         }

@@ -120,10 +120,8 @@ impl PipelineCore {
         wake
     }
 
-    /// Plans and admits one cover (padding) access. Returns `false` —
-    /// planning nothing — when the protocol has no native dummy-access
-    /// mechanism; padded submission modes are rejected for those up front,
-    /// so a `false` here is a caller bug.
+    /// Plans and admits one cover (padding) access. Every protocol has
+    /// one: always `true`.
     pub fn dispatch_cover(&mut self) -> bool {
         let mut planned = std::mem::take(&mut self.planned_scratch);
         let ok = self

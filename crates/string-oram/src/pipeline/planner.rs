@@ -17,10 +17,7 @@
 use dram_sim::PhysAddr;
 use oram_rng::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use ring_oram::layout::TreeLayout;
-use ring_oram::{
-    AccessPlan, BlockId, CircuitOram, ObliviousProtocol, OpKind, PathOram, ProtocolKind,
-    ResilienceConfig, RingConfig, RingOram,
-};
+use ring_oram::{AccessPlan, BlockId, ObliviousProtocol, OpKind, ResilienceConfig, RingConfig};
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::cpu::CoreRequest;
@@ -163,17 +160,16 @@ impl Planner {
     /// access digest, so padded and unpadded runs stay auditable by the
     /// same machinery. The digest mixes the sentinel block id `u64::MAX`
     /// (outside the addressable space) where a program access mixes its
-    /// block.
-    ///
-    /// Returns `false` — planning nothing — when the protocol has no native
-    /// dummy-access mechanism (Path, Circuit); callers must then reject
-    /// padded submission modes up front.
+    /// block. Every protocol has cover accesses: always `true`.
     pub fn plan_cover_into(
         &mut self,
         conformance: &mut Conformance,
         out: &mut Vec<PlannedTxn>,
     ) -> bool {
-        self.walk(None, conformance, out)
+        self.cover_accesses += 1;
+        self.mix(u64::MAX);
+        self.walk(None, conformance, out);
+        true
     }
 
     /// The one tier walk, innermost tier first: `Some(req)` is a program
@@ -183,32 +179,23 @@ impl Planner {
     /// into `out` and recycled into its tier. Tier 0's faults, plans and
     /// stash go to conformance — the map tiers run the same protocol on
     /// their own configs — and only its wake plan carries the core.
-    /// `false` (nothing lowered) when the protocol has no cover access.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn walk(
         &mut self,
         req: Option<&CoreRequest>,
         conformance: &mut Conformance,
         out: &mut Vec<PlannedTxn>,
-    ) -> bool {
-        let innermost = self.tiers.len() - 1;
+    ) {
         for (i, tier) in self.tiers.iter_mut().enumerate().rev() {
             let outcome = match req {
                 Some(req) => {
                     let divisor = self.positions_per_block.saturating_pow(i as u32);
                     tier.oram.access(BlockId(req.block / divisor))
                 }
-                // Every tier runs the same protocol: the innermost answers
-                // for all.
-                None => {
-                    let Some(outcome) = tier.oram.cover_access() else {
-                        return false;
-                    };
-                    if i == innermost {
-                        self.cover_accesses += 1;
-                        self.digest = fnv1a_u64(self.digest, u64::MAX);
-                    }
-                    outcome
-                }
+                None => tier
+                    .oram
+                    .cover_access()
+                    .expect("every engine has cover accesses"),
             };
             let faults = tier.oram.take_fault_events();
             let mut wake_at = None;
@@ -231,7 +218,6 @@ impl Planner {
             }
             tier.oram.recycle_outcome(outcome);
         }
-        true
     }
 
     /// Returns a lowered transaction's request buffer to the planner's
@@ -263,21 +249,15 @@ impl Planner {
 /// gets its own protocol and fault streams.
 fn engine(cfg: &SystemConfig, ring: RingConfig, i: u64) -> Box<dyn ObliviousProtocol> {
     let seed = cfg.seed ^ i;
-    match cfg.protocol {
-        ProtocolKind::RingCb | ProtocolKind::Ring => {
-            let mut oram = Box::new(RingOram::with_load_factor(ring, seed, cfg.load_factor));
-            if let Some(f) = &cfg.faults {
-                oram.enable_encryption(seed ^ 0xC1F3);
-                oram.enable_resilience(ResilienceConfig {
-                    fault_seed: f.resilience.fault_seed ^ i,
-                    ..f.resilience
-                });
-            }
-            oram
-        }
-        ProtocolKind::Path => Box::new(PathOram::from_ring(ring, seed)),
-        ProtocolKind::Circuit => Box::new(CircuitOram::new(ring, seed)),
+    let mut oram = cfg.protocol.engine(&ring, seed, cfg.load_factor);
+    if let Some(f) = &cfg.faults {
+        oram.enable_encryption(seed ^ 0xC1F3);
+        oram.enable_resilience(ResilienceConfig {
+            fault_seed: f.resilience.fault_seed ^ i,
+            ..f.resilience
+        });
     }
+    oram
 }
 
 /// Lowers one protocol plan: converts slot touches to physical requests in
@@ -333,7 +313,7 @@ fn lower(
 mod tests {
     use super::*;
     use crate::config::{Scheme, VerifyConfig};
-    use ring_oram::RecursiveConfig;
+    use ring_oram::{ProtocolKind, RecursiveConfig};
 
     fn planner_pair_for(cfg: &SystemConfig) -> (Planner, Conformance) {
         let conf = Conformance::new(
@@ -470,21 +450,31 @@ mod tests {
 
     #[test]
     fn a_cover_access_is_one_dummy_read_path_per_tier() {
-        let (mut p, mut conf) = planner_pair_for(&recursive_cfg(ProtocolKind::RingCb));
-        let mut out = Vec::new();
-        assert!(p.plan_cover_into(&mut conf, &mut out));
-        let tiers: Vec<usize> = out.iter().map(|t| tier_of(&p, t)).collect();
-        assert_eq!(tiers, [3, 2, 1, 0]);
-        assert!(out.iter().all(|t| t.kind == OpKind::DummyReadPath));
-        assert!(p.tiers().all(|t| t.stats().dummy_read_paths == 1));
-        assert_eq!(p.cover_accesses(), 1);
-
-        // Path and Circuit have no cover access on any tier.
-        let (mut p, mut conf) = planner_pair_for(&recursive_cfg(ProtocolKind::Path));
-        out.clear();
-        assert!(!p.plan_cover_into(&mut conf, &mut out));
-        assert!(out.is_empty());
-        assert_eq!(p.cover_accesses(), 0);
+        for protocol in ProtocolKind::ALL {
+            let (mut p, mut conf) = planner_pair_for(&recursive_cfg(protocol));
+            let mut out = Vec::new();
+            assert!(p.plan_cover_into(&mut conf, &mut out));
+            let reads: Vec<usize> = out
+                .iter()
+                .filter(|t| t.kind == OpKind::DummyReadPath)
+                .map(|t| tier_of(&p, t))
+                .collect();
+            assert_eq!(reads, [3, 2, 1, 0], "{protocol}");
+            // Circuit's cover carries its evictions; Ring's first cover
+            // falls short of `A` reads.
+            assert!(
+                out.iter()
+                    .all(|t| matches!(t.kind, OpKind::DummyReadPath | OpKind::Eviction)),
+                "{protocol}"
+            );
+            assert!(p.tiers().all(|t| t.stats().dummy_read_paths == 1));
+            assert_eq!(p.cover_accesses(), 1);
+            assert!(
+                conf.violations().is_empty(),
+                "{protocol}: {:?}",
+                conf.violations()
+            );
+        }
     }
 
     #[test]

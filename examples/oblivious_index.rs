@@ -19,7 +19,7 @@ fn main() {
         tree_top_cached_levels: 4,
         ..RingConfig::hpca_default()
     };
-    let mut index = ObliviousMap::new(cfg.clone(), 4096, 0xC11E17);
+    let mut index = ObliviousMap::new(Box::new(RingOram::new(cfg.clone(), 0xC11E17)), 4096);
 
     println!("Loading 1000 patient records into the oblivious index...");
     for i in 0..1000u32 {
@@ -55,13 +55,10 @@ fn main() {
 
     // Price one lookup with the paper's memory system: each ORAM access is
     // a read path of (levels - cached) blocks plus amortized evictions.
-    let oram = RingOram::new(cfg.clone(), 1);
-    let off_chip = cfg.levels - cfg.tree_top_cached_levels;
-    let per_read = off_chip;
+    let per_read = cfg.levels - cfg.tree_top_cached_levels;
     let evict_amortized = (u64::from(cfg.z) + u64::from(cfg.bucket_slots()))
         * u64::from(cfg.levels)
         / u64::from(cfg.a);
-    drop(oram);
     println!(
         "\nCost model: one map lookup = {} ORAM accesses x ({per_read} read-path \
          blocks + ~{evict_amortized} amortized eviction blocks).",

@@ -23,7 +23,8 @@
 //! does — real and cover accesses dispatched by hand, wakes collected into
 //! the caller's buffer — since that path never runs under `Simulation`;
 //! a third runs it over a recursive position map, every access and cover
-//! walking three map tiers.
+//! walking three map tiers, and a fourth on Path, whose covers are reads
+//! and write-backs of uniformly drawn paths.
 //! The cycle-accurate controller's per-cycle bookkeeping (per-bank
 //! queues, views and issue bounds) gets its own per-policy windows.
 //!
@@ -165,17 +166,23 @@ fn assert_steady_state_window(
 /// real accesses over a fixed block population, gated on the transaction
 /// window, every fourth slot a cover access, wakes drained from a reused
 /// buffer) must reach the same allocation-free steady state as the trace
-/// driver. The fixed population keeps the stash's working set — and with it
-/// the eviction candidate buffer — from growing past its warm-up size.
+/// driver, on Ring+CB and on Path. The fixed population keeps the stash's
+/// working set — and with it the eviction candidate buffer — from growing
+/// past its warm-up size.
 /// Under `recursion` every access and every cover walks the map tiers too,
 /// and every tier's tree must be complete before the window opens.
-fn assert_core_steady_state_window(verify: VerifyConfig, recursion: Option<RecursiveConfig>) {
+fn assert_core_steady_state_window(
+    protocol: ProtocolKind,
+    verify: VerifyConfig,
+    recursion: Option<RecursiveConfig>,
+) {
     const ACCESSES: usize = 8000;
     const MEASURED_ACCESSES: u64 = 100;
     const LEVELS: u32 = 10;
     const BLOCKS: u64 = 512;
 
     let mut cfg = SystemConfig::test_small(Scheme::All);
+    cfg.protocol = protocol;
     cfg.ring.levels = LEVELS;
     cfg.backend = BackendKind::FastFunctional;
     cfg.verify = verify;
@@ -202,7 +209,7 @@ fn assert_core_steady_state_window(verify: VerifyConfig, recursion: Option<Recur
         if core.inflight() < cfg.max_inflight_txns {
             slot += 1;
             if slot.is_multiple_of(4) {
-                assert!(core.dispatch_cover(), "Ring has cover accesses");
+                assert!(core.dispatch_cover(), "{protocol} has cover accesses");
             } else {
                 // A stride coprime to the population visits every block.
                 let block = slot * 7 % BLOCKS;
@@ -221,7 +228,7 @@ fn assert_core_steady_state_window(verify: VerifyConfig, recursion: Option<Recur
     }
     assert!(
         complete(&core),
-        "core: too few accesses to materialize every tree"
+        "{protocol} core: too few accesses to materialize every tree"
     );
     let (warmed, warmed_cover) = (core.accesses(), core.cover_accesses());
 
@@ -232,13 +239,13 @@ fn assert_core_steady_state_window(verify: VerifyConfig, recursion: Option<Recur
     let during = ALLOCATIONS.load(Ordering::SeqCst) - baseline;
     assert!(
         core.cover_accesses() > warmed_cover,
-        "core: the window held no cover access"
+        "{protocol} core: the window held no cover access"
     );
     assert_eq!(
         during,
         0,
-        "core ({} tiers): steady state allocated {during} times across {MEASURED_ACCESSES} \
-         accesses",
+        "{protocol} core ({} tiers): steady state allocated {during} times across \
+         {MEASURED_ACCESSES} accesses",
         tier_buckets.len()
     );
 }
@@ -379,10 +386,12 @@ fn steady_state_access_performs_no_heap_allocation() {
     );
 
     // The request-driven shape, on the core directly, verifier off and on,
-    // and over a stack with three position-map tiers.
-    assert_core_steady_state_window(off, None);
-    assert_core_steady_state_window(checked, None);
-    assert_core_steady_state_window(checked, Some(RecursiveConfig::test_small()));
+    // over a stack with three position-map tiers, and on Path.
+    let ring_cb = ProtocolKind::RingCb;
+    assert_core_steady_state_window(ring_cb, off, None);
+    assert_core_steady_state_window(ring_cb, checked, None);
+    assert_core_steady_state_window(ring_cb, checked, Some(RecursiveConfig::test_small()));
+    assert_core_steady_state_window(ProtocolKind::Path, checked, None);
 
     // First touches have a heap budget rather than a zero.
     let hpca = RingConfig::hpca_default();

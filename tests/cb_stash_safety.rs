@@ -9,7 +9,7 @@
 //! bounded stash.
 
 use oram_rng::{Rng, StdRng};
-use ring_oram::{BlockId, RingConfig, RingOram};
+use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
 use sim_verify::OramAuditor;
 use string_oram::{Scheme, Simulation, SystemConfig};
 use trace_synth::generator::LocalityModel;

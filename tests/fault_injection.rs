@@ -4,10 +4,12 @@
 //! negative half — losing a payload (retries disabled) must be flagged by
 //! the fault-aware auditor and must abort a `fail_fast` run.
 
-use ring_oram::{BlockId, FaultEvent, ResilienceConfig, RingConfig, RingOram};
+use oram_rng::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
+use ring_oram::{BlockId, FaultEvent, OpKind, ResilienceConfig, RingConfig, RingOram};
+use string_oram::pipeline::{Conformance, Planner};
 use string_oram::{
-    ConfigError, FaultConfig, ObliviousProtocol, RecursiveConfig, ResilienceSummary, Scheme,
-    ShardedSimulation, SimReport, Simulation, SystemConfig,
+    ConfigError, CoreRequest, FaultConfig, ObliviousProtocol, ProtocolKind, RecursiveConfig,
+    ResilienceSummary, Scheme, ShardedSimulation, SimReport, Simulation, SystemConfig,
 };
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
 
@@ -252,7 +254,6 @@ fn try_new_reports_errors_instead_of_panicking() {
 /// record, on every protocol, never a panic mid-run.
 #[test]
 fn try_new_rejects_trace_block_ids_in_the_reserved_range() {
-    use ring_oram::ProtocolKind;
     for protocol in ProtocolKind::ALL {
         for shards in [1, 2] {
             let mut cfg = SystemConfig::test_small(Scheme::All);
@@ -430,4 +431,96 @@ fn faults_with_recursion_recover_and_stay_violation_free() {
     }
     let (again, _) = run();
     assert_eq!(format!("{r:?}"), format!("{again:?}"));
+}
+
+/// `cfg`'s data ORAM planned over the blocks of a `records`-record trace,
+/// in trace order, with every checker on: the FNV-1a fold of every
+/// transaction but the retries (kind, addresses, directions), the number
+/// of retry transactions, and the checkers' findings.
+fn access_sequence(cfg: &SystemConfig, records: usize) -> (u64, usize, Vec<String>) {
+    let mut planner = Planner::build(cfg).expect("valid config");
+    let mut conformance = Conformance::new(
+        &cfg.verify,
+        cfg.protocol,
+        &cfg.effective_ring(),
+        &cfg.geometry,
+        &cfg.timing,
+        false,
+        cfg.sched_policy.name(),
+    );
+    let (mut digest, mut retries) = (FNV_OFFSET, 0);
+    let mut planned = Vec::new();
+    for record in &traces_for(cfg, "black", 11, records)[0] {
+        let req = CoreRequest {
+            core: 0,
+            block: record.op.block,
+            is_write: false,
+        };
+        planner.plan_into(&req, &mut conformance, &mut planned);
+        for txn in planned.drain(..) {
+            if txn.kind == OpKind::RetryRead {
+                retries += 1;
+                continue;
+            }
+            digest = fnv1a_bytes(digest, txn.kind.label().as_bytes());
+            for (addr, write) in txn.requests {
+                digest = fnv1a_bytes(fnv1a_u64(digest, addr.0), &[u8::from(write)]);
+            }
+        }
+    }
+    let findings = conformance
+        .violations()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    (digest, retries, findings)
+}
+
+/// Path and Circuit take transit faults like Ring does: every corrupted
+/// fetch a read path moves into the stash is detected and recovered by
+/// retries, no checker fires, and a repeat run is byte-identical. Planned
+/// over the same requests, the faulty run's access sequence with its
+/// retry transactions set aside is the fault-free run's: the fault RNG
+/// never touches the protocol RNG.
+#[test]
+fn path_and_circuit_recover_faults_and_keep_the_access_sequence() {
+    for protocol in [ProtocolKind::Path, ProtocolKind::Circuit] {
+        let faulty = || {
+            let mut cfg = smoke_cfg(Scheme::All, 0xF417, 0.05);
+            cfg.protocol = protocol;
+            if let Some(f) = &mut cfg.faults {
+                f.resilience.bit_flip_rate = 0.2;
+                f.resilience.max_retries = 6;
+            }
+            cfg
+        };
+        let r = run_sim(faulty(), "black", 11, 80);
+        assert!(
+            r.violations.is_empty(),
+            "{protocol}: {:?}",
+            r.violations.first()
+        );
+        let res = &r.resilience;
+        assert!(res.faults_recovered > 0, "{protocol}: {res:?}");
+        assert_eq!(res.faults_injected, res.faults_detected, "{protocol}");
+        assert_eq!(res.faults_unrecovered, 0, "{protocol}");
+        assert!(res.retry_cycles > 0, "{protocol}: retries must cost cycles");
+        let again = run_sim(faulty(), "black", 11, 80);
+        assert_eq!(format!("{r:?}"), format!("{again:?}"), "{protocol}");
+
+        let mut clean = SystemConfig::test_small(Scheme::All);
+        clean.protocol = protocol;
+        let (clean_digest, clean_retries, clean_findings) = access_sequence(&clean, 400);
+        let (digest, retries, findings) = access_sequence(&faulty(), 400);
+        assert_eq!(clean_retries, 0);
+        assert!(retries > 0, "{protocol}: no retry planned");
+        assert!(
+            clean_findings.is_empty() && findings.is_empty(),
+            "{findings:?}"
+        );
+        assert_eq!(
+            digest, clean_digest,
+            "{protocol}: faults moved the access sequence"
+        );
+    }
 }

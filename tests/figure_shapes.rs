@@ -172,6 +172,7 @@ fn workload_insensitivity_of_the_optimization() {
 
 #[test]
 fn ring_vs_path_oram_bandwidth_ablation() {
+    use ring_oram::ObliviousProtocol;
     // Ring ORAM's raison d'etre: lower bandwidth than Path ORAM.
     let path_cfg = ring_oram::RingConfig::test_small().z_slot();
     let mut path = ring_oram::PathOram::from_ring(path_cfg, 5);

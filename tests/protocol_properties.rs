@@ -4,7 +4,9 @@
 
 use oram_rng::{Rng, StdRng};
 use ring_oram::layout::TreeLayout;
-use ring_oram::{BlockId, BucketId, Level, PathId, RingConfig, RingOram, TreeGeometry};
+use ring_oram::{
+    BlockId, BucketId, Level, ObliviousProtocol, PathId, RingConfig, RingOram, TreeGeometry,
+};
 
 /// Number of random cases per property (mirrors the old proptest setting).
 const CASES: u64 = 64;
@@ -209,10 +211,10 @@ fn data_integrity_under_random_interleavings() {
             let tag = rng.gen::<u8>();
             if is_write {
                 let data = vec![tag; block_bytes];
-                let _ = oram.write_block(BlockId(block), &data);
+                let _ = oram.write(BlockId(block), &data);
                 model.insert(block, tag);
             } else {
-                let (_, data) = oram.read_block(BlockId(block));
+                let (_, data) = oram.read(BlockId(block));
                 match model.get(&block) {
                     Some(&tag) => {
                         let d = data.expect("written block must have data");
@@ -225,7 +227,7 @@ fn data_integrity_under_random_interleavings() {
         // Final sweep: every model entry is still intact.
         let keys: Vec<u64> = model.keys().copied().collect();
         for block in keys {
-            let (_, data) = oram.read_block(BlockId(block));
+            let (_, data) = oram.read(BlockId(block));
             assert_eq!(data, Some(vec![model[&block]; block_bytes]));
         }
         oram.check_invariants();
