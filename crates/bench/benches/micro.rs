@@ -26,7 +26,7 @@ use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
 use oram_collections::ObliviousMap;
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
 use ring_oram::crypto::BlockCipher;
-use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, PathOram, RingConfig, RingOram};
+use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, Op, PathOram, RingConfig, RingOram};
 use string_oram::pipeline::{Conformance, Planner};
 use string_oram::{
     BackendKind, CoreRequest, RecursiveConfig, Scheme, Simulation, SystemConfig, VerifyConfig,
@@ -374,8 +374,8 @@ fn bench_data_path() {
     let data = [7u8; 64];
     bench("wr_rd_block_64b", |i| {
         let id = BlockId(i % 128);
-        let _ = oram.write(id, &data);
-        std::hint::black_box(oram.read(id).1);
+        let _ = oram.operate(id, Op::Write(&data));
+        std::hint::black_box(oram.operate(id, Op::Read).1);
     });
 }
 

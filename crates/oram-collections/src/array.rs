@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious array.
 
-use ring_oram::{AccessOutcome, BlockId, ObliviousProtocol};
+use ring_oram::{AccessOutcome, BlockId, ObliviousProtocol, Op};
 
 /// Error returned by oblivious-collection operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,8 +126,7 @@ impl ObliviousArray {
     /// [`CollectionError::IndexOutOfBounds`].
     pub fn get(&mut self, index: u64) -> Result<Option<Vec<u8>>, CollectionError> {
         self.check_index(index)?;
-        let (_, data) = self.oram.read(BlockId(index));
-        Ok(data.map(|d| decode(&d)))
+        Ok(self.oram.operate(BlockId(index), Op::Read).1.map(decode))
     }
 
     /// Writes element `index`.
@@ -142,7 +141,7 @@ impl ObliviousArray {
             len: value.len(),
             max: self.element_bytes(),
         })?;
-        Ok(self.oram.write(BlockId(index), &encoded))
+        Ok(self.oram.operate(BlockId(index), Op::Write(&encoded)).0)
     }
 }
 

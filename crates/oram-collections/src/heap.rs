@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious min-heap (priority queue).
 
-use ring_oram::{BlockId, ObliviousProtocol};
+use ring_oram::{BlockId, ObliviousProtocol, Op};
 
 use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
@@ -93,9 +93,9 @@ impl ObliviousHeap {
     }
 
     fn read_size(&mut self) -> u64 {
-        let (_, data) = self.oram.read(SIZE_SLOT);
+        let (_, data) = self.oram.operate(SIZE_SLOT, Op::Read);
         data.map_or(0, |b| {
-            let raw = decode(&b);
+            let raw = decode(b);
             let mut s = [0u8; 8];
             s.copy_from_slice(&raw[..8]);
             u64::from_le_bytes(s)
@@ -104,7 +104,7 @@ impl ObliviousHeap {
 
     fn write_size(&mut self, size: u64) {
         let encoded = encode(&size.to_le_bytes(), self.block_bytes).expect("8 bytes fit");
-        let _ = self.oram.write(SIZE_SLOT, &encoded);
+        let _ = self.oram.operate(SIZE_SLOT, Op::Write(&encoded));
     }
 
     /// Current entry count (costs one ORAM access).
@@ -118,14 +118,14 @@ impl ObliviousHeap {
     }
 
     fn read_entry(&mut self, idx: u64) -> Option<(u64, Vec<u8>)> {
-        let (_, data) = self.oram.read(BlockId(idx));
-        data.map(|b| unpack(&decode(&b)))
+        let (_, data) = self.oram.operate(BlockId(idx), Op::Read);
+        data.map(|b| unpack(&decode(b)))
     }
 
     fn write_entry(&mut self, idx: u64, key: u64, value: &[u8]) {
         let entry = pack(key, value);
         let encoded = encode(&entry, self.block_bytes).expect("checked at push");
-        let _ = self.oram.write(BlockId(idx), &encoded);
+        let _ = self.oram.operate(BlockId(idx), Op::Write(&encoded));
     }
 
     /// Scratch block used by dummy accesses (outside the heap's range, so
@@ -137,14 +137,14 @@ impl ObliviousHeap {
     /// One dummy ORAM read (padding; indistinguishable on the bus).
     fn dummy_read(&mut self) {
         let slot = self.scratch_slot();
-        let _ = self.oram.read(slot);
+        let _ = self.oram.access(slot);
     }
 
     /// One dummy ORAM write (padding; indistinguishable on the bus).
     fn dummy_write(&mut self) {
         let slot = self.scratch_slot();
         let encoded = encode(&pack(u64::MAX, &[]), self.block_bytes).expect("fits");
-        let _ = self.oram.write(slot, &encoded);
+        let _ = self.oram.operate(slot, Op::Write(&encoded));
     }
 
     /// Inserts `(key, value)`. Fixed cost: exactly `3 + 2 * levels` ORAM

@@ -5,8 +5,8 @@
 //! recovery). This crate closes the loop for downstream users: classic
 //! collections whose **physical access pattern is independent of the keys,
 //! indices and operations performed**, built on the payload-carrying
-//! `read` / `write` of any `ring-oram` engine (Ring+CB, Ring, Path or
-//! Circuit, as a `Box<dyn ObliviousProtocol>`):
+//! `operate` (an `Op::Read` or an `Op::Write`) of any `ring-oram` engine
+//! (Ring+CB, Ring, Path or Circuit, as a `Box<dyn ObliviousProtocol>`):
 //!
 //! * [`ObliviousArray`] — one ORAM access per `get`/`set`;
 //! * [`ObliviousMap`] — fixed-probe open addressing: every operation walks

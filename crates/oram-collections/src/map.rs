@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious hash map.
 
-use ring_oram::{BlockId, ObliviousProtocol};
+use ring_oram::{BlockId, ObliviousProtocol, Op};
 
 use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
@@ -144,10 +144,10 @@ impl ObliviousMap {
         let mut found = None;
         for probe in 0..Self::PROBES {
             let slot = self.slot(key, probe);
-            let (_, data) = self.oram.read(slot);
+            let (_, data) = self.oram.operate(slot, Op::Read);
             if found.is_none() {
                 if let Some(block) = data {
-                    let entry = decode(&block);
+                    let entry = decode(block);
                     if let Some((k, v)) = unpack_entry(&entry) {
                         if k == key {
                             found = Some(v.to_vec());
@@ -176,10 +176,10 @@ impl ObliviousMap {
         let mut first_empty = None;
         for probe in 0..Self::PROBES {
             let slot = self.slot(key, probe);
-            let (_, data) = self.oram.read(slot);
+            let (_, data) = self.oram.operate(slot, Op::Read);
             match data {
                 Some(block) => {
-                    let entry = decode(&block);
+                    let entry = decode(block);
                     match unpack_entry(&entry) {
                         Some((k, _)) if k == key && target.is_none() => {
                             target = Some((slot, true));
@@ -201,7 +201,7 @@ impl ObliviousMap {
         // just another ORAM access).
         let entry = pack_entry(key, value);
         let encoded = encode(&entry, self.block_bytes).expect("checked sizes");
-        let _ = self.oram.write(slot, &encoded);
+        let _ = self.oram.operate(slot, Op::Write(&encoded));
         if !update {
             self.len += 1;
         }
@@ -220,10 +220,10 @@ impl ObliviousMap {
         let mut found: Option<(BlockId, Vec<u8>)> = None;
         for probe in 0..Self::PROBES {
             let slot = self.slot(key, probe);
-            let (_, data) = self.oram.read(slot);
+            let (_, data) = self.oram.operate(slot, Op::Read);
             if found.is_none() {
                 if let Some(block) = data {
-                    let entry = decode(&block);
+                    let entry = decode(block);
                     if let Some((k, v)) = unpack_entry(&entry) {
                         if k == key {
                             found = Some((slot, v.to_vec()));
@@ -237,7 +237,7 @@ impl ObliviousMap {
                 // Tombstone: an empty (zero-length) payload marks a free
                 // slot; written through the same oblivious path.
                 let encoded = encode(&[], self.block_bytes).expect("fits");
-                let _ = self.oram.write(slot, &encoded);
+                let _ = self.oram.operate(slot, Op::Write(&encoded));
                 self.len -= 1;
                 Ok(Some(old))
             }
@@ -253,7 +253,7 @@ impl ObliviousMap {
     /// the write it stands in for.
     fn pad(&mut self, key: &[u8]) {
         let slot = self.slot(key, 0);
-        let _ = self.oram.read(slot);
+        let _ = self.oram.access(slot);
     }
 }
 

@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious FIFO queue.
 
-use ring_oram::{BlockId, ObliviousProtocol};
+use ring_oram::{BlockId, ObliviousProtocol, Op};
 
 use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
@@ -66,10 +66,10 @@ impl ObliviousQueue {
     }
 
     fn read_header(&mut self) -> (u64, u64) {
-        let (_, data) = self.oram.read(HEADER_SLOT);
+        let (_, data) = self.oram.operate(HEADER_SLOT, Op::Read);
         match data {
             Some(block) => {
-                let raw = decode(&block);
+                let raw = decode(block);
                 let mut head = [0u8; 8];
                 let mut len = [0u8; 8];
                 head.copy_from_slice(&raw[..8]);
@@ -85,7 +85,7 @@ impl ObliviousQueue {
         raw[..8].copy_from_slice(&head.to_le_bytes());
         raw[8..].copy_from_slice(&len.to_le_bytes());
         let encoded = encode(&raw, self.block_bytes).expect("16 bytes fit");
-        let _ = self.oram.write(HEADER_SLOT, &encoded);
+        let _ = self.oram.operate(HEADER_SLOT, Op::Write(&encoded));
     }
 
     /// Current occupancy (costs one ORAM access).
@@ -112,12 +112,12 @@ impl ObliviousQueue {
         let (head, len) = self.read_header();
         if len >= self.capacity {
             // Dummy accesses mirror the successful path on the bus.
-            let _ = self.oram.read(BlockId(1));
+            let _ = self.oram.access(BlockId(1));
             self.write_header(head, len);
             return Err(CollectionError::Full);
         }
         let tail = (head + len) % self.capacity;
-        let _ = self.oram.write(BlockId(tail + 1), &encoded);
+        let _ = self.oram.operate(BlockId(tail + 1), Op::Write(&encoded));
         self.write_header(head, len + 1);
         Ok(())
     }
@@ -127,13 +127,13 @@ impl ObliviousQueue {
     pub fn dequeue(&mut self) -> Result<Option<Vec<u8>>, CollectionError> {
         let (head, len) = self.read_header();
         if len == 0 {
-            let _ = self.oram.read(BlockId(1));
+            let _ = self.oram.access(BlockId(1));
             self.write_header(head, 0);
             return Ok(None);
         }
-        let (_, data) = self.oram.read(BlockId(head + 1));
+        let value = self.oram.operate(BlockId(head + 1), Op::Read).1.map(decode);
         self.write_header((head + 1) % self.capacity, len - 1);
-        Ok(data.map(|d| decode(&d)))
+        Ok(value)
     }
 }
 

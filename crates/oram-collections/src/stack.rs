@@ -1,6 +1,6 @@
 //! A fixed-capacity oblivious stack.
 
-use ring_oram::{BlockId, ObliviousProtocol};
+use ring_oram::{BlockId, ObliviousProtocol, Op};
 
 use crate::array::{checked_block_bytes, decode, encode, CollectionError};
 
@@ -70,10 +70,10 @@ impl ObliviousStack {
     }
 
     fn read_depth(&mut self) -> u64 {
-        let (_, data) = self.oram.read(DEPTH_SLOT);
+        let (_, data) = self.oram.operate(DEPTH_SLOT, Op::Read);
         match data {
             Some(block) => {
-                let raw = decode(&block);
+                let raw = decode(block);
                 let mut b = [0u8; 8];
                 b.copy_from_slice(&raw[..8]);
                 u64::from_le_bytes(b)
@@ -84,7 +84,7 @@ impl ObliviousStack {
 
     fn write_depth(&mut self, depth: u64) {
         let encoded = encode(&depth.to_le_bytes(), self.block_bytes).expect("8 bytes always fit");
-        let _ = self.oram.write(DEPTH_SLOT, &encoded);
+        let _ = self.oram.operate(DEPTH_SLOT, Op::Write(&encoded));
     }
 
     /// Current depth (costs one ORAM access).
@@ -112,11 +112,11 @@ impl ObliviousStack {
         if depth >= self.capacity {
             // A dummy access in the element's place keeps the failed push
             // indistinguishable on the bus from a successful one.
-            let _ = self.oram.read(BlockId(1));
+            let _ = self.oram.access(BlockId(1));
             self.write_depth(depth);
             return Err(CollectionError::Full);
         }
-        let _ = self.oram.write(BlockId(depth + 1), &encoded);
+        let _ = self.oram.operate(BlockId(depth + 1), Op::Write(&encoded));
         self.write_depth(depth + 1);
         Ok(())
     }
@@ -127,13 +127,13 @@ impl ObliviousStack {
         let depth = self.read_depth();
         if depth == 0 {
             // Dummy accesses mirror the successful path.
-            let _ = self.oram.read(BlockId(1));
+            let _ = self.oram.access(BlockId(1));
             self.write_depth(0);
             return Ok(None);
         }
-        let (_, data) = self.oram.read(BlockId(depth));
+        let value = self.oram.operate(BlockId(depth), Op::Read).1.map(decode);
         self.write_depth(depth - 1);
-        Ok(data.map(|d| decode(&d)))
+        Ok(value)
     }
 }
 

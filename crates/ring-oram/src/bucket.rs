@@ -50,7 +50,7 @@ const DUMMY: u64 = VALID - 1;
 /// Rows per slab chunk. A chunk is allocated whole (zeroed) the first time
 /// one of its rows is needed and never moves, so growing the tree copies
 /// no row and never doubles what is resident.
-pub(crate) const CHUNK_ROWS: usize = 1024;
+pub const CHUNK_ROWS: usize = 1024;
 
 fn holds_real(word: u64) -> bool {
     word & VALID != 0 && word != VALID | DUMMY

@@ -27,8 +27,8 @@
 //! eviction path.
 
 use crate::config::RingConfig;
-use crate::oblivious::ProtocolKind;
-use crate::plain_tree::{read_kind, Op, PlainTree, Take};
+use crate::oblivious::{Op, ProtocolKind};
+use crate::plain_tree::{read_kind, PlainTree, Take};
 use crate::plan::OpKind;
 use crate::protocol::AccessOutcome;
 use crate::types::BlockId;
@@ -72,17 +72,14 @@ impl CircuitOram {
     /// # Panics
     ///
     /// Panics if the target is not below `RingOram::COLD_BASE`.
-    pub(crate) fn schedule(
-        &mut self,
-        target: Option<(BlockId, Op<'_>)>,
-    ) -> (AccessOutcome, Option<Vec<u8>>) {
+    pub(crate) fn schedule(&mut self, target: Option<(BlockId, Op<'_>)>) -> (AccessOutcome, bool) {
         let tree = &mut self.tree;
         let block = target.map(|(b, _)| b);
         let (path, _) = tree.locate(block);
         let mut plans = tree.pool.plans();
         let mut reads = tree.reads(read_kind(block), 0);
         let source = tree.read_path(path, block, Take::TargetOnly, &mut reads);
-        let data = tree.remap_target(target, source);
+        let read = tree.remap_target(target, source);
         tree.emit(&mut plans, reads);
         for _ in 0..EVICTIONS_PER_ACCESS {
             let path = tree
@@ -95,7 +92,7 @@ impl CircuitOram {
             tree.stats.evictions += 1;
             tree.emit(&mut plans, reads);
         }
-        (tree.finish(plans, source), data)
+        (tree.finish(plans, source), read)
     }
 }
 

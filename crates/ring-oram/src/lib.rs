@@ -76,7 +76,7 @@ pub mod types;
 pub use circuit::CircuitOram;
 pub use config::RingConfig;
 pub use faults::{FaultEvent, FaultEventKind, OramError, ResilienceConfig};
-pub use oblivious::{ObliviousProtocol, ProtocolKind};
+pub use oblivious::{ObliviousProtocol, Op, ProtocolKind};
 pub use path_oram::PathOram;
 pub use plan::{AccessPlan, OpKind, SlotTouch};
 pub use protocol::{AccessOutcome, ProtocolStats, RingOram, TargetSource};

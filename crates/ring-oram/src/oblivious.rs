@@ -28,9 +28,18 @@ use crate::config::RingConfig;
 use crate::crypto::BlockCipher;
 use crate::faults::{FaultEvent, ResilienceConfig};
 use crate::path_oram::PathOram;
-use crate::plain_tree::Op;
 use crate::protocol::{AccessOutcome, ProtocolStats, RingOram};
 use crate::types::{BlockId, PathId};
+
+/// What a program access does with its block: the trace's two operations,
+/// one and the same access on the bus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op<'a> {
+    /// Hand back the block's payload, `None` until its first write.
+    Read,
+    /// Replace the block's payload (exactly `block_bytes` long).
+    Write(&'a [u8]),
+}
 
 /// The protocol design points the simulator can drive.
 ///
@@ -135,31 +144,23 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     /// encoding).
     fn config(&self) -> &RingConfig;
 
-    /// Performs one logical access: position-map lookup, per-level fetch
-    /// planning, stash update, and any eviction/reshuffle write-backs.
+    /// Performs one logical program access — position-map lookup, per-level
+    /// fetch planning, stash update, and any eviction/reshuffle write-backs —
+    /// and applies `op` to the block. A read's payload comes back as a
+    /// borrow of a buffer the engine reuses.
     ///
     /// # Panics
     ///
-    /// Panics if `block` is not below `RingOram::COLD_BASE`, or if the
-    /// engine cannot keep its stash bounded (an over-full tree).
-    fn access(&mut self, block: BlockId) -> AccessOutcome;
+    /// Panics if `block` is not below `RingOram::COLD_BASE`, if a write's
+    /// data is not exactly `block_bytes` long, or if the engine cannot keep
+    /// its stash bounded (an over-full tree).
+    fn operate(&mut self, block: BlockId, op: Op<'_>) -> (AccessOutcome, Option<&[u8]>);
 
-    /// [`Self::access`] that also returns a copy of the block's payload
-    /// (`None` until the first [`Self::write`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::access`].
-    fn read(&mut self, block: BlockId) -> (AccessOutcome, Option<Vec<u8>>);
-
-    /// [`Self::access`] that replaces the block's payload; the data is
-    /// (re-)encrypted when it is next written into the tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly `block_bytes` long, or as
-    /// [`Self::access`].
-    fn write(&mut self, block: BlockId, data: &[u8]) -> AccessOutcome;
+    /// [`Self::operate`] with [`Op::Read`], the value dropped: the access
+    /// the timing layers plan.
+    fn access(&mut self, block: BlockId) -> AccessOutcome {
+        self.operate(block, Op::Read).0
+    }
 
     /// Plans one **cover access**: the engine's own access with no target,
     /// on a uniformly drawn path — Ring's dummy read path, Path's read and
@@ -176,8 +177,8 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     /// then refill lazily.
     fn recycle_outcome(&mut self, outcome: AccessOutcome);
 
-    /// Pre-sizes per-access bookkeeping (e.g. stash-occupancy samples) for
-    /// `n` further accesses, so the steady state never grows vectors.
+    /// Pre-sizes per-access bookkeeping (stash samples; payload boxes once
+    /// the program writes) for `n` further accesses: no steady-state growth.
     fn reserve_accesses(&mut self, n: usize);
 
     /// Enables encryption-at-rest emulation with the fast (insecure)
@@ -244,8 +245,8 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
 }
 
 /// Implements [`ObliviousProtocol`] for engines that are schedules over a
-/// `tree` frame: the engine's `schedule` serves `access`, `read`, `write`
-/// and `cover_access`; everything else has its one body on the frame.
+/// `tree` frame: the engine's `schedule` serves `operate` and
+/// `cover_access`; everything else has its one body on the frame.
 macro_rules! schedule_over_the_frame {
     ($($engine:ty),*) => {$(
         impl ObliviousProtocol for $engine {
@@ -255,19 +256,9 @@ macro_rules! schedule_over_the_frame {
             fn config(&self) -> &RingConfig {
                 &self.tree.cfg
             }
-            fn access(&mut self, block: BlockId) -> AccessOutcome {
-                self.schedule(Some((block, Op::Access))).0
-            }
-            fn read(&mut self, block: BlockId) -> (AccessOutcome, Option<Vec<u8>>) {
-                self.schedule(Some((block, Op::Read)))
-            }
-            fn write(&mut self, block: BlockId, data: &[u8]) -> AccessOutcome {
-                assert_eq!(
-                    data.len(),
-                    self.tree.cfg.block_bytes as usize,
-                    "payload must be exactly block_bytes long"
-                );
-                self.schedule(Some((block, Op::Write(data)))).0
+            fn operate(&mut self, block: BlockId, op: Op<'_>) -> (AccessOutcome, Option<&[u8]>) {
+                let (outcome, read) = self.schedule(Some((block, op)));
+                (outcome, read.then_some(&self.tree.read_back[..]))
             }
             fn cover_access(&mut self) -> Option<AccessOutcome> {
                 Some(self.schedule(None).0)
@@ -277,6 +268,7 @@ macro_rules! schedule_over_the_frame {
             }
             fn reserve_accesses(&mut self, n: usize) {
                 self.tree.stats.stash_samples.reserve(n);
+                self.tree.data.reserved += n;
             }
             fn enable_encryption(&mut self, key: u64) {
                 self.tree.data.cipher = Some(BlockCipher::new(key));
@@ -400,54 +392,28 @@ mod tests {
         h.finish()
     }
 
-    /// Drives `oram` with seeded reads, writes and cover accesses over
-    /// `blocks` block ids against a mirror of every block's last write:
-    /// every read must return the mirror's value — a cover changes none —
-    /// and a final sweep reads every block back.
-    fn mirror_oracle_run(oram: &mut dyn ObliviousProtocol, blocks: u64, accesses: u64) {
-        use oram_rng::{Rng, StdRng};
-        let block_bytes = oram.config().block_bytes as usize;
-        let mut mirror: Vec<Option<Vec<u8>>> = vec![None; blocks as usize];
-        let mut ops = StdRng::seed_from_u64(blocks ^ accesses);
-        for step in 0..accesses {
-            let b = ops.gen_range(0..blocks);
-            let outcome = match ops.gen_range(0..10u32) {
-                0 => oram
-                    .cover_access()
-                    .expect("every engine has cover accesses"),
-                1..=4 => {
-                    let data: Vec<u8> = (0..block_bytes)
-                        .map(|i| (step * 31 + b * 7 + i as u64) as u8)
-                        .collect();
-                    let outcome = oram.write(BlockId(b), &data);
-                    mirror[b as usize] = Some(data);
-                    outcome
-                }
-                _ => {
-                    let (outcome, got) = oram.read(BlockId(b));
-                    assert_eq!(got, mirror[b as usize], "step {step}: block {b}");
-                    outcome
-                }
-            };
-            oram.recycle_outcome(outcome);
-        }
-        for (b, want) in mirror.iter().enumerate() {
-            let (_, got) = oram.read(BlockId(b as u64));
-            assert_eq!(&got, want, "final sweep: block {b}");
-        }
-    }
-
-    /// The mirror oracle on every engine over a 12-level tree: payloads in
-    /// the clear, under either cipher, and under 5 % transit faults that up
-    /// to six retries recover. Ring runs long enough for its tree to span
-    /// three slab chunks; Path and Circuit move a whole path of payloads
-    /// per access and run shorter (the AES runs dominate a debug build).
+    /// Every engine hands back what the program wrote, on a schedule whose
+    /// expected bytes are closed-form, so the test keeps no model: every
+    /// block is written, each round then reads every block (expecting the
+    /// previous round's bytes) and rewrites it, with a cover access every
+    /// ninth step, and a last pass reads the final round back. The referee
+    /// over random interleavings is `sim_verify::MirrorOracle`. Rows: a
+    /// 12-level tree with payloads in the clear, under either cipher, and
+    /// under 5 % transit faults that up to six retries recover. Ring runs
+    /// long enough for its tree to span three slab chunks; Path and Circuit
+    /// move a whole path of payloads per access and run one round.
     #[test]
     fn mirror_oracle_holds_on_every_engine() {
         use crate::bucket::CHUNK_ROWS;
+        const BLOCKS: u64 = 500;
         let ring = RingConfig {
             levels: 12,
             ..RingConfig::test_small_cb()
+        };
+        let payload = |block: u64, round: u64, bytes: usize| -> Vec<u8> {
+            (0..bytes)
+                .map(|i| (round * 31 + block * 7 + i as u64) as u8)
+                .collect()
         };
         type Setup = fn(&mut dyn ObliviousProtocol);
         let variants: [(&str, Setup); 4] = [
@@ -466,8 +432,35 @@ mod tests {
             for (name, setup) in variants {
                 let mut o = kind.engine(&ring, 31, 0.5);
                 setup(o.as_mut());
+                let bytes = o.config().block_bytes as usize;
                 let ring_engine = matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring);
-                mirror_oracle_run(o.as_mut(), 500, if ring_engine { 2500 } else { 1000 });
+                let rounds = if ring_engine { 2 } else { 1 };
+                for b in 0..BLOCKS {
+                    let out = o.operate(BlockId(b), Op::Write(&payload(b, 0, bytes))).0;
+                    o.recycle_outcome(out);
+                }
+                for round in 1..=rounds + 1 {
+                    for i in 0..BLOCKS {
+                        let b = (i * 7 + round) % BLOCKS;
+                        let want = payload(b, round - 1, bytes);
+                        let (out, got) = o.operate(BlockId(b), Op::Read);
+                        assert_eq!(
+                            got,
+                            Some(&want[..]),
+                            "{kind} {name}: round {round}, block {b}"
+                        );
+                        o.recycle_outcome(out);
+                        if round <= rounds {
+                            let data = payload(b, round, bytes);
+                            let out = o.operate(BlockId(b), Op::Write(&data)).0;
+                            o.recycle_outcome(out);
+                        }
+                        if i % 9 == 0 {
+                            let out = o.cover_access().expect("every engine has cover accesses");
+                            o.recycle_outcome(out);
+                        }
+                    }
+                }
                 let s = o.stats();
                 if ring_engine {
                     assert!(
@@ -488,6 +481,46 @@ mod tests {
                 }
                 o.check_invariants();
             }
+        }
+    }
+
+    /// Whether the program has written a block must not reach the bus: the
+    /// transit-fault schedule, and with it every retry plan, is the same
+    /// whether every third access writes or only reads, on every engine.
+    #[test]
+    fn payloads_do_not_move_the_fault_schedule() {
+        use crate::plan::OpKind;
+        use oram_rng::{Rng, StdRng};
+        let run = |kind: ProtocolKind, writes: bool| {
+            let mut o = kind.engine(&RingConfig::test_small_cb(), 7, 0.5);
+            o.enable_encryption(0x5EA1);
+            let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);
+            r.bit_flip_rate = 0.05;
+            r.max_retries = 6;
+            o.enable_resilience(r);
+            let data = vec![0xA5; o.config().block_bytes as usize];
+            let mut blocks = StdRng::seed_from_u64(0xFA17);
+            let mut log = Vec::new();
+            for i in 0..2_000 {
+                let block = BlockId(blocks.gen_range(0..300));
+                let op = if writes && i % 3 == 0 {
+                    Op::Write(&data)
+                } else {
+                    Op::Read
+                };
+                let (out, _) = o.operate(block, op);
+                log.extend(out.plans.iter().map(|p| (p.kind, p.touches.clone())));
+                o.recycle_outcome(out);
+            }
+            (log, o.take_fault_events(), o.stats().faults_injected)
+        };
+        for kind in ProtocolKind::ALL {
+            let (plans, faults, injected) = run(kind, true);
+            assert!(injected > 0, "{kind}: no fault injected");
+            assert!(plans.iter().any(|(k, _)| *k == OpKind::RetryRead), "{kind}");
+            let (read_plans, read_faults, _) = run(kind, false);
+            assert!(plans == read_plans, "{kind}: the plan streams diverge");
+            assert_eq!(faults, read_faults, "{kind}");
         }
     }
 

@@ -24,8 +24,8 @@
 //! one configuration type across protocols.
 
 use crate::config::RingConfig;
-use crate::oblivious::ProtocolKind;
-use crate::plain_tree::{read_kind, Op, PlainTree, Take};
+use crate::oblivious::{Op, ProtocolKind};
+use crate::plain_tree::{read_kind, PlainTree, Take};
 use crate::protocol::AccessOutcome;
 use crate::types::BlockId;
 
@@ -59,20 +59,17 @@ impl PathOram {
     /// # Panics
     ///
     /// Panics if the target is not below `RingOram::COLD_BASE`.
-    pub(crate) fn schedule(
-        &mut self,
-        target: Option<(BlockId, Op<'_>)>,
-    ) -> (AccessOutcome, Option<Vec<u8>>) {
+    pub(crate) fn schedule(&mut self, target: Option<(BlockId, Op<'_>)>) -> (AccessOutcome, bool) {
         let tree = &mut self.tree;
         let block = target.map(|(b, _)| b);
         let (path, _) = tree.locate(block);
         let mut plans = tree.pool.plans();
         let mut reads = tree.reads(read_kind(block), 0);
         let source = tree.read_path(path, block, Take::All, &mut reads);
-        let data = tree.remap_target(target, source);
+        let read = tree.remap_target(target, source);
         tree.refill_path(path, &mut reads.touches);
         tree.emit(&mut plans, reads);
-        (tree.finish(plans, source), data)
+        (tree.finish(plans, source), read)
     }
 }
 

@@ -48,31 +48,19 @@
 //! bucket's blocks are drained and refilled in place, and the write-back
 //! selects from one reused candidate snapshot.
 
-use oram_rng::{Rng, StdRng};
+use oram_rng::{Rng, SplitMix64, StdRng};
 
 use crate::bucket::{BlockData, BlockEntry, BucketTree};
 use crate::config::RingConfig;
 use crate::crypto::BlockCipher;
 use crate::faults::{FaultEvent, FaultEventKind, ResilienceConfig};
-use crate::oblivious::ProtocolKind;
+use crate::oblivious::{Op, ProtocolKind};
 use crate::plan::{AccessPlan, OpKind, PlanPool, SlotTouch};
 use crate::position_map::{PositionMap, COLD_BASE};
 use crate::protocol::{AccessOutcome, ProtocolStats, TargetSource};
 use crate::stash::Stash;
 use crate::tree::TreeGeometry;
 use crate::types::{BlockId, BucketId, Level, PathId};
-
-/// What the program does with the target of its access, applied by
-/// [`PlainTree::remap_target`] the moment the target is remapped.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Op<'a> {
-    /// Touch it: no payload moves (the pipeline's accesses).
-    Access,
-    /// Copy its payload out.
-    Read,
-    /// Replace its payload.
-    Write(&'a [u8]),
-}
 
 /// What a path read moves into the stash.
 #[derive(Debug, Clone, Copy)]
@@ -132,6 +120,8 @@ pub(crate) struct DataPath {
     sealed_boxes: Vec<BlockData>,
     /// `seal_batch`: sealed buffers staged for one batch sweep.
     batch_sealed: Vec<BlockData>,
+    /// Accesses announced by `reserve_accesses`, not yet stocked.
+    pub(crate) reserved: usize,
 }
 
 /// Pops a pooled payload box of exactly `len` bytes, or allocates one.
@@ -139,6 +129,19 @@ fn payload_box(pool: &mut Vec<BlockData>, len: usize) -> BlockData {
     match pool.pop() {
         Some(b) if b.len() == len => b,
         _ => vec![0u8; len].into_boxed_slice(),
+    }
+}
+
+/// Flips one bit of a corrupted transfer's bytes, chosen by a stateless
+/// function of the transfer: whether a block has a payload must not reach
+/// the fault RNG, whose draws decide every later retry plan on the bus.
+fn flip_bit(bytes: &mut [u8], access: u64, id: BucketId, slot: u32) {
+    let seed = access ^ id.0.rotate_left(24) ^ u64::from(slot).rotate_left(48);
+    if let Some(bit) = SplitMix64::new(seed)
+        .next_u64()
+        .checked_rem(bytes.len() as u64 * 8)
+    {
+        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
     }
 }
 
@@ -221,6 +224,19 @@ impl DataPath {
         }
     }
 
+    /// A box of `len` bytes holding a program write's `bytes`. The first
+    /// write stocks the pool with a box per reserved access; a timing-only
+    /// run never writes, so never stocks.
+    fn write_box(&mut self, bytes: &[u8], len: usize) -> BlockData {
+        assert_eq!(bytes.len(), len, "payload must be exactly block_bytes long");
+        let stocked = self.plain_boxes.len() + std::mem::take(&mut self.reserved);
+        self.plain_boxes
+            .resize_with(stocked, || vec![0; len].into_boxed_slice());
+        let mut b = payload_box(&mut self.plain_boxes, len);
+        b.copy_from_slice(bytes);
+        b
+    }
+
     /// Appends a fault event to the log (no-op when resilience is off).
     fn record(&mut self, access: u64, bucket: BucketId, slot: u32, kind: FaultEventKind) {
         if let Some(r) = self.resilience.as_mut() {
@@ -251,7 +267,7 @@ impl DataPath {
         stats: &mut ProtocolStats,
         id: BucketId,
         slot: u32,
-        data: Option<BlockData>,
+        mut data: Option<BlockData>,
         retries: &mut Vec<SlotTouch>,
     ) -> (Option<BlockData>, bool) {
         let (rate, max_retries) = match self.resilience.as_ref() {
@@ -274,26 +290,19 @@ impl DataPath {
             // No integrity tag: garble the payload copy (the simulator
             // stores payloads lazily; metadata-only fetches have nothing to
             // garble) and proceed as if nothing happened.
-            let garbled = match (data, self.resilience.as_mut()) {
-                (Some(mut d), Some(r)) if !d.is_empty() => {
-                    let bit = r.rng.gen_range(0..(d.len() as u64 * 8)) as usize;
-                    d[bit / 8] ^= 1 << (bit % 8);
-                    Some(d)
-                }
-                (d, _) => d,
-            };
-            return (garbled, false);
+            if let Some(d) = data.as_deref_mut() {
+                flip_bit(d, access, id, slot);
+            }
+            return (data, false);
         }
 
-        // Detection: when a payload exists, physically corrupt a copy of
-        // the sealed bytes and let the tag verification fail; metadata-only
-        // fetches model the same check directly (a real controller MACs the
-        // whole slot transfer, payload and all — the simulator just does
-        // not materialize untouched payload bytes).
-        if let (Some(c), Some(d), Some(r)) = (&self.cipher, &data, self.resilience.as_mut()) {
+        // Detection: a debug build flips the same bit of a copy of the sealed
+        // bytes and checks the tag fails; metadata-only fetches model the
+        // check directly (a real controller MACs the whole slot transfer,
+        // payload and all; the simulator keeps no untouched payload bytes).
+        if let (true, Some(c), Some(d)) = (cfg!(debug_assertions), &self.cipher, &data) {
             let mut copy = d.to_vec();
-            let bit = r.rng.gen_range(0..(copy.len() as u64 * 8)) as usize;
-            copy[bit / 8] ^= 1 << (bit % 8);
+            flip_bit(&mut copy, access, id, slot);
             debug_assert!(
                 c.open(&copy).is_err(),
                 "a corrupted transfer must fail its integrity tag"
@@ -352,6 +361,8 @@ pub(crate) struct PlainTree {
     pub(crate) stats: ProtocolStats,
     pub(crate) pool: PlanPool,
     pub(crate) data: DataPath,
+    /// The last program read's payload, copied out of the stash.
+    pub(crate) read_back: Vec<u8>,
     /// `refill_path`: `(block, deepest eligible level, taken)` snapshot of
     /// the stash, ascending by block id.
     candidates: Vec<(BlockId, u32, bool)>,
@@ -403,6 +414,7 @@ impl PlainTree {
             stats: ProtocolStats::default(),
             pool: PlanPool::default(),
             data: DataPath::default(),
+            read_back: Vec::new(),
             candidates: Vec::new(),
             batch: Vec::new(),
         }
@@ -548,16 +560,17 @@ impl PlainTree {
 
     /// Closes the read of one access: a program target is remapped,
     /// (re-)entered in the stash under its new path and counted by
-    /// `source`, and the program's `Op` applied to its payload (a `Read`
-    /// returns a copy); a cover (`None`) counts one dummy read path.
+    /// `source`, and the program's `Op` applied to its payload; a cover
+    /// (`None`) counts one dummy read path. Returns whether a read copied a
+    /// payload into [`Self::read_back`].
     pub(crate) fn remap_target(
         &mut self,
         target: Option<(BlockId, Op<'_>)>,
         source: TargetSource,
-    ) -> Option<Vec<u8>> {
+    ) -> bool {
         let Some((block, op)) = target else {
             self.stats.dummy_read_paths += 1;
-            return None;
+            return false;
         };
         let new_path = self.position_map.remap(block, &mut self.rng);
         self.stash.insert(block, new_path);
@@ -569,11 +582,17 @@ impl PlainTree {
             TargetSource::New => self.stats.new_blocks += 1,
         }
         match op {
-            Op::Access => None,
-            Op::Read => self.stash.data_of(block).map(<[u8]>::to_vec),
-            Op::Write(data) => {
-                self.stash.set_data(block, data.into());
-                None
+            Op::Read => {
+                let payload = self.stash.data_of(block);
+                self.read_back.clear();
+                self.read_back
+                    .extend_from_slice(payload.unwrap_or_default());
+                payload.is_some()
+            }
+            Op::Write(bytes) => {
+                let b = self.data.write_box(bytes, self.cfg.block_bytes as usize);
+                self.data.plain_boxes.extend(self.stash.set_data(block, b));
+                false
             }
         }
     }
@@ -694,7 +713,7 @@ mod tests {
             let (path, _) = tree.locate(Some(block));
             let mut reads = tree.reads(OpKind::ReadPath, 0);
             let source = tree.read_path(path, Some(block), Take::All, &mut reads);
-            tree.remap_target(Some((block, Op::Access)), source);
+            tree.remap_target(Some((block, Op::Read)), source);
             tree.refill_path(path, &mut reads.touches);
         }
         tree.check_invariants();

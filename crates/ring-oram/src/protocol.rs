@@ -34,8 +34,8 @@ use oram_rng::{Rng, StdRng};
 use crate::bucket::{BlockEntry, Bucket, BucketTree};
 use crate::config::RingConfig;
 use crate::faults::OramError;
-use crate::oblivious::ProtocolKind;
-use crate::plain_tree::{read_kind, Op, PlainTree};
+use crate::oblivious::{Op, ProtocolKind};
+use crate::plain_tree::{read_kind, PlainTree};
 use crate::plan::{AccessPlan, OpKind, SlotTouch};
 use crate::position_map::{self, PositionMap};
 use crate::tree::TreeGeometry;
@@ -420,15 +420,12 @@ impl RingOram {
     /// Panics if `block` collides with the cold-block id space
     /// (`>= COLD_BASE`) — a caller bug, not a runtime condition.
     pub fn try_access(&mut self, block: BlockId) -> Result<AccessOutcome, OramError> {
-        Ok(self.try_schedule(Some((block, Op::Access)))?.0)
+        Ok(self.try_schedule(Some((block, Op::Read)))?.0)
     }
 
-    /// One access of Ring's schedule (see the trait's `access`,
-    /// `cover_access`, `read` and `write`), panicking on a stash overflow.
-    pub(crate) fn schedule(
-        &mut self,
-        target: Option<(BlockId, Op<'_>)>,
-    ) -> (AccessOutcome, Option<Vec<u8>>) {
+    /// One access of Ring's schedule (see the trait's `operate` and
+    /// `cover_access`), panicking on a stash overflow.
+    pub(crate) fn schedule(&mut self, target: Option<(BlockId, Op<'_>)>) -> (AccessOutcome, bool) {
         match self.try_schedule(target) {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
@@ -450,14 +447,14 @@ impl RingOram {
     fn try_schedule(
         &mut self,
         target: Option<(BlockId, Op<'_>)>,
-    ) -> Result<(AccessOutcome, Option<Vec<u8>>), OramError> {
+    ) -> Result<(AccessOutcome, bool), OramError> {
         let mut plans = self.tree.pool.plans();
         let block = target.map(|(b, _)| b);
         let (path, known) = self.tree.locate(block);
         let source = self.read_path(&mut plans, path, block, known);
-        let data = self.tree.remap_target(target, source);
+        let read = self.tree.remap_target(target, source);
         self.after_read_path(&mut plans)?;
-        Ok((self.tree.finish(plans, source), data))
+        Ok((self.tree.finish(plans, source), read))
     }
 
     /// Bookkeeping shared by program and dummy read paths: fire the
@@ -1062,14 +1059,14 @@ mod tests {
             let mut data = vec![0u8; 64];
             data[0] = i as u8;
             data[63] = (i * 3) as u8;
-            let _ = o.write(BlockId(i), &data);
+            let _ = o.operate(BlockId(i), Op::Write(&data));
         }
         // Churn: many interleaved reads force evictions, reshuffles and
         // (with CB configs) green movements.
         for round in 0..20 {
             for i in 0..blocks {
-                let (_, data) = o.read(BlockId((i * 7 + round) % blocks));
                 let id = (i * 7 + round) % blocks;
+                let (_, data) = o.operate(BlockId(id), Op::Read);
                 let data = data.expect("written block has data");
                 assert_eq!(data[0], id as u8, "block {id} corrupted");
                 assert_eq!(data[63], (id * 3) as u8, "block {id} corrupted");
@@ -1086,12 +1083,12 @@ mod tests {
         o.enable_aes_encryption(*b"sixteen byte key");
         let blocks = 16u64;
         for i in 0..blocks {
-            let _ = o.write(BlockId(i), &[i as u8; 64]);
+            let _ = o.operate(BlockId(i), Op::Write(&[i as u8; 64]));
         }
         for round in 0..25 {
             let id = (round * 5) % blocks;
-            let (_, data) = o.read(BlockId(id));
-            assert_eq!(data.expect("present"), vec![id as u8; 64]);
+            let (_, data) = o.operate(BlockId(id), Op::Read);
+            assert_eq!(data.expect("present"), &[id as u8; 64][..]);
         }
         let s = o.stats();
         assert!(s.encryptions > 0, "payloads must be sealed into the tree");
@@ -1102,31 +1099,31 @@ mod tests {
     #[test]
     fn unwritten_blocks_read_as_none() {
         let mut o = oram(RingConfig::test_small());
-        let (_, data) = o.read(BlockId(5));
+        let (_, data) = o.operate(BlockId(5), Op::Read);
         assert_eq!(data, None);
     }
 
     #[test]
     fn overwrite_returns_latest_data() {
         let mut o = oram(RingConfig::test_small());
-        let _ = o.write(BlockId(1), &[1u8; 64]);
+        let _ = o.operate(BlockId(1), Op::Write(&[1u8; 64]));
         // Force tree residency via evictions.
         for i in 10..30 {
             let _ = o.access(BlockId(i));
         }
-        let _ = o.write(BlockId(1), &[2u8; 64]);
+        let _ = o.operate(BlockId(1), Op::Write(&[2u8; 64]));
         for i in 30..50 {
             let _ = o.access(BlockId(i));
         }
-        let (_, data) = o.read(BlockId(1));
-        assert_eq!(data, Some(vec![2u8; 64]));
+        let (_, data) = o.operate(BlockId(1), Op::Read);
+        assert_eq!(data, Some(&[2u8; 64][..]));
     }
 
     #[test]
     #[should_panic(expected = "block_bytes")]
     fn write_size_checked() {
         let mut o = oram(RingConfig::test_small());
-        let _ = o.write(BlockId(1), &[0u8; 7]);
+        let _ = o.operate(BlockId(1), Op::Write(&[0u8; 7]));
     }
 
     #[test]
@@ -1140,7 +1137,7 @@ mod tests {
             }
             let mut log = Vec::new();
             for i in 0..60 {
-                let out = o.write(BlockId(i % 13), &[i as u8; 64]);
+                let (out, _) = o.operate(BlockId(i % 13), Op::Write(&[i as u8; 64]));
                 for p in out.plans {
                     log.push((p.kind, p.touches));
                 }
@@ -1186,7 +1183,7 @@ mod tests {
     fn injected_faults_are_detected_and_mostly_recovered() {
         let mut o = resilient(0.2, 4);
         for i in 0..300 {
-            let _ = o.write(BlockId(i % 23), &[i as u8; 64]);
+            let _ = o.operate(BlockId(i % 23), Op::Write(&[i as u8; 64]));
         }
         let s = o.stats().clone();
         assert!(s.faults_injected > 0, "a 20 % rate must inject faults");
@@ -1271,12 +1268,12 @@ mod tests {
         // With retries disabled every corrupted target fetch drops its
         // payload; reads of such a block return None until rewritten.
         let mut o = resilient(1.0, 0); // every fetch corrupted
-        let _ = o.write(BlockId(1), &[9u8; 64]);
+        let _ = o.operate(BlockId(1), Op::Write(&[9u8; 64]));
         // Churn so the block lands in the tree, then read it back.
         for i in 100..130 {
             let _ = o.access(BlockId(i));
         }
-        let (_, data) = o.read(BlockId(1));
+        let data = o.operate(BlockId(1), Op::Read).1.map(<[u8]>::to_vec);
         if o.stats().faults_unrecovered > 0 {
             assert_eq!(data, None, "unrecovered target fetch loses its data");
         }

@@ -85,11 +85,9 @@ impl Stash {
     }
 
     /// Replaces the payload of a block already in the stash (the program's
-    /// store). No-op if the block is absent.
-    pub fn set_data(&mut self, block: BlockId, data: BlockData) {
-        if let Some(e) = self.entries.get_mut(&block) {
-            e.data = Some(data);
-        }
+    /// store) and returns the one it held. No-op if the block is absent.
+    pub fn set_data(&mut self, block: BlockId, data: BlockData) -> Option<BlockData> {
+        self.entries.get_mut(&block)?.data.replace(data)
     }
 
     /// The payload of a block in the stash, if any.

@@ -671,7 +671,7 @@ impl ProtocolAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ring_oram::{ObliviousProtocol, RingOram, SlotTouch};
+    use ring_oram::{ObliviousProtocol, Op, RingOram, SlotTouch};
 
     fn small_cb() -> RingConfig {
         RingConfig::test_small_cb()
@@ -699,12 +699,13 @@ mod tests {
             use oram_rng::Rng;
             for i in 0..600u64 {
                 let block = ring_oram::BlockId(rng.gen_range(0..blocks.max(1)));
-                let outcome = if i % 3 == 0 {
-                    let payload = vec![i as u8; config.block_bytes as usize];
-                    oram.write(block, &payload)
+                let payload = vec![i as u8; config.block_bytes as usize];
+                let op = if i % 3 == 0 {
+                    Op::Write(&payload)
                 } else {
-                    oram.read(block).0
+                    Op::Read
                 };
+                let outcome = oram.operate(block, op).0;
                 auditor.observe_access(&outcome.plans);
                 auditor.observe_stash(oram.stash_len());
             }
@@ -813,12 +814,13 @@ mod tests {
         use oram_rng::Rng;
         for i in 0..600u64 {
             let block = ring_oram::BlockId(rng.gen_range(0..blocks.max(1)));
-            let outcome = if i % 3 == 0 {
-                let payload = vec![i as u8; config.block_bytes as usize];
-                oram.write(block, &payload)
+            let payload = vec![i as u8; config.block_bytes as usize];
+            let op = if i % 3 == 0 {
+                Op::Write(&payload)
             } else {
-                oram.read(block).0
+                Op::Read
             };
+            let outcome = oram.operate(block, op).0;
             auditor.observe_faults(&oram.take_fault_events());
             auditor.observe_access(&outcome.plans);
             auditor.observe_stash(oram.stash_len());

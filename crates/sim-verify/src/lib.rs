@@ -19,6 +19,11 @@
 //!   per epoch, evictions fire at exactly one per `A` read paths);
 //!   [`PlainTreeAuditor`] pins Path and Circuit ORAM's full-path plan
 //!   shapes (one expected-plan table each) and stash bounds.
+//! * [`MirrorOracle`] — the value referee: it applies the program's reads
+//!   and writes to an engine and checks that every read returns the
+//!   payload of its block's last write, whatever the protocol moved,
+//!   sealed or retried in between. `string-oram` attaches it to every
+//!   checked run, so values are checked through every driver.
 //! * [`oracle`] — differential-run primitives: extracting the data-command
 //!   (RD/WR) sequence from a trace, checking the transaction-order security
 //!   contract, and locating the first divergence between two runs.
@@ -38,10 +43,10 @@
 //!   the submission envelope is a pure function of the policy clock —
 //!   never of the offered load (the timing-channel contract).
 //!
-//! Everything here is passive and deterministic: checkers consume event
-//! streams, never influence scheduling, and report [`Violation`]s that the
-//! embedding layer (tests, `string-oram`'s `VerifyConfig`) surfaces or
-//! panics on.
+//! Everything here is deterministic and never moves the access sequence:
+//! checkers consume event streams (the value referee only chooses a write's
+//! bytes), and report [`Violation`]s that the embedding layer (tests,
+//! `string-oram`'s `VerifyConfig`) surfaces or panics on.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -52,6 +57,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod audit;
+pub mod mirror;
 pub mod oracle;
 pub mod policy;
 pub mod service;
@@ -60,6 +66,7 @@ pub mod shard;
 pub mod violation;
 
 pub use audit::{OramAuditor, PlainTreeAuditor, ProtocolAuditor};
+pub use mirror::MirrorOracle;
 pub use oracle::{
     check_txn_order, data_commands, first_divergence, grouped_by_txn, DataCmd, TxnOrderChecker,
 };

@@ -68,6 +68,9 @@ pub enum Rule {
     /// A retry-read plan touch without a matching `Retried` fault event,
     /// or retried slots that were never made public by a read plan.
     RetryMismatch,
+    /// A read returned other than the payload of its block's last write
+    /// (or a payload for a block never written).
+    ValueMismatch,
     /// Two runs that must agree (differential oracle) diverged.
     Divergence,
     /// A block was resident in (or routed to) more than one shard of a
@@ -113,6 +116,7 @@ impl std::fmt::Display for Rule {
             Self::FaultUndetected => "fault-undetected",
             Self::FaultUnrecovered => "fault-unrecovered",
             Self::RetryMismatch => "retry-mismatch",
+            Self::ValueMismatch => "value-mismatch",
             Self::Divergence => "divergence",
             Self::ShardResidency => "shard-residency",
             Self::ServiceEnvelope => "service-envelope",
@@ -195,6 +199,7 @@ mod tests {
             Rule::FaultUndetected,
             Rule::FaultUnrecovered,
             Rule::RetryMismatch,
+            Rule::ValueMismatch,
             Rule::Divergence,
             Rule::ShardResidency,
             Rule::ServiceEnvelope,

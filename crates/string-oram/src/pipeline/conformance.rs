@@ -12,7 +12,11 @@
 //! * the **plan stream** from the planner, replayed against the selected
 //!   protocol's structural invariants by [`sim_verify::ProtocolAuditor`]
 //!   (Ring invariants for Ring+CB / plain Ring, full-path plan shapes and
-//!   stash bounds for Path / Circuit).
+//!   stash bounds for Path / Circuit);
+//! * the **values** the data ORAM returns: the planner hands every program
+//!   access to the [`sim_verify::MirrorOracle`], which writes a payload
+//!   derived from the block and the access index, and checks every read
+//!   against the block's last write.
 //!
 //! Findings accumulate into one violation log; with
 //! [`crate::config::VerifyConfig::fail_fast`] the first finding panics
@@ -22,17 +26,18 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use mem_sched::CommandEvent;
 use ring_oram::{AccessPlan, FaultEvent, ProtocolKind, RingConfig};
-use sim_verify::{PolicyAuditor, ProtocolAuditor, ShadowTimingChecker, Violation};
+use sim_verify::{MirrorOracle, PolicyAuditor, ProtocolAuditor, ShadowTimingChecker, Violation};
 
 use crate::config::VerifyConfig;
 
-/// The conformance layer of one simulation: stream checkers plus the ORAM
-/// auditor, sharing a violation log.
+/// The conformance layer of one simulation: stream checkers, the ORAM
+/// auditor and the value referee, sharing a violation log.
 #[derive(Debug)]
 pub struct Conformance {
     shadow: Option<ShadowTimingChecker>,
     policy: Option<PolicyAuditor>,
     auditor: Option<ProtocolAuditor>,
+    mirror: Option<MirrorOracle>,
     fail_fast: bool,
     violations: Vec<Violation>,
 }
@@ -40,10 +45,11 @@ pub struct Conformance {
 impl Conformance {
     /// Builds the layer for `verify`. `kind` selects the protocol's
     /// invariant auditor and `ring` must be the protocol's *effective*
-    /// configuration (see `SystemConfig::effective_ring`) so slot ranges
-    /// and plan shapes are sized right. `backend_has_dram` selects which
-    /// stream checkers apply: the JEDEC shadow layer needs a cycle-accurate
-    /// DRAM model behind the trace, the transaction-order oracle does not.
+    /// configuration (see `SystemConfig::effective_ring`) so slot ranges,
+    /// plan shapes and payloads are sized right. `backend_has_dram` selects
+    /// which stream checkers apply: the JEDEC shadow layer needs a
+    /// cycle-accurate DRAM model behind the trace, the transaction-order
+    /// oracle does not.
     /// `sched_policy` labels the policy auditor (the order oracle plus the
     /// canonical data-command digest).
     #[must_use]
@@ -62,6 +68,7 @@ impl Conformance {
                 .then(|| ShadowTimingChecker::new(geometry.clone(), timing.clone())),
             policy: on.then(|| PolicyAuditor::new(sched_policy)),
             auditor: on.then(|| ProtocolAuditor::new(kind, ring.clone())),
+            mirror: on.then(|| MirrorOracle::new(ring.block_bytes as usize)),
             fail_fast: verify.fail_fast,
             violations: Vec::new(),
         }
@@ -107,9 +114,22 @@ impl Conformance {
         }
     }
 
+    /// The value referee, when checking is on: the planner applies the
+    /// data ORAM's program accesses through it.
+    pub(crate) fn mirror_mut(&mut self) -> Option<&mut MirrorOracle> {
+        self.mirror.as_mut()
+    }
+
+    /// Pre-sizes the value referee for `n` further program accesses.
+    pub(crate) fn reserve_accesses(&mut self, n: usize) {
+        if let Some(mirror) = &mut self.mirror {
+            mirror.reserve(n);
+        }
+    }
+
     /// Moves fresh checker findings into the violation log, in checker
-    /// order (shadow timing, transaction order, protocol audit); with
-    /// `fail_fast` the first finding panics instead.
+    /// order (shadow timing, transaction order, protocol audit, values);
+    /// with `fail_fast` the first finding panics instead.
     ///
     /// # Panics
     ///
@@ -125,6 +145,9 @@ impl Conformance {
         }
         if let Some(auditor) = &mut self.auditor {
             fresh.extend(auditor.take_violations());
+        }
+        if let Some(mirror) = &mut self.mirror {
+            fresh.extend(mirror.take_violations());
         }
         if self.fail_fast {
             if let Some(v) = fresh.first() {
@@ -145,6 +168,13 @@ impl Conformance {
     #[must_use]
     pub fn policy_auditor(&self) -> Option<&PolicyAuditor> {
         self.policy.as_ref()
+    }
+
+    /// The value referee, when checking is on (its counts show how many
+    /// reads and writes it checked).
+    #[must_use]
+    pub fn mirror_oracle(&self) -> Option<&MirrorOracle> {
+        self.mirror.as_ref()
     }
 }
 

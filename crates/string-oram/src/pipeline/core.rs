@@ -95,10 +95,12 @@ impl PipelineCore {
     }
 
     /// Pre-sizes the vectors that grow with every program access (protocol
-    /// bookkeeping, latency samples) for `n` further accesses, so a driver
-    /// that knows its run length never reallocates them mid-run.
+    /// bookkeeping, the value referee's mirror, latency samples) for `n`
+    /// further accesses, so a driver that knows its run length never
+    /// reallocates them mid-run.
     pub fn reserve_accesses(&mut self, n: usize) {
         self.planner.reserve_accesses(n);
+        self.conformance.reserve_accesses(n);
         self.metrics.read_latencies.reserve(n);
     }
 
@@ -310,6 +312,13 @@ impl PipelineCore {
     #[must_use]
     pub fn policy_auditor(&self) -> Option<&sim_verify::PolicyAuditor> {
         self.conformance.policy_auditor()
+    }
+
+    /// The value referee checking every program access's value (`None`
+    /// when checking is off).
+    #[must_use]
+    pub fn mirror_oracle(&self) -> Option<&sim_verify::MirrorOracle> {
+        self.conformance.mirror_oracle()
     }
 
     /// Freezes every counter into one snapshot (a measurement-window edge

@@ -173,12 +173,14 @@ impl Planner {
     }
 
     /// The one tier walk, innermost tier first: `Some(req)` is a program
-    /// access (tier `i` accesses `req.block / positions_per_block^i`),
-    /// `None` a cover access on every tier. Every tier's fault log is
-    /// drained (it bounds protocol-side memory) and every outcome lowered
-    /// into `out` and recycled into its tier. Tier 0's faults, plans and
-    /// stash go to conformance — the map tiers run the same protocol on
-    /// their own configs — and only its wake plan carries the core.
+    /// access (tier `i` reads `req.block / positions_per_block^i`), `None`
+    /// a cover access on every tier. Every tier's fault log is drained (it
+    /// bounds protocol-side memory) and every outcome lowered into `out`
+    /// and recycled into its tier. Tier 0's faults, plans and stash go to
+    /// conformance — the map tiers run the same protocol on their own
+    /// configs — and only its wake plan carries the core. In a checked run
+    /// tier 0 performs the request's operation through the value referee;
+    /// otherwise every request is a read.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn walk(
         &mut self,
@@ -190,7 +192,13 @@ impl Planner {
             let outcome = match req {
                 Some(req) => {
                     let divisor = self.positions_per_block.saturating_pow(i as u32);
-                    tier.oram.access(BlockId(req.block / divisor))
+                    let block = BlockId(req.block / divisor);
+                    match conformance.mirror_mut().filter(|_| i == 0) {
+                        Some(mirror) => {
+                            mirror.apply(tier.oram.as_mut(), block, req.is_write, self.accesses)
+                        }
+                        None => tier.oram.access(block),
+                    }
                 }
                 None => tier
                     .oram

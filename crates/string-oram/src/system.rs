@@ -299,6 +299,13 @@ impl Simulation {
         self.core.policy_auditor()
     }
 
+    /// The value referee checking every program access's value (`None`
+    /// when checking is off).
+    #[must_use]
+    pub fn mirror_oracle(&self) -> Option<&sim_verify::MirrorOracle> {
+        self.core.mirror_oracle()
+    }
+
     /// Raw program read-path latency samples recorded so far, in cycles
     /// (retire order; a measurement window is a suffix of these). Read-only
     /// inspection: the sharded merge and differential tests use it.

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use ring_oram::{BlockId, ObliviousProtocol, OpKind, ProtocolKind, RingConfig};
+use ring_oram::{BlockId, ObliviousProtocol, Op, OpKind, ProtocolKind, RingConfig};
 
 /// A key-value store that maps string keys to 64-byte "rows" stored as
 /// ORAM blocks. The values physically travel through the ORAM's stash and
@@ -47,14 +47,14 @@ impl ObliviousKv {
             self.next_block += 1;
             b
         });
-        let outcome = self.oram.write(block, &value);
+        let (outcome, _) = self.oram.operate(block, Op::Write(&value));
         outcome.plans.iter().map(|p| p.touches.len()).sum()
     }
 
     /// Fetches the value for `key`, if present.
     fn get(&mut self, key: &str) -> Option<[u8; 64]> {
         let block = *self.directory.get(key)?;
-        let (_, data) = self.oram.read(block);
+        let (_, data) = self.oram.operate(block, Op::Read);
         data.map(|d| d.try_into().expect("64-byte rows"))
     }
 

@@ -17,9 +17,10 @@
 //! checking off, as in benchmark configurations: the measurement targets
 //! the protocol/pipeline hot path. Two further Ring+CB windows turn every
 //! checker on, over each backend: the conformance stage drains the command
-//! events into a reused buffer and the auditors take a bucket's memory the
-//! first time it is touched, so a verified steady state is held to zero
-//! too. One more window drives a bare `PipelineCore` the way the service
+//! events into a reused buffer, the auditors take a bucket's memory the
+//! first time it is touched, and the value referee's writes carry
+//! payloads (boxes from the engine's pool, stocked at the first write), so
+//! a verified steady state is held to zero too. One more window drives a bare `PipelineCore` the way the service
 //! does — real and cover accesses dispatched by hand, wakes collected into
 //! the caller's buffer — since that path never runs under `Simulation`;
 //! a third runs it over a recursive position map, every access and cover

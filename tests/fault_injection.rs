@@ -177,10 +177,11 @@ fn no_retry_cfg() -> SystemConfig {
 }
 
 /// Satellite (negative): disabling retries while injecting ciphertext
-/// flips loses payloads, and the fault-aware auditor must say so.
+/// flips loses payloads, and the fault-aware auditor must say so — as must
+/// the value referee, when a later read of a lost payload comes back empty.
 #[test]
 fn unrecovered_faults_are_flagged() {
-    let r = run_sim(no_retry_cfg(), "black", 11, 80);
+    let r = run_sim(no_retry_cfg(), "black", 11, 400);
     assert!(r.resilience.faults_injected > 0);
     assert_eq!(r.resilience.fault_retries, 0);
     assert_eq!(
@@ -190,6 +191,11 @@ fn unrecovered_faults_are_flagged() {
     assert!(
         r.violations.iter().any(|v| v.contains("fault-unrecovered")),
         "lost payloads must trip the fault-unrecovered rule; got: {:?}",
+        r.violations.first()
+    );
+    assert!(
+        r.violations.iter().any(|v| v.contains("value-mismatch")),
+        "a read of a lost payload must trip the value referee; got: {:?}",
         r.violations.first()
     );
 }
@@ -457,6 +463,7 @@ fn access_sequence(cfg: &SystemConfig, records: usize) -> (u64, usize, Vec<Strin
             is_write: false,
         };
         planner.plan_into(&req, &mut conformance, &mut planned);
+        conformance.collect();
         for txn in planned.drain(..) {
             if txn.kind == OpKind::RetryRead {
                 retries += 1;

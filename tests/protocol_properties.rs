@@ -5,8 +5,10 @@
 use oram_rng::{Rng, StdRng};
 use ring_oram::layout::TreeLayout;
 use ring_oram::{
-    BlockId, BucketId, Level, ObliviousProtocol, PathId, RingConfig, RingOram, TreeGeometry,
+    BlockId, BucketId, Level, ObliviousProtocol, PathId, ProtocolKind, ResilienceConfig,
+    RingConfig, RingOram, TreeGeometry,
 };
+use sim_verify::{MirrorOracle, Rule};
 
 /// Number of random cases per property (mirrors the old proptest setting).
 const CASES: u64 = 64;
@@ -188,49 +190,171 @@ fn eviction_interval_is_exact() {
     }
 }
 
+/// Drives `oram` through the mirror oracle: `accesses` seeded reads,
+/// writes and cover accesses over `blocks` block ids, then a read of every
+/// block. Returns the oracle with its findings.
+fn mirror_run(oram: &mut dyn ObliviousProtocol, blocks: u64, accesses: u64) -> MirrorOracle {
+    let mut oracle = MirrorOracle::new(oram.config().block_bytes as usize);
+    let mut ops = StdRng::seed_from_u64(blocks ^ accesses);
+    for index in 0..accesses + blocks {
+        let (block, op) = match index.checked_sub(accesses) {
+            Some(b) => (b, 9),
+            None => (ops.gen_range(0..blocks), ops.gen_range(0..10u32)),
+        };
+        let outcome = match op {
+            0 => oram
+                .cover_access()
+                .expect("every engine has cover accesses"),
+            _ => oracle.apply(oram, BlockId(block), op <= 4, index),
+        };
+        oram.recycle_outcome(outcome);
+    }
+    oracle
+}
+
+/// Transit faults at 5 % under the splitmix cipher, with `retries`
+/// re-reads per corrupted fetch.
+fn faults(o: &mut dyn ObliviousProtocol, retries: u32) {
+    o.enable_encryption(0xF417);
+    let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);
+    r.bit_flip_rate = 0.05;
+    r.max_retries = retries;
+    o.enable_resilience(r);
+}
+
+/// Every read returns the block's last write — `None` before the first —,
+/// on every engine, through evictions, reshuffles, CB greens, covers,
+/// either cipher and recovered transit faults: the rows below over all
+/// four protocols (random Ring configurations are
+/// `data_integrity_under_random_interleavings`). The 12-level rows run
+/// Ring long enough for its tree to span three slab chunks; Path and
+/// Circuit move a whole path of payloads per access and run shorter (the
+/// AES rows dominate a debug build). `Y = 4` churns 24 blocks through a
+/// small tree whose greens carry payloads through the stash. Without
+/// retries an unrecovered fetch loses its payload, and every finding is a
+/// read that came back empty.
+#[test]
+fn mirror_oracle_holds_on_every_engine() {
+    use ring_oram::bucket::CHUNK_ROWS;
+    let deep = RingConfig {
+        levels: 12,
+        ..RingConfig::test_small_cb()
+    };
+    let y4 = RingConfig {
+        y: 4,
+        ..RingConfig::test_small_cb()
+    };
+    type Setup = fn(&mut dyn ObliviousProtocol);
+    let rows: [(&str, &RingConfig, u64, Setup); 6] = [
+        ("plain", &deep, 500, |_| {}),
+        ("splitmix", &deep, 500, |o| o.enable_encryption(0x5EA1)),
+        ("aes", &deep, 500, |o| {
+            o.enable_aes_encryption(*b"three chunks key")
+        }),
+        ("aes, y = 4", &y4, 24, |o| {
+            o.enable_aes_encryption(*b"sixteen byte key")
+        }),
+        ("splitmix + faults", &deep, 500, |o| faults(o, 6)),
+        ("splitmix + faults, no retries", &deep, 500, |o| {
+            faults(o, 0)
+        }),
+    ];
+    for kind in ProtocolKind::ALL {
+        for (name, ring, blocks, setup) in rows {
+            let mut o = kind.engine(ring, 31, 0.5);
+            setup(o.as_mut());
+            let ring_engine = matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring);
+            let mut oracle = mirror_run(o.as_mut(), blocks, if ring_engine { 2500 } else { 1000 });
+            let findings = oracle.take_violations();
+            assert!(oracle.reads_checked() > 0 && oracle.writes_checked() > 0);
+            let s = o.stats();
+            if name.ends_with("no retries") {
+                assert!(s.faults_unrecovered > 0, "{kind} {name}: nothing lost");
+                assert!(
+                    !findings.is_empty(),
+                    "{kind} {name}: a lost payload went unseen"
+                );
+                for v in &findings {
+                    assert_eq!(v.rule, Rule::ValueMismatch, "{kind} {name}: {v}");
+                    assert!(
+                        v.message.ends_with("observed no payload"),
+                        "{kind} {name}: {v}"
+                    );
+                }
+            } else {
+                assert!(findings.is_empty(), "{kind} {name}: {:?}", findings.first());
+            }
+            if ring_engine && blocks == 500 {
+                assert!(
+                    o.materialized_buckets() > 2 * CHUNK_ROWS,
+                    "{kind} {name}: {} buckets span fewer than three chunks",
+                    o.materialized_buckets()
+                );
+            }
+            if kind == ProtocolKind::RingCb {
+                assert!(s.greens_fetched > 0, "{kind} {name}: CB moved no green");
+            }
+            if name != "plain" {
+                assert!(s.encryptions > 0 && s.decryptions > 0, "{kind} {name}");
+            }
+            if name.ends_with("faults") {
+                assert!(s.faults_recovered > 0, "{kind} {name}: no fault to recover");
+                assert_eq!(s.faults_unrecovered, 0, "{kind} {name}");
+            }
+            o.check_invariants();
+        }
+    }
+}
+
+/// The mirror oracle over random Ring configurations: any interleaving of
+/// reads, writes and cover accesses over 24 blocks, with or without
+/// encryption, across evictions and reshuffles, then a read of every block.
 #[test]
 fn data_integrity_under_random_interleavings() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(case);
         let cfg = ring_config(&mut rng);
-        let n_ops = rng.gen_range(1usize..150);
+        let accesses = rng.gen_range(1u64..150);
         let seed = rng.gen::<u64>();
-        let encrypt = rng.gen_bool(0.5);
-        // A model-based test: a plain HashMap is the reference; the ORAM
-        // must agree with it after any interleaving of reads and writes,
-        // with or without encryption, across evictions and reshuffles.
-        let block_bytes = cfg.block_bytes as usize;
         let mut oram = RingOram::new(cfg, seed);
-        if encrypt {
+        if rng.gen_bool(0.5) {
             oram.enable_encryption(seed ^ 0xABCD);
         }
-        let mut model: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        for _ in 0..n_ops {
-            let block = rng.gen_range(0u64..24);
-            let is_write = rng.gen_bool(0.5);
-            let tag = rng.gen::<u8>();
-            if is_write {
-                let data = vec![tag; block_bytes];
-                let _ = oram.write(BlockId(block), &data);
-                model.insert(block, tag);
-            } else {
-                let (_, data) = oram.read(BlockId(block));
-                match model.get(&block) {
-                    Some(&tag) => {
-                        let d = data.expect("written block must have data");
-                        assert_eq!(d, vec![tag; block_bytes]);
-                    }
-                    None => assert_eq!(data, None),
-                }
-            }
-        }
-        // Final sweep: every model entry is still intact.
-        let keys: Vec<u64> = model.keys().copied().collect();
-        for block in keys {
-            let (_, data) = oram.read(BlockId(block));
-            assert_eq!(data, Some(vec![model[&block]; block_bytes]));
-        }
+        let mut oracle = mirror_run(&mut oram, 24, accesses);
+        let findings = oracle.take_violations();
+        assert!(findings.is_empty(), "case {case}: {:?}", findings.first());
         oram.check_invariants();
+    }
+}
+
+/// The referee is not blind: with transit faults and no cipher, a flipped
+/// payload bit has no tag to fail and flows on into the stash, and the
+/// mirror oracle must report the read that returns it, on every engine.
+#[test]
+fn mirror_oracle_flags_a_silently_garbled_payload() {
+    for kind in ProtocolKind::ALL {
+        let mut o = kind.engine(&RingConfig::test_small_cb(), 5, 0.5);
+        let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);
+        r.bit_flip_rate = 0.02;
+        o.enable_resilience(r);
+        let findings = mirror_run(o.as_mut(), 100, 600).take_violations();
+        assert!(
+            o.stats().faults_injected > 0,
+            "{kind}: no transfer corrupted"
+        );
+        assert_eq!(
+            o.stats().faults_detected,
+            0,
+            "{kind}: a tag without a cipher"
+        );
+        assert!(
+            !findings.is_empty(),
+            "{kind}: a garbled payload went unseen"
+        );
+        for v in &findings {
+            assert_eq!(v.rule, Rule::ValueMismatch, "{kind}: {v}");
+            assert!(v.message.ends_with("garbled bytes"), "{kind}: {v}");
+        }
     }
 }
 

@@ -7,8 +7,12 @@
 //! different tenant loads (the timing-channel check).
 
 use oram_service::{GovernorState, OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
-use string_oram::{BackendKind, RecursiveConfig, ServiceSummary, SimReport};
-use trace_synth::ArrivalSpec;
+use sim_verify::MirrorOracle;
+use string_oram::{
+    BackendKind, RecursiveConfig, Scheme, ServiceSummary, ShardedSimulation, SimReport, Simulation,
+    SystemConfig,
+};
+use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
 
 /// A ≥4× overload storm: two tenants whose combined arrival rate dwarfs
 /// the configured submission rate, with deadlines short enough that deep
@@ -212,6 +216,62 @@ fn fixed_rate_pads_every_tier_of_a_recursive_stack() {
         format!("{report:?}")
     };
     assert_eq!(make(), make());
+}
+
+/// Every driver of a checked run hands every program access to the value
+/// referee: a `Simulation`, one over a recursive stack, every shard of a
+/// four-shard `ShardedSimulation` and of a two-shard fixed-rate
+/// `OramService` check reads and mirror writes, and find nothing wrong.
+#[test]
+fn checked_runs_check_values() {
+    let checked = |oracle: Option<&MirrorOracle>, accesses: u64| {
+        let oracle = oracle.expect("a checked run attaches the value referee");
+        let (reads, writes) = (oracle.reads_checked(), oracle.writes_checked());
+        assert!(reads > 0 && writes > 0, "{reads} reads, {writes} writes");
+        assert_eq!(reads + writes, accesses, "one check per program access");
+    };
+    let traces = |cfg: &SystemConfig| {
+        let black = by_name("black").expect("known workload");
+        (0..cfg.cores)
+            .map(|c| TraceGenerator::new(black.clone(), 11, c as u32).take_records(160))
+            .collect::<Vec<_>>()
+    };
+    let flat = SystemConfig::test_small(Scheme::All);
+    let mut recursive = flat.clone();
+    recursive.recursion = Some(RecursiveConfig {
+        tracked_blocks: 1 << 12,
+        positions_per_block: 8,
+        max_onchip_entries: 1 << 6,
+    });
+    for cfg in [flat, recursive] {
+        let mut sim = Simulation::new(cfg.clone(), traces(&cfg));
+        let report = sim.run(u64::MAX).expect("no cycle limit");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        checked(sim.mirror_oracle(), report.oram_accesses);
+    }
+
+    let mut cfg = SystemConfig::test_small(Scheme::All);
+    cfg.shards = 4;
+    let mut sim = ShardedSimulation::new(cfg.clone(), traces(&cfg));
+    let report = sim.run(u64::MAX).expect("no cycle limit");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    for shard in sim.shards() {
+        checked(shard.mirror_oracle(), shard.oram_accesses());
+    }
+
+    let tenants = vec![TenantSpec::new("a", ArrivalSpec::steady(8.0))];
+    let mut cfg = ServiceConfig::test_small(tenants, 8_000);
+    cfg.policy = SubmissionPolicy::FixedRate {
+        interval: 128,
+        batch: 2,
+    };
+    cfg.system.shards = 2;
+    let mut svc = OramService::new(cfg).expect("valid config");
+    let report = svc.run().expect("terminates");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    for shard in svc.shards() {
+        checked(shard.mirror_oracle(), shard.accesses());
+    }
 }
 
 #[test]
