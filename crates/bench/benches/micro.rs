@@ -9,8 +9,10 @@
 //! The Ring engine is timed twice: *cold* (a fresh tree at the paper's
 //! geometry, every access a first touch — about twelve bucket
 //! materializations each, with the live heap bytes each bucket leaves
-//! behind) and *warm* (a fully materialized tree — the allocation-free
-//! steady state). The two differ by several times; one number for both
+//! behind: a row of 32-bit slot words, a 20-byte node and the 32-bit
+//! positions of its pre-loaded blocks, ~98 B for `ring_cb_cold` and
+//! ~130 B for `ring_baseline_cold`'s 20-slot rows) and *warm* (a fully
+//! materialized tree — the allocation-free steady state). The two differ by several times; one number for both
 //! would describe neither. The Path and Circuit engines (`path_warm`,
 //! `circuit_warm`) run at the same geometry over a resident block
 //! population: no benchmark workload shows their host cost.

@@ -1,7 +1,10 @@
 //! Service configuration: tenants, submission policy, deadlines and the
 //! overload governor's watermarks.
 
+use ring_oram::RingOram;
 use string_oram::{ConfigError, SystemConfig};
+
+use crate::service::TENANT_SHIFT;
 use trace_synth::ArrivalSpec;
 
 /// How the batcher turns queued requests into engine submissions.
@@ -41,7 +44,8 @@ impl SubmissionPolicy {
 
 /// One tenant of the service: its queue bound, arrival shape and block
 /// footprint. Tenant `t`'s blocks live at `(t << 20) .. (t << 20) + blocks`
-/// — disjoint per-tenant ranges by construction.
+/// — disjoint per-tenant ranges by construction, every one of them below
+/// `RingOram::PROGRAM_ID_BOUND` (so at most 1 024 tenants).
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Display name (reports, violations).
@@ -212,12 +216,22 @@ impl ServiceConfig {
     /// [`ConfigError::Invalid`] when the underlying system config fails
     /// its own validation, a numeric knob is out of range, a tenant's peak
     /// arrival rate (`ArrivalSpec::peak_per_tick`) exceeds
-    /// `min(4 x queue_cap, 2^16)` requests per tick.
+    /// `min(4 x queue_cap, 2^16)` requests per tick, or the tenants' block
+    /// ranges reach `RingOram::PROGRAM_ID_BOUND`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.system.validate()?;
         let bad = |m: String| Err(ConfigError::Invalid(m));
         if self.tenants.is_empty() {
             return bad("service needs at least one tenant".into());
+        }
+        let ranges_end = (self.tenants.len() as u64).saturating_mul(1 << TENANT_SHIFT);
+        if ranges_end > RingOram::PROGRAM_ID_BOUND {
+            return bad(format!(
+                "{} tenants' block ranges end at {ranges_end}, past the program block id \
+                 bound {}",
+                self.tenants.len(),
+                RingOram::PROGRAM_ID_BOUND
+            ));
         }
         for (t, spec) in self.tenants.iter().enumerate() {
             if spec.queue_cap == 0 {
@@ -318,6 +332,22 @@ mod tests {
         let mut c = cfg();
         c.tenants[0].write_fraction = 1.5;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn tenant_ranges_past_the_block_id_bound_are_rejected() {
+        let mut c = cfg();
+        let tenant = c.tenants[0].clone();
+        let most = (RingOram::PROGRAM_ID_BOUND >> TENANT_SHIFT) as usize;
+        c.tenants = vec![tenant.clone(); most];
+        c.validate().unwrap();
+        c.tenants.push(tenant);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("1025 tenants") && err.contains("bound"),
+            "{err}"
+        );
+        assert!(crate::OramService::new(c).is_err());
     }
 
     #[test]

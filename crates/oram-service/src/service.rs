@@ -56,7 +56,7 @@ const BLOCKS_TWEAK: u64 = 0xB10C;
 /// Stream tweak for the cover-access shard-routing draw.
 const COVER_STREAM: u64 = 0xC0_7E2;
 /// Tenant `t`'s blocks live at `t << TENANT_SHIFT`.
-const TENANT_SHIFT: u32 = 20;
+pub(crate) const TENANT_SHIFT: u32 = 20;
 /// Marker for "no live engine attempt".
 const NO_ATTEMPT: u64 = u64::MAX;
 

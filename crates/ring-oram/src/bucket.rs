@@ -17,10 +17,10 @@
 //! A bucket is what a hardware controller keeps per bucket: one metadata
 //! word per slot (valid bit + block id) and a few counters. The crate's
 //! `BucketTree` keeps every bucket in one chunked slab: node `i` owns row
-//! `i` — `Z + S - Y` slot words — and keeps beside it a 20-byte node (child
-//! links, one-byte counters, a lane index, a materialized flag). Chunks of
-//! 1024 rows are allocated zeroed when their first node is created and
-//! never move. Payload bytes live in a second slab of lanes,
+//! `i` — `Z + S - Y` 32-bit slot words — and keeps beside it a 20-byte node
+//! (child links, one-byte counters, a lane index, a materialized flag).
+//! Chunks of 1024 rows are allocated zeroed when their first node is
+//! created and never move. Payload bytes live in a second slab of lanes,
 //! one row per bucket that has received a payload, so timing-only
 //! simulations never allocate one. A [`Bucket`] is a borrowed view over a
 //! row, its node and the lanes; every rule below is implemented on it once.
@@ -30,6 +30,7 @@
 use oram_rng::Rng;
 
 use crate::config::RingConfig;
+use crate::position_map::{COLD_BASE, PROGRAM_ID_BOUND};
 use crate::types::{BlockId, BucketId, FetchKind, PathId};
 
 /// Owned payload of a real block (ciphertext when encryption is enabled).
@@ -39,25 +40,55 @@ pub type BlockData = Box<[u8]>;
 /// buckets and the stash.
 pub type BlockEntry = (BlockId, Option<BlockData>);
 
-/// Slot-word bit 63: the slot may still be read before the next shuffle.
-const VALID: u64 = 1 << 63;
-/// Slot-word low 63 bits, all ones: the slot holds no real block. An
+/// Slot-word bit 31: the slot may still be read before the next shuffle.
+const VALID: u32 = 1 << 31;
+/// Slot-word bit 30, the cold tag: the value is a pre-loaded block's index
+/// `id - COLD_BASE`, not a program id (below [`PROGRAM_ID_BOUND`]).
+const COLD: u32 = 1 << 30;
+/// Slot-word low 30 bits: the value.
+const VALUE: u32 = COLD - 1;
+/// Slot-word low 31 bits, all ones: the slot holds no real block. An
 /// invalid slot never holds one (every touch that invalidates a slot also
-/// consumes its block), so a slot word is `VALID | id`, `VALID | DUMMY` or
-/// bare `DUMMY`.
-const DUMMY: u64 = VALID - 1;
+/// consumes its block), so a Ring slot word is `VALID | value`,
+/// `VALID | DUMMY` or bare `DUMMY`; a plain-tree row holds `VALID | value`
+/// words and 0 for an empty slot.
+const DUMMY: u32 = COLD | VALUE;
+
+/// Pre-loaded blocks a word can name (all cold indices but the dummy's);
+/// [`RingConfig::validate`] bounds a tree's real capacity by it.
+pub(crate) const COLD_INDICES: u64 = VALUE as u64;
+
+/// The 31 bits a slot word keeps of `block`, or `None` for an id no word
+/// holds. With [`decode`], the one translation between ids and words.
+fn encode(block: BlockId) -> Option<u32> {
+    if block.0 < PROGRAM_ID_BOUND {
+        return Some(block.0 as u32);
+    }
+    let index = block.0.checked_sub(COLD_BASE)?;
+    (index < COLD_INDICES).then_some(COLD | index as u32)
+}
+
+/// The block a word that holds one names (the valid bit is ignored).
+fn decode(word: u32) -> BlockId {
+    BlockId(u64::from(word & VALUE) | (u64::from(word & COLD != 0) * COLD_BASE))
+}
+
+/// `block`'s value bits, for a block the caller is storing.
+fn encode_stored(block: BlockId) -> u32 {
+    encode(block).unwrap_or_else(|| panic!("block id {block} does not fit a slot word"))
+}
 
 /// Rows per slab chunk. A chunk is allocated whole (zeroed) the first time
 /// one of its rows is needed and never moves, so growing the tree copies
 /// no row and never doubles what is resident.
 pub const CHUNK_ROWS: usize = 1024;
 
-fn holds_real(word: u64) -> bool {
+fn holds_real(word: u32) -> bool {
     word & VALID != 0 && word != VALID | DUMMY
 }
 
 /// `n` as a one-byte counter. Every count is at most the slots per bucket
-/// or `S`, which [`BucketTree::new`] checked fit a byte.
+/// or `S`, which the configuration [`BucketTree::new`] validated bounds.
 #[allow(clippy::expect_used)] // invariant, stated in the expect message
 fn counter(n: usize) -> u8 {
     u8::try_from(n).expect("bucket counts fit the byte checked where the tree is built")
@@ -190,8 +221,8 @@ impl Lanes {
 /// [`Bucket::peek`] gives one for a mutable view.
 #[derive(Debug, Clone, Copy)]
 pub struct BucketRef<'a> {
-    /// One packed word per physical slot (see [`VALID`] / [`DUMMY`]).
-    slots: &'a [u64],
+    /// One packed word per physical slot (see [`encode`]).
+    slots: &'a [u32],
     node: &'a Node,
 }
 
@@ -234,18 +265,15 @@ impl BucketRef<'_> {
         self.slots
             .iter()
             .filter(|&&w| holds_real(w))
-            .map(|&w| BlockId(w & DUMMY))
+            .map(|&w| decode(w))
             .collect()
     }
 
     /// Slot index of `block` if it is present and still valid.
     #[must_use]
     pub fn find(&self, block: BlockId) -> Option<usize> {
-        // `DUMMY` itself is not a block id: `VALID | DUMMY` is a dummy slot.
-        if block.0 >= DUMMY {
-            return None;
-        }
-        self.slots.iter().position(|&w| w == VALID | block.0)
+        let value = encode(block)?;
+        self.slots.iter().position(|&w| w == VALID | value)
     }
 
     /// Whether the bucket must be reshuffled *before* it can absorb another
@@ -348,8 +376,8 @@ impl BucketRef<'_> {
 /// mutable view over one slab row, its node and the payload lanes.
 #[derive(Debug)]
 pub struct Bucket<'a> {
-    /// One packed word per physical slot (see [`VALID`] / [`DUMMY`]).
-    slots: &'a mut [u64],
+    /// One packed word per physical slot (see [`encode`]).
+    slots: &'a mut [u32],
     node: &'a mut Node,
     /// The tree's payload lanes; the bucket's own is `node.lane`.
     lanes: &'a mut Lanes,
@@ -367,7 +395,7 @@ impl Bucket<'_> {
 
     /// Sets slot `idx` to `word` (it no longer holds its block) and returns
     /// the payload it carried, if any.
-    fn vacate(&mut self, idx: usize, word: u64) -> Option<BlockData> {
+    fn vacate(&mut self, idx: usize, word: u32) -> Option<BlockData> {
         self.slots[idx] = word;
         self.lanes.lane_mut(self.node.lane)?[idx].take()
     }
@@ -452,7 +480,7 @@ impl Bucket<'_> {
             u32::from(self.node.greens) < cfg.y,
             "green budget exceeded; needs_reshuffle() should have fired"
         );
-        let block = BlockId(self.slots[idx] & DUMMY);
+        let block = decode(self.slots[idx]);
         self.node.reals -= 1;
         self.node.greens += 1;
         (idx, FetchKind::Green(block), self.vacate(idx, DUMMY))
@@ -468,7 +496,7 @@ impl Bucket<'_> {
             if holds_real(word) {
                 // The emptied slot stays valid, so it now counts as a dummy.
                 let data = self.vacate(idx, VALID | DUMMY);
-                out.push((BlockId(word & DUMMY), data));
+                out.push((decode(word), data));
             }
         }
         self.node.dummies += self.node.reals;
@@ -484,7 +512,7 @@ impl Bucket<'_> {
     /// # Panics
     ///
     /// Panics if more than `cfg.z` entries are supplied, or if a block id
-    /// does not fit a slot word's 63 id bits.
+    /// does not fit a slot word.
     pub fn reload<R: Rng + ?Sized>(
         &mut self,
         cfg: &RingConfig,
@@ -501,14 +529,29 @@ impl Bucket<'_> {
         if self.node.lane == 0 && entries.iter().any(|(_, d)| d.is_some()) {
             self.node.lane = self.lanes.assign();
         }
-        let reals = entries.len();
-        let slot_count = self.slots.len();
+        let mut drained = entries.drain(..);
+        self.fill(cfg.z, rng, |_| drained.next());
+    }
+
+    /// Every write of a whole row, a fresh one's included: `next` is asked
+    /// `n` times for a block, each one it hands out taking the next slot
+    /// (its payload the lane's, when the bucket has one); the other slots
+    /// become valid dummies, the row is permuted and the counters reset.
+    pub(crate) fn fill<R: Rng + ?Sized>(
+        &mut self,
+        n: u32,
+        rng: &mut R,
+        mut next: impl FnMut(&mut R) -> Option<BlockEntry>,
+    ) {
+        let (slot_count, mut reals) = (self.slots.len(), 0);
         let mut lane = self.lanes.lane_mut(self.node.lane);
-        for (i, (b, data)) in entries.drain(..).enumerate() {
-            assert!(b.0 < DUMMY, "block id {b} does not fit a slot word");
-            self.slots[i] = VALID | b.0;
-            if let Some(lane) = lane.as_deref_mut() {
-                lane[i] = data;
+        for _ in 0..n {
+            if let Some((block, data)) = next(rng) {
+                self.slots[reals] = VALID | encode_stored(block);
+                if let Some(lane) = lane.as_deref_mut() {
+                    lane[reals] = data;
+                }
+                reals += 1;
             }
         }
         self.slots[reals..].fill(VALID | DUMMY);
@@ -565,8 +608,7 @@ impl Bucket<'_> {
             "a bucket is over capacity (Z = {})",
             self.slots.len()
         );
-        debug_assert!(block.0 < DUMMY, "block id {block} does not fit a slot word");
-        self.slots[held] = VALID | block.0;
+        self.slots[held] = VALID | encode_stored(block);
         self.node.reals += 1;
         if self.node.lane == 0 && data.is_some() {
             self.node.lane = self.lanes.assign();
@@ -580,7 +622,7 @@ impl Bucket<'_> {
     /// held into the slot.
     pub(crate) fn swap_remove(&mut self, slot: usize) -> (BlockId, Option<BlockData>) {
         let last = usize::from(self.node.reals) - 1;
-        let block = BlockId(self.slots[slot] & DUMMY);
+        let block = decode(self.slots[slot]);
         self.slots[slot] = self.slots[last];
         self.slots[last] = 0;
         self.node.reals -= 1;
@@ -599,7 +641,7 @@ impl Bucket<'_> {
         let mut lane = self.lanes.lane_mut(self.node.lane);
         for (slot, word) in self.slots[..held].iter_mut().enumerate() {
             let data = lane.as_deref_mut().and_then(|lane| lane[slot].take());
-            f(slot, BlockId(*word & DUMMY), data);
+            f(slot, decode(*word), data);
             *word = 0;
         }
         self.node.reals = 0;
@@ -618,9 +660,8 @@ impl OwnedBucket {
     ///
     /// # Panics
     ///
-    /// Panics if more than `cfg.z` blocks are supplied, or if a bucket's
-    /// slots or its access budget `S` exceed 255 (the counters are one
-    /// byte).
+    /// Panics if more than `cfg.z` blocks are supplied, or if `cfg` fails
+    /// [`RingConfig::validate`].
     #[must_use]
     pub fn with_blocks<R: Rng + ?Sized>(cfg: &RingConfig, blocks: &[BlockId], rng: &mut R) -> Self {
         let mut tree = BucketTree::new(&RingConfig {
@@ -667,7 +708,7 @@ pub(crate) struct BucketTree {
     /// Node state, one row of one [`Node`] per node.
     nodes: Slab<Node>,
     /// Slot words, one row per node.
-    words: Slab<u64>,
+    words: Slab<u32>,
     lanes: Lanes,
     /// Per level, the bucket the last lookup passed through — as a 1-based
     /// heap index (`BucketId + 1`; 0 matches nothing) — and its node. Level
@@ -683,17 +724,13 @@ impl BucketTree {
     ///
     /// # Panics
     ///
-    /// Panics if a bucket's slots or its access budget `S` exceed 255: the
-    /// node counters are one byte.
+    /// Panics if `cfg` fails [`RingConfig::validate`], which bounds the
+    /// one-byte node counters and the ids a slot word holds.
     pub(crate) fn new(cfg: &RingConfig) -> Self {
-        let slots = cfg.bucket_slots();
-        assert!(
-            u8::try_from(slots).is_ok() && u8::try_from(cfg.s).is_ok(),
-            "bucket counters are one byte: Z + S - Y = {slots} slots and S = {} must each be \
-             at most 255",
-            cfg.s
-        );
-        let capacity = usize::try_from(cfg.bucket_count()).unwrap_or(usize::MAX);
+        if let Err(e) = cfg.validate() {
+            panic!("invalid RingConfig: {e}");
+        }
+        let (slots, capacity) = (cfg.bucket_slots(), cfg.bucket_count() as usize);
         let mut cursor = vec![(0, 0); cfg.levels as usize];
         cursor[0] = (1, 0);
         Self {
@@ -1314,7 +1351,7 @@ mod tests {
     }
 
     /// Row `i`'s words, node and lane, copied out.
-    type RowState = (Vec<u64>, Node, Option<Vec<Option<BlockData>>>);
+    type RowState = (Vec<u32>, Node, Option<Vec<Option<BlockData>>>);
 
     fn row_state(tree: &BucketTree, i: usize) -> RowState {
         let node = *tree.nodes.at(i);
@@ -1451,16 +1488,80 @@ mod tests {
         let mut r = rng();
         let owned = OwnedBucket::with_blocks(&cfg(), &[BlockId(5)], &mut r);
         let b = owned.peek();
-        // The dummy pattern and ids with the valid bit set alias no block.
-        assert_eq!(b.find(BlockId(DUMMY)), None);
-        assert_eq!(b.find(BlockId(VALID | 5)), None);
+        // The dummy's pattern, the ids between the program bound and the
+        // cold range, and ids with a word's tag or valid bit set alias no
+        // block.
+        for id in [
+            COLD_BASE + COLD_INDICES,
+            PROGRAM_ID_BOUND,
+            u64::from(VALID | 5),
+            u64::from(COLD | 5),
+            COLD_BASE + (1 << 32) + 5,
+        ] {
+            assert_eq!(b.find(BlockId(id)), None, "{id:#x}");
+        }
         assert_eq!(b.find(BlockId(5)).map(|s| b.slot_holds_real(s)), Some(true));
     }
 
     #[test]
     #[should_panic(expected = "does not fit a slot word")]
     fn oversized_block_id_rejected() {
-        let _ = OwnedBucket::with_blocks(&cfg(), &[BlockId(DUMMY)], &mut rng());
+        let _ = OwnedBucket::with_blocks(&cfg(), &[BlockId(PROGRAM_ID_BOUND)], &mut rng());
+    }
+
+    /// The extreme words round-trip through every operation that writes or
+    /// reads one: the last program id, the last cold index, and the dummy,
+    /// which stays a dummy.
+    #[test]
+    fn extreme_slot_words_round_trip() {
+        let program = BlockId(PROGRAM_ID_BOUND - 1);
+        let cold = BlockId(COLD_BASE + COLD_INDICES - 1);
+        assert_eq!(
+            (encode(program), encode(cold)),
+            (Some(VALUE), Some(DUMMY - 1))
+        );
+
+        // Ring rules on a 12-slot row.
+        let c = RingConfig::hpca_default();
+        let mut r = rng();
+        let mut owned = OwnedBucket::with_blocks(&c, &[program, cold], &mut r);
+        assert_eq!(owned.peek().slot_count(), 12);
+        let mut b = owned.view();
+        let (dummies, mut both) = (b.peek().valid_dummies(), b.peek().real_blocks());
+        both.sort_unstable();
+        assert_eq!((dummies, both), (10, vec![program, cold]));
+        for id in [program, cold] {
+            assert!(b
+                .peek()
+                .find(id)
+                .is_some_and(|s| b.peek().slot_holds_real(s)));
+        }
+        let (_, kind, _) = b.serve_read_gated(&c, Some(program), true, &mut r);
+        assert_eq!(kind, FetchKind::Target(program));
+        let (slot, kind, _) = b.serve_read_gated(&c, None, true, &mut r);
+        assert_eq!(kind, FetchKind::Dummy);
+        assert!(!b.peek().slot_holds_real(slot));
+        assert_eq!(b.peek().valid_dummies(), 9);
+        let mut out = Vec::new();
+        b.take_real_blocks_into(&mut out);
+        assert_eq!(out, [(cold, None)]);
+
+        // Plain-tree rules on a `Z` row.
+        let mut tree = BucketTree::new(&RingConfig {
+            levels: 1,
+            tree_top_cached_levels: 0,
+            ..c.z_slot()
+        });
+        let mut b = tree.bucket_or_fill(BucketId(0), |_| {});
+        b.append(program, None);
+        b.append(cold, Some(Box::from([9u8; 4])));
+        assert_eq!(b.peek().find(cold), Some(1));
+        let slot = b.peek().find(program).unwrap();
+        assert_eq!(b.swap_remove(slot), (program, None));
+        let mut drained = Vec::new();
+        b.drain(|slot, id, data| drained.push((slot, id, data)));
+        assert_eq!(drained, [(0, cold, Some(Box::from([9u8; 4])))]);
+        assert!(b.slots.iter().all(|&w| w == 0));
     }
 
     #[test]

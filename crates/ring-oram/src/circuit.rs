@@ -71,7 +71,7 @@ impl CircuitOram {
     ///
     /// # Panics
     ///
-    /// Panics if the target is not below `RingOram::COLD_BASE`.
+    /// Panics if the target is not below `RingOram::PROGRAM_ID_BOUND`.
     pub(crate) fn schedule(&mut self, target: Option<(BlockId, Op<'_>)>) -> (AccessOutcome, bool) {
         let tree = &mut self.tree;
         let block = target.map(|(b, _)| b);
@@ -221,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below COLD_BASE")]
+    #[should_panic(expected = "below PROGRAM_ID_BOUND")]
     fn cold_id_space_protected() {
         let mut o = CircuitOram::new(test_cfg(), 8);
         // One past the base: the dense range would reject it only after

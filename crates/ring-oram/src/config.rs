@@ -207,7 +207,8 @@ impl RingConfig {
     /// Returns a description of the first violated constraint:
     /// `levels >= 1`, `z >= 1`, `s >= 1`, `a >= 1`, `y <= s`, `y <= z`,
     /// at most 255 slots per bucket (a bucket's counters are one byte),
-    /// nonzero block size and stash, cached levels < total levels.
+    /// fewer than 2^30 real slots (a slot word's value bits), nonzero
+    /// block size and stash, cached levels < total levels.
     pub fn validate(&self) -> Result<(), String> {
         if self.levels == 0 || self.levels > 40 {
             return Err(format!("levels ({}) must be in 1..=40", self.levels));
@@ -237,6 +238,10 @@ impl RingConfig {
                 "a bucket has at most 255 slots (its counters are one byte), got Z + S - Y = \
                  {slots}"
             ));
+        }
+        let real = self.real_capacity_blocks(); // each may hold a pre-loaded block
+        if real > crate::bucket::COLD_INDICES {
+            return Err(format!("{real} real slots exceed a slot word's 2^30 - 1"));
         }
         if self.block_bytes == 0 {
             return Err("block_bytes must be nonzero".into());
@@ -335,6 +340,37 @@ mod tests {
         cfg.validate().unwrap();
         cfg.z = 255 - cfg.s + 1;
         assert!(cfg.validate().is_err(), "256 slots");
+    }
+
+    #[test]
+    fn trees_past_the_slot_id_space_are_rejected() {
+        // The first (levels, z) over 2^30 - 1 real slots is an error, the
+        // one below it is not, on each side of the rule.
+        for (levels, z) in [(27, 8), (30, 1), (24, 64)] {
+            let fits = RingConfig {
+                levels,
+                z,
+                s: 1,
+                y: 0,
+                tree_top_cached_levels: 0,
+                ..RingConfig::test_small()
+            };
+            assert!(fits.real_capacity_blocks() < 1 << 30);
+            fits.validate().unwrap();
+            for over in [
+                RingConfig {
+                    levels: levels + 1,
+                    ..fits.clone()
+                },
+                RingConfig {
+                    z: z + 1,
+                    ..fits.clone()
+                },
+            ] {
+                let err = over.validate().unwrap_err();
+                assert!(err.contains("slot word"), "{over:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     ///
     /// # Panics
     ///
-    /// Panics if `block` is not below `RingOram::COLD_BASE`, if a write's
+    /// Panics if `block` is not below `RingOram::PROGRAM_ID_BOUND`, if a write's
     /// data is not exactly `block_bytes` long, or if the engine cannot keep
     /// its stash bounded (an over-full tree).
     fn operate(&mut self, block: BlockId, op: Op<'_>) -> (AccessOutcome, Option<&[u8]>);

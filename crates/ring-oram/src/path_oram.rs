@@ -58,7 +58,7 @@ impl PathOram {
     ///
     /// # Panics
     ///
-    /// Panics if the target is not below `RingOram::COLD_BASE`.
+    /// Panics if the target is not below `RingOram::PROGRAM_ID_BOUND`.
     pub(crate) fn schedule(&mut self, target: Option<(BlockId, Op<'_>)>) -> (AccessOutcome, bool) {
         let tree = &mut self.tree;
         let block = target.map(|(b, _)| b);
@@ -160,9 +160,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below COLD_BASE")]
+    #[should_panic(expected = "below PROGRAM_ID_BOUND")]
     fn cold_id_space_protected() {
         let mut o = PathOram::from_ring(small(), 7);
-        let _ = o.access(BlockId(crate::RingOram::COLD_BASE));
+        let _ = o.access(BlockId(crate::RingOram::PROGRAM_ID_BOUND));
     }
 }

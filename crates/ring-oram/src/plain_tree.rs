@@ -56,7 +56,7 @@ use crate::crypto::BlockCipher;
 use crate::faults::{FaultEvent, FaultEventKind, ResilienceConfig};
 use crate::oblivious::{Op, ProtocolKind};
 use crate::plan::{AccessPlan, OpKind, PlanPool, SlotTouch};
-use crate::position_map::{PositionMap, COLD_BASE};
+use crate::position_map::{PositionMap, PROGRAM_ID_BOUND};
 use crate::protocol::{AccessOutcome, ProtocolStats, TargetSource};
 use crate::stash::Stash;
 use crate::tree::TreeGeometry;
@@ -390,9 +390,7 @@ impl PlainTree {
     /// or Circuit and `cfg.bucket_slots() != cfg.z`: their buckets are
     /// exactly `Z` slots ([`RingConfig::z_slot`]).
     pub(crate) fn new(kind: ProtocolKind, cfg: RingConfig, seed: u64) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid RingConfig: {e}");
-        }
+        let buckets = BucketTree::new(&cfg); // validates `cfg`
         assert!(
             matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring)
                 || cfg.bucket_slots() == cfg.z,
@@ -405,7 +403,7 @@ impl PlainTree {
         let geometry = TreeGeometry::new(cfg.levels);
         Self {
             kind,
-            buckets: BucketTree::new(&cfg),
+            buckets,
             position_map: PositionMap::new(geometry.leaf_count()),
             cfg,
             geometry,
@@ -444,8 +442,8 @@ impl PlainTree {
     ///
     /// # Panics
     ///
-    /// Panics if `target` lies in the position map's dense cold-block range
-    /// (`>= COLD_BASE`), before anything is drawn or changed.
+    /// Panics if `target` is not a program block id (`>= PROGRAM_ID_BOUND`),
+    /// before anything is drawn or changed.
     pub(crate) fn locate(&mut self, target: Option<BlockId>) -> (PathId, bool) {
         let Some(block) = target else {
             return (
@@ -454,8 +452,8 @@ impl PlainTree {
             );
         };
         assert!(
-            block.0 < COLD_BASE,
-            "program block ids must be below COLD_BASE"
+            block.0 < PROGRAM_ID_BOUND,
+            "program block ids must be below PROGRAM_ID_BOUND (2^30), got {block}"
         );
         match self.position_map.lookup(block) {
             Some(path) => (path, true),

@@ -5,8 +5,8 @@
 //! no particular order, live in a hash map that assigns fresh uniform paths
 //! lazily and on every remap; the Ring engine's pre-loaded *cold* blocks,
 //! whose identifiers are handed out sequentially from [`COLD_BASE`], live in
-//! a dense table indexed by `id - COLD_BASE` — millions of entries that are
-//! written once per materialized bucket and never hashed.
+//! a dense table of 32-bit paths indexed by `id - COLD_BASE` — millions of
+//! entries that are written once per materialized bucket and never hashed.
 
 use oram_rng::Rng;
 
@@ -18,6 +18,10 @@ use crate::types::{BlockId, PathId};
 /// Identifiers at or above this value form the dense cold-block range:
 /// they must enter the map in sequence (`COLD_BASE`, `COLD_BASE + 1`, …).
 pub const COLD_BASE: u64 = 1 << 40;
+
+/// Program block ids are below this bound (a slot word keeps an id in 30
+/// bits); every engine refuses a program access at or above it.
+pub const PROGRAM_ID_BOUND: u64 = 1 << 30;
 
 /// Lazy position map over `2^L` paths.
 ///
@@ -42,7 +46,7 @@ pub struct PositionMap {
     map: DetHashMap<BlockId, PathId>,
     /// Cold blocks: row `i` is the path of block `COLD_BASE + i`, in slab
     /// chunks, so the table grows without copying or doubling.
-    cold: Slab<PathId>,
+    cold: Slab<u32>,
 }
 
 impl PositionMap {
@@ -50,10 +54,10 @@ impl PositionMap {
     ///
     /// # Panics
     ///
-    /// Panics if `paths` is zero.
+    /// Panics if `paths` is zero or above 2^32 (a cold path is 32 bits).
     #[must_use]
     pub fn new(paths: u64) -> Self {
-        assert!(paths > 0, "paths must be nonzero");
+        assert!((1..=1 << 32).contains(&paths), "paths must be in 1..=2^32");
         Self {
             paths,
             map: DetHashMap::default(),
@@ -85,7 +89,7 @@ impl PositionMap {
         match block.0.checked_sub(COLD_BASE) {
             Some(i) => {
                 let i = usize::try_from(i).ok().filter(|&i| i < self.cold.len())?;
-                Some(*self.cold.at(i))
+                Some(PathId(u64::from(*self.cold.at(i))))
             }
             None => self.map.get(&block).copied(),
         }
@@ -125,7 +129,8 @@ impl PositionMap {
 
     /// Iterates over all `(block, path)` entries, in unspecified order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
-        let cold = (0..self.cold.len()).map(|i| (BlockId(COLD_BASE + i as u64), *self.cold.at(i)));
+        let cold = (0..self.cold.len() as u64).map(|i| BlockId(COLD_BASE + i));
+        let cold = cold.flat_map(|b| Some((b, self.lookup(b)?)));
         self.map.iter().map(|(&b, &p)| (b, p)).chain(cold)
     }
 
@@ -145,6 +150,7 @@ impl PositionMap {
         };
         let len = self.cold.len() as u64;
         assert!(i <= len, "cold block ids must be inserted in sequence");
+        let path = path.0 as u32; // `new` bounds every path to 32 bits
         let row = if i == len {
             self.cold.push_row()
         } else {

@@ -236,8 +236,6 @@ struct Scratch {
     entries: Vec<BlockEntry>,
     /// `reshuffle_bucket` / `evict`: entries staged for a bucket reload.
     resealed: Vec<BlockEntry>,
-    /// `materialize_entry`: cold blocks staged for a fresh bucket.
-    cold: Vec<BlockEntry>,
     /// `evict`: eviction candidates grouped by deepest eligible level.
     by_depth: Vec<Vec<BlockId>>,
     /// `evict`: the candidates eligible at the level being written.
@@ -281,7 +279,8 @@ impl std::fmt::Debug for RingOram {
 ///
 /// The protocol RNG is drawn in a fixed order every golden digest depends
 /// on: `Z` × `gen_bool(load)`, each hit followed by its `gen_range` path
-/// tail (below the leaf level), then the bucket's shuffle.
+/// tail (below the leaf level), then the bucket's shuffle. Each hit's word
+/// is written straight into the fresh row.
 #[allow(clippy::too_many_arguments)] // a borrow-split of the engine's fields
 fn materialize_entry<'a>(
     buckets: &'a mut BucketTree,
@@ -290,7 +289,6 @@ fn materialize_entry<'a>(
     load_factor: f64,
     position_map: &mut PositionMap,
     next_cold: &mut u64,
-    cold: &mut Vec<BlockEntry>,
     rng: &mut StdRng,
     id: BucketId,
 ) -> Bucket<'a> {
@@ -298,28 +296,25 @@ fn materialize_entry<'a>(
         let level = geometry.level_of(id);
         let pos_in_level = id.0 - ((1u64 << level.0) - 1);
         let tail_bits = geometry.max_level() - level.0;
-        for _ in 0..cfg.z {
-            if rng.gen_bool(load_factor) {
+        bucket.fill(cfg.z, rng, |rng| {
+            rng.gen_bool(load_factor).then(|| {
                 let block = BlockId(*next_cold);
                 *next_cold += 1;
-                let low = if tail_bits == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..(1u64 << tail_bits))
-                };
-                let path = PathId((pos_in_level << tail_bits) | low);
+                let low = (tail_bits > 0).then(|| rng.gen_range(0..1u64 << tail_bits));
+                let path = PathId(pos_in_level << tail_bits | low.unwrap_or(0));
                 position_map.insert(block, path);
-                cold.push((block, None));
-            }
-        }
-        bucket.reload(cfg, cold, rng);
+                (block, None)
+            })
+        });
     })
 }
 
 impl RingOram {
     /// Identifiers at or above this value are reserved for cold (pre-loaded)
-    /// blocks; program block ids must stay below it.
+    /// blocks.
     pub const COLD_BASE: u64 = position_map::COLD_BASE;
+    /// Program block ids stay below this bound on every engine.
+    pub const PROGRAM_ID_BOUND: u64 = position_map::PROGRAM_ID_BOUND;
 
     /// Default pre-load factor (see the module docs). Calibrated to 0.7:
     /// back-computing from the paper's Fig. 13 green-fetch rates (3.26
@@ -398,7 +393,6 @@ impl RingOram {
             self.load_factor,
             &mut self.tree.position_map,
             &mut self.next_cold,
-            &mut self.scratch.cold,
             &mut self.tree.rng,
             id,
         )
@@ -417,8 +411,8 @@ impl RingOram {
     ///
     /// # Panics
     ///
-    /// Panics if `block` collides with the cold-block id space
-    /// (`>= COLD_BASE`) — a caller bug, not a runtime condition.
+    /// Panics if `block` is not below [`Self::PROGRAM_ID_BOUND`] — a caller
+    /// bug, not a runtime condition.
     pub fn try_access(&mut self, block: BlockId) -> Result<AccessOutcome, OramError> {
         Ok(self.try_schedule(Some((block, Op::Read)))?.0)
     }
@@ -596,7 +590,6 @@ impl RingOram {
                 self.load_factor,
                 &mut self.tree.position_map,
                 &mut self.next_cold,
-                &mut self.scratch.cold,
                 &mut self.tree.rng,
                 id,
             );
@@ -1026,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below COLD_BASE")]
+    #[should_panic(expected = "below PROGRAM_ID_BOUND")]
     fn cold_id_space_protected() {
         let mut o = oram(RingConfig::test_small());
         let _ = o.access(BlockId(RingOram::COLD_BASE));

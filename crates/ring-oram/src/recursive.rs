@@ -60,10 +60,10 @@ impl RecursiveConfig {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tracked_blocks == 0 || self.tracked_blocks > RingOram::COLD_BASE {
+        if self.tracked_blocks == 0 || self.tracked_blocks > RingOram::PROGRAM_ID_BOUND {
             return Err(format!(
-                "tracked_blocks ({}) must be in 1..=2^40 (program block ids stay below \
-                 RingOram::COLD_BASE)",
+                "tracked_blocks ({}) must be in 1..=2^30 (program block ids stay below \
+                 RingOram::PROGRAM_ID_BOUND)",
                 self.tracked_blocks
             ));
         }
@@ -166,7 +166,7 @@ mod tests {
                 ..RecursiveConfig::test_small()
             },
             RecursiveConfig {
-                tracked_blocks: RingOram::COLD_BASE + 1,
+                tracked_blocks: RingOram::PROGRAM_ID_BOUND + 1,
                 ..RecursiveConfig::test_small()
             },
             RecursiveConfig {

@@ -461,8 +461,11 @@ impl SystemConfig {
         };
         let align = self.row_set_bytes();
         let (mut tiers, mut end) = (Vec::new(), 0u64);
-        for ring in std::iter::once(data).chain(maps) {
-            ring.validate()?;
+        for (tier, ring) in std::iter::once(data).chain(maps).enumerate() {
+            ring.validate().map_err(|e| match tier {
+                0 => e,
+                _ => format!("recursion tier {tier}: {e}"),
+            })?;
             let layout = self.tree_layout(&ring);
             let base = end.div_ceil(align) * align;
             end = base + layout.total_bytes();

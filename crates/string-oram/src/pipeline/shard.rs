@@ -165,7 +165,7 @@ impl ShardedSimulation {
         let (map, shard_cfgs) = cfg.shard_configs()?;
         // In global numbering, so the error names the caller's record (a
         // shard sees `block >> bits`).
-        check_trace_block_ids(&traces, ring_oram::RingOram::COLD_BASE << map.bits())?;
+        check_trace_block_ids(&traces, ring_oram::RingOram::PROGRAM_ID_BOUND << map.bits())?;
         let shard_traces = partition_traces(&map, &traces);
         // Fix every shard's full configuration up front so the parallel
         // build below has no ordering freedom left to exploit.

@@ -48,8 +48,9 @@ impl std::fmt::Display for CycleLimitExceeded {
 impl std::error::Error for CycleLimitExceeded {}
 
 /// Rejects the first trace record (lowest core, then lowest index) whose
-/// block id is not below `limit`: from [`RingOram::COLD_BASE`] up the
-/// engines keep their own pre-loaded blocks and panic on a program access.
+/// block id is not below `limit`: from [`RingOram::PROGRAM_ID_BOUND`] up an
+/// id does not fit the engines' slot words, and they panic on a program
+/// access.
 pub(crate) fn check_trace_block_ids(
     traces: &[Vec<TraceRecord>],
     limit: u64,
@@ -58,7 +59,7 @@ pub(crate) fn check_trace_block_ids(
         if let Some(record) = trace.iter().position(|r| r.op.block >= limit) {
             return Err(ConfigError::Invalid(format!(
                 "trace of core {core}, record {record}: block id {} is not below {limit}; \
-                 ids from there up are reserved for the engines' pre-loaded blocks",
+                 the engines' slot words hold program ids below it",
                 trace[record].op.block
             )));
         }
@@ -125,8 +126,8 @@ impl Simulation {
     /// # Errors
     ///
     /// [`ConfigError::Invalid`] if `cfg` fails validation (including the
-    /// fault-injection cross-checks), or if a trace names a block id the
-    /// engines reserve (`>= RingOram::COLD_BASE`; traces are outside
+    /// fault-injection cross-checks), or if a trace names a block id that is
+    /// not a program id (`>= RingOram::PROGRAM_ID_BOUND`; traces are outside
     /// input), and [`ConfigError::TraceCount`] if the number of traces does
     /// not match `cfg.cores`.
     pub fn try_new(cfg: SystemConfig, traces: Vec<Vec<TraceRecord>>) -> Result<Self, ConfigError> {
@@ -144,7 +145,7 @@ impl Simulation {
                 got: traces.len(),
             });
         }
-        check_trace_block_ids(&traces, RingOram::COLD_BASE)?;
+        check_trace_block_ids(&traces, RingOram::PROGRAM_ID_BOUND)?;
         let total_records: usize = traces.iter().map(Vec::len).sum();
         let cores: Vec<Core> = traces
             .into_iter()

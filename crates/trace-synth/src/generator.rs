@@ -57,8 +57,9 @@ pub struct TraceGenerator {
     zipf: Option<Zipf>,
     /// Base offset separating cores' footprints.
     base: u64,
-    /// Probability that any instruction is a memory op (geometric gap).
-    miss_prob: f64,
+    /// `ln(1 - p)` for the probability `p` that any instruction is a
+    /// memory op (the geometric gap's denominator).
+    ln_no_miss: f64,
 }
 
 impl TraceGenerator {
@@ -102,7 +103,7 @@ impl TraceGenerator {
                 (cursors, Some(Zipf::new(*blocks, *theta)))
             }
         };
-        let miss_prob = spec.mpki / 1000.0;
+        let ln_no_miss = (1.0 - spec.mpki / 1000.0).ln();
         let _ = rng.gen::<u64>(); // decorrelate seed mixing
         Self {
             spec,
@@ -110,7 +111,7 @@ impl TraceGenerator {
             cursors,
             zipf,
             base,
-            miss_prob,
+            ln_no_miss,
         }
     }
 
@@ -158,7 +159,7 @@ impl TraceGenerator {
         // Geometric(p) gap: number of non-memory instructions before the
         // next miss. Inverse-CDF sampling keeps it O(1).
         let u: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let gap = (u.ln() / (1.0 - self.miss_prob).ln()).floor() as u32;
+        let gap = (u.ln() / self.ln_no_miss).floor() as u32;
         let block = self.next_block();
         let is_write = self.rng.gen_bool(self.spec.write_fraction);
         TraceRecord::new(gap, block, is_write)
@@ -254,12 +255,29 @@ mod tests {
 
     #[test]
     fn blocks_stay_below_cold_space() {
-        // Program blocks must never collide with RingOram::COLD_BASE (2^40).
+        // Program blocks must stay below RingOram::PROGRAM_ID_BOUND (2^30).
         for spec in all_workloads() {
             let mut g = TraceGenerator::new(spec, 5, 3);
             for r in g.take_records(2000) {
-                assert!(r.op.block < (1 << 40));
+                assert!(r.op.block < (1 << 30));
             }
         }
+    }
+
+    #[test]
+    fn generators_of_one_spec_share_one_zipf_table() {
+        let spec = by_name("black").unwrap();
+        let table = |g: &TraceGenerator| std::sync::Arc::clone(&g.zipf.as_ref().unwrap().cdf);
+        let gens: Vec<TraceGenerator> = (0..4)
+            .map(|c| TraceGenerator::new(spec.clone(), 11, c))
+            .collect();
+        let first = table(&gens[0]);
+        assert_eq!(first.len(), 32_768);
+        assert!(gens
+            .iter()
+            .all(|g| std::sync::Arc::ptr_eq(&table(g), &first)));
+        // Another spec's table replaces the memo.
+        let other = TraceGenerator::new(by_name("freq").unwrap(), 11, 0);
+        assert!(!std::sync::Arc::ptr_eq(&table(&other), &first));
     }
 }

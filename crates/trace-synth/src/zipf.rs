@@ -3,12 +3,27 @@
 //! Hot-set reuse in real workloads is heavy-tailed; a Zipf(θ) rank
 //! distribution over the working set is the standard synthetic stand-in.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use oram_rng::Rng;
+
+/// A table with its `(n, theta bits)`.
+type Keyed = ((u64, u64), Arc<[f64]>);
+
+thread_local! {
+    /// The last table this thread built: the per-core generators of one
+    /// workload ask for the same table in a row, and a one-entry memo keeps
+    /// one copy, however many specs pass.
+    static LAST_TABLE: RefCell<Option<Keyed>> = const { RefCell::new(None) };
+}
 
 /// A Zipf sampler over ranks `0..n` with exponent `theta`.
 ///
 /// Sampling uses a precomputed CDF and binary search: O(n) memory,
-/// O(log n) per sample, exact (no rejection).
+/// O(log n) per sample, exact (no rejection). The CDF is a pure function
+/// of `(n, theta)`; samplers built one after another for the same pair
+/// share one table.
 ///
 /// # Examples
 ///
@@ -23,7 +38,7 @@ use oram_rng::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    pub(crate) cdf: Arc<[f64]>,
 }
 
 impl Zipf {
@@ -40,6 +55,20 @@ impl Zipf {
             theta >= 0.0 && theta.is_finite(),
             "theta must be finite and non-negative"
         );
+        let key = (n, theta.to_bits());
+        let cdf = LAST_TABLE.with_borrow_mut(|last| match last {
+            Some((k, cdf)) if *k == key => Arc::clone(cdf),
+            _ => {
+                let cdf = Self::table(n, theta);
+                *last = Some((key, Arc::clone(&cdf)));
+                cdf
+            }
+        });
+        Self { cdf }
+    }
+
+    /// The normalized CDF over `n` ranks.
+    fn table(n: u64, theta: f64) -> Arc<[f64]> {
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0f64;
         for k in 1..=n {
@@ -50,7 +79,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Self { cdf }
+        cdf.into()
     }
 
     /// Number of ranks.
@@ -108,6 +137,16 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((700..1300).contains(&c), "rank {i}: {c}");
         }
+    }
+
+    #[test]
+    fn a_shared_table_is_the_table_a_fresh_build_gives() {
+        let (a, b) = (Zipf::new(300, 0.8), Zipf::new(300, 0.8));
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf));
+        assert_eq!(*a.cdf, *Zipf::table(300, 0.8));
+        let c = Zipf::new(300, 0.9);
+        assert!(!Arc::ptr_eq(&a.cdf, &c.cdf));
+        assert!(Arc::ptr_eq(&Zipf::new(300, 0.9).cdf, &c.cdf));
     }
 
     #[test]

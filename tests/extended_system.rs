@@ -125,9 +125,13 @@ fn hostile_recursion_settings_are_errors_not_panics() {
             tracked_blocks: u64::MAX,
             ..valid
         },
-        // Valid arithmetic, but 40 map tiers do not fit the module.
         RecursiveConfig {
-            tracked_blocks: 1 << 40,
+            tracked_blocks: ring_oram::RingOram::PROGRAM_ID_BOUND + 1,
+            ..valid
+        },
+        // Valid arithmetic, but 28 map tiers do not fit the module.
+        RecursiveConfig {
+            tracked_blocks: 1 << 28,
             positions_per_block: 2,
             max_onchip_entries: 1,
         },

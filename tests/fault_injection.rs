@@ -267,7 +267,7 @@ fn try_new_rejects_trace_block_ids_in_the_reserved_range() {
             cfg.shards = shards;
             let mut traces = traces_for(&cfg, "black", 11, 20);
             // One below the limit is an ordinary block; the limit is not.
-            let limit = RingOram::COLD_BASE * shards as u64;
+            let limit = RingOram::PROGRAM_ID_BOUND * shards as u64;
             traces[1][7].op.block = limit - 1;
             traces[1][12].op.block = limit;
             traces[1][15].op.block = u64::MAX;
