@@ -1,40 +1,44 @@
-//! Protocol invariant auditors.
+//! The protocol invariant auditor.
 //!
-//! One auditor per protocol family, unified behind [`ProtocolAuditor`]
-//! (selected by [`ProtocolKind`]): [`OramAuditor`] for the Ring engines
-//! (Ring+CB and plain Ring share every Ring invariant — plain Ring is the
-//! `Y = 0` configuration) and [`PlainTreeAuditor`] for Path and Circuit
-//! ORAM (one plan-shape check under two expected-plan tables). Each replays
-//! the plan stream the memory hierarchy consumes against its protocol's
-//! structural invariants, independently of the engine's internal
-//! bookkeeping. Every engine has the same transit-fault layer, so the
-//! fault-log checks — detection, recovery, and one retry-read touch per
-//! `Retried` event ([`Rule::RetryMismatch`]) — are shared by both.
+//! [`ProtocolAuditor`] replays the [`AccessPlan`] stream the memory
+//! hierarchy consumes against one row of a schedule table, independently
+//! of the engines' bookkeeping: the table is written here from the
+//! protocol definitions and reads nothing of `ring-oram`'s schedule code.
 //!
-//! [`OramAuditor`] replays the protocol's [`AccessPlan`] stream — the same
-//! artifact the memory hierarchy consumes — against the paper's structural
-//! invariants, independently of `ring-oram`'s internal bookkeeping:
+//! | protocol | read path, per off-chip level | batch | slot epoch |
+//! |---|---|---|---|
+//! | Ring+CB, Ring | 1 read | one eviction per `A` read paths | `S` |
+//! | Path | `Z` reads, `Z` writes | `[read path]` | — |
+//! | Circuit | `Z` reads | `[read path,` [`EVICTIONS_PER_ACCESS`] `× eviction]` | — |
 //!
-//! * every slot index stays inside the bucket's physical `Z + S - Y` slots
+//! Every row shares the rewrite rule: an eviction (over the off-chip path)
+//! or an early reshuffle (over one bucket) reads `Z` slots and writes all
+//! `bucket_slots()` slots of each bucket it covers. From its row the
+//! auditor checks, for every access:
+//!
+//! * every touch of every plan addresses one of the bucket's
+//!   `bucket_slots()` slots — `Z + S - Y` on Ring, `Z` on Path and Circuit
 //!   ([`Rule::SlotRange`]);
-//! * within one reshuffle epoch, no bucket slot is *read-path-read* twice —
-//!   this is Ring ORAM's core security invariant: a dummy (or real) slot
-//!   revisited between reshuffles correlates accesses ([`Rule::SlotReuse`]);
-//! * no bucket serves more than `S` read-path touches per epoch, because the
-//!   protocol must reshuffle at `S` accesses ([`Rule::BucketBudget`]);
-//! * evictions fire at exactly one per `A` read paths, counting the dummy
-//!   read paths of background eviction ([`Rule::EvictionCadence`]);
-//! * each plan's touch counts match its kind's canonical shape
-//!   ([`Rule::PlanShape`]);
-//! * stash occupancy, sampled after each completed access, stays within the
-//!   configured bound ([`Rule::StashBound`]).
-//!
-//! Reshuffle epochs are tracked from the plan stream itself: any *write*
-//! touch to a bucket (the write phase of an eviction or reshuffle rewrites
-//! all its slots) starts a fresh epoch for that bucket. The read phases of
-//! evictions and reshuffles are excluded from the reuse/budget checks —
-//! they legitimately re-read slots (and pad with filler indices) because
-//! the bucket is about to be rewritten anyway.
+//! * each plan makes its row's reads and writes, reads before writes, and a
+//!   retry read comes directly after a read path ([`Rule::PlanShape`]);
+//! * a fixed batch is exactly its row, a cover's dummy read path standing
+//!   for the read path; a batch that is not is one [`Rule::PlanShape`]
+//!   finding, and only its retries are audited further;
+//! * without a fixed batch, evictions number one per `A` read paths after
+//!   every batch, background dummy read paths included
+//!   ([`Rule::EvictionCadence`]);
+//! * with a slot epoch, no slot is read twice by read paths between two
+//!   rewrites of its bucket — Ring ORAM's core security invariant
+//!   ([`Rule::SlotReuse`]) — and no bucket serves more than `S` read-path
+//!   touches ([`Rule::BucketBudget`]); any write touch of a rewrite opens a
+//!   fresh epoch. Without one, an early reshuffle is a
+//!   [`Rule::PlanShape`] finding;
+//! * the fault log: every injected corruption is detected
+//!   ([`Rule::FaultUndetected`]) and recovered ([`Rule::FaultUnrecovered`]),
+//!   and every `Retried` event buys exactly one retry-read touch
+//!   ([`Rule::RetryMismatch`]);
+//! * the stash, sampled after each access, stays within its configured
+//!   bound ([`Rule::StashBound`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -44,222 +48,140 @@ use ring_oram::{AccessPlan, FaultEvent, FaultEventKind, OpKind, ProtocolKind, Ri
 
 use crate::violation::{Rule, Violation};
 
-/// Replays an [`AccessPlan`] stream against the Ring ORAM invariants.
-///
-/// Feed every plan batch (one [`observe_access`](Self::observe_access) call
-/// per protocol access, in order) and the post-access stash occupancy via
-/// [`observe_stash`](Self::observe_stash); collect findings from
-/// [`violations`](Self::violations).
-#[derive(Debug, Clone)]
-pub struct OramAuditor {
-    config: RingConfig,
-    /// Read-path-touched slots per bucket since that bucket's last rewrite.
-    touched: HashMap<BucketId, HashSet<u32>>,
-    /// Read-path touch count per bucket in the current epoch (tracked
-    /// separately from the set so reuse doesn't mask a budget overrun).
-    touch_count: HashMap<BucketId, u32>,
-    paths: u64,
-    evictions: u64,
-    found: Findings,
+/// One protocol's row of the schedule table.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    /// Reads and writes of a (dummy) read path per off-chip level.
+    read_path: (u32, u32),
+    /// The evictions that follow each read path, when every access is
+    /// that one fixed batch; `None` when evictions keep a cadence of one
+    /// per `A` read paths across batches instead.
+    fixed_evictions: Option<usize>,
+    /// Read-path touches a bucket serves between two rewrites, each slot
+    /// at most once; `None` for protocols without dummy budgets.
+    epoch: Option<u32>,
 }
 
-impl OramAuditor {
-    /// Creates an auditor for a protocol instance with this configuration.
+/// A bucket's read-path touches since its last rewrite.
+#[derive(Debug, Clone)]
+struct Epoch {
+    touches: u32,
+    slots: HashSet<u32>,
+}
+
+/// Replays a protocol's [`AccessPlan`] stream against its row of the
+/// schedule table (see the [module documentation](self)).
+///
+/// Feed each access's fault log via [`observe_faults`](Self::observe_faults),
+/// then its plan batch via [`observe_access`](Self::observe_access), then
+/// the stash occupancy via [`observe_stash`](Self::observe_stash); collect
+/// findings from [`violations`](Self::violations).
+#[derive(Debug, Clone)]
+pub struct ProtocolAuditor {
+    kind: ProtocolKind,
+    config: RingConfig,
+    schedule: Schedule,
+    /// Tree levels whose buckets live off-chip (the tree top is cached
+    /// on-chip and never appears in plans).
+    off_chip: u64,
+    /// Per bucket, its current slot epoch (rows with one only).
+    epochs: HashMap<BucketId, Epoch>,
+    paths: u64,
+    evictions: u64,
+    accesses: u64,
+    faults_seen: u64,
+    /// Retry-read touches the fault log has authorized but no retry plan
+    /// has consumed yet, keyed by (bucket, slot); reconciled at the end of
+    /// each batch.
+    retry_allowances: HashMap<(BucketId, u32), u32>,
+    violations: Vec<Violation>,
+}
+
+impl ProtocolAuditor {
+    /// Creates the auditor for `kind` over the protocol's *effective*
+    /// configuration (plain Ring's with `y` forced to 0, Path's and
+    /// Circuit's the `Z`-slot encoding), so `bucket_slots()` is right.
     #[must_use]
-    pub fn new(config: RingConfig) -> Self {
+    pub fn new(kind: ProtocolKind, config: RingConfig) -> Self {
+        let z = config.z;
+        let schedule = match kind {
+            ProtocolKind::RingCb | ProtocolKind::Ring => Schedule {
+                read_path: (1, 0),
+                fixed_evictions: None,
+                epoch: Some(config.s),
+            },
+            ProtocolKind::Path => Schedule {
+                read_path: (z, z),
+                fixed_evictions: Some(0),
+                epoch: None,
+            },
+            ProtocolKind::Circuit => Schedule {
+                read_path: (z, 0),
+                fixed_evictions: Some(EVICTIONS_PER_ACCESS),
+                epoch: None,
+            },
+        };
         Self {
+            kind,
+            off_chip: u64::from(config.levels.saturating_sub(config.tree_top_cached_levels)),
             config,
-            touched: HashMap::new(),
-            touch_count: HashMap::new(),
+            schedule,
+            epochs: HashMap::new(),
             paths: 0,
             evictions: 0,
-            found: Findings::default(),
+            accesses: 0,
+            faults_seen: 0,
+            retry_allowances: HashMap::new(),
+            violations: Vec::new(),
         }
     }
 
     /// Violations found so far.
     #[must_use]
     pub fn violations(&self) -> &[Violation] {
-        &self.found.violations
+        &self.violations
     }
 
     /// Takes the accumulated violations, keeping the epoch state.
     pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.found.violations)
+        std::mem::take(&mut self.violations)
     }
 
     /// Whether no violation has been found.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.found.violations.is_empty()
+        self.violations.is_empty()
     }
 
     /// Protocol accesses audited so far.
     #[must_use]
     pub fn accesses_checked(&self) -> u64 {
-        self.found.accesses
+        self.accesses
     }
 
     /// Injected fault events audited so far.
     #[must_use]
     pub fn faults_checked(&self) -> u64 {
-        self.found.faults_seen
+        self.faults_seen
     }
 
-    /// Audits one access's fault-event log (see [`ProtocolAuditor::observe_faults`]).
-    pub fn observe_faults(&mut self, events: &[FaultEvent]) {
-        self.found.observe_faults(events);
-    }
-
-    /// Audits the full plan batch of one protocol access, in plan order.
-    pub fn observe_access(&mut self, plans: &[AccessPlan]) {
-        self.found.accesses += 1;
-        for plan in plans {
-            self.observe_plan(plan);
-        }
-        // Eviction cadence: after a complete batch, exactly one eviction
-        // per `A` read paths must have been emitted (background eviction
-        // tops the count up with dummy paths before evicting, so the
-        // invariant holds across all schemes).
-        let expected = self.paths / u64::from(self.config.a);
-        if self.evictions != expected {
-            self.found.violate(
-                Rule::EvictionCadence,
-                format!(
-                    "{} evictions after {} read paths (A = {}, expected {})",
-                    self.evictions, self.paths, self.config.a, expected
-                ),
-            );
-        }
-        self.found.reconcile_retries();
-    }
-
-    fn observe_plan(&mut self, plan: &AccessPlan) {
-        // Slot-range check applies to every touch of every plan kind.
-        let slots = self.config.bucket_slots();
-        self.found.check_slot_range(plan, slots);
-        match plan.kind {
-            OpKind::ReadPath | OpKind::DummyReadPath => {
-                self.paths += 1;
-                // A (dummy) read path reads exactly one slot per off-chip
-                // level and writes nothing.
-                let off_chip = off_chip_levels(&self.config);
-                self.found.check_touch_counts(plan, off_chip, 0);
-                for touch in &plan.touches {
-                    if touch.write {
-                        continue; // shape check already flagged it
-                    }
-                    let count = {
-                        let c = self.touch_count.entry(touch.bucket).or_insert(0);
-                        *c += 1;
-                        *c
-                    };
-                    if count > self.config.s {
-                        self.found.violate(
-                            Rule::BucketBudget,
-                            format!(
-                                "bucket {} served {count} read-path touches in one epoch \
-                                 (S = {})",
-                                touch.bucket.0, self.config.s
-                            ),
-                        );
-                    }
-                    let reused = !self.touched_slots(touch.bucket).insert(touch.slot);
-                    if reused {
-                        self.found.violate(
-                            Rule::SlotReuse,
-                            format!(
-                                "bucket {} slot {} read twice between reshuffles",
-                                touch.bucket.0, touch.slot
-                            ),
-                        );
-                    }
-                }
-            }
-            // Retry reads re-fetch already-public slots; they are not read
-            // paths (cadence unaffected) and do not open new slots
-            // (reuse/budget exempt).
-            OpKind::RetryRead => self.found.check_retry(plan),
-            OpKind::EarlyReshuffle => {
-                self.check_reshuffle_shape(plan, 1);
-                self.apply_rewrites(plan);
-            }
-            OpKind::Eviction => {
-                self.evictions += 1;
-                self.check_reshuffle_shape(plan, off_chip_levels(&self.config));
-                self.apply_rewrites(plan);
-            }
-        }
-    }
-
-    /// A write touch rewrites (and re-permutes) its whole bucket: start a
-    /// fresh reuse epoch for it. The bucket's entries are emptied (or
-    /// created, sized for one epoch's `S` touches), never removed: all the
-    /// memory a bucket's bookkeeping needs is taken the first time the
-    /// bucket is touched, and a materialized tree audits allocation-free.
-    fn apply_rewrites(&mut self, plan: &AccessPlan) {
-        for touch in &plan.touches {
-            if touch.write {
-                self.touched_slots(touch.bucket).clear();
-                self.touch_count.insert(touch.bucket, 0);
-            }
-        }
-    }
-
-    /// The slots of `bucket` read since its last rewrite.
-    fn touched_slots(&mut self, bucket: BucketId) -> &mut HashSet<u32> {
-        let epoch_touches = self.config.s as usize;
-        self.touched
-            .entry(bucket)
-            .or_insert_with(|| HashSet::with_capacity(epoch_touches))
-    }
-
-    /// A reshuffle or eviction reads `Z` slots and rewrites all
-    /// `Z + S - Y` slots of each bucket it covers.
-    fn check_reshuffle_shape(&mut self, plan: &AccessPlan, buckets: u64) {
-        let expect_reads = buckets * u64::from(self.config.z);
-        let expect_writes = buckets * u64::from(self.config.bucket_slots());
-        self.found
-            .check_touch_counts(plan, expect_reads, expect_writes);
-    }
-
-    /// Records the stash occupancy sampled after an access completed.
-    pub fn observe_stash(&mut self, stash_len: usize) {
-        self.found
-            .check_stash_bound(stash_len, self.config.stash_capacity);
-    }
-}
-
-/// Number of tree levels whose buckets live off-chip (the tree top is
-/// cached on-chip and never appears in plans).
-fn off_chip_levels(config: &RingConfig) -> u64 {
-    u64::from(config.levels.saturating_sub(config.tree_top_cached_levels))
-}
-
-/// What an auditor has found so far, with the checks every protocol's
-/// auditor makes; each finding is stamped with the access it was made in.
-#[derive(Debug, Clone, Default)]
-struct Findings {
-    /// Protocol accesses audited so far.
-    accesses: u64,
-    violations: Vec<Violation>,
-    /// Retry-read touches the fault log has authorized but no RetryRead
-    /// plan has consumed yet, keyed by (bucket, slot). Filled by
-    /// [`Self::observe_faults`], drained by [`Self::check_retry`] and
-    /// reconciled at the end of each batch by [`Self::reconcile_retries`].
-    retry_allowances: HashMap<(BucketId, u32), u32>,
-    /// Injected faults counted by [`Self::observe_faults`].
-    faults_seen: u64,
-}
-
-impl Findings {
     fn violate(&mut self, rule: Rule, message: String) {
         self.violations
             .push(Violation::new(self.accesses, rule, message));
     }
 
-    /// The fault-log checks of [`ProtocolAuditor::observe_faults`].
-    fn observe_faults(&mut self, events: &[FaultEvent]) {
+    /// Audits one access's fault-event log. Call *before* the matching
+    /// [`Self::observe_access`]: the log's `Retried` entries authorize the
+    /// retry-read touches of the batch's plans.
+    ///
+    /// Checks:
+    /// * every `Injected` event is followed by a `Detected` for the same
+    ///   site within the batch ([`Rule::FaultUndetected`] otherwise — the
+    ///   integrity tag was missing or unchecked);
+    /// * no fetch ends `Unrecovered` ([`Rule::FaultUnrecovered`]): the
+    ///   retry budget must be sized so recovery always succeeds, or the
+    ///   simulation's results are computed on lost data.
+    pub fn observe_faults(&mut self, events: &[FaultEvent]) {
         let mut pending_detect: HashMap<(BucketId, u32), u32> = HashMap::new();
         for e in events {
             let site = (e.bucket, e.slot);
@@ -302,7 +224,199 @@ impl Findings {
         }
     }
 
-    /// A RetryRead plan: nonempty, reads only, and every touch consumes one
+    /// Audits the full plan batch of one protocol access, in plan order:
+    /// the batch against the row, then every plan, then the cadence and
+    /// the retry allowances.
+    pub fn observe_access(&mut self, plans: &[AccessPlan]) {
+        self.accesses += 1;
+        let conforms = match self.schedule.fixed_evictions {
+            Some(evictions) => self.check_batch(plans, evictions),
+            None => true,
+        };
+        let mut after_read_path = false;
+        for plan in plans {
+            let retry = plan.kind == OpKind::RetryRead;
+            if retry && conforms && !after_read_path {
+                self.violate(
+                    Rule::PlanShape,
+                    "retry plan not directly after a read path".to_string(),
+                );
+            }
+            // A malformed batch is its one finding, but its retries still
+            // consume what the fault log authorized.
+            if conforms || retry {
+                self.observe_plan(plan);
+            }
+            after_read_path = matches!(plan.kind, OpKind::ReadPath | OpKind::DummyReadPath);
+        }
+        if self.schedule.fixed_evictions.is_none() {
+            let a = u64::from(self.config.a);
+            if self.evictions != self.paths / a {
+                self.violate(
+                    Rule::EvictionCadence,
+                    format!(
+                        "{} evictions after {} read paths (A = {a}, expected {})",
+                        self.evictions,
+                        self.paths,
+                        self.paths / a
+                    ),
+                );
+            }
+        }
+        self.reconcile_retries();
+    }
+
+    /// Whether the batch, retries set aside, is one (dummy) read path and
+    /// then `evictions` evictions; one [`Rule::PlanShape`] finding if not.
+    fn check_batch(&mut self, plans: &[AccessPlan], evictions: usize) -> bool {
+        let row = plans.iter().filter(|p| p.kind != OpKind::RetryRead);
+        let conforms = row.clone().count() == 1 + evictions
+            && row.enumerate().all(|(i, p)| match i {
+                0 => matches!(p.kind, OpKind::ReadPath | OpKind::DummyReadPath),
+                _ => p.kind == OpKind::Eviction,
+            });
+        if !conforms {
+            let labels: Vec<&str> = plans.iter().map(|p| p.kind.label()).collect();
+            self.violate(
+                Rule::PlanShape,
+                format!(
+                    "{} access emitted {} plan(s) [{}] (expected 1 read-path + {evictions} \
+                     evictions)",
+                    self.kind,
+                    plans.len(),
+                    labels.join(", ")
+                ),
+            );
+        }
+        conforms
+    }
+
+    fn observe_plan(&mut self, plan: &AccessPlan) {
+        let slots = self.config.bucket_slots();
+        for touch in plan.touches.iter().filter(|t| t.slot >= slots) {
+            self.violate(
+                Rule::SlotRange,
+                format!(
+                    "{} touch of bucket {} addressed slot {} (bucket has {slots})",
+                    plan.kind.label(),
+                    touch.bucket.0,
+                    touch.slot
+                ),
+            );
+        }
+        match plan.kind {
+            OpKind::ReadPath | OpKind::DummyReadPath => {
+                self.paths += 1;
+                let (reads, writes) = self.schedule.read_path;
+                self.check_shape(plan, u64::from(reads), u64::from(writes), self.off_chip);
+                if let Some(s) = self.schedule.epoch {
+                    self.spend_epochs(plan, s);
+                }
+            }
+            // Retry reads re-fetch already-public slots: they are not read
+            // paths (cadence unaffected) and open no slot (epoch exempt).
+            OpKind::RetryRead => self.check_retry(plan),
+            OpKind::EarlyReshuffle | OpKind::Eviction => {
+                let buckets = if plan.kind == OpKind::Eviction {
+                    self.evictions += 1;
+                    self.off_chip
+                } else {
+                    1
+                };
+                let (z, slots) = (u64::from(self.config.z), u64::from(slots));
+                self.check_shape(plan, z, slots, buckets);
+                match self.schedule.epoch {
+                    Some(s) => self.open_epochs(plan, s),
+                    None if plan.kind == OpKind::EarlyReshuffle => self.violate(
+                        Rule::PlanShape,
+                        format!("{} has no reshuffles (no slot epoch)", self.kind),
+                    ),
+                    None => {}
+                }
+            }
+        }
+    }
+
+    /// `plan` must make `reads` reads and `writes` writes in each of its
+    /// `buckets` buckets, all reads first: the memory hierarchy fetches a
+    /// bucket before the engine can rewrite it.
+    fn check_shape(&mut self, plan: &AccessPlan, reads: u64, writes: u64, buckets: u64) {
+        let (expect_reads, expect_writes) = (reads * buckets, writes * buckets);
+        let (reads, writes) = (plan.reads() as u64, plan.writes() as u64);
+        if reads != expect_reads || writes != expect_writes {
+            self.violate(
+                Rule::PlanShape,
+                format!(
+                    "{} with {reads} reads / {writes} writes (expected {expect_reads} / \
+                     {expect_writes})",
+                    plan.kind.label()
+                ),
+            );
+        }
+        if let Some(first_write) = plan.touches.iter().position(|t| t.write) {
+            if plan.touches[first_write..].iter().any(|t| !t.write) {
+                self.violate(
+                    Rule::PlanShape,
+                    format!("{} interleaves reads after writes", plan.kind.label()),
+                );
+            }
+        }
+    }
+
+    /// A read path's reads spend their buckets' epochs: each slot at most
+    /// once ([`Rule::SlotReuse`]), at most `s` touches
+    /// ([`Rule::BucketBudget`]; counted apart from the slot set, so reuse
+    /// does not mask an overrun). A write was already a shape finding.
+    fn spend_epochs(&mut self, plan: &AccessPlan, s: u32) {
+        for touch in plan.touches.iter().filter(|t| !t.write) {
+            let epoch = self.epoch(touch.bucket, s);
+            epoch.touches += 1;
+            let (count, reused) = (epoch.touches, !epoch.slots.insert(touch.slot));
+            if count > s {
+                self.violate(
+                    Rule::BucketBudget,
+                    format!(
+                        "bucket {} served {count} read-path touches in one epoch (S = {s})",
+                        touch.bucket.0
+                    ),
+                );
+            }
+            if reused {
+                self.violate(
+                    Rule::SlotReuse,
+                    format!(
+                        "bucket {} slot {} read twice between reshuffles",
+                        touch.bucket.0, touch.slot
+                    ),
+                );
+            }
+        }
+    }
+
+    /// A write touch rewrites (and re-permutes) its whole bucket: a fresh
+    /// epoch for it. The read phases of rewrites are exempt from the epoch
+    /// — they re-read slots (and pad with filler indices) of a bucket about
+    /// to be rewritten anyway.
+    fn open_epochs(&mut self, plan: &AccessPlan, s: u32) {
+        for touch in plan.touches.iter().filter(|t| t.write) {
+            let epoch = self.epoch(touch.bucket, s);
+            epoch.touches = 0;
+            epoch.slots.clear();
+        }
+    }
+
+    /// `bucket`'s epoch. An epoch is created sized for `s` touches and
+    /// emptied, never removed: all the memory a bucket's bookkeeping needs
+    /// is taken the first time it is touched, and a materialized tree
+    /// audits allocation-free.
+    fn epoch(&mut self, bucket: BucketId, s: u32) -> &mut Epoch {
+        self.epochs.entry(bucket).or_insert_with(|| Epoch {
+            touches: 0,
+            slots: HashSet::with_capacity(s as usize),
+        })
+    }
+
+    /// A retry plan: nonempty, reads only, and every touch consumes one
     /// allowance a `Retried` fault event minted ([`Rule::RetryMismatch`]
     /// otherwise).
     fn check_retry(&mut self, plan: &AccessPlan) {
@@ -359,63 +473,10 @@ impl Findings {
         }
     }
 
-    /// Every touch of `plan` must address one of the bucket's `slots` slots.
-    fn check_slot_range(&mut self, plan: &AccessPlan, slots: u32) {
-        for touch in &plan.touches {
-            if touch.slot >= slots {
-                self.violate(
-                    Rule::SlotRange,
-                    format!(
-                        "{} touch of bucket {} addressed slot {} (bucket has {slots})",
-                        plan.kind.label(),
-                        touch.bucket.0,
-                        touch.slot
-                    ),
-                );
-            }
-        }
-    }
-
-    /// `plan` must make exactly `expect_reads` reads and `expect_writes`
-    /// writes.
-    fn check_touch_counts(&mut self, plan: &AccessPlan, expect_reads: u64, expect_writes: u64) {
-        let reads = plan.reads() as u64;
-        let writes = plan.writes() as u64;
-        if reads != expect_reads || writes != expect_writes {
-            self.violate(
-                Rule::PlanShape,
-                format!(
-                    "{} with {reads} reads / {writes} writes (expected {expect_reads} / \
-                     {expect_writes})",
-                    plan.kind.label()
-                ),
-            );
-        }
-    }
-
-    /// Shape-checks one plan whose touch list must be `reads` reads
-    /// followed by `writes` writes, every slot inside `slots` — the
-    /// plain-tree protocols' whole contract (their buckets have no dummy
-    /// budget, so epoch/reuse tracking does not apply: every access
-    /// rewrites the full path it read).
-    fn check_exact_shape(&mut self, plan: &AccessPlan, slots: u32, reads: u64, writes: u64) {
-        self.check_slot_range(plan, slots);
-        self.check_touch_counts(plan, reads, writes);
-        // Reads must precede writes: the memory hierarchy fetches the path
-        // before the engine can rewrite it.
-        if let Some(first_write) = plan.touches.iter().position(|t| t.write) {
-            if plan.touches[first_write..].iter().any(|t| !t.write) {
-                self.violate(
-                    Rule::PlanShape,
-                    format!("{} interleaves reads after writes", plan.kind.label()),
-                );
-            }
-        }
-    }
-
-    /// The stash occupancy sampled after an access completed must be
-    /// within the configured bound.
-    fn check_stash_bound(&mut self, stash_len: usize, bound: usize) {
+    /// Records the stash occupancy sampled after an access completed: it
+    /// must be within the configured bound ([`Rule::StashBound`]).
+    pub fn observe_stash(&mut self, stash_len: usize) {
+        let bound = self.config.stash_capacity;
         if stash_len > bound {
             self.violate(
                 Rule::StashBound,
@@ -424,250 +485,6 @@ impl Findings {
         }
     }
 }
-
-/// Replays a Path or Circuit ORAM plan stream against the protocol's
-/// invariants.
-///
-/// The two protocols are schedules over one `Z`-slot tree, and their
-/// bus-observable contract is far simpler than Ring's — there are no dummy
-/// budgets or reshuffle epochs to track. Every access must emit exactly
-/// the protocol's plan batch, held here as a table of (kind, reads,
-/// writes) rows ([`Rule::PlanShape`] otherwise):
-///
-/// * **Path** — one [`OpKind::ReadPath`] plan that reads all `Z` slots of
-///   every off-chip bucket on the path and writes all of them back;
-/// * **Circuit** — one read-only [`OpKind::ReadPath`] plan (the whole path,
-///   zero writes — Circuit ORAM's low-online-bandwidth half) followed by
-///   [`EVICTIONS_PER_ACCESS`] [`OpKind::Eviction`] plans that each read and
-///   fully rewrite their reverse-lexicographic path;
-///
-/// with every slot in range ([`Rule::SlotRange`]) and the stash within its
-/// configured bound ([`Rule::StashBound`]). A cover access has the same
-/// batch with a dummy read path in the read path's place, and a
-/// [`OpKind::RetryRead`] follows the read path exactly when the fault log
-/// authorized one.
-#[derive(Debug, Clone)]
-pub struct PlainTreeAuditor {
-    config: RingConfig,
-    /// The protocol's name in violation messages.
-    protocol: &'static str,
-    /// The plan batch of one access: each plan's kind, reads and writes.
-    expected: Vec<(OpKind, u64, u64)>,
-    found: Findings,
-}
-
-impl PlainTreeAuditor {
-    /// Creates an auditor for a Path ORAM instance with this configuration
-    /// (the `bucket_slots == z` [`RingConfig`] encoding).
-    #[must_use]
-    pub fn path(config: RingConfig) -> Self {
-        Self::new(config, "Path", &[(OpKind::ReadPath, true)])
-    }
-
-    /// Creates an auditor for a Circuit ORAM instance with this
-    /// configuration (the `bucket_slots == z` [`RingConfig`] encoding).
-    #[must_use]
-    pub fn circuit(config: RingConfig) -> Self {
-        let mut rows = [(OpKind::Eviction, true); 1 + EVICTIONS_PER_ACCESS];
-        rows[0] = (OpKind::ReadPath, false);
-        Self::new(config, "Circuit", &rows)
-    }
-
-    /// `rows` names each plan's kind and whether it writes its path back;
-    /// every plan reads the full off-chip path.
-    fn new(config: RingConfig, protocol: &'static str, rows: &[(OpKind, bool)]) -> Self {
-        let path = off_chip_levels(&config) * u64::from(config.z);
-        Self {
-            expected: rows
-                .iter()
-                .map(|&(kind, writes_back)| (kind, path, if writes_back { path } else { 0 }))
-                .collect(),
-            config,
-            protocol,
-            found: Findings::default(),
-        }
-    }
-
-    /// Violations found so far.
-    #[must_use]
-    pub fn violations(&self) -> &[Violation] {
-        &self.found.violations
-    }
-
-    /// Takes the accumulated violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.found.violations)
-    }
-
-    /// Whether no violation has been found.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.found.violations.is_empty()
-    }
-
-    /// Protocol accesses audited so far.
-    #[must_use]
-    pub fn accesses_checked(&self) -> u64 {
-        self.found.accesses
-    }
-
-    /// Audits one access's fault-event log (see [`ProtocolAuditor::observe_faults`]).
-    pub fn observe_faults(&mut self, events: &[FaultEvent]) {
-        self.found.observe_faults(events);
-    }
-
-    /// Audits the plan batch of one access against the protocol's table:
-    /// the right plans in the right order, then each plan's exact shape. A
-    /// cover's dummy read path stands in for the read path, and a
-    /// [`OpKind::RetryRead`] right after the read path is admitted exactly
-    /// when the fault log authorized its touches ([`Rule::RetryMismatch`]
-    /// both ways).
-    pub fn observe_access(&mut self, plans: &[AccessPlan]) {
-        self.found.accesses += 1;
-        let retry = plans.get(1).filter(|p| p.kind == OpKind::RetryRead);
-        let table = || {
-            plans
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != 1 || retry.is_none())
-                .map(|(_, p)| p)
-        };
-        let conforms = table().count() == self.expected.len()
-            && table().zip(&self.expected).all(|(p, row)| {
-                p.kind == row.0 || (row.0 == OpKind::ReadPath && p.kind == OpKind::DummyReadPath)
-            });
-        if conforms {
-            for (plan, &(_, reads, writes)) in table().zip(&self.expected) {
-                self.found
-                    .check_exact_shape(plan, self.config.bucket_slots(), reads, writes);
-            }
-            if let Some(retry) = retry {
-                self.found.check_retry(retry);
-            }
-        } else {
-            let evictions = match self.expected.len() - 1 {
-                0 => String::new(),
-                n => format!(" + {n} evictions"),
-            };
-            self.found.violate(
-                Rule::PlanShape,
-                format!(
-                    "{} ORAM access emitted {} plan(s) [{}] (expected 1 read-path{evictions})",
-                    self.protocol,
-                    plans.len(),
-                    plans
-                        .iter()
-                        .map(|p| p.kind.label())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            );
-        }
-        self.found.reconcile_retries();
-    }
-
-    /// Records the stash occupancy sampled after an access completed.
-    pub fn observe_stash(&mut self, stash_len: usize) {
-        self.found
-            .check_stash_bound(stash_len, self.config.stash_capacity);
-    }
-}
-
-/// The protocol-aware auditor the pipeline attaches: one of the concrete
-/// auditors, selected by [`ProtocolKind`].
-///
-/// Ring+CB and plain Ring share the [`OramAuditor`] — plain Ring is the
-/// `Y = 0` configuration and obeys every Ring invariant (the config passed
-/// in must be the *effective* one, with `y` already forced to 0, so the
-/// `Z + S - Y` slot range is right). Path and Circuit share the
-/// [`PlainTreeAuditor`], each under its own plan table.
-#[derive(Debug, Clone)]
-pub enum ProtocolAuditor {
-    /// Ring invariants (Ring+CB and plain Ring).
-    Ring(OramAuditor),
-    /// Path or Circuit ORAM invariants.
-    Plain(PlainTreeAuditor),
-}
-
-impl ProtocolAuditor {
-    /// Creates the auditor for `kind` over the protocol's effective
-    /// configuration.
-    #[must_use]
-    pub fn new(kind: ProtocolKind, config: RingConfig) -> Self {
-        match kind {
-            ProtocolKind::RingCb | ProtocolKind::Ring => Self::Ring(OramAuditor::new(config)),
-            ProtocolKind::Path => Self::Plain(PlainTreeAuditor::path(config)),
-            ProtocolKind::Circuit => Self::Plain(PlainTreeAuditor::circuit(config)),
-        }
-    }
-
-    /// Audits one access's fault-event log. Call *before* the matching
-    /// [`Self::observe_access`]: the log's `Retried` entries authorize the
-    /// retry-read touches of the batch's plans.
-    ///
-    /// Checks:
-    /// * every `Injected` event is followed by a `Detected` for the same
-    ///   site within the batch ([`Rule::FaultUndetected`] otherwise — the
-    ///   integrity tag was missing or unchecked);
-    /// * no fetch ends `Unrecovered` ([`Rule::FaultUnrecovered`]): the
-    ///   retry budget must be sized so recovery always succeeds, or the
-    ///   simulation's results are computed on lost data.
-    pub fn observe_faults(&mut self, events: &[FaultEvent]) {
-        match self {
-            Self::Ring(a) => a.observe_faults(events),
-            Self::Plain(a) => a.observe_faults(events),
-        }
-    }
-
-    /// Audits the full plan batch of one protocol access, in plan order.
-    pub fn observe_access(&mut self, plans: &[AccessPlan]) {
-        match self {
-            Self::Ring(a) => a.observe_access(plans),
-            Self::Plain(a) => a.observe_access(plans),
-        }
-    }
-
-    /// Records the stash occupancy sampled after an access completed.
-    pub fn observe_stash(&mut self, stash_len: usize) {
-        match self {
-            Self::Ring(a) => a.observe_stash(stash_len),
-            Self::Plain(a) => a.observe_stash(stash_len),
-        }
-    }
-
-    /// Violations found so far.
-    #[must_use]
-    pub fn violations(&self) -> &[Violation] {
-        match self {
-            Self::Ring(a) => a.violations(),
-            Self::Plain(a) => a.violations(),
-        }
-    }
-
-    /// Takes the accumulated violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        match self {
-            Self::Ring(a) => a.take_violations(),
-            Self::Plain(a) => a.take_violations(),
-        }
-    }
-
-    /// Whether no violation has been found.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.violations().is_empty()
-    }
-
-    /// Protocol accesses audited so far.
-    #[must_use]
-    pub fn accesses_checked(&self) -> u64 {
-        match self {
-            Self::Ring(a) => a.accesses_checked(),
-            Self::Plain(a) => a.accesses_checked(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,12 +505,12 @@ mod tests {
     /// The auditor must accept everything the real protocol emits.
     #[test]
     fn real_protocol_stream_is_clean() {
-        for (name, config) in [
-            ("plain", RingConfig::test_small()),
-            ("compact-bucket", small_cb()),
+        for (name, kind, config) in [
+            ("plain", ProtocolKind::Ring, RingConfig::test_small()),
+            ("compact-bucket", ProtocolKind::RingCb, small_cb()),
         ] {
             let mut oram = RingOram::new(config.clone(), 7);
-            let mut auditor = OramAuditor::new(config.clone());
+            let mut auditor = ProtocolAuditor::new(kind, config.clone());
             let blocks = config.real_capacity_blocks() / 2;
             let mut rng = oram_rng::StdRng::seed_from_u64(11);
             use oram_rng::Rng;
@@ -721,7 +538,7 @@ mod tests {
     #[test]
     fn slot_out_of_range_detected() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         let mut plan = read_path(&config, |_| 0);
         plan.touches[0].slot = config.bucket_slots(); // one past the end
         auditor.observe_access(&[plan]);
@@ -734,7 +551,7 @@ mod tests {
     #[test]
     fn slot_reuse_across_accesses_detected() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         let plan = read_path(&config, |_| 2);
         // Same slots again without an intervening reshuffle: every bucket
         // reuses its slot.
@@ -749,7 +566,7 @@ mod tests {
     #[test]
     fn rewrite_opens_a_fresh_epoch() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         auditor.observe_access(&[read_path(&config, |_| 2)]);
         // Reshuffle bucket 0: Z reads + all-slot writes.
         let mut touches: Vec<SlotTouch> = (0..config.z)
@@ -768,7 +585,7 @@ mod tests {
     #[test]
     fn eviction_cadence_violation_detected() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         // Feed A complete accesses with no eviction: the A-th batch must
         // trip the cadence check.
         for i in 0..config.a {
@@ -787,7 +604,7 @@ mod tests {
     #[test]
     fn stash_bound_detected() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         auditor.observe_stash(config.stash_capacity); // at bound: fine
         assert!(auditor.is_clean());
         auditor.observe_stash(config.stash_capacity + 1);
@@ -808,7 +625,7 @@ mod tests {
         res.bit_flip_rate = 0.1;
         res.max_retries = 4;
         oram.enable_resilience(res);
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         let blocks = config.real_capacity_blocks() / 2;
         let mut rng = oram_rng::StdRng::seed_from_u64(11);
         use oram_rng::Rng;
@@ -838,7 +655,7 @@ mod tests {
     fn undetected_fault_flagged() {
         use ring_oram::{FaultEvent, FaultEventKind};
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config);
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config);
         auditor.observe_faults(&[FaultEvent {
             access: 1,
             bucket: BucketId(3),
@@ -855,7 +672,7 @@ mod tests {
     fn unrecovered_fault_flagged() {
         use ring_oram::{FaultEvent, FaultEventKind};
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config);
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config);
         let site = |kind| FaultEvent {
             access: 1,
             bucket: BucketId(3),
@@ -876,7 +693,7 @@ mod tests {
     #[test]
     fn retry_without_fault_event_flagged() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config);
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config);
         let plan = AccessPlan::new(
             OpKind::RetryRead,
             vec![SlotTouch::read(BucketId(0), 1)],
@@ -893,7 +710,7 @@ mod tests {
     fn retried_fault_without_retry_touch_flagged() {
         use ring_oram::{FaultEvent, FaultEventKind};
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
         let site = |kind| FaultEvent {
             access: 1,
             bucket: BucketId(0),
@@ -920,7 +737,7 @@ mod tests {
     #[test]
     fn path_retry_without_fault_event_flagged() {
         let config = z_slot_config();
-        let mut auditor = PlainTreeAuditor::path(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Path, config.clone());
         let mut oram = ring_oram::PathOram::from_ring(config, 3);
         let mut outcome = oram.access(ring_oram::BlockId(1));
         let touch = outcome.plans[0].touches[0];
@@ -938,7 +755,7 @@ mod tests {
     #[test]
     fn malformed_plan_shape_detected() {
         let config = small_cb();
-        let mut auditor = OramAuditor::new(config);
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config);
         // A read path that writes is structurally wrong.
         let plan = AccessPlan::new(
             OpKind::ReadPath,
@@ -962,7 +779,7 @@ mod tests {
         use ring_oram::PathOram;
         let config = z_slot_config();
         let mut oram = PathOram::from_ring(config.clone(), 7);
-        let mut auditor = PlainTreeAuditor::path(config);
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Path, config);
         for i in 0..600u64 {
             let outcome = oram.access(ring_oram::BlockId(i % 40));
             auditor.observe_access(&outcome.plans);
@@ -979,7 +796,7 @@ mod tests {
         use ring_oram::CircuitOram;
         let config = z_slot_config();
         let mut oram = CircuitOram::new(config.clone(), 7);
-        let mut auditor = PlainTreeAuditor::circuit(config);
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Circuit, config);
         for i in 0..600u64 {
             let outcome = oram.access(ring_oram::BlockId(i % 40));
             auditor.observe_access(&outcome.plans);
@@ -993,7 +810,7 @@ mod tests {
     #[test]
     fn path_auditor_rejects_wrong_plan_count_and_shape() {
         let config = z_slot_config();
-        let mut auditor = PlainTreeAuditor::path(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Path, config.clone());
         // Two plans where one is expected.
         let mk = || {
             AccessPlan::new(
@@ -1021,7 +838,7 @@ mod tests {
     #[test]
     fn path_auditor_rejects_out_of_range_slot_and_stash_overflow() {
         let config = z_slot_config();
-        let mut auditor = PlainTreeAuditor::path(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Path, config.clone());
         let mut oram = ring_oram::PathOram::from_ring(config.clone(), 3);
         let mut outcome = oram.access(ring_oram::BlockId(1));
         outcome.plans[0].touches[0].slot = config.bucket_slots(); // one past the end
@@ -1040,7 +857,7 @@ mod tests {
     #[test]
     fn circuit_auditor_rejects_missing_eviction_and_writing_read_path() {
         let config = z_slot_config();
-        let mut auditor = PlainTreeAuditor::circuit(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Circuit, config.clone());
         let mut oram = ring_oram::CircuitOram::new(config.clone(), 3);
         // Dropping an eviction plan breaks the deterministic cadence.
         let outcome = oram.access(ring_oram::BlockId(1));
@@ -1065,7 +882,7 @@ mod tests {
     #[test]
     fn reads_after_writes_are_rejected() {
         let config = z_slot_config();
-        let mut auditor = PlainTreeAuditor::path(config.clone());
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::Path, config.clone());
         let off = config.levels - config.tree_top_cached_levels;
         // Right counts, wrong order: interleave write-then-read per level.
         let mut touches = Vec::new();
@@ -1084,23 +901,15 @@ mod tests {
 
     #[test]
     fn protocol_auditor_dispatches_by_kind() {
-        let ring = ProtocolAuditor::new(ProtocolKind::RingCb, small_cb());
-        assert!(matches!(ring, ProtocolAuditor::Ring(_)));
-        let plain = ProtocolAuditor::new(ProtocolKind::Ring, RingConfig::test_small());
-        assert!(matches!(plain, ProtocolAuditor::Ring(_)));
         let mut path = ProtocolAuditor::new(ProtocolKind::Path, z_slot_config());
-        assert!(matches!(path, ProtocolAuditor::Plain(_)));
         let mut circuit = ProtocolAuditor::new(ProtocolKind::Circuit, z_slot_config());
-        assert!(matches!(circuit, ProtocolAuditor::Plain(_)));
-
-        // The dispatching surface behaves like the inner auditor.
         let mut oram = ring_oram::PathOram::from_ring(z_slot_config(), 9);
         for i in 0..50u64 {
             let outcome = oram.access(ring_oram::BlockId(i % 10));
             path.observe_faults(&[]);
             path.observe_access(&outcome.plans);
             path.observe_stash(oram.stash_len());
-            // Same variant, different table: a Path batch is not Circuit's.
+            // Same tree, different row: a Path batch is not Circuit's.
             circuit.observe_access(&outcome.plans);
             oram.recycle_outcome(outcome);
         }
@@ -1108,5 +917,78 @@ mod tests {
         assert_eq!(circuit.violations().len(), 50);
         assert_eq!(path.accesses_checked(), 50);
         assert!(path.take_violations().is_empty());
+    }
+
+    /// Authorizes one retry-read of `(bucket, slot)` in `auditor`.
+    fn authorize_retry(auditor: &mut ProtocolAuditor, bucket: BucketId, slot: u32) {
+        auditor.observe_faults(&[FaultEvent {
+            access: 1,
+            bucket,
+            slot,
+            kind: FaultEventKind::Retried,
+        }]);
+    }
+
+    /// `kind`'s engine over `small_cb()`'s tree, its auditor, and the plans
+    /// of one access with a retry of `(first read bucket, slot_of(config))`
+    /// inserted directly after the read path, authorized by the fault log.
+    fn batch_with_an_authorized_retry(
+        kind: ProtocolKind,
+        slot_of: impl Fn(&RingConfig) -> u32,
+    ) -> (ProtocolAuditor, Vec<AccessPlan>) {
+        let config = kind.engine_config(&small_cb());
+        let mut oram = kind.engine(&small_cb(), 3, 0.0);
+        let mut auditor = ProtocolAuditor::new(kind, config.clone());
+        let mut plans = oram.access(ring_oram::BlockId(1)).plans;
+        let at = plans
+            .iter()
+            .position(|p| p.kind == OpKind::ReadPath)
+            .unwrap();
+        let (bucket, slot) = (plans[at].touches[0].bucket, slot_of(&config));
+        let retry = AccessPlan::new(OpKind::RetryRead, vec![SlotTouch::read(bucket, slot)], None);
+        plans.insert(at + 1, retry);
+        authorize_retry(&mut auditor, bucket, slot);
+        (auditor, plans)
+    }
+
+    fn rules(auditor: &ProtocolAuditor) -> Vec<Rule> {
+        auditor.violations().iter().map(|v| v.rule).collect()
+    }
+
+    /// Every touch of every plan is range-checked, retries included, on
+    /// every protocol.
+    #[test]
+    fn retry_touch_past_the_bucket_is_out_of_range() {
+        for kind in ProtocolKind::ALL {
+            let (mut auditor, plans) = batch_with_an_authorized_retry(kind, |c| c.bucket_slots());
+            auditor.observe_access(&plans);
+            assert_eq!(rules(&auditor), [Rule::SlotRange], "{kind}");
+        }
+    }
+
+    /// A batch that does not match its row is one finding: the authorized
+    /// retry in it is still consumed, not reported as a mismatch.
+    #[test]
+    fn malformed_batch_with_an_authorized_retry_is_one_finding() {
+        let (mut auditor, mut plans) = batch_with_an_authorized_retry(ProtocolKind::Circuit, |_| 0);
+        let eviction = plans.iter().rposition(|p| p.kind == OpKind::Eviction);
+        plans.remove(eviction.unwrap());
+        auditor.observe_access(&plans);
+        assert_eq!(rules(&auditor), [Rule::PlanShape]);
+    }
+
+    /// Ring's rewrites are held to reads-before-writes like every other
+    /// protocol's.
+    #[test]
+    fn ring_rewrite_with_a_read_after_a_write_is_rejected() {
+        let config = small_cb();
+        let mut auditor = ProtocolAuditor::new(ProtocolKind::RingCb, config.clone());
+        let bucket = BucketId(0);
+        let mut touches: Vec<SlotTouch> =
+            (1..config.z).map(|s| SlotTouch::read(bucket, s)).collect();
+        touches.extend((0..config.bucket_slots()).map(|s| SlotTouch::write(bucket, s)));
+        touches.push(SlotTouch::read(bucket, 0));
+        auditor.observe_access(&[AccessPlan::new(OpKind::EarlyReshuffle, touches, None)]);
+        assert_eq!(rules(&auditor), [Rule::PlanShape]);
     }
 }

@@ -10,15 +10,12 @@
 //!   tRFC/tREFI, command/data bus arbitration) applied to the controller's
 //!   command trace after the fact. It shares no state with `dram-sim`'s
 //!   bank/rank/channel machines; agreement between the two is the evidence.
-//! * [`ProtocolAuditor`] — the protocol-aware invariant auditor, one
-//!   concrete auditor per protocol family: [`OramAuditor`] replays the
-//!   [`ring_oram::AccessPlan`] stream against the Ring ORAM invariants
-//!   (stash occupancy stays below its bound, slot indices stay inside the
-//!   Compact Bucket's `Z + S - Y` physical slots, no bucket slot is read
-//!   twice between reshuffles, no bucket is touched more than `S` times
-//!   per epoch, evictions fire at exactly one per `A` read paths);
-//!   [`PlainTreeAuditor`] pins Path and Circuit ORAM's full-path plan
-//!   shapes (one expected-plan table each) and stash bounds.
+//! * [`ProtocolAuditor`] — the protocol invariant auditor: it replays the
+//!   [`ring_oram::AccessPlan`] stream of any engine against that
+//!   protocol's row of one schedule table (read-path reads and writes per
+//!   level, the batch — a fixed row or Ring's one eviction per `A` read
+//!   paths — and Ring's slot epoch of `S` touches), plus the fault log and
+//!   the stash bound.
 //! * [`MirrorOracle`] — the value referee: it applies the program's reads
 //!   and writes to an engine and checks that every read returns the
 //!   payload of its block's last write, whatever the protocol moved,
@@ -65,7 +62,7 @@ pub mod shadow;
 pub mod shard;
 pub mod violation;
 
-pub use audit::{OramAuditor, PlainTreeAuditor, ProtocolAuditor};
+pub use audit::ProtocolAuditor;
 pub use mirror::MirrorOracle;
 pub use oracle::{
     check_txn_order, data_commands, first_divergence, grouped_by_txn, DataCmd, TxnOrderChecker,

@@ -3,7 +3,7 @@
 /// The specific rule a checker found violated.
 ///
 /// Timing rules carry the JEDEC name they re-derive; protocol rules carry
-/// the Ring ORAM invariant; `TxnOrder` is the paper's security contract
+/// an invariant of the protocol's schedule; `TxnOrder` is the paper's security contract
 /// (data commands in transaction order); `Divergence` marks a differential
 /// mismatch between two runs that must agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,14 +48,16 @@ pub enum Rule {
     /// Stash occupancy observed above its configured bound after an access
     /// completed (background eviction failed to drain it).
     StashBound,
-    /// A slot touch addressed a slot index at or beyond `Z + S - Y`.
+    /// A slot touch addressed a slot index at or beyond the bucket's
+    /// physical slots: `Z + S - Y` on Ring, `Z` on Path and Circuit.
     SlotRange,
     /// A bucket slot was read twice by read paths within one reshuffle
     /// epoch (dummies and reals alike must be touched at most once).
     SlotReuse,
     /// A bucket served more than `S` read-path touches in one epoch.
     BucketBudget,
-    /// Evictions did not fire at exactly one per `A` read paths.
+    /// Ring's evictions did not fire at exactly one per `A` read paths
+    /// (Path's and Circuit's fixed batches are [`Rule::PlanShape`]).
     EvictionCadence,
     /// A plan's read/write touch counts do not match its kind's shape.
     PlanShape,

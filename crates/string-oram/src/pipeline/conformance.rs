@@ -10,9 +10,9 @@
 //!   the functional backend emits data commands without their ACT/PRE
 //!   preparation, so timing re-derivation would flag every command);
 //! * the **plan stream** from the planner, replayed against the selected
-//!   protocol's structural invariants by [`sim_verify::ProtocolAuditor`]
-//!   (Ring invariants for Ring+CB / plain Ring, full-path plan shapes and
-//!   stash bounds for Path / Circuit);
+//!   protocol's row of the schedule table in [`sim_verify::ProtocolAuditor`]
+//!   (plan shapes, slot range, the batch or Ring's eviction cadence, Ring's
+//!   slot epochs, the fault log and the stash bound);
 //! * the **values** the data ORAM returns: the planner hands every program
 //!   access to the [`sim_verify::MirrorOracle`], which writes a payload
 //!   derived from the block and the access index, and checks every read

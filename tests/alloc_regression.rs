@@ -24,8 +24,9 @@
 //! does — real and cover accesses dispatched by hand, wakes collected into
 //! the caller's buffer — since that path never runs under `Simulation`;
 //! a third runs it over a recursive position map, every access and cover
-//! walking three map tiers, and a fourth on Path, whose covers are reads
-//! and write-backs of uniformly drawn paths.
+//! walking three map tiers, a fourth on Path, whose covers are reads
+//! and write-backs of uniformly drawn paths, and a fifth on Circuit, whose
+//! covers are a read-only read and two evictions.
 //! The cycle-accurate controller's per-cycle bookkeeping (per-bank
 //! queues, views and issue bounds) gets its own per-policy windows.
 //!
@@ -167,9 +168,9 @@ fn assert_steady_state_window(
 /// real accesses over a fixed block population, gated on the transaction
 /// window, every fourth slot a cover access, wakes drained from a reused
 /// buffer) must reach the same allocation-free steady state as the trace
-/// driver, on Ring+CB and on Path. The fixed population keeps the stash's
-/// working set — and with it the eviction candidate buffer — from growing
-/// past its warm-up size.
+/// driver, on Ring+CB, Path and Circuit. The fixed population keeps the
+/// stash's working set — and with it the eviction candidate buffer — from
+/// growing past its warm-up size.
 /// Under `recursion` every access and every cover walks the map tiers too,
 /// and every tier's tree must be complete before the window opens.
 fn assert_core_steady_state_window(
@@ -224,7 +225,12 @@ fn assert_core_steady_state_window(
         wakes.clear();
     };
 
-    while !complete(&core) && core.accesses() + MEASURED_ACCESSES < ACCESSES as u64 {
+    // Circuit's two evictions per access complete the tree before every
+    // block has been mapped, so the warm-up also lasts a population's
+    // worth of accesses (the other windows open long after that).
+    while (!complete(&core) || core.accesses() < BLOCKS)
+        && core.accesses() + MEASURED_ACCESSES < ACCESSES as u64
+    {
         tick(&mut core);
     }
     assert!(
@@ -389,12 +395,14 @@ fn steady_state_access_performs_no_heap_allocation() {
     );
 
     // The request-driven shape, on the core directly, verifier off and on,
-    // over a stack with three position-map tiers, and on Path.
+    // over a stack with three position-map tiers, and on Path and Circuit
+    // (every row of the auditor's schedule table audits allocation-free).
     let ring_cb = ProtocolKind::RingCb;
     assert_core_steady_state_window(ring_cb, off, None);
     assert_core_steady_state_window(ring_cb, checked, None);
     assert_core_steady_state_window(ring_cb, checked, Some(RecursiveConfig::test_small()));
     assert_core_steady_state_window(ProtocolKind::Path, checked, None);
+    assert_core_steady_state_window(ProtocolKind::Circuit, checked, None);
 
     // First touches have a heap budget rather than a zero.
     let hpca = RingConfig::hpca_default();

@@ -10,7 +10,7 @@
 
 use oram_rng::{Rng, StdRng};
 use ring_oram::{BlockId, ObliviousProtocol, RingConfig, RingOram};
-use sim_verify::OramAuditor;
+use sim_verify::ProtocolAuditor;
 use string_oram::{Scheme, Simulation, SystemConfig};
 use trace_synth::generator::LocalityModel;
 use trace_synth::{TraceGenerator, TraceRecord, WorkloadSpec};
@@ -53,7 +53,7 @@ fn zipf_hot_set_keeps_cb_stash_bounded() {
         for config in [RingConfig::test_small_cb(), RingConfig::test_small()] {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut oram = RingOram::new(config.clone(), seed ^ 0xCB);
-            let mut auditor = OramAuditor::new(config.clone());
+            let mut auditor = ProtocolAuditor::new(oram.kind(), config.clone());
             let zipf = Zipf::new(16, 1.2);
             let cold_span = config.real_capacity_blocks() / 2;
             let mut peak_stash = 0usize;
