@@ -1,6 +1,6 @@
 //! Microbenchmarks of the individual substrates: protocol access planning,
-//! DRAM command issue, scheduler ticks, trace generation, crypto, the
-//! whole-system step loop and the service clock.
+//! DRAM command issue, scheduler ticks, trace generation, arrival
+//! processes, crypto, the whole-system step loop and the service clock.
 //!
 //! Self-timed (no external harness, so the workspace builds offline): each
 //! case is warmed up, then run for a fixed iteration budget, reporting
@@ -35,7 +35,7 @@ use string_oram::{
 };
 use string_oram_bench::env_or;
 use string_oram_bench::paper::{banner, line};
-use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
+use trace_synth::{by_name, ArrivalProcess, ArrivalSpec, TraceGenerator};
 
 fn iters() -> u64 {
     env_or("STRING_ORAM_MICRO_ITERS", 2000)
@@ -370,6 +370,25 @@ fn bench_trace_generation() {
     });
 }
 
+/// One tick of each tenant shape the service benchmark drives (steady,
+/// bursty, diurnal), in ns per tick: an iteration is 1 000 ticks of one
+/// process.
+fn bench_arrivals() {
+    const TICKS: u32 = 1_000;
+    for (name, spec) in [
+        ("arrivals_steady", ArrivalSpec::steady(1.0)),
+        ("arrivals_bursty", ArrivalSpec::bursty(0.5, 4.0)),
+        ("arrivals_diurnal", ArrivalSpec::diurnal(0.8, 400_000, 0.8)),
+    ] {
+        let mut process = ArrivalProcess::new(spec, 0xA221_7A15);
+        let ns = time(|_| {
+            let arrivals: u32 = (0..TICKS).map(|_| process.next_tick()).sum();
+            std::hint::black_box(arrivals);
+        });
+        print_row(name, &[format!("{:>10.2} ns/tick", ns / f64::from(TICKS))]);
+    }
+}
+
 fn bench_data_path() {
     let mut oram = RingOram::new(RingConfig::test_small(), 3);
     oram.enable_encryption(0xFEED);
@@ -504,6 +523,7 @@ fn main() {
     bench_scheduler_tick();
     bench_deep_bank();
     bench_trace_generation();
+    bench_arrivals();
     bench_data_path();
     bench_crypto();
     bench_recursive_access();

@@ -16,6 +16,22 @@
 //! Bhaskara I rational approximation evaluated with only `+ − × ÷` —
 //! IEEE-exact operations — so results are bit-identical across platforms,
 //! unlike `f64::sin`, whose last-bit behavior is libm-dependent.
+//!
+//! A tick costs its random draws and an integer compare each. The
+//! realisation is defined by Bernoulli trials `gen_bool(p)`, and a `f64`
+//! draw is exactly `(x >> 11) · 2^-53`, so `gen_bool(p)` is exactly
+//! `(x >> 11) < ceil(p · 2^53)`. [`ArrivalProcess::new`] turns every
+//! probability fixed for the process into such a threshold once (the two
+//! burst switches, and a flat envelope's per-state count), so `f64::ceil`,
+//! an out-of-line libm call on the x86-64 baseline, never runs per tick.
+//! A swinging envelope whose every rate in a burst state lies strictly
+//! inside (0, 1) draws once per tick in that state; a draw at or above a
+//! ceiling just over [`ArrivalSpec::peak_per_tick`] is a miss without the
+//! envelope, and only a draw under it evaluates
+//! [`ArrivalProcess::rate_at`] and compares exactly. Any other state
+//! evaluates the envelope every tick. Each path makes the same draws and
+//! the same decisions as `gen_bool` on [`ArrivalProcess::rate_at`], so
+//! every realisation is bit-identical to that definition.
 
 use oram_rng::{Rng, StdRng};
 
@@ -148,6 +164,7 @@ impl ArrivalSpec {
 /// ~0.0016 — far below any traffic-modeling need — and built from
 /// IEEE-exact operations only, so it is bit-identical everywhere. `turns`
 /// must not be negative.
+#[inline]
 #[must_use]
 fn det_sin_turns(turns: f64) -> f64 {
     let frac = turns - floor_nonneg(turns); // [0, 1): position within the cycle
@@ -161,11 +178,14 @@ fn det_sin_turns(turns: f64) -> f64 {
 }
 
 /// `v.floor()` for `v >= 0` without the call: on the x86-64 baseline
-/// `f64::floor` is an out-of-line libm function, and both per-tick callers
-/// pass non-negative values, nearly always below 1. Below 2^53 the round
-/// trip through `i64` (one instruction each way, unlike `u64`) truncates,
-/// which is `floor` there; from 2^53 on every `f64` is already an integer,
-/// and `floor` is kept for the range the cast would saturate.
+/// `f64::floor` is an out-of-line libm function. The envelope's turn count
+/// and the count of a state without a fast path (see the module doc) are
+/// floored per tick, both non-negative and nearly always below 1. Below
+/// 2^53 the round trip through `i64` (one instruction each way, unlike
+/// `u64`) truncates, which is `floor` there; from 2^53 on every `f64` is
+/// already an integer, and `floor` is kept for the range the cast would
+/// saturate.
+#[inline]
 fn floor_nonneg(v: f64) -> f64 {
     debug_assert!(v >= 0.0, "floor_nonneg({v})");
     if v < 1.0 {
@@ -177,6 +197,44 @@ fn floor_nonneg(v: f64) -> f64 {
     }
 }
 
+/// `2^53`: a `f64` draw is `(x >> 11) · 2^-53`, 53 random bits.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+/// The 53-bit threshold `gen_bool(p)` compares a draw with:
+/// `(x >> 11) · 2^-53 < p` holds exactly when `(x >> 11) < ceil(p · 2^53)`,
+/// because scaling by `2^53` is exact and the draw is an integer.
+fn threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "threshold({p})");
+    (p * TWO_53).ceil() as u64
+}
+
+/// A 53-bit draw as the `f64` in `[0, 1)` it stands for, exactly.
+#[inline]
+fn unit(draw: u64) -> f64 {
+    draw as f64 * (1.0 / TWO_53)
+}
+
+/// Relative slack on the envelope's bounds for the fast path: far above the
+/// few ulps by which `rate_at`'s rounding, and the sine's last bit, can
+/// stray from the real-valued envelope.
+const ENVELOPE_SLACK: f64 = 1.0 / 1_048_576.0;
+
+/// How one burst state turns a tick into its count, fixed in
+/// [`ArrivalProcess::new`].
+#[derive(Debug, Clone, Copy)]
+enum Count {
+    /// A flat envelope: `whole` arrivals every tick, plus one when a draw
+    /// lands under the threshold `frac` (0: the rate has no fraction, and
+    /// nothing is drawn).
+    Flat { whole: u32, frac: u64 },
+    /// A swinging envelope whose every rate lies strictly inside (0, 1):
+    /// one draw every tick, a miss at or above `ceiling` without the
+    /// envelope, an exact compare with `rate_at` below it.
+    Below { ceiling: u64 },
+    /// Any other swinging state: `rate_at` every tick.
+    Exact,
+}
+
 /// A seeded arrival process: call [`ArrivalProcess::next_tick`] once per
 /// tick to get that tick's arrival count.
 #[derive(Debug, Clone)]
@@ -184,6 +242,11 @@ pub struct ArrivalProcess {
     spec: ArrivalSpec,
     /// `spec.base_per_ktick / 1000.0`, divided once.
     base_per_tick: f64,
+    /// Per current burst state (quiet, bursting), the threshold of a draw
+    /// that flips it: `burst_on`'s, then `burst_off`'s.
+    flip: [u64; 2],
+    /// Per burst state (quiet, bursting), how a tick's count is drawn.
+    count: [Count; 2],
     rng: StdRng,
     bursting: bool,
     tick: u64,
@@ -206,18 +269,54 @@ impl ArrivalProcess {
         if let Err(e) = spec.validate() {
             panic!("invalid ArrivalSpec: {e}");
         }
-        Self {
+        let mut process = Self {
             spec,
             base_per_tick: spec.base_per_ktick / 1000.0,
+            flip: [threshold(spec.burst_on), threshold(spec.burst_off)],
+            count: [Count::Exact; 2],
             rng: StdRng::seed_from_u64(seed),
             bursting: false,
             tick: 0,
+        };
+        process.count = [false, true].map(|bursting| process.count_rule(bursting));
+        process
+    }
+
+    /// The count rule of one burst state (see [`Count`]).
+    fn count_rule(&self, bursting: bool) -> Count {
+        if self.spec.diurnal_period == 0 {
+            let rate = self.rate_at(0, bursting);
+            let whole = floor_nonneg(rate);
+            return Count::Flat {
+                whole: whole as u32,
+                frac: threshold(rate - whole),
+            };
+        }
+        // Every rate of this state lies in `base · (1 ± amplitude)`, times
+        // the multiplier while bursting. With the lower bound's every
+        // partial product normal, no rate rounds to 0, so the exact rule
+        // always draws; with the ceiling below 1, `whole` is always 0.
+        let multiplier = if bursting {
+            self.spec.burst_multiplier.min(1.0)
+        } else {
+            1.0
+        };
+        let lowest =
+            self.base_per_tick * (1.0 - self.spec.diurnal_amplitude - ENVELOPE_SLACK) * multiplier;
+        let ceiling = self.spec.peak_per_tick() * (1.0 + ENVELOPE_SLACK);
+        if lowest >= f64::MIN_POSITIVE && ceiling < 1.0 {
+            Count::Below {
+                ceiling: threshold(ceiling),
+            }
+        } else {
+            Count::Exact
         }
     }
 
     /// The process's current mean rate (requests per tick) at tick `t`,
     /// for the given burst state — the deterministic envelope the random
     /// draws are taken from. Exposed for tests and capacity planning.
+    #[inline]
     #[must_use]
     pub fn rate_at(&self, t: u64, bursting: bool) -> f64 {
         let mut rate = self.base_per_tick;
@@ -235,22 +334,43 @@ impl ArrivalProcess {
     ///
     /// The burst state transitions first (Markov on/off), then the count
     /// is drawn as `floor(rate)` plus a Bernoulli trial on the fractional
-    /// part — mean exactly `rate`, deterministic for a seed.
+    /// part — mean exactly `rate`, deterministic for a seed. The draws
+    /// and decisions are exactly those of `gen_bool(burst_on)` or
+    /// `gen_bool(burst_off)`, then `gen_bool(frac)` when the fraction is
+    /// nonzero; the module doc says how most ticks skip the envelope.
+    #[inline]
     pub fn next_tick(&mut self) -> u32 {
-        self.bursting = if self.bursting {
-            !self.rng.gen_bool(self.spec.burst_off)
-        } else {
-            self.rng.gen_bool(self.spec.burst_on)
-        };
-        let rate = self.rate_at(self.tick, self.bursting);
+        self.bursting ^= self.draw() < self.flip[usize::from(self.bursting)];
+        let t = self.tick;
         self.tick += 1;
-        let whole = floor_nonneg(rate);
-        let frac = rate - whole;
-        let mut n = whole as u32;
-        if frac > 0.0 && self.rng.gen_bool(frac) {
-            n += 1;
+        match self.count[usize::from(self.bursting)] {
+            Count::Flat { whole, frac } => whole + u32::from(frac != 0 && self.draw() < frac),
+            Count::Below { ceiling } => {
+                let draw = self.draw();
+                u32::from(draw < ceiling && unit(draw) < self.rate_at(t, self.bursting))
+            }
+            Count::Exact => {
+                let rate = self.rate_at(t, self.bursting);
+                let whole = floor_nonneg(rate);
+                let frac = rate - whole;
+                whole as u32 + u32::from(frac > 0.0 && unit(self.draw()) < frac)
+            }
         }
-        n
+    }
+
+    /// The 53 random bits of one `f64` draw.
+    #[inline]
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
+    /// Whether no later tick can carry an arrival: every rate is 0 (a zero
+    /// base, or one so small it underflows per tick), or the process is in
+    /// (or certain to enter) a burst at rate 0 that it never leaves.
+    fn never_arrives(&self) -> bool {
+        // `burst_off` is 0, and the process bursts or `burst_on` is 1.
+        let bursts_for_good = self.flip[1] == 0 && (self.bursting || self.flip[0] == 1 << 53);
+        self.base_per_tick == 0.0 || (bursts_for_good && self.spec.burst_multiplier == 0.0)
     }
 
     /// Whether the process is currently in its bursting state.
@@ -267,11 +387,15 @@ impl ArrivalProcess {
 
     /// Drains the process into inter-arrival gaps: the number of empty
     /// ticks before each of the next `n` arrivals. A tick carrying `k > 1`
-    /// arrivals contributes `k − 1` zero gaps.
+    /// arrivals contributes `k − 1` zero gaps. A process that can never
+    /// arrive again has no next arrival, so the gaps stop there, fewer than
+    /// `n`: a silent shape (see [`ArrivalSpec::is_silent`]) returns an empty
+    /// `Vec` and consumes no tick, and so does one that has entered a burst
+    /// at rate 0 with no way out.
     pub fn take_gaps(&mut self, n: usize) -> Vec<u32> {
         let mut gaps = Vec::with_capacity(n);
         let mut idle = 0u32;
-        while gaps.len() < n {
+        while gaps.len() < n && !self.never_arrives() {
             let arrivals = self.next_tick();
             for _ in 0..arrivals {
                 if gaps.len() == n {
@@ -292,7 +416,9 @@ impl ArrivalProcess {
     /// instruction slots), with uniformly random blocks in `[0, blocks)`
     /// and the given write fraction. This makes the bursty/diurnal shapes
     /// usable by the ordinary trace-driven simulation, not just the
-    /// service layer.
+    /// service layer. A process that can never arrive again yields fewer
+    /// than `n` records, none for a silent shape (see
+    /// [`ArrivalProcess::take_gaps`]).
     pub fn take_records(&mut self, n: usize, blocks: u64, write_fraction: f64) -> Vec<TraceRecord> {
         let gaps = self.take_gaps(n);
         gaps.into_iter()
@@ -369,10 +495,12 @@ mod tests {
         }
     }
 
-    /// Counts and burst state of 200 000 ticks, per spec, as FNV-1a digests
-    /// recorded before `floor` left the per-tick path (the benchmark's three
-    /// tenants plus a heavy bursty one): the realisation is part of every
-    /// pinned service digest, so it may not move by one draw.
+    /// Counts and burst state of 200 000 ticks, per spec, as FNV-1a digests:
+    /// the first four recorded before `floor` left the per-tick path (the
+    /// benchmark's three tenants plus a heavy bursty one), the rest, the
+    /// edge shapes of the count rules, before the per-tick probabilities
+    /// became integer thresholds. The realisation is part of every pinned
+    /// service digest, so it may not move by one draw.
     #[test]
     fn sequences_match_the_recorded_values() {
         let recorded = [
@@ -383,6 +511,34 @@ mod tests {
                 0x70FE_6A19_1096_1014,
             ),
             (ArrivalSpec::bursty(40.0, 8.0), 0x535A_D26E_AAB7_556D),
+            // A whole rate: no fraction, so no count draw.
+            (ArrivalSpec::steady(1000.0), 0x9420_1A53_4206_6665),
+            // No draw while bursting.
+            (ArrivalSpec::bursty(40.0, 0.0), 0xA419_816E_2DA1_FB70),
+            (ArrivalSpec::bursty(40.0, 0.5), 0x4849_494F_82B8_BE99),
+            // The rate crosses 1: no ceiling.
+            (
+                ArrivalSpec::diurnal(1500.0, 1_000, 0.9),
+                0x8F10_6FB8_77B9_24D9,
+            ),
+            (
+                ArrivalSpec {
+                    burst_multiplier: 10.0,
+                    burst_on: 1.0,
+                    burst_off: 0.0,
+                    ..ArrivalSpec::steady(20.0)
+                },
+                0x927A_3BBC_2DD8_3BF6,
+            ),
+            // Diurnal × burst: a ceiling per burst state.
+            (
+                ArrivalSpec {
+                    diurnal_period: 400_000,
+                    diurnal_amplitude: 0.8,
+                    ..ArrivalSpec::bursty(0.8, 4.0)
+                },
+                0x9709_36EF_F92F_1151,
+            ),
         ];
         for (i, (spec, want)) in recorded.into_iter().enumerate() {
             let mut p = ArrivalProcess::new(spec, 0xA221_7A15 + i as u64);
@@ -430,6 +586,8 @@ mod tests {
         assert!(!ArrivalSpec::steady(1e-9).is_silent());
     }
 
+    /// The bound the fast path's ceiling trusts: no rate of either burst
+    /// state exceeds the peak anywhere in a full diurnal period.
     #[test]
     fn the_peak_rate_bounds_the_envelope() {
         let mut spec = ArrivalSpec::diurnal(100.0, 1_000, 0.5);
@@ -441,6 +599,174 @@ mod tests {
         // A multiplier below 1 makes the quiet state the peak.
         spec.burst_multiplier = 0.5;
         assert_eq!(spec.peak_per_tick(), 0.1 * 1.5);
+
+        for base in [0.8, 3.3, 100.0, 999.0] {
+            for (period, amplitude) in [(997, 0.3), (1_000, 0.9), (7_919, 0.999), (400_000, 0.8)] {
+                for multiplier in [0.0, 0.5, 1.0, 4.0, 8.0] {
+                    let spec = ArrivalSpec {
+                        burst_multiplier: multiplier,
+                        diurnal_period: period,
+                        diurnal_amplitude: amplitude,
+                        ..ArrivalSpec::bursty(base, 1.0)
+                    };
+                    let p = ArrivalProcess::new(spec, 0);
+                    for bursting in [false, true] {
+                        let highest = (0..period)
+                            .map(|t| p.rate_at(t, bursting))
+                            .fold(0.0, f64::max);
+                        assert!(highest <= spec.peak_per_tick(), "{spec:?} {bursting}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn silent_shapes_yield_no_gaps() {
+        let mut loud_but_empty = ArrivalSpec::bursty(0.0, 1e9);
+        loud_but_empty.diurnal_period = 64;
+        loud_but_empty.diurnal_amplitude = 0.9;
+        let always_bursting_at_zero = ArrivalSpec {
+            burst_multiplier: 0.0,
+            burst_on: 1.0,
+            burst_off: 0.0,
+            ..ArrivalSpec::steady(50.0)
+        };
+        for spec in [
+            ArrivalSpec::steady(0.0),
+            ArrivalSpec::steady(1e-321),
+            loud_but_empty,
+            always_bursting_at_zero,
+        ] {
+            let mut p = ArrivalProcess::new(spec, 5);
+            assert!(p.take_gaps(1).is_empty(), "{spec:?}");
+            assert!(p.take_records(3, 1 << 12, 0.5).is_empty(), "{spec:?}");
+            assert_eq!(p.ticks(), 0);
+        }
+        // Arrivals until the process falls into a burst at rate 0 for good.
+        let mut trapped = ArrivalProcess::new(
+            ArrivalSpec {
+                burst_off: 0.0,
+                ..ArrivalSpec::bursty(400.0, 0.0)
+            },
+            5,
+        );
+        let gaps = trapped.take_gaps(1_000_000);
+        assert!(!gaps.is_empty() && gaps.len() < 1_000_000);
+        assert!(trapped.is_bursting());
+        assert!(trapped.take_gaps(1).is_empty());
+    }
+
+    /// The per-tick rule before the integer thresholds, as its definition
+    /// reads: `gen_bool` on the burst switch, the envelope every tick, and
+    /// `gen_bool` on the fraction of the rate.
+    struct Reference {
+        envelope: ArrivalProcess,
+        rng: StdRng,
+        bursting: bool,
+        tick: u64,
+    }
+
+    impl Reference {
+        fn new(spec: ArrivalSpec, seed: u64) -> Self {
+            Self {
+                envelope: ArrivalProcess::new(spec, 0),
+                rng: StdRng::seed_from_u64(seed),
+                bursting: false,
+                tick: 0,
+            }
+        }
+
+        fn next_tick(&mut self) -> u32 {
+            let spec = self.envelope.spec;
+            self.bursting = if self.bursting {
+                !self.rng.gen_bool(spec.burst_off)
+            } else {
+                self.rng.gen_bool(spec.burst_on)
+            };
+            let rate = self.envelope.rate_at(self.tick, self.bursting);
+            self.tick += 1;
+            let whole = floor_nonneg(rate);
+            let frac = rate - whole;
+            let mut n = whole as u32;
+            if frac > 0.0 && self.rng.gen_bool(frac) {
+                n += 1;
+            }
+            n
+        }
+
+        /// `take_records(1, blocks, write_fraction)`'s one record.
+        fn take_record(&mut self, blocks: u64, write_fraction: f64) -> TraceRecord {
+            let mut idle = 0u32;
+            while self.next_tick() == 0 {
+                idle = idle.saturating_add(1);
+            }
+            let block = self.rng.gen_range(0..blocks);
+            TraceRecord::new(idle, block, self.rng.gen_bool(write_fraction))
+        }
+    }
+
+    /// A random valid shape that arrives: rates from far below to past one
+    /// per tick, multipliers of 0 and below 1, probabilities at 0 and 1,
+    /// and amplitudes near 1.
+    fn random_shape(rng: &mut StdRng) -> ArrivalSpec {
+        // One of `xs`, or a uniform draw times `scale` past their end.
+        fn pick(rng: &mut StdRng, xs: &[f64], scale: f64) -> f64 {
+            let i = rng.gen_range(0..xs.len() + 1);
+            xs.get(i)
+                .copied()
+                .unwrap_or_else(|| rng.gen::<f64>() * scale)
+        }
+        let base_per_ktick = if rng.gen_bool(0.25) {
+            pick(rng, &[0.5, 1.0, 40.0, 500.0, 1000.0], 1500.0)
+        } else {
+            10f64.powf(rng.gen::<f64>() * 4.0 - 1.0)
+        };
+        let diurnal_period = [0, 0, 97, 1_000, 7_919, 400_000][rng.gen_range(0..6)];
+        let diurnal_amplitude = if diurnal_period == 0 {
+            0.0
+        } else {
+            pick(rng, &[0.0, 0.3, 0.8, 0.9, 0.999_999], 1.0)
+        };
+        let mut spec = ArrivalSpec {
+            base_per_ktick,
+            burst_multiplier: pick(rng, &[0.0, 0.5, 1.0, 4.0, 8.0], 10.0),
+            burst_on: pick(rng, &[0.0, 1.0 / 2000.0, 0.01, 0.3, 1.0], 1.0),
+            burst_off: pick(rng, &[0.0, 1.0 / 200.0, 0.1, 1.0], 1.0),
+            diurnal_period,
+            diurnal_amplitude,
+        };
+        // A burst at rate 0 with no way out would end the arrivals.
+        if spec.burst_off == 0.0 {
+            spec.burst_multiplier = spec.burst_multiplier.max(0.5);
+        }
+        spec
+    }
+
+    #[test]
+    fn every_tick_matches_the_reference_rule() {
+        let mut shapes = StdRng::seed_from_u64(0x5AFE_7105);
+        let mut fast_states = 0;
+        for i in 0..64 {
+            let spec = random_shape(&mut shapes);
+            let seed = 0xD1FF + i;
+            let mut p = ArrivalProcess::new(spec, seed);
+            let mut r = Reference::new(spec, seed);
+            fast_states += p
+                .count
+                .iter()
+                .filter(|c| matches!(c, Count::Below { .. }))
+                .count();
+            for t in 0..20_000 {
+                assert_eq!(p.next_tick(), r.next_tick(), "{spec:?} tick {t}");
+                assert_eq!(p.is_bursting(), r.bursting, "{spec:?} tick {t}");
+            }
+            // One more arrival and its block and write draws: a drift in
+            // the number of draws shows here even where counts agreed.
+            let record = p.take_records(1, 1 << 40, 0.5);
+            assert_eq!(record, [r.take_record(1 << 40, 0.5)], "{spec:?}");
+        }
+        assert!(fast_states >= 16, "{fast_states} states on the fast path");
     }
 
     #[test]
