@@ -1,298 +1,199 @@
 //! `stringoram` — command-line driver for one-off simulations.
 //!
 //! ```text
-//! stringoram [--workload NAME] [--scheme baseline|cb|pb|all]
-//!            [--accesses N] [--y N] [--stash N] [--levels N]
-//!            [--seed N] [--layout subtree|naive] [--page open|closed]
-//!            [--load FRACTION] [--trace FILE.usimm] [--list-workloads]
-//!            [--help]
+//! stringoram [--workload NAME] [--scheme baseline|cb|pb|all] [--accesses N] [--y N] [--stash N]
+//!            [--levels N] [--seed N] [--layout subtree|naive] [--page open|closed]
+//!            [--load FRACTION] [--trace FILE.usimm] [--config FILE.json] [--set PATH=JSON]
+//!            [--list-workloads] [--help]
 //! ```
 //!
-//! Runs the paper-default system with the given overrides and prints the
-//! full report. `--load` sets the tree's initial load factor (the fraction
-//! of real-block capacity filled before the run). `--trace` replaces the
-//! synthetic workload with a USIMM format trace file (each core replays
-//! the same trace).
+//! Runs `SystemConfig::hpca_default(--scheme)` (seed 42) after `--config`
+//! merges a JSON file into its tree (`string_oram_bench::config`) and each
+//! `--set` sets one value: `--set ring.levels=20`, `--set protocol=path`.
+//! `--y` to `--load` are one `--set` each; `--trace` replays a USIMM trace.
 
+use std::collections::BTreeMap;
+use std::error::Error;
 use std::process::ExitCode;
 
-use mem_sched::PagePolicy;
 use ring_oram::OpKind;
-use string_oram::{LayoutKind, Scheme, Simulation, SystemConfig};
+use string_oram::{Scheme, ShardedSimulation, SimReport, SystemConfig};
+use string_oram_bench::config::{self, Tree};
+use string_oram_bench::json::{self, Value};
 use trace_synth::{all_workloads, by_name, usimm, TraceGenerator, TraceRecord};
 
-struct Options {
-    workload: String,
-    scheme: Scheme,
-    accesses: usize,
-    y: Option<u32>,
-    stash: Option<usize>,
-    levels: Option<u32>,
-    seed: u64,
-    layout: LayoutKind,
-    page: PagePolicy,
-    trace: Option<String>,
-    load: Option<f64>,
-}
+/// Every flag: long and short name, its value in the usage text (none: it
+/// only prints) and the config path it sets (none: a setting of the run).
+const FLAGS: [(&str, &str, &str, &str); 15] = [
+    ("--workload", "-w", "NAME", ""),
+    ("--scheme", "-s", "baseline|cb|pb|all", ""),
+    ("--accesses", "-n", "N", ""),
+    ("--y", "", "N", "ring.y"),
+    ("--stash", "", "N", "ring.stash_capacity"),
+    ("--levels", "", "N", "ring.levels"),
+    ("--seed", "", "N", "seed"),
+    ("--layout", "", "subtree|naive", "layout"),
+    ("--page", "", "open|closed", "page_policy"),
+    ("--load", "", "FRACTION", "load_factor"),
+    ("--trace", "", "FILE.usimm", ""),
+    ("--config", "", "FILE.json", ""),
+    ("--set", "", "PATH=JSON", ""),
+    ("--list-workloads", "", "", ""),
+    ("--help", "-h", "", ""),
+];
 
-impl Default for Options {
-    fn default() -> Self {
-        Self {
-            workload: "black".into(),
-            scheme: Scheme::All,
-            accesses: 400,
-            y: None,
-            stash: None,
-            levels: None,
-            seed: 42,
-            layout: LayoutKind::Subtree,
-            page: PagePolicy::Open,
-            trace: None,
-            load: None,
-        }
-    }
-}
-
-fn parse_args() -> Result<Option<Options>, String> {
-    let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
+fn run() -> Result<(), Box<dyn Error>> {
+    // The command line as (long flag, value) pairs, in order.
+    let (mut given, mut args) = (Vec::new(), std::env::args().skip(1));
+    while let Some(arg) = args.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| arg == f.0 || (arg == f.1 && !arg.is_empty()));
+        let Some(&(long, _, value, _)) = flag else {
+            return Err(format!("unknown flag {arg:?} (try --help)").into());
         };
-        match flag.as_str() {
-            "--workload" | "-w" => opts.workload = value("--workload")?,
-            "--scheme" | "-s" => {
-                opts.scheme = match value("--scheme")?.to_lowercase().as_str() {
-                    "baseline" => Scheme::Baseline,
-                    "cb" => Scheme::Cb,
-                    "pb" => Scheme::Pb,
-                    "all" => Scheme::All,
-                    other => return Err(format!("unknown scheme {other:?}")),
-                }
-            }
-            "--accesses" | "-n" => {
-                opts.accesses = value("--accesses")?
-                    .parse()
-                    .map_err(|e| format!("bad --accesses: {e}"))?;
-            }
-            "--y" => {
-                opts.y = Some(value("--y")?.parse().map_err(|e| format!("bad --y: {e}"))?);
-            }
-            "--stash" => {
-                opts.stash = Some(
-                    value("--stash")?
-                        .parse()
-                        .map_err(|e| format!("bad --stash: {e}"))?,
-                );
-            }
-            "--levels" => {
-                opts.levels = Some(
-                    value("--levels")?
-                        .parse()
-                        .map_err(|e| format!("bad --levels: {e}"))?,
-                );
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--layout" => {
-                opts.layout = match value("--layout")?.to_lowercase().as_str() {
-                    "subtree" => LayoutKind::Subtree,
-                    "naive" => LayoutKind::Naive,
-                    other => return Err(format!("unknown layout {other:?}")),
-                }
-            }
-            "--page" => {
-                opts.page = match value("--page")?.to_lowercase().as_str() {
-                    "open" => PagePolicy::Open,
-                    "closed" => PagePolicy::Closed,
-                    other => return Err(format!("unknown page policy {other:?}")),
-                }
-            }
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--load" => {
-                opts.load = Some(
-                    value("--load")?
-                        .parse()
-                        .map_err(|e| format!("bad --load: {e}"))?,
-                );
-            }
-            "--list-workloads" => {
-                for w in all_workloads() {
-                    println!("{:<8} {:<9} MPKI {:.2}", w.name, w.suite, w.mpki);
-                }
-                return Ok(None);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: stringoram [--workload NAME] [--scheme baseline|cb|pb|all]\n\
-                     \x20                 [--accesses N] [--y N] [--stash N] [--levels N]\n\
-                     \x20                 [--seed N] [--layout subtree|naive] [--page open|closed]\n\
-                     \x20                 [--load FRACTION] [--trace FILE.usimm] [--list-workloads]\n\
-                     \x20                 [--help]"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+        if !value.is_empty() {
+            given.push((long, args.next().ok_or(format!("{long} requires a value"))?));
+            continue;
         }
+        if long == "--help" {
+            let flags: Vec<_> = FLAGS.iter().map(|f| format!("[{} {}]", f.0, f.2)).collect();
+            let flags = flags.join("\n                  ").replace(" ]", "]");
+            println!("usage: stringoram {flags}");
+            return Ok(());
+        }
+        for w in all_workloads() {
+            // `--list-workloads`, the other flag that only prints.
+            println!("{:<8} {:<9} MPKI {:.2}", w.name, w.suite, w.mpki);
+        }
+        return Ok(());
     }
-    Ok(Some(opts))
-}
-
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    // The run's own settings; the last one given wins.
+    let run: BTreeMap<&str, &str> = given.iter().map(|(f, v)| (*f, v.as_str())).collect();
+    let named = run.get("--scheme").copied().unwrap_or("all");
+    let scheme = Scheme::ALL
+        .into_iter()
+        .find(|s| s.label().eq_ignore_ascii_case(named));
+    let scheme = scheme.ok_or(format!("unknown scheme {named:?}"))?;
+    let accesses: usize = match run.get("--accesses") {
+        Some(n) => n.parse().map_err(|e| format!("bad --accesses: {e}"))?,
+        None => 400,
     };
+    let workload = run.get("--workload").copied().unwrap_or("black");
 
-    let mut cfg = SystemConfig::hpca_default(opts.scheme);
-    cfg.seed = opts.seed;
-    cfg.layout = opts.layout;
-    cfg.page_policy = opts.page;
-    if let Some(y) = opts.y {
-        cfg.ring.y = y;
+    let mut preset = SystemConfig::hpca_default(scheme);
+    preset.seed = 42;
+    let mut tree = preset.to_value();
+    for (_, file) in given.iter().filter(|(f, _)| *f == "--config") {
+        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        let from = json::parse(&text).map_err(|e| format!("{file}: {e}"))?;
+        config::merge(&mut tree, from);
     }
-    if let Some(stash) = opts.stash {
-        cfg.ring.stash_capacity = stash;
+    // Each value set on the command line: its path and the flag as typed.
+    let mut edits = Vec::new();
+    for (flag, value) in &given {
+        let (path, typed) = match FLAGS.iter().find(|f| f.0 == *flag && !f.3.is_empty()) {
+            Some(&(.., path)) => (path, value.as_str()),
+            None if *flag == "--set" => value
+                .split_once('=')
+                .ok_or(format!("--set {value}: no '='"))?,
+            None => continue,
+        };
+        // `typed` is JSON, else a string; a decimal integer goes through
+        // `u64`, so one above 2^53 stays exact.
+        let leaf = typed.parse::<u64>().map(|n| n.to_value());
+        let leaf = leaf.unwrap_or_else(|_| json::parse(typed).unwrap_or(Value::from(typed)));
+        let nest = |v, key| Value::object(vec![(key, v)]);
+        config::merge(&mut tree, path.rsplit('.').fold(leaf, nest));
+        edits.push((path, format!("{flag} {value}")));
     }
-    if let Some(levels) = opts.levels {
-        cfg.ring.levels = levels;
-    }
-    if let Some(load) = opts.load {
-        cfg.load_factor = load;
-    }
-    if let Err(e) = cfg.validate() {
-        eprintln!("error: invalid configuration: {e}");
-        return ExitCode::FAILURE;
-    }
-    // `--scheme baseline|pb` selects plain Ring, which runs without Compact
-    // Bucket whatever `y` says: refuse the pair rather than ignore `--y`.
-    let effective_y = cfg.effective_ring().y;
-    if cfg.ring.y != effective_y {
-        eprintln!(
-            "error: --y {} has no effect under --scheme {}, which runs with y = {effective_y} \
-             (use --scheme cb or all)",
-            cfg.ring.y,
-            opts.scheme.label().to_lowercase()
-        );
-        return ExitCode::FAILURE;
+    let cfg = SystemConfig::from_value(&tree)?;
+    cfg.validate()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
+    // What the protocol runs with (`effective_ring`) must be what was set.
+    let mut runs = cfg.clone();
+    runs.ring = cfg.effective_ring();
+    let (set, runs) = (cfg.to_value(), runs.to_value());
+    let at = |v, path: &str| path.split('.').try_fold(v, Value::get);
+    for (path, typed) in &edits {
+        if let Some(runs) = at(&runs, path).filter(|&v| at(&set, path) != Some(v)) {
+            let (scheme, protocol) = (scheme.label().to_lowercase(), cfg.protocol.label());
+            let why = format!("--scheme {scheme} selects protocol {protocol}, which runs with");
+            return Err(format!("{typed} has no effect: {why} {path} = {runs}").into());
+        }
     }
 
-    let traces: Vec<Vec<TraceRecord>> = match &opts.trace {
+    let traces: Vec<Vec<TraceRecord>> = match run.get("--trace") {
         Some(path) => {
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match usimm::parse(std::io::BufReader::new(file)) {
-                Ok(t) => (0..cfg.cores).map(|_| t.clone()).collect(),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+            vec![usimm::parse(std::io::BufReader::new(file))?; cfg.cores]
         }
         None => {
-            let Some(spec) = by_name(&opts.workload) else {
-                eprintln!(
-                    "error: unknown workload {:?} (try --list-workloads)",
-                    opts.workload
-                );
-                return ExitCode::FAILURE;
-            };
-            (0..cfg.cores)
-                .map(|c| {
-                    TraceGenerator::new(spec.clone(), opts.seed, c as u32)
-                        .take_records(opts.accesses)
-                })
-                .collect()
+            let unknown = format!("unknown workload {workload:?} (try --list-workloads)");
+            let spec = by_name(workload).ok_or(unknown)?;
+            let trace = |c| TraceGenerator::new(spec.clone(), cfg.seed, c).take_records(accesses);
+            (0..cfg.cores as u32).map(trace).collect()
         }
     };
+    let mut sim = ShardedSimulation::try_new(cfg, traces)?;
+    sim.set_label(format!("{workload}/{scheme}"));
+    let r = sim.run(u64::MAX)?;
+    print_report(&r);
+    if sim.config().verify.enabled {
+        println!("violations      {}", r.violations.len());
+    }
+    match r.violations.first() {
+        Some(first) => Err(format!("{} violations, the first: {first}", r.violations.len()).into()),
+        None => Ok(()),
+    }
+}
 
-    let mut sim = match Simulation::try_new(cfg, traces) {
-        Ok(sim) => sim,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    sim.set_label(format!("{}/{}", opts.workload, opts.scheme));
-    let r = match sim.run(u64::MAX) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+fn print_report(r: &SimReport) {
+    let (k, l, p) = (&r.cycles_by_kind, &r.read_latency, &r.protocol);
+    let txns: Vec<_> = r.transactions_by_kind.iter().collect();
     println!("run             {}", r.label);
     println!("cycles          {}", r.total_cycles);
     println!("instructions    {}", r.instructions);
     println!("oram accesses   {}", r.oram_accesses);
     println!("mem requests    {}", r.requests_completed);
-    println!(
-        "txns            {:?}",
-        r.transactions_by_kind.iter().collect::<Vec<_>>()
-    );
-    println!(
-        "cycles by kind  read {} | evict {} | reshuffle {} | other {}",
-        r.cycles_by_kind.read,
-        r.cycles_by_kind.evict,
-        r.cycles_by_kind.reshuffle,
-        r.cycles_by_kind.other
-    );
+    println!("txns            {txns:?}");
+    let (read, evict, reshuffle, other) = (k.read, k.evict, k.reshuffle, k.other);
+    println!("cycles by kind  read {read} | evict {evict} | reshuffle {reshuffle} | other {other}");
     for kind in [OpKind::ReadPath, OpKind::Eviction, OpKind::EarlyReshuffle] {
-        let c = r.row_class(kind);
+        let (c, name) = (r.row_class(kind), format!("rowbuf {}", kind.label()));
+        let share = |n: u64| n as f64 / c.total() as f64 * 100.0;
+        let (hit, miss) = (share(c.hits), share(c.misses));
+        let conflict = c.conflict_rate() * 100.0;
         if c.total() > 0 {
-            println!(
-                "{:<15} hit {:>6.1}% | miss {:>6.1}% | conflict {:>6.1}%",
-                format!("rowbuf {}", kind.label()),
-                c.hits as f64 / c.total() as f64 * 100.0,
-                c.misses as f64 / c.total() as f64 * 100.0,
-                c.conflict_rate() * 100.0
-            );
+            println!("{name:<15} hit {hit:>6.1}% | miss {miss:>6.1}% | conflict {conflict:>6.1}%");
         }
     }
+    let (read, write) = (r.mean_read_queue_wait, r.mean_write_queue_wait);
+    print!("queue waits     read {read:.1} cyc | write {write:.1} cyc | ");
+    println!("occupancy {:.1}", r.mean_queue_occupancy);
+    let idle = r.bank_idle_proportion * 100.0;
+    let pending = r.pending_bank_idle_proportion * 100.0;
+    println!("bank idle       {idle:.1}% overall | {pending:.1}% while work pending");
+    let pre = r.early_precharge_fraction * 100.0;
+    let act = r.early_activate_fraction * 100.0;
+    println!("PB early        PRE {pre:.1}% | ACT {act:.1}%");
+    let (energy, imbalance) = (r.energy.total_uj(), r.channel_imbalance);
+    println!("energy          {energy:.1} uJ total | channel imbalance {imbalance:.3}");
+    let (p50, p95, p99, max) = (l.p50, l.p95, l.p99, l.max);
+    println!("read latency    p50 {p50} | p95 {p95} | p99 {p99} | max {max} cycles");
+    let (greens, early) = (p.greens_per_read(), p.early_reshuffles);
+    print!("protocol        greens/read {greens:.3} | early reshuffles {early} | ");
+    let peak = p.stash_samples.iter().max().copied().unwrap_or(0);
     println!(
-        "queue waits     read {:.1} cyc | write {:.1} cyc | occupancy {:.1}",
-        r.mean_read_queue_wait, r.mean_write_queue_wait, r.mean_queue_occupancy
+        "bg evictions {} | stash peak {peak}",
+        p.background_evictions
     );
-    println!(
-        "bank idle       {:.1}% overall | {:.1}% while work pending",
-        r.bank_idle_proportion * 100.0,
-        r.pending_bank_idle_proportion * 100.0
-    );
-    println!(
-        "PB early        PRE {:.1}% | ACT {:.1}%",
-        r.early_precharge_fraction * 100.0,
-        r.early_activate_fraction * 100.0
-    );
-    println!(
-        "energy          {:.1} uJ total | channel imbalance {:.3}",
-        r.energy.total_uj(),
-        r.channel_imbalance
-    );
-    println!(
-        "read latency    p50 {} | p95 {} | p99 {} | max {} cycles",
-        r.read_latency.p50, r.read_latency.p95, r.read_latency.p99, r.read_latency.max
-    );
-    println!(
-        "protocol        greens/read {:.3} | early reshuffles {} | bg evictions {} | stash peak {}",
-        r.protocol.greens_per_read(),
-        r.protocol.early_reshuffles,
-        r.protocol.background_evictions,
-        r.protocol.stash_samples.iter().max().copied().unwrap_or(0)
-    );
-    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let Err(e) = run() else {
+        return ExitCode::SUCCESS;
+    };
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
 }

@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod config;
 mod experiments;
 pub mod json;
 pub mod paper;

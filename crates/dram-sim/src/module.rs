@@ -205,12 +205,6 @@ impl DramModule {
         });
     }
 
-    /// Whether DRAM fault injection is active.
-    #[must_use]
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Total refreshes stretched into storms across all ranks.
     #[must_use]
     pub fn total_refresh_storms(&self) -> u64 {

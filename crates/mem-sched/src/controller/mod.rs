@@ -238,12 +238,6 @@ impl MemoryController {
         });
     }
 
-    /// Whether response-fault injection is active.
-    #[must_use]
-    pub fn response_faults_enabled(&self) -> bool {
-        self.response_faults.is_some()
-    }
-
     /// Whether the queue-saturation fault is active for the window
     /// containing `cycle`.
     fn saturated_at(&self, cycle: u64) -> bool {

@@ -65,12 +65,6 @@ impl PositionMap {
         }
     }
 
-    /// Number of leaves the map draws from.
-    #[must_use]
-    pub fn path_count(&self) -> u64 {
-        self.paths
-    }
-
     /// Number of blocks currently tracked.
     #[must_use]
     pub fn len(&self) -> usize {

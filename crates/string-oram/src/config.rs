@@ -145,7 +145,7 @@ pub enum BackendKind {
 
 /// Full-system parameters: processor (Table I), memory subsystem (Table II)
 /// and ORAM (Table III).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Which ORAM protocol the pipeline drives (the cross-protocol arena
     /// selector). The presets pick it from the scheme through
@@ -308,6 +308,20 @@ impl VerifyConfig {
 }
 
 impl SystemConfig {
+    /// Largest [`Self::cores`] [`Self::validate`] accepts. A driver builds
+    /// one trace per core; the presets use 4 and 2.
+    const MAX_CORES: usize = 1 << 10;
+
+    /// Largest [`Self::queue_capacity`] [`Self::validate`] accepts. The
+    /// controller sizes its transaction run list for full queues up front;
+    /// every preset and experiment uses 64.
+    const MAX_QUEUE_CAPACITY: usize = 1 << 12;
+
+    /// Largest [`Self::core_mlp`] [`Self::validate`] accepts. The
+    /// simulation sizes its wake list for `cores × core_mlp` up front; the
+    /// experiments go up to 8.
+    const MAX_CORE_MLP: usize = 1 << 10;
+
     /// The paper's full default configuration (Tables I-III) for a scheme.
     #[must_use]
     pub fn hpca_default(scheme: Scheme) -> Self {
@@ -522,20 +536,35 @@ impl SystemConfig {
         ring.validate()?;
         self.geometry.validate()?;
         self.timing.validate()?;
-        if self.cores == 0 {
-            return Err("cores must be nonzero".into());
+        if !(1..=Self::MAX_CORES).contains(&self.cores) {
+            return Err(format!(
+                "cores must be in 1..={}, got {}",
+                Self::MAX_CORES,
+                self.cores
+            )
+            .into());
         }
         if self.retire_width == 0 || self.cpu_cycles_per_mem_cycle == 0 {
             return Err("retire_width and cpu_cycles_per_mem_cycle must be nonzero".into());
         }
-        if self.queue_capacity == 0 {
-            return Err("queue_capacity must be nonzero".into());
+        if !(1..=Self::MAX_QUEUE_CAPACITY).contains(&self.queue_capacity) {
+            return Err(format!(
+                "queue_capacity must be in 1..={}, got {}",
+                Self::MAX_QUEUE_CAPACITY,
+                self.queue_capacity
+            )
+            .into());
         }
         if self.max_inflight_txns < 2 {
             return Err("max_inflight_txns must be at least 2 (PB needs i+1 visible)".into());
         }
-        if self.core_mlp == 0 {
-            return Err("core_mlp must be at least 1".into());
+        if !(1..=Self::MAX_CORE_MLP).contains(&self.core_mlp) {
+            return Err(format!(
+                "core_mlp must be in 1..={}, got {}",
+                Self::MAX_CORE_MLP,
+                self.core_mlp
+            )
+            .into());
         }
         match self.sched_policy {
             SchedulerPolicy::ReadOverWrite { drain_bound: 0 } => {

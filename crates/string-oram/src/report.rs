@@ -427,27 +427,6 @@ impl SimReport {
             .copied()
             .unwrap_or_default()
     }
-
-    /// Instructions per memory cycle (higher = faster for a fixed trace).
-    #[must_use]
-    pub fn ipc_mem(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.total_cycles as f64
-        }
-    }
-
-    /// Execution time of this run normalized to `baseline` (< 1 = faster),
-    /// comparing cycles to complete the same trace.
-    #[must_use]
-    pub fn normalized_time(&self, baseline: &SimReport) -> f64 {
-        if baseline.total_cycles == 0 {
-            0.0
-        } else {
-            self.total_cycles as f64 / baseline.total_cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
