@@ -1,6 +1,7 @@
 //! The experiment table: every table and figure of the paper's evaluation,
-//! eight ablations and four extensions, one [`Experiment`] each, in
-//! `DESIGN.md` §6 order. `paper.rs` is the interpreter.
+//! eight ablations and four extensions, one [`Experiment`] each, then the
+//! entries beyond the paper (`documents.rs`), in `DESIGN.md` §6 order.
+//! `paper.rs` is the interpreter.
 
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
@@ -16,6 +17,7 @@ use string_oram::{fig4_rows, table5_rows};
 use string_oram::{RecursiveConfig, Scheme, SystemConfig};
 use trace_synth::{all_workloads, summarize, TraceGenerator};
 
+use crate::documents;
 use crate::paper::Format::{Fixed, Integer, Percent, Saving, YesNo};
 use crate::paper::Relative::{Origin, Reference};
 use crate::paper::Shape::{ByRow, BySeries};
@@ -71,7 +73,7 @@ pub(crate) const WORKLOADS: &[Row] = &[
 const BLACK: &[Row] = &[("", "black", NO_EDIT)];
 
 /// What an entry that names no sweep and no `fn` has: nothing.
-const EXPERIMENT: Experiment = Experiment {
+pub(crate) const EXPERIMENT: Experiment = Experiment {
     name: "",
     min_accesses: 0,
     rows: WORKLOADS,
@@ -80,6 +82,7 @@ const EXPERIMENT: Experiment = Experiment {
     quotes: |_| Vec::new(),
     compute: None,
     footer: "",
+    document: None,
 };
 
 /// A table with a row per sweep row.
@@ -1174,7 +1177,8 @@ fn extension_pb_on_path_oram(scale: &Scale) -> Computed {
 }
 
 /// Every experiment, in the order `cargo bench --bench paper` runs them
-/// (`DESIGN.md` §6).
+/// (`DESIGN.md` §6), then the documents beyond the paper, which run only
+/// when named.
 pub const EXPERIMENTS: &[Experiment] = &[
     FIG04_SPACE,
     FIG05_ROW_BUFFER,
@@ -1199,4 +1203,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
     EXTENSION_ENERGY,
     EXTENSION_DDR4,
     EXTENSION_PB_ON_PATH_ORAM,
+    documents::SHARD_SCALING,
+    documents::PROTOCOL_MATRIX,
+    documents::BACKEND_SPEED,
+    documents::SERVICE_LOAD,
+    documents::SCHED_POLICY,
 ];

@@ -1,14 +1,19 @@
-//! The paper's evaluation as one table, [`EXPERIMENTS`], and the one
-//! interpreter that reads it: `cargo bench --bench paper [-- <name>...]`.
+//! The paper's evaluation and the bench documents beyond it as one table,
+//! [`EXPERIMENTS`], and the one interpreter that reads it:
+//! `cargo bench --bench paper [-- <name>...]`.
 //!
 //! An [`Experiment`] is data — one sweep of simulated points, evaluated
 //! once, and tables over the resulting reports — or, for the entries that
 //! do not go through [`Simulation`], a `fn` that hands back the same
-//! `Table` value. What a table needs beyond its numbers happens here and
-//! nowhere else: the loops over workloads, schemes and variants, the
-//! division by the reference, the GEOMEAN row, the number formats, the
-//! 12-wide columns, the CSV mirror (`STRING_ORAM_CSV_DIR`), and the
-//! `BENCH_paper.json` document a complete run writes ([`PAPER`]).
+//! `Table` value, or, for an entry beyond the paper, a `Document`: its
+//! points at its committed size and its gate. What a table needs beyond its
+//! numbers happens here and nowhere else: the loops over workloads, schemes
+//! and variants, the division by the reference, the GEOMEAN row, the number
+//! formats, the 12-wide columns, the CSV mirror (`STRING_ORAM_CSV_DIR`), a
+//! document's tables (printed from its rows), the documents a run writes
+//! ([`Schema::write`]: `BENCH_paper.json` for a run that names nothing,
+//! `BENCH_<name>.json` for a named document entry), and the failing exit
+//! of a gate that does not hold.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -18,7 +23,7 @@ use string_oram::{Scheme, SimReport, Simulation, SystemConfig};
 
 pub use crate::experiments::EXPERIMENTS;
 use crate::json::Value;
-use crate::schema::{finite, PAPER};
+use crate::schema::{finite, Schema, PAPER};
 use crate::{env_or, traces_for};
 
 /// The seed of a point's first trace; trace `s` of a multi-seed point uses
@@ -350,10 +355,31 @@ pub(crate) struct TableSpec {
     pub columns: &'static [Column],
 }
 
-/// One table or figure of the evaluation; [`EXPERIMENTS`] lists them. The
-/// point at `(row, series)` of its sweep runs the row's workload on
-/// `SystemConfig::hpca_default(series.scheme)` after the row's and the
-/// series' edits.
+/// The fields of a bench document, before its `bench` tag and version.
+pub(crate) type Fields = Vec<(&'static str, Value)>;
+
+/// An entry beyond the paper whose rows are a bench document of their own.
+/// It has no scale: it runs at the size its committed document records,
+/// held as constants beside its points.
+#[derive(Clone, Copy)]
+pub(crate) struct Document {
+    /// The format of what `points` returns, by which the driver prints it
+    /// and — when the entry is named after the document, `BENCH_<name>.json`
+    /// — writes it; an entry that only prints and gates borrows another
+    /// document's format.
+    pub schema: &'static Schema,
+    /// The document's fields. `Err` when a run breaks a claim the document
+    /// does not record (an audit violation, a re-run's digest).
+    pub points: fn() -> Result<Fields, String>,
+    /// The claim the run exits on, read off the document: what it measured,
+    /// or why it does not hold.
+    pub gate: fn(&Value) -> Result<String, String>,
+}
+
+/// One table or figure of the evaluation, or one document beyond it;
+/// [`EXPERIMENTS`] lists them. The point at `(row, series)` of its sweep
+/// runs the row's workload on `SystemConfig::hpca_default(series.scheme)`
+/// after the row's and the series' edits.
 #[derive(Clone, Copy)]
 pub struct Experiment {
     /// What `cargo bench --bench paper -- <name>` selects.
@@ -372,6 +398,9 @@ pub struct Experiment {
     pub(crate) compute: Option<fn(&Scale) -> Computed>,
     /// Printed after the last table; each `{}` takes the next quoted number.
     pub(crate) footer: &'static str,
+    /// In place of all of the above: an entry beyond the paper. A run that
+    /// names no entry runs exactly the entries without one.
+    pub(crate) document: Option<Document>,
 }
 
 /// Geometric mean of strictly positive values (the paper reports GEOMEAN
@@ -474,22 +503,23 @@ impl Scale {
     }
 }
 
-/// Runs the experiments `args` name — all of `table`, in its order, when
-/// they name none; arguments starting with `--` (cargo passes `--bench`)
-/// are ignored — printing each to `out` and mirroring its tables under
-/// `csv_dir`. A run of the whole table returns the fields of its
-/// [`PAPER`] document, a filtered run `None`.
+/// Runs the experiments `args` name — the paper's, in the table's order,
+/// when they name none; arguments starting with `--` (cargo passes
+/// `--bench`) are ignored — printing each to `out` and mirroring its tables
+/// under `csv_dir`. Returns the documents to write: the [`PAPER`] document
+/// for a run that names none, each named document entry's.
 ///
 /// # Errors
 ///
-/// An argument that names no experiment, before anything runs.
+/// An argument that names no experiment, before anything runs; a document
+/// entry whose points or gate fail, naming it.
 pub(crate) fn drive(
     table: &[Experiment],
     args: &[String],
     scale: &Scale,
     csv_dir: Option<&Path>,
     out: &mut dyn std::io::Write,
-) -> Result<Option<Vec<(&'static str, Value)>>, String> {
+) -> Result<Vec<(&'static Schema, Value)>, String> {
     let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let find = |name: &&String| {
         table.iter().find(|e| e.name == **name).ok_or_else(|| {
@@ -501,43 +531,62 @@ pub(crate) fn drive(
         })
     };
     let selected: Vec<&Experiment> = if names.is_empty() {
-        table.iter().collect()
+        table.iter().filter(|e| e.document.is_none()).collect()
     } else {
         names.iter().map(find).collect::<Result<_, _>>()?
     };
-    let mut experiments = Vec::new();
-    for exp in selected {
-        let (tables, footer) = scale.evaluate(exp);
+    let (mut experiments, mut documents) = (Vec::new(), Vec::new());
+    let mut print = |tables: &[Table], footer: &str| {
         let text: String = tables.iter().map(Table::text).collect();
         write!(out, "{text}\n{footer}\n").expect("the tables are printed");
         if let Some(dir) = csv_dir {
             tables.iter().for_each(|table| table.write_csv(dir));
         }
-        experiments.push(Value::object(vec![
-            ("name", exp.name.into()),
-            (
-                "tables",
-                Value::Array(tables.iter().map(Table::json).collect()),
-            ),
-            ("footer", footer.into()),
-        ]));
+    };
+    for exp in selected {
+        let Some(document) = exp.document else {
+            let (tables, footer) = scale.evaluate(exp);
+            print(&tables, &footer);
+            let tables = Value::Array(tables.iter().map(Table::json).collect());
+            let footer = footer.into();
+            experiments.push(Value::object(vec![
+                ("name", exp.name.into()),
+                ("tables", tables),
+                ("footer", footer),
+            ]));
+            continue;
+        };
+        let failed = |e: String| format!("{}: {e}", exp.name);
+        let doc = document
+            .schema
+            .document((document.points)().map_err(failed)?);
+        let gate = (document.gate)(&doc);
+        let (Ok(reading) | Err(reading)) = &gate;
+        print(&document.schema.tables(&doc), reading);
+        gate.map_err(failed)?;
+        if document.schema.bench == exp.name {
+            documents.push((document.schema, doc));
+        }
     }
-    let document = || {
-        vec![
+    if names.is_empty() {
+        let paper = PAPER.document(vec![
             ("accesses_per_core", scale.accesses.into()),
             ("warmup", scale.warmup.into()),
             ("seeds", scale.seeds.into()),
             ("trace_seed", TRACE_SEED.into()),
             ("experiments", Value::Array(experiments)),
-        ]
-    };
-    Ok(names.is_empty().then(document))
+        ]);
+        documents.push((&PAPER, paper));
+    }
+    Ok(documents)
 }
 
-/// `cargo bench --bench paper`: [`EXPERIMENTS`] at the size the
-/// environment sets, the named ones or all; a run of all of them writes
-/// `BENCH_paper.json`. An unknown name is `error: …` with the list of
-/// names and a failing exit.
+/// `cargo bench --bench paper`: the paper's experiments at the size the
+/// environment sets, or the named entries; writes the documents of the run
+/// (`BENCH_paper.json` when it names none). An unknown name, a gate that
+/// does not hold and a document that breaks its table or — written to a
+/// scratch path — differs from the committed copy are `error: …` and a
+/// failing exit.
 #[must_use]
 pub fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -548,13 +597,13 @@ pub fn main() -> ExitCode {
     };
     let csv_dir = std::env::var_os("STRING_ORAM_CSV_DIR");
     let csv_dir = csv_dir.as_deref().map(Path::new);
-    match drive(EXPERIMENTS, &args, &scale, csv_dir, &mut std::io::stdout()) {
-        Ok(document) => {
-            if let Some(fields) = document {
-                PAPER.write(fields);
-            }
-            ExitCode::SUCCESS
-        }
+    let run = drive(EXPERIMENTS, &args, &scale, csv_dir, &mut std::io::stdout());
+    let written = run.and_then(|documents| {
+        let mut documents = documents.iter();
+        documents.try_for_each(|(schema, doc)| schema.write(doc))
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -572,19 +621,19 @@ mod tests {
         seeds: 1,
     };
 
-    /// Whether `drive` returned a (valid) document for `args`, and what it
-    /// printed.
+    /// Whether `drive` returned a (valid) paper document for `args`, and what
+    /// it printed.
     fn driven(table: &[Experiment], args: &[&str]) -> (Result<bool, String>, String) {
         let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         let mut out = Vec::new();
-        let complete = drive(table, &args, &SMOKE, None, &mut out).map(|document| {
-            let Some(mut fields) = document else {
-                return false;
-            };
-            fields.extend([("bench", "paper".into()), ("schema_version", 1u64.into())]);
-            let valid = PAPER.validate(&Value::object(fields));
-            valid.expect("the document is valid");
-            true
+        let complete = drive(table, &args, &SMOKE, None, &mut out).map(|documents| {
+            let paper = documents
+                .iter()
+                .find(|(schema, _)| schema.bench == PAPER.bench);
+            let valid = paper.map(|(_, doc)| PAPER.validate(doc));
+            valid
+                .map(|valid| valid.expect("the document is valid"))
+                .is_some()
         });
         (complete, String::from_utf8(out).expect("text"))
     }

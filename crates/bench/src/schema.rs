@@ -1,18 +1,25 @@
 //! The committed bench documents (`BENCH_*.json`) as data: one [`Schema`]
 //! table per document and one interpreter, [`Schema::validate`], that walks
-//! any of them. The emitting benches go through the same tables ([`finite`],
-//! [`hex_digest`], [`Schema::write`]), so a document's format is written
-//! down once, here; `EXPERIMENTS.md` says what the numbers mean and why each
-//! claim must hold.
+//! any of them. The entries that emit them go through the same tables
+//! ([`finite`], [`hex_digest`], [`Schema::write`]), and the driver prints a
+//! document's rows by them, so a document's format is written down once,
+//! here; `EXPERIMENTS.md` says what the numbers mean and why each claim must
+//! hold.
 //!
 //! A table gives, per kind of value (`Kind`), the keys that hold it, and
 //! per array of rows (`Group`) the keys that identify a row, the other keys,
 //! which rows must carry one digest, and — what a table cannot say —
-//! relations between fields as plain `fn`s (`Rule`). The checks ask whether
-//! a document is well formed and keeps its claims, never how *fast* it is.
+//! relations between fields as plain `fn`s (`Rule`). It also names its
+//! *host* keys: the walls, rates and host facts a run on another machine
+//! may change. The checks ask whether a document is well formed and keeps
+//! its claims, never how *fast* it is; every other key is simulated, and a
+//! regenerated document must repeat the committed one's.
 
-use crate::json::Value;
-use crate::paper::EXPERIMENTS;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+use crate::json::{self, Value};
+use crate::paper::{Cell, Table, EXPERIMENTS};
 use Kind::{AtLeast, Digest, Fraction, NumberOrNull, OneOf, Positive, PositivesPer, PowerOfTwo};
 use Kind::{Rows, Str, Strs};
 
@@ -83,6 +90,9 @@ pub struct Schema {
     pub version: u64,
     /// The top-level keys after those two, in checking order.
     header: &'static [Keys],
+    /// The keys, at any depth, whose values depend on the host that ran the
+    /// document; the comparison with the committed copy skips them.
+    pub(crate) host: &'static [&'static str],
 }
 
 impl Schema {
@@ -101,24 +111,165 @@ impl Schema {
         check_fields(self.header, doc, doc, self.bench)
     }
 
-    /// Completes `fields` to a document with this table's `bench` tag and
-    /// `schema_version`, validates it, and writes it to
-    /// `STRING_ORAM_BENCH_JSON` if that is set (CI smoke runs write to a
-    /// scratch file), otherwise over the committed `BENCH_<bench>.json`.
-    /// Panics if the document does not match the table or cannot be written.
-    pub fn write(&self, mut fields: Vec<(&str, Value)>) {
+    /// `fields` completed to a document: this table's `bench` tag and
+    /// `schema_version` added.
+    pub(crate) fn document(&self, mut fields: Vec<(&str, Value)>) -> Value {
         fields.push(("bench", self.bench.into()));
         fields.push(("schema_version", self.version.into()));
-        let doc = Value::object(fields);
-        if let Err(e) = self.validate(&doc) {
-            panic!("emitted document does not match its schema: {e}");
-        }
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let path = std::env::var("STRING_ORAM_BENCH_JSON")
-            .unwrap_or_else(|_| format!("{root}/BENCH_{}.json", self.bench));
-        std::fs::write(&path, format!("{doc}\n")).expect("the document is written");
-        println!("\nwrote {path}");
+        Value::object(fields)
     }
+
+    /// Validates `doc` and writes it to `STRING_ORAM_BENCH_JSON` if that is
+    /// set, otherwise over the committed `BENCH_<bench>.json`. A document
+    /// written anywhere but the committed path is then compared with the
+    /// committed copy: every key but the table's host keys must be equal.
+    ///
+    /// # Errors
+    ///
+    /// When the document does not match the table, cannot be written, or —
+    /// written elsewhere — differs from the committed copy; the message
+    /// names the first key that differs.
+    pub fn write(&self, doc: &Value) -> Result<(), String> {
+        self.validate(doc)
+            .map_err(|e| format!("the document does not match its schema: {e}"))?;
+        let committed = self.committed_path();
+        let path =
+            std::env::var_os("STRING_ORAM_BENCH_JSON").map_or(committed.clone(), PathBuf::from);
+        let text = format!("{doc}\n");
+        std::fs::write(&path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
+        println!("\nwrote {}", path.display());
+        let same = |a: &Path, b: &Path| a.canonicalize().ok() == b.canonicalize().ok();
+        if same(&path, &committed) {
+            return Ok(());
+        }
+        match self.first_difference(&json::parse(&text)?, &self.committed()?) {
+            Some(difference) => Err(format!(
+                "{}: not the committed BENCH_{}.json: {difference}",
+                path.display(),
+                self.bench
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// `BENCH_<bench>.json` at the root of the repository.
+    fn committed_path(&self) -> PathBuf {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+        root.expect("the crate sits two levels below the root")
+            .join(format!("BENCH_{}.json", self.bench))
+    }
+
+    /// The committed `BENCH_<bench>.json`, parsed; `Err` when it cannot be
+    /// read or does not parse.
+    pub(crate) fn committed(&self) -> Result<Value, String> {
+        let path = self.committed_path();
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()));
+        json::parse(&text?)
+    }
+
+    /// The first key, in key order, at which `fresh` differs from
+    /// `committed` outside the host keys, with both values; `None` when the
+    /// simulated parts are equal.
+    pub(crate) fn first_difference(&self, fresh: &Value, committed: &Value) -> Option<String> {
+        difference(fresh, committed, self.host, "")
+    }
+
+    /// The document as the driver prints it: per array of rows one table, a
+    /// row per row labelled by its axes and a column per other key that
+    /// holds one value; an array nested in a row gets a table per row.
+    pub(crate) fn tables(&self, doc: &Value) -> Vec<Table> {
+        let header = flat(self.header).into_iter();
+        let setting = header.filter(|&(key, kind)| shown_as_cell(kind) && doc.get(key).is_some());
+        let setting: Vec<String> = setting
+            .map(|(key, _)| format!("{key} {}", shown(doc, key)))
+            .collect();
+        let title = format!("{} ({})", self.bench, setting.join(", "));
+        let mut tables = Vec::new();
+        for (key, kind) in flat(self.header) {
+            if let Rows(group) = kind {
+                tabulate(group, key, doc, &title, &mut tables);
+            }
+        }
+        tables
+    }
+}
+
+/// Where `fresh` and `committed` part, below `at`, outside `host`; a
+/// missing key reads as `null`.
+fn difference(fresh: &Value, committed: &Value, host: &[&str], at: &str) -> Option<String> {
+    match (fresh, committed) {
+        (Value::Object(fresh), Value::Object(committed)) => {
+            let keys: BTreeSet<&String> = fresh.keys().chain(committed.keys()).collect();
+            let mut keys = keys.into_iter().filter(|key| !host.contains(&key.as_str()));
+            keys.find_map(|key| {
+                let at = [at, key].join(if at.is_empty() { "" } else { "." });
+                let (here, there, null) = (fresh.get(key), committed.get(key), Value::Null);
+                difference(here.unwrap_or(&null), there.unwrap_or(&null), host, &at)
+            })
+        }
+        (Value::Array(fresh), Value::Array(committed)) if fresh.len() == committed.len() => {
+            let mut pairs = fresh.iter().zip(committed).enumerate();
+            pairs.find_map(|(i, (a, b))| difference(a, b, host, &format!("{at}[{i}]")))
+        }
+        _ => (fresh != committed).then(|| format!("\"{at}\" is {fresh}, committed {committed}")),
+    }
+}
+
+/// The tables of the rows under `key` of `parent` (see [`Schema::tables`]).
+fn tabulate(group: &Group, key: &str, parent: &Value, title: &str, out: &mut Vec<Table>) {
+    let rows = list(parent, key);
+    let fields = flat(group.fields);
+    let columns = fields.iter().filter(|&&(_, kind)| shown_as_cell(kind));
+    let columns: Vec<&str> = columns.map(|&(key, _)| key).collect();
+    let axes = || group.axes.iter().map(|&(axis, _)| axis);
+    let label = |row: &Value| {
+        axes()
+            .map(|axis| shown(row, axis))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    if !columns.is_empty() {
+        let corner = axes().collect::<Vec<_>>().join(" ");
+        let mut table = Table::new(
+            format!("{title}: {key}"),
+            &[&[corner.as_str()], &columns[..]].concat(),
+        );
+        for row in rows {
+            let cells = columns.iter().map(|column| Cell::text(shown(row, column)));
+            table.rows.push((label(row), cells.collect()));
+        }
+        out.push(table);
+    }
+    for row in rows {
+        for &(inner, kind) in &fields {
+            if let Rows(group) = kind {
+                tabulate(group, inner, row, &format!("{title}, {}", label(row)), out);
+            }
+        }
+    }
+}
+
+/// Whether a key of this kind holds one value, printed as one cell.
+fn shown_as_cell(kind: Kind) -> bool {
+    !matches!(kind, Rows(_) | PositivesPer(_) | Strs)
+}
+
+/// The value under `key` as a cell shows it: a whole number as it is, any
+/// other to three decimals, a string without quotes.
+fn shown(row: &Value, key: &str) -> String {
+    match row.get(key) {
+        Some(Value::Number(n)) if n.fract() == 0.0 => format!("{n}"),
+        Some(Value::Number(n)) => format!("{n:.3}"),
+        Some(Value::String(s)) => s.clone(),
+        Some(other) => other.to_string(),
+        None => "-".to_string(),
+    }
+}
+
+/// Each key of `fields` with its kind.
+fn flat(fields: &[Keys]) -> Vec<(&'static str, Kind)> {
+    let pairs = |Keys(keys, kind): &Keys| keys.iter().map(|key| (*key, *kind)).collect::<Vec<_>>();
+    fields.iter().flat_map(pairs).collect()
 }
 
 /// A measurement as a JSON number; panics on NaN or an infinity, which is
@@ -255,15 +406,25 @@ const BACKENDS: Kind = OneOf(&["cycle-accurate", "fast-functional"]);
 const COUNT: Kind = AtLeast(0);
 
 /// `BENCH_shard_scaling.json`: per backend, the sharded engine's
-/// throughput at each shard count (`benches/shard_scaling.rs`).
+/// throughput at each shard count (the `shard_scaling` entry).
 pub const SHARD_SCALING: Schema = Schema {
     bench: "shard_scaling",
-    version: 2,
+    version: 3,
     header: &[
         Keys(&["host_parallelism"], AtLeast(1)),
         Keys(&["workload", "scheme"], Str),
         Keys(&["records_per_core", "cores", "master_seed"], COUNT),
         Keys(&["backends"], Rows(&SHARD_BACKENDS)),
+    ],
+    host: &[
+        "host_parallelism",
+        "setup_wall_ms",
+        "run_wall_ms",
+        "measured_speedup_vs_n1",
+        "measured_accesses_per_sec",
+        "shard_wall_ms",
+        "projected_parallel_ms",
+        "projected_accesses_per_sec",
     ],
 };
 const SHARD_BACKENDS: Group = Group {
@@ -279,8 +440,10 @@ const SHARD_POINTS: Group = Group {
     fields: &[
         Keys(&["oram_accesses", "total_cycles", "makespan_cycles"], COUNT),
         Keys(&["setup_wall_ms", "run_wall_ms"], Positive),
-        Keys(&["measured_wall_ms", "measured_speedup_vs_n1"], Positive),
-        Keys(&["measured_accesses_per_sec"], Positive),
+        Keys(
+            &["measured_speedup_vs_n1", "measured_accesses_per_sec"],
+            Positive,
+        ),
         Keys(&["projected_parallel_ms"], Positive),
         Keys(&["projected_accesses_per_sec"], Positive),
         Keys(&["merged_digest"], Digest),
@@ -289,13 +452,13 @@ const SHARD_POINTS: Group = Group {
     same_digest: None,
     rules: &[
         // A physical bound: the threaded run does strictly no more work
-        // than every shard back to back, so a measured wall beyond the
-        // summed isolated walls plus a noise allowance means the timers or
-        // the threading are broken, not the machine slow.
+        // than every shard back to back, so a run wall beyond the summed
+        // isolated walls plus a noise allowance means the timers or the
+        // threading are broken, not the machine slow.
         Rule(
             |p, _| {
                 let walls = list(p, "shard_wall_ms").iter().filter_map(Value::as_f64);
-                real(p, "measured_wall_ms") <= walls.sum::<f64>() * 1.25 + 2.0
+                real(p, "run_wall_ms") <= walls.sum::<f64>() * 1.25 + 2.0
             },
             "the measured wall exceeds the summed isolated shard walls x1.25 + 2ms",
         ),
@@ -303,7 +466,7 @@ const SHARD_POINTS: Group = Group {
 };
 
 /// `BENCH_protocol_matrix.json`: every protocol on both backends
-/// (`benches/protocol_matrix.rs`). One protocol's digest is the same on
+/// (the `protocol_matrix` entry). One protocol's digest is the same on
 /// both backends: memory timing may change *when* things happen but never
 /// *what* the bus observes.
 pub const PROTOCOL_MATRIX: Schema = Schema {
@@ -314,6 +477,7 @@ pub const PROTOCOL_MATRIX: Schema = Schema {
         Keys(&["records_per_core", "cores", "master_seed"], COUNT),
         Keys(&["points"], Rows(&PROTOCOL_POINTS)),
     ],
+    host: &["run_wall_ms", "accesses_per_sec"],
 };
 const PROTOCOL_POINTS: Group = Group {
     axes: &[
@@ -333,7 +497,7 @@ const PROTOCOL_POINTS: Group = Group {
 
 /// `BENCH_service_load.json`: the service front-end under an overload
 /// storm and at a provisioned load, every submission mode on both backends
-/// (`benches/service_load.rs`). The fixed-rate schedule digest is the same
+/// (the `service_load` entry). The fixed-rate schedule digest is the same
 /// on every fixed-rate point: the fixed-rate submission envelope is a pure
 /// function of the clock and may depend on memory timing no more than on
 /// tenant load.
@@ -346,6 +510,7 @@ pub const SERVICE_LOAD: Schema = Schema {
         Keys(&["horizon", "tenants"], AtLeast(1)),
         Keys(&["points"], Rows(&SERVICE_POINTS)),
     ],
+    host: &["run_wall_ms", "ns_per_tick"],
 };
 const SERVICE_POINTS: Group = Group {
     axes: &[
@@ -419,7 +584,7 @@ const SERVICE_TENANTS: Group = Group {
 };
 
 /// `BENCH_sched_policy.json`: every command-scheduling policy on two
-/// workload mixes (`benches/sched_policy_matrix.rs`), all on the
+/// workload mixes (the `sched_policy` entry), all on the
 /// cycle-accurate backend — the functional one has no command scheduler, so
 /// its points could not differ by policy. Within a workload **every** point
 /// carries the same access digest: command scheduling may never change what
@@ -432,6 +597,7 @@ pub const SCHED_POLICY: Schema = Schema {
         Keys(&["records_per_core", "cores", "master_seed"], COUNT),
         Keys(&["points"], Rows(&POLICY_POINTS)),
     ],
+    host: &["run_wall_ms"],
 };
 const POLICIES: Kind = OneOf(&[
     "fr-fcfs",
@@ -482,7 +648,7 @@ const POLICY_POINTS: Group = Group {
 };
 
 /// `BENCH_paper.json`: every table `cargo bench --bench paper` prints at
-/// the default size (`paper.rs`), cell by cell — the text as printed, the
+/// the default size when no entry is named (`paper.rs`), cell by cell — the text as printed, the
 /// number in it, and the paper's number where the paper prints the same
 /// quantity. No wall-clock field: the document is the same on every host.
 pub const PAPER: Schema = Schema {
@@ -493,13 +659,27 @@ pub const PAPER: Schema = Schema {
         Keys(&["warmup", "trace_seed"], COUNT),
         Keys(&["experiments"], Rows(&PAPER_EXPERIMENTS)),
     ],
+    host: &[],
 };
-/// The names of [`EXPERIMENTS`], for the `name` axis.
-const PAPER_NAMES: [&str; EXPERIMENTS.len()] = {
-    let mut names = [""; EXPERIMENTS.len()];
-    let mut i = 0;
-    while i < names.len() {
-        names[i] = EXPERIMENTS[i].name;
+/// How many of [`EXPERIMENTS`] are the paper's: those with no document of
+/// their own.
+const PAPER_COUNT: usize = {
+    let (mut count, mut i) = (0, 0);
+    while i < EXPERIMENTS.len() {
+        count += EXPERIMENTS[i].document.is_none() as usize;
+        i += 1;
+    }
+    count
+};
+/// The names of the paper's experiments, for the `name` axis.
+const PAPER_NAMES: [&str; PAPER_COUNT] = {
+    let mut names = [""; PAPER_COUNT];
+    let (mut n, mut i) = (0, 0);
+    while i < EXPERIMENTS.len() {
+        if EXPERIMENTS[i].document.is_none() {
+            names[n] = EXPERIMENTS[i].name;
+            n += 1;
+        }
         i += 1;
     }
     names
@@ -554,9 +734,8 @@ const PAPER_CELLS: Group = Group {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::json;
     use std::collections::BTreeMap;
 
     /// Each table with the number of keys it declares, all nesting levels
@@ -564,21 +743,11 @@ mod tests {
     /// that many, so a group it fails to descend into does not go unnoticed.
     const SCHEMAS: [(&Schema, usize); 5] = [
         (&PAPER, 19),
-        (&SHARD_SCALING, 24),
+        (&SHARD_SCALING, 23),
         (&PROTOCOL_MATRIX, 16),
         (&SERVICE_LOAD, 33),
         (&SCHED_POLICY, 20),
     ];
-
-    fn committed(schema: &Schema) -> Value {
-        let path = format!(
-            "{}/../../BENCH_{}.json",
-            env!("CARGO_MANIFEST_DIR"),
-            schema.bench
-        );
-        let text = std::fs::read_to_string(path).expect("the document is committed");
-        json::parse(&text).expect("the document parses")
-    }
 
     /// The object reached from `doc` by taking, per step of `path`, the
     /// first row of the array under that key.
@@ -622,24 +791,21 @@ mod tests {
         }
     }
 
-    fn flat(fields: &[Keys]) -> Vec<(&'static str, Kind)> {
-        let pairs =
-            |Keys(keys, kind): &Keys| keys.iter().map(|key| (*key, *kind)).collect::<Vec<_>>();
-        fields.iter().flat_map(pairs).collect()
-    }
-
-    /// A value of the right JSON type that the kind's bound refuses, where
+    /// Values of the right JSON type that the kind's bound refuses, where
     /// the kind has a bound.
-    fn out_of_range(kind: Kind) -> Option<Value> {
+    fn out_of_range(kind: Kind) -> Vec<Value> {
+        let walls =
+            |values: &[f64]| Value::Array(values.iter().map(|&v| Value::Number(v)).collect());
         match kind {
-            OneOf(_) => Some("no-such-name".into()),
-            AtLeast(0) | Str | Strs | NumberOrNull | Rows(_) => None,
-            AtLeast(min) => Some((min - 1).into()),
-            PowerOfTwo => Some(3u64.into()),
-            Positive => Some(Value::Number(0.0)),
-            Fraction => Some(Value::Number(1.5)),
-            Digest => Some("0x8FEF".into()),
-            PositivesPer(_) => Some(Value::Array(vec![Value::Number(0.0)])),
+            OneOf(_) => vec!["no-such-name".into()],
+            AtLeast(0) | Str | Strs | NumberOrNull | Rows(_) => vec![],
+            AtLeast(min) => vec![(min - 1).into()],
+            PowerOfTwo => vec![3u64.into()],
+            Positive => vec![Value::Number(0.0)],
+            Fraction => vec![Value::Number(1.5)],
+            Digest => vec!["0x8FEF".into(), "8FEFA68912F2C2F5".into()],
+            // A wall of zero, and fewer walls than shards.
+            PositivesPer(_) => vec![walls(&[0.0]), walls(&[])],
         }
     }
 
@@ -659,6 +825,15 @@ mod tests {
                 row.remove(key);
             });
             assert!(message.contains(&quoted), "{message} does not name {key}");
+            // Changed, the key is named by the comparison with the committed
+            // copy — unless it is a host key, which the comparison skips.
+            let mut changed = doc.clone();
+            first_row(&mut changed, path).insert(key.to_string(), "changed".into());
+            let named = schema
+                .first_difference(&changed, doc)
+                .filter(|d| d.contains(key));
+            let host = schema.host.contains(&key);
+            assert_eq!(named.is_none(), host, "{}: changing {key}", schema.bench);
             let wrong_type = match kind {
                 Str | OneOf(_) | Digest => Value::Number(1.0),
                 _ => Value::from("x"),
@@ -667,7 +842,7 @@ mod tests {
                 row.insert(key.to_string(), wrong_type);
             });
             assert!(message.contains(&quoted), "{message} does not name {key}");
-            if let Some(value) = out_of_range(kind) {
+            for value in out_of_range(kind) {
                 let what = format!("{key} = {value}");
                 let message = rejection(schema, doc, path, &what, |row| {
                     row.insert(key.to_string(), value);
@@ -711,7 +886,7 @@ mod tests {
     #[test]
     fn every_declared_key_and_row_is_held() {
         for (schema, declared) in SCHEMAS {
-            let doc = committed(schema);
+            let doc = schema.committed().unwrap();
             schema
                 .validate(&doc)
                 .expect("the committed document is valid");
@@ -733,37 +908,153 @@ mod tests {
         }
     }
 
-    /// The two plain-`fn` rules the hand-written damage lists in the crate
-    /// root's tests do not reach.
+    type Row = BTreeMap<String, Value>;
+
+    /// One damage of a committed document: in the rows under the path (the
+    /// first row at each step before the last), edit the first row the
+    /// picker picks; the document must then be refused by a message holding
+    /// the claim.
+    type Case = (
+        &'static Schema,
+        &'static [&'static str],
+        Pick,
+        fn(&mut Row),
+        &'static str,
+    );
+    type Pick = fn(&Value) -> bool;
+
+    const ANY: Pick = |_| true;
+    const POINTS: &[&str] = &["points"];
+    const TENANTS: &[&str] = &["points", "tenants"];
+    const MECHANISM: &str = "the counters do not show the policy's mechanism";
+
+    fn has(row: &Value, key: &str, value: &str) -> bool {
+        row.get(key).and_then(Value::as_str) == Some(value)
+    }
+
+    fn set(row: &mut Row, key: &str, value: impl Into<Value>) {
+        row.insert(key.to_string(), value.into());
+    }
+
+    fn number(row: &Row, key: &str) -> u64 {
+        row.get(key).and_then(Value::as_u64).expect(TYPED)
+    }
+
+    fn provisioned_fixed_rate(p: &Value) -> bool {
+        has(p, "mode", "fixed-rate") && has(p, "load", "provisioned")
+    }
+
+    /// The rule cases: one per branch of every `Rule` and one per
+    /// `same_digest` group of every table.
+    #[rustfmt::skip]
+    const CASES: &[Case] = &[
+        (&SHARD_SCALING, &["backends", "points"], ANY,
+            |p| set(p, "run_wall_ms", Value::Number(1e9)), "exceeds the summed isolated shard walls"),
+        (&SERVICE_LOAD, POINTS, ANY,
+            |p| { set(p, "real_accesses", 0u64); set(p, "padding_accesses", 0u64) },
+            "no accesses were dispatched"),
+        (&SERVICE_LOAD, POINTS, |p| has(p, "mode", "best-effort"),
+            |p| set(p, "padding_accesses", 7u64), "best-effort submission never pads"),
+        (&SERVICE_LOAD, POINTS, provisioned_fixed_rate,
+            |p| set(p, "padding_accesses", 0u64), "a provisioned fixed-rate cadence pads its idle slots"),
+        (&SERVICE_LOAD, POINTS, ANY, |p| drop(rows_mut(p, "tenants").pop()), "one tenant row per tenant"),
+        (&SERVICE_LOAD, TENANTS, ANY,
+            |t| set(t, "completed", number(t, "completed") + 1), "every request resolves exactly once"),
+        (&SERVICE_LOAD, TENANTS, ANY,
+            |t| set(t, "p50", number(t, "p999") + 1), "latency percentiles out of order"),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "fr-fcfs"),
+            |p| set(p, "early_activate_fraction", Value::Number(0.2)), MECHANISM),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "proactive-bank"),
+            |p| set(p, "early_precharge_fraction", Value::Number(0.13)), MECHANISM),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "speculative-window"),
+            |p| { set(p, "early_precharge_fraction", 0u64); set(p, "early_activate_fraction", 0u64) },
+            MECHANISM),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "read-over-write"),
+            |p| set(p, "deferred_writes", 0u64), MECHANISM),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "fixed-cadence"),
+            |p| set(p, "withheld_issue_slots", 0u64), MECHANISM),
+        (&PAPER, &["experiments", "tables"], ANY,
+            |t| drop(rows_mut(t, "columns").pop()), "a row's cells are not the table's columns"),
+        (&PAPER, &["experiments", "tables", "rows", "cells"], ANY,
+            |c| { set(c, "number", Value::Null); set(c, "paper", 4u64) },
+            "the paper's number on a cell that holds none"),
+        (&PROTOCOL_MATRIX, POINTS, |p| has(p, "protocol", "ring") && has(p, "backend", "fast-functional"),
+            |p| set(p, "digest", "0x0000000000000001"), "\"digest\" differs within a \"protocol\""),
+        (&SERVICE_LOAD, POINTS, provisioned_fixed_rate,
+            |p| set(p, "schedule_digest", "0x0000000000000001"),
+            "\"schedule_digest\" differs within a \"mode\""),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "fixed-cadence") && has(p, "workload", "stream"),
+            |p| set(p, "digest", "0x0000000000000001"), "\"digest\" differs within a \"workload\""),
+    ];
+
+    /// Every group a table reaches, at every depth.
+    fn groups(fields: &[Keys]) -> Vec<&'static Group> {
+        let nested = flat(fields).into_iter().filter_map(|(_, kind)| match kind {
+            Rows(group) => Some(group),
+            _ => None,
+        });
+        nested
+            .flat_map(|group| [vec![group], groups(group.fields)].concat())
+            .collect()
+    }
+
+    /// Each case of [`CASES`] on `schema`'s committed document is refused
+    /// with its rule's message.
+    pub(crate) fn reject_cases(schema: &Schema) {
+        let cases = CASES.iter().filter(|case| case.0.bench == schema.bench);
+        for &(_, path, pick, edit, claim) in cases {
+            let mut doc = schema.committed().unwrap();
+            let (last, before) = path.split_last().expect("a path");
+            let rows = rows_mut(first_row(&mut doc, before), last);
+            let Some(Value::Object(row)) = rows.iter_mut().find(|row| pick(row)) else {
+                panic!("{}: no row to damage under {path:?}", schema.bench)
+            };
+            edit(row);
+            let message = schema.validate(&doc).expect_err(claim);
+            assert!(message.contains(claim), "{message}");
+        }
+    }
+
+    /// What a table cannot say has its cases: every `Rule` (the policy
+    /// mechanism rule once per policy) and every `same_digest` of every
+    /// table has exactly its cases in [`CASES`], so a rule added without one
+    /// fails here; each document's test runs its own (`reject_cases`).
     #[test]
     fn rules_the_tables_cannot_say_reject() {
-        let message = rejection(
-            &SERVICE_LOAD,
-            &committed(&SERVICE_LOAD),
-            &["points"],
-            "a point that dispatched nothing",
-            |point| {
-                point.insert("real_accesses".to_string(), 0u64.into());
-                point.insert("padding_accesses".to_string(), 0u64.into());
-            },
-        );
-        assert!(message.contains("no accesses were dispatched"), "{message}");
-
-        let mut doc = committed(&SCHED_POLICY);
-        for point in rows_mut(first_row(&mut doc, &[]), "points") {
-            if text(point, "policy") == "speculative-window" {
-                let Value::Object(point) = point else {
-                    panic!("point is not an object")
-                };
-                point.insert("early_precharge_fraction".to_string(), 0u64.into());
-                point.insert("early_activate_fraction".to_string(), 0u64.into());
+        let OneOf(policies) = POLICIES else {
+            unreachable!("the policy axis names the policies")
+        };
+        let cases = |claim: &str| CASES.iter().filter(|case| claim.contains(case.4)).count();
+        let mut expected = 0;
+        for (schema, _) in SCHEMAS {
+            for group in groups(schema.header) {
+                for Rule(_, claim) in group.rules {
+                    let branches = if claim.starts_with(MECHANISM) {
+                        policies.len()
+                    } else {
+                        1
+                    };
+                    assert_eq!(cases(claim), branches, "{}: {claim}", schema.bench);
+                    expected += branches;
+                }
+                if let Some((digest, within, _)) = group.same_digest {
+                    let claim = format!("\"{digest}\" differs within a \"{within}\"");
+                    assert_eq!(cases(&claim), 1, "{}: {claim}", schema.bench);
+                    expected += 1;
+                }
             }
         }
-        let message = SCHED_POLICY.validate(&doc).expect_err("no early prep");
-        assert!(
-            message.contains("speculative-window issues early prep"),
-            "{message}"
-        );
+        assert_eq!(CASES.len(), expected, "a case for a rule no table holds");
+    }
+
+    /// A table per array of rows, an array nested in a row once per row.
+    #[test]
+    fn documents_print_a_table_per_array_of_rows() {
+        let tables = SERVICE_LOAD.tables(&SERVICE_LOAD.committed().unwrap());
+        let corners: Vec<&str> = tables.iter().map(|t| t.columns[0].as_str()).collect();
+        let tenants = ["tenant"; 8];
+        assert_eq!(corners, [&["load mode backend"][..], &tenants].concat());
+        assert_eq!((tables[0].rows.len(), tables[1].rows.len()), (8, 3));
     }
 
     #[test]
