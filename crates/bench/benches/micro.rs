@@ -25,7 +25,6 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use dram_sim::{AddressMapping, DramCommand, DramFaultConfig, DramLocation, DramModule};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
-use oram_collections::ObliviousMap;
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
 use ring_oram::crypto::BlockCipher;
 use ring_oram::{BlockId, CircuitOram, ObliviousProtocol, Op, PathOram, RingConfig, RingOram};
@@ -439,16 +438,6 @@ fn bench_recursive_access() {
     });
 }
 
-fn bench_collections() {
-    let mut map = ObliviousMap::new(Box::new(RingOram::new(RingConfig::test_small(), 1)), 256);
-    for i in 0..32u32 {
-        map.put(format!("k{i}").as_bytes(), b"value").expect("room");
-    }
-    bench("map_get", |i| {
-        std::hint::black_box(map.get(format!("k{}", i % 64).as_bytes()).expect("sized"));
-    });
-}
-
 fn bench_system_step() {
     let cfg = SystemConfig::hpca_default(Scheme::All);
     let spec = by_name("black").unwrap();
@@ -527,7 +516,6 @@ fn main() {
     bench_data_path();
     bench_crypto();
     bench_recursive_access();
-    bench_collections();
     bench_system_step();
     bench_service_tick();
 }

@@ -20,7 +20,8 @@ use ring_oram::OpKind;
 use string_oram::{Scheme, ShardedSimulation, SimReport, SystemConfig};
 use string_oram_bench::config::{self, Tree};
 use string_oram_bench::json::{self, Value};
-use trace_synth::{all_workloads, by_name, usimm, TraceGenerator, TraceRecord};
+use string_oram_bench::traces_for;
+use trace_synth::{all_workloads, by_name, usimm};
 
 /// Every flag: long and short name, its value in the usage text (none: it
 /// only prints) and the config path it sets (none: a setting of the run).
@@ -41,6 +42,9 @@ const FLAGS: [(&str, &str, &str, &str); 15] = [
     ("--list-workloads", "", "", ""),
     ("--help", "-h", "", ""),
 ];
+
+/// The most trace records a run generates, `cores × --accesses`: 384 MiB of them.
+const MAX_RECORDS: usize = 1 << 24;
 
 fn run() -> Result<(), Box<dyn Error>> {
     // The command line as (long flag, value) pairs, in order.
@@ -79,7 +83,7 @@ fn run() -> Result<(), Box<dyn Error>> {
         Some(n) => n.parse().map_err(|e| format!("bad --accesses: {e}"))?,
         None => 400,
     };
-    let workload = run.get("--workload").copied().unwrap_or("black");
+    let mut workload = run.get("--workload").copied().unwrap_or("black");
 
     let mut preset = SystemConfig::hpca_default(scheme);
     preset.seed = 42;
@@ -123,16 +127,29 @@ fn run() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let traces: Vec<Vec<TraceRecord>> = match run.get("--trace") {
-        Some(path) => {
+    // A replay generates nothing, so a generator's flag beside it would be
+    // ignored; the run is labelled by the file.
+    let generator = given
+        .iter()
+        .find(|(f, _)| ["--workload", "--accesses"].contains(f));
+    let traces = match (run.get("--trace"), generator) {
+        (Some(path), Some((flag, value))) => {
+            return Err(format!("{flag} {value} has no effect: --trace replays {path}").into());
+        }
+        (Some(path), None) => {
             let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+            workload = path.rsplit_once('/').map_or(path, |(_, name)| name);
             vec![usimm::parse(std::io::BufReader::new(file))?; cfg.cores]
         }
-        None => {
+        _ if cfg.cores.saturating_mul(accesses) > MAX_RECORDS => {
+            let cores = cfg.cores;
+            let most = format!("{cores} cores × --accesses must be at most {MAX_RECORDS}");
+            return Err(format!("--accesses {accesses} is too many: {most}").into());
+        }
+        _ => {
             let unknown = format!("unknown workload {workload:?} (try --list-workloads)");
-            let spec = by_name(workload).ok_or(unknown)?;
-            let trace = |c| TraceGenerator::new(spec.clone(), cfg.seed, c).take_records(accesses);
-            (0..cfg.cores as u32).map(trace).collect()
+            by_name(workload).ok_or(unknown)?;
+            traces_for(&cfg, workload, accesses, cfg.seed)
         }
     };
     let mut sim = ShardedSimulation::try_new(cfg, traces)?;

@@ -1,7 +1,8 @@
 //! The `stringoram` binary against outside input: hostile values, a hostile
-//! trace file and a setting its protocol would ignore end in `error: …` and
-//! a failing exit status, never in a panic or a silently different run; and
-//! every axis of the config tree is reachable through `--set` or `--config`.
+//! trace file and a setting its protocol or trace would ignore end in
+//! `error: …` and a failing exit status, never in a panic or a silently
+//! different run; and every axis of the config tree is reachable through
+//! `--set` or `--config`.
 
 use std::process::{Command, Output};
 
@@ -54,6 +55,17 @@ fn a_trace_address_beyond_the_program_block_range_is_an_error_not_a_panic() {
     let path = temp_file("trace.usimm", "1 R 0xFFFFFFFFFFFFFFC0\n");
     refused(&["--trace", path.to_str().expect("utf-8 path")]);
     std::fs::remove_file(&path).expect("trace removed");
+}
+
+#[test]
+fn a_trace_run_is_labelled_by_its_file() {
+    let path = temp_file("replay.usimm", "1 R 0x40\n3 W 0x1000\n");
+    let out = stringoram(&["--trace", path.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&path).expect("trace removed");
+    let name = path.file_name().expect("named").to_string_lossy();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let label = format!("run             {name}/ALL");
+    assert!(stdout.contains(&label), "{stdout}");
 }
 
 #[test]
@@ -182,6 +194,15 @@ fn hostile_values_are_errors_not_panics() {
             "core_mlp must be in",
         ),
         (&["--set", "cores=4294967295"], "cores must be in"),
+        (
+            &["--accesses", "18446744073709551615"],
+            "--accesses 18446744073709551615 is too many",
+        ),
+        (
+            &["--trace", "t", "-w", "face"],
+            "--workload face has no effect",
+        ),
+        (&["--trace", "t", "-n", "5"], "--accesses 5 has no effect"),
         (&["--set", "shards=3"], "shard count (3)"),
         (&["--set", "ring.levels"], "--set ring.levels: no '='"),
         (&["--set"], "--set requires a value"),

@@ -67,12 +67,6 @@ impl DramStats {
         &self.per_bank_commands
     }
 
-    /// Data bytes moved, given the column size (each RD/WR moves one column).
-    #[must_use]
-    pub fn data_bytes(&self, column_bytes: u32) -> u64 {
-        (self.reads + self.writes) * u64::from(column_bytes)
-    }
-
     /// Counter-wise difference `self - earlier`, for measurement windows.
     #[must_use]
     pub fn delta(&self, earlier: &Self) -> Self {
@@ -138,14 +132,5 @@ mod tests {
         s.record_command(CommandKind::Read, 3);
         assert_eq!(s.per_bank_commands()[3], 2);
         assert_eq!(s.per_bank_commands()[0], 0);
-    }
-
-    #[test]
-    fn data_bytes_counts_only_column_commands() {
-        let mut s = DramStats::new(&DramGeometry::test_small());
-        s.record_command(CommandKind::Activate, 0);
-        s.record_command(CommandKind::Read, 0);
-        s.record_command(CommandKind::Write, 0);
-        assert_eq!(s.data_bytes(64), 128);
     }
 }

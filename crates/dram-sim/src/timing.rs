@@ -201,19 +201,6 @@ impl TimingParams {
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
         (cycles * self.clock_ps) as f64 / 1000.0
     }
-
-    /// Latency in cycles from issuing RD on an open row to the *end* of the
-    /// data burst.
-    #[must_use]
-    pub fn read_hit_latency(&self) -> u64 {
-        self.cl + self.t_burst
-    }
-
-    /// Latency in cycles for a row-buffer conflict read: PRE + ACT + RD.
-    #[must_use]
-    pub fn read_conflict_latency(&self) -> u64 {
-        self.t_rp + self.t_rcd + self.cl + self.t_burst
-    }
 }
 
 impl Default for TimingParams {
@@ -271,11 +258,5 @@ mod tests {
     fn cycles_to_ns_ddr3() {
         let t = TimingParams::ddr3_1600();
         assert!((t.cycles_to_ns(4) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn conflict_latency_exceeds_hit_latency() {
-        let t = TimingParams::ddr3_1600();
-        assert!(t.read_conflict_latency() > t.read_hit_latency());
     }
 }

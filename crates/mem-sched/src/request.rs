@@ -101,12 +101,6 @@ impl Completed {
     pub fn queue_wait(&self) -> u64 {
         self.first_cmd_at.saturating_sub(self.arrival)
     }
-
-    /// Total latency from arrival to the last data beat.
-    #[must_use]
-    pub fn total_latency(&self) -> u64 {
-        self.data_done_at.saturating_sub(self.arrival)
-    }
 }
 
 #[cfg(test)]
@@ -155,6 +149,5 @@ mod tests {
             class: RowClass::Miss,
         };
         assert_eq!(c.queue_wait(), 30);
-        assert_eq!(c.total_latency(), 65);
     }
 }
