@@ -231,7 +231,7 @@ macro_rules! structs {
 
 structs! {
     SystemConfig { protocol, ring, geometry, timing, sched_policy, queue_capacity, cores,
-        retire_width, cpu_cycles_per_mem_cycle, max_inflight_txns, core_mlp, load_factor, seed,
+        max_inflight_txns, core_mlp, load_factor, seed,
         layout, page_policy, recursion, mapping, backend, shards, verify, faults }
     RingConfig { levels, z, s, a, y, block_bytes, stash_capacity, tree_top_cached_levels }
     DramGeometry { channels, ranks_per_channel, banks_per_rank, bank_groups, rows_per_bank,

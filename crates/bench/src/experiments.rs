@@ -1179,7 +1179,7 @@ fn extension_pb_on_path_oram(scale: &Scale) -> Computed {
 /// Every experiment, in the order `cargo bench --bench paper` runs them
 /// (`DESIGN.md` §6), then the documents beyond the paper, which run only
 /// when named.
-pub const EXPERIMENTS: &[Experiment] = &[
+pub(crate) const EXPERIMENTS: &[Experiment] = &[
     FIG04_SPACE,
     FIG05_ROW_BUFFER,
     FIG08_PB_TIMELINE,

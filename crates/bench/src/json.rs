@@ -58,7 +58,7 @@ impl Value {
 
     /// The number as a non-negative integer, when it is one exactly.
     #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
@@ -78,7 +78,7 @@ impl Value {
 
     /// The array elements, when `self` is an array.
     #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub(crate) fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(v) => Some(v),
             _ => None,
@@ -88,7 +88,7 @@ impl Value {
 
 impl From<u64> for Value {
     /// Panics above 2^53, where `v as f64` would round silently to a number
-    /// [`Value::as_u64`] refuses to read back: a harness bug, not a value to
+    /// `Value::as_u64` refuses to read back: a harness bug, not a value to
     /// serialize (64-bit digests are strings, see `schema::hex_digest`).
     fn from(v: u64) -> Self {
         assert!(

@@ -1,7 +1,7 @@
 //! # string-oram-bench — experiment harnesses for the HPCA 2021 evaluation
 //!
 //! The paper's tables and figures, the ablations and the extensions are the
-//! rows of one table, [`paper::EXPERIMENTS`], read by one interpreter
+//! rows of one table, `EXPERIMENTS` (`experiments.rs`), read by one interpreter
 //! ([`paper`]; `DESIGN.md` §6 is the index): `cargo bench --bench paper`
 //! prints paper-style rows to stdout, mirrors them to CSV and records them
 //! in `BENCH_paper.json`. The documents beyond the paper (shard scaling,
@@ -9,7 +9,7 @@
 //! backend speed probe are entries of the same table, run by name; the
 //! other `[[bench]]` target, `micro`, times single operations. Shared
 //! machinery lives here: trace synthesis, the run-length variables, and —
-//! in [`schema`] over [`json`] — the format of the committed `BENCH_*.json`
+//! in `schema` over [`json`] — the format of the committed `BENCH_*.json`
 //! documents: one table per document, one interpreter that validates them,
 //! and the helpers the entries write with.
 
@@ -21,7 +21,7 @@ mod documents;
 mod experiments;
 pub mod json;
 pub mod paper;
-pub mod schema;
+pub(crate) mod schema;
 
 use string_oram::SystemConfig;
 use trace_synth::{by_name, TraceGenerator, TraceRecord};
@@ -66,9 +66,10 @@ pub fn traces_for(
 
 #[cfg(test)]
 mod tests {
+    use super::experiments::EXPERIMENTS;
     use super::experiments::WORKLOADS;
     use super::json::Value;
-    use super::paper::{drive, geomean, Scale, EXPERIMENTS};
+    use super::paper::{drive, geomean, Scale};
     use super::schema::tests::reject_cases;
     use super::schema::{
         Schema, PAPER, PROTOCOL_MATRIX, SCHED_POLICY, SERVICE_LOAD, SHARD_SCALING,

@@ -1,8 +1,8 @@
 //! The paper's evaluation and the bench documents beyond it as one table,
-//! [`EXPERIMENTS`], and the one interpreter that reads it:
+//! `EXPERIMENTS`, and the one interpreter that reads it:
 //! `cargo bench --bench paper [-- <name>...]`.
 //!
-//! An [`Experiment`] is data — one sweep of simulated points, evaluated
+//! An `Experiment` is data — one sweep of simulated points, evaluated
 //! once, and tables over the resulting reports — or, for the entries that
 //! do not go through [`Simulation`], a `fn` that hands back the same
 //! `Table` value, or, for an entry beyond the paper, a `Document`: its
@@ -11,7 +11,7 @@
 //! and variants, the division by the reference, the GEOMEAN row, the number
 //! formats, the 12-wide columns, the CSV mirror (`STRING_ORAM_CSV_DIR`), a
 //! document's tables (printed from its rows), the documents a run writes
-//! ([`Schema::write`]: `BENCH_paper.json` for a run that names nothing,
+//! (`Schema::write`: `BENCH_paper.json` for a run that names nothing,
 //! `BENCH_<name>.json` for a named document entry), and the failing exit
 //! of a gate that does not hold.
 
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use string_oram::{Scheme, SimReport, Simulation, SystemConfig};
 
-pub use crate::experiments::EXPERIMENTS;
+use crate::experiments::EXPERIMENTS;
 use crate::json::Value;
 use crate::schema::{finite, Schema, PAPER};
 use crate::{env_or, traces_for};
@@ -381,7 +381,7 @@ pub(crate) struct Document {
 /// runs the row's workload on `SystemConfig::hpca_default(series.scheme)`
 /// after the row's and the series' edits.
 #[derive(Clone, Copy)]
-pub struct Experiment {
+pub(crate) struct Experiment {
     /// What `cargo bench --bench paper -- <name>` selects.
     pub name: &'static str,
     /// The fewest accesses per core the sweep runs, whatever

@@ -18,8 +18,9 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use crate::experiments::EXPERIMENTS;
 use crate::json::{self, Value};
-use crate::paper::{Cell, Table, EXPERIMENTS};
+use crate::paper::{Cell, Table};
 use Kind::{AtLeast, Digest, Fraction, NumberOrNull, OneOf, Positive, PositivesPer, PowerOfTwo};
 use Kind::{Rows, Str, Strs};
 
@@ -83,7 +84,7 @@ impl std::fmt::Debug for Group {
 }
 
 /// The format of one bench document; see the module docs.
-pub struct Schema {
+pub(crate) struct Schema {
     /// The document's `bench` tag, and the `<bench>` of `BENCH_<bench>.json`.
     pub bench: &'static str,
     /// The one `schema_version` this table describes.
@@ -98,7 +99,7 @@ pub struct Schema {
 impl Schema {
     /// Checks a parsed document against this table; the error names the
     /// first offending row and key.
-    pub fn validate(&self, doc: &Value) -> Result<(), String> {
+    pub(crate) fn validate(&self, doc: &Value) -> Result<(), String> {
         let pinned = [
             ("bench", self.bench.into()),
             ("schema_version", self.version.into()),
@@ -129,7 +130,7 @@ impl Schema {
     /// When the document does not match the table, cannot be written, or —
     /// written elsewhere — differs from the committed copy; the message
     /// names the first key that differs.
-    pub fn write(&self, doc: &Value) -> Result<(), String> {
+    pub(crate) fn write(&self, doc: &Value) -> Result<(), String> {
         self.validate(doc)
             .map_err(|e| format!("the document does not match its schema: {e}"))?;
         let committed = self.committed_path();
@@ -275,14 +276,14 @@ fn flat(fields: &[Keys]) -> Vec<(&'static str, Kind)> {
 /// A measurement as a JSON number; panics on NaN or an infinity, which is
 /// a harness bug, not a value to serialize.
 #[must_use]
-pub fn finite(n: f64) -> Value {
+pub(crate) fn finite(n: f64) -> Value {
     Value::try_from(n).expect("bench measurements are finite")
 }
 
 /// A 64-bit digest as the documents carry it (`Kind::Digest`). Digests go
 /// through here, never `Value::from(u64)`, which refuses above 2^53.
 #[must_use]
-pub fn hex_digest(digest: u64) -> String {
+pub(crate) fn hex_digest(digest: u64) -> String {
     format!("0x{digest:016X}")
 }
 
@@ -407,7 +408,7 @@ const COUNT: Kind = AtLeast(0);
 
 /// `BENCH_shard_scaling.json`: per backend, the sharded engine's
 /// throughput at each shard count (the `shard_scaling` entry).
-pub const SHARD_SCALING: Schema = Schema {
+pub(crate) const SHARD_SCALING: Schema = Schema {
     bench: "shard_scaling",
     version: 3,
     header: &[
@@ -469,7 +470,7 @@ const SHARD_POINTS: Group = Group {
 /// (the `protocol_matrix` entry). One protocol's digest is the same on
 /// both backends: memory timing may change *when* things happen but never
 /// *what* the bus observes.
-pub const PROTOCOL_MATRIX: Schema = Schema {
+pub(crate) const PROTOCOL_MATRIX: Schema = Schema {
     bench: "protocol_matrix",
     version: 1,
     header: &[
@@ -501,7 +502,7 @@ const PROTOCOL_POINTS: Group = Group {
 /// on every fixed-rate point: the fixed-rate submission envelope is a pure
 /// function of the clock and may depend on memory timing no more than on
 /// tenant load.
-pub const SERVICE_LOAD: Schema = Schema {
+pub(crate) const SERVICE_LOAD: Schema = Schema {
     bench: "service_load",
     version: 2,
     header: &[
@@ -589,7 +590,7 @@ const SERVICE_TENANTS: Group = Group {
 /// its points could not differ by policy. Within a workload **every** point
 /// carries the same access digest: command scheduling may never change what
 /// the ORAM controller requests.
-pub const SCHED_POLICY: Schema = Schema {
+pub(crate) const SCHED_POLICY: Schema = Schema {
     bench: "sched_policy",
     version: 2,
     header: &[
@@ -651,7 +652,7 @@ const POLICY_POINTS: Group = Group {
 /// the default size when no entry is named (`paper.rs`), cell by cell — the text as printed, the
 /// number in it, and the paper's number where the paper prints the same
 /// quantity. No wall-clock field: the document is the same on every host.
-pub const PAPER: Schema = Schema {
+pub(crate) const PAPER: Schema = Schema {
     bench: "paper",
     version: 1,
     header: &[

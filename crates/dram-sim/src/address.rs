@@ -219,12 +219,6 @@ impl AddressMapping {
         count.trailing_zeros()
     }
 
-    /// Total number of significant address bits.
-    #[must_use]
-    pub fn address_bits(&self) -> u32 {
-        self.widths.iter().sum()
-    }
-
     /// Geometry the mapping was built for.
     #[must_use]
     pub fn geometry(&self) -> &DramGeometry {
@@ -233,7 +227,7 @@ impl AddressMapping {
 
     /// Decodes a physical address into DRAM coordinates.
     ///
-    /// Address bits above [`Self::address_bits`] wrap around (the simulated
+    /// Address bits above the mapping's widths wrap around (the simulated
     /// module aliases, which is harmless because the layout layer guarantees
     /// in-range addresses).
     #[must_use]
@@ -286,7 +280,7 @@ mod tests {
     #[test]
     fn address_bits_match_capacity() {
         let (g, m) = default_pair();
-        assert_eq!(1u64 << m.address_bits(), g.capacity_bytes());
+        assert_eq!(1u64 << m.widths.iter().sum::<u32>(), g.capacity_bytes());
     }
 
     #[test]

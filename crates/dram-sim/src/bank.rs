@@ -27,8 +27,6 @@ pub struct Bank {
     busy_until: u64,
     /// Total cycles this bank has been busy (union of command windows).
     busy_cycles: u64,
-    /// Number of ACTs issued (row opens) — one per row-buffer miss/conflict.
-    activations: u64,
 }
 
 impl Bank {
@@ -46,14 +44,8 @@ impl Bank {
 
     /// Total busy cycles accumulated so far (union of command windows).
     #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.busy_cycles
-    }
-
-    /// Number of ACT commands this bank has executed.
-    #[must_use]
-    pub fn activations(&self) -> u64 {
-        self.activations
     }
 
     /// End of the bank's most recent busy window: the bank is executing a
@@ -77,7 +69,7 @@ impl Bank {
     ///
     /// [`IssueError::BankNotPrecharged`] when a row is open, or
     /// [`IssueError::BankTiming`] when tRP/tRC have not elapsed.
-    pub fn can_activate(&self, cycle: u64) -> Result<(), IssueError> {
+    pub(crate) fn can_activate(&self, cycle: u64) -> Result<(), IssueError> {
         if self.open_row.is_some() {
             return Err(IssueError::BankNotPrecharged);
         }
@@ -95,7 +87,7 @@ impl Bank {
     ///
     /// [`IssueError::BankClosed`] when already precharged, or
     /// [`IssueError::BankTiming`] when tRAS/tRTP/tWR have not elapsed.
-    pub fn can_precharge(&self, cycle: u64) -> Result<(), IssueError> {
+    pub(crate) fn can_precharge(&self, cycle: u64) -> Result<(), IssueError> {
         if self.open_row.is_none() {
             return Err(IssueError::BankClosed);
         }
@@ -113,7 +105,12 @@ impl Bank {
     ///
     /// [`IssueError::BankClosed`], [`IssueError::RowMismatch`] or
     /// [`IssueError::BankTiming`] (tRCD pending).
-    pub fn can_column(&self, cycle: u64, row: u64, is_write: bool) -> Result<(), IssueError> {
+    pub(crate) fn can_column(
+        &self,
+        cycle: u64,
+        row: u64,
+        is_write: bool,
+    ) -> Result<(), IssueError> {
         match self.open_row {
             None => return Err(IssueError::BankClosed),
             Some(open) if open != row => return Err(IssueError::RowMismatch { open_row: open }),
@@ -131,14 +128,13 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_activate`] would fail.
-    pub fn apply_activate(&mut self, cycle: u64, row: u64, t: &TimingParams) {
+    pub(crate) fn apply_activate(&mut self, cycle: u64, row: u64, t: &TimingParams) {
         debug_assert!(self.can_activate(cycle).is_ok(), "illegal ACT");
         self.open_row = Some(row);
         self.next_rd = cycle + t.t_rcd;
         self.next_wr = cycle + t.t_rcd;
         self.next_pre = self.next_pre.max(cycle + t.t_ras);
         self.next_act = cycle + t.t_rc;
-        self.activations += 1;
         self.credit_busy(cycle, cycle + t.t_rcd);
     }
 
@@ -147,7 +143,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_precharge`] would fail.
-    pub fn apply_precharge(&mut self, cycle: u64, t: &TimingParams) {
+    pub(crate) fn apply_precharge(&mut self, cycle: u64, t: &TimingParams) {
         debug_assert!(self.can_precharge(cycle).is_ok(), "illegal PRE");
         self.open_row = None;
         self.next_act = self.next_act.max(cycle + t.t_rp);
@@ -160,7 +156,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_column`] would fail.
-    pub fn apply_read(&mut self, cycle: u64, t: &TimingParams) -> u64 {
+    pub(crate) fn apply_read(&mut self, cycle: u64, t: &TimingParams) -> u64 {
         debug_assert!(
             self.open_row.is_some() && cycle >= self.next_rd,
             "illegal RD"
@@ -180,7 +176,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_column`] would fail.
-    pub fn apply_write(&mut self, cycle: u64, t: &TimingParams) -> u64 {
+    pub(crate) fn apply_write(&mut self, cycle: u64, t: &TimingParams) -> u64 {
         debug_assert!(
             self.open_row.is_some() && cycle >= self.next_wr,
             "illegal WR"
@@ -208,7 +204,7 @@ impl Bank {
 
     /// Forces the bank into the precharged state at `cycle` and blocks it
     /// until `until` (used by the refresh model).
-    pub fn force_refresh(&mut self, cycle: u64, until: u64) {
+    pub(crate) fn force_refresh(&mut self, cycle: u64, until: u64) {
         self.open_row = None;
         self.next_act = self.next_act.max(until);
         self.credit_busy(cycle, until);
@@ -364,15 +360,5 @@ mod tests {
             Err(IssueError::BankTiming { ready_at: 70 })
         );
         assert!(b.can_activate(70).is_ok());
-    }
-
-    #[test]
-    fn activation_counter_increments() {
-        let mut b = Bank::new();
-        let tp = t();
-        b.apply_activate(0, 1, &tp);
-        b.apply_precharge(tp.t_ras, &tp);
-        b.apply_activate(tp.t_rc.max(tp.t_ras + tp.t_rp), 2, &tp);
-        assert_eq!(b.activations(), 2);
     }
 }

@@ -26,8 +26,6 @@ pub struct Channel {
     last_dir: BusDir,
     /// Cycle of the last command issued on the command bus.
     last_cmd_cycle: Option<u64>,
-    /// Total data-bus busy cycles (utilization statistic).
-    data_busy_cycles: u64,
 }
 
 impl Channel {
@@ -42,7 +40,6 @@ impl Channel {
             data_busy_until: 0,
             last_dir: BusDir::Idle,
             last_cmd_cycle: None,
-            data_busy_cycles: 0,
         }
     }
 
@@ -63,14 +60,8 @@ impl Channel {
 
     /// Number of ranks on the channel.
     #[must_use]
-    pub fn rank_count(&self) -> u32 {
+    pub(crate) fn rank_count(&self) -> u32 {
         self.ranks.len() as u32
-    }
-
-    /// Total cycles the data bus has carried bursts.
-    #[must_use]
-    pub fn data_busy_cycles(&self) -> u64 {
-        self.data_busy_cycles
     }
 
     /// Advances per-rank housekeeping (refresh) to `cycle`; returns
@@ -126,7 +117,7 @@ impl Channel {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] with `ready_at` of the next free slot.
-    pub fn can_use_cmd_bus(&self, cycle: u64) -> Result<(), IssueError> {
+    pub(crate) fn can_use_cmd_bus(&self, cycle: u64) -> Result<(), IssueError> {
         match self.last_cmd_cycle {
             Some(c) if c == cycle => Err(IssueError::RankTiming {
                 ready_at: cycle + 1,
@@ -136,7 +127,7 @@ impl Channel {
     }
 
     /// Records a command-bus slot consumed at `cycle`.
-    pub fn use_cmd_bus(&mut self, cycle: u64) {
+    pub(crate) fn use_cmd_bus(&mut self, cycle: u64) {
         debug_assert!(self.can_use_cmd_bus(cycle).is_ok());
         self.last_cmd_cycle = Some(cycle);
     }
@@ -150,7 +141,7 @@ impl Channel {
     /// cycle: the earliest legal data-phase start minus the direction's
     /// CAS latency (CL / CWL), so the hint reads like every other
     /// variant's.
-    pub fn can_burst(
+    pub(crate) fn can_burst(
         &self,
         data_start: u64,
         is_write: bool,
@@ -167,7 +158,7 @@ impl Channel {
 
     /// Reserves the data bus for a burst of `t.t_burst` cycles starting at
     /// `data_start`.
-    pub fn reserve_burst(&mut self, data_start: u64, is_write: bool, t: &TimingParams) {
+    pub(crate) fn reserve_burst(&mut self, data_start: u64, is_write: bool, t: &TimingParams) {
         debug_assert!(self.can_burst(data_start, is_write, t).is_ok());
         self.data_busy_until = data_start + t.t_burst;
         self.last_dir = if is_write {
@@ -175,7 +166,6 @@ impl Channel {
         } else {
             BusDir::Read
         };
-        self.data_busy_cycles += t.t_burst;
     }
 }
 
@@ -230,15 +220,6 @@ mod tests {
             })
         );
         assert!(c.can_burst(end + tp.t_turnaround, true, &tp).is_ok());
-    }
-
-    #[test]
-    fn busy_cycles_accumulate() {
-        let tp = t();
-        let mut c = Channel::new(1, 4, 1, &tp);
-        c.reserve_burst(0, false, &tp);
-        c.reserve_burst(100, true, &tp);
-        assert_eq!(c.data_busy_cycles(), 2 * tp.t_burst);
     }
 
     #[test]

@@ -479,7 +479,7 @@ impl DramModule {
     /// [`DramLocation::bank_key`]. Combined with elapsed cycles this yields
     /// the bank idle-time proportion of the paper's Fig. 12(a).
     #[must_use]
-    pub fn bank_busy_cycles(&self) -> Vec<u64> {
+    pub(crate) fn bank_busy_cycles(&self) -> Vec<u64> {
         let mut v = Vec::with_capacity(self.geometry.total_banks() as usize);
         for ch in &self.channels {
             for r in 0..ch.rank_count() {

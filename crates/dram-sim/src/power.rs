@@ -117,13 +117,13 @@ mod tests {
     fn stats_with(acts: u64, reads: u64, writes: u64) -> DramStats {
         let mut s = DramStats::new(&DramGeometry::test_small());
         for _ in 0..acts {
-            s.record_command_for_test(crate::CommandKind::Activate);
+            s.record_command(crate::CommandKind::Activate, 0);
         }
         for _ in 0..reads {
-            s.record_command_for_test(crate::CommandKind::Read);
+            s.record_command(crate::CommandKind::Read, 0);
         }
         for _ in 0..writes {
-            s.record_command_for_test(crate::CommandKind::Write);
+            s.record_command(crate::CommandKind::Write, 0);
         }
         s
     }

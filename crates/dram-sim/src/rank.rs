@@ -60,7 +60,7 @@ impl Rank {
     ///
     /// Panics if `groups` is zero or exceeds `banks`.
     #[must_use]
-    pub fn with_groups(banks: u32, groups: u32, t: &TimingParams) -> Self {
+    pub(crate) fn with_groups(banks: u32, groups: u32, t: &TimingParams) -> Self {
         assert!(groups >= 1 && groups <= banks, "bad bank-group count");
         Self {
             banks: (0..banks).map(|_| Bank::new()).collect(),
@@ -109,7 +109,7 @@ impl Rank {
 
     /// Number of banks in the rank.
     #[must_use]
-    pub fn bank_count(&self) -> u32 {
+    pub(crate) fn bank_count(&self) -> u32 {
         self.banks.len() as u32
     }
 
@@ -196,7 +196,12 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] or [`IssueError::RefreshInProgress`].
-    pub fn can_activate(&self, cycle: u64, t: &TimingParams, bank: u32) -> Result<(), IssueError> {
+    pub(crate) fn can_activate(
+        &self,
+        cycle: u64,
+        t: &TimingParams,
+        bank: u32,
+    ) -> Result<(), IssueError> {
         self.check_refresh(cycle)?;
         if cycle < self.next_act {
             return Err(IssueError::RankTiming {
@@ -244,7 +249,7 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] or [`IssueError::RefreshInProgress`].
-    pub fn can_read(&self, cycle: u64, bank: u32) -> Result<(), IssueError> {
+    pub(crate) fn can_read(&self, cycle: u64, bank: u32) -> Result<(), IssueError> {
         self.check_refresh(cycle)?;
         if cycle < self.next_rd {
             return Err(IssueError::RankTiming {
@@ -266,7 +271,7 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] or [`IssueError::RefreshInProgress`].
-    pub fn can_write(&self, cycle: u64, bank: u32) -> Result<(), IssueError> {
+    pub(crate) fn can_write(&self, cycle: u64, bank: u32) -> Result<(), IssueError> {
         self.check_refresh(cycle)?;
         let g = self.group_of(bank);
         if cycle < self.group_next_col[g] {
@@ -282,12 +287,12 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RefreshInProgress`].
-    pub fn can_other(&self, cycle: u64) -> Result<(), IssueError> {
+    pub(crate) fn can_other(&self, cycle: u64) -> Result<(), IssueError> {
         self.check_refresh(cycle)
     }
 
     /// Applies an ACT to `bank` at `cycle`.
-    pub fn apply_activate(&mut self, bank: u32, cycle: u64, row: u64, t: &TimingParams) {
+    pub(crate) fn apply_activate(&mut self, bank: u32, cycle: u64, row: u64, t: &TimingParams) {
         debug_assert!(
             self.can_activate(cycle, t, bank).is_ok(),
             "rank-illegal ACT"
@@ -303,12 +308,12 @@ impl Rank {
     }
 
     /// Applies a PRE to `bank` at `cycle`.
-    pub fn apply_precharge(&mut self, bank: u32, cycle: u64, t: &TimingParams) {
+    pub(crate) fn apply_precharge(&mut self, bank: u32, cycle: u64, t: &TimingParams) {
         self.banks[bank as usize].apply_precharge(cycle, t);
     }
 
     /// Applies a RD to `bank` at `cycle`; returns the end of the data burst.
-    pub fn apply_read(&mut self, bank: u32, cycle: u64, t: &TimingParams) -> u64 {
+    pub(crate) fn apply_read(&mut self, bank: u32, cycle: u64, t: &TimingParams) -> u64 {
         debug_assert!(self.can_read(cycle, bank).is_ok(), "rank-illegal RD");
         let g = self.group_of(bank);
         self.group_next_col[g] = cycle + self.ccd_l(t);
@@ -317,7 +322,7 @@ impl Rank {
 
     /// Applies a WR to `bank` at `cycle`; returns the end of the data burst
     /// and arms the tWTR write-to-read turnaround.
-    pub fn apply_write(&mut self, bank: u32, cycle: u64, t: &TimingParams) -> u64 {
+    pub(crate) fn apply_write(&mut self, bank: u32, cycle: u64, t: &TimingParams) -> u64 {
         let g = self.group_of(bank);
         self.group_next_col[g] = cycle + self.ccd_l(t);
         let data_end = self.banks[bank as usize].apply_write(cycle, t);

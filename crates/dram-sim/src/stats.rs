@@ -61,12 +61,6 @@ impl DramStats {
         self.activates + self.precharges + self.reads + self.writes
     }
 
-    /// Commands per bank, indexed by bank key.
-    #[must_use]
-    pub fn per_bank_commands(&self) -> &[u64] {
-        &self.per_bank_commands
-    }
-
     /// Counter-wise difference `self - earlier`, for measurement windows.
     #[must_use]
     pub fn delta(&self, earlier: &Self) -> Self {
@@ -97,13 +91,6 @@ impl DramStats {
         self.per_bank_commands
             .extend_from_slice(&other.per_bank_commands);
     }
-
-    /// Records a command against bank 0 — test helper for modules (such as
-    /// the power model) that need synthetic statistics.
-    #[doc(hidden)]
-    pub fn record_command_for_test(&mut self, kind: CommandKind) {
-        self.record_command(kind, 0);
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +117,7 @@ mod tests {
         let mut s = DramStats::new(&DramGeometry::test_small());
         s.record_command(CommandKind::Read, 3);
         s.record_command(CommandKind::Read, 3);
-        assert_eq!(s.per_bank_commands()[3], 2);
-        assert_eq!(s.per_bank_commands()[0], 0);
+        assert_eq!(s.per_bank_commands[3], 2);
+        assert_eq!(s.per_bank_commands[0], 0);
     }
 }

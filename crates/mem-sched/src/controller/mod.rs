@@ -294,7 +294,7 @@ impl MemoryController {
 
     /// The policy-local counters of the policy in force.
     #[must_use]
-    pub fn policy_stats(&self) -> PolicyStats {
+    pub(crate) fn policy_stats(&self) -> PolicyStats {
         self.policy.stats()
     }
 
@@ -316,7 +316,7 @@ impl MemoryController {
     }
 
     /// Scheduler statistics (controller-level; use
-    /// [`MemoryController::policy_stats`] for the policy-local counters).
+    /// `MemoryController::policy_stats` for the policy-local counters).
     #[must_use]
     pub fn stats(&self) -> &SchedulerStats {
         &self.stats
@@ -425,7 +425,7 @@ impl MemoryController {
     /// The transaction currently being drained: the smallest transaction id
     /// with an unissued request, if any.
     #[must_use]
-    pub fn current_txn(&self) -> Option<TxnId> {
+    pub(crate) fn current_txn(&self) -> Option<TxnId> {
         self.kept.txn_runs.front().map(|&(txn, _)| txn)
     }
 

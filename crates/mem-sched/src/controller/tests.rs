@@ -589,9 +589,9 @@ fn policy_accessors_round_trip() {
         SchedulerPolicy::TransactionBased,
         SchedulerPolicy::proactive(),
         SchedulerPolicy::Unconstrained,
-        SchedulerPolicy::read_over_write(),
+        SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
         SchedulerPolicy::speculative(),
-        SchedulerPolicy::fixed_cadence(),
+        SchedulerPolicy::FixedCadence { period: 2 },
     ] {
         let c = controller(tag);
         assert_eq!(c.policy(), tag);
@@ -1409,7 +1409,7 @@ fn pinned_dense_path_streams() {
             ),
         ),
         (
-            SchedulerPolicy::read_over_write(),
+            SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
             PagePolicy::Open,
             None,
             pin(
@@ -1759,7 +1759,7 @@ fn kept_views_equal_the_derivation_after_every_event() {
     let policies = [
         SchedulerPolicy::TransactionBased,
         SchedulerPolicy::proactive(),
-        SchedulerPolicy::read_over_write(),
+        SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
         SchedulerPolicy::SpeculativeWindow { window: 3 },
         SchedulerPolicy::FixedCadence { period: 2 },
         SchedulerPolicy::Unconstrained,

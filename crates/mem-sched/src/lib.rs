@@ -73,7 +73,7 @@ pub use controller::{
     CommandEvent, FaultConfigError, MemoryController, PagePolicy, ResponseFaultConfig,
 };
 pub use functional::{FunctionalBackend, FunctionalTiming};
-pub use policy::{PolicyStats, SchedulerPolicy};
+pub use policy::SchedulerPolicy;
 pub use queue::QueueFull;
 pub use request::{Completed, RequestSpec, RowClass, TxnId};
 pub use stats::SchedulerStats;

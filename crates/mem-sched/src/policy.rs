@@ -49,9 +49,9 @@ pub(crate) enum CandidateOrder {
 
 /// Policy-local counters, kept beside the policy's mode and folded into
 /// [`crate::SchedulerStats`] whenever a backend snapshot is taken (see
-/// [`crate::MemoryController::policy_stats`]).
+/// `crate::MemoryController::policy_stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PolicyStats {
+pub(crate) struct PolicyStats {
     /// Ticks in which the policy withheld every issue slot (the
     /// fixed-cadence off-grid cycles), whether or not work was pending.
     pub withheld_slots: u64,
@@ -132,27 +132,15 @@ impl SchedulerPolicy {
         Self::ProactiveBank { lookahead: 1 }
     }
 
-    /// Read-over-write with the default drain bound of 8 bypasses.
-    #[must_use]
-    pub fn read_over_write() -> Self {
-        Self::ReadOverWrite { drain_bound: 8 }
-    }
-
     /// Speculative window with the default 4-transaction lookahead.
     #[must_use]
     pub fn speculative() -> Self {
         Self::SpeculativeWindow { window: 4 }
     }
 
-    /// Fixed cadence with the default 2-cycle issue-slot period.
-    #[must_use]
-    pub fn fixed_cadence() -> Self {
-        Self::FixedCadence { period: 2 }
-    }
-
     /// Whether the policy upholds the ORAM transaction ordering guarantee.
     #[must_use]
-    pub fn preserves_transaction_order(self) -> bool {
+    pub(crate) fn preserves_transaction_order(self) -> bool {
         !matches!(self, Self::Unconstrained)
     }
 
@@ -297,9 +285,9 @@ mod tests {
             SchedulerPolicy::TransactionBased,
             SchedulerPolicy::proactive(),
             SchedulerPolicy::Unconstrained,
-            SchedulerPolicy::read_over_write(),
+            SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
             SchedulerPolicy::speculative(),
-            SchedulerPolicy::fixed_cadence(),
+            SchedulerPolicy::FixedCadence { period: 2 },
         ];
         let names: Vec<_> = tags.iter().map(|t| t.name()).collect();
         let mut dedup = names.clone();
@@ -313,9 +301,9 @@ mod tests {
     #[test]
     fn order_preservation_flags() {
         assert!(SchedulerPolicy::proactive().preserves_transaction_order());
-        assert!(SchedulerPolicy::read_over_write().preserves_transaction_order());
+        assert!(SchedulerPolicy::ReadOverWrite { drain_bound: 8 }.preserves_transaction_order());
         assert!(SchedulerPolicy::speculative().preserves_transaction_order());
-        assert!(SchedulerPolicy::fixed_cadence().preserves_transaction_order());
+        assert!(SchedulerPolicy::FixedCadence { period: 2 }.preserves_transaction_order());
         assert!(!SchedulerPolicy::Unconstrained.preserves_transaction_order());
     }
 }

@@ -54,7 +54,7 @@ impl ChannelQueues {
     /// direction. Every list is sized for the worst case up front (all of
     /// both directions in one bank), so steady-state queueing never
     /// allocates.
-    pub fn new(banks: usize, capacity: usize) -> Self {
+    pub(crate) fn new(banks: usize, capacity: usize) -> Self {
         Self {
             banks: (0..banks)
                 .map(|_| VecDeque::with_capacity(2 * capacity))
@@ -71,7 +71,7 @@ impl ChannelQueues {
     /// controller's natural order, and the [`crate::MemoryBackend`]
     /// contract): this keeps every bank list transaction-sorted, which the
     /// controller's view upkeep relies on.
-    pub fn push(&mut self, b: usize, req: Request) -> Result<(), QueueFull> {
+    pub(crate) fn push(&mut self, b: usize, req: Request) -> Result<(), QueueFull> {
         let dir = &mut self.dir_len[usize::from(req.is_write)];
         if *dir >= self.capacity {
             return Err(QueueFull);
@@ -89,22 +89,22 @@ impl ChannelQueues {
     }
 
     /// Total queued requests.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.dir_len[0] + self.dir_len[1]
     }
 
     /// Queued requests in one direction.
-    pub fn dir_len(&self, is_write: bool) -> usize {
+    pub(crate) fn dir_len(&self, is_write: bool) -> usize {
         self.dir_len[usize::from(is_write)]
     }
 
     /// Configured capacity per direction.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// The banks that have a queued request, in index order.
-    pub fn pending_banks(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn pending_banks(&self) -> impl Iterator<Item = usize> + '_ {
         self.pending.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
             std::iter::from_fn(move || {
@@ -116,7 +116,7 @@ impl ChannelQueues {
     }
 
     /// Bank `b`'s queued requests, oldest first.
-    pub fn bank(&self, b: usize) -> &VecDeque<Request> {
+    pub(crate) fn bank(&self, b: usize) -> &VecDeque<Request> {
         &self.banks[b]
     }
 
@@ -129,7 +129,7 @@ impl ChannelQueues {
     }
 
     /// Mutable access to the request with enqueue id `id` in bank `b`.
-    pub fn get_mut(&mut self, b: usize, id: u64) -> &mut Request {
+    pub(crate) fn get_mut(&mut self, b: usize, id: u64) -> &mut Request {
         let i = self.position(b, id);
         &mut self.banks[b][i]
     }
@@ -137,7 +137,7 @@ impl ChannelQueues {
     /// Removes the request with enqueue id `id` from bank `b`; returns it
     /// with the position it held, which is where its successors now start.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    pub fn remove(&mut self, b: usize, id: u64) -> (usize, Request) {
+    pub(crate) fn remove(&mut self, b: usize, id: u64) -> (usize, Request) {
         let i = self.position(b, id);
         let req = self.banks[b].remove(i).expect("position is in range");
         if self.banks[b].is_empty() {

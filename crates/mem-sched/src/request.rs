@@ -65,7 +65,7 @@ pub(crate) struct Request {
 
 impl Request {
     /// Records the first command issued for this request, classifying it.
-    pub fn record_first_command(&mut self, cycle: u64, class: RowClass) {
+    pub(crate) fn record_first_command(&mut self, cycle: u64, class: RowClass) {
         if self.first_cmd_at.is_none() {
             self.first_cmd_at = Some(cycle);
             self.class = Some(class);
@@ -98,7 +98,7 @@ impl Completed {
     /// Queueing delay: from arrival to the first command issued on the
     /// request's behalf (the paper's "memory request queuing time").
     #[must_use]
-    pub fn queue_wait(&self) -> u64 {
+    pub(crate) fn queue_wait(&self) -> u64 {
         self.first_cmd_at.saturating_sub(self.arrival)
     }
 }

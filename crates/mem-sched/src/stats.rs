@@ -9,8 +9,8 @@ use crate::request::{Completed, RowClass};
 /// series the paper's Figs. 11 and 12 report: queueing times per direction,
 /// queue occupancy, row-buffer class mix, and the fraction of PRE/ACT
 /// commands the active policy's proactive pass managed to issue early.
-/// The policy-local counters ([`PolicyStats`]) are folded in via
-/// [`SchedulerStats::absorb_policy`] whenever a backend snapshot is taken.
+/// The policy-local counters (`PolicyStats`) are folded in via
+/// `SchedulerStats::absorb_policy` whenever a backend snapshot is taken.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
     /// Scheduler ticks observed.
@@ -235,7 +235,7 @@ impl SchedulerStats {
     /// cumulative totals. Called at snapshot time so windowed deltas and
     /// shard merges see consistent values without double bookkeeping in
     /// the controller hot path.
-    pub fn absorb_policy(&mut self, p: PolicyStats) {
+    pub(crate) fn absorb_policy(&mut self, p: PolicyStats) {
         self.deferred_writes = p.deferred_writes;
         self.write_drains = p.write_drains;
         self.withheld_issue_slots = p.withheld_slots;

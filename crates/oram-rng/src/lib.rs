@@ -57,19 +57,29 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
-    /// Returns the next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    /// XORs `word` into the state: the next output depends on every word
+    /// absorbed so far (a keyed fold over a message).
+    pub fn absorb(&mut self, word: u64) {
+        self.state ^= word;
     }
 }
 
+/// SplitMix64's finalizer: a bijective, full-avalanche mix of one word
+/// (the counter step [`SplitMix64::next_u64`] takes before it is not part
+/// of it).
+#[inline]
+#[must_use]
+pub fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 impl Rng for SplitMix64 {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
-        SplitMix64::next_u64(self)
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        mix64(self.state)
     }
 }
 
@@ -96,9 +106,11 @@ impl Xoshiro256StarStar {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
+}
 
-    /// Returns the next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+impl Rng for Xoshiro256StarStar {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -108,12 +120,6 @@ impl Xoshiro256StarStar {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-}
-
-impl Rng for Xoshiro256StarStar {
-    fn next_u64(&mut self) -> u64 {
-        Xoshiro256StarStar::next_u64(self)
     }
 }
 

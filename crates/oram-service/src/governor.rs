@@ -45,7 +45,7 @@ impl GovernorState {
 
 /// The state machine plus its transition counters.
 #[derive(Debug, Clone)]
-pub struct Governor {
+pub(crate) struct Governor {
     cfg: crate::config::GovernorConfig,
     state: GovernorState,
     summary: GovernorSummary,
@@ -54,7 +54,7 @@ pub struct Governor {
 impl Governor {
     /// A Healthy governor with the given watermarks.
     #[must_use]
-    pub fn new(cfg: crate::config::GovernorConfig) -> Self {
+    pub(crate) fn new(cfg: crate::config::GovernorConfig) -> Self {
         Self {
             cfg,
             state: GovernorState::Healthy,
@@ -64,13 +64,13 @@ impl Governor {
 
     /// Current state.
     #[must_use]
-    pub fn state(&self) -> GovernorState {
+    pub(crate) fn state(&self) -> GovernorState {
         self.state
     }
 
     /// Transition counters so far.
     #[must_use]
-    pub fn summary(&self) -> GovernorSummary {
+    pub(crate) fn summary(&self) -> GovernorSummary {
         self.summary
     }
 
@@ -84,7 +84,7 @@ impl Governor {
     /// The new state depends on the old state and `fill` alone, so an
     /// observation that made no transition need not be repeated while
     /// `fill` stays what it was.
-    pub fn observe(&mut self, fill: f64) -> bool {
+    pub(crate) fn observe(&mut self, fill: f64) -> bool {
         let before = self.state;
         self.state = match self.state {
             GovernorState::Healthy if fill >= self.cfg.degrade_enter => {
@@ -108,7 +108,7 @@ impl Governor {
     /// The effective queue bound for a tenant with capacity `cap` under
     /// the current state (`None` = shed everything).
     #[must_use]
-    pub fn effective_cap(&self, cap: usize) -> Option<usize> {
+    pub(crate) fn effective_cap(&self, cap: usize) -> Option<usize> {
         match self.state {
             GovernorState::Healthy => Some(cap),
             GovernorState::Degraded => {

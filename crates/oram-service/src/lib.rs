@@ -10,8 +10,8 @@
 //! closes), and per-request **deadlines** with bounded retries guarantee
 //! every admitted request resolves exactly once.
 //!
-//! An overload [`Governor`] walks Healthy → Degraded → Shedding on queue
-//! pressure watermarks with hysteresis. Crucially it acts *only at
+//! An overload governor ([`GovernorState`]) walks Healthy → Degraded →
+//! Shedding on queue pressure watermarks with hysteresis. Crucially it acts *only at
 //! admission* — governor transitions can never change the engine-visible
 //! access sequence, so graceful degradation costs nothing in obliviousness.
 //!
@@ -60,7 +60,7 @@ pub mod service;
 pub use config::{
     GovernorConfig, RejectReason, Rejected, ServiceConfig, SubmissionPolicy, TenantSpec,
 };
-pub use governor::{Governor, GovernorState};
+pub use governor::GovernorState;
 pub use service::OramService;
 /// One shard's request-driven engine: the shared five-stage pipeline core,
 /// dispatched into at the service's rate instead of from a trace.

@@ -34,11 +34,11 @@ use crate::position_map::{COLD_BASE, PROGRAM_ID_BOUND};
 use crate::types::{BlockId, BucketId, FetchKind, PathId};
 
 /// Owned payload of a real block (ciphertext when encryption is enabled).
-pub type BlockData = Box<[u8]>;
+pub(crate) type BlockData = Box<[u8]>;
 
 /// A real block together with its (optional) payload, as moved between
 /// buckets and the stash.
-pub type BlockEntry = (BlockId, Option<BlockData>);
+pub(crate) type BlockEntry = (BlockId, Option<BlockData>);
 
 /// Slot-word bit 31: the slot may still be read before the next shuffle.
 const VALID: u32 = 1 << 31;
@@ -235,13 +235,13 @@ impl BucketRef<'_> {
 
     /// Green fetches since the last shuffle.
     #[must_use]
-    pub fn greens_used(&self) -> u32 {
+    pub(crate) fn greens_used(&self) -> u32 {
         u32::from(self.node.greens)
     }
 
     /// Number of valid real blocks currently stored.
     #[must_use]
-    pub fn real_count(&self) -> usize {
+    pub(crate) fn real_count(&self) -> usize {
         debug_assert_eq!(
             usize::from(self.node.reals),
             self.slots.iter().filter(|&&w| holds_real(w)).count()
@@ -251,22 +251,12 @@ impl BucketRef<'_> {
 
     /// Number of valid dummy slots remaining.
     #[must_use]
-    pub fn valid_dummies(&self) -> usize {
+    pub(crate) fn valid_dummies(&self) -> usize {
         debug_assert_eq!(
             usize::from(self.node.dummies),
             self.slots.iter().filter(|&&w| w == VALID | DUMMY).count()
         );
         usize::from(self.node.dummies)
-    }
-
-    /// The valid real blocks currently stored, in slot order.
-    #[must_use]
-    pub fn real_blocks(&self) -> Vec<BlockId> {
-        self.slots
-            .iter()
-            .filter(|&&w| holds_real(w))
-            .map(|&w| decode(w))
-            .collect()
     }
 
     /// Slot index of `block` if it is present and still valid.
@@ -298,7 +288,7 @@ impl BucketRef<'_> {
     /// bucket in a `Y == S` configuration, which has zero dummy slots:
     /// there a reshuffle cannot help and the green fetch is unavoidable.
     #[must_use]
-    pub fn needs_reshuffle_gated(&self, cfg: &RingConfig, allow_green: bool) -> bool {
+    pub(crate) fn needs_reshuffle_gated(&self, cfg: &RingConfig, allow_green: bool) -> bool {
         if self.accesses() >= cfg.s {
             return true;
         }
@@ -354,19 +344,13 @@ impl BucketRef<'_> {
         unreachable!("cached slot counts out of sync with the slot words")
     }
 
-    /// Number of physical slots.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Whether `slot` currently holds a valid real block.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
     #[must_use]
-    pub fn slot_holds_real(&self, slot: usize) -> bool {
+    pub(crate) fn slot_holds_real(&self, slot: usize) -> bool {
         holds_real(self.slots[slot])
     }
 }
@@ -437,7 +421,7 @@ impl Bucket<'_> {
     ///
     /// Panics if the bucket cannot serve the touch under the gate.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    pub fn serve_read_gated<R: Rng + ?Sized>(
+    pub(crate) fn serve_read_gated<R: Rng + ?Sized>(
         &mut self,
         cfg: &RingConfig,
         target: Option<BlockId>,
@@ -490,7 +474,7 @@ impl Bucket<'_> {
     /// slot order, to a caller-provided (reusable) buffer (the
     /// eviction/reshuffle read phase: the controller reads the `Z` real
     /// slots of the bucket).
-    pub fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
+    pub(crate) fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
         for idx in 0..self.slots.len() {
             let word = self.slots[idx];
             if holds_real(word) {
@@ -513,7 +497,7 @@ impl Bucket<'_> {
     ///
     /// Panics if more than `cfg.z` entries are supplied, or if a block id
     /// does not fit a slot word.
-    pub fn reload<R: Rng + ?Sized>(
+    pub(crate) fn reload<R: Rng + ?Sized>(
         &mut self,
         cfg: &RingConfig,
         entries: &mut Vec<BlockEntry>,
@@ -580,7 +564,7 @@ impl Bucket<'_> {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn clear_slot(&mut self, slot: usize) -> Option<BlockData> {
+    pub(crate) fn clear_slot(&mut self, slot: usize) -> Option<BlockData> {
         if !holds_real(self.slots[slot]) {
             return None;
         }
@@ -867,6 +851,23 @@ impl BucketTree {
 mod tests {
     use super::*;
     use oram_rng::{SliceRandom, StdRng};
+
+    /// What the tests read of a bucket beyond its rules.
+    impl BucketRef<'_> {
+        /// The valid real blocks currently stored, in slot order.
+        pub(crate) fn real_blocks(&self) -> Vec<BlockId> {
+            self.slots
+                .iter()
+                .filter(|&&w| holds_real(w))
+                .map(|&w| decode(w))
+                .collect()
+        }
+
+        /// Number of physical slots.
+        pub(crate) fn slot_count(&self) -> usize {
+            self.slots.len()
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)

@@ -2,16 +2,10 @@
 //!
 //! The paper's controller contains E/D logic: every block leaving the
 //! trusted boundary is encrypted with a fresh nonce so that ciphertexts are
-//! indistinguishable and rewrites are unlinkable. Two keystreams are
-//! available:
-//!
-//! * [`BlockCipher::new`] — a splitmix64 keystream: **not a secure
-//!   cipher**, but fast; fine for timing simulations that only need the
-//!   data path exercised.
-//! * [`BlockCipher::aes`] — AES-128 in CTR mode ([`crate::aes`], verified
-//!   against FIPS-197/SP 800-38A vectors): a real cipher, though the
-//!   implementation is not constant-time, so it is still simulation-grade
-//!   rather than production-grade.
+//! indistinguishable and rewrites are unlinkable. [`BlockCipher`] models it
+//! with a splitmix64 keystream: **not a secure cipher**, but fast, and all
+//! the evaluation needs — a fresh-nonce blob on the bus and a tag that
+//! catches corruption.
 //!
 //! Every sealed blob carries a keyed integrity tag over the nonce and
 //! ciphertext (`nonce || ciphertext || tag`), so corruption of a fetched
@@ -23,16 +17,7 @@
 //! cryptographic MAC (no existential-unforgeability claim), matching the
 //! simulation-grade cipher it protects.
 
-use crate::aes::Aes128;
-
-/// Keystream selector.
-#[derive(Debug, Clone)]
-enum Keystream {
-    /// splitmix64-based toy keystream.
-    Splitmix(u64),
-    /// AES-128-CTR.
-    Aes(Box<Aes128>),
-}
+use oram_rng::{Rng, SplitMix64};
 
 /// A keystream cipher for ciphertext-at-rest emulation.
 ///
@@ -49,7 +34,7 @@ enum Keystream {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockCipher {
-    keystream: Keystream,
+    key: u64,
 }
 
 /// Error returned when a sealed blob fails to open.
@@ -73,14 +58,6 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl BlockCipher {
     /// Bytes of nonce prepended to every sealed block.
     pub const NONCE_BYTES: usize = 8;
@@ -94,59 +71,39 @@ impl BlockCipher {
     /// Creates a fast (insecure) splitmix64 keystream cipher.
     #[must_use]
     pub fn new(key: u64) -> Self {
-        Self {
-            keystream: Keystream::Splitmix(key),
-        }
-    }
-
-    /// Creates an AES-128-CTR cipher (see the module docs for caveats).
-    #[must_use]
-    pub fn aes(key: [u8; 16]) -> Self {
-        Self {
-            keystream: Keystream::Aes(Box::new(Aes128::new(key))),
-        }
+        Self { key }
     }
 
     fn keystream_xor(&self, nonce: u64, data: &mut [u8]) {
-        match &self.keystream {
-            Keystream::Splitmix(key) => {
-                let mut state = key ^ nonce.rotate_left(17);
-                let mut i = 0;
-                while i < data.len() {
-                    let word = splitmix64(&mut state).to_le_bytes();
-                    for b in word {
-                        if i >= data.len() {
-                            break;
-                        }
-                        data[i] ^= b;
-                        i += 1;
-                    }
-                }
+        let mut stream = SplitMix64::new(self.key ^ nonce.rotate_left(17));
+        for chunk in data.chunks_mut(8) {
+            let word = stream.next_u64().to_le_bytes();
+            for (b, k) in chunk.iter_mut().zip(word) {
+                *b ^= k;
             }
-            Keystream::Aes(aes) => aes.ctr_xor(nonce, data),
         }
     }
 
     /// Keyed integrity tag over `nonce || ciphertext`. The per-nonce tag key
-    /// comes from the keystream itself (under a tweaked nonce), so both
-    /// keystream modes share one construction without extra key material.
+    /// comes from the keystream itself (under a tweaked nonce), so the tag
+    /// needs no key material of its own.
     fn tag(&self, nonce: u64, ciphertext: &[u8]) -> [u8; Self::TAG_BYTES] {
         let mut key = [0u8; Self::TAG_BYTES];
         self.keystream_xor(nonce ^ Self::TAG_TWEAK, &mut key);
-        let mut state = u64::from_le_bytes(key) ^ nonce ^ (ciphertext.len() as u64);
-        let mut acc = splitmix64(&mut state);
+        let mut fold = SplitMix64::new(u64::from_le_bytes(key) ^ nonce ^ (ciphertext.len() as u64));
+        let mut acc = fold.next_u64();
         for chunk in ciphertext.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            state ^= u64::from_le_bytes(word);
-            acc ^= splitmix64(&mut state);
+            fold.absorb(u64::from_le_bytes(word));
+            acc ^= fold.next_u64();
         }
         acc.to_le_bytes()
     }
 
     /// Length of the sealed blob produced for a `plain_len`-byte payload.
     #[must_use]
-    pub const fn sealed_len(plain_len: usize) -> usize {
+    pub(crate) const fn sealed_len(plain_len: usize) -> usize {
         Self::NONCE_BYTES + plain_len + Self::TAG_BYTES
     }
 
@@ -169,7 +126,7 @@ impl BlockCipher {
     /// # Panics
     ///
     /// If `out.len() != Self::sealed_len(plaintext.len())`.
-    pub fn seal_into(&self, nonce: u64, plaintext: &[u8], out: &mut [u8]) {
+    pub(crate) fn seal_into(&self, nonce: u64, plaintext: &[u8], out: &mut [u8]) {
         assert_eq!(
             out.len(),
             Self::sealed_len(plaintext.len()),
@@ -181,25 +138,6 @@ impl BlockCipher {
         self.keystream_xor(nonce, body);
         let tag = self.tag(nonce, body);
         tag_slot.copy_from_slice(&tag);
-    }
-
-    /// Seals a contiguous batch of equal-shaped payloads under consecutive
-    /// nonces starting at `first_nonce`, one `(plaintext, out)` pair per
-    /// slot. The cipher state (expanded round keys, shared S-box, tag-key
-    /// schedule) is set up once for the whole transaction instead of per
-    /// slot, which is how the reshuffle/evict paths reseal a bucket's slots
-    /// in one sweep. Returns the nonce following the batch, which the
-    /// caller commits back to its nonce counter.
-    pub fn seal_batch<'a, I>(&self, first_nonce: u64, jobs: I) -> u64
-    where
-        I: IntoIterator<Item = (&'a [u8], &'a mut [u8])>,
-    {
-        let mut nonce = first_nonce;
-        for (plaintext, out) in jobs {
-            self.seal_into(nonce, plaintext, out);
-            nonce = nonce.wrapping_add(1);
-        }
-        nonce
     }
 
     /// Decrypts a `nonce || ciphertext || tag` blob produced by
@@ -232,7 +170,7 @@ impl BlockCipher {
     /// # Panics
     ///
     /// If the blob is long enough but `out` is not exactly payload-sized.
-    pub fn open_into(&self, sealed: &[u8], out: &mut [u8]) -> Result<(), OpenError> {
+    pub(crate) fn open_into(&self, sealed: &[u8], out: &mut [u8]) -> Result<(), OpenError> {
         if sealed.len() < Self::NONCE_BYTES + Self::TAG_BYTES {
             return Err(OpenError::Truncated);
         }
@@ -324,67 +262,37 @@ mod tests {
         // Any single-bit flip anywhere in the blob — nonce, ciphertext or
         // tag — must trip the integrity check (the fault-injection layer's
         // detection guarantee).
-        for cipher in [BlockCipher::new(5), BlockCipher::aes([5u8; 16])] {
-            let data = vec![0xA5u8; 48];
-            let sealed = cipher.seal(11, &data);
-            for byte in 0..sealed.len() {
-                for bit in 0..8 {
-                    let mut corrupt = sealed.clone();
-                    corrupt[byte] ^= 1 << bit;
-                    assert_eq!(
-                        cipher.open(&corrupt),
-                        Err(OpenError::TagMismatch),
-                        "flip at byte {byte} bit {bit} went undetected"
-                    );
-                }
+        let cipher = BlockCipher::new(5);
+        let data = vec![0xA5u8; 48];
+        let sealed = cipher.seal(11, &data);
+        for byte in 0..sealed.len() {
+            for bit in 0..8 {
+                let mut corrupt = sealed.clone();
+                corrupt[byte] ^= 1 << bit;
+                assert_eq!(
+                    cipher.open(&corrupt),
+                    Err(OpenError::TagMismatch),
+                    "flip at byte {byte} bit {bit} went undetected"
+                );
             }
         }
     }
 
     #[test]
-    fn aes_mode_roundtrip_and_unlinkability() {
-        let c = BlockCipher::aes([9u8; 16]);
-        let data = vec![5u8; 64];
-        let a = c.seal(1, &data);
-        let b = c.seal(2, &data);
-        assert_eq!(c.open(&a).unwrap(), data);
-        assert_eq!(c.open(&b).unwrap(), data);
-        assert_ne!(a[BlockCipher::NONCE_BYTES..], b[BlockCipher::NONCE_BYTES..]);
-        assert_ne!(
-            &a[BlockCipher::NONCE_BYTES..][..data.len()],
-            data.as_slice()
-        );
-    }
-
-    #[test]
-    fn aes_and_splitmix_interoperate_via_nonce_header() {
-        // Both modes share the wire format; a blob opens under the cipher
-        // that sealed it and fails the tag under the other.
-        let toy = BlockCipher::new(1);
-        let aes = BlockCipher::aes([1u8; 16]);
-        let data = vec![7u8; 32];
-        let sealed = aes.seal(3, &data);
-        assert_eq!(aes.open(&sealed).unwrap(), data);
-        assert_eq!(toy.open(&sealed), Err(OpenError::TagMismatch));
-    }
-
-    #[test]
     fn seal_into_matches_seal_and_open_into_matches_open() {
-        // The in-place pair must be byte-identical to the allocating pair
-        // for both keystream modes: the protocol's pooled buffers rely on
-        // wire-format equivalence.
-        for cipher in [BlockCipher::new(42), BlockCipher::aes([3u8; 16])] {
-            let data: Vec<u8> = (0..64u8).collect();
-            let sealed = cipher.seal(9, &data);
-            let mut sealed_into = vec![0u8; BlockCipher::sealed_len(data.len())];
-            cipher.seal_into(9, &data, &mut sealed_into);
-            assert_eq!(sealed, sealed_into);
+        // The in-place pair must be byte-identical to the allocating pair:
+        // the protocol's pooled buffers rely on wire-format equivalence.
+        let cipher = BlockCipher::new(42);
+        let data: Vec<u8> = (0..64u8).collect();
+        let sealed = cipher.seal(9, &data);
+        let mut sealed_into = vec![0u8; BlockCipher::sealed_len(data.len())];
+        cipher.seal_into(9, &data, &mut sealed_into);
+        assert_eq!(sealed, sealed_into);
 
-            let mut plain = vec![0u8; data.len()];
-            cipher.open_into(&sealed_into, &mut plain).unwrap();
-            assert_eq!(plain, data);
-            assert_eq!(cipher.open(&sealed).unwrap(), plain);
-        }
+        let mut plain = vec![0u8; data.len()];
+        cipher.open_into(&sealed_into, &mut plain).unwrap();
+        assert_eq!(plain, data);
+        assert_eq!(cipher.open(&sealed).unwrap(), plain);
     }
 
     #[test]
@@ -400,28 +308,35 @@ mod tests {
 
     #[test]
     fn seal_batch_matches_sequential_seals() {
-        // Batched sealing is a pure restructuring: consecutive nonces, same
-        // blobs as one seal call per slot, and it reports the follow-on
-        // nonce so the caller's counter stays in sync.
-        for cipher in [BlockCipher::new(11), BlockCipher::aes([8u8; 16])] {
-            let slots: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 48]).collect();
-            let expected: Vec<Vec<u8>> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| cipher.seal(100 + i as u64, s))
-                .collect();
-
-            let mut outs = vec![vec![0u8; BlockCipher::sealed_len(48)]; slots.len()];
-            let next = cipher.seal_batch(
-                100,
-                slots
-                    .iter()
-                    .map(Vec::as_slice)
-                    .zip(outs.iter_mut().map(Vec::as_mut_slice)),
+        // The data path's batch seal is one `seal` per payload-bearing
+        // slot under consecutive nonces: same blobs, slots without a
+        // payload left alone, and the next batch continues the count.
+        use crate::bucket::BlockEntry;
+        use crate::plain_tree::DataPath;
+        use crate::protocol::ProtocolStats;
+        use crate::types::BlockId;
+        let cipher = BlockCipher::new(11);
+        let mut data = DataPath::default();
+        data.cipher = Some(cipher.clone());
+        let mut stats = ProtocolStats::default();
+        let plain = |i: u8| vec![i; 48].into_boxed_slice();
+        let mut entries: Vec<BlockEntry> = (0..5u8)
+            .map(|i| (BlockId(u64::from(i)), (i != 2).then(|| plain(i))))
+            .collect();
+        let mut next: Vec<BlockEntry> = vec![(BlockId(9), Some(plain(9)))];
+        data.seal_batch(&mut stats, &mut entries);
+        data.seal_batch(&mut stats, &mut next);
+        for (slot, nonce) in [(0, 1), (1, 2), (3, 3), (4, 4)] {
+            let sealed = entries[slot].1.as_deref().unwrap();
+            assert_eq!(
+                sealed,
+                cipher.seal(nonce, &plain(slot as u8)),
+                "slot {slot}"
             );
-            assert_eq!(next, 100 + slots.len() as u64);
-            assert_eq!(outs, expected);
         }
+        assert_eq!(entries[2].1, None);
+        assert_eq!(next[0].1.as_deref().unwrap(), cipher.seal(5, &plain(9)));
+        assert_eq!(stats.encryptions, 5);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! path, where `std`'s default SipHash costs more than the table probe it
 //! guards. (The bucket tree and the Ring engine's cold blocks' positions
 //! are not hashed at all: see `bucket` and `position_map`.) This hasher
-//! finalizes each written word with a SplitMix64-style mixer: strong enough avalanche for hashbrown's low-bits index / high-bits
-//! tag split, a handful of arithmetic ops per key, and — unlike
+//! finalizes each written word with SplitMix64's finalizer
+//! ([`oram_rng::mix64`]): strong enough avalanche for hashbrown's low-bits
+//! index / high-bits tag split, a handful of arithmetic ops per key, and — unlike
 //! `RandomState` — no per-process seed, so map layout is reproducible
 //! run-to-run (the simulator never depends on iteration order, but
 //! determinism keeps debugging sessions comparable).
@@ -18,14 +19,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Default, Clone)]
 pub struct DetHasher {
     state: u64,
-}
-
-/// SplitMix64 finalizer: full-avalanche mix of one word.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl Hasher for DetHasher {
@@ -46,7 +39,7 @@ impl Hasher for DetHasher {
 
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.state = mix(self.state ^ v);
+        self.state = oram_rng::mix64(self.state ^ v);
     }
 
     #[inline]

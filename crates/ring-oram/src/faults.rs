@@ -152,7 +152,7 @@ impl ResilienceConfig {
 /// Structured protocol-level failure taxonomy (replaces library panics on
 /// the paths a caller can meaningfully handle).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OramError {
+pub(crate) enum OramError {
     /// Background eviction could not drain the stash: the tree is
     /// over-full (program working set plus cold pre-load exceeds the
     /// tree's real capacity) and the protocol cannot make progress.
@@ -163,12 +163,6 @@ pub enum OramError {
         capacity: usize,
         /// The tree's real-block capacity.
         real_capacity: u64,
-    },
-    /// A sealed payload failed its integrity check outside the
-    /// fault-injection path: genuine corruption or a key mismatch.
-    IntegrityFailure {
-        /// Bucket the payload was fetched from.
-        bucket: BucketId,
     },
 }
 
@@ -185,11 +179,6 @@ impl std::fmt::Display for OramError {
                  {occupancy}, capacity {capacity}): the tree is over-full — \
                  program working set plus cold pre-load must stay below the \
                  tree's real capacity ({real_capacity} blocks)"
-            ),
-            Self::IntegrityFailure { bucket } => write!(
-                f,
-                "payload fetched from {bucket} failed its integrity check \
-                 outside the injected-fault path"
             ),
         }
     }
@@ -251,9 +240,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("512"));
         assert!(s.contains("500"));
-        let e = OramError::IntegrityFailure {
-            bucket: BucketId(7),
-        };
-        assert!(e.to_string().contains("b7"));
     }
 }

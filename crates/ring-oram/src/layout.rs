@@ -31,8 +31,6 @@ pub struct TreeLayout {
     geometry: TreeGeometry,
     bucket_bytes: u64,
     block_bytes: u64,
-    /// Levels per subtree (`k`).
-    k: u32,
     /// Byte size of one subtree slot.
     subtree_slot_bytes: u64,
     /// Total number of subtree instances.
@@ -135,7 +133,6 @@ impl TreeLayout {
             geometry: TreeGeometry::new(cfg.levels),
             bucket_bytes,
             block_bytes: u64::from(cfg.block_bytes),
-            k,
             subtree_slot_bytes,
             total_subtrees: total,
             lut,
@@ -162,12 +159,6 @@ impl TreeLayout {
     pub fn total_bytes(&self) -> u64 {
         self.total_subtrees * self.subtree_slot_bytes
     }
-
-    /// Levels grouped per subtree (1 for the naive layout).
-    #[must_use]
-    pub fn levels_per_subtree(&self) -> u32 {
-        self.k
-    }
 }
 
 #[cfg(test)]
@@ -180,16 +171,23 @@ mod tests {
         RingConfig::test_small() // 8 levels, Z=4, S=4, Y=0 -> 8 slots, 512 B
     }
 
+    /// Levels grouped per subtree (`k`; 1 for the naive layout), read off
+    /// the per-level constants: level `k` is the first to start a group.
+    fn levels_per_subtree(l: &TreeLayout) -> u32 {
+        let later = l.lut.iter().skip(1).position(|lut| lut.depth == 0);
+        later.map_or(l.lut.len(), |i| i + 1) as u32
+    }
+
     #[test]
     fn k_matches_locality_window() {
         let c = cfg();
         // Bucket = 512 B. With a 4 KiB window: 2^3 - 1 = 7 buckets = 3.5 KiB
         // fits, 15 buckets = 7.5 KiB does not.
         let l = TreeLayout::subtree(&c, 4096);
-        assert_eq!(l.levels_per_subtree(), 3);
+        assert_eq!(levels_per_subtree(&l), 3);
         // With a 16 KiB window, 31 buckets = 15.5 KiB fits.
         let l = TreeLayout::subtree(&c, 16384);
-        assert_eq!(l.levels_per_subtree(), 5);
+        assert_eq!(levels_per_subtree(&l), 5);
     }
 
     #[test]
@@ -199,13 +197,13 @@ mod tests {
         // locality-vs-padding tradeoff.
         let c = RingConfig::hpca_default();
         let l = TreeLayout::subtree(&c, 16384);
-        assert_eq!(l.levels_per_subtree(), 4);
+        assert_eq!(levels_per_subtree(&l), 4);
         // Baseline (Y=0): bucket = 20 x 64 = 1280 B. Three levels would pad
         // 8.75 KiB up to 16 KiB (45 % waste, and a 20 GB tree would no
         // longer fit the 32 GB module); two levels pack 3.75 KiB into 4 KiB.
         let b = RingConfig::hpca_baseline();
         let l = TreeLayout::subtree(&b, 16384);
-        assert_eq!(l.levels_per_subtree(), 2);
+        assert_eq!(levels_per_subtree(&l), 2);
         // Both trees fit the paper's 32 GB module.
         assert!(TreeLayout::subtree(&c, 16384).total_bytes() <= 32 * (1 << 30));
         assert!(TreeLayout::subtree(&b, 16384).total_bytes() <= 32 * (1 << 30));
@@ -239,7 +237,7 @@ mod tests {
         let c = cfg(); // 8 levels
         let window = 4096;
         let l = TreeLayout::subtree(&c, window);
-        let k = l.levels_per_subtree(); // 3
+        let k = levels_per_subtree(&l); // 3
         let g = TreeGeometry::new(c.levels);
         let path = PathId(93);
         let mut windows = Vec::new();
@@ -295,7 +293,7 @@ mod tests {
                 h = oram_rng::fnv1a_u64(h, l.addr_of(BucketId(b), s));
             }
         }
-        (h, l.total_bytes(), l.levels_per_subtree())
+        (h, l.total_bytes(), levels_per_subtree(l))
     }
 
     /// Both address maps, recorded while the layout was a trait with two
@@ -343,7 +341,7 @@ mod tests {
         // secondary spatial benefit of the Compact Bucket.
         let baseline = TreeLayout::subtree(&RingConfig::hpca_baseline(), 16384);
         let cb = TreeLayout::subtree(&RingConfig::hpca_default(), 16384);
-        assert!(cb.levels_per_subtree() > baseline.levels_per_subtree());
+        assert!(levels_per_subtree(&cb) > levels_per_subtree(&baseline));
         assert!(cb.total_bytes() < baseline.total_bytes());
     }
 }

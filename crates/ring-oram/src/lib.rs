@@ -53,7 +53,6 @@
 #![warn(clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod aes;
 pub mod bucket;
 pub mod circuit;
 pub mod config;
@@ -61,8 +60,8 @@ pub mod crypto;
 pub mod fasthash;
 pub mod faults;
 pub mod layout;
-pub mod oblivious;
-pub mod path_oram;
+pub(crate) mod oblivious;
+pub(crate) mod path_oram;
 mod plain_tree;
 pub mod plan;
 pub mod position_map;
@@ -75,7 +74,7 @@ pub mod types;
 
 pub use circuit::CircuitOram;
 pub use config::RingConfig;
-pub use faults::{FaultEvent, FaultEventKind, OramError, ResilienceConfig};
+pub use faults::{FaultEvent, FaultEventKind, ResilienceConfig};
 pub use oblivious::{ObliviousProtocol, Op, ProtocolKind};
 pub use path_oram::PathOram;
 pub use plan::{AccessPlan, OpKind, SlotTouch};

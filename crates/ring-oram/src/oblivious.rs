@@ -184,15 +184,8 @@ pub trait ObliviousProtocol: std::fmt::Debug + Send {
     /// Enables encryption-at-rest emulation with the fast (insecure)
     /// splitmix keystream: every payload written to the tree is sealed
     /// under `key` with a fresh nonce, and unsealed when it re-enters the
-    /// trusted boundary. See [`crate::crypto`] for the cipher options.
+    /// trusted boundary. See [`crate::crypto`].
     fn enable_encryption(&mut self, key: u64);
-
-    /// Enables encryption-at-rest with AES-128-CTR (FIPS-197-verified
-    /// implementation). The sealed format carries the same keyed integrity
-    /// tag as the splitmix cipher — corruption of a sealed blob is detected
-    /// on unseal — but the implementation is not constant-time, so it is
-    /// simulation-grade only.
-    fn enable_aes_encryption(&mut self, key: [u8; 16]);
 
     /// Enables deterministic transit-fault injection and recovery: every
     /// real block a read path moves into the stash may arrive corrupted and
@@ -272,9 +265,6 @@ macro_rules! schedule_over_the_frame {
             }
             fn enable_encryption(&mut self, key: u64) {
                 self.tree.data.cipher = Some(BlockCipher::new(key));
-            }
-            fn enable_aes_encryption(&mut self, key: [u8; 16]) {
-                self.tree.data.cipher = Some(BlockCipher::aes(key));
             }
             fn enable_resilience(&mut self, cfg: ResilienceConfig) {
                 self.tree.enable_resilience(cfg);
@@ -398,7 +388,7 @@ mod tests {
     /// previous round's bytes) and rewrites it, with a cover access every
     /// ninth step, and a last pass reads the final round back. The referee
     /// over random interleavings is `sim_verify::MirrorOracle`. Rows: a
-    /// 12-level tree with payloads in the clear, under either cipher, and
+    /// 12-level tree with payloads in the clear, under the cipher, and
     /// under 5 % transit faults that up to six retries recover. Ring runs
     /// long enough for its tree to span three slab chunks; Path and Circuit
     /// move a whole path of payloads per access and run one round.
@@ -416,10 +406,9 @@ mod tests {
                 .collect()
         };
         type Setup = fn(&mut dyn ObliviousProtocol);
-        let variants: [(&str, Setup); 4] = [
+        let variants: [(&str, Setup); 3] = [
             ("plain", |_| {}),
             ("splitmix", |o| o.enable_encryption(0x5EA1)),
-            ("aes", |o| o.enable_aes_encryption(*b"three chunks key")),
             ("splitmix + faults", |o| {
                 o.enable_encryption(0xF417);
                 let mut r = ResilienceConfig::for_stash(o.config().stash_capacity);

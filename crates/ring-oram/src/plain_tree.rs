@@ -118,8 +118,6 @@ pub(crate) struct DataPath {
     plain_boxes: Vec<BlockData>,
     /// Sealed payload boxes (`block_bytes` + nonce + tag each).
     sealed_boxes: Vec<BlockData>,
-    /// `seal_batch`: sealed buffers staged for one batch sweep.
-    batch_sealed: Vec<BlockData>,
     /// Accesses announced by `reserve_accesses`, not yet stocked.
     pub(crate) reserved: usize,
 }
@@ -159,44 +157,25 @@ impl DataPath {
             .unwrap_or_default()
     }
 
-    /// Re-seals every payload-bearing entry in place, as one contiguous
-    /// batch under consecutive nonces. Byte-identical to sealing each
-    /// entry individually (same nonce sequence, same wire format), but the
-    /// cipher sweeps the whole bucket's slots in one
-    /// [`BlockCipher::seal_batch`] pass — round keys and the shared S-box
-    /// are set up once, not per slot — with buffers drawn from the pools.
+    /// Re-seals every payload-bearing entry in place, in slot order under
+    /// consecutive fresh nonces: one [`BlockCipher::seal_into`] per payload,
+    /// into a sealed box from the pool, the plaintext box going back to its
+    /// pool.
     pub(crate) fn seal_batch(&mut self, stats: &mut ProtocolStats, entries: &mut [BlockEntry]) {
         let Some(cipher) = &self.cipher else {
             return;
         };
-        let mut outs = std::mem::take(&mut self.batch_sealed);
-        for (_, d) in entries.iter() {
-            if let Some(plain) = d.as_deref() {
-                outs.push(payload_box(
-                    &mut self.sealed_boxes,
-                    BlockCipher::sealed_len(plain.len()),
-                ));
-            }
-        }
-        cipher.seal_batch(
-            self.nonce_counter + 1,
-            entries
-                .iter()
-                .filter_map(|(_, d)| d.as_deref())
-                .zip(outs.iter_mut().map(|o| &mut **o)),
-        );
-        self.nonce_counter += outs.len() as u64;
-        stats.encryptions += outs.len() as u64;
-        // Stitch the sealed blobs back into slot order; recycle the plains.
-        let mut sealed = outs.drain(..);
         for (_, d) in entries.iter_mut() {
             if let Some(plain) = d.take() {
-                *d = sealed.next();
+                let mut sealed =
+                    payload_box(&mut self.sealed_boxes, BlockCipher::sealed_len(plain.len()));
+                self.nonce_counter += 1;
+                cipher.seal_into(self.nonce_counter, &plain, &mut sealed);
+                stats.encryptions += 1;
+                *d = Some(sealed);
                 self.plain_boxes.push(plain);
             }
         }
-        drop(sealed);
-        self.batch_sealed = outs;
     }
 
     /// Unseals a payload fetched from the tree into the trusted boundary.

@@ -39,16 +39,6 @@ impl OpKind {
             Self::RetryRead => "retry",
         }
     }
-
-    /// Whether the operation sits on the program's critical path (the
-    /// paper's "read path operation is always a critical operation").
-    /// Retry reads block the program only when the *target* fetch was the
-    /// one retried, which the plan's `target_index` records; the kind
-    /// itself stays non-critical.
-    #[must_use]
-    pub fn is_critical(self) -> bool {
-        matches!(self, Self::ReadPath)
-    }
 }
 
 impl std::fmt::Display for OpKind {
@@ -198,15 +188,6 @@ mod tests {
         .map(OpKind::label)
         .collect();
         assert_eq!(labels.len(), 5);
-    }
-
-    #[test]
-    fn only_read_path_is_critical() {
-        assert!(OpKind::ReadPath.is_critical());
-        assert!(!OpKind::DummyReadPath.is_critical());
-        assert!(!OpKind::Eviction.is_critical());
-        assert!(!OpKind::EarlyReshuffle.is_critical());
-        assert!(!OpKind::RetryRead.is_critical());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! table inside the secure processor. Here program blocks, which arrive in
 //! no particular order, live in a hash map that assigns fresh uniform paths
 //! lazily and on every remap; the Ring engine's pre-loaded *cold* blocks,
-//! whose identifiers are handed out sequentially from [`COLD_BASE`], live in
+//! whose identifiers are handed out sequentially from `COLD_BASE`, live in
 //! a dense table of 32-bit paths indexed by `id - COLD_BASE` — millions of
 //! entries that are written once per materialized bucket and never hashed.
 
@@ -17,7 +17,7 @@ use crate::types::{BlockId, PathId};
 
 /// Identifiers at or above this value form the dense cold-block range:
 /// they must enter the map in sequence (`COLD_BASE`, `COLD_BASE + 1`, …).
-pub const COLD_BASE: u64 = 1 << 40;
+pub(crate) const COLD_BASE: u64 = 1 << 40;
 
 /// Program block ids are below this bound (a slot word keeps an id in 30
 /// bits); every engine refuses a program access at or above it.
@@ -34,10 +34,10 @@ pub const PROGRAM_ID_BOUND: u64 = 1 << 30;
 ///
 /// let mut pm = PositionMap::new(128);
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let p = pm.lookup_or_assign(BlockId(7), &mut rng);
+/// let p = pm.remap(BlockId(7), &mut rng);
 /// assert!(p.0 < 128);
 /// // Stable until remapped.
-/// assert_eq!(pm.lookup_or_assign(BlockId(7), &mut rng), p);
+/// assert_eq!(pm.lookup(BlockId(7)), Some(p));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PositionMap {
@@ -67,14 +67,8 @@ impl PositionMap {
 
     /// Number of blocks currently tracked.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len() + self.cold.len()
-    }
-
-    /// Whether no blocks are tracked yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.cold.len() == 0
     }
 
     /// The path currently assigned to `block`, if any.
@@ -86,19 +80,6 @@ impl PositionMap {
                 Some(PathId(u64::from(*self.cold.at(i))))
             }
             None => self.map.get(&block).copied(),
-        }
-    }
-
-    /// The path assigned to `block`, drawing a fresh uniform path on first
-    /// use (lazy initialization of an untouched block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is a cold id beyond the next one in sequence.
-    pub fn lookup_or_assign<R: Rng + ?Sized>(&mut self, block: BlockId, rng: &mut R) -> PathId {
-        match self.lookup(block) {
-            Some(p) => p,
-            None => self.remap(block, rng),
         }
     }
 
@@ -161,11 +142,13 @@ mod tests {
 
     #[test]
     fn lazy_assignment_is_stable() {
+        // A block gets its path on first use, and keeps it until remapped.
         let mut pm = PositionMap::new(64);
         let mut rng = StdRng::seed_from_u64(3);
-        let p1 = pm.lookup_or_assign(BlockId(1), &mut rng);
-        let p2 = pm.lookup_or_assign(BlockId(1), &mut rng);
-        assert_eq!(p1, p2);
+        assert_eq!(pm.lookup(BlockId(1)), None);
+        let p = pm.remap(BlockId(1), &mut rng);
+        assert_eq!(pm.lookup(BlockId(1)), Some(p));
+        assert_eq!(pm.lookup(BlockId(1)), Some(p));
         assert_eq!(pm.len(), 1);
     }
 
@@ -173,7 +156,7 @@ mod tests {
     fn remap_changes_distribution_not_identity() {
         let mut pm = PositionMap::new(1 << 16);
         let mut rng = StdRng::seed_from_u64(4);
-        let p0 = pm.lookup_or_assign(BlockId(9), &mut rng);
+        let p0 = pm.remap(BlockId(9), &mut rng);
         let mut changed = false;
         for _ in 0..8 {
             if pm.remap(BlockId(9), &mut rng) != p0 {
@@ -190,7 +173,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut counts = [0u32; 16];
         for b in 0..4096 {
-            let p = pm.lookup_or_assign(BlockId(b), &mut rng);
+            let p = pm.remap(BlockId(b), &mut rng);
             assert!(p.0 < 16);
             counts[p.0 as usize] += 1;
         }
@@ -228,7 +211,7 @@ mod tests {
     fn lookup_absent_is_none() {
         let pm = PositionMap::new(8);
         assert_eq!(pm.lookup(BlockId(1)), None);
-        assert!(pm.is_empty());
+        assert_eq!(pm.len(), 0);
     }
 
     #[test]
@@ -259,12 +242,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         pm.insert(BlockId(COLD_BASE), PathId(1));
         // A known cold id: looked up, not redrawn; remap overwrites in place.
-        assert_eq!(pm.lookup_or_assign(BlockId(COLD_BASE), &mut rng), PathId(1));
+        assert_eq!(pm.lookup(BlockId(COLD_BASE)), Some(PathId(1)));
         let p = pm.remap(BlockId(COLD_BASE), &mut rng);
         assert_eq!(pm.lookup(BlockId(COLD_BASE)), Some(p));
         assert_eq!(pm.len(), 1);
-        // The next id in sequence may be assigned lazily too.
-        let q = pm.lookup_or_assign(BlockId(COLD_BASE + 1), &mut rng);
+        // The next id in sequence may be assigned by a remap too.
+        let q = pm.remap(BlockId(COLD_BASE + 1), &mut rng);
         assert_eq!(pm.lookup(BlockId(COLD_BASE + 1)), Some(q));
         assert!(pm.len() == 2 && pm.map.is_empty());
     }

@@ -16,7 +16,7 @@
 //! paper's 16.7 M buckets eagerly is pointless for traces that touch a tiny
 //! fraction of them, buckets are created on first touch, pre-filled with
 //! *cold blocks* drawn `Binomial(Z, load_factor)` — synthetic resident
-//! blocks with identifiers above [`RingOram::COLD_BASE`], each pinned to a
+//! blocks with identifiers above `RingOram::COLD_BASE`, each pinned to a
 //! position-map path consistent with its bucket. Cold blocks flow through
 //! stash and evictions exactly like program blocks; they are simply never
 //! requested.
@@ -312,7 +312,7 @@ fn materialize_entry<'a>(
 impl RingOram {
     /// Identifiers at or above this value are reserved for cold (pre-loaded)
     /// blocks.
-    pub const COLD_BASE: u64 = position_map::COLD_BASE;
+    pub(crate) const COLD_BASE: u64 = position_map::COLD_BASE;
     /// Program block ids stay below this bound on every engine.
     pub const PROGRAM_ID_BOUND: u64 = position_map::PROGRAM_ID_BOUND;
 
@@ -339,7 +339,7 @@ impl RingOram {
     /// fit the tree with slack — roughly
     /// `working_set + load_factor * real_capacity <= 0.9 * real_capacity` —
     /// otherwise surplus blocks have nowhere to evict, the stash saturates,
-    /// and background eviction aborts (see [`Self::try_access`]).
+    /// and an access panics with `OramError::StashOverflow`.
     ///
     /// # Panics
     ///
@@ -396,25 +396,6 @@ impl RingOram {
             &mut self.tree.rng,
             id,
         )
-    }
-
-    /// Performs one logical program access and surfaces unrecoverable
-    /// protocol failures as structured [`OramError`]s instead of aborting
-    /// the process (the trait's `access` panics on them).
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::StashOverflow`] when background eviction cannot drain
-    /// the stash (the tree is over-full). The controller state is left as
-    /// of the failed drain attempt; continuing to access it is allowed but
-    /// will keep failing until pressure is relieved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not below [`Self::PROGRAM_ID_BOUND`] — a caller
-    /// bug, not a runtime condition.
-    pub fn try_access(&mut self, block: BlockId) -> Result<AccessOutcome, OramError> {
-        Ok(self.try_schedule(Some((block, Op::Read)))?.0)
     }
 
     /// One access of Ring's schedule (see the trait's `operate` and
@@ -1073,7 +1054,7 @@ mod tests {
         let mut cfg = RingConfig::test_small_cb();
         cfg.y = 4; // aggressive: greens move data through the stash
         let mut o = RingOram::with_load_factor(cfg, 9, 0.5);
-        o.enable_aes_encryption(*b"sixteen byte key");
+        o.enable_encryption(0x5EA1_4B1D);
         let blocks = 16u64;
         for i in 0..blocks {
             let _ = o.operate(BlockId(i), Op::Write(&[i as u8; 64]));
@@ -1321,21 +1302,20 @@ mod tests {
     #[test]
     fn try_access_surfaces_stash_overflow() {
         // An over-full tree (load factor 1.0, tiny stash, tiny tree) cannot
-        // drain; try_access must return the structured error, not panic.
+        // drain; the access must return the structured error.
         let mut cfg = RingConfig::test_small();
         cfg.levels = 4;
         cfg.stash_capacity = 4;
         let mut o = RingOram::with_load_factor(cfg, 3, 1.0);
         let mut failed = false;
         for i in 0..200 {
-            match o.try_access(BlockId(i)) {
+            match o.try_schedule(Some((BlockId(i), Op::Read))) {
                 Ok(_) => {}
                 Err(OramError::StashOverflow { occupancy, .. }) => {
                     assert!(occupancy >= 4);
                     failed = true;
                     break;
                 }
-                Err(e) => panic!("unexpected error: {e}"),
             }
         }
         assert!(failed, "over-full tree must overflow the stash");
@@ -1440,7 +1420,7 @@ mod tests {
                     "case {case} (CB {cb}): level {lvl} of {path}"
                 );
             }
-            leftovers += usize::from(!reference.is_empty());
+            leftovers += usize::from(reference.len() != 0);
             assert_eq!(sorted(&o.tree.stash), sorted(&reference), "case {case}");
             assert_eq!(
                 format!("{:?}", o.tree.rng),

@@ -29,7 +29,7 @@ struct StashEntry {
 /// them before taking any — so which blocks drain first never depends on
 /// map layout.
 #[derive(Debug, Clone, Default)]
-pub struct Stash {
+pub(crate) struct Stash {
     entries: DetHashMap<BlockId, StashEntry>,
     /// High-water mark of occupancy.
     peak: usize,
@@ -38,44 +38,43 @@ pub struct Stash {
 impl Stash {
     /// An empty stash.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current number of blocks held.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the stash is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Highest occupancy observed since creation.
     #[must_use]
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak
     }
 
     /// Whether `block` is currently in the stash.
     #[must_use]
-    pub fn contains(&self, block: BlockId) -> bool {
+    pub(crate) fn contains(&self, block: BlockId) -> bool {
         self.entries.contains_key(&block)
     }
 
     /// Inserts or updates a block with its path assignment, keeping any
     /// payload already stored for it.
-    pub fn insert(&mut self, block: BlockId, path: PathId) {
+    pub(crate) fn insert(&mut self, block: BlockId, path: PathId) {
         let entry = self.entries.entry(block).or_default();
         entry.path = path;
         self.peak = self.peak.max(self.entries.len());
     }
 
     /// Inserts or updates a block with its path assignment and payload.
-    pub fn insert_with_data(&mut self, block: BlockId, path: PathId, data: Option<BlockData>) {
+    pub(crate) fn insert_with_data(
+        &mut self,
+        block: BlockId,
+        path: PathId,
+        data: Option<BlockData>,
+    ) {
         let entry = self.entries.entry(block).or_default();
         entry.path = path;
         if data.is_some() {
@@ -86,20 +85,14 @@ impl Stash {
 
     /// Replaces the payload of a block already in the stash (the program's
     /// store) and returns the one it held. No-op if the block is absent.
-    pub fn set_data(&mut self, block: BlockId, data: BlockData) -> Option<BlockData> {
+    pub(crate) fn set_data(&mut self, block: BlockId, data: BlockData) -> Option<BlockData> {
         self.entries.get_mut(&block)?.data.replace(data)
     }
 
     /// The payload of a block in the stash, if any.
     #[must_use]
-    pub fn data_of(&self, block: BlockId) -> Option<&[u8]> {
+    pub(crate) fn data_of(&self, block: BlockId) -> Option<&[u8]> {
         self.entries.get(&block).and_then(|e| e.data.as_deref())
-    }
-
-    /// Removes a block (it was consumed by the program or placed in the
-    /// tree); returns its path assignment if present.
-    pub fn remove(&mut self, block: BlockId) -> Option<PathId> {
-        self.entries.remove(&block).map(|e| e.path)
     }
 
     /// Calls `f` with every stashed block and the deepest level it may
@@ -108,7 +101,7 @@ impl Stash {
     /// it only *removes* entries, so selecting from the snapshot (in
     /// ascending block id, which the caller imposes) picks exactly the
     /// blocks a fresh per-level scan would.
-    pub fn for_each_candidate(
+    pub(crate) fn for_each_candidate(
         &self,
         geometry: &TreeGeometry,
         evict_path: PathId,
@@ -121,18 +114,18 @@ impl Stash {
 
     /// Removes `block` and returns its payload (`None` if the block is not
     /// stashed; `Some(None)` for a stashed block without payload).
-    pub fn take(&mut self, block: BlockId) -> Option<Option<BlockData>> {
+    pub(crate) fn take(&mut self, block: BlockId) -> Option<Option<BlockData>> {
         self.entries.remove(&block).map(|e| e.data)
-    }
-
-    /// Iterates over `(block, path)` entries in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
-        self.entries.iter().map(|(&b, e)| (b, e.path))
     }
 }
 
 #[cfg(test)]
 impl Stash {
+    /// Iterates over `(block, path)` entries in unspecified order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
+        self.entries.iter().map(|(&b, e)| (b, e.path))
+    }
+
     /// Removes and returns up to `max` blocks that may legally reside in
     /// the bucket at `level` along `evict_path` — i.e. whose assigned path
     /// shares at least `level` levels of prefix with the eviction path.
@@ -140,7 +133,7 @@ impl Stash {
     /// The per-level rescan the engines' snapshot write-backs replace:
     /// called leaf to root it is the reference selection (greedy, deepest
     /// first, ascending block id) they are tested against.
-    pub fn drain_for_bucket(
+    pub(crate) fn drain_for_bucket(
         &mut self,
         geometry: &TreeGeometry,
         evict_path: PathId,
@@ -172,13 +165,13 @@ mod tests {
     #[test]
     fn insert_remove_roundtrip() {
         let mut s = Stash::new();
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         s.insert(BlockId(1), PathId(4));
         assert!(s.contains(BlockId(1)));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.remove(BlockId(1)), Some(PathId(4)));
-        assert!(s.is_empty());
-        assert_eq!(s.remove(BlockId(1)), None);
+        assert_eq!(s.take(BlockId(1)), Some(None));
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.take(BlockId(1)), None);
     }
 
     #[test]
@@ -188,7 +181,7 @@ mod tests {
             s.insert(BlockId(i), PathId(0));
         }
         for i in 0..5 {
-            s.remove(BlockId(i));
+            s.take(BlockId(i));
         }
         assert_eq!(s.len(), 0);
         assert_eq!(s.peak(), 5);
@@ -212,7 +205,7 @@ mod tests {
         // Root level: everything qualifies.
         let root = s.drain_for_bucket(&g, PathId(0), Level(0), 4);
         assert_eq!(ids(root), vec![BlockId(3)]);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
     }
 
     #[test]
@@ -253,7 +246,7 @@ mod tests {
         let mut s = Stash::new();
         s.set_data(BlockId(9), vec![1].into_boxed_slice());
         assert_eq!(s.data_of(BlockId(9)), None);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
     }
 
     #[test]

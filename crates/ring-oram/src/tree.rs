@@ -71,14 +71,6 @@ impl TreeGeometry {
         Level(u64::BITS - (bucket.0 + 1).leading_zeros() - 1)
     }
 
-    /// The buckets along `path` from the root (level 0) to the leaf.
-    #[must_use]
-    pub fn path_buckets(&self, path: PathId) -> Vec<BucketId> {
-        (0..self.levels)
-            .map(|l| self.bucket_at(path, Level(l)))
-            .collect()
-    }
-
     /// Whether `bucket` lies on `path`.
     #[must_use]
     pub fn on_path(&self, bucket: BucketId, path: PathId) -> bool {
@@ -116,6 +108,15 @@ impl TreeGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TreeGeometry {
+        /// The buckets along `path` from the root (level 0) to the leaf.
+        pub(crate) fn path_buckets(&self, path: PathId) -> Vec<BucketId> {
+            (0..self.levels)
+                .map(|l| self.bucket_at(path, Level(l)))
+                .collect()
+        }
+    }
 
     fn t4() -> TreeGeometry {
         TreeGeometry::new(4) // 15 buckets, 8 leaves

@@ -71,12 +71,6 @@ impl FetchKind {
             Self::Dummy => None,
         }
     }
-
-    /// Whether the fetch brings a real block into the stash.
-    #[must_use]
-    pub fn is_real(&self) -> bool {
-        !matches!(self, Self::Dummy)
-    }
 }
 
 #[cfg(test)]
@@ -107,8 +101,5 @@ mod tests {
         assert_eq!(FetchKind::Target(BlockId(1)).block(), Some(BlockId(1)));
         assert_eq!(FetchKind::Green(BlockId(2)).block(), Some(BlockId(2)));
         assert_eq!(FetchKind::Dummy.block(), None);
-        assert!(FetchKind::Target(BlockId(1)).is_real());
-        assert!(FetchKind::Green(BlockId(1)).is_real());
-        assert!(!FetchKind::Dummy.is_real());
     }
 }

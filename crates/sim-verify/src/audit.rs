@@ -153,18 +153,6 @@ impl ProtocolAuditor {
         self.violations.is_empty()
     }
 
-    /// Protocol accesses audited so far.
-    #[must_use]
-    pub fn accesses_checked(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Injected fault events audited so far.
-    #[must_use]
-    pub fn faults_checked(&self) -> u64 {
-        self.faults_seen
-    }
-
     fn violate(&mut self, rule: Rule, message: String) {
         self.violations
             .push(Violation::new(self.accesses, rule, message));
@@ -531,7 +519,7 @@ mod tests {
                 "{name}: {:?}",
                 auditor.violations().first()
             );
-            assert_eq!(auditor.accesses_checked(), 600);
+            assert_eq!(auditor.accesses, 600);
         }
     }
 
@@ -643,7 +631,7 @@ mod tests {
             auditor.observe_stash(oram.stash_len());
         }
         assert!(auditor.is_clean(), "{:?}", auditor.violations().first());
-        assert!(auditor.faults_checked() > 0, "faults must have fired");
+        assert!(auditor.faults_seen > 0, "faults must have fired");
         assert_eq!(
             oram.stats().faults_injected,
             oram.stats().faults_detected,
@@ -787,7 +775,7 @@ mod tests {
             oram.recycle_outcome(outcome);
         }
         assert!(auditor.is_clean(), "{:?}", auditor.violations().first());
-        assert_eq!(auditor.accesses_checked(), 600);
+        assert_eq!(auditor.accesses, 600);
     }
 
     /// The Circuit auditor must accept everything the real engine emits.
@@ -804,7 +792,7 @@ mod tests {
             oram.recycle_outcome(outcome);
         }
         assert!(auditor.is_clean(), "{:?}", auditor.violations().first());
-        assert_eq!(auditor.accesses_checked(), 600);
+        assert_eq!(auditor.accesses, 600);
     }
 
     #[test]
@@ -915,7 +903,7 @@ mod tests {
         }
         assert!(path.is_clean(), "{:?}", path.violations().first());
         assert_eq!(circuit.violations().len(), 50);
-        assert_eq!(path.accesses_checked(), 50);
+        assert_eq!(path.accesses, 50);
         assert!(path.take_violations().is_empty());
     }
 

@@ -64,9 +64,7 @@ pub mod violation;
 
 pub use audit::ProtocolAuditor;
 pub use mirror::MirrorOracle;
-pub use oracle::{
-    check_txn_order, data_commands, first_divergence, grouped_by_txn, DataCmd, TxnOrderChecker,
-};
+pub use oracle::{check_txn_order, data_commands, first_divergence, grouped_by_txn, DataCmd};
 pub use policy::PolicyAuditor;
 pub use service::{AuditedPolicy, RequestOutcome, ServiceAuditor};
 pub use shadow::ShadowTimingChecker;

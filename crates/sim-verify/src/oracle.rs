@@ -32,7 +32,7 @@ impl DataCmd {
     /// Differential runs compare operations, since absolute cycles shift
     /// with scheduling.
     #[must_use]
-    pub fn same_operation(&self, other: &Self) -> bool {
+    pub(crate) fn same_operation(&self, other: &Self) -> bool {
         self.txn == other.txn && self.loc == other.loc && self.is_write == other.is_write
     }
 
@@ -76,7 +76,7 @@ pub fn data_commands(trace: &[CommandEvent]) -> Vec<DataCmd> {
 /// Incremental form of [`check_txn_order`], for streaming a long run's
 /// trace through without retaining it.
 #[derive(Debug, Clone, Default)]
-pub struct TxnOrderChecker {
+pub(crate) struct TxnOrderChecker {
     highest: Option<TxnId>,
     violations: Vec<Violation>,
 }
@@ -84,12 +84,12 @@ pub struct TxnOrderChecker {
 impl TxnOrderChecker {
     /// Creates a checker with no history.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Observes one trace event (non-data commands are ignored).
-    pub fn observe(&mut self, ev: &CommandEvent) {
+    pub(crate) fn observe(&mut self, ev: &CommandEvent) {
         if !ev.cmd.kind.carries_data() {
             return;
         }
@@ -117,20 +117,14 @@ impl TxnOrderChecker {
         }
     }
 
-    /// Violations found so far.
-    #[must_use]
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
     /// Takes the accumulated violations, keeping the high-water mark.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
+    pub(crate) fn take_violations(&mut self) -> Vec<Violation> {
         std::mem::take(&mut self.violations)
     }
 
     /// Whether no violation has been found.
     #[must_use]
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 }
@@ -163,7 +157,7 @@ pub fn grouped_by_txn(cmds: &[DataCmd]) -> Vec<(TxnId, Vec<DataCmd>)> {
 
 /// Finds the first position at which two data-command sequences stop being
 /// the same operation stream (cycles are ignored; see
-/// [`DataCmd::same_operation`]). Returns `None` when the sequences agree,
+/// `DataCmd::same_operation`). Returns `None` when the sequences agree,
 /// otherwise the diverging index and each side's command there (`None` for
 /// a side that ran out).
 #[must_use]

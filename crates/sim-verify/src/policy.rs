@@ -10,7 +10,7 @@
 //! transaction (read-priority does), but never across transactions.
 //!
 //! [`PolicyAuditor`] checks that contract from the outside. It delegates
-//! cross-transaction ordering to the [`TxnOrderChecker`] oracle and folds
+//! cross-transaction ordering to the `TxnOrderChecker` oracle and folds
 //! every data command into a **canonical digest**: per-transaction groups,
 //! each sorted by [`DataCmd::operation_key`] before hashing, so two runs
 //! that differ only in intra-transaction issue order (or in preparation
@@ -21,18 +21,10 @@
 
 use dram_sim::CommandKind;
 use mem_sched::{CommandEvent, TxnId};
+use oram_rng::mix64;
 
 use crate::oracle::TxnOrderChecker;
 use crate::violation::Violation;
-
-/// SplitMix64 finalizer: the bijective mixer the digest chain is built on.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Hashes the on-bus-observable identity of one data command (transaction,
 /// location, direction — never the cycle).

@@ -153,12 +153,6 @@ impl ShadowTimingChecker {
         self.violations.is_empty()
     }
 
-    /// Commands observed so far.
-    #[must_use]
-    pub fn commands_checked(&self) -> u64 {
-        self.commands
-    }
-
     /// Checks a whole trace; returns the violations found.
     pub fn check_trace(&mut self, trace: &[(u64, DramCommand)]) -> Vec<Violation> {
         let before = self.violations.len();
@@ -432,7 +426,7 @@ mod tests {
         let pre_at = tp.t_ras.max(tp.t_rcd + tp.t_rtp);
         c.observe(pre_at, DramCommand::precharge(l));
         assert!(c.is_clean(), "{:?}", c.violations());
-        assert_eq!(c.commands_checked(), 3);
+        assert_eq!(c.commands, 3);
     }
 
     #[test]

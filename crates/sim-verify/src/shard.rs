@@ -80,12 +80,6 @@ impl ShardResidencyAuditor {
         }
     }
 
-    /// Total distinct blocks observed across all recorded shards.
-    #[must_use]
-    pub fn blocks_seen(&self) -> usize {
-        self.seen.len()
-    }
-
     /// Consumes the auditor and returns every violation found.
     #[must_use]
     pub fn finish(self) -> Vec<Violation> {
@@ -103,7 +97,7 @@ mod tests {
         for shard in 0..4usize {
             a.record_shard(shard, (0..32u64).map(|i| i * 4 + shard as u64));
         }
-        assert_eq!(a.blocks_seen(), 128);
+        assert_eq!(a.seen.len(), 128);
         assert!(a.finish().is_empty());
     }
 

@@ -143,13 +143,20 @@ pub enum BackendKind {
     FastFunctional,
 }
 
+/// Instructions retired per CPU cycle per core (Table I: 4-wide).
+const RETIRE_WIDTH: u64 = 4;
+
+/// CPU cycles per memory bus cycle (Table I's 3.2 GHz over DDR3-1600's
+/// 800 MHz bus).
+const CPU_CYCLES_PER_MEM_CYCLE: u64 = 4;
+
 /// Full-system parameters: processor (Table I), memory subsystem (Table II)
 /// and ORAM (Table III).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Which ORAM protocol the pipeline drives (the cross-protocol arena
     /// selector). The presets pick it from the scheme through
-    /// [`Self::for_scheme`]: [`ProtocolKind::RingCb`] — the paper's design
+    /// `Self::for_scheme`: [`ProtocolKind::RingCb`] — the paper's design
     /// point — when the scheme uses CB, plain `Ring` when it does not. The
     /// other kinds reinterpret [`Self::ring`] through
     /// [`Self::effective_ring`]: plain `Ring` forces `y = 0` (no CB
@@ -157,7 +164,7 @@ pub struct SystemConfig {
     /// slots, no dummy budget ([`RingConfig::z_slot`]).
     pub protocol: ProtocolKind,
     /// Ring ORAM parameters. In a preset they already are what the
-    /// selected protocol runs with ([`Self::for_scheme`] zeroes `ring.y`
+    /// selected protocol runs with (`Self::for_scheme` zeroes `ring.y`
     /// together with selecting plain `Ring`); after a hand edit of
     /// [`Self::protocol`], [`Self::effective_ring`] is authoritative.
     pub ring: RingConfig,
@@ -168,17 +175,12 @@ pub struct SystemConfig {
     /// Command-scheduling policy the memory controller runs (one of the
     /// five `mem-sched` policy-lab points; presets select the paper's
     /// transaction-based baseline or Proactive Bank via
-    /// [`Self::for_scheme`]).
+    /// `Self::for_scheme`).
     pub sched_policy: SchedulerPolicy,
     /// Entries per direction per channel in the controller queues.
     pub queue_capacity: usize,
     /// Number of cores (Table I: 4).
     pub cores: usize,
-    /// Instructions retired per CPU cycle per core (Table I: 4).
-    pub retire_width: u32,
-    /// CPU cycles per memory bus cycle (3.2 GHz over DDR3-1600's 800 MHz
-    /// bus = 4).
-    pub cpu_cycles_per_mem_cycle: u32,
     /// Maximum unfinished ORAM transactions before the controller stops
     /// planning new accesses (keeps transaction *i+1* visible for PB).
     pub max_inflight_txns: usize,
@@ -334,8 +336,6 @@ impl SystemConfig {
                 sched_policy: SchedulerPolicy::TransactionBased,
                 queue_capacity: 64,
                 cores: 4,
-                retire_width: 4,
-                cpu_cycles_per_mem_cycle: 4,
                 max_inflight_txns: 6,
                 core_mlp: 1,
                 load_factor: ring_oram::RingOram::DEFAULT_LOAD_FACTOR,
@@ -373,8 +373,6 @@ impl SystemConfig {
                 sched_policy: SchedulerPolicy::TransactionBased,
                 queue_capacity: 64,
                 cores: 2,
-                retire_width: 4,
-                cpu_cycles_per_mem_cycle: 4,
                 max_inflight_txns: 6,
                 core_mlp: 1,
                 load_factor: 0.5,
@@ -397,7 +395,7 @@ impl SystemConfig {
     /// config and the engine it builds name the same protocol), PB on/off
     /// selects the scheduler policy.
     #[must_use]
-    pub fn for_scheme(mut base: Self, scheme: Scheme) -> Self {
+    pub(crate) fn for_scheme(mut base: Self, scheme: Scheme) -> Self {
         if !scheme.uses_cb() {
             base.ring.y = 0;
             if base.protocol == ProtocolKind::RingCb {
@@ -412,17 +410,18 @@ impl SystemConfig {
         base
     }
 
-    /// Instructions one core can retire per memory cycle.
+    /// Instructions one core can retire per memory cycle: Table I's retire
+    /// width times the CPU cycles per memory cycle (16).
     #[must_use]
     pub fn instructions_per_mem_cycle(&self) -> u64 {
-        u64::from(self.retire_width) * u64::from(self.cpu_cycles_per_mem_cycle)
+        RETIRE_WIDTH * CPU_CYCLES_PER_MEM_CYCLE
     }
 
     /// The row-set size: DRAM row bytes times channels — the natural
     /// locality window under the paper's channel-striped address mapping,
     /// used to size subtree-layout groups.
     #[must_use]
-    pub fn row_set_bytes(&self) -> u64 {
+    pub(crate) fn row_set_bytes(&self) -> u64 {
         self.geometry.row_bytes() * u64::from(self.geometry.channels)
     }
 
@@ -447,7 +446,7 @@ impl SystemConfig {
     ///
     /// Panics if `ring` fails validation.
     #[must_use]
-    pub fn tree_layout(&self, ring: &RingConfig) -> TreeLayout {
+    pub(crate) fn tree_layout(&self, ring: &RingConfig) -> TreeLayout {
         match self.layout {
             LayoutKind::Subtree => TreeLayout::subtree(ring, self.row_set_bytes()),
             LayoutKind::Naive => TreeLayout::naive(ring),
@@ -543,9 +542,6 @@ impl SystemConfig {
                 self.cores
             )
             .into());
-        }
-        if self.retire_width == 0 || self.cpu_cycles_per_mem_cycle == 0 {
-            return Err("retire_width and cpu_cycles_per_mem_cycle must be nonzero".into());
         }
         if !(1..=Self::MAX_QUEUE_CAPACITY).contains(&self.queue_capacity) {
             return Err(format!(

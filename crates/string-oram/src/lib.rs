@@ -54,7 +54,7 @@ pub use config::{
     VerifyConfig,
 };
 pub use cpu::{Core, CoreRequest, CoreState};
-pub use pipeline::{CacheAligned, ShardedSimulation};
+pub use pipeline::ShardedSimulation;
 pub use report::{
     GovernorSummary, KindCycles, LatencyPercentiles, ResilienceSummary, RowClassCounts,
     ServiceSummary, SimReport, TenantSummary,

@@ -268,7 +268,7 @@ fn report_with_bank_idle(
 ///
 /// Panics on an empty slice (a sharded engine always has ≥ 1 shard).
 #[must_use]
-pub fn merge_snapshots(snaps: &[CounterSnapshot]) -> CounterSnapshot {
+pub(crate) fn merge_snapshots(snaps: &[CounterSnapshot]) -> CounterSnapshot {
     let mut acc = snaps[0].clone();
     acc.read_latency_idx = 0;
     for s in &snaps[1..] {
@@ -299,7 +299,7 @@ pub fn merge_snapshots(snaps: &[CounterSnapshot]) -> CounterSnapshot {
 /// per-shard parts `(whole-run snapshot, read-latency samples, conformance
 /// findings)`, given in shard-id order — never arrival order, so thread
 /// interleaving cannot change the result. Extensive counters sum over
-/// shards ([`merge_snapshots`]), means are recomputed from the summed raw
+/// shards (`merge_snapshots`), means are recomputed from the summed raw
 /// counters, latency percentiles from the pooled samples, findings are
 /// prefixed `shard {s}:`, and `makespan_cycles` is the slowest shard's
 /// clock. Callers append their own engine-level findings and summaries.

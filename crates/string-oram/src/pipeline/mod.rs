@@ -48,7 +48,7 @@ pub mod txns;
 pub use self::core::PipelineCore;
 pub use backend::build_backend;
 pub use conformance::Conformance;
-pub use metrics::{build_merged_report, build_report, merge_snapshots, CounterSnapshot, Metrics};
+pub use metrics::{build_merged_report, build_report, CounterSnapshot, Metrics};
 pub use planner::{PlannedTxn, Planner};
-pub use shard::{CacheAligned, ShardedSimulation};
+pub use shard::ShardedSimulation;
 pub use txns::{Retired, TxnTracker, Wake};

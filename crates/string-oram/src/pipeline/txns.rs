@@ -252,7 +252,7 @@ impl TxnTracker {
     /// Whether admitted requests still wait for queue space at the backend
     /// (the enqueue stage has work).
     #[must_use]
-    pub fn has_unenqueued(&self) -> bool {
+    pub(crate) fn has_unenqueued(&self) -> bool {
         !self.enqueue_fifo.is_empty()
     }
 

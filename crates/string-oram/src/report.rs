@@ -92,17 +92,6 @@ impl RowClassCounts {
         }
     }
 
-    /// Fraction of requests that needed any row activation (miss or
-    /// conflict).
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.misses + self.conflicts) as f64 / self.total() as f64
-        }
-    }
-
     /// Count-wise difference `self - earlier` for measurement windows.
     #[must_use]
     pub fn delta(&self, earlier: &Self) -> Self {
@@ -169,16 +158,6 @@ impl LatencyPercentiles {
             p999: at(0.999),
             max: v[v.len() - 1],
         }
-    }
-
-    /// Computes merged percentiles over per-shard sample populations (the
-    /// sharded engine's pooled view). Shards with empty windows contribute
-    /// nothing; an all-empty input yields the all-zero summary, same as
-    /// [`Self::from_samples`] on an empty slice — never a panic.
-    #[must_use]
-    pub fn from_shard_samples(per_shard: &[&[u64]]) -> Self {
-        let pooled: Vec<u64> = per_shard.iter().flat_map(|s| s.iter().copied()).collect();
-        Self::from_samples(&pooled)
     }
 
     /// Whether the population is empty (percentiles are the zero defaults,
@@ -457,7 +436,6 @@ mod tests {
         c.add(RowClass::Miss);
         assert_eq!(c.total(), 4);
         assert!((c.conflict_rate() - 0.5).abs() < 1e-12);
-        assert!((c.miss_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -511,7 +489,7 @@ mod tests {
 
         // Merging shards through the pool is the same estimator.
         let (a, b) = v.split_at(400);
-        assert_eq!(LatencyPercentiles::from_shard_samples(&[b, a]), p);
+        assert_eq!(LatencyPercentiles::from_samples(&[b, a].concat()), p);
     }
 
     /// Regression: an empty sample population must yield an all-zero
@@ -532,12 +510,12 @@ mod tests {
     #[test]
     fn shard_sample_merge_handles_empty_windows() {
         let populated: Vec<u64> = (1..=50).collect();
-        let merged = LatencyPercentiles::from_shard_samples(&[&[], &populated]);
+        let merged = LatencyPercentiles::from_samples(&[&[], &populated[..]].concat());
         assert_eq!(merged, LatencyPercentiles::from_samples(&populated));
         assert!(!merged.is_empty());
         assert_eq!(merged.median(), Some(26)); // 25.5 interpolated, rounded up
 
-        let all_empty = LatencyPercentiles::from_shard_samples(&[&[], &[], &[]]);
+        let all_empty = LatencyPercentiles::from_samples(&[&[][..], &[], &[]].concat());
         assert_eq!(all_empty, LatencyPercentiles::default());
         assert!(all_empty.is_empty());
         assert_eq!(all_empty.median(), None);
@@ -549,7 +527,7 @@ mod tests {
     fn shard_sample_merge_pools_across_shards() {
         let a: Vec<u64> = (1..=50).collect();
         let b: Vec<u64> = (51..=100).collect();
-        let merged = LatencyPercentiles::from_shard_samples(&[&a, &b]);
+        let merged = LatencyPercentiles::from_samples(&[a, b].concat());
         let direct: Vec<u64> = (1..=100).collect();
         assert_eq!(merged, LatencyPercentiles::from_samples(&direct));
         assert_eq!(merged.samples, 100);
@@ -567,6 +545,5 @@ mod tests {
     fn empty_rates_are_zero() {
         let c = RowClassCounts::default();
         assert_eq!(c.conflict_rate(), 0.0);
-        assert_eq!(c.miss_rate(), 0.0);
     }
 }

@@ -29,7 +29,7 @@ pub struct SpaceRow {
 impl SpaceRow {
     /// Computes the row for a configuration.
     #[must_use]
-    pub fn for_config(label: impl Into<String>, cfg: &RingConfig) -> Self {
+    pub(crate) fn for_config(label: impl Into<String>, cfg: &RingConfig) -> Self {
         let buckets = cfg.bucket_count();
         let block = u64::from(cfg.block_bytes);
         Self {

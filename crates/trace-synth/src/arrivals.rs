@@ -28,9 +28,9 @@
 //! inside (0, 1) draws once per tick in that state; a draw at or above a
 //! ceiling just over [`ArrivalSpec::peak_per_tick`] is a miss without the
 //! envelope, and only a draw under it evaluates
-//! [`ArrivalProcess::rate_at`] and compares exactly. Any other state
+//! `ArrivalProcess::rate_at` and compares exactly. Any other state
 //! evaluates the envelope every tick. Each path makes the same draws and
-//! the same decisions as `gen_bool` on [`ArrivalProcess::rate_at`], so
+//! the same decisions as `gen_bool` on `ArrivalProcess::rate_at`, so
 //! every realisation is bit-identical to that definition.
 
 use oram_rng::{Rng, StdRng};
@@ -318,7 +318,7 @@ impl ArrivalProcess {
     /// draws are taken from. Exposed for tests and capacity planning.
     #[inline]
     #[must_use]
-    pub fn rate_at(&self, t: u64, bursting: bool) -> f64 {
+    pub(crate) fn rate_at(&self, t: u64, bursting: bool) -> f64 {
         let mut rate = self.base_per_tick;
         if self.spec.diurnal_period > 0 {
             let turns = t as f64 / self.spec.diurnal_period as f64;
@@ -373,12 +373,6 @@ impl ArrivalProcess {
         self.base_per_tick == 0.0 || (bursts_for_good && self.spec.burst_multiplier == 0.0)
     }
 
-    /// Whether the process is currently in its bursting state.
-    #[must_use]
-    pub fn is_bursting(&self) -> bool {
-        self.bursting
-    }
-
     /// Ticks consumed so far.
     #[must_use]
     pub fn ticks(&self) -> u64 {
@@ -392,7 +386,7 @@ impl ArrivalProcess {
     /// `n`: a silent shape (see [`ArrivalSpec::is_silent`]) returns an empty
     /// `Vec` and consumes no tick, and so does one that has entered a burst
     /// at rate 0 with no way out.
-    pub fn take_gaps(&mut self, n: usize) -> Vec<u32> {
+    pub(crate) fn take_gaps(&mut self, n: usize) -> Vec<u32> {
         let mut gaps = Vec::with_capacity(n);
         let mut idle = 0u32;
         while gaps.len() < n && !self.never_arrives() {
@@ -418,7 +412,7 @@ impl ArrivalProcess {
     /// usable by the ordinary trace-driven simulation, not just the
     /// service layer. A process that can never arrive again yields fewer
     /// than `n` records, none for a silent shape (see
-    /// [`ArrivalProcess::take_gaps`]).
+    /// `ArrivalProcess::take_gaps`).
     pub fn take_records(&mut self, n: usize, blocks: u64, write_fraction: f64) -> Vec<TraceRecord> {
         let gaps = self.take_gaps(n);
         gaps.into_iter()
@@ -460,7 +454,7 @@ mod tests {
         let mut l = ArrivalProcess::new(loud, 11);
         let sum_q: u64 = (0..20_000).map(|_| u64::from(q.next_tick())).sum();
         let sum_l: u64 = (0..20_000).map(|_| u64::from(l.next_tick())).sum();
-        assert!(l.is_bursting());
+        assert!(l.bursting);
         assert!(
             sum_l > sum_q * 5,
             "bursting sum {sum_l} should dwarf quiet sum {sum_q}"
@@ -545,7 +539,7 @@ mod tests {
             let mut h = oram_rng::FNV_OFFSET;
             for _ in 0..200_000 {
                 let n = p.next_tick();
-                let bytes = [n as u8, (n >> 8) as u8, u8::from(p.is_bursting())];
+                let bytes = [n as u8, (n >> 8) as u8, u8::from(p.bursting)];
                 h = oram_rng::fnv1a_bytes(h, &bytes);
             }
             assert_eq!(h, want, "{spec:?}: 0x{h:016X}");
@@ -653,7 +647,7 @@ mod tests {
         );
         let gaps = trapped.take_gaps(1_000_000);
         assert!(!gaps.is_empty() && gaps.len() < 1_000_000);
-        assert!(trapped.is_bursting());
+        assert!(trapped.bursting);
         assert!(trapped.take_gaps(1).is_empty());
     }
 
@@ -759,7 +753,7 @@ mod tests {
                 .count();
             for t in 0..20_000 {
                 assert_eq!(p.next_tick(), r.next_tick(), "{spec:?} tick {t}");
-                assert_eq!(p.is_bursting(), r.bursting, "{spec:?} tick {t}");
+                assert_eq!(p.bursting, r.bursting, "{spec:?} tick {t}");
             }
             // One more arrival and its block and write draws: a drift in
             // the number of draws shows here even where counts agreed.

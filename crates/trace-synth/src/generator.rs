@@ -155,7 +155,7 @@ impl TraceGenerator {
 
     /// Generates the next record: a geometric instruction gap followed by
     /// one memory operation.
-    pub fn next_record(&mut self) -> TraceRecord {
+    pub(crate) fn next_record(&mut self) -> TraceRecord {
         // Geometric(p) gap: number of non-memory instructions before the
         // next miss. Inverse-CDF sampling keeps it O(1).
         let u: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);

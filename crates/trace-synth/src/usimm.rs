@@ -17,7 +17,7 @@ use std::io::{BufRead, Write};
 use crate::record::TraceRecord;
 
 /// Cache-line size used to convert byte addresses to block indices.
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 /// A parse failure with its line number.
 #[derive(Debug, Clone, PartialEq, Eq)]

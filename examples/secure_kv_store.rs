@@ -32,7 +32,7 @@ impl ObliviousKv {
             ..RingConfig::hpca_default()
         };
         let mut oram = protocol.engine(&cfg, seed, 0.7);
-        oram.enable_aes_encryption(*b"demo-kv-store-16");
+        oram.enable_encryption(0xDE30_C0DE);
         Self {
             oram,
             directory: HashMap::new(),

@@ -224,12 +224,12 @@ fn faults(o: &mut dyn ObliviousProtocol, retries: u32) {
 
 /// Every read returns the block's last write — `None` before the first —,
 /// on every engine, through evictions, reshuffles, CB greens, covers,
-/// either cipher and recovered transit faults: the rows below over all
+/// the cipher and recovered transit faults: the rows below over all
 /// four protocols (random Ring configurations are
 /// `data_integrity_under_random_interleavings`). The 12-level rows run
 /// Ring long enough for its tree to span three slab chunks; Path and
-/// Circuit move a whole path of payloads per access and run shorter (the
-/// AES rows dominate a debug build). `Y = 4` churns 24 blocks through a
+/// Circuit move a whole path of payloads per access and run shorter.
+/// `Y = 4` churns 24 blocks through a
 /// small tree whose greens carry payloads through the stash. Without
 /// retries an unrecovered fetch loses its payload, and every finding is a
 /// read that came back empty.
@@ -245,14 +245,11 @@ fn mirror_oracle_holds_on_every_engine() {
         ..RingConfig::test_small_cb()
     };
     type Setup = fn(&mut dyn ObliviousProtocol);
-    let rows: [(&str, &RingConfig, u64, Setup); 6] = [
+    let rows: [(&str, &RingConfig, u64, Setup); 5] = [
         ("plain", &deep, 500, |_| {}),
         ("splitmix", &deep, 500, |o| o.enable_encryption(0x5EA1)),
-        ("aes", &deep, 500, |o| {
-            o.enable_aes_encryption(*b"three chunks key")
-        }),
-        ("aes, y = 4", &y4, 24, |o| {
-            o.enable_aes_encryption(*b"sixteen byte key")
+        ("splitmix, y = 4", &y4, 24, |o| {
+            o.enable_encryption(0x5EA1_4B1D)
         }),
         ("splitmix + faults", &deep, 500, |o| faults(o, 6)),
         ("splitmix + faults, no retries", &deep, 500, |o| {
