@@ -1,15 +1,20 @@
-//! One lossless tree for a run's configuration, [`SystemConfig`] as a JSON
-//! [`Value`]: paths are field names (`ring.levels`), enums their labels,
-//! `None` is `null` and an integer from 2^53 up a `"0x…"` string. A bad leaf
-//! is a [`TreeError`] naming its path (DESIGN.md §6 "The config tree").
+//! One lossless tree for a run's configuration, [`SystemConfig`] or
+//! [`ServiceConfig`], as a JSON [`Value`]: paths are field names
+//! (`ring.levels`), enums their labels, `None` is `null` and an integer from
+//! 2^53 up a `"0x…"` string. A bad leaf is a [`TreeError`] naming its path.
+//! A bench row records its config as the `delta` from the one base of its
+//! type (`Recorded`; DESIGN.md §6 "The config tree").
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use dram_sim::{DramFaultConfig, DramGeometry, TimingParams};
 use mem_sched::{PagePolicy, ResponseFaultConfig, SchedulerPolicy};
+use oram_service::{GovernorConfig, ServiceConfig, SubmissionPolicy, TenantSpec};
 use ring_oram::{ProtocolKind, RecursiveConfig, ResilienceConfig, RingConfig};
-use string_oram::{BackendKind, FaultConfig, LayoutKind, MappingKind, SystemConfig, VerifyConfig};
+use string_oram::VerifyConfig;
+use string_oram::{BackendKind, FaultConfig, LayoutKind, MappingKind, Scheme, SystemConfig};
+use trace_synth::ArrivalSpec;
 
 use crate::json::Value;
 
@@ -43,6 +48,11 @@ fn bad<T>(message: String) -> Result<T, TreeError> {
     Err(TreeError(Vec::new(), message))
 }
 
+/// `e`, found under `key`.
+pub(crate) fn under(key: String, TreeError(path, message): TreeError) -> TreeError {
+    TreeError([vec![key], path].concat(), message)
+}
+
 /// `v` on one line, for an error message.
 fn shown(v: &Value) -> String {
     let words: Vec<String> = v.to_string().split_whitespace().map(String::from).collect();
@@ -63,8 +73,64 @@ pub fn merge(into: &mut Value, from: Value) {
     }
 }
 
+/// The smallest `d` with `merge(base, d)` equal to `tree`, the inverse of
+/// [`merge`]: objects are compared key by key, and whatever `merge`
+/// replaces whole — an object with a `kind` key, an array, a `null` that
+/// became an object or back, any other leaf — is emitted whole where it
+/// differs. Two equal objects give `{}`.
+pub(crate) fn delta(base: &Value, tree: &Value) -> Value {
+    match (base, tree) {
+        (Value::Object(a), Value::Object(b)) if !b.contains_key("kind") => {
+            let changed = b.iter().filter(|&(k, v)| a.get(k) != Some(v));
+            let at = |k: &String| a.get(k).unwrap_or(&Value::Null);
+            Value::Object(changed.map(|(k, v)| (k.clone(), delta(at(k), v))).collect())
+        }
+        _ => tree.clone(),
+    }
+}
+
+/// A config a bench row records as its [`delta`] from the one base of its
+/// type, so the row names what ran and replays from itself.
+pub(crate) trait Recorded: Tree {
+    /// The base every recorded value of the type is a delta from.
+    fn base() -> Self;
+
+    /// `self` as a row records it.
+    fn recorded(&self) -> Value {
+        delta(&Self::base().to_value(), &self.to_value())
+    }
+
+    /// The config a recorded delta spells: `from_value(merge(base, d))`.
+    fn replayed(d: &Value) -> Result<Self, TreeError> {
+        let mut tree = Self::base().to_value();
+        merge(&mut tree, d.clone());
+        Self::from_value(&tree)
+    }
+}
+
+impl Recorded for SystemConfig {
+    /// The paper's machine under ALL.
+    fn base() -> Self {
+        Self::hpca_default(Scheme::All)
+    }
+}
+
+impl Recorded for ServiceConfig {
+    /// The system base under `test_small`'s service fields, with no tenant
+    /// and a zero horizon, so every valid config records both.
+    fn base() -> Self {
+        Self {
+            system: SystemConfig::base(),
+            ..Self::test_small(Vec::new(), 0)
+        }
+    }
+}
+
 /// `v`'s entries, when it is an object with no key outside `keys`.
-fn object<'a>(v: &'a Value, keys: &[&str]) -> Result<&'a BTreeMap<String, Value>, TreeError> {
+pub(crate) fn object<'a>(
+    v: &'a Value,
+    keys: &[&str],
+) -> Result<&'a BTreeMap<String, Value>, TreeError> {
     let Value::Object(m) = v else {
         return bad(format!("expected an object, got {}", shown(v)));
     };
@@ -74,11 +140,11 @@ fn object<'a>(v: &'a Value, keys: &[&str]) -> Result<&'a BTreeMap<String, Value>
 }
 
 /// The field `key` of an object's entries.
-fn field<T: Tree>(m: &BTreeMap<String, Value>, key: &str) -> Result<T, TreeError> {
+pub(crate) fn field<T: Tree>(m: &BTreeMap<String, Value>, key: &str) -> Result<T, TreeError> {
     let v = m
         .get(key)
         .map_or_else(|| bad("missing".into()), T::from_value);
-    v.map_err(|TreeError(path, message)| TreeError([vec![key.into()], path].concat(), message))
+    v.map_err(|e| under(key.into(), e))
 }
 
 /// The entry of `table` whose label `v` spells, in any case.
@@ -113,10 +179,11 @@ fn narrow<T: TryFrom<u64>>(v: &Value) -> Result<T, TreeError> {
     T::try_from(n).or_else(|_| bad(format!("{n} is out of range for {name}")))
 }
 
-/// The trees that are one leaf: how each is written, how it is read.
+/// The trees that are one leaf, or a list of trees: how each is written,
+/// how it is read.
 macro_rules! leaves {
-    ($($t:ty => $to:expr, $from:expr;)*) => {$(
-        impl Tree for $t {
+    ($($t:ty $(where $g:ident: Tree)? => $to:expr, $from:expr;)*) => {$(
+        impl $(<$g: Tree>)? Tree for $t {
             fn to_value(&self) -> Value { ($to)(self) }
             fn from_value(v: &Value) -> Result<Self, TreeError> { ($from)(v) }
         }
@@ -140,6 +207,17 @@ leaves! {
     };
     ProtocolKind => |k: &ProtocolKind| Value::from(k.label()),
         |v| label(v, &ProtocolKind::ALL.map(|k| (k, k.label())));
+    String => |s: &String| Value::from(s.as_str()), |v: &Value| match v.as_str() {
+        Some(s) => Ok(s.to_string()),
+        None => bad(format!("expected a string, got {}", shown(v))),
+    };
+    Vec<T> where T: Tree => |items: &Vec<T>| Value::Array(items.iter().map(T::to_value).collect()),
+        |v: &Value| match v.as_array() {
+            Some(items) => items.iter().enumerate()
+                .map(|(i, item)| T::from_value(item).map_err(|e| under(i.to_string(), e)))
+                .collect(),
+            None => bad(format!("expected an array, got {}", shown(v))),
+        };
 }
 
 impl<T: Tree> Tree for Option<T> {
@@ -155,38 +233,42 @@ impl<T: Tree> Tree for Option<T> {
     }
 }
 
-/// Each policy with its parameter's key: `{"kind": name, <key>: n}`.
+/// Each policy of a `kind`-tagged enum, named by the enum's label `fn`,
+/// with its parameters' keys: `{"kind": name, <key>: n, …}`.
 macro_rules! policies {
-    ($($variant:ident $({ $key:ident })?),*) => {
-        impl Tree for SchedulerPolicy {
+    ($($ty:ident by $name:ident { $($variant:ident $({ $($key:ident),* })?),* })*) => {$(
+        impl Tree for $ty {
             fn to_value(&self) -> Value {
-                let mut m = BTreeMap::from([("kind".to_string(), Value::from(self.name()))]);
+                let mut m = BTreeMap::from([("kind".to_string(), Value::from(self.$name()))]);
                 match *self {
-                    $(Self::$variant $({ $key })? => {
-                        $(m.insert(stringify!($key).to_string(), $key.to_value());)?
+                    $(Self::$variant $({ $($key),* })? => {
+                        $($(m.insert(stringify!($key).to_string(), $key.to_value());)*)?
                     })*
                 }
                 Value::Object(m)
             }
 
             fn from_value(v: &Value) -> Result<Self, TreeError> {
-                let names = [$((Self::$variant $({ $key: 0 })?).name()),*];
+                let names = [$((Self::$variant $({ $($key: 0),* })?).$name()),*];
                 let kind = label(v.get("kind").unwrap_or(&Value::Null), &names.map(|n| (n, n)));
                 let kind = kind.map_err(|e| TreeError(vec!["kind".into()], e.1))?;
-                $(if kind == (Self::$variant $({ $key: 0 })?).name() {
+                $(if kind == (Self::$variant $({ $($key: 0),* })?).$name() {
                     #[allow(unused_variables)] // by the variants without a parameter
-                    let m = object(v, &["kind" $(, stringify!($key))?])?;
-                    return Ok(Self::$variant $({ $key: field(m, stringify!($key))? })?);
+                    let m = object(v, &["kind" $($(, stringify!($key))*)?])?;
+                    return Ok(Self::$variant $({ $($key: field(m, stringify!($key))?),* })?);
                 })*
                 unreachable!("{kind} is one of {names:?}")
             }
         }
-    };
+    )*};
 }
 
 policies! {
-    TransactionBased, ProactiveBank { lookahead }, Unconstrained, ReadOverWrite { drain_bound },
-    SpeculativeWindow { window }, FixedCadence { period }
+    SchedulerPolicy by name {
+        TransactionBased, ProactiveBank { lookahead }, Unconstrained, ReadOverWrite { drain_bound },
+        SpeculativeWindow { window }, FixedCadence { period }
+    }
+    SubmissionPolicy by label { BestEffort { batch }, FixedRate { interval, batch } }
 }
 
 /// The label tables of the enums that have no label of their own.
@@ -245,6 +327,12 @@ structs! {
         degrade_watermark, resume_watermark }
     DramFaultConfig { seed, storm_rate, storm_factor, weak_row_rate, weak_row_stall }
     ResponseFaultConfig { seed, late_rate, late_delay, drop_rate, saturation_rate }
+    ServiceConfig { system, tenants, policy, deadline_cycles, retry_budget, governor, horizon,
+        max_cycles }
+    TenantSpec { name, queue_cap, arrivals, blocks, write_fraction }
+    GovernorConfig { degrade_enter, degrade_exit, shed_enter, shed_exit, degraded_quota }
+    ArrivalSpec { base_per_ktick, burst_multiplier, burst_on, burst_off, diurnal_period,
+        diurnal_amplitude }
 }
 
 #[cfg(test)]
@@ -258,17 +346,44 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    /// `cfg` reads back from its tree, and from the tree's JSON text.
-    fn round_trips(cfg: &SystemConfig) {
+    /// `cfg` reads back from its tree, from the tree's JSON text, and from
+    /// its delta merged over the base.
+    fn round_trips<T: Recorded + PartialEq + fmt::Debug>(cfg: &T) {
         let tree = cfg.to_value();
-        assert_eq!(SystemConfig::from_value(&tree).as_ref(), Ok(cfg));
+        assert_eq!(T::from_value(&tree).as_ref(), Ok(cfg));
         let text = tree.to_string();
         let reread = parse(&text).expect("the emitted text parses");
-        assert_eq!(
-            SystemConfig::from_value(&reread).as_ref(),
-            Ok(cfg),
-            "{text}"
-        );
+        assert_eq!(T::from_value(&reread).as_ref(), Ok(cfg), "{text}");
+        let recorded = cfg.recorded();
+        assert_eq!(T::replayed(&recorded).as_ref(), Ok(cfg), "{recorded}");
+    }
+
+    /// A service over `system`: up to three tenants of each arrival shape
+    /// and either submission policy, drawn from `rng`.
+    fn serve(rng: &mut StdRng, system: &SystemConfig) -> ServiceConfig {
+        let (rate, n) = (rng.gen::<f64>() * 10.0, rng.gen_range(1u32..16));
+        let shapes = [
+            ArrivalSpec::steady(rate),
+            ArrivalSpec::bursty(rate, 4.0),
+            ArrivalSpec::diurnal(rate, 4_000, 0.8),
+        ];
+        let tenants = (0..rng.gen_range(0..4)).map(|t| TenantSpec::new(format!("t{t}"), shapes[t]));
+        ServiceConfig {
+            system: system.clone(),
+            tenants: tenants.collect(),
+            policy: pick(
+                rng,
+                &[
+                    SubmissionPolicy::BestEffort { batch: n },
+                    SubmissionPolicy::FixedRate {
+                        interval: n.into(),
+                        batch: n,
+                    },
+                ],
+            ),
+            horizon: rng.gen(),
+            ..ServiceConfig::base()
+        }
     }
 
     fn pick<T: Copy>(rng: &mut StdRng, choices: &[T]) -> T {
@@ -332,10 +447,12 @@ mod tests {
     #[test]
     fn random_valid_configs_round_trip() {
         let mut rng = StdRng::seed_from_u64(0x7AEE);
+        let mut services = StdRng::seed_from_u64(0x5E4F);
         let (mut valid, mut spelled) = (0, BTreeSet::new());
         for _ in 0..600 {
             let cfg = draw(&mut rng);
             round_trips(&cfg);
+            round_trips(&serve(&mut services, &cfg));
             if cfg.validate().is_ok() {
                 valid += 1;
                 let tree = cfg.to_value();

@@ -5,16 +5,23 @@
 //! selects an entry by name, prints its rows, writes the document, compares
 //! it with the committed copy and fails the run when the gate does not
 //! hold; `schema.rs` holds each document's format and its rules.
+//!
+//! Every row records what ran under its `run` key: the config, as its
+//! delta from the base of its type (`config::Recorded`), and for a
+//! trace-driven row the trace ([`TraceRun`]). A point function takes that
+//! run and nothing else, so the entry's loop and a replay of a committed
+//! row call the same code.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mem_sched::SchedulerPolicy;
 use oram_service::{OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
-use string_oram::{BackendKind, ProtocolKind, Scheme, ShardedSimulation, SystemConfig};
-use string_oram::{Simulation, TenantSummary, VerifyConfig};
-use trace_synth::ArrivalSpec;
+use string_oram::{BackendKind, ConfigError, ProtocolKind, Scheme, ShardedSimulation, SimReport};
+use string_oram::{Simulation, SystemConfig, TenantSummary, VerifyConfig};
+use trace_synth::{by_name, ArrivalSpec, TraceRecord};
 
-use crate::config::Tree;
+use crate::config::{field, object, under, Recorded, Tree, TreeError};
 use crate::experiments::EXPERIMENT;
 use crate::json::Value;
 use crate::paper::{Document, Experiment, Fields};
@@ -25,6 +32,99 @@ const BACKENDS: [BackendKind; 2] = [BackendKind::CycleAccurate, BackendKind::Fas
 /// Every single-trace entry runs `black` from this seed.
 const WORKLOAD: &str = "black";
 const TRACE_SEED: u64 = 11;
+
+/// What a trace-driven row ran, as its `run` key records it:
+/// `{"config": <delta>, "workload", "records_per_core", "trace_seed"}`.
+pub(crate) struct TraceRun {
+    cfg: SystemConfig,
+    workload: &'static str,
+    records_per_core: usize,
+    trace_seed: u64,
+}
+
+impl TraceRun {
+    /// `records_per_core` records of `workload` on `cfg`, from the entries'
+    /// trace seed.
+    fn new(cfg: SystemConfig, workload: &'static str, records_per_core: usize) -> Self {
+        Self {
+            cfg,
+            workload,
+            records_per_core,
+            trace_seed: TRACE_SEED,
+        }
+    }
+
+    fn traces(&self) -> Vec<Vec<TraceRecord>> {
+        traces_for(
+            &self.cfg,
+            self.workload,
+            self.records_per_core,
+            self.trace_seed,
+        )
+    }
+
+    /// The row's `run` key.
+    fn recorded(&self) -> Value {
+        Value::object(vec![
+            ("config", self.cfg.recorded()),
+            ("workload", self.workload.into()),
+            ("records_per_core", self.records_per_core.to_value()),
+            ("trace_seed", self.trace_seed.to_value()),
+        ])
+    }
+
+    /// The run a `run` key records; refused unless its config validates
+    /// and its workload is one the synthesizer knows.
+    pub(crate) fn read(run: &Value) -> Result<Self, TreeError> {
+        let m = object(
+            run,
+            &["config", "workload", "records_per_core", "trace_seed"],
+        )?;
+        let name: String = field(m, "workload")?;
+        let unknown = || TreeError(vec!["workload".into()], format!("no workload {name:?}"));
+        Ok(Self {
+            cfg: run_config(m, SystemConfig::validate)?,
+            workload: by_name(&name).ok_or_else(unknown)?.name,
+            records_per_core: field(m, "records_per_core")?,
+            trace_seed: field(m, "trace_seed")?,
+        })
+    }
+}
+
+/// A service row's `run` key: `{"config": <delta>}`.
+fn service_run(cfg: &ServiceConfig) -> Value {
+    Value::object(vec![("config", cfg.recorded())])
+}
+
+/// The service config a `run` key records; refused unless it validates.
+pub(crate) fn read_service_run(run: &Value) -> Result<ServiceConfig, TreeError> {
+    run_config(object(run, &["config"])?, ServiceConfig::validate)
+}
+
+/// The config under a `run` key's `config`, merged over its base; refused
+/// unless `validate` accepts it.
+fn run_config<T: Recorded>(
+    run: &BTreeMap<String, Value>,
+    validate: fn(&T) -> Result<(), ConfigError>,
+) -> Result<T, TreeError> {
+    let missing = || TreeError(Vec::new(), "missing".into());
+    let cfg = run.get("config").ok_or_else(missing).and_then(T::replayed);
+    let valid = |cfg: T| match validate(&cfg) {
+        Ok(()) => Ok(cfg),
+        Err(e) => Err(TreeError(Vec::new(), e.to_string())),
+    };
+    cfg.and_then(valid).map_err(|e| under("config".into(), e))
+}
+
+/// Runs a trace-driven row on one [`Simulation`]: its report, the run's
+/// wall (trace synthesis and construction outside it) and the access
+/// digest. Every `Simulation`-backed row runs here.
+fn simulate(run: &TraceRun) -> Result<(SimReport, Duration, u64), String> {
+    let mut sim = Simulation::new(run.cfg.clone(), run.traces());
+    let start = Instant::now();
+    let report = sim.run(u64::MAX).map_err(|e| e.to_string())?;
+    Ok((report, start.elapsed(), sim.access_digest()))
+}
 
 /// What a gate that only the schema's rules hold reads: nothing.
 const NO_GATE: fn(&Value) -> Result<String, String> = |_| Ok(String::new());
@@ -86,25 +186,20 @@ fn shard_cfg(backend: BackendKind, shards: usize) -> SystemConfig {
 /// host that slows down for a while slows both, and the wall rule compares
 /// the same work under the same conditions. Trace synthesis is input, not
 /// engine cost, and is outside every timer.
-fn shard_point(
-    backend: BackendKind,
-    shards: usize,
-    baseline_run: Option<f64>,
-) -> Result<(Value, f64), String> {
-    let cfg = shard_cfg(backend, shards);
-    let traces = traces_for(&cfg, WORKLOAD, SHARD_RECORDS, TRACE_SEED);
-    let mut serial = ShardedSimulation::new(cfg.clone(), traces.clone());
+fn shard_point(run: &TraceRun, baseline_run: Option<f64>) -> Result<(Value, f64), String> {
+    let (traces, shards) = (run.traces(), run.cfg.shards);
+    let mut serial = ShardedSimulation::new(run.cfg.clone(), traces.clone());
     let start = Instant::now();
-    let mut threaded = ShardedSimulation::new(cfg, traces);
+    let mut threaded = ShardedSimulation::new(run.cfg.clone(), traces);
     let setup = start.elapsed();
 
-    let (mut run, mut walls) = (Duration::ZERO, vec![Duration::ZERO; shards]);
+    let (mut threaded_wall, mut walls) = (Duration::ZERO, vec![Duration::ZERO; shards]);
     let mut limit = 0;
     let report = loop {
         limit += SLICE_CYCLES;
         let start = Instant::now();
         let slice = threaded.run(limit);
-        run += start.elapsed();
+        threaded_wall += start.elapsed();
         for (shard, wall) in serial.shards_mut().iter_mut().zip(&mut walls) {
             let start = Instant::now();
             // A shard that reaches the limit stops there and resumes on the
@@ -124,7 +219,7 @@ fn shard_point(
 
     let accesses = report.oram_accesses as f64;
     let projected = walls.iter().max().copied().unwrap_or_default();
-    let run_ms = ms(run);
+    let run_ms = ms(threaded_wall);
     let speedup = baseline_run.unwrap_or(run_ms) / run_ms;
     let walls = Value::Array(walls.iter().map(|w| finite(ms(*w))).collect());
     let point = Value::object(vec![
@@ -138,7 +233,7 @@ fn shard_point(
         ("measured_speedup_vs_n1", finite(speedup)),
         (
             "measured_accesses_per_sec",
-            finite(accesses / run.as_secs_f64()),
+            finite(accesses / threaded_wall.as_secs_f64()),
         ),
         ("shard_wall_ms", walls),
         ("projected_parallel_ms", finite(ms(projected))),
@@ -146,6 +241,7 @@ fn shard_point(
             "projected_accesses_per_sec",
             finite(accesses / projected.as_secs_f64()),
         ),
+        ("run", run.recorded()),
     ]);
     Ok((point, run_ms))
 }
@@ -156,7 +252,8 @@ fn shard_scaling() -> Result<Fields, String> {
         let mut points = Vec::new();
         let mut baseline_run = None;
         for shards in SHARD_COUNTS {
-            let (point, run_ms) = shard_point(backend, shards, baseline_run)?;
+            let run = TraceRun::new(shard_cfg(backend, shards), WORKLOAD, SHARD_RECORDS);
+            let (point, run_ms) = shard_point(&run, baseline_run)?;
             baseline_run.get_or_insert(run_ms);
             points.push(point);
         }
@@ -165,15 +262,9 @@ fn shard_scaling() -> Result<Fields, String> {
             ("points", Value::Array(points)),
         ]));
     }
-    let cfg = shard_cfg(BackendKind::FastFunctional, 1);
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     Ok(vec![
         ("host_parallelism", host.into()),
-        ("workload", WORKLOAD.into()),
-        ("scheme", "All".into()),
-        ("records_per_core", SHARD_RECORDS.into()),
-        ("cores", cfg.cores.into()),
-        ("master_seed", cfg.seed.into()),
         ("backends", Value::Array(backends)),
     ])
 }
@@ -225,42 +316,36 @@ fn matrix_cfg(protocol: ProtocolKind, backend: BackendKind) -> SystemConfig {
     cfg
 }
 
+/// One row of `BENCH_protocol_matrix.json`.
+fn matrix_point(run: &TraceRun) -> Result<Value, String> {
+    let (report, wall, digest) = simulate(run)?;
+    let accesses = report.oram_accesses;
+    let rate = accesses as f64 / wall.as_secs_f64();
+    let mean = report.total_cycles as f64 / accesses as f64;
+    Ok(Value::object(vec![
+        ("protocol", run.cfg.protocol.to_value()),
+        ("backend", run.cfg.backend.to_value()),
+        ("oram_accesses", accesses.into()),
+        ("run_wall_ms", finite(ms(wall))),
+        ("accesses_per_sec", finite(rate)),
+        ("mean_cycles_per_access", finite(mean)),
+        ("p99_latency_cycles", report.read_latency.p99.into()),
+        ("digest", hex_digest(digest).into()),
+        ("run", run.recorded()),
+    ]))
+}
+
 /// `protocols` × both backends at `records` records, as
 /// `BENCH_protocol_matrix.json`'s fields.
 fn protocol_matrix(protocols: &[ProtocolKind], records: usize) -> Result<Fields, String> {
     let mut points = Vec::new();
     for &protocol in protocols {
         for backend in BACKENDS {
-            let cfg = matrix_cfg(protocol, backend);
-            let traces = traces_for(&cfg, WORKLOAD, records, TRACE_SEED);
-            let mut sim = Simulation::new(cfg, traces);
-            let start = Instant::now();
-            let report = sim.run(u64::MAX).map_err(|e| e.to_string())?;
-            let wall = start.elapsed();
-            let accesses = report.oram_accesses;
-            let rate = accesses as f64 / wall.as_secs_f64();
-            let mean = report.total_cycles as f64 / accesses as f64;
-            points.push(Value::object(vec![
-                ("protocol", protocol.label().into()),
-                ("backend", backend.to_value()),
-                ("oram_accesses", accesses.into()),
-                ("run_wall_ms", finite(ms(wall))),
-                ("accesses_per_sec", finite(rate)),
-                ("mean_latency_cycles", finite(mean)),
-                ("p99_latency_cycles", report.read_latency.p99.into()),
-                ("digest", hex_digest(sim.access_digest()).into()),
-            ]));
+            let run = TraceRun::new(matrix_cfg(protocol, backend), WORKLOAD, records);
+            points.push(matrix_point(&run)?);
         }
     }
-    let cfg = matrix_cfg(ProtocolKind::RingCb, BackendKind::FastFunctional);
-    Ok(vec![
-        ("workload", WORKLOAD.into()),
-        ("scheme", "All".into()),
-        ("records_per_core", records.into()),
-        ("cores", cfg.cores.into()),
-        ("master_seed", cfg.seed.into()),
-        ("points", Value::Array(points)),
-    ])
+    Ok(vec![("points", Value::Array(points))])
 }
 
 /// `protocol_matrix`'s Ring+CB points at 50 000 records: the functional
@@ -345,15 +430,15 @@ fn service_cfg(rates: [f64; 3], policy: SubmissionPolicy, backend: BackendKind) 
     cfg
 }
 
-fn service_point(
-    load: &str,
-    rates: [f64; 3],
-    policy: SubmissionPolicy,
-    backend: BackendKind,
-) -> Result<Value, String> {
-    let cfg = service_cfg(rates, policy, backend);
-    let mode = cfg.policy.label();
-    let mut service = OramService::new(cfg).map_err(|e| e.to_string())?;
+/// One row of `BENCH_service_load.json`. Its load is the entry of
+/// [`LOADS`] whose tenants the config runs.
+fn service_point(cfg: &ServiceConfig) -> Result<Value, String> {
+    let load = LOADS
+        .iter()
+        .find(|(_, rates)| tenants(*rates) == cfg.tenants);
+    let load = load.ok_or("no load has these tenants")?.0;
+    let (mode, backend) = (cfg.policy.label(), cfg.system.backend);
+    let mut service = OramService::new(cfg.clone()).map_err(|e| e.to_string())?;
     let start = Instant::now();
     let report = service.run().map_err(|e| e.to_string())?;
     let wall = start.elapsed();
@@ -404,25 +489,20 @@ fn service_point(
             "tenants",
             Value::Array(s.tenants.iter().map(tenant).collect()),
         ),
+        ("run", service_run(cfg)),
     ]))
 }
 
 fn service_load() -> Result<Fields, String> {
     let mut points = Vec::new();
-    for (load, rates) in LOADS {
+    for (_, rates) in LOADS {
         for backend in BACKENDS {
             for policy in SUBMISSIONS {
-                points.push(service_point(load, rates, policy, backend)?);
+                points.push(service_point(&service_cfg(rates, policy, backend))?);
             }
         }
     }
-    let cfg = service_cfg(LOADS[0].1, SUBMISSIONS[0], BackendKind::CycleAccurate);
-    Ok(vec![
-        ("master_seed", cfg.system.seed.into()),
-        ("horizon", SERVICE_HORIZON.into()),
-        ("tenants", cfg.tenants.len().into()),
-        ("points", Value::Array(points)),
-    ])
+    Ok(vec![("points", Value::Array(points))])
 }
 
 /// Every order-preserving command-scheduling policy on the paper's machine
@@ -466,45 +546,41 @@ fn policy_cfg(policy: SchedulerPolicy) -> SystemConfig {
     cfg
 }
 
+/// One row of `BENCH_sched_policy.json`.
+fn policy_point(run: &TraceRun) -> Result<Value, String> {
+    let (r, wall, digest) = simulate(run)?;
+    let mean = r.total_cycles as f64 / r.oram_accesses as f64;
+    let pending_idle = r.pending_bank_idle_proportion;
+    Ok(Value::object(vec![
+        ("policy", run.cfg.sched_policy.name().into()),
+        ("backend", run.cfg.backend.to_value()),
+        ("workload", run.workload.into()),
+        ("oram_accesses", r.oram_accesses.into()),
+        ("run_wall_ms", finite(ms(wall))),
+        ("mean_cycles_per_access", finite(mean)),
+        ("bank_idle_proportion", finite(r.bank_idle_proportion)),
+        ("pending_bank_idle_proportion", finite(pending_idle)),
+        (
+            "early_precharge_fraction",
+            finite(r.early_precharge_fraction),
+        ),
+        ("early_activate_fraction", finite(r.early_activate_fraction)),
+        ("deferred_writes", r.deferred_writes.into()),
+        ("withheld_issue_slots", r.withheld_issue_slots.into()),
+        ("digest", hex_digest(digest).into()),
+        ("run", run.recorded()),
+    ]))
+}
+
 fn sched_policy() -> Result<Fields, String> {
     let mut points = Vec::new();
     for workload in POLICY_WORKLOADS {
         for policy in POLICIES {
-            let cfg = policy_cfg(policy);
-            let traces = traces_for(&cfg, workload, POLICY_RECORDS, TRACE_SEED);
-            let mut sim = Simulation::new(cfg, traces);
-            let start = Instant::now();
-            let r = sim.run(u64::MAX).map_err(|e| e.to_string())?;
-            let wall = start.elapsed();
-            let mean = r.total_cycles as f64 / r.oram_accesses as f64;
-            let pending_idle = r.pending_bank_idle_proportion;
-            points.push(Value::object(vec![
-                ("policy", policy.name().into()),
-                ("backend", BackendKind::CycleAccurate.to_value()),
-                ("workload", workload.into()),
-                ("oram_accesses", r.oram_accesses.into()),
-                ("run_wall_ms", finite(ms(wall))),
-                ("mean_cycles_per_access", finite(mean)),
-                ("bank_idle_proportion", finite(r.bank_idle_proportion)),
-                ("pending_bank_idle_proportion", finite(pending_idle)),
-                (
-                    "early_precharge_fraction",
-                    finite(r.early_precharge_fraction),
-                ),
-                ("early_activate_fraction", finite(r.early_activate_fraction)),
-                ("deferred_writes", r.deferred_writes.into()),
-                ("withheld_issue_slots", r.withheld_issue_slots.into()),
-                ("digest", hex_digest(sim.access_digest()).into()),
-            ]));
+            let run = TraceRun::new(policy_cfg(policy), workload, POLICY_RECORDS);
+            points.push(policy_point(&run)?);
         }
     }
-    Ok(vec![
-        ("scheme", "All".into()),
-        ("records_per_core", POLICY_RECORDS.into()),
-        ("cores", 1usize.into()),
-        ("master_seed", policy_cfg(POLICIES[0]).seed.into()),
-        ("points", Value::Array(points)),
-    ])
+    Ok(vec![("points", Value::Array(points))])
 }
 
 fn policy_gate(doc: &Value) -> Result<String, String> {
@@ -530,4 +606,70 @@ fn policy_gate(doc: &Value) -> Result<String, String> {
         readings.join("; ")
     );
     verdict(wins, reading)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::Schema;
+
+    fn trace_run(run: &Value) -> Result<TraceRun, String> {
+        TraceRun::read(run).map_err(|e| e.to_string())
+    }
+
+    /// An entry's point function, fed the run a row records.
+    type Replay = fn(&Value) -> Result<Value, String>;
+
+    /// Each committed document with its entry's [`Replay`].
+    const REPLAYS: [(&Schema, Replay); 4] = [
+        (&schema::SHARD_SCALING, |run| {
+            Ok(shard_point(&trace_run(run)?, None)?.0)
+        }),
+        (&schema::PROTOCOL_MATRIX, |run| {
+            matrix_point(&trace_run(run)?)
+        }),
+        (&schema::SERVICE_LOAD, |run| {
+            service_point(&read_service_run(run).map_err(|e| e.to_string())?)
+        }),
+        (&schema::SCHED_POLICY, |run| policy_point(&trace_run(run)?)),
+    ];
+
+    /// Every row under `v` that records its run, with the backend it or a
+    /// row around it names.
+    fn recorded<'a>(v: &'a Value, backend: Option<&'a Value>, out: &mut Vec<(&'a Value, bool)>) {
+        match v {
+            Value::Object(m) => {
+                let backend = m.get("backend").or(backend);
+                if m.contains_key("run") {
+                    out.push((v, backend == Some(&"fast-functional".into())));
+                }
+                m.values().for_each(|v| recorded(v, backend, out));
+            }
+            Value::Array(items) => items.iter().for_each(|v| recorded(v, backend, out)),
+            _ => {}
+        }
+    }
+
+    /// One row per committed document — the cheapest by its recorded wall,
+    /// on the fast-functional backend where the document has one — rebuilt
+    /// from its `run` alone and run again through its entry's own point
+    /// function, repeats the committed row outside the host keys.
+    #[test]
+    fn one_row_of_each_committed_document_replays_from_its_run() {
+        for (schema, replay) in REPLAYS {
+            let doc = schema.committed().unwrap();
+            let mut rows = Vec::new();
+            recorded(&doc, None, &mut rows);
+            let wall = |row: &Value| row.get("run_wall_ms").and_then(Value::as_f64).unwrap();
+            let cost = |&(row, functional): &(&Value, bool)| (!functional, wall(row));
+            let (row, _) = rows
+                .into_iter()
+                .min_by(|a, b| cost(a).partial_cmp(&cost(b)).unwrap())
+                .expect("a row records its run");
+            let run = row.get("run").unwrap();
+            let fresh = replay(run).unwrap_or_else(|e| panic!("{}: {e}", schema.bench));
+            let difference = schema.first_difference(&fresh, row);
+            assert_eq!(difference, None, "{}: {run}", schema.bench);
+        }
+    }
 }

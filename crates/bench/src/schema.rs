@@ -13,16 +13,20 @@
 //! *host* keys: the walls, rates and host facts a run on another machine
 //! may change. The checks ask whether a document is well formed and keeps
 //! its claims, never how *fast* it is; every other key is simulated, and a
-//! regenerated document must repeat the committed one's.
+//! regenerated document must repeat the committed one's. Every row records
+//! what ran under `run`, read back by the entries' own reader (`Run`), so a
+//! row whose config or trace no run could have is refused.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use crate::config::TreeError;
+use crate::documents::{read_service_run, TraceRun};
 use crate::experiments::EXPERIMENTS;
 use crate::json::{self, Value};
 use crate::paper::{Cell, Table};
 use Kind::{AtLeast, Digest, Fraction, NumberOrNull, OneOf, Positive, PositivesPer, PowerOfTwo};
-use Kind::{Rows, Str, Strs};
+use Kind::{Rows, Run, Str, Strs};
 
 /// What a value must look like; a mismatch is reported under this name.
 #[derive(Clone, Copy, Debug)]
@@ -51,6 +55,9 @@ enum Kind {
     PositivesPer(&'static str),
     /// An array of objects, each one row of the group.
     Rows(&'static Group),
+    /// What a row ran, as this reader of `documents.rs` accepts it; its
+    /// error is reported with its path below the key.
+    Run(fn(&Value) -> Result<(), TreeError>),
 }
 
 /// The keys of an object that hold one kind of value.
@@ -184,7 +191,10 @@ impl Schema {
         let setting: Vec<String> = setting
             .map(|(key, _)| format!("{key} {}", shown(doc, key)))
             .collect();
-        let title = format!("{} ({})", self.bench, setting.join(", "));
+        let title = match setting.is_empty() {
+            true => self.bench.to_string(),
+            false => format!("{} ({})", self.bench, setting.join(", ")),
+        };
         let mut tables = Vec::new();
         for (key, kind) in flat(self.header) {
             if let Rows(group) = kind {
@@ -252,7 +262,7 @@ fn tabulate(group: &Group, key: &str, parent: &Value, title: &str, out: &mut Vec
 
 /// Whether a key of this kind holds one value, printed as one cell.
 fn shown_as_cell(kind: Kind) -> bool {
-    !matches!(kind, Rows(_) | PositivesPer(_) | Strs)
+    !matches!(kind, Rows(_) | PositivesPer(_) | Strs | Run(_))
 }
 
 /// The value under `key` as a cell shows it: a whole number as it is, any
@@ -309,6 +319,13 @@ fn check_key(key: &str, kind: Kind, obj: &Value, doc: &Value, ctx: &str) -> Resu
             a.iter().all(positive) && obj.get(count).and_then(Value::as_u64) == Some(a.len() as u64)
         }),
         Rows(_) => value.as_array().is_some(),
+        Run(read) => {
+            let error = |TreeError(path, message)| {
+                let path = [&[key.to_string()][..], &path].concat().join(".");
+                format!("{ctx}: \"{path}\": {message}")
+            };
+            return read(value).map_err(error);
+        }
     };
     if !ok {
         return Err(format!("{ctx}: \"{key}\" must be {kind:?}, got {value}"));
@@ -405,16 +422,19 @@ fn strings(value: &Value) -> Option<Vec<&str>> {
 
 const BACKENDS: Kind = OneOf(&["cycle-accurate", "fast-functional"]);
 const COUNT: Kind = AtLeast(0);
+/// A trace-driven row's run: `{"config", "workload", "records_per_core",
+/// "trace_seed"}`.
+const TRACE_RUN: Kind = Run(|run| TraceRun::read(run).map(drop));
+/// A service row's run: `{"config"}`.
+const SERVICE_RUN: Kind = Run(|run| read_service_run(run).map(drop));
 
 /// `BENCH_shard_scaling.json`: per backend, the sharded engine's
 /// throughput at each shard count (the `shard_scaling` entry).
 pub(crate) const SHARD_SCALING: Schema = Schema {
     bench: "shard_scaling",
-    version: 3,
+    version: 4,
     header: &[
         Keys(&["host_parallelism"], AtLeast(1)),
-        Keys(&["workload", "scheme"], Str),
-        Keys(&["records_per_core", "cores", "master_seed"], COUNT),
         Keys(&["backends"], Rows(&SHARD_BACKENDS)),
     ],
     host: &[
@@ -449,6 +469,7 @@ const SHARD_POINTS: Group = Group {
         Keys(&["projected_accesses_per_sec"], Positive),
         Keys(&["merged_digest"], Digest),
         Keys(&["shard_wall_ms"], PositivesPer("shards")),
+        Keys(&["run"], TRACE_RUN),
     ],
     same_digest: None,
     rules: &[
@@ -472,12 +493,8 @@ const SHARD_POINTS: Group = Group {
 /// *what* the bus observes.
 pub(crate) const PROTOCOL_MATRIX: Schema = Schema {
     bench: "protocol_matrix",
-    version: 1,
-    header: &[
-        Keys(&["workload", "scheme"], Str),
-        Keys(&["records_per_core", "cores", "master_seed"], COUNT),
-        Keys(&["points"], Rows(&PROTOCOL_POINTS)),
-    ],
+    version: 2,
+    header: &[Keys(&["points"], Rows(&PROTOCOL_POINTS))],
     host: &["run_wall_ms", "accesses_per_sec"],
 };
 const PROTOCOL_POINTS: Group = Group {
@@ -489,8 +506,9 @@ const PROTOCOL_POINTS: Group = Group {
     fields: &[
         Keys(&["oram_accesses", "p99_latency_cycles"], AtLeast(1)),
         Keys(&["run_wall_ms", "accesses_per_sec"], Positive),
-        Keys(&["mean_latency_cycles"], Positive),
+        Keys(&["mean_cycles_per_access"], Positive),
         Keys(&["digest"], Digest),
+        Keys(&["run"], TRACE_RUN),
     ],
     same_digest: Some(("digest", "protocol", None)),
     rules: &[],
@@ -504,13 +522,8 @@ const PROTOCOL_POINTS: Group = Group {
 /// tenant load.
 pub(crate) const SERVICE_LOAD: Schema = Schema {
     bench: "service_load",
-    version: 2,
-    header: &[
-        Keys(&["master_seed"], COUNT),
-        // "tenants" before "points", whose last rule reads it.
-        Keys(&["horizon", "tenants"], AtLeast(1)),
-        Keys(&["points"], Rows(&SERVICE_POINTS)),
-    ],
+    version: 3,
+    header: &[Keys(&["points"], Rows(&SERVICE_POINTS))],
     host: &["run_wall_ms", "ns_per_tick"],
 };
 const SERVICE_POINTS: Group = Group {
@@ -532,6 +545,7 @@ const SERVICE_POINTS: Group = Group {
         Keys(&["governor_shed_entries", "governor_recoveries"], COUNT),
         Keys(&["schedule_digest"], Digest),
         Keys(&["tenants"], Rows(&SERVICE_TENANTS)),
+        Keys(&["run"], SERVICE_RUN),
     ],
     same_digest: Some(("schedule_digest", "mode", Some("fixed-rate"))),
     rules: &[
@@ -554,7 +568,10 @@ const SERVICE_POINTS: Group = Group {
             "a provisioned fixed-rate cadence pads its idle slots",
         ),
         Rule(
-            |p, doc| list(p, "tenants").len() as u64 == uint(doc, "tenants"),
+            |p, _| {
+                let run = read_service_run(p.get("run").expect(TYPED)).expect(TYPED);
+                list(p, "tenants").len() == run.tenants.len()
+            },
             "one tenant row per tenant",
         ),
     ],
@@ -592,12 +609,8 @@ const SERVICE_TENANTS: Group = Group {
 /// the ORAM controller requests.
 pub(crate) const SCHED_POLICY: Schema = Schema {
     bench: "sched_policy",
-    version: 2,
-    header: &[
-        Keys(&["scheme"], Str),
-        Keys(&["records_per_core", "cores", "master_seed"], COUNT),
-        Keys(&["points"], Rows(&POLICY_POINTS)),
-    ],
+    version: 3,
+    header: &[Keys(&["points"], Rows(&POLICY_POINTS))],
     host: &["run_wall_ms"],
 };
 const POLICIES: Kind = OneOf(&[
@@ -623,6 +636,7 @@ const POLICY_POINTS: Group = Group {
         Keys(&["early_activate_fraction"], Fraction),
         Keys(&["deferred_writes", "withheld_issue_slots"], COUNT),
         Keys(&["digest"], Digest),
+        Keys(&["run"], TRACE_RUN),
     ],
     same_digest: Some(("digest", "workload", None)),
     // Each policy's counters show its mechanism. Proactive Bank's band is
@@ -737,6 +751,7 @@ const PAPER_CELLS: Group = Group {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::config::merge;
     use std::collections::BTreeMap;
 
     /// Each table with the number of keys it declares, all nesting levels
@@ -744,10 +759,10 @@ pub(crate) mod tests {
     /// that many, so a group it fails to descend into does not go unnoticed.
     const SCHEMAS: [(&Schema, usize); 5] = [
         (&PAPER, 19),
-        (&SHARD_SCALING, 23),
-        (&PROTOCOL_MATRIX, 16),
-        (&SERVICE_LOAD, 33),
-        (&SCHED_POLICY, 20),
+        (&SHARD_SCALING, 19),
+        (&PROTOCOL_MATRIX, 12),
+        (&SERVICE_LOAD, 31),
+        (&SCHED_POLICY, 17),
     ];
 
     /// The object reached from `doc` by taking, per step of `path`, the
@@ -799,7 +814,8 @@ pub(crate) mod tests {
             |values: &[f64]| Value::Array(values.iter().map(|&v| Value::Number(v)).collect());
         match kind {
             OneOf(_) => vec!["no-such-name".into()],
-            AtLeast(0) | Str | Strs | NumberOrNull | Rows(_) => vec![],
+            // A run's bad leaves are cases of their own (`RUN_CLAIMS`).
+            AtLeast(0) | Str | Strs | NumberOrNull | Rows(_) | Run(_) => vec![],
             AtLeast(min) => vec![(min - 1).into()],
             PowerOfTwo => vec![3u64.into()],
             Positive => vec![Value::Number(0.0)],
@@ -945,6 +961,20 @@ pub(crate) mod tests {
         has(p, "mode", "fixed-rate") && has(p, "load", "provisioned")
     }
 
+    /// Lays `tree` over the row's `run`, as `config::merge` does.
+    fn rerun(row: &mut Row, tree: &str) {
+        merge(row.get_mut("run").expect(TYPED), json::parse(tree).unwrap());
+    }
+
+    /// What the readers of a row's `run` refuse, each with one case in
+    /// [`CASES`]: an unknown config path, a config `validate` refuses and an
+    /// unknown workload.
+    const RUN_CLAIMS: [&str; 3] = [
+        "\"run.config.governor.bogus\": unknown key; expected one of degrade_enter",
+        "\"run.config\": invalid SystemConfig: cores must be in 1..",
+        "\"run.workload\": no workload \"nope\"",
+    ];
+
     /// The rule cases: one per branch of every `Rule` and one per
     /// `same_digest` group of every table.
     #[rustfmt::skip]
@@ -986,6 +1016,10 @@ pub(crate) mod tests {
             "\"schedule_digest\" differs within a \"mode\""),
         (&SCHED_POLICY, POINTS, |p| has(p, "policy", "fixed-cadence") && has(p, "workload", "stream"),
             |p| set(p, "digest", "0x0000000000000001"), "\"digest\" differs within a \"workload\""),
+        (&SERVICE_LOAD, POINTS, ANY,
+            |p| rerun(p, r#"{"config": {"governor": {"bogus": 1}}}"#), RUN_CLAIMS[0]),
+        (&SCHED_POLICY, POINTS, ANY, |p| rerun(p, r#"{"config": {"cores": 0}}"#), RUN_CLAIMS[1]),
+        (&PROTOCOL_MATRIX, POINTS, ANY, |p| rerun(p, r#"{"workload": "nope"}"#), RUN_CLAIMS[2]),
     ];
 
     /// Every group a table reaches, at every depth.
@@ -999,8 +1033,22 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// The group of the rows under `path` (the keys of nested row arrays).
+    fn group_at(schema: &Schema, path: &[&str]) -> &'static Group {
+        let mut fields = schema.header;
+        let mut found = None;
+        for key in path {
+            let kind = flat(fields).into_iter().find(|&(k, _)| k == *key);
+            let Some((_, Rows(group))) = kind else {
+                panic!("{key}: not a row array")
+            };
+            (fields, found) = (group.fields, Some(group));
+        }
+        found.expect("a path")
+    }
+
     /// Each case of [`CASES`] on `schema`'s committed document is refused
-    /// with its rule's message.
+    /// with its rule's message, which names the row by its axes.
     pub(crate) fn reject_cases(schema: &Schema) {
         let cases = CASES.iter().filter(|case| case.0.bench == schema.bench);
         for &(_, path, pick, edit, claim) in cases {
@@ -1010,23 +1058,33 @@ pub(crate) mod tests {
             let Some(Value::Object(row)) = rows.iter_mut().find(|row| pick(row)) else {
                 panic!("{}: no row to damage under {path:?}", schema.bench)
             };
+            let axes = group_at(schema, path).axes.iter();
+            let name: Vec<String> = axes
+                .map(|(axis, _)| format!("{axis}={}", row[*axis]))
+                .collect();
+            let name = format!("{last}[{}]", name.join(","));
             edit(row);
             let message = schema.validate(&doc).expect_err(claim);
             assert!(message.contains(claim), "{message}");
+            assert!(message.contains(&name), "{message} does not name {name}");
         }
     }
 
     /// What a table cannot say has its cases: every `Rule` (the policy
-    /// mechanism rule once per policy) and every `same_digest` of every
-    /// table has exactly its cases in [`CASES`], so a rule added without one
-    /// fails here; each document's test runs its own (`reject_cases`).
+    /// mechanism rule once per policy), every `same_digest` of every table
+    /// and every claim of [`RUN_CLAIMS`] has exactly its cases in
+    /// [`CASES`], so a rule added without one fails here; each document's
+    /// test runs its own (`reject_cases`).
     #[test]
     fn rules_the_tables_cannot_say_reject() {
         let OneOf(policies) = POLICIES else {
             unreachable!("the policy axis names the policies")
         };
         let cases = |claim: &str| CASES.iter().filter(|case| claim.contains(case.4)).count();
-        let mut expected = 0;
+        for claim in RUN_CLAIMS {
+            assert_eq!(cases(claim), 1, "{claim}");
+        }
+        let mut expected = RUN_CLAIMS.len();
         for (schema, _) in SCHEMAS {
             for group in groups(schema.header) {
                 for Rule(_, claim) in group.rules {

@@ -46,7 +46,7 @@ impl SubmissionPolicy {
 /// footprint. Tenant `t`'s blocks live at `(t << 20) .. (t << 20) + blocks`
 /// — disjoint per-tenant ranges by construction, every one of them below
 /// `RingOram::PROGRAM_ID_BOUND` (so at most 1 024 tenants).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Display name (reports, violations).
     pub name: String,
@@ -165,7 +165,7 @@ impl std::fmt::Display for Rejected {
 
 /// Full service configuration: the underlying system, the tenants, and
 /// the serving policy knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// The ORAM system the service fronts. `system.shards > 1` runs the
     /// sharded lockstep engine; `system.cores` is ignored (the service is
