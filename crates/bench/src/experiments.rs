@@ -39,6 +39,7 @@ const fn series(label: &'static str, scheme: Scheme, edit: Edit) -> Series {
         scheme,
         edit,
         reference: false,
+        expects: &[],
     }
 }
 
@@ -176,7 +177,7 @@ fn fig04_space(_: &Scale) -> Computed {
         ];
         t.rows.push((row.label.clone(), cells));
     }
-    (vec![t], vec![])
+    Ok((vec![t], vec![]))
 }
 
 /// Fig. 5(b) — row-buffer conflict rate of Ring ORAM read paths vs
@@ -298,10 +299,10 @@ fn fig08_pb_timeline(_: &Scale) -> Computed {
         t.rows.push((label.to_string(), cells.into()));
     }
     let saved = (base - pb) as f64;
-    (
+    Ok((
         vec![t],
         vec![Integer.cell(saved), PERCENT.cell(saved / base as f64)],
-    )
+    ))
 }
 
 /// Fig. 10 — normalized execution time of Baseline / CB / PB / ALL across
@@ -445,14 +446,14 @@ fn fig13_cb_sensitivity(scale: &Scale) -> Computed {
     let run = |scheme: Scheme, y: Option<u32>, workload: &str| {
         let mut cfg = SystemConfig::hpca_default(scheme);
         cfg.ring.y = y.unwrap_or(cfg.ring.y);
-        scale.simulate(&cfg, workload, n)
+        scale.simulate(&cfg, workload, n, &[])
     };
-    let base = panel.iter().map(|w| CYCLES(&run(Baseline, None, w)));
-    let base: Vec<f64> = base.collect();
+    let base = panel.iter().map(|w| Ok(CYCLES(&run(Baseline, None, w)?)));
+    let base: Vec<f64> = base.collect::<Result<_, String>>()?;
     for (y, paper) in ys {
         let (mut cb_norm, mut all_norm, mut greens) = (Vec::new(), Vec::new(), Vec::new());
         for (w, base) in panel.iter().zip(&base) {
-            let cb = run(Cb, Some(y), w);
+            let cb = run(Cb, Some(y), w)?;
             cb_norm.push(CYCLES(&cb) / base);
             let (half, end) = (&cb.halfway.protocol, &cb.report.protocol);
             let reads = end.read_paths - half.read_paths;
@@ -462,7 +463,7 @@ fn fig13_cb_sensitivity(scale: &Scale) -> Computed {
             } else {
                 fetched / reads as f64
             });
-            all_norm.push(CYCLES(&run(All, Some(y), w)) / base);
+            all_norm.push(CYCLES(&run(All, Some(y), w)?) / base);
         }
         let mean_greens = greens.iter().sum::<f64>() / greens.len() as f64;
         let values = [geomean(&cb_norm), geomean(&all_norm), mean_greens];
@@ -472,7 +473,7 @@ fn fig13_cb_sensitivity(scale: &Scale) -> Computed {
             .map(|(&v, paper)| RATIO.cell(v).paper(paper));
         t.rows.push((y.to_string(), cells.collect()));
     }
-    (vec![t], vec![])
+    Ok((vec![t], vec![]))
 }
 
 /// The stash sizes Figs. 14 and 15 sweep.
@@ -615,7 +616,7 @@ fn table5_cb_space(_: &Scale) -> Computed {
         ];
         t.rows.push((row.label.clone(), cells));
     }
-    (vec![t], vec![])
+    Ok((vec![t], vec![]))
 }
 
 /// Table IV — workloads and their MPKIs.
@@ -652,7 +653,7 @@ fn table4_workloads(_: &Scale) -> Computed {
         ];
         t.rows.push((spec.name.to_string(), cells));
     }
-    (vec![t], vec![])
+    Ok((vec![t], vec![]))
 }
 
 /// Ablation — Ring ORAM vs Path ORAM bandwidth (the claim String ORAM
@@ -719,13 +720,13 @@ fn ablation_ring_vs_path(_: &Scale) -> Computed {
         t.rows.push((label.to_string(), cells));
     }
     assert!(path / ring > 1.0, "Ring ORAM must win overall");
-    (
+    Ok((
         vec![t],
         vec![
             Fixed(2).cell(path / ring),
             Fixed(1).cell(path_online / ring_online),
         ],
-    )
+    ))
 }
 
 /// The cycles / normalised cycles / read and eviction conflict columns the
@@ -903,9 +904,13 @@ const ABLATION_ATOMICITY_COST: Experiment = Experiment {
     series: &[
         reference("txn-based", Baseline, NO_EDIT),
         WITH_PB,
-        series("unconstrained", Baseline, |c| {
-            c.sched_policy = SchedulerPolicy::Unconstrained
-        }),
+        // The insecure bound: the txn-order check must catch it.
+        Series {
+            expects: &["txn-order"],
+            ..series("unconstrained", Baseline, |c| {
+                c.sched_policy = SchedulerPolicy::Unconstrained
+            })
+        },
     ],
     tables: &[variants(
         "Ablation: cost of ORAM transaction atomicity (black, {n} accesses/core)",
@@ -928,7 +933,8 @@ const ABLATION_ATOMICITY_COST: Experiment = Experiment {
     ..EXPERIMENT
 };
 
-const SECURE: Extract = |r| f64::from(r.cfg.sched_policy != SchedulerPolicy::Unconstrained);
+/// The checkers' verdict: secure when the run broke no rule.
+const SECURE: Extract = |r| f64::from(r.report.violations.is_empty());
 /// Ablation — core memory-level parallelism.
 ///
 /// The paper's cores are 128-entry-ROB OoO machines; this reproduction's
@@ -1173,7 +1179,7 @@ fn extension_pb_on_path_oram(scale: &Scale) -> Computed {
         ];
         t.rows.push((label.to_string(), cells));
     }
-    (vec![t], vec![])
+    Ok((vec![t], vec![]))
 }
 
 /// Every experiment, in the order `cargo bench --bench paper` runs them

@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn small_run_smoke() {
         let cfg = SystemConfig::test_small(Scheme::Baseline);
-        let r = SMOKE.simulate(&cfg, "stream", 20).report;
+        let r = SMOKE.simulate(&cfg, "stream", 20, &[]).unwrap().report;
         assert_eq!(r.oram_accesses, 40);
     }
 

@@ -15,11 +15,12 @@
 //! `BENCH_<name>.json` for a named document entry), and the failing exit
 //! of a gate that does not hold.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
-use string_oram::{Scheme, SimReport, Simulation, SystemConfig};
+use string_oram::{Scheme, SimReport, Simulation, SystemConfig, VerifyConfig};
 
 use crate::experiments::EXPERIMENTS;
 use crate::json::Value;
@@ -31,7 +32,7 @@ use crate::{env_or, traces_for};
 const TRACE_SEED: u64 = 0xBEEF;
 
 /// The run-length settings every simulated point honours.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Scale {
     /// `STRING_ORAM_ACCESSES` (default 400): measured accesses per core.
     pub accesses: usize,
@@ -46,16 +47,72 @@ pub(crate) struct Scale {
 /// One simulated point: the machine, its report, and the report as it
 /// stood when half of the measured accesses had been planned (second-half
 /// rates are `report − halfway`; Fig. 13 reads greens/read that way).
+#[derive(Clone, Debug)]
 pub(crate) struct Run {
     pub cfg: SystemConfig,
     pub halfway: SimReport,
     pub report: SimReport,
 }
 
+/// What decides a finished run: the machine, the workload, the measured
+/// accesses per core and the scale (every run seeds its own traces).
+type RunKey = (SystemConfig, String, usize, Scale);
+
+thread_local! {
+    /// Every run this thread has finished, by its key. The experiments
+    /// share many points (each figure's baseline, the default machine on
+    /// `black`), and a point runs once.
+    static RUNS: RefCell<Vec<(RunKey, Run)>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Scale {
     /// Runs `workload` on `cfg` for `accesses` measured accesses per core —
-    /// the one place a table's traces are built and its `Simulation`s run.
-    pub(crate) fn simulate(&self, cfg: &SystemConfig, workload: &str, accesses: usize) -> Run {
+    /// the one place a table's traces are built and its `Simulation`s run
+    /// — with every checker on. A point already run hands back a clone of
+    /// its run.
+    ///
+    /// # Errors
+    ///
+    /// A violation of a rule `expects` does not name (as `[rule]` prints
+    /// it; a series names the rules it breaks on purpose), quoting the
+    /// first.
+    pub(crate) fn simulate(
+        &self,
+        cfg: &SystemConfig,
+        workload: &str,
+        accesses: usize,
+        expects: &[&str],
+    ) -> Result<Run, String> {
+        let key = (cfg.clone(), workload.to_string(), accesses, *self);
+        let cached = RUNS.with_borrow(|runs| {
+            let hit = runs.iter().find(|(k, _)| *k == key);
+            hit.map(|(_, run)| run.clone())
+        });
+        let run = cached.unwrap_or_else(|| {
+            let run = self.run(cfg, workload, accesses);
+            RUNS.with_borrow_mut(|runs| runs.push((key, run.clone())));
+            run
+        });
+        let violations = &run.report.violations;
+        let expected = |v: &str| {
+            let rule = v.strip_prefix('[').and_then(|v| v.split_once(']'));
+            rule.is_some_and(|(rule, _)| expects.contains(&rule))
+        };
+        match violations.iter().find(|v| !expected(v)) {
+            None => Ok(run),
+            Some(first) => Err(format!(
+                "{workload}: {first} ({} violations; expected rules: {expects:?})",
+                violations.len()
+            )),
+        }
+    }
+
+    /// [`Self::simulate`]'s run itself, checked and uncached.
+    fn run(&self, cfg: &SystemConfig, workload: &str, accesses: usize) -> Run {
+        let cfg = &SystemConfig {
+            verify: VerifyConfig::checked(),
+            ..cfg.clone()
+        };
         let planned = |per_core: usize| (per_core * cfg.cores) as u64;
         let step_to = |sim: &mut Simulation, planned: u64| {
             while sim.oram_accesses() < planned && !sim.is_finished() {
@@ -259,8 +316,8 @@ pub(crate) type Extract = fn(&Run) -> f64;
 /// The reports of a sweep: per sweep row its label and one run per series.
 pub(crate) type Grid = [(String, Vec<Run>)];
 /// What a `fn`-backed experiment hands back: its tables and the numbers
-/// its footer quotes.
-pub(crate) type Computed = (Vec<Table>, Vec<Cell>);
+/// its footer quotes, or why a run failed.
+pub(crate) type Computed = Result<(Vec<Table>, Vec<Cell>), String>;
 
 /// One setting of a sweep's inner axis: a scheme of the paper's default
 /// machine, edited.
@@ -272,6 +329,19 @@ pub(crate) struct Series {
     /// Whether [`Relative::Reference`] columns divide this series and the
     /// ones after it (up to the next reference) by this one.
     pub reference: bool,
+    /// The checker rules the series breaks on purpose; a violation of any
+    /// other fails the run.
+    pub expects: &'static [&'static str],
+}
+
+impl Series {
+    /// The series' machine on a sweep row that edits it by `row`.
+    pub(crate) fn machine(&self, row: Edit) -> SystemConfig {
+        let mut cfg = SystemConfig::hpca_default(self.scheme);
+        row(&mut cfg);
+        (self.edit)(&mut cfg);
+        cfg
+    }
 }
 
 /// One setting of a sweep's outer axis: its label, the workload, and an
@@ -476,30 +546,32 @@ fn tabulate(spec: &TableSpec, series: &[Series], grid: &Grid, accesses: usize) -
 
 impl Scale {
     /// The experiment's tables and its footer.
-    fn evaluate(&self, exp: &Experiment) -> (Vec<Table>, String) {
+    ///
+    /// # Errors
+    ///
+    /// A run's violation its series does not expect.
+    fn evaluate(&self, exp: &Experiment) -> Result<(Vec<Table>, String), String> {
         let sweep = || {
             let accesses = self.accesses.max(exp.min_accesses);
             let run = |workload: &str, edit: Edit, series: &Series| {
-                let mut cfg = SystemConfig::hpca_default(series.scheme);
-                edit(&mut cfg);
-                (series.edit)(&mut cfg);
-                self.simulate(&cfg, workload, accesses)
+                self.simulate(&series.machine(edit), workload, accesses, series.expects)
+                    .map_err(|e| format!("{}: {e}", series.label))
             };
             let grid = exp.rows.iter().map(|&(label, workload, edit)| {
                 let runs = exp.series.iter().map(|s| run(workload, edit, s));
-                (label.to_string(), runs.collect())
+                Ok((label.to_string(), runs.collect::<Result<_, String>>()?))
             });
-            let grid: Vec<(String, Vec<Run>)> = grid.collect();
+            let grid: Vec<(String, Vec<Run>)> = grid.collect::<Result<_, String>>()?;
             let tables = exp.tables.iter();
             let tables = tables.flat_map(|spec| tabulate(spec, exp.series, &grid, accesses));
-            (tables.collect(), (exp.quotes)(&grid))
+            Ok((tables.collect(), (exp.quotes)(&grid)))
         };
-        let (tables, quotes): Computed = exp.compute.map_or_else(sweep, |compute| compute(self));
+        let (tables, quotes) = exp.compute.map_or_else(sweep, |compute| compute(self))?;
         let quoted = |footer: String, quote: Cell| footer.replacen("{}", &quote.text, 1);
-        (
+        Ok((
             tables,
             quotes.into_iter().fold(exp.footer.to_string(), quoted),
-        )
+        ))
     }
 }
 
@@ -544,8 +616,9 @@ pub(crate) fn drive(
         }
     };
     for exp in selected {
+        let failed = |e: String| format!("{}: {e}", exp.name);
         let Some(document) = exp.document else {
-            let (tables, footer) = scale.evaluate(exp);
+            let (tables, footer) = scale.evaluate(exp).map_err(failed)?;
             print(&tables, &footer);
             let tables = Value::Array(tables.iter().map(Table::json).collect());
             let footer = footer.into();
@@ -556,7 +629,6 @@ pub(crate) fn drive(
             ]));
             continue;
         };
-        let failed = |e: String| format!("{}: {e}", exp.name);
         let doc = document
             .schema
             .document((document.points)().map_err(failed)?);
@@ -753,6 +825,43 @@ PB                    254           15            0
         assert_eq!(printed, "", "nothing runs before every name is known");
     }
 
+    /// A point run twice is run once, and the clone it hands back equals
+    /// a fresh run: for a point of a sweep by row (Fig. 10's default
+    /// machine), of a sweep by series whose series expects violations (the
+    /// unconstrained scheduler), and of a `fn` experiment (Fig. 13's
+    /// machine at Y = 2). A violation a series does not expect is an
+    /// error naming it.
+    #[test]
+    fn a_cached_run_equals_a_fresh_one() {
+        let named = |name| EXPERIMENTS.iter().find(|e| e.name == name).expect(name);
+        let all = named("fig10_exec_time").series[3];
+        let unconstrained = named("ablation_atomicity_cost").series[2];
+        let mut fig13 = SystemConfig::hpca_default(Scheme::Cb);
+        fig13.ring.y = 2;
+        let keys = [
+            (all.machine(NO_EDIT), "black", all.expects),
+            (
+                unconstrained.machine(NO_EDIT),
+                "black",
+                unconstrained.expects,
+            ),
+            (fig13, "face", &[][..]),
+        ];
+        let cached = || RUNS.with_borrow(Vec::len);
+        for (cfg, workload, expects) in &keys {
+            let first = SMOKE.simulate(cfg, workload, 20, expects).unwrap();
+            let before = cached();
+            let hit = SMOKE.simulate(cfg, workload, 20, expects).unwrap();
+            assert_eq!(cached(), before, "{workload}: a hit runs nothing");
+            let fresh = format!("{:?}", SMOKE.run(cfg, workload, 20));
+            assert_eq!(format!("{first:?}"), fresh, "{workload}");
+            assert_eq!(format!("{hit:?}"), fresh, "{workload}");
+        }
+        let (cfg, ..) = &keys[1];
+        let error = SMOKE.simulate(cfg, "black", 20, &[]).unwrap_err();
+        assert!(error.starts_with("black: [txn-order] at "), "{error}");
+    }
+
     fn single_seed(cfg: &SystemConfig, workload: &str, accesses: usize, s: u64) -> SimReport {
         let traces = traces_for(cfg, workload, accesses, TRACE_SEED ^ (s * 0x9E37));
         let mut sim = Simulation::new(cfg.clone(), traces);
@@ -764,12 +873,16 @@ PB                    254           15            0
     fn the_runner_honours_warm_up_and_seeds_for_every_point() {
         let cfg = SystemConfig::test_small(Scheme::All);
         // At the defaults, what `run_scheme` and `run_config` both did.
-        let plain = SMOKE.simulate(&cfg, "black", 30);
+        let plain = SMOKE.simulate(&cfg, "black", 30, &[]).unwrap();
         let expected = single_seed(&cfg, "black", 30, 0);
         assert_eq!(format!("{:?}", plain.report), format!("{expected:?}"));
         let unset = Scale { seeds: 0, ..SMOKE };
         assert_eq!(
-            unset.simulate(&cfg, "black", 30).report.total_cycles,
+            unset
+                .simulate(&cfg, "black", 30, &[])
+                .unwrap()
+                .report
+                .total_cycles,
             expected.total_cycles
         );
 
@@ -778,7 +891,8 @@ PB                    254           15            0
             warmup: 10,
             ..SMOKE
         }
-        .simulate(&cfg, "black", 20);
+        .simulate(&cfg, "black", 20, &[])
+        .unwrap();
         assert!(warm.report.oram_accesses < plain.report.oram_accesses);
         assert!(warm.report.total_cycles < plain.report.total_cycles);
         assert!(warm.halfway.oram_accesses * 2 >= warm.report.oram_accesses);
@@ -787,7 +901,9 @@ PB                    254           15            0
         let mut cycles = [0, 1, 2].map(|s| single_seed(&cfg, "black", 30, s).total_cycles);
         cycles.sort_unstable();
         assert!(cycles[0] < cycles[2], "the seeds draw different traces");
-        let median = Scale { seeds: 3, ..SMOKE }.simulate(&cfg, "black", 30);
+        let median = Scale { seeds: 3, ..SMOKE }
+            .simulate(&cfg, "black", 30, &[])
+            .unwrap();
         assert_eq!(median.report.total_cycles, cycles[1]);
     }
 }

@@ -163,8 +163,33 @@ impl Standard for bool {
 impl Standard for f64 {
     fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits → uniform in [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (rng.next_u64() >> 11) as f64 * (1.0 / TWO_53)
     }
+}
+
+/// `2^53`: an `f64` draw is `(x >> 11) · 2^-53`, 53 random bits.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+/// The 53-bit threshold [`Rng::gen_bool`]`(p)` compares a draw with:
+/// `gen_bool(p)` is exactly `(rng.next_u64() >> 11) < threshold(p)`, and
+/// makes the same one draw.
+///
+/// An `f64` draw is `(x >> 11) · 2^-53`, and `(x >> 11) · 2^-53 < p` holds
+/// exactly when `(x >> 11) < ceil(p · 2^53)`: scaling by a power of two is
+/// exact, and the draw is an integer. A caller drawing against a
+/// probability fixed for many draws computes this once, so the per-draw
+/// cost is a shift and an integer compare instead of a float conversion
+/// and multiply (and, where `p` would be rescaled per draw, `f64::ceil`, an
+/// out-of-line libm call on the x86-64 baseline).
+///
+/// # Panics
+///
+/// Debug builds panic if `p` is not in `[0, 1]`.
+#[inline]
+#[must_use]
+pub fn threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "threshold({p})");
+    (p * TWO_53).ceil() as u64
 }
 
 /// Derives the seed of an independent randomness stream from a master
@@ -291,7 +316,8 @@ pub trait Rng {
         T::sample_range(self, range)
     }
 
-    /// Returns `true` with probability `p`.
+    /// Returns `true` with probability `p`: one draw, compared with `p`
+    /// exactly as an integer compare with [`threshold`]`(p)` would.
     ///
     /// # Panics
     ///
@@ -427,6 +453,40 @@ mod tests {
             assert!(!rng.gen_bool(0.0));
             assert!(rng.gen_bool(1.0));
         }
+    }
+
+    /// A generator whose every draw is one fixed word.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn threshold_is_gen_bool_on_both_sides_of_every_edge() {
+        let ulp = 1.0 / TWO_53;
+        for p in [0.0, ulp, 0.3, 0.7, 1.0 - ulp, 1.0] {
+            let t = threshold(p);
+            // The 53-bit draws just under and at the threshold, each with
+            // the discarded low bits clear and set.
+            let sides = [(t.checked_sub(1), true), (Some(t), false)];
+            for (draw, below) in sides {
+                let Some(draw) = draw.filter(|&d| d < 1 << 53) else {
+                    continue;
+                };
+                for low in [0, 0x7ff] {
+                    let x = draw << 11 | low;
+                    assert_eq!(Fixed(x).gen_bool(p), below, "p {p}, draw {draw:#x}");
+                    assert_eq!((x >> 11) < t, below, "p {p}, draw {draw:#x}");
+                }
+            }
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(ulp), 1);
+        assert_eq!(threshold(1.0 - ulp), (1 << 53) - 1);
+        assert_eq!(threshold(1.0), 1 << 53);
     }
 
     #[test]

@@ -349,6 +349,7 @@ impl BucketRef<'_> {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn slot_holds_real(&self, slot: usize) -> bool {
         holds_real(self.slots[slot])
@@ -471,16 +472,21 @@ impl Bucket<'_> {
     }
 
     /// Removes every valid real block with its payload and appends them, in
-    /// slot order, to a caller-provided (reusable) buffer (the
-    /// eviction/reshuffle read phase: the controller reads the `Z` real
-    /// slots of the bucket).
-    pub(crate) fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
+    /// slot order, to a caller-provided (reusable) buffer, and the slots
+    /// they held to `slots` (the eviction/reshuffle read phase: the
+    /// controller reads the `Z` real slots of the bucket), in one scan.
+    pub(crate) fn take_real_blocks_into(
+        &mut self,
+        out: &mut Vec<BlockEntry>,
+        slots: &mut Vec<u32>,
+    ) {
         for idx in 0..self.slots.len() {
             let word = self.slots[idx];
             if holds_real(word) {
                 // The emptied slot stays valid, so it now counts as a dummy.
                 let data = self.vacate(idx, VALID | DUMMY);
                 out.push((decode(word), data));
+                slots.push(idx as u32);
             }
         }
         self.node.dummies += self.node.reals;
@@ -1042,8 +1048,9 @@ mod tests {
         let mut r = rng();
         let blocks: Vec<BlockId> = (10..13).map(BlockId).collect();
         let mut owned = OwnedBucket::with_blocks(&cfg(), &blocks, &mut r);
-        let mut out = Vec::new();
-        owned.view().take_real_blocks_into(&mut out);
+        let (mut out, mut slots) = (Vec::new(), Vec::new());
+        owned.view().take_real_blocks_into(&mut out, &mut slots);
+        assert_eq!(slots.len(), blocks.len());
         let mut taken: Vec<BlockId> = out.into_iter().map(|(b, _)| b).collect();
         taken.sort();
         assert_eq!(taken, blocks);
@@ -1187,10 +1194,15 @@ mod tests {
                 )
             }
 
-            pub(super) fn take_real_blocks_into(&mut self, out: &mut Vec<BlockEntry>) {
-                for s in self.slots.iter_mut().filter(|s| s.valid) {
+            pub(super) fn take_real_blocks_into(
+                &mut self,
+                out: &mut Vec<BlockEntry>,
+                slots: &mut Vec<u32>,
+            ) {
+                for (idx, s) in self.slots.iter_mut().enumerate().filter(|(_, s)| s.valid) {
                     if let Some(b) = s.block.take() {
                         out.push((b, s.data.take()));
+                        slots.push(idx as u32);
                     }
                 }
             }
@@ -1328,9 +1340,11 @@ mod tests {
                         seen[3] += u32::from(got.2.is_some());
                     }
                     12 => {
-                        packed.take_real_blocks_into(&mut out_p);
-                        model.take_real_blocks_into(&mut out_m);
+                        let (mut slots_p, mut slots_m) = (Vec::new(), Vec::new());
+                        packed.take_real_blocks_into(&mut out_p, &mut slots_p);
+                        model.take_real_blocks_into(&mut out_m, &mut slots_m);
                         assert_eq!(out_p, out_m);
+                        assert_eq!(slots_p, slots_m);
                     }
                     13 => {
                         let slot = ops.gen_range(0..packed.peek().slot_count());
@@ -1413,7 +1427,7 @@ mod tests {
         for id in [3, CHUNK_ROWS - 1, CHUNK_ROWS + 2] {
             let mut b = tree.get_mut(BucketId(id as u64)).unwrap();
             let mut entries = Vec::new();
-            b.take_real_blocks_into(&mut entries);
+            b.take_real_blocks_into(&mut entries, &mut Vec::new());
             entries[0].1 = Some(Box::from([id as u8; 4]));
             b.reload(&c, &mut entries, &mut r);
         }
@@ -1436,7 +1450,7 @@ mod tests {
                     1 if !b.peek().needs_reshuffle(&c) => {
                         let _ = b.serve_read(&c, None, &mut r);
                     }
-                    2 => b.take_real_blocks_into(&mut Vec::new()),
+                    2 => b.take_real_blocks_into(&mut Vec::new(), &mut Vec::new()),
                     _ => {
                         let slot = ops.gen_range(0..b.peek().slot_count());
                         let _ = b.clear_slot(slot);
@@ -1467,7 +1481,7 @@ mod tests {
         // Change every row of the original, payload included.
         for i in 0..tree.nodes.len() as u64 {
             let mut b = tree.get_mut(BucketId(i)).unwrap();
-            b.take_real_blocks_into(&mut Vec::new());
+            b.take_real_blocks_into(&mut Vec::new(), &mut Vec::new());
             let _ = b.serve_read(&c, None, &mut r);
         }
         for (i, state) in snapshot.iter().enumerate() {
@@ -1543,9 +1557,10 @@ mod tests {
         assert_eq!(kind, FetchKind::Dummy);
         assert!(!b.peek().slot_holds_real(slot));
         assert_eq!(b.peek().valid_dummies(), 9);
-        let mut out = Vec::new();
-        b.take_real_blocks_into(&mut out);
+        let (mut out, mut slots) = (Vec::new(), Vec::new());
+        b.take_real_blocks_into(&mut out, &mut slots);
         assert_eq!(out, [(cold, None)]);
+        assert_eq!(slots.len(), 1);
 
         // Plain-tree rules on a `Z` row.
         let mut tree = BucketTree::new(&RingConfig {

@@ -31,7 +31,7 @@
 
 use oram_rng::{Rng, StdRng};
 
-use crate::bucket::{BlockEntry, Bucket, BucketTree};
+use crate::bucket::{BlockData, BlockEntry, Bucket, BucketTree};
 use crate::config::RingConfig;
 use crate::faults::OramError;
 use crate::oblivious::{Op, ProtocolKind};
@@ -236,11 +236,24 @@ struct Scratch {
     entries: Vec<BlockEntry>,
     /// `reshuffle_bucket` / `evict`: entries staged for a bucket reload.
     resealed: Vec<BlockEntry>,
-    /// `evict`: eviction candidates grouped by deepest eligible level.
-    by_depth: Vec<Vec<BlockId>>,
+    /// `evict`: the blocks its path held, with their paths and payloads,
+    /// between the read and the write phase (they never enter the stash
+    /// unless the write-back leaves them over).
+    transit: Vec<(BlockId, PathId, Option<BlockData>)>,
+    /// `evict`: eviction candidates grouped by deepest eligible level,
+    /// each with where it waits ([`STASHED`] or its `transit` index).
+    by_depth: Vec<Vec<(BlockId, u32)>>,
     /// `evict`: the candidates eligible at the level being written.
-    eligible: Vec<BlockId>,
+    eligible: Vec<(BlockId, u32)>,
+    /// Every eviction goes through the stash instead (the reference the
+    /// transit buffer is tested against).
+    #[cfg(test)]
+    round_trip: bool,
 }
+
+/// A write-back candidate's place when it waits in the stash, not in the
+/// eviction's transit buffer.
+const STASHED: u32 = u32::MAX;
 
 /// The Ring ORAM / String ORAM controller: a schedule over the shared
 /// frame (`crate::plain_tree`), which holds the tree, position map, stash,
@@ -252,8 +265,9 @@ pub struct RingOram {
     /// Eviction counter `G` driving the reverse lexicographic order.
     eviction_count: u64,
     /// Fraction of each fresh bucket's `Z` slots pre-filled with cold
-    /// blocks.
-    load_factor: f64,
+    /// blocks, as the 53-bit threshold of its `gen_bool` draw
+    /// (`oram_rng::threshold`).
+    load_threshold: u64,
     next_cold: u64,
     /// Degraded mode: CB green substitution suspended until stash pressure
     /// drains (only ever set with the fault layer enabled).
@@ -280,13 +294,15 @@ impl std::fmt::Debug for RingOram {
 /// The protocol RNG is drawn in a fixed order every golden digest depends
 /// on: `Z` × `gen_bool(load)`, each hit followed by its `gen_range` path
 /// tail (below the leaf level), then the bucket's shuffle. Each hit's word
-/// is written straight into the fresh row.
+/// is written straight into the fresh row. The pre-load draw is
+/// `gen_bool(load)` as the integer compare it is exactly, against
+/// `load_threshold`.
 #[allow(clippy::too_many_arguments)] // a borrow-split of the engine's fields
 fn materialize_entry<'a>(
     buckets: &'a mut BucketTree,
     geometry: &TreeGeometry,
     cfg: &RingConfig,
-    load_factor: f64,
+    load_threshold: u64,
     position_map: &mut PositionMap,
     next_cold: &mut u64,
     rng: &mut StdRng,
@@ -297,7 +313,7 @@ fn materialize_entry<'a>(
         let pos_in_level = id.0 - ((1u64 << level.0) - 1);
         let tail_bits = geometry.max_level() - level.0;
         bucket.fill(cfg.z, rng, |rng| {
-            rng.gen_bool(load_factor).then(|| {
+            ((rng.next_u64() >> 11) < load_threshold).then(|| {
                 let block = BlockId(*next_cold);
                 *next_cold += 1;
                 let low = (tail_bits > 0).then(|| rng.gen_range(0..1u64 << tail_bits));
@@ -355,17 +371,20 @@ impl RingOram {
         } else {
             ProtocolKind::Ring
         };
-        // The write-back's eligible pool is at most the stash: sized for the
-        // provisioned capacity plus the path an eviction reads into it.
+        // The write-back's eligible pool is at most the stash plus the path
+        // an eviction reads: sized for the provisioned capacity plus `Z` per
+        // level, which is also all the transit buffer ever holds.
+        let path_blocks = (cfg.levels * cfg.z) as usize;
         let scratch = Scratch {
-            eligible: Vec::with_capacity(cfg.stash_capacity + (cfg.levels * cfg.z) as usize),
+            eligible: Vec::with_capacity(cfg.stash_capacity + path_blocks),
+            transit: Vec::with_capacity(path_blocks),
             ..Scratch::default()
         };
         Self {
             tree: PlainTree::new(kind, cfg, seed),
             reads_since_eviction: 0,
             eviction_count: 0,
-            load_factor,
+            load_threshold: oram_rng::threshold(load_factor),
             next_cold: Self::COLD_BASE,
             degraded: false,
             scratch,
@@ -390,7 +409,7 @@ impl RingOram {
             &mut self.tree.buckets,
             &self.tree.geometry,
             &self.tree.cfg,
-            self.load_factor,
+            self.load_threshold,
             &mut self.tree.position_map,
             &mut self.next_cold,
             &mut self.tree.rng,
@@ -568,7 +587,7 @@ impl RingOram {
                 &mut self.tree.buckets,
                 &self.tree.geometry,
                 &self.tree.cfg,
-                self.load_factor,
+                self.load_threshold,
                 &mut self.tree.position_map,
                 &mut self.next_cold,
                 &mut self.tree.rng,
@@ -657,10 +676,9 @@ impl RingOram {
         let slots = self.tree.cfg.bucket_slots();
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
         let mut entries = std::mem::take(&mut self.scratch.entries);
-        let mut bucket = self.bucket_mut(id);
-        // Capture current real-slot indices for the read touches.
-        read_slots.extend((0..slots).filter(|&s| bucket.peek().slot_holds_real(s as usize)));
-        bucket.take_real_blocks_into(&mut entries);
+        // The real blocks, and their slots for the read touches.
+        self.bucket_mut(id)
+            .take_real_blocks_into(&mut entries, &mut read_slots);
         // Re-encrypt every surviving payload under a fresh nonce (the
         // reshuffle's defining obligation besides the permutation): unseal
         // each entry, then re-seal the whole bucket as one contiguous batch.
@@ -702,11 +720,16 @@ impl RingOram {
     }
 
     /// Performs the periodic eviction along the next reverse-lexicographic
-    /// path: reads the `Z` real slots of every bucket on the path into the
-    /// stash, then rewrites the buckets leaf-to-root with as many compatible
-    /// stash blocks as fit.
+    /// path: reads the `Z` real slots of every bucket on the path, then
+    /// rewrites the buckets leaf-to-root with as many compatible blocks of
+    /// the stash and the path as fit; what the path cannot take stays in
+    /// (or joins) the stash.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn evict(&mut self) -> AccessPlan {
+        #[cfg(test)]
+        if self.scratch.round_trip {
+            return self.evict_through_the_stash();
+        }
         let path = self
             .tree
             .geometry
@@ -720,16 +743,18 @@ impl RingOram {
         let mut touches = self.tree.pool.touches(0);
         let mut read_slots = std::mem::take(&mut self.scratch.real_slots);
         let mut entries = std::mem::take(&mut self.scratch.entries);
+        let mut transit = std::mem::take(&mut self.scratch.transit);
 
-        // Read phase (root to leaf): pull every real block into the stash.
+        // Read phase (root to leaf): every real block of the path goes into
+        // the transit buffer, not the stash's map — most of them go straight
+        // back into the tree below.
         for lvl in 0..levels {
             let level = Level(lvl);
             let id = self.tree.geometry.bucket_at(path, level);
             let off_chip = !self.is_cached_level(level);
-            let mut bucket = self.bucket_mut(id);
             read_slots.clear();
-            read_slots.extend((0..slots).filter(|&s| bucket.peek().slot_holds_real(s as usize)));
-            bucket.take_real_blocks_into(&mut entries);
+            self.bucket_mut(id)
+                .take_real_blocks_into(&mut entries, &mut read_slots);
             if off_chip {
                 let mut filler = 0u32;
                 while (read_slots.len() as u32) < z {
@@ -750,43 +775,56 @@ impl RingOram {
                     .lookup(b)
                     .expect("tree blocks are always mapped");
                 let d = tree.data.unseal(&mut tree.stats, d);
-                tree.stash.insert_with_data(b, p, d);
+                transit.push((b, p, d));
             }
         }
         read_slots.clear();
         self.scratch.real_slots = read_slots;
         self.scratch.entries = entries;
+        // The occupancy the stash reached when the path's blocks were
+        // inserted into it one by one.
+        let tree = &mut self.tree;
+        tree.stash.raise_peak(tree.stash.len() + transit.len());
 
-        // Write phase (leaf to root): greedy deepest-first placement. The
-        // candidate set is snapshotted once — the phase only removes stash
-        // entries, so selecting from the snapshot picks exactly the blocks
-        // a fresh per-level scan would. Candidates are grouped by their
-        // deepest eligible level; walking leaf to root, each level's group
-        // joins the eligible pool and the level takes the pool's `Z`
+        // Write phase (leaf to root): greedy deepest-first placement over the
+        // stash and the transit buffer, each candidate tagged with where it
+        // waits. The candidate set is snapshotted once — the phase only
+        // removes candidates, so selecting from the snapshot picks exactly
+        // the blocks a fresh per-level scan would. Candidates are grouped by
+        // their deepest eligible level; walking leaf to root, each level's
+        // group joins the eligible pool and the level takes the pool's `Z`
         // smallest ids, selected in linear time and then sorted — the same
         // blocks in the same ascending order a sorted per-level scan would
         // select, without sorting or rescanning the pool.
-        let tree = &mut self.tree;
         let mut by_depth = std::mem::take(&mut self.scratch.by_depth);
         by_depth.resize_with(levels as usize, Vec::new);
         tree.stash
             .for_each_candidate(&tree.geometry, path, |b, depth| {
-                by_depth[depth.0 as usize].push(b);
+                by_depth[depth.0 as usize].push((b, STASHED));
             });
+        for (at, &(b, p, _)) in transit.iter().enumerate() {
+            let depth = tree.geometry.shared_depth(p, path);
+            by_depth[depth.0 as usize].push((b, at as u32));
+        }
         let mut eligible = std::mem::take(&mut self.scratch.eligible);
         let mut sealed = std::mem::take(&mut self.scratch.resealed);
         for lvl in (0..levels).rev() {
             let id = tree.geometry.bucket_at(path, Level(lvl));
             let off_chip = lvl >= tree.cfg.tree_top_cached_levels;
             eligible.append(&mut by_depth[lvl as usize]);
-            // The `Z` smallest go to the tail, in ascending order.
+            // The `Z` smallest go to the tail, in ascending order (ids are
+            // unique, so the tags never decide).
             let rest = eligible.len().saturating_sub(z as usize);
             if rest > 0 {
-                eligible.select_nth_unstable_by_key(rest, |&b| std::cmp::Reverse(b));
+                eligible.select_nth_unstable_by_key(rest, |&(b, _)| std::cmp::Reverse(b));
             }
             eligible[rest..].sort_unstable();
-            for &b in &eligible[rest..] {
-                let d = tree.stash.take(b).expect("candidate still stashed");
+            for &(b, at) in &eligible[rest..] {
+                let d = if at == STASHED {
+                    tree.stash.take(b).expect("candidate still stashed")
+                } else {
+                    transit[at as usize].2.take()
+                };
                 sealed.push((b, d));
             }
             eligible.truncate(rest);
@@ -803,10 +841,20 @@ impl RingOram {
                 }
             }
         }
+        // Every candidate is eligible at the root, so the pool now holds
+        // exactly what the path could not take: the stash keeps its own,
+        // and the path's join it.
+        for (b, at) in eligible.drain(..) {
+            if at != STASHED {
+                let (_, p, d) = &mut transit[at as usize];
+                tree.stash.insert_with_data(b, *p, d.take());
+            }
+        }
+        transit.clear();
         // Every group was appended (and so emptied) on the way up.
         self.scratch.by_depth = by_depth;
-        eligible.clear();
         self.scratch.eligible = eligible;
+        self.scratch.transit = transit;
         self.scratch.resealed = sealed;
         AccessPlan::new(OpKind::Eviction, touches, None)
     }
@@ -821,6 +869,62 @@ mod tests {
 
     fn oram(cfg: RingConfig) -> RingOram {
         RingOram::with_load_factor(cfg, 42, 0.5)
+    }
+
+    impl RingOram {
+        /// The eviction as a stash round trip: every block of the path is
+        /// inserted into the stash, then each level, leaf to root, takes
+        /// what `Stash::drain_for_bucket` selects. What `evict` must equal
+        /// in rows, stash, stash peak and draws.
+        #[allow(clippy::expect_used)]
+        pub(super) fn evict_through_the_stash(&mut self) -> AccessPlan {
+            let path = self
+                .tree
+                .geometry
+                .reverse_lexicographic_path(self.eviction_count);
+            self.eviction_count += 1;
+            self.tree.stats.evictions += 1;
+            let (z, slots) = (self.tree.cfg.z, self.tree.cfg.bucket_slots());
+            let levels = self.tree.cfg.levels;
+            let mut touches = self.tree.pool.touches(0);
+            for lvl in 0..levels {
+                let id = self.tree.geometry.bucket_at(path, Level(lvl));
+                let (mut entries, mut read_slots) = (Vec::new(), Vec::new());
+                self.bucket_mut(id)
+                    .take_real_blocks_into(&mut entries, &mut read_slots);
+                if !self.is_cached_level(Level(lvl)) {
+                    let padding = (0..).filter(|s| !read_slots.contains(s));
+                    let padding: Vec<u32> = padding.take(z as usize).collect();
+                    read_slots.extend(padding);
+                    for &s in &read_slots[..z as usize] {
+                        touches.push(SlotTouch::read(id, s));
+                    }
+                }
+                let tree = &mut self.tree;
+                for (b, d) in entries {
+                    let p = tree.position_map.lookup(b).expect("mapped");
+                    let d = tree.data.unseal(&mut tree.stats, d);
+                    tree.stash.insert_with_data(b, p, d);
+                }
+            }
+            let tree = &mut self.tree;
+            for lvl in (0..levels).rev() {
+                let id = tree.geometry.bucket_at(path, Level(lvl));
+                let mut entries =
+                    tree.stash
+                        .drain_for_bucket(&tree.geometry, path, Level(lvl), z as usize);
+                tree.data.seal_batch(&mut tree.stats, &mut entries);
+                tree.buckets.get_mut(id).expect("materialized").reload(
+                    &tree.cfg,
+                    &mut entries,
+                    &mut tree.rng,
+                );
+                if lvl >= tree.cfg.tree_top_cached_levels {
+                    touches.extend((0..slots).map(|s| SlotTouch::write(id, s)));
+                }
+            }
+            AccessPlan::new(OpKind::Eviction, touches, None)
+        }
     }
 
     #[test]
@@ -1321,11 +1425,17 @@ mod tests {
         assert!(failed, "over-full tree must overflow the stash");
     }
 
-    /// Ring's write phase against the reference selection. On seeded
-    /// stashes every bucket of the eviction path must hold exactly what
-    /// `Stash::drain_for_bucket`, applied leaf to root, selects — in the
-    /// same slots a reload of those blocks, in that (ascending) order and
-    /// with the same draws, gives — and the stash must keep the rest.
+    /// Ring's eviction against the stash round trip it replaces. On seeded
+    /// stashes over empty and pre-loaded paths, every bucket of the
+    /// eviction path must hold exactly what `Stash::drain_for_bucket`,
+    /// applied leaf to root to the stash plus the path's blocks, selects —
+    /// in the same slots a reload of those blocks, in that (ascending)
+    /// order and with the same draws, gives — and the stash must keep the
+    /// rest and reach the same peak. Then, over whole runs of Ring and
+    /// Ring+CB with payloads off and on, the engine must equal a twin that
+    /// evicts through the stash ([`RingOram::evict_through_the_stash`])
+    /// after every eviction: tree rows and payloads, stash contents and
+    /// peak, and protocol RNG state.
     #[test]
     fn eviction_write_back_equals_the_per_level_rescan() {
         use crate::bucket::{BucketRef, OwnedBucket};
@@ -1335,16 +1445,19 @@ mod tests {
             (b.real_blocks(), real)
         };
         let sorted = |s: &Stash| {
-            let mut v: Vec<_> = s.iter().collect();
+            let mut v: Vec<_> = s
+                .iter()
+                .map(|(b, p)| (b, p, s.data_of(b).map(<[u8]>::to_vec)))
+                .collect();
             v.sort();
             v
         };
         let mut seeds = StdRng::seed_from_u64(0xE71C7);
         // Cases that reached: a level with nothing eligible, a level with
         // more eligible than `Z` (the cut between equally deep blocks), a
-        // stash the path cannot take whole.
-        let (mut empty_levels, mut ties, mut leftovers) = (0, 0, 0);
-        for case in 0..240u64 {
+        // stash the path cannot take whole, a path holding blocks.
+        let (mut empty_levels, mut ties, mut leftovers, mut loaded) = (0, 0, 0, 0);
+        for case in 0..480u64 {
             let cb = case % 2 == 1;
             let base = if cb {
                 RingConfig::test_small_cb()
@@ -1354,7 +1467,8 @@ mod tests {
             let levels = seeds.gen_range(3..9u32);
             let cfg = RingConfig { levels, ..base };
             let z = cfg.z as usize;
-            let mut o = RingOram::with_load_factor(cfg.clone(), case, 0.0);
+            let load = if case % 4 < 2 { 0.0 } else { 0.5 };
+            let mut o = RingOram::with_load_factor(cfg.clone(), case, load);
             let geometry = o.tree.geometry;
             let max = geometry.max_level();
             let path = geometry.reverse_lexicographic_path(o.eviction_count);
@@ -1396,7 +1510,17 @@ mod tests {
                 o.tree.position_map.insert(BlockId(b), p);
                 o.tree.stash.insert(BlockId(b), p);
             }
+            // The round trip: the path's blocks join the stash.
             let mut reference = o.tree.stash.clone();
+            for l in 0..levels {
+                let id = geometry.bucket_at(path, Level(l));
+                let bucket = o.tree.buckets.get_mut(id).expect("materialized");
+                for b in bucket.peek().real_blocks() {
+                    let p = o.tree.position_map.lookup(b).expect("mapped");
+                    reference.insert(b, p);
+                    loaded += 1;
+                }
+            }
             let mut replay = o.tree.rng.clone();
             let _ = o.evict();
 
@@ -1422,6 +1546,7 @@ mod tests {
             }
             leftovers += usize::from(reference.len() != 0);
             assert_eq!(sorted(&o.tree.stash), sorted(&reference), "case {case}");
+            assert_eq!(o.tree.stash.peak(), reference.peak(), "case {case}");
             assert_eq!(
                 format!("{:?}", o.tree.rng),
                 format!("{replay:?}"),
@@ -1429,7 +1554,61 @@ mod tests {
             );
             o.check_invariants();
         }
-        assert!(empty_levels > 0 && ties > 0 && leftovers > 0);
+        assert!(empty_levels > 0 && ties > 0 && leftovers > 0 && loaded > 0);
+
+        // Whole runs, the twin evicting through the stash.
+        for (cfg, payloads) in [
+            (RingConfig::test_small(), false),
+            (RingConfig::test_small(), true),
+            (RingConfig::test_small_cb(), false),
+            (RingConfig::test_small_cb(), true),
+        ] {
+            let build = |round_trip: bool| {
+                let mut o = RingOram::with_load_factor(cfg.clone(), 0x7A5, 0.6);
+                o.scratch.round_trip = round_trip;
+                if payloads {
+                    o.enable_encryption(0x7A5);
+                }
+                o
+            };
+            let (mut o, mut twin) = (build(false), build(true));
+            let mut evictions = 0;
+            for i in 0..600u64 {
+                let block = BlockId(i * 7 % 97);
+                let data = [i as u8; 64];
+                let op = || {
+                    if payloads && i % 3 == 0 {
+                        Op::Write(&data)
+                    } else {
+                        Op::Read
+                    }
+                };
+                let (out, read) = o.operate(block, op());
+                let (twin_out, twin_read) = twin.operate(block, op());
+                assert_eq!(read, twin_read, "access {i}: the value read");
+                assert_eq!(format!("{out:?}"), format!("{twin_out:?}"), "access {i}");
+                if !out.plans.iter().any(|p| p.kind == OpKind::Eviction) {
+                    continue;
+                }
+                evictions += 1;
+                let what = format!("access {i} (CB {}, payloads {payloads})", cfg.y > 0);
+                assert_eq!(
+                    format!("{:?}", o.tree.buckets),
+                    format!("{:?}", twin.tree.buckets),
+                    "{what}: tree rows"
+                );
+                assert_eq!(sorted(&o.tree.stash), sorted(&twin.tree.stash), "{what}");
+                assert_eq!(o.stash_peak(), twin.stash_peak(), "{what}: stash peak");
+                assert_eq!(
+                    format!("{:?}", o.tree.rng),
+                    format!("{:?}", twin.tree.rng),
+                    "{what}: RNG state"
+                );
+            }
+            assert!(evictions >= 200, "{evictions} evictions");
+            assert!(o.stash_peak() > 0);
+            o.check_invariants();
+        }
     }
 
     #[test]

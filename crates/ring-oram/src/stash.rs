@@ -54,6 +54,13 @@ impl Stash {
         self.peak
     }
 
+    /// Raises the high-water mark to `occupancy`: what the stash would have
+    /// held had blocks kept outside it (an eviction's path in transit)
+    /// been inserted.
+    pub(crate) fn raise_peak(&mut self, occupancy: usize) {
+        self.peak = self.peak.max(occupancy);
+    }
+
     /// Whether `block` is currently in the stash.
     #[must_use]
     pub(crate) fn contains(&self, block: BlockId) -> bool {

@@ -95,6 +95,9 @@ pub struct Simulation {
     /// Pending per-core completion times (one entry per in-flight miss
     /// whose data has a known arrival cycle).
     core_unblock_at: Vec<Vec<u64>>,
+    /// The earliest cycle in `core_unblock_at` (`u64::MAX` when none is
+    /// pending): the lists are scanned only once it is due.
+    next_unblock: u64,
     /// Reusable buffer for the releases the pipeline hands back each cycle.
     wakes: Vec<Wake>,
     /// Snapshot delimiting the measurement window, if one was begun.
@@ -158,6 +161,7 @@ impl Simulation {
         core.reserve_accesses(total_records);
         Ok(Self {
             core_unblock_at: vec![Vec::new(); cfg.cores],
+            next_unblock: u64::MAX,
             // At most one release per outstanding miss.
             wakes: Vec::with_capacity(cfg.cores * cfg.core_mlp),
             cfg,
@@ -248,12 +252,17 @@ impl Simulation {
         let cycle = self.core.cycles();
 
         // 0. Release cores whose data arrived.
-        for core in 0..self.cores.len() {
-            let pending = &mut self.core_unblock_at[core];
-            let before = pending.len();
-            pending.retain(|&at| at > cycle);
-            for _ in pending.len()..before {
-                self.cores[core].complete_memory_op();
+        if self.next_unblock <= cycle {
+            self.next_unblock = u64::MAX;
+            for core in 0..self.cores.len() {
+                let pending = &mut self.core_unblock_at[core];
+                let before = pending.len();
+                pending.retain(|&at| at > cycle);
+                for _ in pending.len()..before {
+                    self.cores[core].complete_memory_op();
+                }
+                let next = pending.iter().copied().min().unwrap_or(u64::MAX);
+                self.next_unblock = self.next_unblock.min(next);
             }
         }
 
@@ -272,15 +281,23 @@ impl Simulation {
                 break;
             };
             if let Some(wake) = self.core.dispatch_real(req.core, req.block, req.is_write) {
-                self.core_unblock_at[wake.core].push(wake.at);
+                self.schedule_unblock(wake);
             }
         }
 
         // 2-5. Enqueue, schedule, retire, attribute.
         self.core.step(&mut self.wakes);
-        for wake in self.wakes.drain(..) {
-            self.core_unblock_at[wake.core].push(wake.at);
+        for i in 0..self.wakes.len() {
+            self.schedule_unblock(self.wakes[i]);
         }
+        self.wakes.clear();
+    }
+
+    /// Files `wake`'s release under its core, lowering the earliest pending
+    /// cycle.
+    fn schedule_unblock(&mut self, wake: Wake) {
+        self.core_unblock_at[wake.core].push(wake.at);
+        self.next_unblock = self.next_unblock.min(wake.at);
     }
 
     /// Conformance violations found so far (empty when checking is off —

@@ -18,12 +18,12 @@
 //! unlike `f64::sin`, whose last-bit behavior is libm-dependent.
 //!
 //! A tick costs its random draws and an integer compare each. The
-//! realisation is defined by Bernoulli trials `gen_bool(p)`, and a `f64`
-//! draw is exactly `(x >> 11) · 2^-53`, so `gen_bool(p)` is exactly
-//! `(x >> 11) < ceil(p · 2^53)`. [`ArrivalProcess::new`] turns every
-//! probability fixed for the process into such a threshold once (the two
-//! burst switches, and a flat envelope's per-state count), so `f64::ceil`,
-//! an out-of-line libm call on the x86-64 baseline, never runs per tick.
+//! realisation is defined by Bernoulli trials `gen_bool(p)`, which is
+//! exactly `(x >> 11) < oram_rng::threshold(p)` (the exactness argument is
+//! there). [`ArrivalProcess::new`] turns every probability fixed for the
+//! process into such a threshold once (the two burst switches, and a flat
+//! envelope's per-state count), so `f64::ceil`, an out-of-line libm call on
+//! the x86-64 baseline, never runs per tick.
 //! A swinging envelope whose every rate in a burst state lies strictly
 //! inside (0, 1) draws once per tick in that state; a draw at or above a
 //! ceiling just over [`ArrivalSpec::peak_per_tick`] is a miss without the
@@ -33,7 +33,7 @@
 //! the same decisions as `gen_bool` on `ArrivalProcess::rate_at`, so
 //! every realisation is bit-identical to that definition.
 
-use oram_rng::{Rng, StdRng};
+use oram_rng::{threshold, Rng, StdRng};
 
 use crate::record::TraceRecord;
 
@@ -199,14 +199,6 @@ fn floor_nonneg(v: f64) -> f64 {
 
 /// `2^53`: a `f64` draw is `(x >> 11) · 2^-53`, 53 random bits.
 const TWO_53: f64 = 9_007_199_254_740_992.0;
-
-/// The 53-bit threshold `gen_bool(p)` compares a draw with:
-/// `(x >> 11) · 2^-53 < p` holds exactly when `(x >> 11) < ceil(p · 2^53)`,
-/// because scaling by `2^53` is exact and the draw is an integer.
-fn threshold(p: f64) -> u64 {
-    debug_assert!((0.0..=1.0).contains(&p), "threshold({p})");
-    (p * TWO_53).ceil() as u64
-}
 
 /// A 53-bit draw as the `f64` in `[0, 1)` it stands for, exactly.
 #[inline]
