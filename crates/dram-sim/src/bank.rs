@@ -128,6 +128,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_activate`] would fail.
+    #[inline]
     pub(crate) fn apply_activate(&mut self, cycle: u64, row: u64, t: &TimingParams) {
         debug_assert!(self.can_activate(cycle).is_ok(), "illegal ACT");
         self.open_row = Some(row);
@@ -143,6 +144,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_precharge`] would fail.
+    #[inline]
     pub(crate) fn apply_precharge(&mut self, cycle: u64, t: &TimingParams) {
         debug_assert!(self.can_precharge(cycle).is_ok(), "illegal PRE");
         self.open_row = None;
@@ -156,6 +158,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_column`] would fail.
+    #[inline]
     pub(crate) fn apply_read(&mut self, cycle: u64, t: &TimingParams) -> u64 {
         debug_assert!(
             self.open_row.is_some() && cycle >= self.next_rd,
@@ -176,6 +179,7 @@ impl Bank {
     /// # Panics
     ///
     /// Debug-panics if [`Self::can_column`] would fail.
+    #[inline]
     pub(crate) fn apply_write(&mut self, cycle: u64, t: &TimingParams) -> u64 {
         debug_assert!(
             self.open_row.is_some() && cycle >= self.next_wr,
@@ -213,6 +217,7 @@ impl Bank {
     /// Extends the bank's busy window to cover `[from, to)`, accumulating
     /// only the non-overlapping part so overlapping command windows are not
     /// double counted.
+    #[inline]
     fn credit_busy(&mut self, from: u64, to: u64) {
         let start = from.max(self.busy_until);
         if to > start {

@@ -86,6 +86,7 @@ impl Channel {
 
     /// The first cycle after the last command: the command-bus constraint
     /// as a bound, for cycles that do not run backwards.
+    #[inline]
     pub(crate) fn cmd_ready_at(&self) -> u64 {
         self.last_cmd_cycle.map_or(0, |c| c + 1)
     }

@@ -306,6 +306,7 @@ impl DramModule {
     /// sleeps on `ready_at` hints or keeps a copy of
     /// [`Self::bank_ready_at`] / [`Self::class_ready_at`] must re-read them
     /// when this is `true`.
+    #[inline]
     pub fn tick(&mut self, cycle: u64) -> bool {
         debug_assert!(cycle >= self.last_tick, "time must not go backwards");
         self.last_tick = cycle;
@@ -342,6 +343,7 @@ impl DramModule {
     /// # Errors
     ///
     /// The first violated constraint, with a `ready_at` hint where known.
+    #[inline]
     pub fn can_issue(&self, cmd: &DramCommand, cycle: u64) -> Result<(), IssueError> {
         self.check_range(&cmd.loc)?;
         let ch = &self.channels[cmd.loc.channel as usize];
@@ -427,6 +429,7 @@ impl DramModule {
     /// # Errors
     ///
     /// Same conditions as [`Self::can_issue`]; on error no state changes.
+    #[inline]
     pub fn issue(&mut self, cmd: DramCommand, cycle: u64) -> Result<IssueOutcome, IssueError> {
         self.can_issue(&cmd, cycle)?;
         let t = &self.timing;

@@ -196,6 +196,7 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] or [`IssueError::RefreshInProgress`].
+    #[inline]
     pub(crate) fn can_activate(
         &self,
         cycle: u64,
@@ -234,6 +235,7 @@ impl Rank {
     /// of `group`, indexed by `CommandKind as usize`: everything
     /// [`Self::can_activate`], [`Self::can_other`], [`Self::can_read`] and
     /// [`Self::can_write`] compare the cycle against.
+    #[inline]
     pub(crate) fn class_ready_at(&self, group: usize, t: &TimingParams) -> [u64; 4] {
         let act = self
             .next_act
@@ -249,6 +251,7 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] or [`IssueError::RefreshInProgress`].
+    #[inline]
     pub(crate) fn can_read(&self, cycle: u64, bank: u32) -> Result<(), IssueError> {
         self.check_refresh(cycle)?;
         if cycle < self.next_rd {
@@ -271,6 +274,7 @@ impl Rank {
     /// # Errors
     ///
     /// [`IssueError::RankTiming`] or [`IssueError::RefreshInProgress`].
+    #[inline]
     pub(crate) fn can_write(&self, cycle: u64, bank: u32) -> Result<(), IssueError> {
         self.check_refresh(cycle)?;
         let g = self.group_of(bank);
@@ -292,6 +296,7 @@ impl Rank {
     }
 
     /// Applies an ACT to `bank` at `cycle`.
+    #[inline]
     pub(crate) fn apply_activate(&mut self, bank: u32, cycle: u64, row: u64, t: &TimingParams) {
         debug_assert!(
             self.can_activate(cycle, t, bank).is_ok(),
@@ -308,11 +313,13 @@ impl Rank {
     }
 
     /// Applies a PRE to `bank` at `cycle`.
+    #[inline]
     pub(crate) fn apply_precharge(&mut self, bank: u32, cycle: u64, t: &TimingParams) {
         self.banks[bank as usize].apply_precharge(cycle, t);
     }
 
     /// Applies a RD to `bank` at `cycle`; returns the end of the data burst.
+    #[inline]
     pub(crate) fn apply_read(&mut self, bank: u32, cycle: u64, t: &TimingParams) -> u64 {
         debug_assert!(self.can_read(cycle, bank).is_ok(), "rank-illegal RD");
         let g = self.group_of(bank);
@@ -322,6 +329,7 @@ impl Rank {
 
     /// Applies a WR to `bank` at `cycle`; returns the end of the data burst
     /// and arms the tWTR write-to-read turnaround.
+    #[inline]
     pub(crate) fn apply_write(&mut self, bank: u32, cycle: u64, t: &TimingParams) -> u64 {
         let g = self.group_of(bank);
         self.group_next_col[g] = cycle + self.ccd_l(t);

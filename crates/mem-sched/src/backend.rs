@@ -111,6 +111,18 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
         from
     }
 
+    /// Requests that have left the queues so far, a count that moves
+    /// whenever a queue entry can have freed; `None` when a refused
+    /// [`Self::try_enqueue`] may be accepted without any request leaving.
+    ///
+    /// A caller refused while this reads `Some(n)` gets the same refusal
+    /// for the same request until it reads something else, so it may stop
+    /// offering until then. The default answers `None` (offer on every
+    /// cycle), which is always right.
+    fn dequeued(&self) -> Option<u64> {
+        None
+    }
+
     /// Takes all requests completed since the last call.
     fn drain_completed(&mut self) -> Vec<Completed>;
 
@@ -159,6 +171,10 @@ impl MemoryBackend for MemoryController {
 
     fn tick(&mut self, cycle: u64) {
         MemoryController::tick(self, cycle);
+    }
+
+    fn dequeued(&self) -> Option<u64> {
+        MemoryController::dequeued(self)
     }
 
     fn drain_completed(&mut self) -> Vec<Completed> {

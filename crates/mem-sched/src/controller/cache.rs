@@ -12,8 +12,9 @@
 //! * a **data command** retires its bank's oldest row hit of that
 //!   direction and leaves the row open, so only that fact (and
 //!   `oldest_current`, when it was the same request) moves — to a successor
-//!   found by searching forward from the vacated position to the end of the
-//!   current transaction ([`MemoryController::view_retired`]);
+//!   found by following the bank's links from the retired entry's next one
+//!   to the end of the current transaction
+//!   ([`MemoryController::view_retired`]);
 //! * a **PRE** closes the row, so what only an open row can hold — the
 //!   hit facts — clears, and nothing else can have moved
 //!   ([`MemoryController::view_precharged`], O(1));
@@ -37,45 +38,18 @@
 //! ([`BankView::wanted`]): the channel's wake-up is the smallest bound among
 //! those ([`IssueBounds`]).
 
-use std::collections::VecDeque;
-
 use dram_sim::bank::Bank;
 use dram_sim::{CommandKind, DramGeometry, DramLocation, DramModule};
 
-use crate::queue::ChannelQueues;
+use crate::queue::{ChannelQueues, Slot};
 use crate::request::{Request, TxnId};
 
 use super::MemoryController;
 
-/// A queued request as the scheduling passes see it: enough to build its
-/// commands and to find it again in its bank's queue. The key (`b`, `id`)
-/// is stable — no other request's removal changes it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Candidate {
-    /// Enqueue id (the global age order).
-    pub(crate) id: u64,
-    pub(crate) txn: TxnId,
-    pub(crate) is_write: bool,
-    /// Channel-local bank index, `rank * banks_per_rank + bank`.
-    pub(crate) b: usize,
-    pub(crate) loc: DramLocation,
-}
-
-impl Candidate {
-    /// The view's handle on `r`, a queued request of bank `b`.
-    pub(crate) fn of(r: &Request, b: usize) -> Self {
-        Self {
-            id: r.id,
-            txn: r.txn,
-            is_write: r.is_write,
-            b,
-            loc: r.loc,
-        }
-    }
-}
-
 /// Per-(rank, bank) scheduling facts, derived from the bank's queue and
-/// open row.
+/// open row. A fact names a request by its [`Slot`] in the channel's
+/// queues: stable while the request is queued, and all a pass needs to
+/// build its command.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BankView {
     /// The bank's open row when the view was derived. Always current: the
@@ -84,20 +58,20 @@ pub(crate) struct BankView {
     pub(crate) open_row: Option<u64>,
     /// Oldest unissued current-transaction request, if the bank has any
     /// current-transaction work at all.
-    pub(crate) oldest_current: Option<Candidate>,
+    pub(crate) oldest_current: Option<Slot>,
     /// Oldest current-transaction read (`[0]`) and write (`[1]`) that want
     /// the open row. Whether RD (or WR) may issue to an open row depends
     /// on the bank and the direction only, never on the column, so the
     /// oldest hit of each direction stands for all of them.
-    pub(crate) oldest_hit: [Option<Candidate>; 2],
+    pub(crate) oldest_hit: [Option<Slot>; 2],
     /// Oldest request in the proactive lookahead window.
-    pub(crate) oldest_future: Option<Candidate>,
+    pub(crate) oldest_future: Option<Slot>,
     /// Whether any lookahead-window request wants the open row.
     pub(crate) future_hit_pending: bool,
 }
 
 /// The scheduling view of one channel: per-bank facts plus the three
-/// age-ordered candidate lists the passes walk.
+/// age-ordered candidate lists the passes walk, each a list of slots.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ChannelView {
     /// (current transaction, lookahead) the facts classify requests
@@ -106,11 +80,11 @@ pub(crate) struct ChannelView {
     pub(crate) window: Option<(TxnId, u64)>,
     pub(crate) banks: Vec<BankView>,
     /// Every bank's [`BankView::oldest_hit`] entries, sorted by age.
-    pub(crate) hits: Vec<Candidate>,
-    /// Banks with current-transaction work, sorted by oldest request age.
-    pub(crate) order_current: Vec<(u64, usize)>,
-    /// Banks with lookahead-window work, sorted by oldest request age.
-    pub(crate) order_future: Vec<(u64, usize)>,
+    pub(crate) hits: Vec<Slot>,
+    /// Every bank's [`BankView::oldest_current`], sorted by age.
+    pub(crate) order_current: Vec<Slot>,
+    /// Every bank's [`BankView::oldest_future`], sorted by age.
+    pub(crate) order_future: Vec<Slot>,
 }
 
 impl ChannelView {
@@ -128,17 +102,16 @@ impl ChannelView {
         self.order_current.clear();
         self.order_future.clear();
         for (b, bank) in self.banks.iter_mut().enumerate() {
-            *bank = derive_bank(queues.bank(b), b, open_row(b), window, unconstrained);
+            *bank = derive_bank(queues, b, open_row(b), window, unconstrained);
             self.hits.extend(bank.oldest_hit.into_iter().flatten());
-            self.order_current
-                .extend(bank.oldest_current.map(|c| (c.id, b)));
-            self.order_future
-                .extend(bank.oldest_future.map(|c| (c.id, b)));
+            self.order_current.extend(bank.oldest_current);
+            self.order_future.extend(bank.oldest_future);
         }
         // Enqueue ids are unique: no ties for an unstable sort to reorder.
-        self.hits.sort_unstable_by_key(|c| c.id);
-        self.order_current.sort_unstable();
-        self.order_future.sort_unstable();
+        let age = |&slot: &Slot| queues.get(slot).id;
+        self.hits.sort_unstable_by_key(age);
+        self.order_current.sort_unstable_by_key(age);
+        self.order_future.sort_unstable_by_key(age);
     }
 
     /// Drops the window and every fact: the view the next pass derives.
@@ -177,7 +150,7 @@ fn classify(txn: TxnId, (current, lookahead): (TxnId, u64), unconstrained: bool)
 /// [`BankView`] is read off a queue — by the events that move the row or
 /// the window, and by the referee of the delta rules.
 fn derive_bank(
-    requests: &VecDeque<Request>,
+    queues: &ChannelQueues,
     b: usize,
     open_row: Option<u64>,
     window: (TxnId, u64),
@@ -190,20 +163,23 @@ fn derive_bank(
     // The bank's list is in arrival order, so the first request seen of
     // each class is its oldest — and in transaction order (`try_enqueue`
     // asserts it), so nothing behind the first request beyond the window
-    // is inside it.
-    for r in requests {
+    // is inside it, and nothing behind a lookahead request is current:
+    // once the lookahead facts are settled, the rest cannot move a fact.
+    for (slot, r) in queues.bank(b) {
         let hit = open_row == Some(r.loc.row);
-        let cand = || Candidate::of(r, b);
         match classify(r.txn, window, unconstrained) {
             Class::Current => {
                 if hit {
-                    bank.oldest_hit[usize::from(r.is_write)].get_or_insert_with(cand);
+                    bank.oldest_hit[usize::from(r.is_write)].get_or_insert(slot);
                 }
-                bank.oldest_current.get_or_insert_with(cand);
+                bank.oldest_current.get_or_insert(slot);
             }
             Class::Future => {
                 bank.future_hit_pending |= hit;
-                bank.oldest_future.get_or_insert_with(cand);
+                bank.oldest_future.get_or_insert(slot);
+                if bank.future_hit_pending || open_row.is_none() {
+                    break;
+                }
             }
             Class::Outside if r.txn > window.0 => break,
             Class::Outside => {}
@@ -218,14 +194,14 @@ impl BankView {
         self.oldest_hit.iter().any(Option::is_some)
     }
 
-    /// The PRE or ACT that moves the bank towards `cand`'s row, if one is
-    /// needed and no pending hit (`hit_pending`) needs the open row.
-    pub(crate) fn prep_kind(&self, cand: &Candidate, hit_pending: bool) -> Option<CommandKind> {
+    /// The PRE or ACT that moves the bank towards `row`, if one is needed
+    /// and no pending hit (`hit_pending`) needs the open row.
+    pub(crate) fn prep_kind(&self, row: u64, hit_pending: bool) -> Option<CommandKind> {
         match self.open_row {
             // Row ready: the data command is the hit pass's business
             // (blocked on bus/timing), or the row is already prepared for
             // the future.
-            Some(row) if row == cand.loc.row => None,
+            Some(open) if open == row => None,
             Some(_) if hit_pending => None,
             Some(_) => Some(CommandKind::Precharge),
             None => Some(CommandKind::Activate),
@@ -235,14 +211,17 @@ impl BankView {
     /// The command kinds the three passes would offer for this bank, as
     /// bits `1 << kind`: RD / WR for the oldest hit of each direction, and
     /// one PRE or ACT — for the oldest current request or, on a bank with
-    /// no current work, for the oldest lookahead one. The same for every
-    /// `CandidateOrder`: an order only permutes the candidates.
-    pub(crate) fn wanted(&self) -> u8 {
+    /// no current work, for the oldest lookahead one (rows read from
+    /// `queues`). The same for every `CandidateOrder`: an order only
+    /// permutes the candidates.
+    #[inline]
+    pub(crate) fn wanted(&self, queues: &ChannelQueues) -> u8 {
         let bit = |kind: CommandKind| 1u8 << kind as usize;
+        let row = |slot| queues.get(slot).loc.row;
         let [read, write] = self.oldest_hit;
-        let prep = match (&self.oldest_current, &self.oldest_future) {
-            (Some(cand), _) => self.prep_kind(cand, self.current_hit_pending()),
-            (None, Some(cand)) => self.prep_kind(cand, self.future_hit_pending),
+        let prep = match (self.oldest_current, self.oldest_future) {
+            (Some(slot), _) => self.prep_kind(row(slot), self.current_hit_pending()),
+            (None, Some(slot)) => self.prep_kind(row(slot), self.future_hit_pending),
             (None, None) => None,
         };
         read.map_or(0, |_| bit(CommandKind::Read))
@@ -251,19 +230,38 @@ impl BankView {
     }
 }
 
-/// Sets bank `b`'s entry of an age-ordered bank list to `oldest`.
-fn set_order(order: &mut Vec<(u64, usize)>, b: usize, oldest: Option<Candidate>) {
-    order.retain(|&(_, bank)| bank != b);
-    if let Some(c) = oldest {
-        let at = order.partition_point(|&(id, _)| id < c.id);
-        order.insert(at, (c.id, b));
+/// Replaces `old` by `new` in an age-ordered slot list: `old` (if any)
+/// leaves by identity — its slot may already be free — and `new` (if any,
+/// a queued request) goes to its place by enqueue id. The entries between
+/// the two places shift by one; nothing else moves.
+fn replace(list: &mut Vec<Slot>, queues: &ChannelQueues, old: Option<Slot>, new: Option<Slot>) {
+    if old == new {
+        return;
     }
-}
-
-/// Puts `hit` at its place in the age-ordered hit list.
-fn insert_hit(hits: &mut Vec<Candidate>, hit: Candidate) {
-    let at = hits.partition_point(|c| c.id < hit.id);
-    hits.insert(at, hit);
+    let id = |slot: Slot| queues.get(slot).id;
+    let Some(mut at) = old.and_then(|old| list.iter().position(|&s| s == old)) else {
+        if let Some(new) = new {
+            let at = list.partition_point(|&s| id(s) < id(new));
+            list.insert(at, new);
+        }
+        return;
+    };
+    let Some(new) = new else {
+        list.remove(at);
+        return;
+    };
+    // `new` takes the vacated place, then moves to its own: towards the
+    // tail past older entries, or towards the head past younger ones.
+    let age = id(new);
+    while at + 1 < list.len() && id(list[at + 1]) < age {
+        list[at] = list[at + 1];
+        at += 1;
+    }
+    while at > 0 && id(list[at - 1]) > age {
+        list[at] = list[at - 1];
+        at -= 1;
+    }
+    list[at] = new;
 }
 
 /// Issue bounds of one channel: a copy of `dram-sim`'s timing registers
@@ -292,9 +290,10 @@ pub(crate) struct IssueBounds {
     ranks: u32,
     banks_per_rank: u32,
     groups: u32,
-    /// Each bank's [`BankView::wanted`], as of its last view update; 0
-    /// while the view has no window.
-    pub(super) wants: Vec<u8>,
+    /// Each bank's [`BankView::wanted`] as of its last view update (none
+    /// while the view has no window), kind-major: bit `b % 64` of
+    /// `wanting[b / 64][kind]` is set while bank `b` wants `kind`.
+    pub(super) wanting: Vec<[u64; 4]>,
     /// Nothing wanted can issue before this cycle; holds while `settled`.
     wake_at: u64,
     /// Whether `wake_at` is the minimum over the wants and bounds as they
@@ -323,7 +322,7 @@ impl IssueBounds {
             ranks,
             banks_per_rank,
             groups,
-            wants: vec![0; banks],
+            wanting: vec![[0; 4]; banks.div_ceil(64)],
             wake_at: 0,
             settled: false,
         }
@@ -332,12 +331,14 @@ impl IssueBounds {
     /// Reads the channel's registers again after a command to the bank at
     /// `loc`: the bank's own, and every class's (the command bus and the
     /// data bus are the whole channel's).
+    #[inline]
     pub(crate) fn reread(&mut self, dram: &DramModule, loc: &DramLocation) {
         let b = (loc.rank * self.banks_per_rank + loc.bank) as usize;
         self.bank[b] = dram.bank_ready_at(loc.channel, loc.rank, loc.bank);
         self.reread_classes(dram, loc.channel);
     }
 
+    #[inline]
     fn reread_classes(&mut self, dram: &DramModule, ch: u32) {
         let classes = coordinates(self.ranks, self.groups);
         for (class, (rank, group)) in self.class.iter_mut().zip(classes) {
@@ -361,24 +362,32 @@ impl IssueBounds {
         cycle >= self.bank[b][k].max(self.class[self.class_of[b]][k])
     }
 
-    /// Records what the passes would now offer for bank `b`.
+    /// Records what the passes would now offer for bank `b`: `wants` has
+    /// bit `1 << kind` for each kind wanted.
+    #[inline]
     pub(crate) fn set_wants(&mut self, b: usize, wants: u8) {
-        if self.wants[b] != wants {
-            self.wants[b] = wants;
-            self.settled = false;
+        let (masks, bit) = (&mut self.wanting[b / 64], b % 64);
+        for (k, mask) in masks.iter_mut().enumerate() {
+            let was = *mask;
+            *mask = was & !(1 << bit) | u64::from(wants >> k & 1) << bit;
+            self.settled &= *mask == was;
         }
     }
 
     /// The smallest bound among the wanted (bank, kind) pairs; `u64::MAX`
-    /// when nothing is wanted — only an event can change that.
+    /// when nothing is wanted — only an event can change that. Kind by
+    /// kind, over the banks that want it: a bank that wants nothing costs
+    /// nothing.
     pub(crate) fn earliest_wanted(&self) -> u64 {
         let mut wake = u64::MAX;
-        for ((&wants, bank), &class) in self.wants.iter().zip(&self.bank).zip(&self.class_of) {
-            let mut left = wants;
-            while left != 0 {
-                let k = left.trailing_zeros() as usize;
-                wake = wake.min(bank[k].max(self.class[class][k]));
-                left &= left - 1;
+        for (word, masks) in self.wanting.iter().enumerate() {
+            for (k, &mask) in masks.iter().enumerate() {
+                let mut left = mask;
+                while left != 0 {
+                    let b = 64 * word + left.trailing_zeros() as usize;
+                    wake = wake.min(self.bank[b][k].max(self.class[self.class_of[b]][k]));
+                    left &= left - 1;
+                }
             }
         }
         wake
@@ -448,8 +457,8 @@ impl ChannelCache {
             None => self.view.forget(),
         }
         self.bounds.reread_all(dram, ch as u32);
-        for (wants, bank) in self.bounds.wants.iter_mut().zip(&self.view.banks) {
-            *wants = bank.wanted();
+        for (b, bank) in self.view.banks.iter().enumerate() {
+            self.bounds.set_wants(b, bank.wanted(queues));
         }
         self.bounds.settled = kept.bounds.settled;
         self.bounds.wake_at = if kept.bounds.settled {
@@ -487,15 +496,16 @@ impl MemoryController {
     /// lookahead) window and records what the passes would offer for each.
     pub(super) fn rebuild_view(&mut self, ch: usize, current: TxnId, lookahead: u64) {
         let open_row = |b| dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row();
+        let queues = &self.queues[ch];
         let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         view.derive(
-            &self.queues[ch],
+            queues,
             open_row,
             (current, lookahead),
             self.policy.unconstrained(),
         );
         for (b, bank) in view.banks.iter().enumerate() {
-            bounds.set_wants(b, bank.wanted());
+            bounds.set_wants(b, bank.wanted(queues));
         }
     }
 
@@ -510,16 +520,26 @@ impl MemoryController {
         };
         let open_row = dram_bank(&self.dram, self.banks_per_rank, ch, b).open_row();
         let unconstrained = self.policy.unconstrained();
-        let bank = derive_bank(self.queues[ch].bank(b), b, open_row, window, unconstrained);
+        let queues = &self.queues[ch];
+        let bank = derive_bank(queues, b, open_row, window, unconstrained);
         let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
-        bounds.set_wants(b, bank.wanted());
-        view.hits.retain(|c| c.b != b);
-        for hit in bank.oldest_hit.into_iter().flatten() {
-            insert_hit(&mut view.hits, hit);
+        bounds.set_wants(b, bank.wanted(queues));
+        let old = std::mem::replace(&mut view.banks[b], bank);
+        for (old, new) in old.oldest_hit.into_iter().zip(bank.oldest_hit) {
+            replace(&mut view.hits, queues, old, new);
         }
-        set_order(&mut view.order_current, b, bank.oldest_current);
-        set_order(&mut view.order_future, b, bank.oldest_future);
-        view.banks[b] = bank;
+        replace(
+            &mut view.order_current,
+            queues,
+            old.oldest_current,
+            bank.oldest_current,
+        );
+        replace(
+            &mut view.order_future,
+            queues,
+            old.oldest_future,
+            bank.oldest_future,
+        );
     }
 
     /// Accounts for the PRE just issued to bank `b`. A closed row has no
@@ -528,32 +548,35 @@ impl MemoryController {
     /// and how they classify did not change, so `oldest_current` and
     /// `oldest_future` (and their lists) stand.
     pub(super) fn view_precharged(&mut self, ch: usize, b: usize) {
+        let queues = &self.queues[ch];
         let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         if view.window.is_none() {
             return;
         }
         let bank = &mut view.banks[b];
-        if bank.current_hit_pending() {
-            view.hits.retain(|c| c.b != b);
+        for hit in std::mem::take(&mut bank.oldest_hit) {
+            replace(&mut view.hits, queues, hit, None);
         }
         bank.open_row = None;
-        bank.oldest_hit = [None; 2];
         bank.future_hit_pending = false;
-        bounds.set_wants(b, bank.wanted());
+        bounds.set_wants(b, bank.wanted(queues));
     }
 
-    /// Accounts for `new`, just appended to its bank's queue. It is the
-    /// youngest request of the bank and of the channel, so it displaces
-    /// nothing: it can only fill a fact that was empty, and then belongs at
-    /// the tail of the fact's age-ordered list. Beyond the lookahead window
-    /// no pass looks and nothing changes.
-    pub(super) fn view_enqueued(&mut self, ch: usize, new: Candidate) {
+    /// Accounts for the request just appended to its bank's queue in
+    /// `slot`. It is the youngest request of the bank and of the channel,
+    /// so it displaces nothing: it can only fill a fact that was empty, and
+    /// then belongs at the tail of the fact's age-ordered list. Beyond the
+    /// lookahead window no pass looks and nothing changes.
+    #[inline]
+    pub(super) fn view_enqueued(&mut self, ch: usize, slot: Slot) {
         let unconstrained = self.policy.unconstrained();
+        let queues = &self.queues[ch];
         let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         let Some(window) = view.window else {
             return;
         };
-        let bank = &mut view.banks[new.b];
+        let (new, b) = (queues.get(slot), queues.bank_of(slot));
+        let bank = &mut view.banks[b];
         let hit = bank.open_row == Some(new.loc.row);
         // What the passes offer for the bank can only move with a fact.
         let mut filled = false;
@@ -561,13 +584,13 @@ impl MemoryController {
             Class::Current => {
                 let oldest_hit = &mut bank.oldest_hit[usize::from(new.is_write)];
                 if hit && oldest_hit.is_none() {
-                    *oldest_hit = Some(new);
-                    view.hits.push(new);
+                    *oldest_hit = Some(slot);
+                    view.hits.push(slot);
                     filled = true;
                 }
                 if bank.oldest_current.is_none() {
-                    bank.oldest_current = Some(new);
-                    view.order_current.push((new.id, new.b));
+                    bank.oldest_current = Some(slot);
+                    view.order_current.push(slot);
                     filled = true;
                 }
             }
@@ -575,51 +598,61 @@ impl MemoryController {
                 filled = hit && !bank.future_hit_pending;
                 bank.future_hit_pending |= hit;
                 if bank.oldest_future.is_none() {
-                    bank.oldest_future = Some(new);
-                    view.order_future.push((new.id, new.b));
+                    bank.oldest_future = Some(slot);
+                    view.order_future.push(slot);
                     filled = true;
                 }
             }
             Class::Outside => return,
         }
         if filled {
-            bounds.set_wants(new.b, bank.wanted());
+            bounds.set_wants(b, bank.wanted(queues));
         }
     }
 
-    /// Accounts for the data command that retired `old` from position `at`
-    /// of its bank's queue. The row stayed open and `old` was the bank's
-    /// oldest hit of its direction (the hit pass offers nothing else), so
-    /// only that fact — and `oldest_current`, if `old` was that too — needs
-    /// a successor. Successors are younger, hence behind `at`, and of the
-    /// current transaction, hence before the first request of a later one;
-    /// the lookahead facts cannot change.
-    pub(super) fn view_retired(&mut self, ch: usize, old: Candidate, at: usize) {
+    /// Accounts for the data command that retired `old` (the request that
+    /// was in slot `slot` of bank `b`), whose bank successor is now in
+    /// `next`. The row stayed open and `old` was the bank's oldest hit of
+    /// its direction (the hit pass offers nothing else), so only that fact
+    /// — and `oldest_current`, if `old` was that too — needs a successor.
+    /// Successors are younger, hence from `next` on, and of the current
+    /// transaction, hence before the first request of a later one; the
+    /// lookahead facts cannot change.
+    pub(super) fn view_retired(
+        &mut self,
+        ch: usize,
+        b: usize,
+        slot: Slot,
+        old: &Request,
+        next: Slot,
+    ) {
         let unconstrained = self.policy.unconstrained();
+        let queues = &self.queues[ch];
         let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         let Some(window) = view.window else {
             return;
         };
-        let bank = &mut view.banks[old.b];
+        let bank = &mut view.banks[b];
         let dir = usize::from(old.is_write);
-        debug_assert_eq!(bank.oldest_hit[dir], Some(old), "retired a non-head hit");
-        let mut behind = self.queues[ch]
-            .bank(old.b)
-            .range(at..)
-            .take_while(|r| classify(r.txn, window, unconstrained) == Class::Current);
-        if bank.oldest_current == Some(old) {
-            bank.oldest_current = behind.clone().next().map(|r| Candidate::of(r, old.b));
-            set_order(&mut view.order_current, old.b, bank.oldest_current);
+        debug_assert_eq!(bank.oldest_hit[dir], Some(slot), "retired a non-head hit");
+        let mut behind = queues
+            .from(next)
+            .take_while(|(_, r)| classify(r.txn, window, unconstrained) == Class::Current);
+        if bank.oldest_current == Some(slot) {
+            bank.oldest_current = behind.clone().next().map(|(s, _)| s);
+            replace(
+                &mut view.order_current,
+                queues,
+                Some(slot),
+                bank.oldest_current,
+            );
         }
         let next_hit = behind
-            .find(|r| r.is_write == old.is_write && r.loc.row == old.loc.row)
-            .map(|r| Candidate::of(r, old.b));
+            .find(|(_, r)| r.is_write == old.is_write && r.loc.row == old.loc.row)
+            .map(|(s, _)| s);
         bank.oldest_hit[dir] = next_hit;
-        bounds.set_wants(old.b, bank.wanted());
-        view.hits.retain(|c| c.id != old.id);
-        if let Some(hit) = next_hit {
-            insert_hit(&mut view.hits, hit);
-        }
+        bounds.set_wants(b, bank.wanted(queues));
+        replace(&mut view.hits, queues, Some(slot), next_hit);
     }
 }
 
@@ -628,61 +661,62 @@ mod tests {
     use super::*;
     use dram_sim::faults::mix64;
 
-    /// A seeded bank list in arrival and transaction order: 1–40 requests,
-    /// runs of one transaction 1–6 long, gaps of 1–3 transactions between
-    /// runs, three rows, both directions.
-    fn seeded_list(seed: u64) -> VecDeque<Request> {
+    /// A seeded bank list in arrival and transaction order, queued in bank
+    /// 2 of three: 1–40 requests, runs of one transaction 1–6 long, gaps of
+    /// 1–3 transactions between runs, three rows, both directions.
+    fn seeded_queues(seed: u64) -> ChannelQueues {
+        let mut queues = ChannelQueues::new(3, 40);
         let mut txn = mix64(seed) % 5;
-        (0..1 + mix64(seed ^ 0xA) % 40)
-            .map(|i| {
-                let r = mix64(seed ^ (i << 8));
-                if r.is_multiple_of(6) {
-                    txn += 1 + (r >> 8) % 3;
-                }
-                Request {
-                    id: 7 * i + 3,
-                    txn: TxnId(txn),
-                    loc: DramLocation {
-                        channel: 0,
-                        rank: 0,
-                        bank: 2,
-                        row: (r >> 16) % 3,
-                        column: 0,
-                    },
-                    is_write: (r >> 24).is_multiple_of(3),
-                    arrival: i,
-                    first_cmd_at: None,
-                    class: None,
-                }
-            })
-            .collect()
+        for i in 0..1 + mix64(seed ^ 0xA) % 40 {
+            let r = mix64(seed ^ (i << 8));
+            if r.is_multiple_of(6) {
+                txn += 1 + (r >> 8) % 3;
+            }
+            let request = Request {
+                id: 7 * i + 3,
+                txn: TxnId(txn),
+                loc: DramLocation {
+                    channel: 0,
+                    rank: 0,
+                    bank: 2,
+                    row: (r >> 16) % 3,
+                    column: 0,
+                },
+                is_write: (r >> 24).is_multiple_of(3),
+                arrival: i,
+                first_cmd_at: None,
+                class: None,
+            };
+            queues.push(2, request).expect("40 entries per direction");
+        }
+        queues
     }
 
     /// The bank's facts read off the *whole* list, one question at a time.
     fn full_walk(
-        requests: &VecDeque<Request>,
+        queues: &ChannelQueues,
         open_row: Option<u64>,
         window: (TxnId, u64),
         unconstrained: bool,
     ) -> BankView {
         let of = |class: Class| {
-            requests
-                .iter()
-                .filter(move |r| classify(r.txn, window, unconstrained) == class)
+            queues
+                .bank(2)
+                .filter(move |(_, r)| classify(r.txn, window, unconstrained) == class)
         };
-        let hit = |r: &&Request| open_row == Some(r.loc.row);
+        let hit = |(_, r): &(Slot, &Request)| open_row == Some(r.loc.row);
         let oldest_hit = |write: bool| {
             of(Class::Current)
                 .filter(hit)
-                .find(|r| r.is_write == write)
-                .map(|r| Candidate::of(r, 2))
+                .find(|(_, r)| r.is_write == write)
+                .map(|(s, _)| s)
         };
         BankView {
             open_row,
-            oldest_current: of(Class::Current).next().map(|r| Candidate::of(r, 2)),
+            oldest_current: of(Class::Current).next().map(|(s, _)| s),
             oldest_hit: [oldest_hit(false), oldest_hit(true)],
-            oldest_future: of(Class::Future).next().map(|r| Candidate::of(r, 2)),
-            future_hit_pending: of(Class::Future).any(|r| hit(&r)),
+            oldest_future: of(Class::Future).next().map(|(s, _)| s),
+            future_hit_pending: of(Class::Future).any(|e| hit(&e)),
         }
     }
 
@@ -694,8 +728,12 @@ mod tests {
         let windows = [(0, false), (1, false), (3, false), (u64::MAX, true)];
         let (mut stopped_short, mut walked_all) = (0, 0);
         for seed in 0..400u64 {
-            let requests = seeded_list(seed);
-            let first = requests[0].txn.0;
+            let queues = seeded_queues(seed);
+            let (first, last) = {
+                let mut bank = queues.bank(2).map(|(_, r)| r.txn);
+                let first = bank.next().expect("one request at least");
+                (first.0, bank.last().unwrap_or(first))
+            };
             for (lookahead, unconstrained) in windows {
                 // The current transaction is the oldest queued (what the
                 // controller derives against), or — a stale window — older.
@@ -703,12 +741,11 @@ mod tests {
                     for open_row in [None, Some(0), Some(2)] {
                         let window = (TxnId(current), lookahead);
                         assert_eq!(
-                            derive_bank(&requests, 2, open_row, window, unconstrained),
-                            full_walk(&requests, open_row, window, unconstrained),
+                            derive_bank(&queues, 2, open_row, window, unconstrained),
+                            full_walk(&queues, open_row, window, unconstrained),
                             "seed {seed}, window {window:?}, row {open_row:?}"
                         );
                     }
-                    let last = requests[requests.len() - 1].txn;
                     match classify(last, (TxnId(current), lookahead), unconstrained) {
                         Class::Outside => stopped_short += 1,
                         _ => walked_all += 1,

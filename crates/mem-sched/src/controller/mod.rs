@@ -69,7 +69,7 @@ use crate::request::{Completed, Request, RequestSpec, TxnId};
 use crate::stats::SchedulerStats;
 
 use accounting::BankLedger;
-use cache::{dram_bank, Candidate, ChannelCache};
+use cache::{dram_bank, ChannelCache};
 use faults::{ResponseFaultState, DOMAIN_SAT, SATURATION_WINDOW_SHIFT};
 use schedule::probe;
 
@@ -157,6 +157,8 @@ pub struct MemoryController {
     page_policy: PagePolicy,
     queues: Vec<ChannelQueues>,
     next_id: u64,
+    /// Requests retired from the queues so far ([`Self::dequeued`]).
+    dequeued: u64,
     completed: Vec<Completed>,
     stats: SchedulerStats,
     last_cycle: u64,
@@ -204,6 +206,7 @@ impl MemoryController {
                 .map(|_| ChannelQueues::new(banks, queue_capacity))
                 .collect(),
             next_id: 0,
+            dequeued: 0,
             completed: Vec::new(),
             stats: SchedulerStats {
                 per_channel_requests: vec![0; channels as usize],
@@ -339,6 +342,7 @@ impl MemoryController {
     ///
     /// When a request it would accept is of an older transaction than one
     /// still queued (see the [`crate::MemoryBackend`] contract).
+    #[inline]
     pub fn try_enqueue(&mut self, spec: RequestSpec, cycle: u64) -> Result<u64, QueueFull> {
         let loc = self.mapping.decode(spec.addr);
         if self.saturated_at(cycle) {
@@ -365,9 +369,8 @@ impl MemoryController {
             class: None,
         };
         let (ch, b) = (loc.channel as usize, self.bank_index(&loc));
-        let new = Candidate::of(&req, b);
-        let first = self.queues[ch].bank(b).is_empty();
-        self.queues[ch].push(b, req)?;
+        let first = self.queues[ch].bank_is_empty(b);
+        let slot = self.queues[ch].push(b, req)?;
         self.kept.ledger.enqueued(self.slot(ch, b), first);
         let runs = &mut self.kept.txn_runs;
         assert!(
@@ -382,7 +385,7 @@ impl MemoryController {
             Some((txn, queued)) if *txn == spec.txn => *queued += 1,
             _ => runs.push_back((spec.txn, 1)),
         }
-        self.view_enqueued(ch, new);
+        self.view_enqueued(ch, slot);
         if idle || !self.kept.caches[ch].bounds.is_settled() {
             self.kept.sleep_until = 0;
         }
@@ -411,6 +414,20 @@ impl MemoryController {
         }
     }
 
+    /// Requests retired from the queues so far — the only event that
+    /// frees a queue entry — or `None` while queue-saturation faults are
+    /// configured: a saturated window ends without a request leaving, so
+    /// a refused request may then be accepted at any cycle (see
+    /// [`crate::MemoryBackend::dequeued`]).
+    #[must_use]
+    pub fn dequeued(&self) -> Option<u64> {
+        let saturates = self
+            .response_faults
+            .as_ref()
+            .is_some_and(|f| f.cfg.saturation_rate > 0.0);
+        (!saturates).then_some(self.dequeued)
+    }
+
     /// Takes all requests completed since the last call.
     pub fn drain_completed(&mut self) -> Vec<Completed> {
         std::mem::take(&mut self.completed)
@@ -432,6 +449,7 @@ impl MemoryController {
     /// Advances the controller by one memory cycle: refresh housekeeping,
     /// then at most one command per channel according to the policy's plan
     /// for this tick.
+    #[inline]
     pub fn tick(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.last_cycle, "cycles must be non-decreasing");
         self.last_cycle = cycle;
@@ -467,7 +485,8 @@ impl MemoryController {
             // held it at the last event), so the probe reads the right one.
             debug_assert!(
                 order.is_none_or(|order| (0..self.queues.len()).all(|ch| {
-                    probe(&self.kept.caches[ch].view, &self.dram, order, cycle).is_none()
+                    let view = &self.kept.caches[ch].view;
+                    probe(view, &self.queues[ch], &self.dram, order, cycle).is_none()
                 })),
                 "the controller slept through an issuable command at cycle {cycle}"
             );
@@ -545,7 +564,7 @@ impl MemoryController {
         out.open_banks = open.count() as u64;
         out.txn_runs.clear();
         for q in &self.queues {
-            for r in (0..banks).flat_map(|b| q.bank(b)) {
+            for (_, r) in (0..banks).flat_map(|b| q.bank(b)) {
                 let at = out.txn_runs.partition_point(|&(txn, _)| txn < r.txn);
                 match out.txn_runs.get_mut(at) {
                     Some((txn, queued)) if *txn == r.txn => *queued += 1,

@@ -12,9 +12,10 @@ use dram_sim::faults::{mix64, u01};
 use dram_sim::{CommandKind, DramCommand, DramLocation, DramModule, IssueOutcome};
 
 use crate::policy::CandidateOrder;
+use crate::queue::{ChannelQueues, Slot};
 use crate::request::{Completed, RowClass, TxnId};
 
-use super::cache::{dram_bank, BankView, Candidate, ChannelCache, ChannelView};
+use super::cache::{dram_bank, BankView, ChannelCache, ChannelView};
 use super::faults::{DOMAIN_DROP, DOMAIN_LATE};
 use super::MemoryController;
 
@@ -33,8 +34,11 @@ fn direction_rounds(order: CandidateOrder) -> &'static [Option<bool>] {
 /// The command the passes chose for a channel this cycle.
 #[derive(Debug, PartialEq)]
 pub(super) struct Pick {
-    /// The request it is issued for.
-    cand: Candidate,
+    /// The queued request it is issued for, and that request's bank and
+    /// transaction.
+    slot: Slot,
+    b: usize,
+    txn: TxnId,
     cmd: DramCommand,
     action: Action,
 }
@@ -51,11 +55,12 @@ enum Action {
 }
 
 /// Applies the row-hit, bank-preparation and proactive PRE/ACT passes to
-/// one channel's view, each trying its candidates in `order`, and returns
-/// the first candidate command `can_issue` accepts, in pass order.
-#[allow(clippy::expect_used)] // invariant, stated in the expect message
+/// one channel's view over its `queues`, each trying its candidates in
+/// `order`, and returns the first candidate command `can_issue` accepts, in
+/// pass order.
 pub(super) fn pick(
     view: &ChannelView,
+    queues: &ChannelQueues,
     order: CandidateOrder,
     mut can_issue: impl FnMut(usize, &DramCommand) -> bool,
 ) -> Option<Pick> {
@@ -67,23 +72,27 @@ pub(super) fn pick(
     // (or vice versa); candidates never cross the transaction window, so
     // the reordering is intra-transaction only.
     for &round in direction_rounds(order) {
-        for &cand in &view.hits {
-            if round.is_some_and(|w| w != cand.is_write) {
+        for &slot in &view.hits {
+            let req = queues.get(slot);
+            if round.is_some_and(|w| w != req.is_write) {
                 continue;
             }
-            let cmd = if cand.is_write {
-                DramCommand::write(cand.loc)
+            let cmd = if req.is_write {
+                DramCommand::write(req.loc)
             } else {
-                DramCommand::read(cand.loc)
+                DramCommand::read(req.loc)
             };
-            if can_issue(cand.b, &cmd) {
+            let b = queues.bank_of(slot);
+            if can_issue(b, &cmd) {
                 // A read issued under read priority while a write hit was
                 // pending counts as one deferral for the policy.
                 let bypassed_write_hit = order == CandidateOrder::ReadsFirst
-                    && !cand.is_write
-                    && view.hits.iter().any(|c| c.is_write);
+                    && !req.is_write
+                    && view.hits.iter().any(|&s| queues.get(s).is_write);
                 return Some(Pick {
-                    cand,
+                    slot,
+                    b,
+                    txn: req.txn,
                     cmd,
                     action: Action::Data { bypassed_write_hit },
                 });
@@ -96,19 +105,14 @@ pub(super) fn pick(
     // rounds applied on top). A bank with a pending row hit is left open
     // so the hit survives.
     for &round in direction_rounds(order) {
-        for &(_, b) in &view.order_current {
-            let bank = &view.banks[b];
-            let cand = bank.oldest_current.expect("in order_current");
-            if round.is_some_and(|w| w != cand.is_write) {
+        for &slot in &view.order_current {
+            if round.is_some_and(|w| w != queues.get(slot).is_write) {
                 continue;
             }
-            let found = prepare(
-                bank,
-                cand,
-                bank.current_hit_pending(),
-                false,
-                &mut can_issue,
-            );
+            let b = queues.bank_of(slot);
+            let bank = &view.banks[b];
+            let hit_pending = bank.current_hit_pending();
+            let found = prepare(bank, queues, slot, b, hit_pending, false, &mut can_issue);
             if found.is_some() {
                 return found;
             }
@@ -119,7 +123,8 @@ pub(super) fn pick(
     // PRE/ACT for lookahead-window requests whose conflicts are
     // inter-transaction. Without a lookahead the future window is empty
     // (under the unconstrained ablation too: every request is current).
-    for &(_, b) in &view.order_future {
+    for &slot in &view.order_future {
+        let b = queues.bank_of(slot);
         let bank = &view.banks[b];
         // Guard: the bank must have no pending request from the current
         // transaction — otherwise the conflict is intra-transaction and
@@ -127,12 +132,12 @@ pub(super) fn pick(
         if bank.oldest_current.is_some() {
             continue;
         }
-        let cand = bank.oldest_future.expect("in order_future");
         // Row-hit preservation, mirrored for the window: if any window
         // request still wants the open row, leave the bank alone —
         // otherwise PB would change row-buffer outcomes, which the paper's
         // fidelity argument forbids.
-        let found = prepare(bank, cand, bank.future_hit_pending, true, &mut can_issue);
+        let hit_pending = bank.future_hit_pending;
+        let found = prepare(bank, queues, slot, b, hit_pending, true, &mut can_issue);
         if found.is_some() {
             return found;
         }
@@ -145,28 +150,37 @@ pub(super) fn pick(
 /// this finds: nothing on a channel that sleeps.
 pub(super) fn probe(
     view: &ChannelView,
+    queues: &ChannelQueues,
     dram: &DramModule,
     order: CandidateOrder,
     cycle: u64,
 ) -> Option<Pick> {
-    pick(view, order, |_, cmd| dram.can_issue(cmd, cycle).is_ok())
+    pick(view, queues, order, |_, cmd| {
+        dram.can_issue(cmd, cycle).is_ok()
+    })
 }
 
-/// The PRE or ACT that moves `bank` towards `cand`'s row, if one is needed,
-/// no pending hit (`hit_pending`) needs the open row, and it may issue.
+/// The PRE or ACT that moves `bank` (index `b`) towards the row of the
+/// request in `slot`, if one is needed, no pending hit (`hit_pending`)
+/// needs the open row, and it may issue.
 fn prepare(
     bank: &BankView,
-    cand: Candidate,
+    queues: &ChannelQueues,
+    slot: Slot,
+    b: usize,
     hit_pending: bool,
     proactive: bool,
     can_issue: &mut impl FnMut(usize, &DramCommand) -> bool,
 ) -> Option<Pick> {
-    let (cmd, class_if_first) = match bank.prep_kind(&cand, hit_pending)? {
-        CommandKind::Precharge => (DramCommand::precharge(cand.loc), RowClass::Conflict),
-        _ => (DramCommand::activate(cand.loc), RowClass::Miss),
+    let req = queues.get(slot);
+    let (cmd, class_if_first) = match bank.prep_kind(req.loc.row, hit_pending)? {
+        CommandKind::Precharge => (DramCommand::precharge(req.loc), RowClass::Conflict),
+        _ => (DramCommand::activate(req.loc), RowClass::Miss),
     };
-    can_issue(cand.b, &cmd).then_some(Pick {
-        cand,
+    can_issue(b, &cmd).then_some(Pick {
+        slot,
+        b,
+        txn: req.txn,
         cmd,
         action: Action::Prep {
             class_if_first,
@@ -190,18 +204,21 @@ impl MemoryController {
         if self.kept.caches[ch].view.window != Some((current, lookahead)) {
             self.rebuild_view(ch, current, lookahead);
         }
+        let queues = &self.queues[ch];
         let ChannelCache { view, bounds } = &mut self.kept.caches[ch];
         if cycle < bounds.wake_at() {
             debug_assert!(
-                probe(view, &self.dram, order, cycle).is_none(),
+                probe(view, queues, &self.dram, order, cycle).is_none(),
                 "channel {ch} slept through an issuable command at cycle {cycle}"
             );
             return false;
         }
-        let found = pick(view, order, |b, cmd| bounds.ready(b, cmd.kind, cycle));
+        let found = pick(view, queues, order, |b, cmd| {
+            bounds.ready(b, cmd.kind, cycle)
+        });
         debug_assert_eq!(
             found,
-            probe(view, &self.dram, order, cycle),
+            probe(view, queues, &self.dram, order, cycle),
             "channel {ch}: the bounds and `can_issue` disagree at cycle {cycle}"
         );
         let Some(found) = found else {
@@ -213,14 +230,12 @@ impl MemoryController {
         };
         match found.action {
             Action::Data { bypassed_write_hit } => {
-                self.issue_data_command(ch, found.cand, found.cmd, cycle, bypassed_write_hit);
+                self.issue_data_command(ch, &found, cycle, bypassed_write_hit);
             }
             Action::Prep {
                 class_if_first,
                 proactive,
-            } => {
-                self.issue_prep_command(ch, found.cand, found.cmd, cycle, class_if_first, proactive)
-            }
+            } => self.issue_prep_command(ch, &found, cycle, class_if_first, proactive),
         }
         true
     }
@@ -235,7 +250,7 @@ impl MemoryController {
             };
             // "Does anyone still want this row" is a question about the
             // bank's own queue, window or not.
-            if self.queues[ch].bank(b).iter().any(|r| r.loc.row == row) {
+            if self.queues[ch].bank(b).any(|(_, r)| r.loc.row == row) {
                 continue;
             }
             let cmd = DramCommand::precharge(DramLocation {
@@ -275,7 +290,7 @@ impl MemoryController {
         self.kept.caches[ch].bounds.reread(&self.dram, &cmd.loc);
         let rank = self.dram.channel(cmd.loc.channel).rank(cmd.loc.rank);
         let busy_until = rank.bank(cmd.loc.bank).busy_until();
-        let pending = !self.queues[ch].bank(b).is_empty();
+        let pending = !self.queues[ch].bank_is_empty(b);
         self.kept
             .ledger
             .commanded(self.slot(ch, b), busy_until, pending);
@@ -287,20 +302,16 @@ impl MemoryController {
         outcome
     }
 
-    /// Issues the RD/WR for a request and retires it — unless an injected
-    /// drop fault swallows the response.
+    /// Issues the RD/WR the passes picked and retires its request —
+    /// unless an injected drop fault swallows the response.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
-    fn issue_data_command(
-        &mut self,
-        ch: usize,
-        cand: Candidate,
-        cmd: DramCommand,
-        cycle: u64,
-        bypassed_write_hit: bool,
-    ) {
-        let outcome = self.issue_to_dram(ch, cand.b, cmd, cycle, Some(cand.txn));
-        self.policy
-            .observe_data_issue(cand.is_write, bypassed_write_hit);
+    fn issue_data_command(&mut self, ch: usize, pick: &Pick, cycle: u64, bypassed_write_hit: bool) {
+        let Pick {
+            slot, b, txn, cmd, ..
+        } = *pick;
+        let outcome = self.issue_to_dram(ch, b, cmd, cycle, Some(txn));
+        let is_write = cmd.kind == CommandKind::Write;
+        self.policy.observe_data_issue(is_write, bypassed_write_hit);
         // Response-fault hooks. A *dropped* response consumes the DRAM
         // command (bus and bank timing are spent) but never retires the
         // request: it stays queued and a later scheduling pass reissues the
@@ -313,9 +324,9 @@ impl MemoryController {
             f.draws += 1;
             if u01(mix64(f.cfg.seed ^ DOMAIN_DROP ^ f.draws)) < f.cfg.drop_rate {
                 self.stats.responses_dropped += 1;
-                let req = self.queues[ch].get_mut(cand.b, cand.id);
+                let req = self.queues[ch].get_mut(slot);
                 req.record_first_command(cycle, RowClass::Hit);
-                self.refresh_bank(ch, cand.b);
+                self.refresh_bank(ch, b);
                 return;
             }
             if u01(mix64(f.cfg.seed ^ DOMAIN_LATE ^ f.draws)) < f.cfg.late_rate {
@@ -323,11 +334,12 @@ impl MemoryController {
                 extra_delay = f.cfg.late_delay;
             }
         }
-        let (at, mut req) = self.queues[ch].remove(cand.b, cand.id);
-        let last = self.queues[ch].bank(cand.b).is_empty();
-        self.kept.ledger.retired(self.slot(ch, cand.b), last);
-        self.txn_retired(cand.txn);
-        self.view_retired(ch, cand, at);
+        let (next, mut req) = self.queues[ch].remove(slot);
+        self.dequeued += 1;
+        let last = self.queues[ch].bank_is_empty(b);
+        self.kept.ledger.retired(self.slot(ch, b), last);
+        self.txn_retired(txn);
+        self.view_retired(ch, b, slot, &req, next);
         req.record_first_command(cycle, RowClass::Hit);
         let class = req.class.expect("set on first command");
         let completed = Completed {
@@ -345,31 +357,33 @@ impl MemoryController {
         self.completed.push(completed);
     }
 
-    /// Issues a PRE or ACT on behalf of a request (classifying it if this
-    /// is the request's first command) and updates the early-command
-    /// statistics when the issue was proactive.
+    /// Issues the PRE or ACT the passes picked on behalf of its request
+    /// (classifying the request if this is its first command) and updates
+    /// the early-command statistics when the issue was proactive.
     fn issue_prep_command(
         &mut self,
         ch: usize,
-        cand: Candidate,
-        cmd: DramCommand,
+        pick: &Pick,
         cycle: u64,
         class_if_first: RowClass,
         proactive: bool,
     ) {
-        self.issue_to_dram(ch, cand.b, cmd, cycle, Some(cand.txn));
-        let req = self.queues[ch].get_mut(cand.b, cand.id);
+        let Pick {
+            slot, b, txn, cmd, ..
+        } = *pick;
+        self.issue_to_dram(ch, b, cmd, cycle, Some(txn));
+        let req = self.queues[ch].get_mut(slot);
         req.record_first_command(cycle, class_if_first);
         match cmd.kind {
             CommandKind::Precharge => {
-                self.view_precharged(ch, cand.b);
+                self.view_precharged(ch, b);
                 self.stats.precharges += 1;
                 if proactive {
                     self.stats.early_precharges += 1;
                 }
             }
             CommandKind::Activate => {
-                self.refresh_bank(ch, cand.b);
+                self.refresh_bank(ch, b);
                 self.stats.activates += 1;
                 if proactive {
                     self.stats.early_activates += 1;

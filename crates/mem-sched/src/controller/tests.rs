@@ -1071,7 +1071,7 @@ fn run_scenario_seen(s: &Scenario) -> (Pinned, MemoryController, Seen) {
             }
             let loc = c.mapping.decode(spec.addr);
             let (ch, b) = (loc.channel as usize, c.bank_index(&loc));
-            let was_empty = c.queues[ch].bank(b).is_empty();
+            let was_empty = c.queues[ch].bank_is_empty(b);
             match c.try_enqueue(spec, cycle) {
                 Ok(_) => {
                     next += 1;
@@ -1087,8 +1087,8 @@ fn run_scenario_seen(s: &Scenario) -> (Pinned, MemoryController, Seen) {
         let mut busy_pending = false;
         for (ch, q) in c.queues.iter().enumerate() {
             for b in 0..banks {
-                seen.deepest = seen.deepest.max(q.bank(b).len());
-                if !q.bank(b).is_empty() {
+                seen.deepest = seen.deepest.max(q.bank(b).count());
+                if !q.bank_is_empty(b) {
                     let left = busy_until(&c, ch, b).saturating_sub(cycle);
                     seen.longest_pending_window = seen.longest_pending_window.max(left);
                     busy_pending |= left > 0;
@@ -1808,7 +1808,9 @@ fn kept_views_equal_the_derivation_after_every_event() {
                                     window,
                                     policy.unconstrained(),
                                 );
-                                *want = schedule::probe(&view, &dram, order, cycle).is_some();
+                                let probe =
+                                    schedule::probe(&view, &c.queues[ch], &dram, order, cycle);
+                                *want = probe.is_some();
                             }
                         }
                         c.tick(cycle);
@@ -1856,9 +1858,9 @@ fn the_referee_sees_each_kept_structure_corrupted() {
         ("a fact", |k| {
             k.caches[0].view.banks[1].oldest_current = None
         }),
-        ("a list entry", |k| k.caches[0].view.order_current[0].0 += 1),
+        ("a list entry", |k| k.caches[0].view.order_current[0] += 1),
         ("a register", |k| k.caches[0].bounds.bank[1][0] += 1),
-        ("a want", |k| k.caches[0].bounds.wants[1] ^= 1),
+        ("a want", |k| k.caches[0].bounds.wanting[0][0] ^= 1 << 1),
         ("a window in the next bucket", |k| {
             let wheel = &mut k.ledger.wheel;
             let at = wheel.iter().position(|&n| n > 0).expect("a window");

@@ -235,6 +235,13 @@ impl PipelineCore {
         assert!(self.retired_scratch.is_empty(), "cycle {cycle}: retire");
     }
 
+    /// The memory backend, for tests that wrap it (call before the first
+    /// step).
+    #[cfg(test)]
+    pub(crate) fn backend_mut(&mut self) -> &mut Box<dyn MemoryBackend> {
+        &mut self.backend
+    }
+
     /// Steps so far that took the quiet path.
     #[must_use]
     pub fn quiet_steps(&self) -> u64 {

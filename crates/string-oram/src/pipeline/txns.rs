@@ -83,6 +83,10 @@ pub struct TxnTracker {
     next_txn: u64,
     /// Planned requests awaiting queue space, in strict transaction order.
     enqueue_fifo: VecDeque<PendingSpec>,
+    /// The backend's [`MemoryBackend::dequeued`] count when it last
+    /// refused the FIFO head: until the count moves, the head is not
+    /// offered again (the backend would refuse it).
+    refused_at: Option<u64>,
     transactions_by_kind: BTreeMap<&'static str, u64>,
 }
 
@@ -186,8 +190,15 @@ impl TxnTracker {
     }
 
     /// Feeds the backend in strict transaction order, stopping at the
-    /// first request the backend has no room for (retried next cycle).
+    /// first request the backend has no room for. That request is offered
+    /// again once the backend's [`MemoryBackend::dequeued`] count has moved
+    /// (on every cycle, when the backend keeps none).
+    #[inline]
     pub fn enqueue_ready(&mut self, backend: &mut dyn MemoryBackend, cycle: u64) {
+        if self.refused_at.is_some() && self.refused_at == backend.dequeued() {
+            return;
+        }
+        self.refused_at = None;
         while let Some(head) = self.enqueue_fifo.front().copied() {
             match backend.try_enqueue(head.spec, cycle) {
                 Ok(id) => {
@@ -198,7 +209,10 @@ impl TxnTracker {
                     }
                     self.enqueue_fifo.pop_front();
                 }
-                Err(_) => break, // queue full: retry next cycle
+                Err(_) => {
+                    self.refused_at = backend.dequeued();
+                    break;
+                }
             }
         }
     }
@@ -206,6 +220,7 @@ impl TxnTracker {
     /// Folds one completion into its transaction. Returns `None` for
     /// completions of unknown transactions (e.g. reissued responses of
     /// already-finished work under fault injection).
+    #[inline]
     pub fn retire(&mut self, done: &Completed, cycle: u64) -> Option<Retired> {
         let t = self.get_mut(done.txn.0)?;
         t.outstanding -= 1;
@@ -273,6 +288,19 @@ impl TxnTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
+    use dram_sim::geometry::DramGeometry;
+    use dram_sim::timing::TimingParams;
+    use dram_sim::{AddressMapping, DramModule};
+    use mem_sched::{
+        BackendSnapshot, CommandEvent, MemoryController, QueueFull, ResponseFaultConfig,
+        SchedulerPolicy,
+    };
+
+    use crate::config::{BackendKind, FaultConfig, Scheme, SystemConfig};
+    use crate::pipeline::build_backend;
+    use crate::system::Simulation;
 
     fn planned(kind: OpKind, n: usize, target: Option<usize>, core: Option<usize>) -> PlannedTxn {
         PlannedTxn {
@@ -317,5 +345,259 @@ mod tests {
         assert_eq!(tr.inflight(), 2);
         assert_eq!(tr.oldest_kind(), Some(OpKind::ReadPath));
         assert!(!tr.is_drained());
+    }
+
+    /// What a [`Counting`] backend saw.
+    #[derive(Debug, Default)]
+    struct Seen {
+        offers: u64,
+        refusals: u64,
+        events: Vec<CommandEvent>,
+    }
+
+    /// Forwards everything to `inner`, counting the offers made to it and
+    /// copying the command stream it hands out; with `gate` off it keeps no
+    /// dequeue count, so the tracker offers its head on every cycle.
+    #[derive(Debug)]
+    struct Counting {
+        inner: Box<dyn MemoryBackend>,
+        gate: bool,
+        seen: Arc<Mutex<Seen>>,
+    }
+
+    impl Counting {
+        fn seen(&self) -> std::sync::MutexGuard<'_, Seen> {
+            self.seen.lock().expect("one thread")
+        }
+    }
+
+    impl MemoryBackend for Counting {
+        fn try_enqueue(&mut self, spec: RequestSpec, cycle: u64) -> Result<u64, QueueFull> {
+            let got = self.inner.try_enqueue(spec, cycle);
+            let mut seen = self.seen();
+            seen.offers += 1;
+            seen.refusals += u64::from(got.is_err());
+            got
+        }
+
+        fn tick(&mut self, cycle: u64) {
+            self.inner.tick(cycle);
+        }
+
+        fn next_event_cycle(&self, from: u64) -> u64 {
+            self.inner.next_event_cycle(from)
+        }
+
+        fn dequeued(&self) -> Option<u64> {
+            self.inner.dequeued().filter(|_| self.gate)
+        }
+
+        fn drain_completed(&mut self) -> Vec<Completed> {
+            self.inner.drain_completed()
+        }
+
+        fn drain_completed_into(&mut self, out: &mut Vec<Completed>) {
+            self.inner.drain_completed_into(out);
+        }
+
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+
+        fn enable_command_trace(&mut self) {
+            self.inner.enable_command_trace();
+        }
+
+        fn take_command_events(&mut self) -> Vec<CommandEvent> {
+            let events = self.inner.take_command_events();
+            self.seen().events.extend_from_slice(&events);
+            events
+        }
+
+        fn drain_command_events_into(&mut self, out: &mut Vec<CommandEvent>) {
+            let from = out.len();
+            self.inner.drain_command_events_into(out);
+            self.seen().events.extend_from_slice(&out[from..]);
+        }
+
+        fn dram_module(&self) -> Option<&DramModule> {
+            self.inner.dram_module()
+        }
+
+        fn snapshot(&self) -> BackendSnapshot {
+            self.inner.snapshot()
+        }
+    }
+
+    /// A PB controller over the small geometry with 4-entry queues, behind
+    /// a gated [`Counting`] wrapper.
+    fn small_controller(faults: Option<ResponseFaultConfig>) -> Counting {
+        let geometry = DramGeometry::test_small();
+        let mapping = AddressMapping::hpca_default(&geometry);
+        let dram = DramModule::new(geometry, TimingParams::test_fast());
+        let mut ctrl = MemoryController::new(dram, mapping, SchedulerPolicy::proactive(), 4);
+        if let Some(faults) = faults {
+            ctrl.enable_response_faults(faults);
+        }
+        Counting {
+            inner: Box::new(ctrl),
+            gate: true,
+            seen: Arc::default(),
+        }
+    }
+
+    /// Per call of `enqueue_ready` while requests wait: the backend's
+    /// dequeue count before the call, the offers the call made and whether
+    /// one was refused. Six 24-request transactions into 4-entry queues.
+    fn offers_per_call(backend: &mut Counting) -> Vec<(Option<u64>, u64, bool)> {
+        let mut tracker = TxnTracker::new();
+        for kind in [OpKind::ReadPath, OpKind::Eviction].repeat(3) {
+            let (_, wake) = tracker.admit(planned(kind, 24, None, None), 0);
+            assert!(wake.is_none());
+        }
+        let (mut calls, mut done) = (Vec::new(), Vec::new());
+        let mut cycle = 0;
+        while !tracker.is_drained() {
+            if tracker.has_unenqueued() {
+                let dequeued = backend.dequeued();
+                let (offers, refusals) = {
+                    let seen = backend.seen();
+                    (seen.offers, seen.refusals)
+                };
+                tracker.enqueue_ready(backend, cycle);
+                let seen = backend.seen();
+                calls.push((dequeued, seen.offers - offers, seen.refusals > refusals));
+            }
+            backend.tick(cycle);
+            backend.drain_completed_into(&mut done);
+            for d in done.drain(..) {
+                tracker.retire(&d, cycle);
+            }
+            cycle += 1;
+            assert!(cycle < 100_000, "the tracker never drained");
+        }
+        calls
+    }
+
+    #[test]
+    fn a_refused_head_is_offered_again_only_once_the_dequeue_count_moves() {
+        let calls = offers_per_call(&mut small_controller(None));
+        let (mut held, mut reoffered) = (0, 0);
+        let mut refused_at = None;
+        for &(dequeued, offers, refused) in &calls {
+            assert!(dequeued.is_some(), "the controller keeps a count");
+            match refused_at {
+                Some(at) if at == dequeued => {
+                    assert_eq!(offers, 0, "offered while the count stood at {at:?}");
+                    held += 1;
+                    continue;
+                }
+                Some(_) => {
+                    assert!(offers > 0, "not offered after the count moved");
+                    reoffered += 1;
+                }
+                None => assert!(offers > 0),
+            }
+            refused_at = refused.then_some(dequeued);
+        }
+        assert!(
+            held > 50 && reoffered > 20,
+            "held {held}, offered again {reoffered}"
+        );
+    }
+
+    #[test]
+    fn under_saturation_faults_the_head_is_offered_on_every_cycle() {
+        // A saturated window closes without any request leaving: the
+        // controller keeps no count, and every call offers.
+        let faults = ResponseFaultConfig {
+            seed: 0x5A7,
+            saturation_rate: 0.5,
+            ..ResponseFaultConfig::default()
+        };
+        let mut backend = small_controller(Some(faults));
+        let calls = offers_per_call(&mut backend);
+        assert!(calls
+            .iter()
+            .all(|&(dequeued, offers, _)| dequeued.is_none() && offers > 0));
+        let refused = calls.iter().filter(|&&(_, _, refused)| refused).count();
+        assert!(refused > 100, "{refused} refusals");
+        assert!(backend.snapshot().sched.queue_saturation_windows > 0);
+    }
+
+    /// One checked run of `cfg` over two cores of the `black` trace behind
+    /// a [`Counting`] wrapper: the report, the access digest and what the
+    /// wrapper saw.
+    fn run_wrapped(cfg: &SystemConfig, gate: bool) -> (String, u64, Seen) {
+        let traces = (0..cfg.cores)
+            .map(|c| {
+                let spec = trace_synth::by_name("black").expect("a named workload");
+                trace_synth::TraceGenerator::new(spec, 11, c as u32).take_records(120)
+            })
+            .collect();
+        let mut sim = Simulation::new(cfg.clone(), traces);
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let placeholder = build_backend(&SystemConfig {
+            backend: BackendKind::FastFunctional,
+            ..cfg.clone()
+        });
+        let inner = std::mem::replace(sim.backend_mut(), placeholder);
+        let wrapped = Counting {
+            inner,
+            gate,
+            seen: Arc::clone(&seen),
+        };
+        *sim.backend_mut() = Box::new(wrapped);
+        let report = sim.run(50_000_000).expect("run completes");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let digest = sim.access_digest();
+        drop(sim);
+        let seen = Arc::try_unwrap(seen).expect("the run is over");
+        (
+            format!("{report:?}"),
+            digest,
+            seen.into_inner().expect("one thread"),
+        )
+    }
+
+    #[test]
+    fn the_gate_moves_nothing_simulated() {
+        // PB, transaction-based scheduling, and PB under every fault layer
+        // (saturation included, where the gate stands aside).
+        let mut faulty = SystemConfig::test_small(Scheme::All);
+        faulty.faults = Some(FaultConfig::smoke(0xF417, 0.05, faulty.ring.stash_capacity));
+        faulty.timing.t_refi = 1_000;
+        let configs = [
+            SystemConfig::test_small(Scheme::All),
+            SystemConfig::test_small(Scheme::Baseline),
+            faulty,
+        ];
+        for (i, cfg) in configs.iter().enumerate() {
+            assert_eq!(cfg.backend, BackendKind::CycleAccurate);
+            let (report, digest, on) = run_wrapped(cfg, true);
+            let (report_off, digest_off, off) = run_wrapped(cfg, false);
+            assert_eq!(report, report_off, "config {i}: the report moved");
+            assert_eq!(digest, digest_off, "config {i}: the access digest moved");
+            assert!(!on.events.is_empty());
+            assert!(
+                on.events == off.events,
+                "config {i}: the command stream moved"
+            );
+            assert_eq!(on.refusals > 0, off.refusals > 0);
+            if i < 2 {
+                assert!(off.refusals > 0, "config {i}: no refusal to gate");
+                assert!(
+                    on.offers < off.offers,
+                    "config {i}: {} vs {}",
+                    on.offers,
+                    off.offers
+                );
+            } else {
+                assert_eq!(
+                    on.offers, off.offers,
+                    "saturation faults: offered every cycle"
+                );
+            }
+        }
     }
 }

@@ -246,6 +246,13 @@ impl Simulation {
         Ok(self.report())
     }
 
+    /// The pipeline's memory backend, for tests that wrap it (call before
+    /// the first step).
+    #[cfg(test)]
+    pub(crate) fn backend_mut(&mut self) -> &mut Box<dyn mem_sched::MemoryBackend> {
+        self.core.backend_mut()
+    }
+
     /// Advances the system by one memory-bus cycle: the cores, then the
     /// five pipeline stages (plan here, the rest in the pipeline core).
     pub fn step(&mut self) {

@@ -14,8 +14,9 @@
 # quartiles and best, how many pairs the change won, and the `choosing-metrics` §8
 # verdict: a gain may be claimed when, over at least ten pairs, the change
 # wins nine tenths of them and the medians lie further apart, in the better
-# direction, than the parent's own quartiles. Prints only: no performance
-# gate.
+# direction, than the parent's own quartiles. Beside it, the median and
+# quartiles of the per-pair change/parent ratio of `ops_per_sec`. Prints
+# only: no performance gate.
 set -euo pipefail
 
 smoke=()
@@ -76,6 +77,18 @@ report() {
         printf "%s: medians " f " apart in the %s-is-better direction, parent quartiles " f " apart: section 8 rule %s\n", m, gain, better, spread, met }'
 }
 
+# The per-pair change/parent ratio of one metric, summarized: host noise
+# moves both children of a pair alike, so the ratio spreads far less than
+# either side's own series. Prints only, like the verdict beside it.
+#   ratios <metric> <parent values> <change values>
+ratios() {
+    local line
+    line=$(awk -v as="$2" -v bs="$3" 'BEGIN {
+        n = split(as, av, " "); split(bs, bv, " ")
+        for (i = 1; i <= n; i++) printf "%.6f\n", bv[i] / av[i] }' | summary higher '%.3f')
+    printf 'paired  %-12s change/parent ratio per pair: %s\n' "$1" "${line%  best*}"
+}
+
 a_rates=() b_rates=() a_rss=() b_rss=() a_setup=() b_setup=()
 reference=
 for ((i = 1; i <= pairs; i++)); do
@@ -100,5 +113,6 @@ done
 
 echo "$workload seed $seed: $reference"
 report ops_per_sec higher '%.0f' "${a_rates[*]}" "${b_rates[*]}"
+ratios ops_per_sec "${a_rates[*]}" "${b_rates[*]}"
 report peak_rss_mb lower '%.2f' "${a_rss[*]}" "${b_rss[*]}"
 report setup_s lower '%.5f' "${a_setup[*]}" "${b_setup[*]}"
