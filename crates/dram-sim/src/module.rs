@@ -49,39 +49,18 @@ pub struct DramSnapshot {
     pub weak_row_stalls: u64,
 }
 
+// The timing parameters are fixed: shards run identical timing, since the
+// sharded engine builds every shard from one configuration.
+sim_counters::counters! {
+    DramSnapshot {
+        nested: stats;
+        fixed: timing;
+        per_unit: bank_busy;
+        sum: refreshes, refresh_storms, weak_row_stalls;
+    }
+}
+
 impl DramSnapshot {
-    /// Counter-wise difference `self - earlier`, for measurement windows.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            stats: self.stats.delta(&earlier.stats),
-            timing: self.timing.clone(),
-            bank_busy: self
-                .bank_busy
-                .iter()
-                .zip(&earlier.bank_busy)
-                .map(|(a, b)| a - b)
-                .collect(),
-            refreshes: self.refreshes - earlier.refreshes,
-            refresh_storms: self.refresh_storms - earlier.refresh_storms,
-            weak_row_stalls: self.weak_row_stalls - earlier.weak_row_stalls,
-        }
-    }
-
-    /// Folds a *disjoint* module's snapshot into `self`, for combining
-    /// per-shard DRAM views: counters add, per-bank vectors concatenate
-    /// (each shard owns physically distinct banks; callers merge in
-    /// shard-id order). The timing parameters are kept from `self` — shards
-    /// run identical timing, which the sharded engine guarantees by
-    /// constructing every shard from one configuration.
-    pub fn merge_from(&mut self, other: &Self) {
-        self.stats.merge_from(&other.stats);
-        self.bank_busy.extend_from_slice(&other.bank_busy);
-        self.refreshes += other.refreshes;
-        self.refresh_storms += other.refresh_storms;
-        self.weak_row_stalls += other.weak_row_stalls;
-    }
-
     /// Average bank idle proportion over `elapsed` cycles, computed from the
     /// snapshot's per-bank busy totals: `1 - busy/elapsed` averaged over all
     /// banks. Returns 0 when `elapsed` is 0 or the snapshot has no banks.

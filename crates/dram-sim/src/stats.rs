@@ -60,36 +60,12 @@ impl DramStats {
     pub fn total_commands(&self) -> u64 {
         self.activates + self.precharges + self.reads + self.writes
     }
+}
 
-    /// Counter-wise difference `self - earlier`, for measurement windows.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            activates: self.activates - earlier.activates,
-            precharges: self.precharges - earlier.precharges,
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            per_bank_commands: self
-                .per_bank_commands
-                .iter()
-                .zip(&earlier.per_bank_commands)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-
-    /// Folds the counters of a *disjoint* module into `self`, for combining
-    /// per-shard DRAM statistics. Command counts add; `per_bank_commands`
-    /// concatenates, since each shard owns physically distinct banks
-    /// (callers merging shards do so in shard-id order, keeping the bank
-    /// ordering deterministic).
-    pub fn merge_from(&mut self, other: &Self) {
-        self.activates += other.activates;
-        self.precharges += other.precharges;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.per_bank_commands
-            .extend_from_slice(&other.per_bank_commands);
+sim_counters::counters! {
+    DramStats {
+        sum: activates, precharges, reads, writes;
+        per_unit: per_bank_commands;
     }
 }
 

@@ -34,34 +34,12 @@ pub struct BackendSnapshot {
     pub dram: Option<DramSnapshot>,
 }
 
-impl BackendSnapshot {
-    /// Counter-wise difference `self - earlier`. `earlier` must be a prior
-    /// snapshot of the same backend.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            sched: self.sched.delta(&earlier.sched),
-            dram: match (&self.dram, &earlier.dram) {
-                (Some(now), Some(then)) => Some(now.delta(then)),
-                _ => None,
-            },
-        }
-    }
-
-    /// Folds a *disjoint* backend's snapshot into `self`, for combining
-    /// per-shard snapshots into one merged view. Scheduler counters add
-    /// ([`SchedulerStats::merge_from`]); the DRAM layer is kept only when
-    /// *every* merged shard has one (mixed fleets drop timing-level data
-    /// rather than misreport a partial sum).
-    pub fn merge_from(&mut self, other: &Self) {
-        self.sched.merge_from(&other.sched);
-        self.dram = match (self.dram.take(), &other.dram) {
-            (Some(mut mine), Some(theirs)) => {
-                mine.merge_from(theirs);
-                Some(mine)
-            }
-            _ => None,
-        };
+// The DRAM layer is kept only when both sides have one: a mixed fleet
+// drops timing-level data rather than misreport a partial sum.
+sim_counters::counters! {
+    BackendSnapshot {
+        nested: sched;
+        optional: dram;
     }
 }
 

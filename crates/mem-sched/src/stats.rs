@@ -157,80 +157,6 @@ impl SchedulerStats {
         }
     }
 
-    /// Counter-wise difference `self - earlier`, for measurement windows
-    /// (run warm-up, snapshot, subtract at reporting time). `earlier` must
-    /// be a prior snapshot of the same controller.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            ticks: self.ticks - earlier.ticks,
-            queue_occupancy_integral: self.queue_occupancy_integral
-                - earlier.queue_occupancy_integral,
-            reads_completed: self.reads_completed - earlier.reads_completed,
-            writes_completed: self.writes_completed - earlier.writes_completed,
-            read_queue_wait: self.read_queue_wait - earlier.read_queue_wait,
-            write_queue_wait: self.write_queue_wait - earlier.write_queue_wait,
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            conflicts: self.conflicts - earlier.conflicts,
-            precharges: self.precharges - earlier.precharges,
-            activates: self.activates - earlier.activates,
-            early_precharges: self.early_precharges - earlier.early_precharges,
-            early_activates: self.early_activates - earlier.early_activates,
-            deferred_writes: self.deferred_writes - earlier.deferred_writes,
-            write_drains: self.write_drains - earlier.write_drains,
-            withheld_issue_slots: self.withheld_issue_slots - earlier.withheld_issue_slots,
-            per_channel_requests: self
-                .per_channel_requests
-                .iter()
-                .zip(&earlier.per_channel_requests)
-                .map(|(a, b)| a - b)
-                .collect(),
-            open_bank_integral: self.open_bank_integral - earlier.open_bank_integral,
-            bank_tick_integral: self.bank_tick_integral - earlier.bank_tick_integral,
-            stalled_bank_cycles: self.stalled_bank_cycles - earlier.stalled_bank_cycles,
-            busy_pending_bank_cycles: self.busy_pending_bank_cycles
-                - earlier.busy_pending_bank_cycles,
-            responses_delayed: self.responses_delayed - earlier.responses_delayed,
-            responses_dropped: self.responses_dropped - earlier.responses_dropped,
-            queue_saturation_windows: self.queue_saturation_windows
-                - earlier.queue_saturation_windows,
-        }
-    }
-
-    /// Folds the counters of a *disjoint* controller into `self`, for
-    /// combining per-shard scheduler statistics into one merged view. Every
-    /// counter adds; `per_channel_requests` concatenates, since each shard
-    /// owns physically distinct channels (callers merging shards do so in
-    /// shard-id order, keeping the channel ordering deterministic).
-    pub fn merge_from(&mut self, other: &Self) {
-        self.ticks += other.ticks;
-        self.queue_occupancy_integral += other.queue_occupancy_integral;
-        self.reads_completed += other.reads_completed;
-        self.writes_completed += other.writes_completed;
-        self.read_queue_wait += other.read_queue_wait;
-        self.write_queue_wait += other.write_queue_wait;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.conflicts += other.conflicts;
-        self.precharges += other.precharges;
-        self.activates += other.activates;
-        self.early_precharges += other.early_precharges;
-        self.early_activates += other.early_activates;
-        self.deferred_writes += other.deferred_writes;
-        self.write_drains += other.write_drains;
-        self.withheld_issue_slots += other.withheld_issue_slots;
-        self.stalled_bank_cycles += other.stalled_bank_cycles;
-        self.busy_pending_bank_cycles += other.busy_pending_bank_cycles;
-        self.per_channel_requests
-            .extend_from_slice(&other.per_channel_requests);
-        self.open_bank_integral += other.open_bank_integral;
-        self.bank_tick_integral += other.bank_tick_integral;
-        self.responses_delayed += other.responses_delayed;
-        self.responses_dropped += other.responses_dropped;
-        self.queue_saturation_windows += other.queue_saturation_windows;
-    }
-
     /// Overwrites the policy-attributed counters with a policy's local
     /// cumulative totals. Called at snapshot time so windowed deltas and
     /// shard merges see consistent values without double bookkeeping in
@@ -277,6 +203,18 @@ impl SchedulerStats {
         } else {
             self.stalled_bank_cycles as f64 / total as f64
         }
+    }
+}
+
+sim_counters::counters! {
+    SchedulerStats {
+        sum: ticks, queue_occupancy_integral, reads_completed, writes_completed,
+            read_queue_wait, write_queue_wait, hits, misses, conflicts, precharges, activates,
+            early_precharges, early_activates, deferred_writes, write_drains,
+            withheld_issue_slots, stalled_bank_cycles, busy_pending_bank_cycles,
+            open_bank_integral, bank_tick_integral, responses_delayed, responses_dropped,
+            queue_saturation_windows;
+        per_unit: per_channel_requests;
     }
 }
 

@@ -144,65 +144,6 @@ pub struct ProtocolStats {
 }
 
 impl ProtocolStats {
-    /// Counter-wise difference `self - earlier`, for measurement windows;
-    /// `stash_samples` keeps only the samples recorded after the snapshot.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            read_paths: self.read_paths - earlier.read_paths,
-            dummy_read_paths: self.dummy_read_paths - earlier.dummy_read_paths,
-            evictions: self.evictions - earlier.evictions,
-            background_evictions: self.background_evictions - earlier.background_evictions,
-            early_reshuffles: self.early_reshuffles - earlier.early_reshuffles,
-            forced_reshuffles: self.forced_reshuffles - earlier.forced_reshuffles,
-            greens_fetched: self.greens_fetched - earlier.greens_fetched,
-            targets_from_tree: self.targets_from_tree - earlier.targets_from_tree,
-            targets_from_treetop: self.targets_from_treetop - earlier.targets_from_treetop,
-            targets_from_stash: self.targets_from_stash - earlier.targets_from_stash,
-            new_blocks: self.new_blocks - earlier.new_blocks,
-            stash_samples: self.stash_samples[earlier.stash_samples.len()..].to_vec(),
-            encryptions: self.encryptions - earlier.encryptions,
-            decryptions: self.decryptions - earlier.decryptions,
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            faults_detected: self.faults_detected - earlier.faults_detected,
-            fault_retries: self.fault_retries - earlier.fault_retries,
-            faults_recovered: self.faults_recovered - earlier.faults_recovered,
-            faults_unrecovered: self.faults_unrecovered - earlier.faults_unrecovered,
-            degraded_entries: self.degraded_entries - earlier.degraded_entries,
-            degraded_exits: self.degraded_exits - earlier.degraded_exits,
-            background_escalations: self.background_escalations - earlier.background_escalations,
-        }
-    }
-
-    /// Folds the counters of a *disjoint* ORAM instance into `self`, for
-    /// combining per-shard statistics into one merged view: every counter
-    /// adds; `stash_samples` appends `other`'s samples (callers merging
-    /// shards do so in shard-id order, keeping the merge deterministic).
-    pub fn merge_from(&mut self, other: &Self) {
-        self.read_paths += other.read_paths;
-        self.dummy_read_paths += other.dummy_read_paths;
-        self.evictions += other.evictions;
-        self.background_evictions += other.background_evictions;
-        self.early_reshuffles += other.early_reshuffles;
-        self.forced_reshuffles += other.forced_reshuffles;
-        self.greens_fetched += other.greens_fetched;
-        self.targets_from_tree += other.targets_from_tree;
-        self.targets_from_treetop += other.targets_from_treetop;
-        self.targets_from_stash += other.targets_from_stash;
-        self.new_blocks += other.new_blocks;
-        self.stash_samples.extend_from_slice(&other.stash_samples);
-        self.encryptions += other.encryptions;
-        self.decryptions += other.decryptions;
-        self.faults_injected += other.faults_injected;
-        self.faults_detected += other.faults_detected;
-        self.fault_retries += other.fault_retries;
-        self.faults_recovered += other.faults_recovered;
-        self.faults_unrecovered += other.faults_unrecovered;
-        self.degraded_entries += other.degraded_entries;
-        self.degraded_exits += other.degraded_exits;
-        self.background_escalations += other.background_escalations;
-    }
-
     /// Green blocks fetched per program read path (the paper's Fig. 13
     /// lower panel).
     #[must_use]
@@ -212,6 +153,17 @@ impl ProtocolStats {
         } else {
             self.greens_fetched as f64 / self.read_paths as f64
         }
+    }
+}
+
+sim_counters::counters! {
+    ProtocolStats {
+        sum: read_paths, dummy_read_paths, evictions, background_evictions, early_reshuffles,
+            forced_reshuffles, greens_fetched, targets_from_tree, targets_from_treetop,
+            targets_from_stash, new_blocks, encryptions, decryptions, faults_injected,
+            faults_detected, fault_retries, faults_recovered, faults_unrecovered,
+            degraded_entries, degraded_exits, background_escalations;
+        samples: stash_samples;
     }
 }
 

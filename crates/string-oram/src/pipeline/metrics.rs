@@ -119,34 +119,16 @@ pub struct CounterSnapshot {
     pub protocol: ProtocolStats,
 }
 
-impl CounterSnapshot {
-    /// Counter-wise difference `self - start`: the measurement window from
-    /// `start` to `self`. `start` must be an earlier snapshot of the same
-    /// simulation. `read_latency_idx` keeps `start`'s value (the window's
-    /// slice origin).
-    #[must_use]
-    pub fn delta(&self, start: &Self) -> Self {
-        let mut transactions_by_kind = self.transactions_by_kind.clone();
-        for (k, v) in &start.transactions_by_kind {
-            *transactions_by_kind.entry(k).or_default() -= v;
-        }
-        let mut row_class_by_kind = self.row_class_by_kind.clone();
-        for (k, v) in &start.row_class_by_kind {
-            let e = row_class_by_kind.entry(k).or_default();
-            *e = e.delta(v);
-        }
-        Self {
-            cycle: self.cycle - start.cycle,
-            instructions: self.instructions - start.instructions,
-            oram_accesses: self.oram_accesses - start.oram_accesses,
-            cycles_by_kind: self.cycles_by_kind.delta(&start.cycles_by_kind),
-            transactions_by_kind,
-            row_class_by_kind,
-            retry_cycles: self.retry_cycles - start.retry_cycles,
-            read_latency_idx: start.read_latency_idx,
-            backend: self.backend.delta(&start.backend),
-            protocol: self.protocol.delta(&start.protocol),
-        }
+// `read_latency_idx` is the one hand-written rule: a window keeps its
+// start's index (the origin of its slice of samples); a merge has no slice
+// and resets it.
+sim_counters::counters! {
+    CounterSnapshot {
+        sum: cycle, instructions, oram_accesses, retry_cycles;
+        nested: cycles_by_kind, backend, protocol;
+        (keyed sum): transactions_by_kind;
+        (keyed nested): row_class_by_kind;
+        (|_, start: &usize| *start, |_, _| 0): read_latency_idx;
     }
 }
 
@@ -259,38 +241,14 @@ fn report_with_bank_idle(
     }
 }
 
-/// Folds per-shard whole-run snapshots (shard-id order) into one merged
-/// snapshot: every counter sums; the backend and protocol layers merge via
-/// their own disjoint-instance folds (the counter half of
-/// [`build_merged_report`]).
-///
-/// # Panics
-///
+/// The counter half of [`build_merged_report`]: per-shard whole-run
+/// snapshots folded in shard-id order with [`CounterSnapshot::merge_from`].
 /// Panics on an empty slice (a sharded engine always has ≥ 1 shard).
 #[must_use]
 pub(crate) fn merge_snapshots(snaps: &[CounterSnapshot]) -> CounterSnapshot {
     let mut acc = snaps[0].clone();
-    acc.read_latency_idx = 0;
     for s in &snaps[1..] {
-        acc.cycle += s.cycle;
-        acc.instructions += s.instructions;
-        acc.oram_accesses += s.oram_accesses;
-        acc.cycles_by_kind.read += s.cycles_by_kind.read;
-        acc.cycles_by_kind.evict += s.cycles_by_kind.evict;
-        acc.cycles_by_kind.reshuffle += s.cycles_by_kind.reshuffle;
-        acc.cycles_by_kind.other += s.cycles_by_kind.other;
-        for (k, v) in &s.transactions_by_kind {
-            *acc.transactions_by_kind.entry(k).or_default() += v;
-        }
-        for (k, v) in &s.row_class_by_kind {
-            let e = acc.row_class_by_kind.entry(k).or_default();
-            e.hits += v.hits;
-            e.misses += v.misses;
-            e.conflicts += v.conflicts;
-        }
-        acc.retry_cycles += s.retry_cycles;
-        acc.backend.merge_from(&s.backend);
-        acc.protocol.merge_from(&s.protocol);
+        acc.merge_from(s);
     }
     acc
 }

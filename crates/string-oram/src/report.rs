@@ -42,17 +42,6 @@ impl KindCycles {
             Some(OpKind::DummyReadPath | OpKind::RetryRead) | None => self.other += 1,
         }
     }
-
-    /// Bucket-wise difference `self - earlier` for measurement windows.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            read: self.read - earlier.read,
-            evict: self.evict - earlier.evict,
-            reshuffle: self.reshuffle - earlier.reshuffle,
-            other: self.other - earlier.other,
-        }
-    }
 }
 
 /// Row-buffer outcome counts for one operation kind.
@@ -91,16 +80,11 @@ impl RowClassCounts {
             self.conflicts as f64 / self.total() as f64
         }
     }
+}
 
-    /// Count-wise difference `self - earlier` for measurement windows.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            conflicts: self.conflicts - earlier.conflicts,
-        }
-    }
+sim_counters::counters! {
+    KindCycles { sum: read, evict, reshuffle, other; }
+    RowClassCounts { sum: hits, misses, conflicts; }
 }
 
 /// Latency percentiles over a sample population, in memory-bus cycles.

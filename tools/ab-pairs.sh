@@ -16,7 +16,9 @@
 # wins nine tenths of them and the medians lie further apart, in the better
 # direction, than the parent's own quartiles. Beside it, the median and
 # quartiles of the per-pair change/parent ratio of `ops_per_sec`. Prints
-# only: no performance gate.
+# only: no performance gate. Cargo may rewrite a tree's
+# benchmark/Cargo.lock when it builds; the script puts each back on exit, so
+# `git status` stays clean.
 set -euo pipefail
 
 smoke=()
@@ -31,7 +33,19 @@ fi
 parent=${args[0]} change=${args[1]} workload=${args[2]}
 pairs=${args[3]:-10} seed=${args[4]:-11}
 
-for tree in "$parent" "$change"; do
+trees=("$parent" "$change")
+saved=$(mktemp -d)
+for i in 0 1; do cp "${trees[i]}/benchmark/Cargo.lock" "$saved/$i"; done
+restore() {
+    for i in 0 1; do
+        cmp -s "$saved/$i" "${trees[i]}/benchmark/Cargo.lock" ||
+            cp "$saved/$i" "${trees[i]}/benchmark/Cargo.lock"
+    done
+    rm -rf "$saved"
+}
+trap restore EXIT
+
+for tree in "${trees[@]}"; do
     cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 done
 

@@ -46,7 +46,14 @@ CALLEES=(
     "MemoryController::earliest_wake"
     "MemoryController::rebuild_view"
     "MemoryController::try_enqueue"
+    "MemoryController::issue_prep_command"
+    "MemoryController::refresh_bank"
     "TxnTracker::enqueue_ready"
+    "ChannelView::derive"
+    "IssueBounds::reread"
+    "DramModule::issue"
+    "PipelineCore::step"
+    "pick"
 )
 
 out=target/profile
