@@ -89,6 +89,18 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
         from
     }
 
+    /// Makes the `n` ticks at cycles `from .. from + n`, all of which
+    /// [`Self::next_event_cycle`] promised quiet: the same counters move
+    /// as under `n` calls to [`Self::tick`], and nothing else happens.
+    ///
+    /// The default makes them one by one, which is always right; a backend
+    /// whose quiet tick only counts itself can do it in O(1).
+    fn tick_quiet(&mut self, from: u64, n: u64) {
+        for cycle in from..from + n {
+            self.tick(cycle);
+        }
+    }
+
     /// Requests that have left the queues so far, a count that moves
     /// whenever a queue entry can have freed; `None` when a refused
     /// [`Self::try_enqueue`] may be accepted without any request leaving.

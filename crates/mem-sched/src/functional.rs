@@ -79,7 +79,7 @@ struct Scheduled {
 
 /// The functional backend: transaction-ordered service over an open-row
 /// table. See the module docs for the model and its fidelity contract.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FunctionalBackend {
     mapping: AddressMapping,
     geometry: DramGeometry,
@@ -292,6 +292,17 @@ impl MemoryBackend for FunctionalBackend {
 
     fn next_event_cycle(&self, from: u64) -> u64 {
         self.next_due.max(from)
+    }
+
+    fn tick_quiet(&mut self, from: u64, n: u64) {
+        debug_assert!(
+            from + n <= self.next_due,
+            "ticks {from}..{} are not quiet: a release is due at {}",
+            from + n,
+            self.next_due
+        );
+        self.stats.ticks += n;
+        self.stats.queue_occupancy_integral += n * self.waiting_len as u64;
     }
 
     fn drain_completed(&mut self) -> Vec<Completed> {
@@ -544,6 +555,61 @@ mod tests {
         assert_eq!(b.next_event_cycle(cycle), u64::MAX);
         // Every tick was made, quiet or not.
         assert_eq!(MemoryBackend::snapshot(&b).sched.ticks, cycle - 3);
+    }
+
+    /// `tick_quiet(from, n)` against its definition, `n` calls to `tick`:
+    /// from every cycle of a run, for every `n` up to the next event, the
+    /// two leave equal snapshots, queues and next events, and neither
+    /// completes anything.
+    #[test]
+    fn tick_quiet_equals_that_many_ticks() {
+        let mut b = backend();
+        for i in 0..6u64 {
+            b.try_enqueue(
+                RequestSpec {
+                    addr: addr(&b, (i % 2) as u32, (i % 3) as u32, i, 0),
+                    is_write: i % 2 == 1,
+                    txn: TxnId(i / 2),
+                },
+                3,
+            )
+            .unwrap();
+        }
+        let state = |b: &mut FunctionalBackend, at: u64| {
+            assert!(b.drain_completed().is_empty(), "a quiet tick completed");
+            let snap = MemoryBackend::snapshot(b);
+            format!("{snap:?} {} {}", b.pending(), b.next_event_cycle(at))
+        };
+        let mut cycle = 3;
+        let mut windows = 0;
+        while b.pending() > 0 {
+            let due = b.next_event_cycle(cycle);
+            for n in 0..=due - cycle {
+                let (mut skipped, mut ticked) = (b.clone(), b.clone());
+                skipped.tick_quiet(cycle, n);
+                for c in cycle..cycle + n {
+                    MemoryBackend::tick(&mut ticked, c);
+                }
+                let at = cycle + n;
+                assert_eq!(
+                    state(&mut skipped, at),
+                    state(&mut ticked, at),
+                    "{n} from {cycle}"
+                );
+            }
+            windows += usize::from(due > cycle);
+            MemoryBackend::tick(&mut b, cycle);
+            b.drain_completed();
+            cycle += 1;
+        }
+        assert!(windows > 1, "the run must hold quiet windows");
+        // Past the last release every `n` is quiet.
+        let mut skipped = b.clone();
+        skipped.tick_quiet(cycle, 1_000);
+        for c in cycle..cycle + 1_000 {
+            MemoryBackend::tick(&mut b, c);
+        }
+        assert_eq!(state(&mut skipped, cycle), state(&mut b, cycle));
     }
 
     #[test]

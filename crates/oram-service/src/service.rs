@@ -2,10 +2,9 @@
 //! the merged report.
 //!
 //! [`OramService`] owns one [`ShardPipeline`] per shard and advances them
-//! in lockstep on a single virtual clock (one service tick = one
-//! memory-bus cycle). Each tick runs a fixed phase order, and each phase
-//! costs what changed this tick, not what exists (what wakes it is in
-//! parentheses):
+//! on a single virtual clock (one service tick = one memory-bus cycle).
+//! Each tick runs a fixed phase order, and each phase costs what changed
+//! this tick, not what exists (what wakes it is in parentheses):
 //!
 //! 1. resolve engine completions due this tick (the wake heap's head),
 //! 2. expire deadlines due this tick — completions win ties (the deadline
@@ -24,10 +23,17 @@
 //! 7. observe queue pressure into the governor (a total depth other than
 //!    the one it last settled on).
 //!
-//! A tick on which nothing is due — most ticks of a fixed-rate cadence —
-//! is therefore two heap peeks, the live tenants' draws, one digest fold,
-//! one O(1) step per shard and a few compares. Debug builds check the
-//! maintained state against the sums and tests it replaces.
+//! After each such tick the service works out how long it will stay quiet:
+//! until the next wake, deadline or fixed-rate slot, the horizon, or the
+//! end of any shard's own quiet window — and not at all while a tenant
+//! draws its own arrivals, a best-effort queue holds requests or the
+//! governor has not settled. A tick inside that window — most ticks of a
+//! fixed-rate cadence — is a compare, the digest fold and the clock; the
+//! shards fall behind and each catches up in O(1)
+//! ([`ShardPipeline::skip_quiet`]) the next time anything drives or reads
+//! it. [`OramService::submit`] ends the window. Debug builds check the
+//! maintained state against the sums and tests it replaces, and every
+//! quiet tick against the phases it skips.
 //!
 //! Everything is deterministic: arrivals, block choices and cover routing
 //! all draw from streams derived from the master seed with
@@ -204,6 +210,10 @@ pub struct OramService {
     governor_settled_at: Option<usize>,
     /// The next fixed-rate slot tick (multiples of the interval).
     next_slot: u64,
+    /// Ticks before this one are quiet: no phase but the digest fold has
+    /// work, and the shards, left behind, catch up when next used. Set
+    /// after every full tick, reset by every submission.
+    quiet_until: u64,
 }
 
 impl OramService {
@@ -274,6 +284,7 @@ impl OramService {
             queued_total: 0,
             governor_settled_at: None,
             next_slot: 0,
+            quiet_until: 0,
             cfg,
         })
     }
@@ -294,6 +305,7 @@ impl OramService {
     pub fn submit(&mut self, tenant: usize, offset: u64, is_write: bool) -> Result<u64, Rejected> {
         assert!(tenant < self.tenants.len(), "tenant {tenant} out of range");
         let now = self.tick;
+        self.quiet_until = 0;
         let id = self.requests.len() as u64;
         self.auditor.observe_arrival(now, id);
         let cap = self
@@ -519,9 +531,26 @@ impl OramService {
     }
 
     /// Advances the service one tick (one memory-bus cycle) through the
-    /// fixed phase order documented at module level.
+    /// fixed phase order documented at module level; inside a quiet window,
+    /// through the digest fold alone (`#[inline]`: that path is the
+    /// caller's loop body, from another crate).
+    #[inline]
     pub fn tick_once(&mut self) {
         let now = self.tick;
+        if now < self.quiet_until {
+            #[cfg(debug_assertions)]
+            self.assert_tick_is_quiet(now);
+            self.schedule_digest = fnv1a_u64(fnv1a_u64(self.schedule_digest, now), 0);
+            self.tick += 1;
+        } else {
+            self.tick_full(now);
+        }
+    }
+
+    /// One tick through every phase, the shards first brought up to the
+    /// clock.
+    fn tick_full(&mut self, now: u64) {
+        self.catch_up();
         let in_horizon = now < self.cfg.horizon;
         // 1. Completions first: a request whose data arrives on its
         //    deadline tick completes rather than timing out.
@@ -616,6 +645,76 @@ impl OramService {
             self.governor_settled_at = (!moved).then_some(self.queued_total);
         }
         self.tick += 1;
+        self.quiet_until = self.next_busy_tick();
+    }
+
+    /// The first tick, from the clock on, whose phases other than the
+    /// digest fold may have work, as far as the state after a full tick
+    /// tells; at most the clock when it cannot tell.
+    fn next_busy_tick(&self) -> u64 {
+        let settled = self.governor_settled_at == Some(self.queued_total);
+        if !self.arrivals.is_empty() || !settled {
+            return 0;
+        }
+        let slot = match self.cfg.policy {
+            SubmissionPolicy::BestEffort { .. } if self.queued_total > 0 => return 0,
+            SubmissionPolicy::BestEffort { .. } => u64::MAX,
+            SubmissionPolicy::FixedRate { .. } => self.next_slot,
+        };
+        // Stale heap entries only make either bound earlier.
+        let wake = self.wakes.peek().map_or(u64::MAX, |Reverse(w)| w.0);
+        let deadline = self.deadlines.peek().map_or(u64::MAX, |Reverse(d)| d.0);
+        let events = self.cfg.horizon.min(slot).min(wake).min(deadline);
+        self.shards
+            .iter()
+            .map(ShardPipeline::quiet_until)
+            .fold(events, u64::min)
+    }
+
+    /// What a quiet tick skips, checked: no phase but the fold has work.
+    #[cfg(debug_assertions)]
+    fn assert_tick_is_quiet(&self, now: u64) {
+        assert!(now < self.cfg.horizon, "tick {now}: past the horizon");
+        assert!(self.arrivals.is_empty(), "tick {now}: a tenant draws");
+        assert!(
+            self.wakes.peek().is_none_or(|Reverse(w)| w.0 > now),
+            "tick {now}: a wake is due"
+        );
+        assert!(
+            self.deadlines.peek().is_none_or(|Reverse(d)| d.0 > now),
+            "tick {now}: a deadline is due"
+        );
+        match self.cfg.policy {
+            SubmissionPolicy::BestEffort { .. } => {
+                assert_eq!(self.queued_total, 0, "tick {now}: requests queue");
+            }
+            SubmissionPolicy::FixedRate { .. } => {
+                assert!(now < self.next_slot, "tick {now}: a slot tick");
+            }
+        }
+        assert_eq!(
+            self.governor_settled_at,
+            Some(self.queued_total),
+            "tick {now}: the governor has not settled"
+        );
+        for shard in &self.shards {
+            assert!(
+                shard.cycles() <= now && now < shard.quiet_until(),
+                "tick {now}: a shard's step is not quiet"
+            );
+        }
+    }
+
+    /// Brings every shard up to the clock. The ticks a shard lags by were
+    /// quiet for it, so they are made at once.
+    fn catch_up(&mut self) {
+        let now = self.tick;
+        for shard in &mut self.shards {
+            let lag = now - shard.cycles();
+            if lag > 0 {
+                shard.skip_quiet(lag);
+            }
+        }
     }
 
     /// Whether the run is complete: the horizon has passed, every admitted
@@ -655,9 +754,10 @@ impl OramService {
     /// shard-id order, latency percentiles over the pooled engine samples,
     /// per-shard conformance findings prefixed with their shard id,
     /// service-auditor findings appended, and the serving-layer summary
-    /// attached.
+    /// attached. Brings every shard up to the clock first.
     #[must_use]
-    pub fn report(&self) -> SimReport {
+    pub fn report(&mut self) -> SimReport {
+        self.catch_up();
         let parts = self
             .shards
             .iter()
@@ -688,11 +788,12 @@ impl OramService {
         }
     }
 
-    /// The shard pipelines, in shard-id order. Read-only inspection (tests
-    /// compare the merged report against per-shard counters); the service
-    /// alone dispatches into them.
+    /// The shard pipelines, in shard-id order, brought up to the clock.
+    /// Read-only inspection (tests compare the merged report against
+    /// per-shard counters); the service alone dispatches into them.
     #[must_use]
-    pub fn shards(&self) -> &[ShardPipeline] {
+    pub fn shards(&mut self) -> &[ShardPipeline] {
+        self.catch_up();
         &self.shards
     }
 
@@ -713,6 +814,14 @@ impl OramService {
     #[must_use]
     pub fn ticks(&self) -> u64 {
         self.tick
+    }
+
+    /// Ticks before this one are quiet: each is the digest fold alone, and
+    /// the shards catch up when next used. At most [`Self::ticks`] outside
+    /// a quiet window.
+    #[must_use]
+    pub fn quiet_until(&self) -> u64 {
+        self.quiet_until
     }
 
     /// Requests seen so far (admitted or shed).

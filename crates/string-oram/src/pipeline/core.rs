@@ -159,19 +159,13 @@ impl PipelineCore {
     /// available, always `> cycle`). The latency sample a wake carries is
     /// recorded here, in retire order; the caller only routes the wake.
     ///
-    /// A step before `quiet_until` has no stage with work: it is the
-    /// backend's tick (a counter and a compare there) and the cycle's
-    /// attribution. Debug builds run the skipped stages as the oracle.
+    /// A step before [`Self::quiet_until`] has no stage with work: it is
+    /// [`Self::skip_quiet`] of one cycle.
     pub fn step(&mut self, wakes: &mut Vec<Wake>) {
         let cycle = self.cycle;
 
         if cycle < self.quiet_until {
-            self.backend.tick(cycle);
-            #[cfg(debug_assertions)]
-            self.assert_step_was_quiet();
-            self.metrics.attribute(self.tracker.oldest_kind());
-            self.quiet_steps += 1;
-            self.cycle += 1;
+            self.skip_quiet(1);
             return;
         }
 
@@ -221,8 +215,39 @@ impl PipelineCore {
         };
     }
 
-    /// The stages a quiet step skipped, run after its backend tick: none of
-    /// them may have had anything to do.
+    /// Makes the `n` quiet steps at cycles `cycle .. cycle + n`, all before
+    /// [`Self::quiet_until`], at once: the backend's quiet ticks
+    /// ([`MemoryBackend::tick_quiet`]) and the cycles' attribution to the
+    /// oldest transaction, which no quiet step can change. Counters end
+    /// exactly where `n` calls to [`Self::step`] leave them, and no wake
+    /// is released. Debug builds run the skipped stages as the oracle.
+    #[inline]
+    pub fn skip_quiet(&mut self, n: u64) {
+        let cycle = self.cycle;
+        debug_assert!(
+            cycle + n <= self.quiet_until,
+            "steps {cycle}..{} are not quiet (quiet until {})",
+            cycle + n,
+            self.quiet_until
+        );
+        self.backend.tick_quiet(cycle, n);
+        #[cfg(debug_assertions)]
+        self.assert_step_was_quiet();
+        self.metrics.attribute_n(self.tracker.oldest_kind(), n);
+        self.quiet_steps += n;
+        self.cycle += n;
+    }
+
+    /// Steps at cycles before this one are quiet: nothing waits to enqueue
+    /// and the backend has nothing due. Set after every full step (a cycle
+    /// no later than the core's: none), reset by every dispatch.
+    #[must_use]
+    pub fn quiet_until(&self) -> u64 {
+        self.quiet_until
+    }
+
+    /// The stages a quiet step skipped, run after its backend ticks: none
+    /// of them may have had anything to do.
     #[cfg(debug_assertions)]
     fn assert_step_was_quiet(&mut self) {
         let cycle = self.cycle;

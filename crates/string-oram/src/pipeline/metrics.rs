@@ -64,9 +64,14 @@ impl Metrics {
     /// Charges one cycle to `oldest` (the oldest unfinished transaction's
     /// kind; `None` = nothing in flight).
     pub fn attribute(&mut self, oldest: Option<OpKind>) {
-        self.cycles_by_kind.add(oldest);
+        self.attribute_n(oldest, 1);
+    }
+
+    /// Charges `n` cycles to `oldest`.
+    pub fn attribute_n(&mut self, oldest: Option<OpKind>, n: u64) {
+        self.cycles_by_kind.add_n(oldest, n);
         if oldest == Some(OpKind::RetryRead) {
-            self.retry_cycles += 1;
+            self.retry_cycles += n;
         }
     }
 
@@ -311,9 +316,12 @@ mod tests {
         m.attribute(Some(OpKind::ReadPath));
         m.attribute(Some(OpKind::RetryRead));
         m.attribute(None);
+        m.attribute_n(Some(OpKind::RetryRead), 4);
+        m.attribute_n(Some(OpKind::Eviction), 3);
         assert_eq!(m.cycles_by_kind.read, 1);
-        assert_eq!(m.cycles_by_kind.other, 2);
-        assert_eq!(m.retry_cycles, 1);
+        assert_eq!(m.cycles_by_kind.evict, 3);
+        assert_eq!(m.cycles_by_kind.other, 6);
+        assert_eq!(m.retry_cycles, 5);
     }
 
     #[test]

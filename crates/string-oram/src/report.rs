@@ -32,14 +32,14 @@ impl KindCycles {
         self.read + self.evict + self.reshuffle + self.other
     }
 
-    /// Adds one cycle to the bucket for `kind` (`None` = no transaction in
-    /// flight).
-    pub fn add(&mut self, kind: Option<OpKind>) {
+    /// Adds `n` cycles to the bucket for `kind` (`None` = no transaction
+    /// in flight).
+    pub fn add_n(&mut self, kind: Option<OpKind>, n: u64) {
         match kind {
-            Some(OpKind::ReadPath) => self.read += 1,
-            Some(OpKind::Eviction) => self.evict += 1,
-            Some(OpKind::EarlyReshuffle) => self.reshuffle += 1,
-            Some(OpKind::DummyReadPath | OpKind::RetryRead) | None => self.other += 1,
+            Some(OpKind::ReadPath) => self.read += n,
+            Some(OpKind::Eviction) => self.evict += n,
+            Some(OpKind::EarlyReshuffle) => self.reshuffle += n,
+            Some(OpKind::DummyReadPath | OpKind::RetryRead) | None => self.other += n,
         }
     }
 }
@@ -399,11 +399,11 @@ mod tests {
     #[test]
     fn kind_cycles_bucketing() {
         let mut k = KindCycles::default();
-        k.add(Some(OpKind::ReadPath));
-        k.add(Some(OpKind::Eviction));
-        k.add(Some(OpKind::EarlyReshuffle));
-        k.add(Some(OpKind::DummyReadPath));
-        k.add(None);
+        k.add_n(Some(OpKind::ReadPath), 1);
+        k.add_n(Some(OpKind::Eviction), 1);
+        k.add_n(Some(OpKind::EarlyReshuffle), 1);
+        k.add_n(Some(OpKind::DummyReadPath), 1);
+        k.add_n(None, 1);
         assert_eq!(k.read, 1);
         assert_eq!(k.evict, 1);
         assert_eq!(k.reshuffle, 1);
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn kind_cycles_retry_counts_as_other() {
         let mut k = KindCycles::default();
-        k.add(Some(OpKind::RetryRead));
+        k.add_n(Some(OpKind::RetryRead), 1);
         assert_eq!(k.other, 1);
         assert_eq!(k.total(), 1);
     }

@@ -9,8 +9,8 @@
 use oram_service::{GovernorState, OramService, ServiceConfig, SubmissionPolicy, TenantSpec};
 use sim_verify::MirrorOracle;
 use string_oram::{
-    BackendKind, RecursiveConfig, Scheme, ServiceSummary, ShardedSimulation, SimReport, Simulation,
-    SystemConfig,
+    BackendKind, FaultConfig, RecursiveConfig, ResilienceSummary, Scheme, ServiceSummary,
+    ShardedSimulation, SimReport, Simulation, SystemConfig,
 };
 use trace_synth::{by_name, ArrivalSpec, TraceGenerator};
 
@@ -554,4 +554,91 @@ fn reports_match_the_recorded_values() {
         "recorded values moved; this run:\n{}",
         rendered.join(",\n")
     );
+}
+
+/// A quiet window leaves the shards behind the clock, and whatever drives
+/// or reads a shard first brings it up to the clock. Reading the report
+/// after every tick keeps them in lockstep (each catches up one tick at a
+/// time); reading it at the end only lets each make a whole window at
+/// once. Nothing a caller can see may tell the two apart: fixed rate and
+/// best effort, one and two shards, both backends, and a run with every
+/// fault class armed (on the cycle-accurate backend, the one that injects
+/// them). The functional backend's runs must spend most ticks quiet; the
+/// cycle-accurate controller is never quiet, so its runs take the full
+/// path on every tick.
+#[test]
+fn shards_catch_up_invisibly() {
+    let drive = |cfg: ServiceConfig, schedule: &[Submission], lockstep: bool| {
+        let mut svc = OramService::new(cfg).expect("valid config");
+        let (mut next, mut quiet) = (0, 0u64);
+        while !svc.is_finished() {
+            let now = svc.ticks();
+            while let Some(&(_, tenant, offset, is_write)) =
+                schedule.get(next).filter(|s| s.0 == now)
+            {
+                let _ = svc.submit(tenant, offset, is_write);
+                next += 1;
+            }
+            quiet += u64::from(now < svc.quiet_until());
+            svc.tick_once();
+            if lockstep {
+                let _ = svc.report();
+            }
+        }
+        let report = svc.run().expect("already drained");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let shards: Vec<(u64, u64)> = svc
+            .shards()
+            .iter()
+            .map(|s| (s.quiet_steps(), s.cycles()))
+            .collect();
+        let ticks = svc.ticks();
+        let injected = report.resilience != ResilienceSummary::default();
+        let seen = (format!("{report:?}"), svc.schedule_digest(), shards, quiet);
+        (seen, ticks, injected)
+    };
+    let fixed_rate = SubmissionPolicy::FixedRate {
+        interval: 128,
+        batch: 1,
+    };
+    let mut cases = Vec::new();
+    for policy in [fixed_rate, SubmissionPolicy::BestEffort { batch: 2 }] {
+        for shards in [1usize, 2] {
+            for backend in [BackendKind::FastFunctional, BackendKind::CycleAccurate] {
+                let mut cfg = ServiceConfig::test_small(Vec::new(), 3_000);
+                cfg.policy = policy;
+                cfg.system.shards = shards;
+                cfg.system.backend = backend;
+                cases.push(cfg);
+            }
+        }
+    }
+    let mut faulty = ServiceConfig::test_small(Vec::new(), 3_000);
+    faulty.policy = fixed_rate;
+    faulty.system.shards = 2;
+    let stash = faulty.system.ring.stash_capacity;
+    faulty.system.faults = Some(FaultConfig::smoke(0xF417, 0.05, stash));
+    faulty.system.timing.t_refi = 1_000;
+    cases.push(faulty);
+    for mut cfg in cases {
+        let (tenants, schedule) = recorded_tenants(Drive::External, [1.0, 0.5, 0.8], cfg.horizon);
+        cfg.tenants = tenants;
+        let label = format!(
+            "{:?} x{} {:?} faults {}",
+            cfg.policy,
+            cfg.system.shards,
+            cfg.system.backend,
+            cfg.system.faults.is_some()
+        );
+        let lockstep = drive(cfg.clone(), &schedule, true);
+        let at_end = drive(cfg.clone(), &schedule, false);
+        assert_eq!(lockstep, at_end, "{label}");
+        let ((_, _, shards, quiet), ticks, injected) = at_end;
+        assert!(shards.iter().all(|&(_, cycles)| cycles == ticks), "{label}");
+        assert_eq!(injected, cfg.system.faults.is_some(), "{label}");
+        match cfg.system.backend {
+            BackendKind::FastFunctional => assert!(2 * quiet > ticks, "{label}: {quiet} quiet"),
+            BackendKind::CycleAccurate => assert_eq!(quiet, 0, "{label}"),
+        }
+    }
 }

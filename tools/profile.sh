@@ -54,6 +54,9 @@ CALLEES=(
     "DramModule::issue"
     "PipelineCore::step"
     "pick"
+    "OramService::tick_once"
+    "drive_service"
+    "<FunctionalBackend as MemoryBackend>::tick"
 )
 
 out=target/profile
