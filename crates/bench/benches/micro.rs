@@ -9,11 +9,13 @@
 //! The Ring engine is timed twice: *cold* (a fresh tree at the paper's
 //! geometry, every access a first touch — about twelve bucket
 //! materializations each, with the live heap bytes each bucket leaves
-//! behind: a row of 32-bit slot words, a 20-byte node and the 32-bit
-//! positions of its pre-loaded blocks, ~98 B for `ring_cb_cold` and
-//! ~130 B for `ring_baseline_cold`'s 20-slot rows) and *warm* (a fully
-//! materialized tree — the allocation-free steady state). The two differ by several times; one number for both
-//! would describe neither. The Path and Circuit engines (`path_warm`,
+//! behind: a row of a 16-byte header and a code byte per slot, the `Z`
+//! explicit ids of the buckets written back since, and the 23-bit
+//! positions of its pre-loaded blocks, ~55 B for `ring_cb_cold` and ~63 B
+//! for `ring_baseline_cold`'s 20-slot rows, each beside the share of
+//! buckets written back) and *warm* (a fully materialized tree — the
+//! allocation-free steady state). The two differ by several times; one
+//! number for both would describe neither. The Path and Circuit engines (`path_warm`,
 //! `circuit_warm`) run at the same geometry over a resident block
 //! population: no benchmark workload shows their host cost.
 
@@ -105,12 +107,14 @@ fn bench_protocol_access() {
             oram.recycle_outcome(std::hint::black_box(outcome));
         });
         let live = (LIVE_BYTES.load(Ordering::Relaxed) - live) as f64;
-        let per_bucket = live / oram.materialized_buckets() as f64;
+        let buckets = oram.materialized_buckets() as f64;
+        let written_back = 100.0 * oram.written_back_buckets() as f64 / buckets;
         print_row(
             &format!("{name}_cold"),
             &[
                 format!("{ns:>10.0} ns/op"),
-                format!("{per_bucket:>5.0} B/bucket"),
+                format!("{:>5.0} B/bucket", live / buckets),
+                format!("{written_back:>4.1} % written back"),
             ],
         );
 

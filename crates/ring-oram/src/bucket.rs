@@ -14,17 +14,34 @@
 //!
 //! # Resident layout
 //!
-//! A bucket is what a hardware controller keeps per bucket: one metadata
-//! word per slot (valid bit + block id) and a few counters. The crate's
-//! `BucketTree` keeps every bucket in one chunked slab: node `i` owns row
-//! `i` — `Z + S - Y` 32-bit slot words — and keeps beside it a 20-byte node
-//! (child links, one-byte counters, a lane index, a materialized flag).
+//! A bucket is what a hardware controller keeps per bucket: which block
+//! each slot holds, whether it may still be read, and a few counters. The
+//! crate's `BucketTree` keeps every bucket as one row of a chunked byte
+//! slab: a 16-byte header (two child links, an id reference, four one-byte
+//! counters) followed by its slots. A Ring row holds one code byte per
+//! slot — invalid, valid dummy, or `k`: the bucket's `k`-th real block.
+//! What `k` names follows the id reference. A fresh bucket is filled with
+//! consecutive pre-loaded ids, so the reference is the first of them and
+//! block `k` is that id plus `k`; a row of `Z` explicit ids is handed out
+//! only when the bucket is first written back (an eviction or a
+//! reshuffle), and the reference then names that row. A Path or Circuit
+//! row holds a 4-byte slot word per slot instead (valid bit and id). At
+//! the paper's geometry (`Z = 8`):
+//!
+//! | bucket | row | explicit ids | total |
+//! |---|---|---|---|
+//! | Ring+CB, fresh | 16 + 12 codes | — | 28 B |
+//! | Ring+CB, written back | 16 + 12 codes | 8 × 4 | 60 B |
+//! | baseline Ring, fresh | 16 + 20 codes | — | 36 B |
+//! | Path, Circuit | 16 + 8 × 4 words | — | 48 B |
+//!
 //! Chunks of 1024 rows are allocated zeroed when their first node is
 //! created and never move. Payload bytes live in a second slab of lanes,
-//! one row per bucket that has received a payload, so timing-only
-//! simulations never allocate one. A [`Bucket`] is a borrowed view over a
-//! row, its node and the lanes; every rule below is implemented on it once.
-//! The tree is walked root to leaf exactly as the protocol's read paths and
+//! one row per bucket that has received a payload, named by a per-node
+//! column that appears with the first payload, so timing-only simulations
+//! never allocate either. A [`Bucket`] is a borrowed view over a row and
+//! the tree's tables; every rule below is implemented on it once. The tree
+//! is walked root to leaf exactly as the protocol's read paths and
 //! evictions walk it.
 
 use oram_rng::Rng;
@@ -40,22 +57,17 @@ pub(crate) type BlockData = Box<[u8]>;
 /// buckets and the stash.
 pub(crate) type BlockEntry = (BlockId, Option<BlockData>);
 
-/// Slot-word bit 31: the slot may still be read before the next shuffle.
+/// Slot-word bit 31 (Path and Circuit rows): the slot holds a block.
 const VALID: u32 = 1 << 31;
 /// Slot-word bit 30, the cold tag: the value is a pre-loaded block's index
 /// `id - COLD_BASE`, not a program id (below [`PROGRAM_ID_BOUND`]).
 const COLD: u32 = 1 << 30;
 /// Slot-word low 30 bits: the value.
 const VALUE: u32 = COLD - 1;
-/// Slot-word low 31 bits, all ones: the slot holds no real block. An
-/// invalid slot never holds one (every touch that invalidates a slot also
-/// consumes its block), so a Ring slot word is `VALID | value`,
-/// `VALID | DUMMY` or bare `DUMMY`; a plain-tree row holds `VALID | value`
-/// words and 0 for an empty slot.
-const DUMMY: u32 = COLD | VALUE;
 
-/// Pre-loaded blocks a word can name (all cold indices but the dummy's);
-/// [`RingConfig::validate`] bounds a tree's real capacity by it.
+/// Pre-loaded blocks a word can name: every cold index but the all-ones
+/// one. [`RingConfig::validate`] bounds a tree's real capacity by it, so
+/// a fresh row's first id fits the 30 bits of its reference too.
 pub(crate) const COLD_INDICES: u64 = VALUE as u64;
 
 /// The 31 bits a slot word keeps of `block`, or `None` for an id no word
@@ -78,53 +90,77 @@ fn encode_stored(block: BlockId) -> u32 {
     encode(block).unwrap_or_else(|| panic!("block id {block} does not fit a slot word"))
 }
 
+/// Slot code: a valid dummy.
+const DUMMY: u8 = 0xFE;
+/// Slot code: a slot that may not be read before the next shuffle. It
+/// holds no block: every touch that invalidates a slot also consumes its
+/// block.
+const INVALID: u8 = 0xFF;
+/// Real blocks a Ring bucket's codes can name (`0..MAX_Z`, below the two
+/// marks); [`BucketTree::ring`] bounds `Z` by it. Path and Circuit rows
+/// keep slot words and are not bounded by it.
+pub(crate) const MAX_Z: u32 = DUMMY as u32;
+
+/// A row's header: what a node keeps besides its slots.
+type Head = [u8; HEAD];
+/// Header bytes.
+const HEAD: usize = 16;
+/// Header bytes 0..8: the two child nodes, a `u32` each (0 = not created
+/// yet; the root, node 0, is nobody's child).
+const CHILDREN: usize = 0;
+/// Header bytes 8..12: the id reference ([`FILLED`], [`EXPLICIT`]).
+const REFERENCE: usize = 8;
+/// Header byte 12: touches since the last shuffle (the paper's per-bucket
+/// counter).
+const ACCESSES: usize = 12;
+/// Header byte 13: green fetches since the last shuffle (the paper's green
+/// counter, `log2(Y)` bits of metadata).
+const GREENS: usize = 13;
+/// Header byte 14: valid slots holding a real block (in the plain tree:
+/// blocks held), so the per-touch rules are O(1) instead of re-scanning
+/// the row.
+const REALS: usize = 14;
+/// Header byte 15: valid dummy slots.
+const DUMMIES: usize = 15;
+
+// A fresh Ring bucket's whole resident state is this header and its codes.
+const _: () = assert!(std::mem::size_of::<Head>() == 16 && ACCESSES + 4 == HEAD);
+
+/// Id-reference bit 31: the row has been filled.
+const FILLED: u32 = 1 << 31;
+/// Id-reference bit 30: the codes name the entries of an explicit-id row,
+/// whose index is the low 30 bits. Without it, the low 30 bits are the
+/// cold index of the bucket's block 0.
+const EXPLICIT: u32 = 1 << 30;
+/// Id-reference low 30 bits.
+const INDEX: u32 = EXPLICIT - 1;
+
+/// The header word at byte `at`.
+fn word(head: &Head, at: usize) -> u32 {
+    u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]])
+}
+
+fn set_word(head: &mut Head, at: usize, value: u32) {
+    head[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
 /// Rows per slab chunk. A chunk is allocated whole (zeroed) the first time
 /// one of its rows is needed and never moves, so growing the tree copies
 /// no row and never doubles what is resident.
 pub const CHUNK_ROWS: usize = 1024;
 
-fn holds_real(word: u32) -> bool {
-    word & VALID != 0 && word != VALID | DUMMY
-}
-
 /// `n` as a one-byte counter. Every count is at most the slots per bucket
-/// or `S`, which the configuration [`BucketTree::new`] validated bounds.
+/// or `S`, which the configuration [`BucketTree::ring`] validated bounds.
 #[allow(clippy::expect_used)] // invariant, stated in the expect message
 fn counter(n: usize) -> u8 {
     u8::try_from(n).expect("bucket counts fit the byte checked where the tree is built")
 }
 
-/// The state a node keeps beside its row.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Node {
-    /// Child nodes (0 = not created yet; the root, node 0, is nobody's
-    /// child).
-    children: [u32; 2],
-    /// Payload lane: row `lane - 1` of the lane slab; 0 until the bucket
-    /// receives its first payload.
-    lane: u32,
-    /// Touches since the last shuffle (the paper's per-bucket counter).
-    accesses: u8,
-    /// Green fetches since the last shuffle (the paper's green counter,
-    /// `log2(Y)` bits of metadata).
-    greens: u8,
-    /// Valid slots holding a real block (in the plain tree: blocks held),
-    /// so the per-touch rules are O(1) instead of re-scanning the row.
-    reals: u8,
-    /// Valid dummy slots.
-    dummies: u8,
-    /// Whether the row has been filled.
-    materialized: bool,
-}
-
-// A bucket's own resident state is its row and these 20 bytes.
-const _: () = assert!(std::mem::size_of::<Node>() == 20);
-
 /// A growable table of fixed-stride rows of `T`, kept in chunks of
 /// [`CHUNK_ROWS`] rows (the last chunk cut to the rows the table may ever
 /// hold). A chunk is allocated with every element `T::default()` — zeroed
-/// memory for the slot words — when its first row is pushed, and never
-/// moves: growth copies no row and never doubles what is resident.
+/// memory for the rows — when its first row is pushed, and never moves:
+/// growth copies no row and never doubles what is resident.
 #[derive(Debug, Clone)]
 pub(crate) struct Slab<T> {
     stride: usize,
@@ -197,73 +233,210 @@ impl<T: Clone + Default> Slab<T> {
 }
 
 /// The payload lanes: rows of `Option<BlockData>` parallel to slot rows,
-/// handed out on a bucket's first payload and kept from then on. A node
-/// names its lane by a 1-based index, 0 for none.
+/// handed out on a bucket's first payload and kept from then on, named by
+/// a 1-based index (0 for none).
 type Lanes = Slab<Option<BlockData>>;
 
 impl Lanes {
-    /// A fresh lane, as a node's 1-based lane index.
+    /// A fresh lane, as its 1-based index.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn assign(&mut self) -> u32 {
         let row = self.push_row() + 1;
         u32::try_from(row).expect("fewer than 2^32 lanes")
     }
 
-    /// Lane `lane` (a node's 1-based index), or `None` for no lane.
+    /// Lane `lane` (a 1-based index), or `None` for no lane.
     fn lane_mut(&mut self, lane: u32) -> Option<&mut [Option<BlockData>]> {
         let row = lane.checked_sub(1)?;
         Some(self.row_mut(row as usize))
     }
 }
 
-/// A read-only look at one bucket: its slot words and counters. The reading
-/// rules (lookup, counts, the reshuffle condition, slot choice) live here;
-/// [`Bucket::peek`] gives one for a mutable view.
-#[derive(Debug, Clone, Copy)]
-pub struct BucketRef<'a> {
-    /// One packed word per physical slot (see [`encode`]).
-    slots: &'a [u32],
-    node: &'a Node,
+/// What a tree keeps of its buckets outside their rows.
+#[derive(Debug, Clone)]
+struct Tables {
+    /// Whether rows hold slot codes (the Ring rules) or slot words (the
+    /// Path and Circuit rules).
+    coded: bool,
+    /// Explicit ids: row `r` holds the value bits of the blocks a
+    /// written-back Ring bucket's codes name, code `k` entry `k`. A bucket
+    /// receives its row on its first write-back and keeps it.
+    ids: Slab<u32>,
+    /// Per node, its payload lane (0 for none). The column grows to a node
+    /// when that node receives its first payload.
+    lane_of: Slab<u32>,
+    lanes: Lanes,
 }
 
-impl BucketRef<'_> {
+impl Tables {
+    /// Node `node`'s payload lane.
+    fn lane(&self, node: usize) -> u32 {
+        if node < self.lane_of.len() {
+            *self.lane_of.at(node)
+        } else {
+            0
+        }
+    }
+
+    /// Hands node `node` a fresh lane and returns it.
+    fn assign_lane(&mut self, node: usize) -> u32 {
+        while self.lane_of.len() <= node {
+            self.lane_of.push_row();
+        }
+        let lane = self.lanes.assign();
+        *self.lane_of.at_mut(node) = lane;
+        lane
+    }
+}
+
+/// What a Ring row's codes name, read off its id reference.
+#[derive(Debug, Clone, Copy)]
+enum Names<'a> {
+    /// A fresh row: code `k` is block `first + k`.
+    Cold(u64),
+    /// A written-back row: code `k` is the block entry `k` encodes.
+    Explicit(&'a [u32]),
+}
+
+impl<'a> Names<'a> {
+    /// The names of a Ring row whose id reference is `reference`.
+    fn of(reference: u32, ids: &'a Slab<u32>) -> Self {
+        let index = reference & INDEX;
+        if reference & EXPLICIT != 0 {
+            Names::Explicit(ids.row(index as usize))
+        } else {
+            Names::Cold(COLD_BASE + u64::from(index))
+        }
+    }
+
+    /// The block a real block's code names.
+    fn block(self, code: u8) -> BlockId {
+        match self {
+            Names::Cold(first) => BlockId(first + u64::from(code)),
+            Names::Explicit(ids) => decode(ids[usize::from(code)]),
+        }
+    }
+
+    /// The code that names `block`, if the row could hold it. An explicit
+    /// row's entries past its last fill are stale; the first match is the
+    /// live one when there is one, and a stale one names a code no slot
+    /// holds.
+    fn code_of(self, block: BlockId) -> Option<u8> {
+        let k = match self {
+            Names::Cold(first) => block.0.checked_sub(first)?,
+            Names::Explicit(ids) => {
+                let value = encode(block)?;
+                ids.iter().position(|&id| id == value)? as u64
+            }
+        };
+        u8::try_from(k).ok().filter(|&k| k < DUMMY)
+    }
+}
+
+/// A read-only look at one bucket: its slots and counters. The reading
+/// rules (lookup, counts, the reshuffle condition, slot choice) live here;
+/// [`Bucket::peek`] gives one for a mutable view.
+#[derive(Clone, Copy)]
+pub struct BucketRef<'a> {
+    head: &'a Head,
+    /// One code per slot (Ring), or one 4-byte slot word per slot (Path
+    /// and Circuit).
+    body: &'a [u8],
+    tables: &'a Tables,
+}
+
+impl std::fmt::Debug for BucketRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let slots: Vec<_> = (0..self.slot_count()).map(|s| self.block_at(s)).collect();
+        f.debug_struct("BucketRef")
+            .field("accesses", &self.head[ACCESSES])
+            .field("greens", &self.head[GREENS])
+            .field("reals", &self.head[REALS])
+            .field("dummies", &self.head[DUMMIES])
+            .field("slots", &slots)
+            .finish()
+    }
+}
+
+impl<'a> BucketRef<'a> {
     /// Touches since the last shuffle.
     #[must_use]
     pub fn accesses(&self) -> u32 {
-        u32::from(self.node.accesses)
+        u32::from(self.head[ACCESSES])
     }
 
     /// Green fetches since the last shuffle.
     #[must_use]
     pub(crate) fn greens_used(&self) -> u32 {
-        u32::from(self.node.greens)
+        u32::from(self.head[GREENS])
     }
 
     /// Number of valid real blocks currently stored.
     #[must_use]
     pub(crate) fn real_count(&self) -> usize {
         debug_assert_eq!(
-            usize::from(self.node.reals),
-            self.slots.iter().filter(|&&w| holds_real(w)).count()
+            usize::from(self.head[REALS]),
+            (0..self.slot_count())
+                .filter(|&s| self.block_at(s).is_some())
+                .count()
         );
-        usize::from(self.node.reals)
+        usize::from(self.head[REALS])
     }
 
     /// Number of valid dummy slots remaining.
     #[must_use]
     pub(crate) fn valid_dummies(&self) -> usize {
         debug_assert_eq!(
-            usize::from(self.node.dummies),
-            self.slots.iter().filter(|&&w| w == VALID | DUMMY).count()
+            usize::from(self.head[DUMMIES]),
+            if self.tables.coded {
+                self.body.iter().filter(|&&c| c == DUMMY).count()
+            } else {
+                0
+            }
         );
-        usize::from(self.node.dummies)
+        usize::from(self.head[DUMMIES])
+    }
+
+    /// Physical slots.
+    pub(crate) fn slot_count(&self) -> usize {
+        if self.tables.coded {
+            self.body.len()
+        } else {
+            self.words().len()
+        }
+    }
+
+    /// A Path or Circuit row's slot words.
+    fn words(&self) -> &'a [[u8; 4]] {
+        self.body.as_chunks().0
+    }
+
+    /// What a Ring row's codes name.
+    fn names(&self) -> Names<'a> {
+        Names::of(word(self.head, REFERENCE), &self.tables.ids)
+    }
+
+    /// The block `slot` holds, if it holds one and may be read.
+    fn block_at(&self, slot: usize) -> Option<BlockId> {
+        if self.tables.coded {
+            let code = self.body[slot];
+            (code < DUMMY).then(|| self.names().block(code))
+        } else {
+            let word = u32::from_le_bytes(self.words()[slot]);
+            (word & VALID != 0).then(|| decode(word))
+        }
     }
 
     /// Slot index of `block` if it is present and still valid.
     #[must_use]
     pub fn find(&self, block: BlockId) -> Option<usize> {
-        let value = encode(block)?;
-        self.slots.iter().position(|&w| w == VALID | value)
+        if self.tables.coded {
+            let code = self.names().code_of(block)?;
+            self.body.iter().position(|&c| c == code)
+        } else {
+            let word = (VALID | encode(block)?).to_le_bytes();
+            self.words().iter().position(|&w| w == word)
+        }
     }
 
     /// Whether the bucket must be reshuffled *before* it can absorb another
@@ -316,20 +489,21 @@ impl BucketRef<'_> {
     /// candidate in slot order. This form builds the match mask of each 64
     /// slots without branches and takes its `k`-th set bit.
     fn choose_slot<R: Rng + ?Sized>(&self, real: bool, rng: &mut R) -> Option<usize> {
+        debug_assert!(self.tables.coded, "a Ring rule on a row of slot words");
         let n = usize::from(if real {
-            self.node.reals
+            self.head[REALS]
         } else {
-            self.node.dummies
+            self.head[DUMMIES]
         });
         if n == 0 {
             return None;
         }
         let mut k = rng.gen_range(0..n);
-        for (c, words) in self.slots.chunks(64).enumerate() {
+        for (c, codes) in self.body.chunks(64).enumerate() {
             let mut mask = 0u64;
-            for (i, &w) in words.iter().enumerate() {
+            for (i, &code) in codes.iter().enumerate() {
                 // Valid, and a dummy exactly when a dummy is wanted.
-                let hit = (w & VALID != 0) & ((w == VALID | DUMMY) != real);
+                let hit = ((code < DUMMY) == real) & (code != INVALID);
                 mask |= u64::from(hit) << i;
             }
             let hits = mask.count_ones() as usize;
@@ -341,7 +515,7 @@ impl BucketRef<'_> {
             }
             k -= hits;
         }
-        unreachable!("cached slot counts out of sync with the slot words")
+        unreachable!("cached slot counts out of sync with the slot codes")
     }
 
     /// Whether `slot` currently holds a valid real block.
@@ -352,20 +526,27 @@ impl BucketRef<'_> {
     #[cfg(test)]
     #[must_use]
     pub(crate) fn slot_holds_real(&self, slot: usize) -> bool {
-        holds_real(self.slots[slot])
+        self.block_at(slot).is_some()
     }
 }
 
 /// A bucket: `Z + S - Y` permuted slots plus the metadata the paper's Fig. 2
 /// and Fig. 7 describe (valid/real bits, access counter, green counter) — a
-/// mutable view over one slab row, its node and the payload lanes.
-#[derive(Debug)]
+/// mutable view over one slab row and the tree's tables.
 pub struct Bucket<'a> {
-    /// One packed word per physical slot (see [`encode`]).
-    slots: &'a mut [u32],
-    node: &'a mut Node,
-    /// The tree's payload lanes; the bucket's own is `node.lane`.
-    lanes: &'a mut Lanes,
+    head: &'a mut Head,
+    /// One code per slot (Ring), or one 4-byte slot word per slot (Path
+    /// and Circuit).
+    body: &'a mut [u8],
+    /// The node, which names the bucket's payload lane.
+    node: usize,
+    tables: &'a mut Tables,
+}
+
+impl std::fmt::Debug for Bucket<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.peek().fmt(f)
+    }
 }
 
 impl Bucket<'_> {
@@ -373,16 +554,18 @@ impl Bucket<'_> {
     #[must_use]
     pub fn peek(&self) -> BucketRef<'_> {
         BucketRef {
-            slots: self.slots,
-            node: self.node,
+            head: self.head,
+            body: self.body,
+            tables: self.tables,
         }
     }
 
-    /// Sets slot `idx` to `word` (it no longer holds its block) and returns
+    /// Sets slot `idx` to `code` (it no longer holds its block) and returns
     /// the payload it carried, if any.
-    fn vacate(&mut self, idx: usize, word: u32) -> Option<BlockData> {
-        self.slots[idx] = word;
-        self.lanes.lane_mut(self.node.lane)?[idx].take()
+    fn vacate(&mut self, idx: usize, code: u8) -> Option<BlockData> {
+        self.body[idx] = code;
+        let lane = self.tables.lane(self.node);
+        self.tables.lanes.lane_mut(lane)?[idx].take()
     }
 
     /// Serves one read-path touch.
@@ -429,6 +612,7 @@ impl Bucket<'_> {
         allow_green: bool,
         rng: &mut R,
     ) -> (usize, FetchKind, Option<BlockData>) {
+        debug_assert!(self.tables.coded, "a Ring rule on a row of slot words");
         // A bucket holding the wanted target can always serve it (the
         // target read needs no dummy/green); otherwise the caller must have
         // reshuffled first.
@@ -437,24 +621,24 @@ impl Bucket<'_> {
                 || !self.peek().needs_reshuffle_gated(cfg, allow_green),
             "bucket exhausted"
         );
-        self.node.accesses += 1;
+        self.head[ACCESSES] += 1;
         if let Some(t) = target {
             if let Some(idx) = self.peek().find(t) {
-                self.node.reals -= 1;
-                return (idx, FetchKind::Target(t), self.vacate(idx, DUMMY));
+                self.head[REALS] -= 1;
+                return (idx, FetchKind::Target(t), self.vacate(idx, INVALID));
             }
         }
         // Dummy-first policy.
         if let Some(idx) = self.peek().choose_slot(false, rng) {
-            self.slots[idx] = DUMMY;
-            self.node.dummies -= 1;
+            self.body[idx] = INVALID;
+            self.head[DUMMIES] -= 1;
             return (idx, FetchKind::Dummy, None);
         }
         // Fall back to a green block. Under the degraded-mode gate this is
         // legal only for a completely full bucket, where no reshuffle can
         // mint a dummy (Y == S configurations).
         assert!(
-            allow_green || u32::from(self.node.reals) == cfg.bucket_slots(),
+            allow_green || u32::from(self.head[REALS]) == cfg.bucket_slots(),
             "green substitution disabled; needs_reshuffle_gated() should have fired"
         );
         let idx = self
@@ -462,13 +646,13 @@ impl Bucket<'_> {
             .choose_slot(true, rng)
             .expect("needs_reshuffle() guaranteed a candidate");
         assert!(
-            u32::from(self.node.greens) < cfg.y,
+            u32::from(self.head[GREENS]) < cfg.y,
             "green budget exceeded; needs_reshuffle() should have fired"
         );
-        let block = decode(self.slots[idx]);
-        self.node.reals -= 1;
-        self.node.greens += 1;
-        (idx, FetchKind::Green(block), self.vacate(idx, DUMMY))
+        let block = self.peek().names().block(self.body[idx]);
+        self.head[REALS] -= 1;
+        self.head[GREENS] += 1;
+        (idx, FetchKind::Green(block), self.vacate(idx, INVALID))
     }
 
     /// Removes every valid real block with its payload and appends them, in
@@ -480,87 +664,130 @@ impl Bucket<'_> {
         out: &mut Vec<BlockEntry>,
         slots: &mut Vec<u32>,
     ) {
-        for idx in 0..self.slots.len() {
-            let word = self.slots[idx];
-            if holds_real(word) {
-                // The emptied slot stays valid, so it now counts as a dummy.
-                let data = self.vacate(idx, VALID | DUMMY);
-                out.push((decode(word), data));
+        debug_assert!(self.tables.coded, "a Ring rule on a row of slot words");
+        let lane = self.tables.lane(self.node);
+        let names = Names::of(word(self.head, REFERENCE), &self.tables.ids);
+        let mut lane = self.tables.lanes.lane_mut(lane);
+        for (idx, code) in self.body.iter_mut().enumerate() {
+            if *code < DUMMY {
+                let data = lane.as_deref_mut().and_then(|lane| lane[idx].take());
+                out.push((names.block(*code), data));
                 slots.push(idx as u32);
+                // The emptied slot stays valid, so it now counts as a dummy.
+                *code = DUMMY;
             }
         }
-        self.node.dummies += self.node.reals;
-        self.node.reals = 0;
+        self.head[DUMMIES] += self.head[REALS];
+        self.head[REALS] = 0;
     }
 
     /// Reshuffles the bucket: installs `entries` (at most `Z`, drained from
     /// the caller's reusable buffer), resets all metadata and re-permutes
     /// the slots (the eviction/reshuffle write phase: `Z + S - Y` encrypted
-    /// blocks are written back). The bucket receives its payload lane with
-    /// its first payload and keeps it.
+    /// blocks are written back). Entry `k` becomes code `k`, its id entry
+    /// `k` of the bucket's explicit-id row, which the bucket receives on
+    /// its first write-back; its payload lane it receives with its first
+    /// payload. It keeps both.
     ///
     /// # Panics
     ///
     /// Panics if more than `cfg.z` entries are supplied, or if a block id
     /// does not fit a slot word.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
     pub(crate) fn reload<R: Rng + ?Sized>(
         &mut self,
         cfg: &RingConfig,
         entries: &mut Vec<BlockEntry>,
         rng: &mut R,
     ) {
+        debug_assert!(self.tables.coded, "a Ring rule on a row of slot words");
         assert!(
             entries.len() <= cfg.z as usize,
             "bucket can hold at most Z = {} real blocks, got {}",
             cfg.z,
             entries.len()
         );
-        debug_assert_eq!(self.slots.len(), cfg.bucket_slots() as usize);
-        if self.node.lane == 0 && entries.iter().any(|(_, d)| d.is_some()) {
-            self.node.lane = self.lanes.assign();
+        debug_assert_eq!(self.body.len(), cfg.bucket_slots() as usize);
+        let mut reference = word(self.head, REFERENCE);
+        if reference & EXPLICIT == 0 {
+            let row = u32::try_from(self.tables.ids.push_row())
+                .expect("fewer explicit-id rows than buckets, below 2^30");
+            reference = FILLED | EXPLICIT | row;
+            set_word(self.head, REFERENCE, reference);
         }
-        let mut drained = entries.drain(..);
-        self.fill(cfg.z, rng, |_| drained.next());
+        let mut lane = self.tables.lane(self.node);
+        if lane == 0 && entries.iter().any(|(_, d)| d.is_some()) {
+            lane = self.tables.assign_lane(self.node);
+        }
+        let ids = self.tables.ids.row_mut((reference & INDEX) as usize);
+        let mut lane = self.tables.lanes.lane_mut(lane);
+        let reals = entries.len();
+        for (k, (block, data)) in entries.drain(..).enumerate() {
+            ids[k] = encode_stored(block);
+            self.body[k] = k as u8; // k < Z <= MAX_Z
+            if let Some(lane) = lane.as_deref_mut() {
+                lane[k] = data;
+            }
+        }
+        self.settle(reals, rng);
     }
 
-    /// Every write of a whole row, a fresh one's included: `next` is asked
-    /// `n` times for a block, each one it hands out taking the next slot
-    /// (its payload the lane's, when the bucket has one); the other slots
-    /// become valid dummies, the row is permuted and the counters reset.
-    pub(crate) fn fill<R: Rng + ?Sized>(
+    /// Fills a fresh row with pre-loaded blocks: `draw` is asked `z` times
+    /// whether the next slot takes one, and the `k`-th that does holds
+    /// block `first + k`. The row keeps only `first`'s cold index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is not a pre-loaded id, or if the last block
+    /// placed does not fit a slot word.
+    pub(crate) fn fill_cold<R: Rng + ?Sized>(
         &mut self,
-        n: u32,
+        z: u32,
+        first: BlockId,
         rng: &mut R,
-        mut next: impl FnMut(&mut R) -> Option<BlockEntry>,
+        mut draw: impl FnMut(&mut R) -> bool,
     ) {
-        let (slot_count, mut reals) = (self.slots.len(), 0);
-        let mut lane = self.lanes.lane_mut(self.node.lane);
-        for _ in 0..n {
-            if let Some((block, data)) = next(rng) {
-                self.slots[reals] = VALID | encode_stored(block);
-                if let Some(lane) = lane.as_deref_mut() {
-                    lane[reals] = data;
-                }
+        debug_assert!(self.tables.coded, "a Ring rule on a row of slot words");
+        let mut reals = 0;
+        for _ in 0..z {
+            if draw(rng) {
+                self.body[reals] = reals as u8; // reals < Z <= MAX_Z
                 reals += 1;
             }
         }
-        self.slots[reals..].fill(VALID | DUMMY);
+        let index = first.0.checked_sub(COLD_BASE);
+        assert!(
+            index.is_some_and(|i| i + reals as u64 <= COLD_INDICES),
+            "block id {first} and the {reals} after it do not fit a slot word"
+        );
+        set_word(self.head, REFERENCE, FILLED | index.unwrap_or(0) as u32);
+        self.settle(reals, rng);
+    }
+
+    /// The end of every write of a whole row, a fresh one's included: the
+    /// slots from `reals` on (the first `reals` hold codes `0..reals`)
+    /// become valid dummies, the row is permuted and the counters reset.
+    fn settle<R: Rng + ?Sized>(&mut self, reals: usize, rng: &mut R) {
+        let slot_count = self.body.len();
+        let lane = self.tables.lane(self.node);
+        let mut lane = self.tables.lanes.lane_mut(lane);
+        self.body[reals..].fill(DUMMY);
         if let Some(lane) = lane.as_deref_mut() {
             lane[reals..].fill(None);
         }
         // Fisher–Yates, drawing exactly as `SliceRandom::shuffle` does, with
-        // every swap applied to the words and (when present) the lane.
+        // every swap applied to the codes and (when present) the lane.
         for i in (1..slot_count).rev() {
             let j = rng.gen_range(0..i + 1);
-            self.slots.swap(i, j);
+            self.body.swap(i, j);
             if let Some(lane) = lane.as_deref_mut() {
                 lane.swap(i, j);
             }
         }
-        self.node.accesses = 0;
-        self.node.greens = 0;
-        self.node.reals = counter(reals);
-        self.node.dummies = counter(slot_count - reals);
+        self.head[ACCESSES] = 0;
+        self.head[GREENS] = 0;
+        self.head[REALS] = counter(reals);
+        self.head[DUMMIES] = counter(slot_count - reals);
     }
 
     /// Removes the block stored in `slot`, if any, returning its payload
@@ -571,12 +798,13 @@ impl Bucket<'_> {
     ///
     /// Panics if `slot` is out of range.
     pub(crate) fn clear_slot(&mut self, slot: usize) -> Option<BlockData> {
-        if !holds_real(self.slots[slot]) {
+        debug_assert!(self.tables.coded, "a Ring rule on a row of slot words");
+        if self.body[slot] >= DUMMY {
             return None;
         }
-        self.node.reals -= 1;
-        self.node.dummies += 1;
-        self.vacate(slot, VALID | DUMMY)
+        self.head[REALS] -= 1;
+        self.head[DUMMIES] += 1;
+        self.vacate(slot, DUMMY)
     }
 }
 
@@ -592,18 +820,21 @@ impl Bucket<'_> {
     ///
     /// Panics if the bucket already holds `Z` blocks.
     pub(crate) fn append(&mut self, block: BlockId, data: Option<BlockData>) {
-        let held = usize::from(self.node.reals);
+        debug_assert!(!self.tables.coded, "a Path/Circuit rule on a row of codes");
+        let held = usize::from(self.head[REALS]);
+        let words = self.body.as_chunks_mut::<4>().0;
         assert!(
-            held < self.slots.len(),
+            held < words.len(),
             "a bucket is over capacity (Z = {})",
-            self.slots.len()
+            words.len()
         );
-        self.slots[held] = VALID | encode_stored(block);
-        self.node.reals += 1;
-        if self.node.lane == 0 && data.is_some() {
-            self.node.lane = self.lanes.assign();
+        words[held] = (VALID | encode_stored(block)).to_le_bytes();
+        self.head[REALS] += 1;
+        let mut lane = self.tables.lane(self.node);
+        if lane == 0 && data.is_some() {
+            lane = self.tables.assign_lane(self.node);
         }
-        if let Some(lane) = self.lanes.lane_mut(self.node.lane) {
+        if let Some(lane) = self.tables.lanes.lane_mut(lane) {
             lane[held] = data;
         }
     }
@@ -611,12 +842,15 @@ impl Bucket<'_> {
     /// Removes the block in `slot` with its payload, moving the last block
     /// held into the slot.
     pub(crate) fn swap_remove(&mut self, slot: usize) -> (BlockId, Option<BlockData>) {
-        let last = usize::from(self.node.reals) - 1;
-        let block = decode(self.slots[slot]);
-        self.slots[slot] = self.slots[last];
-        self.slots[last] = 0;
-        self.node.reals -= 1;
-        let data = self.lanes.lane_mut(self.node.lane).and_then(|lane| {
+        debug_assert!(!self.tables.coded, "a Path/Circuit rule on a row of codes");
+        let last = usize::from(self.head[REALS]) - 1;
+        let words = self.body.as_chunks_mut::<4>().0;
+        let block = decode(u32::from_le_bytes(words[slot]));
+        words[slot] = words[last];
+        words[last] = [0; 4];
+        self.head[REALS] -= 1;
+        let lane = self.tables.lane(self.node);
+        let data = self.tables.lanes.lane_mut(lane).and_then(|lane| {
             let data = lane[slot].take();
             lane[slot] = lane[last].take();
             data
@@ -627,14 +861,17 @@ impl Bucket<'_> {
     /// Removes every block held, handing each to `f` with its slot and
     /// payload, in arrival order.
     pub(crate) fn drain(&mut self, mut f: impl FnMut(usize, BlockId, Option<BlockData>)) {
-        let held = usize::from(self.node.reals);
-        let mut lane = self.lanes.lane_mut(self.node.lane);
-        for (slot, word) in self.slots[..held].iter_mut().enumerate() {
+        debug_assert!(!self.tables.coded, "a Path/Circuit rule on a row of codes");
+        let held = usize::from(self.head[REALS]);
+        let lane = self.tables.lane(self.node);
+        let mut lane = self.tables.lanes.lane_mut(lane);
+        let words = self.body.as_chunks_mut::<4>().0;
+        for (slot, word) in words[..held].iter_mut().enumerate() {
             let data = lane.as_deref_mut().and_then(|lane| lane[slot].take());
-            f(slot, decode(*word), data);
-            *word = 0;
+            f(slot, decode(u32::from_le_bytes(*word)), data);
+            *word = [0; 4];
         }
-        self.node.reals = 0;
+        self.head[REALS] = 0;
     }
 }
 
@@ -654,7 +891,7 @@ impl OwnedBucket {
     /// [`RingConfig::validate`].
     #[must_use]
     pub fn with_blocks<R: Rng + ?Sized>(cfg: &RingConfig, blocks: &[BlockId], rng: &mut R) -> Self {
-        let mut tree = BucketTree::new(&RingConfig {
+        let mut tree = BucketTree::ring(&RingConfig {
             levels: 1,
             tree_top_cached_levels: 0,
             ..cfg.clone()
@@ -683,23 +920,23 @@ impl OwnedBucket {
 }
 
 /// The lazily grown bucket tree — the crate's one tree store, shared by the
-/// Ring engine ([`Bucket`]'s rules) and the plain-tree frame (the packed
-/// rows of its `Z` block ids). Nodes are created from the root down along
-/// the paths the protocol walks, so reaching a bucket costs one dependent
-/// load per level from the nearest ancestor the previous walk visited.
+/// Ring engine ([`Bucket`]'s rules over coded rows) and the plain-tree
+/// frame (rows of `Z` slot words). Nodes are created from the root down
+/// along the paths the protocol walks, so reaching a bucket costs one
+/// dependent load per level from the nearest ancestor the previous walk
+/// visited.
 ///
-/// Node `i` owns row `i` of the slot slab; both sit in chunks of
-/// [`CHUNK_ROWS`], so a materialized bucket has no heap object of its own.
-/// A node may exist before its bucket has content: a read path that is not
-/// searching for a target passes through the on-chip tree-top levels
-/// without materializing them. `Clone` is a deep copy.
+/// Node `i` owns row `i` of the slab — its header, then its slots — in
+/// chunks of [`CHUNK_ROWS`], so a materialized bucket has no heap object
+/// of its own. A node may exist before its bucket has content: a read path
+/// that is not searching for a target passes through the on-chip tree-top
+/// levels without materializing them. `Clone` is a deep copy.
 #[derive(Debug, Clone)]
 pub(crate) struct BucketTree {
-    /// Node state, one row of one [`Node`] per node.
-    nodes: Slab<Node>,
-    /// Slot words, one row per node.
-    words: Slab<u32>,
-    lanes: Lanes,
+    /// One row per node: the header, then one code (Ring) or one 4-byte
+    /// slot word (Path and Circuit) per slot.
+    rows: Slab<u8>,
+    tables: Tables,
     /// Per level, the bucket the last lookup passed through — as a 1-based
     /// heap index (`BucketId + 1`; 0 matches nothing) — and its node. Level
     /// 0 is always the root.
@@ -709,24 +946,49 @@ pub(crate) struct BucketTree {
 }
 
 impl BucketTree {
-    /// An empty tree of `cfg.levels` levels with rows of
-    /// `cfg.bucket_slots()` words. Allocates no slab chunk.
+    /// An empty tree of `cfg.levels` levels with Ring rows: a code per
+    /// slot, `cfg.bucket_slots()` of them. Allocates no slab chunk.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`RingConfig::validate`], which bounds the
-    /// one-byte node counters and the ids a slot word holds.
-    pub(crate) fn new(cfg: &RingConfig) -> Self {
+    /// one-byte node counters and the ids a slot word holds, or if `Z`
+    /// exceeds [`MAX_Z`], the real blocks a code can name.
+    pub(crate) fn ring(cfg: &RingConfig) -> Self {
+        assert!(
+            cfg.z <= MAX_Z,
+            "invalid RingConfig: Z ({}) above {MAX_Z}, the real blocks a slot code names",
+            cfg.z
+        );
+        Self::new(cfg, true)
+    }
+
+    /// An empty tree of `cfg.levels` levels with Path and Circuit rows: a
+    /// slot word per slot. Allocates no slab chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`RingConfig::validate`].
+    pub(crate) fn plain(cfg: &RingConfig) -> Self {
+        Self::new(cfg, false)
+    }
+
+    fn new(cfg: &RingConfig, coded: bool) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid RingConfig: {e}");
         }
-        let (slots, capacity) = (cfg.bucket_slots(), cfg.bucket_count() as usize);
+        let (slots, capacity) = (cfg.bucket_slots() as usize, cfg.bucket_count() as usize);
+        let slot_bytes = if coded { 1 } else { 4 };
         let mut cursor = vec![(0, 0); cfg.levels as usize];
         cursor[0] = (1, 0);
         Self {
-            nodes: Slab::new(1, capacity),
-            words: Slab::new(slots as usize, capacity),
-            lanes: Slab::new(slots as usize, capacity),
+            rows: Slab::new(HEAD + slots * slot_bytes, capacity),
+            tables: Tables {
+                coded,
+                ids: Slab::new(if coded { cfg.z as usize } else { 0 }, capacity),
+                lane_of: Slab::new(1, capacity),
+                lanes: Slab::new(slots, capacity),
+            },
             cursor,
             materialized: 0,
         }
@@ -737,10 +999,32 @@ impl BucketTree {
         self.materialized
     }
 
-    /// Creates the next node, allocating its chunk if it starts one.
-    fn push_node(&mut self) -> usize {
-        self.words.push_row();
-        self.nodes.push_row()
+    /// Number of Ring buckets written back at least once, which hold an
+    /// explicit-id row; the others name pre-loaded blocks by one id.
+    pub(crate) fn written_back(&self) -> usize {
+        self.tables.ids.len()
+    }
+
+    /// Node `i`'s header.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    fn head(&self, i: usize) -> &Head {
+        let row = self.rows.row(i);
+        row.first_chunk().expect("a row starts with its header")
+    }
+
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
+    fn head_mut(&mut self, i: usize) -> &mut Head {
+        let row = self.rows.row_mut(i);
+        row.first_chunk_mut().expect("a row starts with its header")
+    }
+
+    /// Node `i`'s child on `side` (0 = none).
+    fn child(&self, i: usize, side: usize) -> usize {
+        word(self.head(i), CHILDREN + 4 * side) as usize
+    }
+
+    fn is_filled(&self, i: usize) -> bool {
+        word(self.head(i), REFERENCE) & FILLED != 0
     }
 
     /// The node of bucket `id`, created (with any missing ancestors) on
@@ -751,8 +1035,8 @@ impl BucketTree {
     /// Panics if `id` lies below the tree's last level.
     #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn node(&mut self, id: BucketId) -> usize {
-        if self.nodes.len() == 0 {
-            self.push_node(); // the root
+        if self.rows.len() == 0 {
+            self.rows.push_row(); // the root
         }
         // 1-based heap index: the ancestor `up` levels above is `heap >> up`
         // and the low bit tells a right child from a left one.
@@ -767,11 +1051,11 @@ impl BucketTree {
             l += 1;
             let ancestor = heap >> (level - l);
             let side = (ancestor & 1) as usize;
-            let mut child = self.nodes.at(node).children[side] as usize;
+            let mut child = self.child(node, side);
             if child == 0 {
-                child = self.push_node();
-                self.nodes.at_mut(node).children[side] =
-                    u32::try_from(child).expect("fewer than 2^32 tree nodes");
+                child = self.rows.push_row();
+                let link = u32::try_from(child).expect("fewer than 2^32 tree nodes");
+                set_word(self.head_mut(node), CHILDREN + 4 * side, link);
             }
             node = child;
             self.cursor[l] = (ancestor, child as u32);
@@ -780,19 +1064,33 @@ impl BucketTree {
     }
 
     /// The mutable view of node `i`'s bucket.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn view(&mut self, i: usize) -> Bucket<'_> {
+        let (head, body) = self
+            .rows
+            .row_mut(i)
+            .split_first_chunk_mut()
+            .expect("a row starts with its header");
         Bucket {
-            slots: self.words.row_mut(i),
-            node: self.nodes.at_mut(i),
-            lanes: &mut self.lanes,
+            head,
+            body,
+            node: i,
+            tables: &mut self.tables,
         }
     }
 
     /// The read-only view of node `i`'s bucket.
+    #[allow(clippy::expect_used)] // invariant, stated in the expect message
     fn view_ref(&self, i: usize) -> BucketRef<'_> {
+        let (head, body) = self
+            .rows
+            .row(i)
+            .split_first_chunk()
+            .expect("a row starts with its header");
         BucketRef {
-            slots: self.words.row(i),
-            node: self.nodes.at(i),
+            head,
+            body,
+            tables: &self.tables,
         }
     }
 
@@ -804,11 +1102,11 @@ impl BucketTree {
         fill: impl FnOnce(&mut Bucket<'_>),
     ) -> Bucket<'_> {
         let i = self.node(id);
-        let fresh = !self.nodes.at(i).materialized;
+        let fresh = !self.is_filled(i);
         self.materialized += usize::from(fresh);
         let mut bucket = self.view(i);
         if fresh {
-            bucket.node.materialized = true;
+            set_word(bucket.head, REFERENCE, FILLED);
             fill(&mut bucket);
         }
         bucket
@@ -817,7 +1115,7 @@ impl BucketTree {
     /// The bucket `id`, if it has content.
     pub(crate) fn get_mut(&mut self, id: BucketId) -> Option<Bucket<'_>> {
         let i = self.node(id);
-        if self.nodes.at(i).materialized {
+        if self.is_filled(i) {
             Some(self.view(i))
         } else {
             None
@@ -831,24 +1129,23 @@ impl BucketTree {
         path: PathId,
         max_level: u32,
     ) -> impl Iterator<Item = BucketRef<'_>> {
-        let mut next = (self.nodes.len() > 0).then_some(0usize);
+        let mut next = (self.rows.len() > 0).then_some(0usize);
         let mut level = 0;
         std::iter::from_fn(move || {
             let i = next?;
-            let node = self.nodes.at(i);
             next = (level < max_level)
-                .then(|| node.children[((path.0 >> (max_level - level - 1)) & 1) as usize] as usize)
+                .then(|| self.child(i, ((path.0 >> (max_level - level - 1)) & 1) as usize))
                 .filter(|&child| child != 0);
             level += 1;
-            Some(node.materialized.then(|| self.view_ref(i)))
+            Some(self.is_filled(i).then(|| self.view_ref(i)))
         })
         .flatten()
     }
 
     /// Every materialized bucket, in creation order of its node.
     pub(crate) fn buckets(&self) -> impl Iterator<Item = BucketRef<'_>> {
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes.at(i).materialized)
+        (0..self.rows.len())
+            .filter(|&i| self.is_filled(i))
             .map(|i| self.view_ref(i))
     }
 }
@@ -862,16 +1159,15 @@ mod tests {
     impl BucketRef<'_> {
         /// The valid real blocks currently stored, in slot order.
         pub(crate) fn real_blocks(&self) -> Vec<BlockId> {
-            self.slots
-                .iter()
-                .filter(|&&w| holds_real(w))
-                .map(|&w| decode(w))
+            (0..self.slot_count())
+                .filter_map(|s| self.block_at(s))
                 .collect()
         }
 
-        /// Number of physical slots.
-        pub(crate) fn slot_count(&self) -> usize {
-            self.slots.len()
+        /// Whether the codes name explicit ids (the bucket was written
+        /// back) rather than consecutive pre-loaded blocks.
+        fn is_explicit(&self) -> bool {
+            word(self.head, REFERENCE) & EXPLICIT != 0
         }
     }
 
@@ -1271,7 +1567,7 @@ mod tests {
             levels,
             ..cfg.clone()
         };
-        let mut tree = BucketTree::new(&cfg);
+        let mut tree = BucketTree::ring(&cfg);
         let mut r = rng();
         for id in 0..rows as u64 {
             let _ = tree.bucket_or_fill(BucketId(id), |b| {
@@ -1365,31 +1661,37 @@ mod tests {
         }
     }
 
-    /// Row `i`'s words, node and lane, copied out.
-    type RowState = (Vec<u32>, Node, Option<Vec<Option<BlockData>>>);
+    /// Row `i` (header and slots), its explicit ids and its lane, copied
+    /// out.
+    type RowState = (Vec<u8>, Option<Vec<u32>>, Option<Vec<Option<BlockData>>>);
 
     fn row_state(tree: &BucketTree, i: usize) -> RowState {
-        let node = *tree.nodes.at(i);
-        let lane = node
-            .lane
+        let bucket = tree.view_ref(i);
+        let ids = match bucket.is_explicit().then(|| bucket.names()) {
+            Some(Names::Explicit(ids)) => Some(ids.to_vec()),
+            _ => None,
+        };
+        let lane = tree
+            .tables
+            .lane(i)
             .checked_sub(1)
-            .map(|l| tree.lanes.row(l as usize).to_vec());
-        (tree.words.row(i).to_vec(), node, lane)
+            .map(|l| tree.tables.lanes.row(l as usize).to_vec());
+        (tree.rows.row(i).to_vec(), ids, lane)
     }
 
     #[test]
     fn rows_either_side_of_a_chunk_boundary_are_whole_and_stay_put() {
         let c = cb_cfg();
-        let mut tree = BucketTree::new(&RingConfig {
+        let mut tree = BucketTree::ring(&RingConfig {
             levels: 12,
             ..c.clone()
         });
         assert!(
-            tree.words.chunks.is_empty() && tree.nodes.chunks.is_empty(),
+            tree.rows.chunks.is_empty(),
             "nothing is allocated before the first materialization"
         );
         let _ = tree.bucket_or_fill(BucketId(0), |b| b.reload(&c, &mut Vec::new(), &mut rng()));
-        let first_row = tree.words.row(0).as_ptr();
+        let first_row = tree.rows.row(0).as_ptr();
         let mut r = rng();
         for id in 1..=CHUNK_ROWS as u64 + 1 {
             let _ = tree.bucket_or_fill(BucketId(id), |b| {
@@ -1397,13 +1699,16 @@ mod tests {
             });
         }
         assert_eq!(
-            tree.words.chunks.len(),
+            tree.rows.chunks.len(),
             2,
             "rows 0..={} in two chunks",
             CHUNK_ROWS + 1
         );
-        assert_eq!(tree.words.row(0).as_ptr(), first_row, "growth moved no row");
-        assert!(tree.lanes.chunks.is_empty(), "no payload, no lane");
+        assert_eq!(tree.rows.row(0).as_ptr(), first_row, "growth moved no row");
+        assert!(
+            tree.tables.lanes.chunks.is_empty() && tree.tables.lane_of.chunks.is_empty(),
+            "no payload, no lane"
+        );
         // The last row of the first chunk and the first of the second are
         // whole rows holding their own buckets.
         for id in [CHUNK_ROWS - 1, CHUNK_ROWS] {
@@ -1412,8 +1717,8 @@ mod tests {
             assert_eq!(bucket.real_blocks(), [BlockId(id as u64)], "row {id}");
             assert_eq!(bucket.valid_dummies(), bucket.slot_count() - 1);
         }
-        let lo = tree.words.row(CHUNK_ROWS - 1).as_ptr_range();
-        let hi = tree.words.row(CHUNK_ROWS).as_ptr_range();
+        let lo = tree.rows.row(CHUNK_ROWS - 1).as_ptr_range();
+        let hi = tree.rows.row(CHUNK_ROWS).as_ptr_range();
         assert!(lo.end <= hi.start || hi.end <= lo.start);
     }
 
@@ -1421,7 +1726,7 @@ mod tests {
     fn an_operation_on_one_row_leaves_every_other_row_untouched() {
         let c = RingConfig::hpca_default();
         let mut tree = slab_tree(&c, CHUNK_ROWS + 8);
-        let rows = tree.nodes.len();
+        let rows = tree.rows.len();
         // Some rows carry payload lanes, so lanes sit between rows too.
         let mut r = rng();
         for id in [3, CHUNK_ROWS - 1, CHUNK_ROWS + 2] {
@@ -1476,10 +1781,10 @@ mod tests {
             &mut vec![(BlockId(77), Some(Box::from([7u8; 4])))],
             &mut r,
         );
-        let snapshot: Vec<RowState> = (0..tree.nodes.len()).map(|i| row_state(&tree, i)).collect();
+        let snapshot: Vec<RowState> = (0..tree.rows.len()).map(|i| row_state(&tree, i)).collect();
         let mut copy = tree.clone();
         // Change every row of the original, payload included.
-        for i in 0..tree.nodes.len() as u64 {
+        for i in 0..tree.rows.len() as u64 {
             let mut b = tree.get_mut(BucketId(i)).unwrap();
             b.take_real_blocks_into(&mut Vec::new(), &mut Vec::new());
             let _ = b.serve_read(&c, None, &mut r);
@@ -1503,9 +1808,9 @@ mod tests {
         let mut r = rng();
         let owned = OwnedBucket::with_blocks(&cfg(), &[BlockId(5)], &mut r);
         let b = owned.peek();
-        // The dummy's pattern, the ids between the program bound and the
-        // cold range, and ids with a word's tag or valid bit set alias no
-        // block.
+        // The all-ones cold index, the ids between the program bound and
+        // the cold range, and ids with a word's tag or valid bit set alias
+        // no block.
         for id in [
             COLD_BASE + COLD_INDICES,
             PROGRAM_ID_BOUND,
@@ -1524,16 +1829,17 @@ mod tests {
         let _ = OwnedBucket::with_blocks(&cfg(), &[BlockId(PROGRAM_ID_BOUND)], &mut rng());
     }
 
-    /// The extreme words round-trip through every operation that writes or
-    /// reads one: the last program id, the last cold index, and the dummy,
-    /// which stays a dummy.
+    /// The extreme ids round-trip through every operation that writes or
+    /// reads one, as explicit ids of a Ring row and as slot words of a
+    /// plain-tree row: the last program id and the last cold index; the
+    /// dummies stay dummies.
     #[test]
     fn extreme_slot_words_round_trip() {
         let program = BlockId(PROGRAM_ID_BOUND - 1);
         let cold = BlockId(COLD_BASE + COLD_INDICES - 1);
         assert_eq!(
             (encode(program), encode(cold)),
-            (Some(VALUE), Some(DUMMY - 1))
+            (Some(VALUE), Some(COLD | (VALUE - 1)))
         );
 
         // Ring rules on a 12-slot row.
@@ -1563,7 +1869,7 @@ mod tests {
         assert_eq!(slots.len(), 1);
 
         // Plain-tree rules on a `Z` row.
-        let mut tree = BucketTree::new(&RingConfig {
+        let mut tree = BucketTree::plain(&RingConfig {
             levels: 1,
             tree_top_cached_levels: 0,
             ..c.z_slot()
@@ -1577,7 +1883,7 @@ mod tests {
         let mut drained = Vec::new();
         b.drain(|slot, id, data| drained.push((slot, id, data)));
         assert_eq!(drained, [(0, cold, Some(Box::from([9u8; 4])))]);
-        assert!(b.slots.iter().all(|&w| w == 0));
+        assert!(b.body.iter().all(|&byte| byte == 0));
     }
 
     #[test]
@@ -1586,7 +1892,7 @@ mod tests {
         let c = cfg();
         let mut owned = OwnedBucket::with_blocks(&c, &[BlockId(1)], &mut r);
         assert!(
-            owned.0.lanes.chunks.is_empty() && owned.0.nodes.at(0).lane == 0,
+            owned.0.tables.lanes.chunks.is_empty() && owned.0.tables.lane(0) == 0,
             "timing-only buckets carry no lane"
         );
         let mut b = owned.view();
@@ -1598,8 +1904,8 @@ mod tests {
         let (_, kind, data) = b.serve_read(&c, Some(BlockId(2)), &mut r);
         assert_eq!(kind, FetchKind::Target(BlockId(2)));
         assert_eq!(data.as_deref(), Some(&[7u8; 4][..]));
-        assert_eq!(owned.0.nodes.at(0).lane, 1, "the lane stays");
-        assert_eq!(owned.0.lanes.row(0).len(), owned.peek().slot_count());
+        assert_eq!(owned.0.tables.lane(0), 1, "the lane stays");
+        assert_eq!(owned.0.tables.lanes.row(0).len(), owned.peek().slot_count());
     }
 
     /// Fills a bucket with the single block `tag`, to tell tree nodes apart.
@@ -1612,7 +1918,7 @@ mod tests {
     }
 
     fn tree(levels: u32) -> BucketTree {
-        BucketTree::new(&RingConfig { levels, ..cfg() })
+        BucketTree::ring(&RingConfig { levels, ..cfg() })
     }
 
     #[test]
@@ -1677,5 +1983,220 @@ mod tests {
         // Filling is first-touch only.
         let again = tree.bucket_or_fill(BucketId(12), |_| unreachable!("already filled"));
         assert_eq!(again.peek().real_blocks(), [BlockId(12)]);
+    }
+
+    /// The row a bucket keeps: its 16-byte header, then a code per slot
+    /// (Ring) or a slot word per slot (Path and Circuit); a written-back
+    /// Ring bucket adds `Z` ids.
+    #[test]
+    fn a_row_is_a_header_and_its_slots() {
+        let hpca = RingConfig::hpca_default();
+        let baseline = RingConfig::hpca_baseline();
+        assert_eq!((hpca.bucket_slots(), baseline.bucket_slots()), (12, 20));
+        for (tree, row, ids) in [
+            (BucketTree::ring(&hpca), 28, 8),
+            (BucketTree::ring(&baseline), 36, 8),
+            (BucketTree::plain(&hpca.z_slot()), 48, 0),
+        ] {
+            assert_eq!((tree.rows.stride, tree.tables.ids.stride), (row, ids));
+        }
+    }
+
+    /// `Z` is bounded by what a code names on Ring rows only: a Path or
+    /// Circuit row of 255 slot words holds 255 blocks.
+    #[test]
+    fn only_ring_rows_bound_z_by_the_codes() {
+        let at = |z| RingConfig {
+            z,
+            s: 1,
+            y: 1,
+            levels: 4,
+            ..RingConfig::test_small()
+        };
+        BucketTree::ring(&at(MAX_Z));
+        let mut plain = BucketTree::plain(&at(MAX_Z + 1).z_slot());
+        let mut b = plain.bucket_or_fill(BucketId(0), |_| {});
+        for i in 0..=u64::from(MAX_Z) {
+            b.append(BlockId(i), None);
+        }
+        assert_eq!(b.peek().real_count(), MAX_Z as usize + 1);
+        let ring = std::panic::catch_unwind(|| BucketTree::ring(&at(MAX_Z + 1)));
+        assert!(ring.is_err(), "a Ring tree of Z = {}", MAX_Z + 1);
+    }
+
+    /// In debug builds a rule of one row form refuses a row of the other,
+    /// which it would otherwise misread without a panic.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_rule_on_the_other_row_form_panics() {
+        let on_ring = std::panic::catch_unwind(|| {
+            let mut tree = BucketTree::ring(&cfg());
+            tree.bucket_or_fill(BucketId(0), |_| {})
+                .append(BlockId(1), None);
+        });
+        let on_plain = std::panic::catch_unwind(|| {
+            let mut tree = BucketTree::plain(&cfg().z_slot());
+            let mut b = tree.bucket_or_fill(BucketId(0), |_| {});
+            b.append(BlockId(1), None);
+            b.take_real_blocks_into(&mut Vec::new(), &mut Vec::new());
+        });
+        assert!(on_ring.is_err(), "append on a Ring row");
+        assert!(on_plain.is_err(), "take_real_blocks_into on a Path row");
+    }
+
+    /// Fresh rows (ids implied by the first pre-loaded one) and written-back
+    /// rows (explicit ids) against the three-field model, op by op, RNG
+    /// state included. Each fresh row is filled as the Ring engine fills
+    /// one — `Z` coin draws, each hit the next pre-loaded id — and the model
+    /// receives the same blocks, after the same draws, through `reload`.
+    /// The driven rows sit either side of the slab's first chunk boundary,
+    /// and every touch kind is seen in both forms.
+    #[test]
+    fn fresh_and_written_back_rows_match_the_three_field_model() {
+        let driven = CHUNK_ROWS - 16..CHUNK_ROWS + 16;
+        let configs = [
+            (cfg(), 1),
+            (cb_cfg(), 2),
+            (RingConfig::hpca_default(), 3),
+            (RingConfig::hpca_baseline(), 4),
+        ];
+        for (c, seed) in configs {
+            let c = RingConfig {
+                levels: usize::BITS - driven.end.leading_zeros() + 1,
+                ..c
+            };
+            let mut tree = BucketTree::ring(&c);
+            let (mut rng_p, mut rng_m) = (StdRng::seed_from_u64(99), StdRng::seed_from_u64(99));
+            let mut filler = StdRng::seed_from_u64(98);
+            let (mut models, mut firsts) = (Vec::new(), Vec::new());
+            let mut next_cold = COLD_BASE;
+            for id in 0..driven.end {
+                let fresh = BlockId(next_cold);
+                let mut placed = 0;
+                let rng = if driven.contains(&id) {
+                    &mut rng_p
+                } else {
+                    &mut filler
+                };
+                let _ = tree.bucket_or_fill(BucketId(id as u64), |b| {
+                    b.fill_cold(c.z, fresh, rng, |r| {
+                        let hit = r.gen_bool(0.7);
+                        placed += u64::from(hit);
+                        hit
+                    });
+                });
+                if driven.contains(&id) {
+                    let hits = (0..c.z).filter(|_| rng_m.gen_bool(0.7)).count() as u64;
+                    assert_eq!(hits, placed);
+                    let mut entries = (0..placed)
+                        .map(|k| (BlockId(next_cold + k), None))
+                        .collect();
+                    let mut model = model::ModelBucket::default();
+                    model.reload(&c, &mut entries, &mut rng_m);
+                    models.push(model);
+                    firsts.push(next_cold);
+                }
+                next_cold += placed;
+            }
+            let mut ops = StdRng::seed_from_u64(seed);
+            let mut next_id = 0u64;
+            // Per form (fresh, written back): targets, greens, dummies.
+            let mut seen = [[0u32; 3]; 2];
+            for step in 0..8000u64 {
+                let r = ops.gen_range(0..driven.len());
+                let model = &mut models[r];
+                let mut packed = tree.get_mut(BucketId((driven.start + r) as u64)).unwrap();
+                let form = usize::from(packed.peek().is_explicit());
+                match ops.gen_range(0..60u32) {
+                    0 => {
+                        // A write-back of 0..=Z program blocks, some with
+                        // payloads.
+                        let mut entries: Vec<BlockEntry> = (0..ops.gen_range(0..c.z + 1))
+                            .map(|_| {
+                                next_id += 1;
+                                let data = ops
+                                    .gen_bool(0.5)
+                                    .then(|| vec![next_id as u8; 8].into_boxed_slice());
+                                (BlockId(next_id), data)
+                            })
+                            .collect();
+                        model.reload(&c, &mut entries.clone(), &mut rng_m);
+                        packed.reload(&c, &mut entries, &mut rng_p);
+                    }
+                    1 => {
+                        // An early reshuffle: the bucket's own blocks, read
+                        // and written back.
+                        let (mut out_p, mut out_m) = (Vec::new(), Vec::new());
+                        packed.take_real_blocks_into(&mut out_p, &mut Vec::new());
+                        model.take_real_blocks_into(&mut out_m, &mut Vec::new());
+                        assert_eq!(out_p, out_m);
+                        model.reload(&c, &mut out_m, &mut rng_m);
+                        packed.reload(&c, &mut out_p, &mut rng_p);
+                    }
+                    2..=49 => {
+                        let present = packed.peek().real_blocks();
+                        let target = match ops.gen_range(0..3u32) {
+                            0 => present.choose(&mut ops).copied(),
+                            1 => Some(BlockId(firsts[r] + c.z as u64)),
+                            _ => None,
+                        };
+                        let gate = ops.gen_bool(0.5);
+                        let holds = target.is_some_and(|t| model.find(t).is_some());
+                        if !holds && model.needs_reshuffle_gated(&c, gate) {
+                            continue; // the protocol would reshuffle first
+                        }
+                        let got = packed.serve_read_gated(&c, target, gate, &mut rng_p);
+                        assert_eq!(got, model.serve_read_gated(target, &mut rng_m));
+                        let kind = match got.1 {
+                            FetchKind::Target(_) => 0,
+                            FetchKind::Green(_) => 1,
+                            FetchKind::Dummy => 2,
+                        };
+                        seen[form][kind] += 1;
+                    }
+                    50..=53 => {
+                        let (mut out_p, mut out_m) = (Vec::new(), Vec::new());
+                        let (mut slots_p, mut slots_m) = (Vec::new(), Vec::new());
+                        packed.take_real_blocks_into(&mut out_p, &mut slots_p);
+                        model.take_real_blocks_into(&mut out_m, &mut slots_m);
+                        assert_eq!((out_p, slots_p), (out_m, slots_m));
+                    }
+                    54..=57 => {
+                        let slot = ops.gen_range(0..packed.peek().slot_count());
+                        assert_eq!(packed.clear_slot(slot), model.clear_slot(slot));
+                    }
+                    _ => {
+                        // Ids a fresh row's reference could alias: the one
+                        // before it, the next row's, the codes' marks, a
+                        // program id the explicit rows' zeroed entries
+                        // spell.
+                        let first = firsts[r];
+                        let near = [first - 1, first + c.z as u64, first + u64::from(DUMMY)];
+                        for id in near.into_iter().chain([0, next_id + 1]) {
+                            assert_eq!(packed.peek().find(BlockId(id)), model.find(BlockId(id)));
+                        }
+                    }
+                }
+                assert_same_state(&c, packed.peek(), model);
+                assert_eq!(format!("{rng_p:?}"), format!("{rng_m:?}"), "step {step}");
+            }
+            for (form, [targets, greens, dummies]) in seen.into_iter().enumerate() {
+                assert!(
+                    targets > 0 && dummies > 0,
+                    "Y = {}, form {form}: {seen:?}",
+                    c.y
+                );
+                assert_eq!(greens > 0, c.y > 0, "Y = {}, form {form}: {seen:?}", c.y);
+            }
+            let explicit = driven
+                .clone()
+                .filter(|&i| tree.view_ref(i).is_explicit())
+                .count();
+            assert_eq!(
+                tree.written_back(),
+                explicit,
+                "one id row per written-back bucket"
+            );
+        }
     }
 }

@@ -369,10 +369,15 @@ impl PlainTree {
     /// or Circuit and `cfg.bucket_slots() != cfg.z`: their buckets are
     /// exactly `Z` slots ([`RingConfig::z_slot`]).
     pub(crate) fn new(kind: ProtocolKind, cfg: RingConfig, seed: u64) -> Self {
-        let buckets = BucketTree::new(&cfg); // validates `cfg`
+        let ring = matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring);
+        // Both constructors validate `cfg`.
+        let buckets = if ring {
+            BucketTree::ring(&cfg)
+        } else {
+            BucketTree::plain(&cfg)
+        };
         assert!(
-            matches!(kind, ProtocolKind::RingCb | ProtocolKind::Ring)
-                || cfg.bucket_slots() == cfg.z,
+            ring || cfg.bucket_slots() == cfg.z,
             "Path and Circuit ORAM buckets are exactly Z slots; pass RingConfig::z_slot(), \
              got Z = {}, S = {}, Y = {}",
             cfg.z,

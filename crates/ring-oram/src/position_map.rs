@@ -5,8 +5,10 @@
 //! no particular order, live in a hash map that assigns fresh uniform paths
 //! lazily and on every remap; the Ring engine's pre-loaded *cold* blocks,
 //! whose identifiers are handed out sequentially from `COLD_BASE`, live in
-//! a dense table of 32-bit paths indexed by `id - COLD_BASE` — millions of
-//! entries that are written once per materialized bucket and never hashed.
+//! a dense table indexed by `id - COLD_BASE` that packs each path in the
+//! `⌈log2 paths⌉` bits a path needs (23 at the paper's geometry) —
+//! millions of entries that are written once per materialized bucket and
+//! never hashed.
 
 use oram_rng::Rng;
 
@@ -44,9 +46,15 @@ pub struct PositionMap {
     paths: u64,
     /// Program blocks (`id < COLD_BASE`).
     map: DetHashMap<BlockId, PathId>,
-    /// Cold blocks: row `i` is the path of block `COLD_BASE + i`, in slab
-    /// chunks, so the table grows without copying or doubling.
-    cold: Slab<u32>,
+    /// Cold blocks: the path of block `COLD_BASE + i` is bits
+    /// `i * width ..` of these words (low bits first, an entry may straddle
+    /// two words), in slab chunks, so the table grows without copying or
+    /// doubling.
+    cold: Slab<u64>,
+    /// Bits per cold path: `⌈log2 paths⌉`, 0 for a one-path tree.
+    width: u32,
+    /// Cold blocks tracked.
+    cold_len: usize,
 }
 
 impl PositionMap {
@@ -54,7 +62,8 @@ impl PositionMap {
     ///
     /// # Panics
     ///
-    /// Panics if `paths` is zero or above 2^32 (a cold path is 32 bits).
+    /// Panics if `paths` is zero or above 2^32 (a cold path is at most 32
+    /// bits).
     #[must_use]
     pub fn new(paths: u64) -> Self {
         assert!((1..=1 << 32).contains(&paths), "paths must be in 1..=2^32");
@@ -62,13 +71,49 @@ impl PositionMap {
             paths,
             map: DetHashMap::default(),
             cold: Slab::new(1, usize::MAX),
+            width: u64::BITS - (paths - 1).leading_zeros(),
+            cold_len: 0,
+        }
+    }
+
+    /// Where cold entry `i` starts: its first word and the bit in it.
+    fn cold_bits(&self, i: usize) -> (usize, u32) {
+        let bit = i as u64 * u64::from(self.width);
+        ((bit / 64) as usize, (bit % 64) as u32)
+    }
+
+    /// The path of cold entry `i < cold_len`.
+    fn cold_path(&self, i: usize) -> u64 {
+        if self.width == 0 {
+            return 0;
+        }
+        let (word, shift) = self.cold_bits(i);
+        let mut bits = *self.cold.at(word) >> shift;
+        if shift + self.width > 64 {
+            bits |= *self.cold.at(word + 1) << (64 - shift);
+        }
+        bits & ((1 << self.width) - 1)
+    }
+
+    /// Sets cold entry `i` (allocated) to `path`, which fits the width.
+    fn set_cold_path(&mut self, i: usize, path: u64) {
+        if self.width == 0 {
+            return;
+        }
+        let (word, shift) = self.cold_bits(i);
+        let mask = (1u64 << self.width) - 1;
+        let low = self.cold.at_mut(word);
+        *low = (*low & !(mask << shift)) | path << shift;
+        if shift + self.width > 64 {
+            let high = self.cold.at_mut(word + 1);
+            *high = (*high & !(mask >> (64 - shift))) | path >> (64 - shift);
         }
     }
 
     /// Number of blocks currently tracked.
     #[must_use]
     pub(crate) fn len(&self) -> usize {
-        self.map.len() + self.cold.len()
+        self.map.len() + self.cold_len
     }
 
     /// The path currently assigned to `block`, if any.
@@ -76,8 +121,8 @@ impl PositionMap {
     pub fn lookup(&self, block: BlockId) -> Option<PathId> {
         match block.0.checked_sub(COLD_BASE) {
             Some(i) => {
-                let i = usize::try_from(i).ok().filter(|&i| i < self.cold.len())?;
-                Some(PathId(u64::from(*self.cold.at(i))))
+                let i = usize::try_from(i).ok().filter(|&i| i < self.cold_len)?;
+                Some(PathId(self.cold_path(i)))
             }
             None => self.map.get(&block).copied(),
         }
@@ -104,7 +149,7 @@ impl PositionMap {
 
     /// Iterates over all `(block, path)` entries, in unspecified order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, PathId)> + '_ {
-        let cold = (0..self.cold.len() as u64).map(|i| BlockId(COLD_BASE + i));
+        let cold = (0..self.cold_len as u64).map(|i| BlockId(COLD_BASE + i));
         let cold = cold.flat_map(|b| Some((b, self.lookup(b)?)));
         self.map.iter().map(|(&b, &p)| (b, p)).chain(cold)
     }
@@ -123,15 +168,17 @@ impl PositionMap {
             self.map.insert(block, path);
             return;
         };
-        let len = self.cold.len() as u64;
+        let len = self.cold_len as u64;
         assert!(i <= len, "cold block ids must be inserted in sequence");
-        let path = path.0 as u32; // `new` bounds every path to 32 bits
-        let row = if i == len {
-            self.cold.push_row()
-        } else {
-            i as usize
-        };
-        *self.cold.at_mut(row) = path;
+        let i = i as usize;
+        if i == self.cold_len {
+            self.cold_len += 1;
+            let bits = self.cold_len as u64 * u64::from(self.width);
+            while (self.cold.len() as u64) * 64 < bits {
+                self.cold.push_row();
+            }
+        }
+        self.set_cold_path(i, path.0);
     }
 }
 
@@ -222,10 +269,7 @@ mod tests {
             pm.insert(BlockId(COLD_BASE + i), PathId(i));
         }
         assert_eq!(pm.len(), 6);
-        assert!(
-            pm.map.len() == 1 && pm.cold.len() == 5,
-            "cold ids never hash"
-        );
+        assert!(pm.map.len() == 1 && pm.cold_len == 5, "cold ids never hash");
         assert_eq!(pm.lookup(BlockId(COLD_BASE + 4)), Some(PathId(4)));
         assert_eq!(pm.lookup(BlockId(COLD_BASE + 5)), None);
         assert_eq!(pm.lookup(BlockId(u64::MAX)), None);
@@ -257,5 +301,62 @@ mod tests {
     fn cold_ids_cannot_skip() {
         let mut pm = PositionMap::new(8);
         pm.insert(BlockId(COLD_BASE + 1), PathId(0));
+    }
+
+    /// Cold paths round-trip at every width a tree can have — 0 bits (one
+    /// path), 23 (the paper's geometry) and 32 — across `u64`-word and
+    /// slab-chunk boundaries, overwritten in place as a remap does,
+    /// without disturbing their neighbours.
+    #[test]
+    fn cold_paths_round_trip_at_their_packed_width() {
+        use crate::bucket::CHUNK_ROWS;
+        for (paths, width) in [(1u64, 0), (1 << 23, 23), (1 << 32, 32)] {
+            let mut pm = PositionMap::new(paths);
+            assert_eq!(pm.width, width);
+            // Past the second chunk of words at every width but 0.
+            let n = (2 * CHUNK_ROWS * 64) / (width.max(1) as usize) + 70;
+            let mut rng = StdRng::seed_from_u64(u64::from(width));
+            let mut expect: Vec<u64> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => 0,
+                    1 => paths - 1,
+                    _ => rng.gen_range(0..paths),
+                })
+                .collect();
+            for (i, &p) in expect.iter().enumerate() {
+                pm.insert(BlockId(COLD_BASE + i as u64), PathId(p));
+            }
+            assert!(
+                width == 0 || pm.cold.len() > 2 * CHUNK_ROWS,
+                "{width}: three chunks"
+            );
+            // Entries that straddle two words, and the ones either side of
+            // a chunk's last word, are overwritten with all ones and zeros.
+            let straddle = (0..n).filter(|&i| {
+                let (_, shift) = pm.cold_bits(i);
+                shift + width > 64
+            });
+            let boundary = (0..n).filter(|&i| pm.cold_bits(i).0 % CHUNK_ROWS == CHUNK_ROWS - 1);
+            let (straddle, boundary): (Vec<usize>, Vec<usize>) =
+                (straddle.take(40).collect(), boundary.collect());
+            assert_eq!(straddle.len(), if width % 32 == 0 { 0 } else { 40 });
+            assert!(width == 0 || boundary.len() >= 4, "{width}: {boundary:?}");
+            let chosen = [straddle, boundary].concat();
+            for (k, &i) in chosen.iter().enumerate() {
+                expect[i] = if k % 2 == 0 { paths - 1 } else { 0 };
+                pm.insert(BlockId(COLD_BASE + i as u64), PathId(expect[i]));
+            }
+            let _ = pm.remap(BlockId(COLD_BASE + n as u64 - 1), &mut rng);
+            expect[n - 1] = pm.lookup(BlockId(COLD_BASE + n as u64 - 1)).unwrap().0;
+            for (i, &p) in expect.iter().enumerate() {
+                assert_eq!(
+                    pm.lookup(BlockId(COLD_BASE + i as u64)),
+                    Some(PathId(p)),
+                    "{width}: {i}"
+                );
+            }
+            assert_eq!(pm.lookup(BlockId(COLD_BASE + n as u64)), None);
+            assert_eq!(pm.len(), n);
+        }
     }
 }

@@ -245,10 +245,10 @@ impl std::fmt::Debug for RingOram {
 ///
 /// The protocol RNG is drawn in a fixed order every golden digest depends
 /// on: `Z` × `gen_bool(load)`, each hit followed by its `gen_range` path
-/// tail (below the leaf level), then the bucket's shuffle. Each hit's word
-/// is written straight into the fresh row. The pre-load draw is
-/// `gen_bool(load)` as the integer compare it is exactly, against
-/// `load_threshold`.
+/// tail (below the leaf level), then the bucket's shuffle. The hits are
+/// consecutive cold ids, so the fresh row keeps only the first of them.
+/// The pre-load draw is `gen_bool(load)` as the integer compare it is
+/// exactly, against `load_threshold`.
 #[allow(clippy::too_many_arguments)] // a borrow-split of the engine's fields
 fn materialize_entry<'a>(
     buckets: &'a mut BucketTree,
@@ -264,15 +264,16 @@ fn materialize_entry<'a>(
         let level = geometry.level_of(id);
         let pos_in_level = id.0 - ((1u64 << level.0) - 1);
         let tail_bits = geometry.max_level() - level.0;
-        bucket.fill(cfg.z, rng, |rng| {
-            ((rng.next_u64() >> 11) < load_threshold).then(|| {
+        bucket.fill_cold(cfg.z, BlockId(*next_cold), rng, |rng| {
+            let hit = (rng.next_u64() >> 11) < load_threshold;
+            if hit {
                 let block = BlockId(*next_cold);
                 *next_cold += 1;
                 let low = (tail_bits > 0).then(|| rng.gen_range(0..1u64 << tail_bits));
                 let path = PathId(pos_in_level << tail_bits | low.unwrap_or(0));
                 position_map.insert(block, path);
-                (block, None)
-            })
+            }
+            hit
         });
     })
 }
@@ -283,6 +284,10 @@ impl RingOram {
     pub(crate) const COLD_BASE: u64 = position_map::COLD_BASE;
     /// Program block ids stay below this bound on every engine.
     pub const PROGRAM_ID_BOUND: u64 = position_map::PROGRAM_ID_BOUND;
+    /// The largest `Z` a Ring tree takes: a bucket names its real blocks
+    /// by one-byte slot codes beside two marks. Path and Circuit trees keep
+    /// slot words and are bounded only by [`RingConfig::validate`].
+    pub const MAX_Z: u32 = crate::bucket::MAX_Z;
 
     /// Default pre-load factor (see the module docs). Calibrated to 0.7:
     /// back-computing from the paper's Fig. 13 green-fetch rates (3.26
@@ -348,6 +353,14 @@ impl RingOram {
     #[must_use]
     pub fn degraded(&self) -> bool {
         self.degraded
+    }
+
+    /// Buckets written back (by an eviction or a reshuffle) at least once.
+    /// The others are still as their first touch filled them, and keep
+    /// their pre-loaded blocks' ids as the first one alone.
+    #[must_use]
+    pub fn written_back_buckets(&self) -> usize {
+        self.tree.buckets.written_back()
     }
 
     fn is_cached_level(&self, level: Level) -> bool {

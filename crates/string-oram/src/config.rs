@@ -6,7 +6,7 @@ use dram_sim::DramFaultConfig;
 use mem_sched::{PagePolicy, ResponseFaultConfig, SchedulerPolicy};
 use oram_rng::derive_stream_seed;
 use ring_oram::layout::TreeLayout;
-use ring_oram::{ProtocolKind, RecursiveConfig, ResilienceConfig, RingConfig, ShardMap};
+use ring_oram::{ProtocolKind, RecursiveConfig, ResilienceConfig, RingConfig, RingOram, ShardMap};
 
 /// Why a [`SystemConfig`] was rejected (see `Simulation::try_new`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -533,6 +533,15 @@ impl SystemConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         let ring = self.effective_ring();
         ring.validate()?;
+        let coded = matches!(self.protocol, ProtocolKind::RingCb | ProtocolKind::Ring);
+        if coded && ring.z > RingOram::MAX_Z {
+            return Err(format!(
+                "z ({}) must be at most {} on Ring ORAM (a slot code names one of Z blocks)",
+                ring.z,
+                RingOram::MAX_Z
+            )
+            .into());
+        }
         self.geometry.validate()?;
         self.timing.validate()?;
         if !(1..=Self::MAX_CORES).contains(&self.cores) {
@@ -684,6 +693,30 @@ mod tests {
         // than cached + 1 levels per shard.
         cfg.shards = 1024;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn the_code_bound_on_z_holds_on_ring_trees_only() {
+        // 255 real slots per bucket: Path and Circuit keep slot words and
+        // take them; a Ring bucket's one-byte codes name at most 254.
+        let mut cfg = SystemConfig::test_small(Scheme::Cb);
+        cfg.ring.levels = 6;
+        for (z, protocol, ok) in [
+            (RingOram::MAX_Z, ProtocolKind::RingCb, true),
+            (RingOram::MAX_Z + 1, ProtocolKind::RingCb, false),
+            (RingOram::MAX_Z + 1, ProtocolKind::Path, true),
+            (RingOram::MAX_Z + 1, ProtocolKind::Circuit, true),
+        ] {
+            cfg.ring.z = z;
+            cfg.ring.s = cfg.ring.y; // Z slots per bucket
+            cfg.protocol = protocol;
+            assert_eq!(
+                cfg.validate().is_ok(),
+                ok,
+                "{protocol} Z = {z}: {:?}",
+                cfg.validate()
+            );
+        }
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //!
 //! Materialization itself — the one inherently allocating event — has a
 //! *budget* instead: a cold window of first-touch accesses on a fresh
-//! Ring engine, and one on a fresh Path engine, at the paper's geometry
-//! holds the resident state to a slab row and a node per bucket, with no
-//! allocator call of the bucket's own.
+//! engine of each protocol (Ring+CB, baseline Ring, Path, Circuit) at the
+//! paper's geometry holds the resident state to a slab row per bucket,
+//! with no allocator call of the bucket's own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -43,7 +43,9 @@ use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
 use dram_sim::{AddressMapping, DramLocation, DramModule};
 use mem_sched::{MemoryController, RequestSpec, SchedulerPolicy, TxnId};
-use ring_oram::{BlockId, ObliviousProtocol, PathOram, RecursiveConfig, RingConfig, RingOram};
+use ring_oram::{
+    BlockId, CircuitOram, ObliviousProtocol, PathOram, RecursiveConfig, RingConfig, RingOram,
+};
 use string_oram::pipeline::PipelineCore;
 use string_oram::{BackendKind, ProtocolKind, Scheme, Simulation, SystemConfig, VerifyConfig};
 use trace_synth::{by_name, TraceGenerator};
@@ -259,17 +261,26 @@ fn assert_core_steady_state_window(
 
 /// Cold window: what materialization costs. A fresh engine at the paper's
 /// geometry materializes a dozen or more buckets per first-touch access;
-/// what each leaves resident is its row of 32-bit slot words in the tree's
-/// slab (Ring: 12 x 4 B, Path: `Z` x 4 B), a 20-byte node beside it and, on
-/// Ring, the 32-bit positions of its ~5.6 cold blocks. Rows, nodes and cold
-/// positions all grow in fixed chunks, so a bucket costs no allocator call
-/// of its own and nothing doubles. Each budget is its measurement plus
-/// about 10 %, so it has no room for a payload lane (12 x 16 B per
-/// bucket) — a timing-only run never allocates one — nor for 8-byte slot
-/// words. Ring measured 762 B and 4.81 calls before the packed bucket,
-/// 254 B and 1.006 calls with one heap object per bucket, 168 B and 0.013
-/// with 8-byte words and positions, and 97 B and 0.013 with 32-bit ones;
-/// Path 108 B, 89 B and 57 B (0.004 calls) at the last three.
+/// what each leaves resident is its row in the tree's slab — a 16-byte
+/// header, then a code byte per slot on Ring (Ring+CB 12, baseline Ring
+/// 20) and a 4-byte slot word per slot on Path and Circuit (`Z` = 8) —
+/// and, on Ring, the 23-bit positions of its ~5.6 cold blocks and, once
+/// the bucket is first written back, a row of `Z` 4-byte ids:
+///
+/// | engine | fresh row | ids | cold positions | measured | budget |
+/// |---|---|---|---|---|---|
+/// | Ring+CB | 28 B | 32 B, once written back | ~16 B | 55.5 B | 61 B |
+/// | baseline Ring | 36 B | 32 B, once written back | ~16 B | 63.5 B | 70 B |
+/// | Path | 48 B | — | — | 52.4 B | 58 B |
+/// | Circuit | 48 B | — | — | 50.2 B | 55 B |
+///
+/// Rows, ids and cold positions all grow in fixed chunks, so a bucket
+/// costs no allocator call of its own (≤ 0.009 calls per bucket measured)
+/// and nothing doubles. Each budget is its measurement plus about 10 %, so
+/// it has no room for a payload lane (12 x 16 B per bucket) — a timing-only
+/// run never allocates one — nor for a bucket's ids before its first
+/// write-back. DESIGN.md §12 "Engine resident state" records what earlier
+/// bucket forms measured.
 fn assert_cold_materialization_budget(
     protocol: ProtocolKind,
     max_live_bytes_per_bucket: f64,
@@ -406,11 +417,21 @@ fn steady_state_access_performs_no_heap_allocation() {
 
     // First touches have a heap budget rather than a zero.
     let hpca = RingConfig::hpca_default();
-    assert_cold_materialization_budget(ProtocolKind::RingCb, 107.0, || {
+    assert_cold_materialization_budget(ProtocolKind::RingCb, 61.0, || {
         Box::new(RingOram::with_load_factor(hpca.clone(), 11, 0.7))
     });
-    assert_cold_materialization_budget(ProtocolKind::Path, 62.0, || {
+    assert_cold_materialization_budget(ProtocolKind::Ring, 70.0, || {
+        Box::new(RingOram::with_load_factor(
+            RingConfig::hpca_baseline(),
+            11,
+            0.7,
+        ))
+    });
+    assert_cold_materialization_budget(ProtocolKind::Path, 58.0, || {
         Box::new(PathOram::from_ring(hpca.z_slot(), 11))
+    });
+    assert_cold_materialization_budget(ProtocolKind::Circuit, 55.0, || {
+        Box::new(CircuitOram::new(hpca.z_slot(), 11))
     });
 
     // The scheduler-policy lab rides in the same binary (same single-test

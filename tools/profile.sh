@@ -3,18 +3,26 @@
 # a SIGPROF sampler (tools/sampler, preloaded) over fresh children, then
 # addr2line (binutils) over the raw addresses.
 #
-#   tools/profile.sh <workload> [seed] [runs] [--smoke]
+#   tools/profile.sh <workload> [seed] [runs] [--smoke] [--keep DIR]
 #
 # Builds `benchmark/` with frame pointers (`-C force-frame-pointers=yes`)
 # and the sampler into target/profile/ (never benchmark/target), runs `runs`
 # (default 20) children of `oram-benchmark child --mode timed` under
-# LD_PRELOAD, and prints three tables over all their samples:
+# LD_PRELOAD, and prints four tables over all their samples:
 #
 # - leaf: the innermost inline frame of the sampled instruction (self time);
+# - leaf lines: the source line of that frame (`file:line`, paths from the
+#   crate directory), which tells apart the loads of one function and
+#   names the line a misattributed inline frame really is;
 # - inclusive: samples with the function anywhere on the stack, inline
 #   frames included;
 # - callees: for each function in CALLEES below, which function it was
 #   calling, as shares of all samples ("(self)": its own code).
+#
+# `--keep DIR` copies the raw samples (one `run.<pid>` file per child: the
+# load base, the text range, then one stack of return addresses a line) and
+# the symbolized address table (`symbols`: address, leaf line, inline
+# frames, tab-separated) into DIR, which is created if missing.
 #
 # The timer ticks in process CPU time at the kernel's granularity (1 ms
 # asked; ~4 ms on a 250 Hz kernel), so a table row under ~1 % of a few
@@ -28,11 +36,20 @@ cd "$(dirname "$0")/.."
 
 smoke=()
 args=()
-for a in "$@"; do
-    if [[ $a == --smoke ]]; then smoke=(--smoke); else args+=("$a"); fi
+keep=
+while (($#)); do
+    case $1 in
+    --smoke) smoke=(--smoke) ;;
+    --keep)
+        keep=${2:?--keep needs a directory}
+        shift
+        ;;
+    *) args+=("$1") ;;
+    esac
+    shift
 done
 if ((${#args[@]} < 1 || ${#args[@]} > 3)); then
-    echo "usage: $0 <workload> [seed] [runs] [--smoke]" >&2
+    echo "usage: $0 <workload> [seed] [runs] [--smoke] [--keep DIR]" >&2
     exit 2
 fi
 workload=${args[0]} seed=${args[1]:-11} runs=${args[2]:-20}
@@ -108,15 +125,24 @@ awk -v pie="$pie" '
     END { if (dropped) printf "warning: %d samples did not fit the buffer\n", dropped > "/dev/stderr" }
 ' "$samples"/run.* >"$norm"
 
-# One line per address: the address, then its inline frames, innermost
-# first, separated by tabs.
+# One line per address: the address, the innermost frame's source line,
+# then its inline frames, innermost first, separated by tabs.
 symbols=$samples/symbols
 tr ' ' '\n' <"$norm" | grep -v '^-$' | sort -u | sed 's/^/0x/' |
     addr2line -e "$exe" -a -f -i -C |
-    awk '/^0x/ { if (line != "") print line; line = $0; odd = 1; next }
-         { if (odd) line = line "\t" $0; odd = !odd }
-         END { if (line != "") print line }' |
+    awk '/^0x/ { if (line != "") print line "\t" loc names; line = $0; names = ""; loc = ""; odd = 1; next }
+         odd { names = names "\t" $0 }
+         !odd && loc == "" {
+             loc = $0; sub(/ \(discriminator [0-9]+\)$/, "", loc)
+             if (!sub(/.*\/crates\//, "", loc) && !sub(/.*\/library\//, "", loc)) sub(/.*\/benchmark\//, "benchmark/", loc)
+         }
+         { odd = !odd }
+         END { if (line != "") print line "\t" loc names }' |
     sed -E ':a; s/(^|[^A-Za-z0-9_])[a-z_][a-z0-9_]*::/\1/; ta; s/<impl ([A-Za-z0-9_]+)>::/\1::/g' >"$symbols"
+if [[ -n $keep ]]; then
+    mkdir -p "$keep"
+    cp "$samples"/run.* "$symbols" "$keep"/
+fi
 
 printf '%s seed %s, %d runs%s\n' "$workload" "$seed" "$runs" "${smoke:+ (smoke)}"
 awk -F'\t' -v callees="$(printf '%s\n' "${CALLEES[@]}")" '
@@ -138,8 +164,8 @@ awk -F'\t' -v callees="$(printf '%s\n' "${CALLEES[@]}")" '
             printf "  %5.1f %%  %7d  %s\n", 100 * counts[keys[i]] / total, counts[keys[i]], keys[i]
     }
     NR == FNR {
-        key = hex($1); frames[key] = NF - 1
-        for (i = 2; i <= NF; i++) name[key, i - 1] = $i
+        key = hex($1); frames[key] = NF - 2; loc[key] = $2
+        for (i = 3; i <= NF; i++) name[key, i - 2] = $i
         next
     }
     FNR == 1 { split(callees, wanted, "\n"); for (w in wanted) want[wanted[w]] = 1 }
@@ -152,6 +178,7 @@ awk -F'\t' -v callees="$(printf '%s\n' "${CALLEES[@]}")" '
             for (j = 1; j <= frames[key]; j++) stack[++n] = name[key, j]
         }
         leaf[stack[1]]++
+        lines[addr[1] == "-" ? "[outside the executable]" : loc[hex(addr[1])]]++
         split("", seen)
         for (i = 1; i <= n; i++) if (!(stack[i] in seen)) { seen[stack[i]] = 1; incl[stack[i]]++ }
         for (f in want) {
@@ -163,6 +190,7 @@ awk -F'\t' -v callees="$(printf '%s\n' "${CALLEES[@]}")" '
         printf "%d samples\n", total
         if (!total) exit
         table("leaf (innermost inline frame)", leaf, total)
+        table("leaf lines (source line of the innermost inline frame)", lines, total)
         table("inclusive (anywhere on the stack; frames on 95 % of stacks and more left out)", incl, total)
         for (w = 1; w in wanted; w++) {
             f = wanted[w]
