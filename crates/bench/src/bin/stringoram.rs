@@ -1,16 +1,15 @@
 //! `stringoram` — command-line driver for one-off simulations.
 //!
 //! ```text
-//! stringoram [--workload NAME] [--scheme baseline|cb|pb|all] [--accesses N] [--y N] [--stash N]
-//!            [--levels N] [--seed N] [--layout subtree|naive] [--page open|closed]
-//!            [--load FRACTION] [--trace FILE.usimm] [--config FILE.json] [--set PATH=JSON]
+//! stringoram [--workload NAME] [--scheme baseline|cb|pb|all] [--accesses N]
+//!            [--trace FILE.usimm] [--config FILE.json] [--set PATH=JSON]
 //!            [--list-workloads] [--help]
 //! ```
 //!
 //! Runs `SystemConfig::hpca_default(--scheme)` (seed 42) after `--config`
 //! merges a JSON file into its tree (`string_oram_bench::config`) and each
 //! `--set` sets one value: `--set ring.levels=20`, `--set protocol=path`.
-//! `--y` to `--load` are one `--set` each; `--trace` replays a USIMM trace.
+//! `--trace` replays a USIMM trace.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -23,24 +22,17 @@ use string_oram_bench::json::{self, Value};
 use string_oram_bench::traces_for;
 use trace_synth::{all_workloads, by_name, usimm};
 
-/// Every flag: long and short name, its value in the usage text (none: it
-/// only prints) and the config path it sets (none: a setting of the run).
-const FLAGS: [(&str, &str, &str, &str); 15] = [
-    ("--workload", "-w", "NAME", ""),
-    ("--scheme", "-s", "baseline|cb|pb|all", ""),
-    ("--accesses", "-n", "N", ""),
-    ("--y", "", "N", "ring.y"),
-    ("--stash", "", "N", "ring.stash_capacity"),
-    ("--levels", "", "N", "ring.levels"),
-    ("--seed", "", "N", "seed"),
-    ("--layout", "", "subtree|naive", "layout"),
-    ("--page", "", "open|closed", "page_policy"),
-    ("--load", "", "FRACTION", "load_factor"),
-    ("--trace", "", "FILE.usimm", ""),
-    ("--config", "", "FILE.json", ""),
-    ("--set", "", "PATH=JSON", ""),
-    ("--list-workloads", "", "", ""),
-    ("--help", "-h", "", ""),
+/// Every flag: long and short name and its value in the usage text (none:
+/// it only prints).
+const FLAGS: [(&str, &str, &str); 8] = [
+    ("--workload", "-w", "NAME"),
+    ("--scheme", "-s", "baseline|cb|pb|all"),
+    ("--accesses", "-n", "N"),
+    ("--trace", "", "FILE.usimm"),
+    ("--config", "", "FILE.json"),
+    ("--set", "", "PATH=JSON"),
+    ("--list-workloads", "", ""),
+    ("--help", "-h", ""),
 ];
 
 /// The most trace records a run generates, `cores × --accesses`: 384 MiB of them.
@@ -53,7 +45,7 @@ fn run() -> Result<(), Box<dyn Error>> {
         let flag = FLAGS
             .iter()
             .find(|f| arg == f.0 || (arg == f.1 && !arg.is_empty()));
-        let Some(&(long, _, value, _)) = flag else {
+        let Some(&(long, _, value)) = flag else {
             return Err(format!("unknown flag {arg:?} (try --help)").into());
         };
         if !value.is_empty() {
@@ -95,21 +87,17 @@ fn run() -> Result<(), Box<dyn Error>> {
     }
     // Each value set on the command line: its path and the flag as typed.
     let mut edits = Vec::new();
-    for (flag, value) in &given {
-        let (path, typed) = match FLAGS.iter().find(|f| f.0 == *flag && !f.3.is_empty()) {
-            Some(&(.., path)) => (path, value.as_str()),
-            None if *flag == "--set" => value
-                .split_once('=')
-                .ok_or(format!("--set {value}: no '='"))?,
-            None => continue,
-        };
+    for (_, value) in given.iter().filter(|(f, _)| *f == "--set") {
+        let (path, typed) = value
+            .split_once('=')
+            .ok_or(format!("--set {value}: no '='"))?;
         // `typed` is JSON, else a string; a decimal integer goes through
         // `u64`, so one above 2^53 stays exact.
         let leaf = typed.parse::<u64>().map(|n| n.to_value());
         let leaf = leaf.unwrap_or_else(|_| json::parse(typed).unwrap_or(Value::from(typed)));
         let nest = |v, key| Value::object(vec![(key, v)]);
         config::merge(&mut tree, path.rsplit('.').fold(leaf, nest));
-        edits.push((path, format!("{flag} {value}")));
+        edits.push((path, format!("--set {value}")));
     }
     let cfg = SystemConfig::from_value(&tree)?;
     cfg.validate()

@@ -3,8 +3,8 @@
 //! The paper's tables and figures, the ablations and the extensions are the
 //! rows of one table, `EXPERIMENTS` (`experiments.rs`), read by one interpreter
 //! ([`paper`]; `DESIGN.md` §6 is the index): `cargo bench --bench paper`
-//! prints paper-style rows to stdout, mirrors them to CSV and records them
-//! in `BENCH_paper.json`. The documents beyond the paper (shard scaling,
+//! prints paper-style rows to stdout and records them in
+//! `BENCH_paper.json`. The documents beyond the paper (shard scaling,
 //! the protocol matrix, service load, the scheduler-policy lab) and the
 //! backend speed probe are entries of the same table, run by name; the
 //! other `[[bench]]` target, `micro`, times single operations. Shared
@@ -69,13 +69,12 @@ mod tests {
     use super::experiments::EXPERIMENTS;
     use super::experiments::WORKLOADS;
     use super::json::Value;
-    use super::paper::{drive, geomean, Scale};
+    use super::paper::{geomean, Scale};
     use super::schema::tests::reject_cases;
     use super::schema::{
         Schema, PAPER, PROTOCOL_MATRIX, SCHED_POLICY, SERVICE_LOAD, SHARD_SCALING,
     };
     use super::*;
-    use std::path::Path;
     use string_oram::Scheme;
 
     #[test]
@@ -97,44 +96,6 @@ mod tests {
         warmup: 0,
         seeds: 1,
     };
-
-    /// A directory no other test or process uses.
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("string-oram-bench-{name}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn an_unset_csv_dir_opens_no_sink() {
-        let dir = scratch_dir("csv");
-        let args = ["table5_cb_space".to_string()];
-        drive(EXPERIMENTS, &args, &SMOKE, None, &mut Vec::new()).unwrap();
-        assert!(!dir.exists());
-        drive(EXPERIMENTS, &args, &SMOKE, Some(&dir), &mut Vec::new()).unwrap();
-        let csv = dir.join("table_v_cb_configurations_and_space_saving_z_8_s_12_l_23.csv");
-        let csv = std::fs::read_to_string(csv).expect("the table is mirrored");
-        std::fs::remove_dir_all(&dir).unwrap();
-        // The printed lines, comma-separated, without the display-only `%`.
-        let mirrored = "config,Y (CB rate),total GiB,dummy ,saved vs base\n\
-                        Baseline,Y=0,20.0,60.0,0.0\nConfig-1,Y=2,18.0,55.6,10.0\n\
-                        Config-2,Y=4,16.0,50.0,20.0\nConfig-3,Y=6,14.0,42.9,30.0\n\
-                        Config-4,Y=8,12.0,33.3,40.0\n";
-        assert_eq!(csv, mirrored);
-    }
-
-    #[test]
-    #[should_panic(expected = "STRING_ORAM_CSV_DIR=")]
-    fn an_unusable_csv_dir_is_refused() {
-        // A directory under a regular file can never be created.
-        let under_a_file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/csv");
-        let args = ["table5_cb_space".to_string()];
-        let _ = drive(
-            EXPERIMENTS,
-            &args,
-            &SMOKE,
-            Some(&under_a_file),
-            &mut Vec::new(),
-        );
-    }
 
     #[test]
     fn geomean_basics() {

@@ -9,15 +9,13 @@
 //! points at its committed size and its gate. What a table needs beyond its
 //! numbers happens here and nowhere else: the loops over workloads, schemes
 //! and variants, the division by the reference, the GEOMEAN row, the number
-//! formats, the 12-wide columns, the CSV mirror (`STRING_ORAM_CSV_DIR`), a
-//! document's tables (printed from its rows), the documents a run writes
-//! (`Schema::write`: `BENCH_paper.json` for a run that names nothing,
-//! `BENCH_<name>.json` for a named document entry), and the failing exit
-//! of a gate that does not hold.
+//! formats, the 12-wide columns, a document's tables (printed from its
+//! rows), the documents a run writes (`Schema::write`: `BENCH_paper.json`
+//! for a run that names nothing, `BENCH_<name>.json` for a named document
+//! entry), and the failing exit of a gate that does not hold.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::process::ExitCode;
 
 use string_oram::{Scheme, SimReport, Simulation, SystemConfig, VerifyConfig};
@@ -230,54 +228,19 @@ impl Table {
         }
     }
 
-    /// The header line, then the rows: the label and the values of each.
-    fn lines(&self) -> Vec<(&str, Vec<&str>)> {
-        let header = self.columns[1..].iter().map(String::as_str).collect();
-        let mut lines = vec![(self.columns[0].as_str(), header)];
-        for (label, cells) in &self.rows {
-            let values = cells.iter().map(|c| c.text.as_str()).collect();
-            lines.push((label.as_str(), values));
-        }
-        lines
-    }
-
+    /// The banner, the header line, then each row: its label and its
+    /// cells as printed.
     fn text(&self) -> String {
-        let lines = self.lines();
-        let lines = lines.iter().map(|(label, values)| line(label, values));
-        banner(&self.title) + &lines.collect::<String>()
+        let header = line(&self.columns[0], &self.columns[1..]);
+        let rows = self.rows.iter().map(|(label, cells)| {
+            let values: Vec<&str> = cells.iter().map(|c| c.text.as_str()).collect();
+            line(label, &values)
+        });
+        banner(&self.title) + &header + &rows.collect::<String>()
     }
 
-    /// Writes `<dir>/<slug-of-title>.csv`: the printed lines, values
-    /// without display-only decorations (`%`).
-    ///
-    /// # Panics
-    ///
-    /// When the directory or the file cannot be written — a figure run
-    /// pointed at an unusable directory must not "succeed" with no CSV.
-    fn write_csv(&self, dir: &Path) {
-        let csv = self
-            .lines()
-            .iter()
-            .fold(String::new(), |csv, (label, values)| {
-                let values = values.iter().map(|v| v.trim().trim_end_matches('%'));
-                let fields: Vec<&str> = std::iter::once(*label).chain(values).collect();
-                csv + &fields.join(",") + "\n"
-            });
-        let alphanumeric = |c: char| c.is_ascii_alphanumeric();
-        let slug = self
-            .title
-            .to_ascii_lowercase()
-            .replace(|c| !alphanumeric(c), "_");
-        let words: Vec<&str> = slug.split('_').filter(|s| !s.is_empty()).collect();
-        let name: String = words.join("_").chars().take(60).collect();
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, csv)) {
-            panic!("STRING_ORAM_CSV_DIR={dir:?}: cannot write {path:?}: {e}");
-        }
-    }
-
-    /// The table for `BENCH_paper.json`: per cell the text as printed, the
-    /// number the CSV carries, and the paper's.
+    /// The table for `BENCH_paper.json`: per cell the text as printed, its
+    /// number without display-only decorations (`%`), and the paper's.
     fn json(&self) -> Value {
         let number = |n: Option<f64>| n.filter(|n| n.is_finite()).map_or(Value::Null, finite);
         let cell = |(column, cell): (&String, &Cell)| {
@@ -577,9 +540,9 @@ impl Scale {
 
 /// Runs the experiments `args` name — the paper's, in the table's order,
 /// when they name none; arguments starting with `--` (cargo passes
-/// `--bench`) are ignored — printing each to `out` and mirroring its tables
-/// under `csv_dir`. Returns the documents to write: the [`PAPER`] document
-/// for a run that names none, each named document entry's.
+/// `--bench`) are ignored — printing each to `out`. Returns the documents
+/// to write: the [`PAPER`] document for a run that names none, each named
+/// document entry's.
 ///
 /// # Errors
 ///
@@ -589,7 +552,6 @@ pub(crate) fn drive(
     table: &[Experiment],
     args: &[String],
     scale: &Scale,
-    csv_dir: Option<&Path>,
     out: &mut dyn std::io::Write,
 ) -> Result<Vec<(&'static Schema, Value)>, String> {
     let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
@@ -611,9 +573,6 @@ pub(crate) fn drive(
     let mut print = |tables: &[Table], footer: &str| {
         let text: String = tables.iter().map(Table::text).collect();
         write!(out, "{text}\n{footer}\n").expect("the tables are printed");
-        if let Some(dir) = csv_dir {
-            tables.iter().for_each(|table| table.write_csv(dir));
-        }
     };
     for exp in selected {
         let failed = |e: String| format!("{}: {e}", exp.name);
@@ -667,9 +626,7 @@ pub fn main() -> ExitCode {
         warmup: env_or("STRING_ORAM_WARMUP", 0),
         seeds: env_or("STRING_ORAM_SEEDS", 1),
     };
-    let csv_dir = std::env::var_os("STRING_ORAM_CSV_DIR");
-    let csv_dir = csv_dir.as_deref().map(Path::new);
-    let run = drive(EXPERIMENTS, &args, &scale, csv_dir, &mut std::io::stdout());
+    let run = drive(EXPERIMENTS, &args, &scale, &mut std::io::stdout());
     let written = run.and_then(|documents| {
         let mut documents = documents.iter();
         documents.try_for_each(|(schema, doc)| schema.write(doc))
@@ -698,7 +655,7 @@ mod tests {
     fn driven(table: &[Experiment], args: &[&str]) -> (Result<bool, String>, String) {
         let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         let mut out = Vec::new();
-        let complete = drive(table, &args, &SMOKE, None, &mut out).map(|documents| {
+        let complete = drive(table, &args, &SMOKE, &mut out).map(|documents| {
             let paper = documents
                 .iter()
                 .find(|(schema, _)| schema.bench == PAPER.bench);

@@ -609,7 +609,7 @@ const SERVICE_TENANTS: Group = Group {
 /// the ORAM controller requests.
 pub(crate) const SCHED_POLICY: Schema = Schema {
     bench: "sched_policy",
-    version: 3,
+    version: 4,
     header: &[Keys(&["points"], Rows(&POLICY_POINTS))],
     host: &["run_wall_ms"],
 };
@@ -617,7 +617,7 @@ const POLICIES: Kind = OneOf(&[
     "fr-fcfs",
     "proactive-bank",
     "read-over-write",
-    "speculative-window",
+    "proactive-bank/lookahead=4",
     "fixed-cadence",
 ]);
 const POLICY_POINTS: Group = Group {
@@ -650,15 +650,15 @@ const POLICY_POINTS: Group = Group {
             match text(p, "policy") {
                 "fr-fcfs" => early == 0.0,
                 "proactive-bank" => (0.50..=0.85).contains(&early_pre),
-                "speculative-window" => early > 0.0,
+                "proactive-bank/lookahead=4" => early > 0.0,
                 "read-over-write" => uint(p, "deferred_writes") > 0,
                 _ => uint(p, "withheld_issue_slots") > 0,
             }
         },
         "the counters do not show the policy's mechanism: the transaction-based baseline \
          issues no early prep, Proactive Bank's early-PRE rate sits in the measured band \
-         [0.50, 0.85], speculative-window issues early prep, read-over-write defers writes, \
-         fixed-cadence withholds issue slots",
+         [0.50, 0.85], Proactive Bank at lookahead 4 issues early prep, read-over-write \
+         defers writes, fixed-cadence withholds issue slots",
     )],
 };
 
@@ -997,7 +997,7 @@ pub(crate) mod tests {
             |p| set(p, "early_activate_fraction", Value::Number(0.2)), MECHANISM),
         (&SCHED_POLICY, POINTS, |p| has(p, "policy", "proactive-bank"),
             |p| set(p, "early_precharge_fraction", Value::Number(0.13)), MECHANISM),
-        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "speculative-window"),
+        (&SCHED_POLICY, POINTS, |p| has(p, "policy", "proactive-bank/lookahead=4"),
             |p| { set(p, "early_precharge_fraction", 0u64); set(p, "early_activate_fraction", 0u64) },
             MECHANISM),
         (&SCHED_POLICY, POINTS, |p| has(p, "policy", "read-over-write"),

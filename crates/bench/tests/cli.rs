@@ -47,7 +47,7 @@ fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
 
 #[test]
 fn a_plain_run_succeeds() {
-    report(&["--scheme", "all", "--y", "4"]);
+    report(&["--scheme", "all", "--set", "ring.y=4"]);
 }
 
 #[test]
@@ -71,16 +71,16 @@ fn a_trace_run_is_labelled_by_its_file() {
 #[test]
 fn a_y_the_scheme_would_ignore_is_refused() {
     for scheme in ["baseline", "pb"] {
-        let stderr = refused(&["--accesses", "20", "--scheme", scheme, "--y", "4"]);
+        let stderr = refused(&["--accesses", "20", "--scheme", scheme, "--set", "ring.y=4"]);
         assert!(
-            stderr.contains("--y") && stderr.contains("--scheme"),
+            stderr.contains("--set ring.y=4") && stderr.contains("--scheme"),
             "{stderr}"
         );
     }
     // Path rewrites `ring.y` too, and the error names what was typed...
     let stderr = refused(&["--set", "protocol=path", "--set", "ring.y=4"]);
     assert!(stderr.contains("--set ring.y=4"), "{stderr}");
-    // ...but the protocol alone, or the same schemes without `--y`, run.
+    // ...but the protocol alone, or the same schemes without `ring.y`, run.
     report(&["--set", "protocol=path"]);
     report(&["--scheme", "baseline"]);
 }
@@ -95,7 +95,7 @@ fn every_parsed_flag_is_in_the_usage_text() {
         .filter(|l| l.starts_with("(\"--"))
         .filter_map(|l| l.split('"').nth(1))
         .collect();
-    assert!(flags.contains(&"--load") && flags.len() >= 12, "{flags:?}");
+    assert!(flags.contains(&"--set") && flags.len() >= 8, "{flags:?}");
 
     let out = stringoram(&["--help"]);
     assert!(out.status.success(), "{}", stderr(&out));
@@ -125,7 +125,7 @@ fn every_axis_is_reachable_through_set() {
         "protocol=path",
         "protocol=circuit",
         r#"sched_policy={"kind": "fixed-cadence", "period": 3}"#,
-        r#"sched_policy={"kind": "speculative-window", "window": 4}"#,
+        r#"sched_policy={"kind": "proactive-bank", "lookahead": 4}"#,
         "backend=fast-functional",
         "shards=2",
         RECURSION,
@@ -176,7 +176,7 @@ fn hostile_values_are_errors_not_panics() {
         ),
         (&["--set", "protocol=raft"], "protocol: expected one of"),
         (
-            &["--layout", "diagonal"],
+            &["--set", "layout=diagonal"],
             "layout: expected one of subtree, naive",
         ),
         (
@@ -184,7 +184,10 @@ fn hostile_values_are_errors_not_panics() {
             "ring.levels: 4294967296 is out of range",
         ),
         (&["--set", "seed=-1"], "seed: -1 is negative"),
-        (&["--load", "-0.5"], "load_factor must be in [0, 1]"),
+        (
+            &["--set", "load_factor=-0.5"],
+            "load_factor must be in [0, 1]",
+        ),
         (
             &["--set", "queue_capacity=2305843009213693952"],
             "queue_capacity must be in",
@@ -209,6 +212,19 @@ fn hostile_values_are_errors_not_panics() {
         (&["--config", "/nonexistent/stringoram.json"], "cannot read"),
         (&["--config", bad_json], "bad.json: unexpected end of input"),
         (&["--bogus"], "unknown flag"),
+        // Retired spellings are refused by name, not dropped.
+        (
+            &[
+                "--set",
+                r#"sched_policy={"kind": "speculative-window", "window": 4}"#,
+            ],
+            "sched_policy.kind: expected one of",
+        ),
+        (
+            &["--set", "verify.fail_fast=true"],
+            "verify.fail_fast: unknown key",
+        ),
+        (&["--y", "4"], "unknown flag"),
     ] {
         let stderr = refused(args);
         assert!(stderr.contains(names), "{args:?}: {stderr}");

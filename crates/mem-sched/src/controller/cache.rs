@@ -722,9 +722,10 @@ mod tests {
 
     #[test]
     fn the_derivation_that_stops_early_equals_the_full_walk() {
-        // The lookaheads of the six policies (`TransactionBased`,
-        // `ReadOverWrite` and `FixedCadence` share 0); `Unconstrained`
-        // classifies everything current and must never stop.
+        // The lookaheads of the five policies (`TransactionBased`,
+        // `ReadOverWrite` and `FixedCadence` share 0, `ProactiveBank` runs
+        // at 1 and 3); `Unconstrained` classifies everything current and
+        // must never stop.
         let windows = [(0, false), (1, false), (3, false), (u64::MAX, true)];
         let (mut stopped_short, mut walked_all) = (0, 0);
         for seed in 0..400u64 {

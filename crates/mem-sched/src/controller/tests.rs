@@ -590,7 +590,6 @@ fn policy_accessors_round_trip() {
         SchedulerPolicy::proactive(),
         SchedulerPolicy::Unconstrained,
         SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
-        SchedulerPolicy::speculative(),
         SchedulerPolicy::FixedCadence { period: 2 },
     ] {
         let c = controller(tag);
@@ -690,9 +689,9 @@ fn fixed_cadence_issues_only_on_slots() {
 fn speculative_window_prepares_deeper_than_pb() {
     // txn 0 grinds through a conflict chain in bank 0 while txns 1..=3
     // wait as cold misses in banks 1..=3. Both depths eventually prepare
-    // every bank early; the depth shows in *when*: a 3-deep window may
-    // ACT for txns 2 and 3 while txn 0 is still draining, PB (lookahead
-    // 1) cannot see past txn 1 until then.
+    // every bank early; the depth shows in *when*: lookahead 3 may ACT
+    // for txns 2 and 3 while txn 0 is still draining, the paper's
+    // lookahead 1 cannot see past txn 1 until then.
     let run = |policy| {
         let mut c = controller(policy);
         c.enable_command_trace();
@@ -744,13 +743,13 @@ fn speculative_window_prepares_deeper_than_pb() {
         )
     };
     let (end_pb, early_pb, deep_pb) = run(SchedulerPolicy::proactive());
-    let (end_sw, early_sw, deep_sw) = run(SchedulerPolicy::SpeculativeWindow { window: 3 });
+    let (end_sw, early_sw, deep_sw) = run(SchedulerPolicy::ProactiveBank { lookahead: 3 });
     assert!(early_pb > 0);
     assert!(early_sw >= early_pb);
     assert_eq!(deep_pb, 0, "PB cannot prepare past the next transaction");
     assert!(
         deep_sw >= 2,
-        "3-deep window must ACT for txns 2..=3 while txn 0 drains, got {deep_sw}"
+        "lookahead 3 must ACT for txns 2..=3 while txn 0 drains, got {deep_sw}"
     );
     assert!(end_sw <= end_pb, "extra preparation must not cost cycles");
 }
@@ -1263,8 +1262,10 @@ fn pinned_read_over_write_flips_order_mid_stall() {
 
 #[test]
 fn pinned_speculative_window() {
+    // A speculative window four transactions deep: Proactive Bank at
+    // lookahead 4.
     let (got, c) = run_scenario(&Scenario::new(
-        SchedulerPolicy::SpeculativeWindow { window: 4 },
+        SchedulerPolicy::ProactiveBank { lookahead: 4 },
         0x5BEC,
     ));
     assert!(c.stats().early_precharges + c.stats().early_activates > 0);
@@ -1286,17 +1287,9 @@ fn pinned_speculative_window() {
 
 #[test]
 fn lookahead_policies_are_one_function_of_k() {
-    // `ProactiveBank` and `SpeculativeWindow` differ in name only, and
     // `k = 0` is the transaction-based baseline: command stream,
     // completions, mid-run and end stats all agree.
     let run = |policy| run_scenario(&Scenario::new(policy, 0x5BEC)).0;
-    for k in [1, 4] {
-        assert_eq!(
-            run(SchedulerPolicy::ProactiveBank { lookahead: k }),
-            run(SchedulerPolicy::SpeculativeWindow { window: k }),
-            "k = {k}"
-        );
-    }
     let baseline = run(SchedulerPolicy::TransactionBased);
     assert_eq!(
         run(SchedulerPolicy::ProactiveBank { lookahead: 0 }),
@@ -1425,7 +1418,7 @@ fn pinned_dense_path_streams() {
             ),
         ),
         (
-            SchedulerPolicy::SpeculativeWindow { window: 3 },
+            SchedulerPolicy::ProactiveBank { lookahead: 3 },
             PagePolicy::Open,
             None,
             pin(
@@ -1760,7 +1753,7 @@ fn kept_views_equal_the_derivation_after_every_event() {
         SchedulerPolicy::TransactionBased,
         SchedulerPolicy::proactive(),
         SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
-        SchedulerPolicy::SpeculativeWindow { window: 3 },
+        SchedulerPolicy::ProactiveBank { lookahead: 3 },
         SchedulerPolicy::FixedCadence { period: 2 },
         SchedulerPolicy::Unconstrained,
     ];

@@ -15,11 +15,11 @@
 //!   conflicts are inter-transaction — hiding row-miss latency in
 //!   otherwise-idle banks without changing the data access sequence —
 //!
-//! and three more points explore the rest of it:
+//! and two more points explore the rest of it:
 //! [`SchedulerPolicy::ReadOverWrite`] (read priority with a bounded write
-//! drain), [`SchedulerPolicy::SpeculativeWindow`] (PB under a
-//! k-transaction lookahead) and [`SchedulerPolicy::FixedCadence`]
-//! (Cloak-style fixed issue-slot grid). Every policy except the explicitly
+//! drain) and [`SchedulerPolicy::FixedCadence`] (Cloak-style fixed
+//! issue-slot grid); PB's `lookahead` sets how many transactions ahead
+//! banks may be prepared. Every policy except the explicitly
 //! insecure unconstrained ablation preserves the observable
 //! transaction-ordered data-command sequence.
 //!

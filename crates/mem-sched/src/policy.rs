@@ -24,13 +24,12 @@
 //! |---|---|---|---|---|---|---|
 //! | `TransactionBased` | `fr-fcfs` | 0 | yes | every cycle | age | — |
 //! | `ProactiveBank { lookahead: k }` | `proactive-bank` | k | yes | every cycle | age | — |
-//! | `SpeculativeWindow { window: k }` | `speculative-window` | k | yes | every cycle | age | — |
 //! | `ReadOverWrite { drain_bound: d }` | `read-over-write` | 0 | yes | every cycle | reads first; writes first while draining | `deferred_writes`, `write_drains` |
 //! | `FixedCadence { period: p }` | `fixed-cadence` | 0 | yes | `cycle % p == 0` | age | `withheld_slots` |
 //! | `Unconstrained` | `unconstrained` | unbounded | **no** | every cycle | age | — |
 //!
-//! `TransactionBased` is paper Algorithm 1 and the `k = 0` point of the two
-//! lookahead rows; Algorithm 2 is `k = 1`. Data commands remain strictly
+//! `TransactionBased` is paper Algorithm 1 and the `k = 0` point of the
+//! lookahead row; Algorithm 2 is `k = 1`. Data commands remain strictly
 //! transaction-ordered in every row but the explicitly insecure last one —
 //! the passes only ever select among legal candidates, so no policy can
 //! widen the observable access sequence.
@@ -79,7 +78,9 @@ pub enum SchedulerPolicy {
     ProactiveBank {
         /// How many transactions past the current one may have their
         /// PRE/ACT commands pulled forward (the paper uses 1; 0
-        /// degenerates to the baseline).
+        /// degenerates to the baseline). The guard is the same for every
+        /// k, so a deeper window only converts more bank idle time into
+        /// early preparation.
         lookahead: u64,
     },
     /// **Insecure ablation**: plain FR-FCFS with no transaction barrier at
@@ -101,17 +102,6 @@ pub enum SchedulerPolicy {
         /// (must be ≥ 1).
         drain_bound: u64,
     },
-    /// Algorithm 2 under its generalized name: a `window`-transaction
-    /// PRE/ACT lookahead with the same inter-transaction-only guard. A
-    /// bank may prepare for a future transaction only while it has no
-    /// pending current-transaction request, and the future window mirrors
-    /// the row-hit-preservation skip, so the guard's security argument
-    /// carries over for any k — only more bank idle time is converted
-    /// into early preparation.
-    SpeculativeWindow {
-        /// Lookahead window in transactions (1 recovers Proactive Bank).
-        window: u64,
-    },
     /// Cloak-style fixed temporal distribution of command issue slots:
     /// cycles where `cycle % period == 0` are issue slots, every other
     /// cycle is withheld regardless of pending work. The grid is a pure
@@ -132,12 +122,6 @@ impl SchedulerPolicy {
         Self::ProactiveBank { lookahead: 1 }
     }
 
-    /// Speculative window with the default 4-transaction lookahead.
-    #[must_use]
-    pub fn speculative() -> Self {
-        Self::SpeculativeWindow { window: 4 }
-    }
-
     /// Whether the policy upholds the ORAM transaction ordering guarantee.
     #[must_use]
     pub(crate) fn preserves_transaction_order(self) -> bool {
@@ -152,7 +136,6 @@ impl SchedulerPolicy {
             Self::ProactiveBank { .. } => "proactive-bank",
             Self::Unconstrained => "unconstrained",
             Self::ReadOverWrite { .. } => "read-over-write",
-            Self::SpeculativeWindow { .. } => "speculative-window",
             Self::FixedCadence { .. } => "fixed-cadence",
         }
     }
@@ -209,8 +192,7 @@ impl PolicyState {
     /// controller's lifetime — its per-channel view caches are keyed on it.
     pub(crate) fn lookahead(&self) -> u64 {
         match self.tag {
-            SchedulerPolicy::ProactiveBank { lookahead: k }
-            | SchedulerPolicy::SpeculativeWindow { window: k } => k,
+            SchedulerPolicy::ProactiveBank { lookahead: k } => k,
             // Every queued request is current: an unbounded window keeps
             // the controller's cache key stable and its future window
             // trivially empty.
@@ -286,7 +268,6 @@ mod tests {
             SchedulerPolicy::proactive(),
             SchedulerPolicy::Unconstrained,
             SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
-            SchedulerPolicy::speculative(),
             SchedulerPolicy::FixedCadence { period: 2 },
         ];
         let names: Vec<_> = tags.iter().map(|t| t.name()).collect();
@@ -302,7 +283,7 @@ mod tests {
     fn order_preservation_flags() {
         assert!(SchedulerPolicy::proactive().preserves_transaction_order());
         assert!(SchedulerPolicy::ReadOverWrite { drain_bound: 8 }.preserves_transaction_order());
-        assert!(SchedulerPolicy::speculative().preserves_transaction_order());
+        assert!(SchedulerPolicy::ProactiveBank { lookahead: 4 }.preserves_transaction_order());
         assert!(SchedulerPolicy::FixedCadence { period: 2 }.preserves_transaction_order());
         assert!(!SchedulerPolicy::Unconstrained.preserves_transaction_order());
     }

@@ -35,8 +35,8 @@ pub struct SchedulerStats {
     pub precharges: u64,
     /// ACT commands issued by the scheduler on behalf of queued requests.
     pub activates: u64,
-    /// PRE commands issued ahead of their transaction by any policy's
-    /// proactive pass (Proactive Bank, speculative window, …).
+    /// PRE commands issued ahead of their transaction by the proactive
+    /// pass (Proactive Bank at any lookahead).
     pub early_precharges: u64,
     /// ACT commands issued ahead of their transaction by any policy's
     /// proactive pass.

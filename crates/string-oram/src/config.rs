@@ -276,9 +276,7 @@ impl FaultConfig {
 /// independently reimplemented rules: the transaction-order security
 /// contract on every backend, JEDEC timing where a DRAM model is behind
 /// the trace, and the selected protocol's structural invariants. Findings
-/// surface in `SimReport::violations`; with [`Self::fail_fast`] the
-/// simulation panics at the first finding instead (for `#[should_panic]`
-/// negative tests).
+/// surface in `SimReport::violations`.
 ///
 /// Everything is off by default so measurement runs pay no tracing cost;
 /// the `test_small` preset turns the checkers on.
@@ -287,9 +285,6 @@ pub struct VerifyConfig {
     /// Attach every checker that applies to the configured backend and
     /// protocol (see `pipeline::Conformance`).
     pub enabled: bool,
-    /// Panic on the first violation instead of accumulating into the
-    /// report.
-    pub fail_fast: bool,
 }
 
 impl VerifyConfig {
@@ -302,10 +297,7 @@ impl VerifyConfig {
     /// All checkers on, accumulating violations into the report.
     #[must_use]
     pub fn checked() -> Self {
-        Self {
-            enabled: true,
-            fail_fast: false,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -574,9 +566,6 @@ impl SystemConfig {
         match self.sched_policy {
             SchedulerPolicy::ReadOverWrite { drain_bound: 0 } => {
                 return Err("read-over-write drain_bound must be at least 1".into());
-            }
-            SchedulerPolicy::SpeculativeWindow { window: 0 } => {
-                return Err("speculative-window window must be at least 1".into());
             }
             SchedulerPolicy::FixedCadence { period: 0 } => {
                 return Err("fixed-cadence period must be at least 1".into());

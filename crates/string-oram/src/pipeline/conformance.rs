@@ -18,9 +18,8 @@
 //!   derived from the block and the access index, and checks every read
 //!   against the block's last write.
 //!
-//! Findings accumulate into one violation log; with
-//! [`crate::config::VerifyConfig::fail_fast`] the first finding panics
-//! instead (the negative-test hook).
+//! Findings accumulate into one violation log, which the report carries
+//! as `SimReport::violations`.
 
 use dram_sim::geometry::DramGeometry;
 use dram_sim::timing::TimingParams;
@@ -38,7 +37,6 @@ pub struct Conformance {
     policy: Option<PolicyAuditor>,
     auditor: Option<ProtocolAuditor>,
     mirror: Option<MirrorOracle>,
-    fail_fast: bool,
     violations: Vec<Violation>,
 }
 
@@ -69,7 +67,6 @@ impl Conformance {
             policy: on.then(|| PolicyAuditor::new(sched_policy)),
             auditor: on.then(|| ProtocolAuditor::new(kind, ring.clone())),
             mirror: on.then(|| MirrorOracle::new(ring.block_bytes as usize)),
-            fail_fast: verify.fail_fast,
             violations: Vec::new(),
         }
     }
@@ -128,33 +125,20 @@ impl Conformance {
     }
 
     /// Moves fresh checker findings into the violation log, in checker
-    /// order (shadow timing, transaction order, protocol audit, values);
-    /// with `fail_fast` the first finding panics instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first finding when built with
-    /// [`crate::config::VerifyConfig::fail_fast`].
+    /// order (shadow timing, transaction order, protocol audit, values).
     pub fn collect(&mut self) {
-        let mut fresh = Vec::new();
         if let Some(shadow) = &mut self.shadow {
-            fresh.extend(shadow.take_violations());
+            self.violations.extend(shadow.take_violations());
         }
         if let Some(policy) = &mut self.policy {
-            fresh.extend(policy.take_violations());
+            self.violations.extend(policy.take_violations());
         }
         if let Some(auditor) = &mut self.auditor {
-            fresh.extend(auditor.take_violations());
+            self.violations.extend(auditor.take_violations());
         }
         if let Some(mirror) = &mut self.mirror {
-            fresh.extend(mirror.take_violations());
+            self.violations.extend(mirror.take_violations());
         }
-        if self.fail_fast {
-            if let Some(v) = fresh.first() {
-                panic!("conformance violation: {v}");
-            }
-        }
-        self.violations.extend(fresh);
     }
 
     /// Every violation found so far.

@@ -440,6 +440,6 @@ fn steady_state_access_performs_no_heap_allocation() {
     assert_controller_steady_state(SchedulerPolicy::TransactionBased);
     assert_controller_steady_state(SchedulerPolicy::ProactiveBank { lookahead: 1 });
     assert_controller_steady_state(SchedulerPolicy::ReadOverWrite { drain_bound: 4 });
-    assert_controller_steady_state(SchedulerPolicy::SpeculativeWindow { window: 4 });
+    assert_controller_steady_state(SchedulerPolicy::ProactiveBank { lookahead: 4 });
     assert_controller_steady_state(SchedulerPolicy::FixedCadence { period: 2 });
 }

@@ -2,7 +2,7 @@
 //! the stack absorbs injected faults without tripping any conformance
 //! checker, faults never change the program's observable work, and — the
 //! negative half — losing a payload (retries disabled) must be flagged by
-//! the fault-aware auditor and must abort a `fail_fast` run.
+//! the fault-aware auditor and the value referee.
 
 use oram_rng::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use ring_oram::{BlockId, FaultEvent, OpKind, ResilienceConfig, RingConfig, RingOram};
@@ -198,18 +198,6 @@ fn unrecovered_faults_are_flagged() {
         "a read of a lost payload must trip the value referee; got: {:?}",
         r.violations.first()
     );
-}
-
-/// Same injected defect under `fail_fast`: the run must abort at the first
-/// lost payload instead of accumulating violations.
-#[test]
-#[should_panic(expected = "conformance violation")]
-fn unrecovered_fault_trips_fail_fast() {
-    let mut cfg = no_retry_cfg();
-    cfg.verify.fail_fast = true;
-    let traces = traces_for(&cfg, "black", 11, 80);
-    let mut sim = Simulation::new(cfg, traces);
-    let _ = sim.run(50_000_000);
 }
 
 /// The CI fault-matrix smoke: two seeds x two rates, each run must

@@ -37,12 +37,13 @@ use trace_synth::{by_name, TraceGenerator, TraceRecord};
 const UNSHARDED_GOLDEN: u64 = 0x8FEF_A689_12F2_C2F5;
 const FOUR_SHARD_GOLDEN: u64 = 0xE0A9_729E_66A7_C001;
 
-/// Every order-preserving policy in the lab, baseline first.
+/// Every order-preserving policy in the lab, baseline first; Proactive Bank
+/// at the paper's lookahead and four transactions deep.
 const POLICIES: [SchedulerPolicy; 5] = [
     SchedulerPolicy::TransactionBased,
     SchedulerPolicy::ProactiveBank { lookahead: 1 },
     SchedulerPolicy::ReadOverWrite { drain_bound: 8 },
-    SchedulerPolicy::SpeculativeWindow { window: 4 },
+    SchedulerPolicy::ProactiveBank { lookahead: 4 },
     SchedulerPolicy::FixedCadence { period: 2 },
 ];
 
@@ -144,17 +145,17 @@ fn every_policy_holds_the_four_shard_golden_digest() {
     }
 }
 
-/// The PB-style policies actually use their lookahead on the canonical
+/// Proactive Bank at both depths actually uses its lookahead on the canonical
 /// run (early PRE/ACT fractions are positive), the baseline never does,
 /// and fixed-cadence actually withholds issue slots — so the matrix above
-/// is comparing genuinely different schedulers, not five spellings of one.
+/// is comparing genuinely different schedulers.
 #[test]
 fn policies_are_behaviorally_distinct_on_the_canonical_run() {
     for policy in POLICIES {
         let report = run_unsharded(policy, BackendKind::CycleAccurate).report();
         let early = report.early_precharge_fraction + report.early_activate_fraction;
         match policy {
-            SchedulerPolicy::ProactiveBank { .. } | SchedulerPolicy::SpeculativeWindow { .. } => {
+            SchedulerPolicy::ProactiveBank { .. } => {
                 assert!(early > 0.0, "{} never issued early prep", policy.name());
             }
             _ => assert_eq!(early, 0.0, "{} issued early prep", policy.name()),

@@ -13,7 +13,9 @@
 # - leaf: the innermost inline frame of the sampled instruction (self time);
 # - leaf lines: the source line of that frame (`file:line`, paths from the
 #   crate directory), which tells apart the loads of one function and
-#   names the line a misattributed inline frame really is;
+#   names the line a misattributed inline frame really is; where that frame
+#   has no line row, the line of the next inline frame out that has one
+#   (`file:?` only when no frame has a row);
 # - inclusive: samples with the function anywhere on the stack, inline
 #   frames included;
 # - callees: for each function in CALLEES below, which function it was
@@ -125,19 +127,23 @@ awk -v pie="$pie" '
     END { if (dropped) printf "warning: %d samples did not fit the buffer\n", dropped > "/dev/stderr" }
 ' "$samples"/run.* >"$norm"
 
-# One line per address: the address, the innermost frame's source line,
-# then its inline frames, innermost first, separated by tabs.
+# One line per address: the address, the source line of the innermost
+# inline frame that has a line row (`file:?` only when none has), then its
+# inline frames, innermost first, separated by tabs.
 symbols=$samples/symbols
 tr ' ' '\n' <"$norm" | grep -v '^-$' | sort -u | sed 's/^/0x/' |
     addr2line -e "$exe" -a -f -i -C |
-    awk '/^0x/ { if (line != "") print line "\t" loc names; line = $0; names = ""; loc = ""; odd = 1; next }
+    awk 'function emit() { if (line != "") print line "\t" (loc != "" ? loc : first) names }
+         /^0x/ { emit(); line = $0; names = ""; loc = ""; first = ""; odd = 1; next }
          odd { names = names "\t" $0 }
-         !odd && loc == "" {
-             loc = $0; sub(/ \(discriminator [0-9]+\)$/, "", loc)
-             if (!sub(/.*\/crates\//, "", loc) && !sub(/.*\/library\//, "", loc)) sub(/.*\/benchmark\//, "benchmark/", loc)
+         !odd {
+             at = $0; sub(/ \(discriminator [0-9]+\)$/, "", at)
+             if (!sub(/.*\/crates\//, "", at) && !sub(/.*\/library\//, "", at)) sub(/.*\/benchmark\//, "benchmark/", at)
+             if (first == "") first = at
+             if (loc == "" && at !~ /:\?$/) loc = at
          }
          { odd = !odd }
-         END { if (line != "") print line "\t" loc names }' |
+         END { emit() }' |
     sed -E ':a; s/(^|[^A-Za-z0-9_])[a-z_][a-z0-9_]*::/\1/; ta; s/<impl ([A-Za-z0-9_]+)>::/\1::/g' >"$symbols"
 if [[ -n $keep ]]; then
     mkdir -p "$keep"
